@@ -6,12 +6,12 @@
 // replica's first scan of a corpus its sibling already analyzed is then
 // answered from here instead of recomputed.
 //
-// The daemon is a memory front tier over the segment-packed disk store
-// (internal/store/segment) behind the store.CacheServer protocol: a
-// fleet GET that misses memory is one index probe plus one pread into
-// an append-only segment file, entries survive restarts (recovery is a
-// single sequential segment scan), and a directory written by an older
-// file-per-entry build is migrated into segments on first open.
+// The daemon serves the same store.Stack kserve does, built by the same
+// constructor with no remote: a memory tier over the segment-packed
+// disk store (internal/store/segment), behind the store.CacheServer
+// protocol. A fleet GET that misses memory is one index probe plus one
+// pread into an append-only segment file, and entries survive restarts
+// (recovery is a single sequential segment scan).
 // Consistency needs no coordination — keys are content addresses, so an
 // entry can only ever be correct for the inputs that produced it;
 // invalidation (POST /invalidate, issued by replicas applying
@@ -97,31 +97,20 @@ func main() {
 	// SIGINT/SIGTERM stops background sweeps as part of the drain.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	var opts []store.SegmentDiskOption
-	if *cacheMaxBytes > 0 {
-		opts = append(opts, store.SegmentDiskMaxBytes(*cacheMaxBytes))
-	}
-	disk, err := store.NewSegmentDisk(*cacheDir, opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kcached:", err)
-		os.Exit(1)
-	}
-	if n := disk.Migrated(); n > 0 {
-		log.Printf("kcached: migrated %d file-per-entry records into segments", n)
-	}
-	// The daemon's store is a memory front tier over the segment disk
-	// store: a hot fleet GET never touches the segment log at all, a
-	// warm one is an index probe plus one pread. Both tiers are
-	// instrumented individually, so kcached's /metrics carries the same
+	// A hot fleet GET never touches the segment log at all; a warm one
+	// is an index probe plus one pread. /metrics carries the same
 	// store_* families as kserve's, under the kcached namespace with
 	// tier="memory" and tier="disk".
 	reg := obs.NewRegistry("kcached")
 	gcSweep := reg.Histogram("gc_sweep_duration_seconds",
 		"Wall time of one GC sweep over the backing store.", nil)
-	tier := store.NewTiered(
-		store.Instrument(reg, "memory", store.NewMemory(*cacheBytes)).SampleLatency(4),
-		store.Instrument(reg, "disk", disk))
-	cs := store.NewCacheServer(tier)
+	st, err := store.Open(reg, *cacheBytes, *cacheDir, *cacheMaxBytes, "", store.RemoteConfig{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kcached:", err)
+		os.Exit(1)
+	}
+	disk := st.Disk()
+	cs := store.NewCacheServer(st)
 	cs.EnableTracing(obs.NewTraceStore(*traceRetain, *traceSample, *traceSlow))
 	cs.Register(reg)
 	// The generation feed rides on the cache daemon because it is the
@@ -150,10 +139,10 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: store.AccessLog(log.Default(), mux)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	st := disk.Stats()
+	boot := disk.Stats()
 	version, goVersion := obs.BuildVersion()
 	log.Printf("kcached: %s (%s) serving %s (%d entries, %d bytes) on %s",
-		version, goVersion, *cacheDir, st.Entries, st.Bytes, *addr)
+		version, goVersion, *cacheDir, boot.Entries, boot.Bytes, *addr)
 	select {
 	case err := <-errCh:
 		log.Fatal("kcached: ", err)
@@ -165,14 +154,14 @@ func main() {
 		if err := hs.Shutdown(sctx); err != nil {
 			log.Printf("kcached: shutdown: %v", err)
 		}
-		st := disk.Stats()
+		final := disk.Stats()
 		// Final sync: the flush window's tail is on disk before exit, so
 		// the next boot recovers everything this one served.
 		if err := disk.Close(); err != nil {
 			log.Printf("kcached: disk close: %v", err)
 		}
 		log.Printf("kcached: final stats: entries=%d bytes=%d hits=%d misses=%d hit_rate=%.3f",
-			st.Entries, st.Bytes, st.Hits, st.Misses, st.HitRate())
+			final.Entries, final.Bytes, final.Hits, final.Misses, final.HitRate())
 	}
 }
 

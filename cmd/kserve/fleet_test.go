@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,9 +19,8 @@ import (
 	"knighter/internal/store"
 )
 
-// newKcached boots an in-process kcached with the store composition
-// cmd/kcached wires — memory front tier over the segment disk store —
-// minus the flag parsing.
+// newKcached boots an in-process kcached on the store cmd/kcached
+// opens — memory over the segment disk store — minus the flag parsing.
 func newKcached(t *testing.T) (*store.SegmentDisk, *httptest.Server) {
 	t.Helper()
 	return newKcachedDir(t, t.TempDir())
@@ -30,36 +30,30 @@ func newKcached(t *testing.T) (*store.SegmentDisk, *httptest.Server) {
 // test can stop the daemon and boot a successor on the same segments.
 func newKcachedDir(t *testing.T, dir string) (*store.SegmentDisk, *httptest.Server) {
 	t.Helper()
-	disk, err := store.NewSegmentDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { disk.Close() })
-	tier := store.NewTiered(store.NewMemory(0), disk)
-	kc := httptest.NewServer(store.NewCacheServer(tier).Handler())
+	st := openStore(t, nil, dir, "", store.RemoteConfig{})
+	kc := httptest.NewServer(store.NewCacheServer(st).Handler())
 	t.Cleanup(kc.Close)
-	return disk, kc
+	return st.Disk(), kc
 }
 
-// newFleetReplica builds a kserve replica with the fleet store
-// composition main() wires for -cache-remote: coalesced(memory ->
-// remote). Each replica parses its own copy of the same corpus, like
-// real replicas deployed from one image.
+// newFleetReplica builds a kserve replica on the store main() opens for
+// -cache-remote: memory -> remote. Each replica parses its own copy of
+// the same corpus, like real replicas deployed from one image.
 func newFleetReplica(t *testing.T, kcURL string, rcfg store.RemoteConfig) (*server, *httptest.Server) {
+	t.Helper()
+	return newFleetReplicaDir(t, "", kcURL, rcfg)
+}
+
+// newFleetReplicaDir is newFleetReplica with a local disk tier too
+// (-cache-dir): memory -> remote raced against disk.
+func newFleetReplicaDir(t *testing.T, cacheDir, kcURL string, rcfg store.RemoteConfig) (*server, *httptest.Server) {
 	t.Helper()
 	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
 	cb, err := scan.NewCodebase(corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := store.NewRemote(kcURL, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st store.Store = store.NewTiered(store.NewMemory(0), asyncInvalidate{remote})
-	st = store.NewCoalesced(st)
-	srv := newServer(scan.NewIncremental(cb, st))
-	srv.remote = remote
+	srv := newServer(cb, openStore(t, nil, cacheDir, kcURL, rcfg))
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -256,7 +250,7 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 	if csA.StoreInvalidated == 0 {
 		t.Fatal("changeset invalidated nothing despite a warm shared tier")
 	}
-	// Remote invalidation is fired asynchronously (asyncInvalidate keeps
+	// Remote invalidation is fired asynchronously (store.Stack keeps
 	// the network round-trip out of the corpus write lock), so poll for
 	// it rather than asserting instantly.
 	deadline := time.Now().Add(5 * time.Second)
@@ -277,7 +271,7 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSrv := newServer(scan.NewIncremental(cbRef, store.NewMemory(0)))
+	refSrv := newServer(cbRef, openStore(t, nil, "", "", store.RemoteConfig{}))
 	tsRef := httptest.NewServer(refSrv.routes())
 	t.Cleanup(tsRef.Close)
 	if code := postJSON(t, tsRef, "/changeset", change, nil); code != http.StatusOK {
@@ -359,4 +353,103 @@ func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
 		t.Fatalf("per-response coalesce counts (%d) disagree with store counter (%d)",
 			totalCoalesced, st.Coalesced)
 	}
+}
+
+// TestFleetReplicaStatsReportItsOwnEntries: a replica with
+// -cache-remote and no -cache-dir (the shape of every fleet_commit
+// shard) keeps its entries in memory, and /stats must say so — the
+// remote tier keeps no entry books, so reporting "the back tier" left
+// store.entries and store.bytes at zero forever.
+func TestFleetReplicaStatsReportItsOwnEntries(t *testing.T) {
+	_, kc := newKcached(t)
+	_, ts := newFleetReplica(t, kc.URL, store.RemoteConfig{})
+	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker})
+	if scan.Cache.Misses == 0 {
+		t.Fatal("cold scan missed nothing")
+	}
+	st := getStats(t, ts).Store
+	if st.Entries == 0 || st.Bytes == 0 {
+		t.Fatalf("/stats store = %+v after a cold scan cached %d results", st, scan.Cache.Misses)
+	}
+}
+
+// TestFleetRacedDiskReplica boots the memory -> remote || disk shape
+// (-cache-remote plus -cache-dir) through the daemons' constructor and
+// holds it to the byte-identity contract with kcached healthy, hung,
+// and dead.
+func TestFleetRacedDiskReplica(t *testing.T) {
+	_, refTS := newTestServer(t)
+	want := reportsJSON(t, postScan(t, refTS, api.ScanRequest{Checker: testChecker}))
+
+	// kcached behind a switch that makes every request hang until the
+	// client gives up.
+	kcStore := openStore(t, nil, t.TempDir(), "", store.RemoteConfig{})
+	kcHandler := store.NewCacheServer(kcStore).Handler()
+	var hung atomic.Bool
+	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hung.Load() {
+			<-r.Context().Done()
+			return
+		}
+		kcHandler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(kc.Close)
+	// The breaker never opens: a probe that waited on the hung daemon
+	// would show up as an error, not be hidden behind an open circuit.
+	rcfg := store.RemoteConfig{Timeout: 500 * time.Millisecond, BreakerThreshold: 1 << 30}
+	dir := t.TempDir()
+
+	// Each phase is a subtest so its replica — listener and segment
+	// files — is closed before the next one reopens the directory.
+
+	// Healthy: every miss waits for both sides, computes, and writes
+	// through to all three tiers.
+	t.Run("healthy", func(t *testing.T) {
+		srv, ts := newFleetReplicaDir(t, dir, kc.URL, rcfg)
+		a := postScan(t, ts, api.ScanRequest{Checker: testChecker})
+		if got := reportsJSON(t, a); got != want {
+			t.Fatalf("cold scan differs from the single-host reference:\n got: %s\nwant: %s", got, want)
+		}
+		if a.Cache.Hits != 0 || srv.remote.RemoteStats().Puts == 0 || kcStore.Stats().Entries == 0 {
+			t.Fatalf("cold scan: cache %+v, remote %+v, kcached %+v", a.Cache, srv.remote.RemoteStats(), kcStore.Stats())
+		}
+		if got := srv.inc.Stats().Entries; got != a.Cache.Misses {
+			t.Fatalf("/stats reports %d entries, the disk tier should hold all %d results", got, a.Cache.Misses)
+		}
+	})
+
+	// Hung kcached, restarted replica (cold memory, warm disk): the
+	// local leaf answers every probe and no probe waits out the remote
+	// timeout.
+	t.Run("kcached hung", func(t *testing.T) {
+		hung.Store(true)
+		srv, ts := newFleetReplicaDir(t, dir, kc.URL, rcfg)
+		b := postScan(t, ts, api.ScanRequest{Checker: testChecker})
+		if got := reportsJSON(t, b); got != want {
+			t.Fatal("scan with kcached hung differs from the reference")
+		}
+		if b.Cache.Misses != 0 {
+			t.Fatalf("restarted replica missed %d times with a warm disk tier", b.Cache.Misses)
+		}
+		if rs := srv.remote.RemoteStats(); rs.Errors != 0 || rs.Hits != 0 {
+			t.Fatalf("local hits waited on the hung daemon: %+v", rs)
+		}
+	})
+
+	// Dead kcached: a warm-disk replica still scans all-hits, and a
+	// replica with an empty disk recomputes everything — 200s and
+	// identical bytes either way (postScan fails the test on a non-200).
+	t.Run("kcached dead", func(t *testing.T) {
+		kc.Close()
+		_, tsC := newFleetReplicaDir(t, dir, kc.URL, rcfg)
+		c := postScan(t, tsC, api.ScanRequest{Checker: testChecker})
+		if got := reportsJSON(t, c); got != want || c.Cache.Misses != 0 {
+			t.Fatalf("warm-disk scan with kcached dead: misses=%d, identical=%v", c.Cache.Misses, got == want)
+		}
+		_, tsD := newFleetReplicaDir(t, t.TempDir(), kc.URL, rcfg)
+		d := postScan(t, tsD, api.ScanRequest{Checker: testChecker})
+		if got := reportsJSON(t, d); got != want || d.Cache.Hits != 0 {
+			t.Fatalf("cold-disk scan with kcached dead: hits=%d, identical=%v", d.Cache.Hits, got == want)
+		}
+	})
 }

@@ -36,6 +36,13 @@
 // shard degrades its partition to the coordinator's local snapshot —
 // slower, never wrong.
 //
+// The cache is one store.Stack, opened by the same constructor kcached
+// uses (store.Open) from an ordered tier list the flags spell out:
+// memory, then kcached (-cache-remote), then the local segment tier
+// (-cache-dir). Promotion, write-through, racing the remote tier
+// against the disk tier behind it, single-flight computation and the
+// per-tier /metrics families all follow from that list.
+//
 // Wire types live in internal/api: every response carries the corpus
 // generation (body + X-KN-Generation header), scan-shaped requests
 // accept min_generation (read-your-writes), and errors use the
@@ -150,62 +157,21 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// Tier composition: memory in front, then the shared remote tier and
-	// the local disk tier — hedged against each other when both exist:
-	// a memory miss probes kcached and the local segment store
-	// concurrently and the first hit wins, so the network round-trip
-	// bounds p99 instead of adding to it, and every local computation is
-	// still published for the siblings. The whole stack is wrapped in
-	// singleflight coalescing: identical concurrent misses (whose window
-	// the remote round-trip widens) compute once. Every tier is
-	// individually instrumented into the shared registry, so /metrics
-	// breaks hits, misses, and latency down by WHERE.
+	// The store is memory, then kcached (-cache-remote), then the local
+	// segment tier (-cache-dir); store.Stack derives racing, promotion,
+	// coalescing and the per-tier /metrics families from that list.
 	reg := obs.NewRegistry("kserve")
-	var disk *store.SegmentDisk
-	var remote *store.Remote
-	var backRemote, backDisk store.Store
-	if *cacheRemote != "" {
-		remote, err = store.NewRemote(*cacheRemote, store.RemoteConfig{Timeout: *cacheRemoteTimeout})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kserve:", err)
-			os.Exit(1)
-		}
-		backRemote = store.Instrument(reg, "remote", asyncInvalidate{remote})
-	}
-	if *cacheDir != "" {
-		var opts []store.SegmentDiskOption
-		if *cacheMaxBytes > 0 {
-			opts = append(opts, store.SegmentDiskMaxBytes(*cacheMaxBytes))
-		}
-		disk, err = store.NewSegmentDisk(*cacheDir, opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kserve:", err)
-			os.Exit(1)
-		}
-		if n := disk.Migrated(); n > 0 {
-			log.Printf("kserve: disk cache: migrated %d file-per-entry records into segments", n)
-		}
-		backDisk = store.Instrument(reg, "disk", disk)
-	} else if *cacheMaxBytes > 0 {
+	if *cacheMaxBytes > 0 && *cacheDir == "" {
 		log.Printf("kserve: -cache-max-bytes ignored without -cache-dir (the byte budget bounds the disk tier; use -cache-bytes for the memory tier)")
 	}
-	// The local tiers sample latency 1-in-16: a memory hit costs about
-	// as much as reading the clock, so full timing there would be the
-	// observability layer taxing the very path it exists to protect.
-	var hedged *store.Hedged
-	var st store.Store = store.Instrument(reg, "memory", store.NewMemory(*cacheBytes)).SampleLatency(4)
-	switch {
-	case backRemote != nil && backDisk != nil:
-		hedged = store.NewHedged(backRemote, backDisk)
-		st = store.NewTiered(st, store.Instrument(reg, "hedged", hedged))
-	case backRemote != nil:
-		st = store.NewTiered(st, backRemote)
-	case backDisk != nil:
-		st = store.NewTiered(st, backDisk)
+	st, err := store.Open(reg, *cacheBytes, *cacheDir, *cacheMaxBytes, *cacheRemote,
+		store.RemoteConfig{Timeout: *cacheRemoteTimeout})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kserve:", err)
+		os.Exit(1)
 	}
-	st = store.Instrument(reg, "coalesced", store.NewCoalesced(st)).SampleLatency(4)
-	srv := newServer(scan.NewIncremental(cb, st))
-	srv.remote = remote
+	disk := st.Disk()
+	srv := newServer(cb, st)
 	srv.funcTimeout = *funcTimeout
 	srv.slowScan = *slowScan
 	srv.minGenWait = *minGenWait
@@ -257,8 +223,8 @@ func main() {
 		// and invalidations leave in the segment log.
 		srv.startDiskGC(ctx, disk, *cacheTTL)
 	}
-	if remote != nil {
-		log.Printf("kserve: fleet cache tier: %s (hedged against local disk: %v)", *cacheRemote, hedged != nil)
+	if srv.remote != nil {
+		log.Printf("kserve: fleet cache tier: %s (raced against local disk: %v)", *cacheRemote, disk != nil)
 	}
 	if srv.adm != nil {
 		log.Printf("kserve: read admission control: %d inflight, %d queued", *maxInflight, *maxQueued)
@@ -382,8 +348,15 @@ type server struct {
 	gcRemoved       atomic.Int64
 }
 
-func newServer(inc *scan.Incremental) *server {
-	s := &server{inc: inc, started: time.Now(), minGenWait: 2 * time.Second}
+// newServer serves cb from st, the store the daemon opened; the
+// stack's remote leaf (if any) is kept for /stats health reporting.
+func newServer(cb *scan.Codebase, st *store.Stack) *server {
+	s := &server{
+		inc:        scan.NewIncremental(cb, st),
+		remote:     st.Remote(),
+		started:    time.Now(),
+		minGenWait: 2 * time.Second,
+	}
 	s.asyncLedger.init()
 	return s
 }
@@ -399,26 +372,6 @@ func (s *server) setGates(read, write *admission) {
 		write.generation = gen
 	}
 	s.adm, s.wadm = read, write
-}
-
-// asyncInvalidate wraps the remote tier so corpus mutations never stall
-// on a network round-trip: /patch and /changeset invalidate the store
-// after their generation commits, and a slow or dead kcached would
-// otherwise hold the mutation response for the remote timeout. Safe to
-// defer because remote invalidation is garbage collection, not a
-// correctness mechanism — content addressing means the orphaned keys
-// can never be requested again (the daemon's doc comment states the
-// same contract). Gets, Puts, and Stats pass through synchronously.
-type asyncInvalidate struct{ *store.Remote }
-
-func (a asyncInvalidate) InvalidateFunc(funcHash string) int {
-	go a.Remote.InvalidateFunc(funcHash)
-	return 0
-}
-
-func (a asyncInvalidate) InvalidateFuncs(funcHashes []string) int {
-	go a.Remote.InvalidateFuncs(funcHashes)
-	return 0
 }
 
 // startDiskGC runs the segment store's compaction loop over the disk
@@ -1060,9 +1013,7 @@ func (s *server) writeOK(w http.ResponseWriter, gen int64, v any) {
 	s.writeJSONGen(w, http.StatusOK, gen, v)
 }
 
-// writeError writes the uniform error envelope. The flat message is
-// duplicated at "error_legacy" for one release so pre-envelope clients
-// keep a string to read; see README for the deprecation schedule.
+// writeError writes the uniform error envelope.
 func (s *server) writeError(w http.ResponseWriter, code int, e *api.Error) {
 	gen := s.inc.Codebase().Generation()
 	writeErrorEnvelope(w, code, e, gen)
@@ -1082,9 +1033,8 @@ func writeErrorEnvelope(w http.ResponseWriter, code int, e *api.Error, gen int64
 	// which write through this path directly — carries the trace id the
 	// client can feed to GET /trace/{id}.
 	writeJSON(w, code, &api.ErrorResponse{
-		Err:         e,
-		LegacyError: e.Message,
-		Generation:  gen,
-		TraceID:     w.Header().Get(obs.TraceHeader),
+		Err:        e,
+		Generation: gen,
+		TraceID:    w.Header().Get(obs.TraceHeader),
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"knighter/internal/api"
 	"knighter/internal/kernel"
 	"knighter/internal/minic"
+	"knighter/internal/obs"
 	"knighter/internal/scan"
 	"knighter/internal/store"
 )
@@ -43,6 +44,21 @@ func newTestServerWithAdmission(t *testing.T, adm *admission) (*server, *httptes
 	return newTestServerWithGates(t, adm, nil)
 }
 
+// openStore builds a store through the daemons' own constructor, so
+// every test server and test kcached runs the composition main() runs.
+// cacheDir and remoteURL select the shape exactly as the flags do.
+func openStore(t *testing.T, reg *obs.Registry, cacheDir, remoteURL string, rcfg store.RemoteConfig) *store.Stack {
+	t.Helper()
+	st, err := store.Open(reg, 0, cacheDir, 0, remoteURL, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk := st.Disk(); disk != nil {
+		t.Cleanup(func() { disk.Close() })
+	}
+	return st
+}
+
 // newTestServerWithGates installs both the read gate (/scan, /batch) and
 // the write gate (/patch, /changeset).
 func newTestServerWithGates(t *testing.T, read, write *admission) (*server, *httptest.Server) {
@@ -52,7 +68,7 @@ func newTestServerWithGates(t *testing.T, read, write *admission) (*server, *htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(scan.NewIncremental(cb, store.NewMemory(0)))
+	srv := newServer(cb, openStore(t, nil, "", "", store.RemoteConfig{}))
 	srv.setGates(read, write)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
@@ -92,6 +108,25 @@ func getStats(t *testing.T, ts *httptest.Server) *api.StatsResponse {
 		t.Fatal(err)
 	}
 	return &out
+}
+
+// getDrainedStats is getStats once every answered request has left its
+// admission gate: a gate releases its slot after the handler returns,
+// which can be after the client has read the response. It gives up
+// after a bounded wait and returns what it saw, for the caller to fail
+// on.
+func getDrainedStats(t *testing.T, ts *httptest.Server) *api.StatsResponse {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := getStats(t, ts)
+		busy := (st.Admission != nil && st.Admission.Inflight != 0) ||
+			(st.WriteAdmission != nil && st.WriteAdmission.Inflight != 0)
+		if !busy || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -508,7 +543,7 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 		}
 	}
 
-	stats := getStats(t, ts)
+	stats := getDrainedStats(t, ts)
 	if stats.Admission == nil {
 		t.Fatal("admission stats missing from /stats")
 	}

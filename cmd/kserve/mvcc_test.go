@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -115,12 +116,23 @@ func TestAsyncChangesetEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown token status = %d, want 404", resp.StatusCode)
 	}
-	var envelope api.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound || envelope.LegacyError == "" {
-		t.Fatalf("unknown token envelope = %+v, want code %q with legacy error", envelope, api.ErrNotFound)
+	var envelope api.ErrorResponse
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound || envelope.Err.Message == "" {
+		t.Fatalf("unknown token envelope = %+v, want code %q with a message", envelope, api.ErrNotFound)
+	}
+	if _, ok := keys["error_legacy"]; ok {
+		t.Fatalf("error envelope still carries the removed error_legacy key: %s", body)
 	}
 }
 

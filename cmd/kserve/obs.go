@@ -16,7 +16,7 @@ import (
 // per-stage scan breakdown, and counter/gauge funcs over state that
 // already exists as atomics elsewhere (service counters, admission
 // gate, engine abort counters, remote-tier breaker). The store tiers
-// register their own families via store.Instrument before this runs.
+// register their own families in store.NewStack before this runs.
 type serverMetrics struct {
 	reg      *obs.Registry
 	httpReqs *obs.CounterVec

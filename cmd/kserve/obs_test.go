@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,12 +19,43 @@ import (
 	"knighter/internal/store"
 )
 
-// newObsReplica builds a fully instrumented kserve replica — the same
-// composition main() wires: instrumented memory tier (plus an
-// instrumented remote tier when kcURL is set), coalescing on top, the
-// metrics registry installed, and the access log captured for
+// logCapture is a log sink tests can read while handlers still write:
+// both daemons log a request after its response is on the wire, so the
+// client can be back in the test before the line lands.
+type logCapture struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logCapture) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logCapture) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// waitFor polls until the captured log contains want.
+func (l *logCapture) waitFor(t *testing.T, want string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(l.String(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("log never mentioned %q:\n%s", want, l.String())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// newObsReplica builds a fully instrumented kserve replica — the store
+// main() opens (memory, plus the remote tier when kcURL is set)
+// registered in the metrics registry, and the access log captured for
 // inspection.
-func newObsReplica(t *testing.T, kcURL string) (*server, *httptest.Server, *bytes.Buffer) {
+func newObsReplica(t *testing.T, kcURL string) (*server, *httptest.Server, *logCapture) {
 	t.Helper()
 	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
 	cb, err := scan.NewCodebase(corpus)
@@ -31,24 +63,13 @@ func newObsReplica(t *testing.T, kcURL string) (*server, *httptest.Server, *byte
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry("kserve")
-	var remote *store.Remote
-	var st store.Store = store.Instrument(reg, "memory", store.NewMemory(0)).SampleLatency(4)
-	if kcURL != "" {
-		remote, err = store.NewRemote(kcURL, store.RemoteConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = store.NewTiered(st, store.Instrument(reg, "remote", asyncInvalidate{remote}))
-	}
-	st = store.Instrument(reg, "coalesced", store.NewCoalesced(st)).SampleLatency(4)
-	srv := newServer(scan.NewIncremental(cb, st))
-	srv.remote = remote
-	var logBuf bytes.Buffer
-	srv.accessLog = log.New(&logBuf, "", 0)
+	srv := newServer(cb, openStore(t, reg, "", kcURL, store.RemoteConfig{}))
+	logBuf := &logCapture{}
+	srv.accessLog = log.New(logBuf, "", 0)
 	srv.registerMetrics(reg)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	return srv, ts, &logBuf
+	return srv, ts, logBuf
 }
 
 func getMetrics(t *testing.T, ts *httptest.Server) string {
@@ -158,12 +179,9 @@ func TestIncludeTimingReturnsTimeline(t *testing.T) {
 // story — and the same id comes back in the response header.
 func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 	// kcached with its access log captured, exactly as main() wires it.
-	disk, err := store.NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kcLog bytes.Buffer
-	kc := httptest.NewServer(store.AccessLog(log.New(&kcLog, "", 0), store.NewCacheServer(disk).Handler()))
+	kcStore := openStore(t, nil, t.TempDir(), "", store.RemoteConfig{})
+	kcLog := &logCapture{}
+	kc := httptest.NewServer(store.AccessLog(log.New(kcLog, "", 0), store.NewCacheServer(kcStore).Handler()))
 	t.Cleanup(kc.Close)
 
 	_, ts, ksLog := newObsReplica(t, kc.URL)
@@ -199,12 +217,8 @@ func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 
 	// The scan's remote-tier round-trips carry the id to kcached; both
 	// daemons' logs now grep to the same trace.
-	if !strings.Contains(ksLog.String(), "trace="+traceID) {
-		t.Fatalf("kserve access log does not mention trace=%s:\n%s", traceID, ksLog.String())
-	}
-	if !strings.Contains(kcLog.String(), "trace="+traceID) {
-		t.Fatalf("kcached access log does not mention trace=%s:\n%s", traceID, kcLog.String())
-	}
+	ksLog.waitFor(t, "trace="+traceID)
+	kcLog.waitFor(t, "trace="+traceID)
 }
 
 // TestSlowScanLogEmitsTimeline: a request slower than -slow-scan gets
@@ -213,25 +227,19 @@ func TestSlowScanLogEmitsTimeline(t *testing.T) {
 	srv, ts, logBuf := newObsReplica(t, "")
 	srv.slowScan = time.Nanosecond // everything is slow
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
+	logBuf.waitFor(t, "slow request: route=scan trace=")
 	out := logBuf.String()
-	if !strings.Contains(out, "slow request: route=scan trace=") {
-		t.Fatalf("no slow-request line in log:\n%s", out)
-	}
 	if !strings.Contains(out, "timeline=[") || !strings.Contains(out, scan.StageEngineEval+"=") {
 		t.Fatalf("slow-request line has no stage timeline:\n%s", out)
 	}
 }
 
-// TestKcachedMetricsExposition: the kcached composition (instrumented
-// disk tier + registered cache server) serves valid exposition with the
+// TestKcachedMetricsExposition: the kcached composition (its store
+// and cache server on one registry) serves valid exposition with the
 // entry-request and store families the smoke test greps for.
 func TestKcachedMetricsExposition(t *testing.T) {
-	disk, err := store.NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry("kcached")
-	cs := store.NewCacheServer(store.Instrument(reg, "disk", disk))
+	cs := store.NewCacheServer(openStore(t, reg, t.TempDir(), "", store.RemoteConfig{}))
 	cs.Register(reg)
 	kc := httptest.NewServer(cs.Handler())
 	t.Cleanup(kc.Close)

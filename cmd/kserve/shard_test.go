@@ -29,7 +29,7 @@ func newShardFleet(t *testing.T, n int, feedURL string) ([]*server, []*httptest.
 		if err != nil {
 			t.Fatal(err)
 		}
-		srvs[i] = newServer(scan.NewIncremental(cb, store.NewMemory(0)))
+		srvs[i] = newServer(cb, openStore(t, nil, "", "", store.RemoteConfig{}))
 		tss[i] = httptest.NewServer(srvs[i].routes())
 		t.Cleanup(tss[i].Close)
 		urls[i] = tss[i].URL

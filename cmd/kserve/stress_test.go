@@ -96,7 +96,7 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 
 	// The books must balance exactly across BOTH gates: every request
 	// either completed or was shed, and both gates are fully drained.
-	stats := getStats(t, ts)
+	stats := getDrainedStats(t, ts)
 	if stats.Admission == nil || stats.WriteAdmission == nil {
 		t.Fatal("admission stats missing")
 	}

@@ -24,12 +24,7 @@ import (
 // shared cache daemon so kcached fragments exist to collect.
 func newTracedFleet(t *testing.T, n int) ([]*server, []*httptest.Server, *httptest.Server) {
 	t.Helper()
-	disk, err := store.NewSegmentDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { disk.Close() })
-	cs := store.NewCacheServer(store.NewTiered(store.NewMemory(0), disk))
+	cs := store.NewCacheServer(openStore(t, nil, t.TempDir(), "", store.RemoteConfig{}))
 	cs.EnableTracing(obs.NewTraceStore(256, 1, 0))
 	kc := httptest.NewServer(cs.Handler())
 	t.Cleanup(kc.Close)
@@ -43,13 +38,7 @@ func newTracedFleet(t *testing.T, n int) ([]*server, []*httptest.Server, *httpte
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := store.NewRemote(kc.URL, store.RemoteConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st store.Store = store.NewTiered(store.NewMemory(0), asyncInvalidate{remote})
-		srvs[i] = newServer(scan.NewIncremental(cb, store.NewCoalesced(st)))
-		srvs[i].remote = remote
+		srvs[i] = newServer(cb, openStore(t, nil, "", kc.URL, store.RemoteConfig{}))
 		srvs[i].traces = obs.NewTraceStore(256, 1, 0)
 		tss[i] = httptest.NewServer(srvs[i].routes())
 		t.Cleanup(tss[i].Close)

@@ -16,10 +16,7 @@
 //     generation and answers 409 (ErrGenerationUnavailable) with the
 //     current generation and a retry hint if it cannot.
 //   - Errors use the envelope {"error": {"code", "message",
-//     "retry_after_ms"}}. The old flat string key has been replaced by
-//     the envelope; for one release the bare message is duplicated at
-//     "error_legacy" for clients mid-migration (see README,
-//     "API envelope").
+//     "retry_after_ms"}}.
 package api
 
 import (
@@ -69,10 +66,6 @@ type Error struct {
 // ErrorResponse is every non-2xx body.
 type ErrorResponse struct {
 	Err *Error `json:"error"`
-	// LegacyError duplicates Err.Message where clients of the removed
-	// flat `"error": "<msg>"` shape can reach it with a one-key change.
-	// Deprecated: read Err instead; this field lasts one release.
-	LegacyError string `json:"error_legacy,omitempty"`
 	// Generation is the corpus generation at the time of the error —
 	// for ErrGenerationUnavailable, the generation the daemon is AT.
 	Generation int64 `json:"generation"`

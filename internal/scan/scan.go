@@ -190,7 +190,7 @@ type Result struct {
 	CacheMisses int
 	// CacheCoalesced counts misses that were served by another in-flight
 	// computation of the same key instead of analyzing here (stores
-	// wrapped in store.NewCoalesced only). Always <= CacheMisses.
+	// that coalesce — store.Stack — only). Always <= CacheMisses.
 	CacheCoalesced int
 	// FileCuts, parallel to the scanned file list, records how many
 	// reports and runtime errors each file contributed to the flat

@@ -64,15 +64,17 @@ func (s *Snapshot) next(gen int64, work map[int]*minic.File) *Snapshot {
 		files[i] = nf
 	}
 	n := &Snapshot{
-		gen:        gen,
-		files:      files,
-		ctxHashes:  make([]string, len(files)),
-		funcHashes: make(map[[2]int]string, len(s.funcHashes)),
+		gen:       gen,
+		files:     files,
+		ctxHashes: make([]string, len(files)),
 	}
 	for _, f := range files {
 		n.numFuncs += len(f.Funcs)
 	}
+	// Scans pinned to s keep memoizing into its maps, so even their size
+	// is read under the lock.
 	s.hashMu.Lock()
+	n.funcHashes = make(map[[2]int]string, len(s.funcHashes))
 	copy(n.ctxHashes, s.ctxHashes)
 	for k, h := range s.funcHashes {
 		if _, touched := work[k[0]]; !touched {

@@ -19,12 +19,10 @@ import (
 // the flat Result/Report/TraceStep/RuntimeErr shapes, no reflection, no
 // field-name matching.
 //
-// The first byte is a format tag. Binary records start with
-// resultCodecV1 (0x01); JSON objects start with '{' (0x7B), so records
-// migrated from the file-per-entry layout — or written by an older
-// binary — are recognized and decoded through encoding/json instead.
-// The wire protocol (remote tier / kcached) stays JSON: this codec is
-// a private storage format, not an interchange one.
+// The first byte is a format tag, resultCodecV1 (0x01); a record
+// without it is unreadable and therefore a miss. The wire protocol
+// (remote tier / kcached) stays JSON: this codec is a private storage
+// format, not an interchange one.
 const resultCodecV1 = 0x01
 
 // encodeResult serializes r in the binary format.

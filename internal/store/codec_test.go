@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -79,32 +78,5 @@ func TestResultCodecRejectsCorruptPayloads(t *testing.T) {
 	evil := append([]byte{resultCodecV1}, 0xff, 0xff, 0xff, 0xff, 0x0f)
 	if _, err := decodeResult(evil); err == nil {
 		t.Fatal("decode of absurd length prefix succeeded")
-	}
-}
-
-// The disk tier must still read payloads written before the binary
-// codec existed (the file-per-entry migration path stores raw JSON).
-func TestSegmentDiskReadsLegacyJSONPayloads(t *testing.T) {
-	d := newTestSegDisk(t, t.TempDir())
-	defer d.Close()
-
-	k := fkey("fLegacy", "ck")
-	want := result("legacy json payload")
-	data, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] == resultCodecV1 {
-		t.Fatal("test premise broken: JSON payload starts with the codec tag")
-	}
-	if err := d.eng.Put(k.ID(), segFuncTok(k.FuncHash), data); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := d.Get(bg, k)
-	if !ok {
-		t.Fatal("legacy JSON payload unreadable")
-	}
-	if !sameResult(t, got, want) {
-		t.Fatalf("legacy decode mismatch: %+v", got)
 	}
 }

@@ -1,10 +1,7 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 )
 
 // fkey builds a key with an explicit function hash and checker
@@ -49,297 +46,5 @@ func TestMemoryEvictionMaintainsFuncIndex(t *testing.T) {
 	}
 	if n := m.InvalidateFunc("fB"); n != 1 {
 		t.Fatalf("live entry not indexed: %d", n)
-	}
-}
-
-func TestDiskInvalidateFunc(t *testing.T) {
-	d, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(bg, fkey("fA", "ck1"), result("a1"))
-	d.Put(bg, fkey("fA", "ck2"), result("a2"))
-	d.Put(bg, fkey("fB", "ck1"), result("b1"))
-
-	if n := d.InvalidateFunc("fA"); n != 2 {
-		t.Fatalf("invalidated %d entries, want 2", n)
-	}
-	if _, ok := d.Get(bg, fkey("fA", "ck1")); ok {
-		t.Fatal("fA/ck1 survived invalidation")
-	}
-	if _, ok := d.Get(bg, fkey("fB", "ck1")); !ok {
-		t.Fatal("fB/ck1 dropped by unrelated invalidation")
-	}
-	s := d.Stats()
-	if s.Invalidated != 2 || s.Entries != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestDiskGCDropsOnlyStaleEntries(t *testing.T) {
-	d, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldKey, newKey := fkey("fOld", "ck"), fkey("fNew", "ck")
-	d.Put(bg, oldKey, result("old"))
-	d.Put(bg, newKey, result("new"))
-
-	// Backdate the old entry past the TTL.
-	stale := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(d.path(oldKey), stale, stale); err != nil {
-		t.Fatal(err)
-	}
-
-	removed, err := d.GC(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("GC removed %d entries, want 1", removed)
-	}
-	if _, ok := d.Get(bg, oldKey); ok {
-		t.Fatal("stale entry survived GC")
-	}
-	if _, ok := d.Get(bg, newKey); !ok {
-		t.Fatal("fresh entry removed by GC")
-	}
-	s := d.Stats()
-	if s.Expired != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-
-	// A non-positive TTL disables collection entirely.
-	if n, err := d.GC(0); n != 0 || err != nil {
-		t.Fatalf("GC(0) = %d, %v; want no-op", n, err)
-	}
-	if _, ok := d.Get(bg, newKey); !ok {
-		t.Fatal("GC(0) dropped a live entry")
-	}
-}
-
-func TestNewDiskRemovesLegacyFlatEntries(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "deadbeef.json")
-	if err := os.WriteFile(legacy, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatal("pre-sharding flat entry survived NewDisk; it is unreachable garbage")
-	}
-	// The sharded layout is untouched by the sweep.
-	d.Put(bg, fkey("fA", "ck"), result("a"))
-	if d2, err := NewDisk(dir); err != nil {
-		t.Fatal(err)
-	} else if _, ok := d2.Get(bg, fkey("fA", "ck")); !ok {
-		t.Fatal("sharded entry lost across NewDisk")
-	}
-}
-
-func TestTieredInvalidateFuncForwardsToBothTiers(t *testing.T) {
-	mem := NewMemory(0)
-	disk, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(mem, disk)
-	tiered.Put(bg, fkey("fA", "ck"), result("a")) // write-through: both tiers
-	if n := tiered.InvalidateFunc("fA"); n != 2 {
-		t.Fatalf("tiered invalidation dropped %d entries, want 2 (one per tier)", n)
-	}
-	if _, ok := tiered.Get(bg, fkey("fA", "ck")); ok {
-		t.Fatal("entry survived tiered invalidation")
-	}
-	if s := tiered.Stats(); s.Invalidated != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestDiskByteAccounting(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(bg, fkey("fA", "ck1"), result("a"))
-	d.Put(bg, fkey("fA", "ck2"), result("bb"))
-	wantEntries, wantBytes := d.walk()
-	if wantEntries != 2 || wantBytes == 0 {
-		t.Fatalf("walk after two puts = %d entries / %d bytes", wantEntries, wantBytes)
-	}
-	if s := d.Stats(); s.Entries != wantEntries || s.Bytes != wantBytes {
-		t.Fatalf("incremental counters %+v disagree with walk (%d entries, %d bytes)", s, wantEntries, wantBytes)
-	}
-
-	// Overwriting an entry replaces its weight instead of adding it.
-	d.Put(bg, fkey("fA", "ck1"), result("a-much-longer-replacement-message"))
-	wantEntries, wantBytes = d.walk()
-	if s := d.Stats(); s.Entries != wantEntries || s.Bytes != wantBytes {
-		t.Fatalf("counters after overwrite %+v disagree with walk (%d entries, %d bytes)", s, wantEntries, wantBytes)
-	}
-
-	// A fresh Disk over the same directory seeds its counters by walking.
-	d2, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := d2.Stats(); s.Entries != wantEntries || s.Bytes != wantBytes {
-		t.Fatalf("restart counters %+v disagree with walk (%d entries, %d bytes)", s, wantEntries, wantBytes)
-	}
-
-	// GC decrements exactly what it removed: backdate one entry past the
-	// TTL, sweep, and both counters drop by that entry's size.
-	stale := time.Now().Add(-2 * time.Hour)
-	stalePath := d2.path(fkey("fA", "ck2"))
-	staleInfo, err := os.Stat(stalePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(stalePath, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d2.GC(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if s := d2.Stats(); s.Entries != wantEntries-1 || s.Bytes != wantBytes-staleInfo.Size() {
-		t.Fatalf("counters after GC = %+v, want %d entries / %d bytes",
-			s, wantEntries-1, wantBytes-staleInfo.Size())
-	}
-
-	// Invalidation returns the removed entries' bytes (d's counters
-	// never saw d2's GC, so drive it on d2).
-	d2.InvalidateFunc("fA")
-	if s := d2.Stats(); s.Entries != 0 || s.Bytes != 0 {
-		t.Fatalf("counters after invalidating everything = %+v, want zero", s)
-	}
-}
-
-func TestTieredBulkInvalidateForwardsToBothTiers(t *testing.T) {
-	mem := NewMemory(0)
-	disk, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(mem, disk)
-	tiered.Put(bg, fkey("fA", "ck"), result("a"))
-	tiered.Put(bg, fkey("fB", "ck"), result("b"))
-	tiered.Put(bg, fkey("fC", "ck"), result("c"))
-	if n := tiered.InvalidateFuncs([]string{"fA", "fB"}); n != 4 {
-		t.Fatalf("bulk tiered invalidation dropped %d entries, want 4 (two hashes x two tiers)", n)
-	}
-	if _, ok := tiered.Get(bg, fkey("fA", "ck")); ok {
-		t.Fatal("entry survived bulk tiered invalidation")
-	}
-	if _, ok := tiered.Get(bg, fkey("fC", "ck")); !ok {
-		t.Fatal("unrelated entry dropped")
-	}
-}
-
-// TestDiskByteBudgetEvictsOldestFirst: past DiskMaxBytes, GC removes
-// entries in modification-time order until the tier fits, counting them
-// as Evictions (not Expired — that split is the TTL path's).
-func TestDiskByteBudgetEvictsOldestFirst(t *testing.T) {
-	dir := t.TempDir()
-	probe, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe.Put(bg, fkey("probe", "ck"), result("mm"))
-	entrySize := probe.Stats().Bytes
-	probe.InvalidateFunc("probe")
-
-	// Budget for two entries; store four (equal-size payloads).
-	d, err := NewDisk(dir, DiskMaxBytes(2*entrySize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashes := []string{"f1", "f2", "f3", "f4"}
-	for i, fh := range hashes {
-		d.Put(bg, fkey(fh, "ck"), result("mm"))
-		// Distinct, strictly increasing mtimes: f1 oldest, f4 newest.
-		when := time.Now().Add(time.Duration(i-10) * time.Hour)
-		if err := os.Chtimes(d.path(fkey(fh, "ck")), when, when); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	removed, err := d.GC(0) // no TTL: pure budget pass
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 2 {
-		t.Fatalf("GC removed %d entries, want 2", removed)
-	}
-	for _, fh := range []string{"f1", "f2"} {
-		if _, ok := d.Get(bg, fkey(fh, "ck")); ok {
-			t.Fatalf("oldest entry %s survived budget eviction", fh)
-		}
-	}
-	for _, fh := range []string{"f3", "f4"} {
-		if _, ok := d.Get(bg, fkey(fh, "ck")); !ok {
-			t.Fatalf("newest entry %s evicted before older ones", fh)
-		}
-	}
-	s := d.Stats()
-	if s.Evictions != 2 || s.Expired != 0 {
-		t.Fatalf("stats = %+v, want Evictions=2 Expired=0", s)
-	}
-	if s.Entries != 2 || s.Bytes != 2*entrySize {
-		t.Fatalf("stats = %+v, want 2 entries / %d bytes", s, 2*entrySize)
-	}
-	// Counters agree with the disk after the eviction pass.
-	if we, wb := d.walk(); s.Entries != we || s.Bytes != wb {
-		t.Fatalf("counters %+v disagree with walk (%d entries, %d bytes)", s, we, wb)
-	}
-	// Under budget: the next sweep is a no-op.
-	if n, err := d.GC(0); n != 0 || err != nil {
-		t.Fatalf("GC under budget = %d, %v; want no-op", n, err)
-	}
-}
-
-// TestDiskGCSplitsExpiredAndEvicted: one sweep applying both the TTL and
-// the byte budget keeps the two counters separate.
-func TestDiskGCSplitsExpiredAndEvicted(t *testing.T) {
-	dir := t.TempDir()
-	probe, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe.Put(bg, fkey("probe", "ck"), result("mm"))
-	entrySize := probe.Stats().Bytes
-	probe.InvalidateFunc("probe")
-
-	d, err := NewDisk(dir, DiskMaxBytes(entrySize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// fExpired: beyond the TTL. fOld, fNew: live but over budget
-	// together, so the older of the two is evicted.
-	for fh, age := range map[string]time.Duration{
-		"fExpired": 3 * time.Hour, "fOld": 30 * time.Minute, "fNew": time.Minute,
-	} {
-		d.Put(bg, fkey(fh, "ck"), result("mm"))
-		when := time.Now().Add(-age)
-		if err := os.Chtimes(d.path(fkey(fh, "ck")), when, when); err != nil {
-			t.Fatal(err)
-		}
-	}
-	removed, err := d.GC(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 2 {
-		t.Fatalf("GC removed %d entries, want 2", removed)
-	}
-	s := d.Stats()
-	if s.Expired != 1 || s.Evictions != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v, want Expired=1 Evictions=1 Entries=1", s)
-	}
-	if _, ok := d.Get(bg, fkey("fNew", "ck")); !ok {
-		t.Fatal("newest entry did not survive the combined sweep")
 	}
 }

@@ -19,10 +19,10 @@ import (
 // Remote is the network cache tier: an HTTP client for a kcached daemon,
 // letting a fleet of kserve replicas share one content-addressed result
 // store. It implements Store and BulkInvalidator over the same key space
-// the disk tier uses, so the daemon is nothing more than store.Disk with
-// a socket in front.
+// the disk tier uses, so the daemon is nothing more than a store with a
+// socket in front.
 //
-// The tier is strictly best-effort, like Disk: every failure mode — the
+// The tier is strictly best-effort, like the disk tier: every failure mode — the
 // daemon down, a request timing out, a corrupt payload, the circuit
 // breaker open — degrades to a cache miss, never to a request error, so
 // a replica whose kcached disappears keeps serving from its local tiers

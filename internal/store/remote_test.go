@@ -319,30 +319,3 @@ func TestRemoteBadURL(t *testing.T) {
 		t.Fatal("non-http scheme accepted")
 	}
 }
-
-// TestTieredWithRemotePromotesAndPublishes: in the fleet composition
-// Tiered(memory, remote), a remote hit is promoted into memory and a
-// local computation (Put) is published to the daemon.
-func TestTieredWithRemotePromotesAndPublishes(t *testing.T) {
-	back := NewMemory(0)
-	ts := newCacheTS(t, back)
-	r := newRemote(t, ts.URL, RemoteConfig{})
-	mem := NewMemory(0)
-	tiered := NewTiered(mem, r)
-
-	tiered.Put(bg, key(1), result("one"))
-	if back.Stats().Puts != 1 {
-		t.Fatal("local Put not published to the daemon")
-	}
-
-	// A fresh replica sharing the daemon: first Get is a remote hit,
-	// promoted into its memory tier.
-	mem2 := NewMemory(0)
-	tiered2 := NewTiered(mem2, newRemote(t, ts.URL, RemoteConfig{}))
-	if _, ok := tiered2.Get(bg, key(1)); !ok {
-		t.Fatal("fresh replica missed its sibling's entry")
-	}
-	if mem2.Stats().Entries != 1 {
-		t.Fatal("remote hit not promoted into the memory tier")
-	}
-}

@@ -2,9 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -16,18 +13,15 @@ import (
 // (internal/store/segment): entries packed into a few large log files
 // with an in-memory index, so a warm Get is one index probe and one
 // pread instead of a file open, Put is one buffered append, and
-// invalidation is an index drop plus a tombstone record. It replaces
-// the file-per-entry Disk tier; NewSegmentDisk migrates an existing
-// file-per-entry directory into segments on first open.
+// invalidation is an index drop plus a tombstone record.
 //
 // Like every local tier it is best-effort: I/O errors degrade to cache
 // misses, and durability is cache-grade (batched fsync — a crash loses
 // at most the last flush window of puts, never corrupts the store).
 type SegmentDisk struct {
-	eng      *segment.Store
-	hits     atomic.Int64
-	misses   atomic.Int64
-	migrated int
+	eng    *segment.Store
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 // SegmentDiskOption configures NewSegmentDisk.
@@ -51,21 +45,14 @@ func SegmentDiskSyncInterval(d time.Duration) SegmentDiskOption {
 	return func(o *segment.Options) { o.SyncInterval = d }
 }
 
-// segFuncTok maps a function hash to the engine's func token. It is the
-// same digest the file-per-entry layout used for its shard directory
-// names, which makes migration uniform: a legacy shard dir's name IS
-// the token of every entry inside it, no reverse mapping needed.
+// segFuncTok maps a function hash to the engine's func token; the hash
+// is re-digested so arbitrary FuncHash strings yield a fixed-size token.
 func segFuncTok(funcHash string) string {
 	return Hash("fdir:v1", funcHash)
 }
 
 // NewSegmentDisk opens (or creates) a segment-backed disk tier rooted
-// at dir. If dir holds entries in the legacy file-per-entry layout
-// (one <id>.json per entry under per-function shard directories), they
-// are migrated into segments first — each file becomes one record,
-// keeping its content address and its modification time as the TTL
-// clock — and the legacy files are removed. A tier that was filled by
-// an older binary therefore starts warm under the new engine.
+// at dir.
 func NewSegmentDisk(dir string, opts ...SegmentDiskOption) (*SegmentDisk, error) {
 	o := segment.Options{}
 	for _, opt := range opts {
@@ -75,87 +62,25 @@ func NewSegmentDisk(dir string, opts ...SegmentDiskOption) (*SegmentDisk, error)
 	if err != nil {
 		return nil, err
 	}
-	d := &SegmentDisk{eng: eng}
-	d.migrated = d.migrateLegacy(dir)
-	return d, nil
+	return &SegmentDisk{eng: eng}, nil
 }
 
-// migrateLegacy folds a file-per-entry layout living alongside the
-// segments into the engine. Best-effort, like the tier itself: a file
-// that cannot be read is skipped (it was a cache entry; losing it is a
-// future miss, not an error). Returns how many entries were migrated.
-func (d *SegmentDisk) migrateLegacy(dir string) int {
-	shards, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		funcTok := shard.Name()
-		fdir := filepath.Join(dir, funcTok)
-		entries, err := os.ReadDir(fdir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if filepath.Ext(name) != ".json" {
-				continue
-			}
-			p := filepath.Join(fdir, name)
-			data, err := os.ReadFile(p)
-			if err != nil {
-				continue
-			}
-			at := time.Now()
-			if info, err := e.Info(); err == nil {
-				at = info.ModTime()
-			}
-			id := name[:len(name)-len(".json")]
-			if d.eng.PutAt(id, funcTok, data, at) == nil {
-				n++
-			}
-		}
-		os.RemoveAll(fdir)
-	}
-	if n > 0 {
-		d.eng.Sync()
-	}
-	return n
-}
-
-// Migrated reports how many legacy file-per-entry records this open
-// folded into the segment log (daemons log it once at startup).
-func (d *SegmentDisk) Migrated() int { return d.migrated }
-
-// Get implements Store: one index probe, one pread, one decode. New
-// records carry the binary codec (codec.go); payloads migrated from the
-// file-per-entry layout are JSON and dispatch on the first byte.
+// Get implements Store: one index probe, one pread, one decode. A
+// record that does not carry the binary codec's tag (codec.go) is a
+// miss, like any other unreadable entry.
 func (d *SegmentDisk) Get(_ context.Context, k Key) (*engine.Result, bool) {
 	data, ok := d.eng.Get(k.ID())
-	if !ok || len(data) == 0 {
+	if !ok || len(data) == 0 || data[0] != resultCodecV1 {
 		d.misses.Add(1)
 		return nil, false
 	}
-	if data[0] == resultCodecV1 {
-		res, err := decodeResult(data)
-		if err != nil {
-			d.misses.Add(1)
-			return nil, false
-		}
-		d.hits.Add(1)
-		return res, true
-	}
-	var res engine.Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	res, err := decodeResult(data)
+	if err != nil {
 		d.misses.Add(1)
 		return nil, false
 	}
 	d.hits.Add(1)
-	return &res, true
+	return res, true
 }
 
 // Put implements Store: one buffered append; the batched flusher makes
@@ -189,10 +114,8 @@ func (d *SegmentDisk) Compact(ttl time.Duration) segment.CompactResult {
 	return d.eng.Compact(ttl)
 }
 
-// StartCompactLoop runs Compact on a ticker until ctx is done —
-// replacing the file-per-entry tier's unstoppable GC goroutine with a
-// loop the daemon's signal context actually stops. onSweep (optional)
-// observes each pass.
+// StartCompactLoop runs Compact on a ticker until ctx is done (the
+// daemon's signal context). onSweep (optional) observes each pass.
 func (d *SegmentDisk) StartCompactLoop(ctx context.Context, ttl time.Duration, onSweep func(removed int, dur time.Duration)) {
 	d.eng.StartCompactLoop(ctx, ttl, 0, func(dur time.Duration, res segment.CompactResult) {
 		if onSweep != nil {

@@ -2,11 +2,8 @@ package store
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func newTestSegDisk(t *testing.T, dir string, opts ...SegmentDiskOption) *SegmentDisk {
@@ -83,86 +80,6 @@ func TestSegmentDiskInvalidatePersists(t *testing.T) {
 	}
 	if _, ok := d2.Get(bg, fkey("fB", "ck1")); !ok {
 		t.Fatal("surviving entry lost after reopen")
-	}
-}
-
-func TestSegmentDiskMigratesFilePerEntry(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []Key{fkey("fA", "ck1"), fkey("fA", "ck2"), fkey("fB", "ck1")}
-	for i, k := range keys {
-		legacy.Put(bg, k, result(string(rune('a'+i))))
-	}
-
-	d := newTestSegDisk(t, dir)
-	if d.Migrated() != len(keys) {
-		t.Fatalf("migrated %d entries, want %d", d.Migrated(), len(keys))
-	}
-	for i, k := range keys {
-		got, ok := d.Get(bg, k)
-		if !ok || !sameResult(t, got, result(string(rune('a'+i)))) {
-			t.Fatalf("migrated entry %d: ok=%v got=%+v", i, ok, got)
-		}
-	}
-	// The legacy shard directories are gone; only segments remain.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			t.Fatalf("legacy shard dir %q survived migration", e.Name())
-		}
-	}
-	// Migrated entries keep their function-hash addressing: invalidation
-	// by the ORIGINAL hash still drops them.
-	if n := d.InvalidateFunc("fA"); n != 2 {
-		t.Fatalf("InvalidateFunc(fA) after migration = %d, want 2", n)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second open: nothing left to migrate, entries recovered from the
-	// segment log.
-	d2 := newTestSegDisk(t, dir)
-	if d2.Migrated() != 0 {
-		t.Fatalf("second open migrated %d entries", d2.Migrated())
-	}
-	if _, ok := d2.Get(bg, fkey("fB", "ck1")); !ok {
-		t.Fatal("migrated entry lost after reopen")
-	}
-}
-
-func TestSegmentDiskMigrationKeepsTTLClock(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Put(bg, fkey("fOld", "ck"), result("old"))
-	legacy.Put(bg, fkey("fNew", "ck"), result("new"))
-	// Age fOld's file two hours: migration must carry the mtime as the
-	// entry's TTL clock, so a 1h TTL compaction expires it immediately.
-	oldPath := filepath.Join(legacy.funcDir("fOld"), fkey("fOld", "ck").ID()+".json")
-	past := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(oldPath, past, past); err != nil {
-		t.Fatal(err)
-	}
-
-	d := newTestSegDisk(t, dir)
-	res := d.Compact(time.Hour)
-	if res.Expired != 1 {
-		t.Fatalf("expired %d migrated entries, want 1 (res %+v)", res.Expired, res)
-	}
-	if _, ok := d.Get(bg, fkey("fOld", "ck")); ok {
-		t.Fatal("aged migrated entry survived TTL compaction")
-	}
-	if _, ok := d.Get(bg, fkey("fNew", "ck")); !ok {
-		t.Fatal("fresh migrated entry expired")
 	}
 }
 

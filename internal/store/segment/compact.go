@@ -254,8 +254,7 @@ func CompactInterval(ttl time.Duration) time.Duration {
 	return every
 }
 
-// StartCompactLoop runs Compact on a ticker until ctx is done — the
-// context-aware contract the file-per-entry tier's GC loop lacked, so a
+// StartCompactLoop runs Compact on a ticker until ctx is done, so a
 // daemon's graceful drain never races a sweep. onSweep (optional) is
 // called after each pass with its duration and result.
 func (s *Store) StartCompactLoop(ctx context.Context, ttl, every time.Duration, onSweep func(time.Duration, CompactResult)) {

@@ -1,11 +1,9 @@
 // Package segment implements the disk cache's storage engine: an
 // append-only log of checksummed records packed into a few large segment
 // files, with an in-memory index mapping each entry id to its
-// (segment, offset, length). It replaces the file-per-entry layout whose
-// open/stat/unlink syscalls and inode churn dominated warm-scan latency
-// at fleet scale — here a warm GET is one index probe and one pread, a
-// PUT is one buffered append, and deletion is an index removal whose
-// disk space a background compaction reclaims later.
+// (segment, offset, length). A warm GET is one index probe and one
+// pread, a PUT is one buffered append, and deletion is an index removal
+// whose disk space a background compaction reclaims later.
 //
 // The engine is deliberately generic: it maps string ids to byte
 // payloads, with a secondary "func token" index so a corpus mutation can
@@ -24,8 +22,7 @@
 // Accounting is exact by construction: Entries and Bytes are derived
 // from the index itself, and every index mutation happens under one
 // lock — there are no delta-maintained counters that can drift when
-// operations race, which is the accounting bug class the file-per-entry
-// tier suffered from. Expired and Evicted count exactly what compaction
+// operations race. Expired and Evicted count exactly what compaction
 // dropped from the index; Invalidated counts exactly what invalidation
 // removed.
 package segment
@@ -491,8 +488,7 @@ func (s *Store) Put(id, funcTok string, payload []byte) error {
 }
 
 // PutAt is Put with an explicit timestamp — the TTL clock for the
-// entry. Migration uses it to preserve the age of entries carried over
-// from the file-per-entry layout.
+// entry (tests age entries with it).
 func (s *Store) PutAt(id, funcTok string, payload []byte, t time.Time) error {
 	if bodyLen := 9 + 8 + len(id) + len(funcTok) + len(payload); bodyLen > maxRecordBytes {
 		return ErrRecordTooLarge

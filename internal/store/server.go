@@ -57,7 +57,7 @@ type CacheServer struct {
 	traces *obs.TraceStore
 }
 
-// NewCacheServer wraps st (typically a *Disk) in the HTTP protocol.
+// NewCacheServer wraps st (kcached passes its Stack) in the HTTP protocol.
 func NewCacheServer(st Store) *CacheServer {
 	return &CacheServer{st: st, started: time.Now()}
 }

@@ -1,0 +1,350 @@
+package store
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"knighter/internal/engine"
+	"knighter/internal/obs"
+)
+
+// Tier names one leaf of a Stack. The name is the tier's label on the
+// store_* metric families.
+type Tier struct {
+	Name  string
+	Store Store
+}
+
+// Stack is the one composite store: an ordered list of leaf tiers,
+// fastest first. Everything a deployment needs from the composition is
+// a behaviour of this type, chosen from the leaves it was given:
+//
+//   - Get probes front to back and promotes a deeper hit into every
+//     leaf in front of it. A network leaf (*Remote) with a leaf behind
+//     it is raced against that leaf: a local hit never waits on the
+//     network, a miss is declared only after both answered, and a
+//     remote hit is promoted into the local leaf too.
+//   - Put writes through to every leaf.
+//   - GetOrCompute collapses concurrent computations of one key.
+//   - Invalidation fans the whole hash set out to every leaf once;
+//     network leaves are invalidated off the caller's goroutine, so a
+//     corpus mutation never waits on a round-trip. That is safe because
+//     remote invalidation is garbage collection, not correctness:
+//     content addressing means orphaned keys are never requested again.
+//   - With a registry, every leaf lands in the store_*{tier=name}
+//     families. The in-memory leaf (*Memory) times one op in 16 — a
+//     memory hit costs about as much as reading the clock — and leaves
+//     that do I/O time every op.
+type Stack struct {
+	leaves []leaf
+
+	hits      atomic.Int64
+	misses    atomic.Int64
+	puts      atomic.Int64
+	coalesced atomic.Int64
+
+	mu      sync.Mutex
+	flights map[string]*flight
+}
+
+type leaf struct {
+	Tier
+	// network marks a *Remote: raced, invalidated asynchronously, and
+	// without entry books of its own (they belong to kcached).
+	network bool
+	// sampled marks a *Memory: latency is measured for 1 key in 16.
+	sampled bool
+	// getDur and putDur are nil without a registry.
+	getDur, putDur *obs.Histogram
+}
+
+// flight is one in-progress computation. res holds a private clone of
+// the leader's result once done is closed; followers clone from it, so
+// no caller's mutations can reach another caller.
+type flight struct {
+	done      chan struct{}
+	res       *engine.Result
+	cacheable bool
+}
+
+// NewStack composes tiers, fastest first. reg may be nil (no metrics).
+//
+// The request/hit/miss/put series are callback-backed: every leaf
+// already counts those events for its own Stats(), so they are read at
+// scrape time instead of being counted twice. tier="stack" carries the
+// request-level totals /stats reports.
+func NewStack(reg *obs.Registry, tiers ...Tier) *Stack {
+	s := &Stack{leaves: make([]leaf, len(tiers)), flights: map[string]*flight{}}
+	for i, t := range tiers {
+		l := leaf{Tier: t}
+		_, l.network = t.Store.(*Remote)
+		_, l.sampled = t.Store.(*Memory)
+		s.leaves[i] = l
+	}
+	if reg == nil {
+		return s
+	}
+	opDur := reg.HistogramVec("store_op_duration_seconds",
+		"Latency of one store operation against the tier.", nil, "tier", "op")
+	for i := range s.leaves {
+		l := &s.leaves[i]
+		registerTierCounters(reg, l.Name, l.Store.Stats)
+		l.getDur, l.putDur = opDur.With(l.Name, "get"), opDur.With(l.Name, "put")
+	}
+	registerTierCounters(reg, "stack", s.Stats)
+	reg.CounterVec("store_coalesced_total",
+		"Computations saved by sharing another request's in-flight result.", "tier").
+		WithFunc(func() float64 { return float64(s.coalesced.Load()) }, "stack")
+	return s
+}
+
+func registerTierCounters(reg *obs.Registry, tier string, stats func() Stats) {
+	for _, c := range []struct {
+		name, help string
+		pick       func(Stats) int64
+	}{
+		{"store_requests_total", "Store operations (gets + puts) that reached the tier.",
+			func(s Stats) int64 { return s.Hits + s.Misses + s.Puts }},
+		{"store_hits_total", "Gets answered by the tier.", func(s Stats) int64 { return s.Hits }},
+		{"store_misses_total", "Gets the tier could not answer.", func(s Stats) int64 { return s.Misses }},
+		{"store_puts_total", "Results written to the tier.", func(s Stats) int64 { return s.Puts }},
+	} {
+		reg.CounterVec(c.name, c.help, "tier").
+			WithFunc(func() float64 { return float64(c.pick(stats())) }, tier)
+	}
+}
+
+// Open builds the store both daemons serve from — the one place that
+// orders tiers: memory in front, then the kcached client when remoteURL
+// is set, then the segment disk tier when cacheDir is set. kserve
+// passes what its flags say; kcached passes its directory and no
+// remote.
+func Open(reg *obs.Registry, cacheBytes int64, cacheDir string, diskMaxBytes int64, remoteURL string, rcfg RemoteConfig) (*Stack, error) {
+	tiers := []Tier{{"memory", NewMemory(cacheBytes)}}
+	if remoteURL != "" {
+		r, err := NewRemote(remoteURL, rcfg)
+		if err != nil {
+			return nil, err
+		}
+		tiers = append(tiers, Tier{"remote", r})
+	}
+	if cacheDir != "" {
+		d, err := NewSegmentDisk(cacheDir, SegmentDiskMaxBytes(diskMaxBytes))
+		if err != nil {
+			return nil, err
+		}
+		tiers = append(tiers, Tier{"disk", d})
+	}
+	return NewStack(reg, tiers...), nil
+}
+
+// Remote returns the stack's network leaf, or nil.
+func (s *Stack) Remote() *Remote {
+	for _, l := range s.leaves {
+		if r, ok := l.Store.(*Remote); ok {
+			return r
+		}
+	}
+	return nil
+}
+
+// Disk returns the stack's segment disk leaf, or nil. The caller owns
+// its compaction loop and Close.
+func (s *Stack) Disk() *SegmentDisk {
+	for _, l := range s.leaves {
+		if d, ok := l.Store.(*SegmentDisk); ok {
+			return d
+		}
+	}
+	return nil
+}
+
+// timed reports whether this op's latency is measured. The sampling
+// decision derives from the key's content address rather than a shared
+// counter, so the unsampled path touches no shared cache line: function
+// hashes are hex, and '0' leads one in 16.
+func (l *leaf) timed(k Key) bool {
+	return l.getDur != nil && (!l.sampled || (k.FuncHash != "" && k.FuncHash[0] == '0'))
+}
+
+func (l *leaf) get(ctx context.Context, k Key) (*engine.Result, bool) {
+	if !l.timed(k) {
+		return l.Store.Get(ctx, k)
+	}
+	start := time.Now()
+	r, ok := l.Store.Get(ctx, k)
+	l.getDur.Observe(time.Since(start).Seconds())
+	return r, ok
+}
+
+func (l *leaf) put(ctx context.Context, k Key, r *engine.Result) {
+	if !l.timed(k) {
+		l.Store.Put(ctx, k, r)
+		return
+	}
+	start := time.Now()
+	l.Store.Put(ctx, k, r)
+	l.putDur.Observe(time.Since(start).Seconds())
+}
+
+// Get implements Store.
+func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for i := 0; i < len(s.leaves); i++ {
+		l, front := &s.leaves[i], s.leaves[:i]
+		var r *engine.Result
+		var ok bool
+		if l.network && i+1 < len(s.leaves) {
+			r, ok = race(ctx, k, l, &s.leaves[i+1])
+			i++
+		} else {
+			r, ok = l.get(ctx, k)
+		}
+		if !ok {
+			continue
+		}
+		for j := range front {
+			front[j].put(ctx, k, r)
+		}
+		s.hits.Add(1)
+		return r, true
+	}
+	s.misses.Add(1)
+	return nil, false
+}
+
+// race probes a network leaf and the local leaf behind it together.
+// The local probe runs on the caller's goroutine: a local hit returns
+// at local-I/O speed and cancels the round-trip (which the remote tier
+// counts as abandoned, not failed); a local miss waits for the remote
+// answer, and a remote hit is written into the local leaf so the next
+// restart or kcached outage serves it locally.
+func race(ctx context.Context, k Key, remote, local *leaf) (*engine.Result, bool) {
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type answer struct {
+		r  *engine.Result
+		ok bool
+	}
+	ch := make(chan answer, 1)
+	go func() {
+		r, ok := remote.get(rctx, k)
+		ch <- answer{r, ok}
+	}()
+	if r, ok := local.get(ctx, k); ok {
+		return r, true
+	}
+	a := <-ch
+	if a.ok {
+		local.put(ctx, k, a.r)
+	}
+	return a.r, a.ok
+}
+
+// Put implements Store: write through to every leaf.
+func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
+	for i := range s.leaves {
+		s.leaves[i].put(ctx, k, r)
+	}
+	s.puts.Add(1)
+}
+
+// GetOrCompute implements ComputeCoalescer. Callers probe with Get
+// first; this does not probe again, so one miss counts once and an
+// ordinary miss never pays a second remote round-trip to catch a rare
+// race whose only cost is computing identical bytes twice.
+func (s *Stack) GetOrCompute(ctx context.Context, k Key, compute func() (*engine.Result, bool)) (*engine.Result, bool) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// The publish must not be aborted by the caller disconnecting right
+	// after the computation finished — the bytes are valid for everyone
+	// — but it keeps the request's trace id.
+	putCtx := context.WithoutCancel(ctx)
+	id := k.ID()
+	s.mu.Lock()
+	if fl, ok := s.flights[id]; ok {
+		s.mu.Unlock()
+		<-fl.done
+		if fl.cacheable {
+			s.coalesced.Add(1)
+			return fl.res.Clone(), true
+		}
+		// The leader's result was truncated by ITS wall clock or
+		// context, not ours: sharing it would spread one caller's
+		// timeout to every sibling, so compute our own.
+		res, cacheable := compute()
+		if cacheable {
+			s.Put(putCtx, k, res)
+		}
+		return res, false
+	}
+	fl := &flight{done: make(chan struct{})}
+	s.flights[id] = fl
+	s.mu.Unlock()
+
+	res, cacheable := compute()
+	// Followers are released BEFORE the write-through publish: with a
+	// remote leaf the Put is a network round-trip, and they only need
+	// the bytes. A same-key flight that starts during the Put
+	// recomputes rather than waits — rare, and identical bytes.
+	fl.res, fl.cacheable = res.Clone(), cacheable
+	s.mu.Lock()
+	delete(s.flights, id)
+	s.mu.Unlock()
+	close(fl.done)
+	if cacheable {
+		s.Put(putCtx, k, res)
+	}
+	return res, false
+}
+
+// InvalidateFunc implements Invalidator.
+func (s *Stack) InvalidateFunc(funcHash string) int {
+	return s.InvalidateFuncs([]string{funcHash})
+}
+
+// InvalidateFuncs implements BulkInvalidator: every leaf gets the whole
+// hash set in one call. The count covers the local leaves only; a
+// network leaf's round-trip finishes after this returns.
+func (s *Stack) InvalidateFuncs(funcHashes []string) int {
+	n := 0
+	for _, l := range s.leaves {
+		if l.network {
+			go invalidateAll(l.Store, funcHashes)
+			continue
+		}
+		n += invalidateAll(l.Store, funcHashes)
+	}
+	return n
+}
+
+// Stats implements Store. Hits, misses and puts are request-level (one
+// per Get or Put on the stack, however many leaves it touched);
+// evictions, invalidations and expiries are summed over the leaves.
+// Entries and Bytes come from the deepest leaf that keeps its own books
+// — writes go through and reads promote, so it holds a superset of the
+// leaves in front and summing would double-count — which skips network
+// leaves: a replica with only memory and kcached reports its memory.
+func (s *Stack) Stats() Stats {
+	out := Stats{
+		Hits:      s.hits.Load(),
+		Misses:    s.misses.Load(),
+		Puts:      s.puts.Load(),
+		Coalesced: s.coalesced.Load(),
+	}
+	for _, l := range s.leaves {
+		ls := l.Store.Stats()
+		out.Evictions += ls.Evictions
+		out.Invalidated += ls.Invalidated
+		out.Expired += ls.Expired
+		if !l.network {
+			out.Entries, out.Bytes = ls.Entries, ls.Bytes
+		}
+	}
+	return out
+}

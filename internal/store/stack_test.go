@@ -1,0 +1,665 @@
+package store
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"knighter/internal/engine"
+	"knighter/internal/obs"
+)
+
+// gateStore blocks every Get until the gate channel closes or the
+// context dies. Served behind the cache protocol it makes the *Remote
+// in front of it a slow network tier.
+type gateStore struct {
+	Store
+	gate <-chan struct{}
+}
+
+func (g *gateStore) Get(ctx context.Context, k Key) (*engine.Result, bool) {
+	select {
+	case <-g.gate:
+	case <-ctx.Done():
+		return nil, false
+	}
+	return g.Store.Get(ctx, k)
+}
+
+// eventually polls cond: network leaves are invalidated off the
+// caller's goroutine, so their effect is awaited, not assumed.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fleetStack builds memory -> remote || disk, the remote leaf talking
+// to a cache server over back. The in-memory "disk" leaf stands in for
+// the segment tier: the stack only needs it to be local.
+func fleetStack(t *testing.T, back Store) (st *Stack, mem, disk *Memory) {
+	t.Helper()
+	ts := newCacheTS(t, back)
+	// A hung daemon must be visible as a hang, not hidden by the
+	// client's own timeout.
+	r := newRemote(t, ts.URL, RemoteConfig{Timeout: time.Minute})
+	mem, disk = NewMemory(0), NewMemory(0)
+	return NewStack(nil, Tier{"memory", mem}, Tier{"remote", r}, Tier{"disk", disk}), mem, disk
+}
+
+// TestStackBehaviours pins, as cases on the one composite, every
+// behaviour the composition is deployed for.
+func TestStackBehaviours(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"coalesce/concurrent misses compute once", func(t *testing.T) {
+			s := NewStack(nil, Tier{"memory", NewMemory(0)})
+			const waiters = 16
+			var computes atomic.Int64
+			gate := make(chan struct{})
+			ready := make(chan struct{}, waiters)
+			var wg sync.WaitGroup
+			results := make([]*engine.Result, waiters)
+			for i := 0; i < waiters; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i], _ = s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
+						ready <- struct{}{}
+						<-gate // hold the flight open until every goroutine launched
+						computes.Add(1)
+						return result("shared"), true
+					})
+				}(i)
+			}
+			<-ready // one leader is inside compute
+			time.Sleep(10 * time.Millisecond)
+			close(gate)
+			wg.Wait()
+			// Stragglers that arrived after the leader finished may have
+			// computed their own; the invariant is far fewer computations
+			// than callers, identical results, and coalescing counted.
+			if n := computes.Load(); n >= waiters/2 {
+				t.Fatalf("%d computations for %d concurrent callers", n, waiters)
+			}
+			for i, res := range results {
+				if res == nil || len(res.Reports) != 1 || res.Reports[0].Message != "shared" {
+					t.Fatalf("caller %d got %+v", i, res)
+				}
+			}
+			if st := s.Stats(); st.Coalesced == 0 {
+				t.Fatalf("no coalescing counted: %+v", st)
+			}
+		}},
+		{"coalesce/shared results are independent", func(t *testing.T) {
+			s := NewStack(nil, Tier{"memory", NewMemory(0)})
+			gate, leaderIn := make(chan struct{}), make(chan struct{})
+			var leaderRes, followerRes *engine.Result
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				leaderRes, _ = s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
+					close(leaderIn)
+					<-gate
+					return result("shared"), true
+				})
+			}()
+			go func() {
+				defer wg.Done()
+				<-leaderIn
+				// compute runs only if this goroutine arrived after the
+				// leader finished; the assertions hold either way.
+				followerRes, _ = s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
+					return result("shared"), true
+				})
+			}()
+			<-leaderIn
+			time.Sleep(10 * time.Millisecond) // let the follower join the flight
+			close(gate)
+			wg.Wait()
+			leaderRes.Reports[0] = nil
+			followerRes.Reports[0] = nil
+			if got, ok := s.Get(bg, key(1)); !ok || len(got.Reports) != 1 || got.Reports[0] == nil {
+				t.Fatal("caller mutation reached the cached entry")
+			}
+		}},
+		{"coalesce/uncacheable leader result is not shared", func(t *testing.T) {
+			s := NewStack(nil, Tier{"memory", NewMemory(0)})
+			gate, leaderIn := make(chan struct{}), make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				res, _ := s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
+					close(leaderIn)
+					<-gate
+					return &engine.Result{Truncated: true, TimedOut: true}, false
+				})
+				if !res.TimedOut {
+					t.Error("leader's own result altered")
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-leaderIn
+				res, shared := s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
+					return result("mine"), true
+				})
+				if shared {
+					t.Error("uncacheable leader result was shared")
+				}
+				if res.TimedOut || len(res.Reports) != 1 || res.Reports[0].Message != "mine" {
+					t.Errorf("follower got %+v", res)
+				}
+			}()
+			<-leaderIn
+			time.Sleep(10 * time.Millisecond) // let the follower join the flight
+			close(gate)
+			wg.Wait()
+			// The follower's (cacheable) result IS cached; the leader's is not.
+			if got, ok := s.Get(bg, key(1)); !ok || got.TimedOut {
+				t.Fatalf("cached entry = %+v, %v; want the follower's clean result", got, ok)
+			}
+		}},
+		{"coalesce/leader does not re-probe", func(t *testing.T) {
+			mem := NewMemory(0)
+			s := NewStack(nil, Tier{"memory", mem})
+			s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) { return result("x"), true })
+			if st := mem.Stats(); st.Hits+st.Misses != 0 || st.Puts != 1 {
+				t.Fatalf("GetOrCompute probed the leaf: %+v", st)
+			}
+			if st := s.Stats(); st.Misses != 0 || st.Puts != 1 {
+				t.Fatalf("stack stats = %+v", st)
+			}
+		}},
+		{"race/local hit wins over a hung remote", func(t *testing.T) {
+			gate := make(chan struct{}) // never closes: the daemon hangs until the client gives up
+			st, mem, disk := fleetStack(t, &gateStore{Store: NewMemory(0), gate: gate})
+			disk.Put(bg, fkey("fA", "ck"), result("local"))
+			done := make(chan struct{})
+			var got *engine.Result
+			var ok bool
+			go func() {
+				got, ok = st.Get(bg, fkey("fA", "ck"))
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Get waited on the hung remote despite a local hit")
+			}
+			if !ok || !sameResult(t, got, result("local")) {
+				t.Fatal("local hit lost")
+			}
+			if mem.Stats().Entries != 1 {
+				t.Fatal("local hit not promoted into memory")
+			}
+			// The abandoned round-trip says nothing about the daemon's health.
+			if rs := st.Remote().RemoteStats(); rs.Errors != 0 || rs.Puts != 0 {
+				t.Fatalf("remote stats after an abandoned probe = %+v", rs)
+			}
+		}},
+		{"race/remote hit is promoted into local and memory", func(t *testing.T) {
+			back := NewMemory(0)
+			back.Put(bg, fkey("fA", "ck"), result("fleet"))
+			st, mem, disk := fleetStack(t, back)
+			got, ok := st.Get(bg, fkey("fA", "ck"))
+			if !ok || !sameResult(t, got, result("fleet")) {
+				t.Fatalf("remote hit lost: ok=%v", ok)
+			}
+			if _, ok := disk.Get(bg, fkey("fA", "ck")); !ok {
+				t.Fatal("remote hit not promoted into the local leaf")
+			}
+			if _, ok := mem.Get(bg, fkey("fA", "ck")); !ok {
+				t.Fatal("remote hit not promoted into memory")
+			}
+			if back.Stats().Puts != 1 {
+				t.Fatal("a remote hit was published back to the daemon")
+			}
+		}},
+		{"race/miss waits for both sides", func(t *testing.T) {
+			// The remote is slow but HAS the entry; the local leaf misses
+			// instantly. A miss must not be declared off the fast answer.
+			gate := make(chan struct{})
+			back := NewMemory(0)
+			back.Put(bg, fkey("fA", "ck"), result("slow-remote"))
+			st, _, _ := fleetStack(t, &gateStore{Store: back, gate: gate})
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				close(gate)
+			}()
+			got, ok := st.Get(bg, fkey("fA", "ck"))
+			if !ok || !sameResult(t, got, result("slow-remote")) {
+				t.Fatalf("fast local miss masked the remote hit: ok=%v", ok)
+			}
+			if _, ok := st.Get(bg, fkey("fB", "ck")); ok {
+				t.Fatal("hit on a key no leaf holds")
+			}
+			if s := st.Stats(); s.Hits != 1 || s.Misses != 1 {
+				t.Fatalf("stats = %+v", s)
+			}
+		}},
+		{"race/put and invalidate reach both sides", func(t *testing.T) {
+			back := NewMemory(0)
+			st, mem, disk := fleetStack(t, back)
+			st.Put(bg, fkey("fA", "ck"), result("x"))
+			for name, leaf := range map[string]*Memory{"memory": mem, "remote": back, "disk": disk} {
+				if leaf.Stats().Entries != 1 {
+					t.Fatalf("Put did not reach the %s leaf", name)
+				}
+			}
+			// The count covers the local leaves; the daemon is reached
+			// off this goroutine.
+			if n := st.InvalidateFuncs([]string{"fA"}); n != 2 {
+				t.Fatalf("invalidated %d local entries, want 2", n)
+			}
+			eventually(t, "the remote invalidation", func() bool { return back.Stats().Entries == 0 })
+			if _, ok := st.Get(bg, fkey("fA", "ck")); ok {
+				t.Fatal("entry survived invalidation")
+			}
+		}},
+		{"tiers/disk hits are promoted, puts write through", func(t *testing.T) {
+			mem, disk := NewMemory(0), newTestSegDisk(t, t.TempDir())
+			disk.Put(bg, key(1), result("warm-from-disk"))
+			st := NewStack(nil, Tier{"memory", mem}, Tier{"disk", disk})
+			if _, ok := st.Get(bg, key(1)); !ok {
+				t.Fatal("miss on a disk-resident entry")
+			}
+			if s := mem.Stats(); s.Puts != 1 {
+				t.Fatalf("disk hit not promoted to memory: %+v", s)
+			}
+			if _, ok := st.Get(bg, key(1)); !ok {
+				t.Fatal("miss after promotion")
+			}
+			if s := st.Stats(); s.Hits != 2 || s.Misses != 0 {
+				t.Fatalf("stack stats = %+v", s)
+			}
+			if s := disk.Stats(); s.Hits != 1 {
+				t.Fatalf("the promoted entry was read from disk again: %+v", s)
+			}
+			st.Put(bg, key(2), result("two"))
+			if _, ok := mem.Get(bg, key(2)); !ok {
+				t.Fatal("put did not reach memory")
+			}
+			if _, ok := disk.Get(bg, key(2)); !ok {
+				t.Fatal("put did not reach disk")
+			}
+		}},
+		{"tiers/invalidation fans out to every leaf, per hash and in bulk", func(t *testing.T) {
+			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"disk", newTestSegDisk(t, t.TempDir())})
+			st.Put(bg, fkey("fA", "ck1"), result("a1"))
+			st.Put(bg, fkey("fA", "ck2"), result("a2"))
+			st.Put(bg, fkey("fB", "ck"), result("b"))
+			st.Put(bg, fkey("fC", "ck"), result("c"))
+			st.Put(bg, fkey("fD", "ck"), result("d"))
+			if n := st.InvalidateFunc("fA"); n != 4 {
+				t.Fatalf("per-hash invalidation dropped %d entries, want 4 (two entries x two leaves)", n)
+			}
+			if n := st.InvalidateFuncs([]string{"fB", "fC"}); n != 4 {
+				t.Fatalf("bulk invalidation dropped %d entries, want 4 (two hashes x two leaves)", n)
+			}
+			for _, k := range []Key{fkey("fA", "ck1"), fkey("fA", "ck2"), fkey("fB", "ck"), fkey("fC", "ck")} {
+				if _, ok := st.Get(bg, k); ok {
+					t.Fatalf("%v survived invalidation", k)
+				}
+			}
+			if _, ok := st.Get(bg, fkey("fD", "ck")); !ok {
+				t.Fatal("unrelated entry dropped")
+			}
+			if s := st.Stats(); s.Invalidated != 8 || s.Entries != 1 {
+				t.Fatalf("stats = %+v", s)
+			}
+		}},
+		{"fleet/remote hit promotes, local put publishes", func(t *testing.T) {
+			back := NewMemory(0)
+			ts := newCacheTS(t, back)
+			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})})
+			st.Put(bg, key(1), result("one"))
+			if back.Stats().Puts != 1 {
+				t.Fatal("local Put not published to the daemon")
+			}
+			// A fresh replica sharing the daemon: first Get is a remote
+			// hit, promoted into its memory.
+			mem2 := NewMemory(0)
+			st2 := NewStack(nil, Tier{"memory", mem2}, Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})})
+			if _, ok := st2.Get(bg, key(1)); !ok {
+				t.Fatal("fresh replica missed its sibling's entry")
+			}
+			if mem2.Stats().Entries != 1 {
+				t.Fatal("remote hit not promoted into memory")
+			}
+			// The replica's books are its memory's: the daemon's entries
+			// are the daemon's to report.
+			if s := st2.Stats(); s.Entries != 1 || s.Bytes != mem2.Stats().Bytes {
+				t.Fatalf("memory+remote stack reports %+v, want memory's books", s)
+			}
+		}},
+		{"stats/deepest book-keeping leaf, even when empty", func(t *testing.T) {
+			front, back := NewMemory(0), NewMemory(0)
+			st := NewStack(nil, Tier{"memory", front}, Tier{"disk", back})
+			st.Put(bg, fkey("fA", "ck"), result("x"))
+			if st.Stats().Entries != 1 {
+				t.Fatalf("stats after put: %+v", st.Stats())
+			}
+			// Drop the back leaf only: it holds a superset by
+			// construction, so its emptiness is the stack's truth even
+			// though the front still holds a copy.
+			back.InvalidateFunc("fA")
+			if s := st.Stats(); s.Entries != 0 || s.Bytes != 0 {
+				t.Fatalf("stack reported front-leaf counts for an empty back leaf: %+v", s)
+			}
+			if front.Stats().Entries != 1 {
+				t.Fatal("front leaf lost its copy")
+			}
+		}},
+		{"metrics/per-tier families", func(t *testing.T) {
+			ts := newCacheTS(t, NewMemory(0))
+			reg := obs.NewRegistry("kserve")
+			st, err := Open(reg, 0, t.TempDir(), 0, ts.URL, RemoteConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Disk().Close() })
+			// '0' leads the sampled sixteenth of function hashes.
+			st.Put(bg, fkey("0a", "ck"), result("x"))
+			st.Get(bg, fkey("0a", "ck"))
+			st.Get(bg, fkey("0b", "ck"))
+			var b strings.Builder
+			reg.WriteTo(&b)
+			text := b.String()
+			if _, err := obs.CheckExposition(text); err != nil {
+				t.Fatalf("invalid exposition: %v", err)
+			}
+			for _, want := range []string{
+				`kserve_store_requests_total{tier="memory"} 3`,
+				`kserve_store_hits_total{tier="memory"} 1`,
+				`kserve_store_misses_total{tier="remote"} 1`,
+				`kserve_store_puts_total{tier="disk"} 1`,
+				`kserve_store_requests_total{tier="stack"} 3`,
+				`kserve_store_coalesced_total{tier="stack"} 0`,
+				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
+				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 1`,
+				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 1`,
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("exposition missing %q", want)
+				}
+			}
+			// An unsampled key is counted but not timed on memory, and
+			// timed on the leaves that do I/O.
+			st.Get(bg, fkey("1c", "ck"))
+			b.Reset()
+			reg.WriteTo(&b)
+			for _, want := range []string{
+				`kserve_store_requests_total{tier="memory"} 4`,
+				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
+				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 2`,
+			} {
+				if !strings.Contains(b.String(), want) {
+					t.Errorf("exposition after an unsampled get missing %q", want)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// modelLeaf is the reference model of one leaf: a plain map and the
+// books the leaf should keep.
+type modelLeaf struct {
+	network            bool
+	has                map[string]string // Key.ID() -> message
+	hits, misses, puts int64
+	invalidated        int64
+}
+
+// stackModel is the reference model of a stack: what every leaf holds
+// and has counted, plus the request-level totals.
+type stackModel struct {
+	leaves             []*modelLeaf
+	hits, misses, puts int64
+}
+
+func (m *stackModel) get(id string) (string, bool) {
+	for i := 0; i < len(m.leaves); i++ {
+		l, front := m.leaves[i], m.leaves[:i]
+		var msg string
+		var ok bool
+		if l.network && i+1 < len(m.leaves) {
+			local := m.leaves[i+1]
+			i++
+			if msg, ok = local.has[id]; ok {
+				local.hits++
+				// The abandoned remote probe lands as a hit or a miss;
+				// the model only pins their sum (see checkBooks).
+				l.misses++
+			} else {
+				local.misses++
+				if msg, ok = l.has[id]; ok {
+					l.hits++
+					local.has[id] = msg
+					local.puts++
+				} else {
+					l.misses++
+				}
+			}
+		} else if msg, ok = l.has[id]; ok {
+			l.hits++
+		} else {
+			l.misses++
+		}
+		if !ok {
+			continue
+		}
+		for _, f := range front {
+			f.has[id] = msg
+			f.puts++
+		}
+		m.hits++
+		return msg, true
+	}
+	m.misses++
+	return "", false
+}
+
+func (m *stackModel) put(id, msg string) {
+	for _, l := range m.leaves {
+		l.has[id] = msg
+		l.puts++
+	}
+	m.puts++
+}
+
+// invalidate returns what the stack should report: the local leaves'
+// drops.
+func (m *stackModel) invalidate(ids []string) int {
+	n := 0
+	for _, l := range m.leaves {
+		for _, id := range ids {
+			if _, ok := l.has[id]; ok {
+				delete(l.has, id)
+				l.invalidated++
+				if !l.network {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestStackMatchesReferenceModel runs one seeded Get / Put /
+// GetOrCompute / Invalidate script (plus, where there is a daemon, a
+// sibling replica publishing to it) over the five deployed shapes, all
+// built by Open, against the plain-map model: every answer, every
+// invalidation count, and every leaf's books must agree.
+func TestStackMatchesReferenceModel(t *testing.T) {
+	for _, shape := range []struct {
+		name         string
+		disk, remote bool
+		// served drives the script through the cache protocol instead of
+		// calling the stack: the stack under test is kcached's.
+		served bool
+	}{
+		{name: "memory"},
+		{name: "memory+disk", disk: true},
+		{name: "memory+remote", remote: true},
+		{name: "memory+remote||disk", disk: true, remote: true},
+		{name: "kcached: memory+disk behind the protocol", disk: true, served: true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			var dir, url string
+			var daemon *CacheServer
+			var daemonStore *Memory
+			if shape.disk {
+				dir = t.TempDir()
+			}
+			if shape.remote {
+				daemonStore = NewMemory(0)
+				daemon = NewCacheServer(daemonStore)
+				ts := httptest.NewServer(daemon.Handler())
+				t.Cleanup(ts.Close)
+				url = ts.URL
+			}
+			st, err := Open(obs.NewRegistry("t"), 0, dir, 0, url, RemoteConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := st.Disk(); d != nil {
+				t.Cleanup(func() { d.Close() })
+			}
+			model := &stackModel{}
+			for _, l := range st.leaves {
+				model.leaves = append(model.leaves, &modelLeaf{network: l.network, has: map[string]string{}})
+			}
+
+			// The script's view of the store: the stack itself, or a
+			// client of the daemon serving it.
+			var target interface {
+				Store
+				BulkInvalidator
+			} = st
+			if shape.served {
+				target = newRemote(t, newCacheTS(t, st).URL, RemoteConfig{})
+			}
+			invalidations := int64(0)
+
+			rng := rand.New(rand.NewSource(17))
+			funcs := []string{"0f", "1f", "2f", "3f", "af", "bf"}
+			checkers := []string{"ck1", "ck2", "ck3"}
+			idsOf := func(fh string) []string {
+				ids := make([]string, len(checkers))
+				for i, ck := range checkers {
+					ids[i] = fkey(fh, ck).ID()
+				}
+				return ids
+			}
+			for step := 0; step < 600; step++ {
+				k := fkey(funcs[rng.Intn(len(funcs))], checkers[rng.Intn(len(checkers))])
+				id, msg := k.ID(), fmt.Sprintf("step-%d", step)
+				switch op := rng.Intn(11); {
+				case op == 10 && daemonStore != nil:
+					// A sibling replica publishes to the shared daemon: the
+					// entry exists behind the network leaf and nowhere local.
+					daemonStore.Put(bg, k, result(msg))
+					for _, l := range model.leaves {
+						if l.network {
+							l.has[id] = msg
+						}
+					}
+				case op < 5 || op == 10: // get
+					want, wantOK := model.get(id)
+					got, ok := target.Get(bg, k)
+					if ok != wantOK || (ok && got.Reports[0].Message != want) {
+						t.Fatalf("step %d: Get(%v) = %v, %v; model says %q, %v", step, k, got, ok, want, wantOK)
+					}
+				case op < 7: // put
+					model.put(id, msg)
+					target.Put(bg, k, result(msg))
+				case op < 9: // the scheduler's miss path: probe, then compute
+					want, wantOK := model.get(id)
+					got, ok := target.Get(bg, k)
+					if ok != wantOK || (ok && got.Reports[0].Message != want) {
+						t.Fatalf("step %d: probe(%v) = %v, %v; model says %q, %v", step, k, got, ok, want, wantOK)
+					}
+					if ok {
+						break
+					}
+					model.put(id, msg)
+					if co, isCo := target.(ComputeCoalescer); isCo {
+						res, shared := co.GetOrCompute(bg, k, func() (*engine.Result, bool) { return result(msg), true })
+						if shared || res.Reports[0].Message != msg {
+							t.Fatalf("step %d: GetOrCompute = %v, shared=%v", step, res, shared)
+						}
+					} else {
+						target.Put(bg, k, result(msg))
+					}
+				default: // invalidate one or two function hashes
+					hashes := []string{k.FuncHash}
+					if rng.Intn(2) == 0 {
+						hashes = append(hashes, funcs[rng.Intn(len(funcs))])
+					}
+					var ids []string
+					for _, fh := range hashes {
+						ids = append(ids, idsOf(fh)...)
+					}
+					want := model.invalidate(ids)
+					if got := target.InvalidateFuncs(hashes); got != want {
+						t.Fatalf("step %d: InvalidateFuncs(%v) = %d, model says %d", step, hashes, got, want)
+					}
+					if daemon != nil {
+						// The network leaf is invalidated off this goroutine;
+						// the script is sequential, so wait for it to land.
+						invalidations++
+						eventually(t, "the daemon to see the invalidation",
+							func() bool { return daemon.invalidates.Load() == invalidations })
+					}
+				}
+			}
+
+			for i, l := range st.leaves {
+				ml, got := model.leaves[i], l.Store.Stats()
+				if l.network {
+					// A probe abandoned because the local leaf answered first
+					// counts as a hit or a miss depending on timing.
+					if got.Hits+got.Misses != ml.hits+ml.misses || got.Hits < ml.hits || got.Puts != ml.puts {
+						t.Errorf("%s books = %+v, model = %+v", l.Name, got, *ml)
+					}
+					if ds := daemonStore.Stats(); ds.Entries != len(ml.has) {
+						t.Errorf("daemon holds %d entries, model says %d", ds.Entries, len(ml.has))
+					}
+					continue
+				}
+				if got.Hits != ml.hits || got.Misses != ml.misses || got.Puts != ml.puts ||
+					got.Invalidated != ml.invalidated || got.Entries != len(ml.has) {
+					t.Errorf("%s books = %+v, model = %+v (%d entries)", l.Name, got, *ml, len(ml.has))
+				}
+			}
+			got := st.Stats()
+			deepest := model.leaves[len(model.leaves)-1]
+			if deepest.network {
+				deepest = model.leaves[len(model.leaves)-2]
+			}
+			if got.Hits != model.hits || got.Misses != model.misses || got.Puts != model.puts ||
+				got.Entries != len(deepest.has) || got.Evictions != 0 || got.Coalesced != 0 {
+				t.Errorf("stack stats = %+v; model hits=%d misses=%d puts=%d entries=%d",
+					got, model.hits, model.misses, model.puts, len(deepest.has))
+			}
+		})
+	}
+}

@@ -65,7 +65,7 @@ type Stats struct {
 	// (budget evictions count under Evictions instead).
 	Expired int64 `json:"expired"`
 	// Coalesced counts computations saved by in-flight coalescing (the
-	// Coalesced tier only).
+	// Stack only).
 	Coalesced int64 `json:"coalesced"`
 }
 
@@ -76,21 +76,6 @@ func (s Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// Add folds other's counters into s (Entries is summed too: tiers hold
-// disjoint entry sets from the caller's perspective).
-func (s Stats) Add(other Stats) Stats {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Puts += other.Puts
-	s.Evictions += other.Evictions
-	s.Entries += other.Entries
-	s.Bytes += other.Bytes
-	s.Invalidated += other.Invalidated
-	s.Expired += other.Expired
-	s.Coalesced += other.Coalesced
-	return s
 }
 
 // Store is an analysis-result cache tier. Implementations must be safe
@@ -132,6 +117,23 @@ type BulkInvalidator interface {
 	// InvalidateFuncs removes every entry addressed by any of the given
 	// function hashes, returning the total number of entries dropped.
 	InvalidateFuncs(funcHashes []string) int
+}
+
+// ComputeCoalescer is the optional Store extension the incremental
+// scheduler uses to collapse duplicate in-flight computations: N
+// concurrent misses on one key run the analysis once and share the
+// result. It matters most once a network tier widens the miss window —
+// with a remote round-trip between "miss" and "put", a popular key can
+// easily have many identical computations racing.
+type ComputeCoalescer interface {
+	Store
+	// GetOrCompute runs compute to produce the result for k, unless
+	// another caller is already computing it. compute returns the result
+	// and whether it is cacheable (timed-out or canceled results are
+	// not). The second return reports whether the result was shared from
+	// another caller's in-flight computation rather than computed by
+	// this one.
+	GetOrCompute(ctx context.Context, k Key, compute func() (*engine.Result, bool)) (*engine.Result, bool)
 }
 
 // invalidateAll forwards a hash set to st through its widest supported
