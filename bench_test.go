@@ -10,10 +10,14 @@
 package knighter
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +33,7 @@ import (
 	"knighter/internal/minic"
 	"knighter/internal/obs"
 	"knighter/internal/scan"
+	"knighter/internal/serve"
 	"knighter/internal/shard"
 	"knighter/internal/smatch"
 	"knighter/internal/store"
@@ -450,36 +455,44 @@ func BenchmarkScanWarmCache(b *testing.B) {
 	b.ReportMetric(float64(res.CacheHits), "cache-hits")
 }
 
-// BenchmarkScanWarmInstrumented is BenchmarkScanWarmCache with the full
-// observability stack kserve wires at boot: the store kserve opens,
-// registered for metrics, the stage observer, and a per-request trace
-// recording the span timeline. The delta to BenchmarkScanWarmCache
-// is the total metrics + tracing overhead on the hot warm-scan path —
-// the observability layer budgets it at <= ~5%.
+// BenchmarkScanWarmInstrumented is BenchmarkScanWarmCache through the
+// handler kserve serves: the replica serve.New builds over the same
+// corpus — instrumented store, stage observer, per-request trace,
+// HTTP metrics, access log, trace store — answering POST /scan. The
+// delta to BenchmarkScanWarmCache is what the whole request path adds
+// on the hot warm-scan path: observability plus checker compile and
+// the JSON reply.
 func BenchmarkScanWarmInstrumented(b *testing.B) {
-	h, _, _ := setupBench(b)
-	ck := mustChecker(b, benchCacheDSL)
-	reg := obs.NewRegistry("kserve")
-	st, err := store.Open(reg, 0, "", 0, "", store.RemoteConfig{})
+	log.SetOutput(io.Discard) // one access-log line per request
+	defer log.SetOutput(os.Stderr)
+	srv, err := serve.New(serve.Config{Seed: 1, Scale: benchScale, TraceRetain: 512, TraceSample: 0.05})
 	if err != nil {
 		b.Fatal(err)
 	}
-	inc := scan.NewIncremental(h.Codebase, st)
-	stageDur := reg.HistogramVec("scan_stage_duration_seconds", "bench", nil, "stage")
-	inc.SetStageObserver(stageObserverFunc(func(stage string, d time.Duration) {
-		stageDur.With(stage).Observe(d.Seconds())
-	}))
-	inc.RunOne(ck, scan.Options{}) // warm every entry
+	defer srv.Close()
+	body, err := json.Marshal(api.ScanRequest{Checker: benchCacheDSL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() *api.ScanResponse {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/scan", bytes.NewReader(body)))
+		var resp api.ScanResponse
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK {
+			b.Fatalf("POST /scan = %d, decode: %v", rec.Code, err)
+		}
+		return &resp
+	}
+	post() // warm every entry
 	b.ResetTimer()
-	var res *scan.Result
+	var resp *api.ScanResponse
 	for i := 0; i < b.N; i++ {
-		ctx := obs.WithTrace(context.Background(), obs.NewTrace(""))
-		res = inc.RunOne(ck, scan.Options{Context: ctx})
+		resp = post()
 	}
-	if res.CacheMisses != 0 {
-		b.Fatalf("warm scan missed %d times", res.CacheMisses)
+	if resp.Cache.Misses != 0 {
+		b.Fatalf("warm scan missed %d times", resp.Cache.Misses)
 	}
-	b.ReportMetric(float64(res.CacheHits), "cache-hits")
+	b.ReportMetric(float64(resp.Cache.Hits), "cache-hits")
 }
 
 // BenchmarkScanWarmTraced is BenchmarkScanWarmCache with ONLY the
@@ -513,11 +526,6 @@ func BenchmarkScanWarmTraced(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.CacheHits), "cache-hits")
 }
-
-// stageObserverFunc adapts a function to scan.StageObserver.
-type stageObserverFunc func(stage string, d time.Duration)
-
-func (f stageObserverFunc) ObserveStage(stage string, d time.Duration) { f(stage, d) }
 
 // BenchmarkScanWarmRemote measures the fleet steady state: a fresh
 // replica (empty memory tier) whose every lookup is answered by an
@@ -640,7 +648,7 @@ func BenchmarkScanAfterPatch(b *testing.B) {
 	// Pick a file, canonicalize it, and prepare two variants of its last
 	// function to alternate between (so every iteration really mutates).
 	path := cb.Files()[0].Name
-	if _, err := inc.Replace(path, minic.FormatFile(cb.Files()[0])); err != nil {
+	if _, err := inc.ApplyChangeset([]scan.Change{{Path: path, Source: minic.FormatFile(cb.Files()[0])}}); err != nil {
 		b.Fatal(err)
 	}
 	fn := cb.Files()[0].Funcs[len(cb.Files()[0].Funcs)-1]
@@ -656,7 +664,7 @@ func BenchmarkScanAfterPatch(b *testing.B) {
 		if i%2 == 1 {
 			src = orig
 		}
-		if _, err := inc.Patch(path, fn.Name, src); err != nil {
+		if _, err := inc.ApplyChangeset([]scan.Change{{Path: path, Func: fn.Name, Source: src}}); err != nil {
 			b.Fatal(err)
 		}
 		res = inc.RunOne(ck, scan.Options{})
@@ -686,7 +694,7 @@ func newChangesetFixture(b *testing.B, k int) *changesetFixture {
 	fx := &changesetFixture{inc: scan.NewIncremental(cb, store.NewMemory(0))}
 	for i := 0; i < k; i++ {
 		path := cb.Files()[i].Name
-		if _, err := fx.inc.Replace(path, minic.FormatFile(cb.Files()[i])); err != nil {
+		if _, err := fx.inc.ApplyChangeset([]scan.Change{{Path: path, Source: minic.FormatFile(cb.Files()[i])}}); err != nil {
 			b.Fatal(err)
 		}
 		fn := cb.Files()[i].Funcs[len(cb.Files()[i].Funcs)-1]

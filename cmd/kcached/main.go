@@ -44,25 +44,22 @@
 // bounded in-memory ledger (-feed-cap), not a durability mechanism —
 // a shard that falls out of the retention window must be reseeded.
 //
-// Every request is access-logged with its X-Trace-Id (when the client —
-// a kserve replica's remote tier — sent one), and with tracing enabled
-// (-trace-retain) each request also records a span fragment attached
-// under the caller's X-Span-Id: a coordinating kserve's GET /trace/{id}
-// pulls those fragments into the assembled cross-host tree, so the
+// Every cache and feed request runs under the daemon chassis kserve
+// also mounts (obs.RequestObserver): it is access-logged with its
+// X-Trace-Id (the caller's — a kserve replica's remote tier — or a
+// minted one) and records a span fragment attached under the caller's
+// X-Span-Id. A coordinating kserve's GET /trace/{id} pulls the retained
+// fragments (-trace-retain) into the assembled cross-host tree, so the
 // kcached leg of a slow scan shows up as spans, not as grep homework.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"knighter/internal/obs"
@@ -77,26 +74,22 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "disk byte budget; compaction evicts oldest-first past it (0 = unbounded)")
 	cacheBytes := flag.Int64("cache-bytes", store.DefaultMemoryBytes, "memory front-tier byte budget (0 = library default)")
 	feedCap := flag.Int("feed-cap", shard.DefaultFeedCap, "generation-feed retention (entries); shards further behind than this cannot converge from the feed")
-	traceRetain := flag.Int("trace-retain", 512, "completed trace fragments retained for GET /trace/{id} (0 disables tracing)")
+	traceRetain := flag.Int("trace-retain", 512, "completed trace fragments retained for GET /trace/{id} (0 retains none)")
 	traceSample := flag.Float64("trace-sample", 0.05, "probability of retaining an unremarkable trace; slow and errored traces are always retained")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "always retain traces of requests at least this slow (0 disables the slow class)")
 	pprofAddr := flag.String("pprof-addr", "", "optional side listen address for net/http/pprof (e.g. localhost:6061); never exposed on the main port")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
+	version, goVersion := obs.BuildVersion()
 	if *showVersion {
-		v, gv := obs.BuildVersion()
-		fmt.Printf("kcached %s (%s)\n", v, gv)
+		fmt.Printf("kcached %s (%s)\n", version, goVersion)
 		return
 	}
 	if *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "kcached: -cache-dir is required")
 		os.Exit(2)
 	}
-	// The signal context exists before the compaction loop starts, so
-	// SIGINT/SIGTERM stops background sweeps as part of the drain.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	// A hot fleet GET never touches the segment log at all; a warm one
 	// is an index probe plus one pread. /metrics carries the same
 	// store_* families as kserve's, under the kcached namespace with
@@ -110,8 +103,12 @@ func main() {
 		os.Exit(1)
 	}
 	disk := st.Disk()
+	ro := &obs.RequestObserver{
+		Service: "kcached",
+		Traces:  obs.NewTraceStore(*traceRetain, *traceSample, *traceSlow),
+	}
 	cs := store.NewCacheServer(st)
-	cs.EnableTracing(obs.NewTraceStore(*traceRetain, *traceSample, *traceSlow))
+	cs.Observe(ro)
 	cs.Register(reg)
 	// The generation feed rides on the cache daemon because it is the
 	// one process every sharded replica already dials.
@@ -119,66 +116,31 @@ func main() {
 	feed.Register(reg)
 	// Compaction always runs: even without a TTL or byte budget it
 	// reclaims the dead bytes that overwrites and invalidations leave in
-	// the segment log. It stops with the signal context.
+	// the segment log. It stops before the final sync.
+	ctx, stopCompaction := context.WithCancel(context.Background())
 	disk.StartCompactLoop(ctx, *cacheTTL, func(n int, dur time.Duration) {
 		gcSweep.Observe(dur.Seconds())
 		if n > 0 {
 			log.Printf("kcached: GC removed %d entries in %s", n, dur)
 		}
 	})
-	if *pprofAddr != "" {
-		startPprof(*pprofAddr)
-	}
 
-	// Graceful shutdown: SIGTERM/SIGINT stops the listener, in-flight
-	// entry requests drain (bounded), and the final store shape goes to
-	// the log — a fleet roll never truncates a PUT mid-body.
 	mux := http.NewServeMux()
-	mux.Handle("/feed", feed.Handler())
+	mux.HandleFunc("/feed", ro.Wrap("feed", feed.Handler().ServeHTTP))
 	mux.Handle("/", cs.Handler())
-	hs := &http.Server{Addr: *addr, Handler: store.AccessLog(log.Default(), mux)}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
 	boot := disk.Stats()
-	version, goVersion := obs.BuildVersion()
 	log.Printf("kcached: %s (%s) serving %s (%d entries, %d bytes) on %s",
 		version, goVersion, *cacheDir, boot.Entries, boot.Bytes, *addr)
-	select {
-	case err := <-errCh:
+	if err := obs.Serve("kcached", *addr, *pprofAddr, mux); err != nil {
 		log.Fatal("kcached: ", err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("kcached: shutdown signal; draining in-flight requests")
-		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("kcached: shutdown: %v", err)
-		}
-		final := disk.Stats()
-		// Final sync: the flush window's tail is on disk before exit, so
-		// the next boot recovers everything this one served.
-		if err := disk.Close(); err != nil {
-			log.Printf("kcached: disk close: %v", err)
-		}
-		log.Printf("kcached: final stats: entries=%d bytes=%d hits=%d misses=%d hit_rate=%.3f",
-			final.Entries, final.Bytes, final.Hits, final.Misses, final.HitRate())
 	}
-}
-
-// startPprof serves net/http/pprof on its own listener — never the main
-// port, so profiling endpoints are reachable only where the operator
-// points them (typically localhost).
-func startPprof(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		log.Printf("kcached: pprof on %s", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("kcached: pprof: %v", err)
-		}
-	}()
+	stopCompaction()
+	final := disk.Stats()
+	// Final sync: the flush window's tail is on disk before exit, so
+	// the next boot recovers everything this one served.
+	if err := disk.Close(); err != nil {
+		log.Printf("kcached: disk close: %v", err)
+	}
+	log.Printf("kcached: final stats: entries=%d bytes=%d hits=%d misses=%d hit_rate=%.3f",
+		final.Entries, final.Bytes, final.Hits, final.Misses, final.HitRate())
 }

@@ -86,8 +86,8 @@ type ScanRequest struct {
 	MaxReports int `json:"max_reports,omitempty"`
 	// Workers overrides the parallelism degree (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// FuncTimeoutMS overrides the server's per-function analysis budget
-	// in milliseconds (0 = server default).
+	// FuncTimeoutMS is the per-function analysis budget in milliseconds
+	// (0 = none).
 	FuncTimeoutMS int `json:"func_timeout_ms,omitempty"`
 	// MinGeneration, when > 0, asks to be served at-or-after that corpus
 	// generation — read-your-writes for a client holding a changeset
@@ -190,7 +190,7 @@ type BatchRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// Concurrency bounds how many checkers run at once (0 = GOMAXPROCS).
 	Concurrency int `json:"concurrency,omitempty"`
-	// FuncTimeoutMS overrides the server's per-function analysis budget.
+	// FuncTimeoutMS is the per-function analysis budget, as on ScanRequest.
 	FuncTimeoutMS int `json:"func_timeout_ms,omitempty"`
 	// MinGeneration: serve-at-or-after, as on ScanRequest. The whole
 	// batch pins ONE snapshot at or after it.
@@ -224,32 +224,9 @@ type BatchResponse struct {
 	Timing  []obs.Span `json:"timing,omitempty"`
 }
 
-// PatchRequest is the POST /patch body. An empty Func replaces the
-// whole file with Source; otherwise Source must be a single function
+// Change is one element of a changeset request: an empty Func replaces
+// the whole file with Source; otherwise Source must be a single function
 // that replaces Func within the file.
-type PatchRequest struct {
-	Path   string `json:"path"`
-	Func   string `json:"func,omitempty"`
-	Source string `json:"source"`
-}
-
-// PatchResponse reports what one mutation touched — and, critically,
-// what it did NOT: ChangedFuncs is exactly the number of functions the
-// next scan will miss on.
-type PatchResponse struct {
-	Path             string  `json:"path"`
-	Mode             string  `json:"mode"` // "patch" or "replace"
-	Funcs            int     `json:"funcs"`
-	ChangedFuncs     int     `json:"changed_funcs"`
-	StaleHashes      int     `json:"stale_hashes"`
-	StoreInvalidated int     `json:"store_invalidated"`
-	Generation       int64   `json:"generation"`
-	ElapsedMS        float64 `json:"elapsed_ms"`
-}
-
-// Change is one element of a changeset request. Each change follows
-// /patch semantics (empty func = whole-file replace, set func =
-// single-function patch).
 type Change struct {
 	Path   string `json:"path"`
 	Func   string `json:"func,omitempty"`
@@ -399,7 +376,6 @@ type StatsResponse struct {
 	PinnedSnapshots int         `json:"pinned_snapshots"`
 	Scans           int64       `json:"scans"`
 	Batches         int64       `json:"batches"`
-	Patches         int64       `json:"patches"`
 	Changesets      int64       `json:"changesets"`
 	AsyncChangesets int64       `json:"async_changesets"`
 	ScanErrors      int64       `json:"scan_errors"`

@@ -251,8 +251,8 @@ func (ts *TraceStore) Stats() *TraceStoreStats {
 }
 
 // Register bridges the store's counters into reg (no-op on a nil
-// store): trace_store_{kept,sampled_out,evicted}_total plus the live
-// entry gauge.
+// store): trace_store_{kept,sampled_out,evicted}_total, the live entry
+// gauge, and the process-wide dropped-span counter.
 func (ts *TraceStore) Register(reg *Registry) {
 	if ts == nil {
 		return
@@ -272,4 +272,7 @@ func (ts *TraceStore) Register(reg *Registry) {
 			defer ts.mu.Unlock()
 			return float64(len(ts.byID))
 		})
+	reg.CounterFunc("trace_spans_dropped_total",
+		"Spans discarded by the per-trace span cap (process-wide).",
+		func() float64 { return float64(DroppedSpansTotal()) })
 }

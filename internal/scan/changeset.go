@@ -10,16 +10,16 @@ import (
 
 // Change is one element of a changeset: a whole-file replacement (Func
 // empty) or a single-function patch (Func names the function Source
-// replaces). Patch sources follow the same rule as Codebase.Patch: one
-// function, no struct or global declarations.
+// replaces). A patch source must parse to exactly one function and
+// nothing else: a struct or global in the patch would change the file
+// context behind every sibling function's back.
 type Change struct {
 	Path   string
 	Func   string
 	Source string
 }
 
-// FileChange reports what a changeset did to one file, with the same
-// semantics as the per-file fields of Mutation.
+// FileChange reports what a changeset did to one file.
 type FileChange struct {
 	// Path and File identify the mutated file.
 	Path string
@@ -54,24 +54,8 @@ type Changeset struct {
 	Generation int64
 }
 
-// mutation converts a single-op changeset into the per-file Mutation
-// view that Patch and Replace return.
-func (cs *Changeset) mutation() *Mutation {
-	fc := cs.Files[0]
-	return &Mutation{
-		Path:             fc.Path,
-		File:             fc.File,
-		Funcs:            fc.Funcs,
-		Changed:          fc.Changed,
-		StaleHashes:      fc.StaleHashes,
-		StoreInvalidated: cs.StoreInvalidated,
-		Generation:       cs.Generation,
-	}
-}
-
-// opContext names one change for error messages: standalone mutations
-// keep their historical "scan: replace <path>" shape, multi-op
-// changesets gain the op index.
+// opContext names one change for error messages; multi-op changesets
+// add the op index.
 func opContext(oi, n int, c Change) string {
 	verb := fmt.Sprintf("replace %s", c.Path)
 	if c.Func != "" {

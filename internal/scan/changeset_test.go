@@ -212,7 +212,7 @@ func TestChangesetOpsComposeInOrder(t *testing.T) {
 
 // TestChangesetEquivalentToSequentialMutations: one K-file changeset
 // must leave the corpus and scan results in exactly the state K
-// sequential Replaces would — with one generation bump instead of K.
+// sequential one-change changesets would — with one generation bump instead of K.
 func TestChangesetEquivalentToSequentialMutations(t *testing.T) {
 	ck := compileChecker(t)
 
@@ -235,7 +235,7 @@ func TestChangesetEquivalentToSequentialMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range changes {
-		if _, err := incB.Replace(c.Path, c.Source); err != nil {
+		if _, err := incB.ApplyChangeset([]Change{c}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -68,8 +68,9 @@ func fuzzReplaceSrc(f *minic.File, variant byte) string {
 }
 
 // FuzzMutationEquivalence is the property-testing harness behind every
-// corpus-mutation path: an arbitrary interleaving of Patch, Replace,
-// ApplyChangeset, and warm scans must leave the incremental scheduler
+// corpus-mutation path: an arbitrary interleaving of one-change
+// changesets (function patch, file replace), multi-file changesets,
+// and warm scans must leave the incremental scheduler
 // byte-identical to a cold scan of the final corpus. Any missed
 // invalidation, hash-memo leak, or half-applied changeset shows up as a
 // stale cache entry and fails the final comparison.
@@ -155,13 +156,9 @@ func FuzzMutationEquivalence(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := inc.Patch(cb.Files()[i].Name, funcs[j].Name, src); err != nil {
-					t.Fatal(err)
-				}
+				applyOne(t, inc, Change{Path: cb.Files()[i].Name, Func: funcs[j].Name, Source: src})
 			case 1: // whole-file replace
-				if _, err := inc.Replace(cb.Files()[i].Name, fuzzReplaceSrc(cb.Files()[i], variant)); err != nil {
-					t.Fatal(err)
-				}
+				applyOne(t, inc, Change{Path: cb.Files()[i].Name, Source: fuzzReplaceSrc(cb.Files()[i], variant)})
 			case 2: // multi-file changeset: replace file i, patch file i2
 				i2 := (i + 1 + int(variant)%3) % len(cb.Files())
 				changes := []Change{{Path: cb.Files()[i].Name, Source: fuzzReplaceSrc(cb.Files()[i], variant)}}

@@ -81,30 +81,6 @@ func (inc *Incremental) Store() store.Store { return inc.st }
 // Stats snapshots the backing store's counters.
 func (inc *Incremental) Stats() store.Stats { return inc.st.Stats() }
 
-// Patch applies a single-function patch to the codebase (see
-// Codebase.Patch) and invalidates the stale store entries the mutation
-// orphaned. Entries of unchanged functions — in this file and every
-// other — stay warm.
-func (inc *Incremental) Patch(path, funcName, funcSrc string) (*Mutation, error) {
-	m, err := inc.cb.Patch(path, funcName, funcSrc)
-	if err != nil {
-		return nil, err
-	}
-	m.StoreInvalidated = inc.invalidateHashes(m.StaleHashes)
-	return m, nil
-}
-
-// Replace swaps in new source for a whole file (see Codebase.Replace)
-// and invalidates the stale store entries the mutation orphaned.
-func (inc *Incremental) Replace(path, src string) (*Mutation, error) {
-	m, err := inc.cb.Replace(path, src)
-	if err != nil {
-		return nil, err
-	}
-	m.StoreInvalidated = inc.invalidateHashes(m.StaleHashes)
-	return m, nil
-}
-
 // Run scans every file through the cache.
 func (inc *Incremental) Run(checkers []checker.Checker, opts Options) *Result {
 	files := make([]int, inc.cb.NumFiles())

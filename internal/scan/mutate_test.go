@@ -29,9 +29,18 @@ func pickFile(t *testing.T, cb *Codebase, minFuncs int) int {
 func canonicalize(t *testing.T, inc *Incremental, i int) {
 	t.Helper()
 	cb := inc.Codebase()
-	if _, err := inc.Replace(cb.Files()[i].Name, minic.FormatFile(cb.Files()[i])); err != nil {
+	applyOne(t, inc, Change{Path: cb.Files()[i].Name, Source: minic.FormatFile(cb.Files()[i])})
+}
+
+// applyOne commits a one-change changeset: the write path of a
+// single-file edit.
+func applyOne(t *testing.T, inc *Incremental, c Change) *Changeset {
+	t.Helper()
+	cs, err := inc.ApplyChangeset([]Change{c})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return cs
 }
 
 // tweakedFunc renders function j of file i with an extra (inert) local
@@ -66,10 +75,7 @@ func TestPatchMissesOnlyThePatchedFunction(t *testing.T) {
 	// function's hash changes.
 	j := len(cb.Files()[i].Funcs) - 1
 	name := cb.Files()[i].Funcs[j].Name
-	m, err := inc.Patch(path, name, tweakedFunc(t, cb, i, j))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := applyOne(t, inc, Change{Path: path, Func: name, Source: tweakedFunc(t, cb, i, j)})
 	if m.Changed != 1 || len(m.StaleHashes) != 1 {
 		t.Fatalf("mutation = %+v, want exactly one changed function", m)
 	}
@@ -118,10 +124,7 @@ func TestPatchConfinesMissesToTheFile(t *testing.T) {
 	// every sibling below it shifts, so their hashes change too — but
 	// the damage must stay inside this file.
 	name := cb.Files()[i].Funcs[0].Name
-	m, err := inc.Patch(path, name, tweakedFunc(t, cb, i, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := applyOne(t, inc, Change{Path: path, Func: name, Source: tweakedFunc(t, cb, i, 0)})
 	if m.Changed < 1 || m.Changed > len(cb.Files()[i].Funcs) {
 		t.Fatalf("changed = %d, want within [1, %d]", m.Changed, len(cb.Files()[i].Funcs))
 	}
@@ -156,14 +159,11 @@ func TestReplaceDeleteFunctionKeepsSiblingsWarm(t *testing.T) {
 	// Drop the last function: the survivors keep their text, position,
 	// and file context, so the replacement costs zero re-analysis.
 	f := cb.Files()[i]
-	m, err := inc.Replace(path, minic.FormatFile(&minic.File{
+	m := applyOne(t, inc, Change{Path: path, Source: minic.FormatFile(&minic.File{
 		Name: f.Name, Structs: f.Structs, Globals: f.Globals, Funcs: f.Funcs[:before-1],
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Funcs != before-1 {
-		t.Fatalf("funcs after delete = %d, want %d", m.Funcs, before-1)
+	})})
+	if got := m.Files[0].Funcs; got != before-1 {
+		t.Fatalf("funcs after delete = %d, want %d", got, before-1)
 	}
 	if m.Changed != 0 {
 		t.Fatalf("deleting the last function changed %d sibling hashes, want 0", m.Changed)
@@ -194,40 +194,20 @@ func TestMutationRejectsBadInput(t *testing.T) {
 	good := minic.FormatFunc(fn)
 
 	cases := []struct {
-		name string
-		run  func() error
+		name   string
+		change Change
 	}{
-		{"replace unknown file", func() error {
-			_, err := inc.Replace("no/such/file.c", good)
-			return err
-		}},
-		{"replace parse error", func() error {
-			_, err := inc.Replace(path, "int broken(")
-			return err
-		}},
-		{"patch unknown file", func() error {
-			_, err := inc.Patch("no/such/file.c", fn.Name, good)
-			return err
-		}},
-		{"patch unknown function", func() error {
-			_, err := inc.Patch(path, "no_such_function", good)
-			return err
-		}},
-		{"patch parse error", func() error {
-			_, err := inc.Patch(path, fn.Name, "int broken(")
-			return err
-		}},
-		{"patch with two functions", func() error {
-			_, err := inc.Patch(path, fn.Name, good+"\n"+strings.Replace(good, fn.Name, fn.Name+"_b", 1))
-			return err
-		}},
-		{"patch smuggling a global", func() error {
-			_, err := inc.Patch(path, fn.Name, "int smuggled_global;\n"+good)
-			return err
-		}},
+		{"replace unknown file", Change{Path: "no/such/file.c", Source: good}},
+		{"replace parse error", Change{Path: path, Source: "int broken("}},
+		{"patch unknown file", Change{Path: "no/such/file.c", Func: fn.Name, Source: good}},
+		{"patch unknown function", Change{Path: path, Func: "no_such_function", Source: good}},
+		{"patch parse error", Change{Path: path, Func: fn.Name, Source: "int broken("}},
+		{"patch with two functions", Change{Path: path, Func: fn.Name,
+			Source: good + "\n" + strings.Replace(good, fn.Name, fn.Name+"_b", 1)}},
+		{"patch smuggling a global", Change{Path: path, Func: fn.Name, Source: "int smuggled_global;\n" + good}},
 	}
 	for _, tc := range cases {
-		if err := tc.run(); err == nil {
+		if _, err := inc.ApplyChangeset([]Change{tc.change}); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
@@ -252,9 +232,7 @@ func TestGenerationAndFuncCountTrackMutations(t *testing.T) {
 		t.Fatalf("canonicalizing changed the function count: %d -> %d", funcs, cb.NumFuncs())
 	}
 	name := cb.Files()[i].Funcs[0].Name
-	if _, err := inc.Patch(cb.Files()[i].Name, name, tweakedFunc(t, cb, i, 0)); err != nil {
-		t.Fatal(err)
-	}
+	applyOne(t, inc, Change{Path: cb.Files()[i].Name, Func: name, Source: tweakedFunc(t, cb, i, 0)})
 	if cb.Generation() != 2 {
 		t.Fatalf("generation after patch = %d", cb.Generation())
 	}

@@ -4,10 +4,10 @@
 // analyzes everything, and Incremental, a function-level scheduler that
 // consults a content-addressed result cache and only analyzes misses.
 //
-// The codebase is mutable and multi-version: Patch and Replace swap in
-// new source for one file, and ApplyChangeset applies a commit-sized
-// multi-file changeset atomically — either way only the touched files
-// re-parse and re-hash, and every other file's cache entries stay warm.
+// The codebase is mutable and multi-version: ApplyChangeset applies a
+// changeset — one whole-file replacement or function patch, or a
+// commit's worth of them — atomically; only the touched files re-parse
+// and re-hash, and every other file's cache entries stay warm.
 // Mutations are MVCC copy-on-write: each commit builds the next
 // immutable Snapshot off to the side and publishes it with a single
 // pointer swap, so a scan pinned to the previous generation never
@@ -31,8 +31,7 @@ import (
 )
 
 // Codebase is a parsed corpus, reusable across many checker runs and
-// mutable between them (Patch, Replace, ApplyChangeset,
-// ApplyChangesetAsync). The live parse state lives in an immutable
+// mutable between them (ApplyChangeset, ApplyChangesetAsync). The live parse state lives in an immutable
 // Snapshot behind an atomic pointer: readers pin it and run lock-free;
 // writers serialize on a short mutation lock, build the successor
 // snapshot, and commit by swapping the pointer.

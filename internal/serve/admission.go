@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"fmt"
@@ -13,8 +13,9 @@ import (
 	"knighter/internal/obs"
 )
 
-// admission is the bounded two-stage gate in front of the scan-shaped
-// endpoints (/scan, /batch, /changeset): at most maxInflight requests
+// admission is the bounded two-stage gate in front of the read
+// endpoints (/scan, /batch) and, as a second instance, the write
+// endpoints (/changeset, /converge): at most maxInflight requests
 // execute at once, at most maxQueued wait behind them, and everything
 // beyond that is shed immediately with 429 + Retry-After. Shedding is
 // the backpressure ROADMAP asked for — one client blasting /batch can
@@ -38,9 +39,12 @@ type admission struct {
 	maxQueuedPerClient int64
 	queued             atomic.Int64
 	inflight           atomic.Int64
-	admitted           atomic.Int64
-	shed               atomic.Int64
-	fairShed           atomic.Int64
+	// admitted/shed/fairShed/costShed are the gate's counters in the
+	// replica's registry; /stats reads the same objects.
+	admitted *obs.Counter
+	shed     *obs.Counter
+	fairShed *obs.Counter
+	costShed *obs.Counter
 
 	// Cost weighting: an inflight token counts REQUESTS, but a /batch of
 	// 50 checkers over the full corpus is not one /scan of one file. Each
@@ -52,68 +56,58 @@ type admission struct {
 	// meaningful) but never sheds on it.
 	maxCost         int64
 	costOutstanding atomic.Int64
-	costShed        atomic.Int64
 
 	// cmu guards queuedByClient: per-client queue occupancy, entries
 	// removed at zero so the map tracks only currently-queued clients.
 	cmu            sync.Mutex
 	queuedByClient map[string]int64
 
-	// waitDur, when set by register, observes how long each admitted
-	// request waited for an inflight slot (fast-path admissions count as
-	// zero, so the distribution reflects what clients actually see).
+	// waitDur observes how long each admitted request waited for an
+	// inflight slot (fast-path admissions count as zero, so the
+	// distribution reflects what clients actually see).
 	waitDur *obs.Histogram
 
-	// generation, when set, stamps shed responses with the corpus
-	// generation the daemon was serving at shed time (nil-safe: sheds
-	// before the server is wired report generation 0).
+	// generation stamps shed responses with the corpus generation the
+	// daemon was serving at shed time.
 	generation func() int64
-}
-
-// register exposes the gate on /metrics under the given name prefix
-// (e.g. "admission" for the read gate, "write_admission" for the write
-// gate): instantaneous queue depth and inflight gauges, cumulative
-// admitted/shed counters, and the queue-wait histogram. Nil-safe so
-// ungated daemons skip it.
-func (a *admission) register(reg *obs.Registry, prefix string) {
-	if a == nil {
-		return
-	}
-	reg.GaugeFunc(prefix+"_queue_depth", "Requests currently waiting for an inflight slot.",
-		func() float64 { return float64(a.queued.Load()) })
-	reg.GaugeFunc(prefix+"_inflight", "Requests currently executing behind the gate.",
-		func() float64 { return float64(a.inflight.Load()) })
-	reg.CounterFunc(prefix+"_admitted_total", "Requests admitted through the gate.",
-		func() float64 { return float64(a.admitted.Load()) })
-	reg.CounterFunc(prefix+"_shed_total", "Requests shed with 429 (queue full or per-client bound).",
-		func() float64 { return float64(a.shed.Load()) })
-	reg.CounterFunc(prefix+"_fairness_shed_total", "Sheds caused by the per-client bound alone.",
-		func() float64 { return float64(a.fairShed.Load()) })
-	reg.GaugeFunc(prefix+"_cost_weight", "Summed cost weight (checkers x files) of requests currently executing behind the gate.",
-		func() float64 { return float64(a.costOutstanding.Load()) })
-	reg.CounterFunc(prefix+"_cost_shed_total", "Requests shed because their cost weight would exceed the outstanding-cost budget.",
-		func() float64 { return float64(a.costShed.Load()) })
-	a.waitDur = reg.Histogram(prefix+"_wait_seconds",
-		"Queue wait of each admitted request; fast-path admissions observe zero.", nil)
 }
 
 // newAdmission returns a gate admitting maxInflight concurrent requests
 // with maxQueued waiters (at most maxQueuedPerClient of them from any
-// one client; <= 0 disables the per-client bound), or nil (no gating)
-// when maxInflight <= 0.
-func newAdmission(maxInflight, maxQueued, maxQueuedPerClient int) *admission {
+// one client; <= 0 disables the per-client bound), shedding on cost
+// past maxCost when that is > 0 — or nil (no gating) when maxInflight
+// <= 0. The gate's instruments land in reg under the given name prefix
+// ("admission" for the read gate, "write_admission" for the write
+// gate): instantaneous queue depth, inflight and cost gauges,
+// cumulative admitted/shed counters, and the queue-wait histogram.
+func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQueuedPerClient int, maxCost int64, generation func() int64) *admission {
 	if maxInflight <= 0 {
 		return nil
 	}
 	if maxQueued < 0 {
 		maxQueued = 0
 	}
-	return &admission{
+	a := &admission{
 		tokens:             make(chan struct{}, maxInflight),
 		maxQueued:          int64(maxQueued),
 		maxQueuedPerClient: int64(maxQueuedPerClient),
+		maxCost:            maxCost,
 		queuedByClient:     map[string]int64{},
+		generation:         generation,
+		admitted:           reg.Counter(prefix+"_admitted_total", "Requests admitted through the gate."),
+		shed:               reg.Counter(prefix+"_shed_total", "Requests shed with 429 (queue full or per-client bound)."),
+		fairShed:           reg.Counter(prefix+"_fairness_shed_total", "Sheds caused by the per-client bound alone."),
+		costShed:           reg.Counter(prefix+"_cost_shed_total", "Requests shed because their cost weight would exceed the outstanding-cost budget."),
+		waitDur: reg.Histogram(prefix+"_wait_seconds",
+			"Queue wait of each admitted request; fast-path admissions observe zero.", nil),
 	}
+	reg.GaugeFunc(prefix+"_queue_depth", "Requests currently waiting for an inflight slot.",
+		func() float64 { return float64(a.queued.Load()) })
+	reg.GaugeFunc(prefix+"_inflight", "Requests currently executing behind the gate.",
+		func() float64 { return float64(a.inflight.Load()) })
+	reg.GaugeFunc(prefix+"_cost_weight", "Summed cost weight (checkers x files) of requests currently executing behind the gate.",
+		func() float64 { return float64(a.costOutstanding.Load()) })
+	return a
 }
 
 // clientKey identifies the requester for fairness accounting: an
@@ -168,18 +162,14 @@ func (a *admission) retryAfterSeconds() int {
 }
 
 func (a *admission) shedRequest(w http.ResponseWriter, msg string) {
-	a.shed.Add(1)
+	a.shed.Inc()
 	secs := a.retryAfterSeconds()
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	var gen int64
-	if a.generation != nil {
-		gen = a.generation()
-	}
 	writeErrorEnvelope(w, http.StatusTooManyRequests, &api.Error{
 		Code:         api.ErrOverloaded,
 		Message:      msg,
 		RetryAfterMS: int64(secs) * 1000,
-	}, gen)
+	}, a.generation())
 }
 
 // wrap gates h behind the admission queue. A nil *admission is a no-op,
@@ -192,9 +182,7 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case a.tokens <- struct{}{}:
 			// Fast path: a slot was free.
-			if a.waitDur != nil {
-				a.waitDur.Observe(0)
-			}
+			a.waitDur.Observe(0)
 		default:
 			key := clientKey(r)
 			// The global bound is checked first so FairnessShed keeps its
@@ -208,7 +196,7 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 			}
 			if !a.clientEnqueue(key) {
 				a.queued.Add(-1)
-				a.fairShed.Add(1)
+				a.fairShed.Inc()
 				a.shedRequest(w, "per-client queue bound reached; retry after the indicated delay")
 				return
 			}
@@ -218,9 +206,7 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 				a.queued.Add(-1)
 				a.clientDequeue(key)
 				wait := time.Since(waitStart)
-				if a.waitDur != nil {
-					a.waitDur.Observe(wait.Seconds())
-				}
+				a.waitDur.Observe(wait.Seconds())
 				// Queue wait lands in the request's trace timeline, so a
 				// slow-request report distinguishes "the daemon was
 				// saturated" from "the scan itself was slow".
@@ -233,7 +219,7 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 		}
-		a.admitted.Add(1)
+		a.admitted.Inc()
 		a.inflight.Add(1)
 		defer func() {
 			a.inflight.Add(-1)
@@ -262,7 +248,7 @@ func (a *admission) admitCost(w http.ResponseWriter, cost int64) (func(), bool) 
 	for {
 		cur := a.costOutstanding.Load()
 		if a.maxCost > 0 && cur > 0 && cur+cost > a.maxCost {
-			a.costShed.Add(1)
+			a.costShed.Inc()
 			a.shedRequest(w, fmt.Sprintf(
 				"request cost %d would exceed the outstanding-cost budget (%d of %d in use); retry after the indicated delay",
 				cost, cur, a.maxCost))
@@ -291,11 +277,11 @@ func (a *admission) snapshot() *api.AdmissionStats {
 		Inflight:           a.inflight.Load(),
 		Queued:             a.queued.Load(),
 		QueuedClients:      clients,
-		Admitted:           a.admitted.Load(),
-		Shed:               a.shed.Load(),
-		FairnessShed:       a.fairShed.Load(),
+		Admitted:           count(a.admitted),
+		Shed:               count(a.shed),
+		FairnessShed:       count(a.fairShed),
 		MaxCost:            a.maxCost,
 		CostWeight:         a.costOutstanding.Load(),
-		CostShed:           a.costShed.Load(),
+		CostShed:           count(a.costShed),
 	}
 }

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"io"
@@ -7,7 +7,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"knighter/internal/obs"
 )
+
+// testGate is a standalone gate on a registry of its own.
+func testGate(maxInflight, maxQueued, maxQueuedPerClient int) *admission {
+	return newAdmission(obs.NewRegistry("test"), "admission", maxInflight, maxQueued, maxQueuedPerClient, 0,
+		func() int64 { return 0 })
+}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -26,7 +34,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // while another client still queues into the same (non-full) global
 // queue.
 func TestAdmissionPerClientFairness(t *testing.T) {
-	adm := newAdmission(1, 8, 2)
+	adm := testGate(1, 8, 2)
 	release := make(chan struct{})
 	started := make(chan struct{}, 16)
 	h := adm.wrap(func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +127,7 @@ func TestAdmissionPerClientFairness(t *testing.T) {
 // TestAdmissionFairnessDisabled: with the per-client bound off, one
 // client may occupy the whole queue (the pre-fairness behavior).
 func TestAdmissionFairnessDisabled(t *testing.T) {
-	adm := newAdmission(1, 4, 0)
+	adm := testGate(1, 4, 0)
 	release := make(chan struct{})
 	started := make(chan struct{}, 16)
 	h := adm.wrap(func(w http.ResponseWriter, r *http.Request) {

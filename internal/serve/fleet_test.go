@@ -1,7 +1,6 @@
-package main
+package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,51 +12,8 @@ import (
 	"time"
 
 	"knighter/internal/api"
-	"knighter/internal/kernel"
 	"knighter/internal/minic"
-	"knighter/internal/scan"
-	"knighter/internal/store"
 )
-
-// newKcached boots an in-process kcached on the store cmd/kcached
-// opens — memory over the segment disk store — minus the flag parsing.
-func newKcached(t *testing.T) (*store.SegmentDisk, *httptest.Server) {
-	t.Helper()
-	return newKcachedDir(t, t.TempDir())
-}
-
-// newKcachedDir is newKcached over an explicit cache directory, so a
-// test can stop the daemon and boot a successor on the same segments.
-func newKcachedDir(t *testing.T, dir string) (*store.SegmentDisk, *httptest.Server) {
-	t.Helper()
-	st := openStore(t, nil, dir, "", store.RemoteConfig{})
-	kc := httptest.NewServer(store.NewCacheServer(st).Handler())
-	t.Cleanup(kc.Close)
-	return st.Disk(), kc
-}
-
-// newFleetReplica builds a kserve replica on the store main() opens for
-// -cache-remote: memory -> remote. Each replica parses its own copy of
-// the same corpus, like real replicas deployed from one image.
-func newFleetReplica(t *testing.T, kcURL string, rcfg store.RemoteConfig) (*server, *httptest.Server) {
-	t.Helper()
-	return newFleetReplicaDir(t, "", kcURL, rcfg)
-}
-
-// newFleetReplicaDir is newFleetReplica with a local disk tier too
-// (-cache-dir): memory -> remote raced against disk.
-func newFleetReplicaDir(t *testing.T, cacheDir, kcURL string, rcfg store.RemoteConfig) (*server, *httptest.Server) {
-	t.Helper()
-	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
-	cb, err := scan.NewCodebase(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(cb, openStore(t, nil, cacheDir, kcURL, rcfg))
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-	return srv, ts
-}
 
 func reportsJSON(t *testing.T, resp *api.ScanResponse) string {
 	t.Helper()
@@ -73,9 +29,9 @@ func reportsJSON(t *testing.T, resp *api.ScanResponse) string {
 // is answered almost entirely from the shared tier — byte-identical
 // reports, >= 90% hit rate, zero remote errors.
 func TestFleetSecondReplicaScansWarm(t *testing.T) {
-	_, kc := newKcached(t)
-	srvA, tsA := newFleetReplica(t, kc.URL, store.RemoteConfig{})
-	srvB, tsB := newFleetReplica(t, kc.URL, store.RemoteConfig{})
+	_, kc := newKcached(t, t.TempDir(), nil)
+	srvA, tsA := bootOne(t, Config{CacheRemote: kc.URL})
+	srvB, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
 	a := postScan(t, tsA, api.ScanRequest{Checker: testChecker})
 	if a.Cache.Hits != 0 {
@@ -115,14 +71,9 @@ func TestFleetSecondReplicaScansWarm(t *testing.T) {
 // their local tiers with misses, and the breaker stops them from paying
 // a connection attempt per function.
 func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
-	_, kc := newKcached(t)
-	rcfg := store.RemoteConfig{
-		Timeout:          200 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute, // stays open for the rest of the test
-	}
-	_, tsA := newFleetReplica(t, kc.URL, rcfg)
-	_, tsB := newFleetReplica(t, kc.URL, rcfg)
+	_, kc := newKcached(t, t.TempDir(), nil)
+	_, tsA := bootOne(t, Config{CacheRemote: kc.URL})
+	_, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
 	a := postScan(t, tsA, api.ScanRequest{Checker: testChecker})
 
@@ -174,9 +125,10 @@ func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
 // survives a daemon roll.
 func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	dir := t.TempDir()
-	disk1, kc1 := newKcachedDir(t, dir)
+	st1, kc1 := newKcached(t, dir, nil)
+	disk1 := st1.Disk()
 
-	srvA, tsA := newFleetReplica(t, kc1.URL, store.RemoteConfig{})
+	srvA, tsA := bootOne(t, Config{CacheRemote: kc1.URL})
 	a := postScan(t, tsA, api.ScanRequest{Checker: testChecker})
 	if rs := srvA.remote.RemoteStats(); rs.Puts == 0 {
 		t.Fatalf("replica A published nothing: %+v", rs)
@@ -196,14 +148,14 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 
 	// A successor boots on the same directory: recovery is one
 	// sequential segment scan, and every entry must come back.
-	disk2, kc2 := newKcachedDir(t, dir)
-	if got := disk2.Stats().Entries; got != entriesBefore {
+	st2, kc2 := newKcached(t, dir, nil)
+	if got := st2.Disk().Stats().Entries; got != entriesBefore {
 		t.Fatalf("restart recovered %d entries, want %d", got, entriesBefore)
 	}
 
 	// A replica that never scanned before (cold memory, no local disk)
 	// must scan warm off the recovered tier, byte-identical to A.
-	srvC, tsC := newFleetReplica(t, kc2.URL, store.RemoteConfig{})
+	srvC, tsC := bootOne(t, Config{CacheRemote: kc2.URL})
 	c := postScan(t, tsC, api.ScanRequest{Checker: testChecker})
 	if c.Cache.HitRate < 0.9 {
 		t.Fatalf("post-restart scan hit rate = %.2f, want >= 0.9 (hits=%d misses=%d)",
@@ -222,11 +174,12 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 // the same changeset scans correctly afterwards — no stale shared
 // results.
 func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
-	disk, kc := newKcached(t)
-	srvA, tsA := newFleetReplica(t, kc.URL, store.RemoteConfig{})
-	_, tsB := newFleetReplica(t, kc.URL, store.RemoteConfig{})
+	kcStore, kc := newKcached(t, t.TempDir(), nil)
+	srvA, tsA := bootOne(t, Config{CacheRemote: kc.URL})
+	_, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
 	postScan(t, tsA, api.ScanRequest{Checker: testChecker}) // warm the shared tier
+	disk := kcStore.Disk()
 	sharedBefore := disk.Stats().Entries
 	if sharedBefore == 0 {
 		t.Fatal("shared tier empty after replica A's scan")
@@ -266,14 +219,7 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 
 	// Ground truth: an isolated replica (no shared tier) built from the
 	// same corpus with the same changeset applied.
-	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
-	cbRef, err := scan.NewCodebase(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSrv := newServer(cbRef, openStore(t, nil, "", "", store.RemoteConfig{}))
-	tsRef := httptest.NewServer(refSrv.routes())
-	t.Cleanup(tsRef.Close)
+	_, tsRef := bootOne(t, Config{})
 	if code := postJSON(t, tsRef, "/changeset", change, nil); code != http.StatusOK {
 		t.Fatal("changeset on reference replica failed")
 	}
@@ -291,8 +237,8 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 // concurrent scans on ONE replica share computations via the coalescing
 // tier instead of analyzing every function twice.
 func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
-	_, kc := newKcached(t)
-	srv, ts := newFleetReplica(t, kc.URL, store.RemoteConfig{})
+	_, kc := newKcached(t, t.TempDir(), nil)
+	srv, ts := bootOne(t, Config{CacheRemote: kc.URL})
 
 	// t.Fatal must not run off the test goroutine, so workers record an
 	// error and the test goroutine fails after the barrier.
@@ -304,23 +250,12 @@ func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data, err := json.Marshal(api.ScanRequest{Checker: testChecker})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("POST /scan status = %d", resp.StatusCode)
-				return
-			}
 			var out api.ScanResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{Checker: testChecker}, &out)
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("POST /scan status = %d", resp.StatusCode)
+			}
+			if err != nil {
 				errs[i] = err
 				return
 			}
@@ -361,8 +296,8 @@ func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
 // remote tier keeps no entry books, so reporting "the back tier" left
 // store.entries and store.bytes at zero forever.
 func TestFleetReplicaStatsReportItsOwnEntries(t *testing.T) {
-	_, kc := newKcached(t)
-	_, ts := newFleetReplica(t, kc.URL, store.RemoteConfig{})
+	_, kc := newKcached(t, t.TempDir(), nil)
+	_, ts := bootOne(t, Config{CacheRemote: kc.URL})
 	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker})
 	if scan.Cache.Misses == 0 {
 		t.Fatal("cold scan missed nothing")
@@ -378,13 +313,14 @@ func TestFleetReplicaStatsReportItsOwnEntries(t *testing.T) {
 // holds it to the byte-identity contract with kcached healthy, hung,
 // and dead.
 func TestFleetRacedDiskReplica(t *testing.T) {
-	_, refTS := newTestServer(t)
+	_, refTS := bootOne(t, Config{})
 	want := reportsJSON(t, postScan(t, refTS, api.ScanRequest{Checker: testChecker}))
 
 	// kcached behind a switch that makes every request hang until the
-	// client gives up.
-	kcStore := openStore(t, nil, t.TempDir(), "", store.RemoteConfig{})
-	kcHandler := store.NewCacheServer(kcStore).Handler()
+	// client gives up. A probe that waited on the hung daemon would run
+	// into the remote tier's timeout and show up as an error.
+	kcStore, kcInner := newKcached(t, t.TempDir(), nil)
+	kcHandler := kcInner.Config.Handler
 	var hung atomic.Bool
 	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hung.Load() {
@@ -394,10 +330,10 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 		kcHandler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(kc.Close)
-	// The breaker never opens: a probe that waited on the hung daemon
-	// would show up as an error, not be hidden behind an open circuit.
-	rcfg := store.RemoteConfig{Timeout: 500 * time.Millisecond, BreakerThreshold: 1 << 30}
 	dir := t.TempDir()
+	replica := func(t *testing.T, cacheDir string) (*Server, *httptest.Server) {
+		return bootOne(t, Config{CacheDir: cacheDir, CacheRemote: kc.URL})
+	}
 
 	// Each phase is a subtest so its replica — listener and segment
 	// files — is closed before the next one reopens the directory.
@@ -405,7 +341,7 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 	// Healthy: every miss waits for both sides, computes, and writes
 	// through to all three tiers.
 	t.Run("healthy", func(t *testing.T) {
-		srv, ts := newFleetReplicaDir(t, dir, kc.URL, rcfg)
+		srv, ts := replica(t, dir)
 		a := postScan(t, ts, api.ScanRequest{Checker: testChecker})
 		if got := reportsJSON(t, a); got != want {
 			t.Fatalf("cold scan differs from the single-host reference:\n got: %s\nwant: %s", got, want)
@@ -423,7 +359,7 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 	// timeout.
 	t.Run("kcached hung", func(t *testing.T) {
 		hung.Store(true)
-		srv, ts := newFleetReplicaDir(t, dir, kc.URL, rcfg)
+		srv, ts := replica(t, dir)
 		b := postScan(t, ts, api.ScanRequest{Checker: testChecker})
 		if got := reportsJSON(t, b); got != want {
 			t.Fatal("scan with kcached hung differs from the reference")
@@ -441,12 +377,12 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 	// identical bytes either way (postScan fails the test on a non-200).
 	t.Run("kcached dead", func(t *testing.T) {
 		kc.Close()
-		_, tsC := newFleetReplicaDir(t, dir, kc.URL, rcfg)
+		_, tsC := replica(t, dir)
 		c := postScan(t, tsC, api.ScanRequest{Checker: testChecker})
 		if got := reportsJSON(t, c); got != want || c.Cache.Misses != 0 {
 			t.Fatalf("warm-disk scan with kcached dead: misses=%d, identical=%v", c.Cache.Misses, got == want)
 		}
-		_, tsD := newFleetReplicaDir(t, t.TempDir(), kc.URL, rcfg)
+		_, tsD := replica(t, t.TempDir())
 		d := postScan(t, tsD, api.ScanRequest{Checker: testChecker})
 		if got := reportsJSON(t, d); got != want || d.Cache.Hits != 0 {
 			t.Fatalf("cold-disk scan with kcached dead: hits=%d, identical=%v", d.Cache.Hits, got == want)

@@ -1,10 +1,9 @@
-package main
+package serve
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -15,12 +14,30 @@ import (
 	"knighter/internal/minic"
 )
 
+// awaitSettled polls /changeset/status until the async changeset at gen
+// is no longer pending.
+func awaitSettled(t *testing.T, ts *httptest.Server, gen int64) api.ChangesetStatus {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var st api.ChangesetStatus
+		getJSON(t, ts.URL+"/changeset/status?generation="+strconv.FormatInt(gen, 10), http.StatusOK, &st)
+		if st.Status != api.StatusPending {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("async changeset still pending after 5s: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestAsyncChangesetEndpoint: POST /changeset {"async": true} answers
 // 202 with a generation token before the commit lands; the token is
 // pollable on /changeset/status through pending → committed, and a
 // min_generation scan on the token reads the writer's own write.
 func TestAsyncChangesetEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, ts := bootOne(t, Config{})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])
@@ -41,35 +58,14 @@ func TestAsyncChangesetEndpoint(t *testing.T) {
 	}
 
 	// Read-your-writes: a scan at the token's generation serves at or
-	// after it (kserve waits, bounded by -min-gen-wait).
+	// after it (kserve waits, bounded by minGenWait).
 	scanned := postScan(t, ts, api.ScanRequest{Checker: testChecker, MinGeneration: acc.Generation})
 	if scanned.Generation < acc.Generation {
 		t.Fatalf("min_generation scan served generation %d, want >= %d", scanned.Generation, acc.Generation)
 	}
 
 	// The ledger converges to committed with the commit's accounting.
-	var st api.ChangesetStatus
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/changeset/status?generation=" + strconv.FormatInt(acc.Generation, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/changeset/status = %d", resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if st.Status != api.StatusPending {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async changeset still pending after 5s: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	st := awaitSettled(t, ts, acc.Generation)
 	if st.Status != api.StatusCommitted || st.Generation != acc.Generation || st.Ops != 1 {
 		t.Fatalf("settled status = %+v, want committed generation %d with 1 op", st, acc.Generation)
 	}
@@ -83,23 +79,7 @@ func TestAsyncChangesetEndpoint(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("async bad changeset status = %d, want 202 (failure is deferred)", code)
 	}
-	for {
-		resp, err := http.Get(ts.URL + "/changeset/status?generation=" + strconv.FormatInt(acc.Generation, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if st.Status != api.StatusPending {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("failed async changeset still pending: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	st = awaitSettled(t, ts, acc.Generation)
 	if st.Status != api.StatusFailed || st.Error == "" {
 		t.Fatalf("settled status = %+v, want failed with an error", st)
 	}
@@ -108,56 +88,34 @@ func TestAsyncChangesetEndpoint(t *testing.T) {
 	}
 
 	// Unknown tokens 404 with the error envelope.
-	resp, err := http.Get(ts.URL + "/changeset/status?generation=99999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown token status = %d, want 404", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var envelope api.ErrorResponse
 	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(body, &envelope); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(body, &keys); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/changeset/status?generation=99999", http.StatusNotFound, &envelope)
+	getJSON(t, ts.URL+"/changeset/status?generation=99999", http.StatusNotFound, &keys)
 	if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound || envelope.Err.Message == "" {
 		t.Fatalf("unknown token envelope = %+v, want code %q with a message", envelope, api.ErrNotFound)
 	}
 	if _, ok := keys["error_legacy"]; ok {
-		t.Fatalf("error envelope still carries the removed error_legacy key: %s", body)
+		t.Fatalf("error envelope still carries the removed error_legacy key: %v", keys)
 	}
 }
 
 // TestMinGenerationUnsatisfiable: a min_generation the corpus cannot
-// reach within -min-gen-wait answers 409 with the envelope's
+// reach within the bounded wait (minGenWait) answers 409 with the envelope's
 // generation_unavailable code, a retry hint, and the current generation
 // in the X-KN-Generation header.
 func TestMinGenerationUnsatisfiable(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.minGenWait = 50 * time.Millisecond
+	srv, ts := bootOne(t, Config{})
 
-	data, _ := json.Marshal(api.ScanRequest{
+	var envelope api.ErrorResponse
+	resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{
 		Checker: testChecker, MinGeneration: srv.inc.Codebase().Generation() + 100,
-	})
-	resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
+	}, &envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("unsatisfiable min_generation = %d, want 409", resp.StatusCode)
-	}
-	var envelope api.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
 	}
 	if envelope.Err == nil || envelope.Err.Code != api.ErrGenerationUnavailable {
 		t.Fatalf("envelope = %+v, want code %q", envelope, api.ErrGenerationUnavailable)
@@ -175,25 +133,22 @@ func TestMinGenerationUnsatisfiable(t *testing.T) {
 // TestGenerationHeaderOnResponses: every response class carries the
 // generation it was served against in X-KN-Generation.
 func TestGenerationHeaderOnResponses(t *testing.T) {
-	_, ts := newTestServer(t)
-	for _, path := range []string{"/stats", "/healthz"} {
-		resp, err := http.Get(ts.URL + path)
+	_, ts := bootOne(t, Config{})
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodGet, "/stats", nil},
+		{http.MethodGet, "/healthz", nil},
+		{http.MethodPost, "/scan", api.ScanRequest{Checker: testChecker}},
+	} {
+		resp, err := call(req.method, ts.URL+req.path, req.body, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.Header.Get(api.GenerationHeader) == "" {
-			t.Fatalf("GET %s response has no %s header", path, api.GenerationHeader)
+			t.Fatalf("%s %s response has no %s header", req.method, req.path, api.GenerationHeader)
 		}
-	}
-	data, _ := json.Marshal(api.ScanRequest{Checker: testChecker})
-	resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get(api.GenerationHeader) == "" {
-		t.Fatalf("POST /scan response has no %s header", api.GenerationHeader)
 	}
 }
 
@@ -203,7 +158,7 @@ func TestGenerationHeaderOnResponses(t *testing.T) {
 // the storm completes with 200 against some pinned generation. Run
 // under -race in CI.
 func TestStressScanDuringChangesetStorm(t *testing.T) {
-	srv, ts := newTestServerWithGates(t, newAdmission(4, 64, 0), newAdmission(1, 4, 0))
+	srv, ts := bootOne(t, Config{MaxInflight: 4, MaxQueued: 64, MaxInflightWrites: 1, MaxQueuedWrites: 4})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])
@@ -220,15 +175,12 @@ func TestStressScanDuringChangesetStorm(t *testing.T) {
 					return
 				default:
 				}
-				data, _ := json.Marshal(api.ChangesetRequest{
+				if _, err := call(http.MethodPost, ts.URL+"/changeset", api.ChangesetRequest{
 					Changes: []api.Change{{Path: path, Source: canonical}},
 					Async:   true,
-				})
-				resp, err := http.Post(ts.URL+"/changeset", "application/json", bytes.NewReader(data))
-				if err != nil {
+				}, nil); err != nil {
 					return
 				}
-				resp.Body.Close()
 			}
 		}()
 	}
@@ -243,20 +195,15 @@ func TestStressScanDuringChangesetStorm(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < iters; i++ {
-				data, _ := json.Marshal(api.ScanRequest{Checker: testChecker})
-				resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
-				if err != nil {
+				resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{Checker: testChecker}, nil)
+				switch {
+				case err != nil:
 					readErrs.Add(1)
-					continue
-				}
-				switch resp.StatusCode {
-				case http.StatusOK:
-				case http.StatusTooManyRequests:
+				case resp.StatusCode == http.StatusTooManyRequests:
 					shed429.Add(1)
-				default:
+				case resp.StatusCode != http.StatusOK:
 					readErrs.Add(1)
 				}
-				resp.Body.Close()
 			}
 		}()
 	}

@@ -1,22 +1,20 @@
-package main
+package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"knighter/internal/api"
-	"knighter/internal/kernel"
 	"knighter/internal/obs"
 	"knighter/internal/scan"
-	"knighter/internal/store"
 )
 
 // logCapture is a log sink tests can read while handlers still write:
@@ -39,37 +37,35 @@ func (l *logCapture) String() string {
 	return l.b.String()
 }
 
-// waitFor polls until the captured log contains want.
-func (l *logCapture) waitFor(t *testing.T, want string) {
+// waitForLine polls until one captured line contains every want.
+func (l *logCapture) waitForLine(t *testing.T, want ...string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(l.String(), want) {
+	for {
+		for _, line := range strings.Split(l.String(), "\n") {
+			all := true
+			for _, w := range want {
+				all = all && strings.Contains(line, w)
+			}
+			if all {
+				return
+			}
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("log never mentioned %q:\n%s", want, l.String())
+			t.Fatalf("no log line mentions all of %q:\n%s", want, l.String())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// newObsReplica builds a fully instrumented kserve replica — the store
-// main() opens (memory, plus the remote tier when kcURL is set)
-// registered in the metrics registry, and the access log captured for
-// inspection.
-func newObsReplica(t *testing.T, kcURL string) (*server, *httptest.Server, *logCapture) {
+// captureLog redirects the process logger — where both daemons' chassis
+// write their access and slow-request lines — for the rest of the test.
+func captureLog(t *testing.T) *logCapture {
 	t.Helper()
-	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
-	cb, err := scan.NewCodebase(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry("kserve")
-	srv := newServer(cb, openStore(t, reg, "", kcURL, store.RemoteConfig{}))
-	logBuf := &logCapture{}
-	srv.accessLog = log.New(logBuf, "", 0)
-	srv.registerMetrics(reg)
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-	return srv, ts, logBuf
+	l := &logCapture{}
+	log.SetOutput(l)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return l
 }
 
 func getMetrics(t *testing.T, ts *httptest.Server) string {
@@ -96,7 +92,7 @@ func getMetrics(t *testing.T, ts *httptest.Server) string {
 // Prometheus text format (grammar, no duplicate series) and carries the
 // series the dashboards and the CI smoke test grep for.
 func TestMetricsExposition(t *testing.T) {
-	_, ts, _ := newObsReplica(t, "")
+	_, ts := bootOne(t, Config{})
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
 	postScan(t, ts, api.ScanRequest{Checker: testChecker}) // warm: memory hits
 
@@ -131,7 +127,7 @@ func TestMetricsExposition(t *testing.T) {
 // instrumented daemon lands in every stage histogram exactly once per
 // scan.
 func TestMetricsStageTimings(t *testing.T) {
-	_, ts, _ := newObsReplica(t, "")
+	_, ts := bootOne(t, Config{})
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
 	text := getMetrics(t, ts)
 	for _, stage := range []string{
@@ -148,7 +144,7 @@ func TestMetricsStageTimings(t *testing.T) {
 // and a per-stage span timeline to the /scan reply; omitting it keeps
 // the reply unchanged.
 func TestIncludeTimingReturnsTimeline(t *testing.T) {
-	_, ts, _ := newObsReplica(t, "")
+	_, ts := bootOne(t, Config{})
 
 	resp := postScan(t, ts, api.ScanRequest{Checker: testChecker, IncludeTiming: true})
 	if resp.TraceID == "" {
@@ -178,38 +174,20 @@ func TestIncludeTimingReturnsTimeline(t *testing.T) {
 // kserve's access log AND in kcached's — one grep joins the cross-host
 // story — and the same id comes back in the response header.
 func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
-	// kcached with its access log captured, exactly as main() wires it.
-	kcStore := openStore(t, nil, t.TempDir(), "", store.RemoteConfig{})
-	kcLog := &logCapture{}
-	kc := httptest.NewServer(store.AccessLog(log.New(kcLog, "", 0), store.NewCacheServer(kcStore).Handler()))
-	t.Cleanup(kc.Close)
+	// Both daemons under the chassis, exactly as their main()s wire it.
+	logs := captureLog(t)
+	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{Service: "kcached"})
+	_, ts := bootOne(t, Config{CacheRemote: kc.URL})
 
-	_, ts, ksLog := newObsReplica(t, kc.URL)
-
-	body, err := json.Marshal(api.ScanRequest{Checker: testChecker, IncludeTiming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/scan", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const traceID = "abc-fleet-trace-1"
-	req.Header.Set(obs.TraceHeader, traceID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /scan status = %d", resp.StatusCode)
+	var sr api.ScanResponse
+	resp, err := call(http.MethodPost, ts.URL+"/scan",
+		api.ScanRequest{Checker: testChecker, IncludeTiming: true}, &sr, obs.TraceHeader, traceID)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /scan = %v, %v", resp, err)
 	}
 	if got := resp.Header.Get(obs.TraceHeader); got != traceID {
 		t.Fatalf("response %s = %q, want %q", obs.TraceHeader, got, traceID)
-	}
-	var sr api.ScanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
 	}
 	if sr.TraceID != traceID {
 		t.Fatalf("reply trace_id = %q, want %q", sr.TraceID, traceID)
@@ -217,17 +195,22 @@ func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 
 	// The scan's remote-tier round-trips carry the id to kcached; both
 	// daemons' logs now grep to the same trace.
-	ksLog.waitFor(t, "trace="+traceID)
-	kcLog.waitFor(t, "trace="+traceID)
+	for _, line := range []string{
+		"kserve: POST /scan 200 ",
+		"kcached: GET /entry/",
+		"kcached: PUT /entry/",
+	} {
+		logs.waitForLine(t, line, "trace="+traceID)
+	}
 }
 
 // TestSlowScanLogEmitsTimeline: a request slower than -slow-scan gets
 // the structured slow-request line with its trace id and timeline.
 func TestSlowScanLogEmitsTimeline(t *testing.T) {
-	srv, ts, logBuf := newObsReplica(t, "")
-	srv.slowScan = time.Nanosecond // everything is slow
+	logBuf := captureLog(t)
+	_, ts := bootOne(t, Config{SlowScan: time.Nanosecond}) // everything is slow
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
-	logBuf.waitFor(t, "slow request: route=scan trace=")
+	logBuf.waitForLine(t, "kserve: slow request: route=scan trace=")
 	out := logBuf.String()
 	if !strings.Contains(out, "timeline=[") || !strings.Contains(out, scan.StageEngineEval+"=") {
 		t.Fatalf("slow-request line has no stage timeline:\n%s", out)
@@ -238,29 +221,17 @@ func TestSlowScanLogEmitsTimeline(t *testing.T) {
 // and cache server on one registry) serves valid exposition with the
 // entry-request and store families the smoke test greps for.
 func TestKcachedMetricsExposition(t *testing.T) {
-	reg := obs.NewRegistry("kcached")
-	cs := store.NewCacheServer(openStore(t, reg, t.TempDir(), "", store.RemoteConfig{}))
-	cs.Register(reg)
-	kc := httptest.NewServer(cs.Handler())
-	t.Cleanup(kc.Close)
+	captureLog(t) // the chassis logs every entry round-trip
+	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{Service: "kcached"})
 
 	// Drive real traffic through a kserve replica so the counters move.
-	_, ts, _ := newObsReplica(t, kc.URL)
+	_, ts := bootOne(t, Config{CacheRemote: kc.URL})
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
 
-	resp, err := http.Get(kc.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.CheckExposition(string(body)); err != nil {
+	text := getMetrics(t, kc)
+	if _, err := obs.CheckExposition(text); err != nil {
 		t.Fatalf("kcached /metrics is not valid Prometheus text format: %v", err)
 	}
-	text := string(body)
 	for _, want := range []string{
 		`kcached_entry_requests_total{op="get",outcome="miss"}`,
 		`kcached_entry_requests_total{op="put",outcome="stored"}`,

@@ -1,9 +1,10 @@
-package main
+package serve
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,10 +14,9 @@ import (
 	"time"
 
 	"knighter/internal/api"
-	"knighter/internal/kernel"
 	"knighter/internal/minic"
 	"knighter/internal/obs"
-	"knighter/internal/scan"
+	"knighter/internal/shard"
 	"knighter/internal/store"
 )
 
@@ -30,83 +30,140 @@ checker serve_npd {
 }
 `
 
-func newTestServer(t *testing.T) (*server, *httptest.Server) {
+// boot builds n replicas of the test corpus through New — the only way
+// any test gets a server — and serves each Handler over httptest. cfg
+// carries everything else exactly as cmd/kserve's flags would. n == 1
+// is a single host; n > 1 a sharded fleet in which replica i owns shard
+// i and every replica can coordinate.
+func boot(t *testing.T, n int, cfg Config) ([]*Server, []*httptest.Server) {
 	t.Helper()
-	return newTestServerWithAdmission(t, nil)
+	cfg.Seed, cfg.Scale = 1, 0.1
+	// Listeners first: each replica's Config names every peer's URL.
+	tss := make([]*httptest.Server, n)
+	urls := make([]string, n)
+	for i := range tss {
+		tss[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + tss[i].Listener.Addr().String()
+	}
+	if n > 1 {
+		cfg.ShardCount, cfg.Peers = n, strings.Join(urls, ",")
+	}
+	srvs := make([]*Server, n)
+	for i, ts := range tss {
+		cfg.ShardIndex = i
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = srv
+		ts.Config.Handler = srv.Handler()
+		ts.Start()
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+	}
+	return srvs, tss
 }
 
-// newTestServerWithAdmission builds the server with the read admission
-// gate installed BEFORE the routes are wired: routes() captures the
-// gates when wrapping handlers, so a gate set afterwards would never see
-// traffic. Writes stay ungated.
-func newTestServerWithAdmission(t *testing.T, adm *admission) (*server, *httptest.Server) {
+// bootOne is boot for a single host.
+func bootOne(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	return newTestServerWithGates(t, adm, nil)
+	srvs, tss := boot(t, 1, cfg)
+	return srvs[0], tss[0]
 }
 
-// openStore builds a store through the daemons' own constructor, so
-// every test server and test kcached runs the composition main() runs.
-// cacheDir and remoteURL select the shape exactly as the flags do.
-func openStore(t *testing.T, reg *obs.Registry, cacheDir, remoteURL string, rcfg store.RemoteConfig) *store.Stack {
+// newKcached boots an in-process kcached assembled as cmd/kcached's main
+// assembles it: the store it opens (memory over the segment disk in
+// dir), the cache protocol, and the generation feed beside it. ro is the
+// daemon chassis; nil serves the bare protocol, which keeps a cold
+// scan's hundreds of entry round-trips out of the test log.
+func newKcached(t *testing.T, dir string, ro *obs.RequestObserver) (*store.Stack, *httptest.Server) {
 	t.Helper()
-	st, err := store.Open(reg, 0, cacheDir, 0, remoteURL, rcfg)
+	reg := obs.NewRegistry("kcached")
+	st, err := store.Open(reg, 0, dir, 0, "", store.RemoteConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disk := st.Disk(); disk != nil {
-		t.Cleanup(func() { disk.Close() })
-	}
-	return st
+	cs := store.NewCacheServer(st)
+	cs.Observe(ro)
+	cs.Register(reg)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/feed", ro.Wrap("feed", shard.NewFeed(0).Handler().ServeHTTP))
+	mux.Handle("/", cs.Handler())
+	kc := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		kc.Close()
+		st.Disk().Close()
+	})
+	return st, kc
 }
 
-// newTestServerWithGates installs both the read gate (/scan, /batch) and
-// the write gate (/patch, /changeset).
-func newTestServerWithGates(t *testing.T, read, write *admission) (*server, *httptest.Server) {
-	t.Helper()
-	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
-	cb, err := scan.NewCodebase(corpus)
-	if err != nil {
-		t.Fatal(err)
+// call is the core of every HTTP helper: it sends method and url (with
+// body as JSON unless nil, and header's key/value pairs), decodes a
+// JSON reply into out unless nil, and returns the response with its
+// body consumed. It takes no *testing.T, so storm goroutines use it too.
+func call(method, url string, body, out any, header ...string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(data)
 	}
-	srv := newServer(cb, openStore(t, nil, "", "", store.RemoteConfig{}))
-	srv.setGates(read, write)
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp, err
+}
+
+func postJSON(t *testing.T, ts *httptest.Server, path string, body any, out any) int {
+	t.Helper()
+	resp, err := call(http.MethodPost, ts.URL+path, body, out)
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	return resp.StatusCode
+}
+
+func getJSON(t *testing.T, url string, wantCode int, out any) {
+	t.Helper()
+	resp, err := call(http.MethodGet, url, nil, out)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	if resp.StatusCode != wantCode {
+		t.Fatalf("GET %s = %d, want %d", url, resp.StatusCode, wantCode)
+	}
 }
 
 func postScan(t *testing.T, ts *httptest.Server, body any) *api.ScanResponse {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /scan status = %d", resp.StatusCode)
-	}
 	var out api.ScanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	if code := postJSON(t, ts, "/scan", body, &out); code != http.StatusOK {
+		t.Fatalf("POST /scan status = %d", code)
 	}
 	return &out
 }
 
 func getStats(t *testing.T, ts *httptest.Server) *api.StatsResponse {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var out api.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &out)
 	return &out
 }
 
@@ -130,21 +187,11 @@ func getDrainedStats(t *testing.T, ts *httptest.Server) *api.StatsResponse {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /healthz status = %d", resp.StatusCode)
-	}
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out["ok"] != true {
-		t.Fatalf("healthz = %v", out)
+	_, ts := bootOne(t, Config{})
+	var out api.HealthzResponse
+	getJSON(t, ts.URL+"/healthz", http.StatusOK, &out)
+	if !out.OK || out.Files == 0 {
+		t.Fatalf("healthz = %+v", out)
 	}
 }
 
@@ -152,7 +199,7 @@ func TestHealthz(t *testing.T) {
 // criterion: the second POST /scan for the same checker must be served
 // >= 90% from cache, observable both in the response and in GET /stats.
 func TestRepeatScanServedFromCache(t *testing.T) {
-	_, ts := newTestServer(t)
+	_, ts := bootOne(t, Config{})
 	req := api.ScanRequest{Checker: testChecker}
 
 	first := postScan(t, ts, req)
@@ -168,9 +215,7 @@ func TestRepeatScanServedFromCache(t *testing.T) {
 	if second.Cache.HitRate < 0.9 {
 		t.Fatalf("second scan hit rate = %.3f, want >= 0.9", second.Cache.HitRate)
 	}
-	a, _ := json.Marshal(first.Reports)
-	b, _ := json.Marshal(second.Reports)
-	if !bytes.Equal(a, b) {
+	if reportsJSON(t, first) != reportsJSON(t, second) {
 		t.Fatal("cached scan reports differ from cold scan reports")
 	}
 
@@ -191,7 +236,7 @@ func TestRepeatScanServedFromCache(t *testing.T) {
 // TestScanFileSubset exercises the files filter and per-file caching:
 // scanning one file warms only that file's functions.
 func TestScanFileSubset(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, ts := bootOne(t, Config{})
 	path := srv.inc.Codebase().Files()[0].Name
 	one := postScan(t, ts, api.ScanRequest{Checker: testChecker, Files: []string{path}})
 	if one.FilesScanned != 1 {
@@ -204,7 +249,7 @@ func TestScanFileSubset(t *testing.T) {
 }
 
 func TestScanRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t)
+	_, ts := bootOne(t, Config{})
 	cases := []struct {
 		name string
 		body string
@@ -242,41 +287,26 @@ checker serve_npd_b {
 }
 `
 
-func postJSON(t *testing.T, ts *httptest.Server, path string, body any, out any) int {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode
-}
-
-// TestPatchEndpointConfinesMisses is the service-level acceptance
-// criterion for corpus mutation: after POST /patch of one function, the
-// next scan misses only on the functions the patch changed.
-func TestPatchEndpointConfinesMisses(t *testing.T) {
-	srv, ts := newTestServer(t)
+// TestOneChangeChangesetConfinesMisses is the service-level acceptance
+// criterion for a single-file edit: after a one-change POST /changeset
+// patching one function, the next scan misses only on the functions the
+// patch changed.
+func TestOneChangeChangesetConfinesMisses(t *testing.T) {
+	srv, ts := bootOne(t, Config{})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
+	one := func(c api.Change) api.ChangesetRequest {
+		return api.ChangesetRequest{Changes: []api.Change{c}}
+	}
 
 	// Canonicalize the target file (whole-file replace), then warm.
-	var rep api.PatchResponse
-	if code := postJSON(t, ts, "/patch", api.PatchRequest{
+	var rep api.ChangesetResponse
+	if code := postJSON(t, ts, "/changeset", one(api.Change{
 		Path: path, Source: minic.FormatFile(cb.Files()[0]),
-	}, &rep); code != http.StatusOK {
+	}), &rep); code != http.StatusOK {
 		t.Fatalf("replace status = %d", code)
 	}
-	if rep.Mode != "replace" || rep.Generation != 1 {
+	if rep.Ops != 1 || len(rep.Files) != 1 || rep.Files[0] != path || rep.Generation != 1 {
 		t.Fatalf("replace response = %+v", rep)
 	}
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
@@ -291,12 +321,12 @@ func TestPatchEndpointConfinesMisses(t *testing.T) {
 	src := minic.FormatFunc(fn)
 	brace := strings.Index(src, "{")
 	src = src[:brace+1] + "\n\tint patched_probe;" + src[brace+1:]
-	if code := postJSON(t, ts, "/patch", api.PatchRequest{
+	if code := postJSON(t, ts, "/changeset", one(api.Change{
 		Path: path, Func: fn.Name, Source: src,
-	}, &rep); code != http.StatusOK {
+	}), &rep); code != http.StatusOK {
 		t.Fatalf("patch status = %d", code)
 	}
-	if rep.Mode != "patch" || rep.ChangedFuncs != 1 || rep.Generation != 2 {
+	if rep.ChangedFuncs != 1 || rep.Generation != 2 {
 		t.Fatalf("patch response = %+v", rep)
 	}
 
@@ -309,31 +339,8 @@ func TestPatchEndpointConfinesMisses(t *testing.T) {
 	}
 
 	stats := getStats(t, ts)
-	if stats.Patches != 2 || stats.Generation != 2 {
+	if stats.Changesets != 2 || stats.Generation != 2 {
 		t.Fatalf("stats after two mutations: %+v", stats)
-	}
-}
-
-func TestPatchEndpointRejectsBadRequests(t *testing.T) {
-	srv, ts := newTestServer(t)
-	path := srv.inc.Codebase().Files()[0].Name
-	cases := []struct {
-		name string
-		req  api.PatchRequest
-		code int
-	}{
-		{"missing path", api.PatchRequest{Source: "int f(void)\n{\n\treturn 0;\n}"}, http.StatusBadRequest},
-		{"missing source", api.PatchRequest{Path: path}, http.StatusBadRequest},
-		{"unknown file", api.PatchRequest{Path: "no/such.c", Source: "int x;"}, http.StatusUnprocessableEntity},
-		{"parse error", api.PatchRequest{Path: path, Source: "int broken("}, http.StatusUnprocessableEntity},
-		{"unknown func", api.PatchRequest{Path: path, Func: "nope", Source: "int f(void)\n{\n\treturn 0;\n}"}, http.StatusUnprocessableEntity},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if code := postJSON(t, ts, "/patch", tc.req, nil); code != tc.code {
-				t.Fatalf("status = %d, want %d", code, tc.code)
-			}
-		})
 	}
 }
 
@@ -342,7 +349,7 @@ func TestPatchEndpointRejectsBadRequests(t *testing.T) {
 // ~100% from cache while cold checkers scan and broken ones error — all
 // in one request.
 func TestBatchServedFromWarmStore(t *testing.T) {
-	_, ts := newTestServer(t)
+	_, ts := bootOne(t, Config{})
 	postScan(t, ts, api.ScanRequest{Checker: testChecker}) // warm checker A
 
 	var out api.BatchResponse
@@ -370,9 +377,7 @@ func TestBatchServedFromWarmStore(t *testing.T) {
 
 	// Per-checker batch results equal standalone scans.
 	solo := postScan(t, ts, api.ScanRequest{Checker: testChecker})
-	ja, _ := json.Marshal(a.Reports)
-	js, _ := json.Marshal(solo.Reports)
-	if !bytes.Equal(ja, js) {
+	if reportsJSON(t, a) != reportsJSON(t, solo) {
 		t.Fatal("batch entry reports differ from a standalone scan")
 	}
 
@@ -387,7 +392,7 @@ func TestBatchServedFromWarmStore(t *testing.T) {
 // generation once, and the next scan misses only on the functions the
 // changeset changed in the K touched files.
 func TestChangesetEndpointConfinesMisses(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, ts := bootOne(t, Config{})
 	cb := srv.inc.Codebase()
 	if len(cb.Files()) < 3 {
 		t.Fatalf("corpus too small: %d files", len(cb.Files()))
@@ -447,7 +452,7 @@ func TestChangesetEndpointConfinesMisses(t *testing.T) {
 }
 
 func TestChangesetEndpointRejectsBadRequests(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, ts := bootOne(t, Config{})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	genBefore := getStats(t, ts).Generation
@@ -460,6 +465,9 @@ func TestChangesetEndpointRejectsBadRequests(t *testing.T) {
 		{"no changes", api.ChangesetRequest{}, http.StatusBadRequest},
 		{"missing path", api.ChangesetRequest{Changes: []api.Change{{Source: "int x;"}}}, http.StatusBadRequest},
 		{"missing source", api.ChangesetRequest{Changes: []api.Change{{Path: path}}}, http.StatusBadRequest},
+		{"unknown file", api.ChangesetRequest{Changes: []api.Change{{Path: "no/such.c", Source: "int x;"}}}, http.StatusUnprocessableEntity},
+		{"parse error", api.ChangesetRequest{Changes: []api.Change{{Path: path, Source: "int broken("}}}, http.StatusUnprocessableEntity},
+		{"unknown func", api.ChangesetRequest{Changes: []api.Change{{Path: path, Func: "nope", Source: "int f(void)\n{\n\treturn 0;\n}"}}}, http.StatusUnprocessableEntity},
 		{"unknown file poisons the set", api.ChangesetRequest{Changes: []api.Change{ok, {Path: "no/such.c", Source: "int x;"}}}, http.StatusUnprocessableEntity},
 		{"parse error poisons the set", api.ChangesetRequest{Changes: []api.Change{ok, {Path: path, Source: "int broken("}}}, http.StatusUnprocessableEntity},
 	}
@@ -482,7 +490,7 @@ func TestChangesetEndpointRejectsBadRequests(t *testing.T) {
 // 429 with a Retry-After hint, admitted requests complete normally, and
 // the shed/admitted counters land in /stats.
 func TestAdmissionShedsExcessLoad(t *testing.T) {
-	srv, ts := newTestServerWithAdmission(t, newAdmission(1, 1, 0))
+	srv, ts := bootOne(t, Config{MaxInflight: 1, MaxQueued: 1})
 
 	release := make(chan struct{})
 	var inflight sync.WaitGroup
@@ -502,12 +510,9 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 	// Fill the one queue slot with a request that will block.
 	queuedDone := make(chan *http.Response, 1)
 	go func() {
-		data, _ := json.Marshal(api.ScanRequest{Checker: testChecker})
-		resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
+		resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{Checker: testChecker}, nil)
 		if err != nil {
 			t.Error(err)
-			queuedDone <- nil
-			return
 		}
 		queuedDone <- resp
 	}()
@@ -516,12 +521,10 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 	}
 
 	// The third concurrent request must shed.
-	data, _ := json.Marshal(api.ScanRequest{Checker: testChecker})
-	resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
+	resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{Checker: testChecker}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated request status = %d, want 429", resp.StatusCode)
 	}
@@ -536,11 +539,8 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 	inflight.Wait()
 	if qr := <-queuedDone; qr == nil {
 		t.Fatal("queued request failed outright")
-	} else {
-		defer qr.Body.Close()
-		if qr.StatusCode != http.StatusOK {
-			t.Fatalf("queued request status = %d after drain, want 200", qr.StatusCode)
-		}
+	} else if qr.StatusCode != http.StatusOK {
+		t.Fatalf("queued request status = %d after drain, want 200", qr.StatusCode)
 	}
 
 	stats := getDrainedStats(t, ts)
@@ -555,11 +555,11 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchesAndPatches hammers /batch and /patch from many
-// goroutines; under -race this is the concurrency-control acceptance
-// test (a patch must wait for in-flight scans and batches to drain).
-func TestConcurrentBatchesAndPatches(t *testing.T) {
-	srv, ts := newTestServer(t)
+// TestConcurrentBatchesAndChangesets hammers /batch and one-change
+// /changeset from many goroutines; under -race this is the
+// concurrency-control acceptance test.
+func TestConcurrentBatchesAndChangesets(t *testing.T) {
+	srv, ts := bootOne(t, Config{})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])
@@ -580,11 +580,11 @@ func TestConcurrentBatchesAndPatches(t *testing.T) {
 						errs <- fmt.Sprintf("batch status %d", code)
 					}
 				} else {
-					var out api.PatchResponse
-					if code := postJSON(t, ts, "/patch", api.PatchRequest{
-						Path: path, Source: canonical,
+					var out api.ChangesetResponse
+					if code := postJSON(t, ts, "/changeset", api.ChangesetRequest{
+						Changes: []api.Change{{Path: path, Source: canonical}},
 					}, &out); code != http.StatusOK {
-						errs <- fmt.Sprintf("patch status %d", code)
+						errs <- fmt.Sprintf("changeset status %d", code)
 					}
 				}
 			}
@@ -595,7 +595,7 @@ func TestConcurrentBatchesAndPatches(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if stats := getStats(t, ts); stats.Patches != 6 || stats.Batches != 6 {
+	if stats := getStats(t, ts); stats.Changesets != 6 || stats.Batches != 6 {
 		t.Fatalf("counters after hammering: %+v", stats)
 	}
 }

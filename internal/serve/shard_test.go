@@ -1,45 +1,16 @@
-package main
+package serve
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"knighter/internal/api"
-	"knighter/internal/kernel"
 	"knighter/internal/minic"
 	"knighter/internal/obs"
-	"knighter/internal/scan"
-	"knighter/internal/shard"
-	"knighter/internal/store"
 )
-
-// newShardFleet boots n kserve replicas over the same corpus, each owning
-// one shard, each able to coordinate. feedURL wires the generation feed
-// (empty = no feed, so changesets stay local to their coordinator).
-func newShardFleet(t *testing.T, n int, feedURL string) ([]*server, []*httptest.Server) {
-	t.Helper()
-	srvs := make([]*server, n)
-	tss := make([]*httptest.Server, n)
-	urls := make([]string, n)
-	for i := range srvs {
-		corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
-		cb, err := scan.NewCodebase(corpus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = newServer(cb, openStore(t, nil, "", "", store.RemoteConfig{}))
-		tss[i] = httptest.NewServer(srvs[i].routes())
-		t.Cleanup(tss[i].Close)
-		urls[i] = tss[i].URL
-	}
-	for i, srv := range srvs {
-		srv.setupShard(i, n, urls, feedURL, 10*time.Second, 0)
-		srv.registerMetrics(obs.NewRegistry("kserve"))
-	}
-	return srvs, tss
-}
 
 // sameScan asserts the deterministic fields of two scan responses match:
 // the byte-identity contract covers reports (order included), runtime
@@ -69,8 +40,8 @@ func sameScan(t *testing.T, label string, got, want *api.ScanResponse) {
 // MaxReports-truncated — returns byte-identical reports to a single-host
 // scan, from any coordinator.
 func TestShardedScanByteIdentical(t *testing.T) {
-	_, single := newTestServer(t)
-	srvs, tss := newShardFleet(t, 3, "")
+	_, single := bootOne(t, Config{})
+	srvs, tss := boot(t, 3, Config{})
 
 	req := api.ScanRequest{Checker: testChecker}
 	want := postScan(t, single, req)
@@ -95,13 +66,13 @@ func TestShardedScanByteIdentical(t *testing.T) {
 	sub := api.ScanRequest{Checker: testChecker, Files: subset}
 	sameScan(t, "file subset", postScan(t, tss[0], sub), postScan(t, single, sub))
 
-	if srvs[0].shard.scatters.Load() == 0 {
+	if count(srvs[0].shard.scatters) == 0 {
 		t.Fatal("coordinator recorded no scatters")
 	}
-	if subs := srvs[1].shard.subScans.Load() + srvs[2].shard.subScans.Load(); subs == 0 {
+	if subs := count(srvs[1].shard.subScans) + count(srvs[2].shard.subScans); subs == 0 {
 		t.Fatal("no peer served a shard-local sub-scan — the work never fanned out")
 	}
-	if d := srvs[0].shard.degraded.Load(); d != 0 {
+	if d := count(srvs[0].shard.degraded); d != 0 {
 		t.Fatalf("healthy fleet recorded %d degraded scatters", d)
 	}
 	st := getStats(t, tss[0])
@@ -116,8 +87,8 @@ func TestShardedScanByteIdentical(t *testing.T) {
 // the coordinator's local snapshot), and the degraded counter visible
 // on /stats and /metrics.
 func TestShardedScanShardDeathFallsBack(t *testing.T) {
-	_, single := newTestServer(t)
-	srvs, tss := newShardFleet(t, 3, "")
+	_, single := bootOne(t, Config{})
+	srvs, tss := boot(t, 3, Config{})
 	tss[2].Close() // SIGKILL stand-in: connections refused from now on
 
 	req := api.ScanRequest{Checker: testChecker}
@@ -126,7 +97,7 @@ func TestShardedScanShardDeathFallsBack(t *testing.T) {
 	// zero-non-2xx assertion.
 	sameScan(t, "shard death", postScan(t, tss[0], req), want)
 
-	if d := srvs[0].shard.degraded.Load(); d == 0 {
+	if d := count(srvs[0].shard.degraded); d == 0 {
 		t.Fatal("dead shard produced no degraded scatter")
 	}
 	st := getStats(t, tss[0])
@@ -153,31 +124,39 @@ func TestShardedScanShardDeathFallsBack(t *testing.T) {
 }
 
 // TestShardedBatchByteIdentical: /batch scatters per checker and merges
-// per entry; compile errors keep their request positions.
+// per entry; compile errors keep their request positions, and
+// max_reports caps every merged entry exactly where a single host cuts
+// it (sub-batches run uncapped; the cap is applied at the merge).
 func TestShardedBatchByteIdentical(t *testing.T) {
-	_, single := newTestServer(t)
-	_, tss := newShardFleet(t, 3, "")
+	_, single := bootOne(t, Config{})
+	_, tss := boot(t, 3, Config{})
 
-	req := api.BatchRequest{Checkers: []string{
-		testChecker,
-		"checker broken {", // keeps its slot as a per-entry error
-		strings.Replace(testChecker, "serve_npd", "serve_npd_b", 1),
-	}}
-	var want, got api.BatchResponse
-	if code := postJSON(t, single, "/batch", req, &want); code != 200 {
-		t.Fatalf("single-host /batch = %d", code)
-	}
-	if code := postJSON(t, tss[0], "/batch", req, &got); code != 200 {
-		t.Fatalf("sharded /batch = %d", code)
-	}
-	if got.CheckersRun != want.CheckersRun || got.CheckerErrors != want.CheckerErrors {
-		t.Fatalf("run=%d/%d errors=%d/%d", got.CheckersRun, want.CheckersRun, got.CheckerErrors, want.CheckerErrors)
-	}
-	if got.Results[1].Error == "" || want.Results[1].Error == "" {
-		t.Fatal("broken checker's per-entry error was lost")
-	}
-	for _, i := range []int{0, 2} {
-		sameScan(t, "batch entry", got.Results[i], want.Results[i])
+	for _, maxReports := range []int{0, 3} {
+		req := api.BatchRequest{MaxReports: maxReports, Checkers: []string{
+			testChecker,
+			"checker broken {", // keeps its slot as a per-entry error
+			strings.Replace(testChecker, "serve_npd", "serve_npd_b", 1),
+		}}
+		var want, got api.BatchResponse
+		if code := postJSON(t, single, "/batch", req, &want); code != 200 {
+			t.Fatalf("single-host /batch = %d", code)
+		}
+		if code := postJSON(t, tss[0], "/batch", req, &got); code != 200 {
+			t.Fatalf("sharded /batch = %d", code)
+		}
+		if got.CheckersRun != want.CheckersRun || got.CheckerErrors != want.CheckerErrors {
+			t.Fatalf("run=%d/%d errors=%d/%d", got.CheckersRun, want.CheckersRun, got.CheckerErrors, want.CheckerErrors)
+		}
+		if got.Results[1].Error == "" || want.Results[1].Error == "" {
+			t.Fatal("broken checker's per-entry error was lost")
+		}
+		for _, i := range []int{0, 2} {
+			sameScan(t, fmt.Sprintf("batch entry %d, max_reports %d", i, maxReports), got.Results[i], want.Results[i])
+			if maxReports > 0 && (len(want.Results[i].Reports) != maxReports || !want.Results[i].Truncated) {
+				t.Fatalf("fixture does not exercise the cap: single host kept %d reports, truncated=%v",
+					len(want.Results[i].Reports), want.Results[i].Truncated)
+			}
+		}
 	}
 }
 
@@ -186,11 +165,9 @@ func TestShardedBatchByteIdentical(t *testing.T) {
 // (publish + converge nudge), and post-commit scans are byte-identical
 // to a single host that applied the same changeset.
 func TestShardedChangesetConvergesFleetWide(t *testing.T) {
-	feed := shard.NewFeed(0)
-	feedTS := httptest.NewServer(feed.Handler())
-	t.Cleanup(feedTS.Close)
-	srvs, tss := newShardFleet(t, 3, feedTS.URL)
-	_, single := newTestServer(t)
+	_, kc := newKcached(t, t.TempDir(), nil)
+	srvs, tss := boot(t, 3, Config{CacheRemote: kc.URL})
+	_, single := bootOne(t, Config{})
 
 	f0 := srvs[0].inc.Codebase().Files()[0]
 	change := api.Change{Path: f0.Name, Source: minic.FormatFile(f0)}
@@ -216,10 +193,10 @@ func TestShardedChangesetConvergesFleetWide(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	if c := srvs[1].shard.converges.Load() + srvs[2].shard.converges.Load(); c == 0 {
+	if c := count(srvs[1].shard.converges) + count(srvs[2].shard.converges); c == 0 {
 		t.Fatal("no peer replayed the feed")
 	}
-	if srvs[0].shard.feedPublishes.Load() == 0 {
+	if count(srvs[0].shard.feedPublishes) == 0 {
 		t.Fatal("coordinator never published to the feed")
 	}
 
@@ -231,12 +208,52 @@ func TestShardedChangesetConvergesFleetWide(t *testing.T) {
 	sameScan(t, "post-changeset", postScan(t, tss[1], req), want)
 }
 
+// TestRejectedAsyncChangesetDoesNotWedgeConvergence: the coordinator
+// burns the generation of an async changeset it rejects, and the feed
+// must say so — otherwise the peer sees every later entry as a gap,
+// never converges again, and each scatter degrades to the coordinator's
+// local snapshot.
+func TestRejectedAsyncChangesetDoesNotWedgeConvergence(t *testing.T) {
+	_, kc := newKcached(t, t.TempDir(), nil)
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	f0 := srvs[0].inc.Codebase().Files()[0]
+
+	var bad, good api.ChangesetResponse
+	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{
+		Async:   true,
+		Changes: []api.Change{{Path: f0.Name, Source: "int broken("}},
+	}, &bad); code != 202 {
+		t.Fatalf("async /changeset = %d, want 202 (the rejection is deferred)", code)
+	}
+	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{
+		Changes: []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}},
+	}, &good); code != 200 {
+		t.Fatalf("sync /changeset = %d", code)
+	}
+	if good.Generation != bad.Generation+1 {
+		t.Fatalf("good changeset committed generation %d, want %d (right after the burned token)",
+			good.Generation, bad.Generation+1)
+	}
+
+	peer := srvs[1].inc.Codebase()
+	deadline := time.Now().Add(5 * time.Second)
+	for peer.Generation() < good.Generation {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer stuck at generation %d, fleet committed %d", peer.Generation(), good.Generation)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, MinGeneration: good.Generation})
+	if st := getStats(t, tss[0]).Shards; st.Scatters == 0 || st.Degraded != 0 {
+		t.Fatalf("scatter after the burned generation: %+v, want degraded_scatters == 0", st)
+	}
+}
+
 // TestCostWeightedAdmission: the cost charge (checkers x files) sheds an
 // oversized concurrent request with 429, always admits when idle, and is
 // visible in /stats and /metrics.
 func TestCostWeightedAdmission(t *testing.T) {
-	a := newAdmission(4, 4, 0)
-	a.maxCost = 10
+	a := newAdmission(obs.NewRegistry("t"), "admission", 4, 4, 0, 10, func() int64 { return 0 })
 
 	rec := httptest.NewRecorder()
 	release, ok := a.admitCost(rec, 8)
@@ -256,8 +273,8 @@ func TestCostWeightedAdmission(t *testing.T) {
 	if !strings.Contains(rec2.Body.String(), api.ErrOverloaded) {
 		t.Fatalf("cost shed body = %s", rec2.Body.String())
 	}
-	if a.costShed.Load() != 1 {
-		t.Fatalf("costShed = %d, want 1", a.costShed.Load())
+	if count(a.costShed) != 1 {
+		t.Fatalf("costShed = %d, want 1", count(a.costShed))
 	}
 	release()
 	release() // release is idempotent: a double call must not go negative
@@ -280,10 +297,7 @@ func TestCostWeightedAdmission(t *testing.T) {
 
 	// Service-level exposure: /stats carries the admission cost fields
 	// and /metrics the admission_cost_weight gauge.
-	read := newAdmission(2, 8, 0)
-	read.maxCost = 1 << 30
-	srv, ts := newTestServerWithAdmission(t, read)
-	srv.registerMetrics(obs.NewRegistry("kserve"))
+	_, ts := bootOne(t, Config{MaxInflight: 2, MaxQueued: 8, MaxCost: 1 << 30})
 	postScan(t, ts, api.ScanRequest{Checker: testChecker})
 	st := getStats(t, ts)
 	if st.Admission == nil || st.Admission.MaxCost != 1<<30 {
@@ -299,7 +313,7 @@ func TestCostWeightedAdmission(t *testing.T) {
 
 // TestRequestCost: empty file list means the whole corpus.
 func TestRequestCost(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, _ := bootOne(t, Config{})
 	n := len(srv.inc.Codebase().Files())
 	if got := srv.requestCost(1, nil); got != int64(n) {
 		t.Fatalf("requestCost(1, nil) = %d, want corpus size %d", got, n)

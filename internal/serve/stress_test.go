@@ -1,8 +1,6 @@
-package main
+package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -24,7 +22,7 @@ import (
 // drains a quiesced scan must be byte-identical to a cold scan of
 // whatever corpus state the interleaved changesets produced.
 func TestStressScansChangesetsAndSaturation(t *testing.T) {
-	srv, ts := newTestServerWithGates(t, newAdmission(2, 2, 0), newAdmission(1, 2, 0))
+	srv, ts := bootOne(t, Config{MaxInflight: 2, MaxQueued: 2, MaxInflightWrites: 1, MaxQueuedWrites: 2})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])
@@ -32,11 +30,7 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 	altCanonical := minic.FormatFile(cb.Files()[1])
 
 	post := func(endpoint string, body any) (*http.Response, error) {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		return http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(data))
+		return call(http.MethodPost, ts.URL+endpoint, body, nil)
 	}
 
 	const clients = 8
@@ -84,7 +78,6 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 				default:
 					errs <- fmt.Sprintf("unexpected status %d", resp.StatusCode)
 				}
-				resp.Body.Close()
 			}
 		}(g)
 	}
@@ -150,32 +143,19 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 // while the gate is saturated — they are deliberately outside admission
 // control.
 func TestStressHealthzDuringSaturation(t *testing.T) {
-	srv, ts := newTestServerWithAdmission(t, newAdmission(1, 1, 0))
+	srv, ts := bootOne(t, Config{MaxInflight: 1, MaxQueued: 1})
 	// Saturate: occupy the inflight slot and fill the queue.
 	srv.adm.tokens <- struct{}{}
 	defer func() { <-srv.adm.tokens }()
 	srv.adm.queued.Store(srv.adm.maxQueued)
 	defer srv.adm.queued.Store(0)
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz under saturation = %d", resp.StatusCode)
-	}
+	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
 	if stats := getStats(t, ts); stats.Admission.Queued != srv.adm.maxQueued {
 		t.Fatalf("stats under saturation = %+v", stats.Admission)
 	}
 	// And a scan-shaped request sheds instead of hanging.
-	data, _ := json.Marshal(api.ScanRequest{Checker: testChecker})
-	sresp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if sresp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("scan under saturation = %d, want 429", sresp.StatusCode)
+	if code := postJSON(t, ts, "/scan", api.ScanRequest{Checker: testChecker}, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("scan under saturation = %d, want 429", code)
 	}
 }

@@ -1,20 +1,14 @@
-package main
+package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"knighter/internal/api"
-	"knighter/internal/kernel"
 	"knighter/internal/obs"
-	"knighter/internal/scan"
-	"knighter/internal/shard"
-	"knighter/internal/store"
 )
 
 // newTracedFleet boots a 3-shard kserve fleet sharing one traced
@@ -22,61 +16,23 @@ import (
 // retains all of its traces (sample=1), fans collection out to its
 // peers and kcached, and every replica's remote tier rides through the
 // shared cache daemon so kcached fragments exist to collect.
-func newTracedFleet(t *testing.T, n int) ([]*server, []*httptest.Server, *httptest.Server) {
+func newTracedFleet(t *testing.T, n int) ([]*Server, []*httptest.Server) {
 	t.Helper()
-	cs := store.NewCacheServer(openStore(t, nil, t.TempDir(), "", store.RemoteConfig{}))
-	cs.EnableTracing(obs.NewTraceStore(256, 1, 0))
-	kc := httptest.NewServer(cs.Handler())
-	t.Cleanup(kc.Close)
-
-	srvs := make([]*server, n)
-	tss := make([]*httptest.Server, n)
-	urls := make([]string, n)
-	for i := range srvs {
-		corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1})
-		cb, err := scan.NewCodebase(corpus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = newServer(cb, openStore(t, nil, "", kc.URL, store.RemoteConfig{}))
-		srvs[i].traces = obs.NewTraceStore(256, 1, 0)
-		tss[i] = httptest.NewServer(srvs[i].routes())
-		t.Cleanup(tss[i].Close)
-		urls[i] = tss[i].URL
-	}
-	for i, srv := range srvs {
-		srv.setupShard(i, n, urls, "", 10*time.Second, 0)
-		var targets []string
-		for j, u := range urls {
-			if j != i {
-				targets = append(targets, u)
-			}
-		}
-		targets = append(targets, kc.URL)
-		srv.traceColl = shard.NewTraceCollector(targets, 2*time.Second)
-	}
-	return srvs, tss, kc
+	captureLog(t) // a traced kcached logs every entry round-trip
+	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{
+		Service: "kcached", Traces: obs.NewTraceStore(256, 1, 0),
+	})
+	return boot(t, n, Config{CacheRemote: kc.URL, TraceRetain: 256, TraceSample: 1})
 }
 
 // postScanTraced posts a /scan and returns the response plus the trace
 // id the daemon stamped on X-Trace-Id.
 func postScanTraced(t *testing.T, ts *httptest.Server, body api.ScanRequest) (*api.ScanResponse, string) {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /scan status = %d", resp.StatusCode)
-	}
 	var out api.ScanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	resp, err := call(http.MethodPost, ts.URL+"/scan", body, &out)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /scan = %v, %v", resp, err)
 	}
 	id := resp.Header.Get(obs.TraceHeader)
 	if id == "" {
@@ -87,16 +43,9 @@ func postScanTraced(t *testing.T, ts *httptest.Server, body api.ScanRequest) (*a
 
 func getAssembled(t *testing.T, ts *httptest.Server, id string) (*obs.AssembledTrace, int) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/trace/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode
-	}
 	var asm obs.AssembledTrace
-	if err := json.NewDecoder(resp.Body).Decode(&asm); err != nil {
+	resp, err := call(http.MethodGet, ts.URL+"/trace/"+id, nil, &asm)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return &asm, resp.StatusCode
@@ -127,7 +76,7 @@ func collectTree(asm *obs.AssembledTrace) []*obs.TraceNode {
 // containing spans from every shard owner AND at least one kcached
 // span, with parent/child offsets consistent.
 func TestFleetTraceAssembly(t *testing.T) {
-	_, tss, _ := newTracedFleet(t, 3)
+	_, tss := newTracedFleet(t, 3)
 	_, id := postScanTraced(t, tss[0], api.ScanRequest{Checker: testChecker})
 
 	asm, code := getAssembled(t, tss[0], id)
@@ -204,14 +153,7 @@ func TestFleetTraceAssembly(t *testing.T) {
 
 	// The coordinator's local index lists the trace.
 	var list api.TraceListResponse
-	lresp, err := http.Get(tss[0].URL + "/traces?limit=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lresp.Body.Close()
-	if err := json.NewDecoder(lresp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, tss[0].URL+"/traces?limit=10", http.StatusOK, &list)
 	found := false
 	for _, tr := range list.Traces {
 		if tr.TraceID == id {
@@ -227,11 +169,11 @@ func TestFleetTraceAssembly(t *testing.T) {
 // trace must mark that shard's partition degraded_local_fallback — the
 // trace-level twin of the CI fault-injection smoke.
 func TestFleetTraceDegradedShard(t *testing.T) {
-	srvs, tss, _ := newTracedFleet(t, 3)
+	srvs, tss := newTracedFleet(t, 3)
 	tss[2].Close() // SIGKILL stand-in
 
 	_, id := postScanTraced(t, tss[0], api.ScanRequest{Checker: testChecker})
-	if srvs[0].shard.degraded.Load() == 0 {
+	if count(srvs[0].shard.degraded) == 0 {
 		t.Fatal("dead shard produced no degraded scatter")
 	}
 
@@ -260,18 +202,14 @@ func TestFleetTraceDegradedShard(t *testing.T) {
 // TestErrorEnvelopeCarriesTraceID: satellite (c) — the uniform error
 // envelope duplicates the X-Trace-Id header in the body.
 func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/scan", "application/json", strings.NewReader("{"))
+	_, ts := bootOne(t, Config{})
+	var envelope api.ErrorResponse
+	resp, err := call(http.MethodPost, ts.URL+"/scan", "not a scan request", &envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	var envelope api.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
 	}
 	if envelope.TraceID == "" || envelope.TraceID != resp.Header.Get(obs.TraceHeader) {
 		t.Fatalf("envelope trace_id %q != header %q", envelope.TraceID, resp.Header.Get(obs.TraceHeader))
@@ -282,7 +220,7 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 // sampled out everywhere, or evicted) answers 404 after the fan-out
 // comes back empty — not a crash, not an empty 200.
 func TestTraceUnknownIs404(t *testing.T) {
-	_, tss, _ := newTracedFleet(t, 3)
+	_, tss := newTracedFleet(t, 3)
 	if _, code := getAssembled(t, tss[0], "no-such-trace"); code != http.StatusNotFound {
 		t.Fatalf("unknown trace returned %d, want 404", code)
 	}

@@ -3,9 +3,7 @@ package store
 import (
 	"encoding/json"
 	"io"
-	"log"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -43,18 +41,18 @@ type CacheServer struct {
 	invalidates atomic.Int64
 	badRequests atomic.Int64
 
-	// obs hooks, nil until Register is called: entry-request counters by
-	// op and a request-latency histogram, exposed on GET /metrics.
+	// entryReqs counts entry requests by op and outcome; nil until
+	// Register, which also mounts the registry on GET /metrics.
 	entryReqs *obs.CounterVec
-	reqDur    *obs.HistogramVec
 	metrics   http.Handler
 
-	// traces, when EnableTracing was called, is the daemon's tail-sampled
-	// trace store: every request records a root-span fragment (attached
-	// under the caller's X-Span-Id) and GET /trace/{id} serves it back to
-	// a coordinating kserve. Requests sharing a trace id — a scan's many
-	// entry round-trips — merge into one fragment.
-	traces *obs.TraceStore
+	// ro, once Observe was called, is the daemon chassis around the
+	// cache routes: every request records a root-span fragment (attached
+	// under the caller's X-Span-Id) that GET /trace/{id} serves back to
+	// a coordinating kserve — requests sharing a trace id, a scan's many
+	// entry round-trips, merge into one fragment — plus the access-log
+	// line and the request-latency histogram.
+	ro *obs.RequestObserver
 }
 
 // NewCacheServer wraps st (kcached passes its Stack) in the HTTP protocol.
@@ -62,9 +60,10 @@ func NewCacheServer(st Store) *CacheServer {
 	return &CacheServer{st: st, started: time.Now()}
 }
 
-// EnableTracing installs the daemon's trace store; call before Register
-// so the store's counters land on /metrics too.
-func (cs *CacheServer) EnableTracing(ts *obs.TraceStore) { cs.traces = ts }
+// Observe mounts the daemon chassis (kcached builds it; tests and
+// probes that want the bare protocol skip it). Call before Register, so
+// the chassis's instruments land on /metrics too, and before Handler.
+func (cs *CacheServer) Observe(ro *obs.RequestObserver) { cs.ro = ro }
 
 // Register wires the server's counters into reg and mounts reg's
 // exposition on GET /metrics (kcached calls this; tests may skip it).
@@ -73,8 +72,6 @@ func (cs *CacheServer) EnableTracing(ts *obs.TraceStore) { cs.traces = ts }
 func (cs *CacheServer) Register(reg *obs.Registry) {
 	cs.entryReqs = reg.CounterVec("entry_requests_total",
 		"Entry requests served, by operation and outcome.", "op", "outcome")
-	cs.reqDur = reg.HistogramVec("request_duration_seconds",
-		"Wall time of one cache-protocol request.", nil, "op")
 	reg.CounterFunc("invalidate_requests_total",
 		"POST /invalidate requests served.",
 		func() float64 { return float64(cs.invalidates.Load()) })
@@ -85,11 +82,10 @@ func (cs *CacheServer) Register(reg *obs.Registry) {
 		func() float64 { return float64(cs.st.Stats().Entries) })
 	reg.GaugeFunc("store_bytes", "Serialized bytes of live entries in the backing store.",
 		func() float64 { return float64(cs.st.Stats().Bytes) })
-	cs.traces.Register(reg)
-	if cs.traces != nil {
-		reg.CounterFunc("trace_spans_dropped_total",
-			"Trace spans dropped by the per-trace span cap.",
-			func() float64 { return float64(obs.DroppedSpansTotal()) })
+	if cs.ro != nil {
+		cs.ro.Duration = reg.HistogramVec("request_duration_seconds",
+			"Wall time of one cache-protocol request.", nil, "op")
+		cs.ro.Traces.Register(reg)
 	}
 	obs.RegisterBuildInfo(reg, func() float64 { return time.Since(cs.started).Seconds() })
 	cs.metrics = reg.Handler()
@@ -98,88 +94,30 @@ func (cs *CacheServer) Register(reg *obs.Registry) {
 // Handler returns the route table.
 func (cs *CacheServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /entry/{id}", cs.timed("get", cs.handleGet))
-	mux.HandleFunc("PUT /entry/{id}", cs.timed("put", cs.handlePut))
-	mux.HandleFunc("POST /invalidate", cs.timed("invalidate", cs.handleInvalidate))
-	mux.HandleFunc("GET /trace/{id}", cs.handleTrace)
-	mux.HandleFunc("GET /traces", cs.handleTraces)
+	// An entry-get 404 is a miss, not a failure.
+	mux.HandleFunc("GET /entry/{id}", cs.ro.Wrap("get", cs.handleGet, http.StatusNotFound))
+	mux.HandleFunc("PUT /entry/{id}", cs.ro.Wrap("put", cs.handlePut))
+	mux.HandleFunc("POST /invalidate", cs.ro.Wrap("invalidate", cs.handleInvalidate))
+	// kcached never fans out: it is always a leaf of the request tree,
+	// so its local fragment is the whole answer.
+	traces := cs.traces()
+	mux.HandleFunc("GET /trace/{id}", traces.ServeTrace)
+	mux.HandleFunc("GET /traces", traces.ServeList)
 	mux.HandleFunc("GET /stats", cs.handleStats)
 	mux.HandleFunc("GET /healthz", cs.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if cs.metrics == nil {
-			http.Error(w, `{"error":"metrics not registered"}`, http.StatusNotFound)
-			return
-		}
-		cs.metrics.ServeHTTP(w, r)
-	})
+	if cs.metrics != nil {
+		mux.Handle("GET /metrics", cs.metrics)
+	}
 	return mux
 }
 
-// timed wraps a handler with the per-op latency histogram (a no-op
-// until Register) and, when tracing is enabled, a per-request trace
-// fragment: a root span named after the op, attached under the caller's
-// X-Span-Id, offered to the tail sampler when the request completes.
-func (cs *CacheServer) timed(op string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		var tr *obs.Trace
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		if cs.traces != nil {
-			tr = obs.NewTraceFor("kcached", r.Header.Get(obs.TraceHeader), r.Header.Get(obs.SpanHeader))
-			w.Header().Set(obs.TraceHeader, tr.ID)
-			r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		}
-		h(sw, r)
-		elapsed := time.Since(start)
-		if cs.reqDur != nil {
-			if tr != nil {
-				cs.reqDur.With(op).ObserveExemplar(elapsed.Seconds(), tr.ID)
-			} else {
-				cs.reqDur.With(op).Observe(elapsed.Seconds())
-			}
-		}
-		if tr != nil {
-			status := ""
-			// An entry-get 404 is a miss, not a failure; anything else
-			// non-2xx is worth tagging on the span.
-			errored := sw.code >= 400 && !(op == "get" && sw.code == http.StatusNotFound)
-			if errored {
-				status = http.StatusText(sw.code)
-			}
-			tr.CloseRoot("kcached_"+op, status, elapsed)
-			cs.traces.Add(tr, obs.TraceMeta{Route: op, Status: sw.code, Elapsed: elapsed, Errored: errored})
-		}
+// traces is the chassis's trace store (nil without one; its methods
+// are nil-safe).
+func (cs *CacheServer) traces() *obs.TraceStore {
+	if cs.ro == nil {
+		return nil
 	}
-}
-
-// handleTrace serves one retained trace fragment. kcached never fans
-// out: it is always a leaf of the request tree, so the local store is
-// the whole answer (the ?local=1 form coordinators send is accepted and
-// identical).
-func (cs *CacheServer) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if cs.traces == nil {
-		http.Error(w, `{"error":"tracing disabled (-trace-retain 0)"}`, http.StatusNotFound)
-		return
-	}
-	st, ok := cs.traces.Get(r.PathValue("id"))
-	if !ok {
-		http.Error(w, `{"error":"trace not retained (sampled out or evicted?)"}`, http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
-}
-
-// handleTraces lists the local trace index: GET /traces?limit=N&slow=1.
-func (cs *CacheServer) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if cs.traces == nil {
-		http.Error(w, `{"error":"tracing disabled (-trace-retain 0)"}`, http.StatusNotFound)
-		return
-	}
-	limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-	slowOnly := r.URL.Query().Get("slow") != ""
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"traces": cs.traces.List(limit, slowOnly)})
+	return cs.ro.Traces
 }
 
 // countEntry records one entry-request outcome (no-op until Register).
@@ -187,44 +125,6 @@ func (cs *CacheServer) countEntry(op, outcome string) {
 	if cs.entryReqs != nil {
 		cs.entryReqs.With(op, outcome).Inc()
 	}
-}
-
-// statusWriter captures the response code and size for access logging.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
-	return n, err
-}
-
-// AccessLog wraps h with a per-request log line carrying the method,
-// path, status, size, duration, and the request's trace id (from the
-// X-Trace-Id header; "-" when absent) — the kcached side of the fleet's
-// trace stitching: grep both daemons' logs for one id and the full
-// cross-host story of a request lines up.
-func AccessLog(l *log.Logger, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h.ServeHTTP(sw, r)
-		tid := r.Header.Get(obs.TraceHeader)
-		if tid == "" {
-			tid = "-"
-		}
-		l.Printf("%s %s %d %dB %.3fms trace=%s",
-			r.Method, r.URL.Path, sw.code, sw.bytes,
-			float64(time.Since(start).Microseconds())/1000, tid)
-	})
 }
 
 // entryKey reconstructs the key from the query parameters and verifies it
@@ -321,7 +221,7 @@ type CacheServerStats struct {
 	Puts          int64   `json:"puts"`
 	Invalidates   int64   `json:"invalidates"`
 	BadRequests   int64   `json:"bad_requests"`
-	// TraceStore is present when tracing is enabled (EnableTracing).
+	// TraceStore is present when the chassis retains traces.
 	TraceStore *obs.TraceStoreStats `json:"trace_store,omitempty"`
 }
 
@@ -336,7 +236,7 @@ func (cs *CacheServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		Puts:          cs.puts.Load(),
 		Invalidates:   cs.invalidates.Load(),
 		BadRequests:   cs.badRequests.Load(),
-		TraceStore:    cs.traces.Stats(),
+		TraceStore:    cs.traces().Stats(),
 	})
 }
 
