@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -384,6 +385,7 @@ checker bench_engine {
   sink { deref unchecked }
 }
 `)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		engine.AnalyzeFile(file, engine.Options{Checkers: []checker.Checker{ck}})
 	}
@@ -940,6 +942,31 @@ func BenchmarkScanShardedFanout(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(merged.Reports)), "reports")
+}
+
+// BenchmarkBatchScanCold measures a /batch of never-seen revisions — a
+// refinement round's candidates — at batch sizes 2 and 4: every function
+// misses under every revision, so the time is one shared exploration per
+// function plus one store put per revision.
+func BenchmarkBatchScanCold(b *testing.B) {
+	h, _, _ := setupBench(b)
+	for _, size := range []int{2, 4} {
+		b.Run(fmt.Sprintf("revisions=%d", size), func(b *testing.B) {
+			var cks []checker.Checker
+			for _, name := range []string{"rev_a", "rev_b", "rev_c", "rev_d"}[:size] {
+				cks = append(cks, mustChecker(b, strings.ReplaceAll(benchCacheDSL, "bench_cache", name)))
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inc := scan.NewIncremental(h.Codebase, store.NewMemory(0)) // fresh store: nothing is warm
+				for _, res := range inc.RunBatch(cks, nil, scan.Options{}, 0) {
+					if res.CacheHits != 0 {
+						b.Fatalf("cold batch hit %d times", res.CacheHits)
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBatchScanWarm measures the kserve /batch steady state: four

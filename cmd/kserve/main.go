@@ -21,7 +21,7 @@
 // Endpoints:
 //
 //	POST /scan             {"checker": "<DSL text>", "files": [...], "min_generation": n, ...}
-//	POST /batch            {"checkers": ["<DSL>", ...], "concurrency": n, ...}
+//	POST /batch            {"checkers": ["<DSL>", ...], ...}
 //	POST /changeset        {"changes": [{"path", "func?", "source"}, ...], "async": bool}
 //	GET  /changeset/status ?generation=N  async changeset outcome
 //	POST /converge         replay the generation feed to catch this shard up

@@ -155,8 +155,12 @@ type ScanResponse struct {
 	Cache        CacheStats `json:"cache"`
 	// Generation is the snapshot generation the scan pinned: every
 	// report above was computed against exactly that corpus state.
-	Generation int64   `json:"generation"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
+	Generation int64 `json:"generation"`
+	// ElapsedMS is the wall time of the scheduler pass that produced this
+	// result. Every entry of a /batch carries the same value — the whole
+	// pass's: one exploration serves all the batch's checkers, and its
+	// cost does not divide by checker.
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// TraceID and Timing are present when the request asked for
 	// include_timing: the request's trace id (echoed in the X-Trace-Id
 	// response header too) and its per-stage span timeline.
@@ -185,10 +189,13 @@ type BatchRequest struct {
 	Files []string `json:"files,omitempty"`
 	// MaxReports caps collected reports per checker (0 = unlimited).
 	MaxReports int `json:"max_reports,omitempty"`
-	// Workers overrides each scan's parallelism (0 = auto-scaled to the
-	// pool size).
+	// Workers overrides the batch's parallelism over functions (0 =
+	// GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Concurrency bounds how many checkers run at once (0 = GOMAXPROCS).
+	// Concurrency is ignored. It bounded how many checkers ran at once
+	// when a batch was one scan per checker; a batch is one pass with
+	// every checker riding it now. Still decoded, so requests from older
+	// clients are not rejected as carrying an unknown field.
 	Concurrency int `json:"concurrency,omitempty"`
 	// FuncTimeoutMS is the per-function analysis budget, as on ScanRequest.
 	FuncTimeoutMS int `json:"func_timeout_ms,omitempty"`
@@ -219,7 +226,8 @@ type BatchResponse struct {
 	Generation int64   `json:"generation"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	// TraceID and Timing are present when the request asked for
-	// include_timing; the timeline aggregates all entries' stages.
+	// include_timing; the timeline is the batch's one pass (each stage
+	// once, its count summed over the batch's checkers).
 	TraceID string     `json:"trace_id,omitempty"`
 	Timing  []obs.Span `json:"timing,omitempty"`
 }

@@ -9,6 +9,7 @@ package checker
 
 import (
 	"fmt"
+	"strconv"
 
 	"knighter/internal/minic"
 	"knighter/internal/sym"
@@ -161,7 +162,7 @@ type Report struct {
 
 // Key returns a deduplication key: one report per checker+site.
 func (r *Report) Key() string {
-	return fmt.Sprintf("%s|%s|%d:%d", r.Checker, r.File, r.Pos.Line, r.Pos.Col)
+	return r.Checker + "|" + r.File + "|" + strconv.Itoa(r.Pos.Line) + ":" + strconv.Itoa(r.Pos.Col)
 }
 
 func (r *Report) String() string {
@@ -192,6 +193,13 @@ func NewContext(arena *sym.Arena, state *sym.State, values map[minic.Expr]sym.Va
 	declTypes map[string]minic.Type, sink func(*Report)) *Context {
 	return &Context{arena: arena, state: state, values: values, trace: trace,
 		fn: fn, file: file, pos: pos, declTypes: declTypes, sink: sink}
+}
+
+// Rebind points the context at the next event, so the engine can keep
+// one Context per result sink instead of allocating one per callback. A
+// checker must not retain its Context past the callback.
+func (c *Context) Rebind(state *sym.State, values map[minic.Expr]sym.Value, trace []TraceStep, pos minic.Pos) {
+	c.state, c.values, c.trace, c.pos = state, values, trace, pos
 }
 
 // Arena returns the region arena.

@@ -5,6 +5,32 @@
 // every feasible path (an exploded graph), dispatches checker callbacks
 // at program points, applies branch constraints, bounds loops, and
 // collects deduplicated bug reports.
+//
+// One exploration can serve several riders (AnalyzeFuncEach; a rider is
+// the checker list one Result is keyed by, and AnalyzeFunc is the
+// one-rider call of the same executor). The riders of a pass share the
+// arena and the core state — bindings, nullness, ranges, which checkers
+// only read — and each has its own fact layer, report sink and visited
+// set. They explore in lockstep: a frame is skipped when every rider has
+// seen its (block, core, own facts), executed when none has, and each
+// callback fires once per rider, on the core under that rider's facts.
+// So what a rider observes in a pass — frames, their order, every arena
+// id — is what it would observe alone, and its Result is exactly its
+// solo Result. Whatever would break that takes the rider out of the
+// pass, to be analyzed in another one with the others that left:
+//   - its visited set disagrees with the first rider's about a frame
+//     (its facts fork the exploration differently);
+//   - another rider's callback changed the core state or allocated in
+//     the arena (that rider keeps the pass to itself);
+//   - another rider's checker panicked (the crash ends that rider's
+//     analysis, as it would alone, and unwinds the pass).
+//
+// Riders are kept in lockstep rather than each going dead for a subtree
+// of one union exploration, because the arena is state shared across
+// paths: ids are allocation-ordered (and reach fact-key order and report
+// text), array lengths and declared names are recorded as paths meet
+// them. A frame explored only for another rider would leak into all of
+// that; a pass whose riders all see every frame cannot.
 package engine
 
 import (
@@ -123,105 +149,107 @@ func AnalyzeFile(file *minic.File, opts Options) *Result {
 	return total
 }
 
-// AnalyzeFunc analyzes a single function. A checker panic is recovered
-// and recorded as a RuntimeErr on the result (the analog of CSA's "the
-// analyzer encountered problems on source files").
-func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) (res *Result) {
+// AnalyzeFunc analyzes a single function: the one-rider call of
+// AnalyzeFuncEach. A checker panic is recovered and recorded as a
+// RuntimeErr on the result (the analog of CSA's "the analyzer
+// encountered problems on source files").
+func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
+	return AnalyzeFuncEach(file, fn, [][]checker.Checker{opts.Checkers}, opts)[0]
+}
+
+// AnalyzeFuncEach analyzes fn for several riders over one exploration.
+// A rider is the checker list one result is keyed by; results[i] is
+// exactly what AnalyzeFunc returns for riders[i] alone (opts.Checkers is
+// ignored). See the package comment for how riders share a pass and
+// when one leaves it.
+func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
 	opts = opts.withDefaults()
-	res = &Result{}
-	// Registered before the recover defer so it runs after it (LIFO):
-	// by then the sentinel panics have been folded into the result's
-	// flags and every exit path — early cancel, CFG failure, sentinel,
-	// checker crash, clean finish — is counted from one place.
-	defer func() { countOutcome(res) }()
+	results := make([]*Result, len(riders))
+	for i := range results {
+		results[i] = &Result{}
+	}
+	// Every exit path — early cancel, CFG failure, sentinel, checker
+	// crash, clean finish — is counted from one place.
+	defer func() {
+		for _, res := range results {
+			countOutcome(res)
+		}
+	}()
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
 		// Already canceled: do not even build the CFG.
-		res.Truncated = true
-		res.Canceled = true
-		return res
+		for _, res := range results {
+			res.Truncated, res.Canceled = true, true
+		}
+		return results
 	}
 	graph, err := cfg.Build(fn)
 	if err != nil {
 		// Malformed control flow: skip the function (parity with CSA,
 		// which skips bodies it cannot lower).
-		return res
+		return results
 	}
-	ex := &exec{
-		file:    file,
-		fn:      fn,
-		graph:   graph,
-		arena:   sym.NewArena(),
-		opts:    opts,
-		res:     res,
-		reports: map[string]*checker.Report{},
-		structs: map[string]*minic.StructDecl{},
-		decls:   map[string]minic.Type{},
-		visited: map[visitKey]bool{},
+	pending := make([]int, len(riders))
+	for i := range pending {
+		pending[i] = i
 	}
-	if opts.Timeout > 0 {
-		ex.deadline = time.Now().Add(opts.Timeout)
+	for len(pending) > 0 {
+		pending = newExec(file, fn, graph, opts, riders, results, pending).explore()
 	}
-	if opts.Ctx != nil {
-		ex.done = opts.Ctx.Done()
-	}
-	for _, s := range file.Structs {
-		ex.structs[s.Name] = s
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(timeoutAbort); ok {
-				// Hard cancellation: the eval-level deadline check fired
-				// mid-block. The partial result is truncated exactly like a
-				// frame-level timeout, and equally uncacheable.
-				res.Truncated = true
-				res.TimedOut = true
-				return
-			}
-			if _, ok := p.(cancelAbort); ok {
-				// The caller's context was canceled mid-block (client
-				// disconnect, shutdown): same unwinding, different flag.
-				res.Truncated = true
-				res.Canceled = true
-				return
-			}
-			res.RuntimeErrs = append(res.RuntimeErrs, RuntimeErr{
-				Func: fn.Name, Checker: ex.activeChecker, Panic: fmt.Sprint(p),
-			})
-		}
-	}()
-	ex.run()
-	return res
+	return results
 }
 
 // timeoutAbort is the panic sentinel the evaluator throws when the
 // per-function deadline passes in the middle of a block, unwinding
 // straight out of an arbitrarily deep expression walk. It is recovered
-// in AnalyzeFunc, never escapes the package, and must not be confused
-// with a checker crash.
+// in explore, never escapes the package, and must not be confused with
+// a checker crash.
 type timeoutAbort struct{}
 
 // cancelAbort is the same mechanism for Options.Ctx cancellation.
 type cancelAbort struct{}
 
+// visitKey identifies an exploded node as one rider sees it: the block,
+// the core state every rider shares, and that rider's own fact layer.
 type visitKey struct {
-	block int
-	fp    string
+	block, slot int32
+	core, facts sym.Hash
 }
 
-// exec holds per-function analysis machinery shared across all paths.
+// rider is one result being computed by a pass.
+type rider struct {
+	slot     int // index of this rider's fact layer in a frame
+	id       int // index into the caller's riders and results
+	checkers []checker.Checker
+	ctx      *checker.Context
+	res      *Result
+	reports  map[string]struct{}
+	// saw is scratch for exec.seen: this rider's answer for the frame
+	// being entered.
+	saw bool
+}
+
+// exec is one pass: per-function analysis machinery shared across all
+// paths and all riders of the pass.
 type exec struct {
-	file    *minic.File
-	fn      *minic.FuncDecl
-	graph   *cfg.Graph
-	arena   *sym.Arena
-	opts    Options
-	res     *Result
-	reports map[string]*checker.Report
-	structs map[string]*minic.StructDecl
-	decls   map[string]minic.Type // declared types of params/locals/globals
-	visited map[visitKey]bool
-	// deadline is the wall-clock cutoff for this function's analysis
-	// (zero = unbounded).
+	file  *minic.File
+	fn    *minic.FuncDecl
+	graph *cfg.Graph
+	arena *sym.Arena
+	opts  Options
+	// live are the riders this pass is still computing, in caller order;
+	// again collects the riders that left it and must be analyzed in
+	// another one.
+	live  []*rider
+	slots int // riders the pass started with: the length of a frame's facts
+	again []int
+	// steps and paths are every live rider's Result.Steps and
+	// Result.Paths: riders in one pass explore in lockstep.
+	steps, paths int
+	decls        map[string]minic.Type // declared types of params/locals/globals
+	visited      map[visitKey]struct{}
+	pc           pathCtx // the frame being executed
+	// deadline is the wall-clock cutoff for this pass (zero =
+	// unbounded).
 	deadline time.Time
 	// done is the caller's cancellation signal (nil = none), checked at
 	// the same amortized points as the deadline.
@@ -234,21 +262,127 @@ type exec struct {
 	// localDeclared tracks names declared as locals so uninitialized
 	// loads can be flagged.
 	localDeclared map[string]bool
-	activeChecker string
+	// active is the rider and checker whose callback is running, for
+	// attributing a crash.
+	active        *rider
+	activeChecker checker.Checker
+}
+
+func newExec(file *minic.File, fn *minic.FuncDecl, graph *cfg.Graph, opts Options,
+	riders [][]checker.Checker, results []*Result, ids []int) *exec {
+	ex := &exec{
+		file:          file,
+		fn:            fn,
+		graph:         graph,
+		arena:         sym.NewArena(),
+		opts:          opts,
+		decls:         map[string]minic.Type{},
+		visited:       map[visitKey]struct{}{},
+		localDeclared: map[string]bool{},
+		slots:         len(ids),
+	}
+	ex.pc.values = map[minic.Expr]sym.Value{}
+	if opts.Timeout > 0 {
+		ex.deadline = time.Now().Add(opts.Timeout)
+	}
+	if opts.Ctx != nil {
+		ex.done = opts.Ctx.Done()
+	}
+	all := make([]rider, len(ids))
+	ex.live = make([]*rider, len(ids))
+	for slot, id := range ids {
+		r := &all[slot]
+		*results[id] = Result{} // a rider that left an earlier pass starts over
+		r.slot, r.id, r.checkers, r.res = slot, id, riders[id], results[id]
+		r.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, r.addReport)
+		ex.live[slot] = r
+	}
+	return ex
+}
+
+// explore runs the pass to its end, seals the results of the riders
+// still in it, and returns the riders that left it to be analyzed again.
+func (ex *exec) explore() (again []int) {
+	var truncated, timedOut, canceled bool
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case timeoutAbort:
+			// The eval-level deadline check fired mid-block: truncated
+			// exactly like a frame-level timeout, and equally uncacheable.
+			truncated, timedOut = true, true
+		case cancelAbort:
+			// The caller's context was canceled mid-block (client
+			// disconnect, shutdown): same unwinding, different flag.
+			truncated, canceled = true, true
+		default:
+			// A checker crashed. Its rider's analysis ends here, as it
+			// would alone; the unwinding took the pass with it, so the
+			// other riders start over without the one that crashed.
+			re := RuntimeErr{Func: ex.fn.Name, Panic: fmt.Sprint(p)}
+			if ex.active != nil {
+				re.Checker = ex.activeChecker.Name()
+				ex.keepOnly(ex.active)
+			}
+			for _, r := range ex.live {
+				r.res.RuntimeErrs = append(r.res.RuntimeErrs, re)
+			}
+		}
+		for _, r := range ex.live {
+			r.res.Steps, r.res.Paths = ex.steps, ex.paths
+			r.res.Truncated, r.res.TimedOut, r.res.Canceled = truncated, timedOut, canceled
+			// One stable sort on exit orders the reports as a stable sort
+			// after every emission would have.
+			reps := r.res.Reports
+			sort.SliceStable(reps, func(i, j int) bool {
+				if reps[i].File != reps[j].File {
+					return reps[i].File < reps[j].File
+				}
+				if reps[i].Pos.Line != reps[j].Pos.Line {
+					return reps[i].Pos.Line < reps[j].Pos.Line
+				}
+				return reps[i].Checker < reps[j].Checker
+			})
+		}
+		again = ex.again
+	}()
+	truncated, timedOut, canceled = ex.run()
+	return nil
+}
+
+// leave takes the live riders for which out is true out of the pass.
+func (ex *exec) leave(out func(*rider) bool) {
+	kept := ex.live[:0]
+	for _, r := range ex.live {
+		if out(r) {
+			ex.again = append(ex.again, r.id)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	ex.live = kept
+}
+
+// keepOnly makes the pass r's alone.
+func (ex *exec) keepOnly(r *rider) {
+	ex.leave(func(o *rider) bool { return o != r })
 }
 
 // frame is one pending exploded node: a CFG block to execute with an
-// incoming state.
+// incoming state. state is the core every rider shares (its fact layer
+// is empty); facts holds one fact layer per rider slot, nil while every
+// layer is empty. A frame owns its visits and facts slices.
 type frame struct {
 	block  *cfg.Block
 	state  *sym.State
-	visits map[int]int
+	facts  []sym.Facts
+	visits []int32 // per block ID, how often this path entered it
 	trace  []checker.TraceStep
 }
 
-func (ex *exec) run() {
+// run explores the function and reports how the exploration ended.
+func (ex *exec) run() (truncated, timedOut, canceled bool) {
 	init := sym.NewState()
-	ex.localDeclared = map[string]bool{}
 	// Bind parameters to fresh symbols.
 	for _, p := range ex.fn.Params {
 		r := ex.arena.VarRegion(p.Name, p.Pos)
@@ -265,55 +399,42 @@ func (ex *exec) run() {
 	for _, g := range ex.file.Globals {
 		ex.decls[g.Name] = g.Type
 	}
-	stack := []*frame{{block: ex.graph.Entry(), state: init, visits: map[int]int{}}}
+	stack := []frame{{block: ex.graph.Entry(), state: init, visits: make([]int32, len(ex.graph.Blocks))}}
 	for len(stack) > 0 {
-		ex.res.Steps++
-		if ex.res.Steps > ex.opts.MaxSteps || ex.res.Paths >= ex.opts.MaxPaths {
-			ex.res.Truncated = true
-			return
+		ex.steps++
+		if ex.steps > ex.opts.MaxSteps || ex.paths >= ex.opts.MaxPaths {
+			return true, false, false
 		}
 		// The deadline and cancellation checks are amortized over 16 steps
 		// so unbounded-speed paths do not pay a clock read per frame.
-		if ex.res.Steps&15 == 1 {
+		if ex.steps&15 == 1 {
 			if !ex.deadline.IsZero() && time.Now().After(ex.deadline) {
-				ex.res.Truncated = true
-				ex.res.TimedOut = true
-				return
+				return true, true, false
 			}
 			if ex.canceled() {
-				ex.res.Truncated = true
-				ex.res.Canceled = true
-				return
+				return true, false, true
 			}
 		}
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
 		f.visits[f.block.ID]++
-		if f.visits[f.block.ID] > ex.opts.MaxBlockVisits {
+		if int(f.visits[f.block.ID]) > ex.opts.MaxBlockVisits {
 			continue // loop bound reached; abandon path
 		}
-		vk := visitKey{block: f.block.ID, fp: f.state.Fingerprint()}
-		if ex.visited[vk] {
+		if ex.seen(&f) {
 			continue // already explored this block with this state
 		}
-		ex.visited[vk] = true
 
-		pc := &pathCtx{ex: ex, state: f.state, trace: f.trace, values: map[minic.Expr]sym.Value{}}
+		pc := &ex.pc
+		pc.state, pc.facts, pc.trace = f.state, f.facts, f.trace
 		for _, s := range f.block.Stmts {
-			pc.values = map[minic.Expr]sym.Value{}
+			clear(pc.values)
 			ex.execStmt(pc, s)
-			if pc.dead {
-				break
-			}
-		}
-		if pc.dead {
-			ex.res.Paths++
-			continue
 		}
 		switch t := f.block.Term.(type) {
 		case *cfg.Return:
-			pc.values = map[minic.Expr]sym.Value{}
+			clear(pc.values)
 			var rv sym.Value
 			if t.X != nil {
 				rv = ex.evalExpr(pc, t.X)
@@ -324,32 +445,69 @@ func (ex *exec) run() {
 					ec.CheckEndFunction(ev, c)
 				}
 			})
-			ex.res.Paths++
+			ex.paths++
 		case *cfg.Jump:
-			stack = append(stack, &frame{block: t.To, state: pc.state, visits: cloneVisits(f.visits), trace: pc.trace})
+			stack = append(stack, frame{block: t.To, state: pc.state, facts: pc.facts, visits: f.visits, trace: pc.trace})
 		case *cfg.Branch:
-			pc.values = map[minic.Expr]sym.Value{}
+			clear(pc.values)
 			ex.evalExpr(pc, t.Cond) // populate value cache (with side effects once)
 			ex.forEachChecker(pc, t.Pos, func(ck checker.Checker, c *checker.Context) {
 				if bc, ok := ck.(checker.BranchChecker); ok {
 					bc.CheckBranchCondition(t.Cond, c)
 				}
 			})
-			condDesc := minic.FormatExpr(t.Cond)
-			if st := ex.assume(pc, t.Cond, false); st != nil {
-				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: "assuming '" + condDesc + "' is false"})
-				stack = append(stack, &frame{block: t.Else, state: st, visits: cloneVisits(f.visits), trace: tr})
-			} else {
-				ex.res.Paths++
+			// Both arms are computed before either is pushed: the first to
+			// be pushed gets copies of the slices a frame owns, the second
+			// inherits this frame's.
+			no, yes := ex.assume(pc, t.Cond, false), ex.assume(pc, t.Cond, true)
+			condDesc := ""
+			if no != nil || yes != nil {
+				condDesc = minic.FormatExpr(t.Cond)
 			}
-			if st := ex.assume(pc, t.Cond, true); st != nil {
-				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: "assuming '" + condDesc + "' is true"})
-				stack = append(stack, &frame{block: t.Then, state: st, visits: cloneVisits(f.visits), trace: tr})
+			if no != nil {
+				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: "assuming '" + condDesc + "' is false"})
+				visits, facts := f.visits, pc.facts
+				if yes != nil {
+					visits, facts = append([]int32(nil), visits...), append([]sym.Facts(nil), facts...)
+				}
+				stack = append(stack, frame{block: t.Else, state: no, facts: facts, visits: visits, trace: tr})
 			} else {
-				ex.res.Paths++
+				ex.paths++
+			}
+			if yes != nil {
+				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: "assuming '" + condDesc + "' is true"})
+				stack = append(stack, frame{block: t.Then, state: yes, facts: pc.facts, visits: f.visits, trace: tr})
+			} else {
+				ex.paths++
 			}
 		}
 	}
+	return false, false, false
+}
+
+// seen reports whether the pass has already explored f's block with f's
+// state, recording the visit if not. Each rider keeps its own answer,
+// keyed by the shared core plus its own facts; riders share a pass only
+// while their answers agree, so a rider that disagrees with the first
+// one leaves.
+func (ex *exec) seen(f *frame) bool {
+	vk := visitKey{block: int32(f.block.ID), core: f.state.Fingerprint().Core}
+	split := false
+	for _, r := range ex.live {
+		vk.slot, vk.facts = int32(r.slot), sym.Hash{}
+		if f.facts != nil {
+			vk.facts = f.facts[r.slot].Fingerprint()
+		}
+		if _, r.saw = ex.visited[vk]; !r.saw {
+			ex.visited[vk] = struct{}{}
+		}
+		split = split || r.saw != ex.live[0].saw
+	}
+	lead := ex.live[0].saw
+	if split {
+		ex.leave(func(r *rider) bool { return r.saw != lead })
+	}
+	return lead
 }
 
 // canceled reports (non-blockingly) whether the caller's context is done.
@@ -365,14 +523,6 @@ func (ex *exec) canceled() bool {
 	}
 }
 
-func cloneVisits(m map[int]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // appendTrace appends without sharing backing arrays between paths.
 func appendTrace(opts Options, trace []checker.TraceStep, step checker.TraceStep) []checker.TraceStep {
 	if len(trace) >= opts.MaxTrace {
@@ -384,45 +534,69 @@ func appendTrace(opts Options, trace []checker.TraceStep, step checker.TraceStep
 }
 
 // pathCtx is the mutable evaluation context for one block execution on
-// one path.
+// one path: the core state, each rider's fact layer (nil while all are
+// empty), and the current statement's value cache.
 type pathCtx struct {
-	ex     *exec
 	state  *sym.State
+	facts  []sym.Facts
 	values map[minic.Expr]sym.Value
 	trace  []checker.TraceStep
-	dead   bool
 }
 
-// forEachChecker invokes fn for every registered checker with a fresh
-// Context, propagating state updates and report emission.
-func (ex *exec) forEachChecker(pc *pathCtx, pos minic.Pos, fn func(checker.Checker, *checker.Context)) {
-	for _, ck := range ex.opts.Checkers {
-		ex.activeChecker = ck.Name()
-		c := checker.NewContext(ex.arena, pc.state, pc.values, pc.trace,
-			ex.fn.Name, ex.file.Name, pos, ex.decls, ex.addReport)
-		fn(ck, c)
-		pc.state = c.State()
+// forEachChecker runs one event's callbacks: fire is invoked for every checker
+// of every live rider with the rider's Context, on the core state under
+// that rider's fact layer, and the facts the callbacks leave behind
+// become the rider's layer on this path.
+//
+// Riders may share a pass only while no callback touches what they
+// share. One that changes the core state or allocates in the arena gets
+// the pass to itself — everything it has seen so far is what it would
+// have seen alone — and the others leave.
+func (ex *exec) forEachChecker(pc *pathCtx, pos minic.Pos, fire func(checker.Checker, *checker.Context)) {
+	for _, r := range ex.live {
+		in := pc.state
+		if pc.facts != nil {
+			in = in.WithFacts(pc.facts[r.slot])
+		}
+		st, size := in, ex.arena.Size()
+		ex.active = r
+		for _, ck := range r.checkers {
+			ex.activeChecker = ck
+			r.ctx.Rebind(st, pc.values, pc.trace, pos)
+			fire(ck, r.ctx)
+			st = r.ctx.State()
+		}
+		impure := st.Fingerprint().Core != in.Fingerprint().Core || ex.arena.Size() != size
+		if impure && len(ex.live) > 1 {
+			ex.keepOnly(r)
+		}
+		if st != in {
+			if pc.facts == nil {
+				pc.facts = make([]sym.Facts, ex.slots)
+			}
+			pc.facts[r.slot] = st.Facts()
+			if impure {
+				pc.state = st.WithFacts(sym.Facts{})
+			}
+		}
+		if impure {
+			break // ex.live is r alone now
+		}
 	}
-	ex.activeChecker = ""
+	ex.active, ex.activeChecker = nil, nil
 }
 
-func (ex *exec) addReport(r *checker.Report) {
-	k := r.Key()
-	if _, dup := ex.reports[k]; dup {
+// addReport is the rider's report sink: one report per checker and site.
+func (r *rider) addReport(rep *checker.Report) {
+	k := rep.Key()
+	if _, dup := r.reports[k]; dup {
 		return
 	}
-	ex.reports[k] = r
-	ex.res.Reports = append(ex.res.Reports, r)
-	sort.SliceStable(ex.res.Reports, func(i, j int) bool {
-		a, b := ex.res.Reports[i], ex.res.Reports[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Checker < b.Checker
-	})
+	if r.reports == nil {
+		r.reports = map[string]struct{}{}
+	}
+	r.reports[k] = struct{}{}
+	r.res.Reports = append(r.res.Reports, rep)
 }
 
 // execStmt executes one simple statement on the current path.

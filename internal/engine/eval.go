@@ -42,7 +42,7 @@ const evalCheckInterval = 256
 // read from). It is also the analysis's hard cancellation point: every
 // evalCheckInterval evaluations the per-function deadline is re-checked,
 // and an expired budget aborts mid-block via a timeoutAbort panic that
-// AnalyzeFunc converts into a truncated, uncacheable TimedOut result.
+// exec.explore converts into a truncated, uncacheable TimedOut result.
 func (ex *exec) evalExpr(pc *pathCtx, e minic.Expr) sym.Value {
 	ex.evals++
 	if ex.evals%evalCheckInterval == 0 {
@@ -577,7 +577,7 @@ func (ex *exec) sizeOfType(t minic.Type, depth int) int64 {
 		elem = 8
 	case strings.HasPrefix(t.Base, "struct "):
 		name := strings.TrimPrefix(t.Base, "struct ")
-		sd := ex.structs[name]
+		sd := ex.structDecl(name)
 		if sd == nil {
 			elem = 8
 		} else {
@@ -639,6 +639,18 @@ func (ex *exec) typeOfExpr(e minic.Expr) (minic.Type, bool) {
 	return minic.Type{}, false
 }
 
+// structDecl finds a struct of the file by name. A file declares a
+// handful, so scanning them beats building an index per function.
+func (ex *exec) structDecl(name string) *minic.StructDecl {
+	var found *minic.StructDecl
+	for _, sd := range ex.file.Structs {
+		if sd.Name == name {
+			found = sd // the last declaration of a name wins
+		}
+	}
+	return found
+}
+
 // fieldType resolves the declared type of a member access via the
 // file's struct table.
 func (ex *exec) fieldType(m *minic.MemberExpr) (minic.Type, bool) {
@@ -649,7 +661,7 @@ func (ex *exec) fieldType(m *minic.MemberExpr) (minic.Type, bool) {
 	if !strings.HasPrefix(bt.Base, "struct ") {
 		return minic.Type{}, false
 	}
-	sd := ex.structs[strings.TrimPrefix(bt.Base, "struct ")]
+	sd := ex.structDecl(strings.TrimPrefix(bt.Base, "struct "))
 	if sd == nil {
 		return minic.Type{}, false
 	}

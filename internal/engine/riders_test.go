@@ -1,0 +1,338 @@
+package engine
+
+import (
+	"encoding/json"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"knighter/internal/checker"
+	"knighter/internal/ckdsl"
+	"knighter/internal/minic"
+	"knighter/internal/sym"
+)
+
+func mustDSL(t *testing.T, src string) checker.Checker {
+	t.Helper()
+	ck, err := ckdsl.CompileSource(src)
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, src)
+	}
+	return ck
+}
+
+// render is a result's full content — reports with traces, Paths, Steps,
+// flags, runtime errors — for exact comparison.
+func render(t *testing.T, r *Result) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// requireSolo analyzes fn once for all riders and once per rider and
+// requires every shared result to be exactly the solo one. It returns
+// the solo results.
+func requireSolo(t *testing.T, f *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
+	t.Helper()
+	shared := AnalyzeFuncEach(f, fn, riders, opts)
+	solo := make([]*Result, len(riders))
+	for i, cks := range riders {
+		o := opts
+		o.Checkers = cks
+		solo[i] = AnalyzeFunc(f, fn, o)
+		if got, want := render(t, shared[i]), render(t, solo[i]); got != want {
+			t.Errorf("%s rider %d of %d differs from its solo analysis:\nshared %s\nsolo   %s", fn.Name, i, len(riders), got, want)
+		}
+	}
+	return solo
+}
+
+// Two riders whose facts fork the exploration differently. Both arms of
+// `a & 1` keep the same core state, so at the join a rider that tracked
+// nothing in either arm has seen the node and one that tracked the
+// kfree() has not.
+const forkSrc = `
+int fork(struct dev *d, int a)
+{
+	char *p = kzalloc(8, 0);
+	if (a & 1)
+		use(d);
+	else
+		kfree(p);
+	note(d);
+	return p->len;
+}
+`
+
+const (
+	npdDSL = `checker npd {
+  bugtype "Null-Pointer-Dereference"
+  track aliases
+  source { call "kzalloc" yields nullable }
+  guard { nullcheck }
+  sink { deref unchecked }
+}`
+	uafDSL = `checker uaf {
+  bugtype "Use-After-Free"
+  track aliases
+  source { call "kfree" frees arg 0 }
+  sink { deref freed }
+}`
+)
+
+func TestForkingRidersEqualSolo(t *testing.T) {
+	f := parse(t, forkSrc)
+	npd, uaf := mustDSL(t, npdDSL), mustDSL(t, uafDSL)
+	for _, riders := range [][][]checker.Checker{
+		{{npd}, {uaf}}, // the rider that has seen the join leads: the other must not lose its second path
+		{{uaf}, {npd}}, // the rider that has not leads: the other must not be walked down it
+		{{npd}, {uaf}, {npd, uaf}},
+	} {
+		solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
+		if solo[0].Paths == solo[1].Paths {
+			t.Fatalf("the riders do not fork: both complete %d paths alone", solo[0].Paths)
+		}
+	}
+	// The report the forked-off path carries must be there.
+	res := AnalyzeFuncEach(f, f.Funcs[0], [][]checker.Checker{{npd}, {uaf}}, Options{})
+	if len(res[1].Reports) != 1 || res[1].Reports[0].BugType != "Use-After-Free" {
+		t.Errorf("uaf rider reports = %v, want the use after free on the kfree() arm", res[1].Reports)
+	}
+}
+
+// Candidates of one refinement round share a checker name and so a fact
+// domain prefix: each rider needs its own fact layer.
+func TestSameNameRidersKeepSeparateFacts(t *testing.T) {
+	f := parse(t, `
+int probe(struct dev *d)
+{
+	struct priv *p = kzalloc(8, 0);
+	struct priv *q = kmalloc(8, 0);
+	p->a = 1;
+	q->b = 2;
+	return 0;
+}
+`)
+	rev := func(callee string) checker.Checker {
+		return mustDSL(t, strings.Replace(npdDSL, `"kzalloc"`, `"`+callee+`"`, 1))
+	}
+	solo := requireSolo(t, f, f.Funcs[0], [][]checker.Checker{{rev("kzalloc")}, {rev("kmalloc")}, {rev("kzalloc")}}, Options{})
+	if len(solo[0].Reports) != 1 || len(solo[1].Reports) != 1 || solo[0].Reports[0].Pos == solo[1].Reports[0].Pos {
+		t.Fatalf("the revisions should each report their own allocator's dereference: %v / %v", solo[0].Reports, solo[1].Reports)
+	}
+}
+
+// crashOn panics in CheckPostCall of one callee.
+type crashOn struct{ callee string }
+
+func (crashOn) Name() string    { return "test.CrashOn" }
+func (crashOn) BugType() string { return "None" }
+func (c crashOn) CheckPostCall(ev *checker.CallEvent, _ *checker.Context) {
+	if ev.Callee == c.callee {
+		panic("checker exploded at " + ev.Callee)
+	}
+}
+
+func TestCrashingRiderAloneCarriesTheError(t *testing.T) {
+	f := parse(t, forkSrc)
+	npd, uaf := mustDSL(t, npdDSL), mustDSL(t, uafDSL)
+	riders := [][]checker.Checker{{npd}, {crashOn{"note"}}, {uaf}, {npd, crashOn{"kfree"}}}
+	solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
+	for i, want := range []int{0, 1, 0, 1} {
+		if got := len(solo[i].RuntimeErrs); got != want {
+			t.Errorf("rider %d: %d runtime errors, want %d", i, got, want)
+		}
+	}
+	if len(solo[0].Reports) == 0 || len(solo[2].Reports) == 0 {
+		t.Errorf("siblings of a crashing rider lost their reports: %v / %v", solo[0].Reports, solo[2].Reports)
+	}
+}
+
+// coreWriter is an impure checker: it rebinds the callee's first
+// argument in the core state and conjures a symbol in the arena.
+type coreWriter struct{}
+
+func (coreWriter) Name() string    { return "test.CoreWriter" }
+func (coreWriter) BugType() string { return "None" }
+func (coreWriter) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
+	if ev.Callee != "use" || ev.ArgRegions[0] == sym.NoRegion {
+		return
+	}
+	s := c.Arena().NewSymbol("rewritten", ev.Pos)
+	c.SetState(c.State().BindRegion(ev.ArgRegions[0], sym.MakeSym(s)).WithNullness(s, sym.IsNull))
+}
+
+// nullSeer reports every dereference of a pointer known to be null.
+type nullSeer struct{}
+
+func (nullSeer) Name() string    { return "test.NullSeer" }
+func (nullSeer) BugType() string { return "Null-Pointer-Dereference" }
+func (n nullSeer) CheckLocation(ac *checker.Access, c *checker.Context) {
+	if !ac.Direct && c.State().NullnessOf(ac.PtrValue) == sym.IsNull {
+		c.Report(n, "null dereference", ac.Pointee)
+	}
+}
+
+func TestImpureRiderRunsAlone(t *testing.T) {
+	f := parse(t, `
+int impure(struct dev *d, int a)
+{
+	use(d);
+	return d->len;
+}
+`)
+	riders := [][]checker.Checker{{nullSeer{}}, {coreWriter{}, nullSeer{}}, {nullSeer{}}}
+	solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
+	if len(solo[1].Reports) != 1 || len(solo[0].Reports) != 0 {
+		t.Fatalf("only the rider with the core writer should see d become null: %v / %v", solo[0].Reports, solo[1].Reports)
+	}
+}
+
+// Frames explored for another rider shift the arena's allocation-ordered
+// ids, and an opaque pointee's description prints one ("<sym9
+// pointee>"): a rider's report text must still be its solo text.
+func TestSharedReportTextEqualsSolo(t *testing.T) {
+	f := parse(t, `
+int text(struct dev *d, int a, int b)
+{
+	char *p = kzalloc(8, 0);
+	if (b) {
+		if (a & 1)
+			use(d);
+		else
+			kfree(p);
+		note(d->name);
+		return d->stat->count;
+	}
+	release(d->buf);
+	return d->buf->len;
+}
+`)
+	uaf := mustDSL(t, uafDSL)
+	rel := mustDSL(t, strings.NewReplacer("uaf", "rel", "kfree", "release").Replace(uafDSL))
+	for _, riders := range [][][]checker.Checker{{{uaf}, {rel}}, {{rel}, {uaf}}} {
+		solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
+		for i, cks := range riders {
+			if cks[0] == rel && (len(solo[i].Reports) != 1 || !strings.Contains(solo[i].Reports[0].RegionAt, "<sym")) {
+				t.Fatalf("want one report on an opaque pointee, got %v", solo[i].Reports)
+			}
+		}
+	}
+}
+
+// riderPool is checkers over the callee names progGen emits, chosen to
+// fork: each tracks a different call, two share a name.
+func riderPool(t *testing.T) []checker.Checker {
+	named := func(name, body string) checker.Checker {
+		return mustDSL(t, "checker "+name+" {\n  bugtype \"Null-Pointer-Dereference\"\n  track aliases\n"+body+"}")
+	}
+	return []checker.Checker{
+		named("rev", `  source { call "fn_p" yields nullable }
+  guard { nullcheck }
+  sink { deref unchecked }
+`),
+		named("rev", `  unwrap "unlikely"
+  source { call "fn_q" yields nullable }
+  source { call "fn_p" yields nullable }
+  guard { nullcheck }
+  sink { deref unchecked }
+`),
+		named("frees", `  source { call "fn_q" frees arg 0 }
+  source { call "fn_b" frees arg 0 }
+  sink { deref freed }
+  sink { call "fn_q" arg 0 freed }
+`),
+		named("leak", `  source { call "fn_a" yields alloc }
+  sink { end-of-function holding alloc }
+`),
+		named("taint", `  source { call "fn_n" yields taint }
+  source { decl uninit }
+  guard { boundcheck }
+  guard { assign initializes }
+  sink { index tainted }
+  sink { use uninit }
+`),
+		mustFuzzChecker(t),
+		crashOn{"fn_ret"},
+	}
+}
+
+// forkProgram emits programs built to fork riders: calls some checker
+// tracks, under conditions the engine cannot decide (both arms keep the
+// core state, so the arms differ only in some riders' facts), between
+// dereferences and null checks that turn the tracked facts into reports.
+func forkProgram(r *rand.Rand) string {
+	ptr := func() string { return []string{"p", "q", "dev"}[r.Intn(3)] }
+	var item func(depth int) string
+	item = func(depth int) string {
+		switch k := r.Intn(10); {
+		case k < 3 && depth > 0:
+			return "if (a & " + []string{"1", "2", "4"}[r.Intn(3)] + ") {\n" + item(depth-1) + "} else {\n" + item(depth-1) + "}\n"
+		case k < 5:
+			return "fn_" + []string{"q", "b", "p", "ret"}[r.Intn(4)] + "(" + ptr() + ");\n"
+		case k == 5:
+			return ptr() + " = fn_" + []string{"p", "q", "a"}[r.Intn(3)] + "(n);\n"
+		case k == 6:
+			return "if (!" + ptr() + ")\n\treturn 1;\n"
+		case k == 7:
+			return "n = fn_n(b);\nbuf[n] = 0;\n"
+		case k == 8 && depth > 0:
+			return "while (b & 8) {\n" + item(depth-1) + "}\n"
+		default:
+			return "ret = " + ptr() + "->x;\n"
+		}
+	}
+	body := ""
+	for i, n := 0, 3+r.Intn(5); i < n; i++ {
+		body += item(2)
+	}
+	return "struct s {\n\tint x;\n};\n\nint fork_target(struct s *dev, size_t n, int a, int b)\n{\n" +
+		"\tchar buf[32];\n\tstruct s *p = fn_p(n);\n\tstruct s *q = fn_a(n);\n\tint ret;\n" + body + "\treturn ret;\n}\n"
+}
+
+// TestRidersEqualSoloOnRandomPrograms: over random programs, random
+// rider sets and budgets small enough to truncate, every shared result
+// is its solo result. It also requires that a fair share of the programs
+// fork the riders, so the property is tested where it is at risk.
+func TestRidersEqualSoloOnRandomPrograms(t *testing.T) {
+	pool := riderPool(t)
+	forked := 0
+	for seed := int64(0); seed < 600; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		src := forkProgram(r)
+		if seed%3 == 0 {
+			src = (&progGen{r: r}).program()
+		}
+		f, err := minic.ParseFile("fuzz.c", src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		riders := make([][]checker.Checker, 2+r.Intn(4))
+		for i := range riders {
+			riders[i] = []checker.Checker{pool[r.Intn(len(pool))]}
+			if r.Intn(6) == 0 {
+				riders[i] = append(riders[i], pool[r.Intn(len(pool))])
+			}
+		}
+		opts := Options{}
+		if r.Intn(3) == 0 {
+			opts = Options{MaxSteps: 20 + r.Intn(60), MaxPaths: 2 + r.Intn(6)}
+		}
+		solo := requireSolo(t, f, f.Funcs[0], riders, opts)
+		for _, s := range solo[1:] {
+			if (s.Steps != solo[0].Steps || s.Paths != solo[0].Paths) && len(s.RuntimeErrs) == 0 && len(solo[0].RuntimeErrs) == 0 {
+				forked++
+				break
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d:\n%s", seed, src)
+		}
+	}
+	if forked < 100 {
+		t.Errorf("only %d of 600 programs forked their riders", forked)
+	}
+}

@@ -107,8 +107,8 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 	res := &TriageEvalResult{}
 	// Valid checkers, pre-refinement (the RQ4 population), scanned as one
 	// batch over the shared store: each checker's result is identical to a
-	// standalone scan, but the N scans share the warm corpus and a bounded
-	// worker pool instead of running strictly one after another.
+	// standalone scan, but all of them ride one exploration of every
+	// function instead of running strictly one after another.
 	var valid []*SynthesisOutcome
 	var cks []checker.Checker
 	for _, so := range handOutcomes {
@@ -117,10 +117,7 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 			cks = append(cks, so.Synth.Checker)
 		}
 	}
-	// Cfg.Workers bounds total parallelism: passed as the pool size (with
-	// per-scan workers auto-scaled down), not as per-scan workers, so the
-	// batch cannot oversubscribe the machine by concurrency × workers.
-	batch := h.Inc.RunBatch(cks, nil, scan.Options{MaxReports: 100}, h.Cfg.Workers)
+	batch := h.Inc.RunBatch(cks, nil, scan.Options{MaxReports: 100, Workers: h.Cfg.Workers}, 0)
 	for bi, so := range valid {
 		scanRes := batch[bi]
 		if len(scanRes.Reports) == 0 {

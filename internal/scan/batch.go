@@ -1,25 +1,28 @@
 package scan
 
 import (
-	"runtime"
-	"sync"
+	"time"
 
 	"knighter/internal/checker"
 )
 
-// RunBatch scans the given files once per checker, scheduling the
-// checkers over a bounded worker pool that shares the backing store —
-// the StaAgent-style many-revision evaluation shape, where N checker
-// revisions of one request re-scan a mostly-warm corpus. Results are
-// returned in checker order; each is exactly what RunFiles would return
-// for that checker alone, so per-checker results are deterministic and
-// independent of pool interleaving.
+// RunBatch scans the given files with every checker of a batch in ONE
+// pass — the StaAgent-style many-revision evaluation shape, where N
+// checker revisions of one request scan the same corpus. Each checker is
+// a rider of the pass (see runRiders): every function is probed under
+// each checker's own key, the engine explores it once for the checkers
+// that missed (engine.AnalyzeFuncEach), and each checker's result is
+// stored under its own key. Results are returned in checker order; each
+// entry's reports, cache counts, file cuts and generation are exactly
+// what RunFiles would return for that checker alone against the store
+// as the batch found it, and checkers with equal fingerprints compute
+// once. Elapsed is the same for every entry: the pass's wall time, which
+// no longer divides by checker.
 //
-// concurrency bounds the number of checkers in flight (default:
-// GOMAXPROCS, capped at the checker count). When the pool runs more
-// than one checker at once and the caller did not pin opts.Workers,
-// each inner scan's parallelism is scaled down so the batch does not
-// oversubscribe the machine by concurrency×GOMAXPROCS.
+// concurrency is ignored. It used to bound a pool of per-checker scans;
+// there is one pass now, parallel over functions by opts.Workers. The
+// parameter stays because callers outside this module compile against
+// it.
 //
 // The batch pins ONE snapshot for all its checkers: every entry scans
 // the same generation, even if changesets commit while the batch runs,
@@ -35,35 +38,17 @@ func (inc *Incremental) RunBatch(checkers []checker.Checker, files []int, opts O
 			files[i] = i
 		}
 	}
-	if concurrency <= 0 {
-		concurrency = runtime.GOMAXPROCS(0)
-	}
-	if concurrency > len(checkers) {
-		concurrency = len(checkers)
-	}
-	if concurrency > 1 && opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0) / concurrency
-		if opts.Workers < 1 {
-			opts.Workers = 1
-		}
-	}
+	return inc.RunBatchAt(snap.Snapshot, checkers, files, opts)
+}
 
-	results := make([]*Result, len(checkers))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				results[i] = inc.RunFilesAt(snap.Snapshot, files, []checker.Checker{checkers[i]}, opts)
-			}
-		}()
+// RunBatchAt is RunBatch over exactly the given files of a snapshot the
+// caller pinned earlier — a reader asserting repeatability, or a shard
+// coordinator holding its local partition to the generation it
+// scattered. The caller owns the pin's lifetime.
+func (inc *Incremental) RunBatchAt(snap *Snapshot, checkers []checker.Checker, files []int, opts Options) []*Result {
+	riders := make([][]checker.Checker, len(checkers))
+	for i, ck := range checkers {
+		riders[i] = []checker.Checker{ck}
 	}
-	for i := range checkers {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	return results
+	return inc.runRiders(snap, time.Now(), files, riders, opts)
 }

@@ -125,7 +125,7 @@ func FuzzMutationEquivalence(f *testing.F) {
 				defer readers.Done()
 				for n := 0; n < 3; n++ {
 					snap := cb.Pin()
-					res := inc.RunFilesAt(snap.Snapshot, all, []checker.Checker{ck}, Options{Workers: 1})
+					res := inc.RunBatchAt(snap.Snapshot, []checker.Checker{ck}, all, Options{Workers: 1})[0]
 					gen := snap.Generation()
 					snap.Release()
 					scansMu.Lock()

@@ -120,30 +120,39 @@ func (inc *Incremental) RunFiles(files []int, checkers []checker.Checker, opts O
 	pinStart := time.Now()
 	snap := inc.cb.Pin()
 	defer snap.Release()
-	return inc.runFiles(snap.Snapshot, pinStart, files, checkers, opts)
+	return inc.runRiders(snap.Snapshot, pinStart, files, [][]checker.Checker{checkers}, opts)[0]
 }
 
-// RunFilesAt scans the given file indices against an explicit snapshot
-// — one the caller pinned earlier, typically to hold several scans
-// (a batch, or a reader asserting repeatability) to one generation.
-// The caller owns the pin's lifetime; a nil snapshot pins the live one.
-func (inc *Incremental) RunFilesAt(snap *Snapshot, files []int, checkers []checker.Checker, opts Options) *Result {
-	if snap == nil {
-		return inc.RunFiles(files, checkers, opts)
-	}
-	return inc.runFiles(snap, time.Now(), files, checkers, opts)
+// riderPlan is what the scheduler knows about one rider of a pass
+// before any function is looked at.
+type riderPlan struct {
+	checkers  []checker.Checker
+	fp        string // checker-batch fingerprint, "" when uncacheable
+	cacheable bool
+	// same is the index of an earlier rider with the same fingerprint
+	// (its own index when there is none): equal riders compute once and
+	// share every per-function result.
+	same int
+	// perFunc[u] is the rider's result for unit u.
+	perFunc                 []*engine.Result
+	hits, misses, coalesced atomic.Int64
 }
 
-// runFiles is the scheduler body, reading only the immutable snap.
-func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int, checkers []checker.Checker, opts Options) *Result {
+// runRiders is the scheduler body, reading only the immutable snap: one
+// pass over the function units for any number of riders (a rider is the
+// checker list one Result is keyed by — a scan is a pass with one rider,
+// a batch a pass with one per checker). A worker takes a unit, probes
+// each rider's key, runs the engine ONCE with the riders that missed,
+// stores each rider's result under its own key, and the per-rider merges
+// then run as if each rider had scanned alone.
+func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eo := opts.engineOptions(checkers)
-	ckFP, cacheable := checkersFingerprint(checkers)
+	eo := opts.engineOptions(nil)
 	engFP := opts.Engine.Fingerprint()
 
 	ctx := opts.Context
@@ -172,17 +181,29 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 			units = append(units, unit{file: i, fn: j})
 		}
 	}
-	perFunc := make([]*engine.Result, len(units))
-	keys := make([]store.Key, len(units))
+	plans := make([]riderPlan, len(riders))
+	byFP := map[string]int{}
+	cacheable := false // any rider is
+	for i := range plans {
+		p := &plans[i]
+		p.checkers, p.same = riders[i], i
+		if p.fp, p.cacheable = checkersFingerprint(riders[i]); p.cacheable {
+			cacheable = true
+			if first, dup := byFP[p.fp]; dup {
+				p.same = first
+				continue
+			}
+			byFP[p.fp] = i
+		}
+		p.perFunc = make([]*engine.Result, len(units))
+	}
+	var hashes []string
 	if cacheable {
 		// Key computation stays serial: pure hashing, no I/O.
 		keyStart := time.Now()
+		hashes = make([]string, len(units))
 		for u, un := range units {
-			keys[u] = store.Key{
-				FuncHash:  snap.FuncHash(un.file, un.fn),
-				CheckerFP: ckFP,
-				EngineFP:  engFP,
-			}
+			hashes[u] = snap.FuncHash(un.file, un.fn)
 		}
 		if timed {
 			stage(StageParse, keyStart, time.Since(keyStart), len(units))
@@ -197,7 +218,6 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 	// misses on one key — this scan racing an identical scan from another
 	// request — compute once and share (critical once the remote tier
 	// widens the window between miss and put).
-	var hits, misses, coalesced atomic.Int64
 	var busyNS, evalNS atomic.Int64
 	workStart := time.Now()
 	if len(units) > 0 {
@@ -218,54 +238,68 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 					t0 = time.Now()
 					defer func() { busyNS.Add(int64(time.Since(t0))) }()
 				}
+				// The riders a unit still has to be analyzed for.
+				missed := make([]int, 0, len(plans))
+				lists := make([][]checker.Checker, 0, len(plans))
 				for u := range ch {
 					un := units[u]
 					f := snap.files[un.file]
-					if opts.canceled() {
-						// The scan was aborted: mark the remaining units
-						// canceled without probing, analyzing, or caching
-						// them — a disconnected client stops paying even
-						// for cache lookups.
-						perFunc[u] = &engine.Result{Truncated: true, Canceled: true}
-						continue
+					missed, lists = missed[:0], lists[:0]
+					for i := range plans {
+						p := &plans[i]
+						switch {
+						case p.same != i:
+						case opts.canceled():
+							// The scan was aborted: mark the remaining units
+							// canceled without probing, analyzing, or caching
+							// them — a disconnected client stops paying even
+							// for cache lookups.
+							p.perFunc[u] = &engine.Result{Truncated: true, Canceled: true}
+						case !p.cacheable:
+							missed, lists = append(missed, i), append(lists, p.checkers)
+						default:
+							if r, ok := inc.st.Get(ctx, p.key(hashes[u], engFP)); ok {
+								p.perFunc[u] = r
+								p.hits.Add(1)
+								continue
+							}
+							p.misses.Add(1)
+							missed, lists = append(missed, i), append(lists, p.checkers)
+						}
 					}
-					if !cacheable {
-						perFunc[u] = engine.AnalyzeFunc(f, f.Funcs[un.fn], eo)
-						continue
+					if len(missed) == 0 {
+						continue // every rider hit: the unit never enters the engine
 					}
-					r, ok := inc.st.Get(ctx, keys[u])
-					if ok {
-						perFunc[u] = r
-						hits.Add(1)
-						continue
-					}
-					misses.Add(1)
-					// A timed-out or canceled result depends on wall-clock
-					// speed or the caller's lifetime, not just the key's
-					// inputs — caching it would poison later scans.
-					compute := func() (*engine.Result, bool) {
+					analyze := func() []*engine.Result {
 						var e0 time.Time
 						if timed {
 							e0 = time.Now()
 						}
-						r := engine.AnalyzeFunc(f, f.Funcs[un.fn], eo)
+						rs := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], lists, eo)
 						if timed {
 							evalNS.Add(int64(time.Since(e0)))
 						}
-						return r, !r.TimedOut && !r.Canceled
+						return rs
 					}
-					if co != nil {
-						r, shared := co.GetOrCompute(ctx, keys[u], compute)
-						perFunc[u] = r
+					if p := &plans[missed[0]]; len(missed) == 1 && p.cacheable && co != nil {
+						// One rider, one key: single-flight it against other
+						// requests computing the same key.
+						r, shared := co.GetOrCompute(ctx, p.key(hashes[u], engFP), func() (*engine.Result, bool) {
+							r := analyze()[0]
+							return r, storable(r)
+						})
+						p.perFunc[u] = r
 						if shared {
-							coalesced.Add(1)
+							p.coalesced.Add(1)
 						}
 						continue
 					}
-					r, cacheOK := compute()
-					perFunc[u] = r
-					if cacheOK {
-						inc.st.Put(ctx, keys[u], r)
+					for k, r := range analyze() {
+						p := &plans[missed[k]]
+						p.perFunc[u] = r
+						if p.cacheable && storable(r) {
+							inc.st.Put(ctx, p.key(hashes[u], engFP), r)
+						}
 					}
 				}
 			}()
@@ -277,32 +311,66 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 		wg.Wait()
 	}
 
+	probes, evals := 0, 0
+	for i := range plans {
+		p := &plans[i]
+		probes += int(p.hits.Load() + p.misses.Load())
+		evals += int(p.misses.Load())
+	}
 	if timed && cacheable && len(units) > 0 {
 		// The probe and eval stages interleave across workers, so both
 		// anchor at the worker pool's start; their durations are summed
 		// work, not wall time. Probe time is what remains of the workers'
 		// busy windows once the engine evals are subtracted — exact when
 		// the scan is fully warm (no evals at all), and a close bound
-		// otherwise.
+		// otherwise. Both fire once per pass, however many riders it
+		// carried: their counts are keys probed and keys computed.
 		probe := busyNS.Load() - evalNS.Load()
 		if probe < 0 {
 			probe = 0
 		}
-		stage(StageCacheProbe, workStart, time.Duration(probe), int(hits.Load()+misses.Load()))
-		stage(StageEngineEval, workStart, time.Duration(evalNS.Load()), int(misses.Load()))
+		stage(StageCacheProbe, workStart, time.Duration(probe), probes)
+		stage(StageEngineEval, workStart, time.Duration(evalNS.Load()), evals)
 	}
 
-	// Deterministic merge: per-function results fold into a per-file
-	// result in function order (deduplicating within the file, exactly
-	// like engine.AnalyzeFile), then files concatenate in the given
-	// order — byte-identical to the uncached Codebase.Run path.
 	mergeStart := time.Now()
-	out := &Result{FilesScanned: len(files), Generation: snap.gen}
-	if cacheable {
-		out.CacheHits = int(hits.Load())
-		out.CacheMisses = int(misses.Load())
-		out.CacheCoalesced = int(coalesced.Load())
+	out := make([]*Result, len(plans))
+	for i := range plans {
+		p, from := &plans[i], &plans[plans[i].same]
+		out[i] = snap.merge(files, from.perFunc, opts.MaxReports)
+		if p.cacheable {
+			out[i].CacheHits = int(from.hits.Load())
+			out[i].CacheMisses = int(from.misses.Load())
+			out[i].CacheCoalesced = int(from.coalesced.Load())
+		}
 	}
+	if timed {
+		stage(StageSerialize, mergeStart, time.Since(mergeStart), len(units)*len(plans))
+	}
+	elapsed := time.Since(start)
+	for _, r := range out {
+		r.Elapsed = elapsed
+	}
+	return out
+}
+
+func (p *riderPlan) key(funcHash, engFP string) store.Key {
+	return store.Key{FuncHash: funcHash, CheckerFP: p.fp, EngineFP: engFP}
+}
+
+// storable reports whether a per-function result may be cached. A
+// timed-out or canceled one depends on wall-clock speed or the caller's
+// lifetime, not just the key's inputs — caching it would poison later
+// scans.
+func storable(r *engine.Result) bool { return !r.TimedOut && !r.Canceled }
+
+// merge folds one rider's per-function results (parallel to the units of
+// files) into its scan Result. Deterministic: per-function results fold
+// into a per-file result in function order (deduplicating within the
+// file, exactly like engine.AnalyzeFile), then files concatenate in the
+// given order — byte-identical to the uncached Codebase.Run path.
+func (s *Snapshot) merge(files []int, perFunc []*engine.Result, maxReports int) *Result {
+	out := &Result{FilesScanned: len(files), Generation: s.gen}
 	for _, r := range perFunc {
 		if r.TimedOut {
 			out.FuncsTimedOut++
@@ -315,7 +383,7 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 	out.FileCuts = make([]FileCut, 0, len(files))
 	for _, i := range files {
 		fileRes := &engine.Result{}
-		for range snap.files[i].Funcs {
+		for range s.files[i].Funcs {
 			fileRes.Merge(perFunc[u])
 			out.FuncsScanned++
 			u++
@@ -323,7 +391,7 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 		repBefore, errBefore := len(out.Reports), len(out.RuntimeErrs)
 		out.RuntimeErrs = append(out.RuntimeErrs, fileRes.RuntimeErrs...)
 		for _, rep := range fileRes.Reports {
-			if opts.MaxReports > 0 && len(out.Reports) >= opts.MaxReports {
+			if maxReports > 0 && len(out.Reports) >= maxReports {
 				out.Truncated = true
 				break
 			}
@@ -334,10 +402,6 @@ func (inc *Incremental) runFiles(snap *Snapshot, pinStart time.Time, files []int
 			RuntimeErrs: len(out.RuntimeErrs) - errBefore,
 		})
 	}
-	if timed {
-		stage(StageSerialize, mergeStart, time.Since(mergeStart), len(units))
-	}
-	out.Elapsed = time.Since(start)
 	return out
 }
 

@@ -79,7 +79,7 @@ func TestSnapshotReaderSeesPinnedGeneration(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	old := inc.RunFilesAt(pinned.Snapshot, all, []checker.Checker{ck}, Options{Workers: 1})
+	old := inc.RunBatchAt(pinned.Snapshot, []checker.Checker{ck}, all, Options{Workers: 1})[0]
 	if old.Generation != genBefore {
 		t.Fatalf("pinned scan reported generation %d, want %d", old.Generation, genBefore)
 	}

@@ -203,8 +203,10 @@ type Result struct {
 	// admission: every report in this result was computed against
 	// exactly that corpus state.
 	Generation int64
-	// Elapsed is this scan's own wall time — for RunBatch entries, the
-	// individual checker's cost, not the whole batch's.
+	// Elapsed is the wall time of the scheduler pass that produced this
+	// result. Every entry of a RunBatch carries the whole pass's: the
+	// batch's checkers share one exploration, so no entry has a cost of
+	// its own.
 	Elapsed time.Duration
 }
 

@@ -41,9 +41,11 @@ func attachTiming(ctx context.Context, id *string, spans *[]obs.Span, want bool)
 	}
 }
 
-// observeScan records one finished scan. The request's trace id rides
-// along as the scan histogram's exemplar, so a bucket spike on the
-// dashboard links straight to a retained trace.
+// observeScan records one finished scheduler pass: a scan, or a whole
+// batch through any one of its entries (they all carry the pass's wall
+// time; observing each would count one exploration once per checker).
+// The request's trace id rides along as the scan histogram's exemplar,
+// so a bucket spike on the dashboard links straight to a retained trace.
 func (s *Server) observeScan(ctx context.Context, res *scan.Result) {
 	id := ""
 	if tr := obs.TraceFrom(ctx); tr != nil {
@@ -228,10 +230,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// changesets commit concurrently.
 		resp.Generation = s.inc.Codebase().Generation()
 		results := s.inc.RunBatch(cks, files,
-			scanOptions(r.Context(), req.MaxReports, req.Workers, req.FuncTimeoutMS), req.Concurrency)
+			scanOptions(r.Context(), req.MaxReports, req.Workers, req.FuncTimeoutMS), 0)
+		if len(results) > 0 {
+			s.observeScan(r.Context(), results[0])
+		}
 		for bi, res := range results {
 			resp.Results[live[bi]] = api.ScanResult(cks[bi].Name(), res, req.IncludeTrace, req.ShardLocal)
-			s.observeScan(r.Context(), res)
 			resp.Generation = res.Generation
 		}
 	}

@@ -574,8 +574,7 @@ func TestConcurrentBatchesAndChangesets(t *testing.T) {
 				if g%2 == 0 {
 					var out api.BatchResponse
 					if code := postJSON(t, ts, "/batch", api.BatchRequest{
-						Checkers:    []string{testChecker, testCheckerB},
-						Concurrency: 2,
+						Checkers: []string{testChecker, testCheckerB},
 					}, &out); code != http.StatusOK {
 						errs <- fmt.Sprintf("batch status %d", code)
 					}

@@ -51,7 +51,7 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 					resp, err = post("/scan", api.ScanRequest{Checker: testChecker})
 				case 1:
 					resp, err = post("/batch", api.BatchRequest{
-						Checkers: []string{testChecker, testCheckerB}, Concurrency: 2,
+						Checkers: []string{testChecker, testCheckerB},
 					})
 				case 2:
 					resp, err = post("/changeset", api.ChangesetRequest{Changes: []api.Change{

@@ -1,7 +1,7 @@
 package sym
 
 import (
-	"fmt"
+	"strconv"
 
 	"knighter/internal/minic"
 )
@@ -100,6 +100,10 @@ func (a *Arena) Symbol(id SymbolID) *SymbolInfo {
 
 // NumRegions returns the number of interned regions.
 func (a *Arena) NumRegions() int { return len(a.regions) - 1 }
+
+// Size returns the number of regions and symbols allocated so far; it
+// only grows, so an unchanged Size means nothing was allocated.
+func (a *Arena) Size() int { return len(a.regions) + len(a.symbols) }
 
 func (a *Arena) addRegion(r *Region) RegionID {
 	r.ID = RegionID(len(a.regions))
@@ -224,14 +228,14 @@ func (a *Arena) Describe(id RegionID) string {
 		return a.Describe(r.Parent) + "->" + r.Name
 	case ElemRegion:
 		if r.Index >= 0 {
-			return fmt.Sprintf("%s[%d]", a.Describe(r.Parent), r.Index)
+			return a.Describe(r.Parent) + "[" + strconv.FormatInt(r.Index, 10) + "]"
 		}
 		return a.Describe(r.Parent) + "[...]"
 	case SymRegion:
 		if r.ConjuredBy != "" {
-			return fmt.Sprintf("<%s() result>", r.ConjuredBy)
+			return "<" + r.ConjuredBy + "() result>"
 		}
-		return fmt.Sprintf("<sym%d pointee>", r.Sym)
+		return "<sym" + strconv.Itoa(int(r.Sym)) + " pointee>"
 	}
-	return fmt.Sprintf("<r%d>", id)
+	return "<r" + strconv.Itoa(int(id)) + ">"
 }

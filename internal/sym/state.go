@@ -3,7 +3,7 @@ package sym
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // State is an immutable program state: region bindings, per-symbol
@@ -12,12 +12,29 @@ import (
 //
 // All mutating operations return a new State; existing States are never
 // modified, so States can be freely shared between exploded-graph nodes.
+//
+// A State has two halves, each with its own fingerprint: the core —
+// bindings, nullness, ranges — which the engine reads and writes, and
+// the fact layer checkers own. The layer detaches (Facts) and re-attaches
+// (WithFacts), so one exploration can thread a single core under one
+// fact layer per rider.
 type State struct {
 	bindings map[RegionID]Value
 	nullness map[SymbolID]Nullness
 	ranges   map[SymbolID]Range
-	facts    map[factKey]any
+	coreFP   Hash
+	facts    Facts
 }
+
+// Facts is one immutable checker fact layer, detached from a core.
+// The zero Facts is the empty layer.
+type Facts struct {
+	m  map[factKey]any
+	fp Hash
+}
+
+// Fingerprint is the layer's content hash (zero for the empty layer).
+func (f Facts) Fingerprint() Hash { return f.fp }
 
 type factKey struct {
 	Domain string
@@ -46,12 +63,17 @@ func cloneMap[K comparable, V any](m map[K]V) map[K]V {
 
 // BindRegion returns a state where region r holds value v.
 func (s *State) BindRegion(r RegionID, v Value) *State {
-	if cur, ok := s.bindings[r]; ok && cur == v {
+	cur, ok := s.bindings[r]
+	if ok && cur == v {
 		return s
 	}
 	c := s.clone()
 	c.bindings = cloneMap(s.bindings)
 	c.bindings[r] = v
+	if ok {
+		c.coreFP = c.coreFP.sub(hashBinding(r, cur))
+	}
+	c.coreFP = c.coreFP.add(hashBinding(r, v))
 	return c
 }
 
@@ -77,12 +99,17 @@ func (s *State) WithNullness(sym SymbolID, n Nullness) *State {
 	if sym == NoSymbol {
 		return s
 	}
-	if cur, ok := s.nullness[sym]; ok && cur == n {
+	cur, ok := s.nullness[sym]
+	if ok && cur == n {
 		return s
 	}
 	c := s.clone()
 	c.nullness = cloneMap(s.nullness)
 	c.nullness[sym] = n
+	if ok {
+		c.coreFP = c.coreFP.sub(hashNullness(sym, cur))
+	}
+	c.coreFP = c.coreFP.add(hashNullness(sym, n))
 	return c
 }
 
@@ -111,12 +138,17 @@ func (s *State) WithRange(sym SymbolID, r Range) *State {
 	if sym == NoSymbol {
 		return s
 	}
-	if cur, ok := s.ranges[sym]; ok && cur == r {
+	cur, ok := s.ranges[sym]
+	if ok && cur == r {
 		return s
 	}
 	c := s.clone()
 	c.ranges = cloneMap(s.ranges)
 	c.ranges[sym] = r
+	if ok {
+		c.coreFP = c.coreFP.sub(hashRange(sym, cur))
+	}
+	c.coreFP = c.coreFP.add(hashRange(sym, r))
 	return c
 }
 
@@ -137,41 +169,62 @@ func (s *State) RangeOf(v Value) Range {
 
 // --- checker fact domains ---
 
+// Facts detaches the state's fact layer.
+func (s *State) Facts() Facts { return s.facts }
+
+// WithFacts returns the state's core under fact layer f (the state
+// itself when it already carries that layer).
+func (s *State) WithFacts(f Facts) *State {
+	if f.fp == s.facts.fp && len(f.m) == len(s.facts.m) {
+		return s
+	}
+	c := s.clone()
+	c.facts = f
+	return c
+}
+
 // SetFact returns a state where domain[key] = value. Values stored in
 // fact domains must be immutable (comparable types recommended).
 func (s *State) SetFact(domain, key string, value any) *State {
 	fk := factKey{domain, key}
-	if cur, ok := s.facts[fk]; ok && cur == value {
+	cur, ok := s.facts.m[fk]
+	if ok && cur == value {
 		return s
 	}
 	c := s.clone()
-	c.facts = cloneMap(s.facts)
-	c.facts[fk] = value
+	c.facts.m = cloneMap(s.facts.m)
+	c.facts.m[fk] = value
+	if ok {
+		c.facts.fp = c.facts.fp.sub(hashFact(fk, cur))
+	}
+	c.facts.fp = c.facts.fp.add(hashFact(fk, value))
 	return c
 }
 
 // Fact returns domain[key].
 func (s *State) Fact(domain, key string) (any, bool) {
-	v, ok := s.facts[factKey{domain, key}]
+	v, ok := s.facts.m[factKey{domain, key}]
 	return v, ok
 }
 
 // DelFact returns a state with domain[key] removed.
 func (s *State) DelFact(domain, key string) *State {
 	fk := factKey{domain, key}
-	if _, ok := s.facts[fk]; !ok {
+	cur, ok := s.facts.m[fk]
+	if !ok {
 		return s
 	}
 	c := s.clone()
-	c.facts = cloneMap(s.facts)
-	delete(c.facts, fk)
+	c.facts.m = cloneMap(s.facts.m)
+	delete(c.facts.m, fk)
+	c.facts.fp = c.facts.fp.sub(hashFact(fk, cur))
 	return c
 }
 
 // FactKeys returns the sorted keys present in a domain.
 func (s *State) FactKeys(domain string) []string {
 	var out []string
-	for fk := range s.facts {
+	for fk := range s.facts.m {
 		if fk.Domain == domain {
 			out = append(out, fk.Key)
 		}
@@ -183,10 +236,10 @@ func (s *State) FactKeys(domain string) []string {
 // --- convenience typed fact helpers for region-keyed domains ---
 
 // RegionKey renders a RegionID as a fact key.
-func RegionKey(r RegionID) string { return fmt.Sprintf("r%d", r) }
+func RegionKey(r RegionID) string { return "r" + strconv.Itoa(int(r)) }
 
 // SymbolKey renders a SymbolID as a fact key.
-func SymbolKey(sy SymbolID) string { return fmt.Sprintf("s%d", sy) }
+func SymbolKey(sy SymbolID) string { return "s" + strconv.Itoa(int(sy)) }
 
 // SetRegionFact stores a fact keyed by region.
 func (s *State) SetRegionFact(domain string, r RegionID, value any) *State {
@@ -206,7 +259,7 @@ func (s *State) DelRegionFact(domain string, r RegionID) *State {
 // FactRegions returns the RegionIDs keyed in a domain, ascending.
 func (s *State) FactRegions(domain string) []RegionID {
 	var out []RegionID
-	for fk := range s.facts {
+	for fk := range s.facts.m {
 		if fk.Domain != domain {
 			continue
 		}
@@ -219,23 +272,18 @@ func (s *State) FactRegions(domain string) []RegionID {
 	return out
 }
 
-// Fingerprint returns a canonical string identifying the state's content.
+// Fingerprint identifies a state's content, split along the same line
+// as the state: Core covers bindings, nullness and ranges, Facts the
+// checker fact layer. Two states have equal fingerprints exactly when
+// they hold the same entries (up to a 128-bit hash collision per half).
 // The engine uses it to deduplicate exploded nodes (same block + same
 // fingerprint = already visited).
-func (s *State) Fingerprint() string {
-	var parts []string
-	for r, v := range s.bindings {
-		parts = append(parts, fmt.Sprintf("b%d=%s", r, v))
-	}
-	for sy, n := range s.nullness {
-		parts = append(parts, fmt.Sprintf("n%d=%d", sy, n))
-	}
-	for sy, r := range s.ranges {
-		parts = append(parts, fmt.Sprintf("g%d=%d:%d", sy, r.Min, r.Max))
-	}
-	for fk, v := range s.facts {
-		parts = append(parts, fmt.Sprintf("f%s/%s=%v", fk.Domain, fk.Key, v))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
+type Fingerprint struct {
+	Core, Facts Hash
+}
+
+// Fingerprint returns the state's content fingerprint. It is O(1): the
+// mutators maintain both halves incrementally (see Hash).
+func (s *State) Fingerprint() Fingerprint {
+	return Fingerprint{Core: s.coreFP, Facts: s.facts.fp}
 }

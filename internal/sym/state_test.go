@@ -1,6 +1,10 @@
 package sym
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -253,5 +257,93 @@ func TestValueBasics(t *testing.T) {
 	}
 	if MakeInt(5).String() != "5" || MakeSym(2).String() != "sym2" {
 		t.Error("String() broken")
+	}
+}
+
+// canonicalString is the fingerprint the engine used before Hash: every
+// entry rendered through fmt, sorted and joined. It is kept as the
+// oracle for what "same state" means.
+func canonicalString(s *State) string {
+	var parts []string
+	for r, v := range s.bindings {
+		parts = append(parts, fmt.Sprintf("b%d=%s", r, v))
+	}
+	for sy, n := range s.nullness {
+		parts = append(parts, fmt.Sprintf("n%d=%d", sy, n))
+	}
+	for sy, r := range s.ranges {
+		parts = append(parts, fmt.Sprintf("g%d=%d:%d", sy, r.Min, r.Max))
+	}
+	for fk, v := range s.facts.m {
+		parts = append(parts, fmt.Sprintf("f%s/%s=%v", fk.Domain, fk.Key, v))
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ";")
+}
+
+// mutate applies one random mutator drawn from a small alphabet, so that
+// different sequences often land on the same content.
+func mutate(r *rand.Rand, s *State) *State {
+	id := 1 + r.Intn(4)
+	switch r.Intn(8) {
+	case 0:
+		return s.BindRegion(RegionID(id), []Value{MakeInt(int64(r.Intn(3))), MakeSym(SymbolID(id)), MakeLoc(RegionID(id)), Unknown}[r.Intn(4)])
+	case 1:
+		return s.WithNullness(SymbolID(id), Nullness(r.Intn(3)))
+	case 2:
+		return s.WithRange(SymbolID(id), Range{Min: int64(r.Intn(2)), Max: int64(2 + r.Intn(2))})
+	case 3:
+		return s.SetFact("ck:a:track", SymbolKey(SymbolID(id)), []string{"unchecked", "checked", "freed"}[r.Intn(3)])
+	case 4:
+		return s.SetRegionFact("ck:b:track", RegionID(id), []any{"held", 1, true, "1"}[r.Intn(4)])
+	case 5:
+		return s.DelFact("ck:a:track", SymbolKey(SymbolID(id)))
+	case 6:
+		return s.DelRegionFact("ck:b:track", RegionID(id))
+	default:
+		return s.WithFacts(NewState().SetFact("ck:a:track", SymbolKey(SymbolID(id)), "freed").Facts())
+	}
+}
+
+// TestFingerprintMatchesCanonicalString: over random mutation sequences
+// the hash fingerprint separates exactly the states the canonical string
+// separates — as a whole, and half by half (the core of one state under
+// the facts of another).
+func TestFingerprintMatchesCanonicalString(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var states []*State
+	for i := 0; i < 300; i++ {
+		s := NewState()
+		for j, n := 0, r.Intn(7); j < n; j++ {
+			s = mutate(r, s)
+		}
+		states = append(states, s)
+	}
+	for i := 0; i < 60; i++ { // cross the halves
+		states = append(states, states[r.Intn(300)].WithFacts(states[r.Intn(300)].Facts()))
+	}
+	equalPairs := 0
+	for i, a := range states {
+		for _, b := range states[:i] {
+			same := canonicalString(a) == canonicalString(b)
+			if same {
+				equalPairs++
+			}
+			if got := a.Fingerprint() == b.Fingerprint(); got != same {
+				t.Fatalf("fingerprints equal = %v, canonical strings equal = %v:\n%q\n%q", got, same, canonicalString(a), canonicalString(b))
+			}
+			empty := Facts{}
+			sameCore := canonicalString(a.WithFacts(empty)) == canonicalString(b.WithFacts(empty))
+			if got := a.Fingerprint().Core == b.Fingerprint().Core; got != sameCore {
+				t.Fatalf("core fingerprints equal = %v, canonical cores equal = %v:\n%q\n%q", got, sameCore, canonicalString(a), canonicalString(b))
+			}
+			sameFacts := canonicalString(NewState().WithFacts(a.Facts())) == canonicalString(NewState().WithFacts(b.Facts()))
+			if got := a.Facts().Fingerprint() == b.Facts().Fingerprint(); got != sameFacts {
+				t.Fatalf("fact fingerprints equal = %v, canonical facts equal = %v:\n%q\n%q", got, sameFacts, canonicalString(a), canonicalString(b))
+			}
+		}
+	}
+	if equalPairs < 100 {
+		t.Errorf("only %d equal pairs: the alphabet is too large to test equality", equalPairs)
 	}
 }
