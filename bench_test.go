@@ -969,6 +969,56 @@ func BenchmarkBatchScanCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchScanColdResident is a cold /batch of 2 against the tier
+// a cold_sweep daemon ends up holding: ≈300k entries already resident,
+// which every garbage-collection cycle the batch triggers has to mark.
+// BenchmarkBatchScanCold starts from an empty store and cannot see that
+// cost. The prefill re-stores one pass's results under new checker
+// fingerprints, as the sweep's revisions do.
+func BenchmarkBatchScanColdResident(b *testing.B) {
+	h, _, _ := setupBench(b)
+	cb := h.Codebase
+	mem := store.NewMemory(0)
+	eo := engine.Options{Checkers: []checker.Checker{mustChecker(b, benchCacheDSL)}}
+	files := cb.Files()
+	var keys []string
+	var results []*engine.Result
+	for i, f := range files {
+		for j, fn := range f.Funcs {
+			keys = append(keys, cb.FuncHash(i, j))
+			results = append(results, engine.AnalyzeFunc(f, fn, eo))
+		}
+	}
+	for rev := 0; rev < 300_000/len(keys); rev++ {
+		fp := fmt.Sprintf("prefill-%d", rev)
+		for u, fh := range keys {
+			mem.Put(context.Background(), store.Key{FuncHash: fh, CheckerFP: fp, EngineFP: "prefill"}, results[u])
+		}
+	}
+	inc := scan.NewIncremental(cb, mem)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cks := []checker.Checker{
+			mustChecker(b, strings.ReplaceAll(benchCacheDSL, "bench_cache", fmt.Sprintf("rev_%d_a", i))),
+			mustChecker(b, strings.ReplaceAll(benchCacheDSL, "bench_cache", fmt.Sprintf("rev_%d_b", i))),
+		}
+		b.StartTimer()
+		for _, res := range inc.RunBatch(cks, nil, scan.Options{}, 0) {
+			if res.CacheHits != 0 {
+				b.Fatalf("cold batch hit %d times", res.CacheHits)
+			}
+		}
+	}
+	b.StopTimer()
+	st := mem.Stats()
+	if st.Evictions != 0 {
+		b.Fatalf("resident tier evicted %d entries", st.Evictions)
+	}
+	b.ReportMetric(float64(st.Entries), "entries")
+}
+
 // BenchmarkBatchScanWarm measures the kserve /batch steady state: four
 // checker revisions scheduled over a fully warmed shared store.
 func BenchmarkBatchScanWarm(b *testing.B) {

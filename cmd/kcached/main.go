@@ -72,7 +72,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "cache directory (required)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "drop entries older than this (0 = keep forever)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "disk byte budget; compaction evicts oldest-first past it (0 = unbounded)")
-	cacheBytes := flag.Int64("cache-bytes", store.DefaultMemoryBytes, "memory front-tier byte budget (0 = library default)")
+	cacheBytes := flag.Int64("cache-bytes", store.DefaultMemoryBytes, "memory front-tier budget in entry weight: each entry's binary payload plus 128 B of per-entry overhead (0 = library default)")
 	feedCap := flag.Int("feed-cap", shard.DefaultFeedCap, "generation-feed retention (entries); shards further behind than this cannot converge from the feed")
 	traceRetain := flag.Int("trace-retain", 512, "completed trace fragments retained for GET /trace/{id} (0 retains none)")
 	traceSample := flag.Float64("trace-sample", 0.05, "probability of retaining an unremarkable trace; slow and errored traces are always retained")

@@ -48,7 +48,7 @@ func main() {
 	addr := flag.String("addr", ":8321", "listen address")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "corpus seed")
 	flag.Float64Var(&cfg.Scale, "scale", 1.0, "corpus scale")
-	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "in-memory cache budget in serialized bytes (0 = default 64 MiB)")
+	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "in-memory cache budget in entry weight: each entry's binary payload plus 128 B of per-entry overhead, so it bounds resident memory (0 = default 64 MiB)")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "optional on-disk cache tier directory")
 	flag.DurationVar(&cfg.CacheTTL, "cache-ttl", 0, "drop disk-tier entries older than this (0 = keep forever)")
 	flag.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "disk-tier byte budget; GC evicts oldest-first past it (0 = unbounded)")

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 
@@ -9,28 +10,29 @@ import (
 	"knighter/internal/minic"
 )
 
-// Binary payload codec for the segment disk tier.
+// Binary payload codec: the form in which the memory tier holds results
+// and the segment disk tier writes them.
 //
-// A warm segment Get costs one index probe and one pread — a few
-// hundred nanoseconds — which left encoding/json's reflective decode
-// (~1.3µs even for an empty result) as the dominant cost of the disk
-// hit path. The segment tier therefore stores results in a small
-// hand-rolled binary format: length-prefixed strings and uvarints over
-// the flat Result/Report/TraceStep/RuntimeErr shapes, no reflection, no
-// field-name matching.
+// encoding/json's reflective decode costs ~1.3µs even for an empty
+// result, and a decoded result is an object graph the garbage collector
+// must mark. Results are therefore stored in a small hand-rolled binary
+// format: length-prefixed strings and uvarints over the flat
+// Result/Report/TraceStep/RuntimeErr shapes — about 9 bytes for a
+// report-free result. Encodings are canonical: decodeResult rejects any
+// payload encodeResult would not write.
 //
-// The first byte is a format tag, resultCodecV1 (0x01); a record
-// without it is unreadable and therefore a miss. The wire protocol
-// (remote tier / kcached) stays JSON: this codec is a private storage
-// format, not an interchange one.
-const resultCodecV1 = 0x01
+// The first byte is a format tag. v2 (resultCodec) writes slice lengths
+// as n+1, 0 meaning nil, so nil and empty slices (the engine emits empty
+// traces) survive a round trip; v1 collapsed both to nil. A record under
+// any other tag is a miss: entries are content-addressed and cache-grade,
+// so an old one is recomputed once. The wire protocol (remote tier /
+// kcached) stays JSON: this is a private storage format.
+const resultCodec = 0x02
 
-// encodeResult serializes r in the binary format.
+// encodeResult serializes r into a slice of exactly the encoded length.
 func encodeResult(r *engine.Result) []byte {
-	// Pre-size roughly: fixed header plus strings; the buffer grows as
-	// needed, this just avoids most re-allocations.
-	buf := make([]byte, 0, 64+96*len(r.Reports)+48*len(r.RuntimeErrs))
-	buf = append(buf, resultCodecV1)
+	var scratch [256]byte
+	buf := append(scratch[:0], resultCodec)
 	buf = binary.AppendUvarint(buf, uint64(r.Paths))
 	buf = binary.AppendUvarint(buf, uint64(r.Steps))
 	var flags byte
@@ -44,7 +46,7 @@ func encodeResult(r *engine.Result) []byte {
 		flags |= 4
 	}
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Reports)))
+	buf = appendCount(buf, len(r.Reports), r.Reports == nil)
 	for _, rep := range r.Reports {
 		buf = appendString(buf, rep.Checker)
 		buf = appendString(buf, rep.BugType)
@@ -53,40 +55,40 @@ func encodeResult(r *engine.Result) []byte {
 		buf = appendString(buf, rep.Func)
 		buf = appendPos(buf, rep.Pos)
 		buf = appendString(buf, rep.RegionAt)
-		buf = binary.AppendUvarint(buf, uint64(len(rep.Trace)))
+		buf = appendCount(buf, len(rep.Trace), rep.Trace == nil)
 		for _, step := range rep.Trace {
 			buf = appendPos(buf, step.Pos)
 			buf = appendString(buf, step.Note)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.RuntimeErrs)))
+	buf = appendCount(buf, len(r.RuntimeErrs), r.RuntimeErrs == nil)
 	for _, re := range r.RuntimeErrs {
 		buf = appendString(buf, re.Func)
 		buf = appendString(buf, re.Checker)
 		buf = appendString(buf, re.Panic)
 	}
-	return buf
+	return bytes.Clone(buf)
 }
 
 var errCodec = errors.New("store: corrupt binary result payload")
 
-// decodeResult parses a binary payload produced by encodeResult. The
-// caller has already checked the format tag.
+// decodeResult parses a payload produced by encodeResult. A count's
+// argument is the fewest bytes one element encodes to (a report: five
+// strings, a position, RegionAt and a trace count).
 func decodeResult(data []byte) (*engine.Result, error) {
+	if len(data) == 0 || data[0] != resultCodec {
+		return nil, errCodec
+	}
 	d := &codecReader{buf: data[1:]}
-	r := &engine.Result{}
-	r.Paths = int(d.uvarint())
-	r.Steps = int(d.uvarint())
-	flags := d.byte()
-	r.Truncated = flags&1 != 0
-	r.TimedOut = flags&2 != 0
-	r.Canceled = flags&4 != 0
-	if n := d.uvarint(); n > 0 {
-		if n > uint64(len(data)) { // length sanity: every report costs >= 1 byte
-			return nil, errCodec
-		}
+	r := &engine.Result{Paths: int(d.uvarint()), Steps: int(d.uvarint())}
+	flags := d.uvarint() // a flag byte <= 7 is also its own uvarint
+	if flags > 7 {
+		d.err = errCodec
+	}
+	r.Truncated, r.TimedOut, r.Canceled = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	if n, ok := d.count(10); ok {
 		r.Reports = make([]*checker.Report, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			rep := &checker.Report{
 				Checker: d.string(),
 				BugType: d.string(),
@@ -96,24 +98,18 @@ func decodeResult(data []byte) (*engine.Result, error) {
 				Pos:     d.pos(),
 			}
 			rep.RegionAt = d.string()
-			if steps := d.uvarint(); steps > 0 {
-				if steps > uint64(len(data)) {
-					return nil, errCodec
-				}
+			if steps, ok := d.count(4); ok {
 				rep.Trace = make([]checker.TraceStep, 0, steps)
-				for j := uint64(0); j < steps && d.err == nil; j++ {
+				for j := 0; j < steps && d.err == nil; j++ {
 					rep.Trace = append(rep.Trace, checker.TraceStep{Pos: d.pos(), Note: d.string()})
 				}
 			}
 			r.Reports = append(r.Reports, rep)
 		}
 	}
-	if n := d.uvarint(); n > 0 {
-		if n > uint64(len(data)) {
-			return nil, errCodec
-		}
+	if n, ok := d.count(3); ok {
 		r.RuntimeErrs = make([]engine.RuntimeErr, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			r.RuntimeErrs = append(r.RuntimeErrs, engine.RuntimeErr{
 				Func:    d.string(),
 				Checker: d.string(),
@@ -121,10 +117,18 @@ func decodeResult(data []byte) (*engine.Result, error) {
 			})
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.err != nil || len(d.buf) != 0 {
+		return nil, errCodec
 	}
 	return r, nil
+}
+
+// appendCount writes a slice length as n+1, or 0 for a nil slice.
+func appendCount(buf []byte, n int, isNil bool) []byte {
+	if isNil {
+		n = -1
+	}
+	return binary.AppendUvarint(buf, uint64(n+1))
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -151,7 +155,7 @@ func (d *codecReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) { // malformed, or not minimal
 		d.err = errCodec
 		return 0
 	}
@@ -159,17 +163,15 @@ func (d *codecReader) uvarint() uint64 {
 	return v
 }
 
-func (d *codecReader) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
+// count reads a length written by appendCount; ok is false for a nil
+// slice. A length the rest of the input cannot hold at minSize bytes per
+// element fails before anything is allocated.
+func (d *codecReader) count(minSize int) (n int, ok bool) {
+	c := d.uvarint()
+	if c > 0 && c-1 > uint64(len(d.buf)/minSize) {
 		d.err = errCodec
-		return 0
 	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
+	return int(c - 1), c > 0 && d.err == nil
 }
 
 func (d *codecReader) string() string {

@@ -9,9 +9,22 @@ import (
 	"knighter/internal/minic"
 )
 
-func TestResultCodecRoundTrip(t *testing.T) {
-	cases := map[string]*engine.Result{
+// codecCases are results whose round trip must be exact, nil-vs-empty
+// slices included: the engine emits empty traces, and a decoded result
+// must be reflect.DeepEqual to the computed one.
+func codecCases() map[string]*engine.Result {
+	return map[string]*engine.Result{
 		"empty": {},
+		"empty-slices": {
+			Reports:     []*checker.Report{},
+			RuntimeErrs: []engine.RuntimeErr{},
+		},
+		"empty-trace": {
+			Reports: []*checker.Report{
+				{Checker: "knighter.npd", Message: "deref", Trace: []checker.TraceStep{}},
+				{Checker: "knighter.npd", Message: "nil trace"},
+			},
+		},
 		"flags-and-counters": {
 			Paths: 1 << 20, Steps: 987654321,
 			Truncated: true, TimedOut: true, Canceled: true,
@@ -45,10 +58,13 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			Reports: []*checker.Report{{Message: "déréférencement de NULL — 例"}},
 		},
 	}
-	for name, want := range cases {
+}
+
+func TestResultCodecRoundTrip(t *testing.T) {
+	for name, want := range codecCases() {
 		t.Run(name, func(t *testing.T) {
 			buf := encodeResult(want)
-			if len(buf) == 0 || buf[0] != resultCodecV1 {
+			if len(buf) == 0 || buf[0] != resultCodec {
 				t.Fatalf("bad format tag: %v", buf[:1])
 			}
 			got, err := decodeResult(buf)
@@ -75,8 +91,21 @@ func TestResultCodecRejectsCorruptPayloads(t *testing.T) {
 		}
 	}
 	// A huge length prefix must not cause a giant allocation or a panic.
-	evil := append([]byte{resultCodecV1}, 0xff, 0xff, 0xff, 0xff, 0x0f)
+	evil := append([]byte{resultCodec}, 0xff, 0xff, 0xff, 0xff, 0x0f)
 	if _, err := decodeResult(evil); err == nil {
 		t.Fatal("decode of absurd length prefix succeeded")
+	}
+	// Payloads encodeResult never writes are rejected, so whatever
+	// decodes re-encodes to the same bytes.
+	empty := encodeResult(&engine.Result{})
+	for name, bad := range map[string][]byte{
+		"v1 tag":             append([]byte{0x01}, empty[1:]...),
+		"trailing byte":      append(append([]byte{}, empty...), 0),
+		"non-minimal varint": append([]byte{resultCodec, 0x80, 0x00}, empty[2:]...),
+		"unknown flag bit":   {resultCodec, 0, 0, 8, 0, 0},
+	} {
+		if _, err := decodeResult(bad); err == nil {
+			t.Errorf("%s: decode of % x succeeded", name, bad)
+		}
 	}
 }

@@ -1,0 +1,161 @@
+package store_test
+
+import (
+	"context"
+	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
+	"testing"
+
+	"knighter/internal/checker"
+	"knighter/internal/ckdsl"
+	"knighter/internal/engine"
+	"knighter/internal/kernel"
+	"knighter/internal/llm"
+	"knighter/internal/scan"
+	"knighter/internal/store"
+	"knighter/internal/synth"
+)
+
+// stored is one result a real scan wrote to its store.
+type stored struct {
+	key store.Key
+	res *engine.Result
+}
+
+// recorder is a Store that misses every Get and records every Put.
+type recorder struct {
+	mu   sync.Mutex
+	puts []stored
+}
+
+func (r *recorder) Get(context.Context, store.Key) (*engine.Result, bool) { return nil, false }
+func (r *recorder) Stats() store.Stats                                    { return store.Stats{} }
+func (r *recorder) Put(_ context.Context, k store.Key, res *engine.Result) {
+	r.mu.Lock()
+	r.puts = append(r.puts, stored{k, res})
+	r.mu.Unlock()
+}
+
+var (
+	corpusOnce    sync.Once
+	corpusResults []stored
+)
+
+// corpusPuts is every result a cold batch of the 12-checker synthesized
+// pool stores over a scale-0.25 corpus: one per function per checker.
+func corpusPuts(t *testing.T) []stored {
+	corpusOnce.Do(func() {
+		cb, err := scan.NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := synthesizedPool(t, 12)
+		rec := &recorder{}
+		scan.NewIncremental(cb, rec).RunBatch(pool, nil, scan.Options{Workers: 1}, 0)
+		if len(rec.puts) != cb.NumFuncs()*len(pool) {
+			t.Fatalf("cold batch stored %d results, want %d", len(rec.puts), cb.NumFuncs()*len(pool))
+		}
+		corpusResults = rec.puts
+	})
+	if corpusResults == nil {
+		t.Fatal("corpus setup failed")
+	}
+	return corpusResults
+}
+
+// synthesizedPool synthesizes checkers from the hand-labeled commits and
+// takes n valid ones round-robin over the bug classes, in dataset order
+// (the benchmark's pool at seed 1).
+func synthesizedPool(t *testing.T, n int) []checker.Checker {
+	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
+	byClass := map[string][]checker.Checker{}
+	var classes []string
+	for _, c := range kernel.BuildHandCommits(11).All() {
+		out := pipe.GenChecker(c)
+		if !out.Valid {
+			continue
+		}
+		ck, err := ckdsl.Compile(out.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byClass[c.Class] == nil {
+			classes = append(classes, c.Class)
+		}
+		byClass[c.Class] = append(byClass[c.Class], ck)
+	}
+	var pool []checker.Checker
+	for round := 0; len(pool) < n; round++ {
+		took := false
+		for _, cl := range classes {
+			if round < len(byClass[cl]) && len(pool) < n {
+				pool, took = append(pool, byClass[cl][round]), true
+			}
+		}
+		if !took {
+			t.Fatalf("only %d valid checkers, need %d", len(pool), n)
+		}
+	}
+	return pool
+}
+
+// Every result a real scan stores must come back from the memory tier and
+// from the disk tier reflect.DeepEqual to what the engine computed — nil
+// and empty slices included, since the engine emits empty traces.
+func TestCorpusResultsRoundTripEveryTier(t *testing.T) {
+	puts := corpusPuts(t)
+	disk, err := store.NewSegmentDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	ctx := context.Background()
+	for name, tier := range map[string]store.Store{"memory": store.NewMemory(1 << 30), "disk": disk} {
+		for _, p := range puts {
+			tier.Put(ctx, p.key, p.res)
+		}
+		for _, p := range puts {
+			got, ok := tier.Get(ctx, p.key)
+			if !ok || !reflect.DeepEqual(got, p.res) {
+				t.Fatalf("%s tier: %s round trip (hit=%v):\n got %#v\nwant %#v", name, p.key.ID(), ok, got, p.res)
+			}
+		}
+	}
+}
+
+// TestMemoryResidentBoundedByWeight: the memory tier's budget is in
+// weight, so weight must account for what an entry keeps resident. Fill
+// a tier the way cold_sweep does — revisions of the pool checkers store
+// equal results under new fingerprints — and compare the live-heap
+// growth to Stats().Bytes.
+func TestMemoryResidentBoundedByWeight(t *testing.T) {
+	puts := corpusPuts(t)
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := store.NewMemory(1 << 30)
+	for rev := 0; rev < 3; rev++ {
+		for _, p := range puts {
+			k := p.key
+			k.CheckerFP = store.Hash(k.CheckerFP, strconv.Itoa(rev))
+			m.Put(ctx, k, p.res)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := m.Stats()
+	if st.Entries < 20000 || st.Evictions != 0 {
+		t.Fatalf("filled %d entries with %d evictions, want >= 20000 and none", st.Entries, st.Evictions)
+	}
+	resident := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	ratio := resident / float64(st.Bytes)
+	t.Logf("%d entries: %.0f B resident, %.0f B weight per entry (ratio %.2f)",
+		st.Entries, resident/float64(st.Entries), float64(st.Bytes)/float64(st.Entries), ratio)
+	if ratio > 4 {
+		t.Fatalf("resident heap is %.2fx the weight the budget counts (want <= 4)", ratio)
+	}
+	runtime.KeepAlive(m)
+}

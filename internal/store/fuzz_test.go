@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,69 +24,155 @@ func fuzzResult(variant byte) *engine.Result {
 	}
 }
 
+// checkMemory verifies the slab's structure: the LRU ring walked from
+// the head and from the tail agree, the id index and the LRU ring are a
+// bijection, the per-function rings hold exactly the live entries with
+// intact back links, free slots are reachable from no ring, every slot
+// is accounted for, and the byte total is the sum of live weights within
+// budget.
+func checkMemory(t *testing.T, m *Memory, op string) {
+	t.Helper()
+	s := m.slots
+	var fwd, bwd []int32
+	for i := s[0].next; i != 0 && len(fwd) < len(s); i = s[i].next {
+		fwd = append(fwd, i)
+	}
+	for i := s[0].prev; i != 0 && len(bwd) < len(s); i = s[i].prev {
+		bwd = append(bwd, i)
+	}
+	if len(fwd) != len(bwd) || len(fwd) == len(s) {
+		t.Fatalf("%s: LRU ring broken: %d slots from the head, %d from the tail", op, len(fwd), len(bwd))
+	}
+	live := map[int32]bool{}
+	var bytes int64
+	for k, i := range fwd {
+		if bwd[len(bwd)-1-k] != i {
+			t.Fatalf("%s: LRU walks disagree at position %d", op, k)
+		}
+		e := s[i]
+		if live[i] || e.fn <= 0 || s[e.fn].fn != e.fn {
+			t.Fatalf("%s: LRU slot %d is repeated or has no function sentinel (fn=%d)", op, i, e.fn)
+		}
+		if m.ids[e.id] != i {
+			t.Fatalf("%s: LRU slot %d missing from the id index", op, i)
+		}
+		if _, err := decodeResult(e.payload); err != nil {
+			t.Fatalf("%s: slot %d payload does not decode: %v", op, i, err)
+		}
+		live[i] = true
+		bytes += weight(e.payload)
+	}
+	if len(m.ids) != len(live) || m.n != len(live) {
+		t.Fatalf("%s: id index has %d ids, n=%d, LRU ring %d entries", op, len(m.ids), m.n, len(live))
+	}
+	inFunc := map[int32]bool{}
+	for fh, f := range m.funcs {
+		if s[f].fn != f || string(s[f].payload) != fh {
+			t.Fatalf("%s: funcs[%q] = %d is not that function's sentinel", op, fh, f)
+		}
+		prev := f
+		for i := s[f].fnext; i != f; i = s[i].fnext {
+			if s[i].fprev != prev {
+				t.Fatalf("%s: function %q ring: slot %d fprev=%d, want %d", op, fh, i, s[i].fprev, prev)
+			}
+			if !live[i] || inFunc[i] || s[i].fn != f {
+				t.Fatalf("%s: function %q ring holds slot %d that is not its live entry", op, fh, i)
+			}
+			inFunc[i], prev = true, i
+		}
+		if s[f].fprev != prev || prev == f {
+			t.Fatalf("%s: function %q ring is empty or its tail link is stale", op, fh)
+		}
+	}
+	if len(inFunc) != len(live) {
+		t.Fatalf("%s: function rings hold %d entries, LRU ring %d", op, len(inFunc), len(live))
+	}
+	free := map[int32]bool{}
+	for i := m.free; i >= 0; i = s[i].next {
+		if free[i] || live[i] || s[i].fn != -1 || s[i].payload != nil {
+			t.Fatalf("%s: free slot %d is repeated, live, or not cleared", op, i)
+		}
+		free[i] = true
+	}
+	if 1+len(live)+len(m.funcs)+len(free) != len(s) {
+		t.Fatalf("%s: %d slots but root + %d live + %d sentinels + %d free", op, len(s), len(live), len(m.funcs), len(free))
+	}
+	if bytes != m.bytes {
+		t.Fatalf("%s: byte total %d != sum of live weights %d", op, m.bytes, bytes)
+	}
+	if m.bytes > m.maxBytes && m.n > 1 {
+		t.Fatalf("%s: over budget (%d > %d) with %d entries", op, m.bytes, m.maxBytes, m.n)
+	}
+	if st := m.Stats(); st.Bytes != bytes || st.Entries != len(live) {
+		t.Fatalf("%s: Stats()=%+v disagrees with live set (%d bytes, %d entries)", op, st, bytes, len(live))
+	}
+}
+
 // FuzzMemoryWeightInvariants drives the byte-weighted LRU through
-// arbitrary put/get/invalidate/bulk-invalidate sequences and checks its
-// internal bookkeeping after every step: the byte total must equal the
-// sum of live entry weights, every index must agree on the live set, and
-// the budget must hold whenever more than one entry is cached.
+// arbitrary put/get/invalidate/bulk-invalidate sequences and checks the
+// slab's bookkeeping (checkMemory) after every step.
+//
+// The byte stream is triples (op, key, variant); a key selects one of
+// four functions and one of four checkers, and the budget holds three
+// mid-sized entries.
 func FuzzMemoryWeightInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 3, 1, 0})
 	f.Add([]byte{0, 1, 9, 0, 1, 9, 2, 1, 0})
 	f.Add([]byte{0, 0, 200, 0, 1, 200, 0, 2, 200, 1, 0, 0, 3, 0, 0})
+	// Function f0 gets three entries (its ring: c2, c1, c0), then a put
+	// of f1 evicts the ring's tail, middle or head depending on which
+	// entries were read since; later puts reuse the freed slots, and
+	// after an invalidation the slots it freed.
+	f.Add([]byte{0, 0, 48, 0, 4, 48, 0, 8, 48, 0, 1, 48, 0, 2, 48, 2, 0, 0, 0, 3, 48, 0, 7, 48, 1, 3, 0})
+	f.Add([]byte{0, 0, 48, 0, 4, 48, 0, 8, 48, 1, 0, 0, 0, 1, 48, 0, 2, 48, 3, 0, 0, 0, 3, 48, 0, 7, 48})
+	f.Add([]byte{0, 0, 48, 0, 4, 48, 0, 8, 48, 1, 0, 0, 1, 4, 0, 0, 1, 48, 2, 0, 0, 0, 3, 48, 0, 11, 48, 0, 7, 48})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A tight budget (room for roughly two mid-sized entries) makes
-		// eviction fire constantly.
-		m := NewMemory(2 * weigh(fuzzResult(48)))
-		check := func(op string) {
-			t.Helper()
-			var bytes int64
-			indexed := 0
-			for el := m.ll.Front(); el != nil; el = el.Next() {
-				e := el.Value.(*memEntry)
-				bytes += e.weight
-				if m.entries[e.id] != el {
-					t.Fatalf("%s: list entry %s missing from id index", op, e.id)
-				}
-				if m.byFunc[e.funcHash][e.id] != el {
-					t.Fatalf("%s: list entry %s missing from func index", op, e.id)
-				}
-			}
-			for _, ids := range m.byFunc {
-				indexed += len(ids)
-			}
-			if bytes != m.bytes {
-				t.Fatalf("%s: byte total %d != sum of live weights %d", op, m.bytes, bytes)
-			}
-			if len(m.entries) != m.ll.Len() || indexed != m.ll.Len() {
-				t.Fatalf("%s: index sizes diverge: entries=%d byFunc=%d list=%d",
-					op, len(m.entries), indexed, m.ll.Len())
-			}
-			if m.bytes > m.maxBytes && m.ll.Len() > 1 {
-				t.Fatalf("%s: over budget (%d > %d) with %d entries", op, m.bytes, m.maxBytes, m.ll.Len())
-			}
-			if s := m.Stats(); s.Bytes != bytes || s.Entries != m.ll.Len() {
-				t.Fatalf("%s: Stats()=%+v disagrees with live set (%d bytes, %d entries)",
-					op, s, bytes, m.ll.Len())
-			}
-		}
+		m := NewMemory(3 * weight(encodeResult(fuzzResult(48))))
 		for len(data) >= 3 {
-			op, sel, variant := data[0]%4, data[1]%8, data[2]
+			op, sel, variant := data[0]%4, data[1], data[2]
 			data = data[3:]
-			k := Key{FuncHash: string([]byte{'f', sel % 4}), CheckerFP: string([]byte{'c', sel / 4}), EngineFP: "e"}
+			k := Key{FuncHash: string([]byte{'f', sel % 4}), CheckerFP: string([]byte{'c', sel / 4 % 4}), EngineFP: "e"}
 			switch op {
 			case 0:
 				m.Put(bg, k, fuzzResult(variant))
-				check("put")
+				checkMemory(t, m, "put")
 			case 1:
 				m.Get(bg, k)
-				check("get")
+				checkMemory(t, m, "get")
 			case 2:
 				m.InvalidateFunc(k.FuncHash)
-				check("invalidate")
+				checkMemory(t, m, "invalidate")
 			case 3:
 				m.InvalidateFuncs([]string{"f\x00", "f\x01", string([]byte{'f', variant % 4})})
-				check("bulk-invalidate")
+				checkMemory(t, m, "bulk-invalidate")
 			}
+		}
+	})
+}
+
+// FuzzResultCodec: arbitrary bytes either decode or fail — never panic,
+// never allocate more than a constant factor of the input's length —
+// and whatever decodes re-encodes to exactly the same bytes.
+func FuzzResultCodec(f *testing.F) {
+	for _, r := range codecCases() {
+		f.Add(encodeResult(r))
+	}
+	f.Add(encodeResult(result("msg")))
+	f.Add([]byte{resultCodec, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{resultCodec, 0, 0, 0, 0xff, 0xff, 0x03})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := decodeResult(data)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1024); alloc > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes (bound %d)", len(data), alloc, bound)
+		}
+		if err != nil {
+			return
+		}
+		if again := encodeResult(r); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs:\n got % x\nwant % x", again, data)
 		}
 	})
 }

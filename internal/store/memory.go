@@ -1,82 +1,92 @@
 package store
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
 	"sync"
 
 	"knighter/internal/engine"
 )
 
 // DefaultMemoryBytes bounds the in-memory tier when the caller passes a
-// non-positive capacity: 64 MiB of serialized results, room for a
-// full-scale corpus (a few thousand functions) times a handful of live
-// checker fingerprints even when reports are verbose.
+// non-positive capacity: 64 MiB of entry weight, ~490k report-free
+// results — hundreds of checker revisions over a full-scale corpus.
 const DefaultMemoryBytes = 64 << 20
 
-// Memory is the in-memory LRU tier, bounded by the total serialized size
-// of its entries rather than their count — a pathological checker that
-// caches huge report lists displaces proportionally more small entries,
-// instead of hiding behind a per-entry quota.
+// entryOverhead is what an entry keeps resident besides its payload: an
+// 80-byte slot, its share of the id index, size-class rounding.
+const entryOverhead = 128
+
+// Memory is the in-memory LRU tier, bounded by the total weight of its
+// entries rather than their count — a pathological checker that caches
+// huge report lists displaces proportionally more small entries, instead
+// of hiding behind a per-entry quota. An entry weighs its payload's
+// length plus entryOverhead, so the budget tracks resident memory.
+//
+// It holds bytes, not object graphs: a result is kept in the binary codec
+// (codec.go) in one slab of slots linked by index, behind an id index
+// keyed by a pointer-free Digest, so the payload is the only pointer per
+// entry and the garbage collector has little to mark in a full tier.
+// Hashing, encoding and decoding run outside the mutex.
 type Memory struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
-	// byFunc indexes live entry IDs by their key's FuncHash so corpus
-	// mutation can drop a function's entries without a full sweep.
-	byFunc map[string]map[string]*list.Element
-	stats  Stats
+	n        int    // live entries
+	slots    []slot // slots[0] roots the LRU ring: next is the newest entry
+	ids      map[Digest]int32
+	// funcs maps a FuncHash to the sentinel slot of its entries' ring,
+	// so corpus mutation can drop a function's entries without a sweep.
+	funcs map[string]int32
+	free  int32 // free-list head, linked through next; -1 when empty
+	stats Stats
 }
 
-type memEntry struct {
-	id       string
-	funcHash string
-	weight   int64
-	res      *engine.Result
+// slot is an entry (payload: its encoded result; fn: its function's
+// sentinel), a sentinel (payload: the function hash; fn: itself) or free
+// (fn: -1).
+type slot struct {
+	payload      []byte
+	id           Digest
+	prev, next   int32 // LRU ring
+	fprev, fnext int32 // the ring of one function's entries
+	fn           int32
 }
 
-// weigh returns r's serialized size — the entry's eviction weight, and
-// the same bytes a disk-tier entry would occupy. A result that fails to
-// marshal (impossible for engine.Result in practice) gets a conservative
-// flat weight rather than a free ride.
-func weigh(r *engine.Result) int64 {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return 1 << 10
-	}
-	return int64(len(data))
-}
+func weight(payload []byte) int64 { return int64(len(payload)) + entryOverhead }
 
-// NewMemory returns an LRU store holding at most maxBytes of serialized
-// results (DefaultMemoryBytes when maxBytes <= 0).
+// NewMemory returns an LRU store holding at most maxBytes of entry
+// weight (DefaultMemoryBytes when maxBytes <= 0).
 func NewMemory(maxBytes int64) *Memory {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMemoryBytes
 	}
 	return &Memory{
 		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
-		byFunc:   map[string]map[string]*list.Element{},
+		slots:    make([]slot, 1),
+		ids:      map[Digest]int32{},
+		funcs:    map[string]int32{},
+		free:     -1,
 	}
 }
 
 // Get implements Store. The context is unused — a map lookup has no
-// network wait to abort.
+// network wait to abort. Payloads are immutable once published, so the
+// decode runs unlocked, into a result no other caller holds.
 func (m *Memory) Get(_ context.Context, k Key) (*engine.Result, bool) {
+	id := k.Digest()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[k.ID()]
+	i, ok := m.ids[id]
 	if !ok {
 		m.stats.Misses++
+		m.mu.Unlock()
 		return nil, false
 	}
-	m.ll.MoveToFront(el)
+	m.toFront(i)
 	m.stats.Hits++
-	return el.Value.(*memEntry).res.Clone(), true
+	payload := m.slots[i].payload
+	m.mu.Unlock()
+	r, err := decodeResult(payload)
+	return r, err == nil
 }
 
 // Put implements Store.
@@ -84,28 +94,53 @@ func (m *Memory) Put(_ context.Context, k Key, r *engine.Result) {
 	if r == nil {
 		return
 	}
-	id := k.ID()
-	stored := r.Clone()
-	w := weigh(stored)
+	id, payload := k.Digest(), encodeResult(r)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Puts++
-	if el, ok := m.entries[id]; ok {
-		e := el.Value.(*memEntry)
-		m.bytes += w - e.weight
-		e.res, e.weight = stored, w
-		m.ll.MoveToFront(el)
-		m.evictLocked()
-		return
+	i, ok := m.ids[id]
+	if ok {
+		m.bytes += weight(payload) - weight(m.slots[i].payload)
+		m.slots[i].payload = payload
+	} else {
+		f, ok := m.funcs[k.FuncHash]
+		if !ok {
+			f = m.alloc(slot{payload: []byte(k.FuncHash)})
+			m.slots[f].fn = f
+			m.funcs[k.FuncHash] = f
+		}
+		i = m.alloc(slot{payload: payload, id: id, fn: f})
+		s := m.slots
+		s[i].fprev, s[i].fnext = f, s[f].fnext
+		s[s[f].fnext].fprev, s[f].fnext = i, i
+		m.ids[id] = i
+		m.bytes += weight(payload)
+		m.n++
 	}
-	el := m.ll.PushFront(&memEntry{id: id, funcHash: k.FuncHash, weight: w, res: stored})
-	m.entries[id] = el
-	if m.byFunc[k.FuncHash] == nil {
-		m.byFunc[k.FuncHash] = map[string]*list.Element{}
-	}
-	m.byFunc[k.FuncHash][id] = el
-	m.bytes += w
+	m.toFront(i)
 	m.evictLocked()
+}
+
+// alloc stores sl in a free or new slot, linked to itself in both rings.
+func (m *Memory) alloc(sl slot) int32 {
+	i := m.free
+	if i < 0 {
+		i = int32(len(m.slots))
+		m.slots = append(m.slots, slot{})
+	} else {
+		m.free = m.slots[i].next
+	}
+	sl.prev, sl.next, sl.fprev, sl.fnext = i, i, i, i
+	m.slots[i] = sl
+	return i
+}
+
+// toFront moves slot i to the most-recently-used end of the LRU ring.
+func (m *Memory) toFront(i int32) {
+	s := m.slots
+	s[s[i].prev].next, s[s[i].next].prev = s[i].next, s[i].prev
+	s[i].prev, s[i].next = 0, s[0].next
+	s[s[0].next].prev, s[0].next = i, i
 }
 
 // evictLocked drops least-recently-used entries until the tier is back
@@ -114,8 +149,8 @@ func (m *Memory) Put(_ context.Context, k Key, r *engine.Result) {
 // caching for exactly the functions that are most expensive to
 // recompute.
 func (m *Memory) evictLocked() {
-	for m.bytes > m.maxBytes && m.ll.Len() > 1 {
-		m.removeLocked(m.ll.Back())
+	for m.bytes > m.maxBytes && m.n > 1 {
+		m.removeLocked(m.slots[0].prev)
 		m.stats.Evictions++
 	}
 }
@@ -133,29 +168,33 @@ func (m *Memory) InvalidateFuncs(funcHashes []string) int {
 	defer m.mu.Unlock()
 	n := 0
 	for _, fh := range funcHashes {
-		ids := m.byFunc[fh]
-		n += len(ids)
-		for _, el := range ids {
-			m.removeLocked(el)
+		// A function's ring is never empty while it is indexed: removing
+		// its last entry drops the sentinel too.
+		for f, ok := m.funcs[fh]; ok; n++ {
+			ok = !m.removeLocked(m.slots[f].fnext)
 		}
 	}
 	m.stats.Invalidated += int64(n)
 	return n
 }
 
-// removeLocked unlinks an element from the list, both indexes, and the
-// byte accounting.
-func (m *Memory) removeLocked(el *list.Element) {
-	e := el.Value.(*memEntry)
-	m.ll.Remove(el)
-	delete(m.entries, e.id)
-	m.bytes -= e.weight
-	if ids := m.byFunc[e.funcHash]; ids != nil {
-		delete(ids, e.id)
-		if len(ids) == 0 {
-			delete(m.byFunc, e.funcHash)
-		}
+// removeLocked unlinks entry i from both rings, the id index and the
+// byte accounting, and frees its slot — and its function's sentinel if
+// its ring is now empty, which it reports.
+func (m *Memory) removeLocked(i int32) (lastOfFunc bool) {
+	s, e := m.slots, m.slots[i]
+	s[e.prev].next, s[e.next].prev = e.next, e.prev
+	s[e.fprev].fnext, s[e.fnext].fprev = e.fnext, e.fprev
+	delete(m.ids, e.id)
+	m.bytes -= weight(e.payload)
+	m.n--
+	s[i], m.free = slot{next: m.free, fn: -1}, i
+	if s[e.fn].fnext != e.fn {
+		return false
 	}
+	delete(m.funcs, string(s[e.fn].payload))
+	s[e.fn], m.free = slot{next: m.free, fn: -1}, e.fn
+	return true
 }
 
 // Stats implements Store.
@@ -163,7 +202,7 @@ func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.Entries = m.ll.Len()
+	s.Entries = m.n
 	s.Bytes = m.bytes
 	return s
 }

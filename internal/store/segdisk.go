@@ -66,11 +66,11 @@ func NewSegmentDisk(dir string, opts ...SegmentDiskOption) (*SegmentDisk, error)
 }
 
 // Get implements Store: one index probe, one pread, one decode. A
-// record that does not carry the binary codec's tag (codec.go) is a
-// miss, like any other unreadable entry.
+// record that does not decode under the binary codec's current format
+// (codec.go) is a miss, like any other unreadable entry.
 func (d *SegmentDisk) Get(_ context.Context, k Key) (*engine.Result, bool) {
 	data, ok := d.eng.Get(k.ID())
-	if !ok || len(data) == 0 || data[0] != resultCodecV1 {
+	if !ok {
 		d.misses.Add(1)
 		return nil, false
 	}

@@ -46,7 +46,7 @@ type Stack struct {
 	coalesced atomic.Int64
 
 	mu      sync.Mutex
-	flights map[string]*flight
+	flights map[Digest]*flight
 }
 
 type leaf struct {
@@ -76,7 +76,7 @@ type flight struct {
 // scrape time instead of being counted twice. tier="stack" carries the
 // request-level totals /stats reports.
 func NewStack(reg *obs.Registry, tiers ...Tier) *Stack {
-	s := &Stack{leaves: make([]leaf, len(tiers)), flights: map[string]*flight{}}
+	s := &Stack{leaves: make([]leaf, len(tiers)), flights: map[Digest]*flight{}}
 	for i, t := range tiers {
 		l := leaf{Tier: t}
 		_, l.network = t.Store.(*Remote)
@@ -265,7 +265,7 @@ func (s *Stack) GetOrCompute(ctx context.Context, k Key, compute func() (*engine
 	// after the computation finished — the bytes are valid for everyone
 	// — but it keeps the request's trace id.
 	putCtx := context.WithoutCancel(ctx)
-	id := k.ID()
+	id := k.Digest()
 	s.mu.Lock()
 	if fl, ok := s.flights[id]; ok {
 		s.mu.Unlock()

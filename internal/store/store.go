@@ -9,6 +9,10 @@
 // the corpus, a kserve request — reuses every per-function result whose
 // inputs did not change. This is the paper's §5 deployment cost
 // (whole-tree -j32 re-scans per checker revision) turned incremental.
+//
+// Every tier addresses a result by its Key's Digest (hex: Key.ID). The
+// memory and disk tiers hold it in one compact binary codec (codec.go);
+// only the network tier speaks JSON.
 package store
 
 import (
@@ -30,11 +34,24 @@ type Key struct {
 	EngineFP string
 }
 
-// ID collapses the key to a fixed-length content address, usable as a
-// map key or a file name.
+// Digest is a key's binary content address: comparable and pointer-free.
+type Digest [sha256.Size]byte
+
+// Digest hashes the key in a stack buffer, without allocating. Tiers
+// compute it once per operation, before taking any lock.
+func (k Key) Digest() Digest {
+	var buf [192]byte
+	b := append(buf[:0], "key:v1\x00"...)
+	b = append(append(b, k.FuncHash...), 0)
+	b = append(append(b, k.CheckerFP...), 0)
+	return sha256.Sum256(append(b, k.EngineFP...))
+}
+
+// ID is the hex form of Digest: the content address on the kcached wire
+// and in the segment index.
 func (k Key) ID() string {
-	h := sha256.Sum256([]byte("key:v1\x00" + k.FuncHash + "\x00" + k.CheckerFP + "\x00" + k.EngineFP))
-	return hex.EncodeToString(h[:])
+	d := k.Digest()
+	return hex.EncodeToString(d[:])
 }
 
 // Hash content-addresses a list of byte-strings (null-separated, so
@@ -55,8 +72,9 @@ type Stats struct {
 	Puts      int64 `json:"puts"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
-	// Bytes is the serialized size of the tier's live entries — the
-	// weight the memory tier bounds itself by.
+	// Bytes is the weight of the tier's live entries: their serialized
+	// size, plus a fixed per-entry overhead in the memory tier — the
+	// weight it bounds itself by.
 	Bytes int64 `json:"bytes"`
 	// Invalidated counts entries dropped by InvalidateFunc (corpus
 	// mutation made their function hash unreachable).

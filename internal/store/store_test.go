@@ -1,7 +1,11 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"strings"
+	"sync"
 	"testing"
 
 	"knighter/internal/checker"
@@ -25,6 +29,9 @@ func result(msg string) *engine.Result {
 	}
 }
 
+// weighOf is the weight the memory tier charges for r.
+func weighOf(r *engine.Result) int64 { return weight(encodeResult(r)) }
+
 func TestHashSeparatesParts(t *testing.T) {
 	if Hash("ab", "c") == Hash("a", "bc") {
 		t.Fatal("Hash does not separate parts")
@@ -43,6 +50,22 @@ func TestKeyIDVariesPerComponent(t *testing.T) {
 	} {
 		if k.ID() == base.ID() {
 			t.Fatalf("key %+v collides with base", k)
+		}
+	}
+}
+
+// Key.ID is the address on the kcached wire and in every segment log:
+// it must stay the hex sha256 of the v1 key string, for short keys and
+// for keys longer than Digest's stack buffer.
+func TestKeyIDIsV1Address(t *testing.T) {
+	for _, k := range []Key{
+		{FuncHash: "f", CheckerFP: "c", EngineFP: "e"},
+		{FuncHash: Hash("f"), CheckerFP: Hash("c"), EngineFP: Hash("e")},
+		{FuncHash: strings.Repeat("f", 300), CheckerFP: "c", EngineFP: strings.Repeat("e", 90)},
+	} {
+		want := sha256.Sum256([]byte("key:v1\x00" + k.FuncHash + "\x00" + k.CheckerFP + "\x00" + k.EngineFP))
+		if got := k.ID(); got != hex.EncodeToString(want[:]) || k.Digest() != Digest(want) {
+			t.Fatalf("key %.40q: ID %s, want %x", k.FuncHash, got, want)
 		}
 	}
 }
@@ -84,7 +107,7 @@ func TestMemoryLRUEvictionByWeight(t *testing.T) {
 	// All three results serialize to the same size; budget two of them
 	// (plus slack smaller than a third), so the third Put must evict the
 	// least recently used entry.
-	w := weigh(result("1"))
+	w := weighOf(result("1"))
 	m := NewMemory(2*w + w/2)
 	m.Put(bg, key(1), result("1"))
 	m.Put(bg, key(2), result("2"))
@@ -106,13 +129,13 @@ func TestMemoryLRUEvictionByWeight(t *testing.T) {
 
 func TestMemoryWeightAccounting(t *testing.T) {
 	m := NewMemory(0)
-	w1 := weigh(result("one"))
+	w1 := weighOf(result("one"))
 	m.Put(bg, key(1), result("one"))
 	if s := m.Stats(); s.Bytes != w1 {
 		t.Fatalf("bytes after one put = %d, want %d", s.Bytes, w1)
 	}
 	// Overwriting an entry replaces its weight, not adds to it.
-	w2 := weigh(result("a-rather-longer-message"))
+	w2 := weighOf(result("a-rather-longer-message"))
 	m.Put(bg, key(1), result("a-rather-longer-message"))
 	if s := m.Stats(); s.Bytes != w2 || s.Entries != 1 {
 		t.Fatalf("bytes after overwrite = %+v, want %d in 1 entry", s, w2)
@@ -157,6 +180,38 @@ func TestMemoryBulkInvalidateOnePass(t *testing.T) {
 	if s := m.Stats(); s.Invalidated != 3 || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
+}
+
+// Hashing, encoding and decoding run outside the tier's mutex, and a Get
+// decodes a payload whose slot may be evicted and reused meanwhile:
+// concurrent puts, gets and invalidations under a budget that evicts
+// constantly must hand back only results that were put and leave
+// consistent books (run it under -race).
+func TestMemoryConcurrentOps(t *testing.T) {
+	m := NewMemory(4 * weighOf(result("f\x00")))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := key(byte(i % 8))
+				switch (i + w) % 4 {
+				case 0, 1:
+					m.Put(bg, k, result(k.FuncHash))
+				case 2:
+					if r, ok := m.Get(bg, k); ok && r.Reports[0].Message != k.FuncHash {
+						t.Errorf("Get(%q) returned the result put under %q", k.FuncHash, r.Reports[0].Message)
+						return
+					}
+				case 3:
+					m.InvalidateFunc(k.FuncHash)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkMemory(t, m, "after concurrent ops")
 }
 
 func TestStatsHitRate(t *testing.T) {
