@@ -21,6 +21,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -495,6 +496,61 @@ func BenchmarkScanWarmInstrumented(b *testing.B) {
 		b.Fatalf("warm scan missed %d times", resp.Cache.Misses)
 	}
 	b.ReportMetric(float64(resp.Cache.Hits), "cache-hits")
+}
+
+// BenchmarkScanWarmConcurrent is BenchmarkScanWarmInstrumented with two
+// callers, as warm_serve drives kserve: two goroutines post warm /scan
+// requests through the real handler until b.N have been answered. A
+// single caller cannot see what concurrent scans cost each other — the
+// memory tier's lock, and the scheduler handing units to its workers.
+func BenchmarkScanWarmConcurrent(b *testing.B) {
+	log.SetOutput(io.Discard) // one access-log line per request
+	defer log.SetOutput(os.Stderr)
+	srv, err := serve.New(serve.Config{Seed: 1, Scale: benchScale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	body, err := json.Marshal(api.ScanRequest{Checker: benchCacheDSL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func(wantMisses bool) error {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/scan", bytes.NewReader(body)))
+		var resp api.ScanResponse
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK {
+			return fmt.Errorf("POST /scan = %d, decode: %v", rec.Code, err)
+		}
+		if !wantMisses && resp.Cache.Misses != 0 {
+			return fmt.Errorf("warm scan missed %d times", resp.Cache.Misses)
+		}
+		return nil
+	}
+	if err := post(true); err != nil { // the cold scan warms every entry
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var claimed atomic.Int64
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for claimed.Add(1) <= int64(b.N) {
+				if err := post(false); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkScanWarmTraced is BenchmarkScanWarmCache with ONLY the

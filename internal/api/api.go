@@ -84,7 +84,8 @@ type ScanRequest struct {
 	Files []string `json:"files,omitempty"`
 	// MaxReports caps collected reports (0 = unlimited).
 	MaxReports int `json:"max_reports,omitempty"`
-	// Workers overrides the parallelism degree (0 = GOMAXPROCS).
+	// Workers overrides the parallelism degree (0 = GOMAXPROCS). It is a
+	// ceiling: the scan starts at most one worker per range of functions.
 	Workers int `json:"workers,omitempty"`
 	// FuncTimeoutMS is the per-function analysis budget in milliseconds
 	// (0 = none).
@@ -190,7 +191,7 @@ type BatchRequest struct {
 	// MaxReports caps collected reports per checker (0 = unlimited).
 	MaxReports int `json:"max_reports,omitempty"`
 	// Workers overrides the batch's parallelism over functions (0 =
-	// GOMAXPROCS).
+	// GOMAXPROCS); like ScanRequest.Workers, a ceiling.
 	Workers int `json:"workers,omitempty"`
 	// Concurrency is ignored. It bounded how many checkers ran at once
 	// when a batch was one scan per checker; a batch is one pass with

@@ -3,9 +3,11 @@ package scan
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"knighter/internal/checker"
+	"knighter/internal/ckdsl"
 	"knighter/internal/engine"
 	"knighter/internal/store"
 )
@@ -72,14 +74,84 @@ func TestScanMidFlightCancellation(t *testing.T) {
 	}
 }
 
-// cancelOnPut triggers f on every Put, then forwards to the wrapped
-// store.
+// countdownCtx is a context that is canceled at its (k+1)-th Err call.
+// With one worker the scheduler's and the engine's checks come in a
+// fixed order, so each k places the cut at a different point of the
+// pass's first units: before a range probe, between a probe and an
+// analysis, or at the start of an analysis.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+	once sync.Once
+	done chan struct{}
+}
+
+func newCountdownCtx(k int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(k)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) >= 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+// TestCanceledPassStoresNoCanceledResult: a context canceled part-way
+// through a pass, at each of its first check points in turn, stores no
+// canceled result — on the single-flight path (one rider over a stack)
+// and on the plain Put path (a batch of two riders) — and the pass comes
+// back flagged.
+func TestCanceledPassStoresNoCanceledResult(t *testing.T) {
+	cb := buildCodebase(t)
+	other, err := ckdsl.CompileSource(`
+checker scan_other {
+  bugtype "Null-Pointer-Dereference"
+  source { call "kzalloc" yields nullable }
+  guard { nullcheck }
+  sink { deref unchecked }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cks := range [][]checker.Checker{{compileChecker(t)}, {compileChecker(t), other}} {
+		for k := int64(1); k <= 8; k++ {
+			rec := &cancelOnPut{Store: store.NewMemory(0)}
+			st := store.Store(rec)
+			if len(cks) == 1 {
+				st = store.NewStack(nil, store.Tier{Name: "memory", Store: rec})
+			}
+			res := NewIncremental(cb, st).RunBatch(cks, nil, Options{Workers: 1, Context: newCountdownCtx(k)}, 0)
+			if !res[0].Canceled {
+				t.Fatalf("%d riders, cut at check %d: the pass was not flagged canceled", len(cks), k)
+			}
+			if n := rec.unstorable.Load(); n != 0 {
+				t.Fatalf("%d riders, cut at check %d: %d canceled or timed-out results were stored", len(cks), k, n)
+			}
+		}
+	}
+}
+
+// cancelOnPut triggers f (if set) on every Put, counts Puts of results
+// that storable would refuse, then forwards to the wrapped store.
 type cancelOnPut struct {
 	store.Store
-	f func()
+	f          func()
+	unstorable atomic.Int64
 }
 
 func (c *cancelOnPut) Put(ctx context.Context, k store.Key, r *engine.Result) {
-	c.f()
+	if c.f != nil {
+		c.f()
+	}
+	if r.Canceled || r.TimedOut {
+		c.unstorable.Add(1)
+	}
 	c.Store.Put(ctx, k, r)
 }

@@ -49,7 +49,7 @@ const (
 	// function to its canonical source and hashing it with its file
 	// context (memoized across scans, so a warm daemon pays it once).
 	StageParse = "parse"
-	// StageCacheProbe is the summed store.Get time across workers.
+	// StageCacheProbe is the summed store probe time across workers.
 	StageCacheProbe = "cache_probe"
 	// StageEngineEval is the summed symbolic-execution time across
 	// workers (misses only — a fully warm scan has none).
@@ -107,6 +107,13 @@ type unit struct {
 	fn   int
 }
 
+// rangeSize is how many consecutive units a worker claims at a time, and
+// so how many keys per rider one store probe carries. It amortizes the
+// claim and the memory tier's lock over a range; a pass has at most one
+// worker per range, and its last range can leave a worker up to
+// rangeSize-1 analyses behind the others on a cold pass.
+const rangeSize = 64
+
 // RunFiles scans the given file indices through the cache. The merge
 // order — and therefore the report sequence — depends only on the order
 // of files and the function order within each file, never on worker
@@ -141,10 +148,11 @@ type riderPlan struct {
 // runRiders is the scheduler body, reading only the immutable snap: one
 // pass over the function units for any number of riders (a rider is the
 // checker list one Result is keyed by — a scan is a pass with one rider,
-// a batch a pass with one per checker). A worker takes a unit, probes
-// each rider's key, runs the engine ONCE with the riders that missed,
-// stores each rider's result under its own key, and the per-rider merges
-// then run as if each rider had scanned alone.
+// a batch a pass with one per checker). A worker claims the next range
+// of units, probes each rider's keys for the whole range, then for each
+// unit runs the engine ONCE with the riders that missed and stores each
+// rider's result under its own key; the per-rider merges then run as if
+// each rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
@@ -201,10 +209,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	if cacheable {
 		// Key computation stays serial: pure hashing, no I/O.
 		keyStart := time.Now()
-		hashes = make([]string, len(units))
-		for u, un := range units {
-			hashes[u] = snap.FuncHash(un.file, un.fn)
-		}
+		hashes = snap.unitHashes(units)
 		if timed {
 			stage(StageParse, keyStart, time.Since(keyStart), len(units))
 		}
@@ -213,17 +218,21 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	// The cache probe runs INSIDE the worker pool, not as a serial
 	// prologue: with a remote tier every Get can be a network round-trip,
 	// and a fleet-warm scan is nothing but Gets — serializing them would
-	// make the scan's headline path single-threaded I/O. Each worker
-	// probes, then computes on miss; with a coalescing store, concurrent
-	// misses on one key — this scan racing an identical scan from another
-	// request — compute once and share (critical once the remote tier
-	// widens the window between miss and put).
+	// make the scan's headline path single-threaded I/O. A worker claims
+	// a range of units, probes each rider's keys for the whole range in
+	// one store call, then computes the misses unit by unit; with a
+	// coalescing store, concurrent misses on one key — this scan racing an
+	// identical scan from another request — compute once and share
+	// (critical once the remote tier widens the window between miss and
+	// put).
 	var busyNS, evalNS atomic.Int64
 	workStart := time.Now()
 	if len(units) > 0 {
+		// More workers than ranges would only idle.
+		workers = min(workers, (len(units)+rangeSize-1)/rangeSize)
 		co, _ := inc.st.(store.ComputeCoalescer)
 		var wg sync.WaitGroup
-		ch := make(chan int)
+		var cursor atomic.Int64 // the first unit no worker has claimed
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -238,76 +247,94 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 					t0 = time.Now()
 					defer func() { busyNS.Add(int64(time.Since(t0))) }()
 				}
+				keys := make([]store.Key, 0, rangeSize)
 				// The riders a unit still has to be analyzed for.
 				missed := make([]int, 0, len(plans))
 				lists := make([][]checker.Checker, 0, len(plans))
-				for u := range ch {
-					un := units[u]
-					f := snap.files[un.file]
-					missed, lists = missed[:0], lists[:0]
+				for {
+					hi := int(cursor.Add(rangeSize))
+					lo := hi - rangeSize
+					if lo >= len(units) {
+						return
+					}
+					hi = min(hi, len(units))
 					for i := range plans {
 						p := &plans[i]
-						switch {
-						case p.same != i:
-						case opts.canceled():
-							// The scan was aborted: mark the remaining units
-							// canceled without probing, analyzing, or caching
-							// them — a disconnected client stops paying even
-							// for cache lookups.
-							p.perFunc[u] = &engine.Result{Truncated: true, Canceled: true}
-						case !p.cacheable:
-							missed, lists = append(missed, i), append(lists, p.checkers)
-						default:
-							if r, ok := inc.st.Get(ctx, p.key(hashes[u], engFP)); ok {
-								p.perFunc[u] = r
-								p.hits.Add(1)
-								continue
+						if p.same != i || !p.cacheable || opts.canceled() {
+							continue
+						}
+						keys = keys[:0]
+						for u := lo; u < hi; u++ {
+							keys = append(keys, p.key(hashes[u], engFP))
+						}
+						got := p.perFunc[lo:hi]
+						store.GetMany(ctx, inc.st, keys, got)
+						hits := 0
+						for _, r := range got {
+							if r != nil {
+								hits++
 							}
-							p.misses.Add(1)
-							missed, lists = append(missed, i), append(lists, p.checkers)
 						}
+						p.hits.Add(int64(hits))
+						p.misses.Add(int64(len(got) - hits))
 					}
-					if len(missed) == 0 {
-						continue // every rider hit: the unit never enters the engine
-					}
-					analyze := func() []*engine.Result {
-						var e0 time.Time
-						if timed {
-							e0 = time.Now()
+					for u := lo; u < hi; u++ {
+						missed, lists = missed[:0], lists[:0]
+						for i := range plans {
+							p := &plans[i]
+							switch {
+							case p.same != i, p.perFunc[u] != nil: // a duplicate rider, or a hit
+							case opts.canceled():
+								// The scan was aborted: mark the unanswered
+								// units canceled without analyzing or caching
+								// them, and probe no further range — a
+								// disconnected client stops paying even for
+								// cache lookups.
+								p.perFunc[u] = &engine.Result{Truncated: true, Canceled: true}
+							default:
+								missed, lists = append(missed, i), append(lists, p.checkers)
+							}
 						}
-						rs := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], lists, eo)
-						if timed {
-							evalNS.Add(int64(time.Since(e0)))
+						if len(missed) == 0 {
+							continue // every rider hit: the unit never enters the engine
 						}
-						return rs
-					}
-					if p := &plans[missed[0]]; len(missed) == 1 && p.cacheable && co != nil {
-						// One rider, one key: single-flight it against other
-						// requests computing the same key.
-						r, shared := co.GetOrCompute(ctx, p.key(hashes[u], engFP), func() (*engine.Result, bool) {
-							r := analyze()[0]
-							return r, storable(r)
-						})
-						p.perFunc[u] = r
-						if shared {
-							p.coalesced.Add(1)
+						un := units[u]
+						f := snap.files[un.file]
+						analyze := func() []*engine.Result {
+							var e0 time.Time
+							if timed {
+								e0 = time.Now()
+							}
+							rs := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], lists, eo)
+							if timed {
+								evalNS.Add(int64(time.Since(e0)))
+							}
+							return rs
 						}
-						continue
-					}
-					for k, r := range analyze() {
-						p := &plans[missed[k]]
-						p.perFunc[u] = r
-						if p.cacheable && storable(r) {
-							inc.st.Put(ctx, p.key(hashes[u], engFP), r)
+						if p := &plans[missed[0]]; len(missed) == 1 && p.cacheable && co != nil {
+							// One rider, one key: single-flight it against
+							// other requests computing the same key.
+							r, shared := co.GetOrCompute(ctx, p.key(hashes[u], engFP), func() (*engine.Result, bool) {
+								r := analyze()[0]
+								return r, storable(r)
+							})
+							p.perFunc[u] = r
+							if shared {
+								p.coalesced.Add(1)
+							}
+							continue
+						}
+						for k, r := range analyze() {
+							p := &plans[missed[k]]
+							p.perFunc[u] = r
+							if p.cacheable && storable(r) {
+								inc.st.Put(ctx, p.key(hashes[u], engFP), r)
+							}
 						}
 					}
 				}
 			}()
 		}
-		for u := range units {
-			ch <- u
-		}
-		close(ch)
 		wg.Wait()
 	}
 

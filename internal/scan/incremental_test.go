@@ -2,11 +2,15 @@ package scan
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
 	"knighter/internal/engine"
+	"knighter/internal/kernel"
+	"knighter/internal/minic"
 	"knighter/internal/store"
 )
 
@@ -73,6 +77,74 @@ func TestIncrementalDeterministicAcrossWorkersAndCacheState(t *testing.T) {
 		if got := resultBytes(t, warm); got != want {
 			t.Fatalf("warm incremental workers=%d differs", workers)
 		}
+	}
+}
+
+// oneFuncCorpus splits the test corpus into single-function files, each
+// keeping its file's structs and globals, so that the first n files
+// hold exactly n units.
+func oneFuncCorpus(t *testing.T, n int) *kernel.Corpus {
+	t.Helper()
+	var files []*kernel.SourceFile
+	for _, f := range buildCodebase(t).Files() {
+		for j, fn := range f.Funcs {
+			if len(files) == n {
+				return &kernel.Corpus{Files: files}
+			}
+			files = append(files, &kernel.SourceFile{
+				Path: fmt.Sprintf("%s.%d.c", strings.TrimSuffix(f.Name, ".c"), j),
+				Src:  minic.FormatFile(&minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals, Funcs: []*minic.FuncDecl{fn}}),
+			})
+		}
+	}
+	t.Fatalf("test corpus has %d functions, want %d", len(files), n)
+	return nil
+}
+
+// TestRangeBoundariesMatchUncachedScan: file subsets of 1, R-1, R, R+1
+// and 2R+1 units (R = rangeSize) — a short range, an exact one, a range
+// and one unit, two and one unit — scanned cold then warm by three
+// workers, through the plain memory tier and through a stack, each
+// equal Codebase.Run over the same files.
+func TestRangeBoundariesMatchUncachedScan(t *testing.T) {
+	corpus := oneFuncCorpus(t, 2*rangeSize+1)
+	cb, err := NewCodebase(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := compileChecker(t)
+	reports := 0
+	for _, n := range []int{1, rangeSize - 1, rangeSize, rangeSize + 1, 2*rangeSize + 1} {
+		sub, err := NewCodebase(&kernel.Corpus{Files: corpus.Files[:n]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := sub.RunOne(ck, Options{Workers: 1})
+		reports += len(plain.Reports)
+		want := resultBytes(t, plain)
+		files := make([]int, n)
+		for i := range files {
+			files[i] = i
+		}
+		for name, st := range map[string]store.Store{
+			"memory": store.NewMemory(0),
+			"stack":  store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}),
+		} {
+			inc := NewIncremental(cb, st)
+			for pass, wantHits := range []int{0, n} {
+				res := inc.RunFiles(files, []checker.Checker{ck}, Options{Workers: 3})
+				if res.CacheHits != wantHits || res.CacheMisses != n-wantHits {
+					t.Fatalf("%d units, %s, pass %d: hits=%d misses=%d, want %d/%d",
+						n, name, pass, res.CacheHits, res.CacheMisses, wantHits, n-wantHits)
+				}
+				if got := resultBytes(t, res); got != want {
+					t.Fatalf("%d units, %s, pass %d: differs from the uncached scan", n, name, pass)
+				}
+			}
+		}
+	}
+	if reports == 0 {
+		t.Fatal("no subset has a report: the comparison would only compare empty lists")
 	}
 }
 

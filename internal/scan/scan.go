@@ -129,7 +129,10 @@ func (cb *Codebase) NumFuncs() int {
 
 // Options configures a scan.
 type Options struct {
-	// Workers is the parallelism degree (default: GOMAXPROCS).
+	// Workers is the parallelism degree (default: GOMAXPROCS). It is a
+	// ceiling: a scan never starts more workers than it has work items
+	// (files for Codebase.Run, unit ranges for Incremental), so a caller
+	// cannot make it spawn goroutines that would only idle.
 	Workers int
 	// MaxReports caps the collected reports (0 = unlimited). The paper
 	// caps refinement-phase scans at 100 warnings.
@@ -236,6 +239,7 @@ func (s *Snapshot) runFileLevel(checkers []checker.Checker, opts Options) *Resul
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(s.files))
 	eo := opts.engineOptions(checkers)
 	perFile := make([]*engine.Result, len(s.files))
 	var wg sync.WaitGroup

@@ -116,6 +116,22 @@ func (s *Snapshot) FileIndex(path string) int {
 func (s *Snapshot) FuncHash(i, j int) string {
 	s.hashMu.Lock()
 	defer s.hashMu.Unlock()
+	return s.funcHashLocked(i, j)
+}
+
+// unitHashes is FuncHash for every unit of a scan under one acquisition
+// of the memo's lock.
+func (s *Snapshot) unitHashes(units []unit) []string {
+	hashes := make([]string, len(units))
+	s.hashMu.Lock()
+	defer s.hashMu.Unlock()
+	for u, un := range units {
+		hashes[u] = s.funcHashLocked(un.file, un.fn)
+	}
+	return hashes
+}
+
+func (s *Snapshot) funcHashLocked(i, j int) string {
 	k := [2]int{i, j}
 	if h, ok := s.funcHashes[k]; ok {
 		return h

@@ -71,13 +71,14 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 	}
 }
 
-// metricValues parses unlabeled series out of a /metrics body.
+// metricValues parses the series out of a /metrics body, keyed by name
+// with labels as exposed (`name{label="value"}`).
 func metricValues(t *testing.T, text string) map[string]int64 {
 	t.Helper()
 	out := map[string]int64{}
 	for _, line := range strings.Split(text, "\n") {
 		name, val, ok := strings.Cut(line, " ")
-		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+		if !ok || strings.HasPrefix(line, "#") {
 			continue
 		}
 		if f, err := strconv.ParseFloat(val, 64); err == nil {

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,6 +247,75 @@ func TestScanFileSubset(t *testing.T) {
 	again := postScan(t, ts, api.ScanRequest{Checker: testChecker, Files: []string{path}})
 	if again.Cache.Misses != 0 {
 		t.Fatalf("re-scan of one file missed %d times, want 0", again.Cache.Misses)
+	}
+}
+
+// TestWarmScanCountsEveryFunction pins the per-key counting the
+// benchmark's invariants rest on: however the scheduler batches its
+// probes, one warm /scan is one hit per function in the reply, in
+// /stats, and in the memory and stack series of store_hits_total.
+func TestWarmScanCountsEveryFunction(t *testing.T) {
+	srv, ts := bootOne(t, Config{})
+	req := api.ScanRequest{Checker: testChecker}
+	postScan(t, ts, req) // cold: stores every function
+	hits := func() map[string]int64 {
+		m := metricValues(t, getMetrics(t, ts))
+		return map[string]int64{
+			"/stats store.hits": getStats(t, ts).Store.Hits,
+			"memory":            m[`kserve_store_hits_total{tier="memory"}`],
+			"stack":             m[`kserve_store_hits_total{tier="stack"}`],
+		}
+	}
+	before := hits()
+	warm := postScan(t, ts, req)
+	after := hits()
+	funcs := srv.inc.Codebase().NumFuncs()
+	if warm.Cache.Hits != funcs || warm.Cache.Misses != 0 {
+		t.Fatalf("warm scan: %d hits %d misses, want %d/0", warm.Cache.Hits, warm.Cache.Misses, funcs)
+	}
+	for name, n := range after {
+		if d := n - before[name]; d != int64(funcs) {
+			t.Errorf("%s moved by %d over one warm scan, want %d", name, d, funcs)
+		}
+	}
+}
+
+// TestScanWorkersAreACeiling: a request's "workers" bounds the pass's
+// parallelism, it does not size it — /scan and /batch asking for 100 000
+// answer exactly what the default answers, and the process never holds
+// 1 000 goroutines meanwhile.
+func TestScanWorkersAreACeiling(t *testing.T) {
+	_, ts := bootOne(t, Config{})
+	var peak atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	const wide = 100000
+	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker, Workers: wide})
+	var batch api.BatchResponse
+	if code := postJSON(t, ts, "/batch", api.BatchRequest{Checkers: []string{testChecker}, Workers: wide}, &batch); code != http.StatusOK {
+		t.Fatalf("POST /batch status = %d", code)
+	}
+	close(stop)
+	<-sampled
+	if p := peak.Load(); p >= 1000 {
+		t.Fatalf(`"workers": %d ran %d goroutines at once`, wide, p)
+	}
+	want := reportsJSON(t, postScan(t, ts, api.ScanRequest{Checker: testChecker}))
+	if reportsJSON(t, scan) != want || reportsJSON(t, batch.Results[0]) != want {
+		t.Fatalf(`"workers": %d answered differently from the default`, wide)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,13 +109,61 @@ func checkMemory(t *testing.T, m *Memory, op string) {
 	}
 }
 
+// lruIDs lists the live entries' digests, most recently used first.
+func lruIDs(m *Memory) []Digest {
+	var ids []Digest
+	for i := m.slots[0].next; i != 0; i = m.slots[i].next {
+		ids = append(ids, m.slots[i].id)
+	}
+	return ids
+}
+
+// checkGetMany runs m.GetMany(keys) and checks it against sequential
+// Gets in key order: the same LRU order afterwards, one hit or miss per
+// key in the books, and a result exactly for the keys that were present.
+func checkGetMany(t *testing.T, m *Memory, keys []Key) {
+	t.Helper()
+	want, before := lruIDs(m), m.Stats()
+	present := make([]bool, len(keys))
+	hits := int64(0)
+	for i, k := range keys {
+		d := k.Digest()
+		if at := slices.Index(want, d); at >= 0 {
+			want = append([]Digest{d}, slices.Delete(want, at, at+1)...)
+			present[i] = true
+			hits++
+		}
+	}
+	out := make([]*engine.Result, len(keys))
+	m.GetMany(bg, keys, out)
+	checkMemory(t, m, "get-many")
+	if got := lruIDs(m); !slices.Equal(got, want) {
+		t.Fatalf("get-many: LRU order differs from sequential Gets in key order")
+	}
+	after := m.Stats()
+	if dh, dm := after.Hits-before.Hits, after.Misses-before.Misses; dh != hits || dm != int64(len(keys))-hits {
+		t.Fatalf("get-many of %d keys counted %d hits %d misses, want %d/%d", len(keys), dh, dm, hits, int64(len(keys))-hits)
+	}
+	for i, r := range out {
+		if (r != nil) != present[i] {
+			t.Fatalf("get-many: key %d answered %v, present=%v", i, r != nil, present[i])
+		}
+	}
+}
+
+// fuzzKey selects one of four functions and one of four checkers.
+func fuzzKey(sel byte) Key {
+	return Key{FuncHash: string([]byte{'f', sel % 4}), CheckerFP: string([]byte{'c', sel / 4 % 4}), EngineFP: "e"}
+}
+
 // FuzzMemoryWeightInvariants drives the byte-weighted LRU through
-// arbitrary put/get/invalidate/bulk-invalidate sequences and checks the
-// slab's bookkeeping (checkMemory) after every step.
+// arbitrary put/get/get-many/invalidate/bulk-invalidate sequences and
+// checks the slab's bookkeeping (checkMemory) after every step, and each
+// GetMany against sequential Gets (checkGetMany).
 //
 // The byte stream is triples (op, key, variant); a key selects one of
-// four functions and one of four checkers, and the budget holds three
-// mid-sized entries.
+// four functions and one of four checkers (fuzzKey), and the budget
+// holds three mid-sized entries.
 func FuzzMemoryWeightInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 3, 1, 0})
 	f.Add([]byte{0, 1, 9, 0, 1, 9, 2, 1, 0})
@@ -126,12 +175,16 @@ func FuzzMemoryWeightInvariants(f *testing.F) {
 	f.Add([]byte{0, 0, 48, 0, 4, 48, 0, 8, 48, 0, 1, 48, 0, 2, 48, 2, 0, 0, 0, 3, 48, 0, 7, 48, 1, 3, 0})
 	f.Add([]byte{0, 0, 48, 0, 4, 48, 0, 8, 48, 1, 0, 0, 0, 1, 48, 0, 2, 48, 3, 0, 0, 0, 3, 48, 0, 7, 48})
 	f.Add([]byte{0, 0, 48, 0, 4, 48, 0, 8, 48, 1, 0, 0, 1, 4, 0, 0, 1, 48, 2, 0, 0, 0, 3, 48, 0, 11, 48, 0, 7, 48})
+	// GetMany over keys that are all present but not at the front (the
+	// ring must move, and every key count as a hit), then over a mix of
+	// present and absent keys, then after an eviction.
+	f.Add([]byte{0, 0, 48, 0, 1, 48, 4, 0, 0, 4, 1, 5, 0, 2, 48, 0, 3, 48, 4, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := NewMemory(3 * weight(encodeResult(fuzzResult(48))))
 		for len(data) >= 3 {
-			op, sel, variant := data[0]%4, data[1], data[2]
+			op, sel, variant := data[0]%5, data[1], data[2]
 			data = data[3:]
-			k := Key{FuncHash: string([]byte{'f', sel % 4}), CheckerFP: string([]byte{'c', sel / 4 % 4}), EngineFP: "e"}
+			k := fuzzKey(sel)
 			switch op {
 			case 0:
 				m.Put(bg, k, fuzzResult(variant))
@@ -145,6 +198,9 @@ func FuzzMemoryWeightInvariants(f *testing.F) {
 			case 3:
 				m.InvalidateFuncs([]string{"f\x00", "f\x01", string([]byte{'f', variant % 4})})
 				checkMemory(t, m, "bulk-invalidate")
+			case 4:
+				// Repeats allowed: a repeated key moves to the front again.
+				checkGetMany(t, m, []Key{k, fuzzKey(variant), fuzzKey(sel ^ variant)})
 			}
 		}
 	})

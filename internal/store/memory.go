@@ -69,24 +69,61 @@ func NewMemory(maxBytes int64) *Memory {
 	}
 }
 
-// Get implements Store. The context is unused — a map lookup has no
-// network wait to abort. Payloads are immutable once published, so the
-// decode runs unlocked, into a result no other caller holds.
+// Get implements Store: the one-key case of GetMany.
 func (m *Memory) Get(_ context.Context, k Key) (*engine.Result, bool) {
-	id := k.Digest()
-	m.mu.Lock()
-	i, ok := m.ids[id]
-	if !ok {
-		m.stats.Misses++
-		m.mu.Unlock()
-		return nil, false
+	var out [1]*engine.Result
+	m.lookup([]probe{{id: k.Digest()}}, out[:])
+	return out[0], out[0] != nil
+}
+
+// GetMany implements BatchGetter. The context is unused; a map lookup
+// has no network wait to abort.
+func (m *Memory) GetMany(_ context.Context, keys []Key, out []*engine.Result) {
+	var buf [64]probe // a scheduler range probes without allocating
+	ps := buf[:0]
+	if len(keys) > len(buf) {
+		ps = make([]probe, 0, len(keys))
 	}
-	m.toFront(i)
-	m.stats.Hits++
-	payload := m.slots[i].payload
+	for _, k := range keys {
+		ps = append(ps, probe{id: k.Digest()})
+	}
+	m.lookup(ps, out)
+}
+
+// probe is one key of a lookup: its digest, and the payload found for
+// it (nil on a miss — a live entry's payload is never empty).
+type probe struct {
+	id      Digest
+	payload []byte
+}
+
+// lookup is the one probe body behind Get and GetMany. The keys arrive
+// hashed; they are looked up and moved to the front of the LRU ring
+// under one lock acquisition — leaving the ring as sequential Gets in
+// key order would — and decoded into out after the unlock: payloads are
+// immutable once published, so each decode runs into a result no other
+// caller holds.
+func (m *Memory) lookup(ps []probe, out []*engine.Result) {
+	hits := int64(0)
+	m.mu.Lock()
+	for i := range ps {
+		if s, ok := m.ids[ps[i].id]; ok {
+			m.toFront(s)
+			ps[i].payload = m.slots[s].payload
+			hits++
+		}
+	}
+	m.stats.Hits += hits
+	m.stats.Misses += int64(len(ps)) - hits
 	m.mu.Unlock()
-	r, err := decodeResult(payload)
-	return r, err == nil
+	for i, p := range ps {
+		out[i] = nil
+		if p.payload != nil {
+			if r, err := decodeResult(p.payload); err == nil {
+				out[i] = r
+			}
+		}
+	}
 }
 
 // Put implements Store.

@@ -26,6 +26,9 @@ type Tier struct {
 //     it is raced against that leaf: a local hit never waits on the
 //     network, a miss is declared only after both answered, and a
 //     remote hit is promoted into the local leaf too.
+//   - GetMany hands a range of keys to the front leaf in one call (one
+//     lock acquisition on *Memory); each key it misses then takes Get's
+//     path through the leaves behind it. Counters stay per key.
 //   - Put writes through to every leaf.
 //   - GetOrCompute collapses concurrent computations of one key.
 //   - Invalidation fans the whole hash set out to every leaf once;
@@ -36,7 +39,9 @@ type Tier struct {
 //   - With a registry, every leaf lands in the store_*{tier=name}
 //     families. The in-memory leaf (*Memory) times one op in 16 — a
 //     memory hit costs about as much as reading the clock — and leaves
-//     that do I/O time every op.
+//     that do I/O time every op. Under GetMany a timed key observes its
+//     share of the batched call (duration / keys), so the get series
+//     stays one observation per key at per-key latency.
 type Stack struct {
 	leaves []leaf
 
@@ -179,6 +184,29 @@ func (l *leaf) get(ctx context.Context, k Key) (*engine.Result, bool) {
 	return r, ok
 }
 
+// getMany probes the leaf for a range of keys in one call. Latency stays
+// a per-key series: each key the leaf would time observes the call's
+// duration divided by its key count — a hit's amortized share of one
+// lock acquisition.
+func (l *leaf) getMany(ctx context.Context, keys []Key, out []*engine.Result) {
+	timed := 0
+	for _, k := range keys {
+		if l.timed(k) {
+			timed++
+		}
+	}
+	if timed == 0 {
+		GetMany(ctx, l.Store, keys, out)
+		return
+	}
+	start := time.Now()
+	GetMany(ctx, l.Store, keys, out)
+	perKey := time.Since(start).Seconds() / float64(len(keys))
+	for ; timed > 0; timed-- {
+		l.getDur.Observe(perKey)
+	}
+}
+
 func (l *leaf) put(ctx context.Context, k Key, r *engine.Result) {
 	if !l.timed(k) {
 		l.Store.Put(ctx, k, r)
@@ -194,7 +222,41 @@ func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for i := 0; i < len(s.leaves); i++ {
+	return s.getFrom(ctx, 0, k)
+}
+
+// GetMany implements BatchGetter: the front leaf answers the whole range
+// in one call, and each key it misses falls through the leaves behind
+// it exactly as Get does — raced, promoted, counted once per key. A
+// network front leaf is raced per key, so then every key takes Get's
+// path from the front.
+func (s *Stack) GetMany(ctx context.Context, keys []Key, out []*engine.Result) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	first := 0
+	if len(s.leaves) > 0 && !s.leaves[0].network {
+		s.leaves[0].getMany(ctx, keys, out)
+		first = 1
+	} else {
+		clear(out)
+	}
+	hits := int64(0)
+	for i, k := range keys {
+		if out[i] != nil {
+			hits++
+			continue
+		}
+		out[i], _ = s.getFrom(ctx, first, k)
+	}
+	s.hits.Add(hits)
+}
+
+// getFrom probes the leaves from index first on, promotes a hit into
+// every leaf in front of the one that answered, and counts the key as
+// one stack-level hit or miss.
+func (s *Stack) getFrom(ctx context.Context, first int, k Key) (*engine.Result, bool) {
+	for i := first; i < len(s.leaves); i++ {
 		l, front := &s.leaves[i], s.leaves[:i]
 		var r *engine.Result
 		var ok bool

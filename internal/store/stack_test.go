@@ -413,6 +413,25 @@ func TestStackBehaviours(t *testing.T) {
 					t.Errorf("exposition after an unsampled get missing %q", want)
 				}
 			}
+			// A batched probe counts and times per key: a memory hit, a
+			// sampled miss and an unsampled miss are three memory
+			// requests, two memory get timings, and two keys falling
+			// through to the disk leaf.
+			GetMany(bg, st, []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}, make([]*engine.Result, 3))
+			b.Reset()
+			reg.WriteTo(&b)
+			for _, want := range []string{
+				`kserve_store_requests_total{tier="memory"} 7`,
+				`kserve_store_hits_total{tier="memory"} 2`,
+				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 4`,
+				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 4`,
+				`kserve_store_hits_total{tier="stack"} 2`,
+				`kserve_store_misses_total{tier="stack"} 4`,
+			} {
+				if !strings.Contains(b.String(), want) {
+					t.Errorf("exposition after a batched get missing %q", want)
+				}
+			}
 		}},
 	} {
 		t.Run(tc.name, tc.run)
@@ -435,8 +454,32 @@ type stackModel struct {
 	hits, misses, puts int64
 }
 
-func (m *stackModel) get(id string) (string, bool) {
-	for i := 0; i < len(m.leaves); i++ {
+func (m *stackModel) get(id string) (string, bool) { return m.getFrom(0, id) }
+
+// getMany is GetMany on a stack with a local front leaf: the front leaf
+// answers every key as the batch found it, then each key it missed takes
+// get's path from the second leaf, in key order.
+func (m *stackModel) getMany(ids []string) ([]string, []bool) {
+	msgs, oks := make([]string, len(ids)), make([]bool, len(ids))
+	front := m.leaves[0]
+	for i, id := range ids {
+		if msgs[i], oks[i] = front.has[id]; oks[i] {
+			front.hits++
+			m.hits++
+		} else {
+			front.misses++
+		}
+	}
+	for i, id := range ids {
+		if !oks[i] {
+			msgs[i], oks[i] = m.getFrom(1, id)
+		}
+	}
+	return msgs, oks
+}
+
+func (m *stackModel) getFrom(first int, id string) (string, bool) {
+	for i := first; i < len(m.leaves); i++ {
 		l, front := m.leaves[i], m.leaves[:i]
 		var msg string
 		var ok bool
@@ -503,7 +546,7 @@ func (m *stackModel) invalidate(ids []string) int {
 	return n
 }
 
-// TestStackMatchesReferenceModel runs one seeded Get / Put /
+// TestStackMatchesReferenceModel runs one seeded Get / GetMany / Put /
 // GetOrCompute / Invalidate script (plus, where there is a daemon, a
 // sibling replica publishing to it) over the five deployed shapes, all
 // built by Open, against the plain-map model: every answer, every
@@ -569,10 +612,35 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 				}
 				return ids
 			}
+			randKey := func() Key { return fkey(funcs[rng.Intn(len(funcs))], checkers[rng.Intn(len(checkers))]) }
 			for step := 0; step < 600; step++ {
-				k := fkey(funcs[rng.Intn(len(funcs))], checkers[rng.Intn(len(checkers))])
+				k := randKey()
 				id, msg := k.ID(), fmt.Sprintf("step-%d", step)
-				switch op := rng.Intn(11); {
+				switch op := rng.Intn(12); {
+				case op == 11: // a range probe, repeats allowed
+					keys, ids := []Key{k}, []string{id}
+					for n := rng.Intn(6); n > 0; n-- {
+						keys = append(keys, randKey())
+						ids = append(ids, keys[len(keys)-1].ID())
+					}
+					var want []string
+					var wantOK []bool
+					if _, batched := target.(BatchGetter); batched {
+						want, wantOK = model.getMany(ids)
+					} else {
+						// The protocol has no batch call: one Get per key.
+						want, wantOK = make([]string, len(ids)), make([]bool, len(ids))
+						for i, id := range ids {
+							want[i], wantOK[i] = model.get(id)
+						}
+					}
+					got := make([]*engine.Result, len(keys))
+					GetMany(bg, target, keys, got)
+					for i, r := range got {
+						if (r != nil) != wantOK[i] || (r != nil && r.Reports[0].Message != want[i]) {
+							t.Fatalf("step %d: GetMany key %d (%v) = %v; model says %q, %v", step, i, keys[i], r, want[i], wantOK[i])
+						}
+					}
 				case op == 10 && daemonStore != nil:
 					// A sibling replica publishes to the shared daemon: the
 					// entry exists behind the network leaf and nowhere local.

@@ -154,6 +154,33 @@ type ComputeCoalescer interface {
 	GetOrCompute(ctx context.Context, k Key, compute func() (*engine.Result, bool)) (*engine.Result, bool)
 }
 
+// BatchGetter is an optional Store extension for tiers that answer a
+// whole range of keys in one call: the in-memory tier takes its lock
+// once per range instead of once per key. Every key still counts as one
+// hit or one miss in the tier's books.
+type BatchGetter interface {
+	// GetMany sets out[i] to the cached result for keys[i], or to nil on
+	// a miss. len(out) must equal len(keys).
+	GetMany(ctx context.Context, keys []Key, out []*engine.Result)
+}
+
+// GetMany looks keys up in st, setting out[i] to the result for keys[i]
+// or nil: through the tier's batch path when it has one, one Get per
+// key otherwise.
+func GetMany(ctx context.Context, st Store, keys []Key, out []*engine.Result) {
+	if bg, ok := st.(BatchGetter); ok {
+		bg.GetMany(ctx, keys, out)
+		return
+	}
+	for i, k := range keys {
+		if r, ok := st.Get(ctx, k); ok {
+			out[i] = r
+		} else {
+			out[i] = nil
+		}
+	}
+}
+
 // invalidateAll forwards a hash set to st through its widest supported
 // invalidation interface: the bulk path when available, per-hash
 // otherwise, and zero for tiers without invalidation.
