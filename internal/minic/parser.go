@@ -861,7 +861,19 @@ func (p *Parser) typeFollowsParen() bool {
 	case KwStruct, KwConst, KwUnsigned, KwVoid, KwInt, KwChar, KwLong, KwBool:
 		return true
 	case IDENT:
-		return IsTypeWord(p.toks[p.pos+1].Val)
+		if !IsTypeWord(p.toks[p.pos+1].Val) {
+			return false
+		}
+		// A typedef name is also a usable identifier: "(u8 *)p" is a
+		// cast, but "(u8 % 2)" — which the printer emits for "u8 % 2"
+		// under a lower-precedence operator — is an expression. It names
+		// a type only when the parenthesis closes after its qualifiers
+		// and pointer stars.
+		n := 2
+		for k := p.peekKind(n); k == KwConst || k == Star; k = p.peekKind(n) {
+			n++
+		}
+		return p.peekKind(n) == RParen
 	}
 	return false
 }

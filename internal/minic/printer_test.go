@@ -70,6 +70,9 @@ func TestRoundTripConstructs(t *testing.T) {
 		"void f(void)\n{\n\tu32 v = (u32)get();\n\tput(v << 8 | 3);\n}\n",
 		"int f(int a)\n{\n\twhile (a > 0) {\n\t\ta--;\n\t\tif (a == 3)\n\t\t\tbreak;\n\t\tcontinue;\n\t}\n\treturn a;\n}\n",
 		"void f(struct p *q)\n{\n\tstruct p *alias __free(kfree) = q;\n\tuse(alias);\n}\n",
+		// A typedef name used as an identifier prints inside parentheses
+		// that must not re-parse as a cast.
+		"void f(void)\n{\n\tx = 0 & u8 % 2;\n\ty = (u8 const *)p;\n}\n",
 	}
 	for _, src := range srcs {
 		roundTrip(t, src)

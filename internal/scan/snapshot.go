@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,78 +13,73 @@ import (
 )
 
 // Snapshot is one immutable generation of the parsed corpus: the file
-// ASTs, the function count, and a lazily filled content-hash memo. A
-// scan pins the live snapshot once at admission and reads it lock-free
-// to completion — a changeset committing mid-scan builds the NEXT
-// snapshot off to the side and swaps the live pointer, so the pinned
-// one never changes underneath the reader.
+// ASTs, the function count, and a lazily filled content-hash memo per
+// file. A scan pins the live snapshot once at admission and reads it
+// lock-free to completion — a changeset committing mid-scan builds the
+// NEXT snapshot off to the side and swaps the live pointer, so the
+// pinned one never changes underneath the reader.
 //
 // Everything reachable from a Snapshot is read-only except the hash
-// memo, which is guarded by its own mutex and only ever converges
-// toward the same values (content hashes are pure functions of the
-// immutable ASTs).
+// memos, each filled exactly once (content hashes are pure functions of
+// the immutable ASTs).
 type Snapshot struct {
 	gen      int64
 	files    []*minic.File
 	numFuncs int
+	// memo[i] holds the content hashes of files[i]. A successor shares
+	// the memo of every file it keeps by pointer, so a warm daemon pays
+	// each hash once per file version, not once per generation.
+	memo []*fileMemo
+}
 
-	// Content hashes for the incremental scheduler, computed lazily and
-	// memoized: a function's analysis depends on its own source, its
-	// position (reports carry absolute line/col), and the file-level
-	// declarations it can see, so the hash covers all three. Successor
-	// snapshots inherit the memo entries of untouched files, so a warm
-	// daemon pays each hash once per content, not once per generation.
-	hashMu     sync.Mutex
-	ctxHashes  []string
-	funcHashes map[[2]int]string
+// fileMemo holds the content hashes of one file version, computed on
+// first use. A function's analysis depends on its own source, its
+// position (reports carry absolute line/col), and the file-level
+// declarations it can see, so its hash covers all three.
+type fileMemo struct {
+	once  sync.Once
+	funcs []string
+}
+
+// hashes returns the content hash of every function of f, the file
+// version this memo belongs to.
+func (m *fileMemo) hashes(f *minic.File) []string {
+	m.once.Do(func() {
+		ctx := minic.FormatFile(&minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals})
+		ctxHash := store.Hash("filectx:v1", f.Name, ctx)
+		m.funcs = make([]string, len(f.Funcs))
+		for j, fn := range f.Funcs {
+			// v2: the declaration position is part of the function's
+			// identity — cached reports carry absolute line/col, so a
+			// function whose text is unchanged but which moved within its
+			// file must re-analyze.
+			m.funcs[j] = store.Hash("func:v2", ctxHash,
+				fmt.Sprintf("%d:%d", fn.Pos.Line, fn.Pos.Col), minic.FormatFunc(fn))
+		}
+	})
+	return m.funcs
 }
 
 // newSnapshot builds generation gen over the given parsed files with a
 // cold hash memo.
 func newSnapshot(gen int64, files []*minic.File) *Snapshot {
-	s := &Snapshot{
-		gen:        gen,
-		files:      files,
-		ctxHashes:  make([]string, len(files)),
-		funcHashes: make(map[[2]int]string),
-	}
-	for _, f := range files {
+	s := &Snapshot{gen: gen, files: files, memo: make([]*fileMemo, len(files))}
+	for i, f := range files {
 		s.numFuncs += len(f.Funcs)
+		s.memo[i] = &fileMemo{}
 	}
 	return s
 }
 
 // next builds the successor snapshot: untouched files share their ASTs
-// and their memoized hashes with the parent; files in work swap in new
-// ASTs and start with a cold memo. The parent is not modified — readers
-// pinned to it keep seeing exactly what they pinned.
+// and their hash memos with the parent; files in work swap in new ASTs
+// and a cold memo. The parent is not modified — readers pinned to it
+// keep seeing exactly what they pinned.
 func (s *Snapshot) next(gen int64, work map[int]*minic.File) *Snapshot {
-	files := make([]*minic.File, len(s.files))
-	copy(files, s.files)
+	n := &Snapshot{gen: gen, files: slices.Clone(s.files), numFuncs: s.numFuncs, memo: slices.Clone(s.memo)}
 	for i, nf := range work {
-		files[i] = nf
-	}
-	n := &Snapshot{
-		gen:       gen,
-		files:     files,
-		ctxHashes: make([]string, len(files)),
-	}
-	for _, f := range files {
-		n.numFuncs += len(f.Funcs)
-	}
-	// Scans pinned to s keep memoizing into its maps, so even their size
-	// is read under the lock.
-	s.hashMu.Lock()
-	n.funcHashes = make(map[[2]int]string, len(s.funcHashes))
-	copy(n.ctxHashes, s.ctxHashes)
-	for k, h := range s.funcHashes {
-		if _, touched := work[k[0]]; !touched {
-			n.funcHashes[k] = h
-		}
-	}
-	s.hashMu.Unlock()
-	for i := range work {
-		n.ctxHashes[i] = ""
+		n.numFuncs += len(nf.Funcs) - len(s.files[i].Funcs)
+		n.files[i], n.memo[i] = nf, &fileMemo{}
 	}
 	return n
 }
@@ -114,41 +110,16 @@ func (s *Snapshot) FileIndex(path string) int {
 // the file context (file name, structs, globals) its analysis can
 // observe.
 func (s *Snapshot) FuncHash(i, j int) string {
-	s.hashMu.Lock()
-	defer s.hashMu.Unlock()
-	return s.funcHashLocked(i, j)
+	return s.memo[i].hashes(s.files[i])[j]
 }
 
-// unitHashes is FuncHash for every unit of a scan under one acquisition
-// of the memo's lock.
+// unitHashes is FuncHash for every unit of a scan.
 func (s *Snapshot) unitHashes(units []unit) []string {
 	hashes := make([]string, len(units))
-	s.hashMu.Lock()
-	defer s.hashMu.Unlock()
 	for u, un := range units {
-		hashes[u] = s.funcHashLocked(un.file, un.fn)
+		hashes[u] = s.FuncHash(un.file, un.fn)
 	}
 	return hashes
-}
-
-func (s *Snapshot) funcHashLocked(i, j int) string {
-	k := [2]int{i, j}
-	if h, ok := s.funcHashes[k]; ok {
-		return h
-	}
-	f := s.files[i]
-	if s.ctxHashes[i] == "" {
-		ctx := minic.FormatFile(&minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals})
-		s.ctxHashes[i] = store.Hash("filectx:v1", f.Name, ctx)
-	}
-	fn := f.Funcs[j]
-	// v2: the declaration position is part of the function's identity —
-	// cached reports carry absolute line/col, so a function whose text
-	// is unchanged but which moved within its file must re-analyze.
-	h := store.Hash("func:v2", s.ctxHashes[i],
-		fmt.Sprintf("%d:%d", fn.Pos.Line, fn.Pos.Col), minic.FormatFunc(fn))
-	s.funcHashes[k] = h
-	return h
 }
 
 // Run scans every file of the snapshot with the given checkers,
