@@ -1008,21 +1008,47 @@ func BenchmarkScanShardedFanout(b *testing.B) {
 	b.ReportMetric(float64(len(merged.Reports)), "reports")
 }
 
-// BenchmarkBatchScanCold measures a /batch of never-seen revisions — a
-// refinement round's candidates — at batch sizes 2 and 4: every function
-// misses under every revision, so the time is one shared exploration per
-// function plus one store put per revision.
+// synthRevisions returns n never-seen revisions of the valid checkers
+// Table 1 synthesized, taken round-robin from the from-th one: what a
+// refinement round sends, and what cold_sweep sends, through the ckdsl
+// paths those checkers exercise. tag keeps revisions of different calls
+// apart (a checker's name is part of its fingerprint).
+func synthRevisions(b *testing.B, t1 *eval.Table1Result, tag string, from, n int) []checker.Checker {
+	b.Helper()
+	var specs []*ckdsl.Spec
+	for _, so := range t1.Outcomes {
+		if so.Synth.Valid {
+			specs = append(specs, so.Synth.Spec)
+		}
+	}
+	if len(specs) == 0 {
+		b.Fatal("Table 1 synthesized no valid checker")
+	}
+	cks := make([]checker.Checker, n)
+	for i := range cks {
+		sp := *specs[(from+i)%len(specs)]
+		sp.Name = fmt.Sprintf("%s_%s_%d", sp.Name, tag, i)
+		cks[i] = mustChecker(b, sp.String())
+	}
+	return cks
+}
+
+// BenchmarkBatchScanCold measures a /batch of never-seen revisions of
+// synthesized checkers — a refinement round's candidates — at batch sizes
+// 2 and 4: every function misses under every revision, so the time is one
+// shared exploration per function plus one store put per revision.
+// Successive iterations walk the valid checkers, so ns/op averages over
+// them.
 func BenchmarkBatchScanCold(b *testing.B) {
-	h, _, _ := setupBench(b)
+	h, t1, _ := setupBench(b)
 	for _, size := range []int{2, 4} {
 		b.Run(fmt.Sprintf("revisions=%d", size), func(b *testing.B) {
-			var cks []checker.Checker
-			for _, name := range []string{"rev_a", "rev_b", "rev_c", "rev_d"}[:size] {
-				cks = append(cks, mustChecker(b, strings.ReplaceAll(benchCacheDSL, "bench_cache", name)))
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cks := synthRevisions(b, t1, fmt.Sprint(i), i*size, size)
 				inc := scan.NewIncremental(h.Codebase, store.NewMemory(0)) // fresh store: nothing is warm
+				b.StartTimer()
 				for _, res := range inc.RunBatch(cks, nil, scan.Options{}, 0) {
 					if res.CacheHits != 0 {
 						b.Fatalf("cold batch hit %d times", res.CacheHits)
@@ -1040,10 +1066,10 @@ func BenchmarkBatchScanCold(b *testing.B) {
 // cost. The prefill re-stores one pass's results under new checker
 // fingerprints, as the sweep's revisions do.
 func BenchmarkBatchScanColdResident(b *testing.B) {
-	h, _, _ := setupBench(b)
+	h, t1, _ := setupBench(b)
 	cb := h.Codebase
 	mem := store.NewMemory(0)
-	eo := engine.Options{Checkers: []checker.Checker{mustChecker(b, benchCacheDSL)}}
+	eo := engine.Options{Checkers: synthRevisions(b, t1, "prefill", 0, 1)}
 	files := cb.Files()
 	var keys []string
 	var results []*engine.Result
@@ -1064,10 +1090,7 @@ func BenchmarkBatchScanColdResident(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cks := []checker.Checker{
-			mustChecker(b, strings.ReplaceAll(benchCacheDSL, "bench_cache", fmt.Sprintf("rev_%d_a", i))),
-			mustChecker(b, strings.ReplaceAll(benchCacheDSL, "bench_cache", fmt.Sprintf("rev_%d_b", i))),
-		}
+		cks := synthRevisions(b, t1, fmt.Sprint(i), 2*i, 2)
 		b.StartTimer()
 		for _, res := range inc.RunBatch(cks, nil, scan.Options{}, 0) {
 			if res.CacheHits != 0 {

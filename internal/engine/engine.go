@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"knighter/internal/cfg"
@@ -193,9 +194,70 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 		pending[i] = i
 	}
 	for len(pending) > 0 {
-		pending = newExec(file, fn, graph, opts, riders, results, pending).explore()
+		ex := newExec(file, fn, graph, opts, riders, results, pending)
+		pending = ex.explore() // recovers every panic, so the scratch always goes back
+		ex.release(ex.evals)
 	}
 	return results
+}
+
+// scratch is the working set a pass fills and empties: the arena and the
+// tables kept beside it. Passes take one from scratchPool and give it back
+// cleared, so a cold function pays for the paths it explores and not for
+// building these again.
+//
+// Invariant: nothing that outlives a pass points into its scratch.
+// Results hold reports, and a report carries only strings and positions
+// (region descriptions are rendered when it is made, traces copied); the
+// checker contexts that do hold the arena and the tables are made per
+// pass, and a checker must not retain one past its callback.
+type scratch struct {
+	arena   *sym.Arena
+	decls   map[string]minic.Type // declared types of params/locals/globals
+	visited map[visitKey]struct{}
+	// localDeclared tracks names declared as locals so uninitialized
+	// loads can be flagged.
+	localDeclared map[string]bool
+	values        map[minic.Expr]sym.Value // the statement value cache pathCtx holds
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{
+		arena:         sym.NewArena(),
+		decls:         map[string]minic.Type{},
+		visited:       map[visitKey]struct{}{},
+		localDeclared: map[string]bool{},
+		values:        map[minic.Expr]sym.Value{},
+	}
+}}
+
+// maxPooledEntries bounds the pass a scratch may come back from and
+// still be pooled. clear costs O(capacity), and a map keeps the capacity
+// of the largest size it reached, so one unusually large pass must not
+// tax every later pass that draws its scratch. visited holds steps ×
+// riders entries, the value cache at most one statement's evaluations,
+// the arena one entry per region and symbol. The kernel corpus peaks at
+// 12 steps × riders, 25 evaluations and 16 arena entries: 256 covers a
+// batch of 21 riders on its largest function, and a pass cut at the
+// evaluator's first deadline check (evalCheckInterval). A map grown to
+// 256 entries clears in ≈ 0.7 µs (4 µs at 1024; Go 1.24, 2-core Xeon),
+// under a tenth of a median cold function.
+const maxPooledEntries = 256
+
+// release clears the scratch and returns it to the pool, or drops it when
+// the pass that used it (evals expression evaluations) outgrew
+// maxPooledEntries.
+func (sc *scratch) release(evals int) {
+	if len(sc.visited) > maxPooledEntries || len(sc.decls) > maxPooledEntries ||
+		sc.arena.Size() > maxPooledEntries || evals > maxPooledEntries {
+		return
+	}
+	sc.arena.Reset()
+	clear(sc.decls)
+	clear(sc.visited)
+	clear(sc.localDeclared)
+	clear(sc.values)
+	scratchPool.Put(sc)
 }
 
 // timeoutAbort is the panic sentinel the evaluator throws when the
@@ -231,10 +293,10 @@ type rider struct {
 // exec is one pass: per-function analysis machinery shared across all
 // paths and all riders of the pass.
 type exec struct {
+	*scratch
 	file  *minic.File
 	fn    *minic.FuncDecl
 	graph *cfg.Graph
-	arena *sym.Arena
 	opts  Options
 	// live are the riders this pass is still computing, in caller order;
 	// again collects the riders that left it and must be analyzed in
@@ -245,8 +307,6 @@ type exec struct {
 	// steps and paths are every live rider's Result.Steps and
 	// Result.Paths: riders in one pass explore in lockstep.
 	steps, paths int
-	decls        map[string]minic.Type // declared types of params/locals/globals
-	visited      map[visitKey]struct{}
 	pc           pathCtx // the frame being executed
 	// deadline is the wall-clock cutoff for this pass (zero =
 	// unbounded).
@@ -259,9 +319,6 @@ type exec struct {
 	// the frame-level check in run() only sees at entry — cannot outlive
 	// its budget.
 	evals int
-	// localDeclared tracks names declared as locals so uninitialized
-	// loads can be flagged.
-	localDeclared map[string]bool
 	// active is the rider and checker whose callback is running, for
 	// attributing a crash.
 	active        *rider
@@ -271,17 +328,14 @@ type exec struct {
 func newExec(file *minic.File, fn *minic.FuncDecl, graph *cfg.Graph, opts Options,
 	riders [][]checker.Checker, results []*Result, ids []int) *exec {
 	ex := &exec{
-		file:          file,
-		fn:            fn,
-		graph:         graph,
-		arena:         sym.NewArena(),
-		opts:          opts,
-		decls:         map[string]minic.Type{},
-		visited:       map[visitKey]struct{}{},
-		localDeclared: map[string]bool{},
-		slots:         len(ids),
+		scratch: scratchPool.Get().(*scratch),
+		file:    file,
+		fn:      fn,
+		graph:   graph,
+		opts:    opts,
+		slots:   len(ids),
 	}
-	ex.pc.values = map[minic.Expr]sym.Value{}
+	ex.pc.values = ex.values
 	if opts.Timeout > 0 {
 		ex.deadline = time.Now().Add(opts.Timeout)
 	}

@@ -1,0 +1,246 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"knighter/internal/checker"
+	"knighter/internal/kernel"
+	"knighter/internal/minic"
+	"knighter/internal/sym"
+)
+
+// siteReporter reports every memory access with what the pass's tables
+// say about it: the region's kind and array length, whether the load is
+// of a declared but unset local, and, as RegionAt, the region's path,
+// which prints symbol ids. Residue a pooled scratch carried over from
+// another pass shows in its report text.
+type siteReporter struct{}
+
+func (siteReporter) Name() string    { return "test.Sites" }
+func (siteReporter) BugType() string { return "None" }
+func (s siteReporter) CheckLocation(ac *checker.Access, c *checker.Context) {
+	kind := -1
+	if reg := c.Arena().Region(ac.Pointee); reg != nil {
+		kind = int(reg.Kind)
+	}
+	c.Report(s, fmt.Sprintf("kind=%d uninit=%v len=%d", kind, ac.UninitLoad, ac.ArrayLen), ac.Pointee)
+}
+
+// canceler cancels its pass's context at every store it sees.
+type canceler struct{ cancel context.CancelFunc }
+
+func (canceler) Name() string                                     { return "test.Canceler" }
+func (canceler) BugType() string                                  { return "None" }
+func (c canceler) CheckBind(*checker.BindEvent, *checker.Context) { c.cancel() }
+
+// staller outlasts its pass's Timeout at the first store it sees.
+type staller struct {
+	budget  time.Duration
+	stalled bool
+}
+
+func (*staller) Name() string    { return "test.Staller" }
+func (*staller) BugType() string { return "None" }
+func (s *staller) CheckBind(*checker.BindEvent, *checker.Context) {
+	if !s.stalled {
+		s.stalled = true
+		time.Sleep(s.budget)
+	}
+}
+
+// disturbSource declares as locals the given names, which the corpus
+// reads as globals, and an array. disturb_short calls boom(), where a
+// crashing rider panics; disturb_long's one block is long enough for the
+// evaluator's amortized deadline and cancellation check (every
+// evalCheckInterval evaluations) to fire inside it.
+func disturbSource(names []string) string {
+	var decls strings.Builder
+	for _, n := range names {
+		decls.WriteString("\tint " + n + ";\n")
+	}
+	decls.WriteString("\tchar buf[8];\n")
+	return "int disturb_short(struct dev *d, int a)\n{\n" + decls.String() +
+		"\tboom(d);\n\tbuf[a] = d->len;\n\treturn 0;\n}\n\n" +
+		"int disturb_long(struct dev *d, int a)\n{\n" + decls.String() +
+		"\tint x = 0;\n" + strings.Repeat("\tx = x + a;\n", 100) + "\treturn x;\n}\n"
+}
+
+// freshPool empties scratchPool the one way a sync.Pool can be emptied:
+// a collection moves its contents to the victim cache, the next drops
+// them. A pass started after it builds its scratch from nothing, as in a
+// new process.
+func freshPool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestPooledScratchLeavesNoResidue analyzes every function of the
+// scale-0.25 corpus in forward and in reverse order, concurrently (the
+// two walks share the pool), each function after a pass that ends
+// abnormally: a rider's checker panics, the context is canceled
+// mid-block (cancelAbort), or the Timeout expires mid-block
+// (timeoutAbort). Every function's results must be the ones it gets on a
+// scratch built from nothing.
+func TestPooledScratchLeavesNoResidue(t *testing.T) {
+	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25})
+	riders := [][]checker.Checker{{mustDSL(t, npdDSL)}, {mustDSL(t, uafDSL)}, {siteReporter{}}}
+	parseFile := func(sf *kernel.SourceFile) *minic.File {
+		f, err := minic.ParseFile(sf.Path, sf.Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	renderAll := func(results []*Result) []string {
+		out := make([]string, len(results))
+		for i, res := range results {
+			out[i] = render(t, res)
+		}
+		return out
+	}
+
+	// The reference keeps only rendered results and one file's syntax
+	// alive, so the collections that empty the pool stay cheap.
+	var want [][]string
+	globals := map[string]bool{}
+	globalKind := fmt.Sprintf("kind=%d ", sym.GlobalRegion)
+	for _, sf := range corpus.Files {
+		f := parseFile(sf)
+		for _, fn := range f.Funcs {
+			freshPool()
+			res := AnalyzeFuncEach(f, fn, riders, Options{})
+			want = append(want, renderAll(res))
+			for _, rep := range res[2].Reports {
+				if strings.HasPrefix(rep.Message, globalKind) {
+					globals[rep.RegionAt] = true
+				}
+			}
+		}
+	}
+	var names []string
+	for n := range globals {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		t.Fatal("the corpus reads no globals: no disturbing pass can declare one as a local")
+	}
+	if len(names) > 64 {
+		names = names[:64] // keep the disturbing passes small enough to be pooled
+	}
+	dist := parse(t, disturbSource(names))
+	short, long := dist.Funcs[0], dist.Funcs[1]
+	type unit struct {
+		f  *minic.File
+		fn *minic.FuncDecl
+	}
+	var units []unit
+	for _, sf := range corpus.Files {
+		f := parseFile(sf)
+		for _, fn := range f.Funcs {
+			units = append(units, unit{f, fn})
+		}
+	}
+
+	// One walk per order; each leaves its results and the disturbing
+	// passes' for the checks below.
+	type walk struct {
+		got                     [][]*Result
+		crashed, canceled, late []*Result
+		midBlockTimeouts        int
+	}
+	walks := make([]walk, 2)
+	var wg sync.WaitGroup
+	for w := range walks {
+		wg.Add(1)
+		go func(w *walk, reverse bool) {
+			defer wg.Done()
+			w.got = make([][]*Result, len(units))
+			for k := range units {
+				switch k % 4 {
+				case 1:
+					res := AnalyzeFuncEach(dist, short, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
+					w.crashed = append(w.crashed, res...)
+				case 2:
+					ctx, cancel := context.WithCancel(context.Background())
+					res := AnalyzeFuncEach(dist, long, [][]checker.Checker{{canceler{cancel}}, {siteReporter{}}}, Options{Ctx: ctx})
+					cancel()
+					w.canceled = append(w.canceled, res...)
+				case 3:
+					st := &staller{budget: 200 * time.Microsecond}
+					res := AnalyzeFuncEach(dist, long, [][]checker.Checker{{st}, {siteReporter{}}}, Options{Timeout: st.budget})
+					if st.stalled {
+						w.midBlockTimeouts++
+					}
+					w.late = append(w.late, res...)
+				}
+				i := k
+				if reverse {
+					i = len(units) - 1 - k
+				}
+				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, riders, Options{})
+			}
+		}(&walks[w], w == 1)
+	}
+	wg.Wait()
+
+	midBlockTimeouts := 0
+	for w, walk := range walks {
+		for i, res := range walk.got {
+			for r, got := range renderAll(res) {
+				if got != want[i][r] {
+					t.Fatalf("walk %d, %s rider %d after pooled passes:\n got %s\nwant %s", w, units[i].fn.Name, r, got, want[i][r])
+				}
+			}
+		}
+		for i := 0; i < len(walk.crashed); i += 2 {
+			if len(walk.crashed[i].RuntimeErrs) != 0 || len(walk.crashed[i+1].RuntimeErrs) != 1 {
+				t.Fatalf("crash pass: runtime errors %v / %v, want none / one", walk.crashed[i].RuntimeErrs, walk.crashed[i+1].RuntimeErrs)
+			}
+		}
+		for _, res := range walk.canceled {
+			if !res.Canceled || res.Steps != 1 || len(res.RuntimeErrs) != 0 {
+				t.Fatalf("cancel pass: Canceled=%v Steps=%d RuntimeErrs=%v, want a cancellation inside the first block", res.Canceled, res.Steps, res.RuntimeErrs)
+			}
+		}
+		for _, res := range walk.late {
+			if !res.TimedOut || len(res.RuntimeErrs) != 0 {
+				t.Fatalf("timeout pass: TimedOut=%v RuntimeErrs=%v", res.TimedOut, res.RuntimeErrs)
+			}
+		}
+		midBlockTimeouts += walk.midBlockTimeouts
+	}
+	// A pass stalled inside its block can only have been cut by the
+	// evaluator's check; one that never got there timed out at its first
+	// frame, which is legal but does not exercise timeoutAbort.
+	if midBlockTimeouts == 0 {
+		t.Error("no timeout pass was cut inside its block")
+	}
+}
+
+// TestAnalyzeFuncReusesScratch pins what a pass allocates once the pool
+// holds a scratch. On a function with no locals AnalyzeFunc makes 35
+// allocations (Go 1.24); before passes shared scratch it made 61, an
+// arena and four maps built and dropped per pass. The bound sits between
+// the two, leaving room for map internals that differ across Go versions
+// and for the race detector, which drops a quarter of pool puts.
+func TestAnalyzeFuncReusesScratch(t *testing.T) {
+	f := parse(t, `
+int probe(struct dev *d)
+{
+	return d->len;
+}
+`)
+	opts := Options{Checkers: []checker.Checker{mustDSL(t, npdDSL)}}
+	AnalyzeFunc(f, f.Funcs[0], opts) // the pool holds a scratch from here on
+	if n := testing.AllocsPerRun(100, func() { AnalyzeFunc(f, f.Funcs[0], opts) }); n > 45 {
+		t.Errorf("AnalyzeFunc made %v allocations, want <= 45", n)
+	}
+}

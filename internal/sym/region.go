@@ -82,6 +82,21 @@ func NewArena() *Arena {
 	}
 }
 
+// Reset empties the arena for another analysis, keeping the capacity of
+// its tables. Regions and symbols handed out before are dropped, never
+// reused, so a pointer to one still reads what it read before.
+func (a *Arena) Reset() {
+	clear(a.regions[1:])
+	a.regions = a.regions[:1]
+	clear(a.symbols[1:])
+	a.symbols = a.symbols[:1]
+	clear(a.varIdx)
+	clear(a.globalIdx)
+	clear(a.fieldIdx)
+	clear(a.elemIdx)
+	clear(a.symRegIdx)
+}
+
 // Region returns the region with the given id, or nil for NoRegion.
 func (a *Arena) Region(id RegionID) *Region {
 	if id <= 0 || int(id) >= len(a.regions) {

@@ -17,11 +17,13 @@ import (
 // bindings, nullness, ranges — which the engine reads and writes, and
 // the fact layer checkers own. The layer detaches (Facts) and re-attaches
 // (WithFacts), so one exploration can thread a single core under one
-// fact layer per rider.
+// fact layer per rider. The core's tables are flat (sorted and
+// pointer-free, so a fork copies one table the collector never scans);
+// the fact layer is a map, since its values are arbitrary.
 type State struct {
-	bindings map[RegionID]Value
-	nullness map[SymbolID]Nullness
-	ranges   map[SymbolID]Range
+	bindings flat[RegionID, Value]
+	nullness flat[SymbolID, Nullness]
+	ranges   flat[SymbolID, Range]
 	coreFP   Hash
 	facts    Facts
 }
@@ -47,7 +49,7 @@ func NewState() *State {
 }
 
 // clone returns a shallow copy; the caller must replace (not mutate) any
-// map it wants to change.
+// table or map it wants to change.
 func (s *State) clone() *State {
 	c := *s
 	return &c
@@ -63,13 +65,12 @@ func cloneMap[K comparable, V any](m map[K]V) map[K]V {
 
 // BindRegion returns a state where region r holds value v.
 func (s *State) BindRegion(r RegionID, v Value) *State {
-	cur, ok := s.bindings[r]
+	cur, ok := s.bindings.get(r)
 	if ok && cur == v {
 		return s
 	}
 	c := s.clone()
-	c.bindings = cloneMap(s.bindings)
-	c.bindings[r] = v
+	c.bindings = s.bindings.with(r, v)
 	if ok {
 		c.coreFP = c.coreFP.sub(hashBinding(r, cur))
 	}
@@ -79,18 +80,16 @@ func (s *State) BindRegion(r RegionID, v Value) *State {
 
 // LookupRegion returns the value bound to region r.
 func (s *State) LookupRegion(r RegionID) (Value, bool) {
-	v, ok := s.bindings[r]
-	return v, ok
+	return s.bindings.get(r)
 }
 
 // Bindings returns the bound regions in ascending order (for invariant
 // checks and debug output).
 func (s *State) Bindings() []RegionID {
-	out := make([]RegionID, 0, len(s.bindings))
-	for r := range s.bindings {
-		out = append(out, r)
+	out := make([]RegionID, len(s.bindings))
+	for i, e := range s.bindings {
+		out[i] = e.key
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -99,13 +98,12 @@ func (s *State) WithNullness(sym SymbolID, n Nullness) *State {
 	if sym == NoSymbol {
 		return s
 	}
-	cur, ok := s.nullness[sym]
+	cur, ok := s.nullness.get(sym)
 	if ok && cur == n {
 		return s
 	}
 	c := s.clone()
-	c.nullness = cloneMap(s.nullness)
-	c.nullness[sym] = n
+	c.nullness = s.nullness.with(sym, n)
 	if ok {
 		c.coreFP = c.coreFP.sub(hashNullness(sym, cur))
 	}
@@ -124,7 +122,7 @@ func (s *State) NullnessOf(v Value) Nullness {
 	case KindLoc:
 		return NotNull
 	case KindSymbol:
-		if n, ok := s.nullness[v.Sym]; ok {
+		if n, ok := s.nullness.get(v.Sym); ok {
 			return n
 		}
 		return MaybeNull
@@ -138,13 +136,12 @@ func (s *State) WithRange(sym SymbolID, r Range) *State {
 	if sym == NoSymbol {
 		return s
 	}
-	cur, ok := s.ranges[sym]
+	cur, ok := s.ranges.get(sym)
 	if ok && cur == r {
 		return s
 	}
 	c := s.clone()
-	c.ranges = cloneMap(s.ranges)
-	c.ranges[sym] = r
+	c.ranges = s.ranges.with(sym, r)
 	if ok {
 		c.coreFP = c.coreFP.sub(hashRange(sym, cur))
 	}
@@ -158,7 +155,7 @@ func (s *State) RangeOf(v Value) Range {
 	case KindInt:
 		return SingletonRange(v.Int)
 	case KindSymbol:
-		if r, ok := s.ranges[v.Sym]; ok {
+		if r, ok := s.ranges.get(v.Sym); ok {
 			return r
 		}
 		return FullRange

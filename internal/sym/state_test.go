@@ -265,14 +265,14 @@ func TestValueBasics(t *testing.T) {
 // oracle for what "same state" means.
 func canonicalString(s *State) string {
 	var parts []string
-	for r, v := range s.bindings {
-		parts = append(parts, fmt.Sprintf("b%d=%s", r, v))
+	for _, e := range s.bindings {
+		parts = append(parts, fmt.Sprintf("b%d=%s", e.key, e.val))
 	}
-	for sy, n := range s.nullness {
-		parts = append(parts, fmt.Sprintf("n%d=%d", sy, n))
+	for _, e := range s.nullness {
+		parts = append(parts, fmt.Sprintf("n%d=%d", e.key, e.val))
 	}
-	for sy, r := range s.ranges {
-		parts = append(parts, fmt.Sprintf("g%d=%d:%d", sy, r.Min, r.Max))
+	for _, e := range s.ranges {
+		parts = append(parts, fmt.Sprintf("g%d=%d:%d", e.key, e.val.Min, e.val.Max))
 	}
 	for fk, v := range s.facts.m {
 		parts = append(parts, fmt.Sprintf("f%s/%s=%v", fk.Domain, fk.Key, v))
