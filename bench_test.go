@@ -511,10 +511,18 @@ func BenchmarkScanWarmInstrumented(b *testing.B) {
 // requests through the real handler until b.N have been answered. A
 // single caller cannot see what concurrent scans cost each other — the
 // memory tier's lock, and the scheduler handing units to its workers.
+// Scale 1 is the corpus warm_serve scans (1 558 functions).
 func BenchmarkScanWarmConcurrent(b *testing.B) {
+	for _, scale := range []float64{benchScale, 1} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) { benchScanWarmConcurrent(b, scale) })
+	}
+}
+
+func benchScanWarmConcurrent(b *testing.B, scale float64) {
+	b.ReportAllocs()
 	log.SetOutput(io.Discard) // one access-log line per request
 	defer log.SetOutput(os.Stderr)
-	srv, err := serve.New(serve.Config{Seed: 1, Scale: benchScale})
+	srv, err := serve.New(serve.Config{Seed: 1, Scale: scale})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,9 +45,10 @@ const (
 	// pinned generation, so a trace shows at a glance which corpus state
 	// the scan saw.
 	StageSnapshotPin = "snapshot_pin"
-	// StageParse is the serial key-computation prologue: rendering each
-	// function to its canonical source and hashing it with its file
-	// context (memoized across scans, so a warm daemon pays it once).
+	// StageParse is the serial prologue: listing the pass's function
+	// units and fingerprinting its riders. Function hashes and key
+	// digests are memoized per file version and filled by the workers,
+	// so a warm daemon hashes no function or key here.
 	StageParse = "parse"
 	// StageCacheProbe is the summed store probe time across workers.
 	StageCacheProbe = "cache_probe"
@@ -183,7 +184,12 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 		stage(StageSnapshotPin, pinStart, start.Sub(pinStart), int(snap.gen))
 	}
 
-	var units []unit
+	keyStart := time.Now()
+	n := 0
+	for _, i := range files {
+		n += len(snap.files[i].Funcs)
+	}
+	units := make([]unit, 0, n)
 	for _, i := range files {
 		for j := range snap.files[i].Funcs {
 			units = append(units, unit{file: i, fn: j})
@@ -205,26 +211,23 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 		}
 		p.perFunc = make([]*engine.Result, len(units))
 	}
-	var hashes []string
-	if cacheable {
-		// Key computation stays serial: pure hashing, no I/O.
-		keyStart := time.Now()
-		hashes = snap.unitHashes(units)
-		if timed {
-			stage(StageParse, keyStart, time.Since(keyStart), len(units))
-		}
+	if cacheable && timed {
+		stage(StageParse, keyStart, time.Since(keyStart), len(units))
 	}
 
 	// The cache probe runs INSIDE the worker pool, not as a serial
 	// prologue: with a remote tier every Get can be a network round-trip,
 	// and a fleet-warm scan is nothing but Gets — serializing them would
-	// make the scan's headline path single-threaded I/O. A worker claims
-	// a range of units, probes each rider's keys for the whole range in
-	// one store call, then computes the misses unit by unit; with a
-	// coalescing store, concurrent misses on one key — this scan racing an
-	// identical scan from another request — compute once and share
-	// (critical once the remote tier widens the window between miss and
-	// put).
+	// make the scan's headline path single-threaded I/O. So do the keys:
+	// function hashes and key digests are memoized per file version, and
+	// the worker whose range first touches a file since it changed (or
+	// since a rider's fingerprints left its memo) hashes them there, in
+	// parallel. A worker claims a range of units, probes each rider's
+	// keys for the whole range in one store call, then computes the
+	// misses unit by unit; with a coalescing store, concurrent misses on
+	// one key — this scan racing an identical scan from another request —
+	// compute once and share (critical once the remote tier widens the
+	// window between miss and put).
 	var busyNS, evalNS atomic.Int64
 	workStart := time.Now()
 	if len(units) > 0 {
@@ -248,6 +251,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 					defer func() { busyNS.Add(int64(time.Since(t0))) }()
 				}
 				keys := make([]store.Key, 0, rangeSize)
+				ids := make([]store.Digest, 0, rangeSize)
 				// The riders a unit still has to be analyzed for.
 				missed := make([]int, 0, len(plans))
 				lists := make([][]checker.Checker, 0, len(plans))
@@ -263,12 +267,19 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						if p.same != i || !p.cacheable || opts.canceled() {
 							continue
 						}
-						keys = keys[:0]
-						for u := lo; u < hi; u++ {
-							keys = append(keys, p.key(hashes[u], engFP))
+						keys, ids = keys[:0], ids[:0]
+						var fileIDs []store.Digest
+						for u, file := lo, -1; u < hi; u++ {
+							un := units[u]
+							if un.file != file {
+								file = un.file
+								fileIDs = snap.keyDigests(file, p.fp, engFP)
+							}
+							keys = append(keys, p.key(snap.FuncHash(un.file, un.fn), engFP))
+							ids = append(ids, fileIDs[un.fn])
 						}
 						got := p.perFunc[lo:hi]
-						store.GetMany(ctx, inc.st, keys, got)
+						store.GetMany(ctx, inc.st, keys, ids, got)
 						hits := 0
 						for _, r := range got {
 							if r != nil {
@@ -314,7 +325,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						if p := &plans[missed[0]]; len(missed) == 1 && p.cacheable && co != nil {
 							// One rider, one key: single-flight it against
 							// other requests computing the same key.
-							r, shared := co.GetOrCompute(ctx, p.key(hashes[u], engFP), func() (*engine.Result, bool) {
+							r, shared := co.GetOrCompute(ctx, p.key(snap.FuncHash(un.file, un.fn), engFP), func() (*engine.Result, bool) {
 								r := analyze()[0]
 								return r, storable(r)
 							})
@@ -328,7 +339,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							p := &plans[missed[k]]
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
-								inc.st.Put(ctx, p.key(hashes[u], engFP), r)
+								inc.st.Put(ctx, p.key(snap.FuncHash(un.file, un.fn), engFP), r)
 							}
 						}
 					}

@@ -148,6 +148,40 @@ func TestRangeBoundariesMatchUncachedScan(t *testing.T) {
 	}
 }
 
+// TestWarmPassAllocatesPerRange pins what a warm pass allocates besides
+// the reports it decodes: its key digests are memoized per file version
+// and a range's hits decode into one slab, so the count grows with
+// ranges, not functions. The checker reports nothing, so every hit is a
+// report-free result. Over the scale-0.25 corpus (745 functions, 12
+// ranges) a warm pass makes 70 allocations; with a digest per key and a
+// heap result per hit it made 803.
+func TestWarmPassAllocatesPerRange(t *testing.T) {
+	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := ckdsl.CompileSource(`checker quiet {
+  bugtype "Null-Pointer-Dereference"
+  source { call "no_such_alloc" yields nullable }
+  guard { nullcheck }
+  sink { deref unchecked }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := NewIncremental(cb, store.NewMemory(0))
+	opts := Options{Workers: 2}
+	if r := inc.RunOne(ck, opts); r.CacheMisses != cb.NumFuncs() || len(r.Reports) != 0 {
+		t.Fatalf("cold pass: %d misses of %d functions, %d reports; want all misses, no reports", r.CacheMisses, cb.NumFuncs(), len(r.Reports))
+	}
+	// One allocation per eight functions: 93 here, with room for what
+	// the runtime and the race detector add across Go versions.
+	bound := float64(cb.NumFuncs() / 8)
+	if n := testing.AllocsPerRun(20, func() { inc.RunOne(ck, opts) }); n > bound {
+		t.Fatalf("a warm pass over %d functions made %.0f allocations, want <= %.0f", cb.NumFuncs(), n, bound)
+	}
+}
+
 func TestIncrementalMaxReportsAggregatesFully(t *testing.T) {
 	cb := buildCodebase(t)
 	ck := compileChecker(t)

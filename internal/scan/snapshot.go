@@ -32,13 +32,73 @@ type Snapshot struct {
 	memo []*fileMemo
 }
 
+// maxSumSets bounds how many (checker, engine) fingerprint pairs one file
+// version keeps key digests for. Warm traffic re-scans a small pool of
+// checkers — the benchmark's pool is 12, on warm_serve and on the commit
+// workloads' reader alike — so 16 holds a whole pool. Each set costs 32
+// bytes per function, ≤ 0.8 MB over the scale-1 corpus, in pointer-free
+// arrays the collector never scans. Past 16 hot pairs the ring evicts
+// the oldest, and a pass pays what it would without the memo — a digest
+// per key — plus one insert.
+const maxSumSets = 16
+
 // fileMemo holds the content hashes of one file version, computed on
 // first use. A function's analysis depends on its own source, its
 // position (reports carry absolute line/col), and the file-level
 // declarations it can see, so its hash covers all three.
+//
+// It also holds the store key digests of those functions for the last
+// maxSumSets fingerprint pairs, in a ring under mu: a warm probe reads
+// its digests instead of hashing every key, and reading allocates
+// nothing.
 type fileMemo struct {
 	once  sync.Once
 	funcs []string
+
+	mu   sync.Mutex
+	sums [maxSumSets]sumSet
+	next int // the ring slot the next insert overwrites
+}
+
+// sumSet is the key digests of one file version's functions under one
+// fingerprint pair: ids[j] == store.Key{funcs[j], checkerFP, engineFP}.Digest().
+type sumSet struct {
+	checkerFP, engineFP string
+	ids                 []store.Digest
+}
+
+// digests returns the key digest of every function of f, the file
+// version this memo belongs to, under (checkerFP, engineFP); the first
+// request for a pair not in the ring hashes them and inserts the set.
+// The returned slice is shared and read-only.
+func (m *fileMemo) digests(f *minic.File, checkerFP, engineFP string) []store.Digest {
+	if ids := m.findSum(checkerFP, engineFP, nil); ids != nil {
+		return ids
+	}
+	funcs := m.hashes(f)
+	ids := make([]store.Digest, len(funcs))
+	for j, fh := range funcs {
+		ids[j] = store.Key{FuncHash: fh, CheckerFP: checkerFP, EngineFP: engineFP}.Digest()
+	}
+	return m.findSum(checkerFP, engineFP, ids)
+}
+
+// findSum returns the ring's digests for the pair. When the ring has none
+// and add is non-nil, it inserts add and returns it; a racing insert of
+// the same pair wins instead, so the ring never holds a pair twice.
+func (m *fileMemo) findSum(checkerFP, engineFP string, add []store.Digest) []store.Digest {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.sums {
+		if s := &m.sums[i]; s.ids != nil && s.checkerFP == checkerFP && s.engineFP == engineFP {
+			return s.ids
+		}
+	}
+	if add != nil {
+		m.sums[m.next] = sumSet{checkerFP, engineFP, add}
+		m.next = (m.next + 1) % maxSumSets
+	}
+	return add
 }
 
 // hashes returns the content hash of every function of f, the file
@@ -113,13 +173,11 @@ func (s *Snapshot) FuncHash(i, j int) string {
 	return s.memo[i].hashes(s.files[i])[j]
 }
 
-// unitHashes is FuncHash for every unit of a scan.
-func (s *Snapshot) unitHashes(units []unit) []string {
-	hashes := make([]string, len(units))
-	for u, un := range units {
-		hashes[u] = s.FuncHash(un.file, un.fn)
-	}
-	return hashes
+// keyDigests returns the store key digest of every function of file i
+// under the given fingerprints: ids[j] is the Digest of the key whose
+// FuncHash is FuncHash(i, j). It is memoized with the file's hashes.
+func (s *Snapshot) keyDigests(i int, checkerFP, engineFP string) []store.Digest {
+	return s.memo[i].digests(s.files[i], checkerFP, engineFP)
 }
 
 // Run scans every file of the snapshot with the given checkers,

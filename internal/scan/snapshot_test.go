@@ -1,8 +1,11 @@
 package scan
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -37,15 +40,16 @@ func checkMemoSharing(t *testing.T, parent, next *Snapshot, touched ...int) {
 	}
 }
 
-// TestSnapshotMemoMatchesColdParse runs a seeded mix of sync and async
-// changesets — a whole-file replace, a patch, a patch after a replace
-// of the same file, and rejected changesets of both kinds — with every
-// parent's memos filled before each commit. Each successor must share
-// the memos of the files it kept and only those, and at the end every
-// FuncHash of the live snapshot must equal a cold parse's.
-func TestSnapshotMemoMatchesColdParse(t *testing.T) {
-	cb := buildCodebase(t)
-	inc := NewIncremental(cb, store.NewMemory(0))
+// memoScript commits a seeded mix of sync and async changesets through
+// inc — a whole-file replace, a patch, a patch after a replace of the
+// same file, a replace and a patch of one file in one changeset, and
+// rejected changesets of both kinds. Around every commit, before sees
+// the parent and after sees the parent, its successor and the files the
+// commit touched (none for a rejected async changeset, which publishes
+// an empty commit; a rejected sync one publishes nothing).
+func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), after func(parent, next *Snapshot, touched ...int)) {
+	t.Helper()
+	cb := inc.Codebase()
 	r := rand.New(rand.NewSource(24))
 	picked := pickFiles(t, cb, 8, 2)
 	r.Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
@@ -63,7 +67,7 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 	commit := func(async bool, changes []Change, touched ...int) {
 		t.Helper()
 		parent := cb.Snapshot()
-		memoHashes(parent)
+		before(parent)
 		var err error
 		if async {
 			_, err = inc.ApplyChangesetAsync(changes).Result()
@@ -73,7 +77,7 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMemoSharing(t, parent, cb.Snapshot(), touched...)
+		after(parent, cb.Snapshot(), touched...)
 	}
 
 	commit(false, []Change{replace(a)}, a)
@@ -84,10 +88,8 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 	commit(true, []Change{cs, {Path: cs.Path, Func: cb.Files()[c].Funcs[0].Name, Source: tweakedFunc(t, cb, c, 0)}}, c)
 	commit(false, []Change{patch(a), patch(c)}, a, c)
 
-	// A rejected sync changeset publishes nothing; a rejected async one
-	// publishes an empty commit that keeps every memo.
 	parent := cb.Snapshot()
-	memoHashes(parent)
+	before(parent)
 	if _, err := inc.ApplyChangeset([]Change{patch(b), {Path: cb.Files()[b].Name, Func: "no_such_func", Source: "void no_such_func(void)\n{\n}\n"}}); err == nil {
 		t.Fatal("changeset patching a missing function committed")
 	}
@@ -97,8 +99,19 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 	if _, err := inc.ApplyChangesetAsync([]Change{patch(a), {Path: cb.Files()[b].Name, Source: "int broken("}}).Result(); err == nil {
 		t.Fatal("async changeset with a broken source committed")
 	}
-	checkMemoSharing(t, parent, cb.Snapshot())
+	after(parent, cb.Snapshot())
+}
 
+// TestSnapshotMemoMatchesColdParse runs memoScript with every parent's
+// hash memos filled before each commit. Each successor must share the
+// memos of the files it kept and only those, and at the end every
+// FuncHash of the live snapshot must equal a cold parse's.
+func TestSnapshotMemoMatchesColdParse(t *testing.T) {
+	cb := buildCodebase(t)
+	inc := NewIncremental(cb, store.NewMemory(0))
+	memoScript(t, inc, func(parent *Snapshot) { memoHashes(parent) }, func(parent, next *Snapshot, touched ...int) {
+		checkMemoSharing(t, parent, next, touched...)
+	})
 	cold, err := NewCodebase(corpusAt(cb))
 	if err != nil {
 		t.Fatal(err)
@@ -108,27 +121,13 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 	}
 }
 
-// TestSnapshotMemoConcurrentReaders has four goroutines hash a pinned
-// snapshot — two through FuncHash, two through unitHashes, starting
-// from cold memos — and the live one, while sync and async commits land
-// and read their parents' memos. Every answer about the pinned snapshot
-// must equal a cold parse's.
-func TestSnapshotMemoConcurrentReaders(t *testing.T) {
-	cb := buildCodebase(t)
-	inc := NewIncremental(cb, store.NewMemory(0))
-	cold, err := NewCodebase(corpusAt(cb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := memoHashes(cold.Snapshot())
-	pinned := cb.Pin()
-	defer pinned.Release()
-	var units []unit
-	for i, f := range pinned.files {
-		for j := range f.Funcs {
-			units = append(units, unit{file: i, fn: j})
-		}
-	}
+// raceMemoReaders runs read on four goroutines (g = 0..3), over and over
+// until eight sync and async commits, each patching one more file of
+// inc's codebase, have landed; each reader runs at least once. A reader
+// reports a wrong answer as an error.
+func raceMemoReaders(t *testing.T, inc *Incremental, read func(g int) error) {
+	t.Helper()
+	cb := inc.Codebase()
 	// Patches of eight distinct files, rendered before any goroutine
 	// starts so the writer never calls t.Fatal off the test goroutine.
 	var changes []Change
@@ -145,22 +144,10 @@ func TestSnapshotMemoConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				var got []string
-				if g%2 == 0 {
-					got = pinned.unitHashes(units)
-				} else {
-					got = make([]string, len(units))
-					for k, u := range units {
-						got[k] = pinned.FuncHash(u.file, u.fn)
-					}
+				if err := read(g); err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
 				}
-				for k, u := range units {
-					if got[k] != want[u.file][u.fn] {
-						t.Errorf("reader %d: pinned FuncHash(%d, %d) = %s, want %s", g, u.file, u.fn, got[k], want[u.file][u.fn])
-						return
-					}
-				}
-				memoHashes(cb.Snapshot())
 				select {
 				case <-done:
 					return
@@ -182,4 +169,134 @@ func TestSnapshotMemoConcurrentReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestSnapshotMemoConcurrentReaders has four goroutines hash a pinned
+// snapshot through FuncHash, starting from cold memos, and the live one,
+// while sync and async commits land and read their parents' memos.
+// Every answer about the pinned snapshot must equal a cold parse's.
+func TestSnapshotMemoConcurrentReaders(t *testing.T) {
+	cb := buildCodebase(t)
+	inc := NewIncremental(cb, store.NewMemory(0))
+	cold, err := NewCodebase(corpusAt(cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := memoHashes(cold.Snapshot())
+	pinned := cb.Pin()
+	defer pinned.Release()
+	raceMemoReaders(t, inc, func(int) error {
+		for i, f := range pinned.files {
+			for j := range f.Funcs {
+				if got := pinned.FuncHash(i, j); got != want[i][j] {
+					return fmt.Errorf("pinned FuncHash(%d, %d) = %s, want %s", i, j, got, want[i][j])
+				}
+			}
+		}
+		memoHashes(cb.Snapshot())
+		return nil
+	})
+}
+
+// memoPairs are 20 (checker, engine) fingerprint pairs — more than
+// maxSumSets, so reading them all evicts — in checker-major order: each
+// checker fingerprint comes with two engine fingerprints, back to back,
+// so a memo that told pairs apart by checker alone answers the second
+// with the first's digests.
+func memoPairs() [][2]string {
+	var pairs [][2]string
+	for c := 0; c < 10; c++ {
+		for e := 0; e < 2; e++ {
+			pairs = append(pairs, [2]string{store.Hash("ck", strconv.Itoa(c)), store.Hash("eng", strconv.Itoa(e))})
+		}
+	}
+	return pairs
+}
+
+// wantDigests hashes the key of every function of s under pair p from
+// scratch, per file.
+func wantDigests(s *Snapshot, p [2]string) [][]store.Digest {
+	out := make([][]store.Digest, len(s.files))
+	for i, f := range s.files {
+		for j := range f.Funcs {
+			out[i] = append(out[i], store.Key{FuncHash: s.FuncHash(i, j), CheckerFP: p[0], EngineFP: p[1]}.Digest())
+		}
+	}
+	return out
+}
+
+// checkDigests reads s's memoized key digests of every file under every
+// pair, in order, and compares each with its key hashed from scratch.
+func checkDigests(t *testing.T, s *Snapshot, pairs [][2]string) {
+	t.Helper()
+	for _, p := range pairs {
+		want := wantDigests(s, p)
+		for i := range s.files {
+			if got := s.keyDigests(i, p[0], p[1]); !slices.Equal(got, want[i]) {
+				t.Fatalf("generation %d, file %d, pair %.8s/%.8s: memoized digests differ from Key.Digest", s.gen, i, p[0], p[1])
+			}
+		}
+	}
+}
+
+// checkDigestSharing asserts that, under pair p, next shares parent's
+// digest slice for exactly the files the commit did not touch.
+func checkDigestSharing(t *testing.T, parent, next *Snapshot, p [2]string, touched ...int) {
+	t.Helper()
+	for i := range next.files {
+		if len(next.files[i].Funcs) == 0 || len(parent.files[i].Funcs) == 0 {
+			continue
+		}
+		shared := &next.keyDigests(i, p[0], p[1])[0] == &parent.keyDigests(i, p[0], p[1])[0]
+		if shared != !slices.Contains(touched, i) {
+			t.Errorf("generation %d, file %d: digests shared with parent = %v, touched = %v",
+				next.gen, i, shared, slices.Contains(touched, i))
+		}
+	}
+}
+
+// TestSnapshotMemoDigests replays memoScript with every parent's key
+// digests read under 20 fingerprint pairs before each commit, so every
+// ring evicts. After each commit the successor shares the digests of
+// untouched files with its parent and never those of a touched file, and
+// every digest it memoizes equals store.Key{FuncHash, CheckerFP,
+// EngineFP}.Digest(). Then four readers walk the pairs over a pinned
+// snapshot's memos, and the live one's, while eight commits land; the
+// pinned answers must equal keys hashed from a cold parse.
+func TestSnapshotMemoDigests(t *testing.T) {
+	cb := buildCodebase(t)
+	inc := NewIncremental(cb, store.NewMemory(0))
+	pairs := memoPairs()
+	last := pairs[len(pairs)-1]
+	memoScript(t, inc, func(parent *Snapshot) { checkDigests(t, parent, pairs) }, func(parent, next *Snapshot, touched ...int) {
+		checkDigestSharing(t, parent, next, last, touched...)
+		checkDigests(t, next, pairs)
+	})
+
+	cold, err := NewCodebase(corpusAt(cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][][]store.Digest, len(pairs))
+	for k, p := range pairs {
+		want[k] = wantDigests(cold.Snapshot(), p)
+	}
+	pinned := cb.Pin()
+	defer pinned.Release()
+	raceMemoReaders(t, inc, func(g int) error {
+		for n := range pairs {
+			k := (n + 5*g) % len(pairs)
+			p := pairs[k]
+			for i := range pinned.files {
+				if got := pinned.keyDigests(i, p[0], p[1]); !slices.Equal(got, want[k][i]) {
+					return fmt.Errorf("pinned file %d, pair %d: digests differ from a cold parse's keys", i, k)
+				}
+			}
+		}
+		live := cb.Snapshot()
+		for i := range live.files {
+			live.keyDigests(i, last[0], last[1])
+		}
+		return nil
+	})
 }

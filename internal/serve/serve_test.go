@@ -348,6 +348,28 @@ func TestScanRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestPostBodiesAreBounded: a body over maxBodyBytes gets the
+// bad_request envelope on /scan and on /changeset — the decode stops at
+// the limit instead of buffering the rest — and counts in scan_errors.
+func TestPostBodiesAreBounded(t *testing.T) {
+	srv, ts := bootOne(t, Config{})
+	body := `{"checker": "` + strings.Repeat("x", maxBodyBytes+1) + `"}`
+	for _, path := range []string{"/scan", "/changeset"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var out api.ErrorResponse
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || out.Err == nil {
+			t.Fatalf("POST %s: no error envelope (%v)", path, err)
+		}
+		if rec.Code != http.StatusBadRequest || out.Err.Code != api.ErrBadRequest {
+			t.Fatalf("POST %s of %d bytes = %d %q, want %d %q", path, len(body), rec.Code, out.Err.Code, http.StatusBadRequest, api.ErrBadRequest)
+		}
+	}
+	if stats := getStats(t, ts); stats.ScanErrors != 2 {
+		t.Fatalf("scan_errors = %d, want 2", stats.ScanErrors)
+	}
+}
+
 const testCheckerB = `
 checker serve_npd_b {
   bugtype "Null-Pointer-Dereference"

@@ -72,15 +72,27 @@ func encodeResult(r *engine.Result) []byte {
 
 var errCodec = errors.New("store: corrupt binary result payload")
 
-// decodeResult parses a payload produced by encodeResult. A count's
-// argument is the fewest bytes one element encodes to (a report: five
-// strings, a position, RegionAt and a trace count).
+// decodeResult parses a payload produced by encodeResult into a new
+// result.
 func decodeResult(data []byte) (*engine.Result, error) {
+	r := new(engine.Result)
+	if err := decodeInto(r, data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeInto parses a payload produced by encodeResult into *r,
+// overwriting every field, so r may be a reused or zeroed slab element.
+// On error *r is unspecified. A count's argument is the fewest bytes one
+// element encodes to (a report: five strings, a position, RegionAt and
+// a trace count).
+func decodeInto(r *engine.Result, data []byte) error {
 	if len(data) == 0 || data[0] != resultCodec {
-		return nil, errCodec
+		return errCodec
 	}
 	d := &codecReader{buf: data[1:]}
-	r := &engine.Result{Paths: int(d.uvarint()), Steps: int(d.uvarint())}
+	*r = engine.Result{Paths: int(d.uvarint()), Steps: int(d.uvarint())}
 	flags := d.uvarint() // a flag byte <= 7 is also its own uvarint
 	if flags > 7 {
 		d.err = errCodec
@@ -118,9 +130,9 @@ func decodeResult(data []byte) (*engine.Result, error) {
 		}
 	}
 	if d.err != nil || len(d.buf) != 0 {
-		return nil, errCodec
+		return errCodec
 	}
-	return r, nil
+	return nil
 }
 
 // appendCount writes a slice length as n+1, or 0 for a nil slice.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -125,9 +126,11 @@ func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 	t.Helper()
 	want, before := lruIDs(m), m.Stats()
 	present := make([]bool, len(keys))
+	ids := make([]Digest, len(keys))
 	hits := int64(0)
 	for i, k := range keys {
 		d := k.Digest()
+		ids[i] = d
 		if at := slices.Index(want, d); at >= 0 {
 			want = append([]Digest{d}, slices.Delete(want, at, at+1)...)
 			present[i] = true
@@ -135,7 +138,7 @@ func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 		}
 	}
 	out := make([]*engine.Result, len(keys))
-	m.GetMany(bg, keys, out)
+	m.GetMany(bg, keys, ids, out)
 	checkMemory(t, m, "get-many")
 	if got := lruIDs(m); !slices.Equal(got, want) {
 		t.Fatalf("get-many: LRU order differs from sequential Gets in key order")
@@ -206,9 +209,27 @@ func FuzzMemoryWeightInvariants(f *testing.F) {
 	})
 }
 
+// dirtyResult is a decode target left over from some other result:
+// non-nil slices and every flag set. The memory tier decodes hits into a
+// fresh slab, but decodeInto promises to overwrite every field anyway.
+func dirtyResult() *engine.Result {
+	return &engine.Result{
+		Reports:     []*checker.Report{{Checker: "stale", Message: "left over"}},
+		Paths:       7,
+		Steps:       9,
+		Truncated:   true,
+		TimedOut:    true,
+		Canceled:    true,
+		RuntimeErrs: []engine.RuntimeErr{{Func: "stale"}},
+	}
+}
+
 // FuzzResultCodec: arbitrary bytes either decode or fail — never panic,
 // never allocate more than a constant factor of the input's length —
-// and whatever decodes re-encodes to exactly the same bytes.
+// and whatever decodes re-encodes to exactly the same bytes. decodeInto
+// over a dirty target (dirtyResult) agrees with decodeResult on every
+// input; the "empty" seed (nil slices, no flags) catches a decodeInto
+// that only assigns the fields a payload carries.
 func FuzzResultCodec(f *testing.F) {
 	for _, r := range codecCases() {
 		f.Add(encodeResult(r))
@@ -223,6 +244,12 @@ func FuzzResultCodec(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1024); alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d bytes (bound %d)", len(data), alloc, bound)
+		}
+		dirty := dirtyResult()
+		if errInto := decodeInto(dirty, data); (errInto == nil) != (err == nil) {
+			t.Fatalf("decodeInto error %v, decodeResult error %v", errInto, err)
+		} else if err == nil && !reflect.DeepEqual(dirty, r) {
+			t.Fatalf("decodeInto over a dirty target:\n got %+v\nwant %+v", dirty, r)
 		}
 		if err != nil {
 			return

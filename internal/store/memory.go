@@ -72,56 +72,51 @@ func NewMemory(maxBytes int64) *Memory {
 // Get implements Store: the one-key case of GetMany.
 func (m *Memory) Get(_ context.Context, k Key) (*engine.Result, bool) {
 	var out [1]*engine.Result
-	m.lookup([]probe{{id: k.Digest()}}, out[:])
+	m.lookup([]Digest{k.Digest()}, out[:])
 	return out[0], out[0] != nil
 }
 
-// GetMany implements BatchGetter. The context is unused; a map lookup
-// has no network wait to abort.
-func (m *Memory) GetMany(_ context.Context, keys []Key, out []*engine.Result) {
-	var buf [64]probe // a scheduler range probes without allocating
-	ps := buf[:0]
-	if len(keys) > len(buf) {
-		ps = make([]probe, 0, len(keys))
-	}
-	for _, k := range keys {
-		ps = append(ps, probe{id: k.Digest()})
-	}
-	m.lookup(ps, out)
-}
-
-// probe is one key of a lookup: its digest, and the payload found for
-// it (nil on a miss — a live entry's payload is never empty).
-type probe struct {
-	id      Digest
-	payload []byte
+// GetMany implements BatchGetter: it probes by ids alone. The context is
+// unused; a map lookup has no network wait to abort.
+func (m *Memory) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine.Result) {
+	m.lookup(ids, out)
 }
 
 // lookup is the one probe body behind Get and GetMany. The keys arrive
 // hashed; they are looked up and moved to the front of the LRU ring
 // under one lock acquisition — leaving the ring as sequential Gets in
-// key order would — and decoded into out after the unlock: payloads are
-// immutable once published, so each decode runs into a result no other
-// caller holds.
-func (m *Memory) lookup(ps []probe, out []*engine.Result) {
-	hits := int64(0)
+// key order would — and decoded into out after the unlock. Payloads are
+// immutable once published, and the hits decode into one slab allocated
+// for them: each result keeps its own slices, only the backing array of
+// the results themselves is shared, among results one caller owns.
+func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
+	var buf [64][]byte // a scheduler range probes without allocating
+	payloads := buf[:0]
+	if len(ids) > len(buf) {
+		payloads = make([][]byte, 0, len(ids))
+	}
+	hits := 0
 	m.mu.Lock()
-	for i := range ps {
-		if s, ok := m.ids[ps[i].id]; ok {
+	for _, id := range ids {
+		var p []byte // nil on a miss: a live entry's payload is never empty
+		if s, ok := m.ids[id]; ok {
 			m.toFront(s)
-			ps[i].payload = m.slots[s].payload
+			p = m.slots[s].payload
 			hits++
 		}
+		payloads = append(payloads, p)
 	}
-	m.stats.Hits += hits
-	m.stats.Misses += int64(len(ps)) - hits
+	m.stats.Hits += int64(hits)
+	m.stats.Misses += int64(len(ids) - hits)
 	m.mu.Unlock()
-	for i, p := range ps {
+	slab := make([]engine.Result, hits)
+	for i, p := range payloads {
 		out[i] = nil
-		if p.payload != nil {
-			if r, err := decodeResult(p.payload); err == nil {
-				out[i] = r
+		if p != nil {
+			if decodeInto(&slab[0], p) == nil {
+				out[i] = &slab[0]
 			}
+			slab = slab[1:]
 		}
 	}
 }

@@ -26,9 +26,10 @@ type Tier struct {
 //     it is raced against that leaf: a local hit never waits on the
 //     network, a miss is declared only after both answered, and a
 //     remote hit is promoted into the local leaf too.
-//   - GetMany hands a range of keys to the front leaf in one call (one
-//     lock acquisition on *Memory); each key it misses then takes Get's
-//     path through the leaves behind it. Counters stay per key.
+//   - GetMany hands a range of keys and their digests to the front leaf
+//     in one call (one lock acquisition on *Memory, no hashing); each
+//     key it misses then takes Get's path through the leaves behind it.
+//     Counters stay per key.
 //   - Put writes through to every leaf.
 //   - GetOrCompute collapses concurrent computations of one key.
 //   - Invalidation fans the whole hash set out to every leaf once;
@@ -188,7 +189,7 @@ func (l *leaf) get(ctx context.Context, k Key) (*engine.Result, bool) {
 // a per-key series: each key the leaf would time observes the call's
 // duration divided by its key count — a hit's amortized share of one
 // lock acquisition.
-func (l *leaf) getMany(ctx context.Context, keys []Key, out []*engine.Result) {
+func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
 	timed := 0
 	for _, k := range keys {
 		if l.timed(k) {
@@ -196,11 +197,11 @@ func (l *leaf) getMany(ctx context.Context, keys []Key, out []*engine.Result) {
 		}
 	}
 	if timed == 0 {
-		GetMany(ctx, l.Store, keys, out)
+		GetMany(ctx, l.Store, keys, ids, out)
 		return
 	}
 	start := time.Now()
-	GetMany(ctx, l.Store, keys, out)
+	GetMany(ctx, l.Store, keys, ids, out)
 	perKey := time.Since(start).Seconds() / float64(len(keys))
 	for ; timed > 0; timed-- {
 		l.getDur.Observe(perKey)
@@ -226,17 +227,17 @@ func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 }
 
 // GetMany implements BatchGetter: the front leaf answers the whole range
-// in one call, and each key it misses falls through the leaves behind
-// it exactly as Get does — raced, promoted, counted once per key. A
-// network front leaf is raced per key, so then every key takes Get's
-// path from the front.
-func (s *Stack) GetMany(ctx context.Context, keys []Key, out []*engine.Result) {
+// in one call, by ids, and each key it misses falls through the leaves
+// behind it exactly as Get does — by Key, raced, promoted, counted once
+// per key. A network front leaf is raced per key, so then every key
+// takes Get's path from the front.
+func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	first := 0
 	if len(s.leaves) > 0 && !s.leaves[0].network {
-		s.leaves[0].getMany(ctx, keys, out)
+		s.leaves[0].getMany(ctx, keys, ids, out)
 		first = 1
 	} else {
 		clear(out)

@@ -417,7 +417,8 @@ func TestStackBehaviours(t *testing.T) {
 			// sampled miss and an unsampled miss are three memory
 			// requests, two memory get timings, and two keys falling
 			// through to the disk leaf.
-			GetMany(bg, st, []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}, make([]*engine.Result, 3))
+			keys := []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}
+			GetMany(bg, st, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([]*engine.Result, 3))
 			b.Reset()
 			reg.WriteTo(&b)
 			for _, want := range []string{
@@ -623,6 +624,10 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						keys = append(keys, randKey())
 						ids = append(ids, keys[len(keys)-1].ID())
 					}
+					digests := make([]Digest, len(keys))
+					for i, k := range keys {
+						digests[i] = k.Digest()
+					}
 					var want []string
 					var wantOK []bool
 					if _, batched := target.(BatchGetter); batched {
@@ -635,7 +640,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						}
 					}
 					got := make([]*engine.Result, len(keys))
-					GetMany(bg, target, keys, got)
+					GetMany(bg, target, keys, digests, got)
 					for i, r := range got {
 						if (r != nil) != wantOK[i] || (r != nil && r.Reports[0].Message != want[i]) {
 							t.Fatalf("step %d: GetMany key %d (%v) = %v; model says %q, %v", step, i, keys[i], r, want[i], wantOK[i])

@@ -38,7 +38,8 @@ type Key struct {
 type Digest [sha256.Size]byte
 
 // Digest hashes the key in a stack buffer, without allocating. Tiers
-// compute it once per operation, before taking any lock.
+// compute it once per operation, before taking any lock, except where a
+// batch probe is handed digests the caller memoized (BatchGetter).
 func (k Key) Digest() Digest {
 	var buf [192]byte
 	b := append(buf[:0], "key:v1\x00"...)
@@ -158,18 +159,23 @@ type ComputeCoalescer interface {
 // whole range of keys in one call: the in-memory tier takes its lock
 // once per range instead of once per key. Every key still counts as one
 // hit or one miss in the tier's books.
+//
+// The caller passes each key's digest beside it (ids[i] ==
+// keys[i].Digest()): the scheduler memoizes digests per file version,
+// so a warm probe hashes nothing. A digest never lives inside a Key —
+// a key edited after its digest was taken would address another entry.
 type BatchGetter interface {
 	// GetMany sets out[i] to the cached result for keys[i], or to nil on
-	// a miss. len(out) must equal len(keys).
-	GetMany(ctx context.Context, keys []Key, out []*engine.Result)
+	// a miss. len(ids) and len(out) must equal len(keys).
+	GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result)
 }
 
 // GetMany looks keys up in st, setting out[i] to the result for keys[i]
 // or nil: through the tier's batch path when it has one, one Get per
-// key otherwise.
-func GetMany(ctx context.Context, st Store, keys []Key, out []*engine.Result) {
+// key otherwise. ids[i] must be keys[i].Digest().
+func GetMany(ctx context.Context, st Store, keys []Key, ids []Digest, out []*engine.Result) {
 	if bg, ok := st.(BatchGetter); ok {
-		bg.GetMany(ctx, keys, out)
+		bg.GetMany(ctx, keys, ids, out)
 		return
 	}
 	for i, k := range keys {
