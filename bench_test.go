@@ -42,8 +42,8 @@ import (
 	"knighter/internal/synth"
 )
 
-// benchScale shrinks the corpus for the benchmark suite; the kbench
-// binary runs the full-scale evaluation.
+// benchScale shrinks the corpus for the benchmark suite; `knighter
+// eval` runs the full-scale evaluation.
 const benchScale = 0.25
 
 var (

@@ -16,7 +16,6 @@
 //	kserve -max-cost 100000        # weighted read budget: sum of checkers x files
 //	kserve -shard-index 0 -shard-count 3 -peers http://a:8321,http://b:8321,http://c:8321 \
 //	       -cache-remote http://cache-host:8322   # sharded fleet member
-//	kserve -shard-hedge 200ms      # hedge slow shard sub-scans on the local snapshot
 //
 // Endpoints:
 //
@@ -62,10 +61,9 @@ func main() {
 	flag.IntVar(&cfg.ShardIndex, "shard-index", 0, "this replica's shard index within the fleet (with -shard-count)")
 	flag.IntVar(&cfg.ShardCount, "shard-count", 1, "number of corpus shards; > 1 enables scatter/gather fan-out")
 	flag.StringVar(&cfg.Peers, "peers", "", "comma-separated shard base URLs in shard-index order (required when -shard-count > 1; entry -shard-index names this replica)")
-	flag.DurationVar(&cfg.ShardHedge, "shard-hedge", 0, "start a local-snapshot hedge for a shard sub-request outstanding this long (0 = fall back only on failure)")
 	flag.DurationVar(&cfg.SlowScan, "slow-scan", 0, "log a structured slow-request report (trace id + stage timeline) for requests slower than this (0 = off); also the trace store's always-keep slow threshold")
 	flag.IntVar(&cfg.TraceRetain, "trace-retain", 512, "completed traces retained for GET /trace/{id} (0 disables the trace store)")
-	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0.05, "probability of retaining an unremarkable trace; slow, errored, degraded, and hedge-win traces are always retained")
+	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0.05, "probability of retaining an unremarkable trace; slow, errored, and degraded traces are always retained")
 	pprofAddr := flag.String("pprof-addr", "", "optional side listen address for net/http/pprof (e.g. localhost:6060); never exposed on the main port")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()

@@ -335,11 +335,9 @@ type ShardStats struct {
 	Count int      `json:"count"`
 	Peers []string `json:"peers"`
 	// Scatters counts coordinated fan-outs; Degraded counts scatters
-	// where at least one partition fell back to the local snapshot;
-	// Hedged counts sub-scans whose local hedge fired.
+	// where at least one partition fell back to the local snapshot.
 	Scatters int64 `json:"scatters"`
 	Degraded int64 `json:"degraded_scatters"`
-	Hedged   int64 `json:"hedged_sub_scans"`
 	// SubScansServed counts shard-local sub-scans this replica answered
 	// for other coordinators; Converges counts feed replays.
 	SubScansServed int64 `json:"sub_scans_served"`

@@ -1,11 +1,7 @@
-// Quickstart: write a checker in the DSL, compile it, and run the
-// path-sensitive engine over a buggy and a fixed version of a function —
-// the inner loop of everything KNighter does.
-package main
+package engine_test
 
 import (
 	"fmt"
-	"log"
 
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
@@ -17,7 +13,7 @@ import (
 // them checked on NULL tests (seeing through unlikely()), and report
 // dereferences of unchecked results. This is the running example of the
 // paper (Fig. 2).
-const checkerSrc = `
+const quickstartChecker = `
 checker quickstart_npd {
   bugtype "Null-Pointer-Dereference"
   description "missing NULL check on devm_kzalloc() result"
@@ -29,7 +25,7 @@ checker quickstart_npd {
 }
 `
 
-const buggy = `
+const quickstartBuggy = `
 static int pci1xxxx_spi_probe(struct pci_dev *pdev, int iter)
 {
 	struct spi_sub *spi_sub_ptr;
@@ -39,7 +35,7 @@ static int pci1xxxx_spi_probe(struct pci_dev *pdev, int iter)
 }
 `
 
-const fixed = `
+const quickstartFixed = `
 static int pci1xxxx_spi_probe(struct pci_dev *pdev, int iter)
 {
 	struct spi_sub *spi_sub_ptr;
@@ -51,15 +47,18 @@ static int pci1xxxx_spi_probe(struct pci_dev *pdev, int iter)
 }
 `
 
-func main() {
-	ck, err := ckdsl.CompileSource(checkerSrc)
+// Write a checker in the DSL, compile it, and run the path-sensitive
+// engine over a buggy and a fixed version of a function: the inner loop
+// of everything KNighter does.
+func ExampleAnalyzeFile() {
+	ck, err := ckdsl.CompileSource(quickstartChecker)
 	if err != nil {
-		log.Fatalf("checker does not compile: %v", err)
+		panic(err)
 	}
-	for _, tc := range []struct{ name, src string }{{"buggy", buggy}, {"fixed", fixed}} {
+	for _, tc := range []struct{ name, src string }{{"buggy", quickstartBuggy}, {"fixed", quickstartFixed}} {
 		file, err := minic.ParseFile(tc.name+".c", tc.src)
 		if err != nil {
-			log.Fatalf("parse %s: %v", tc.name, err)
+			panic(err)
 		}
 		res := engine.AnalyzeFile(file, engine.Options{Checkers: []checker.Checker{ck}})
 		fmt.Printf("%s version: %d report(s), %d path(s) explored\n", tc.name, len(res.Reports), res.Paths)
@@ -70,4 +69,8 @@ func main() {
 			}
 		}
 	}
+	// Output:
+	// buggy version: 1 report(s), 1 path(s) explored
+	//   buggy.c:6:13: [knighter.quickstart_npd] Null-Pointer-Dereference: pointer may be NULL when dereferenced (in pci1xxxx_spi_probe)
+	// fixed version: 0 report(s), 2 path(s) explored
 }

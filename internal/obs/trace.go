@@ -47,7 +47,6 @@ type Trace struct {
 	seq      int
 	dropped  int
 	degraded bool
-	hedgeWin bool
 }
 
 // Span is one node of a trace: name, offset from its process's request
@@ -73,18 +72,14 @@ type Span struct {
 	// Count is the number of operations aggregated into the span (0
 	// means one, for plain stages).
 	Count int `json:"count,omitempty"`
-	// Status tags abnormal outcomes (SpanDegraded, SpanHedgeWin, or an
-	// HTTP status class on error roots); empty on the happy path.
+	// Status tags abnormal outcomes (SpanDegraded, or an HTTP status
+	// class on error roots); empty on the happy path.
 	Status string `json:"status,omitempty"`
 }
 
-// Span status tags. SpanDegraded marks a scatter partition recomputed on
-// the coordinator's local snapshot after its shard failed; SpanHedgeWin
-// marks a partition whose local hedge beat the remote sub-request.
-const (
-	SpanDegraded = "degraded_local_fallback"
-	SpanHedgeWin = "hedge_win"
-)
+// SpanDegraded is the status tag of a scatter partition recomputed on
+// the coordinator's local snapshot after its shard failed.
+const SpanDegraded = "degraded_local_fallback"
 
 // MaxTraceSpans caps one trace fragment's span count so a pathological
 // 100k-function scan (or a kcached fragment accumulating one root span
@@ -250,8 +245,7 @@ func (t *Trace) CloseRoot(name, status string, d time.Duration) {
 }
 
 // MarkDegraded flags the trace as having degraded a scatter partition
-// to the local snapshot; MarkHedgeWin flags a partition won by its local
-// hedge. Both are always-keep classes for the tail sampler.
+// to the local snapshot, an always-keep class for the tail sampler.
 func (t *Trace) MarkDegraded() {
 	if t == nil {
 		return
@@ -261,16 +255,7 @@ func (t *Trace) MarkDegraded() {
 	t.mu.Unlock()
 }
 
-func (t *Trace) MarkHedgeWin() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.hedgeWin = true
-	t.mu.Unlock()
-}
-
-// Degraded and HedgeWin report the flags set by the Mark methods.
+// Degraded reports the flag set by MarkDegraded.
 func (t *Trace) Degraded() bool {
 	if t == nil {
 		return false
@@ -278,15 +263,6 @@ func (t *Trace) Degraded() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.degraded
-}
-
-func (t *Trace) HedgeWin() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hedgeWin
 }
 
 // DroppedSpans reports how many spans the cap dropped from this trace.

@@ -10,8 +10,8 @@ import (
 // TraceStore is the in-process half of fleet tracing: a bounded ring of
 // recently completed trace fragments, tail-sampled — the keep decision
 // happens AFTER the request finishes, when its outcome is known. Slow,
-// errored, degraded-scatter, and hedge-win traces are always retained
-// (they are exactly what an operator greps for); the unremarkable rest
+// errored, and degraded-scatter traces are always retained (they are
+// exactly what an operator greps for); the unremarkable rest
 // is sampled by a deterministic hash of the trace id, so every process
 // in the fleet keeps or drops the SAME traces and cross-host assembly
 // finds all fragments or none.
@@ -53,7 +53,7 @@ type StoredTrace struct {
 	Route   string `json:"route"`
 	Status  int    `json:"status"`
 	// Kept records the keep-policy reason: "slow", "error", "degraded",
-	// "hedge_win", or "sampled".
+	// or "sampled".
 	Kept        string  `json:"kept"`
 	StartUnixMS int64   `json:"start_unix_ms"`
 	DurMS       float64 `json:"dur_ms"`
@@ -127,8 +127,6 @@ func (ts *TraceStore) keepReason(tr *Trace, m TraceMeta) string {
 		return "error"
 	case tr.Degraded():
 		return "degraded"
-	case tr.HedgeWin():
-		return "hedge_win"
 	case ts.sampledIn(tr.ID):
 		return "sampled"
 	}

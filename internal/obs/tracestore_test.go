@@ -42,13 +42,6 @@ func TestTraceStoreAlwaysKeepClasses(t *testing.T) {
 		t.Fatalf("degraded trace: got %+v, %v", st, ok)
 	}
 
-	hw := finished("hedge", "kserve", time.Millisecond)
-	hw.MarkHedgeWin()
-	ts.Add(hw, TraceMeta{Route: "scan", Status: 200, Elapsed: time.Millisecond})
-	if st, ok := ts.Get("hedge"); !ok || st.Kept != "hedge_win" {
-		t.Fatalf("hedge-win trace: got %+v, %v", st, ok)
-	}
-
 	// Slow outranks error: a slow 500 is kept as "slow".
 	ts.Add(finished("slowerr", "kserve", time.Second), TraceMeta{Status: 500, Elapsed: time.Second, Errored: true})
 	if st, _ := ts.Get("slowerr"); st == nil || st.Kept != "slow" {
@@ -58,8 +51,8 @@ func TestTraceStoreAlwaysKeepClasses(t *testing.T) {
 	if got := ts.Stats().SampledOut; got != 1 {
 		t.Fatalf("sampled_out = %d, want 1", got)
 	}
-	if got := ts.Stats().Kept; got != 5 {
-		t.Fatalf("kept = %d, want 5", got)
+	if got := ts.Stats().Kept; got != 4 {
+		t.Fatalf("kept = %d, want 4", got)
 	}
 }
 

@@ -1,0 +1,121 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"log"
+	"net/http"
+	"time"
+
+	"knighter/internal/obs"
+	"knighter/internal/shard"
+	"knighter/internal/store"
+)
+
+// CacheConfig is everything a kcached daemon is built from. Each field
+// is the cmd/kcached flag of the same name (CacheDir is -cache-dir,
+// FeedCap is -feed-cap, ...), with the flag's meaning; zero values mean
+// what the flag's zero means, not the flag's default.
+type CacheConfig struct {
+	CacheDir      string
+	CacheTTL      time.Duration
+	CacheMaxBytes int64
+	CacheBytes    int64
+
+	FeedCap int
+
+	TraceRetain int
+	TraceSample float64
+	TraceSlow   time.Duration
+}
+
+// Cache is the fleet cache daemon, kcached: it serves the
+// content-addressed analysis-result store over HTTP so a fleet of kserve
+// replicas shares one warm cache. It serves the same store.Stack kserve
+// does, built by the same constructor with no remote: a memory tier over
+// the segment-packed disk store, behind the store.CacheServer protocol.
+// A fleet GET that misses memory is one index probe plus one pread into
+// an append-only segment file, and entries survive restarts (recovery is
+// a single sequential segment scan). Keys are content addresses, so an
+// entry can only ever be correct for the inputs that produced it;
+// invalidation is garbage collection of unreachable keys, not a
+// correctness mechanism.
+//
+// The generation feed (shard.Feed, POST /feed and GET /feed?from=N)
+// rides beside the store because kcached is the one process every
+// sharded replica already dials. It is a bounded in-memory ledger
+// (FeedCap), not a durability mechanism.
+//
+// Every cache and feed request runs under the chassis kserve also
+// mounts (obs.RequestObserver), so a coordinating kserve's
+// GET /trace/{id} pulls kcached's retained fragments into the assembled
+// cross-host tree.
+type Cache struct {
+	st      *store.Stack
+	traces  *obs.TraceStore
+	handler http.Handler
+	stopGC  context.CancelFunc
+}
+
+// NewCache opens the store in cfg.CacheDir, mounts the cache protocol and
+// the generation feed, and starts the compaction loop. Call Close when
+// done with it.
+func NewCache(cfg CacheConfig) (*Cache, error) {
+	if cfg.CacheDir == "" {
+		return nil, errors.New("serve: a cache daemon needs a cache directory (-cache-dir)")
+	}
+	// /metrics carries the same store_* families as kserve's, under the
+	// kcached namespace with tier="memory" and tier="disk".
+	reg := obs.NewRegistry("kcached")
+	gcSweep := reg.Histogram("gc_sweep_duration_seconds",
+		"Wall time of one GC sweep over the backing store.", nil)
+	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, "", store.RemoteConfig{})
+	if err != nil {
+		return nil, err
+	}
+	c := &Cache{st: st, traces: obs.NewTraceStore(cfg.TraceRetain, cfg.TraceSample, cfg.TraceSlow)}
+	ro := &obs.RequestObserver{Service: "kcached", Traces: c.traces}
+	cs := store.NewCacheServer(st)
+	cs.Observe(ro)
+	cs.Register(reg)
+	feed := shard.NewFeed(cfg.FeedCap)
+	feed.Register(reg)
+	// Compaction always runs: even without a TTL or byte budget it
+	// reclaims the dead bytes that overwrites and invalidations leave in
+	// the segment log. Close stops it before the final sync.
+	ctx, cancel := context.WithCancel(context.Background())
+	c.stopGC = cancel
+	st.Disk().StartCompactLoop(ctx, cfg.CacheTTL, func(n int, dur time.Duration) {
+		gcSweep.Observe(dur.Seconds())
+		if n > 0 {
+			log.Printf("kcached: GC removed %d entries in %s", n, dur)
+		}
+	})
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("/feed", ro.Wrap("feed", feed.Handler().ServeHTTP))
+	mux.Handle("/", cs.Handler())
+	c.handler = mux
+	version, goVersion := obs.BuildVersion()
+	boot := st.Disk().Stats()
+	log.Printf("kcached: %s (%s) serving %s (%d entries, %d bytes)",
+		version, goVersion, cfg.CacheDir, boot.Entries, boot.Bytes)
+	return c, nil
+}
+
+// Handler is the daemon's whole HTTP surface.
+func (c *Cache) Handler() http.Handler { return c.handler }
+
+// Close stops the compaction loop, then syncs and closes the disk tier —
+// the flush window's tail is on disk, so the next boot recovers
+// everything this one served — and logs the final counters. Call it
+// after the listener has drained.
+func (c *Cache) Close() error {
+	c.stopGC()
+	disk := c.st.Disk()
+	final := disk.Stats()
+	err := disk.Close()
+	log.Printf("kcached: final stats: entries=%d bytes=%d hits=%d misses=%d hit_rate=%.3f",
+		final.Entries, final.Bytes, final.Hits, final.Misses, final.HitRate())
+	return err
+}

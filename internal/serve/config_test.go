@@ -94,7 +94,7 @@ func metricValues(t *testing.T, text string) map[string]int64 {
 // scatter, a feed replay — /stats and /metrics report the same value
 // for each.
 func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	srvs, tss := boot(t, 2, Config{
 		CacheRemote: kc.URL,
 		MaxInflight: 2, MaxQueued: 8, MaxInflightWrites: 1, MaxQueuedWrites: 8,
@@ -138,7 +138,6 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 		"kserve_shard_converges_total":         st.Shards.Converges,
 		"kserve_shard_feed_publishes_total":    st.Shards.FeedPublishes,
 		"kserve_shard_degraded_scatters_total": st.Shards.Degraded,
-		"kserve_shard_hedged_sub_scans_total":  st.Shards.Hedged,
 	}
 	for prefix, gate := range map[string]*api.AdmissionStats{
 		"kserve_admission": st.Admission, "kserve_write_admission": st.WriteAdmission,
@@ -173,14 +172,13 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 // handlers.
 func TestTraceEndpointsSharedByBothDaemons(t *testing.T) {
 	srv, ks := bootOne(t, Config{TraceRetain: 16, TraceSample: 1, SlowScan: time.Second})
-	kcTraces := obs.NewTraceStore(16, 1, time.Second)
-	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{Service: "kcached", Traces: kcTraces})
+	kcd, kc := newKcached(t, CacheConfig{TraceRetain: 16, TraceSample: 1, TraceSlow: time.Second})
 
 	for _, d := range []struct {
 		daemon string
 		store  *obs.TraceStore
 		ts     *httptest.Server
-	}{{"kserve", srv.traces, ks}, {"kcached", kcTraces, kc}} {
+	}{{"kserve", srv.traces, ks}, {"kcached", kcd.traces, kc}} {
 		t.Run(d.daemon, func(t *testing.T) {
 			for _, tr := range []struct {
 				id      string

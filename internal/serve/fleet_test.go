@@ -29,7 +29,7 @@ func reportsJSON(t *testing.T, resp *api.ScanResponse) string {
 // is answered almost entirely from the shared tier — byte-identical
 // reports, >= 90% hit rate, zero remote errors.
 func TestFleetSecondReplicaScansWarm(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	srvA, tsA := bootOne(t, Config{CacheRemote: kc.URL})
 	srvB, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
@@ -71,7 +71,7 @@ func TestFleetSecondReplicaScansWarm(t *testing.T) {
 // their local tiers with misses, and the breaker stops them from paying
 // a connection attempt per function.
 func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	_, tsA := bootOne(t, Config{CacheRemote: kc.URL})
 	_, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
@@ -125,8 +125,8 @@ func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
 // survives a daemon roll.
 func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	dir := t.TempDir()
-	st1, kc1 := newKcached(t, dir, nil)
-	disk1 := st1.Disk()
+	kcd1, kc1 := newKcached(t, CacheConfig{CacheDir: dir})
+	disk1 := kcd1.st.Disk()
 
 	srvA, tsA := bootOne(t, Config{CacheRemote: kc1.URL})
 	a := postScan(t, tsA, api.ScanRequest{Checker: testChecker})
@@ -142,14 +142,14 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	// crash path — torn tail, unsynced window — is the segment engine's
 	// own test territory).
 	kc1.Close()
-	if err := disk1.Close(); err != nil {
+	if err := kcd1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A successor boots on the same directory: recovery is one
 	// sequential segment scan, and every entry must come back.
-	st2, kc2 := newKcached(t, dir, nil)
-	if got := st2.Disk().Stats().Entries; got != entriesBefore {
+	kcd2, kc2 := newKcached(t, CacheConfig{CacheDir: dir})
+	if got := kcd2.st.Disk().Stats().Entries; got != entriesBefore {
 		t.Fatalf("restart recovered %d entries, want %d", got, entriesBefore)
 	}
 
@@ -174,12 +174,12 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 // the same changeset scans correctly afterwards — no stale shared
 // results.
 func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
-	kcStore, kc := newKcached(t, t.TempDir(), nil)
+	kcd, kc := newKcached(t, CacheConfig{})
 	srvA, tsA := bootOne(t, Config{CacheRemote: kc.URL})
 	_, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
 	postScan(t, tsA, api.ScanRequest{Checker: testChecker}) // warm the shared tier
-	disk := kcStore.Disk()
+	disk := kcd.st.Disk()
 	sharedBefore := disk.Stats().Entries
 	if sharedBefore == 0 {
 		t.Fatal("shared tier empty after replica A's scan")
@@ -237,7 +237,7 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 // concurrent scans on ONE replica share computations via the coalescing
 // tier instead of analyzing every function twice.
 func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	srv, ts := bootOne(t, Config{CacheRemote: kc.URL})
 
 	// t.Fatal must not run off the test goroutine, so workers record an
@@ -296,7 +296,7 @@ func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
 // remote tier keeps no entry books, so reporting "the back tier" left
 // store.entries and store.bytes at zero forever.
 func TestFleetReplicaStatsReportItsOwnEntries(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	_, ts := bootOne(t, Config{CacheRemote: kc.URL})
 	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker})
 	if scan.Cache.Misses == 0 {
@@ -319,7 +319,7 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 	// kcached behind a switch that makes every request hang until the
 	// client gives up. A probe that waited on the hung daemon would run
 	// into the remote tier's timeout and show up as an error.
-	kcStore, kcInner := newKcached(t, t.TempDir(), nil)
+	kcd, kcInner := newKcached(t, CacheConfig{})
 	kcHandler := kcInner.Config.Handler
 	var hung atomic.Bool
 	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -346,8 +346,8 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 		if got := reportsJSON(t, a); got != want {
 			t.Fatalf("cold scan differs from the single-host reference:\n got: %s\nwant: %s", got, want)
 		}
-		if a.Cache.Hits != 0 || srv.remote.RemoteStats().Puts == 0 || kcStore.Stats().Entries == 0 {
-			t.Fatalf("cold scan: cache %+v, remote %+v, kcached %+v", a.Cache, srv.remote.RemoteStats(), kcStore.Stats())
+		if a.Cache.Hits != 0 || srv.remote.RemoteStats().Puts == 0 || kcd.st.Stats().Entries == 0 {
+			t.Fatalf("cold scan: cache %+v, remote %+v, kcached %+v", a.Cache, srv.remote.RemoteStats(), kcd.st.Stats())
 		}
 		if got := srv.inc.Stats().Entries; got != a.Cache.Misses {
 			t.Fatalf("/stats reports %d entries, the disk tier should hold all %d results", got, a.Cache.Misses)

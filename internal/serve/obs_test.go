@@ -176,7 +176,7 @@ func TestIncludeTimingReturnsTimeline(t *testing.T) {
 func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 	// Both daemons under the chassis, exactly as their main()s wire it.
 	logs := captureLog(t)
-	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{Service: "kcached"})
+	_, kc := newKcached(t, CacheConfig{})
 	_, ts := bootOne(t, Config{CacheRemote: kc.URL})
 
 	const traceID = "abc-fleet-trace-1"
@@ -222,7 +222,7 @@ func TestSlowScanLogEmitsTimeline(t *testing.T) {
 // entry-request and store families the smoke test greps for.
 func TestKcachedMetricsExposition(t *testing.T) {
 	captureLog(t) // the chassis logs every entry round-trip
-	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{Service: "kcached"})
+	_, kc := newKcached(t, CacheConfig{})
 
 	// Drive real traffic through a kserve replica so the counters move.
 	_, ts := bootOne(t, Config{CacheRemote: kc.URL})

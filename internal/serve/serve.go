@@ -2,7 +2,8 @@
 // constructor, New(Config), builds a replica — parsed corpus, cache
 // stack, admission gates, shard layer, trace store, metrics registry,
 // compaction loop — and Handler returns what the binary, every test
-// and the benchmarks mount.
+// and the benchmarks mount. NewCache(CacheConfig) does the same for
+// cmd/kcached, the fleet cache daemon (cache.go).
 //
 // This is the deployment shape the paper's §5 scans want: checker
 // synthesis and refinement issue many near-identical scans of the same
@@ -95,7 +96,6 @@ type Config struct {
 	ShardIndex int
 	ShardCount int
 	Peers      string
-	ShardHedge time.Duration
 
 	SlowScan    time.Duration
 	TraceRetain int

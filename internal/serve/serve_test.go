@@ -17,9 +17,6 @@ import (
 
 	"knighter/internal/api"
 	"knighter/internal/minic"
-	"knighter/internal/obs"
-	"knighter/internal/shard"
-	"knighter/internal/store"
 )
 
 const testChecker = `
@@ -75,30 +72,23 @@ func bootOne(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srvs[0], tss[0]
 }
 
-// newKcached boots an in-process kcached assembled as cmd/kcached's main
-// assembles it: the store it opens (memory over the segment disk in
-// dir), the cache protocol, and the generation feed beside it. ro is the
-// daemon chassis; nil serves the bare protocol, which keeps a cold
-// scan's hundreds of entry round-trips out of the test log.
-func newKcached(t *testing.T, dir string, ro *obs.RequestObserver) (*store.Stack, *httptest.Server) {
+// newKcached boots an in-process kcached through NewCache, as
+// cmd/kcached does, in a fresh directory unless cfg names one.
+func newKcached(t *testing.T, cfg CacheConfig) (*Cache, *httptest.Server) {
 	t.Helper()
-	reg := obs.NewRegistry("kcached")
-	st, err := store.Open(reg, 0, dir, 0, "", store.RemoteConfig{})
+	if cfg.CacheDir == "" {
+		cfg.CacheDir = t.TempDir()
+	}
+	c, err := NewCache(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := store.NewCacheServer(st)
-	cs.Observe(ro)
-	cs.Register(reg)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/feed", ro.Wrap("feed", shard.NewFeed(0).Handler().ServeHTTP))
-	mux.Handle("/", cs.Handler())
-	kc := httptest.NewServer(mux)
+	kc := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		kc.Close()
-		st.Disk().Close()
+		c.Close()
 	})
-	return st, kc
+	return c, kc
 }
 
 // call is the core of every HTTP helper: it sends method and url (with

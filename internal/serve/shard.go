@@ -47,7 +47,6 @@ type shardLayer struct {
 	// same objects.
 	scatters      *obs.Counter
 	degraded      *obs.Counter
-	hedged        *obs.Counter
 	subScans      *obs.Counter
 	converges     *obs.Counter
 	feedPublishes *obs.Counter
@@ -81,7 +80,6 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 		scatters: reg.Counter("shard_scatters_total", "Coordinated scan/batch fan-outs served by this replica."),
 		degraded: reg.Counter("shard_degraded_scatters_total",
 			"Scatter partitions recomputed on the local snapshot because their shard failed or timed out."),
-		hedged:        reg.Counter("shard_hedged_sub_scans_total", "Local hedges started against slow shard sub-scans."),
 		subScans:      reg.Counter("shard_sub_scans_total", "Shard-local sub-scans served for other coordinators."),
 		converges:     reg.Counter("shard_converges_total", "Generation-feed replays that brought this shard up to the fleet generation."),
 		feedPublishes: reg.Counter("shard_feed_publishes_total", "Changeset commits published to the generation feed."),
@@ -105,14 +103,12 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 		setHealth(i, true)
 	}
 	sh.sc = shard.NewScatter(shard.Config{
-		Ring:       sh.ring,
-		Self:       sh.index,
-		Peers:      peers,
-		HedgeAfter: cfg.ShardHedge,
+		Ring:  sh.ring,
+		Self:  sh.index,
+		Peers: peers,
 	}, shard.Hooks{
 		FanoutDone: func(i int, d time.Duration) { fanoutDur.With(strconv.Itoa(i)).Observe(d.Seconds()) },
 		Degraded:   func(int) { sh.degraded.Inc() },
-		Hedged:     func(int) { sh.hedged.Inc() },
 		PeerHealth: setHealth,
 	})
 	return sh, nil
@@ -142,7 +138,6 @@ func (s *Server) shardStats() *api.ShardStats {
 		Peers:          sh.peers,
 		Scatters:       count(sh.scatters),
 		Degraded:       count(sh.degraded),
-		Hedged:         count(sh.hedged),
 		SubScansServed: count(sh.subScans),
 		Converges:      count(sh.converges),
 		FeedPublishes:  count(sh.feedPublishes),
@@ -153,8 +148,8 @@ func (s *Server) shardStats() *api.ShardStats {
 // localPartition scans cks over a partition's files on the
 // coordinator's pinned snapshot, one uncapped sub-response per checker
 // — exactly what the shard owner would have returned. It serves the
-// coordinator's own partition and is the fallback (and hedge) for
-// everyone else's. Checkers run one after another: each entry must
+// coordinator's own partition and is the fallback for everyone
+// else's. Checkers run one after another: each entry must
 // match what RunFiles returns for that checker alone.
 func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker, workers, funcTimeoutMS int, includeTrace bool) shard.Local {
 	return func(ctx context.Context, files []string) ([]*api.ScanResponse, error) {
@@ -269,18 +264,18 @@ func (s *Server) scatterBatch(w http.ResponseWriter, r *http.Request, req *api.B
 	return true
 }
 
-// logScatter leaves one log line per degraded or hedged scatter — quiet
-// in the healthy steady state.
+// logScatter leaves one log line per degraded scatter — quiet in the
+// healthy steady state.
 func logScatter(route string, r *http.Request, info shard.Info, gen int64) {
-	if info.Degraded == 0 && info.Hedged == 0 {
+	if info.Degraded == 0 {
 		return
 	}
 	id := ""
 	if tr := obs.TraceFrom(r.Context()); tr != nil {
 		id = tr.ID
 	}
-	log.Printf("kserve: scatter %s: shards=%d degraded=%d hedged=%d gen=%d trace=%s",
-		route, info.Shards, info.Degraded, info.Hedged, gen, id)
+	log.Printf("kserve: scatter %s: shards=%d degraded=%d gen=%d trace=%s",
+		route, info.Shards, info.Degraded, gen, id)
 }
 
 // maybeConverge pulls the generation feed when a sharded replica

@@ -165,7 +165,7 @@ func TestShardedBatchByteIdentical(t *testing.T) {
 // (publish + converge nudge), and post-commit scans are byte-identical
 // to a single host that applied the same changeset.
 func TestShardedChangesetConvergesFleetWide(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	srvs, tss := boot(t, 3, Config{CacheRemote: kc.URL})
 	_, single := bootOne(t, Config{})
 
@@ -214,7 +214,7 @@ func TestShardedChangesetConvergesFleetWide(t *testing.T) {
 // never converges again, and each scatter degrades to the coordinator's
 // local snapshot.
 func TestRejectedAsyncChangesetDoesNotWedgeConvergence(t *testing.T) {
-	_, kc := newKcached(t, t.TempDir(), nil)
+	_, kc := newKcached(t, CacheConfig{})
 	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
 	f0 := srvs[0].inc.Codebase().Files()[0]
 

@@ -19,9 +19,7 @@ import (
 func newTracedFleet(t *testing.T, n int) ([]*Server, []*httptest.Server) {
 	t.Helper()
 	captureLog(t) // a traced kcached logs every entry round-trip
-	_, kc := newKcached(t, t.TempDir(), &obs.RequestObserver{
-		Service: "kcached", Traces: obs.NewTraceStore(256, 1, 0),
-	})
+	_, kc := newKcached(t, CacheConfig{TraceRetain: 256, TraceSample: 1})
 	return boot(t, n, Config{CacheRemote: kc.URL, TraceRetain: 256, TraceSample: 1})
 }
 

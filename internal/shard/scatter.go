@@ -35,10 +35,6 @@ type Config struct {
 	// that does not answer within it is treated as dead for this
 	// scatter and its partition falls back to the local snapshot.
 	Timeout time.Duration
-	// HedgeAfter, when > 0, starts a local-snapshot scan of a remote
-	// partition that has been outstanding this long, racing it against
-	// the straggler — first success wins, the loser is canceled.
-	HedgeAfter time.Duration
 	// Client is the HTTP client for sub-requests (default: a bounded
 	// transport).
 	Client *http.Client
@@ -53,18 +49,15 @@ type Hooks struct {
 	// Degraded fires when a remote partition fell back to the local
 	// snapshot because the shard failed or timed out.
 	Degraded func(s int)
-	// Hedged fires when a partition's local hedge was started.
-	Hedged func(s int)
 	// PeerHealth fires whenever a sub-request to shard s completes,
 	// with the observed health.
 	PeerHealth func(s int, healthy bool)
 }
 
 // Local recomputes one partition's sub-responses on the coordinator's
-// own pinned snapshot — the fallback and hedge path. For a scan the
-// slice has one entry; for a batch, one per checker. Implementations
-// must honor ctx cancellation (a hedge that loses the race is
-// canceled).
+// own pinned snapshot — the fallback path. For a scan the slice has one
+// entry; for a batch, one per checker. Implementations must honor ctx
+// cancellation.
 type Local func(ctx context.Context, files []string) ([]*api.ScanResponse, error)
 
 // Scatter fans scan work out across the shard fleet and gathers the
@@ -114,9 +107,8 @@ type Info struct {
 	// Shards is the number of non-empty partitions fanned out.
 	Shards int
 	// Degraded counts partitions that fell back to the local snapshot
-	// after their shard failed; Hedged counts local hedges started.
+	// after their shard failed.
 	Degraded int
-	Hedged   int
 }
 
 // ScanJob is one coordinated /scan: the sub-request template (checker,
@@ -216,7 +208,7 @@ func (sc *Scatter) Batch(ctx context.Context, job BatchJob) ([]*api.ScanResponse
 }
 
 // fanout runs every non-empty partition concurrently: self locally,
-// remote shards via remote() with timeout, hedging, and local fallback.
+// remote shards via remote() with timeout and local fallback.
 // parts is indexed by shard.
 func (sc *Scatter) fanout(ctx context.Context, paths []string,
 	remote func(ctx context.Context, s int, files []string) ([]*api.ScanResponse, error),
@@ -225,7 +217,7 @@ func (sc *Scatter) fanout(ctx context.Context, paths []string,
 	partitions := sc.cfg.Ring.Partition(paths)
 	parts := make([][]*api.ScanResponse, len(partitions))
 	errs := make([]error, len(partitions))
-	var degraded, hedged atomic.Int64
+	var degraded atomic.Int64
 	var info Info
 	tr := obs.TraceFrom(ctx)
 
@@ -260,14 +252,8 @@ func (sc *Scatter) fanout(ctx context.Context, paths []string,
 			if sid != "" {
 				rctx = obs.WithParentSpan(ctx, sid)
 			}
-			var h, hw, d bool
-			parts[s], h, hw, d, errs[s] = sc.runRemote(rctx, s, files, remote, local)
-			if h {
-				hedged.Add(1)
-				if sc.hooks.Hedged != nil {
-					sc.hooks.Hedged(s)
-				}
-			}
+			var d bool
+			parts[s], d, errs[s] = sc.runRemote(rctx, s, files, remote, local)
 			if d {
 				status = obs.SpanDegraded
 				tr.MarkDegraded()
@@ -275,15 +261,11 @@ func (sc *Scatter) fanout(ctx context.Context, paths []string,
 				if sc.hooks.Degraded != nil {
 					sc.hooks.Degraded(s)
 				}
-			} else if hw {
-				status = obs.SpanHedgeWin
-				tr.MarkHedgeWin()
 			}
 		}(s, files)
 	}
 	wg.Wait()
 	info.Degraded = int(degraded.Load())
-	info.Hedged = int(hedged.Load())
 	for _, err := range errs {
 		if err != nil {
 			return nil, info, err
@@ -292,91 +274,25 @@ func (sc *Scatter) fanout(ctx context.Context, paths []string,
 	return parts, info, nil
 }
 
-// runRemote serves one remote partition: the sub-request races an
-// optional local hedge; a failed or timed-out sub-request falls back to
-// the local snapshot. Returns the partial plus whether a hedge started,
-// whether the hedge's result won the race, and whether the partition
-// degraded to local because the shard failed.
+// runRemote serves one remote partition: the sub-request, bounded by
+// the timeout, then on failure the same partition recomputed on the
+// local snapshot (slower, never wrong). degraded reports that fallback.
 func (sc *Scatter) runRemote(ctx context.Context, s int, files []string,
 	remote func(ctx context.Context, s int, files []string) ([]*api.ScanResponse, error),
-	local Local) (part []*api.ScanResponse, hedgeStarted, hedgeWon, degradedToLocal bool, err error) {
+	local Local) (part []*api.ScanResponse, degraded bool, err error) {
 
-	type outcome struct {
-		part []*api.ScanResponse
-		err  error
+	rctx, cancel := context.WithTimeout(ctx, sc.cfg.Timeout)
+	part, err = remote(rctx, s, files)
+	cancel()
+	sc.peerOK[s].Store(err == nil)
+	if sc.hooks.PeerHealth != nil {
+		sc.hooks.PeerHealth(s, err == nil)
 	}
-	rctx, rcancel := context.WithTimeout(ctx, sc.cfg.Timeout)
-	defer rcancel()
-	rch := make(chan outcome, 1)
-	go func() {
-		p, err := remote(rctx, s, files)
-		rch <- outcome{p, err}
-	}()
-
-	var hch chan outcome
-	var hcancel context.CancelFunc
-	var hedgeTimer <-chan time.Time
-	if sc.cfg.HedgeAfter > 0 {
-		hedgeTimer = time.After(sc.cfg.HedgeAfter)
+	if err == nil {
+		return part, false, nil
 	}
-	defer func() {
-		if hcancel != nil {
-			hcancel()
-		}
-	}()
-	startHedge := func() {
-		var hctx context.Context
-		hctx, hcancel = context.WithCancel(ctx)
-		hch = make(chan outcome, 1)
-		hedgeStarted = true
-		go func() {
-			p, err := local(hctx, files)
-			hch <- outcome{p, err}
-		}()
-	}
-
-	remoteFailed := false
-	for {
-		select {
-		case o := <-rch:
-			if o.err == nil {
-				sc.peerOK[s].Store(true)
-				if sc.hooks.PeerHealth != nil {
-					sc.hooks.PeerHealth(s, true)
-				}
-				return o.part, hedgeStarted, false, false, nil
-			}
-			sc.peerOK[s].Store(false)
-			if sc.hooks.PeerHealth != nil {
-				sc.hooks.PeerHealth(s, false)
-			}
-			remoteFailed = true
-			rch = nil
-			if hch == nil {
-				// No hedge in flight: recompute the partition on the
-				// local snapshot now (slower, never wrong).
-				p, lerr := local(ctx, files)
-				return p, hedgeStarted, false, true, lerr
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			startHedge()
-		case o := <-hch:
-			hch = nil
-			if o.err == nil {
-				// The hedge won. If the remote had already failed this is
-				// a degraded scatter; if it is merely slow, it is not —
-				// cancel it and move on.
-				rcancel()
-				return o.part, hedgeStarted, true, remoteFailed, nil
-			}
-			if remoteFailed {
-				return nil, hedgeStarted, false, true, fmt.Errorf("shard %d: remote and local fallback both failed: %w", s, o.err)
-			}
-			// Hedge failed but the remote is still in flight; keep
-			// waiting on it.
-		}
-	}
+	part, err = local(ctx, files)
+	return part, true, err
 }
 
 // post issues one sub-request to shard s and decodes a 2xx reply into

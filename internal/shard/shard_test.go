@@ -207,7 +207,7 @@ func TestScatterScanMergesRemoteAndLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Shards != 2 || info.Degraded != 0 || info.Hedged != 0 {
+	if info.Shards != 2 || info.Degraded != 0 {
 		t.Fatalf("info = %+v, want 2 healthy shards", info)
 	}
 	for i, rep := range merged.Reports {
@@ -221,91 +221,65 @@ func TestScatterScanMergesRemoteAndLocal(t *testing.T) {
 }
 
 func TestScatterShardFailureFallsBackLocal(t *testing.T) {
-	peer := newSynthPeer(t, func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "shard on fire", http.StatusInternalServerError)
-	})
-	var degraded, healthFalse int
-	sc := NewScatter(Config{
-		Ring:  Ring{Count: 2},
-		Self:  0,
-		Peers: []string{"", peer.URL},
-	}, Hooks{
-		Degraded: func(s int) { degraded++ },
-		PeerHealth: func(s int, healthy bool) {
-			if !healthy {
-				healthFalse++
-			}
+	for name, handle := range map[string]http.HandlerFunc{
+		"error reply": func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "shard on fire", http.StatusInternalServerError)
 		},
-	})
-	paths := scatterPaths()
-	merged, info, err := sc.Scan(context.Background(), ScanJob{
-		Req: api.ScanRequest{Checker: "synth"}, Name: "synth", Paths: paths, Local: synthLocal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Degraded != 1 || degraded != 1 {
-		t.Fatalf("degraded = %d (hook %d), want 1", info.Degraded, degraded)
-	}
-	if healthFalse == 0 {
-		t.Fatal("PeerHealth hook never reported the failure")
-	}
-	if h := sc.PeerHealth(); h[1] {
-		t.Fatal("failed peer still marked healthy")
-	}
-	// Degraded, never wrong: the merged result is still complete and in
-	// global order.
-	if len(merged.Reports) != len(paths) {
-		t.Fatalf("degraded merge has %d reports, want %d", len(merged.Reports), len(paths))
-	}
-	for i, rep := range merged.Reports {
-		if rep.File != paths[i] {
-			t.Fatalf("degraded report %d is for %s, want %s", i, rep.File, paths[i])
-		}
-	}
-}
-
-func TestScatterHedgeWinsOverStraggler(t *testing.T) {
-	release := make(chan struct{})
-	peer := newSynthPeer(t, func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body first: the server only watches for client
-		// disconnect (and cancels r.Context()) once the request body has
-		// been consumed, and the canceled loser of the hedge race is
-		// exactly such a disconnect.
-		io.Copy(io.Discard, r.Body)
-		select { // a straggler, not a corpse: answers only when released
-		case <-release:
-		case <-r.Context().Done():
-		}
-		http.Error(w, "too late", http.StatusInternalServerError)
-	})
-	// Registered after newSynthPeer so it runs BEFORE ts.Close in LIFO
-	// cleanup order — Close waits for the handler, which waits for this.
-	t.Cleanup(func() { close(release) })
-	var hedges int
-	sc := NewScatter(Config{
-		Ring:       Ring{Count: 2},
-		Self:       0,
-		Peers:      []string{"", peer.URL},
-		Timeout:    30 * time.Second,
-		HedgeAfter: 20 * time.Millisecond,
-	}, Hooks{Hedged: func(s int) { hedges++ }})
-	paths := scatterPaths()
-	merged, info, err := sc.Scan(context.Background(), ScanJob{
-		Req: api.ScanRequest{Checker: "synth"}, Name: "synth", Paths: paths, Local: synthLocal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Hedged != 1 || hedges != 1 {
-		t.Fatalf("hedged = %d (hook %d), want 1", info.Hedged, hedges)
-	}
-	// The hedge covered a slow-but-alive shard: not a degraded scatter.
-	if info.Degraded != 0 {
-		t.Fatalf("degraded = %d, want 0 (remote never failed)", info.Degraded)
-	}
-	if len(merged.Reports) != len(paths) {
-		t.Fatalf("hedged merge has %d reports, want %d", len(merged.Reports), len(paths))
+		// A straggler, not a corpse: it would answer, but only long after
+		// the sub-request timeout. Draining the body first lets the server
+		// see the client's disconnect and cancel r.Context().
+		"straggler past the timeout": func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-time.After(5 * time.Second):
+			case <-r.Context().Done():
+			}
+			http.Error(w, "too late", http.StatusInternalServerError)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			peer := newSynthPeer(t, handle)
+			var degraded, healthFalse int
+			sc := NewScatter(Config{
+				Ring:    Ring{Count: 2},
+				Self:    0,
+				Peers:   []string{"", peer.URL},
+				Timeout: 50 * time.Millisecond,
+			}, Hooks{
+				Degraded: func(s int) { degraded++ },
+				PeerHealth: func(s int, healthy bool) {
+					if !healthy {
+						healthFalse++
+					}
+				},
+			})
+			paths := scatterPaths()
+			merged, info, err := sc.Scan(context.Background(), ScanJob{
+				Req: api.ScanRequest{Checker: "synth"}, Name: "synth", Paths: paths, Local: synthLocal,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Degraded != 1 || degraded != 1 {
+				t.Fatalf("degraded = %d (hook %d), want 1", info.Degraded, degraded)
+			}
+			if healthFalse == 0 {
+				t.Fatal("PeerHealth hook never reported the failure")
+			}
+			if h := sc.PeerHealth(); h[1] {
+				t.Fatal("failed peer still marked healthy")
+			}
+			// Degraded, never wrong: the merged result is still complete
+			// and in global order.
+			if len(merged.Reports) != len(paths) {
+				t.Fatalf("degraded merge has %d reports, want %d", len(merged.Reports), len(paths))
+			}
+			for i, rep := range merged.Reports {
+				if rep.File != paths[i] {
+					t.Fatalf("degraded report %d is for %s, want %s", i, rep.File, paths[i])
+				}
+			}
+		})
 	}
 }
 
