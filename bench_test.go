@@ -1072,27 +1072,31 @@ func BenchmarkBatchScanCold(b *testing.B) {
 // which every garbage-collection cycle the batch triggers has to mark.
 // BenchmarkBatchScanCold starts from an empty store and cannot see that
 // cost. The prefill re-stores one pass's results under new checker
-// fingerprints, as the sweep's revisions do.
+// fingerprints, as the sweep's revisions do, and under a prefix of each
+// real function hash, so that after every iteration, with the timer
+// stopped, invalidating the real hashes drops exactly what the batch
+// stored: the resident population is the prefill's for any b.N.
 func BenchmarkBatchScanColdResident(b *testing.B) {
 	h, t1, _ := setupBench(b)
 	cb := h.Codebase
 	mem := store.NewMemory(0)
 	eo := engine.Options{Checkers: synthRevisions(b, t1, "prefill", 0, 1)}
 	files := cb.Files()
-	var keys []string
+	var hashes []string
 	var results []*engine.Result
 	for i, f := range files {
 		for j, fn := range f.Funcs {
-			keys = append(keys, cb.FuncHash(i, j))
+			hashes = append(hashes, cb.FuncHash(i, j))
 			results = append(results, engine.AnalyzeFunc(f, fn, eo))
 		}
 	}
-	for rev := 0; rev < 300_000/len(keys); rev++ {
+	for rev := 0; rev < 300_000/len(hashes); rev++ {
 		fp := fmt.Sprintf("prefill-%d", rev)
-		for u, fh := range keys {
-			mem.Put(context.Background(), store.Key{FuncHash: fh, CheckerFP: fp, EngineFP: "prefill"}, results[u])
+		for u, fh := range hashes {
+			mem.Put(context.Background(), store.Key{FuncHash: "p" + fh, CheckerFP: fp, EngineFP: "prefill"}, results[u])
 		}
 	}
+	resident := mem.Stats().Entries
 	inc := scan.NewIncremental(cb, mem)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1105,11 +1109,17 @@ func BenchmarkBatchScanColdResident(b *testing.B) {
 				b.Fatalf("cold batch hit %d times", res.CacheHits)
 			}
 		}
+		b.StopTimer()
+		mem.InvalidateFuncs(hashes)
+		b.StartTimer()
 	}
 	b.StopTimer()
 	st := mem.Stats()
 	if st.Evictions != 0 {
 		b.Fatalf("resident tier evicted %d entries", st.Evictions)
+	}
+	if st.Entries != resident {
+		b.Fatalf("%d entries resident after the batches, %d before", st.Entries, resident)
 	}
 	b.ReportMetric(float64(st.Entries), "entries")
 }

@@ -3,7 +3,8 @@
 // The graph shape mirrors what the Clang Static Analyzer builds before
 // symbolic execution: straight-line blocks of simple statements joined by
 // branch / jump / return terminators, with goto and labels resolved to
-// explicit edges.
+// explicit edges. Lowering reuses a caller-owned Graph's buffers, so once
+// they have grown it allocates nothing.
 package cfg
 
 import (
@@ -13,62 +14,72 @@ import (
 	"knighter/internal/minic"
 )
 
-// Graph is the control-flow graph of one function. Blocks[0] is the entry
-// block. Every reachable block has a non-nil terminator.
+// Graph is the control-flow graph of one function, flat: blocks are index
+// ranges into Stmts, and terminators name successors by block index.
+// Blocks[0] is the entry block. Every reachable block has a terminator.
 type Graph struct {
 	Fn     *minic.FuncDecl
-	Blocks []*Block
+	Blocks []Block
+	Stmts  []minic.Stmt // DeclStmt and ExprStmt only; block b's are Stmts[b.Lo:b.Hi]
+	Exprs  []minic.Expr // branch conditions and return values (Term.Expr)
+
+	labels []label          // goto targets: the builder's table, then Dot's
+	posts  []minic.ExprStmt // for-loop post expressions as statements
+	// The builder's scratch.
+	cur         int32 // the block being filled; -1 after return/goto/break/continue
+	loops       []loopCtx
+	err         error
+	work, remap []int32 // prune's worklist and renumbering
 }
 
-// Entry returns the function entry block.
-func (g *Graph) Entry() *Block { return g.Blocks[0] }
-
-// Block is a maximal straight-line statement sequence.
+// Block is a maximal straight-line statement sequence, Graph.Stmts[Lo:Hi].
 type Block struct {
-	ID    int
-	Stmts []minic.Stmt // DeclStmt and ExprStmt only
-	Term  Terminator
-	Label string // non-empty if the block is a goto target
+	Lo, Hi int32
+	Term   Term
 }
 
-// Terminator ends a block.
-type Terminator interface {
-	// Succs returns the successor blocks.
-	Succs() []*Block
-	termNode()
-}
+// Kind is a terminator's kind.
+type Kind uint8
 
-// Branch is a two-way conditional terminator.
-type Branch struct {
-	Cond minic.Expr
-	Then *Block
-	Else *Block
+const (
+	Open   Kind = iota // a block still being filled; no reachable block stays Open
+	Return             // leave the function
+	Jump               // go to Succ[0]
+	Branch             // go to Succ[0] when Expr holds, to Succ[1] otherwise
+)
+
+// Term ends a block. Expr indexes Graph.Exprs — a Branch's condition, a
+// Return's value — or is -1; Pos is a Branch's or Return's position.
+type Term struct {
+	Kind Kind
+	Succ [2]int32
+	Expr int32
 	Pos  minic.Pos
 }
 
-// Jump is an unconditional edge.
-type Jump struct {
-	To *Block
+// Succs returns the successor block indices.
+func (t *Term) Succs() []int32 {
+	switch t.Kind {
+	case Jump:
+		return t.Succ[:1]
+	case Branch:
+		return t.Succ[:2]
+	}
+	return nil
 }
 
-// Return leaves the function; X may be nil.
-type Return struct {
-	X   minic.Expr
-	Pos minic.Pos
+// BlockStmts returns block i's statements.
+func (g *Graph) BlockStmts(i int32) []minic.Stmt {
+	return g.Stmts[g.Blocks[i].Lo:g.Blocks[i].Hi]
 }
 
-// Succs implements Terminator.
-func (t *Branch) Succs() []*Block { return []*Block{t.Then, t.Else} }
-
-// Succs implements Terminator.
-func (t *Jump) Succs() []*Block { return []*Block{t.To} }
-
-// Succs implements Terminator.
-func (t *Return) Succs() []*Block { return nil }
-
-func (*Branch) termNode() {}
-func (*Jump) termNode()   {}
-func (*Return) termNode() {}
+// Expr returns t's expression, or nil when it has none.
+func (g *Graph) Expr(t *Term) minic.Expr {
+	if t.Expr < 0 {
+		return nil
+	}
+	return g.Exprs[t.Expr]
+}
 
 // BuildError reports a control-flow construction problem (for example a
 // goto to an undefined label).
@@ -79,244 +90,290 @@ type BuildError struct {
 
 func (e *BuildError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+type label struct {
+	name          string
+	block         int32 // -1 once pruned
+	defined, used bool  // used: a goto names it, first at gotoPos
+	gotoPos       minic.Pos
+}
+
 type loopCtx struct {
-	continueTo *Block
-	breakTo    *Block
+	continueTo, breakTo int32
 }
 
-type builder struct {
-	g             *Graph
-	cur           *Block
-	labels        map[string]*Block
-	definedLabels map[string]bool
-	gotos         map[string][]minic.Pos // labels referenced by gotos
-	loops         []loopCtx
-	nextID        int
-	errList       []error
-}
-
-// Build lowers fn's body to a CFG. Unreachable blocks are pruned.
+// Build lowers fn's body to a new CFG. Unreachable blocks are pruned.
 func Build(fn *minic.FuncDecl) (*Graph, error) {
-	b := &builder{
-		g:             &Graph{Fn: fn},
-		labels:        map[string]*Block{},
-		definedLabels: map[string]bool{},
-		gotos:         map[string][]minic.Pos{},
+	g := &Graph{}
+	if err := g.Lower(fn); err != nil {
+		return nil, err
 	}
-	entry := b.newBlock()
-	b.cur = entry
-	b.buildBlock(fn.Body)
-	if b.cur != nil && b.cur.Term == nil {
-		b.cur.Term = &Return{Pos: fn.Pos}
+	return g, nil
+}
+
+// Lower lowers fn's body into g, reusing its buffers. Unreachable blocks
+// are pruned. On error g holds no usable graph.
+func (g *Graph) Lower(fn *minic.FuncDecl) error {
+	g.Blocks, g.Stmts, g.Exprs, g.labels, g.posts = g.Blocks[:0], g.Stmts[:0], g.Exprs[:0], g.labels[:0], g.posts[:0]
+	g.Fn, g.loops, g.err = fn, g.loops[:0], nil
+	g.cur = g.newBlock()
+	g.buildBlock(fn.Body)
+	if g.cur >= 0 && g.Blocks[g.cur].Term.Kind == Open {
+		g.Blocks[g.cur].Term = Term{Kind: Return, Expr: -1, Pos: fn.Pos}
 	}
-	// Any label referenced by goto must have been defined.
-	for name, poss := range b.gotos {
-		if !b.definedLabels[name] {
-			return nil, &BuildError{Pos: poss[0], Msg: fmt.Sprintf("goto undefined label %q", name)}
+	// Any label referenced by goto must have been defined; undefined ones
+	// are reported in the order of their first goto.
+	for _, l := range g.labels {
+		if l.used && !l.defined {
+			return &BuildError{Pos: l.gotoPos, Msg: fmt.Sprintf("goto undefined label %q", l.name)}
 		}
 	}
-	if len(b.errList) > 0 {
-		return nil, b.errList[0]
+	if g.err != nil {
+		return g.err
 	}
-	b.prune()
-	return b.g, nil
+	g.prune()
+	return nil
 }
 
-func (b *builder) markDefined(name string) { b.definedLabels[name] = true }
-
-func (b *builder) newBlock() *Block {
-	blk := &Block{ID: b.nextID}
-	b.nextID++
-	b.g.Blocks = append(b.g.Blocks, blk)
-	return blk
+// Reset drops every reference g holds into a function's syntax, so a
+// Graph kept for reuse retains no AST.
+func (g *Graph) Reset() {
+	g.Fn = nil
+	g.Blocks, g.Stmts, g.Exprs = reuse(g.Blocks), reuse(g.Stmts), reuse(g.Exprs)
+	g.labels, g.posts = reuse(g.labels), reuse(g.posts)
 }
 
-// labelBlock returns (creating on demand) the block a label names.
-func (b *builder) labelBlock(name string) *Block {
-	if blk, ok := b.labels[name]; ok {
-		return blk
+// reuse zeroes s up to its capacity and empties it.
+func reuse[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+func (g *Graph) newBlock() int32 {
+	g.Blocks = append(g.Blocks, Block{Term: Term{Expr: -1}})
+	return int32(len(g.Blocks) - 1)
+}
+
+func (g *Graph) expr(x minic.Expr) int32 {
+	if x == nil {
+		return -1
 	}
-	blk := b.newBlock()
-	blk.Label = name
-	b.labels[name] = blk
-	return blk
+	g.Exprs = append(g.Exprs, x)
+	return int32(len(g.Exprs) - 1)
 }
 
-func (b *builder) emit(s minic.Stmt) {
-	if b.cur == nil || b.cur.Term != nil {
-		// Unreachable statement after return/goto: place in a fresh
-		// dangling block so positions survive, it will be pruned.
-		b.cur = b.newBlock()
+// labelBlock returns (creating on demand) the label table entry of name.
+func (g *Graph) labelBlock(name string) *label {
+	for i := range g.labels {
+		if g.labels[i].name == name {
+			return &g.labels[i]
+		}
 	}
-	b.cur.Stmts = append(b.cur.Stmts, s)
+	g.labels = append(g.labels, label{name: name, block: g.newBlock()})
+	return &g.labels[len(g.labels)-1]
 }
 
-func (b *builder) terminate(t Terminator) {
-	if b.cur == nil || b.cur.Term != nil {
-		b.cur = b.newBlock()
+// open returns the current block, or a fresh dangling one after a
+// terminator (kept for positions, pruned if nothing jumps to it).
+func (g *Graph) open() *Block {
+	if g.cur < 0 || g.Blocks[g.cur].Term.Kind != Open {
+		g.cur = g.newBlock()
 	}
-	b.cur.Term = t
+	return &g.Blocks[g.cur]
 }
 
-func (b *builder) buildBlock(blk *minic.Block) {
+// emit appends s to the current block. A block's statements are
+// contiguous: the builder leaves a block only once it is terminated.
+func (g *Graph) emit(s minic.Stmt) {
+	blk := g.open()
+	if blk.Lo == blk.Hi {
+		blk.Lo = int32(len(g.Stmts))
+	}
+	g.Stmts = append(g.Stmts, s)
+	blk.Hi = int32(len(g.Stmts))
+}
+
+func (g *Graph) terminate(t Term) { g.open().Term = t }
+
+// end terminates the current block with t and leaves no current block.
+func (g *Graph) end(t Term) { g.terminate(t); g.cur = -1 }
+
+func jump(to int32) Term { return Term{Kind: Jump, Succ: [2]int32{to}, Expr: -1} }
+
+func (g *Graph) branch(cond minic.Expr, then, els int32, pos minic.Pos) Term {
+	return Term{Kind: Branch, Succ: [2]int32{then, els}, Expr: g.expr(cond), Pos: pos}
+}
+
+func (g *Graph) fail(pos minic.Pos, msg string) {
+	if g.err == nil {
+		g.err = &BuildError{Pos: pos, Msg: msg}
+	}
+}
+
+func (g *Graph) buildBlock(blk *minic.Block) {
 	for _, s := range blk.Stmts {
-		b.buildStmt(s)
+		g.buildStmt(s)
 	}
 }
 
-func (b *builder) buildStmt(s minic.Stmt) {
+func (g *Graph) buildStmt(s minic.Stmt) {
 	switch st := s.(type) {
 	case *minic.Block:
-		b.buildBlock(st)
+		g.buildBlock(st)
 	case *minic.DeclStmt, *minic.ExprStmt:
-		b.emit(s)
+		g.emit(s)
 	case *minic.ReturnStmt:
-		b.terminate(&Return{X: st.X, Pos: st.Pos})
-		b.cur = nil
+		g.end(Term{Kind: Return, Expr: g.expr(st.X), Pos: st.Pos})
 	case *minic.IfStmt:
-		thenB := b.newBlock()
-		elseB := b.newBlock()
-		joinB := b.newBlock()
-		b.terminate(&Branch{Cond: st.Cond, Then: thenB, Else: elseB, Pos: st.Pos})
-		b.cur = thenB
-		b.buildStmt(st.Then)
-		b.finishWithJump(joinB)
-		b.cur = elseB
+		thenB, elseB, joinB := g.newBlock(), g.newBlock(), g.newBlock()
+		g.terminate(g.branch(st.Cond, thenB, elseB, st.Pos))
+		g.cur = thenB
+		g.buildStmt(st.Then)
+		g.finishWithJump(joinB)
+		g.cur = elseB
 		if st.Else != nil {
-			b.buildStmt(st.Else)
+			g.buildStmt(st.Else)
 		}
-		b.finishWithJump(joinB)
-		b.cur = joinB
+		g.finishWithJump(joinB)
+		g.cur = joinB
 	case *minic.WhileStmt:
-		header := b.newBlock()
-		body := b.newBlock()
-		after := b.newBlock()
-		b.finishWithJump(header)
-		b.cur = header
-		b.terminate(&Branch{Cond: st.Cond, Then: body, Else: after, Pos: st.Pos})
-		b.loops = append(b.loops, loopCtx{continueTo: header, breakTo: after})
-		b.cur = body
-		b.buildStmt(st.Body)
-		b.finishWithJump(header)
-		b.loops = b.loops[:len(b.loops)-1]
-		b.cur = after
+		header, body, after := g.newBlock(), g.newBlock(), g.newBlock()
+		g.finishWithJump(header)
+		g.cur = header
+		g.terminate(g.branch(st.Cond, body, after, st.Pos))
+		g.loops = append(g.loops, loopCtx{continueTo: header, breakTo: after})
+		g.cur = body
+		g.buildStmt(st.Body)
+		g.finishWithJump(header)
+		g.loops = g.loops[:len(g.loops)-1]
+		g.cur = after
 	case *minic.ForStmt:
 		if st.Init != nil {
-			b.buildStmt(st.Init)
+			g.buildStmt(st.Init)
 		}
-		header := b.newBlock()
-		body := b.newBlock()
-		post := b.newBlock()
-		after := b.newBlock()
-		b.finishWithJump(header)
-		b.cur = header
+		header, body, post, after := g.newBlock(), g.newBlock(), g.newBlock(), g.newBlock()
+		g.finishWithJump(header)
+		g.cur = header
 		if st.Cond != nil {
-			b.terminate(&Branch{Cond: st.Cond, Then: body, Else: after, Pos: st.Pos})
+			g.terminate(g.branch(st.Cond, body, after, st.Pos))
 		} else {
-			b.terminate(&Jump{To: body})
+			g.terminate(jump(body))
 		}
-		b.loops = append(b.loops, loopCtx{continueTo: post, breakTo: after})
-		b.cur = body
-		b.buildStmt(st.Body)
-		b.finishWithJump(post)
-		b.cur = post
+		g.loops = append(g.loops, loopCtx{continueTo: post, breakTo: after})
+		g.cur = body
+		g.buildStmt(st.Body)
+		g.finishWithJump(post)
+		g.cur = post
 		if st.Post != nil {
-			b.emit(&minic.ExprStmt{X: st.Post, Pos: st.Post.NodePos()})
+			// A pointer taken before posts grows keeps the old array.
+			g.posts = append(g.posts, minic.ExprStmt{X: st.Post, Pos: st.Post.NodePos()})
+			g.emit(&g.posts[len(g.posts)-1])
 		}
-		b.finishWithJump(header)
-		b.loops = b.loops[:len(b.loops)-1]
-		b.cur = after
+		g.finishWithJump(header)
+		g.loops = g.loops[:len(g.loops)-1]
+		g.cur = after
 	case *minic.BreakStmt:
-		if len(b.loops) == 0 {
-			b.errList = append(b.errList, &BuildError{Pos: st.Pos, Msg: "break outside loop"})
+		if len(g.loops) == 0 {
+			g.fail(st.Pos, "break outside loop")
 			return
 		}
-		b.terminate(&Jump{To: b.loops[len(b.loops)-1].breakTo})
-		b.cur = nil
+		g.end(jump(g.loops[len(g.loops)-1].breakTo))
 	case *minic.ContinueStmt:
-		if len(b.loops) == 0 {
-			b.errList = append(b.errList, &BuildError{Pos: st.Pos, Msg: "continue outside loop"})
+		if len(g.loops) == 0 {
+			g.fail(st.Pos, "continue outside loop")
 			return
 		}
-		b.terminate(&Jump{To: b.loops[len(b.loops)-1].continueTo})
-		b.cur = nil
+		g.end(jump(g.loops[len(g.loops)-1].continueTo))
 	case *minic.GotoStmt:
-		b.gotos[st.Label] = append(b.gotos[st.Label], st.Pos)
-		b.terminate(&Jump{To: b.labelBlock(st.Label)})
-		b.cur = nil
+		l := g.labelBlock(st.Label)
+		if !l.used {
+			l.used, l.gotoPos = true, st.Pos
+		}
+		g.end(jump(l.block))
 	case *minic.LabeledStmt:
-		lb := b.labelBlock(st.Label)
-		b.markDefined(st.Label)
-		b.finishWithJump(lb)
-		b.cur = lb
+		l := g.labelBlock(st.Label)
+		l.defined = true
+		g.finishWithJump(l.block)
+		g.cur = l.block
 		if st.Stmt != nil {
-			b.buildStmt(st.Stmt)
+			g.buildStmt(st.Stmt)
 		}
 	default:
-		b.errList = append(b.errList, &BuildError{Pos: s.NodePos(), Msg: fmt.Sprintf("cfg: unsupported statement %T", s)})
+		g.fail(s.NodePos(), fmt.Sprintf("cfg: unsupported statement %T", s))
 	}
 }
 
-// finishWithJump terminates the current block with a jump to target if it
-// is still open; a nil or already-terminated current block is left alone.
-func (b *builder) finishWithJump(target *Block) {
-	if b.cur != nil && b.cur.Term == nil {
-		b.cur.Term = &Jump{To: target}
+// finishWithJump terminates the current block, if open, with a jump.
+func (g *Graph) finishWithJump(target int32) {
+	if g.cur >= 0 && g.Blocks[g.cur].Term.Kind == Open {
+		g.Blocks[g.cur].Term = jump(target)
 	}
 }
 
-// prune removes blocks unreachable from entry and renumbers the rest.
-func (b *builder) prune() {
-	if len(b.g.Blocks) == 0 {
-		return
+// prune removes blocks unreachable from entry and renumbers the rest,
+// keeping their order.
+func (g *Graph) prune() {
+	// remap[i] is 0 while block i is unreached, then 1 + its new index.
+	if cap(g.remap) < len(g.Blocks) {
+		g.remap = make([]int32, len(g.Blocks))
 	}
-	reach := map[*Block]bool{}
-	var visit func(*Block)
-	visit = func(blk *Block) {
-		if blk == nil || reach[blk] {
-			return
-		}
-		reach[blk] = true
-		if blk.Term != nil {
-			for _, s := range blk.Term.Succs() {
-				visit(s)
+	remap := g.remap[:len(g.Blocks)]
+	clear(remap)
+	remap[0], g.work = 1, append(g.work[:0], 0)
+	for len(g.work) > 0 {
+		i := g.work[len(g.work)-1]
+		g.work = g.work[:len(g.work)-1]
+		for _, s := range g.Blocks[i].Term.Succs() {
+			if remap[s] == 0 {
+				remap[s], g.work = 1, append(g.work, s)
 			}
 		}
 	}
-	visit(b.g.Blocks[0])
-	var kept []*Block
-	for _, blk := range b.g.Blocks {
-		if reach[blk] {
-			blk.ID = len(kept)
-			kept = append(kept, blk)
+	kept := int32(0)
+	for i := range g.Blocks {
+		if remap[i] != 0 {
+			g.Blocks[kept] = g.Blocks[i]
+			kept++
+			remap[i] = kept
 		}
 	}
-	b.g.Blocks = kept
+	g.Blocks = g.Blocks[:kept]
+	for i := range g.Blocks {
+		succ := g.Blocks[i].Term.Succs()
+		for j, s := range succ {
+			succ[j] = remap[s] - 1
+		}
+	}
+	for i := range g.labels {
+		g.labels[i].block = remap[g.labels[i].block] - 1
+	}
 }
 
 // Dot renders the graph in Graphviz dot syntax (debug aid).
 func (g *Graph) Dot() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", g.Fn.Name)
-	for _, blk := range g.Blocks {
+	for i := range g.Blocks {
+		id, t := int32(i), &g.Blocks[i].Term
 		var lines []string
-		if blk.Label != "" {
-			lines = append(lines, blk.Label+":")
+		for _, l := range g.labels {
+			if l.block == id {
+				lines = append(lines, l.name+":")
+			}
 		}
-		for _, s := range blk.Stmts {
+		for _, s := range g.BlockStmts(id) {
 			lines = append(lines, minic.FormatStmt(s))
 		}
-		label := fmt.Sprintf("B%d\\n%s", blk.ID, strings.ReplaceAll(strings.Join(lines, "\\n"), "\"", "'"))
-		fmt.Fprintf(&sb, "  b%d [shape=box,label=\"%s\"];\n", blk.ID, label)
-		switch t := blk.Term.(type) {
-		case *Branch:
-			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"T: %s\"];\n", blk.ID, t.Then.ID,
-				strings.ReplaceAll(minic.FormatExpr(t.Cond), "\"", "'"))
-			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"F\"];\n", blk.ID, t.Else.ID)
-		case *Jump:
-			fmt.Fprintf(&sb, "  b%d -> b%d;\n", blk.ID, t.To.ID)
-		case *Return:
-			fmt.Fprintf(&sb, "  b%d -> exit;\n", blk.ID)
+		label := fmt.Sprintf("B%d\\n%s", id, strings.ReplaceAll(strings.Join(lines, "\\n"), "\"", "'"))
+		fmt.Fprintf(&sb, "  b%d [shape=box,label=\"%s\"];\n", id, label)
+		switch t.Kind {
+		case Branch:
+			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"T: %s\"];\n", id, t.Succ[0],
+				strings.ReplaceAll(minic.FormatExpr(g.Expr(t)), "\"", "'"))
+			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"F\"];\n", id, t.Succ[1])
+		case Jump:
+			fmt.Fprintf(&sb, "  b%d -> b%d;\n", id, t.Succ[0])
+		case Return:
+			fmt.Fprintf(&sb, "  b%d -> exit;\n", id)
 		}
 	}
 	sb.WriteString("}\n")

@@ -21,24 +21,22 @@ func mustBuild(t *testing.T, src string) *Graph {
 }
 
 // checkWellFormed verifies structural invariants every built graph must
-// satisfy: all blocks terminated, successors in the graph, entry first.
+// satisfy: all blocks terminated, successors in the graph, statement
+// ranges inside Stmts, entry first.
 func checkWellFormed(t *testing.T, g *Graph) {
 	t.Helper()
-	inGraph := map[*Block]bool{}
-	for i, b := range g.Blocks {
-		if b.ID != i {
-			t.Errorf("block %d has ID %d", i, b.ID)
+	for i := range g.Blocks {
+		b := &g.Blocks[i]
+		if b.Lo < 0 || b.Lo > b.Hi || int(b.Hi) > len(g.Stmts) {
+			t.Errorf("block %d has statements [%d:%d] of %d", i, b.Lo, b.Hi, len(g.Stmts))
 		}
-		inGraph[b] = true
-	}
-	for _, b := range g.Blocks {
-		if b.Term == nil {
-			t.Errorf("block %d has no terminator", b.ID)
+		if b.Term.Kind == Open {
+			t.Errorf("block %d has no terminator", i)
 			continue
 		}
 		for _, s := range b.Term.Succs() {
-			if !inGraph[s] {
-				t.Errorf("block %d has successor outside graph", b.ID)
+			if s < 0 || int(s) >= len(g.Blocks) {
+				t.Errorf("block %d has successor outside graph", i)
 			}
 		}
 	}
@@ -50,11 +48,11 @@ func TestStraightLine(t *testing.T) {
 	if len(g.Blocks) != 1 {
 		t.Fatalf("blocks = %d, want 1", len(g.Blocks))
 	}
-	if _, ok := g.Blocks[0].Term.(*Return); !ok {
-		t.Fatalf("terminator = %T", g.Blocks[0].Term)
+	if g.Blocks[0].Term.Kind != Return {
+		t.Fatalf("terminator = %v", g.Blocks[0].Term.Kind)
 	}
-	if len(g.Blocks[0].Stmts) != 2 {
-		t.Errorf("stmts = %d, want 2", len(g.Blocks[0].Stmts))
+	if len(g.BlockStmts(0)) != 2 {
+		t.Errorf("stmts = %d, want 2", len(g.BlockStmts(0)))
 	}
 }
 
@@ -71,21 +69,21 @@ int f(int x)
 }
 `)
 	checkWellFormed(t, g)
-	br, ok := g.Entry().Term.(*Branch)
-	if !ok {
-		t.Fatalf("entry terminator = %T", g.Entry().Term)
+	br := g.Blocks[0].Term
+	if br.Kind != Branch {
+		t.Fatalf("entry terminator = %v", br.Kind)
 	}
-	if br.Then == br.Else {
+	then, els := br.Succ[0], br.Succ[1]
+	if then == els {
 		t.Error("then and else must differ")
 	}
 	// Both arms must reach the same join block.
-	tj, ok1 := br.Then.Term.(*Jump)
-	ej, ok2 := br.Else.Term.(*Jump)
-	if !ok1 || !ok2 || tj.To != ej.To {
-		t.Fatalf("arms do not join: %T %T", br.Then.Term, br.Else.Term)
+	tj, ej := g.Blocks[then].Term, g.Blocks[els].Term
+	if tj.Kind != Jump || ej.Kind != Jump || tj.Succ[0] != ej.Succ[0] {
+		t.Fatalf("arms do not join: %v %v", tj.Kind, ej.Kind)
 	}
-	if _, ok := tj.To.Term.(*Return); !ok {
-		t.Errorf("join terminator = %T", tj.To.Term)
+	if k := g.Blocks[tj.Succ[0]].Term.Kind; k != Return {
+		t.Errorf("join terminator = %v", k)
 	}
 }
 
@@ -99,9 +97,12 @@ int f(int x)
 }
 `)
 	checkWellFormed(t, g)
-	br := g.Entry().Term.(*Branch)
-	if _, ok := br.Then.Term.(*Return); !ok {
-		t.Errorf("then terminator = %T, want Return", br.Then.Term)
+	br := g.Blocks[0].Term
+	if br.Kind != Branch {
+		t.Fatalf("entry terminator = %v", br.Kind)
+	}
+	if k := g.Blocks[br.Succ[0]].Term.Kind; k != Return {
+		t.Errorf("then terminator = %v, want Return", k)
 	}
 }
 
@@ -117,24 +118,24 @@ int f(int n)
 	checkWellFormed(t, g)
 	// Find the header: a block with a Branch whose Then eventually jumps
 	// back to it.
-	var header *Block
-	for _, b := range g.Blocks {
-		if br, ok := b.Term.(*Branch); ok {
-			cur := br.Then
-			for i := 0; i < 10 && cur != nil; i++ {
-				j, ok := cur.Term.(*Jump)
-				if !ok {
+	header := int32(-1)
+	for b := range g.Blocks {
+		if br := g.Blocks[b].Term; br.Kind == Branch {
+			cur := br.Succ[0]
+			for i := 0; i < 10; i++ {
+				j := g.Blocks[cur].Term
+				if j.Kind != Jump {
 					break
 				}
-				if j.To == b {
-					header = b
+				if j.Succ[0] == int32(b) {
+					header = int32(b)
 					break
 				}
-				cur = j.To
+				cur = j.Succ[0]
 			}
 		}
 	}
-	if header == nil {
+	if header < 0 {
 		t.Fatal("no back edge found")
 	}
 }
@@ -151,8 +152,8 @@ int f(int n)
 `)
 	checkWellFormed(t, g)
 	// init block must contain both decls (s and i).
-	if len(g.Entry().Stmts) != 2 {
-		t.Errorf("entry stmts = %d, want 2 (s and i decls)", len(g.Entry().Stmts))
+	if len(g.BlockStmts(0)) != 2 {
+		t.Errorf("entry stmts = %d, want 2 (s and i decls)", len(g.BlockStmts(0)))
 	}
 }
 
@@ -171,20 +172,20 @@ err:
 }
 `)
 	checkWellFormed(t, g)
-	var errBlock *Block
-	for _, b := range g.Blocks {
-		if b.Label == "err" {
-			errBlock = b
+	errBlock := int32(-1)
+	for _, l := range g.labels {
+		if l.name == "err" {
+			errBlock = l.block
 		}
 	}
-	if errBlock == nil {
+	if errBlock < 0 {
 		t.Fatal("err label block not found")
 	}
-	if len(errBlock.Stmts) != 1 {
-		t.Errorf("err block stmts = %d, want 1 (cleanup call)", len(errBlock.Stmts))
+	if n := len(g.BlockStmts(errBlock)); n != 1 {
+		t.Errorf("err block stmts = %d, want 1 (cleanup call)", n)
 	}
-	if _, ok := errBlock.Term.(*Return); !ok {
-		t.Errorf("err block terminator = %T", errBlock.Term)
+	if k := g.Blocks[errBlock].Term.Kind; k != Return {
+		t.Errorf("err block terminator = %v", k)
 	}
 }
 
@@ -236,13 +237,13 @@ int f(void)
 }
 `)
 	checkWellFormed(t, g)
-	for _, b := range g.Blocks {
-		for _, s := range b.Stmts {
+	for b := range g.Blocks {
+		for _, s := range g.BlockStmts(int32(b)) {
 			t.Errorf("unexpected reachable stmt %v", minic.FormatStmt(s))
 		}
-		if r, ok := b.Term.(*Return); ok {
-			if lit, ok := r.X.(*minic.IntLit); !ok || lit.Val != 1 {
-				t.Errorf("return expr = %v", minic.FormatExpr(r.X))
+		if r := &g.Blocks[b].Term; r.Kind == Return {
+			if lit, ok := g.Expr(r).(*minic.IntLit); !ok || lit.Val != 1 {
+				t.Errorf("return expr = %v", minic.FormatExpr(g.Expr(r)))
 			}
 		}
 	}
@@ -251,9 +252,9 @@ int f(void)
 func TestImplicitVoidReturn(t *testing.T) {
 	g := mustBuild(t, "void f(int x)\n{\n\tx = 1;\n}\n")
 	checkWellFormed(t, g)
-	r, ok := g.Blocks[len(g.Blocks)-1].Term.(*Return)
-	if !ok || r.X != nil {
-		t.Fatalf("implicit return missing: %T", g.Blocks[len(g.Blocks)-1].Term)
+	r := &g.Blocks[len(g.Blocks)-1].Term
+	if r.Kind != Return || g.Expr(r) != nil {
+		t.Fatalf("implicit return missing: %v", r.Kind)
 	}
 }
 
@@ -299,20 +300,16 @@ int f(int n)
 `)
 	checkWellFormed(t, g)
 	// Count back edges: must be exactly 2 (one per loop).
-	idx := map[*Block]int{}
-	for i, b := range g.Blocks {
-		idx[b] = i
-	}
 	// A simple DFS-based back-edge count on reducible loops: edge to a
 	// block currently on the DFS stack.
-	onStack := map[*Block]bool{}
-	visited := map[*Block]bool{}
+	onStack := make([]bool, len(g.Blocks))
+	visited := make([]bool, len(g.Blocks))
 	back := 0
-	var dfs func(*Block)
-	dfs = func(b *Block) {
+	var dfs func(int32)
+	dfs = func(b int32) {
 		visited[b] = true
 		onStack[b] = true
-		for _, s := range b.Term.Succs() {
+		for _, s := range g.Blocks[b].Term.Succs() {
 			if onStack[s] {
 				back++
 			} else if !visited[s] {
@@ -321,7 +318,7 @@ int f(int n)
 		}
 		onStack[b] = false
 	}
-	dfs(g.Entry())
+	dfs(0)
 	if back != 2 {
 		t.Errorf("back edges = %d, want 2", back)
 	}

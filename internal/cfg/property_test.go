@@ -92,40 +92,38 @@ func TestCFGWellFormedOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: build failed: %v\n%s", seed, err, src)
 		}
-		inGraph := map[*Block]bool{}
-		for i, b := range graph.Blocks {
-			if b.ID != i {
-				t.Fatalf("seed %d: block %d has ID %d", seed, i, b.ID)
+		for i := range graph.Blocks {
+			if b := &graph.Blocks[i]; b.Lo < 0 || b.Lo > b.Hi || int(b.Hi) > len(graph.Stmts) {
+				t.Fatalf("seed %d: block %d has statements [%d:%d] of %d", seed, i, b.Lo, b.Hi, len(graph.Stmts))
 			}
-			inGraph[b] = true
 		}
-		reach := map[*Block]bool{}
-		var visit func(*Block)
-		visit = func(b *Block) {
+		reach := make([]bool, len(graph.Blocks))
+		var visit func(int32)
+		visit = func(b int32) {
 			if reach[b] {
 				return
 			}
 			reach[b] = true
-			if b.Term == nil {
-				t.Fatalf("seed %d: reachable block %d unterminated\n%s", seed, b.ID, src)
+			if graph.Blocks[b].Term.Kind == Open {
+				t.Fatalf("seed %d: reachable block %d unterminated\n%s", seed, b, src)
 			}
-			for _, s := range b.Term.Succs() {
-				if !inGraph[s] {
+			for _, s := range graph.Blocks[b].Term.Succs() {
+				if s < 0 || int(s) >= len(graph.Blocks) {
 					t.Fatalf("seed %d: successor outside graph", seed)
 				}
 				visit(s)
 			}
 		}
-		visit(graph.Entry())
-		for _, b := range graph.Blocks {
+		visit(0)
+		for b := range graph.Blocks {
 			if !reach[b] {
-				t.Fatalf("seed %d: block %d kept but unreachable", seed, b.ID)
+				t.Fatalf("seed %d: block %d kept but unreachable", seed, b)
 			}
 		}
 		// At least one return-terminated block must exist.
 		returns := 0
 		for _, b := range graph.Blocks {
-			if _, ok := b.Term.(*Return); ok {
+			if b.Term.Kind == Return {
 				returns++
 			}
 		}
@@ -151,8 +149,8 @@ func TestCFGStatementConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[minic.Stmt]int{}
-		for _, b := range graph.Blocks {
-			for _, s := range b.Stmts {
+		for b := range graph.Blocks {
+			for _, s := range graph.BlockStmts(int32(b)) {
 				seen[s]++
 			}
 		}
@@ -191,14 +189,14 @@ func TestCFGDeterministic(t *testing.T) {
 
 func shapeOf(g *Graph) string {
 	out := ""
-	for _, b := range g.Blocks {
-		out += fmt.Sprintf("B%d[%d]:", b.ID, len(b.Stmts))
-		switch t := b.Term.(type) {
-		case *Branch:
-			out += fmt.Sprintf("br(%d,%d);", t.Then.ID, t.Else.ID)
-		case *Jump:
-			out += fmt.Sprintf("j(%d);", t.To.ID)
-		case *Return:
+	for i, b := range g.Blocks {
+		out += fmt.Sprintf("B%d[%d]:", i, b.Hi-b.Lo)
+		switch t := b.Term; t.Kind {
+		case Branch:
+			out += fmt.Sprintf("br(%d,%d);", t.Succ[0], t.Succ[1])
+		case Jump:
+			out += fmt.Sprintf("j(%d);", t.Succ[0])
+		case Return:
 			out += "ret;"
 		}
 	}

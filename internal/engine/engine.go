@@ -183,8 +183,9 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 		}
 		return results
 	}
-	graph, err := cfg.Build(fn)
-	if err != nil {
+	g := graphPool.Get().(*graph)
+	defer g.release()
+	if err := g.lower(fn); err != nil {
 		// Malformed control flow: skip the function (parity with CSA,
 		// which skips bodies it cannot lower).
 		return results
@@ -194,11 +195,72 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 		pending[i] = i
 	}
 	for len(pending) > 0 {
-		ex := newExec(file, fn, graph, opts, riders, results, pending)
+		ex := newExec(file, fn, g, opts, riders, results, pending)
 		pending = ex.explore() // recovers every panic, so the scratch always goes back
 		ex.release(ex.evals)
 	}
 	return results
+}
+
+// graph is one call's lowered CFG, shared by every pass and rider of the
+// call, with the text its branches put into path traces, rendered the
+// first time a pass needs it. AnalyzeFuncEach lowers into one drawn from
+// graphPool and gives it back with no syntax left in it, so a cold
+// function does not pay to build a graph.
+type graph struct {
+	cfg.Graph
+	text []branchText // per Exprs index
+}
+
+// branchText is what a branch condition renders to: the condition and
+// the trace note for assuming it false (note[0]) or true (note[1]). Empty
+// until rendered.
+type branchText struct {
+	cond string
+	note [2]string
+}
+
+var graphPool = sync.Pool{New: func() any { return new(graph) }}
+
+func (g *graph) lower(fn *minic.FuncDecl) error {
+	if err := g.Lower(fn); err != nil {
+		return err
+	}
+	if cap(g.text) < len(g.Exprs) {
+		g.text = make([]branchText, len(g.Exprs))
+	}
+	g.text = g.text[:len(g.Exprs)]
+	clear(g.text)
+	return nil
+}
+
+// note returns the trace note for assuming t's condition holds (yes) or
+// not.
+func (g *graph) note(t *cfg.Term, yes bool) string {
+	bt, k, word := &g.text[t.Expr], 0, "false"
+	if yes {
+		k, word = 1, "true"
+	}
+	if bt.note[k] == "" {
+		if bt.cond == "" {
+			bt.cond = minic.FormatExpr(g.Exprs[t.Expr])
+		}
+		bt.note[k] = "assuming '" + bt.cond + "' is " + word
+	}
+	return bt.note[k]
+}
+
+// release returns g to the pool under scratch's rule (maxPooledEntries)
+// once it holds no syntax, or drops a graph that served an unusually
+// large function.
+func (g *graph) release() {
+	if cap(g.Blocks) > maxPooledEntries || cap(g.Stmts) > maxPooledEntries || cap(g.Exprs) > maxPooledEntries {
+		return
+	}
+	g.Reset()
+	clear(g.text[:cap(g.text)])
+	g.text = g.text[:0]
+	graphPool.Put(g)
 }
 
 // scratch is the working set a pass fills and empties: the arena and the
@@ -296,7 +358,7 @@ type exec struct {
 	*scratch
 	file  *minic.File
 	fn    *minic.FuncDecl
-	graph *cfg.Graph
+	graph *graph
 	opts  Options
 	// live are the riders this pass is still computing, in caller order;
 	// again collects the riders that left it and must be analyzed in
@@ -325,7 +387,7 @@ type exec struct {
 	activeChecker checker.Checker
 }
 
-func newExec(file *minic.File, fn *minic.FuncDecl, graph *cfg.Graph, opts Options,
+func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options,
 	riders [][]checker.Checker, results []*Result, ids []int) *exec {
 	ex := &exec{
 		scratch: scratchPool.Get().(*scratch),
@@ -422,12 +484,12 @@ func (ex *exec) keepOnly(r *rider) {
 	ex.leave(func(o *rider) bool { return o != r })
 }
 
-// frame is one pending exploded node: a CFG block to execute with an
-// incoming state. state is the core every rider shares (its fact layer
-// is empty); facts holds one fact layer per rider slot, nil while every
-// layer is empty. A frame owns its visits and facts slices.
+// frame is one pending exploded node: a CFG block (its index) to execute
+// with an incoming state. state is the core every rider shares (its fact
+// layer is empty); facts holds one fact layer per rider slot, nil while
+// every layer is empty. A frame owns its visits and facts slices.
 type frame struct {
-	block  *cfg.Block
+	block  int32
 	state  *sym.State
 	facts  []sym.Facts
 	visits []int32 // per block ID, how often this path entered it
@@ -453,7 +515,8 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 	for _, g := range ex.file.Globals {
 		ex.decls[g.Name] = g.Type
 	}
-	stack := []frame{{block: ex.graph.Entry(), state: init, visits: make([]int32, len(ex.graph.Blocks))}}
+	g := ex.graph
+	stack := []frame{{block: 0, state: init, visits: make([]int32, len(g.Blocks))}}
 	for len(stack) > 0 {
 		ex.steps++
 		if ex.steps > ex.opts.MaxSteps || ex.paths >= ex.opts.MaxPaths {
@@ -472,8 +535,8 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		f.visits[f.block.ID]++
-		if int(f.visits[f.block.ID]) > ex.opts.MaxBlockVisits {
+		f.visits[f.block]++
+		if int(f.visits[f.block]) > ex.opts.MaxBlockVisits {
 			continue // loop bound reached; abandon path
 		}
 		if ex.seen(&f) {
@@ -482,55 +545,53 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 
 		pc := &ex.pc
 		pc.state, pc.facts, pc.trace = f.state, f.facts, f.trace
-		for _, s := range f.block.Stmts {
+		for _, s := range g.BlockStmts(f.block) {
 			clear(pc.values)
 			ex.execStmt(pc, s)
 		}
-		switch t := f.block.Term.(type) {
-		case *cfg.Return:
+		switch t := &g.Blocks[f.block].Term; t.Kind {
+		case cfg.Return:
 			clear(pc.values)
 			var rv sym.Value
-			if t.X != nil {
-				rv = ex.evalExpr(pc, t.X)
+			x := g.Expr(t)
+			if x != nil {
+				rv = ex.evalExpr(pc, x)
 			}
-			ev := &checker.ReturnEvent{Expr: t.X, Value: rv, Pos: t.Pos}
+			ev := &checker.ReturnEvent{Expr: x, Value: rv, Pos: t.Pos}
 			ex.forEachChecker(pc, t.Pos, func(ck checker.Checker, c *checker.Context) {
 				if ec, ok := ck.(checker.EndFunctionChecker); ok {
 					ec.CheckEndFunction(ev, c)
 				}
 			})
 			ex.paths++
-		case *cfg.Jump:
-			stack = append(stack, frame{block: t.To, state: pc.state, facts: pc.facts, visits: f.visits, trace: pc.trace})
-		case *cfg.Branch:
+		case cfg.Jump:
+			stack = append(stack, frame{block: t.Succ[0], state: pc.state, facts: pc.facts, visits: f.visits, trace: pc.trace})
+		case cfg.Branch:
+			cond := g.Expr(t)
 			clear(pc.values)
-			ex.evalExpr(pc, t.Cond) // populate value cache (with side effects once)
+			ex.evalExpr(pc, cond) // populate value cache (with side effects once)
 			ex.forEachChecker(pc, t.Pos, func(ck checker.Checker, c *checker.Context) {
 				if bc, ok := ck.(checker.BranchChecker); ok {
-					bc.CheckBranchCondition(t.Cond, c)
+					bc.CheckBranchCondition(cond, c)
 				}
 			})
 			// Both arms are computed before either is pushed: the first to
 			// be pushed gets copies of the slices a frame owns, the second
 			// inherits this frame's.
-			no, yes := ex.assume(pc, t.Cond, false), ex.assume(pc, t.Cond, true)
-			condDesc := ""
-			if no != nil || yes != nil {
-				condDesc = minic.FormatExpr(t.Cond)
-			}
+			no, yes := ex.assume(pc, cond, false), ex.assume(pc, cond, true)
 			if no != nil {
-				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: "assuming '" + condDesc + "' is false"})
+				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: g.note(t, false)})
 				visits, facts := f.visits, pc.facts
 				if yes != nil {
 					visits, facts = append([]int32(nil), visits...), append([]sym.Facts(nil), facts...)
 				}
-				stack = append(stack, frame{block: t.Else, state: no, facts: facts, visits: visits, trace: tr})
+				stack = append(stack, frame{block: t.Succ[1], state: no, facts: facts, visits: visits, trace: tr})
 			} else {
 				ex.paths++
 			}
 			if yes != nil {
-				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: "assuming '" + condDesc + "' is true"})
-				stack = append(stack, frame{block: t.Then, state: yes, facts: pc.facts, visits: f.visits, trace: tr})
+				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: g.note(t, true)})
+				stack = append(stack, frame{block: t.Succ[0], state: yes, facts: pc.facts, visits: f.visits, trace: tr})
 			} else {
 				ex.paths++
 			}
@@ -545,7 +606,7 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 // while their answers agree, so a rider that disagrees with the first
 // one leaves.
 func (ex *exec) seen(f *frame) bool {
-	vk := visitKey{block: int32(f.block.ID), core: f.state.Fingerprint().Core}
+	vk := visitKey{block: f.block, core: f.state.Fingerprint().Core}
 	split := false
 	for _, r := range ex.live {
 		vk.slot, vk.facts = int32(r.slot), sym.Hash{}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"knighter/internal/cfg"
 	"knighter/internal/checker"
 	"knighter/internal/kernel"
 	"knighter/internal/minic"
@@ -59,23 +60,36 @@ func (s *staller) CheckBind(*checker.BindEvent, *checker.Context) {
 // reads as globals, and an array. disturb_short calls boom(), where a
 // crashing rider panics; disturb_long's one block is long enough for the
 // evaluator's amortized deadline and cancellation check (every
-// evalCheckInterval evaluations) to fire inside it.
+// evalCheckInterval evaluations) to fire inside it. disturb_wide lowers
+// to a larger graph than any corpus function — a loop, a ladder of
+// branches to labels, more statements and conditions — so the pooled
+// graph the next function lowers into is one a larger one left behind.
 func disturbSource(names []string) string {
 	var decls strings.Builder
 	for _, n := range names {
 		decls.WriteString("\tint " + n + ";\n")
 	}
 	decls.WriteString("\tchar buf[8];\n")
+	var wide strings.Builder
+	wide.WriteString("\tfor (int i = 0; i < a; i++)\n\t\tbuf[i] = d->len;\n")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&wide, "\tif (d->len == %d)\n\t\tgoto out%d;\n", i, i)
+	}
+	wide.WriteString("\treturn a;\n")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&wide, "out%d:\n\tbuf[%d] = a;\n\treturn %d;\n", i, i%8, i)
+	}
 	return "int disturb_short(struct dev *d, int a)\n{\n" + decls.String() +
 		"\tboom(d);\n\tbuf[a] = d->len;\n\treturn 0;\n}\n\n" +
 		"int disturb_long(struct dev *d, int a)\n{\n" + decls.String() +
-		"\tint x = 0;\n" + strings.Repeat("\tx = x + a;\n", 100) + "\treturn x;\n}\n"
+		"\tint x = 0;\n" + strings.Repeat("\tx = x + a;\n", 100) + "\treturn x;\n}\n\n" +
+		"int disturb_wide(struct dev *d, int a)\n{\n" + decls.String() + wide.String() + "}\n"
 }
 
-// freshPool empties scratchPool the one way a sync.Pool can be emptied:
-// a collection moves its contents to the victim cache, the next drops
-// them. A pass started after it builds its scratch from nothing, as in a
-// new process.
+// freshPool empties scratchPool and graphPool the one way a sync.Pool
+// can be emptied: a collection moves its contents to the victim cache,
+// the next drops them. A call started after it builds its scratch and
+// its graph from nothing, as in a new process.
 func freshPool() {
 	runtime.GC()
 	runtime.GC()
@@ -83,11 +97,12 @@ func freshPool() {
 
 // TestPooledScratchLeavesNoResidue analyzes every function of the
 // scale-0.25 corpus in forward and in reverse order, concurrently (the
-// two walks share the pool), each function after a pass that ends
-// abnormally: a rider's checker panics, the context is canceled
-// mid-block (cancelAbort), or the Timeout expires mid-block
-// (timeoutAbort). Every function's results must be the ones it gets on a
-// scratch built from nothing.
+// two walks share the pools), each function after another call: one
+// whose pass ends abnormally — a rider's checker panics, the context is
+// canceled mid-block (cancelAbort), or the Timeout expires mid-block
+// (timeoutAbort) — or one that lowers a larger function into the pooled
+// graph. Every function's results must be the ones it gets on a scratch
+// and a graph built from nothing.
 func TestPooledScratchLeavesNoResidue(t *testing.T) {
 	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25})
 	riders := [][]checker.Checker{{mustDSL(t, npdDSL)}, {mustDSL(t, uafDSL)}, {siteReporter{}}}
@@ -136,7 +151,14 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 		names = names[:64] // keep the disturbing passes small enough to be pooled
 	}
 	dist := parse(t, disturbSource(names))
-	short, long := dist.Funcs[0], dist.Funcs[1]
+	short, long, wide := dist.Funcs[0], dist.Funcs[1], dist.Funcs[2]
+	var wideGraph cfg.Graph
+	if err := wideGraph.Lower(wide); err != nil {
+		t.Fatal(err)
+	}
+	if len(wideGraph.Blocks) > maxPooledEntries {
+		t.Fatalf("disturb_wide lowers to %d blocks: its graph would not be pooled", len(wideGraph.Blocks))
+	}
 	type unit struct {
 		f  *minic.File
 		fn *minic.FuncDecl
@@ -148,13 +170,19 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 			units = append(units, unit{f, fn})
 		}
 	}
+	var g cfg.Graph
+	for _, u := range units {
+		if g.Lower(u.fn) == nil && len(g.Blocks) >= len(wideGraph.Blocks) {
+			t.Fatalf("%s lowers to %d blocks, disturb_wide to %d: wide is not the larger graph", u.fn.Name, len(g.Blocks), len(wideGraph.Blocks))
+		}
+	}
 
 	// One walk per order; each leaves its results and the disturbing
 	// passes' for the checks below.
 	type walk struct {
-		got                     [][]*Result
-		crashed, canceled, late []*Result
-		midBlockTimeouts        int
+		got                              [][]*Result
+		crashed, canceled, late, widened []*Result
+		midBlockTimeouts                 int
 	}
 	walks := make([]walk, 2)
 	var wg sync.WaitGroup
@@ -165,6 +193,8 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 			w.got = make([][]*Result, len(units))
 			for k := range units {
 				switch k % 4 {
+				case 0:
+					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, riders, Options{})...)
 				case 1:
 					res := AnalyzeFuncEach(dist, short, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
 					w.crashed = append(w.crashed, res...)
@@ -215,6 +245,11 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 				t.Fatalf("timeout pass: TimedOut=%v RuntimeErrs=%v", res.TimedOut, res.RuntimeErrs)
 			}
 		}
+		for _, res := range walk.widened {
+			if res.Truncated || res.Paths < 13 {
+				t.Fatalf("wide pass: Truncated=%v Paths=%d, want every rung of the ladder explored", res.Truncated, res.Paths)
+			}
+		}
 		midBlockTimeouts += walk.midBlockTimeouts
 	}
 	// A pass stalled inside its block can only have been cut by the
@@ -225,12 +260,13 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFuncReusesScratch pins what a pass allocates once the pool
-// holds a scratch. On a function with no locals AnalyzeFunc makes 35
-// allocations (Go 1.24); before passes shared scratch it made 61, an
-// arena and four maps built and dropped per pass. The bound sits between
-// the two, leaving room for map internals that differ across Go versions
-// and for the race detector, which drops a quarter of pool puts.
+// TestAnalyzeFuncReusesScratch pins what a call allocates once the pools
+// hold a scratch and a graph. On a function with no locals AnalyzeFunc
+// makes 27 allocations (Go 1.24); it made 35 while each call built its
+// CFG from heap blocks, and 61 before passes shared scratch. The bound is
+// the count plus the 10 the older bound left for map internals that
+// differ across Go versions and for the race detector, which drops a
+// quarter of pool puts (35–36 under -race, averaged over 1000 calls).
 func TestAnalyzeFuncReusesScratch(t *testing.T) {
 	f := parse(t, `
 int probe(struct dev *d)
@@ -239,8 +275,8 @@ int probe(struct dev *d)
 }
 `)
 	opts := Options{Checkers: []checker.Checker{mustDSL(t, npdDSL)}}
-	AnalyzeFunc(f, f.Funcs[0], opts) // the pool holds a scratch from here on
-	if n := testing.AllocsPerRun(100, func() { AnalyzeFunc(f, f.Funcs[0], opts) }); n > 45 {
-		t.Errorf("AnalyzeFunc made %v allocations, want <= 45", n)
+	AnalyzeFunc(f, f.Funcs[0], opts) // the pools hold a scratch and a graph from here on
+	if n := testing.AllocsPerRun(1000, func() { AnalyzeFunc(f, f.Funcs[0], opts) }); n > 37 {
+		t.Errorf("AnalyzeFunc made %v allocations, want <= 37", n)
 	}
 }

@@ -237,3 +237,46 @@ func TestTraceIDSanitized(t *testing.T) {
 		t.Fatalf("hostile id not sanitized: %q", tr.ID)
 	}
 }
+
+// scrape renders reg and returns the value of the unlabeled series name,
+// after checking the whole exposition with CheckExposition.
+func scrape(t *testing.T, reg *Registry, name string) float64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WriteTo(&b)
+	if _, err := CheckExposition(b.String()); err != nil {
+		t.Fatalf("invalid exposition: %v", err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s:\n%s", name, b.String())
+	return 0
+}
+
+var sink []byte
+
+// TestBuildInfoReportsRuntimeCost: the runtime series RegisterBuildInfo
+// adds are read at scrape time, so allocating 1 MiB between two scrapes
+// moves the allocated-bytes counter by at least that much.
+func TestBuildInfoReportsRuntimeCost(t *testing.T) {
+	reg := NewRegistry("t")
+	RegisterBuildInfo(reg, nil)
+	for _, name := range []string{"t_go_gc_cpu_seconds_total", "t_go_heap_alloc_objects_total", "t_go_heap_live_bytes"} {
+		if v := scrape(t, reg, name); v < 0 {
+			t.Errorf("%s = %v", name, v)
+		}
+	}
+	before := scrape(t, reg, "t_go_heap_alloc_bytes_total")
+	sink = make([]byte, 1<<20)
+	if after := scrape(t, reg, "t_go_heap_alloc_bytes_total"); after-before < 1<<20 {
+		t.Fatalf("allocating 1 MiB moved go_heap_alloc_bytes_total by %v", after-before)
+	}
+	sink = nil
+}

@@ -151,9 +151,10 @@ type riderPlan struct {
 // checker list one Result is keyed by — a scan is a pass with one rider,
 // a batch a pass with one per checker). A worker claims the next range
 // of units, probes each rider's keys for the whole range, then for each
-// unit runs the engine ONCE with the riders that missed and stores each
-// rider's result under its own key; the per-rider merges then run as if
-// each rider had scanned alone.
+// unit runs the engine ONCE with the riders that missed, and stores each
+// rider's result under its own key — the range's results in one store
+// call, by the digests its probe used; the per-rider merges then run as
+// if each rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
@@ -223,11 +224,13 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	// the worker whose range first touches a file since it changed (or
 	// since a rider's fingerprints left its memo) hashes them there, in
 	// parallel. A worker claims a range of units, probes each rider's
-	// keys for the whole range in one store call, then computes the
-	// misses unit by unit; with a coalescing store, concurrent misses on
-	// one key — this scan racing an identical scan from another request —
-	// compute once and share (critical once the remote tier widens the
-	// window between miss and put).
+	// keys for the whole range in one store call, computes the misses
+	// unit by unit, and stores them in one more call at the end of the
+	// range. A miss only one rider has instead goes through a coalescing
+	// store's single flight, so concurrent misses on one key — this scan
+	// racing an identical scan from another request — compute once and
+	// share (critical once the remote tier widens the window between miss
+	// and put).
 	var busyNS, evalNS atomic.Int64
 	workStart := time.Now()
 	if len(units) > 0 {
@@ -251,7 +254,15 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 					defer func() { busyNS.Add(int64(time.Since(t0))) }()
 				}
 				keys := make([]store.Key, 0, rangeSize)
-				ids := make([]store.Digest, 0, rangeSize)
+				// ids[i*rangeSize:] holds rider i's key digests for the
+				// range being worked: what its probe read, and what its
+				// misses are stored by.
+				ids := make([]store.Digest, len(plans)*rangeSize)
+				// The range's misses to store, written in one call when
+				// the range is done.
+				var putKeys []store.Key
+				var putIDs []store.Digest
+				var putRs []*engine.Result
 				// The riders a unit still has to be analyzed for.
 				missed := make([]int, 0, len(plans))
 				lists := make([][]checker.Checker, 0, len(plans))
@@ -267,7 +278,8 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						if p.same != i || !p.cacheable || opts.canceled() {
 							continue
 						}
-						keys, ids = keys[:0], ids[:0]
+						keys = keys[:0]
+						rids := ids[i*rangeSize : i*rangeSize+hi-lo]
 						var fileIDs []store.Digest
 						for u, file := lo, -1; u < hi; u++ {
 							un := units[u]
@@ -276,10 +288,10 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								fileIDs = snap.keyDigests(file, p.fp, engFP)
 							}
 							keys = append(keys, p.key(snap.FuncHash(un.file, un.fn), engFP))
-							ids = append(ids, fileIDs[un.fn])
+							rids[u-lo] = fileIDs[un.fn]
 						}
 						got := p.perFunc[lo:hi]
-						store.GetMany(ctx, inc.st, keys, ids, got)
+						store.GetMany(ctx, inc.st, keys, rids, got)
 						hits := 0
 						for _, r := range got {
 							if r != nil {
@@ -339,9 +351,15 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							p := &plans[missed[k]]
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
-								inc.st.Put(ctx, p.key(snap.FuncHash(un.file, un.fn), engFP), r)
+								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
+								putIDs = append(putIDs, ids[missed[k]*rangeSize+u-lo])
+								putRs = append(putRs, r)
 							}
 						}
+					}
+					if len(putKeys) > 0 {
+						store.PutMany(ctx, inc.st, putKeys, putIDs, putRs)
+						putKeys, putIDs, putRs = putKeys[:0], putIDs[:0], putRs[:0]
 					}
 				}
 			}()

@@ -159,10 +159,39 @@ func fuzzKey(sel byte) Key {
 	return Key{FuncHash: string([]byte{'f', sel % 4}), CheckerFP: string([]byte{'c', sel / 4 % 4}), EngineFP: "e"}
 }
 
+// digests returns the keys' digests, in order.
+func digests(keys []Key) []Digest {
+	ids := make([]Digest, len(keys))
+	for i, k := range keys {
+		ids[i] = k.Digest()
+	}
+	return ids
+}
+
+// checkSame requires two tiers to hold the same entries with the same
+// payloads in the same LRU order, with the same books.
+func checkSame(t *testing.T, m, seq *Memory, op string) {
+	t.Helper()
+	if got, want := lruIDs(m), lruIDs(seq); !slices.Equal(got, want) {
+		t.Fatalf("%s: LRU order differs from sequential Puts", op)
+	}
+	if got, want := m.Stats(), seq.Stats(); got != want {
+		t.Fatalf("%s: stats %+v, sequential Puts %+v", op, got, want)
+	}
+	for id, i := range m.ids {
+		if !bytes.Equal(m.slots[i].payload, seq.slots[seq.ids[id]].payload) {
+			t.Fatalf("%s: payloads differ from sequential Puts", op)
+		}
+	}
+}
+
 // FuzzMemoryWeightInvariants drives the byte-weighted LRU through
-// arbitrary put/get/get-many/invalidate/bulk-invalidate sequences and
-// checks the slab's bookkeeping (checkMemory) after every step, and each
-// GetMany against sequential Gets (checkGetMany).
+// arbitrary put/get/get-many/invalidate/bulk-invalidate/put-many
+// sequences and checks the slab's bookkeeping (checkMemory) after every
+// step, each GetMany against sequential Gets (checkGetMany), and the
+// whole tier against a twin that takes each PutMany as the same Puts in
+// sequence (checkSame): entries, payloads, LRU order, evictions and
+// books.
 //
 // The byte stream is triples (op, key, variant); a key selects one of
 // four functions and one of four checkers (fuzzKey), and the budget
@@ -182,29 +211,51 @@ func FuzzMemoryWeightInvariants(f *testing.F) {
 	// ring must move, and every key count as a hit), then over a mix of
 	// present and absent keys, then after an eviction.
 	f.Add([]byte{0, 0, 48, 0, 1, 48, 4, 0, 0, 4, 1, 5, 0, 2, 48, 0, 3, 48, 4, 2, 1})
+	// PutMany into a tier at its budget, with a repeated key, and of an
+	// entry that overwrites one already present.
+	f.Add([]byte{0, 0, 48, 0, 1, 48, 0, 2, 48, 5, 3, 48, 5, 0, 0, 1, 2, 0, 5, 6, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := NewMemory(3 * weight(encodeResult(fuzzResult(48))))
+		budget := 3 * weight(encodeResult(fuzzResult(48)))
+		// seq takes every op m takes, but each PutMany as Puts in order.
+		m, seq := NewMemory(budget), NewMemory(budget)
 		for len(data) >= 3 {
-			op, sel, variant := data[0]%5, data[1], data[2]
+			op, sel, variant := data[0]%6, data[1], data[2]
 			data = data[3:]
 			k := fuzzKey(sel)
 			switch op {
 			case 0:
 				m.Put(bg, k, fuzzResult(variant))
+				seq.Put(bg, k, fuzzResult(variant))
 				checkMemory(t, m, "put")
 			case 1:
 				m.Get(bg, k)
+				seq.Get(bg, k)
 				checkMemory(t, m, "get")
 			case 2:
 				m.InvalidateFunc(k.FuncHash)
+				seq.InvalidateFunc(k.FuncHash)
 				checkMemory(t, m, "invalidate")
 			case 3:
-				m.InvalidateFuncs([]string{"f\x00", "f\x01", string([]byte{'f', variant % 4})})
+				hashes := []string{"f\x00", "f\x01", string([]byte{'f', variant % 4})}
+				m.InvalidateFuncs(hashes)
+				seq.InvalidateFuncs(hashes)
 				checkMemory(t, m, "bulk-invalidate")
 			case 4:
 				// Repeats allowed: a repeated key moves to the front again.
-				checkGetMany(t, m, []Key{k, fuzzKey(variant), fuzzKey(sel ^ variant)})
+				keys := []Key{k, fuzzKey(variant), fuzzKey(sel ^ variant)}
+				checkGetMany(t, m, keys)
+				seq.GetMany(bg, keys, digests(keys), make([]*engine.Result, len(keys)))
+			case 5:
+				// Repeats allowed: the last write of a key wins, as it would.
+				keys := []Key{k, fuzzKey(variant), fuzzKey(sel ^ variant)}
+				rs := []*engine.Result{fuzzResult(variant), fuzzResult(sel), fuzzResult(sel ^ variant)}
+				m.PutMany(bg, keys, digests(keys), rs)
+				for i, k := range keys {
+					seq.Put(bg, k, rs[i])
+				}
+				checkMemory(t, m, "put-many")
 			}
+			checkSame(t, m, seq, []string{"put", "get", "invalidate", "bulk-invalidate", "get-many", "put-many"}[op])
 		}
 	})
 }

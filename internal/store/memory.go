@@ -26,7 +26,8 @@ const entryOverhead = 128
 // (codec.go) in one slab of slots linked by index, behind an id index
 // keyed by a pointer-free Digest, so the payload is the only pointer per
 // entry and the garbage collector has little to mark in a full tier.
-// Hashing, encoding and decoding run outside the mutex.
+// Hashing, encoding and decoding run outside the mutex, and a range of
+// gets (GetMany) or puts (PutMany) takes it once.
 type Memory struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -129,17 +130,50 @@ func (m *Memory) Put(_ context.Context, k Key, r *engine.Result) {
 	id, payload := k.Digest(), encodeResult(r)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.putLocked(id, k.FuncHash, payload)
+}
+
+// PutMany implements BatchPutter: it stores by ids alone. The results
+// are encoded before the lock is taken, then inserted in key order under
+// one acquisition — each insert evicting as its own Put would — so the
+// tier ends up as the same Puts in sequence leave it. A nil result is
+// skipped, as Put skips it.
+func (m *Memory) PutMany(_ context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+	var buf [64][]byte // a scheduler range's misses encode without allocating the list
+	payloads := buf[:0]
+	if len(rs) > len(buf) {
+		payloads = make([][]byte, 0, len(rs))
+	}
+	for _, r := range rs {
+		var p []byte
+		if r != nil {
+			p = encodeResult(r)
+		}
+		payloads = append(payloads, p)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, p := range payloads {
+		if p != nil {
+			m.putLocked(ids[i], keys[i].FuncHash, p)
+		}
+	}
+}
+
+// putLocked stores payload under id — in funcHash's ring when new —
+// moves it to the front of the LRU ring and evicts back to the budget.
+func (m *Memory) putLocked(id Digest, funcHash string, payload []byte) {
 	m.stats.Puts++
 	i, ok := m.ids[id]
 	if ok {
 		m.bytes += weight(payload) - weight(m.slots[i].payload)
 		m.slots[i].payload = payload
 	} else {
-		f, ok := m.funcs[k.FuncHash]
+		f, ok := m.funcs[funcHash]
 		if !ok {
-			f = m.alloc(slot{payload: []byte(k.FuncHash)})
+			f = m.alloc(slot{payload: []byte(funcHash)})
 			m.slots[f].fn = f
-			m.funcs[k.FuncHash] = f
+			m.funcs[funcHash] = f
 		}
 		i = m.alloc(slot{payload: payload, id: id, fn: f})
 		s := m.slots

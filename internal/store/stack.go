@@ -30,7 +30,10 @@ type Tier struct {
 //     in one call (one lock acquisition on *Memory, no hashing); each
 //     key it misses then takes Get's path through the leaves behind it.
 //     Counters stay per key.
-//   - Put writes through to every leaf.
+//   - Put writes through to every leaf. PutMany hands a range of keys
+//     and their digests to the front leaf in one call (one lock
+//     acquisition on *Memory, no hashing), then writes each key through
+//     the leaves behind it as Put does. Puts count per key.
 //   - GetOrCompute collapses concurrent computations of one key.
 //   - Invalidation fans the whole hash set out to every leaf once;
 //     network leaves are invalidated off the caller's goroutine, so a
@@ -40,9 +43,10 @@ type Tier struct {
 //   - With a registry, every leaf lands in the store_*{tier=name}
 //     families. The in-memory leaf (*Memory) times one op in 16 — a
 //     memory hit costs about as much as reading the clock — and leaves
-//     that do I/O time every op. Under GetMany a timed key observes its
-//     share of the batched call (duration / keys), so the get series
-//     stays one observation per key at per-key latency.
+//     that do I/O time every op. Under GetMany and PutMany a timed key
+//     observes its share of the batched call (duration / keys), so the
+//     get and put series stay one observation per key at per-key
+//     latency.
 type Stack struct {
 	leaves []leaf
 
@@ -185,11 +189,21 @@ func (l *leaf) get(ctx context.Context, k Key) (*engine.Result, bool) {
 	return r, ok
 }
 
-// getMany probes the leaf for a range of keys in one call. Latency stays
-// a per-key series: each key the leaf would time observes the call's
-// duration divided by its key count — a hit's amortized share of one
-// lock acquisition.
+// getMany probes the leaf for a range of keys in one call.
 func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
+	l.batched(keys, l.getDur, func() { GetMany(ctx, l.Store, keys, ids, out) })
+}
+
+// putMany stores a range of results in the leaf in one call.
+func (l *leaf) putMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+	l.batched(keys, l.putDur, func() { PutMany(ctx, l.Store, keys, ids, rs) })
+}
+
+// batched runs call, one call over a range of keys. Latency stays a
+// per-key series: each key the leaf would time observes the call's
+// duration divided by its key count — its amortized share of one lock
+// acquisition.
+func (l *leaf) batched(keys []Key, dur *obs.Histogram, call func()) {
 	timed := 0
 	for _, k := range keys {
 		if l.timed(k) {
@@ -197,14 +211,14 @@ func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out []*eng
 		}
 	}
 	if timed == 0 {
-		GetMany(ctx, l.Store, keys, ids, out)
+		call()
 		return
 	}
 	start := time.Now()
-	GetMany(ctx, l.Store, keys, ids, out)
+	call()
 	perKey := time.Since(start).Seconds() / float64(len(keys))
 	for ; timed > 0; timed-- {
-		l.getDur.Observe(perKey)
+		dur.Observe(perKey)
 	}
 }
 
@@ -314,6 +328,24 @@ func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
 		s.leaves[i].put(ctx, k, r)
 	}
 	s.puts.Add(1)
+}
+
+// PutMany implements BatchPutter: the front leaf takes the whole range
+// in one call, by ids, and every leaf behind it takes the keys one Put at
+// a time, in order — so each leaf ends up as the same Puts in sequence
+// leave it. A network front leaf takes them one at a time too.
+func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+	first := 0
+	if len(s.leaves) > 0 && !s.leaves[0].network {
+		s.leaves[0].putMany(ctx, keys, ids, rs)
+		first = 1
+	}
+	for j := first; j < len(s.leaves); j++ {
+		for i, k := range keys {
+			s.leaves[j].put(ctx, k, rs[i])
+		}
+	}
+	s.puts.Add(int64(len(keys)))
 }
 
 // GetOrCompute implements ComputeCoalescer. Callers probe with Get

@@ -433,6 +433,27 @@ func TestStackBehaviours(t *testing.T) {
 					t.Errorf("exposition after a batched get missing %q", want)
 				}
 			}
+			// A batched put counts and times per key too: three keys are
+			// three puts on every leaf and on the stack; memory times its
+			// two sampled keys, the leaves that do I/O time all three.
+			keys = []Key{fkey("0e", "ck"), fkey("0f", "ck"), fkey("1g", "ck")}
+			PutMany(bg, st, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
+				[]*engine.Result{result("e"), result("f"), result("g")})
+			b.Reset()
+			reg.WriteTo(&b)
+			for _, want := range []string{
+				`kserve_store_puts_total{tier="memory"} 4`,
+				`kserve_store_puts_total{tier="remote"} 4`,
+				`kserve_store_puts_total{tier="disk"} 4`,
+				`kserve_store_puts_total{tier="stack"} 4`,
+				`kserve_store_op_duration_seconds_count{tier="memory",op="put"} 3`,
+				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 4`,
+				`kserve_store_op_duration_seconds_count{tier="disk",op="put"} 4`,
+			} {
+				if !strings.Contains(b.String(), want) {
+					t.Errorf("exposition after a batched put missing %q", want)
+				}
+			}
 		}},
 	} {
 		t.Run(tc.name, tc.run)
@@ -548,7 +569,7 @@ func (m *stackModel) invalidate(ids []string) int {
 }
 
 // TestStackMatchesReferenceModel runs one seeded Get / GetMany / Put /
-// GetOrCompute / Invalidate script (plus, where there is a daemon, a
+// PutMany / GetOrCompute / Invalidate script (plus, where there is a daemon, a
 // sibling replica publishing to it) over the five deployed shapes, all
 // built by Open, against the plain-map model: every answer, every
 // invalidation count, and every leaf's books must agree.
@@ -661,9 +682,21 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					if ok != wantOK || (ok && got.Reports[0].Message != want) {
 						t.Fatalf("step %d: Get(%v) = %v, %v; model says %q, %v", step, k, got, ok, want, wantOK)
 					}
-				case op < 7: // put
+				case op == 5: // put
 					model.put(id, msg)
 					target.Put(bg, k, result(msg))
+				case op == 6: // a range's puts, repeats allowed: the same Puts in order
+					keys, digests := []Key{k}, []Digest{k.Digest()}
+					rs := []*engine.Result{result(msg)}
+					model.put(id, msg)
+					for n := rng.Intn(6); n > 0; n-- {
+						k := randKey()
+						msg := fmt.Sprintf("%s-%d", msg, n)
+						keys, digests = append(keys, k), append(digests, k.Digest())
+						rs = append(rs, result(msg))
+						model.put(k.ID(), msg)
+					}
+					PutMany(bg, target, keys, digests, rs)
 				case op < 9: // the scheduler's miss path: probe, then compute
 					want, wantOK := model.get(id)
 					got, ok := target.Get(bg, k)

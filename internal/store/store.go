@@ -187,6 +187,28 @@ func GetMany(ctx context.Context, st Store, keys []Key, ids []Digest, out []*eng
 	}
 }
 
+// BatchPutter is an optional Store extension for tiers that store a
+// range of results in one call: the in-memory tier encodes them outside
+// its lock and takes the lock once. The tier must end up exactly as the
+// same Puts in key order would leave it — entries, LRU order, evictions
+// and books, one put per key. ids[i] must be keys[i].Digest().
+type BatchPutter interface {
+	PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result)
+}
+
+// PutMany stores rs[i] under keys[i] in st: through the tier's batch
+// path when it has one, one Put per key otherwise. ids[i] must be
+// keys[i].Digest().
+func PutMany(ctx context.Context, st Store, keys []Key, ids []Digest, rs []*engine.Result) {
+	if bp, ok := st.(BatchPutter); ok {
+		bp.PutMany(ctx, keys, ids, rs)
+		return
+	}
+	for i, k := range keys {
+		st.Put(ctx, k, rs[i])
+	}
+}
+
 // invalidateAll forwards a hash set to st through its widest supported
 // invalidation interface: the bulk path when available, per-hash
 // otherwise, and zero for tiers without invalidation.
