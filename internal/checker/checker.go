@@ -36,6 +36,15 @@ type Fingerprinter interface {
 	Fingerprint() string
 }
 
+// Quieter is implemented by checkers that can tell from a function's
+// footprint alone that analyzing the function with them changes nothing:
+// no callback reports, panics, writes state or facts, or allocates in the
+// arena. The function's result with the checker is then its result with
+// no checker, which the scan scheduler memoizes instead of exploring.
+type Quieter interface {
+	QuietOn(fp *minic.Footprint) bool
+}
+
 // PostCallChecker runs after a call expression is evaluated.
 type PostCallChecker interface {
 	CheckPostCall(ev *CallEvent, c *Context)

@@ -103,6 +103,54 @@ func (ck *Compiled) Fingerprint() string {
 // BugType implements checker.Checker.
 func (ck *Compiled) BugType() string { return ck.spec.BugTypeName }
 
+// QuietOn implements checker.Quieter. The checker is loud on a function
+// that calls a callee one of its rules names, declares an uninitialized
+// local its 'decl uninit' source tracks, compares where it has a
+// 'boundcheck' guard, or indexes where it has an 'index constant-oob'
+// sink. Otherwise every fact domain stays empty, callback by callback:
+//   - CheckDecl sets a fact only for a 'decl uninit' source on an
+//     initializer-less non-array declaration (with a cleanup when the
+//     source is cleanup-only).
+//   - CheckPostCall and CheckPreCall act only under a rule whose callee
+//     is the event's, and every call event's callee is in the footprint;
+//     the argument indexing that panics on a hallucinated index sits
+//     behind those matches. CheckBind's syntactic nullable source matches
+//     a right-hand-side call by name, which the footprint also counts.
+//   - CheckBranchCondition sets the 'bounded' fact only for a
+//     'boundcheck' guard on a comparison.
+//   - Every other write (the nullcheck guard, the releases, init and
+//     terminate guards, the alloc escapes, the reporting sinks' state
+//     updates) first reads a fact that one of the above set.
+//   - CheckLocation reports without reading a fact only for 'index
+//     constant-oob', whose access carries an array length only on an
+//     index expression; every other sink, and CheckEndFunction's, needs a
+//     fact.
+//
+// So on a quiet function the checker reports nothing, panics nowhere,
+// hands back the state it was given, and only reads the arena.
+func (ck *Compiled) QuietOn(fp *minic.Footprint) bool {
+	for _, src := range ck.spec.Sources {
+		if src.Kind == SrcDeclUninit {
+			if fp.UninitDecl && (!src.CleanupOnly || fp.UninitCleanup) {
+				return false
+			}
+		} else if fp.Calls(src.Callee) {
+			return false
+		}
+	}
+	for _, g := range ck.spec.Guards {
+		if fp.Calls(g.Callee) || (g.Kind == GuardBoundCheck && fp.Compare) {
+			return false
+		}
+	}
+	for _, sk := range ck.spec.Sinks {
+		if fp.Calls(sk.Callee) || (sk.Kind == SinkIndexConstOOB && fp.Index) {
+			return false
+		}
+	}
+	return true
+}
+
 // Per-checker fact domains.
 func (ck *Compiled) dom(which string) string { return "ck:" + ck.spec.Name + ":" + which }
 

@@ -6,9 +6,13 @@ import (
 	"testing/quick"
 )
 
+// specCallees are the callees randomSpec draws from when a test has no
+// function in mind.
+var specCallees = []string{"kzalloc", "devm_kzalloc", "kfree", "spin_lock", "spin_unlock", "copy_from_user"}
+
 // randomSpec generates a structurally valid Spec whose sinks always have
-// matching sources (so Compile accepts it).
-func randomSpec(r *rand.Rand) *Spec {
+// matching sources (so Compile accepts it), naming the given callees.
+func randomSpec(r *rand.Rand, callees []string) *Spec {
 	s := &Spec{
 		Name:        "gen_" + string(rune('a'+r.Intn(26))) + string(rune('a'+r.Intn(26))),
 		BugTypeName: []string{"Null-Pointer-Dereference", "Use-After-Free", "Memory-Leak", "Misuse"}[r.Intn(4)],
@@ -20,11 +24,10 @@ func randomSpec(r *rand.Rand) *Spec {
 	if r.Intn(3) == 0 {
 		s.Unwrap = []string{"unlikely", "likely"}
 	}
-	callees := []string{"kzalloc", "devm_kzalloc", "kfree", "spin_lock", "spin_unlock", "copy_from_user"}
 	callee := func() string { return callees[r.Intn(len(callees))] }
 
 	// Choose one coherent source/sink family per spec.
-	switch r.Intn(6) {
+	switch r.Intn(8) {
 	case 0: // nullable
 		s.Sources = append(s.Sources, SourceRule{Kind: SrcCallYields, Callee: callee(), Yields: "nullable"})
 		s.Guards = append(s.Guards, GuardRule{Kind: GuardNullCheck})
@@ -57,6 +60,12 @@ func randomSpec(r *rand.Rand) *Spec {
 		} else {
 			s.Sinks = append(s.Sinks, SinkRule{Kind: SinkUseUninit})
 		}
+	case 5: // constant indexes need no sources
+		s.Sinks = append(s.Sinks, SinkRule{Kind: SinkIndexConstOOB})
+	case 6: // taint
+		s.Sources = append(s.Sources, SourceRule{Kind: SrcCallYields, Callee: callee(), Yields: "taint"})
+		s.Guards = append(s.Guards, GuardRule{Kind: GuardBoundCheck})
+		s.Sinks = append(s.Sinks, SinkRule{Kind: SinkIndexTainted})
 	default: // range sinks need no sources
 		if r.Intn(2) == 0 {
 			s.Sinks = append(s.Sinks, SinkRule{Kind: SinkMulOverflow, Callee: callee(), Arg: 0, Bits: 32})
@@ -75,7 +84,7 @@ func randomSpec(r *rand.Rand) *Spec {
 func TestSpecPrintParseRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s1 := randomSpec(r)
+		s1 := randomSpec(r, specCallees)
 		text := s1.String()
 		s2, err := Parse(text)
 		if err != nil {
@@ -103,7 +112,7 @@ func TestSpecPrintParseRoundTripProperty(t *testing.T) {
 func TestSpecLineCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := randomSpec(r)
+		s := randomSpec(r, specCallees)
 		n := s.LineCount()
 		return n >= 4 && n <= 64
 	}
@@ -116,7 +125,7 @@ func TestSpecLineCountProperty(t *testing.T) {
 func TestCapabilitiesStableUnderRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s1 := randomSpec(r)
+		s1 := randomSpec(r, specCallees)
 		s2, err := Parse(s1.String())
 		if err != nil {
 			return false

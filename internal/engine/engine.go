@@ -121,16 +121,20 @@ func (e RuntimeErr) Error() string {
 	return fmt.Sprintf("analyzer crash in %s (checker %s): %s", e.Func, e.Checker, e.Panic)
 }
 
-// Merge folds other into r.
+// Merge folds other into r. Only a merge that brings reports keys the
+// reports r already holds, so folding a file's report-less functions
+// costs nothing per report.
 func (r *Result) Merge(other *Result) {
-	seen := map[string]bool{}
-	for _, rep := range r.Reports {
-		seen[rep.Key()] = true
-	}
-	for _, rep := range other.Reports {
-		if !seen[rep.Key()] {
+	if len(other.Reports) > 0 {
+		seen := make(map[string]bool, len(r.Reports)+len(other.Reports))
+		for _, rep := range r.Reports {
 			seen[rep.Key()] = true
-			r.Reports = append(r.Reports, rep)
+		}
+		for _, rep := range other.Reports {
+			if !seen[rep.Key()] {
+				seen[rep.Key()] = true
+				r.Reports = append(r.Reports, rep)
+			}
 		}
 	}
 	r.Paths += other.Paths

@@ -558,3 +558,32 @@ int probe(struct dev *d, int flag)
 		t.Error("report has no path trace")
 	}
 }
+
+// TestMergeKeysOnlyWhatItMerges pins Merge's cost on a report-heavy
+// file: folding a report-less function's result into a file result
+// that already holds 64 reports allocates nothing, and one that brings
+// reports still deduplicates against them.
+func TestMergeKeysOnlyWhatItMerges(t *testing.T) {
+	site := func(line int) *checker.Report {
+		return &checker.Report{Checker: "c", File: "f.c", Pos: minic.Pos{Line: line, Col: 1}}
+	}
+	file := Result{}
+	for line := 1; line <= 64; line++ {
+		file.Reports = append(file.Reports, site(line))
+	}
+	quiet := &Result{Paths: 2, Steps: 9}
+	if n := testing.AllocsPerRun(100, func() {
+		r := file
+		for i := 0; i < 16; i++ {
+			r.Merge(quiet)
+		}
+	}); n != 0 {
+		t.Fatalf("16 report-less merges into a 64-report file allocated %.0f times, want 0", n)
+	}
+	r := file
+	r.Reports = r.Reports[:64:64]
+	r.Merge(&Result{Reports: []*checker.Report{site(7), site(65), site(65)}})
+	if len(r.Reports) != 65 || r.Reports[64].Pos.Line != 65 {
+		t.Fatalf("merge kept %d reports, want the 64 plus line 65 once", len(r.Reports))
+	}
+}

@@ -256,7 +256,7 @@ func calleeOfAssignTo(fn *minic.FuncDecl, name string) string {
 		return ""
 	}
 	out := ""
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		switch st := s.(type) {
 		case *minic.DeclStmt:
 			if st.Name == name {
@@ -275,30 +275,6 @@ func calleeOfAssignTo(fn *minic.FuncDecl, name string) string {
 		}
 	})
 	return out
-}
-
-// walkStmts visits every statement in a body, recursively.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, sub := range st.Stmts {
-			walkStmts(sub, visit)
-		}
-	case *minic.IfStmt:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.WhileStmt:
-		walkStmts(st.Body, visit)
-	case *minic.ForStmt:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.LabeledStmt:
-		walkStmts(st.Stmt, visit)
-	}
 }
 
 func nullCheckFacts(added []string, fn *minic.FuncDecl) DiffFacts {
@@ -334,7 +310,7 @@ func mulBoundFacts(added []string, fn *minic.FuncDecl, before string) DiffFacts 
 	// Find an allocation whose size argument multiplies the bounded var.
 	anchor := ""
 	if fn != nil {
-		walkStmts(fn.Body, func(s minic.Stmt) {
+		minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 			es, ok := s.(*minic.ExprStmt)
 			if !ok {
 				return
@@ -419,7 +395,7 @@ func deriveOf(fn *minic.FuncDecl, freed string) (string, string) {
 	if fn == nil {
 		return "", ""
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		d, ok := s.(*minic.DeclStmt)
 		if !ok || d.Init == nil {
 			return
@@ -515,7 +491,7 @@ func findConsumer(fn *minic.FuncDecl, v string, candidates []string) string {
 			scanExpr(a)
 		}
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		switch st := s.(type) {
 		case *minic.ExprStmt:
 			scanExpr(st.X)

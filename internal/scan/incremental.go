@@ -9,6 +9,7 @@ import (
 
 	"knighter/internal/checker"
 	"knighter/internal/engine"
+	"knighter/internal/minic"
 	"knighter/internal/obs"
 	"knighter/internal/store"
 )
@@ -53,7 +54,9 @@ const (
 	// StageCacheProbe is the summed store probe time across workers.
 	StageCacheProbe = "cache_probe"
 	// StageEngineEval is the summed symbolic-execution time across
-	// workers (misses only — a fully warm scan has none).
+	// workers, of the misses explored: a miss answered from its
+	// function's baseline takes none, nor does a fully warm scan. Its
+	// count is every key computed, explored or not.
 	StageEngineEval = "engine_eval"
 	// StageSerialize is the deterministic merge of per-function results
 	// into the final report order.
@@ -142,8 +145,19 @@ type riderPlan struct {
 	// share every per-function result.
 	same int
 	// perFunc[u] is the rider's result for unit u.
-	perFunc                 []*engine.Result
-	hits, misses, coalesced atomic.Int64
+	perFunc                        []*engine.Result
+	hits, misses, coalesced, quiet atomic.Int64
+}
+
+// quietOn reports whether every checker of the rider is a
+// checker.Quieter quiet on a function with footprint fp.
+func (p *riderPlan) quietOn(fp *minic.Footprint) bool {
+	for _, ck := range p.checkers {
+		if q, ok := ck.(checker.Quieter); !ok || !q.QuietOn(fp) {
+			return false
+		}
+	}
+	return true
 }
 
 // runRiders is the scheduler body, reading only the immutable snap: one
@@ -151,10 +165,12 @@ type riderPlan struct {
 // checker list one Result is keyed by — a scan is a pass with one rider,
 // a batch a pass with one per checker). A worker claims the next range
 // of units, probes each rider's keys for the whole range, then for each
-// unit runs the engine ONCE with the riders that missed, and stores each
-// rider's result under its own key — the range's results in one store
-// call, by the digests its probe used; the per-rider merges then run as
-// if each rider had scanned alone.
+// unit runs the engine ONCE with the riders that missed and are loud on
+// the function — a rider whose checkers are all quiet on it copies the
+// function's no-checker baseline instead — and stores each rider's
+// result under its own key — the range's results in one store call, by
+// the digests its probe used; the per-rider merges then run as if each
+// rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
@@ -263,9 +279,14 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				var putKeys []store.Key
 				var putIDs []store.Digest
 				var putRs []*engine.Result
-				// The riders a unit still has to be analyzed for.
+				// The riders a unit still has to be analyzed for; the
+				// checker lists of those explored, and where each sits in
+				// missed; the results, parallel to missed.
 				missed := make([]int, 0, len(plans))
-				lists := make([][]checker.Checker, 0, len(plans))
+				lists := make([][]checker.Checker, 0, len(plans)+1)
+				explored := make([]int, 0, len(plans))
+				answers := make([]*engine.Result, 0, len(plans))
+				var fp minic.Footprint
 				for {
 					hi := int(cursor.Add(rangeSize))
 					lo := hi - rangeSize
@@ -302,7 +323,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						p.misses.Add(int64(len(got) - hits))
 					}
 					for u := lo; u < hi; u++ {
-						missed, lists = missed[:0], lists[:0]
+						missed = missed[:0]
 						for i := range plans {
 							p := &plans[i]
 							switch {
@@ -315,22 +336,62 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								// cache lookups.
 								p.perFunc[u] = &engine.Result{Truncated: true, Canceled: true}
 							default:
-								missed, lists = append(missed, i), append(lists, p.checkers)
+								missed = append(missed, i)
 							}
 						}
 						if len(missed) == 0 {
 							continue // every rider hit: the unit never enters the engine
 						}
 						un := units[u]
-						f := snap.files[un.file]
-						analyze := func() []*engine.Result {
-							var e0 time.Time
-							if timed {
-								e0 = time.Now()
+						// answer computes the missed riders' results. A rider
+						// whose checkers are all quiet on the function gets a
+						// copy of its baseline, memoized or computed by an
+						// empty rider riding along; the others are explored.
+						answer := func() []*engine.Result {
+							f, memo := snap.files[un.file], snap.memo[un.file]
+							fn := f.Funcs[un.fn]
+							rs := answers[:len(missed)]
+							clear(rs)
+							lists, explored = lists[:0], explored[:0]
+							fp.Reset(fn)
+							quiet := false
+							for k, i := range missed {
+								if plans[i].quietOn(&fp) {
+									quiet = true
+									continue
+								}
+								lists, explored = append(lists, plans[i].checkers), append(explored, k)
 							}
-							rs := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], lists, eo)
-							if timed {
-								evalNS.Add(int64(time.Since(e0)))
+							var base engine.Result
+							known := false
+							if quiet {
+								if base, known = memo.baseline(un.fn, engFP); !known {
+									lists = append(lists, nil)
+								}
+							}
+							if len(lists) > 0 {
+								var e0 time.Time
+								if timed {
+									e0 = time.Now()
+								}
+								got := engine.AnalyzeFuncEach(f, fn, lists, eo)
+								if timed {
+									evalNS.Add(int64(time.Since(e0)))
+								}
+								for j, k := range explored {
+									rs[k] = got[j]
+								}
+								if quiet && !known {
+									base = *got[len(got)-1]
+									memo.setBaseline(f, un.fn, engFP, &base)
+								}
+							}
+							for k, r := range rs {
+								if r == nil {
+									b := base
+									rs[k] = &b
+									plans[missed[k]].quiet.Add(1)
+								}
 							}
 							return rs
 						}
@@ -338,7 +399,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							// One rider, one key: single-flight it against
 							// other requests computing the same key.
 							r, shared := co.GetOrCompute(ctx, p.key(snap.FuncHash(un.file, un.fn), engFP), func() (*engine.Result, bool) {
-								r := analyze()[0]
+								r := answer()[0]
 								return r, storable(r)
 							})
 							p.perFunc[u] = r
@@ -347,7 +408,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							}
 							continue
 						}
-						for k, r := range analyze() {
+						for k, r := range answer() {
 							p := &plans[missed[k]]
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
@@ -398,6 +459,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 			out[i].CacheHits = int(from.hits.Load())
 			out[i].CacheMisses = int(from.misses.Load())
 			out[i].CacheCoalesced = int(from.coalesced.Load())
+			out[i].QuietResults = int(from.quiet.Load())
 		}
 	}
 	if timed {

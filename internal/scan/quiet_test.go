@@ -1,0 +1,172 @@
+package scan
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"knighter/internal/checker"
+	"knighter/internal/ckdsl"
+	"knighter/internal/engine"
+	"knighter/internal/kernel"
+	"knighter/internal/store"
+)
+
+// quietCodebase parses the batch-equivalence corpus into a codebase of
+// its own, so its baseline memo starts empty whatever ran before.
+func quietCodebase(t *testing.T) *Codebase {
+	t.Helper()
+	corpus := fuzzCorpus()
+	corpus.Files = append(corpus.Files, &kernel.SourceFile{Path: "drivers/fz/fork.c", Src: batchForkFile})
+	cb, err := NewCodebase(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cb
+}
+
+// engineAnswer is what a checker's entry of a pass must equal: the
+// uncached scan's reports, and the engine's own result for every
+// function, in file and function order, as the store must hold it.
+type engineAnswer struct {
+	scan   *Result
+	stored []*engine.Result
+}
+
+func answerOf(cb *Codebase, ck checker.Checker, opts Options) engineAnswer {
+	a := engineAnswer{scan: cb.RunOne(ck, opts)}
+	eo := opts.engineOptions([]checker.Checker{ck})
+	for _, f := range cb.Files() {
+		for _, fn := range f.Funcs {
+			a.stored = append(a.stored, engine.AnalyzeFunc(f, fn, eo))
+		}
+	}
+	return a
+}
+
+// checkAnswer fails unless res, ck's entry of a pass, reports what want
+// does, timed nothing out, and left want's results in st under ck's keys.
+func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck checker.Checker, res *Result, want engineAnswer, opts Options) {
+	t.Helper()
+	if got, want := resultBytes(t, res), resultBytes(t, want.scan); got != want {
+		t.Fatalf("%s: %s differs from the uncached scan:\n got %s\nwant %s", what, ck.Name(), got, want)
+	}
+	if res.FuncsTimedOut != 0 || res.QuietResults > res.CacheMisses {
+		t.Fatalf("%s: %s timed out %d functions, answered %d of %d misses quietly", what, ck.Name(), res.FuncsTimedOut, res.QuietResults, res.CacheMisses)
+	}
+	fp, _ := checkersFingerprint([]checker.Checker{ck})
+	u := 0
+	for i, f := range cb.Files() {
+		for j, fn := range f.Funcs {
+			key := store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
+			stored, ok := st.Get(context.Background(), key)
+			if !ok || !reflect.DeepEqual(stored, want.stored[u]) {
+				t.Fatalf("%s: %s stored for %s\n%+v\nwant %+v", what, ck.Name(), fn.Name, stored, want.stored[u])
+			}
+			u++
+		}
+	}
+}
+
+// TestQuietGateMatchesUncachedScan: with the quiet gate on, RunOne and
+// RunBatch in batches of 2, 4 and every synthesized checker answer each
+// checker as Codebase.Run does and store the engine's own result for
+// every function — with the baseline memo empty, again on a fresh store
+// over the same snapshot with the memo warm, and under engine bounds
+// whose baselines differ from the memo's.
+func TestQuietGateMatchesUncachedScan(t *testing.T) {
+	_, pool := batchEquivSetup(t)
+	var cks []checker.Checker
+	for _, spec := range pool {
+		ck, err := ckdsl.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cks = append(cks, ck)
+	}
+	tiny := Options{Engine: engine.Options{MaxSteps: 50, MaxPaths: 4}}
+	ref := quietCodebase(t)
+	var want, wantTiny []engineAnswer
+	for _, ck := range cks {
+		want = append(want, answerOf(ref, ck, Options{}))
+		wantTiny = append(wantTiny, answerOf(ref, ck, tiny))
+	}
+	rounds := []struct {
+		name string
+		opts Options
+		want []engineAnswer
+	}{
+		{"memo empty", Options{}, want},
+		{"memo warm", Options{}, want},
+		{"tiny bounds", tiny, wantTiny},
+	}
+	for _, size := range []int{1, 2, 4, len(cks)} {
+		cb := quietCodebase(t)
+		for _, round := range rounds {
+			inc := NewIncremental(cb, store.NewMemory(0))
+			var results []*Result
+			for lo := 0; lo < len(cks); lo += size {
+				batch := cks[lo:min(lo+size, len(cks))]
+				if size == 1 {
+					results = append(results, inc.RunOne(batch[0], round.opts))
+				} else {
+					results = append(results, inc.RunBatch(batch, nil, round.opts, 0)...)
+				}
+			}
+			quiet := 0
+			for k, ck := range cks {
+				checkAnswer(t, fmt.Sprintf("size %d, %s", size, round.name), cb, inc.Store(), ck, results[k], round.want[k], round.opts)
+				quiet += results[k].QuietResults
+			}
+			if quiet == 0 {
+				t.Fatalf("size %d, %s: no miss was answered quietly", size, round.name)
+			}
+		}
+	}
+}
+
+// quietLongFile's one function calls nothing, compares nothing and
+// indexes nothing, so every synthesized checker is quiet on it, and its
+// one block is long enough for the evaluator's deadline check to fire
+// inside it.
+var quietLongFile = "int qt_long(int a)\n{\n\tint x = 0;\n" + strings.Repeat("\tx = x + a;\n", 100) + "\treturn x;\n}\n"
+
+// stallBinds outlasts a 200 µs function budget at every store it sees.
+// It is loud: it is no checker.Quieter.
+type stallBinds struct{}
+
+func (stallBinds) Name() string    { return "test.StallBinds" }
+func (stallBinds) BugType() string { return "None" }
+func (stallBinds) CheckBind(*checker.BindEvent, *checker.Context) {
+	time.Sleep(200 * time.Microsecond)
+}
+
+// TestQuietGateMemoizesNoTimedOutBaseline: a baseline computed in a pass
+// that timed out answers that pass's quiet riders, timed out as they
+// would be, but is not memoized: a later pass with no budget, on a fresh
+// store over the same snapshot, still answers as the engine does.
+func TestQuietGateMemoizesNoTimedOutBaseline(t *testing.T) {
+	cb, err := NewCodebase(&kernel.Corpus{Files: []*kernel.SourceFile{{Path: "drivers/qt/long.c", Src: quietLongFile}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := ckdsl.CompileSource(`checker qt_npd {
+  bugtype "Null-Pointer-Dereference"
+  track aliases
+  source { call "kzalloc" yields nullable }
+  guard { nullcheck }
+  sink { deref unchecked }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NewIncremental(cb, store.NewMemory(0)).RunBatch([]checker.Checker{stallBinds{}, quiet}, nil, Options{FuncTimeout: 200 * time.Microsecond}, 0)
+	if first[1].QuietResults != 1 || first[1].FuncsTimedOut != 1 {
+		t.Fatalf("the quiet rider beside the staller: %d quiet, %d timed out, want 1 and 1", first[1].QuietResults, first[1].FuncsTimedOut)
+	}
+	inc := NewIncremental(cb, store.NewMemory(0))
+	checkAnswer(t, "after a timed-out baseline", cb, inc.Store(), quiet, inc.RunOne(quiet, Options{}), answerOf(cb, quiet, Options{}), Options{})
+}

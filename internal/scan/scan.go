@@ -194,6 +194,10 @@ type Result struct {
 	// computation of the same key instead of analyzing here (stores
 	// that coalesce — store.Stack — only). Always <= CacheMisses.
 	CacheCoalesced int
+	// QuietResults counts misses answered from their function's baseline
+	// without exploring it: every checker was quiet on the function
+	// (checker.Quieter). Always <= CacheMisses.
+	QuietResults int
 	// FileCuts, parallel to the scanned file list, records how many
 	// reports and runtime errors each file contributed to the flat
 	// Reports and RuntimeErrs slices — the merge cursor a shard

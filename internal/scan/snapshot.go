@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"knighter/internal/checker"
+	"knighter/internal/engine"
 	"knighter/internal/minic"
 	"knighter/internal/store"
 )
@@ -19,9 +20,9 @@ import (
 // NEXT snapshot off to the side and swaps the live pointer, so the
 // pinned one never changes underneath the reader.
 //
-// Everything reachable from a Snapshot is read-only except the hash
-// memos, each filled exactly once (content hashes are pure functions of
-// the immutable ASTs).
+// Everything reachable from a Snapshot is read-only except the memos:
+// hashes filled exactly once, key digests and baselines filled on
+// demand, all pure functions of the immutable ASTs (and of fingerprints).
 type Snapshot struct {
 	gen      int64
 	files    []*minic.File
@@ -51,13 +52,54 @@ const maxSumSets = 16
 // maxSumSets fingerprint pairs, in a ring under mu: a warm probe reads
 // its digests instead of hashing every key, and reading allocates
 // nothing.
+//
+// And, under mu, the baselines of those functions under the engine
+// fingerprint last asked for: a daemon runs one engine configuration, and
+// a pass under another replaces them. They cost 24 bytes per function,
+// 37 KB over the scale-1 corpus, in pointer-free arrays.
 type fileMemo struct {
 	once  sync.Once
 	funcs []string
 
-	mu   sync.Mutex
-	sums [maxSumSets]sumSet
-	next int // the ring slot the next insert overwrites
+	mu       sync.Mutex
+	sums     [maxSumSets]sumSet
+	next     int // the ring slot the next insert overwrites
+	engineFP string
+	bases    []baseline
+}
+
+// baseline is what analyzing a function with no checker returns: a result
+// with no reports and no runtime errors, cut short by nothing but the
+// engine's bounds. known is false until it is memoized.
+type baseline struct {
+	paths, steps     int
+	truncated, known bool
+}
+
+// baseline returns function j's memoized baseline under engineFP.
+func (m *fileMemo) baseline(j int, engineFP string) (engine.Result, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.bases == nil || m.engineFP != engineFP || !m.bases[j].known {
+		return engine.Result{}, false
+	}
+	b := m.bases[j]
+	return engine.Result{Paths: b.paths, Steps: b.steps, Truncated: b.truncated}, true
+}
+
+// setBaseline memoizes r as function j's baseline under engineFP, when it
+// is one: a result cut short by a timeout or a cancellation, or carrying
+// an engine crash, is not.
+func (m *fileMemo) setBaseline(f *minic.File, j int, engineFP string, r *engine.Result) {
+	if !storable(r) || r.Reports != nil || r.RuntimeErrs != nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.bases == nil || m.engineFP != engineFP {
+		m.engineFP, m.bases = engineFP, make([]baseline, len(f.Funcs))
+	}
+	m.bases[j] = baseline{r.Paths, r.Steps, r.Truncated, true}
 }
 
 // sumSet is the key digests of one file version's functions under one

@@ -20,6 +20,7 @@ type metrics struct {
 	scanErrors      *obs.Counter
 	scansCanceled   *obs.Counter
 	reportsServed   *obs.Counter
+	quietResults    *obs.Counter
 	gcRemoved       *obs.Counter
 
 	scanDur  *obs.Histogram
@@ -44,6 +45,7 @@ func (s *Server) instrument() {
 		scanErrors:      reg.Counter("scan_errors_total", "Requests rejected before scanning (bad JSON, bad checker, unknown file)."),
 		scansCanceled:   reg.Counter("scans_canceled_total", "Scans aborted by client disconnect."),
 		reportsServed:   reg.Counter("reports_served_total", "Bug reports returned across all scans."),
+		quietResults:    reg.Counter("scan_quiet_results_total", "Cache misses answered from the function's no-checker baseline, unexplored: every checker was quiet on it."),
 		gcRemoved:       reg.Counter("disk_gc_removed_total", "Disk-tier entries removed by GC sweeps."),
 
 		scanDur: reg.Histogram("scan_duration_seconds",

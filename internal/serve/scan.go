@@ -11,6 +11,7 @@ import (
 	"knighter/internal/ckdsl"
 	"knighter/internal/obs"
 	"knighter/internal/scan"
+	"knighter/internal/store"
 )
 
 // requestCost is the admission cost weight of a scan-shaped request:
@@ -41,17 +42,25 @@ func attachTiming(ctx context.Context, id *string, spans *[]obs.Span, want bool)
 	}
 }
 
-// observeScan records one finished scheduler pass: a scan, or a whole
-// batch through any one of its entries (they all carry the pass's wall
-// time; observing each would count one exploration once per checker).
-// The request's trace id rides along as the scan histogram's exemplar,
-// so a bucket spike on the dashboard links straight to a retained trace.
-func (s *Server) observeScan(ctx context.Context, res *scan.Result) {
+// observeScan records one finished scheduler pass from its results: a
+// scan's, or every entry of a batch. The pass's wall time is observed
+// once, from the first (every entry carries it; observing each would
+// count one exploration once per checker), and each entry's quiet
+// results are counted. The request's trace id rides along as the scan
+// histogram's exemplar, so a bucket spike on the dashboard links
+// straight to a retained trace.
+func (s *Server) observeScan(ctx context.Context, results ...*scan.Result) {
+	if len(results) == 0 {
+		return
+	}
 	id := ""
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		id = tr.ID
 	}
-	s.m.scanDur.ObserveExemplar(res.Elapsed.Seconds(), id)
+	s.m.scanDur.ObserveExemplar(results[0].Elapsed.Seconds(), id)
+	for _, res := range results {
+		s.m.quietResults.Add(float64(res.QuietResults))
+	}
 }
 
 // awaitMinGeneration implements the serve-at-or-after contract: wait a
@@ -231,9 +240,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Generation = s.inc.Codebase().Generation()
 		results := s.inc.RunBatch(cks, files,
 			scanOptions(r.Context(), req.MaxReports, req.Workers, req.FuncTimeoutMS), 0)
-		if len(results) > 0 {
-			s.observeScan(r.Context(), results[0])
-		}
+		s.observeScan(r.Context(), results...)
 		for bi, res := range results {
 			resp.Results[live[bi]] = api.ScanResult(cks[bi].Name(), res, req.IncludeTrace, req.ShardLocal)
 			resp.Generation = res.Generation
@@ -250,9 +257,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		agg.Misses += m.Cache.Misses
 		agg.Coalesced += m.Cache.Coalesced
 	}
-	if n := agg.Hits + agg.Misses; n > 0 {
-		agg.HitRate = float64(agg.Hits) / float64(n)
-	}
+	agg.HitRate = store.Stats{Hits: int64(agg.Hits), Misses: int64(agg.Misses)}.HitRate()
 	resp.CheckersRun = len(cks)
 	resp.Cache = agg
 	resp.ElapsedMS = elapsedMS(start)

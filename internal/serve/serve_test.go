@@ -270,6 +270,56 @@ func TestWarmScanCountsEveryFunction(t *testing.T) {
 	}
 }
 
+// TestQuietResultsCountOnMetricsOnly: the misses a pass answers from
+// their functions' no-checker baselines move
+// kserve_scan_quiet_results_total — on a cold /scan and on each entry
+// of a cold /batch, by some but not all of the NPD checker's misses — a
+// warm scan moves it by nothing, and no reply carries the count.
+func TestQuietResultsCountOnMetricsOnly(t *testing.T) {
+	_, ts := bootOne(t, Config{})
+	quiet := func() int64 { return metricValues(t, getMetrics(t, ts))["kserve_scan_quiet_results_total"] }
+	post := func(path string, body any) []byte {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %v", path, resp.StatusCode, err)
+		}
+		if bytes.Contains(reply, []byte("quiet")) {
+			t.Fatalf("POST %s reply carries the quiet count: %s", path, reply)
+		}
+		return reply
+	}
+	var cold api.ScanResponse
+	if err := json.Unmarshal(post("/scan", api.ScanRequest{Checker: testChecker}), &cold); err != nil {
+		t.Fatal(err)
+	}
+	n := quiet()
+	if n <= 0 || n >= int64(cold.Cache.Misses) {
+		t.Fatalf("a cold scan of %d misses counted %d quiet results, want some but not all", cold.Cache.Misses, n)
+	}
+	post("/scan", api.ScanRequest{Checker: testChecker})
+	if got := quiet(); got != n {
+		t.Fatalf("a warm scan moved the quiet count from %d to %d", n, got)
+	}
+	revs := []string{
+		strings.Replace(testChecker, "serve_npd", "serve_npd_a", 1),
+		strings.Replace(testChecker, "serve_npd", "serve_npd_b", 1),
+	}
+	post("/batch", api.BatchRequest{Checkers: revs})
+	if got := quiet(); got != 3*n {
+		t.Fatalf("a cold batch of 2 revisions moved the quiet count from %d to %d, want %d", n, got, 3*n)
+	}
+}
+
 // TestScanWorkersAreACeiling: a request's "workers" bounds the pass's
 // parallelism, it does not size it — /scan and /batch asking for 100 000
 // answer exactly what the default answers, and the process never holds

@@ -159,7 +159,7 @@ func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker,
 		}
 		out := make([]*api.ScanResponse, len(cks))
 		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scanOptions(ctx, 0, workers, funcTimeoutMS))
-		s.observeScan(ctx, results[0]) // one pass, one observation: every entry carries its wall time
+		s.observeScan(ctx, results...)
 		for i, res := range results {
 			out[i] = api.ScanResult(cks[i].Name(), res, includeTrace, true)
 		}

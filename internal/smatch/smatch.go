@@ -101,7 +101,7 @@ func collectCallStats(c *kernel.Corpus) *callStats {
 			continue
 		}
 		for _, fn := range f.Funcs {
-			walk(fn.Body, func(s minic.Stmt) {
+			minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 				switch x := s.(type) {
 				case *minic.ExprStmt:
 					if call, ok := x.X.(*minic.CallExpr); ok {
@@ -171,7 +171,7 @@ func checkParamDeref(path string, fn *minic.FuncDecl) []Finding {
 		return nil
 	}
 	checked := map[string]bool{}
-	walk(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		ifs, ok := s.(*minic.IfStmt)
 		if !ok {
 			return
@@ -181,7 +181,7 @@ func checkParamDeref(path string, fn *minic.FuncDecl) []Finding {
 	// Address computations (&p->field) do not load through the pointer;
 	// collect them so they are not counted as dereferences.
 	addrOnly := map[minic.Expr]bool{}
-	walkExprs(fn.Body, func(e minic.Expr) {
+	minic.WalkExprs(fn.Body, func(e minic.Expr) {
 		if u, ok := e.(*minic.UnaryExpr); ok && u.Op == minic.Amp {
 			if m, ok := minic.Unparen(u.X).(*minic.MemberExpr); ok {
 				addrOnly[m] = true
@@ -190,7 +190,7 @@ func checkParamDeref(path string, fn *minic.FuncDecl) []Finding {
 	})
 	var out []Finding
 	seen := map[string]bool{}
-	walkExprs(fn.Body, func(e minic.Expr) {
+	minic.WalkExprs(fn.Body, func(e minic.Expr) {
 		m, ok := e.(*minic.MemberExpr)
 		if !ok || !m.Arrow || addrOnly[m] {
 			return
@@ -233,7 +233,7 @@ func checkStackFrame(path string, fn *minic.FuncDecl) []Finding {
 	var out []Finding
 	total := 0
 	var firstPos minic.Pos
-	walk(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		d, ok := s.(*minic.DeclStmt)
 		if !ok || !d.Type.IsArray() {
 			return
@@ -262,7 +262,7 @@ func checkStackFrame(path string, fn *minic.FuncDecl) []Finding {
 // analysis in the style of Engler et al.).
 func checkIgnoredReturn(path string, fn *minic.FuncDecl, stats *callStats) []Finding {
 	var out []Finding
-	walk(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		es, ok := s.(*minic.ExprStmt)
 		if !ok {
 			return
@@ -304,7 +304,7 @@ func checkLinearUninit(path string, fn *minic.FuncDecl) []Finding {
 			}
 		}
 	}
-	walk(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		switch x := s.(type) {
 		case *minic.DeclStmt:
 			if x.Init != nil || x.Type.IsArray() {
@@ -373,7 +373,7 @@ func identReads(e minic.Expr, reads map[string]minic.Pos) {
 // sizeof-like large constants (a lint-style volume check).
 func checkSignedCompare(path string, fn *minic.FuncDecl) []Finding {
 	var out []Finding
-	walkExprs(fn.Body, func(e minic.Expr) {
+	minic.WalkExprs(fn.Body, func(e minic.Expr) {
 		b, ok := e.(*minic.BinaryExpr)
 		if !ok || b.Op != minic.Gt {
 			return
@@ -387,97 +387,4 @@ func checkSignedCompare(path string, fn *minic.FuncDecl) []Finding {
 		}
 	})
 	return out
-}
-
-// --- AST walking helpers ---
-
-func walk(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch x := s.(type) {
-	case *minic.Block:
-		for _, sub := range x.Stmts {
-			walk(sub, visit)
-		}
-	case *minic.IfStmt:
-		walk(x.Then, visit)
-		walk(x.Else, visit)
-	case *minic.WhileStmt:
-		walk(x.Body, visit)
-	case *minic.ForStmt:
-		walk(x.Init, visit)
-		walk(x.Body, visit)
-	case *minic.LabeledStmt:
-		walk(x.Stmt, visit)
-	}
-}
-
-func walkExprs(s minic.Stmt, visit func(minic.Expr)) {
-	walk(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walkExpr(x.X, visit)
-		case *minic.DeclStmt:
-			if x.Init != nil {
-				walkExpr(x.Init, visit)
-			}
-		case *minic.IfStmt:
-			walkExpr(x.Cond, visit)
-		case *minic.WhileStmt:
-			walkExpr(x.Cond, visit)
-		case *minic.ForStmt:
-			if x.Cond != nil {
-				walkExpr(x.Cond, visit)
-			}
-			if x.Post != nil {
-				walkExpr(x.Post, visit)
-			}
-		case *minic.ReturnStmt:
-			if x.X != nil {
-				walkExpr(x.X, visit)
-			}
-		}
-	})
-}
-
-func walkExpr(e minic.Expr, visit func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch x := e.(type) {
-	case *minic.BinaryExpr:
-		walkExpr(x.X, visit)
-		walkExpr(x.Y, visit)
-	case *minic.UnaryExpr:
-		walkExpr(x.X, visit)
-	case *minic.PostfixExpr:
-		walkExpr(x.X, visit)
-	case *minic.AssignExpr:
-		walkExpr(x.LHS, visit)
-		walkExpr(x.RHS, visit)
-	case *minic.CallExpr:
-		for _, a := range x.Args {
-			walkExpr(a, visit)
-		}
-	case *minic.IndexExpr:
-		walkExpr(x.X, visit)
-		walkExpr(x.Idx, visit)
-	case *minic.MemberExpr:
-		walkExpr(x.X, visit)
-	case *minic.ParenExpr:
-		walkExpr(x.X, visit)
-	case *minic.CondExpr:
-		walkExpr(x.Cond, visit)
-		walkExpr(x.Then, visit)
-		walkExpr(x.Else, visit)
-	case *minic.CastExpr:
-		walkExpr(x.X, visit)
-	case *minic.SizeofExpr:
-		if x.X != nil {
-			walkExpr(x.X, visit)
-		}
-	}
 }

@@ -29,6 +29,9 @@ import (
 // kcached) stays JSON: this is a private storage format.
 const resultCodec = 0x02
 
+// Encode returns the bytes the memory and disk tiers store for r.
+func Encode(r *engine.Result) []byte { return encodeResult(r) }
+
 // encodeResult serializes r into a slice of exactly the encoded length.
 func encodeResult(r *engine.Result) []byte {
 	var scratch [256]byte

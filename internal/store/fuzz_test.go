@@ -30,11 +30,17 @@ func fuzzResult(variant byte) *engine.Result {
 // the head and from the tail agree, the id index and the LRU ring are a
 // bijection, the per-function rings hold exactly the live entries with
 // intact back links, free slots are reachable from no ring, every slot
-// is accounted for, and the byte total is the sum of live weights within
-// budget.
+// is accounted for in full chunks, and the byte total is the sum of live
+// weights within budget.
 func checkMemory(t *testing.T, m *Memory, op string) {
 	t.Helper()
-	s := m.slots
+	if n := int(m.nslots); n > len(m.slab)*slabChunk || n <= (len(m.slab)-1)*slabChunk {
+		t.Fatalf("%s: %d slots in %d chunks of %d", op, n, len(m.slab), slabChunk)
+	}
+	s := make([]slot, m.nslots)
+	for i := range s {
+		s[i] = *m.at(int32(i))
+	}
 	var fwd, bwd []int32
 	for i := s[0].next; i != 0 && len(fwd) < len(s); i = s[i].next {
 		fwd = append(fwd, i)
@@ -113,8 +119,8 @@ func checkMemory(t *testing.T, m *Memory, op string) {
 // lruIDs lists the live entries' digests, most recently used first.
 func lruIDs(m *Memory) []Digest {
 	var ids []Digest
-	for i := m.slots[0].next; i != 0; i = m.slots[i].next {
-		ids = append(ids, m.slots[i].id)
+	for i := m.at(0).next; i != 0; i = m.at(i).next {
+		ids = append(ids, m.at(i).id)
 	}
 	return ids
 }
@@ -179,7 +185,7 @@ func checkSame(t *testing.T, m, seq *Memory, op string) {
 		t.Fatalf("%s: stats %+v, sequential Puts %+v", op, got, want)
 	}
 	for id, i := range m.ids {
-		if !bytes.Equal(m.slots[i].payload, seq.slots[seq.ids[id]].payload) {
+		if !bytes.Equal(m.at(i).payload, seq.at(seq.ids[id]).payload) {
 			t.Fatalf("%s: payloads differ from sequential Puts", op)
 		}
 	}

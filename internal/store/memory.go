@@ -23,7 +23,7 @@ const entryOverhead = 128
 // length plus entryOverhead, so the budget tracks resident memory.
 //
 // It holds bytes, not object graphs: a result is kept in the binary codec
-// (codec.go) in one slab of slots linked by index, behind an id index
+// (codec.go) in a slab of slots linked by index, behind an id index
 // keyed by a pointer-free Digest, so the payload is the only pointer per
 // entry and the garbage collector has little to mark in a full tier.
 // Hashing, encoding and decoding run outside the mutex, and a range of
@@ -32,9 +32,13 @@ type Memory struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	n        int    // live entries
-	slots    []slot // slots[0] roots the LRU ring: next is the newest entry
-	ids      map[Digest]int32
+	n        int // live entries
+	// slab holds slot i at slab[i/slabChunk][i%slabChunk], of which
+	// nslots are in use; slot 0 roots the LRU ring: next is the newest
+	// entry.
+	slab   []*[slabChunk]slot
+	nslots int32
+	ids    map[Digest]int32
 	// funcs maps a FuncHash to the sentinel slot of its entries' ring,
 	// so corpus mutation can drop a function's entries without a sweep.
 	funcs map[string]int32
@@ -55,6 +59,16 @@ type slot struct {
 
 func weight(payload []byte) int64 { return int64(len(payload)) + entryOverhead }
 
+// slabChunk is how many slots one chunk of the slab holds. The slab grows
+// a chunk at a time and never moves a slot: a growing tier that copied
+// its slots would leave the old array for a collection cycle to mark
+// beside the new one, and the live heap that cycle measures sets the next
+// heap goal — at 300k entries, 20 MB twice over.
+const slabChunk = 4096
+
+// at returns slot i.
+func (m *Memory) at(i int32) *slot { return &m.slab[uint32(i)/slabChunk][uint32(i)%slabChunk] }
+
 // NewMemory returns an LRU store holding at most maxBytes of entry
 // weight (DefaultMemoryBytes when maxBytes <= 0).
 func NewMemory(maxBytes int64) *Memory {
@@ -63,7 +77,8 @@ func NewMemory(maxBytes int64) *Memory {
 	}
 	return &Memory{
 		maxBytes: maxBytes,
-		slots:    make([]slot, 1),
+		slab:     []*[slabChunk]slot{new([slabChunk]slot)},
+		nslots:   1,
 		ids:      map[Digest]int32{},
 		funcs:    map[string]int32{},
 		free:     -1,
@@ -102,7 +117,7 @@ func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
 		var p []byte // nil on a miss: a live entry's payload is never empty
 		if s, ok := m.ids[id]; ok {
 			m.toFront(s)
-			p = m.slots[s].payload
+			p = m.at(s).payload
 			hits++
 		}
 		payloads = append(payloads, p)
@@ -166,19 +181,20 @@ func (m *Memory) putLocked(id Digest, funcHash string, payload []byte) {
 	m.stats.Puts++
 	i, ok := m.ids[id]
 	if ok {
-		m.bytes += weight(payload) - weight(m.slots[i].payload)
-		m.slots[i].payload = payload
+		e := m.at(i)
+		m.bytes += weight(payload) - weight(e.payload)
+		e.payload = payload
 	} else {
 		f, ok := m.funcs[funcHash]
 		if !ok {
 			f = m.alloc(slot{payload: []byte(funcHash)})
-			m.slots[f].fn = f
+			m.at(f).fn = f
 			m.funcs[funcHash] = f
 		}
 		i = m.alloc(slot{payload: payload, id: id, fn: f})
-		s := m.slots
-		s[i].fprev, s[i].fnext = f, s[f].fnext
-		s[s[f].fnext].fprev, s[f].fnext = i, i
+		e, fs := m.at(i), m.at(f)
+		e.fprev, e.fnext = f, fs.fnext
+		m.at(fs.fnext).fprev, fs.fnext = i, i
 		m.ids[id] = i
 		m.bytes += weight(payload)
 		m.n++
@@ -191,22 +207,25 @@ func (m *Memory) putLocked(id Digest, funcHash string, payload []byte) {
 func (m *Memory) alloc(sl slot) int32 {
 	i := m.free
 	if i < 0 {
-		i = int32(len(m.slots))
-		m.slots = append(m.slots, slot{})
+		i = m.nslots
+		if i%slabChunk == 0 {
+			m.slab = append(m.slab, new([slabChunk]slot))
+		}
+		m.nslots++
 	} else {
-		m.free = m.slots[i].next
+		m.free = m.at(i).next
 	}
 	sl.prev, sl.next, sl.fprev, sl.fnext = i, i, i, i
-	m.slots[i] = sl
+	*m.at(i) = sl
 	return i
 }
 
 // toFront moves slot i to the most-recently-used end of the LRU ring.
 func (m *Memory) toFront(i int32) {
-	s := m.slots
-	s[s[i].prev].next, s[s[i].next].prev = s[i].next, s[i].prev
-	s[i].prev, s[i].next = 0, s[0].next
-	s[s[0].next].prev, s[0].next = i, i
+	e, root := m.at(i), m.at(0)
+	m.at(e.prev).next, m.at(e.next).prev = e.next, e.prev
+	e.prev, e.next = 0, root.next
+	m.at(root.next).prev, root.next = i, i
 }
 
 // evictLocked drops least-recently-used entries until the tier is back
@@ -216,7 +235,7 @@ func (m *Memory) toFront(i int32) {
 // recompute.
 func (m *Memory) evictLocked() {
 	for m.bytes > m.maxBytes && m.n > 1 {
-		m.removeLocked(m.slots[0].prev)
+		m.removeLocked(m.at(0).prev)
 		m.stats.Evictions++
 	}
 }
@@ -237,7 +256,7 @@ func (m *Memory) InvalidateFuncs(funcHashes []string) int {
 		// A function's ring is never empty while it is indexed: removing
 		// its last entry drops the sentinel too.
 		for f, ok := m.funcs[fh]; ok; n++ {
-			ok = !m.removeLocked(m.slots[f].fnext)
+			ok = !m.removeLocked(m.at(f).fnext)
 		}
 	}
 	m.stats.Invalidated += int64(n)
@@ -248,18 +267,19 @@ func (m *Memory) InvalidateFuncs(funcHashes []string) int {
 // byte accounting, and frees its slot — and its function's sentinel if
 // its ring is now empty, which it reports.
 func (m *Memory) removeLocked(i int32) (lastOfFunc bool) {
-	s, e := m.slots, m.slots[i]
-	s[e.prev].next, s[e.next].prev = e.next, e.prev
-	s[e.fprev].fnext, s[e.fnext].fprev = e.fnext, e.fprev
+	e := *m.at(i)
+	m.at(e.prev).next, m.at(e.next).prev = e.next, e.prev
+	m.at(e.fprev).fnext, m.at(e.fnext).fprev = e.fnext, e.fprev
 	delete(m.ids, e.id)
 	m.bytes -= weight(e.payload)
 	m.n--
-	s[i], m.free = slot{next: m.free, fn: -1}, i
-	if s[e.fn].fnext != e.fn {
+	*m.at(i), m.free = slot{next: m.free, fn: -1}, i
+	f := m.at(e.fn)
+	if f.fnext != e.fn {
 		return false
 	}
-	delete(m.funcs, string(s[e.fn].payload))
-	s[e.fn], m.free = slot{next: m.free, fn: -1}, e.fn
+	delete(m.funcs, string(f.payload))
+	*f, m.free = slot{next: m.free, fn: -1}, e.fn
 	return true
 }
 

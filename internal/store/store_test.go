@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +180,40 @@ func TestMemoryBulkInvalidateOnePass(t *testing.T) {
 	}
 	if s := m.Stats(); s.Invalidated != 3 || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestMemorySlabGrowsWithoutMovingSlots fills the tier across several
+// slab chunks: slots keep their addresses as chunks are added, the books
+// and rings stay whole, every entry reads back, and slots freed by an
+// invalidation are reused before the slab grows again.
+func TestMemorySlabGrowsWithoutMovingSlots(t *testing.T) {
+	m := NewMemory(0)
+	k := func(i int) Key {
+		return Key{FuncHash: fmt.Sprintf("f%d", i%700), CheckerFP: fmt.Sprint(i), EngineFP: "e"}
+	}
+	first := m.at(0)
+	const n = 2*slabChunk + 10
+	for i := 0; i < n; i++ {
+		m.Put(bg, k(i), result(k(i).CheckerFP))
+	}
+	checkMemory(t, m, "filled")
+	if len(m.slab) != 3 || m.at(0) != first {
+		t.Fatalf("%d entries in %d chunks; slot 0 moved: %v", n, len(m.slab), m.at(0) != first)
+	}
+	for i := 0; i < n; i++ {
+		if r, ok := m.Get(bg, k(i)); !ok || r.Reports[0].Message != k(i).CheckerFP {
+			t.Fatalf("entry %d did not read back", i)
+		}
+	}
+	slots := m.nslots
+	dropped := m.InvalidateFuncs([]string{"f1", "f2", "f3"})
+	for i := 0; i < dropped; i++ {
+		m.Put(bg, k(n+i), result("again"))
+	}
+	checkMemory(t, m, "refilled")
+	if m.nslots != slots {
+		t.Fatalf("%d puts after freeing %d slots grew the slab from %d to %d", dropped, dropped+3, slots, m.nslots)
 	}
 }
 
