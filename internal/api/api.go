@@ -135,9 +135,6 @@ type CacheStats struct {
 	Hits    int     `json:"hits"`
 	Misses  int     `json:"misses"`
 	HitRate float64 `json:"hit_rate"`
-	// Coalesced counts misses served by sharing another request's
-	// in-flight computation of the same key.
-	Coalesced int `json:"coalesced,omitempty"`
 }
 
 // ScanResponse is the POST /scan reply, and one entry of POST /batch.

@@ -8,10 +8,9 @@ import (
 // CacheOf maps a scan result's cache counters onto the wire shape.
 func CacheOf(res *scan.Result) CacheStats {
 	return CacheStats{
-		Hits:      res.CacheHits,
-		Misses:    res.CacheMisses,
-		HitRate:   store.Stats{Hits: int64(res.CacheHits), Misses: int64(res.CacheMisses)}.HitRate(),
-		Coalesced: res.CacheCoalesced,
+		Hits:    res.CacheHits,
+		Misses:  res.CacheMisses,
+		HitRate: store.Stats{Hits: int64(res.CacheHits), Misses: int64(res.CacheMisses)}.HitRate(),
 	}
 }
 

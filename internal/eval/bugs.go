@@ -173,7 +173,8 @@ func hashDraw(purpose, key string) float64 {
 
 // --- Figure 9 data ---
 
-// Fig9a returns bugs per class, split into hand/auto finder source.
+// Fig9a returns bugs per class, split into hand/auto finder source,
+// classes by total descending, then by name.
 func (r *BugDetectionResult) Fig9a() (classes []string, hand, auto map[string]int) {
 	hand, auto = map[string]int{}, map[string]int{}
 	seen := map[string]bool{}
@@ -189,7 +190,11 @@ func (r *BugDetectionResult) Fig9a() (classes []string, hand, auto map[string]in
 		classes = append(classes, cls)
 	}
 	sort.Slice(classes, func(i, j int) bool {
-		return hand[classes[i]]+auto[classes[i]] > hand[classes[j]]+auto[classes[j]]
+		ni, nj := hand[classes[i]]+auto[classes[i]], hand[classes[j]]+auto[classes[j]]
+		if ni != nj {
+			return ni > nj
+		}
+		return classes[i] < classes[j]
 	})
 	return classes, hand, auto
 }

@@ -133,6 +133,24 @@ func TestBugDetectionShape(t *testing.T) {
 	}
 }
 
+// TestFig9aOrder: Figure 9a lists classes by count descending, then by
+// name, on every call. The paper's distribution ties three classes at 3
+// and two at 1, so an order left to map iteration shows up within a few
+// calls.
+func TestFig9aOrder(t *testing.T) {
+	_, _, bugs := sharedHarness(t)
+	for call := 0; call < 20; call++ {
+		classes, hand, auto := bugs.Fig9a()
+		for i := 1; i < len(classes); i++ {
+			a, b := classes[i-1], classes[i]
+			na, nb := hand[a]+auto[a], hand[b]+auto[b]
+			if na < nb || na == nb && a >= b {
+				t.Fatalf("call %d: %s (%d) before %s (%d) in %v", call, a, na, b, nb, classes)
+			}
+		}
+	}
+}
+
 func TestOrthogonalityZeroOverlap(t *testing.T) {
 	h, _, bugs := sharedHarness(t)
 	orth, err := h.RunOrthogonality(bugs)

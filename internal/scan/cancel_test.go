@@ -104,9 +104,8 @@ func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 
 // TestCanceledPassStoresNoCanceledResult: a context canceled part-way
 // through a pass, at each of its first check points in turn, stores no
-// canceled result — on the single-flight path (one rider over a stack)
-// and on the plain Put path (a batch of two riders) — and the pass comes
-// back flagged.
+// canceled result — one rider through a stack's PutMany, and a batch of
+// two riders through the tier's Puts — and the pass comes back flagged.
 func TestCanceledPassStoresNoCanceledResult(t *testing.T) {
 	cb := buildCodebase(t)
 	other, err := ckdsl.CompileSource(`

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"knighter/internal/minic"
-	"knighter/internal/store"
 )
 
 // Change is one element of a changeset: a whole-file replacement (Func
@@ -263,22 +262,10 @@ func (inc *Incremental) ApplyChangeset(changes []Change) (*Changeset, error) {
 }
 
 // invalidateHashes drops every store entry addressed by the given
-// pre-mutation function hashes, preferring the store's bulk path (one
-// lock acquisition, one pass) over per-hash calls.
+// pre-mutation function hashes, in one store call.
 func (inc *Incremental) invalidateHashes(hashes []string) int {
 	if len(hashes) == 0 {
 		return 0
 	}
-	if bulk, ok := inc.st.(store.BulkInvalidator); ok {
-		return bulk.InvalidateFuncs(hashes)
-	}
-	inv, ok := inc.st.(store.Invalidator)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, h := range hashes {
-		n += inv.InvalidateFunc(h)
-	}
-	return n
+	return inc.st.InvalidateFuncs(hashes)
 }

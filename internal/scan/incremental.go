@@ -145,8 +145,8 @@ type riderPlan struct {
 	// share every per-function result.
 	same int
 	// perFunc[u] is the rider's result for unit u.
-	perFunc                        []*engine.Result
-	hits, misses, coalesced, quiet atomic.Int64
+	perFunc             []*engine.Result
+	hits, misses, quiet atomic.Int64
 }
 
 // quietOn reports whether every checker of the rider is a
@@ -242,17 +242,14 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	// parallel. A worker claims a range of units, probes each rider's
 	// keys for the whole range in one store call, computes the misses
 	// unit by unit, and stores them in one more call at the end of the
-	// range. A miss only one rider has instead goes through a coalescing
-	// store's single flight, so concurrent misses on one key — this scan
-	// racing an identical scan from another request — compute once and
-	// share (critical once the remote tier widens the window between miss
-	// and put).
+	// range. Two requests missing the same key at once both compute it
+	// and both store the same bytes under it: content addressing makes
+	// the duplicate put harmless.
 	var busyNS, evalNS atomic.Int64
 	workStart := time.Now()
 	if len(units) > 0 {
 		// More workers than ranges would only idle.
 		workers = min(workers, (len(units)+rangeSize-1)/rangeSize)
-		co, _ := inc.st.(store.ComputeCoalescer)
 		var wg sync.WaitGroup
 		var cursor atomic.Int64 // the first unit no worker has claimed
 		for w := 0; w < workers; w++ {
@@ -343,73 +340,55 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							continue // every rider hit: the unit never enters the engine
 						}
 						un := units[u]
-						// answer computes the missed riders' results. A rider
-						// whose checkers are all quiet on the function gets a
-						// copy of its baseline, memoized or computed by an
-						// empty rider riding along; the others are explored.
-						answer := func() []*engine.Result {
-							f, memo := snap.files[un.file], snap.memo[un.file]
-							fn := f.Funcs[un.fn]
-							rs := answers[:len(missed)]
-							clear(rs)
-							lists, explored = lists[:0], explored[:0]
-							fp.Reset(fn)
-							quiet := false
-							for k, i := range missed {
-								if plans[i].quietOn(&fp) {
-									quiet = true
-									continue
-								}
-								lists, explored = append(lists, plans[i].checkers), append(explored, k)
+						// Compute the missed riders' results. A rider whose
+						// checkers are all quiet on the function gets a copy
+						// of its baseline, memoized or computed by an empty
+						// rider riding along; the others are explored.
+						f, memo := snap.files[un.file], snap.memo[un.file]
+						fn := f.Funcs[un.fn]
+						rs := answers[:len(missed)]
+						clear(rs)
+						lists, explored = lists[:0], explored[:0]
+						fp.Reset(fn)
+						quiet := false
+						for k, i := range missed {
+							if plans[i].quietOn(&fp) {
+								quiet = true
+								continue
 							}
-							var base engine.Result
-							known := false
-							if quiet {
-								if base, known = memo.baseline(un.fn, engFP); !known {
-									lists = append(lists, nil)
-								}
-							}
-							if len(lists) > 0 {
-								var e0 time.Time
-								if timed {
-									e0 = time.Now()
-								}
-								got := engine.AnalyzeFuncEach(f, fn, lists, eo)
-								if timed {
-									evalNS.Add(int64(time.Since(e0)))
-								}
-								for j, k := range explored {
-									rs[k] = got[j]
-								}
-								if quiet && !known {
-									base = *got[len(got)-1]
-									memo.setBaseline(f, un.fn, engFP, &base)
-								}
-							}
-							for k, r := range rs {
-								if r == nil {
-									b := base
-									rs[k] = &b
-									plans[missed[k]].quiet.Add(1)
-								}
-							}
-							return rs
+							lists, explored = append(lists, plans[i].checkers), append(explored, k)
 						}
-						if p := &plans[missed[0]]; len(missed) == 1 && p.cacheable && co != nil {
-							// One rider, one key: single-flight it against
-							// other requests computing the same key.
-							r, shared := co.GetOrCompute(ctx, p.key(snap.FuncHash(un.file, un.fn), engFP), func() (*engine.Result, bool) {
-								r := answer()[0]
-								return r, storable(r)
-							})
-							p.perFunc[u] = r
-							if shared {
-								p.coalesced.Add(1)
+						var base engine.Result
+						known := false
+						if quiet {
+							if base, known = memo.baseline(un.fn, engFP); !known {
+								lists = append(lists, nil)
 							}
-							continue
 						}
-						for k, r := range answer() {
+						if len(lists) > 0 {
+							var e0 time.Time
+							if timed {
+								e0 = time.Now()
+							}
+							got := engine.AnalyzeFuncEach(f, fn, lists, eo)
+							if timed {
+								evalNS.Add(int64(time.Since(e0)))
+							}
+							for j, k := range explored {
+								rs[k] = got[j]
+							}
+							if quiet && !known {
+								base = *got[len(got)-1]
+								memo.setBaseline(f, un.fn, engFP, &base)
+							}
+						}
+						for k, r := range rs {
 							p := &plans[missed[k]]
+							if r == nil {
+								b := base
+								r = &b
+								p.quiet.Add(1)
+							}
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
 								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
@@ -458,7 +437,6 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 		if p.cacheable {
 			out[i].CacheHits = int(from.hits.Load())
 			out[i].CacheMisses = int(from.misses.Load())
-			out[i].CacheCoalesced = int(from.coalesced.Load())
 			out[i].QuietResults = int(from.quiet.Load())
 		}
 	}

@@ -190,10 +190,6 @@ type Result struct {
 	// for uncacheable checker batches).
 	CacheHits   int
 	CacheMisses int
-	// CacheCoalesced counts misses that were served by another in-flight
-	// computation of the same key instead of analyzing here (stores
-	// that coalesce — store.Stack — only). Always <= CacheMisses.
-	CacheCoalesced int
 	// QuietResults counts misses answered from their function's baseline
 	// without exploring it: every checker was quiet on the function
 	// (checker.Quieter). Always <= CacheMisses.

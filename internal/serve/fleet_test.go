@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"knighter/internal/api"
+	"knighter/internal/ckdsl"
 	"knighter/internal/minic"
+	"knighter/internal/scan"
 )
 
 func reportsJSON(t *testing.T, resp *api.ScanResponse) string {
@@ -233,10 +235,12 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 	}
 }
 
-// TestFleetConcurrentColdScansCoalesce: two replicas' worth of identical
-// concurrent scans on ONE replica share computations via the coalescing
-// tier instead of analyzing every function twice.
-func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
+// TestFleetConcurrentColdScansAgree: identical cold scans racing on one
+// replica backed by kcached may compute a key twice, but every reply is
+// byte-identical to the uncached Codebase.Run, and a duplicate
+// computation only overwrites its content-addressed key: the memory
+// tier ends with exactly one entry per function.
+func TestFleetConcurrentColdScansAgree(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
 	srv, ts := bootOne(t, Config{CacheRemote: kc.URL})
 
@@ -269,24 +273,20 @@ func TestFleetConcurrentColdScansCoalesce(t *testing.T) {
 			t.Fatalf("concurrent scan %d: %v", i, err)
 		}
 	}
-	want := reportsJSON(t, responses[0])
-	for i := 1; i < n; i++ {
-		if reportsJSON(t, responses[i]) != want {
-			t.Fatalf("concurrent scan %d differs", i)
+	ck, err := ckdsl.CompileSource(testChecker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := srv.inc.Codebase()
+	want := reportsJSON(t, api.ScanResult(ck.Name(), cb.RunOne(ck, scan.Options{}), false, false))
+	for i, r := range responses {
+		if got := reportsJSON(t, r); got != want {
+			t.Fatalf("concurrent scan %d differs from Codebase.Run:\n got: %s\nwant: %s", i, got, want)
 		}
 	}
-	// The coalescing counter is cumulative in the store stats; with n
-	// identical concurrent cold scans there is ample overlap unless the
-	// scans happened to serialize (possible on a loaded machine, so only
-	// assert when at least two scans genuinely overlapped on a miss).
-	st := srv.inc.Stats()
-	totalCoalesced := 0
-	for _, r := range responses {
-		totalCoalesced += r.Cache.Coalesced
-	}
-	if int64(totalCoalesced) != st.Coalesced {
-		t.Fatalf("per-response coalesce counts (%d) disagree with store counter (%d)",
-			totalCoalesced, st.Coalesced)
+	if got := srv.inc.Stats().Entries; got != cb.NumFuncs() {
+		t.Fatalf("memory tier holds %d entries after %d identical cold scans, want one per function (%d)",
+			got, n, cb.NumFuncs())
 	}
 }
 

@@ -241,6 +241,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results := s.inc.RunBatch(cks, files,
 			scanOptions(r.Context(), req.MaxReports, req.Workers, req.FuncTimeoutMS), 0)
 		s.observeScan(r.Context(), results...)
+		if req.ShardLocal && s.shard != nil {
+			s.shard.subScans.Inc()
+		}
 		for bi, res := range results {
 			resp.Results[live[bi]] = api.ScanResult(cks[bi].Name(), res, req.IncludeTrace, req.ShardLocal)
 			resp.Generation = res.Generation
@@ -255,7 +258,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		agg.Hits += m.Cache.Hits
 		agg.Misses += m.Cache.Misses
-		agg.Coalesced += m.Cache.Coalesced
 	}
 	agg.HitRate = store.Stats{Hits: int64(agg.Hits), Misses: int64(agg.Misses)}.HitRate()
 	resp.CheckersRun = len(cks)

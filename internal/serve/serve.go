@@ -41,8 +41,8 @@
 // uses (store.Open) from an ordered tier list the config spells out:
 // memory, then kcached (CacheRemote), then the local segment tier
 // (CacheDir). Promotion, write-through, racing the remote tier against
-// the disk tier behind it, single-flight computation and the per-tier
-// /metrics families all follow from that list.
+// the disk tier behind it and the per-tier /metrics families all follow
+// from that list.
 //
 // Wire types live in internal/api: every response carries the corpus
 // generation (body + X-KN-Generation header), scan-shaped requests

@@ -80,7 +80,7 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 		scatters: reg.Counter("shard_scatters_total", "Coordinated scan/batch fan-outs served by this replica."),
 		degraded: reg.Counter("shard_degraded_scatters_total",
 			"Scatter partitions recomputed on the local snapshot because their shard failed or timed out."),
-		subScans:      reg.Counter("shard_sub_scans_total", "Shard-local sub-scans served for other coordinators."),
+		subScans:      reg.Counter("shard_sub_scans_total", "Shard-local sub-scans and sub-batches served for other coordinators."),
 		converges:     reg.Counter("shard_converges_total", "Generation-feed replays that brought this shard up to the fleet generation."),
 		feedPublishes: reg.Counter("shard_feed_publishes_total", "Changeset commits published to the generation feed."),
 	}

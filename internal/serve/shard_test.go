@@ -126,10 +126,11 @@ func TestShardedScanShardDeathFallsBack(t *testing.T) {
 // TestShardedBatchByteIdentical: /batch scatters per checker and merges
 // per entry; compile errors keep their request positions, and
 // max_reports caps every merged entry exactly where a single host cuts
-// it (sub-batches run uncapped; the cap is applied at the merge).
+// it (sub-batches run uncapped; the cap is applied at the merge). Each
+// owner counts the sub-batch it served in sub_scans_served.
 func TestShardedBatchByteIdentical(t *testing.T) {
 	_, single := bootOne(t, Config{})
-	_, tss := boot(t, 3, Config{})
+	srvs, tss := boot(t, 3, Config{})
 
 	for _, maxReports := range []int{0, 3} {
 		req := api.BatchRequest{MaxReports: maxReports, Checkers: []string{
@@ -141,8 +142,14 @@ func TestShardedBatchByteIdentical(t *testing.T) {
 		if code := postJSON(t, single, "/batch", req, &want); code != 200 {
 			t.Fatalf("single-host /batch = %d", code)
 		}
+		before := []int64{count(srvs[1].shard.subScans), count(srvs[2].shard.subScans)}
 		if code := postJSON(t, tss[0], "/batch", req, &got); code != 200 {
 			t.Fatalf("sharded /batch = %d", code)
+		}
+		for i, owner := range srvs[1:] {
+			if after := count(owner.shard.subScans); after <= before[i] {
+				t.Fatalf("shard %d served a sub-batch but sub_scans_served stayed at %d", i+1, after)
+			}
 		}
 		if got.CheckersRun != want.CheckersRun || got.CheckerErrors != want.CheckerErrors {
 			t.Fatalf("run=%d/%d errors=%d/%d", got.CheckersRun, want.CheckersRun, got.CheckerErrors, want.CheckerErrors)

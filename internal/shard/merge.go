@@ -72,7 +72,6 @@ func MergeScan(name string, paths []string, ring Ring, parts []*api.ScanResponse
 		out.Canceled = out.Canceled || p.Canceled
 		out.Cache.Hits += p.Cache.Hits
 		out.Cache.Misses += p.Cache.Misses
-		out.Cache.Coalesced += p.Cache.Coalesced
 		if p.Generation > out.Generation {
 			out.Generation = p.Generation
 		}

@@ -32,6 +32,7 @@ type recorder struct {
 
 func (r *recorder) Get(context.Context, store.Key) (*engine.Result, bool) { return nil, false }
 func (r *recorder) Stats() store.Stats                                    { return store.Stats{} }
+func (r *recorder) InvalidateFuncs([]string) int                          { return 0 }
 func (r *recorder) Put(_ context.Context, k store.Key, res *engine.Result) {
 	r.mu.Lock()
 	r.puts = append(r.puts, stored{k, res})

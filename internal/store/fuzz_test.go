@@ -238,8 +238,8 @@ func FuzzMemoryWeightInvariants(f *testing.F) {
 				seq.Get(bg, k)
 				checkMemory(t, m, "get")
 			case 2:
-				m.InvalidateFunc(k.FuncHash)
-				seq.InvalidateFunc(k.FuncHash)
+				m.InvalidateFuncs([]string{k.FuncHash})
+				seq.InvalidateFuncs([]string{k.FuncHash})
 				checkMemory(t, m, "invalidate")
 			case 3:
 				hashes := []string{"f\x00", "f\x01", string([]byte{'f', variant % 4})}

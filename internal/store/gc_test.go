@@ -16,7 +16,7 @@ func TestMemoryInvalidateFuncDropsAllCheckersOfThatFunc(t *testing.T) {
 	m.Put(bg, fkey("fA", "ck2"), result("a2"))
 	m.Put(bg, fkey("fB", "ck1"), result("b1"))
 
-	if n := m.InvalidateFunc("fA"); n != 2 {
+	if n := m.InvalidateFuncs([]string{"fA"}); n != 2 {
 		t.Fatalf("invalidated %d entries, want 2", n)
 	}
 	if _, ok := m.Get(bg, fkey("fA", "ck1")); ok {
@@ -32,7 +32,7 @@ func TestMemoryInvalidateFuncDropsAllCheckersOfThatFunc(t *testing.T) {
 	if s.Invalidated != 2 || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if n := m.InvalidateFunc("no-such-hash"); n != 0 {
+	if n := m.InvalidateFuncs([]string{"no-such-hash"}); n != 0 {
 		t.Fatalf("invalidating an unknown hash dropped %d entries", n)
 	}
 }
@@ -41,10 +41,10 @@ func TestMemoryEvictionMaintainsFuncIndex(t *testing.T) {
 	m := NewMemory(1) // one-byte budget: only the newest entry survives
 	m.Put(bg, fkey("fA", "ck1"), result("a"))
 	m.Put(bg, fkey("fB", "ck1"), result("b")) // evicts fA
-	if n := m.InvalidateFunc("fA"); n != 0 {
+	if n := m.InvalidateFuncs([]string{"fA"}); n != 0 {
 		t.Fatalf("evicted entry still indexed: %d", n)
 	}
-	if n := m.InvalidateFunc("fB"); n != 1 {
+	if n := m.InvalidateFuncs([]string{"fB"}); n != 1 {
 		t.Fatalf("live entry not indexed: %d", n)
 	}
 }

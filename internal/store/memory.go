@@ -240,14 +240,9 @@ func (m *Memory) evictLocked() {
 	}
 }
 
-// InvalidateFunc implements Invalidator: it drops every entry keyed by
-// funcHash (any checker or engine fingerprint).
-func (m *Memory) InvalidateFunc(funcHash string) int {
-	return m.InvalidateFuncs([]string{funcHash})
-}
-
-// InvalidateFuncs implements BulkInvalidator: one lock acquisition drops
-// the entries of every given hash (a changeset's whole orphan set).
+// InvalidateFuncs implements Store: one lock acquisition drops the
+// entries of every given hash (a changeset's whole orphan set), under
+// any checker or engine fingerprint.
 func (m *Memory) InvalidateFuncs(funcHashes []string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

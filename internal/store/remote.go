@@ -18,9 +18,8 @@ import (
 
 // Remote is the network cache tier: an HTTP client for a kcached daemon,
 // letting a fleet of kserve replicas share one content-addressed result
-// store. It implements Store and BulkInvalidator over the same key space
-// the disk tier uses, so the daemon is nothing more than a store with a
-// socket in front.
+// store. It implements Store over the same key space the disk tier uses,
+// so the daemon is nothing more than a store with a socket in front.
 //
 // The tier is strictly best-effort, like the disk tier: every failure mode — the
 // daemon down, a request timing out, a corrupt payload, the circuit
@@ -297,7 +296,7 @@ type invalidateResponse struct {
 	Invalidated int `json:"invalidated"`
 }
 
-// InvalidateFuncs implements BulkInvalidator: one POST carries the whole
+// InvalidateFuncs implements Store: one POST carries the whole
 // orphan set. Best-effort like everything else here — if the daemon is
 // unreachable the entries stay as garbage under unreachable keys (content
 // addressing means they can never be served stale) until its GC ages
@@ -331,11 +330,6 @@ func (r *Remote) InvalidateFuncs(funcHashes []string) int {
 	r.success()
 	r.count(func(s *Stats) { s.Invalidated += int64(out.Invalidated) })
 	return out.Invalidated
-}
-
-// InvalidateFunc implements Invalidator.
-func (r *Remote) InvalidateFunc(funcHash string) int {
-	return r.InvalidateFuncs([]string{funcHash})
 }
 
 // Stats implements Store. Entries/Bytes are always zero — the daemon

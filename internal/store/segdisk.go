@@ -92,12 +92,7 @@ func (d *SegmentDisk) Put(_ context.Context, k Key, r *engine.Result) {
 	d.eng.Put(k.ID(), segFuncTok(k.FuncHash), encodeResult(r))
 }
 
-// InvalidateFunc implements Invalidator.
-func (d *SegmentDisk) InvalidateFunc(funcHash string) int {
-	return d.eng.InvalidateFunc(segFuncTok(funcHash))
-}
-
-// InvalidateFuncs implements BulkInvalidator: one lock hold and one
+// InvalidateFuncs implements Store: one lock hold and one
 // append batch for the whole hash set.
 func (d *SegmentDisk) InvalidateFuncs(funcHashes []string) int {
 	toks := make([]string, len(funcHashes))

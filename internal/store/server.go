@@ -207,7 +207,7 @@ func (cs *CacheServer) handleInvalidate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	cs.invalidates.Add(1)
-	n := invalidateAll(cs.st, req.FuncHashes)
+	n := cs.st.InvalidateFuncs(req.FuncHashes)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(invalidateResponse{Invalidated: n})
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,7 +33,6 @@ type Tier struct {
 //     and their digests to the front leaf in one call (one lock
 //     acquisition on *Memory, no hashing), then writes each key through
 //     the leaves behind it as Put does. Puts count per key.
-//   - GetOrCompute collapses concurrent computations of one key.
 //   - Invalidation fans the whole hash set out to every leaf once;
 //     network leaves are invalidated off the caller's goroutine, so a
 //     corpus mutation never waits on a round-trip. That is safe because
@@ -50,13 +48,9 @@ type Tier struct {
 type Stack struct {
 	leaves []leaf
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	puts      atomic.Int64
-	coalesced atomic.Int64
-
-	mu      sync.Mutex
-	flights map[Digest]*flight
+	hits   atomic.Int64
+	misses atomic.Int64
+	puts   atomic.Int64
 }
 
 type leaf struct {
@@ -70,15 +64,6 @@ type leaf struct {
 	getDur, putDur *obs.Histogram
 }
 
-// flight is one in-progress computation. res holds a private clone of
-// the leader's result once done is closed; followers clone from it, so
-// no caller's mutations can reach another caller.
-type flight struct {
-	done      chan struct{}
-	res       *engine.Result
-	cacheable bool
-}
-
 // NewStack composes tiers, fastest first. reg may be nil (no metrics).
 //
 // The request/hit/miss/put series are callback-backed: every leaf
@@ -86,7 +71,7 @@ type flight struct {
 // scrape time instead of being counted twice. tier="stack" carries the
 // request-level totals /stats reports.
 func NewStack(reg *obs.Registry, tiers ...Tier) *Stack {
-	s := &Stack{leaves: make([]leaf, len(tiers)), flights: map[Digest]*flight{}}
+	s := &Stack{leaves: make([]leaf, len(tiers))}
 	for i, t := range tiers {
 		l := leaf{Tier: t}
 		_, l.network = t.Store.(*Remote)
@@ -104,9 +89,6 @@ func NewStack(reg *obs.Registry, tiers ...Tier) *Stack {
 		l.getDur, l.putDur = opDur.With(l.Name, "get"), opDur.With(l.Name, "put")
 	}
 	registerTierCounters(reg, "stack", s.Stats)
-	reg.CounterVec("store_coalesced_total",
-		"Computations saved by sharing another request's in-flight result.", "tier").
-		WithFunc(func() float64 { return float64(s.coalesced.Load()) }, "stack")
 	return s
 }
 
@@ -348,72 +330,17 @@ func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*eng
 	s.puts.Add(int64(len(keys)))
 }
 
-// GetOrCompute implements ComputeCoalescer. Callers probe with Get
-// first; this does not probe again, so one miss counts once and an
-// ordinary miss never pays a second remote round-trip to catch a rare
-// race whose only cost is computing identical bytes twice.
-func (s *Stack) GetOrCompute(ctx context.Context, k Key, compute func() (*engine.Result, bool)) (*engine.Result, bool) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The publish must not be aborted by the caller disconnecting right
-	// after the computation finished — the bytes are valid for everyone
-	// — but it keeps the request's trace id.
-	putCtx := context.WithoutCancel(ctx)
-	id := k.Digest()
-	s.mu.Lock()
-	if fl, ok := s.flights[id]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		if fl.cacheable {
-			s.coalesced.Add(1)
-			return fl.res.Clone(), true
-		}
-		// The leader's result was truncated by ITS wall clock or
-		// context, not ours: sharing it would spread one caller's
-		// timeout to every sibling, so compute our own.
-		res, cacheable := compute()
-		if cacheable {
-			s.Put(putCtx, k, res)
-		}
-		return res, false
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[id] = fl
-	s.mu.Unlock()
-
-	res, cacheable := compute()
-	// Followers are released BEFORE the write-through publish: with a
-	// remote leaf the Put is a network round-trip, and they only need
-	// the bytes. A same-key flight that starts during the Put
-	// recomputes rather than waits — rare, and identical bytes.
-	fl.res, fl.cacheable = res.Clone(), cacheable
-	s.mu.Lock()
-	delete(s.flights, id)
-	s.mu.Unlock()
-	close(fl.done)
-	if cacheable {
-		s.Put(putCtx, k, res)
-	}
-	return res, false
-}
-
-// InvalidateFunc implements Invalidator.
-func (s *Stack) InvalidateFunc(funcHash string) int {
-	return s.InvalidateFuncs([]string{funcHash})
-}
-
-// InvalidateFuncs implements BulkInvalidator: every leaf gets the whole
-// hash set in one call. The count covers the local leaves only; a
-// network leaf's round-trip finishes after this returns.
+// InvalidateFuncs implements Store: every leaf gets the whole hash set
+// in one call. The count covers the local leaves only; a network leaf's
+// round-trip finishes after this returns.
 func (s *Stack) InvalidateFuncs(funcHashes []string) int {
 	n := 0
 	for _, l := range s.leaves {
 		if l.network {
-			go invalidateAll(l.Store, funcHashes)
+			go l.Store.InvalidateFuncs(funcHashes)
 			continue
 		}
-		n += invalidateAll(l.Store, funcHashes)
+		n += l.Store.InvalidateFuncs(funcHashes)
 	}
 	return n
 }
@@ -426,12 +353,7 @@ func (s *Stack) InvalidateFuncs(funcHashes []string) int {
 // leaves in front and summing would double-count — which skips network
 // leaves: a replica with only memory and kcached reports its memory.
 func (s *Stack) Stats() Stats {
-	out := Stats{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Puts:      s.puts.Load(),
-		Coalesced: s.coalesced.Load(),
-	}
+	out := Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
 	for _, l := range s.leaves {
 		ls := l.Store.Stats()
 		out.Evictions += ls.Evictions

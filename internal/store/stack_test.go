@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,127 +63,6 @@ func TestStackBehaviours(t *testing.T) {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"coalesce/concurrent misses compute once", func(t *testing.T) {
-			s := NewStack(nil, Tier{"memory", NewMemory(0)})
-			const waiters = 16
-			var computes atomic.Int64
-			gate := make(chan struct{})
-			ready := make(chan struct{}, waiters)
-			var wg sync.WaitGroup
-			results := make([]*engine.Result, waiters)
-			for i := 0; i < waiters; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					results[i], _ = s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
-						ready <- struct{}{}
-						<-gate // hold the flight open until every goroutine launched
-						computes.Add(1)
-						return result("shared"), true
-					})
-				}(i)
-			}
-			<-ready // one leader is inside compute
-			time.Sleep(10 * time.Millisecond)
-			close(gate)
-			wg.Wait()
-			// Stragglers that arrived after the leader finished may have
-			// computed their own; the invariant is far fewer computations
-			// than callers, identical results, and coalescing counted.
-			if n := computes.Load(); n >= waiters/2 {
-				t.Fatalf("%d computations for %d concurrent callers", n, waiters)
-			}
-			for i, res := range results {
-				if res == nil || len(res.Reports) != 1 || res.Reports[0].Message != "shared" {
-					t.Fatalf("caller %d got %+v", i, res)
-				}
-			}
-			if st := s.Stats(); st.Coalesced == 0 {
-				t.Fatalf("no coalescing counted: %+v", st)
-			}
-		}},
-		{"coalesce/shared results are independent", func(t *testing.T) {
-			s := NewStack(nil, Tier{"memory", NewMemory(0)})
-			gate, leaderIn := make(chan struct{}), make(chan struct{})
-			var leaderRes, followerRes *engine.Result
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				leaderRes, _ = s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
-					close(leaderIn)
-					<-gate
-					return result("shared"), true
-				})
-			}()
-			go func() {
-				defer wg.Done()
-				<-leaderIn
-				// compute runs only if this goroutine arrived after the
-				// leader finished; the assertions hold either way.
-				followerRes, _ = s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
-					return result("shared"), true
-				})
-			}()
-			<-leaderIn
-			time.Sleep(10 * time.Millisecond) // let the follower join the flight
-			close(gate)
-			wg.Wait()
-			leaderRes.Reports[0] = nil
-			followerRes.Reports[0] = nil
-			if got, ok := s.Get(bg, key(1)); !ok || len(got.Reports) != 1 || got.Reports[0] == nil {
-				t.Fatal("caller mutation reached the cached entry")
-			}
-		}},
-		{"coalesce/uncacheable leader result is not shared", func(t *testing.T) {
-			s := NewStack(nil, Tier{"memory", NewMemory(0)})
-			gate, leaderIn := make(chan struct{}), make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				res, _ := s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
-					close(leaderIn)
-					<-gate
-					return &engine.Result{Truncated: true, TimedOut: true}, false
-				})
-				if !res.TimedOut {
-					t.Error("leader's own result altered")
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				<-leaderIn
-				res, shared := s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) {
-					return result("mine"), true
-				})
-				if shared {
-					t.Error("uncacheable leader result was shared")
-				}
-				if res.TimedOut || len(res.Reports) != 1 || res.Reports[0].Message != "mine" {
-					t.Errorf("follower got %+v", res)
-				}
-			}()
-			<-leaderIn
-			time.Sleep(10 * time.Millisecond) // let the follower join the flight
-			close(gate)
-			wg.Wait()
-			// The follower's (cacheable) result IS cached; the leader's is not.
-			if got, ok := s.Get(bg, key(1)); !ok || got.TimedOut {
-				t.Fatalf("cached entry = %+v, %v; want the follower's clean result", got, ok)
-			}
-		}},
-		{"coalesce/leader does not re-probe", func(t *testing.T) {
-			mem := NewMemory(0)
-			s := NewStack(nil, Tier{"memory", mem})
-			s.GetOrCompute(bg, key(1), func() (*engine.Result, bool) { return result("x"), true })
-			if st := mem.Stats(); st.Hits+st.Misses != 0 || st.Puts != 1 {
-				t.Fatalf("GetOrCompute probed the leaf: %+v", st)
-			}
-			if st := s.Stats(); st.Misses != 0 || st.Puts != 1 {
-				t.Fatalf("stack stats = %+v", st)
-			}
-		}},
 		{"race/local hit wins over a hung remote", func(t *testing.T) {
 			gate := make(chan struct{}) // never closes: the daemon hangs until the client gives up
 			st, mem, disk := fleetStack(t, &gateStore{Store: NewMemory(0), gate: gate})
@@ -306,7 +183,7 @@ func TestStackBehaviours(t *testing.T) {
 			st.Put(bg, fkey("fB", "ck"), result("b"))
 			st.Put(bg, fkey("fC", "ck"), result("c"))
 			st.Put(bg, fkey("fD", "ck"), result("d"))
-			if n := st.InvalidateFunc("fA"); n != 4 {
+			if n := st.InvalidateFuncs([]string{"fA"}); n != 4 {
 				t.Fatalf("per-hash invalidation dropped %d entries, want 4 (two entries x two leaves)", n)
 			}
 			if n := st.InvalidateFuncs([]string{"fB", "fC"}); n != 4 {
@@ -358,7 +235,7 @@ func TestStackBehaviours(t *testing.T) {
 			// Drop the back leaf only: it holds a superset by
 			// construction, so its emptiness is the stack's truth even
 			// though the front still holds a copy.
-			back.InvalidateFunc("fA")
+			back.InvalidateFuncs([]string{"fA"})
 			if s := st.Stats(); s.Entries != 0 || s.Bytes != 0 {
 				t.Fatalf("stack reported front-leaf counts for an empty back leaf: %+v", s)
 			}
@@ -390,7 +267,6 @@ func TestStackBehaviours(t *testing.T) {
 				`kserve_store_misses_total{tier="remote"} 1`,
 				`kserve_store_puts_total{tier="disk"} 1`,
 				`kserve_store_requests_total{tier="stack"} 3`,
-				`kserve_store_coalesced_total{tier="stack"} 0`,
 				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
 				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 1`,
 				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 1`,
@@ -569,7 +445,7 @@ func (m *stackModel) invalidate(ids []string) int {
 }
 
 // TestStackMatchesReferenceModel runs one seeded Get / GetMany / Put /
-// PutMany / GetOrCompute / Invalidate script (plus, where there is a daemon, a
+// PutMany / Invalidate script (plus, where there is a daemon, a
 // sibling replica publishing to it) over the five deployed shapes, all
 // built by Open, against the plain-map model: every answer, every
 // invalidation count, and every leaf's books must agree.
@@ -615,10 +491,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 
 			// The script's view of the store: the stack itself, or a
 			// client of the daemon serving it.
-			var target interface {
-				Store
-				BulkInvalidator
-			} = st
+			var target Store = st
 			if shape.served {
 				target = newRemote(t, newCacheTS(t, st).URL, RemoteConfig{})
 			}
@@ -707,14 +580,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						break
 					}
 					model.put(id, msg)
-					if co, isCo := target.(ComputeCoalescer); isCo {
-						res, shared := co.GetOrCompute(bg, k, func() (*engine.Result, bool) { return result(msg), true })
-						if shared || res.Reports[0].Message != msg {
-							t.Fatalf("step %d: GetOrCompute = %v, shared=%v", step, res, shared)
-						}
-					} else {
-						target.Put(bg, k, result(msg))
-					}
+					target.Put(bg, k, result(msg))
 				default: // invalidate one or two function hashes
 					hashes := []string{k.FuncHash}
 					if rng.Intn(2) == 0 {
@@ -762,7 +628,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 				deepest = model.leaves[len(model.leaves)-2]
 			}
 			if got.Hits != model.hits || got.Misses != model.misses || got.Puts != model.puts ||
-				got.Entries != len(deepest.has) || got.Evictions != 0 || got.Coalesced != 0 {
+				got.Entries != len(deepest.has) || got.Evictions != 0 {
 				t.Errorf("stack stats = %+v; model hits=%d misses=%d puts=%d entries=%d",
 					got, model.hits, model.misses, model.puts, len(deepest.has))
 			}

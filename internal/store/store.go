@@ -77,15 +77,12 @@ type Stats struct {
 	// size, plus a fixed per-entry overhead in the memory tier — the
 	// weight it bounds itself by.
 	Bytes int64 `json:"bytes"`
-	// Invalidated counts entries dropped by InvalidateFunc (corpus
+	// Invalidated counts entries dropped by InvalidateFuncs (corpus
 	// mutation made their function hash unreachable).
 	Invalidated int64 `json:"invalidated"`
 	// Expired counts disk entries removed by TTL garbage collection
 	// (budget evictions count under Evictions instead).
 	Expired int64 `json:"expired"`
-	// Coalesced counts computations saved by in-flight coalescing (the
-	// Stack only).
-	Coalesced int64 `json:"coalesced"`
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -111,48 +108,15 @@ type Store interface {
 	Get(ctx context.Context, k Key) (*engine.Result, bool)
 	// Put stores r under k, overwriting any previous entry.
 	Put(ctx context.Context, k Key, r *engine.Result)
+	// InvalidateFuncs removes every entry addressed by any of the given
+	// function hashes, returning the number of entries dropped. Corpus
+	// mutation calls it with the pre-mutation hashes of the touched
+	// functions: content addressing means those keys can never be
+	// requested again, so the entries are pure garbage, and one call per
+	// changeset lets a tier take its lock once (or batch its I/O).
+	InvalidateFuncs(funcHashes []string) int
 	// Stats snapshots the tier's counters.
 	Stats() Stats
-}
-
-// Invalidator is an optional Store extension for tiers that can drop
-// every entry addressed by a given function hash. Corpus mutation calls
-// it with the pre-mutation hashes of the touched functions: content
-// addressing means those keys can never be requested again, so the
-// entries are pure garbage. Invalidation is best-effort — a tier that
-// does not implement it simply lets stale entries age out.
-type Invalidator interface {
-	// InvalidateFunc removes every entry whose key's FuncHash equals
-	// funcHash, returning the number of entries dropped.
-	InvalidateFunc(funcHash string) int
-}
-
-// BulkInvalidator is an optional Store extension for tiers that can drop
-// the entries of many function hashes in one pass. A commit-sized
-// changeset orphans hashes across several files at once; the bulk path
-// lets a tier take its lock once (or batch its I/O) instead of paying
-// per-hash overhead N times.
-type BulkInvalidator interface {
-	// InvalidateFuncs removes every entry addressed by any of the given
-	// function hashes, returning the total number of entries dropped.
-	InvalidateFuncs(funcHashes []string) int
-}
-
-// ComputeCoalescer is the optional Store extension the incremental
-// scheduler uses to collapse duplicate in-flight computations: N
-// concurrent misses on one key run the analysis once and share the
-// result. It matters most once a network tier widens the miss window —
-// with a remote round-trip between "miss" and "put", a popular key can
-// easily have many identical computations racing.
-type ComputeCoalescer interface {
-	Store
-	// GetOrCompute runs compute to produce the result for k, unless
-	// another caller is already computing it. compute returns the result
-	// and whether it is cacheable (timed-out or canceled results are
-	// not). The second return reports whether the result was shared from
-	// another caller's in-flight computation rather than computed by
-	// this one.
-	GetOrCompute(ctx context.Context, k Key, compute func() (*engine.Result, bool)) (*engine.Result, bool)
 }
 
 // BatchGetter is an optional Store extension for tiers that answer a
@@ -207,21 +171,4 @@ func PutMany(ctx context.Context, st Store, keys []Key, ids []Digest, rs []*engi
 	for i, k := range keys {
 		st.Put(ctx, k, rs[i])
 	}
-}
-
-// invalidateAll forwards a hash set to st through its widest supported
-// invalidation interface: the bulk path when available, per-hash
-// otherwise, and zero for tiers without invalidation.
-func invalidateAll(st Store, funcHashes []string) int {
-	switch inv := st.(type) {
-	case BulkInvalidator:
-		return inv.InvalidateFuncs(funcHashes)
-	case Invalidator:
-		n := 0
-		for _, fh := range funcHashes {
-			n += inv.InvalidateFunc(fh)
-		}
-		return n
-	}
-	return 0
 }

@@ -142,7 +142,7 @@ func TestMemoryWeightAccounting(t *testing.T) {
 		t.Fatalf("bytes after overwrite = %+v, want %d in 1 entry", s, w2)
 	}
 	// Invalidation returns the weight to the budget.
-	m.InvalidateFunc(key(1).FuncHash)
+	m.InvalidateFuncs([]string{key(1).FuncHash})
 	if s := m.Stats(); s.Bytes != 0 || s.Entries != 0 {
 		t.Fatalf("bytes after invalidation = %+v, want empty", s)
 	}
@@ -240,7 +240,7 @@ func TestMemoryConcurrentOps(t *testing.T) {
 						return
 					}
 				case 3:
-					m.InvalidateFunc(k.FuncHash)
+					m.InvalidateFuncs([]string{k.FuncHash})
 				}
 			}
 		}(w)
