@@ -21,8 +21,7 @@
 //
 //	POST /scan             {"checker": "<DSL text>", "files": [...], "min_generation": n, ...}
 //	POST /batch            {"checkers": ["<DSL>", ...], ...}
-//	POST /changeset        {"changes": [{"path", "func?", "source"}, ...], "async": bool}
-//	GET  /changeset/status ?generation=N  async changeset outcome
+//	POST /changeset        {"changes": [{"path", "func?", "source"}, ...]} -> committed generation
 //	POST /converge         replay the generation feed to catch this shard up
 //	GET  /trace/{id}       assembled cross-host span tree (?format=text for a waterfall)
 //	GET  /traces           local tail-sampled trace index (?limit=N&slow=1)

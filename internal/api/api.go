@@ -239,38 +239,30 @@ type Change struct {
 	Source string `json:"source"`
 }
 
+// MaxBodyBytes bounds a request body on both daemons. The largest real
+// body is a changeset (or the feed entry that carries one): one
+// replacing every file of the scale-1 corpus (315 files) is 0.47 MB of
+// JSON, and a commit touches a handful of files, so 8 MiB is ample
+// headroom while a runaway client cannot make a daemon buffer without
+// bound.
+const MaxBodyBytes = 8 << 20
+
 // ChangesetRequest is the POST /changeset body: a commit-sized batch of
 // file updates applied atomically — one snapshot swap, one generation
 // bump, and a bad change rejects the entire set.
 type ChangesetRequest struct {
 	Changes []Change `json:"changes"`
-	// Async, when true, reserves a generation token and returns
-	// immediately with status "pending"; the changeset commits in the
-	// background in token order. Poll GET /changeset/status, or pass the
-	// token as min_generation on the next scan to read your write.
-	Async bool `json:"async,omitempty"`
 }
 
-// Changeset status values, as reported by ChangesetResponse.Status and
-// GET /changeset/status.
-const (
-	// StatusPending: token reserved, commit in flight.
-	StatusPending = "pending"
-	// StatusCommitted: the changeset is visible at its generation.
-	StatusCommitted = "committed"
-	// StatusFailed: validation failed after the token was reserved; the
-	// generation was burned with an empty commit (corpus unchanged).
-	StatusFailed = "failed"
-)
+// StatusCommitted is ChangesetResponse.Status: the changeset is visible
+// at its generation.
+const StatusCommitted = "committed"
 
-// ChangesetResponse is the POST /changeset reply. A sync changeset
-// returns status "committed" with the full outcome; an async one
-// returns status "pending" with only the reserved Generation token.
+// ChangesetResponse is the POST /changeset reply: the committed
+// outcome. Generation is the read-your-writes handle — pass it as
+// min_generation on a later scan, on any replica of the fleet.
 type ChangesetResponse struct {
-	Async  bool   `json:"async,omitempty"`
-	Status string `json:"status"`
-	// Generation: for sync, the committed generation; for async, the
-	// reserved token the commit WILL land at.
+	Status           string   `json:"status"`
 	Generation       int64    `json:"generation"`
 	Ops              int      `json:"ops,omitempty"`
 	Files            []string `json:"files,omitempty"`
@@ -280,26 +272,11 @@ type ChangesetResponse struct {
 	ElapsedMS        float64  `json:"elapsed_ms"`
 }
 
-// ChangesetStatus is the GET /changeset/status?generation=N reply: the
-// recorded outcome of an async changeset.
-type ChangesetStatus struct {
-	Generation int64  `json:"generation"`
-	Status     string `json:"status"`
-	// Ops/Files/ChangedFuncs/StaleHashes/StoreInvalidated carry the
-	// committed outcome once Status is "committed".
-	Ops              int      `json:"ops,omitempty"`
-	Files            []string `json:"files,omitempty"`
-	ChangedFuncs     int      `json:"changed_funcs,omitempty"`
-	StaleHashes      int      `json:"stale_hashes,omitempty"`
-	StoreInvalidated int      `json:"store_invalidated,omitempty"`
-	// Error is the validation failure once Status is "failed".
-	Error string `json:"error,omitempty"`
-}
-
 // FeedEntry is one fleet-wide changeset commit in the generation feed
 // a sharded fleet runs through kcached: the coordinator that committed
 // generation N publishes (N, changes); a shard that finds itself behind
-// pulls the entries it is missing and replays them in order.
+// pulls the entries it is missing and replays them in order. Changes is
+// never empty: every generation is a commit of at least one change.
 type FeedEntry struct {
 	Generation int64    `json:"generation"`
 	Changes    []Change `json:"changes"`
@@ -381,7 +358,6 @@ type StatsResponse struct {
 	Scans           int64       `json:"scans"`
 	Batches         int64       `json:"batches"`
 	Changesets      int64       `json:"changesets"`
-	AsyncChangesets int64       `json:"async_changesets"`
 	ScanErrors      int64       `json:"scan_errors"`
 	ScansCanceled   int64       `json:"scans_canceled"`
 	ReportsServed   int64       `json:"reports_served"`

@@ -90,7 +90,7 @@ func parseChanges(changes []Change) ([]*minic.File, error) {
 // stageChanges builds each touched file's final AST and source against
 // the parent snapshot, without mutating anything: a bad op — unknown
 // file, unknown function, re-parse failure — rejects the whole
-// changeset and no generation is consumed by the sync path.
+// changeset and no generation is consumed.
 //
 // Ops apply in order against the staged state, so a patch may target a
 // function introduced by an earlier replace of the same file in the
@@ -150,14 +150,12 @@ func stageChanges(parent *Snapshot, changes []Change, parsed []*minic.File) (wor
 	return work, srcs, touched, nil
 }
 
-// commitLocked publishes generation gen: it builds the successor
-// snapshot off the parent, diffs the touched files' content hashes,
-// rewrites the corpus ground-truth sources, and swaps the live
-// pointer. Caller holds cb.wmu and has already reserved gen
-// (cb.nextGen >= gen, cb.generation == gen-1). An empty work map
-// publishes a content-identical snapshot — how a failed async
-// changeset burns its reserved token without stranding later ones.
-func (cb *Codebase) commitLocked(parent *Snapshot, ops int, work map[int]*minic.File, srcs map[int]string, touched []int, gen int64) *Changeset {
+// commitLocked publishes generation parent.gen+1: it builds the
+// successor snapshot off the parent, diffs the touched files' content
+// hashes, rewrites the corpus ground-truth sources, and swaps the live
+// pointer. Caller holds cb.wmu, and parent is the live snapshot.
+func (cb *Codebase) commitLocked(parent *Snapshot, ops int, work map[int]*minic.File, srcs map[int]string, touched []int) *Changeset {
+	gen := parent.gen + 1
 	// Pre-changeset hashes come from the parent's memo, which still
 	// reflects the old ASTs and is shared by every reader pinned to it.
 	oldHashes := make(map[int]map[string]bool, len(touched))
@@ -203,7 +201,6 @@ func (cb *Codebase) commitLocked(parent *Snapshot, ops int, work map[int]*minic.
 	cb.numFuncs.Store(int64(next.numFuncs))
 	cb.generation.Store(gen)
 	cb.notifyGeneration()
-	cb.wcond.Broadcast()
 	return cs
 }
 
@@ -217,8 +214,8 @@ func (cb *Codebase) commitLocked(parent *Snapshot, ops int, work map[int]*minic.
 // Unlike the old write-lock design, ApplyChangeset never waits for
 // in-flight scans and never blocks new ones: readers pinned to the
 // previous generation keep running against it while this commit
-// publishes the next. It does serialize with other writers, waiting
-// its turn behind any async changeset tokens already reserved.
+// publishes the next. It does serialize with other writers, but only
+// for the stage and swap: the sources parse before the lock is taken.
 func (cb *Codebase) ApplyChangeset(changes []Change) (*Changeset, error) {
 	if len(changes) == 0 {
 		return nil, fmt.Errorf("scan: empty changeset")
@@ -229,20 +226,12 @@ func (cb *Codebase) ApplyChangeset(changes []Change) (*Changeset, error) {
 	}
 	cb.wmu.Lock()
 	defer cb.wmu.Unlock()
-	// Wait until every reserved async token ahead of us has committed:
-	// generations publish in token order, and a sync changeset's
-	// generation is only assigned here — on success — so a rejected one
-	// never burns a number.
-	for cb.generation.Load() != cb.nextGen {
-		cb.wcond.Wait()
-	}
 	parent := cb.snap.Load()
 	work, srcs, touched, err := stageChanges(parent, changes, parsed)
 	if err != nil {
 		return nil, err
 	}
-	cb.nextGen++
-	return cb.commitLocked(parent, len(changes), work, srcs, touched, cb.nextGen), nil
+	return cb.commitLocked(parent, len(changes), work, srcs, touched), nil
 }
 
 // ApplyChangeset applies a multi-file changeset to the codebase (see

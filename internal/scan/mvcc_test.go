@@ -2,6 +2,8 @@ package scan
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,46 +129,81 @@ func TestPinnedSnapshotsCountsSupersededGenerations(t *testing.T) {
 	}
 }
 
-// TestAsyncChangesetTokensCommitInOrder: async changesets reserve
-// generation tokens at submission and commit in token order; a failed
-// async changeset burns its token (an empty commit) without touching
-// the corpus, so later tokens — and min_generation waits on the failed
-// one — still resolve.
-func TestAsyncChangesetTokensCommitInOrder(t *testing.T) {
+// TestConcurrentChangesetsCommitContiguously: eight writers race
+// ApplyChangeset, and every third call carries a broken source behind a
+// good patch. The commits that land take exactly the generations
+// base+1 … base+k, each once; a rejected changeset takes none and
+// applies none of its changes; and the live corpus, scanned through the
+// cache the commits invalidated, equals a cold parse of its sources.
+func TestConcurrentChangesetsCommitContiguously(t *testing.T) {
 	cb := buildCodebase(t)
+	ck := compileChecker(t)
 	inc := NewIncremental(cb, store.NewMemory(0))
-	canonicalize(t, inc, 0)
+	inc.RunOne(ck, Options{Workers: 1})
 	base := cb.Generation()
-	path := cb.Files()[0].Name
-	goodSrc := minic.FormatFile(cb.Files()[0])
 
-	a := inc.ApplyChangesetAsync([]Change{{Path: path, Source: goodSrc}})
-	b := inc.ApplyChangesetAsync([]Change{{Path: path, Source: "int broken("}})
-	c := inc.ApplyChangesetAsync([]Change{{Path: path, Source: goodSrc}})
-
-	if a.Generation != base+1 || b.Generation != base+2 || c.Generation != base+3 {
-		t.Fatalf("tokens = %d,%d,%d, want %d,%d,%d",
-			a.Generation, b.Generation, c.Generation, base+1, base+2, base+3)
+	// Each writer owns one file and alternates a patch of its last
+	// function with the file's canonical form; only a broken call carries
+	// two changes. Sources render before any goroutine starts, so no
+	// writer calls t.Fatal.
+	const writers, calls = 8, 6
+	plans := make([][][]Change, writers)
+	wantCommits := 0
+	for g, i := range pickFiles(t, cb, writers, 1) {
+		f := cb.Files()[i]
+		j := len(f.Funcs) - 1
+		patch := Change{Path: f.Name, Func: f.Funcs[j].Name, Source: tweakedFunc(t, cb, i, j)}
+		canon := Change{Path: f.Name, Source: minic.FormatFile(f)}
+		for n := 0; n < calls; n++ {
+			switch {
+			case (g*calls+n)%3 == 2:
+				plans[g] = append(plans[g], []Change{patch, {Path: f.Name, Source: "int broken("}})
+			case n%2 == 0:
+				plans[g] = append(plans[g], []Change{patch})
+				wantCommits++
+			default:
+				plans[g] = append(plans[g], []Change{canon})
+				wantCommits++
+			}
+		}
 	}
 
-	if cs, err := a.Result(); err != nil || cs.Generation != base+1 {
-		t.Fatalf("changeset A: cs=%+v err=%v", cs, err)
+	gens := make([][]int64, writers)
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n, changes := range plans[g] {
+				cs, err := inc.ApplyChangeset(changes)
+				if broken := len(changes) == 2; broken != (err != nil) {
+					t.Errorf("writer %d, call %d: broken = %v, err = %v", g, n, broken, err)
+					continue
+				}
+				if err == nil {
+					gens[g] = append(gens[g], cs.Generation)
+				}
+			}
+		}()
 	}
-	if _, err := b.Result(); err == nil {
-		t.Fatal("changeset B (broken source) committed, want error")
-	}
-	if cs, err := c.Result(); err != nil || cs.Generation != base+3 {
-		t.Fatalf("changeset C: cs=%+v err=%v", cs, err)
-	}
+	wg.Wait()
 
-	// B's failure burned generation base+2 without corrupting state: the
-	// live corpus still equals a cold parse of its own sources.
-	if got := cb.Generation(); got != base+3 {
-		t.Fatalf("final generation = %d, want %d", got, base+3)
+	got := slices.Concat(gens...)
+	slices.Sort(got)
+	if len(got) != wantCommits {
+		t.Fatalf("%d changesets committed, want %d", len(got), wantCommits)
+	}
+	for k, gen := range got {
+		if gen != base+int64(k)+1 {
+			t.Fatalf("committed generations %v, want exactly %d…%d", got, base+1, base+int64(wantCommits))
+		}
+	}
+	if live := cb.Generation(); live != base+int64(wantCommits) {
+		t.Fatalf("live generation = %d, want %d", live, base+int64(wantCommits))
 	}
 	want := resultBytes(t, coldScanOf(t, corpusAt(cb)))
-	if got := resultBytes(t, inc.RunOne(compileChecker(t), Options{Workers: 1})); got != want {
-		t.Fatalf("post-async corpus != cold parse\ngot:  %s\nwant: %s", got, want)
+	if got := resultBytes(t, inc.RunOne(ck, Options{Workers: 1})); got != want {
+		t.Fatalf("corpus after concurrent changesets != cold parse\ngot:  %s\nwant: %s", got, want)
 	}
 }
 

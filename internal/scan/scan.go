@@ -12,8 +12,6 @@
 // immutable Snapshot off to the side and publishes it with a single
 // pointer swap, so a scan pinned to the previous generation never
 // blocks on a writer and never observes a half-applied changeset.
-// ApplyChangesetAsync reserves a generation token up front and commits
-// in the background, in token order.
 package scan
 
 import (
@@ -31,10 +29,10 @@ import (
 )
 
 // Codebase is a parsed corpus, reusable across many checker runs and
-// mutable between them (ApplyChangeset, ApplyChangesetAsync). The live parse state lives in an immutable
-// Snapshot behind an atomic pointer: readers pin it and run lock-free;
-// writers serialize on a short mutation lock, build the successor
-// snapshot, and commit by swapping the pointer.
+// mutable between them (ApplyChangeset). The live parse state lives in
+// an immutable Snapshot behind an atomic pointer: readers pin it and run
+// lock-free; writers serialize on a short mutation lock, build the
+// successor snapshot, and commit by swapping the pointer.
 type Codebase struct {
 	Corpus *kernel.Corpus
 
@@ -45,14 +43,9 @@ type Codebase struct {
 	generation atomic.Int64
 	numFuncs   atomic.Int64
 
-	// Writer coordination. wmu serializes stage+commit; nextGen is the
-	// highest generation handed out (committed or reserved by an async
-	// changeset). Sync writers wait on wcond until every reserved ticket
-	// ahead of them has committed; async commits wait until the ticket
-	// just below theirs is live, so generations publish in token order.
-	wmu     sync.Mutex
-	wcond   *sync.Cond
-	nextGen int64
+	// wmu serializes writers: each stages against the live snapshot and
+	// publishes its successor at the next generation.
+	wmu sync.Mutex
 
 	// Pin registry: generation -> active pin count, for the
 	// pinned_snapshots stat. Snapshots stay valid after unpinning (GC
@@ -77,7 +70,6 @@ func NewCodebase(c *kernel.Corpus) (*Codebase, error) {
 		files = append(files, pf)
 	}
 	cb := &Codebase{Corpus: c, pins: map[int64]int{}, watch: make(chan struct{})}
-	cb.wcond = sync.NewCond(&cb.wmu)
 	s := newSnapshot(0, files)
 	cb.snap.Store(s)
 	cb.numFuncs.Store(int64(s.numFuncs))
@@ -112,11 +104,9 @@ func (cb *Codebase) FileIndex(path string) int {
 	return cb.snap.Load().FileIndex(path)
 }
 
-// Generation returns the committed generation: the number of mutations
-// applied to the codebase since it was parsed (0 = as parsed; failed
-// async changesets burn their reserved token with an empty commit, so
-// the counter also advances past them). It never blocks, even
-// mid-commit.
+// Generation returns the committed generation: the number of changesets
+// applied to the codebase since it was parsed (0 = as parsed). It never
+// blocks, even mid-commit.
 func (cb *Codebase) Generation() int64 {
 	return cb.generation.Load()
 }

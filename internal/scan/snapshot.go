@@ -299,8 +299,9 @@ func (cb *Codebase) PinnedSnapshots() int {
 // WaitForGeneration blocks until the committed generation is >= min or
 // ctx is done, and reports whether the bound was reached. It is the
 // read-your-writes primitive behind the API's min_generation: a client
-// holding a generation token from an async changeset passes it here
-// (via /scan's min_generation) to be served at-or-after its own write.
+// passes the generation a changeset reply carried (via /scan's
+// min_generation, on this replica or a peer still converging to it) to
+// be served at-or-after its own write.
 func (cb *Codebase) WaitForGeneration(ctx context.Context, min int64) bool {
 	for {
 		if cb.generation.Load() >= min {

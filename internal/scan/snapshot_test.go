@@ -40,13 +40,12 @@ func checkMemoSharing(t *testing.T, parent, next *Snapshot, touched ...int) {
 	}
 }
 
-// memoScript commits a seeded mix of sync and async changesets through
-// inc — a whole-file replace, a patch, a patch after a replace of the
-// same file, a replace and a patch of one file in one changeset, and
-// rejected changesets of both kinds. Around every commit, before sees
-// the parent and after sees the parent, its successor and the files the
-// commit touched (none for a rejected async changeset, which publishes
-// an empty commit; a rejected sync one publishes nothing).
+// memoScript commits a seeded script of changesets through inc — a
+// whole-file replace, a patch, a patch after a replace of the same file,
+// a replace and a patch of one file in one changeset — then two
+// rejected ones, neither of which may publish a snapshot. Around every
+// commit, before sees the parent and after sees the parent, its
+// successor and the files the commit touched.
 func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), after func(parent, next *Snapshot, touched ...int)) {
 	t.Helper()
 	cb := inc.Codebase()
@@ -64,42 +63,35 @@ func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), a
 		f := cb.Files()[i]
 		return Change{Path: f.Name, Source: fuzzReplaceSrc(f, byte(r.Intn(2)))}
 	}
-	commit := func(async bool, changes []Change, touched ...int) {
+	commit := func(changes []Change, touched ...int) {
 		t.Helper()
 		parent := cb.Snapshot()
 		before(parent)
-		var err error
-		if async {
-			_, err = inc.ApplyChangesetAsync(changes).Result()
-		} else {
-			_, err = inc.ApplyChangeset(changes)
-		}
-		if err != nil {
+		if _, err := inc.ApplyChangeset(changes); err != nil {
 			t.Fatal(err)
 		}
 		after(parent, cb.Snapshot(), touched...)
 	}
 
-	commit(false, []Change{replace(a)}, a)
-	commit(true, []Change{patch(b)}, b)
-	commit(false, []Change{patch(a)}, a)
+	commit([]Change{replace(a)}, a)
+	commit([]Change{patch(b)}, b)
+	commit([]Change{patch(a)}, a)
 	// A replace and a patch of the same file in one changeset touch it once.
 	cs := replace(c)
-	commit(true, []Change{cs, {Path: cs.Path, Func: cb.Files()[c].Funcs[0].Name, Source: tweakedFunc(t, cb, c, 0)}}, c)
-	commit(false, []Change{patch(a), patch(c)}, a, c)
+	commit([]Change{cs, {Path: cs.Path, Func: cb.Files()[c].Funcs[0].Name, Source: tweakedFunc(t, cb, c, 0)}}, c)
+	commit([]Change{patch(a), patch(c)}, a, c)
 
 	parent := cb.Snapshot()
 	before(parent)
 	if _, err := inc.ApplyChangeset([]Change{patch(b), {Path: cb.Files()[b].Name, Func: "no_such_func", Source: "void no_such_func(void)\n{\n}\n"}}); err == nil {
 		t.Fatal("changeset patching a missing function committed")
 	}
+	if _, err := inc.ApplyChangeset([]Change{patch(a), {Path: cb.Files()[b].Name, Source: "int broken("}}); err == nil {
+		t.Fatal("changeset with a broken source committed")
+	}
 	if cb.Snapshot() != parent {
-		t.Fatal("rejected sync changeset published a snapshot")
+		t.Fatal("rejected changeset published a snapshot")
 	}
-	if _, err := inc.ApplyChangesetAsync([]Change{patch(a), {Path: cb.Files()[b].Name, Source: "int broken("}}).Result(); err == nil {
-		t.Fatal("async changeset with a broken source committed")
-	}
-	after(parent, cb.Snapshot())
 }
 
 // TestSnapshotMemoMatchesColdParse runs memoScript with every parent's
@@ -122,9 +114,9 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 }
 
 // raceMemoReaders runs read on four goroutines (g = 0..3), over and over
-// until eight sync and async commits, each patching one more file of
-// inc's codebase, have landed; each reader runs at least once. A reader
-// reports a wrong answer as an error.
+// until eight commits, each patching one more file of inc's codebase,
+// have landed; each reader runs at least once. A reader reports a wrong
+// answer as an error.
 func raceMemoReaders(t *testing.T, inc *Incremental, read func(g int) error) {
 	t.Helper()
 	cb := inc.Codebase()
@@ -156,14 +148,8 @@ func raceMemoReaders(t *testing.T, inc *Incremental, read func(g int) error) {
 			}
 		}()
 	}
-	for k, c := range changes {
-		var err error
-		if k%2 == 0 {
-			_, err = inc.ApplyChangeset([]Change{c})
-		} else {
-			_, err = inc.ApplyChangesetAsync([]Change{c}).Result()
-		}
-		if err != nil {
+	for _, c := range changes {
+		if _, err := inc.ApplyChangeset([]Change{c}); err != nil {
 			t.Error(err)
 		}
 	}
@@ -173,8 +159,8 @@ func raceMemoReaders(t *testing.T, inc *Incremental, read func(g int) error) {
 
 // TestSnapshotMemoConcurrentReaders has four goroutines hash a pinned
 // snapshot through FuncHash, starting from cold memos, and the live one,
-// while sync and async commits land and read their parents' memos.
-// Every answer about the pinned snapshot must equal a cold parse's.
+// while commits land and read their parents' memos. Every answer about
+// the pinned snapshot must equal a cold parse's.
 func TestSnapshotMemoConcurrentReaders(t *testing.T) {
 	cb := buildCodebase(t)
 	inc := NewIncremental(cb, store.NewMemory(0))

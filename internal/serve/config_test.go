@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -90,7 +91,7 @@ func metricValues(t *testing.T, text string) map[string]int64 {
 
 // TestStatsAndMetricsReadTheSameCounters: every service, admission and
 // shard counter is one object, so after real traffic — scans, batches,
-// sync and async changesets, a rejected request, both roles of a
+// changesets on both coordinators, a rejected request, both roles of a
 // scatter, a feed replay — /stats and /metrics report the same value
 // for each.
 func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
@@ -109,15 +110,15 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 	postJSON(t, tss[0], "/scan", "not a scan request", nil)
 	var cs api.ChangesetResponse
 	postJSON(t, tss[0], "/changeset", api.ChangesetRequest{Changes: canon}, &cs)
-	postJSON(t, tss[0], "/changeset", api.ChangesetRequest{Changes: canon, Async: true}, &cs)
-	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, MinGeneration: cs.Generation}) // async commit settled
-	// A commit on the other coordinator reaches replica 0 as a replay.
+	// Replica 1 commits on top of replica 0's generation, and the commit
+	// reaches replica 0 as a replay.
+	postScan(t, tss[1], api.ScanRequest{Checker: testChecker, MinGeneration: cs.Generation})
 	postJSON(t, tss[1], "/changeset", api.ChangesetRequest{Changes: canon}, &cs)
 	deadline := time.Now().Add(5 * time.Second)
-	for srvs[0].inc.Codebase().Generation() < cs.Generation || count(srvs[0].m.changesets) < 2 {
+	for count(srvs[0].shard.converges) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica 0 at generation %d with %d changesets; fleet committed %d",
-				srvs[0].inc.Codebase().Generation(), count(srvs[0].m.changesets), cs.Generation)
+			t.Fatalf("replica 0 at generation %d never replayed generation %d",
+				srvs[0].inc.Codebase().Generation(), cs.Generation)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -128,7 +129,6 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 		"kserve_scans_total":                   st.Scans,
 		"kserve_batches_total":                 st.Batches,
 		"kserve_corpus_mutations_total":        st.Changesets,
-		"kserve_async_changesets_total":        st.AsyncChangesets,
 		"kserve_scan_errors_total":             st.ScanErrors,
 		"kserve_scans_canceled_total":          st.ScansCanceled,
 		"kserve_reports_served_total":          st.ReportsServed,
@@ -156,7 +156,7 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 	// the comparison is zero against zero.
 	for _, name := range []string{
 		"kserve_scans_total", "kserve_batches_total", "kserve_corpus_mutations_total",
-		"kserve_async_changesets_total", "kserve_scan_errors_total", "kserve_reports_served_total",
+		"kserve_scan_errors_total", "kserve_reports_served_total",
 		"kserve_shard_scatters_total", "kserve_shard_sub_scans_total", "kserve_shard_converges_total",
 		"kserve_shard_feed_publishes_total", "kserve_admission_admitted_total", "kserve_write_admission_admitted_total",
 	} {
@@ -212,9 +212,14 @@ func TestTraceEndpointsSharedByBothDaemons(t *testing.T) {
 				t.Errorf("local fragment = %+v", frag)
 			}
 			var envelope api.ErrorResponse
+			var keys map[string]json.RawMessage
 			getJSON(t, d.ts.URL+"/trace/never-seen?local=1", http.StatusNotFound, &envelope)
+			getJSON(t, d.ts.URL+"/trace/never-seen?local=1", http.StatusNotFound, &keys)
 			if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound || envelope.Err.Message == "" {
 				t.Errorf("unknown trace envelope = %+v", envelope)
+			}
+			if _, ok := keys["error_legacy"]; ok {
+				t.Errorf("error envelope still carries the removed error_legacy key: %v", keys)
 			}
 		})
 	}

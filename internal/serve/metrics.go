@@ -13,15 +13,14 @@ import (
 // the shard layer, the trace store and the request observer register
 // theirs where they are built.
 type metrics struct {
-	scans           *obs.Counter
-	batches         *obs.Counter
-	changesets      *obs.Counter
-	asyncChangesets *obs.Counter
-	scanErrors      *obs.Counter
-	scansCanceled   *obs.Counter
-	reportsServed   *obs.Counter
-	quietResults    *obs.Counter
-	gcRemoved       *obs.Counter
+	scans         *obs.Counter
+	batches       *obs.Counter
+	changesets    *obs.Counter
+	scanErrors    *obs.Counter
+	scansCanceled *obs.Counter
+	reportsServed *obs.Counter
+	quietResults  *obs.Counter
+	gcRemoved     *obs.Counter
 
 	scanDur  *obs.Histogram
 	stageDur *obs.HistogramVec
@@ -38,15 +37,14 @@ func count(c *obs.Counter) int64 { return int64(c.Value()) }
 func (s *Server) instrument() {
 	reg := s.reg
 	s.m = metrics{
-		scans:           reg.Counter("scans_total", "Checker scans served (batch entries count individually)."),
-		batches:         reg.Counter("batches_total", "Batch requests served."),
-		changesets:      reg.Counter("corpus_mutations_total", "Changesets committed to the corpus."),
-		asyncChangesets: reg.Counter("async_changesets_total", "Changesets accepted on the async path (generation token returned before commit)."),
-		scanErrors:      reg.Counter("scan_errors_total", "Requests rejected before scanning (bad JSON, bad checker, unknown file)."),
-		scansCanceled:   reg.Counter("scans_canceled_total", "Scans aborted by client disconnect."),
-		reportsServed:   reg.Counter("reports_served_total", "Bug reports returned across all scans."),
-		quietResults:    reg.Counter("scan_quiet_results_total", "Cache misses answered from the function's no-checker baseline, unexplored: every checker was quiet on it."),
-		gcRemoved:       reg.Counter("disk_gc_removed_total", "Disk-tier entries removed by GC sweeps."),
+		scans:         reg.Counter("scans_total", "Checker scans served (batch entries count individually)."),
+		batches:       reg.Counter("batches_total", "Batch requests served."),
+		changesets:    reg.Counter("corpus_mutations_total", "Changesets committed to the corpus."),
+		scanErrors:    reg.Counter("scan_errors_total", "Requests rejected before scanning (bad JSON, bad checker, unknown file)."),
+		scansCanceled: reg.Counter("scans_canceled_total", "Scans aborted by client disconnect."),
+		reportsServed: reg.Counter("reports_served_total", "Bug reports returned across all scans."),
+		quietResults:  reg.Counter("scan_quiet_results_total", "Cache misses answered from the function's no-checker baseline, unexplored: every checker was quiet on it."),
+		gcRemoved:     reg.Counter("disk_gc_removed_total", "Disk-tier entries removed by GC sweeps."),
 
 		scanDur: reg.Histogram("scan_duration_seconds",
 			"Wall time of one checker scan over the corpus (each batch entry counts once).", nil),

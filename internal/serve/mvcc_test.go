@@ -3,100 +3,52 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
+	"path"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"knighter/internal/api"
 	"knighter/internal/minic"
 )
 
-// awaitSettled polls /changeset/status until the async changeset at gen
-// is no longer pending.
-func awaitSettled(t *testing.T, ts *httptest.Server, gen int64) api.ChangesetStatus {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st api.ChangesetStatus
-		getJSON(t, ts.URL+"/changeset/status?generation="+strconv.FormatInt(gen, 10), http.StatusOK, &st)
-		if st.Status != api.StatusPending {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async changeset still pending after 5s: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestAsyncChangesetEndpoint: POST /changeset {"async": true} answers
-// 202 with a generation token before the commit lands; the token is
-// pollable on /changeset/status through pending → committed, and a
-// min_generation scan on the token reads the writer's own write.
-func TestAsyncChangesetEndpoint(t *testing.T) {
+// TestAsyncFieldIsIgnored pins what a client of the removed async write
+// path sees: {"async": true} decodes with the field ignored and answers
+// 200 "committed" at a generation that is already live, the status
+// route is gone (404), and /stats carries no async counter.
+func TestAsyncFieldIsIgnored(t *testing.T) {
 	srv, ts := bootOne(t, Config{})
 	cb := srv.inc.Codebase()
-	path := cb.Files()[0].Name
-	canonical := minic.FormatFile(cb.Files()[0])
+	f := cb.Files()[0]
+	base := cb.Generation()
 
-	var acc api.ChangesetResponse
-	code := postJSON(t, ts, "/changeset", api.ChangesetRequest{
-		Changes: []api.Change{{Path: path, Source: canonical}},
-		Async:   true,
-	}, &acc)
-	if code != http.StatusAccepted {
-		t.Fatalf("async changeset status = %d, want 202", code)
+	var cs api.ChangesetResponse
+	code := postJSON(t, ts, "/changeset", map[string]any{
+		"async":   true,
+		"changes": []api.Change{{Path: f.Name, Source: minic.FormatFile(f)}},
+	}, &cs)
+	if code != http.StatusOK || cs.Status != api.StatusCommitted || cs.Generation != base+1 || cs.Ops != 1 {
+		t.Fatalf("async changeset = %d %+v, want 200 committed at generation %d with 1 op", code, cs, base+1)
 	}
-	if !acc.Async || acc.Status != api.StatusPending {
-		t.Fatalf("async accept = %+v, want async pending", acc)
-	}
-	if acc.Generation != cb.Generation()+1 && acc.Generation != cb.Generation() {
-		t.Fatalf("token %d is not the next generation (live %d)", acc.Generation, cb.Generation())
+	if live := cb.Generation(); live != cs.Generation {
+		t.Fatalf("reply generation %d is not live (live %d)", cs.Generation, live)
 	}
 
-	// Read-your-writes: a scan at the token's generation serves at or
-	// after it (kserve waits, bounded by minGenWait).
-	scanned := postScan(t, ts, api.ScanRequest{Checker: testChecker, MinGeneration: acc.Generation})
-	if scanned.Generation < acc.Generation {
-		t.Fatalf("min_generation scan served generation %d, want >= %d", scanned.Generation, acc.Generation)
+	resp, err := call(http.MethodGet, ts.URL+path.Join("/changeset", "status")+"?generation="+strconv.FormatInt(cs.Generation, 10), nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The ledger converges to committed with the commit's accounting.
-	st := awaitSettled(t, ts, acc.Generation)
-	if st.Status != api.StatusCommitted || st.Generation != acc.Generation || st.Ops != 1 {
-		t.Fatalf("settled status = %+v, want committed generation %d with 1 op", st, acc.Generation)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET changeset status = %d, want 404", resp.StatusCode)
 	}
-
-	// A failed async changeset burns its token: status reports failed,
-	// and the generation still resolves for min_generation waiters.
-	code = postJSON(t, ts, "/changeset", api.ChangesetRequest{
-		Changes: []api.Change{{Path: path, Source: "int broken("}},
-		Async:   true,
-	}, &acc)
-	if code != http.StatusAccepted {
-		t.Fatalf("async bad changeset status = %d, want 202 (failure is deferred)", code)
-	}
-	st = awaitSettled(t, ts, acc.Generation)
-	if st.Status != api.StatusFailed || st.Error == "" {
-		t.Fatalf("settled status = %+v, want failed with an error", st)
-	}
-	if got := postScan(t, ts, api.ScanRequest{Checker: testChecker, MinGeneration: acc.Generation}); got.Generation < acc.Generation {
-		t.Fatalf("burned generation %d never became visible (scan saw %d)", acc.Generation, got.Generation)
-	}
-
-	// Unknown tokens 404 with the error envelope.
-	var envelope api.ErrorResponse
 	var keys map[string]json.RawMessage
-	getJSON(t, ts.URL+"/changeset/status?generation=99999", http.StatusNotFound, &envelope)
-	getJSON(t, ts.URL+"/changeset/status?generation=99999", http.StatusNotFound, &keys)
-	if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound || envelope.Err.Message == "" {
-		t.Fatalf("unknown token envelope = %+v, want code %q with a message", envelope, api.ErrNotFound)
-	}
-	if _, ok := keys["error_legacy"]; ok {
-		t.Fatalf("error envelope still carries the removed error_legacy key: %v", keys)
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &keys)
+	for k := range keys {
+		if strings.Contains(k, "async") {
+			t.Errorf("/stats still carries %q", k)
+		}
 	}
 }
 
@@ -160,7 +112,7 @@ func TestGenerationHeaderOnResponses(t *testing.T) {
 func TestStressScanDuringChangesetStorm(t *testing.T) {
 	srv, ts := bootOne(t, Config{MaxInflight: 4, MaxQueued: 64, MaxInflightWrites: 1, MaxQueuedWrites: 4})
 	cb := srv.inc.Codebase()
-	path := cb.Files()[0].Name
+	file := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])
 
 	stop := make(chan struct{})
@@ -176,8 +128,7 @@ func TestStressScanDuringChangesetStorm(t *testing.T) {
 				default:
 				}
 				if _, err := call(http.MethodPost, ts.URL+"/changeset", api.ChangesetRequest{
-					Changes: []api.Change{{Path: path, Source: canonical}},
-					Async:   true,
+					Changes: []api.Change{{Path: file, Source: canonical}},
 				}, nil); err != nil {
 					return
 				}

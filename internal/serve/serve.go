@@ -11,10 +11,10 @@
 // re-executing the analyzer. The corpus is multi-version: POST
 // /changeset applies a changeset — one file replacement or function
 // patch, or a commit's worth of them — atomically (one snapshot swap,
-// one generation bump; "async": true returns a generation token
-// immediately), and only the touched functions go cold. Scans pin an
-// immutable snapshot at admission and run lock-free, so writes never
-// stall reads and reads never drain writes. POST /batch evaluates N
+// one generation bump, and the reply carries that generation), and only
+// the touched functions go cold. Scans pin an immutable snapshot at
+// admission and run lock-free, so writes never stall reads and reads
+// never drain writes. POST /batch evaluates N
 // checker revisions in one request over a bounded worker pool
 // (StaAgent-style many-revision evaluation), all against one pinned
 // snapshot.
@@ -144,9 +144,6 @@ type Server struct {
 	remote *store.Remote
 	disk   *store.SegmentDisk
 	stopGC context.CancelFunc
-	// asyncLedger records async changeset outcomes for
-	// GET /changeset/status.
-	asyncLedger asyncLedger
 }
 
 // New builds a replica from cfg: it generates and parses the corpus,
@@ -179,7 +176,6 @@ func New(cfg Config) (*Server, error) {
 		remote:  st.Remote(),
 		disk:    st.Disk(),
 	}
-	s.asyncLedger.init()
 	s.instrument()
 
 	name := "kserve"
@@ -274,11 +270,9 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/batch", s.ro.Wrap("batch", s.adm.wrap(s.handleBatch)))
 	mux.HandleFunc("/changeset", s.ro.Wrap("changeset", s.wadm.wrap(s.handleChangeset)))
 	mux.HandleFunc("/converge", s.ro.Wrap("converge", s.wadm.wrap(s.handleConverge)))
-	// /stats, /healthz, /metrics, /changeset/status and the trace
-	// endpoints stay outside both gates: they are the triage path and
-	// must answer even when the daemon is saturated (that is when an
-	// operator needs them most).
-	mux.HandleFunc("/changeset/status", s.handleChangesetStatus)
+	// /stats, /healthz, /metrics and the trace endpoints stay outside
+	// both gates: they are the triage path and must answer even when the
+	// daemon is saturated (that is when an operator needs them most).
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", s.reg.Handler())
@@ -286,13 +280,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /traces", s.traces.ServeList)
 	return mux
 }
-
-// maxBodyBytes bounds a request body. The largest real request is a
-// changeset: one replacing every file of the scale-1 corpus (315 files)
-// is 0.47 MB of JSON, and a commit touches a handful of files, so 8 MiB
-// is ample headroom while a runaway client cannot make the daemon buffer
-// without bound (kcached caps its bodies the same way).
-const maxBodyBytes = 8 << 20
 
 // decodePost is the front half of every POST handler with a body:
 // method check, bounded JSON decode, error accounting. It returns false
@@ -302,7 +289,7 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 		s.httpError(w, http.StatusMethodNotAllowed, api.ErrMethodNotAllowed, "POST only")
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)).Decode(v); err != nil {
 		msg := "bad JSON: " + err.Error()
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 			msg = fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
@@ -338,7 +325,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Scans:           count(s.m.scans),
 		Batches:         count(s.m.batches),
 		Changesets:      count(s.m.changesets),
-		AsyncChangesets: count(s.m.asyncChangesets),
 		ScanErrors:      count(s.m.scanErrors),
 		ScansCanceled:   count(s.m.scansCanceled),
 		ReportsServed:   count(s.m.reportsServed),
@@ -378,18 +364,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// writeJSONGen writes a JSON response stamped with the generation it was
+// writeOK writes a 200 JSON response stamped with the generation it was
 // served against, both in the body (callers embed it) and in the
 // X-KN-Generation header so clients that only look at headers can chain
 // min_generation reads without parsing the body.
-func (s *Server) writeJSONGen(w http.ResponseWriter, code int, gen int64, v any) {
-	w.Header().Set(api.GenerationHeader, strconv.FormatInt(gen, 10))
-	writeJSON(w, code, v)
-}
-
-// writeOK is the 200 form of writeJSONGen.
 func (s *Server) writeOK(w http.ResponseWriter, gen int64, v any) {
-	s.writeJSONGen(w, http.StatusOK, gen, v)
+	w.Header().Set(api.GenerationHeader, strconv.FormatInt(gen, 10))
+	writeJSON(w, http.StatusOK, v)
 }
 
 // writeError writes the uniform error envelope.

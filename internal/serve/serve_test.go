@@ -388,12 +388,12 @@ func TestScanRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestPostBodiesAreBounded: a body over maxBodyBytes gets the
+// TestPostBodiesAreBounded: a body over api.MaxBodyBytes gets the
 // bad_request envelope on /scan and on /changeset — the decode stops at
 // the limit instead of buffering the rest — and counts in scan_errors.
 func TestPostBodiesAreBounded(t *testing.T) {
 	srv, ts := bootOne(t, Config{})
-	body := `{"checker": "` + strings.Repeat("x", maxBodyBytes+1) + `"}`
+	body := `{"checker": "` + strings.Repeat("x", api.MaxBodyBytes+1) + `"}`
 	for _, path := range []string{"/scan", "/changeset"} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))

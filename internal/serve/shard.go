@@ -296,9 +296,7 @@ func (s *Server) maybeConverge(ctx context.Context, min int64) {
 // converge pulls the feed entries this replica is missing and replays
 // them in generation order. Replays go through ApplyChangeset, so they
 // invalidate stale cache entries and wake min_generation waiters
-// exactly like a directly-served commit. An entry without changes is a
-// token its coordinator burned (a rejected async changeset): the replay
-// burns the same generation with the same empty commit.
+// exactly like a directly-served commit.
 func (s *Server) converge(ctx context.Context) (int, error) {
 	sh := s.shard
 	if sh == nil || sh.feed == nil {
@@ -320,11 +318,7 @@ func (s *Server) converge(ctx context.Context) (int, error) {
 		if e.Generation != cur+1 {
 			return applied, fmt.Errorf("feed gap: at generation %d, next feed entry is %d (fell out of the feed's retention window?)", cur, e.Generation)
 		}
-		if len(e.Changes) == 0 {
-			// An empty async apply reserves the next token and voids it;
-			// its error is the "empty changeset" it was asked to be.
-			_, _ = s.inc.ApplyChangesetAsync(nil).Result()
-		} else if _, err := s.inc.ApplyChangeset(toScanChanges(e.Changes)); err != nil {
+		if _, err := s.inc.ApplyChangeset(toScanChanges(e.Changes)); err != nil {
 			return applied, fmt.Errorf("replay generation %d: %w", e.Generation, err)
 		}
 		applied++
@@ -365,11 +359,11 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 }
 
 // shardPublish commits a mutation fleet-wide: publish (generation,
-// changes) to the feed — no changes for a burned token — then nudge
-// every peer to converge. Both legs
-// are asynchronous and best-effort — the local commit already
-// succeeded, and a peer that misses the nudge converges lazily the
-// next time a sub-scan arrives with a min_generation it has not seen.
+// changes) — the committed changeset, never empty — to the feed, then
+// nudge every peer to converge. Both legs are asynchronous and
+// best-effort — the local commit already succeeded, and a peer that
+// misses the nudge converges lazily the next time a sub-scan arrives
+// with a min_generation it has not seen.
 // The mutation request's trace rides along on both legs (feed publish
 // and nudges propagate X-Trace-Id/X-Span-Id), so the assembled trace
 // of a changeset shows the fan-out it triggered.

@@ -215,31 +215,31 @@ func TestShardedChangesetConvergesFleetWide(t *testing.T) {
 	sameScan(t, "post-changeset", postScan(t, tss[1], req), want)
 }
 
-// TestRejectedAsyncChangesetDoesNotWedgeConvergence: the coordinator
-// burns the generation of an async changeset it rejects, and the feed
-// must say so — otherwise the peer sees every later entry as a gap,
-// never converges again, and each scatter degrades to the coordinator's
-// local snapshot.
-func TestRejectedAsyncChangesetDoesNotWedgeConvergence(t *testing.T) {
+// TestRejectedChangesetDoesNotWedgeConvergence: a changeset the
+// coordinator rejects consumes no generation and never reaches the
+// feed, so the next commit lands right after the last one, the peer
+// replays it without a gap, and the scatter that follows degrades no
+// partition to the coordinator's local snapshot.
+func TestRejectedChangesetDoesNotWedgeConvergence(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
 	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
 	f0 := srvs[0].inc.Codebase().Files()[0]
+	base := srvs[0].inc.Codebase().Generation()
 
-	var bad, good api.ChangesetResponse
 	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{
-		Async:   true,
 		Changes: []api.Change{{Path: f0.Name, Source: "int broken("}},
-	}, &bad); code != 202 {
-		t.Fatalf("async /changeset = %d, want 202 (the rejection is deferred)", code)
+	}, nil); code != 422 {
+		t.Fatalf("broken /changeset = %d, want 422", code)
 	}
+	var good api.ChangesetResponse
 	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{
 		Changes: []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}},
 	}, &good); code != 200 {
-		t.Fatalf("sync /changeset = %d", code)
+		t.Fatalf("/changeset = %d", code)
 	}
-	if good.Generation != bad.Generation+1 {
-		t.Fatalf("good changeset committed generation %d, want %d (right after the burned token)",
-			good.Generation, bad.Generation+1)
+	if good.Generation != base+1 {
+		t.Fatalf("good changeset committed generation %d, want %d (the rejected one takes none)",
+			good.Generation, base+1)
 	}
 
 	peer := srvs[1].inc.Codebase()
@@ -252,7 +252,7 @@ func TestRejectedAsyncChangesetDoesNotWedgeConvergence(t *testing.T) {
 	}
 	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, MinGeneration: good.Generation})
 	if st := getStats(t, tss[0]).Shards; st.Scatters == 0 || st.Degraded != 0 {
-		t.Fatalf("scatter after the burned generation: %+v, want degraded_scatters == 0", st)
+		t.Fatalf("scatter after the rejected changeset: %+v, want degraded_scatters == 0", st)
 	}
 }
 

@@ -49,9 +49,14 @@ func NewFeed(capN int) *Feed {
 // feed already has is idempotent (first writer wins); out-of-order
 // generations are accepted and kept sorted by insertion point being the
 // tail in practice — coordinators publish immediately after committing.
+// An entry without changes is refused: every generation is a commit, and
+// a peer replaying an empty one would fail it on every later converge.
 func (f *Feed) Publish(e api.FeedEntry) error {
 	if e.Generation <= 0 {
 		return fmt.Errorf("feed: generation must be > 0, got %d", e.Generation)
+	}
+	if len(e.Changes) == 0 {
+		return fmt.Errorf("feed: generation %d has no changes", e.Generation)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -112,7 +117,7 @@ func (f *Feed) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /feed", func(w http.ResponseWriter, r *http.Request) {
 		var e api.FeedEntry
-		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)).Decode(&e); err != nil {
 			http.Error(w, "feed: bad body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

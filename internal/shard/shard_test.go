@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -301,7 +302,7 @@ func TestFeedPublishSinceAndRetention(t *testing.T) {
 		t.Fatalf("latest = %d, want 4", page.Latest)
 	}
 	// Retention: cap 3, publishing 5 evicts the oldest (2).
-	if err := f.Publish(api.FeedEntry{Generation: 5}); err != nil {
+	if err := f.Publish(api.FeedEntry{Generation: 5, Changes: []api.Change{{Path: "g5.c", Source: "int x;"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if page := f.Since(0); len(page.Entries) != 3 || page.Entries[0].Generation != 3 {
@@ -329,5 +330,34 @@ func TestFeedHTTPRoundTrip(t *testing.T) {
 	}
 	if len(page.Entries[0].Changes) != 1 || page.Entries[0].Changes[0].Path != "a.c" {
 		t.Fatalf("changes did not survive the round trip: %+v", page.Entries[0].Changes)
+	}
+}
+
+// TestFeedRejectsOversizedAndEmptyEntries: POST /feed reads at most
+// api.MaxBodyBytes and refuses an entry without changes, both with 400,
+// and neither reaches the feed.
+func TestFeedRejectsOversizedAndEmptyEntries(t *testing.T) {
+	f := NewFeed(0)
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+	for name, e := range map[string]api.FeedEntry{
+		"over-limit body": {Generation: 1, Changes: []api.Change{{Path: "a.c", Source: strings.Repeat("x", api.MaxBodyBytes)}}},
+		"no changes":      {Generation: 1},
+	} {
+		body, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/feed", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /feed = %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if page := f.Since(0); len(page.Entries) != 0 || page.Latest != 0 {
+		t.Fatalf("rejected entries reached the feed: %+v latest=%d", page.Entries, page.Latest)
 	}
 }
