@@ -76,16 +76,18 @@ type ErrorResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// ScanRequest is the POST /scan body.
-type ScanRequest struct {
-	// Checker is the checker-DSL program text.
-	Checker string `json:"checker"`
+// Query is what every scan-shaped request shares, embedded in
+// ScanRequest and BatchRequest: which files, how many reports, how much
+// parallelism and time, at which generation, and what the reply
+// includes. A batch applies it to every one of its checkers.
+type Query struct {
 	// Files optionally restricts the scan to these corpus paths.
 	Files []string `json:"files,omitempty"`
-	// MaxReports caps collected reports (0 = unlimited).
+	// MaxReports caps collected reports per checker (0 = unlimited).
 	MaxReports int `json:"max_reports,omitempty"`
-	// Workers overrides the parallelism degree (0 = GOMAXPROCS). It is a
-	// ceiling: the scan starts at most one worker per range of functions.
+	// Workers overrides the parallelism degree over functions (0 =
+	// GOMAXPROCS). It is a ceiling: a pass starts at most one worker per
+	// range of functions.
 	Workers int `json:"workers,omitempty"`
 	// FuncTimeoutMS is the per-function analysis budget in milliseconds
 	// (0 = none).
@@ -94,20 +96,28 @@ type ScanRequest struct {
 	// generation — read-your-writes for a client holding a changeset
 	// token. The daemon waits a bounded interval; if the corpus does not
 	// reach the generation in time the request fails 409 with
-	// ErrGenerationUnavailable.
+	// ErrGenerationUnavailable. A batch pins ONE snapshot at or after it.
 	MinGeneration int64 `json:"min_generation,omitempty"`
 	// IncludeTrace adds the per-report path trace to the response.
 	IncludeTrace bool `json:"include_trace,omitempty"`
 	// IncludeTiming adds the request's trace id and per-stage span
 	// timeline to the response — the same timeline the slow-request log
-	// prints, on demand.
+	// prints, on demand. One trace per HTTP request: batch entries share
+	// it.
 	IncludeTiming bool `json:"include_timing,omitempty"`
-	// ShardLocal marks a sub-scan inside a sharded fan-out: the serving
-	// replica must scan exactly Files on its local snapshot — no
+	// ShardLocal marks a sub-request inside a sharded fan-out: the
+	// serving replica must scan exactly Files on its local snapshot — no
 	// re-scattering — and include per-file cuts in the response so the
 	// coordinator can merge partials in global file order. Set by the
 	// scatter client, not by end clients.
 	ShardLocal bool `json:"shard_local,omitempty"`
+}
+
+// ScanRequest is the POST /scan body: a /batch of one checker.
+type ScanRequest struct {
+	// Checker is the checker-DSL program text.
+	Checker string `json:"checker"`
+	Query
 }
 
 // Report is one bug report on the wire.
@@ -157,7 +167,8 @@ type ScanResponse struct {
 	// ElapsedMS is the wall time of the scheduler pass that produced this
 	// result. Every entry of a /batch carries the same value — the whole
 	// pass's: one exploration serves all the batch's checkers, and its
-	// cost does not divide by checker.
+	// cost does not divide by checker. On a sharded coordinator the pass
+	// is the scatter, and every merged entry carries its wall time.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// TraceID and Timing are present when the request asked for
 	// include_timing: the request's trace id (echoed in the X-Trace-Id
@@ -179,35 +190,17 @@ type FileCut struct {
 }
 
 // BatchRequest is the POST /batch body: N checker revisions evaluated
-// over the shared store in one request.
+// over the shared store in one request, as one pass over one pinned
+// snapshot.
 type BatchRequest struct {
 	// Checkers are the checker-DSL program texts.
 	Checkers []string `json:"checkers"`
-	// Files optionally restricts every scan to these corpus paths.
-	Files []string `json:"files,omitempty"`
-	// MaxReports caps collected reports per checker (0 = unlimited).
-	MaxReports int `json:"max_reports,omitempty"`
-	// Workers overrides the batch's parallelism over functions (0 =
-	// GOMAXPROCS); like ScanRequest.Workers, a ceiling.
-	Workers int `json:"workers,omitempty"`
 	// Concurrency is ignored. It bounded how many checkers ran at once
 	// when a batch was one scan per checker; a batch is one pass with
 	// every checker riding it now. Still decoded, so requests from older
 	// clients are not rejected as carrying an unknown field.
 	Concurrency int `json:"concurrency,omitempty"`
-	// FuncTimeoutMS is the per-function analysis budget, as on ScanRequest.
-	FuncTimeoutMS int `json:"func_timeout_ms,omitempty"`
-	// MinGeneration: serve-at-or-after, as on ScanRequest. The whole
-	// batch pins ONE snapshot at or after it.
-	MinGeneration int64 `json:"min_generation,omitempty"`
-	// IncludeTrace adds per-report path traces to the responses.
-	IncludeTrace bool `json:"include_trace,omitempty"`
-	// IncludeTiming adds the request's trace id and stage timeline to
-	// the batch reply (one trace per HTTP request; entries share it).
-	IncludeTiming bool `json:"include_timing,omitempty"`
-	// ShardLocal marks a sub-batch inside a sharded fan-out, with the
-	// same contract as ScanRequest.ShardLocal.
-	ShardLocal bool `json:"shard_local,omitempty"`
+	Query
 }
 
 // BatchResponse is the POST /batch reply: per-checker results in
@@ -312,8 +305,9 @@ type ShardStats struct {
 	// where at least one partition fell back to the local snapshot.
 	Scatters int64 `json:"scatters"`
 	Degraded int64 `json:"degraded_scatters"`
-	// SubScansServed counts shard-local sub-scans this replica answered
-	// for other coordinators; Converges counts feed replays.
+	// SubScansServed counts the shard-local sub-requests this replica
+	// answered for other coordinators, one per sub-request whatever its
+	// checker count; Converges counts feed replays.
 	SubScansServed int64 `json:"sub_scans_served"`
 	Converges      int64 `json:"converges"`
 	FeedPublishes  int64 `json:"feed_publishes"`
@@ -354,16 +348,19 @@ type StatsResponse struct {
 	Generation    int64   `json:"generation"`
 	// PinnedSnapshots counts old generations in-flight scans still hold
 	// pinned — retained corpus versions an operator can watch.
-	PinnedSnapshots int         `json:"pinned_snapshots"`
-	Scans           int64       `json:"scans"`
-	Batches         int64       `json:"batches"`
-	Changesets      int64       `json:"changesets"`
-	ScanErrors      int64       `json:"scan_errors"`
-	ScansCanceled   int64       `json:"scans_canceled"`
-	ReportsServed   int64       `json:"reports_served"`
-	GCRemoved       int64       `json:"gc_removed"`
-	Store           store.Stats `json:"store"`
-	StoreHitRate    float64     `json:"store_hit_rate"`
+	PinnedSnapshots int `json:"pinned_snapshots"`
+	// Scans counts checker scans, a batch's entries each; Batches counts
+	// client /batch requests (a shard-local sub-batch counts in
+	// Shards.SubScansServed instead).
+	Scans         int64       `json:"scans"`
+	Batches       int64       `json:"batches"`
+	Changesets    int64       `json:"changesets"`
+	ScanErrors    int64       `json:"scan_errors"`
+	ScansCanceled int64       `json:"scans_canceled"`
+	ReportsServed int64       `json:"reports_served"`
+	GCRemoved     int64       `json:"gc_removed"`
+	Store         store.Stats `json:"store"`
+	StoreHitRate  float64     `json:"store_hit_rate"`
 	// Remote is present only when the daemon runs with a fleet cache
 	// tier (-cache-remote): the client-side view of the shared tier's
 	// health, including circuit-breaker state.

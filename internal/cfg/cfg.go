@@ -101,15 +101,6 @@ type loopCtx struct {
 	continueTo, breakTo int32
 }
 
-// Build lowers fn's body to a new CFG. Unreachable blocks are pruned.
-func Build(fn *minic.FuncDecl) (*Graph, error) {
-	g := &Graph{}
-	if err := g.Lower(fn); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // Lower lowers fn's body into g, reusing its buffers. Unreachable blocks
 // are pruned. On error g holds no usable graph.
 func (g *Graph) Lower(fn *minic.FuncDecl) error {

@@ -7,13 +7,28 @@ import (
 	"knighter/internal/minic"
 )
 
+// parseFunc parses src, which must hold exactly one function.
+func parseFunc(t *testing.T, src string) *minic.FuncDecl {
+	t.Helper()
+	f, err := minic.ParseFile("t.c", src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	if len(f.Funcs) != 1 {
+		t.Fatalf("parse: %d functions, want 1\n%s", len(f.Funcs), src)
+	}
+	return f.Funcs[0]
+}
+
+// lower lowers fn into a fresh Graph.
+func lower(fn *minic.FuncDecl) (*Graph, error) {
+	g := &Graph{}
+	return g, g.Lower(fn)
+}
+
 func mustBuild(t *testing.T, src string) *Graph {
 	t.Helper()
-	fn, err := minic.ParseFunc("t.c", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	g, err := Build(fn)
+	g, err := lower(parseFunc(t, src))
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -190,11 +205,7 @@ err:
 }
 
 func TestGotoUndefinedLabel(t *testing.T) {
-	fn, err := minic.ParseFunc("t.c", "int f(void)\n{\n\tgoto nowhere;\n}\n")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if _, err := Build(fn); err == nil {
+	if _, err := lower(parseFunc(t, "int f(void)\n{\n\tgoto nowhere;\n}\n")); err == nil {
 		t.Fatal("expected error for undefined label")
 	}
 }
@@ -219,11 +230,7 @@ int f(int n)
 }
 
 func TestBreakOutsideLoopFails(t *testing.T) {
-	fn, err := minic.ParseFunc("t.c", "int f(void)\n{\n\tbreak;\n}\n")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if _, err := Build(fn); err == nil {
+	if _, err := lower(parseFunc(t, "int f(void)\n{\n\tbreak;\n}\n")); err == nil {
 		t.Fatal("expected error for break outside loop")
 	}
 }

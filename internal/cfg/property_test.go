@@ -84,11 +84,7 @@ func TestCFGWellFormedOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		g := &cfgProgGen{r: rand.New(rand.NewSource(seed))}
 		src := g.program()
-		fn, err := minic.ParseFunc("gen.c", src)
-		if err != nil {
-			t.Fatalf("seed %d: program does not parse: %v\n%s", seed, err, src)
-		}
-		graph, err := Build(fn)
+		graph, err := lower(parseFunc(t, src))
 		if err != nil {
 			t.Fatalf("seed %d: build failed: %v\n%s", seed, err, src)
 		}
@@ -140,11 +136,7 @@ func TestCFGStatementConservation(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		g := &cfgProgGen{r: rand.New(rand.NewSource(seed))}
 		src := g.program()
-		fn, err := minic.ParseFunc("gen.c", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graph, err := Build(fn)
+		graph, err := lower(parseFunc(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,12 +161,9 @@ func TestCFGDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		g := &cfgProgGen{r: rand.New(rand.NewSource(seed))}
 		src := g.program()
-		fn, err := minic.ParseFunc("gen.c", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g1, err1 := Build(fn)
-		g2, err2 := Build(fn)
+		fn := parseFunc(t, src)
+		g1, err1 := lower(fn)
+		g2, err2 := lower(fn)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatal("error disagreement")
 		}

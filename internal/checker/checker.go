@@ -242,9 +242,6 @@ func (c *Context) ValueOf(e minic.Expr) sym.Value {
 // FuncName returns the function under analysis.
 func (c *Context) FuncName() string { return c.fn }
 
-// FileName returns the file under analysis.
-func (c *Context) FileName() string { return c.file }
-
 // Pos returns the source position of the current event.
 func (c *Context) Pos() minic.Pos { return c.pos }
 

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
-	"knighter/internal/checker"
 )
 
 // Fingerprint returns a stable content hash of the analysis bounds that
@@ -21,24 +19,4 @@ func (o Options) Fingerprint() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("engine:v1:%d:%d:%d:%d",
 		d.MaxBlockVisits, d.MaxPaths, d.MaxSteps, d.MaxTrace)))
 	return hex.EncodeToString(h[:16])
-}
-
-// Clone returns a result whose slices do not share backing arrays with
-// r, so a cached result can be handed to callers that append to or
-// re-sort the slices. Reports themselves are shared: they are immutable
-// once emitted.
-func (r *Result) Clone() *Result {
-	if r == nil {
-		return nil
-	}
-	out := &Result{Paths: r.Paths, Steps: r.Steps, Truncated: r.Truncated, TimedOut: r.TimedOut, Canceled: r.Canceled}
-	if r.Reports != nil {
-		out.Reports = make([]*checker.Report, len(r.Reports))
-		copy(out.Reports, r.Reports)
-	}
-	if r.RuntimeErrs != nil {
-		out.RuntimeErrs = make([]RuntimeErr, len(r.RuntimeErrs))
-		copy(out.RuntimeErrs, r.RuntimeErrs)
-	}
-	return out
 }

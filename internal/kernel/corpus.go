@@ -61,16 +61,6 @@ func (c *Corpus) IsBugSite(file, fn string) (*SeededBug, bool) {
 	return nil, false
 }
 
-// BaitAt returns the planted bait at (file, function), if any.
-func (c *Corpus) BaitAt(file, fn string) (*PlantedBait, bool) {
-	for i := range c.Baits {
-		if c.Baits[i].File == file && c.Baits[i].Func == fn {
-			return &c.Baits[i], true
-		}
-	}
-	return nil, false
-}
-
 // Config controls corpus generation.
 type Config struct {
 	Seed int64

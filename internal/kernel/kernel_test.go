@@ -177,8 +177,8 @@ func TestCorpusAnalyzableWithoutCrash(t *testing.T) {
 
 func TestHandCommitDataset(t *testing.T) {
 	store := BuildHandCommits(11)
-	if store.Len() != 61 {
-		t.Fatalf("hand commits = %d, want 61", store.Len())
+	if n := len(store.All()); n != 61 {
+		t.Fatalf("hand commits = %d, want 61", n)
 	}
 	perClass := map[string]int{}
 	for _, c := range store.All() {
@@ -210,8 +210,8 @@ func TestHandCommitDataset(t *testing.T) {
 
 func TestAutoCommitDataset(t *testing.T) {
 	store := BuildAutoNPDCommits(13, 100)
-	if store.Len() != 100 {
-		t.Fatalf("auto commits = %d, want 100", store.Len())
+	if n := len(store.All()); n != 100 {
+		t.Fatalf("auto commits = %d, want 100", n)
 	}
 	for _, c := range store.All() {
 		if c.Class != ClassNPD || !c.AutoCollected {
@@ -255,9 +255,5 @@ func TestGroundTruthLookups(t *testing.T) {
 	}
 	if _, ok := c.IsBugSite("nonexistent.c", "nope"); ok {
 		t.Error("IsBugSite false positive")
-	}
-	bait := c.Baits[0]
-	if _, ok := c.BaitAt(bait.File, bait.Func); !ok {
-		t.Error("BaitAt failed for a known bait")
 	}
 }

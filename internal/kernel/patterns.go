@@ -64,17 +64,6 @@ func PatternFor(class, flavor string) *Pattern {
 	return nil
 }
 
-// FlavorsOf returns the flavors registered for a class, in order.
-func FlavorsOf(class string) []string {
-	var out []string
-	for _, p := range Patterns {
-		if p.Class == class {
-			out = append(out, p.Flavor)
-		}
-	}
-	return out
-}
-
 // allocCall renders a call to an allocator flavor with idiomatic args.
 func allocCall(flavor string, sizeExpr string) string {
 	switch {

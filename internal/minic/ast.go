@@ -55,16 +55,6 @@ func (f *File) LookupFunc(name string) *FuncDecl {
 	return nil
 }
 
-// LookupStruct returns the struct declaration with the given name, or nil.
-func (f *File) LookupStruct(name string) *StructDecl {
-	for _, s := range f.Structs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // StructDecl is a struct definition.
 type StructDecl struct {
 	Name   string

@@ -30,38 +30,6 @@ func ParseFile(name, src string) (*File, error) {
 	return p.parseFile(name)
 }
 
-// ParseFunc parses a source snippet expected to contain exactly one
-// function and returns it. Struct declarations preceding the function are
-// allowed and ignored.
-func ParseFunc(name, src string) (*FuncDecl, error) {
-	f, err := ParseFile(name, src)
-	if err != nil {
-		return nil, err
-	}
-	if len(f.Funcs) != 1 {
-		return nil, fmt.Errorf("minic: expected exactly one function in %s, got %d", name, len(f.Funcs))
-	}
-	return f.Funcs[0], nil
-}
-
-// ParseExpr parses a standalone expression (used by tests and by the
-// checker DSL for pattern snippets).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := Lex("<expr>", src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().Kind != EOF {
-		return nil, p.errorf("unexpected %s after expression", p.cur())
-	}
-	return e, nil
-}
-
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
 func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,33 @@ err_free:
 	return -EINVAL;
 }
 `
+
+// parseFunc parses src, which must hold exactly one function (struct
+// declarations before it are allowed).
+func parseFunc(name, src string) (*FuncDecl, error) {
+	f, err := ParseFile(name, src)
+	if err != nil {
+		return nil, err
+	}
+	if len(f.Funcs) != 1 {
+		return nil, fmt.Errorf("expected exactly one function in %s, got %d", name, len(f.Funcs))
+	}
+	return f.Funcs[0], nil
+}
+
+// parseExpr parses a standalone expression.
+func parseExpr(src string) (Expr, error) {
+	toks, err := Lex("<expr>", src)
+	if err != nil {
+		return nil, err
+	}
+	p := &Parser{toks: toks}
+	e, err := p.parseExpr()
+	if err == nil && p.cur().Kind != EOF {
+		err = p.errorf("unexpected %s after expression", p.cur())
+	}
+	return e, err
+}
 
 func TestParseKernelishFunction(t *testing.T) {
 	f, err := ParseFile("probe.c", kernelishSrc)
@@ -73,7 +101,7 @@ int f(void)
 	return 0;
 }
 `
-	fn, err := ParseFunc("t.c", src)
+	fn, err := parseFunc("t.c", src)
 	if err != nil {
 		t.Fatalf("ParseFunc: %v", err)
 	}
@@ -88,7 +116,7 @@ int f(void)
 }
 
 func TestParsePrecedence(t *testing.T) {
-	e, err := ParseExpr("a + b * c == d && !e")
+	e, err := parseExpr("a + b * c == d && !e")
 	if err != nil {
 		t.Fatalf("ParseExpr: %v", err)
 	}
@@ -115,7 +143,7 @@ func TestParsePrecedence(t *testing.T) {
 }
 
 func TestParseTernaryAndAssign(t *testing.T) {
-	e, err := ParseExpr("x = a > b ? a : b")
+	e, err := parseExpr("x = a > b ? a : b")
 	if err != nil {
 		t.Fatalf("ParseExpr: %v", err)
 	}
@@ -129,7 +157,7 @@ func TestParseTernaryAndAssign(t *testing.T) {
 }
 
 func TestParseCastAndSizeof(t *testing.T) {
-	e, err := ParseExpr("(struct foo *)p")
+	e, err := parseExpr("(struct foo *)p")
 	if err != nil {
 		t.Fatalf("cast: %v", err)
 	}
@@ -137,7 +165,7 @@ func TestParseCastAndSizeof(t *testing.T) {
 	if !ok || c.Type.Base != "struct foo" || c.Type.Stars != 1 {
 		t.Fatalf("cast = %T %+v", e, e)
 	}
-	e, err = ParseExpr("sizeof(struct foo)")
+	e, err = parseExpr("sizeof(struct foo)")
 	if err != nil {
 		t.Fatalf("sizeof type: %v", err)
 	}
@@ -145,7 +173,7 @@ func TestParseCastAndSizeof(t *testing.T) {
 	if !ok || sz.Type == nil {
 		t.Fatalf("sizeof = %T", e)
 	}
-	e, err = ParseExpr("sizeof(mybuf)")
+	e, err = parseExpr("sizeof(mybuf)")
 	if err != nil {
 		t.Fatalf("sizeof expr: %v", err)
 	}
@@ -156,7 +184,7 @@ func TestParseCastAndSizeof(t *testing.T) {
 }
 
 func TestParseMemberChains(t *testing.T) {
-	e, err := ParseExpr("adpt->phy.digital")
+	e, err := parseExpr("adpt->phy.digital")
 	if err != nil {
 		t.Fatalf("ParseExpr: %v", err)
 	}
@@ -181,7 +209,7 @@ out:
 	return a;
 }
 `
-	fn, err := ParseFunc("t.c", src)
+	fn, err := parseFunc("t.c", src)
 	if err != nil {
 		t.Fatalf("ParseFunc: %v", err)
 	}
@@ -201,7 +229,7 @@ out:
 
 func TestParseLabelAtBlockEnd(t *testing.T) {
 	src := "void f(void)\n{\n\tgoto out;\nout:\n}\n"
-	fn, err := ParseFunc("t.c", src)
+	fn, err := parseFunc("t.c", src)
 	if err != nil {
 		t.Fatalf("ParseFunc: %v", err)
 	}
@@ -267,7 +295,7 @@ int get(void)
 }
 
 func TestParseNegativeReturnConstant(t *testing.T) {
-	fn, err := ParseFunc("t.c", "int f(void)\n{\n\treturn -ENOMEM;\n}\n")
+	fn, err := parseFunc("t.c", "int f(void)\n{\n\treturn -ENOMEM;\n}\n")
 	if err != nil {
 		t.Fatalf("ParseFunc: %v", err)
 	}
@@ -282,7 +310,7 @@ func TestParseNegativeReturnConstant(t *testing.T) {
 }
 
 func TestUnwrapCalls(t *testing.T) {
-	e, err := ParseExpr("unlikely(!pmx)")
+	e, err := parseExpr("unlikely(!pmx)")
 	if err != nil {
 		t.Fatalf("ParseExpr: %v", err)
 	}
@@ -292,19 +320,19 @@ func TestUnwrapCalls(t *testing.T) {
 		t.Fatalf("unwrapped = %T %+v", u, u)
 	}
 	// Non-wrapper calls are not unwrapped.
-	e2, _ := ParseExpr("other(!pmx)")
+	e2, _ := parseExpr("other(!pmx)")
 	if _, ok := UnwrapCalls(e2, "unlikely").(*CallExpr); !ok {
 		t.Error("other() should not be unwrapped")
 	}
 	// Nested wrappers unwrap fully.
-	e3, _ := ParseExpr("likely((unlikely(x)))")
+	e3, _ := parseExpr("likely((unlikely(x)))")
 	if id, ok := UnwrapCalls(e3, "unlikely", "likely").(*Ident); !ok || id.Name != "x" {
 		t.Errorf("nested unwrap = %+v", UnwrapCalls(e3, "unlikely", "likely"))
 	}
 }
 
 func TestParseCompoundAssignAndPostfix(t *testing.T) {
-	fn, err := ParseFunc("t.c", "void f(int n)\n{\n\tn += 4;\n\tn++;\n\t--n;\n}\n")
+	fn, err := parseFunc("t.c", "void f(int n)\n{\n\tn += 4;\n\tn++;\n\t--n;\n}\n")
 	if err != nil {
 		t.Fatalf("ParseFunc: %v", err)
 	}

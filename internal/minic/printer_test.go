@@ -188,14 +188,14 @@ func TestRoundTripRandomASTs(t *testing.T) {
 
 func TestFormatExprParens(t *testing.T) {
 	// Structure must survive printing: (a+b)*c stays distinct from a+b*c.
-	e1, _ := ParseExpr("(a + b) * c")
-	e2, _ := ParseExpr("a + b * c")
+	e1, _ := parseExpr("(a + b) * c")
+	e2, _ := parseExpr("a + b * c")
 	s1, s2 := FormatExpr(e1), FormatExpr(e2)
-	r1, err := ParseExpr(s1)
+	r1, err := parseExpr(s1)
 	if err != nil {
 		t.Fatalf("reparse %q: %v", s1, err)
 	}
-	r2, err := ParseExpr(s2)
+	r2, err := parseExpr(s2)
 	if err != nil {
 		t.Fatalf("reparse %q: %v", s2, err)
 	}

@@ -19,7 +19,7 @@ int f(int state)
 	}
 }
 `
-	fn, err := ParseFunc("t.c", src)
+	fn, err := parseFunc("t.c", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -64,7 +64,7 @@ int f(int state, struct dev *d)
 	return r;
 }
 `
-	fn, err := ParseFunc("t.c", src)
+	fn, err := parseFunc("t.c", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -162,7 +162,7 @@ int f(int cmd)
 	}
 }
 `
-	fn, err := ParseFunc("t.c", src)
+	fn, err := parseFunc("t.c", src)
 	if err != nil {
 		t.Fatalf("grouped labels: %v", err)
 	}

@@ -150,9 +150,6 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // Token is a single lexical token with its source position.
 type Token struct {
 	Kind Kind

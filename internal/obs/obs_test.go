@@ -196,7 +196,7 @@ func TestHistogramObserveBoundaries(t *testing.T) {
 }
 
 func TestTraceTimelineAndContext(t *testing.T) {
-	tr := NewTrace("")
+	tr := NewTraceFor("", "", "")
 	if tr.ID == "" || len(tr.ID) != 16 {
 		t.Fatalf("generated trace id %q, want 16 hex chars", tr.ID)
 	}
@@ -228,11 +228,11 @@ func TestTraceTimelineAndContext(t *testing.T) {
 }
 
 func TestTraceIDSanitized(t *testing.T) {
-	tr := NewTrace("ok-id_123")
+	tr := NewTraceFor("", "ok-id_123", "")
 	if tr.ID != "ok-id_123" {
 		t.Fatalf("clean id mangled: %q", tr.ID)
 	}
-	tr = NewTrace("evil\nid\x00" + strings.Repeat("a", 100))
+	tr = NewTraceFor("", "evil\nid\x00"+strings.Repeat("a", 100), "")
 	if strings.ContainsAny(tr.ID, "\n\x00") || len(tr.ID) > 64 {
 		t.Fatalf("hostile id not sanitized: %q", tr.ID)
 	}

@@ -22,7 +22,9 @@ var promExemplarLine = regexp.MustCompile(
 // the exemplar grammar AND reference a series already emitted (the
 // writer puts each exemplar directly after its bucket line). It returns
 // the series identities in order. Shared by the obs unit tests and the
-// daemons' /metrics tests, so both check the same grammar.
+// store and serve /metrics tests, so all check the same grammar: it
+// stays exported although only tests call it, because a _test.go
+// export cannot cross packages.
 func CheckExposition(text string) ([]string, error) {
 	var ids []string
 	seen := map[string]bool{}

@@ -111,13 +111,11 @@ func randomID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// NewTrace returns a trace anchored at now with a fresh root span id.
-// An empty id gets a fresh random one — 16 hex chars, unique enough for
-// stitching within a fleet's retention window.
-func NewTrace(id string) *Trace { return NewTraceFor("", id, "") }
-
-// NewTraceFor is NewTrace for a named service honoring an inbound
-// parent span id — the form the daemons' request middleware uses.
+// NewTraceFor returns a trace of service anchored at now with a fresh
+// root span id, honoring an inbound parent span id — the form the
+// daemons' request middleware uses. An empty id gets a fresh random one
+// — 16 hex chars, unique enough for stitching within a fleet's
+// retention window.
 func NewTraceFor(service, id, parentSpanID string) *Trace {
 	if id == "" {
 		id = randomID()

@@ -11,6 +11,16 @@ import (
 	"knighter/internal/triage"
 )
 
+// baitAt returns the bait planted at (file, fn), if any.
+func baitAt(c *kernel.Corpus, file, fn string) (*kernel.PlantedBait, bool) {
+	for i := range c.Baits {
+		if c.Baits[i].File == file && c.Baits[i].Func == fn {
+			return &c.Baits[i], true
+		}
+	}
+	return nil, false
+}
+
 // The closed-loop refinement story (§3.2, Fig. 7): a first-draft checker
 // validates against its patch but drowns in false positives on real
 // code because it does not see through unlikely(); the triage agent
@@ -43,7 +53,7 @@ func ExampleLoop_Run() {
 	pre := cb.RunOne(out.Checker, scan.Options{MaxReports: 100})
 	baitHits := 0
 	for _, r := range pre.Reports {
-		if bait, ok := corpus.BaitAt(r.File, r.Func); ok && bait.Kind == kernel.BaitUnlikelyCheck {
+		if bait, ok := baitAt(corpus, r.File, r.Func); ok && bait.Kind == kernel.BaitUnlikelyCheck {
 			baitHits++
 		}
 	}
@@ -59,7 +69,7 @@ func ExampleLoop_Run() {
 		label := "?"
 		if _, ok := corpus.IsBugSite(r.File, r.Func); ok {
 			label = "TRUE BUG"
-		} else if _, ok := corpus.BaitAt(r.File, r.Func); ok {
+		} else if _, ok := baitAt(corpus, r.File, r.Func); ok {
 			label = "residual FP"
 		}
 		fmt.Printf("  [%s] %s\n", label, r)

@@ -99,12 +99,6 @@ func (inc *Incremental) RunOne(ck checker.Checker, opts Options) *Result {
 	return inc.Run([]checker.Checker{ck}, opts)
 }
 
-// RunFile scans a single file through the cache (the refinement loop's
-// stillWarnsAt re-scans, which are near-pure cache hits).
-func (inc *Incremental) RunFile(i int, checkers []checker.Checker, opts Options) *Result {
-	return inc.RunFiles([]int{i}, checkers, opts)
-}
-
 // unit identifies one schedulable analysis: function fn of file file.
 type unit struct {
 	file int

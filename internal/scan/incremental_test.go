@@ -268,11 +268,11 @@ func TestIncrementalRunFileWarmsOnlyThatFile(t *testing.T) {
 	ck := compileChecker(t)
 	inc := NewIncremental(cb, store.NewMemory(0))
 
-	one := inc.RunFile(0, []checker.Checker{ck}, Options{})
+	one := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{})
 	if one.FilesScanned != 1 || one.FuncsScanned != len(cb.Files()[0].Funcs) {
-		t.Fatalf("RunFile scanned files=%d funcs=%d", one.FilesScanned, one.FuncsScanned)
+		t.Fatalf("scan of file 0 scanned files=%d funcs=%d", one.FilesScanned, one.FuncsScanned)
 	}
-	again := inc.RunFile(0, []checker.Checker{ck}, Options{})
+	again := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{})
 	if again.CacheMisses != 0 {
 		t.Fatalf("re-scan of file 0 missed %d times", again.CacheMisses)
 	}

@@ -140,7 +140,7 @@ func TestPatchConfinesMissesToTheFile(t *testing.T) {
 		t.Fatalf("scan of untouched files missed %d times after a patch elsewhere", res.CacheMisses)
 	}
 	// And the patched file misses exactly on the changed functions.
-	if res := inc.RunFile(i, []checker.Checker{ck}, Options{Workers: 1}); res.CacheMisses != m.Changed {
+	if res := inc.RunFiles([]int{i}, []checker.Checker{ck}, Options{Workers: 1}); res.CacheMisses != m.Changed {
 		t.Fatalf("patched file missed %d times, want %d", res.CacheMisses, m.Changed)
 	}
 }
@@ -171,7 +171,7 @@ func TestReplaceDeleteFunctionKeepsSiblingsWarm(t *testing.T) {
 	if len(m.StaleHashes) != 1 {
 		t.Fatalf("stale hashes = %d, want 1 (the deleted function)", len(m.StaleHashes))
 	}
-	if res := inc.RunFile(i, []checker.Checker{ck}, Options{Workers: 1}); res.CacheMisses != 0 {
+	if res := inc.RunFiles([]int{i}, []checker.Checker{ck}, Options{Workers: 1}); res.CacheMisses != 0 {
 		t.Fatalf("re-scan after delete missed %d times, want 0", res.CacheMisses)
 	}
 
@@ -245,7 +245,7 @@ func TestFuncTimeoutResultsAreNotCached(t *testing.T) {
 	inc := NewIncremental(cb, st)
 
 	// A 1ns budget times out every function before any analysis.
-	res := inc.RunFile(0, []checker.Checker{ck}, Options{Workers: 1, FuncTimeout: time.Nanosecond})
+	res := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{Workers: 1, FuncTimeout: time.Nanosecond})
 	n := len(cb.Files()[0].Funcs)
 	if res.FuncsTimedOut != n {
 		t.Fatalf("timed out %d of %d functions", res.FuncsTimedOut, n)
@@ -256,11 +256,11 @@ func TestFuncTimeoutResultsAreNotCached(t *testing.T) {
 
 	// Without the budget the same scan is a full (cold) analysis whose
 	// results do get cached — the poisoned-cache scenario this guards.
-	full := inc.RunFile(0, []checker.Checker{ck}, Options{Workers: 1})
+	full := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{Workers: 1})
 	if full.CacheHits != 0 || full.FuncsTimedOut != 0 {
 		t.Fatalf("post-timeout scan: hits=%d timedout=%d", full.CacheHits, full.FuncsTimedOut)
 	}
-	if warm := inc.RunFile(0, []checker.Checker{ck}, Options{Workers: 1}); warm.CacheMisses != 0 {
+	if warm := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{Workers: 1}); warm.CacheMisses != 0 {
 		t.Fatalf("warm scan missed %d times", warm.CacheMisses)
 	}
 }

@@ -59,8 +59,11 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			if got := srv.traceColl.Targets(); !reflect.DeepEqual(got, tc.targets) {
+			if got := traceTargets(srv.shard, tc.cfg.CacheRemote); !reflect.DeepEqual(got, tc.targets) {
 				t.Errorf("trace collector targets = %v, want %v", got, tc.targets)
+			}
+			if (srv.traceColl != nil) != (len(tc.targets) > 0) {
+				t.Errorf("trace collector present = %v with targets %v", srv.traceColl != nil, tc.targets)
 			}
 			if srv.ro.Service != tc.service {
 				t.Errorf("service name = %q, want %q", srv.ro.Service, tc.service)
@@ -112,7 +115,7 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 	postJSON(t, tss[0], "/changeset", api.ChangesetRequest{Changes: canon}, &cs)
 	// Replica 1 commits on top of replica 0's generation, and the commit
 	// reaches replica 0 as a replay.
-	postScan(t, tss[1], api.ScanRequest{Checker: testChecker, MinGeneration: cs.Generation})
+	postScan(t, tss[1], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: cs.Generation}})
 	postJSON(t, tss[1], "/changeset", api.ChangesetRequest{Changes: canon}, &cs)
 	deadline := time.Now().Add(5 * time.Second)
 	for count(srvs[0].shard.converges) == 0 {

@@ -38,7 +38,7 @@ func (s *Server) instrument() {
 	reg := s.reg
 	s.m = metrics{
 		scans:         reg.Counter("scans_total", "Checker scans served (batch entries count individually)."),
-		batches:       reg.Counter("batches_total", "Batch requests served."),
+		batches:       reg.Counter("batches_total", "Client batch requests served; a shard-local sub-batch counts in shard_sub_scans_total."),
 		changesets:    reg.Counter("corpus_mutations_total", "Changesets committed to the corpus."),
 		scanErrors:    reg.Counter("scan_errors_total", "Requests rejected before scanning (bad JSON, bad checker, unknown file)."),
 		scansCanceled: reg.Counter("scans_canceled_total", "Scans aborted by client disconnect."),

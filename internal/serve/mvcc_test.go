@@ -61,7 +61,7 @@ func TestMinGenerationUnsatisfiable(t *testing.T) {
 
 	var envelope api.ErrorResponse
 	resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{
-		Checker: testChecker, MinGeneration: srv.inc.Codebase().Generation() + 100,
+		Checker: testChecker, Query: api.Query{MinGeneration: srv.inc.Codebase().Generation() + 100},
 	}, &envelope)
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func TestMetricsStageTimings(t *testing.T) {
 func TestIncludeTimingReturnsTimeline(t *testing.T) {
 	_, ts := bootOne(t, Config{})
 
-	resp := postScan(t, ts, api.ScanRequest{Checker: testChecker, IncludeTiming: true})
+	resp := postScan(t, ts, api.ScanRequest{Checker: testChecker, Query: api.Query{IncludeTiming: true}})
 	if resp.TraceID == "" {
 		t.Fatal("include_timing reply has no trace_id")
 	}
@@ -182,7 +182,7 @@ func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 	const traceID = "abc-fleet-trace-1"
 	var sr api.ScanResponse
 	resp, err := call(http.MethodPost, ts.URL+"/scan",
-		api.ScanRequest{Checker: testChecker, IncludeTiming: true}, &sr, obs.TraceHeader, traceID)
+		api.ScanRequest{Checker: testChecker, Query: api.Query{IncludeTiming: true}}, &sr, obs.TraceHeader, traceID)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /scan = %v, %v", resp, err)
 	}

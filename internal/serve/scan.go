@@ -110,11 +110,12 @@ func (s *Server) resolveFiles(paths []string) ([]int, error) {
 	return files, nil
 }
 
-func scanOptions(ctx context.Context, maxReports, workers, funcTimeoutMS int) scan.Options {
+// scanOptions maps a request's query onto the scheduler's options.
+func scanOptions(ctx context.Context, q *api.Query) scan.Options {
 	return scan.Options{
-		Workers:     workers,
-		MaxReports:  maxReports,
-		FuncTimeout: time.Duration(funcTimeoutMS) * time.Millisecond,
+		Workers:     q.Workers,
+		MaxReports:  q.MaxReports,
+		FuncTimeout: time.Duration(q.FuncTimeoutMS) * time.Millisecond,
 		// The request context: a client that disconnects mid-scan stops
 		// paying for the rest of it (the admitted slot frees up, and no
 		// partial results are cached).
@@ -122,6 +123,10 @@ func scanOptions(ctx context.Context, maxReports, workers, funcTimeoutMS int) sc
 	}
 }
 
+// handleScan serves POST /scan as a /batch of one checker. What is left
+// here is the /scan wire shape: a missing checker is a 400, one that
+// does not compile a 422 (before any min_generation wait), and the reply
+// is the one entry, stamped with that entry's generation.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	var req api.ScanRequest
 	if !s.decodePost(w, r, &req) {
@@ -131,58 +136,23 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, api.ErrBadRequest, "missing 'checker' (DSL text)")
 		return
 	}
-	// Cost-weighted admission: the gate's token only counted requests;
-	// the cost charge weighs what is inside one (checkers x files), so
-	// one enormous request cannot hide behind the same token a tiny one
-	// costs.
-	release, ok := s.adm.admitCost(w, s.requestCost(1, req.Files))
-	if !ok {
-		return
-	}
-	defer release()
 	ck, err := ckdsl.CompileSource(req.Checker)
 	if err != nil {
 		s.reject(w, http.StatusUnprocessableEntity, api.ErrUnprocessable, "checker does not compile: "+err.Error())
 		return
 	}
-	if !s.awaitMinGeneration(w, r, req.MinGeneration) {
+	entries, _, ok := s.read(w, r, &req.Query, []checker.Checker{ck}, []string{req.Checker})
+	if !ok {
 		return
 	}
-	files, err := s.resolveFiles(req.Files)
-	if err != nil {
-		s.reject(w, http.StatusNotFound, api.ErrNotFound, err.Error())
-		return
-	}
-	if s.shard != nil && !req.ShardLocal {
-		s.scatterScan(w, r, &req, ck)
-		return
-	}
-
-	// No corpus lock: the scan pins the live snapshot itself.
-	cks := []checker.Checker{ck}
-	opts := scanOptions(r.Context(), req.MaxReports, req.Workers, req.FuncTimeoutMS)
-	var res *scan.Result
-	if files == nil {
-		res = s.inc.Run(cks, opts)
-	} else {
-		res = s.inc.RunFiles(files, cks, opts)
-	}
-	s.m.scans.Inc()
-	s.observeScan(r.Context(), res)
-	if res.Canceled {
-		s.m.scansCanceled.Inc()
-	}
-	if req.ShardLocal && s.shard != nil {
-		s.shard.subScans.Inc()
-	}
-	// Shard-local sub-scans carry the per-file cut list: it is what lets
-	// a coordinator splice this partial back into global file order.
-	resp := api.ScanResult(ck.Name(), res, req.IncludeTrace, req.ShardLocal)
-	s.m.reportsServed.Add(float64(len(resp.Reports)))
+	resp := entries[0]
 	attachTiming(r.Context(), &resp.TraceID, &resp.Timing, req.IncludeTiming)
-	s.writeOK(w, res.Generation, resp)
+	s.writeOK(w, resp.Generation, resp)
 }
 
+// handleBatch serves POST /batch: the checkers that compile run as one
+// read, and one that does not keeps its request slot as a per-entry
+// error instead of failing its siblings.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
 	if !s.decodePost(w, r, &req) {
@@ -192,19 +162,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, api.ErrBadRequest, "missing 'checkers' (list of DSL texts)")
 		return
 	}
-	// Cost-weighted admission: a /batch weighs checkers x files, so the
-	// tenant shipping 50 checkers over the full corpus is charged 50
-	// corpus scans, not one request.
-	release, ok := s.adm.admitCost(w, s.requestCost(len(req.Checkers), req.Files))
-	if !ok {
-		return
-	}
-	defer release()
-
-	// Compile every checker first; a bad revision gets a per-entry error
-	// instead of failing its siblings.
 	resp := &api.BatchResponse{Results: make([]*api.ScanResponse, len(req.Checkers))}
 	var cks []checker.Checker
+	var srcs []string
 	var live []int // request index of each compiled checker
 	for i, src := range req.Checkers {
 		ck, err := ckdsl.CompileSource(src)
@@ -214,57 +174,87 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.m.scanErrors.Inc()
 			continue
 		}
-		cks = append(cks, ck)
-		live = append(live, i)
-	}
-	if !s.awaitMinGeneration(w, r, req.MinGeneration) {
-		return
-	}
-	files, err := s.resolveFiles(req.Files)
-	if err != nil {
-		s.reject(w, http.StatusNotFound, api.ErrNotFound, err.Error())
-		return
+		cks, srcs, live = append(cks, ck), append(srcs, src), append(live, i)
 	}
 	start := time.Now()
-	var agg api.CacheStats
-	if s.shard != nil && !req.ShardLocal && len(cks) > 0 {
-		if !s.scatterBatch(w, r, &req, resp, cks, live) {
-			return
+	entries, gen, ok := s.read(w, r, &req.Query, cks, srcs)
+	if !ok {
+		return
+	}
+	for bi, m := range entries {
+		resp.Results[live[bi]] = m
+		resp.Cache.Hits += m.Cache.Hits
+		resp.Cache.Misses += m.Cache.Misses
+	}
+	resp.Cache.HitRate = store.Stats{Hits: int64(resp.Cache.Hits), Misses: int64(resp.Cache.Misses)}.HitRate()
+	resp.CheckersRun = len(cks)
+	resp.Generation = gen
+	resp.ElapsedMS = elapsedMS(start)
+	attachTiming(r.Context(), &resp.TraceID, &resp.Timing, req.IncludeTiming)
+	// Client batches only: a shard-local sub-batch is one of a
+	// coordinator's sub-requests, counted in sub_scans_served.
+	if !req.ShardLocal {
+		s.m.batches.Inc()
+	}
+	s.writeOK(w, resp.Generation, resp)
+}
+
+// read is the one read core behind /scan and /batch. It charges the
+// request's cost, waits for min_generation, resolves the file list, and
+// runs the compiled checkers (srcs holds their DSL texts, index for
+// index) as one pass: on this replica's own pinned snapshot, or, on a
+// sharded coordinator, scattered across the fleet. It returns one entry
+// per checker and the generation they scanned, and false when the
+// request has been answered with an error.
+func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks []checker.Checker, srcs []string) ([]*api.ScanResponse, int64, bool) {
+	// Cost-weighted admission: the gate's token only counts requests;
+	// the cost charge weighs what is inside one (checkers x files), so a
+	// tenant shipping 50 checkers over the full corpus is charged 50
+	// corpus scans, not one request.
+	release, ok := s.adm.admitCost(w, s.requestCost(len(cks), q.Files))
+	if !ok {
+		return nil, 0, false
+	}
+	defer release()
+	if !s.awaitMinGeneration(w, r, q.MinGeneration) {
+		return nil, 0, false
+	}
+	files, err := s.resolveFiles(q.Files)
+	if err != nil {
+		s.reject(w, http.StatusNotFound, api.ErrNotFound, err.Error())
+		return nil, 0, false
+	}
+	var entries []*api.ScanResponse
+	var gen int64
+	if s.shard != nil && !q.ShardLocal && len(cks) > 0 {
+		if entries, gen, ok = s.scatter(w, r, q, cks, srcs); !ok {
+			return nil, 0, false
 		}
 	} else {
-		// Default for an all-errors batch (nothing scanned): the live
-		// generation; any actual result overwrites it with the pinned
-		// one. No corpus lock: RunBatch pins ONE snapshot for the whole
-		// batch, so every entry scans the same generation even while
-		// changesets commit concurrently.
-		resp.Generation = s.inc.Codebase().Generation()
-		results := s.inc.RunBatch(cks, files,
-			scanOptions(r.Context(), req.MaxReports, req.Workers, req.FuncTimeoutMS), 0)
+		// No corpus lock: RunBatch pins ONE snapshot for every checker, so
+		// all entries scan the same generation even while changesets
+		// commit concurrently. With nothing to run, the live generation.
+		gen = s.inc.Codebase().Generation()
+		results := s.inc.RunBatch(cks, files, scanOptions(r.Context(), q), 0)
 		s.observeScan(r.Context(), results...)
-		if req.ShardLocal && s.shard != nil {
+		if q.ShardLocal && s.shard != nil {
 			s.shard.subScans.Inc()
 		}
-		for bi, res := range results {
-			resp.Results[live[bi]] = api.ScanResult(cks[bi].Name(), res, req.IncludeTrace, req.ShardLocal)
-			resp.Generation = res.Generation
+		entries = make([]*api.ScanResponse, len(results))
+		for i, res := range results {
+			// A shard-local reply carries the per-file cut list: it is what
+			// lets a coordinator splice this partial back into global file
+			// order.
+			entries[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, q.ShardLocal)
+			gen = res.Generation
 		}
 	}
-	// Entry accounting is the same however the entries were produced.
-	for _, i := range live {
-		m := resp.Results[i]
+	s.m.scans.Add(float64(len(cks)))
+	for _, m := range entries {
 		s.m.reportsServed.Add(float64(len(m.Reports)))
 		if m.Canceled {
 			s.m.scansCanceled.Inc()
 		}
-		agg.Hits += m.Cache.Hits
-		agg.Misses += m.Cache.Misses
 	}
-	agg.HitRate = store.Stats{Hits: int64(agg.Hits), Misses: int64(agg.Misses)}.HitRate()
-	resp.CheckersRun = len(cks)
-	resp.Cache = agg
-	resp.ElapsedMS = elapsedMS(start)
-	attachTiming(r.Context(), &resp.TraceID, &resp.Timing, req.IncludeTiming)
-	s.m.batches.Inc()
-	s.m.scans.Add(float64(len(cks)))
-	s.writeOK(w, resp.Generation, resp)
+	return entries, gen, true
 }

@@ -14,10 +14,10 @@
 // one generation bump, and the reply carries that generation), and only
 // the touched functions go cold. Scans pin an immutable snapshot at
 // admission and run lock-free, so writes never stall reads and reads
-// never drain writes. POST /batch evaluates N
-// checker revisions in one request over a bounded worker pool
-// (StaAgent-style many-revision evaluation), all against one pinned
-// snapshot.
+// never drain writes. POST /batch evaluates N checker revisions as one
+// pass over one pinned snapshot (StaAgent-style many-revision
+// evaluation), and POST /scan is its one-checker case: both handlers
+// run through one read core (read, in scan.go).
 //
 // The read endpoints (/scan, /batch) sit behind a bounded admission
 // queue (MaxInflight, MaxQueued); the write endpoints (/changeset,
@@ -30,9 +30,10 @@
 //
 // With ShardCount N (plus ShardIndex and Peers) the replica joins a
 // sharded fleet: each replica owns the files whose path hash lands on
-// its index, any replica coordinates a scan by scattering shard-local
-// sub-scans to the owners and merging the partials byte-identically to
-// a single-host scan, and changesets propagate fleet-wide through a
+// its index, any replica coordinates a read by sending each owner its
+// partition as one shard-local /batch and merging every checker's
+// partials byte-identically to a single-host scan, and changesets
+// propagate fleet-wide through a
 // generation feed hosted on the CacheRemote kcached (peers replay it
 // via POST /converge). A dead or behind shard degrades its partition to
 // the coordinator's local snapshot — slower, never wrong.
@@ -179,22 +180,19 @@ func New(cfg Config) (*Server, error) {
 	s.instrument()
 
 	name := "kserve"
-	var traceTargets []string
 	if sh != nil {
 		// "kserve-<index>" inside a fleet, so an assembled trace shows
 		// WHICH replica served each partition.
 		name = "kserve-" + strconv.Itoa(sh.index)
-		traceTargets = sh.others()
 		log.Printf("kserve: shard %d/%d, peers=%v", sh.index, sh.ring.Count, sh.peers)
 		if sh.feed == nil {
 			log.Printf("kserve: sharded without -cache-remote: no generation feed; changesets will not propagate to peers")
 		}
 	}
 	if cfg.CacheRemote != "" {
-		traceTargets = append(traceTargets, strings.TrimRight(cfg.CacheRemote, "/"))
 		log.Printf("kserve: fleet cache tier: %s (raced against local disk: %v)", cfg.CacheRemote, s.disk != nil)
 	}
-	s.traceColl = shard.NewTraceCollector(traceTargets, 2*time.Second)
+	s.traceColl = shard.NewTraceCollector(traceTargets(sh, cfg.CacheRemote), 2*time.Second)
 	s.ro = &obs.RequestObserver{
 		Service: name,
 		Traces:  s.traces,
@@ -408,6 +406,20 @@ func writeErrorEnvelope(w http.ResponseWriter, code int, e *api.Error, gen int64
 // elapsedMS is the wire form of a duration since start.
 func elapsedMS(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1000
+}
+
+// traceTargets lists everyone who may hold a fragment of a trace this
+// replica coordinated: every shard peer but this replica (each
+// sub-request left a fragment on its owner), then kcached.
+func traceTargets(sh *shardLayer, cacheRemote string) []string {
+	var out []string
+	if sh != nil {
+		out = sh.others()
+	}
+	if cacheRemote != "" {
+		out = append(out, strings.TrimRight(cacheRemote, "/"))
+	}
+	return out
 }
 
 // splitPeers parses the Peers setting: comma-separated base URLs,

@@ -230,11 +230,11 @@ func TestRepeatScanServedFromCache(t *testing.T) {
 func TestScanFileSubset(t *testing.T) {
 	srv, ts := bootOne(t, Config{})
 	path := srv.inc.Codebase().Files()[0].Name
-	one := postScan(t, ts, api.ScanRequest{Checker: testChecker, Files: []string{path}})
+	one := postScan(t, ts, api.ScanRequest{Checker: testChecker, Query: api.Query{Files: []string{path}}})
 	if one.FilesScanned != 1 {
 		t.Fatalf("files scanned = %d, want 1", one.FilesScanned)
 	}
-	again := postScan(t, ts, api.ScanRequest{Checker: testChecker, Files: []string{path}})
+	again := postScan(t, ts, api.ScanRequest{Checker: testChecker, Query: api.Query{Files: []string{path}}})
 	if again.Cache.Misses != 0 {
 		t.Fatalf("re-scan of one file missed %d times, want 0", again.Cache.Misses)
 	}
@@ -343,9 +343,9 @@ func TestScanWorkersAreACeiling(t *testing.T) {
 		}
 	}()
 	const wide = 100000
-	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker, Workers: wide})
+	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker, Query: api.Query{Workers: wide}})
 	var batch api.BatchResponse
-	if code := postJSON(t, ts, "/batch", api.BatchRequest{Checkers: []string{testChecker}, Workers: wide}, &batch); code != http.StatusOK {
+	if code := postJSON(t, ts, "/batch", api.BatchRequest{Checkers: []string{testChecker}, Query: api.Query{Workers: wide}}, &batch); code != http.StatusOK {
 		t.Fatalf("POST /batch status = %d", code)
 	}
 	close(stop)

@@ -6,6 +6,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -80,7 +81,7 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 		scatters: reg.Counter("shard_scatters_total", "Coordinated scan/batch fan-outs served by this replica."),
 		degraded: reg.Counter("shard_degraded_scatters_total",
 			"Scatter partitions recomputed on the local snapshot because their shard failed or timed out."),
-		subScans:      reg.Counter("shard_sub_scans_total", "Shard-local sub-scans and sub-batches served for other coordinators."),
+		subScans:      reg.Counter("shard_sub_scans_total", "Shard-local sub-requests served for other coordinators, one per sub-request."),
 		converges:     reg.Counter("shard_converges_total", "Generation-feed replays that brought this shard up to the fleet generation."),
 		feedPublishes: reg.Counter("shard_feed_publishes_total", "Changeset commits published to the generation feed."),
 	}
@@ -147,21 +148,22 @@ func (s *Server) shardStats() *api.ShardStats {
 
 // localPartition scans cks over a partition's files on the
 // coordinator's pinned snapshot, one uncapped sub-response per checker
-// — exactly what the shard owner would have returned. It serves the
-// coordinator's own partition and is the fallback for everyone
-// else's. Checkers run one after another: each entry must
-// match what RunFiles returns for that checker alone.
-func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker, workers, funcTimeoutMS int, includeTrace bool) shard.Local {
+// — exactly what the shard owner would have returned, since each entry
+// of a pass equals what RunFiles returns for that checker alone. It
+// serves the coordinator's own partition and is the fallback for
+// everyone else's.
+func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker, q api.Query) shard.Local {
+	q.MaxReports = 0 // the merge applies the cap
 	return func(ctx context.Context, files []string) ([]*api.ScanResponse, error) {
 		idx, err := s.resolveFiles(files)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]*api.ScanResponse, len(cks))
-		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scanOptions(ctx, 0, workers, funcTimeoutMS))
+		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scanOptions(ctx, &q))
 		s.observeScan(ctx, results...)
 		for i, res := range results {
-			out[i] = api.ScanResult(cks[i].Name(), res, includeTrace, true)
+			out[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, true)
 		}
 		return out, nil
 	}
@@ -182,100 +184,61 @@ func scatterPaths(cb *scan.Codebase, files []string) []string {
 	return out
 }
 
-// scatterScan serves a coordinated /scan: pin the local snapshot,
-// scatter shard-local sub-scans, and merge the partials byte-identically
-// to a single-host scan.
-func (s *Server) scatterScan(w http.ResponseWriter, r *http.Request, req *api.ScanRequest, ck checker.Checker) {
+// scatter serves a coordinated read: pin the local snapshot, send each
+// shard owner its partition as one shard-local /batch of the checkers
+// (srcs holds their DSL texts, index for index with cks), and merge
+// every checker's partials byte-identically to a single-host scan. Each
+// merged entry carries the scatter's wall time, as a local pass's
+// entries carry the pass's. It returns false when the scatter failed
+// and the request has been answered.
+func (s *Server) scatter(w http.ResponseWriter, r *http.Request, q *api.Query, cks []checker.Checker, srcs []string) ([]*api.ScanResponse, int64, bool) {
 	cb := s.inc.Codebase()
 	// The pinned snapshot serves three jobs: it is the local partition's
 	// corpus, the fallback corpus for dead shards, and its generation is
-	// the floor every sub-scan must reach (min_generation) — so however
-	// a partition ends up being served, it sees at least this state.
+	// the floor every sub-request must reach (min_generation) — so
+	// however a partition ends up being served, it sees at least this
+	// state.
 	pin := cb.Pin()
 	defer pin.Release()
 	gen := pin.Snapshot.Generation()
 
-	// The sub-request template is the client's request: Scatter sends it
-	// per shard uncapped and applies max_reports at the merge.
-	sub := *req
+	// The sub-request template is the client's query, max_reports
+	// included: Scatter sends it per shard uncapped and applies the cap
+	// at the merge.
+	sub := api.BatchRequest{Checkers: srcs, Query: *q}
 	sub.MinGeneration = gen
-	start := time.Now()
-	merged, info, err := s.shard.sc.Scan(r.Context(), shard.ScanJob{
-		Req:      sub,
-		Name:     ck.Name(),
-		Paths:    scatterPaths(cb, req.Files),
-		ClientID: r.Header.Get(shard.ClientIDHeader),
-		Local:    s.localPartition(pin, []checker.Checker{ck}, req.Workers, req.FuncTimeoutMS, req.IncludeTrace),
-	})
-	s.shard.scatters.Inc()
-	if err != nil {
-		s.reject(w, http.StatusBadGateway, api.ErrUnavailable, "scatter failed: "+err.Error())
-		return
-	}
-	merged.ElapsedMS = elapsedMS(start)
-	s.m.scans.Inc()
-	if merged.Canceled {
-		s.m.scansCanceled.Inc()
-	}
-	s.m.reportsServed.Add(float64(len(merged.Reports)))
-	logScatter("scan", r, info, gen)
-	attachTiming(r.Context(), &merged.TraceID, &merged.Timing, req.IncludeTiming)
-	s.writeOK(w, merged.Generation, merged)
-}
-
-// scatterBatch runs a coordinated /batch over the checkers that
-// compiled (cks, at request indices live) and files the merged entries
-// into resp, which already carries the per-entry compile errors. It
-// returns false when the scatter failed and the request has been
-// answered.
-func (s *Server) scatterBatch(w http.ResponseWriter, r *http.Request, req *api.BatchRequest, resp *api.BatchResponse, cks []checker.Checker, live []int) bool {
-	cb := s.inc.Codebase()
-	pin := cb.Pin()
-	defer pin.Release()
-	gen := pin.Snapshot.Generation()
-
-	// As in scatterScan the template is the client's request, max_reports
-	// included — over the checkers that compiled.
-	sub := *req
-	sub.MinGeneration = gen
-	sub.Checkers = make([]string, len(cks))
 	names := make([]string, len(cks))
-	for i := range cks {
-		sub.Checkers[i] = req.Checkers[live[i]]
-		names[i] = cks[i].Name()
+	for i, ck := range cks {
+		names[i] = ck.Name()
 	}
+	start := time.Now()
 	merged, info, err := s.shard.sc.Batch(r.Context(), shard.BatchJob{
 		Req:      sub,
 		Names:    names,
-		Paths:    scatterPaths(cb, req.Files),
+		Paths:    scatterPaths(cb, q.Files),
 		ClientID: r.Header.Get(shard.ClientIDHeader),
-		Local:    s.localPartition(pin, cks, req.Workers, req.FuncTimeoutMS, req.IncludeTrace),
+		Local:    s.localPartition(pin, cks, *q),
 	})
 	s.shard.scatters.Inc()
 	if err != nil {
 		s.reject(w, http.StatusBadGateway, api.ErrUnavailable, "scatter failed: "+err.Error())
-		return false
+		return nil, 0, false
 	}
-	for bi, m := range merged {
-		resp.Results[live[bi]] = m
+	elapsed := elapsedMS(start)
+	for _, m := range merged {
+		m.ElapsedMS = elapsed
 	}
-	resp.Generation = gen
-	logScatter("batch", r, info, gen)
-	return true
-}
-
-// logScatter leaves one log line per degraded scatter — quiet in the
-// healthy steady state.
-func logScatter(route string, r *http.Request, info shard.Info, gen int64) {
-	if info.Degraded == 0 {
-		return
+	// One log line per degraded scatter — quiet in the healthy steady
+	// state.
+	if info.Degraded > 0 {
+		id := ""
+		if tr := obs.TraceFrom(r.Context()); tr != nil {
+			id = tr.ID
+		}
+		log.Printf("kserve: scatter %s: shards=%d degraded=%d gen=%d trace=%s",
+			strings.TrimPrefix(r.URL.Path, "/"), info.Shards, info.Degraded, gen, id)
 	}
-	id := ""
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		id = tr.ID
-	}
-	log.Printf("kserve: scatter %s: shards=%d degraded=%d gen=%d trace=%s",
-		route, info.Shards, info.Degraded, gen, id)
+	return merged, gen, true
 }
 
 // maybeConverge pulls the generation feed when a sharded replica

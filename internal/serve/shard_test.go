@@ -54,7 +54,7 @@ func TestShardedScanByteIdentical(t *testing.T) {
 
 	// Truncation is applied by the coordinator after the merge, so the
 	// capped prefix is the same bytes a single host would keep.
-	capped := api.ScanRequest{Checker: testChecker, MaxReports: 3}
+	capped := api.ScanRequest{Checker: testChecker, Query: api.Query{MaxReports: 3}}
 	sameScan(t, "max_reports", postScan(t, tss[0], capped), postScan(t, single, capped))
 
 	// An explicit file subset partitions the same way.
@@ -63,7 +63,7 @@ func TestShardedScanByteIdentical(t *testing.T) {
 	for i := 0; i < len(files); i += 3 {
 		subset = append(subset, files[i].Name)
 	}
-	sub := api.ScanRequest{Checker: testChecker, Files: subset}
+	sub := api.ScanRequest{Checker: testChecker, Query: api.Query{Files: subset}}
 	sameScan(t, "file subset", postScan(t, tss[0], sub), postScan(t, single, sub))
 
 	if count(srvs[0].shard.scatters) == 0 {
@@ -127,13 +127,14 @@ func TestShardedScanShardDeathFallsBack(t *testing.T) {
 // per entry; compile errors keep their request positions, and
 // max_reports caps every merged entry exactly where a single host cuts
 // it (sub-batches run uncapped; the cap is applied at the merge). Each
-// owner counts the sub-batch it served in sub_scans_served.
+// owner counts the sub-batch it served in sub_scans_served, and every
+// merged entry carries the scatter's wall time as its elapsed_ms.
 func TestShardedBatchByteIdentical(t *testing.T) {
 	_, single := bootOne(t, Config{})
 	srvs, tss := boot(t, 3, Config{})
 
 	for _, maxReports := range []int{0, 3} {
-		req := api.BatchRequest{MaxReports: maxReports, Checkers: []string{
+		req := api.BatchRequest{Query: api.Query{MaxReports: maxReports}, Checkers: []string{
 			testChecker,
 			"checker broken {", // keeps its slot as a per-entry error
 			strings.Replace(testChecker, "serve_npd", "serve_npd_b", 1),
@@ -159,12 +160,41 @@ func TestShardedBatchByteIdentical(t *testing.T) {
 		}
 		for _, i := range []int{0, 2} {
 			sameScan(t, fmt.Sprintf("batch entry %d, max_reports %d", i, maxReports), got.Results[i], want.Results[i])
+			if got.Results[i].ElapsedMS <= 0 {
+				t.Fatalf("coordinated batch entry %d: elapsed_ms %v, want the scatter's wall time", i, got.Results[i].ElapsedMS)
+			}
 			if maxReports > 0 && (len(want.Results[i].Reports) != maxReports || !want.Results[i].Truncated) {
 				t.Fatalf("fixture does not exercise the cap: single host kept %d reports, truncated=%v",
 					len(want.Results[i].Reports), want.Results[i].Truncated)
 			}
 		}
 	}
+}
+
+// TestShardedReadsCountClientRequests: after one coordinated /scan and
+// one coordinated /batch of two checkers, the coordinator has counted
+// what its client sent — three checker scans and one batch — and each
+// owner one sub-request per scatter in sub_scans_served and the
+// checkers it scanned in scans, but no batch: batches counts client
+// batches only.
+func TestShardedReadsCountClientRequests(t *testing.T) {
+	_, tss := boot(t, 3, Config{})
+	type counts struct{ scans, batches, subs int64 }
+	check := func(after string, want ...counts) {
+		t.Helper()
+		for i, ts := range tss {
+			st := getStats(t, ts)
+			if got := (counts{st.Scans, st.Batches, st.Shards.SubScansServed}); got != want[i] {
+				t.Errorf("after a coordinated %s, replica %d counts %+v, want %+v", after, i, got, want[i])
+			}
+		}
+	}
+	postScan(t, tss[0], api.ScanRequest{Checker: testChecker})
+	check("/scan", counts{1, 0, 0}, counts{1, 0, 1}, counts{1, 0, 1})
+	if code := postJSON(t, tss[0], "/batch", api.BatchRequest{Checkers: []string{testChecker, testCheckerB}}, nil); code != 200 {
+		t.Fatalf("sharded /batch = %d", code)
+	}
+	check("/batch", counts{3, 1, 0}, counts{3, 0, 2}, counts{3, 0, 2})
 }
 
 // TestShardedChangesetConvergesFleetWide: a changeset committed on one
@@ -210,7 +240,7 @@ func TestShardedChangesetConvergesFleetWide(t *testing.T) {
 	// Read-your-writes across the fleet: a min_generation scan through a
 	// DIFFERENT coordinator sees the commit, byte-identical to the
 	// single host.
-	req := api.ScanRequest{Checker: testChecker, MinGeneration: cr.Generation}
+	req := api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: cr.Generation}}
 	want := postScan(t, single, req)
 	sameScan(t, "post-changeset", postScan(t, tss[1], req), want)
 }
@@ -250,7 +280,7 @@ func TestRejectedChangesetDoesNotWedgeConvergence(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, MinGeneration: good.Generation})
+	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: good.Generation}})
 	if st := getStats(t, tss[0]).Shards; st.Scatters == 0 || st.Degraded != 0 {
 		t.Fatalf("scatter after the rejected changeset: %+v, want degraded_scatters == 0", st)
 	}

@@ -48,14 +48,6 @@ func NewTraceCollector(targets []string, perPeer time.Duration) *TraceCollector 
 	}
 }
 
-// Targets reports the collector's base URLs (for /stats and logs).
-func (tc *TraceCollector) Targets() []string {
-	if tc == nil {
-		return nil
-	}
-	return append([]string(nil), tc.targets...)
-}
-
 // Collect fetches id's fragment from every target concurrently via
 // GET {base}/trace/{id}?local=1 (the loop-guarded local-only form) and
 // returns whatever arrived, in target order. Failures and 404s are

@@ -38,13 +38,6 @@ func SegmentDiskMaxBytes(n int64) SegmentDiskOption {
 	}
 }
 
-// SegmentDiskSyncInterval overrides the batched-fsync cadence (negative
-// disables the background flusher; tests use that to control sync
-// points).
-func SegmentDiskSyncInterval(d time.Duration) SegmentDiskOption {
-	return func(o *segment.Options) { o.SyncInterval = d }
-}
-
 // segFuncTok maps a function hash to the engine's func token; the hash
 // is re-digested so arbitrary FuncHash strings yield a fixed-size token.
 func segFuncTok(funcHash string) string {

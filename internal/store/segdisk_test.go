@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"knighter/internal/store/segment"
 )
 
 func newTestSegDisk(t *testing.T, dir string, opts ...SegmentDiskOption) *SegmentDisk {
 	t.Helper()
 	// Tests control sync points; no background flusher.
-	opts = append([]SegmentDiskOption{SegmentDiskSyncInterval(-1)}, opts...)
+	opts = append([]SegmentDiskOption{func(o *segment.Options) { o.SyncInterval = -1 }}, opts...)
 	d, err := NewSegmentDisk(dir, opts...)
 	if err != nil {
 		t.Fatal(err)

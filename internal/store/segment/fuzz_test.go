@@ -63,9 +63,7 @@ func TestConcurrentOpsInvariants(t *testing.T) {
 	if st.Entries < 0 || st.Bytes < 0 {
 		t.Fatalf("books went negative: %+v", st)
 	}
-	walked := 0
-	s.Walk(func(string) { walked++ })
-	if walked != st.Entries {
+	if walked := len(s.liveIDs()); walked != st.Entries {
 		t.Fatalf("Stats().Entries = %d, index walk = %d", st.Entries, walked)
 	}
 
@@ -127,16 +125,16 @@ func FuzzSegmentInvariants(f *testing.F) {
 			if st.Entries < 0 || st.Bytes < 0 {
 				t.Fatalf("books negative: %+v", st)
 			}
-			walked := 0
+			ids := s.liveIDs()
 			var walkedBytes int64
-			s.Walk(func(id string) {
-				walked++
+			for _, id := range ids {
 				p, ok := s.Get(id)
 				if !ok {
 					t.Fatalf("indexed id %q unreadable", id)
 				}
 				walkedBytes += int64(len(p))
-			})
+			}
+			walked := len(ids)
 			if walked != st.Entries || walkedBytes != st.Bytes {
 				t.Fatalf("stats (%d entries, %d bytes) != walk (%d, %d)",
 					st.Entries, st.Bytes, walked, walkedBytes)
@@ -180,11 +178,11 @@ func FuzzSegmentInvariants(f *testing.F) {
 					// the engine's live set (order is timestamp-based and the
 					// model doesn't track time). Rebuild the model from it.
 					surviving := map[string]string{}
-					s.Walk(func(wid string) {
+					for _, wid := range s.liveIDs() {
 						if p, ok := s.Get(wid); ok {
 							surviving[wid] = string(p)
 						}
-					})
+					}
 					for mid := range model {
 						if _, ok := surviving[mid]; !ok {
 							delete(model, mid)
@@ -216,9 +214,7 @@ func FuzzSegmentInvariants(f *testing.F) {
 				t.Fatalf("after final reopen Get(%s) = %q,%v want %q", id, got, ok, want)
 			}
 		}
-		count := 0
-		s.Walk(func(string) { count++ })
-		if count != len(model) {
+		if count := len(s.liveIDs()); count != len(model) {
 			t.Fatalf("after final reopen: %d live entries, model has %d", count, len(model))
 		}
 	})

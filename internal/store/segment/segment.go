@@ -148,7 +148,7 @@ type Store struct {
 	byFunc map[string]map[string]*ref
 	// liveBytes is the sum of live payload lengths; maintained under mu
 	// alongside every index mutation and verifiable against a full index
-	// walk (VerifyIntegrity does exactly that).
+	// walk (the tests' VerifyIntegrity does exactly that).
 	liveBytes int64
 	segs      map[uint32]*segFile
 	active    *segFile
@@ -659,54 +659,6 @@ func (s *Store) Stats() Stats {
 	st.Evicted = s.evicted.Load()
 	st.Compactions = s.compactions.Load()
 	return st
-}
-
-// VerifyIntegrity cross-checks the maintained accounting against a full
-// index walk: the byte total must equal the sum of live payload
-// lengths, both indexes must agree on the live set, and no counter may
-// be negative. Tests (and the fuzz harness) call it after every
-// operation; it is cheap enough to run in anger too.
-func (s *Store) VerifyIntegrity() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var bytes int64
-	for id, r := range s.idx {
-		bytes += int64(r.payLen)
-		byFn := s.byFunc[r.funcTok]
-		if byFn == nil || byFn[id] != r {
-			return fmt.Errorf("segment: entry %q missing from func index %q", id, r.funcTok)
-		}
-	}
-	indexed := 0
-	for fn, byFn := range s.byFunc {
-		for id, r := range byFn {
-			if s.idx[id] != r {
-				return fmt.Errorf("segment: func index %q holds stale entry %q", fn, id)
-			}
-		}
-		indexed += len(byFn)
-	}
-	if indexed != len(s.idx) {
-		return fmt.Errorf("segment: func index holds %d entries, id index %d", indexed, len(s.idx))
-	}
-	if bytes != s.liveBytes {
-		return fmt.Errorf("segment: liveBytes %d != index walk %d", s.liveBytes, bytes)
-	}
-	if s.liveBytes < 0 {
-		return fmt.Errorf("segment: negative liveBytes %d", s.liveBytes)
-	}
-	return nil
-}
-
-// Walk calls fn for every live entry's id (no payload I/O). Order is
-// unspecified. Used by tests to diff the live set against a reopened
-// engine.
-func (s *Store) Walk(fn func(id string)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for id := range s.idx {
-		fn(id)
-	}
 }
 
 // readRecord fetches one full framed record (for compaction copies). A

@@ -45,9 +45,7 @@ func checkIntegrity(t *testing.T, s *Store) {
 func liveSet(t *testing.T, s *Store) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	var ids []string
-	s.Walk(func(id string) { ids = append(ids, id) })
-	for _, id := range ids {
+	for _, id := range s.liveIDs() {
 		p, ok := s.Get(id)
 		if !ok {
 			t.Fatalf("walked id %q not gettable", id)

@@ -21,9 +21,6 @@ func SingletonRange(v int64) Range { return Range{Min: v, Max: v} }
 // path constraint).
 func (r Range) IsEmpty() bool { return r.Min > r.Max }
 
-// IsFull reports whether the interval is unconstrained.
-func (r Range) IsFull() bool { return r == FullRange }
-
 // IsSingleton reports whether the interval contains exactly one value.
 func (r Range) IsSingleton() bool { return r.Min == r.Max }
 

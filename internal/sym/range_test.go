@@ -11,7 +11,7 @@ func TestRangeBasics(t *testing.T) {
 	if !r.Contains(0) || !r.Contains(63) || r.Contains(64) || r.Contains(-1) {
 		t.Error("Contains broken")
 	}
-	if r.IsEmpty() || r.IsFull() || r.IsSingleton() {
+	if r.IsEmpty() || r == FullRange || r.IsSingleton() {
 		t.Error("predicates broken")
 	}
 	if !SingletonRange(5).IsSingleton() {

@@ -113,9 +113,6 @@ func (a *Arena) Symbol(id SymbolID) *SymbolInfo {
 	return a.symbols[id]
 }
 
-// NumRegions returns the number of interned regions.
-func (a *Arena) NumRegions() int { return len(a.regions) - 1 }
-
 // Size returns the number of regions and symbols allocated so far; it
 // only grows, so an unchanged Size means nothing was allocated.
 func (a *Arena) Size() int { return len(a.regions) + len(a.symbols) }
@@ -211,22 +208,6 @@ func (a *Arena) Base(id RegionID) RegionID {
 		}
 		id = r.Parent
 	}
-}
-
-// IsSubRegionOf reports whether id is base itself or derived from base
-// via field/element paths.
-func (a *Arena) IsSubRegionOf(id, base RegionID) bool {
-	for id != NoRegion {
-		if id == base {
-			return true
-		}
-		r := a.Region(id)
-		if r == nil {
-			return false
-		}
-		id = r.Parent
-	}
-	return false
 }
 
 // Describe renders a human-readable path for the region ("spi_bus",

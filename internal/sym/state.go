@@ -83,16 +83,6 @@ func (s *State) LookupRegion(r RegionID) (Value, bool) {
 	return s.bindings.get(r)
 }
 
-// Bindings returns the bound regions in ascending order (for invariant
-// checks and debug output).
-func (s *State) Bindings() []RegionID {
-	out := make([]RegionID, len(s.bindings))
-	for i, e := range s.bindings {
-		out[i] = e.key
-	}
-	return out
-}
-
 // WithNullness returns a state where symbol sym has the given nullness.
 func (s *State) WithNullness(sym SymbolID, n Nullness) *State {
 	if sym == NoSymbol {

@@ -69,9 +69,6 @@ func (v Value) IsSymbol() bool { return v.Kind == KindSymbol }
 // IsLoc reports whether v is the address of a region.
 func (v Value) IsLoc() bool { return v.Kind == KindLoc }
 
-// Equal reports structural equality of two values.
-func (v Value) Equal(o Value) bool { return v == o }
-
 // String renders the value for diagnostics.
 func (v Value) String() string {
 	switch v.Kind {

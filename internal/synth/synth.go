@@ -43,11 +43,6 @@ const (
 	SymptomMissBoth Symptom = "semantic-miss-both"
 )
 
-// IsSemantic reports whether the symptom is a semantic failure.
-func (s Symptom) IsSemantic() bool {
-	return s == SymptomFlagBoth || s == SymptomMissBoth
-}
-
 // AttemptRecord is the telemetry of one iteration.
 type AttemptRecord struct {
 	Iteration      int

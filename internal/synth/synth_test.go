@@ -179,15 +179,6 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-func TestSymptomClassification(t *testing.T) {
-	if !SymptomFlagBoth.IsSemantic() || !SymptomMissBoth.IsSemantic() {
-		t.Error("semantic symptoms misclassified")
-	}
-	if SymptomCompile.IsSemantic() || SymptomRuntime.IsSemantic() {
-		t.Error("non-semantic symptoms misclassified")
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxIterations != 10 || o.MaxRepairAttempts != 5 || o.TValid != 50 {

@@ -8,7 +8,6 @@ import (
 	"crypto/sha1"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"time"
 
 	"knighter/internal/patch"
@@ -99,23 +98,6 @@ func (s *Store) ByClass(class string) []*Commit {
 	}
 	return out
 }
-
-// Classes returns the distinct classes present, sorted.
-func (s *Store) Classes() []string {
-	seen := map[string]bool{}
-	for _, c := range s.All() {
-		seen[c.Class] = true
-	}
-	var out []string
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of commits.
-func (s *Store) Len() int { return len(s.order) }
 
 // HashID derives a stable 12-hex id from content.
 func HashID(parts ...string) string {
