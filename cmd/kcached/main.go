@@ -16,8 +16,8 @@
 //
 // Endpoints:
 //
-//	GET  /entry/{id}?fh=&ck=&eng=   cached result (200) or miss (404)
-//	PUT  /entry/{id}?fh=&ck=&eng=   store a result (204)
+//	POST /entries/get               a range of keys -> a record or a miss per key
+//	POST /entries/put               a range of keys and records -> 204
 //	POST /invalidate                {"func_hashes": [...]}
 //	POST /feed                      publish a fleet changeset commit
 //	GET  /feed?from=N               pull commits a shard missed
@@ -26,6 +26,12 @@
 //	GET  /stats                     store + request counters
 //	GET  /metrics                   Prometheus text exposition
 //	GET  /healthz                   liveness
+//
+// The entry routes carry binary bodies in the result codec every store
+// tier uses, never JSON: store.CacheServer documents the framing.
+// Counters stay per entry, whatever a round trip carries. A replica
+// from before these routes (per-key GET/PUT /entry/{id}) gets 404s here
+// and degrades to local misses through its breaker.
 package main
 
 import (

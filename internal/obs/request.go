@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 )
@@ -41,11 +40,10 @@ type RequestObserver struct {
 	Slow time.Duration
 }
 
-// Wrap observes h under the given route label. Status codes listed in
-// routine are part of the route's protocol rather than failures (a
-// cache GET's 404 is a miss): they neither tag the root span nor count
-// as errored for the keep policy.
-func (o *RequestObserver) Wrap(route string, h http.HandlerFunc, routine ...int) http.HandlerFunc {
+// Wrap observes h under the given route label. A 4xx or 5xx reply tags
+// the root span with its status class and counts as errored for the
+// keep policy.
+func (o *RequestObserver) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 	if o == nil {
 		return h
 	}
@@ -64,7 +62,7 @@ func (o *RequestObserver) Wrap(route string, h http.HandlerFunc, routine ...int)
 		if o.Duration != nil {
 			o.Duration.With(route).ObserveExemplar(elapsed.Seconds(), tr.ID)
 		}
-		errored := sw.code >= 400 && !slices.Contains(routine, sw.code)
+		errored := sw.code >= 400
 		status := ""
 		if errored {
 			status = class

@@ -38,9 +38,8 @@ type TraceMeta struct {
 	Status int
 	// Elapsed is the request's wall time.
 	Elapsed time.Duration
-	// Errored marks the request as an error for the keep policy. The
-	// caller classifies: kserve treats any 4xx/5xx as errored; kcached
-	// excludes entry-miss 404s (a miss is routine, not an error).
+	// Errored marks the request as an error for the keep policy: any
+	// 4xx/5xx (a cache miss is part of a 200 reply, not a status).
 	Errored bool
 }
 

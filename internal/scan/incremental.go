@@ -107,9 +107,9 @@ type unit struct {
 
 // rangeSize is how many consecutive units a worker claims at a time, and
 // so how many keys per rider one store probe carries. It amortizes the
-// claim and the memory tier's lock over a range; a pass has at most one
-// worker per range, and its last range can leave a worker up to
-// rangeSize-1 analyses behind the others on a cold pass.
+// claim, the memory tier's lock and a kcached round trip over a range;
+// a pass has at most one worker per range, and its last range can leave
+// a worker up to rangeSize-1 analyses behind the others on a cold pass.
 const rangeSize = 64
 
 // RunFiles scans the given file indices through the cache. The merge
@@ -138,6 +138,10 @@ type riderPlan struct {
 	// (its own index when there is none): equal riders compute once and
 	// share every per-function result.
 	same int
+	// slot is the rider's place in a range's one store probe — its keys
+	// are the probe's slot-th run of range-length keys — or -1 for a
+	// rider that is not probed (uncacheable, or a duplicate).
+	slot int
 	// perFunc[u] is the rider's result for unit u.
 	perFunc             []*engine.Result
 	hits, misses, quiet atomic.Int64
@@ -158,13 +162,13 @@ func (p *riderPlan) quietOn(fp *minic.Footprint) bool {
 // pass over the function units for any number of riders (a rider is the
 // checker list one Result is keyed by — a scan is a pass with one rider,
 // a batch a pass with one per checker). A worker claims the next range
-// of units, probes each rider's keys for the whole range, then for each
-// unit runs the engine ONCE with the riders that missed and are loud on
-// the function — a rider whose checkers are all quiet on it copies the
-// function's no-checker baseline instead — and stores each rider's
-// result under its own key — the range's results in one store call, by
-// the digests its probe used; the per-rider merges then run as if each
-// rider had scanned alone.
+// of units, probes every rider's keys for the whole range in one store
+// call, then for each unit runs the engine ONCE with the riders that
+// missed and are loud on the function — a rider whose checkers are all
+// quiet on it copies the function's no-checker baseline instead — and
+// stores each rider's result under its own key — the range's results in
+// one store call, by the digests its probe used; the per-rider merges
+// then run as if each rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
@@ -208,32 +212,35 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	}
 	plans := make([]riderPlan, len(riders))
 	byFP := map[string]int{}
-	cacheable := false // any rider is
+	probed := 0 // riders with a probe slot
 	for i := range plans {
 		p := &plans[i]
-		p.checkers, p.same = riders[i], i
+		p.checkers, p.same, p.slot = riders[i], i, -1
 		if p.fp, p.cacheable = checkersFingerprint(riders[i]); p.cacheable {
-			cacheable = true
 			if first, dup := byFP[p.fp]; dup {
 				p.same = first
 				continue
 			}
 			byFP[p.fp] = i
+			p.slot = probed
+			probed++
 		}
 		p.perFunc = make([]*engine.Result, len(units))
 	}
+	cacheable := probed > 0 // any rider is
 	if cacheable && timed {
 		stage(StageParse, keyStart, time.Since(keyStart), len(units))
 	}
 
 	// The cache probe runs INSIDE the worker pool, not as a serial
-	// prologue: with a remote tier every Get can be a network round-trip,
-	// and a fleet-warm scan is nothing but Gets — serializing them would
-	// make the scan's headline path single-threaded I/O. So do the keys:
+	// prologue: with a remote tier every range probe is a network round
+	// trip, and a fleet-warm scan is nothing but probes — serializing
+	// them would make the scan's headline path single-threaded I/O. So
+	// do the keys:
 	// function hashes and key digests are memoized per file version, and
 	// the worker whose range first touches a file since it changed (or
 	// since a rider's fingerprints left its memo) hashes them there, in
-	// parallel. A worker claims a range of units, probes each rider's
+	// parallel. A worker claims a range of units, probes every rider's
 	// keys for the whole range in one store call, computes the misses
 	// unit by unit, and stores them in one more call at the end of the
 	// range. Two requests missing the same key at once both compute it
@@ -260,11 +267,16 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 					t0 = time.Now()
 					defer func() { busyNS.Add(int64(time.Since(t0))) }()
 				}
-				keys := make([]store.Key, 0, rangeSize)
-				// ids[i*rangeSize:] holds rider i's key digests for the
-				// range being worked: what its probe read, and what its
-				// misses are stored by.
-				ids := make([]store.Digest, len(plans)*rangeSize)
+				// The range's one probe: keys and ids hold, at
+				// [s*(hi-lo), (s+1)*(hi-lo)), the keys and key digests of
+				// the rider in slot s — what its probe reads, and what its
+				// misses are stored by — and got takes the answers before
+				// they are copied to the riders. answers and got share one
+				// allocation.
+				keys := make([]store.Key, 0, probed*rangeSize)
+				ids := make([]store.Digest, probed*rangeSize)
+				scratch := make([]*engine.Result, len(plans)+probed*rangeSize)
+				got := scratch[len(plans):]
 				// The range's misses to store, written in one call when
 				// the range is done.
 				var putKeys []store.Key
@@ -276,7 +288,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				missed := make([]int, 0, len(plans))
 				lists := make([][]checker.Checker, 0, len(plans)+1)
 				explored := make([]int, 0, len(plans))
-				answers := make([]*engine.Result, 0, len(plans))
+				answers := scratch[:0:len(plans)]
 				var fp minic.Footprint
 				for {
 					hi := int(cursor.Add(rangeSize))
@@ -285,13 +297,13 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						return
 					}
 					hi = min(hi, len(units))
+					w := hi - lo
+					keys = keys[:0]
 					for i := range plans {
 						p := &plans[i]
-						if p.same != i || !p.cacheable || opts.canceled() {
+						if p.slot < 0 || opts.canceled() {
 							continue
 						}
-						keys = keys[:0]
-						rids := ids[i*rangeSize : i*rangeSize+hi-lo]
 						var fileIDs []store.Digest
 						for u, file := lo, -1; u < hi; u++ {
 							un := units[u]
@@ -300,18 +312,26 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								fileIDs = snap.keyDigests(file, p.fp, engFP)
 							}
 							keys = append(keys, p.key(snap.FuncHash(un.file, un.fn), engFP))
-							rids[u-lo] = fileIDs[un.fn]
+							ids[p.slot*w+u-lo] = fileIDs[un.fn]
 						}
-						got := p.perFunc[lo:hi]
-						store.GetMany(ctx, inc.st, keys, rids, got)
+					}
+					if len(keys) > 0 {
+						store.GetMany(ctx, inc.st, keys, ids[:len(keys)], got[:len(keys)])
+					}
+					for i := range plans {
+						p := &plans[i]
+						if p.slot < 0 || (p.slot+1)*w > len(keys) {
+							continue // not probed: the pass was canceled first
+						}
 						hits := 0
-						for _, r := range got {
+						for u, r := range got[p.slot*w : (p.slot+1)*w] {
+							p.perFunc[lo+u] = r
 							if r != nil {
 								hits++
 							}
 						}
 						p.hits.Add(int64(hits))
-						p.misses.Add(int64(len(got) - hits))
+						p.misses.Add(int64(w - hits))
 					}
 					for u := lo; u < hi; u++ {
 						missed = missed[:0]
@@ -386,7 +406,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
 								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
-								putIDs = append(putIDs, ids[missed[k]*rangeSize+u-lo])
+								putIDs = append(putIDs, ids[p.slot*w+u-lo])
 								putRs = append(putRs, r)
 							}
 						}

@@ -31,6 +31,10 @@ type Snapshot struct {
 	// the memo of every file it keeps by pointer, so a warm daemon pays
 	// each hash once per file version, not once per generation.
 	memo []*fileMemo
+	// index maps a file's path to its index. Changesets replace file
+	// contents, never names, so every generation shares the one map
+	// NewCodebase built.
+	index map[string]int
 }
 
 // maxSumSets bounds how many (checker, engine) fingerprint pairs one file
@@ -165,10 +169,13 @@ func (m *fileMemo) hashes(f *minic.File) []string {
 // newSnapshot builds generation gen over the given parsed files with a
 // cold hash memo.
 func newSnapshot(gen int64, files []*minic.File) *Snapshot {
-	s := &Snapshot{gen: gen, files: files, memo: make([]*fileMemo, len(files))}
+	s := &Snapshot{gen: gen, files: files, memo: make([]*fileMemo, len(files)), index: make(map[string]int, len(files))}
 	for i, f := range files {
 		s.numFuncs += len(f.Funcs)
 		s.memo[i] = &fileMemo{}
+		if _, dup := s.index[f.Name]; !dup { // the first file of a name, as a linear search finds it
+			s.index[f.Name] = i
+		}
 	}
 	return s
 }
@@ -178,7 +185,7 @@ func newSnapshot(gen int64, files []*minic.File) *Snapshot {
 // and a cold memo. The parent is not modified — readers pinned to it
 // keep seeing exactly what they pinned.
 func (s *Snapshot) next(gen int64, work map[int]*minic.File) *Snapshot {
-	n := &Snapshot{gen: gen, files: slices.Clone(s.files), numFuncs: s.numFuncs, memo: slices.Clone(s.memo)}
+	n := &Snapshot{gen: gen, files: slices.Clone(s.files), numFuncs: s.numFuncs, memo: slices.Clone(s.memo), index: s.index}
 	for i, nf := range work {
 		n.numFuncs += len(nf.Funcs) - len(s.files[i].Funcs)
 		n.files[i], n.memo[i] = nf, &fileMemo{}
@@ -199,10 +206,8 @@ func (s *Snapshot) NumFuncs() int { return s.numFuncs }
 // FileIndex returns the index of the parsed file with the given path,
 // or -1.
 func (s *Snapshot) FileIndex(path string) int {
-	for i, f := range s.files {
-		if f.Name == path {
-			return i
-		}
+	if i, ok := s.index[path]; ok {
+		return i
 	}
 	return -1
 }

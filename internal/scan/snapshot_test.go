@@ -94,6 +94,35 @@ func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), a
 	}
 }
 
+// TestSnapshotFileIndex runs memoScript and checks FileIndex around
+// every commit: each file's path maps to its index in the parent and in
+// its successor, an unknown path maps to -1, and every generation looks
+// paths up in the one map NewCodebase built.
+func TestSnapshotFileIndex(t *testing.T) {
+	cb := buildCodebase(t)
+	first := reflect.ValueOf(cb.Snapshot().index).UnsafePointer()
+	check := func(s *Snapshot) {
+		t.Helper()
+		for i, f := range s.files {
+			if got := s.FileIndex(f.Name); got != i {
+				t.Fatalf("generation %d: FileIndex(%q) = %d, want %d", s.gen, f.Name, got, i)
+			}
+		}
+		for _, path := range []string{"", "no/such/file.c", s.files[0].Name + "x"} {
+			if got := s.FileIndex(path); got != -1 {
+				t.Fatalf("generation %d: FileIndex(%q) = %d, want -1", s.gen, path, got)
+			}
+		}
+		if reflect.ValueOf(s.index).UnsafePointer() != first {
+			t.Fatalf("generation %d built its own path index", s.gen)
+		}
+	}
+	memoScript(t, NewIncremental(cb, store.NewMemory(0)), check, func(parent, next *Snapshot, _ ...int) {
+		check(parent)
+		check(next)
+	})
+}
+
 // TestSnapshotMemoMatchesColdParse runs memoScript with every parent's
 // hash memos filled before each commit. Each successor must share the
 // memos of the files it kept and only those, and at the end every

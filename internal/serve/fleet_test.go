@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -324,6 +325,9 @@ func TestFleetRacedDiskReplica(t *testing.T) {
 	var hung atomic.Bool
 	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hung.Load() {
+			// Read the request first, as kcached does: the server notices
+			// the client hanging up only once the body is consumed.
+			io.Copy(io.Discard, r.Body)
 			<-r.Context().Done()
 			return
 		}

@@ -197,8 +197,8 @@ func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 	// daemons' logs now grep to the same trace.
 	for _, line := range []string{
 		"kserve: POST /scan 200 ",
-		"kcached: GET /entry/",
-		"kcached: PUT /entry/",
+		"kcached: POST /entries/get ",
+		"kcached: POST /entries/put ",
 	} {
 		logs.waitForLine(t, line, "trace="+traceID)
 	}

@@ -36,6 +36,12 @@ checker serve_npd {
 // i and every replica can coordinate.
 func boot(t *testing.T, n int, cfg Config) ([]*Server, []*httptest.Server) {
 	t.Helper()
+	return bootWith(t, n, cfg, nil)
+}
+
+// bootWith is boot with a hook that sees each listener before it starts.
+func bootWith(t *testing.T, n int, cfg Config, hook func(i int, ts *httptest.Server)) ([]*Server, []*httptest.Server) {
+	t.Helper()
 	cfg.Seed, cfg.Scale = 1, 0.1
 	// Listeners first: each replica's Config names every peer's URL.
 	tss := make([]*httptest.Server, n)
@@ -56,6 +62,9 @@ func boot(t *testing.T, n int, cfg Config) ([]*Server, []*httptest.Server) {
 		}
 		srvs[i] = srv
 		ts.Config.Handler = srv.Handler()
+		if hook != nil {
+			hook(i, ts)
+		}
 		ts.Start()
 		t.Cleanup(func() {
 			ts.Close()

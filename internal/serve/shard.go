@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -362,6 +363,9 @@ func (s *Server) shardPublish(ctx context.Context, gen int64, changes []api.Chan
 				if err != nil {
 					return
 				}
+				// Read the reply to the end, so the connection goes back
+				// to the pool and the next commit's nudge reuses it.
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}(peer)
 		}

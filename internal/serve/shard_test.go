@@ -2,8 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,6 +286,45 @@ func TestRejectedChangesetDoesNotWedgeConvergence(t *testing.T) {
 	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: good.Generation}})
 	if st := getStats(t, tss[0]).Shards; st.Scatters == 0 || st.Degraded != 0 {
 		t.Fatalf("scatter after the rejected changeset: %+v, want degraded_scatters == 0", st)
+	}
+}
+
+// TestNudgesReuseTheirConnection: a commit's /converge nudge reads its
+// reply to the end, so one keep-alive connection from the coordinator
+// carries every nudge to a peer: 20 commits open at most 2 connections
+// on it, where closing each reply unread opened one per commit.
+func TestNudgesReuseTheirConnection(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	var opened, served atomic.Int64
+	srvs, tss := bootWith(t, 2, Config{CacheRemote: kc.URL}, func(i int, ts *httptest.Server) {
+		if i != 1 {
+			return
+		}
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				opened.Add(1)
+			case http.StateIdle: // a request answered, the connection kept
+				served.Add(1)
+			}
+		}
+	})
+	f0 := srvs[0].inc.Codebase().Files()[0]
+	body := api.ChangesetRequest{Changes: []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}}}
+	peer := srvs[1].inc.Codebase()
+	for i := int64(1); i <= 20; i++ {
+		var cr api.ChangesetResponse
+		if code := postJSON(t, tss[0], "/changeset", body, &cr); code != 200 {
+			t.Fatalf("/changeset %d = %d", i, code)
+		}
+		// One nudge at a time: the next commit's starts after this one
+		// was answered.
+		waitFor(t, fmt.Sprintf("nudge %d", i), func() bool {
+			return served.Load() >= i && peer.Generation() >= cr.Generation
+		})
+	}
+	if n := opened.Load(); n > 2 {
+		t.Fatalf("20 commits opened %d connections on the peer, want <= 2", n)
 	}
 }
 

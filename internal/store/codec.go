@@ -25,8 +25,10 @@ import (
 // as n+1, 0 meaning nil, so nil and empty slices (the engine emits empty
 // traces) survive a round trip; v1 collapsed both to nil. A record under
 // any other tag is a miss: entries are content-addressed and cache-grade,
-// so an old one is recomputed once. The wire protocol (remote tier /
-// kcached) stays JSON: this is a private storage format.
+// so an old one is recomputed once. kcached's entry routes carry the
+// same records, framed with the same length-prefixed strings
+// (appendKey, appendFrame), so no tier and no wire speaks another
+// result encoding.
 const resultCodec = 0x02
 
 // Encode returns the bytes the memory and disk tiers store for r.
@@ -151,6 +153,19 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// appendFrame writes b as appendString writes a string.
+func appendFrame(buf, b []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
+}
+
+// appendKey writes a key's components, the form in which kcached's
+// entry routes address an entry: the server derives the content address
+// from them.
+func appendKey(buf []byte, k Key) []byte {
+	return appendString(appendString(appendString(buf, k.FuncHash), k.CheckerFP), k.EngineFP)
+}
+
 func appendPos(buf []byte, p minic.Pos) []byte {
 	buf = appendString(buf, p.File)
 	buf = binary.AppendUvarint(buf, uint64(p.Line))
@@ -189,18 +204,26 @@ func (d *codecReader) count(minSize int) (n int, ok bool) {
 	return int(c - 1), c > 0 && d.err == nil
 }
 
-func (d *codecReader) string() string {
+func (d *codecReader) string() string { return string(d.frame()) }
+
+// frame reads one length-prefixed byte string without copying it.
+func (d *codecReader) frame() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.buf)) < n {
 		d.err = errCodec
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
+}
+
+// key reads what appendKey wrote.
+func (d *codecReader) key() Key {
+	return Key{FuncHash: d.string(), CheckerFP: d.string(), EngineFP: d.string()}
 }
 
 func (d *codecReader) pos() minic.Pos {

@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
@@ -313,6 +316,118 @@ func FuzzResultCodec(f *testing.F) {
 		}
 		if again := encodeResult(r); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding differs:\n got % x\nwant % x", again, data)
+		}
+	})
+}
+
+// refEntries parses an entry-route body as the protocol defines it,
+// written against encoding/binary rather than codecReader: keys as three
+// minimal-uvarint length-prefixed strings, the first non-empty, each
+// followed on the put route by a record that strictly decodes and is
+// cacheable; at least one entry; nothing left over.
+func refEntries(body []byte, put bool) (keys []Key, recs [][]byte, ok bool) {
+	fields := 3
+	if put {
+		fields = 4
+	}
+	for len(body) > 0 {
+		var f [4][]byte
+		for j := 0; j < fields; j++ {
+			n, w := binary.Uvarint(body)
+			if w <= 0 || (w > 1 && body[w-1] == 0) || n > uint64(len(body)-w) {
+				return nil, nil, false
+			}
+			f[j], body = body[w:w+int(n)], body[w+int(n):]
+		}
+		k := Key{FuncHash: string(f[0]), CheckerFP: string(f[1]), EngineFP: string(f[2])}
+		if k.FuncHash == "" {
+			return nil, nil, false
+		}
+		if put {
+			r, err := decodeResult(f[3])
+			if err != nil || r.TimedOut || r.Canceled {
+				return nil, nil, false
+			}
+			recs = append(recs, f[3])
+		}
+		keys = append(keys, k)
+	}
+	return keys, recs, len(keys) > 0
+}
+
+// serveEntries sends body to an entry route of h.
+func serveEntries(h http.Handler, route string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+	return rec
+}
+
+// FuzzEntriesWire: arbitrary bodies sent to either entry route never
+// panic the server. A body refEntries refuses gets a 400 and stores
+// nothing; a get the reference accepts is answered with one frame per
+// key, all misses on an empty store; a put it accepts is a 204, and the
+// same keys then read back through /entries/get as the bytes put under
+// them (the last, for a key put twice).
+func FuzzEntriesWire(f *testing.F) {
+	a, b := fkey("fA", "ck"), fkey("fB", "ck")
+	two := append(putFrame(a, result("a")), putFrame(b, result("b"))...)
+	f.Add(true, two)
+	f.Add(true, append(slices.Clone(two), putFrame(a, result("a2"))...))
+	f.Add(true, putFrame(a, &engine.Result{Truncated: true, TimedOut: true}))
+	f.Add(true, putFrame(Key{CheckerFP: "ck"}, result("no hash")))
+	f.Add(true, two[:len(two)-1])
+	f.Add(false, appendKey(appendKey(nil, a), b))
+	f.Add(false, []byte{0x80, 0x00})
+	f.Add(false, []byte(nil))
+	f.Fuzz(func(t *testing.T, put bool, body []byte) {
+		back := NewMemory(0)
+		h := NewCacheServer(back).Handler()
+		route := "/entries/get"
+		if put {
+			route = "/entries/put"
+		}
+		rec := serveEntries(h, route, body)
+		keys, recs, ok := refEntries(body, put)
+		if !ok {
+			if rec.Code != http.StatusBadRequest || back.Stats().Puts != 0 {
+				t.Fatalf("%s of a malformed body: status %d, %d puts stored", route, rec.Code, back.Stats().Puts)
+			}
+			return
+		}
+		want := make([][]byte, len(keys))
+		if put {
+			if rec.Code != http.StatusNoContent {
+				t.Fatalf("put of %d well-formed entries: status %d", len(keys), rec.Code)
+			}
+			last := map[Key][]byte{}
+			for i, k := range keys {
+				last[k] = recs[i]
+			}
+			for i, k := range keys {
+				want[i] = last[k]
+			}
+			var getBody []byte
+			for _, k := range keys {
+				getBody = appendKey(getBody, k)
+			}
+			rec = serveEntries(h, "/entries/get", getBody)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("get of %d keys: status %d", len(keys), rec.Code)
+		}
+		reply := rec.Body.Bytes()
+		for i := range keys {
+			n, w := binary.Uvarint(reply)
+			if w <= 0 || n > uint64(len(reply)-w) {
+				t.Fatalf("reply frame %d of %d is malformed", i, len(keys))
+			}
+			if got := reply[w : w+int(n)]; !bytes.Equal(got, want[i]) {
+				t.Fatalf("key %d read back % x, want % x", i, got, want[i])
+			}
+			reply = reply[w+int(n):]
+		}
+		if len(reply) != 0 {
+			t.Fatalf("%d bytes after the last reply frame", len(reply))
 		}
 	})
 }

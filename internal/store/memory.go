@@ -100,17 +100,19 @@ func (m *Memory) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine
 
 // lookup is the one probe body behind Get and GetMany. The keys arrive
 // hashed; they are looked up and moved to the front of the LRU ring
-// under one lock acquisition — leaving the ring as sequential Gets in
-// key order would — and decoded into out after the unlock. Payloads are
-// immutable once published, and the hits decode into one slab allocated
-// for them: each result keeps its own slices, only the backing array of
-// the results themselves is shared, among results one caller owns.
+// under one lock acquisition per 64 keys — leaving the ring as
+// sequential Gets in key order would — and decoded into out after the
+// unlock. Payloads are immutable once published, and each 64 keys' hits
+// decode into one slab allocated for them: each result keeps its own
+// slices, only the backing array of the results themselves is shared,
+// among results one caller owns.
 func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
-	var buf [64][]byte // a scheduler range probes without allocating
-	payloads := buf[:0]
-	if len(ids) > len(buf) {
-		payloads = make([][]byte, 0, len(ids))
+	for len(ids) > 64 {
+		m.lookup(ids[:64], out[:64])
+		ids, out = ids[64:], out[64:]
 	}
+	var buf [64][]byte // a scheduler range's rider probes without allocating
+	payloads := buf[:0]
 	hits := 0
 	m.mu.Lock()
 	for _, id := range ids {

@@ -19,16 +19,21 @@ import (
 // Remote is the network cache tier: an HTTP client for a kcached daemon,
 // letting a fleet of kserve replicas share one content-addressed result
 // store. It implements Store over the same key space the disk tier uses,
-// so the daemon is nothing more than a store with a socket in front.
+// so the daemon is nothing more than a store with a socket in front. It
+// is a batch tier: a range's keys go out as one POST /entries/get and
+// its results as one POST /entries/put, in the binary codec the other
+// tiers store; Get and Put are the one-key case.
 //
-// The tier is strictly best-effort, like the disk tier: every failure mode — the
-// daemon down, a request timing out, a corrupt payload, the circuit
-// breaker open — degrades to a cache miss, never to a request error, so
-// a replica whose kcached disappears keeps serving from its local tiers
-// with zero failed scans. A circuit breaker bounds the cost of a dead or
-// slow daemon: after BreakerThreshold consecutive failures the tier
-// stops issuing requests for BreakerCooldown, then lets a single probe
-// through to test recovery.
+// The tier is strictly best-effort, like the disk tier: every failure
+// mode — the daemon down, a request timing out, a non-2xx status, a
+// corrupt or oversized reply, the circuit breaker open — degrades to a
+// cache miss, never to a request error, so a replica whose kcached
+// disappears keeps serving from its local tiers with zero failed scans.
+// A circuit breaker bounds the cost of a dead or slow daemon: after
+// BreakerThreshold consecutive failures the tier stops issuing requests
+// for BreakerCooldown, then lets a single probe through to test
+// recovery. It gets one verdict per round trip, however many keys the
+// round trip carried.
 type Remote struct {
 	base   string
 	client *http.Client
@@ -104,18 +109,6 @@ func NewRemote(baseURL string, cfg RemoteConfig) (*Remote, error) {
 	}, nil
 }
 
-// entryURL addresses one entry: the content address is the path, and the
-// key components ride as query parameters so the daemon can (a) verify
-// the address and (b) shard storage by function hash exactly like the
-// local disk tier.
-func (r *Remote) entryURL(k Key) string {
-	q := url.Values{}
-	q.Set("fh", k.FuncHash)
-	q.Set("ck", k.CheckerFP)
-	q.Set("eng", k.EngineFP)
-	return r.base + "/entry/" + k.ID() + "?" + q.Encode()
-}
-
 // allow reports whether the breaker permits a request right now.
 func (r *Remote) allow() bool {
 	r.mu.Lock()
@@ -131,8 +124,8 @@ func (r *Remote) allow() bool {
 	return false
 }
 
-// success records a healthy round-trip (including a 404 miss — the
-// daemon answered), closing the breaker.
+// success records a healthy round-trip (misses included — the daemon
+// answered), closing the breaker.
 func (r *Remote) success() {
 	r.mu.Lock()
 	r.consecFails = 0
@@ -166,124 +159,169 @@ func (r *Remote) failure() {
 	r.mu.Unlock()
 }
 
-// newRequest builds one round-trip's request, carrying the caller's
-// trace id and parent span id (if any) so the kcached access log — and
-// its trace-store fragment — can be stitched under the originating
-// kserve request's span tree.
-func (r *Remote) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
+// post sends one entry-route body and returns the reply, or ok=false.
+// A failed round trip gets its breaker verdict here: a caller that
+// canceled mid-flight only releases its slot (kcached did nothing
+// wrong), anything else counts as a failure. A delivered reply gets its
+// verdict from the caller, who alone can tell a corrupt one. The
+// request carries the caller's trace id and parent span id, so
+// kcached's access log and trace fragment join the originating kserve
+// request's span tree.
+func (r *Remote) post(ctx context.Context, path string, body []byte) ([]byte, bool) {
+	if !r.allow() {
+		return nil, false
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+path, bytes.NewReader(body))
+	if err != nil {
+		r.abandon()
+		return nil, false
+	}
+	obs.InjectHeaders(ctx, req.Header)
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := r.client.Do(req)
+	var reply []byte
+	if err == nil {
+		reply, err = io.ReadAll(io.LimitReader(resp.Body, int64(maxEntryBytes)+1))
+		resp.Body.Close()
+	}
+	switch {
+	case err == nil && resp.StatusCode/100 == 2 && len(reply) <= maxEntryBytes:
+		return reply, true
+	case ctx.Err() != nil:
+		r.abandon()
+	default:
+		r.failure()
+	}
+	return nil, false
+}
+
+// Get implements Store: the one-key GetMany.
+func (r *Remote) Get(ctx context.Context, k Key) (*engine.Result, bool) {
+	var out [1]*engine.Result
+	r.GetMany(ctx, []Key{k}, nil, out[:])
+	return out[0], out[0] != nil
+}
+
+// GetMany implements BatchGetter: one POST /entries/get carries the
+// whole range, and any failure leaves every key a miss. The digests are
+// not sent — kcached derives every address from the key components. The
+// caller's context both propagates the trace id and aborts the network
+// wait when the caller is gone; an aborted round trip is a miss that
+// does NOT count against the breaker.
+func (r *Remote) GetMany(ctx context.Context, keys []Key, _ []Digest, out []*engine.Result) {
+	clear(out)
+	if len(keys) == 0 {
+		return
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return nil, err
+	var body []byte
+	for _, k := range keys {
+		body = appendKey(body, k)
 	}
-	obs.InjectHeaders(ctx, req.Header)
-	return req, nil
-}
-
-// Get implements Store. Any failure is a miss. The caller's context
-// both propagates the trace id and aborts the network wait when the
-// caller is gone — a cancellation-aborted Get is a miss that does NOT
-// count against the breaker (the daemon did nothing wrong; the client
-// hung up).
-func (r *Remote) Get(ctx context.Context, k Key) (*engine.Result, bool) {
-	if !r.allow() {
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
-	}
-	req, err := r.newRequest(ctx, http.MethodGet, r.entryURL(k), nil)
-	if err != nil {
-		r.abandon()
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		if req.Context().Err() != nil {
-			// Aborted by the caller, not failed by the daemon: release the
-			// probe slot without moving the breaker either way.
-			r.abandon()
+	hits := 0
+	if reply, ok := r.post(ctx, "/entries/get", body); ok {
+		if hits, ok = decodeEntries(reply, out); ok {
+			r.success()
 		} else {
+			// A 200 carrying garbage is a daemon fault, not a miss on its
+			// part: count it against the breaker, so a corrupting proxy or
+			// a half-dead daemon gets cut off like a dead one.
+			clear(out)
 			r.failure()
 		}
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNotFound {
-		r.success()
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
-	}
-	if resp.StatusCode != http.StatusOK {
-		r.failure()
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
-	}
-	var res engine.Result
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxEntryBytes)).Decode(&res); err != nil {
-		// A 200 carrying garbage is a daemon fault, not a miss on its
-		// part — count it against the breaker so a corrupting proxy or
-		// half-dead daemon gets cut off like a dead one.
-		r.failure()
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
-	}
-	if res.TimedOut || res.Canceled {
-		// The daemon rejects these at Put, but an old or foreign daemon
-		// might not: a truncated result is uncacheable by the engine-wide
-		// invariant, so serving it as a hit would propagate one caller's
-		// timeout to every replica. The daemon did answer — a healthy
-		// round-trip, just an unusable entry.
-		r.success()
-		r.count(func(s *Stats) { s.Misses++ })
-		return nil, false
-	}
-	r.success()
-	r.count(func(s *Stats) { s.Hits++ })
-	return &res, true
+	r.count(func(s *Stats) {
+		s.Hits += int64(hits)
+		s.Misses += int64(len(keys) - hits)
+	})
 }
 
-// Put implements Store. Best-effort: failures are dropped silently
-// (beyond breaker accounting). Timed-out and canceled results are never
-// sent — the daemon would reject them with a 400 that counts against
-// our breaker. The publish deliberately detaches from the caller's
+// decodeEntries parses a POST /entries/get reply into out: one frame per
+// key, empty for a miss, else a record. ok is false if the reply is not
+// exactly that.
+func decodeEntries(reply []byte, out []*engine.Result) (hits int, ok bool) {
+	d := &codecReader{buf: reply}
+	for i := range out {
+		rec := d.frame()
+		if d.err != nil {
+			return 0, false
+		}
+		if len(rec) == 0 {
+			continue
+		}
+		res, err := decodeResult(rec)
+		if err != nil {
+			return 0, false
+		}
+		if res.TimedOut || res.Canceled {
+			// kcached rejects these at put, but an old or foreign daemon
+			// might not: a truncated result is uncacheable by the
+			// engine-wide invariant, so serving it as a hit would
+			// propagate one caller's timeout to every replica. The daemon
+			// did answer; the entry is just unusable.
+			continue
+		}
+		out[i] = res
+		hits++
+	}
+	if len(d.buf) != 0 {
+		return 0, false
+	}
+	return hits, true
+}
+
+// Put implements Store: the one-key PutMany.
+func (r *Remote) Put(ctx context.Context, k Key, res *engine.Result) {
+	r.PutMany(ctx, []Key{k}, nil, []*engine.Result{res})
+}
+
+// PutMany implements BatchPutter: the range's results go to kcached as
+// POST /entries/put bodies of at most maxEntryBytes — one for any real
+// range. Best-effort: failures are dropped silently (beyond breaker
+// accounting). Timed-out and canceled results are never sent — the
+// daemon would reject the whole body with a 400 that counts against our
+// breaker. The publish deliberately detaches from the caller's
 // cancellation (keeping its trace id): the computed bytes are valid for
 // the whole fleet even if this caller just disconnected, and an aborted
 // publish would read as a daemon failure to the breaker.
-func (r *Remote) Put(ctx context.Context, k Key, res *engine.Result) {
-	if res == nil || res.TimedOut || res.Canceled || !r.allow() {
-		return
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
+func (r *Remote) PutMany(ctx context.Context, keys []Key, _ []Digest, rs []*engine.Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req, err := r.newRequest(context.WithoutCancel(ctx), http.MethodPut, r.entryURL(k), bytes.NewReader(data))
-	if err != nil {
-		return
+	ctx = context.WithoutCancel(ctx)
+	var body []byte
+	n := 0 // entries in body
+	for i, res := range rs {
+		if res == nil || res.TimedOut || res.Canceled {
+			continue
+		}
+		mark := len(body)
+		body = appendFrame(appendKey(body, keys[i]), encodeResult(res))
+		if len(body) > maxEntryBytes && n > 0 {
+			// Past the cap: send the entries before this one, and start
+			// the next body with it.
+			r.putBody(ctx, body[:mark], n)
+			body, n = body[:copy(body, body[mark:])], 0
+		}
+		if len(body) > maxEntryBytes { // one entry alone can never be sent
+			body = body[:0]
+			continue
+		}
+		n++
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		r.failure()
-		return
+	if n > 0 {
+		r.putBody(ctx, body, n)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		r.failure()
-		return
+}
+
+// putBody sends one POST /entries/put body of n entries.
+func (r *Remote) putBody(ctx context.Context, body []byte, n int) {
+	if _, ok := r.post(ctx, "/entries/put", body); ok {
+		r.success()
+		r.count(func(s *Stats) { s.Puts += int64(n) })
 	}
-	r.success()
-	r.count(func(s *Stats) { s.Puts++ })
 }
 
 // invalidateRequest is the POST /invalidate wire format.

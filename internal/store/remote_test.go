@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,51 +81,73 @@ func TestRemoteInvalidate(t *testing.T) {
 	}
 }
 
-// TestRemoteServerValidatesAddress pins the anti-poisoning check: a PUT
-// or GET whose key components do not hash to the path's content address
-// is rejected, so a buggy client cannot publish an entry under a key
-// other replicas would trust.
+// postEntries sends a raw body to an entry route and returns the status.
+func postEntries(t *testing.T, url, route string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url+route, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// putFrame is one entry of a POST /entries/put body.
+func putFrame(k Key, res *engine.Result) []byte {
+	return appendFrame(appendKey(nil, k), encodeResult(res))
+}
+
+// TestRemoteServerValidatesAddress pins the anti-poisoning rule: a
+// client sends key components, never an address, and the server derives
+// the address from them — so an entry lands exactly where a reader of
+// those components looks, and nowhere else. A key without a function
+// hash is rejected.
 func TestRemoteServerValidatesAddress(t *testing.T) {
 	back := NewMemory(0)
 	ts := newCacheTS(t, back)
-
-	data, _ := json.Marshal(result("evil"))
-	// Claim the ID of one key while sending another key's components.
-	req, _ := http.NewRequest(http.MethodPut,
-		ts.URL+"/entry/"+fkey("fX", "ck").ID()+"?fh=fY&ck=ck&eng=eng",
-		strings.NewReader(string(data)))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if code := postEntries(t, ts.URL, "/entries/put", putFrame(fkey("fY", "ck"), result("y"))); code != http.StatusNoContent {
+		t.Fatalf("put = %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched key accepted: status %d", resp.StatusCode)
+	got := make([]*engine.Result, 2)
+	back.GetMany(bg, nil, []Digest{fkey("fY", "ck").Digest(), fkey("fX", "ck").Digest()}, got)
+	if got[0] == nil || got[1] != nil || back.Stats().Entries != 1 {
+		t.Fatalf("entry not stored at the address its components hash to: %v", got)
 	}
-	if back.Stats().Puts != 0 {
-		t.Fatal("mismatched key reached the backing store")
+	for route, body := range map[string][]byte{
+		"/entries/put": putFrame(Key{CheckerFP: "ck", EngineFP: "eng"}, result("evil")),
+		"/entries/get": appendKey(nil, Key{CheckerFP: "ck", EngineFP: "eng"}),
+	} {
+		if code := postEntries(t, ts.URL, route, body); code != http.StatusBadRequest {
+			t.Fatalf("%s without a function hash = %d, want 400", route, code)
+		}
+	}
+	if back.Stats().Puts != 1 {
+		t.Fatal("a key without a function hash reached the backing store")
 	}
 }
 
-// TestRemoteServerRejectsCorruptPut: bytes that do not decode as an
-// engine.Result never enter the shared store.
+// TestRemoteServerRejectsCorruptPut: a put body is stored whole or not
+// at all — a body with any frame that is not a key and a strictly
+// decodable record is a 400, and not even its valid entries enter the
+// shared store.
 func TestRemoteServerRejectsCorruptPut(t *testing.T) {
 	back := NewMemory(0)
 	ts := newCacheTS(t, back)
-	k := fkey("fX", "ck")
-	req, _ := http.NewRequest(http.MethodPut,
-		ts.URL+"/entry/"+k.ID()+"?fh="+k.FuncHash+"&ck="+k.CheckerFP+"&eng="+k.EngineFP,
-		strings.NewReader(`{"Reports": "not-a-list"`))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt body accepted: status %d", resp.StatusCode)
+	good := putFrame(fkey("fX", "ck"), result("x"))
+	for name, body := range map[string][]byte{
+		"empty":              nil,
+		"truncated":          good[:len(good)-1],
+		"trailing byte":      append(slices.Clone(good), 0),
+		"record not codec":   append(slices.Clone(good), appendFrame(appendKey(nil, fkey("fY", "ck")), []byte(`{"Reports": "not-a-list"`))...),
+		"key without record": append(slices.Clone(good), appendKey(nil, fkey("fY", "ck"))...),
+	} {
+		if code := postEntries(t, ts.URL, "/entries/put", body); code != http.StatusBadRequest {
+			t.Fatalf("%s body accepted: status %d", name, code)
+		}
 	}
 	if back.Stats().Puts != 0 {
-		t.Fatal("corrupt body reached the backing store")
+		t.Fatal("a corrupt body reached the backing store")
 	}
 }
 
@@ -137,18 +162,12 @@ func TestRemoteServerRejectsUncacheablePut(t *testing.T) {
 		"timed-out": {Truncated: true, TimedOut: true},
 		"canceled":  {Truncated: true, Canceled: true},
 	} {
-		k := fkey("fX", "ck")
-		data, _ := json.Marshal(res)
-		req, _ := http.NewRequest(http.MethodPut,
-			ts.URL+"/entry/"+k.ID()+"?fh="+k.FuncHash+"&ck="+k.CheckerFP+"&eng="+k.EngineFP,
-			strings.NewReader(string(data)))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s result accepted: status %d", name, resp.StatusCode)
+		// Alone, and behind a valid entry: the body is refused whole.
+		body := putFrame(fkey("fX", "ck"), res)
+		for _, b := range [][]byte{body, append(putFrame(fkey("fY", "ck"), result("y")), body...)} {
+			if code := postEntries(t, ts.URL, "/entries/put", b); code != http.StatusBadRequest {
+				t.Fatalf("%s result accepted: status %d", name, code)
+			}
 		}
 	}
 	if back.Stats().Puts != 0 {
@@ -168,8 +187,7 @@ func TestRemoteServerRejectsUncacheablePut(t *testing.T) {
 // breaker stays closed.
 func TestRemoteFlaggedEntryIsMiss(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(&engine.Result{Truncated: true, TimedOut: true})
+		w.Write(appendFrame(nil, encodeResult(&engine.Result{Truncated: true, TimedOut: true})))
 	}))
 	t.Cleanup(ts.Close)
 	r := newRemote(t, ts.URL, RemoteConfig{})
@@ -203,20 +221,104 @@ func TestRemoteDownIsMissNotError(t *testing.T) {
 	}
 }
 
-// TestRemoteCorruptPayloadIsMiss: a daemon answering 200 with garbage is
-// a miss on the client, and counts toward the breaker.
+// TestRemoteCorruptPayloadIsMiss: a daemon answering 200 with anything
+// but one frame per key — garbage, a frame short or over, a record that
+// fails the strict decode — or with a reply over the bound, is a miss
+// for every key of the round trip, and one error toward the breaker.
 func TestRemoteCorruptPayloadIsMiss(t *testing.T) {
+	withMaxEntryBytes(t, 1<<10)
+	rec := encodeResult(result("one"))
+	for name, reply := range map[string][]byte{
+		"garbage":        []byte(`{"Reports": "garbage`),
+		"frame short":    appendFrame(nil, rec),
+		"frame over":     appendFrame(appendFrame(appendFrame(nil, rec), nil), nil),
+		"corrupt record": appendFrame(appendFrame(nil, rec[:len(rec)-1]), nil),
+		"oversized":      appendFrame(appendFrame(nil, rec), make([]byte, 1<<10)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write(reply)
+			}))
+			t.Cleanup(ts.Close)
+			r := newRemote(t, ts.URL, RemoteConfig{})
+			out := make([]*engine.Result, 2)
+			r.GetMany(bg, []Key{key(1), key(2)}, nil, out)
+			if out[0] != nil || out[1] != nil {
+				t.Fatal("corrupt reply produced a hit")
+			}
+			if rs := r.RemoteStats(); rs.Errors != 1 || rs.Misses != 2 {
+				t.Fatalf("corrupt reply counted %+v, want 1 error and 2 misses", rs)
+			}
+		})
+	}
+}
+
+// withMaxEntryBytes lowers the entry routes' body bound for one test.
+// Register it before the test's servers, so they close first.
+func withMaxEntryBytes(t *testing.T, n int) {
+	old := maxEntryBytes
+	maxEntryBytes = n
+	t.Cleanup(func() { maxEntryBytes = old })
+}
+
+// TestRemoteBatchesPerRoundTrip: a range of keys is one POST
+// /entries/get and its results one POST /entries/put, counted per key on
+// both sides; a put list over the body bound is split into bodies within
+// it, and an entry that alone exceeds it is dropped, not sent.
+func TestRemoteBatchesPerRoundTrip(t *testing.T) {
+	withMaxEntryBytes(t, 4<<10)
+	back := NewMemory(0)
+	cs := NewCacheServer(back)
+	inner := cs.Handler()
+	var gets, puts atomic.Int64
+	var biggest atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(`{"Reports": "garbage`))
+		switch r.URL.Path {
+		case "/entries/get":
+			gets.Add(1)
+		case "/entries/put":
+			puts.Add(1)
+			if r.ContentLength > biggest.Load() {
+				biggest.Store(r.ContentLength)
+			}
+		}
+		inner.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
 	r := newRemote(t, ts.URL, RemoteConfig{})
-	if _, ok := r.Get(bg, key(1)); ok {
-		t.Fatal("corrupt payload produced a hit")
+
+	var keys []Key
+	var rs []*engine.Result
+	for i := byte(0); i < 40; i++ {
+		keys = append(keys, key(i))
+		rs = append(rs, result(strings.Repeat("m", 300)))
 	}
-	if rs := r.RemoteStats(); rs.Errors != 1 {
-		t.Fatalf("corrupt payload counted %d errors, want 1", rs.Errors)
+	// An entry over the bound on its own, mid-list.
+	keys = append(keys, key(99))
+	rs = append(rs, result(strings.Repeat("x", 8<<10)))
+	keys = append(keys, key(40))
+	rs = append(rs, result("last"))
+	r.PutMany(bg, keys, nil, rs)
+	if n := puts.Load(); n < 3 || biggest.Load() > 4<<10 {
+		t.Fatalf("41 entries of ~330 B sent in %d bodies, the biggest %d B; want several, each <= 4 KiB", n, biggest.Load())
+	}
+	if rs := r.RemoteStats(); rs.Puts != 41 || rs.Errors != 0 {
+		t.Fatalf("client books after the split put: %+v", rs)
+	}
+	if st := cs.puts.Load(); st != 41 || back.Stats().Entries != 41 {
+		t.Fatalf("server counted %d puts and holds %d entries, want 41", st, back.Stats().Entries)
+	}
+
+	out := make([]*engine.Result, 3)
+	r.GetMany(bg, []Key{key(0), key(99), key(40)}, nil, out)
+	if gets.Load() != 1 || out[0] == nil || out[1] != nil || out[2] == nil || out[2].Reports[0].Message != "last" {
+		t.Fatalf("%d get requests, results %v", gets.Load(), out)
+	}
+	if rs := r.RemoteStats(); rs.Hits != 2 || rs.Misses != 1 {
+		t.Fatalf("client books after the get: %+v", rs)
+	}
+	if cs.gets.Load() != 3 {
+		t.Fatalf("server counted %d gets, want 3", cs.gets.Load())
 	}
 }
 

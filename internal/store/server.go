@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,27 +12,40 @@ import (
 	"knighter/internal/obs"
 )
 
-// maxEntryBytes bounds one serialized entry on the wire (both directions)
-// so a corrupt or malicious peer cannot make either side buffer an
-// unbounded body. Far above any real engine.Result.
-const maxEntryBytes = 32 << 20
+// maxEntryBytes bounds every body on the entry routes — each request,
+// each reply — so a corrupt or malicious peer cannot make either side
+// buffer an unbounded body. Far above any real range of results; the
+// client splits a larger put list. A variable only so tests can reach
+// the bound without 32 MiB bodies.
+var maxEntryBytes = 32 << 20
 
 // CacheServer serves a Store over HTTP — the handler side of the Remote
 // client, and the whole of the kcached daemon. The protocol is the Store
-// interface spelled as four routes:
+// interface spelled as routes, a range of entries per round trip:
 //
-//	GET  /entry/{id}?fh=&ck=&eng=   cached result (200) or miss (404)
-//	PUT  /entry/{id}?fh=&ck=&eng=   store a result (204)
-//	POST /invalidate                {"func_hashes": [...]} -> {"invalidated": n}
-//	GET  /stats                     store + request counters
-//	GET  /healthz                   liveness
+//	POST /entries/get   keys -> one frame per key: a record (hit) or empty (miss)
+//	POST /entries/put   keys, each followed by its record -> 204
+//	POST /invalidate    {"func_hashes": [...]} -> {"invalidated": n}
+//	GET  /stats         store + request counters
+//	GET  /healthz       liveness
 //
-// Entries are addressed by Key.ID() in the path, with the key components
-// repeated as query parameters: the server recomputes the content address
-// from them and rejects mismatches, so a buggy client cannot accidentally
-// store under a key other clients would trust. (The payload itself is not
-// proven against the key — the daemon is a shared cache for a mutually
-// trusting fleet, not a defense against malicious replicas.)
+// Entry bodies are binary, in the result codec's own framing: a key is
+// its three components as length-prefixed strings (appendKey), and a
+// record is an encodeResult payload framed the same way (appendFrame).
+// The server derives every content address from the key components
+// itself, so a client cannot store under an address other clients would
+// trust for other inputs. (The payload itself is not proven against the
+// key — the daemon is a shared cache for a mutually trusting fleet, not
+// a defense against malicious replicas.) A put body is checked whole
+// before anything is stored: a malformed frame, a record that fails the
+// strict decode, or a timed-out or canceled result rejects the body
+// with a 400. Counters stay per entry: a round trip of n keys is n gets
+// or n puts.
+//
+// These routes replaced per-key JSON ones. Across the change, both
+// sides degrade rather than fail: an old replica's entry puts get 404s
+// from a new kcached, which open its breaker, and a new replica's get
+// 404s from an old one — either way, local misses, no failed scans.
 type CacheServer struct {
 	st      Store
 	started time.Time
@@ -49,7 +63,7 @@ type CacheServer struct {
 	// ro, once Observe was called, is the daemon chassis around the
 	// cache routes: every request records a root-span fragment (attached
 	// under the caller's X-Span-Id) that GET /trace/{id} serves back to
-	// a coordinating kserve — requests sharing a trace id, a scan's many
+	// a coordinating kserve — requests sharing a trace id, a scan's
 	// entry round-trips, merge into one fragment — plus the access-log
 	// line and the request-latency histogram.
 	ro *obs.RequestObserver
@@ -94,9 +108,8 @@ func (cs *CacheServer) Register(reg *obs.Registry) {
 // Handler returns the route table.
 func (cs *CacheServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// An entry-get 404 is a miss, not a failure.
-	mux.HandleFunc("GET /entry/{id}", cs.ro.Wrap("get", cs.handleGet, http.StatusNotFound))
-	mux.HandleFunc("PUT /entry/{id}", cs.ro.Wrap("put", cs.handlePut))
+	mux.HandleFunc("POST /entries/get", cs.ro.Wrap("get", cs.handleGet))
+	mux.HandleFunc("POST /entries/put", cs.ro.Wrap("put", cs.handlePut))
 	mux.HandleFunc("POST /invalidate", cs.ro.Wrap("invalidate", cs.handleInvalidate))
 	// kcached never fans out: it is always a leaf of the request tree,
 	// so its local fragment is the whole answer.
@@ -120,88 +133,111 @@ func (cs *CacheServer) traces() *obs.TraceStore {
 	return cs.ro.Traces
 }
 
-// countEntry records one entry-request outcome (no-op until Register).
-func (cs *CacheServer) countEntry(op, outcome string) {
+// countEntry records n entry-request outcomes (no-op until Register).
+func (cs *CacheServer) countEntry(op, outcome string, n int) {
 	if cs.entryReqs != nil {
-		cs.entryReqs.With(op, outcome).Inc()
+		cs.entryReqs.With(op, outcome).Add(float64(n))
 	}
 }
 
-// entryKey reconstructs the key from the query parameters and verifies it
-// matches the content address in the path. ok=false means the request was
-// already answered with a 400.
-func (cs *CacheServer) entryKey(w http.ResponseWriter, r *http.Request) (Key, bool) {
-	q := r.URL.Query()
-	k := Key{FuncHash: q.Get("fh"), CheckerFP: q.Get("ck"), EngineFP: q.Get("eng")}
-	if k.FuncHash == "" {
-		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"missing 'fh' (function hash)"}`, http.StatusBadRequest)
-		return Key{}, false
+// readEntries reads and parses an entry-route body, answering an
+// unreadable or oversized body, or one parseEntries refuses, with a 400
+// itself (ok=false).
+func (cs *CacheServer) readEntries(w http.ResponseWriter, r *http.Request, records bool) (keys []Key, ids []Digest, rs []*engine.Result, ok bool) {
+	data, err := io.ReadAll(io.LimitReader(r.Body, int64(maxEntryBytes)+1))
+	bad := "body unreadable or too large"
+	if err == nil && len(data) <= maxEntryBytes {
+		keys, ids, rs, bad = parseEntries(data, records)
 	}
-	if k.ID() != r.PathValue("id") {
+	if bad != "" {
 		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"key components do not hash to the entry id"}`, http.StatusBadRequest)
-		return Key{}, false
+		http.Error(w, `{"error":"`+bad+`"}`, http.StatusBadRequest)
+		return nil, nil, nil, false
 	}
-	return k, true
+	return keys, ids, rs, true
 }
 
+// parseEntries parses an entry-route body: at least one key, each
+// followed by a record when records is set, or else names what is
+// wrong. A key needs a function hash, and a record must pass the strict
+// decode and be cacheable: timed-out and canceled results reflect one
+// caller's wall clock or lifetime, not the key's inputs, so the
+// engine-wide invariant is that they are never cached, and the shared
+// tier enforces it so one buggy client cannot poison every replica's
+// warm hits with truncated results.
+func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, rs []*engine.Result, bad string) {
+	d := &codecReader{buf: data}
+	for len(d.buf) > 0 {
+		k := d.key()
+		if d.err != nil || k.FuncHash == "" {
+			return nil, nil, nil, "malformed key, or no function hash"
+		}
+		keys, ids = append(keys, k), append(ids, k.Digest())
+		if !records {
+			continue
+		}
+		res, err := decodeResult(d.frame())
+		if err != nil {
+			return nil, nil, nil, "record is not an encoded engine.Result"
+		}
+		if res.TimedOut || res.Canceled {
+			return nil, nil, nil, "timed-out or canceled results are uncacheable"
+		}
+		rs = append(rs, res)
+	}
+	if len(keys) == 0 {
+		return nil, nil, nil, "no entries"
+	}
+	return keys, ids, rs, ""
+}
+
+// handleGet answers a range of keys in one reply, in key order. The
+// reply stays within maxEntryBytes too: a hit that would cross it is
+// answered as a miss (every later frame costs at least a byte).
 func (cs *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	k, ok := cs.entryKey(w, r)
+	keys, ids, _, ok := cs.readEntries(w, r, false)
 	if !ok {
 		return
 	}
-	cs.gets.Add(1)
-	res, ok := cs.st.Get(r.Context(), k)
-	if !ok {
-		cs.countEntry("get", "miss")
-		http.Error(w, `{"error":"miss"}`, http.StatusNotFound)
-		return
+	out := make([]*engine.Result, len(keys))
+	GetMany(r.Context(), cs.st, keys, ids, out)
+	var reply []byte
+	hits := 0
+	for i, res := range out {
+		var rec []byte
+		if res != nil {
+			rec = encodeResult(res)
+		}
+		if len(reply)+binary.MaxVarintLen64+len(rec)+len(out)-i > maxEntryBytes {
+			rec = nil
+		}
+		if rec != nil {
+			hits++
+		}
+		reply = appendFrame(reply, rec)
 	}
-	cs.countEntry("get", "hit")
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
+	cs.gets.Add(int64(len(keys)))
+	cs.countEntry("get", "hit", hits)
+	cs.countEntry("get", "miss", len(keys)-hits)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(reply)
 }
 
+// handlePut stores a range of results, all or none.
 func (cs *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
-	k, ok := cs.entryKey(w, r)
+	keys, ids, rs, ok := cs.readEntries(w, r, true)
 	if !ok {
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxEntryBytes+1))
-	if err != nil || len(data) > maxEntryBytes {
-		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"body unreadable or too large"}`, http.StatusBadRequest)
-		return
-	}
-	var res engine.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		// Never store bytes that do not round-trip as a Result: every
-		// other replica would then fail its decode and count the shared
-		// tier as broken.
-		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"body is not an engine.Result"}`, http.StatusBadRequest)
-		return
-	}
-	if res.TimedOut || res.Canceled {
-		// Timed-out and canceled results reflect one caller's wall clock
-		// or lifetime, not the key's inputs — the engine-wide invariant
-		// is that they are never cached, and the shared tier enforces it
-		// here so one buggy client cannot poison every replica's warm
-		// hits with truncated results.
-		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"timed-out or canceled results are uncacheable"}`, http.StatusBadRequest)
-		return
-	}
-	cs.puts.Add(1)
-	cs.countEntry("put", "stored")
-	cs.st.Put(r.Context(), k, &res)
+	PutMany(r.Context(), cs.st, keys, ids, rs)
+	cs.puts.Add(int64(len(keys)))
+	cs.countEntry("put", "stored", len(keys))
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (cs *CacheServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	var req invalidateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxEntryBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, int64(maxEntryBytes))).Decode(&req); err != nil {
 		cs.badRequests.Add(1)
 		http.Error(w, `{"error":"bad JSON: `+err.Error()+`"}`, http.StatusBadRequest)
 		return

@@ -20,19 +20,20 @@ type Tier struct {
 // fastest first. Everything a deployment needs from the composition is
 // a behaviour of this type, chosen from the leaves it was given:
 //
-//   - Get probes front to back and promotes a deeper hit into every
-//     leaf in front of it. A network leaf (*Remote) with a leaf behind
-//     it is raced against that leaf: a local hit never waits on the
-//     network, a miss is declared only after both answered, and a
-//     remote hit is promoted into the local leaf too.
 //   - GetMany hands a range of keys and their digests to the front leaf
-//     in one call (one lock acquisition on *Memory, no hashing); each
-//     key it misses then takes Get's path through the leaves behind it.
-//     Counters stay per key.
-//   - Put writes through to every leaf. PutMany hands a range of keys
-//     and their digests to the front leaf in one call (one lock
-//     acquisition on *Memory, no hashing), then writes each key through
-//     the leaves behind it as Put does. Puts count per key.
+//     in one call (one lock acquisition on *Memory, no hashing); the
+//     keys it misses go on to the leaves behind it as one range, and a
+//     deeper hit is promoted into every leaf in front of it with one
+//     putMany per leaf. A network leaf (*Remote) takes a range in one
+//     round trip, and with a leaf behind it, it is raced against that
+//     leaf: the local leaf probes the range while the round trip is in
+//     flight, a range the local leaf answers whole never waits on the
+//     network, and the remote's hits are promoted into the local leaf
+//     too. Get is the one-key GetMany. Counters stay per key.
+//   - PutMany hands a range of keys and their digests to every leaf in
+//     one call each (one lock acquisition on *Memory, one round trip on
+//     *Remote), synchronously: a scan that returned has published. Put
+//     is the one-key PutMany. Puts count per key.
 //   - Invalidation fans the whole hash set out to every leaf once;
 //     network leaves are invalidated off the caller's goroutine, so a
 //     corpus mutation never waits on a round-trip. That is safe because
@@ -161,16 +162,6 @@ func (l *leaf) timed(k Key) bool {
 	return l.getDur != nil && (!l.sampled || (k.FuncHash != "" && k.FuncHash[0] == '0'))
 }
 
-func (l *leaf) get(ctx context.Context, k Key) (*engine.Result, bool) {
-	if !l.timed(k) {
-		return l.Store.Get(ctx, k)
-	}
-	start := time.Now()
-	r, ok := l.Store.Get(ctx, k)
-	l.getDur.Observe(time.Since(start).Seconds())
-	return r, ok
-}
-
 // getMany probes the leaf for a range of keys in one call.
 func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
 	l.batched(keys, l.getDur, func() { GetMany(ctx, l.Store, keys, ids, out) })
@@ -204,128 +195,134 @@ func (l *leaf) batched(keys []Key, dur *obs.Histogram, call func()) {
 	}
 }
 
-func (l *leaf) put(ctx context.Context, k Key, r *engine.Result) {
-	if !l.timed(k) {
-		l.Store.Put(ctx, k, r)
-		return
-	}
-	start := time.Now()
-	l.Store.Put(ctx, k, r)
-	l.putDur.Observe(time.Since(start).Seconds())
-}
-
-// Get implements Store.
+// Get implements Store: the one-key GetMany.
 func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return s.getFrom(ctx, 0, k)
+	var out [1]*engine.Result
+	s.GetMany(ctx, []Key{k}, []Digest{k.Digest()}, out[:])
+	return out[0], out[0] != nil
 }
 
 // GetMany implements BatchGetter: the front leaf answers the whole range
-// in one call, by ids, and each key it misses falls through the leaves
-// behind it exactly as Get does — by Key, raced, promoted, counted once
-// per key. A network front leaf is raced per key, so then every key
-// takes Get's path from the front.
+// in one call, by ids, and the keys it misses go on, as one range, to the
+// leaves behind it — raced, promoted, counted once per key.
 func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	first := 0
-	if len(s.leaves) > 0 && !s.leaves[0].network {
-		s.leaves[0].getMany(ctx, keys, ids, out)
-		first = 1
-	} else {
+	hits := s.getFrom(ctx, 0, keys, ids, out)
+	s.hits.Add(int64(hits))
+	s.misses.Add(int64(len(keys) - hits))
+}
+
+// getFrom answers keys from the leaves from index first on, setting
+// out[i] or leaving it nil; promotes every hit into each leaf in front
+// of the one that answered it; and returns the hit count. A level that
+// answers every key, or the last level, allocates nothing.
+func (s *Stack) getFrom(ctx context.Context, first int, keys []Key, ids []Digest, out []*engine.Result) int {
+	if first == len(s.leaves) {
 		clear(out)
+		return 0
 	}
-	hits := int64(0)
-	for i, k := range keys {
-		if out[i] != nil {
-			hits++
-			continue
+	l, next := &s.leaves[first], first+1
+	if l.network && next < len(s.leaves) {
+		race(ctx, l, &s.leaves[next], keys, ids, out)
+		next++
+	} else {
+		l.getMany(ctx, keys, ids, out)
+	}
+	hits := len(keys) - misses(out)
+	if first > 0 && hits > 0 {
+		hk, hi, hr := pick(keys, ids, out, true)
+		for j := range s.leaves[:first] {
+			s.leaves[j].putMany(ctx, hk, hi, hr)
 		}
-		out[i], _ = s.getFrom(ctx, first, k)
 	}
-	s.hits.Add(hits)
+	if hits == len(keys) || next == len(s.leaves) {
+		return hits
+	}
+	mk, mi, mo := pick(keys, ids, out, false)
+	hits += s.getFrom(ctx, next, mk, mi, mo)
+	for i, j := 0, 0; j < len(mo); i++ {
+		if out[i] == nil {
+			out[i], j = mo[j], j+1
+		}
+	}
+	return hits
 }
 
-// getFrom probes the leaves from index first on, promotes a hit into
-// every leaf in front of the one that answered, and counts the key as
-// one stack-level hit or miss.
-func (s *Stack) getFrom(ctx context.Context, first int, k Key) (*engine.Result, bool) {
-	for i := first; i < len(s.leaves); i++ {
-		l, front := &s.leaves[i], s.leaves[:i]
-		var r *engine.Result
-		var ok bool
-		if l.network && i+1 < len(s.leaves) {
-			r, ok = race(ctx, k, l, &s.leaves[i+1])
-			i++
-		} else {
-			r, ok = l.get(ctx, k)
+// misses returns how many of out are nil.
+func misses(out []*engine.Result) int {
+	n := 0
+	for _, r := range out {
+		if r == nil {
+			n++
 		}
-		if !ok {
-			continue
-		}
-		for j := range front {
-			front[j].put(ctx, k, r)
-		}
-		s.hits.Add(1)
-		return r, true
 	}
-	s.misses.Add(1)
-	return nil, false
+	return n
 }
 
-// race probes a network leaf and the local leaf behind it together.
-// The local probe runs on the caller's goroutine: a local hit returns
-// at local-I/O speed and cancels the round-trip (which the remote tier
-// counts as abandoned, not failed); a local miss waits for the remote
-// answer, and a remote hit is written into the local leaf so the next
-// restart or kcached outage serves it locally.
-func race(ctx context.Context, k Key, remote, local *leaf) (*engine.Result, bool) {
+// pick returns the keys, ids and results at the positions where out is
+// set (hit) or nil (!hit); for misses the results are fresh nils.
+func pick(keys []Key, ids []Digest, out []*engine.Result, hit bool) ([]Key, []Digest, []*engine.Result) {
+	var pk []Key
+	var pi []Digest
+	var pr []*engine.Result
+	for i, r := range out {
+		if (r != nil) == hit {
+			pk, pi, pr = append(pk, keys[i]), append(pi, ids[i]), append(pr, r)
+		}
+	}
+	return pk, pi, pr
+}
+
+// race probes a network leaf and the local leaf behind it together, for
+// a whole range. The local probe runs on the caller's goroutine while
+// the round trip is in flight. If it answers every key, the round trip
+// is canceled (the remote tier counts it abandoned, not failed) and
+// waited for only until it aborts; otherwise the remote answers the
+// keys it missed, and those hits are written into the local leaf, so
+// the next restart or kcached outage serves them locally.
+func race(ctx context.Context, remote, local *leaf, keys []Key, ids []Digest, out []*engine.Result) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type answer struct {
-		r  *engine.Result
-		ok bool
-	}
-	ch := make(chan answer, 1)
+	rout := make([]*engine.Result, len(keys))
+	done := make(chan struct{})
 	go func() {
-		r, ok := remote.get(rctx, k)
-		ch <- answer{r, ok}
+		remote.getMany(rctx, keys, ids, rout)
+		close(done)
 	}()
-	if r, ok := local.get(ctx, k); ok {
-		return r, true
+	local.getMany(ctx, keys, ids, out)
+	if misses(out) == 0 {
+		cancel()
 	}
-	a := <-ch
-	if a.ok {
-		local.put(ctx, k, a.r)
-	}
-	return a.r, a.ok
-}
-
-// Put implements Store: write through to every leaf.
-func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
-	for i := range s.leaves {
-		s.leaves[i].put(ctx, k, r)
-	}
-	s.puts.Add(1)
-}
-
-// PutMany implements BatchPutter: the front leaf takes the whole range
-// in one call, by ids, and every leaf behind it takes the keys one Put at
-// a time, in order — so each leaf ends up as the same Puts in sequence
-// leave it. A network front leaf takes them one at a time too.
-func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
-	first := 0
-	if len(s.leaves) > 0 && !s.leaves[0].network {
-		s.leaves[0].putMany(ctx, keys, ids, rs)
-		first = 1
-	}
-	for j := first; j < len(s.leaves); j++ {
-		for i, k := range keys {
-			s.leaves[j].put(ctx, k, rs[i])
+	<-done
+	for i, r := range out {
+		if r != nil {
+			rout[i] = nil // the local leaf answered this key
+		} else {
+			out[i] = rout[i]
 		}
+	}
+	if hk, hi, hr := pick(keys, ids, rout, true); len(hk) > 0 {
+		local.putMany(ctx, hk, hi, hr)
+	}
+}
+
+// Put implements Store: the one-key PutMany.
+func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
+	s.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, []*engine.Result{r})
+}
+
+// PutMany implements BatchPutter: every leaf takes the whole range in one
+// call, by ids, so each ends up as the same Puts in sequence leave it. A
+// network leaf publishes the range in one round trip before this
+// returns: a scan that returned has published.
+func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for i := range s.leaves {
+		s.leaves[i].putMany(ctx, keys, ids, rs)
 	}
 	s.puts.Add(int64(len(keys)))
 }

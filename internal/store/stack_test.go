@@ -352,70 +352,97 @@ type stackModel struct {
 	hits, misses, puts int64
 }
 
-func (m *stackModel) get(id string) (string, bool) { return m.getFrom(0, id) }
+// get is the one-key getMany.
+func (m *stackModel) get(id string) (string, bool) {
+	msgs, oks := m.getMany([]string{id})
+	return msgs[0], oks[0]
+}
 
-// getMany is GetMany on a stack with a local front leaf: the front leaf
-// answers every key as the batch found it, then each key it missed takes
-// get's path from the second leaf, in key order.
+// getMany is GetMany: each level of the stack — one leaf, or a network
+// leaf raced against the local leaf behind it — answers every key it is
+// given, as the batch found it, then the keys it missed go on to the
+// next level as one batch, in key order. Every hit is promoted into each
+// leaf in front of the level that answered it.
 func (m *stackModel) getMany(ids []string) ([]string, []bool) {
-	msgs, oks := make([]string, len(ids)), make([]bool, len(ids))
-	front := m.leaves[0]
-	for i, id := range ids {
-		if msgs[i], oks[i] = front.has[id]; oks[i] {
-			front.hits++
+	msgs, oks := m.getFrom(0, ids)
+	for _, ok := range oks {
+		if ok {
 			m.hits++
 		} else {
-			front.misses++
-		}
-	}
-	for i, id := range ids {
-		if !oks[i] {
-			msgs[i], oks[i] = m.getFrom(1, id)
+			m.misses++
 		}
 	}
 	return msgs, oks
 }
 
-func (m *stackModel) getFrom(first int, id string) (string, bool) {
-	for i := first; i < len(m.leaves); i++ {
-		l, front := m.leaves[i], m.leaves[:i]
-		var msg string
-		var ok bool
-		if l.network && i+1 < len(m.leaves) {
-			local := m.leaves[i+1]
-			i++
-			if msg, ok = local.has[id]; ok {
-				local.hits++
-				// The abandoned remote probe lands as a hit or a miss;
-				// the model only pins their sum (see checkBooks).
+func (m *stackModel) getFrom(first int, ids []string) ([]string, []bool) {
+	msgs, oks := make([]string, len(ids)), make([]bool, len(ids))
+	if first == len(m.leaves) {
+		return msgs, oks
+	}
+	l, next := m.leaves[first], first+1
+	if l.network && next < len(m.leaves) {
+		// The local leaf probes the whole batch while the round trip is
+		// in flight. A key it answers lands on the remote as a hit or a
+		// miss — the model only pins their sum (see the books check); the
+		// remote answers the rest, and its hits are written into the
+		// local leaf.
+		local := m.leaves[next]
+		next++
+		local.lookup(ids, msgs, oks)
+		var remoteHits []int
+		for i, id := range ids {
+			if oks[i] {
 				l.misses++
-			} else {
-				local.misses++
-				if msg, ok = l.has[id]; ok {
-					l.hits++
-					local.has[id] = msg
-					local.puts++
-				} else {
-					l.misses++
-				}
+				continue
 			}
-		} else if msg, ok = l.has[id]; ok {
+			if msgs[i], oks[i] = l.has[id]; oks[i] {
+				l.hits++
+				remoteHits = append(remoteHits, i)
+			} else {
+				l.misses++
+			}
+		}
+		for _, i := range remoteHits {
+			local.has[ids[i]] = msgs[i]
+			local.puts++
+		}
+	} else {
+		l.lookup(ids, msgs, oks)
+	}
+	var missed []string
+	for i, id := range ids {
+		if !oks[i] {
+			missed = append(missed, id)
+			continue
+		}
+		for _, f := range m.leaves[:first] {
+			f.has[id] = msgs[i]
+			f.puts++
+		}
+	}
+	if len(missed) == 0 || next == len(m.leaves) {
+		return msgs, oks
+	}
+	dmsgs, doks := m.getFrom(next, missed)
+	for i, j := 0, 0; j < len(missed); i++ {
+		if !oks[i] {
+			msgs[i], oks[i] = dmsgs[j], doks[j]
+			j++
+		}
+	}
+	return msgs, oks
+}
+
+// lookup answers a batch from the leaf's map, counting per key.
+func (l *modelLeaf) lookup(ids []string, msgs []string, oks []bool) {
+	for i, id := range ids {
+		if msgs[i], oks[i] = l.has[id]; oks[i] {
 			l.hits++
 		} else {
 			l.misses++
 		}
-		if !ok {
-			continue
-		}
-		for _, f := range front {
-			f.has[id] = msg
-			f.puts++
-		}
-		m.hits++
-		return msg, true
 	}
-	m.misses++
-	return "", false
 }
 
 func (m *stackModel) put(id, msg string) {
@@ -522,17 +549,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					for i, k := range keys {
 						digests[i] = k.Digest()
 					}
-					var want []string
-					var wantOK []bool
-					if _, batched := target.(BatchGetter); batched {
-						want, wantOK = model.getMany(ids)
-					} else {
-						// The protocol has no batch call: one Get per key.
-						want, wantOK = make([]string, len(ids)), make([]bool, len(ids))
-						for i, id := range ids {
-							want[i], wantOK[i] = model.get(id)
-						}
-					}
+					want, wantOK := model.getMany(ids)
 					got := make([]*engine.Result, len(keys))
 					GetMany(bg, target, keys, digests, got)
 					for i, r := range got {

@@ -11,8 +11,10 @@
 // (whole-tree -j32 re-scans per checker revision) turned incremental.
 //
 // Every tier addresses a result by its Key's Digest (hex: Key.ID). The
-// memory and disk tiers hold it in one compact binary codec (codec.go);
-// only the network tier speaks JSON.
+// memory and disk tiers hold it in one compact binary codec (codec.go),
+// and the network tier carries the same records: a kcached round trip
+// moves a range of keys and records framed in that codec's
+// length-prefixed strings (CacheServer), never JSON.
 package store
 
 import (
@@ -48,8 +50,8 @@ func (k Key) Digest() Digest {
 	return sha256.Sum256(append(b, k.EngineFP...))
 }
 
-// ID is the hex form of Digest: the content address on the kcached wire
-// and in the segment index.
+// ID is the hex form of Digest: the content address in the segment
+// index.
 func (k Key) ID() string {
 	d := k.Digest()
 	return hex.EncodeToString(d[:])
