@@ -610,7 +610,7 @@ func BenchmarkScanWarmTraced(b *testing.B) {
 func BenchmarkScanWarmRemote(b *testing.B) {
 	h, _, _ := setupBench(b)
 	ck := mustChecker(b, benchCacheDSL)
-	kcStore, err := store.Open(nil, 0, b.TempDir(), 0, "", store.RemoteConfig{})
+	kcStore, err := store.Open(nil, 0, b.TempDir(), 0, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func BenchmarkScanWarmRemote(b *testing.B) {
 	kc := httptest.NewServer(store.NewCacheServer(kcStore).Handler())
 	defer kc.Close()
 	newReplicaStore := func() store.Store {
-		st, err := store.Open(nil, 0, "", 0, kc.URL, store.RemoteConfig{})
+		st, err := store.Open(nil, 0, "", 0, kc.URL)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -640,7 +640,7 @@ func BenchmarkScanWarmRemote(b *testing.B) {
 
 // benchDiskEntries fills a disk tier with a fleet-realistic working set
 // for the Get benchmarks and returns the keys.
-func benchDiskEntries(b *testing.B, d store.Store) []store.Key {
+func benchDiskEntries(b *testing.B, d *store.SegmentDisk) []store.Key {
 	b.Helper()
 	keys := make([]store.Key, 512)
 	res := &engine.Result{Paths: 3, Steps: 40}

@@ -125,7 +125,7 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 			continue
 		}
 		res.ReportingCheckers++
-		sample := sampleUpTo(scanRes.Reports, 5, so.Commit.ID)
+		sample := refine.Sample(scanRes.Reports, 5, so.Commit.ID)
 		for _, rep := range sample {
 			res.SampledReports++
 			truth := h.Triage.IsTruePositive(rep)
@@ -157,19 +157,6 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 		}
 	}
 	return res
-}
-
-// sampleUpTo deterministically samples n reports keyed by the commit id.
-func sampleUpTo(reports []*checker.Report, n int, key string) []*checker.Report {
-	if len(reports) <= n {
-		return reports
-	}
-	// Reuse the refinement sampler's deterministic permutation.
-	return refineSample(reports, n, key)
-}
-
-func refineSample(reports []*checker.Report, n int, key string) []*checker.Report {
-	return refine.SampleForTest(reports, n, key)
 }
 
 // Render formats the RQ4 study.

@@ -239,9 +239,10 @@ func (l *Loop) fpFunctionSources(fps []*checker.Report) []string {
 	return out
 }
 
-// SampleForTest exposes the deterministic report sampler for evaluation
-// code that needs the same sampling discipline (RQ4).
-func SampleForTest(reports []*checker.Report, n int, key string) []*checker.Report {
+// Sample is the refinement loop's deterministic sampler for evaluation
+// code that needs the same sampling discipline (RQ4): up to n reports,
+// drawn by a permutation keyed by key.
+func Sample(reports []*checker.Report, n int, key string) []*checker.Report {
 	return sampleReports(reports, n, 0, key, 0)
 }
 

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -230,7 +229,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 				file := cb.Files()[fi]
 				for j, fn := range file.Funcs {
 					key := store.Key{FuncHash: cb.FuncHash(fi, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
-					stored, ok := batchInc.Store().Get(context.Background(), key)
+					stored, ok := storedResult(batchInc.Store(), key)
 					if !ok {
 						t.Fatalf("entry %d: nothing stored for %s", i, fn.Name)
 					}

@@ -57,13 +57,16 @@ func TestScanMidFlightCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	// Cancel from inside the scan: the store sees a Put for each
-	// completed function, so canceling on the first Put guarantees the
-	// scan is genuinely mid-flight.
+	// Cancel from inside the scan: the store sees one PutMany for each
+	// completed range, so canceling on the first guarantees the scan is
+	// genuinely mid-flight.
 	st := &cancelOnPut{Store: mem, f: func() { once.Do(cancel) }}
 	incCut := NewIncremental(cb, st)
 	res := incCut.Run([]checker.Checker{ck}, Options{Workers: 2, Context: ctx})
 	_ = res // Canceled is timing-dependent with workers>1; the invariants below are not.
+	if st.calls.Load() == 0 {
+		t.Fatal("the scan never reached PutMany: nothing canceled it mid-flight")
+	}
 
 	// Whatever did get cached must be clean: a fresh scan over the same
 	// store matches an uncached scan exactly.
@@ -104,8 +107,9 @@ func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 
 // TestCanceledPassStoresNoCanceledResult: a context canceled part-way
 // through a pass, at each of its first check points in turn, stores no
-// canceled result — one rider through a stack's PutMany, and a batch of
-// two riders through the tier's Puts — and the pass comes back flagged.
+// canceled result — one rider through a stack in front of the tier, and
+// a batch of two riders straight into it — and the pass comes back
+// flagged.
 func TestCanceledPassStoresNoCanceledResult(t *testing.T) {
 	cb := buildCodebase(t)
 	other, err := ckdsl.CompileSource(`
@@ -120,6 +124,7 @@ checker scan_other {
 		t.Fatal(err)
 	}
 	for _, cks := range [][]checker.Checker{{compileChecker(t)}, {compileChecker(t), other}} {
+		calls := int64(0)
 		for k := int64(1); k <= 8; k++ {
 			rec := &cancelOnPut{Store: store.NewMemory(0)}
 			st := store.Store(rec)
@@ -133,24 +138,33 @@ checker scan_other {
 			if n := rec.unstorable.Load(); n != 0 {
 				t.Fatalf("%d riders, cut at check %d: %d canceled or timed-out results were stored", len(cks), k, n)
 			}
+			calls += rec.calls.Load()
+		}
+		if calls == 0 {
+			t.Fatalf("%d riders: no cut let a range reach PutMany, so nothing above checked what was stored", len(cks))
 		}
 	}
 }
 
-// cancelOnPut triggers f (if set) on every Put, counts Puts of results
-// that storable would refuse, then forwards to the wrapped store.
+// cancelOnPut triggers f (if set) on every PutMany, counts the calls
+// and the results in them that storable would refuse, then forwards to
+// the wrapped store.
 type cancelOnPut struct {
 	store.Store
 	f          func()
+	calls      atomic.Int64
 	unstorable atomic.Int64
 }
 
-func (c *cancelOnPut) Put(ctx context.Context, k store.Key, r *engine.Result) {
+func (c *cancelOnPut) PutMany(ctx context.Context, keys []store.Key, ids []store.Digest, rs []*engine.Result) {
+	c.calls.Add(1)
 	if c.f != nil {
 		c.f()
 	}
-	if r.Canceled || r.TimedOut {
-		c.unstorable.Add(1)
+	for _, r := range rs {
+		if r.Canceled || r.TimedOut {
+			c.unstorable.Add(1)
+		}
 	}
-	c.Store.Put(ctx, k, r)
+	c.Store.PutMany(ctx, keys, ids, rs)
 }

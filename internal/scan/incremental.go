@@ -316,7 +316,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						}
 					}
 					if len(keys) > 0 {
-						store.GetMany(ctx, inc.st, keys, ids[:len(keys)], got[:len(keys)])
+						inc.st.GetMany(ctx, keys, ids[:len(keys)], got[:len(keys)])
 					}
 					for i := range plans {
 						p := &plans[i]
@@ -412,7 +412,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						}
 					}
 					if len(putKeys) > 0 {
-						store.PutMany(ctx, inc.st, putKeys, putIDs, putRs)
+						inc.st.PutMany(ctx, putKeys, putIDs, putRs)
 						putKeys, putIDs, putRs = putKeys[:0], putIDs[:0], putRs[:0]
 					}
 				}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -29,6 +30,13 @@ func resultBytes(t *testing.T, r *Result) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// storedResult is what st holds under k: a one-key range probe.
+func storedResult(st store.Store, k store.Key) (*engine.Result, bool) {
+	var out [1]*engine.Result
+	st.GetMany(context.Background(), []store.Key{k}, []store.Digest{k.Digest()}, out[:])
+	return out[0], out[0] != nil
 }
 
 func TestIncrementalMatchesUncachedScan(t *testing.T) {

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -62,7 +61,7 @@ func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck che
 	for i, f := range cb.Files() {
 		for j, fn := range f.Funcs {
 			key := store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
-			stored, ok := st.Get(context.Background(), key)
+			stored, ok := storedResult(st, key)
 			if !ok || !reflect.DeepEqual(stored, want.stored[u]) {
 				t.Fatalf("%s: %s stored for %s\n%+v\nwant %+v", what, ck.Name(), fn.Name, stored, want.stored[u])
 			}

@@ -49,7 +49,7 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 
 	funcs, ranges := cb.NumFuncs(), int64((cb.NumFuncs()+rangeSize-1)/rangeSize)
 	for replica, wantPuts := range []int64{ranges, 0} {
-		st, err := store.Open(nil, 0, "", 0, kc.URL, store.RemoteConfig{})
+		st, err := store.Open(nil, 0, "", 0, kc.URL)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	reg := obs.NewRegistry("kcached")
 	gcSweep := reg.Histogram("gc_sweep_duration_seconds",
 		"Wall time of one GC sweep over the backing store.", nil)
-	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, "", store.RemoteConfig{})
+	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, "")
 	if err != nil {
 		return nil, err
 	}

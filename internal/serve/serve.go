@@ -164,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheMaxBytes > 0 && cfg.CacheDir == "" {
 		log.Printf("kserve: -cache-max-bytes ignored without -cache-dir (the byte budget bounds the disk tier; use -cache-bytes for the memory tier)")
 	}
-	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, cfg.CacheRemote, store.RemoteConfig{})
+	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, cfg.CacheRemote)
 	if err != nil {
 		return nil, err
 	}

@@ -24,18 +24,22 @@ type stored struct {
 	res *engine.Result
 }
 
-// recorder is a Store that misses every Get and records every Put.
+// recorder is a Store that misses every key and records every put.
 type recorder struct {
 	mu   sync.Mutex
 	puts []stored
 }
 
-func (r *recorder) Get(context.Context, store.Key) (*engine.Result, bool) { return nil, false }
-func (r *recorder) Stats() store.Stats                                    { return store.Stats{} }
-func (r *recorder) InvalidateFuncs([]string) int                          { return 0 }
-func (r *recorder) Put(_ context.Context, k store.Key, res *engine.Result) {
+func (r *recorder) Stats() store.Stats           { return store.Stats{} }
+func (r *recorder) InvalidateFuncs([]string) int { return 0 }
+func (r *recorder) GetMany(_ context.Context, _ []store.Key, _ []store.Digest, out []*engine.Result) {
+	clear(out)
+}
+func (r *recorder) PutMany(_ context.Context, keys []store.Key, _ []store.Digest, rs []*engine.Result) {
 	r.mu.Lock()
-	r.puts = append(r.puts, stored{k, res})
+	for i, k := range keys {
+		r.puts = append(r.puts, stored{k, rs[i]})
+	}
 	r.mu.Unlock()
 }
 
@@ -113,14 +117,17 @@ func TestCorpusResultsRoundTripEveryTier(t *testing.T) {
 	}
 	defer disk.Close()
 	ctx := context.Background()
+	keys, ids, rs := make([]store.Key, len(puts)), make([]store.Digest, len(puts)), make([]*engine.Result, len(puts))
+	for i, p := range puts {
+		keys[i], ids[i], rs[i] = p.key, p.key.Digest(), p.res
+	}
 	for name, tier := range map[string]store.Store{"memory": store.NewMemory(1 << 30), "disk": disk} {
-		for _, p := range puts {
-			tier.Put(ctx, p.key, p.res)
-		}
-		for _, p := range puts {
-			got, ok := tier.Get(ctx, p.key)
-			if !ok || !reflect.DeepEqual(got, p.res) {
-				t.Fatalf("%s tier: %s round trip (hit=%v):\n got %#v\nwant %#v", name, p.key.ID(), ok, got, p.res)
+		tier.PutMany(ctx, keys, ids, rs)
+		got := make([]*engine.Result, len(keys))
+		tier.GetMany(ctx, keys, ids, got)
+		for i, p := range puts {
+			if !reflect.DeepEqual(got[i], p.res) {
+				t.Fatalf("%s tier: %s round trip:\n got %#v\nwant %#v", name, p.key.ID(), got[i], p.res)
 			}
 		}
 	}

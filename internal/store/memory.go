@@ -85,14 +85,14 @@ func NewMemory(maxBytes int64) *Memory {
 	}
 }
 
-// Get implements Store: the one-key case of GetMany.
+// Get is the one-key case of GetMany.
 func (m *Memory) Get(_ context.Context, k Key) (*engine.Result, bool) {
 	var out [1]*engine.Result
 	m.lookup([]Digest{k.Digest()}, out[:])
 	return out[0], out[0] != nil
 }
 
-// GetMany implements BatchGetter: it probes by ids alone. The context is
+// GetMany implements Store: it probes by ids alone. The context is
 // unused; a map lookup has no network wait to abort.
 func (m *Memory) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine.Result) {
 	m.lookup(ids, out)
@@ -139,7 +139,8 @@ func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
 	}
 }
 
-// Put implements Store.
+// Put stores r under k: PutMany's core for one key, with the encode
+// outside the lock.
 func (m *Memory) Put(_ context.Context, k Key, r *engine.Result) {
 	if r == nil {
 		return
@@ -150,7 +151,7 @@ func (m *Memory) Put(_ context.Context, k Key, r *engine.Result) {
 	m.putLocked(id, k.FuncHash, payload)
 }
 
-// PutMany implements BatchPutter: it stores by ids alone. The results
+// PutMany implements Store: it stores by ids alone. The results
 // are encoded before the lock is taken, then inserted in key order under
 // one acquisition — each insert evicting as its own Put would — so the
 // tier ends up as the same Puts in sequence leave it. A nil result is

@@ -19,10 +19,10 @@ import (
 // Remote is the network cache tier: an HTTP client for a kcached daemon,
 // letting a fleet of kserve replicas share one content-addressed result
 // store. It implements Store over the same key space the disk tier uses,
-// so the daemon is nothing more than a store with a socket in front. It
-// is a batch tier: a range's keys go out as one POST /entries/get and
-// its results as one POST /entries/put, in the binary codec the other
-// tiers store; Get and Put are the one-key case.
+// so the daemon is nothing more than a store with a socket in front. A
+// range's keys go out as one POST /entries/get and its results as one
+// POST /entries/put, in the binary codec the other tiers store; Get and
+// Put are the one-key case.
 //
 // The tier is strictly best-effort, like the disk tier: every failure
 // mode — the daemon down, a request timing out, a non-2xx status, a
@@ -159,15 +159,15 @@ func (r *Remote) failure() {
 	r.mu.Unlock()
 }
 
-// post sends one entry-route body and returns the reply, or ok=false.
-// A failed round trip gets its breaker verdict here: a caller that
-// canceled mid-flight only releases its slot (kcached did nothing
+// post sends one body to a kcached route and returns the reply, or
+// ok=false. A failed round trip gets its breaker verdict here: a caller
+// that canceled mid-flight only releases its slot (kcached did nothing
 // wrong), anything else counts as a failure. A delivered reply gets its
 // verdict from the caller, who alone can tell a corrupt one. The
 // request carries the caller's trace id and parent span id, so
 // kcached's access log and trace fragment join the originating kserve
 // request's span tree.
-func (r *Remote) post(ctx context.Context, path string, body []byte) ([]byte, bool) {
+func (r *Remote) post(ctx context.Context, path, contentType string, body []byte) ([]byte, bool) {
 	if !r.allow() {
 		return nil, false
 	}
@@ -177,7 +177,7 @@ func (r *Remote) post(ctx context.Context, path string, body []byte) ([]byte, bo
 		return nil, false
 	}
 	obs.InjectHeaders(ctx, req.Header)
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := r.client.Do(req)
 	var reply []byte
 	if err == nil {
@@ -195,14 +195,14 @@ func (r *Remote) post(ctx context.Context, path string, body []byte) ([]byte, bo
 	return nil, false
 }
 
-// Get implements Store: the one-key GetMany.
+// Get is the one-key GetMany.
 func (r *Remote) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 	var out [1]*engine.Result
 	r.GetMany(ctx, []Key{k}, nil, out[:])
 	return out[0], out[0] != nil
 }
 
-// GetMany implements BatchGetter: one POST /entries/get carries the
+// GetMany implements Store: one POST /entries/get carries the
 // whole range, and any failure leaves every key a miss. The digests are
 // not sent — kcached derives every address from the key components. The
 // caller's context both propagates the trace id and aborts the network
@@ -221,7 +221,7 @@ func (r *Remote) GetMany(ctx context.Context, keys []Key, _ []Digest, out []*eng
 		body = appendKey(body, k)
 	}
 	hits := 0
-	if reply, ok := r.post(ctx, "/entries/get", body); ok {
+	if reply, ok := r.post(ctx, "/entries/get", "application/octet-stream", body); ok {
 		if hits, ok = decodeEntries(reply, out); ok {
 			r.success()
 		} else {
@@ -272,12 +272,12 @@ func decodeEntries(reply []byte, out []*engine.Result) (hits int, ok bool) {
 	return hits, true
 }
 
-// Put implements Store: the one-key PutMany.
+// Put is the one-key PutMany.
 func (r *Remote) Put(ctx context.Context, k Key, res *engine.Result) {
 	r.PutMany(ctx, []Key{k}, nil, []*engine.Result{res})
 }
 
-// PutMany implements BatchPutter: the range's results go to kcached as
+// PutMany implements Store: the range's results go to kcached as
 // POST /entries/put bodies of at most maxEntryBytes — one for any real
 // range. Best-effort: failures are dropped silently (beyond breaker
 // accounting). Timed-out and canceled results are never sent — the
@@ -318,7 +318,7 @@ func (r *Remote) PutMany(ctx context.Context, keys []Key, _ []Digest, rs []*engi
 
 // putBody sends one POST /entries/put body of n entries.
 func (r *Remote) putBody(ctx context.Context, body []byte, n int) {
-	if _, ok := r.post(ctx, "/entries/put", body); ok {
+	if _, ok := r.post(ctx, "/entries/put", "application/octet-stream", body); ok {
 		r.success()
 		r.count(func(s *Stats) { s.Puts += int64(n) })
 	}
@@ -340,28 +340,19 @@ type invalidateResponse struct {
 // addressing means they can never be served stale) until its GC ages
 // them out.
 func (r *Remote) InvalidateFuncs(funcHashes []string) int {
-	if len(funcHashes) == 0 || !r.allow() {
+	if len(funcHashes) == 0 {
 		return 0
 	}
 	data, err := json.Marshal(invalidateRequest{FuncHashes: funcHashes})
 	if err != nil {
 		return 0
 	}
-	resp, err := r.client.Post(r.base+"/invalidate", "application/json", bytes.NewReader(data))
-	if err != nil {
-		r.failure()
-		return 0
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		r.failure()
+	reply, ok := r.post(context.Background(), "/invalidate", "application/json", data)
+	if !ok {
 		return 0
 	}
 	var out invalidateResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
+	if err := json.Unmarshal(reply, &out); err != nil {
 		r.failure()
 		return 0
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/hex"
 	"sync/atomic"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 
 // SegmentDisk is the disk tier backed by the append-only segment engine
 // (internal/store/segment): entries packed into a few large log files
-// with an in-memory index, so a warm Get is one index probe and one
-// pread instead of a file open, Put is one buffered append, and
+// with an in-memory index, so a warm hit is one index probe and one
+// pread instead of a file open, a put is one buffered append, and
 // invalidation is an index drop plus a tombstone record.
 //
 // Like every local tier it is best-effort: I/O errors degrade to cache
@@ -58,31 +59,46 @@ func NewSegmentDisk(dir string, opts ...SegmentDiskOption) (*SegmentDisk, error)
 	return &SegmentDisk{eng: eng}, nil
 }
 
-// Get implements Store: one index probe, one pread, one decode. A
-// record that does not decode under the binary codec's current format
-// (codec.go) is a miss, like any other unreadable entry.
-func (d *SegmentDisk) Get(_ context.Context, k Key) (*engine.Result, bool) {
-	data, ok := d.eng.Get(k.ID())
-	if !ok {
-		d.misses.Add(1)
-		return nil, false
-	}
-	res, err := decodeResult(data)
-	if err != nil {
-		d.misses.Add(1)
-		return nil, false
-	}
-	d.hits.Add(1)
-	return res, true
+// Get is the one-key GetMany.
+func (d *SegmentDisk) Get(ctx context.Context, k Key) (*engine.Result, bool) {
+	var out [1]*engine.Result
+	d.GetMany(ctx, []Key{k}, []Digest{k.Digest()}, out[:])
+	return out[0], out[0] != nil
 }
 
-// Put implements Store: one buffered append; the batched flusher makes
-// it durable within the sync interval.
-func (d *SegmentDisk) Put(_ context.Context, k Key, r *engine.Result) {
-	if r == nil {
-		return
+// GetMany implements Store, addressing entries by ids alone: per key one
+// index probe, one pread, one decode. A record that does not decode
+// under the binary codec's current format (codec.go) is a miss, like
+// any other unreadable entry.
+func (d *SegmentDisk) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine.Result) {
+	hits := 0
+	for i := range ids {
+		out[i] = nil
+		if data, ok := d.eng.Get(hex.EncodeToString(ids[i][:])); ok {
+			if res, err := decodeResult(data); err == nil {
+				out[i] = res
+				hits++
+			}
+		}
 	}
-	d.eng.Put(k.ID(), segFuncTok(k.FuncHash), encodeResult(r))
+	d.hits.Add(int64(hits))
+	d.misses.Add(int64(len(ids) - hits))
+}
+
+// Put is the one-key PutMany.
+func (d *SegmentDisk) Put(ctx context.Context, k Key, r *engine.Result) {
+	d.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, []*engine.Result{r})
+}
+
+// PutMany implements Store, addressing entries by ids: one buffered
+// append per result, in key order (the batched flusher makes them
+// durable within the sync interval). A nil result is skipped.
+func (d *SegmentDisk) PutMany(_ context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+	for i, r := range rs {
+		if r != nil {
+			d.eng.Put(hex.EncodeToString(ids[i][:]), segFuncTok(keys[i].FuncHash), encodeResult(r))
+		}
+	}
 }
 
 // InvalidateFuncs implements Store: one lock hold and one

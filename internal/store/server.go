@@ -50,15 +50,16 @@ type CacheServer struct {
 	st      Store
 	started time.Time
 
+	// gets, getHits and puts count entries, not round trips: they feed
+	// both /stats and entry_requests_total.
 	gets        atomic.Int64
+	getHits     atomic.Int64
 	puts        atomic.Int64
 	invalidates atomic.Int64
 	badRequests atomic.Int64
 
-	// entryReqs counts entry requests by op and outcome; nil until
-	// Register, which also mounts the registry on GET /metrics.
-	entryReqs *obs.CounterVec
-	metrics   http.Handler
+	// metrics serves GET /metrics; nil until Register.
+	metrics http.Handler
 
 	// ro, once Observe was called, is the daemon chassis around the
 	// cache routes: every request records a root-span fragment (attached
@@ -82,10 +83,20 @@ func (cs *CacheServer) Observe(ro *obs.RequestObserver) { cs.ro = ro }
 // Register wires the server's counters into reg and mounts reg's
 // exposition on GET /metrics (kcached calls this; tests may skip it).
 // The request totals that already exist as atomics for /stats are
-// exposed as counter funcs rather than double-counted.
+// exposed as callback series rather than double-counted.
 func (cs *CacheServer) Register(reg *obs.Registry) {
-	cs.entryReqs = reg.CounterVec("entry_requests_total",
+	entries := reg.CounterVec("entry_requests_total",
 		"Entry requests served, by operation and outcome.", "op", "outcome")
+	for _, e := range []struct {
+		op, outcome string
+		n           func() int64
+	}{
+		{"get", "hit", cs.getHits.Load},
+		{"get", "miss", func() int64 { return cs.gets.Load() - cs.getHits.Load() }},
+		{"put", "stored", cs.puts.Load},
+	} {
+		entries.WithFunc(func() float64 { return float64(e.n()) }, e.op, e.outcome)
+	}
 	reg.CounterFunc("invalidate_requests_total",
 		"POST /invalidate requests served.",
 		func() float64 { return float64(cs.invalidates.Load()) })
@@ -131,13 +142,6 @@ func (cs *CacheServer) traces() *obs.TraceStore {
 		return nil
 	}
 	return cs.ro.Traces
-}
-
-// countEntry records n entry-request outcomes (no-op until Register).
-func (cs *CacheServer) countEntry(op, outcome string, n int) {
-	if cs.entryReqs != nil {
-		cs.entryReqs.With(op, outcome).Add(float64(n))
-	}
 }
 
 // readEntries reads and parses an entry-route body, answering an
@@ -200,7 +204,7 @@ func (cs *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := make([]*engine.Result, len(keys))
-	GetMany(r.Context(), cs.st, keys, ids, out)
+	cs.st.GetMany(r.Context(), keys, ids, out)
 	var reply []byte
 	hits := 0
 	for i, res := range out {
@@ -216,9 +220,8 @@ func (cs *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		}
 		reply = appendFrame(reply, rec)
 	}
+	cs.getHits.Add(int64(hits))
 	cs.gets.Add(int64(len(keys)))
-	cs.countEntry("get", "hit", hits)
-	cs.countEntry("get", "miss", len(keys)-hits)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(reply)
 }
@@ -229,9 +232,8 @@ func (cs *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	PutMany(r.Context(), cs.st, keys, ids, rs)
+	cs.st.PutMany(r.Context(), keys, ids, rs)
 	cs.puts.Add(int64(len(keys)))
-	cs.countEntry("put", "stored", len(keys))
 	w.WriteHeader(http.StatusNoContent)
 }
 

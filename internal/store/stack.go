@@ -40,12 +40,9 @@ type Tier struct {
 //     remote invalidation is garbage collection, not correctness:
 //     content addressing means orphaned keys are never requested again.
 //   - With a registry, every leaf lands in the store_*{tier=name}
-//     families. The in-memory leaf (*Memory) times one op in 16 — a
-//     memory hit costs about as much as reading the clock — and leaves
-//     that do I/O time every op. Under GetMany and PutMany a timed key
-//     observes its share of the batched call (duration / keys), so the
-//     get and put series stay one observation per key at per-key
-//     latency.
+//     families. Requests, hits, misses and puts count per key; latency
+//     is one store_op_duration_seconds observation per leaf call, the
+//     whole range of keys it carried, on every leaf alike.
 type Stack struct {
 	leaves []leaf
 
@@ -59,8 +56,6 @@ type leaf struct {
 	// network marks a *Remote: raced, invalidated asynchronously, and
 	// without entry books of its own (they belong to kcached).
 	network bool
-	// sampled marks a *Memory: latency is measured for 1 key in 16.
-	sampled bool
 	// getDur and putDur are nil without a registry.
 	getDur, putDur *obs.Histogram
 }
@@ -76,14 +71,13 @@ func NewStack(reg *obs.Registry, tiers ...Tier) *Stack {
 	for i, t := range tiers {
 		l := leaf{Tier: t}
 		_, l.network = t.Store.(*Remote)
-		_, l.sampled = t.Store.(*Memory)
 		s.leaves[i] = l
 	}
 	if reg == nil {
 		return s
 	}
 	opDur := reg.HistogramVec("store_op_duration_seconds",
-		"Latency of one store operation against the tier.", nil, "tier", "op")
+		"Latency of one store call against the tier: one call, a range of keys.", nil, "tier", "op")
 	for i := range s.leaves {
 		l := &s.leaves[i]
 		registerTierCounters(reg, l.Name, l.Store.Stats)
@@ -110,14 +104,14 @@ func registerTierCounters(reg *obs.Registry, tier string, stats func() Stats) {
 }
 
 // Open builds the store both daemons serve from — the one place that
-// orders tiers: memory in front, then the kcached client when remoteURL
-// is set, then the segment disk tier when cacheDir is set. kserve
-// passes what its flags say; kcached passes its directory and no
-// remote.
-func Open(reg *obs.Registry, cacheBytes int64, cacheDir string, diskMaxBytes int64, remoteURL string, rcfg RemoteConfig) (*Stack, error) {
+// orders tiers: memory in front, then the kcached client (with
+// RemoteConfig's defaults) when remoteURL is set, then the segment disk
+// tier when cacheDir is set. kserve passes what its flags say; kcached
+// passes its directory and no remote.
+func Open(reg *obs.Registry, cacheBytes int64, cacheDir string, diskMaxBytes int64, remoteURL string) (*Stack, error) {
 	tiers := []Tier{{"memory", NewMemory(cacheBytes)}}
 	if remoteURL != "" {
-		r, err := NewRemote(remoteURL, rcfg)
+		r, err := NewRemote(remoteURL, RemoteConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -154,55 +148,36 @@ func (s *Stack) Disk() *SegmentDisk {
 	return nil
 }
 
-// timed reports whether this op's latency is measured. The sampling
-// decision derives from the key's content address rather than a shared
-// counter, so the unsampled path touches no shared cache line: function
-// hashes are hex, and '0' leads one in 16.
-func (l *leaf) timed(k Key) bool {
-	return l.getDur != nil && (!l.sampled || (k.FuncHash != "" && k.FuncHash[0] == '0'))
-}
-
-// getMany probes the leaf for a range of keys in one call.
+// getMany probes the leaf for a range of keys in one call, timed once.
 func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
-	l.batched(keys, l.getDur, func() { GetMany(ctx, l.Store, keys, ids, out) })
-}
-
-// putMany stores a range of results in the leaf in one call.
-func (l *leaf) putMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
-	l.batched(keys, l.putDur, func() { PutMany(ctx, l.Store, keys, ids, rs) })
-}
-
-// batched runs call, one call over a range of keys. Latency stays a
-// per-key series: each key the leaf would time observes the call's
-// duration divided by its key count — its amortized share of one lock
-// acquisition.
-func (l *leaf) batched(keys []Key, dur *obs.Histogram, call func()) {
-	timed := 0
-	for _, k := range keys {
-		if l.timed(k) {
-			timed++
-		}
-	}
-	if timed == 0 {
-		call()
-		return
-	}
 	start := time.Now()
-	call()
-	perKey := time.Since(start).Seconds() / float64(len(keys))
-	for ; timed > 0; timed-- {
-		dur.Observe(perKey)
+	l.Store.GetMany(ctx, keys, ids, out)
+	observe(l.getDur, start)
+}
+
+// putMany stores a range of results in the leaf in one call, timed once.
+func (l *leaf) putMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+	start := time.Now()
+	l.Store.PutMany(ctx, keys, ids, rs)
+	observe(l.putDur, start)
+}
+
+// observe records the time since start in dur, which is nil without a
+// registry.
+func observe(dur *obs.Histogram, start time.Time) {
+	if dur != nil {
+		dur.Observe(time.Since(start).Seconds())
 	}
 }
 
-// Get implements Store: the one-key GetMany.
+// Get is the one-key GetMany.
 func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 	var out [1]*engine.Result
 	s.GetMany(ctx, []Key{k}, []Digest{k.Digest()}, out[:])
 	return out[0], out[0] != nil
 }
 
-// GetMany implements BatchGetter: the front leaf answers the whole range
+// GetMany implements Store: the front leaf answers the whole range
 // in one call, by ids, and the keys it misses go on, as one range, to the
 // leaves behind it — raced, promoted, counted once per key.
 func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
@@ -308,12 +283,12 @@ func race(ctx context.Context, remote, local *leaf, keys []Key, ids []Digest, ou
 	}
 }
 
-// Put implements Store: the one-key PutMany.
+// Put is the one-key PutMany.
 func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
 	s.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, []*engine.Result{r})
 }
 
-// PutMany implements BatchPutter: every leaf takes the whole range in one
+// PutMany implements Store: every leaf takes the whole range in one
 // call, by ids, so each ends up as the same Puts in sequence leave it. A
 // network leaf publishes the range in one round trip before this
 // returns: a scan that returned has published.
@@ -343,8 +318,9 @@ func (s *Stack) InvalidateFuncs(funcHashes []string) int {
 }
 
 // Stats implements Store. Hits, misses and puts are request-level (one
-// per Get or Put on the stack, however many leaves it touched);
-// evictions, invalidations and expiries are summed over the leaves.
+// per key of a GetMany or PutMany on the stack, however many leaves it
+// touched); evictions, invalidations and expiries are summed over the
+// leaves.
 // Entries and Bytes come from the deepest leaf that keeps its own books
 // — writes go through and reads promote, so it holds a superset of the
 // leaves in front and summing would double-count — which skips network

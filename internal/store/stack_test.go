@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,21 +14,25 @@ import (
 	"knighter/internal/obs"
 )
 
-// gateStore blocks every Get until the gate channel closes or the
-// context dies. Served behind the cache protocol it makes the *Remote
-// in front of it a slow network tier.
+// gateStore blocks every GetMany until the gate channel closes or the
+// context dies, counting the calls that reached it. Served behind the
+// cache protocol it makes the *Remote in front of it a slow network
+// tier.
 type gateStore struct {
 	Store
-	gate <-chan struct{}
+	gate  <-chan struct{}
+	calls atomic.Int64
 }
 
-func (g *gateStore) Get(ctx context.Context, k Key) (*engine.Result, bool) {
+func (g *gateStore) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
+	g.calls.Add(1)
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
-		return nil, false
+		clear(out)
+		return
 	}
-	return g.Store.Get(ctx, k)
+	g.Store.GetMany(ctx, keys, ids, out)
 }
 
 // eventually polls cond: network leaves are invalidated off the
@@ -65,7 +70,26 @@ func TestStackBehaviours(t *testing.T) {
 	}{
 		{"race/local hit wins over a hung remote", func(t *testing.T) {
 			gate := make(chan struct{}) // never closes: the daemon hangs until the client gives up
-			st, mem, disk := fleetStack(t, &gateStore{Store: NewMemory(0), gate: gate})
+			g := &gateStore{Store: NewMemory(0), gate: gate}
+			st, mem, disk := fleetStack(t, g)
+			// The daemon really hangs: a key no local leaf holds waits on
+			// it until the caller gives up.
+			ctx, cancel := context.WithCancel(bg)
+			missed := make(chan bool)
+			go func() {
+				_, ok := st.Get(ctx, fkey("fB", "ck"))
+				missed <- !ok
+			}()
+			eventually(t, "the probe to reach the hung daemon", func() bool { return g.calls.Load() == 1 })
+			select {
+			case <-missed:
+				t.Fatal("a local miss did not wait on the hung remote")
+			case <-time.After(10 * time.Millisecond):
+			}
+			cancel()
+			if !<-missed {
+				t.Fatal("hit on a key no leaf holds")
+			}
 			disk.Put(bg, fkey("fA", "ck"), result("local"))
 			done := make(chan struct{})
 			var got *engine.Result
@@ -85,7 +109,7 @@ func TestStackBehaviours(t *testing.T) {
 			if mem.Stats().Entries != 1 {
 				t.Fatal("local hit not promoted into memory")
 			}
-			// The abandoned round-trip says nothing about the daemon's health.
+			// The abandoned round trips say nothing about the daemon's health.
 			if rs := st.Remote().RemoteStats(); rs.Errors != 0 || rs.Puts != 0 {
 				t.Fatalf("remote stats after an abandoned probe = %+v", rs)
 			}
@@ -114,7 +138,8 @@ func TestStackBehaviours(t *testing.T) {
 			gate := make(chan struct{})
 			back := NewMemory(0)
 			back.Put(bg, fkey("fA", "ck"), result("slow-remote"))
-			st, _, _ := fleetStack(t, &gateStore{Store: back, gate: gate})
+			g := &gateStore{Store: back, gate: gate}
+			st, _, _ := fleetStack(t, g)
 			go func() {
 				time.Sleep(20 * time.Millisecond)
 				close(gate)
@@ -128,6 +153,9 @@ func TestStackBehaviours(t *testing.T) {
 			}
 			if s := st.Stats(); s.Hits != 1 || s.Misses != 1 {
 				t.Fatalf("stats = %+v", s)
+			}
+			if n := g.calls.Load(); n != 2 {
+				t.Fatalf("%d probes reached the gated daemon, want 2", n)
 			}
 		}},
 		{"race/put and invalidate reach both sides", func(t *testing.T) {
@@ -246,12 +274,11 @@ func TestStackBehaviours(t *testing.T) {
 		{"metrics/per-tier families", func(t *testing.T) {
 			ts := newCacheTS(t, NewMemory(0))
 			reg := obs.NewRegistry("kserve")
-			st, err := Open(reg, 0, t.TempDir(), 0, ts.URL, RemoteConfig{})
+			st, err := Open(reg, 0, t.TempDir(), 0, ts.URL)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { st.Disk().Close() })
-			// '0' leads the sampled sixteenth of function hashes.
 			st.Put(bg, fkey("0a", "ck"), result("x"))
 			st.Get(bg, fkey("0a", "ck"))
 			st.Get(bg, fkey("0b", "ck"))
@@ -275,45 +302,46 @@ func TestStackBehaviours(t *testing.T) {
 					t.Errorf("exposition missing %q", want)
 				}
 			}
-			// An unsampled key is counted but not timed on memory, and
-			// timed on the leaves that do I/O.
+			// Another miss is one more timed call on memory and on disk.
 			st.Get(bg, fkey("1c", "ck"))
 			b.Reset()
 			reg.WriteTo(&b)
 			for _, want := range []string{
 				`kserve_store_requests_total{tier="memory"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
+				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 3`,
 				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 2`,
 			} {
 				if !strings.Contains(b.String(), want) {
-					t.Errorf("exposition after an unsampled get missing %q", want)
+					t.Errorf("exposition after a second miss missing %q", want)
 				}
 			}
-			// A batched probe counts and times per key: a memory hit, a
-			// sampled miss and an unsampled miss are three memory
-			// requests, two memory get timings, and two keys falling
-			// through to the disk leaf.
+			// A range probe counts per key and is timed once per leaf
+			// call: a memory hit and two misses are three memory requests
+			// and one memory get timing, and the two misses reach the
+			// remote and the disk leaf as one call each.
 			keys := []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}
-			GetMany(bg, st, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([]*engine.Result, 3))
+			st.GetMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([]*engine.Result, 3))
 			b.Reset()
 			reg.WriteTo(&b)
 			for _, want := range []string{
 				`kserve_store_requests_total{tier="memory"} 7`,
 				`kserve_store_hits_total{tier="memory"} 2`,
+				`kserve_store_misses_total{tier="disk"} 4`,
 				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 4`,
+				`kserve_store_op_duration_seconds_count{tier="remote",op="get"} 3`,
+				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 3`,
 				`kserve_store_hits_total{tier="stack"} 2`,
 				`kserve_store_misses_total{tier="stack"} 4`,
 			} {
 				if !strings.Contains(b.String(), want) {
-					t.Errorf("exposition after a batched get missing %q", want)
+					t.Errorf("exposition after a range probe missing %q", want)
 				}
 			}
-			// A batched put counts and times per key too: three keys are
-			// three puts on every leaf and on the stack; memory times its
-			// two sampled keys, the leaves that do I/O time all three.
+			// A range put counts per key and is timed once per leaf: three
+			// keys are three puts on every leaf and on the stack, and one
+			// put timing on each leaf.
 			keys = []Key{fkey("0e", "ck"), fkey("0f", "ck"), fkey("1g", "ck")}
-			PutMany(bg, st, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
+			st.PutMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
 				[]*engine.Result{result("e"), result("f"), result("g")})
 			b.Reset()
 			reg.WriteTo(&b)
@@ -322,12 +350,12 @@ func TestStackBehaviours(t *testing.T) {
 				`kserve_store_puts_total{tier="remote"} 4`,
 				`kserve_store_puts_total{tier="disk"} 4`,
 				`kserve_store_puts_total{tier="stack"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="memory",op="put"} 3`,
-				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="disk",op="put"} 4`,
+				`kserve_store_op_duration_seconds_count{tier="memory",op="put"} 2`,
+				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 2`,
+				`kserve_store_op_duration_seconds_count{tier="disk",op="put"} 2`,
 			} {
 				if !strings.Contains(b.String(), want) {
-					t.Errorf("exposition after a batched put missing %q", want)
+					t.Errorf("exposition after a range put missing %q", want)
 				}
 			}
 		}},
@@ -504,7 +532,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 				t.Cleanup(ts.Close)
 				url = ts.URL
 			}
-			st, err := Open(obs.NewRegistry("t"), 0, dir, 0, url, RemoteConfig{})
+			st, err := Open(obs.NewRegistry("t"), 0, dir, 0, url)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -517,8 +545,13 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 			}
 
 			// The script's view of the store: the stack itself, or a
-			// client of the daemon serving it.
-			var target Store = st
+			// client of the daemon serving it. Both keep the one-key Get
+			// and Put beside the range methods.
+			var target interface {
+				Store
+				Get(context.Context, Key) (*engine.Result, bool)
+				Put(context.Context, Key, *engine.Result)
+			} = st
 			if shape.served {
 				target = newRemote(t, newCacheTS(t, st).URL, RemoteConfig{})
 			}
@@ -551,7 +584,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					}
 					want, wantOK := model.getMany(ids)
 					got := make([]*engine.Result, len(keys))
-					GetMany(bg, target, keys, digests, got)
+					target.GetMany(bg, keys, digests, got)
 					for i, r := range got {
 						if (r != nil) != wantOK[i] || (r != nil && r.Reports[0].Message != want[i]) {
 							t.Fatalf("step %d: GetMany key %d (%v) = %v; model says %q, %v", step, i, keys[i], r, want[i], wantOK[i])
@@ -586,7 +619,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						rs = append(rs, result(msg))
 						model.put(k.ID(), msg)
 					}
-					PutMany(bg, target, keys, digests, rs)
+					target.PutMany(bg, keys, digests, rs)
 				case op < 9: // the scheduler's miss path: probe, then compute
 					want, wantOK := model.get(id)
 					got, ok := target.Get(bg, k)

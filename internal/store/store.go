@@ -10,6 +10,11 @@
 // inputs did not change. This is the paper's §5 deployment cost
 // (whole-tree -j32 re-scans per checker revision) turned incremental.
 //
+// A tier's whole contract is a range of keys (Store: GetMany, PutMany,
+// InvalidateFuncs, Stats). The concrete tiers keep a one-key Get and Put
+// for tests and probes, each the one-key case of its range method or
+// sharing its core.
+//
 // Every tier addresses a result by its Key's Digest (hex: Key.ID). The
 // memory and disk tiers hold it in one compact binary codec (codec.go),
 // and the network tier carries the same records: a kcached round trip
@@ -39,9 +44,10 @@ type Key struct {
 // Digest is a key's binary content address: comparable and pointer-free.
 type Digest [sha256.Size]byte
 
-// Digest hashes the key in a stack buffer, without allocating. Tiers
-// compute it once per operation, before taking any lock, except where a
-// batch probe is handed digests the caller memoized (BatchGetter).
+// Digest hashes the key in a stack buffer, without allocating. A range
+// call takes the digests beside its keys (Store), so callers hash each
+// key once, before any tier takes a lock; the scheduler memoizes them
+// per file version and hashes nothing on a warm probe.
 func (k Key) Digest() Digest {
 	var buf [192]byte
 	b := append(buf[:0], "key:v1\x00"...)
@@ -96,20 +102,35 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Store is an analysis-result cache tier. Implementations must be safe
-// for concurrent use and must return results that are semantically
-// identical to what was stored (Get always hands back an independent
-// clone, so callers may append to or re-sort the result's slices).
+// Store is an analysis-result cache tier, and its unit of work is a
+// range of keys: the scheduler probes and stores every rider of a
+// 64-function range in one call, the in-memory tier takes its lock once
+// per range, and the network tier makes one round trip. Every key still
+// counts as one hit, one miss or one put in the tier's books.
+// Implementations must be safe for concurrent use and must return
+// results that are semantically identical to what was stored (each hit
+// is an independent clone, so callers may append to or re-sort its
+// slices).
+//
+// The caller passes each key's digest beside it (ids[i] ==
+// keys[i].Digest()): the scheduler memoizes digests per file version,
+// so a warm probe hashes nothing, and a local tier addresses entries by
+// ids alone. A digest never lives inside a Key — a key edited after its
+// digest was taken would address another entry.
 //
 // Every operation carries the request context: local tiers ignore it,
 // but the remote tier uses it to propagate the request's trace id to
 // kcached and to stop waiting on the network when the caller is gone.
 // A nil context is treated as context.Background().
 type Store interface {
-	// Get returns the cached result for k, or (nil, false).
-	Get(ctx context.Context, k Key) (*engine.Result, bool)
-	// Put stores r under k, overwriting any previous entry.
-	Put(ctx context.Context, k Key, r *engine.Result)
+	// GetMany sets out[i] to the cached result for keys[i], or to nil on
+	// a miss. len(ids) and len(out) must equal len(keys).
+	GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result)
+	// PutMany stores rs[i] under keys[i], overwriting any previous
+	// entry. The tier must end up exactly as the same
+	// puts one key at a time, in key order, would leave it — entries,
+	// LRU order, evictions and books, one put per key.
+	PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result)
 	// InvalidateFuncs removes every entry addressed by any of the given
 	// function hashes, returning the number of entries dropped. Corpus
 	// mutation calls it with the pre-mutation hashes of the touched
@@ -119,58 +140,4 @@ type Store interface {
 	InvalidateFuncs(funcHashes []string) int
 	// Stats snapshots the tier's counters.
 	Stats() Stats
-}
-
-// BatchGetter is an optional Store extension for tiers that answer a
-// whole range of keys in one call: the in-memory tier takes its lock
-// once per range instead of once per key. Every key still counts as one
-// hit or one miss in the tier's books.
-//
-// The caller passes each key's digest beside it (ids[i] ==
-// keys[i].Digest()): the scheduler memoizes digests per file version,
-// so a warm probe hashes nothing. A digest never lives inside a Key —
-// a key edited after its digest was taken would address another entry.
-type BatchGetter interface {
-	// GetMany sets out[i] to the cached result for keys[i], or to nil on
-	// a miss. len(ids) and len(out) must equal len(keys).
-	GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result)
-}
-
-// GetMany looks keys up in st, setting out[i] to the result for keys[i]
-// or nil: through the tier's batch path when it has one, one Get per
-// key otherwise. ids[i] must be keys[i].Digest().
-func GetMany(ctx context.Context, st Store, keys []Key, ids []Digest, out []*engine.Result) {
-	if bg, ok := st.(BatchGetter); ok {
-		bg.GetMany(ctx, keys, ids, out)
-		return
-	}
-	for i, k := range keys {
-		if r, ok := st.Get(ctx, k); ok {
-			out[i] = r
-		} else {
-			out[i] = nil
-		}
-	}
-}
-
-// BatchPutter is an optional Store extension for tiers that store a
-// range of results in one call: the in-memory tier encodes them outside
-// its lock and takes the lock once. The tier must end up exactly as the
-// same Puts in key order would leave it — entries, LRU order, evictions
-// and books, one put per key. ids[i] must be keys[i].Digest().
-type BatchPutter interface {
-	PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result)
-}
-
-// PutMany stores rs[i] under keys[i] in st: through the tier's batch
-// path when it has one, one Put per key otherwise. ids[i] must be
-// keys[i].Digest().
-func PutMany(ctx context.Context, st Store, keys []Key, ids []Digest, rs []*engine.Result) {
-	if bp, ok := st.(BatchPutter); ok {
-		bp.PutMany(ctx, keys, ids, rs)
-		return
-	}
-	for i, k := range keys {
-		st.Put(ctx, k, rs[i])
-	}
 }
