@@ -23,6 +23,7 @@
 //	POST /batch            {"checkers": ["<DSL>", ...], ...}
 //	POST /changeset        {"changes": [{"path", "func?", "source"}, ...]} -> committed generation
 //	POST /converge         replay the generation feed to catch this shard up
+//	                       (?generation=n: only if still behind n)
 //	GET  /trace/{id}       assembled cross-host span tree (?format=text for a waterfall)
 //	GET  /traces           local tail-sampled trace index (?limit=N&slow=1)
 //	GET  /stats            cache + service + admission (+ shard) counters

@@ -252,7 +252,7 @@ func (s *Server) maybeConverge(ctx context.Context, min int64) {
 	if sh == nil || sh.feed == nil || s.inc.Codebase().Generation() >= min {
 		return
 	}
-	if _, err := s.converge(ctx); err != nil {
+	if _, err := s.converge(ctx, min); err != nil {
 		log.Printf("kserve: converge: %v", err)
 	}
 }
@@ -260,8 +260,11 @@ func (s *Server) maybeConverge(ctx context.Context, min int64) {
 // converge pulls the feed entries this replica is missing and replays
 // them in generation order. Replays go through ApplyChangeset, so they
 // invalidate stale cache entries and wake min_generation waiters
-// exactly like a directly-served commit.
-func (s *Server) converge(ctx context.Context) (int, error) {
+// exactly like a directly-served commit. A caller that wants generation
+// want (> 0) pulls only if the replica is still behind it once it holds
+// convergeMu: a nudge and a lazy converge race for the lock, and the
+// loser finds the winner's replay already applied.
+func (s *Server) converge(ctx context.Context, want int64) (int, error) {
 	sh := s.shard
 	if sh == nil || sh.feed == nil {
 		return 0, nil
@@ -269,6 +272,9 @@ func (s *Server) converge(ctx context.Context) (int, error) {
 	sh.convergeMu.Lock()
 	defer sh.convergeMu.Unlock()
 	cb := s.inc.Codebase()
+	if want > 0 && cb.Generation() >= want {
+		return 0, nil
+	}
 	page, err := sh.feed.Since(ctx, cb.Generation())
 	if err != nil {
 		return 0, err
@@ -294,8 +300,9 @@ func (s *Server) converge(ctx context.Context) (int, error) {
 }
 
 // handleConverge is the eager convergence endpoint: coordinators poke
-// it on peers after committing, and operators can poke it by hand. It
-// sits behind the write gate because a replay IS a write.
+// it on peers after committing, with ?generation= the generation they
+// committed, and operators can poke it by hand without one (always a
+// pull). It sits behind the write gate because a replay IS a write.
 func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, api.ErrMethodNotAllowed, "POST only")
@@ -305,8 +312,16 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, api.ErrUnavailable, "not sharded, or no generation feed configured (-shard-count, -cache-remote)")
 		return
 	}
+	var want int64
+	if g := r.URL.Query().Get("generation"); g != "" {
+		var err error
+		if want, err = strconv.ParseInt(g, 10, 64); err != nil {
+			s.reject(w, http.StatusBadRequest, api.ErrBadRequest, "generation: "+err.Error())
+			return
+		}
+	}
 	start := time.Now()
-	applied, err := s.converge(r.Context())
+	applied, err := s.converge(r.Context(), want)
 	if err != nil {
 		s.writeError(w, http.StatusConflict, &api.Error{
 			Code:    api.ErrGenerationUnavailable,
@@ -324,10 +339,11 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 
 // shardPublish commits a mutation fleet-wide: publish (generation,
 // changes) — the committed changeset, never empty — to the feed, then
-// nudge every peer to converge. Both legs are asynchronous and
-// best-effort — the local commit already succeeded, and a peer that
-// misses the nudge converges lazily the next time a sub-scan arrives
-// with a min_generation it has not seen.
+// nudge every peer to converge to gen (a peer already there does not
+// pull; one that ignores the parameter pulls anyway). Both legs are
+// asynchronous and best-effort — the local commit already succeeded,
+// and a peer that misses the nudge converges lazily the next time a
+// sub-scan arrives with a min_generation it has not seen.
 // The mutation request's trace rides along on both legs (feed publish
 // and nudges propagate X-Trace-Id/X-Span-Id), so the assembled trace
 // of a changeset shows the fan-out it triggered.
@@ -353,7 +369,7 @@ func (s *Server) shardPublish(ctx context.Context, gen int64, changes []api.Chan
 			go func(peer string) {
 				nctx, ncancel := context.WithTimeout(bctx, 5*time.Second)
 				defer ncancel()
-				req, err := http.NewRequestWithContext(nctx, http.MethodPost, peer+"/converge", nil)
+				req, err := http.NewRequestWithContext(nctx, http.MethodPost, peer+"/converge?generation="+strconv.FormatInt(gen, 10), nil)
 				if err != nil {
 					return
 				}

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -325,6 +329,61 @@ func TestNudgesReuseTheirConnection(t *testing.T) {
 	}
 	if n := opened.Load(); n > 2 {
 		t.Fatalf("20 commits opened %d connections on the peer, want <= 2", n)
+	}
+}
+
+// TestConvergePullsOnlyWhileBehind: a lazy converge that waited on
+// convergeMu while another replay applied the generation it wants finds
+// that generation applied and does not pull the feed, and neither does
+// a nudge for a generation the replica has reached. A /converge without
+// a generation, an operator's poke, still pulls.
+func TestConvergePullsOnlyWhileBehind(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	srv, sh := srvs[1], srvs[1].shard
+	pulls := func() int64 { return metricValues(t, getMetrics(t, kc))["kcached_feed_pulls_total"] }
+	f0 := srv.inc.Codebase().Files()[0]
+	changes := []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}}
+	gen := srv.inc.Codebase().Generation() + 1
+	if err := sh.feed.Publish(context.Background(), api.FeedEntry{Generation: gen, Changes: changes}); err != nil {
+		t.Fatal(err)
+	}
+	before := pulls()
+
+	sh.convergeMu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.maybeConverge(context.Background(), gen)
+	}()
+	// Past maybeConverge's own check, the goroutine is in converge,
+	// waiting for the lock.
+	waitFor(t, "the lazy converge to wait on convergeMu", func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Server).converge("))
+	})
+	// The replay that holds the lock applies the generation.
+	if _, err := srv.inc.ApplyChangeset(toScanChanges(changes)); err != nil {
+		t.Fatal(err)
+	}
+	sh.convergeMu.Unlock()
+	<-done
+	if got := pulls(); got != before {
+		t.Fatalf("a converge to generation %d, already applied, pulled the feed %d times", gen, got-before)
+	}
+
+	var cr api.ConvergeResponse
+	if code := postJSON(t, tss[1], "/converge?generation="+strconv.FormatInt(gen, 10), nil, &cr); code != 200 || cr.Applied != 0 {
+		t.Fatalf("nudge for a reached generation: status %d, applied %d", code, cr.Applied)
+	}
+	if got := pulls(); got != before {
+		t.Fatalf("a nudge for generation %d, already applied, pulled the feed", gen)
+	}
+	if code := postJSON(t, tss[1], "/converge?generation=x", nil, nil); code != http.StatusBadRequest {
+		t.Fatalf("/converge?generation=x = %d, want 400", code)
+	}
+	if code := postJSON(t, tss[1], "/converge", nil, &cr); code != 200 || pulls() != before+1 {
+		t.Fatalf("/converge without a generation: status %d, %d pulls, want 1", code, pulls()-before)
 	}
 }
 

@@ -130,11 +130,13 @@ func lruIDs(m *Memory) []Digest {
 
 // checkGetMany runs m.GetMany(keys) and checks it against sequential
 // Gets in key order: the same LRU order afterwards, one hit or miss per
-// key in the books, and a result exactly for the keys that were present.
+// key in the books, and a result exactly for the keys that were present,
+// each the entry stored under that key: its encoding is the payload the
+// id index held for the key's digest before the call.
 func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 	t.Helper()
 	want, before := lruIDs(m), m.Stats()
-	present := make([]bool, len(keys))
+	stored := make([][]byte, len(keys)) // nil for a key that was absent
 	ids := make([]Digest, len(keys))
 	hits := int64(0)
 	for i, k := range keys {
@@ -142,7 +144,7 @@ func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 		ids[i] = d
 		if at := slices.Index(want, d); at >= 0 {
 			want = append([]Digest{d}, slices.Delete(want, at, at+1)...)
-			present[i] = true
+			stored[i] = m.at(m.ids[d]).payload
 			hits++
 		}
 	}
@@ -157,8 +159,11 @@ func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 		t.Fatalf("get-many of %d keys counted %d hits %d misses, want %d/%d", len(keys), dh, dm, hits, int64(len(keys))-hits)
 	}
 	for i, r := range out {
-		if (r != nil) != present[i] {
-			t.Fatalf("get-many: key %d answered %v, present=%v", i, r != nil, present[i])
+		if (r != nil) != (stored[i] != nil) {
+			t.Fatalf("get-many: key %d answered %v, present=%v", i, r != nil, stored[i] != nil)
+		}
+		if r != nil && !bytes.Equal(encodeResult(r), stored[i]) {
+			t.Fatalf("get-many: key %d answered another entry's result", i)
 		}
 	}
 }
@@ -223,6 +228,14 @@ func FuzzMemoryWeightInvariants(f *testing.F) {
 	// PutMany into a tier at its budget, with a repeated key, and of an
 	// entry that overwrites one already present.
 	f.Add([]byte{0, 0, 48, 0, 1, 48, 0, 2, 48, 5, 3, 48, 5, 0, 0, 1, 2, 0, 5, 6, 200})
+	// A PutMany of three new functions (slots: sentinel, entry, three
+	// times), then GetMany in stored order, where each hit is the slot
+	// after the previous hit's neighbouring sentinel; in another order,
+	// where the slot two after the first hit holds a different live key;
+	// and after that slot was freed and reused by a new function's entry.
+	f.Add([]byte{5, 1, 2, 4, 1, 2})
+	f.Add([]byte{5, 1, 2, 4, 1, 3})
+	f.Add([]byte{5, 1, 2, 2, 2, 0, 4, 1, 3, 0, 4, 5, 4, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		budget := 3 * weight(encodeResult(fuzzResult(48)))
 		// seq takes every op m takes, but each PutMany as Puts in order.

@@ -28,6 +28,9 @@ const entryOverhead = 128
 // entry and the garbage collector has little to mark in a full tier.
 // Hashing, encoding and decoding run outside the mutex, and a range of
 // gets (GetMany) or puts (PutMany) takes it once.
+//
+// A lookup looks for a key where a range put would have stored it
+// before it probes the id index (see next).
 type Memory struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -102,10 +105,11 @@ func (m *Memory) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine
 // hashed; they are looked up and moved to the front of the LRU ring
 // under one lock acquisition per 64 keys — leaving the ring as
 // sequential Gets in key order would — and decoded into out after the
-// unlock. Payloads are immutable once published, and each 64 keys' hits
-// decode into one slab allocated for them: each result keeps its own
-// slices, only the backing array of the results themselves is shared,
-// among results one caller owns.
+// unlock. Each key is first looked for near the previous hit (next),
+// and only then in m.ids. Payloads are immutable once published, and
+// each 64 keys' hits decode into one slab allocated for them: each
+// result keeps its own slices, only the backing array of the results
+// themselves is shared, among results one caller owns.
 func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
 	for len(ids) > 64 {
 		m.lookup(ids[:64], out[:64])
@@ -114,13 +118,28 @@ func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
 	var buf [64][]byte // a scheduler range's rider probes without allocating
 	payloads := buf[:0]
 	hits := 0
+	// This call's previous hit (0, the root, before the first) and the
+	// distances back from it to the two hits before, 0 until there are.
+	var last, d1, d2 int32
 	m.mu.Lock()
 	for _, id := range ids {
 		var p []byte // nil on a miss: a live entry's payload is never empty
-		if s, ok := m.ids[id]; ok {
+		step := d1
+		if d1 != d2 {
+			step = 0 // a step is guessed only once it repeats
+		}
+		s, ok := m.next(last, step, id)
+		if !ok {
+			s, ok = m.ids[id]
+		}
+		if ok {
 			m.toFront(s)
 			p = m.at(s).payload
 			hits++
+			if last != 0 {
+				d1, d2 = s-last, d1
+			}
+			last = s
 		}
 		payloads = append(payloads, p)
 	}
@@ -137,6 +156,44 @@ func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
 			slab = slab[1:]
 		}
 	}
+}
+
+// next returns the entry stored under id if it sits where a range put
+// would have placed it after slot last. A PutMany of new keys stores
+// them in consecutive slots, with a new function's ring sentinel before
+// its first entry, and the scheduler probes the range again in its own
+// order: function by function for one checker, so the key sits in the
+// next slot or past a sentinel there; checker by checker for several,
+// whose results a put stores function by function, so the key sits a
+// fixed step past the previous hit. next tries last+step (lookup passes
+// a nonzero step once two consecutive distances between hits agree, so
+// a probe in random order reads no random slot), then the next slot or
+// the one past a sentinel there. A guessed slot counts only if it is a
+// live entry whose id is the probed digest, and ids are unique among
+// live entries, so it is the slot m.ids holds for id. The index stays
+// the only source of truth and answers any other order.
+func (m *Memory) next(last, step int32, id Digest) (int32, bool) {
+	if last == 0 {
+		return 0, false
+	}
+	if step != 0 && m.holds(last+step, id) {
+		return last + step, true
+	}
+	i := last + 1
+	if i < m.nslots && m.at(i).fn == i {
+		i++
+	}
+	return i, i != last+step && m.holds(i, id)
+}
+
+// holds reports whether slot i is the live entry stored under id: in
+// use, not the root, not a sentinel (fn is itself) and not free (fn -1).
+func (m *Memory) holds(i int32, id Digest) bool {
+	if i <= 0 || i >= m.nslots {
+		return false
+	}
+	e := m.at(i)
+	return e.fn >= 0 && e.fn != i && e.id == id
 }
 
 // Put stores r under k: PutMany's core for one key, with the encode
