@@ -610,19 +610,20 @@ func BenchmarkScanWarmTraced(b *testing.B) {
 func BenchmarkScanWarmRemote(b *testing.B) {
 	h, _, _ := setupBench(b)
 	ck := mustChecker(b, benchCacheDSL)
-	kcStore, err := store.Open(nil, 0, b.TempDir(), 0, "")
+	disk, err := store.NewSegmentDisk(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer kcStore.Disk().Close()
+	defer disk.Close()
+	kcStore := store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{Name: "disk", Store: disk})
 	kc := httptest.NewServer(store.NewCacheServer(kcStore).Handler())
 	defer kc.Close()
 	newReplicaStore := func() store.Store {
-		st, err := store.Open(nil, 0, "", 0, kc.URL)
+		r, err := store.NewRemote(kc.URL, store.RemoteConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return st
+		return store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{Name: "remote", Store: r})
 	}
 	// Replica A's cold scan warms the shared tier.
 	scan.NewIncremental(h.Codebase, newReplicaStore()).RunOne(ck, scan.Options{})

@@ -1,17 +1,18 @@
 // Command kcached is the fleet cache daemon: it serves the
 // content-addressed analysis-result store over HTTP so a fleet of kserve
-// replicas shares one warm cache. A replica started with
-// -cache-remote=http://kcached-host:8322 composes this daemon between
-// its in-memory tier and its (optional) local disk tier; the second
-// replica's first scan of a corpus its sibling already analyzed is then
-// answered from here instead of recomputed. It is flags in,
-// internal/serve out: serve.NewCache builds the daemon and documents its
-// design; internal/obs runs it until SIGINT/SIGTERM and drains it.
+// replicas shares one warm cache. It is the fleet's one durable tier: a
+// replica started with -cache-remote=http://kcached-host:8322 puts this
+// daemon behind its in-memory tier and keeps no disk of its own. The
+// second replica's first scan of a corpus its sibling already analyzed
+// is then answered from here instead of recomputed, and so is a
+// restarted replica's. It is flags in, internal/serve out:
+// serve.NewCache builds the daemon and documents its design;
+// internal/obs runs it until SIGINT/SIGTERM and drains it.
 //
 // Usage:
 //
 //	kcached -cache-dir /var/cache/kcached
-//	kcached -addr :8322 -cache-ttl 72h -cache-max-bytes 1073741824
+//	kcached -addr :8322 -cache-dir /var/cache/kcached -cache-ttl 72h -cache-max-bytes 1073741824
 //	kcached -cache-dir /var/cache/kcached -pprof-addr localhost:6061
 //
 // Endpoints:

@@ -9,8 +9,8 @@
 //
 //	kserve                         # serve the synthetic corpus on :8321
 //	kserve -addr :9000 -scale 0.5
-//	kserve -cache-dir /var/cache/kserve -cache-ttl 72h -cache-max-bytes 268435456
 //	kserve -cache-remote http://cache-host:8322   # share results fleet-wide via kcached
+//	kserve -cache-remote http://localhost:8322    # restart warm: kcached beside a single host
 //	kserve -max-inflight 8 -max-queued 32 -max-queued-per-client 4
 //	kserve -max-inflight-writes 1 -max-queued-writes 32
 //	kserve -max-cost 100000        # weighted read budget: sum of checkers x files
@@ -48,9 +48,6 @@ func main() {
 	flag.Int64Var(&cfg.Seed, "seed", 1, "corpus seed")
 	flag.Float64Var(&cfg.Scale, "scale", 1.0, "corpus scale")
 	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "in-memory cache budget in entry weight: each entry's binary payload plus 128 B of per-entry overhead, so it bounds resident memory (0 = default 64 MiB)")
-	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "optional on-disk cache tier directory")
-	flag.DurationVar(&cfg.CacheTTL, "cache-ttl", 0, "drop disk-tier entries older than this (0 = keep forever)")
-	flag.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "disk-tier byte budget; GC evicts oldest-first past it (0 = unbounded)")
 	flag.StringVar(&cfg.CacheRemote, "cache-remote", "", "optional kcached URL for the shared fleet cache tier (e.g. http://cache-host:8322)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", runtime.GOMAXPROCS(0), "max concurrent read requests (/scan, /batch) (0 = unlimited, no admission control)")
 	flag.IntVar(&cfg.MaxQueued, "max-queued", 64, "max read requests waiting for an inflight slot before shedding with 429")
@@ -81,7 +78,5 @@ func main() {
 	if err := obs.Serve("kserve", *addr, *pprofAddr, srv.Handler()); err != nil {
 		log.Fatal("kserve: ", err)
 	}
-	if err := srv.Close(); err != nil {
-		log.Printf("kserve: disk close: %v", err)
-	}
+	srv.Close()
 }

@@ -358,7 +358,6 @@ type StatsResponse struct {
 	ScanErrors    int64       `json:"scan_errors"`
 	ScansCanceled int64       `json:"scans_canceled"`
 	ReportsServed int64       `json:"reports_served"`
-	GCRemoved     int64       `json:"gc_removed"`
 	Store         store.Stats `json:"store"`
 	StoreHitRate  float64     `json:"store_hit_rate"`
 	// Remote is present only when the daemon runs with a fleet cache

@@ -129,7 +129,7 @@ checker scan_other {
 			rec := &cancelOnPut{Store: store.NewMemory(0)}
 			st := store.Store(rec)
 			if len(cks) == 1 {
-				st = store.NewStack(nil, store.Tier{Name: "memory", Store: rec})
+				st = store.NewStack(nil, store.Tier{Name: "memory", Store: rec}, store.Tier{})
 			}
 			res := NewIncremental(cb, st).RunBatch(cks, nil, Options{Workers: 1, Context: newCountdownCtx(k)}, 0)
 			if !res[0].Canceled {

@@ -136,7 +136,7 @@ func TestRangeBoundariesMatchUncachedScan(t *testing.T) {
 		}
 		for name, st := range map[string]store.Store{
 			"memory": store.NewMemory(0),
-			"stack":  store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}),
+			"stack":  store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{}),
 		} {
 			inc := NewIncremental(cb, st)
 			for pass, wantHits := range []int{0, n} {

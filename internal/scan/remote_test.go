@@ -49,10 +49,11 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 
 	funcs, ranges := cb.NumFuncs(), int64((cb.NumFuncs()+rangeSize-1)/rangeSize)
 	for replica, wantPuts := range []int64{ranges, 0} {
-		st, err := store.Open(nil, 0, "", 0, kc.URL)
+		remote, err := store.NewRemote(kc.URL, store.RemoteConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{Name: "remote", Store: remote})
 		gets.Store(0)
 		puts.Store(0)
 		res := NewIncremental(cb, st).RunBatch(cks, nil, Options{Workers: 2}, 0)
@@ -68,7 +69,7 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 				t.Fatalf("replica %d, checker %d: differs from Codebase.Run", replica, k)
 			}
 		}
-		if rs := st.Remote().RemoteStats(); rs.Errors != 0 || rs.Hits != int64(replica*2*funcs) {
+		if rs := remote.RemoteStats(); rs.Errors != 0 || rs.Hits != int64(replica*2*funcs) {
 			t.Fatalf("replica %d: remote books %+v, want %d hits and no errors", replica, rs, replica*2*funcs)
 		}
 	}

@@ -31,9 +31,10 @@ type CacheConfig struct {
 
 // Cache is the fleet cache daemon, kcached: it serves the
 // content-addressed analysis-result store over HTTP so a fleet of kserve
-// replicas shares one warm cache. It serves the same store.Stack kserve
-// does, built by the same constructor with no remote: a memory tier over
-// the segment-packed disk store, behind the store.CacheServer protocol.
+// replicas shares one warm cache, and it is the fleet's one durable
+// tier. It serves the same store.Stack kserve does, with the
+// segment-packed disk store as its back instead of a remote: a memory
+// tier over the disk, behind the store.CacheServer protocol.
 // A fleet GET that misses memory is one index probe plus one pread into
 // an append-only segment file, and entries survive restarts (recovery is
 // a single sequential segment scan). Keys are content addresses, so an
@@ -54,7 +55,10 @@ type Cache struct {
 	st      *store.Stack
 	traces  *obs.TraceStore
 	handler http.Handler
-	stopGC  context.CancelFunc
+	// disk is the stack's back, whose compaction loop and final sync
+	// the daemon owns.
+	disk   *store.SegmentDisk
+	stopGC context.CancelFunc
 }
 
 // NewCache opens the store in cfg.CacheDir, mounts the cache protocol and
@@ -69,11 +73,13 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	reg := obs.NewRegistry("kcached")
 	gcSweep := reg.Histogram("gc_sweep_duration_seconds",
 		"Wall time of one GC sweep over the backing store.", nil)
-	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, "")
+	disk, err := store.NewSegmentDisk(cfg.CacheDir, store.SegmentDiskMaxBytes(cfg.CacheMaxBytes))
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache{st: st, traces: obs.NewTraceStore(cfg.TraceRetain, cfg.TraceSample, cfg.TraceSlow)}
+	st := store.NewStack(reg, store.Tier{Name: "memory", Store: store.NewMemory(cfg.CacheBytes)},
+		store.Tier{Name: "disk", Store: disk})
+	c := &Cache{st: st, disk: disk, traces: obs.NewTraceStore(cfg.TraceRetain, cfg.TraceSample, cfg.TraceSlow)}
 	ro := &obs.RequestObserver{Service: "kcached", Traces: c.traces}
 	cs := store.NewCacheServer(st)
 	cs.Observe(ro)
@@ -85,7 +91,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	// the segment log. Close stops it before the final sync.
 	ctx, cancel := context.WithCancel(context.Background())
 	c.stopGC = cancel
-	st.Disk().StartCompactLoop(ctx, cfg.CacheTTL, func(n int, dur time.Duration) {
+	disk.StartCompactLoop(ctx, cfg.CacheTTL, func(n int, dur time.Duration) {
 		gcSweep.Observe(dur.Seconds())
 		if n > 0 {
 			log.Printf("kcached: GC removed %d entries in %s", n, dur)
@@ -97,7 +103,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	mux.Handle("/", cs.Handler())
 	c.handler = mux
 	version, goVersion := obs.BuildVersion()
-	boot := st.Disk().Stats()
+	boot := disk.Stats()
 	log.Printf("kcached: %s (%s) serving %s (%d entries, %d bytes)",
 		version, goVersion, cfg.CacheDir, boot.Entries, boot.Bytes)
 	return c, nil
@@ -112,9 +118,8 @@ func (c *Cache) Handler() http.Handler { return c.handler }
 // after the listener has drained.
 func (c *Cache) Close() error {
 	c.stopGC()
-	disk := c.st.Disk()
-	final := disk.Stats()
-	err := disk.Close()
+	final := c.disk.Stats()
+	err := c.disk.Close()
 	log.Printf("kcached: final stats: entries=%d bytes=%d hits=%d misses=%d hit_rate=%.3f",
 		final.Entries, final.Bytes, final.Hits, final.Misses, final.HitRate())
 	return err

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,25 +18,28 @@ import (
 
 // TestNewDerivesTheReplicaFromConfig covers what only main() did before
 // New existed: contradictory shard settings are an error (not an exit),
-// and the trace collector asks every peer but this replica, plus
-// kcached.
+// the trace collector asks every peer but this replica, plus kcached,
+// and the store is memory over kcached or memory alone — never a disk
+// of its own — as the store_* tiers on /metrics show.
 func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 	const peers = "http://a:8321, http://b:8321/ ,http://c:8321"
+	local, fleet := []string{"memory", "stack"}, []string{"memory", "remote", "stack"}
 	cases := []struct {
 		name    string
 		cfg     Config
 		wantErr string
 		targets []string
 		service string
+		tiers   []string
 	}{
-		{name: "single host", cfg: Config{}, service: "kserve"},
+		{name: "single host", cfg: Config{}, service: "kserve", tiers: local},
 		{name: "single host with kcached", cfg: Config{CacheRemote: "http://kc:8322/"},
-			targets: []string{"http://kc:8322"}, service: "kserve"},
-		{name: "peers ignored without -shard-count", cfg: Config{Peers: peers}, service: "kserve"},
+			targets: []string{"http://kc:8322"}, service: "kserve", tiers: fleet},
+		{name: "peers ignored without -shard-count", cfg: Config{Peers: peers}, service: "kserve", tiers: local},
 		{name: "shard member", cfg: Config{ShardIndex: 1, ShardCount: 3, Peers: peers, CacheRemote: "http://kc:8322"},
-			targets: []string{"http://a:8321", "http://c:8321", "http://kc:8322"}, service: "kserve-1"},
+			targets: []string{"http://a:8321", "http://c:8321", "http://kc:8322"}, service: "kserve-1", tiers: fleet},
 		{name: "shard member without a feed", cfg: Config{ShardIndex: 2, ShardCount: 3, Peers: peers},
-			targets: []string{"http://a:8321", "http://b:8321"}, service: "kserve-2"},
+			targets: []string{"http://a:8321", "http://b:8321"}, service: "kserve-2", tiers: local},
 		{name: "too few peers", cfg: Config{ShardCount: 3, Peers: "http://a:8321,http://b:8321"},
 			wantErr: "-shard-count 3 needs exactly that many -peers entries, got 2"},
 		{name: "no peers", cfg: Config{ShardCount: 2}, wantErr: "got 0"},
@@ -71,8 +75,39 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 			if (srv.shard != nil) != (tc.cfg.ShardCount > 1) {
 				t.Errorf("shard layer present = %v with -shard-count %d", srv.shard != nil, tc.cfg.ShardCount)
 			}
+			if got := storeTiers(t, srv.Handler(), "kserve"); !reflect.DeepEqual(got, tc.tiers) {
+				t.Errorf("store tiers on /metrics = %v, want %v", got, tc.tiers)
+			}
 		})
 	}
+}
+
+// TestNewCacheServesMemoryOverDisk: kcached's store is memory over its
+// segment disk, as the store_* tiers on /metrics show.
+func TestNewCacheServesMemoryOverDisk(t *testing.T) {
+	c, _ := newKcached(t, CacheConfig{})
+	if got, want := storeTiers(t, c.Handler(), "kcached"), []string{"disk", "memory", "stack"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("store tiers on /metrics = %v, want %v", got, want)
+	}
+}
+
+// storeTiers returns the sorted tier labels of the ns_store_requests_total
+// series that h exposes on GET /metrics.
+func storeTiers(t *testing.T, h http.Handler, ns string) []string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", rec.Code)
+	}
+	var tiers []string
+	for name := range metricValues(t, rec.Body.String()) {
+		if tier, ok := strings.CutPrefix(name, ns+`_store_requests_total{tier="`); ok {
+			tiers = append(tiers, strings.TrimSuffix(tier, `"}`))
+		}
+	}
+	sort.Strings(tiers)
+	return tiers
 }
 
 // metricValues parses the series out of a /metrics body, keyed by name
@@ -135,7 +170,6 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 		"kserve_scan_errors_total":             st.ScanErrors,
 		"kserve_scans_canceled_total":          st.ScansCanceled,
 		"kserve_reports_served_total":          st.ReportsServed,
-		"kserve_disk_gc_removed_total":         st.GCRemoved,
 		"kserve_shard_scatters_total":          st.Shards.Scatters,
 		"kserve_shard_sub_scans_total":         st.Shards.SubScansServed,
 		"kserve_shard_converges_total":         st.Shards.Converges,

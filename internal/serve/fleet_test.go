@@ -3,12 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +68,7 @@ func TestFleetSecondReplicaScansWarm(t *testing.T) {
 
 // TestFleetKcachedDeathDegradesToLocal: killing the cache daemon
 // mid-run must cause zero non-2xx scan responses — replicas degrade to
-// their local tiers with misses, and the breaker stops them from paying
+// their memory tier with misses, and the breaker stops them from paying
 // a connection attempt per function.
 func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
@@ -129,7 +126,7 @@ func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
 func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	dir := t.TempDir()
 	kcd1, kc1 := newKcached(t, CacheConfig{CacheDir: dir})
-	disk1 := kcd1.st.Disk()
+	disk1 := kcd1.disk
 
 	srvA, tsA := bootOne(t, Config{CacheRemote: kc1.URL})
 	a := postScan(t, tsA, api.ScanRequest{Checker: testChecker})
@@ -152,11 +149,11 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	// A successor boots on the same directory: recovery is one
 	// sequential segment scan, and every entry must come back.
 	kcd2, kc2 := newKcached(t, CacheConfig{CacheDir: dir})
-	if got := kcd2.st.Disk().Stats().Entries; got != entriesBefore {
+	if got := kcd2.disk.Stats().Entries; got != entriesBefore {
 		t.Fatalf("restart recovered %d entries, want %d", got, entriesBefore)
 	}
 
-	// A replica that never scanned before (cold memory, no local disk)
+	// A replica that never scanned before (cold memory)
 	// must scan warm off the recovered tier, byte-identical to A.
 	srvC, tsC := bootOne(t, Config{CacheRemote: kc2.URL})
 	c := postScan(t, tsC, api.ScanRequest{Checker: testChecker})
@@ -182,7 +179,7 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 	_, tsB := bootOne(t, Config{CacheRemote: kc.URL})
 
 	postScan(t, tsA, api.ScanRequest{Checker: testChecker}) // warm the shared tier
-	disk := kcd.st.Disk()
+	disk := kcd.disk
 	sharedBefore := disk.Stats().Entries
 	if sharedBefore == 0 {
 		t.Fatal("shared tier empty after replica A's scan")
@@ -292,10 +289,10 @@ func TestFleetConcurrentColdScansAgree(t *testing.T) {
 }
 
 // TestFleetReplicaStatsReportItsOwnEntries: a replica with
-// -cache-remote and no -cache-dir (the shape of every fleet_commit
-// shard) keeps its entries in memory, and /stats must say so — the
-// remote tier keeps no entry books, so reporting "the back tier" left
-// store.entries and store.bytes at zero forever.
+// -cache-remote (the shape of every fleet_commit shard) keeps its
+// entries in memory, and /stats must say so — the remote tier keeps no
+// entry books, so reporting "the back tier" left store.entries and
+// store.bytes at zero forever.
 func TestFleetReplicaStatsReportItsOwnEntries(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
 	_, ts := bootOne(t, Config{CacheRemote: kc.URL})
@@ -307,89 +304,4 @@ func TestFleetReplicaStatsReportItsOwnEntries(t *testing.T) {
 	if st.Entries == 0 || st.Bytes == 0 {
 		t.Fatalf("/stats store = %+v after a cold scan cached %d results", st, scan.Cache.Misses)
 	}
-}
-
-// TestFleetRacedDiskReplica boots the memory -> remote || disk shape
-// (-cache-remote plus -cache-dir) through the daemons' constructor and
-// holds it to the byte-identity contract with kcached healthy, hung,
-// and dead.
-func TestFleetRacedDiskReplica(t *testing.T) {
-	_, refTS := bootOne(t, Config{})
-	want := reportsJSON(t, postScan(t, refTS, api.ScanRequest{Checker: testChecker}))
-
-	// kcached behind a switch that makes every request hang until the
-	// client gives up. A probe that waited on the hung daemon would run
-	// into the remote tier's timeout and show up as an error.
-	kcd, kcInner := newKcached(t, CacheConfig{})
-	kcHandler := kcInner.Config.Handler
-	var hung atomic.Bool
-	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hung.Load() {
-			// Read the request first, as kcached does: the server notices
-			// the client hanging up only once the body is consumed.
-			io.Copy(io.Discard, r.Body)
-			<-r.Context().Done()
-			return
-		}
-		kcHandler.ServeHTTP(w, r)
-	}))
-	t.Cleanup(kc.Close)
-	dir := t.TempDir()
-	replica := func(t *testing.T, cacheDir string) (*Server, *httptest.Server) {
-		return bootOne(t, Config{CacheDir: cacheDir, CacheRemote: kc.URL})
-	}
-
-	// Each phase is a subtest so its replica — listener and segment
-	// files — is closed before the next one reopens the directory.
-
-	// Healthy: every miss waits for both sides, computes, and writes
-	// through to all three tiers.
-	t.Run("healthy", func(t *testing.T) {
-		srv, ts := replica(t, dir)
-		a := postScan(t, ts, api.ScanRequest{Checker: testChecker})
-		if got := reportsJSON(t, a); got != want {
-			t.Fatalf("cold scan differs from the single-host reference:\n got: %s\nwant: %s", got, want)
-		}
-		if a.Cache.Hits != 0 || srv.remote.RemoteStats().Puts == 0 || kcd.st.Stats().Entries == 0 {
-			t.Fatalf("cold scan: cache %+v, remote %+v, kcached %+v", a.Cache, srv.remote.RemoteStats(), kcd.st.Stats())
-		}
-		if got := srv.inc.Stats().Entries; got != a.Cache.Misses {
-			t.Fatalf("/stats reports %d entries, the disk tier should hold all %d results", got, a.Cache.Misses)
-		}
-	})
-
-	// Hung kcached, restarted replica (cold memory, warm disk): the
-	// local leaf answers every probe and no probe waits out the remote
-	// timeout.
-	t.Run("kcached hung", func(t *testing.T) {
-		hung.Store(true)
-		srv, ts := replica(t, dir)
-		b := postScan(t, ts, api.ScanRequest{Checker: testChecker})
-		if got := reportsJSON(t, b); got != want {
-			t.Fatal("scan with kcached hung differs from the reference")
-		}
-		if b.Cache.Misses != 0 {
-			t.Fatalf("restarted replica missed %d times with a warm disk tier", b.Cache.Misses)
-		}
-		if rs := srv.remote.RemoteStats(); rs.Errors != 0 || rs.Hits != 0 {
-			t.Fatalf("local hits waited on the hung daemon: %+v", rs)
-		}
-	})
-
-	// Dead kcached: a warm-disk replica still scans all-hits, and a
-	// replica with an empty disk recomputes everything — 200s and
-	// identical bytes either way (postScan fails the test on a non-200).
-	t.Run("kcached dead", func(t *testing.T) {
-		kc.Close()
-		_, tsC := replica(t, dir)
-		c := postScan(t, tsC, api.ScanRequest{Checker: testChecker})
-		if got := reportsJSON(t, c); got != want || c.Cache.Misses != 0 {
-			t.Fatalf("warm-disk scan with kcached dead: misses=%d, identical=%v", c.Cache.Misses, got == want)
-		}
-		_, tsD := replica(t, t.TempDir())
-		d := postScan(t, tsD, api.ScanRequest{Checker: testChecker})
-		if got := reportsJSON(t, d); got != want || d.Cache.Hits != 0 {
-			t.Fatalf("cold-disk scan with kcached dead: hits=%d, identical=%v", d.Cache.Hits, got == want)
-		}
-	})
 }

@@ -20,11 +20,9 @@ type metrics struct {
 	scansCanceled *obs.Counter
 	reportsServed *obs.Counter
 	quietResults  *obs.Counter
-	gcRemoved     *obs.Counter
 
 	scanDur  *obs.Histogram
 	stageDur *obs.HistogramVec
-	gcSweep  *obs.Histogram
 	commit   *obs.Histogram
 }
 
@@ -44,15 +42,12 @@ func (s *Server) instrument() {
 		scansCanceled: reg.Counter("scans_canceled_total", "Scans aborted by client disconnect."),
 		reportsServed: reg.Counter("reports_served_total", "Bug reports returned across all scans."),
 		quietResults:  reg.Counter("scan_quiet_results_total", "Cache misses answered from the function's no-checker baseline, unexplored: every checker was quiet on it."),
-		gcRemoved:     reg.Counter("disk_gc_removed_total", "Disk-tier entries removed by GC sweeps."),
 
 		scanDur: reg.Histogram("scan_duration_seconds",
 			"Wall time of one checker scan over the corpus (each batch entry counts once).", nil),
 		stageDur: reg.HistogramVec("scan_stage_duration_seconds",
 			"Aggregate time in one scan stage per scan; concurrent stages sum worker time.",
 			nil, "stage"),
-		gcSweep: reg.Histogram("disk_gc_sweep_duration_seconds",
-			"Wall time of one disk-tier GC sweep.", nil),
 		commit: reg.Histogram("changeset_commit_duration_seconds",
 			"Wall time from mutation request to committed generation swap.", nil),
 	}
@@ -76,8 +71,8 @@ func (s *Server) instrument() {
 		func() float64 { return float64(engine.CounterTotals().Crashes) })
 
 	if s.remote != nil {
-		// Breaker state as a gauge: 0 closed (healthy), 1 open (shedding
-		// to the next tier).
+		// Breaker state as a gauge: 0 closed (healthy), 1 open (every
+		// memory miss is a local miss until the cooldown's probe).
 		reg.GaugeFunc("remote_breaker_state", "Fleet-tier circuit breaker: 0 closed, 1 open.",
 			func() float64 {
 				if s.remote.RemoteStats().BreakerOpen {

@@ -1,9 +1,9 @@
 // Package serve is the incremental scan service behind cmd/kserve: one
 // constructor, New(Config), builds a replica — parsed corpus, cache
-// stack, admission gates, shard layer, trace store, metrics registry,
-// compaction loop — and Handler returns what the binary, every test
-// and the benchmarks mount. NewCache(CacheConfig) does the same for
-// cmd/kcached, the fleet cache daemon (cache.go).
+// stack, admission gates, shard layer, trace store, metrics registry —
+// and Handler returns what the binary, every test and the benchmarks
+// mount. NewCache(CacheConfig) does the same for cmd/kcached, the fleet
+// cache daemon (cache.go).
 //
 // This is the deployment shape the paper's §5 scans want: checker
 // synthesis and refinement issue many near-identical scans of the same
@@ -38,12 +38,11 @@
 // via POST /converge). A dead or behind shard degrades its partition to
 // the coordinator's local snapshot — slower, never wrong.
 //
-// The cache is one store.Stack, opened by the same constructor kcached
-// uses (store.Open) from an ordered tier list the config spells out:
-// memory, then kcached (CacheRemote), then the local segment tier
-// (CacheDir). Promotion, write-through, racing the remote tier against
-// the disk tier behind it and the per-tier /metrics families all follow
-// from that list.
+// The cache is one store.Stack: a memory tier, over kcached when
+// CacheRemote is set. A replica keeps no disk of its own; the fleet's
+// one durable tier is kcached's, so a host that wants to restart warm
+// runs kcached beside it. Promotion, write-through and the per-tier
+// /metrics families are the stack's.
 //
 // Wire types live in internal/api: every response carries the corpus
 // generation (body + X-KN-Generation header), scan-shaped requests
@@ -54,7 +53,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,17 +73,14 @@ import (
 // Config is everything a replica is built from. Each field is the
 // cmd/kserve flag of the same name (Seed is -seed, MaxQueuedPerClient
 // is -max-queued-per-client, ...), with the flag's meaning; zero values
-// mean what the flag's zero means (no gate, no disk tier, no traces),
+// mean what the flag's zero means (no gate, no kcached, no traces),
 // not the flag's default.
 type Config struct {
 	Seed  int64
 	Scale float64
 
-	CacheBytes    int64
-	CacheDir      string
-	CacheTTL      time.Duration
-	CacheMaxBytes int64
-	CacheRemote   string
+	CacheBytes  int64
+	CacheRemote string
 
 	MaxInflight        int
 	MaxQueued          int
@@ -140,17 +135,14 @@ type Server struct {
 	// single-host daemon, and every shard path nil-checks it.
 	shard *shardLayer
 	// remote is the shared fleet cache tier, when CacheRemote is set;
-	// kept for /stats health reporting. disk is the local segment tier,
-	// whose compaction loop and final sync the server owns.
+	// kept for /stats health reporting and the breaker gauges.
 	remote *store.Remote
-	disk   *store.SegmentDisk
-	stopGC context.CancelFunc
 }
 
 // New builds a replica from cfg: it generates and parses the corpus,
 // opens the store, and derives the gates, the shard layer, the trace
-// store and its collector targets, the metrics and the disk tier's
-// compaction loop. Call Close when done with it.
+// store and its collector targets and the metrics. Call Close when done
+// with it.
 func New(cfg Config) (*Server, error) {
 	cb, err := scan.NewCodebase(kernel.Generate(kernel.Config{Seed: cfg.Seed, Scale: cfg.Scale}))
 	if err != nil {
@@ -161,21 +153,22 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CacheMaxBytes > 0 && cfg.CacheDir == "" {
-		log.Printf("kserve: -cache-max-bytes ignored without -cache-dir (the byte budget bounds the disk tier; use -cache-bytes for the memory tier)")
+	var remote *store.Remote
+	var back store.Tier
+	if cfg.CacheRemote != "" {
+		if remote, err = store.NewRemote(cfg.CacheRemote, store.RemoteConfig{}); err != nil {
+			return nil, err
+		}
+		back = store.Tier{Name: "remote", Store: remote}
 	}
-	st, err := store.Open(reg, cfg.CacheBytes, cfg.CacheDir, cfg.CacheMaxBytes, cfg.CacheRemote)
-	if err != nil {
-		return nil, err
-	}
+	st := store.NewStack(reg, store.Tier{Name: "memory", Store: store.NewMemory(cfg.CacheBytes)}, back)
 	s := &Server{
 		inc:     scan.NewIncremental(cb, st),
 		started: time.Now(),
 		reg:     reg,
 		traces:  obs.NewTraceStore(cfg.TraceRetain, cfg.TraceSample, cfg.SlowScan),
 		shard:   sh,
-		remote:  st.Remote(),
-		disk:    st.Disk(),
+		remote:  remote,
 	}
 	s.instrument()
 
@@ -190,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.CacheRemote != "" {
-		log.Printf("kserve: fleet cache tier: %s (raced against local disk: %v)", cfg.CacheRemote, s.disk != nil)
+		log.Printf("kserve: fleet cache tier: %s", cfg.CacheRemote)
 	}
 	s.traceColl = shard.NewTraceCollector(traceTargets(sh, cfg.CacheRemote), 2*time.Second)
 	s.ro = &obs.RequestObserver{
@@ -214,20 +207,6 @@ func New(cfg Config) (*Server, error) {
 		log.Printf("kserve: write admission control: %d inflight, %d queued", cfg.MaxInflightWrites, cfg.MaxQueuedWrites)
 	}
 
-	if s.disk != nil {
-		// Compaction runs whenever the disk tier exists: even without a
-		// TTL or byte budget it reclaims the dead bytes that overwrites
-		// and invalidations leave in the segment log.
-		ctx, cancel := context.WithCancel(context.Background())
-		s.stopGC = cancel
-		s.disk.StartCompactLoop(ctx, cfg.CacheTTL, func(n int, dur time.Duration) {
-			s.m.gcSweep.Observe(dur.Seconds())
-			if n > 0 {
-				s.m.gcRemoved.Add(float64(n))
-				log.Printf("kserve: disk GC removed %d entries in %s", n, dur)
-			}
-		})
-	}
 	s.handler = s.routes()
 	version, goVersion := obs.BuildVersion()
 	log.Printf("kserve: %s (%s) holding %d files / %d functions", version, goVersion, len(cb.Files()), cb.NumFuncs())
@@ -237,21 +216,13 @@ func New(cfg Config) (*Server, error) {
 // Handler is the replica's whole HTTP surface.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Close stops the compaction loop, syncs and closes the disk tier —
-// whatever the flush window still held is on disk, so the next boot
-// starts as warm as this one ended — and logs the final counters. Call
-// it after the listener has drained.
-func (s *Server) Close() error {
-	var err error
-	if s.disk != nil {
-		s.stopGC()
-		err = s.disk.Close()
-	}
+// Close logs the final counters. Call it after the listener has
+// drained.
+func (s *Server) Close() {
 	stats := s.inc.Stats()
 	log.Printf("kserve: final stats: uptime=%.1fs scans=%d batches=%d reports=%d cache_hits=%d cache_misses=%d hit_rate=%.3f",
 		time.Since(s.started).Seconds(), count(s.m.scans), count(s.m.batches),
 		count(s.m.reportsServed), stats.Hits, stats.Misses, stats.HitRate())
-	return err
 }
 
 func (s *Server) routes() http.Handler {
@@ -326,7 +297,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ScanErrors:      count(s.m.scanErrors),
 		ScansCanceled:   count(s.m.scansCanceled),
 		ReportsServed:   count(s.m.reportsServed),
-		GCRemoved:       count(s.m.gcRemoved),
 		Store:           st,
 		StoreHitRate:    st.HitRate(),
 		Remote:          remote,

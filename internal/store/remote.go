@@ -28,7 +28,8 @@ import (
 // mode — the daemon down, a request timing out, a non-2xx status, a
 // corrupt or oversized reply, the circuit breaker open — degrades to a
 // cache miss, never to a request error, so a replica whose kcached
-// disappears keeps serving from its local tiers with zero failed scans.
+// disappears keeps serving from its memory tier, computing what that
+// misses, with zero failed scans.
 // A circuit breaker bounds the cost of a dead or slow daemon: after
 // BreakerThreshold consecutive failures the tier stops issuing requests
 // for BreakerCooldown, then lets a single probe through to test

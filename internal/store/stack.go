@@ -16,35 +16,32 @@ type Tier struct {
 	Store Store
 }
 
-// Stack is the one composite store: an ordered list of leaf tiers,
-// fastest first. Everything a deployment needs from the composition is
-// a behaviour of this type, chosen from the leaves it was given:
+// Stack is the one composite store: a memory front over at most one
+// back store. A deployment has one of three shapes — a single host (no
+// back), a fleet replica (a *Remote back: kcached) and kcached itself
+// (a *SegmentDisk back) — and everything it needs from the composition
+// is a behaviour of this type:
 //
-//   - GetMany hands a range of keys and their digests to the front leaf
-//     in one call (one lock acquisition on *Memory, no hashing); the
-//     keys it misses go on to the leaves behind it as one range, and a
-//     deeper hit is promoted into every leaf in front of it with one
-//     putMany per leaf. A network leaf (*Remote) takes a range in one
-//     round trip, and with a leaf behind it, it is raced against that
-//     leaf: the local leaf probes the range while the round trip is in
-//     flight, a range the local leaf answers whole never waits on the
-//     network, and the remote's hits are promoted into the local leaf
-//     too. Get is the one-key GetMany. Counters stay per key.
-//   - PutMany hands a range of keys and their digests to every leaf in
-//     one call each (one lock acquisition on *Memory, one round trip on
-//     *Remote), synchronously: a scan that returned has published. Put
-//     is the one-key PutMany. Puts count per key.
-//   - Invalidation fans the whole hash set out to every leaf once;
-//     network leaves are invalidated off the caller's goroutine, so a
+//   - GetMany hands a range of keys and their digests to the front in
+//     one call (one lock acquisition on *Memory, no hashing); the keys
+//     it misses go to the back as one range (one round trip on
+//     *Remote), and the back's hits are promoted into the front with
+//     one putMany. Get is the one-key GetMany. Counters stay per key.
+//   - PutMany hands a range of keys and their digests to the front and
+//     then the back in one call each, synchronously: a scan that
+//     returned has published. Put is the one-key PutMany. Puts count
+//     per key.
+//   - Invalidation hands the whole hash set to each leaf once; a
+//     network back is invalidated off the caller's goroutine, so a
 //     corpus mutation never waits on a round-trip. That is safe because
 //     remote invalidation is garbage collection, not correctness:
 //     content addressing means orphaned keys are never requested again.
-//   - With a registry, every leaf lands in the store_*{tier=name}
+//   - With a registry, each leaf lands in the store_*{tier=name}
 //     families. Requests, hits, misses and puts count per key; latency
 //     is one store_op_duration_seconds observation per leaf call, the
-//     whole range of keys it carried, on every leaf alike.
+//     whole range of keys it carried.
 type Stack struct {
-	leaves []leaf
+	front, back leaf
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -53,38 +50,42 @@ type Stack struct {
 
 type leaf struct {
 	Tier
-	// network marks a *Remote: raced, invalidated asynchronously, and
-	// without entry books of its own (they belong to kcached).
+	// network marks a *Remote: invalidated asynchronously, and without
+	// entry books of its own (they belong to kcached).
 	network bool
 	// getDur and putDur are nil without a registry.
 	getDur, putDur *obs.Histogram
 }
 
-// NewStack composes tiers, fastest first. reg may be nil (no metrics).
+// NewStack puts front over back. A zero back (no Store) means none.
+// reg may be nil (no metrics).
 //
 // The request/hit/miss/put series are callback-backed: every leaf
 // already counts those events for its own Stats(), so they are read at
 // scrape time instead of being counted twice. tier="stack" carries the
 // request-level totals /stats reports.
-func NewStack(reg *obs.Registry, tiers ...Tier) *Stack {
-	s := &Stack{leaves: make([]leaf, len(tiers))}
-	for i, t := range tiers {
-		l := leaf{Tier: t}
-		_, l.network = t.Store.(*Remote)
-		s.leaves[i] = l
-	}
+func NewStack(reg *obs.Registry, front, back Tier) *Stack {
+	s := &Stack{front: leaf{Tier: front}, back: leaf{Tier: back}}
+	_, s.back.network = back.Store.(*Remote)
 	if reg == nil {
 		return s
 	}
 	opDur := reg.HistogramVec("store_op_duration_seconds",
 		"Latency of one store call against the tier: one call, a range of keys.", nil, "tier", "op")
-	for i := range s.leaves {
-		l := &s.leaves[i]
+	for _, l := range s.leaves() {
 		registerTierCounters(reg, l.Name, l.Store.Stats)
 		l.getDur, l.putDur = opDur.With(l.Name, "get"), opDur.With(l.Name, "put")
 	}
 	registerTierCounters(reg, "stack", s.Stats)
 	return s
+}
+
+// leaves returns the front and, if there is one, the back.
+func (s *Stack) leaves() []*leaf {
+	if s.back.Store == nil {
+		return []*leaf{&s.front}
+	}
+	return []*leaf{&s.front, &s.back}
 }
 
 func registerTierCounters(reg *obs.Registry, tier string, stats func() Stats) {
@@ -101,51 +102,6 @@ func registerTierCounters(reg *obs.Registry, tier string, stats func() Stats) {
 		reg.CounterVec(c.name, c.help, "tier").
 			WithFunc(func() float64 { return float64(c.pick(stats())) }, tier)
 	}
-}
-
-// Open builds the store both daemons serve from — the one place that
-// orders tiers: memory in front, then the kcached client (with
-// RemoteConfig's defaults) when remoteURL is set, then the segment disk
-// tier when cacheDir is set. kserve passes what its flags say; kcached
-// passes its directory and no remote.
-func Open(reg *obs.Registry, cacheBytes int64, cacheDir string, diskMaxBytes int64, remoteURL string) (*Stack, error) {
-	tiers := []Tier{{"memory", NewMemory(cacheBytes)}}
-	if remoteURL != "" {
-		r, err := NewRemote(remoteURL, RemoteConfig{})
-		if err != nil {
-			return nil, err
-		}
-		tiers = append(tiers, Tier{"remote", r})
-	}
-	if cacheDir != "" {
-		d, err := NewSegmentDisk(cacheDir, SegmentDiskMaxBytes(diskMaxBytes))
-		if err != nil {
-			return nil, err
-		}
-		tiers = append(tiers, Tier{"disk", d})
-	}
-	return NewStack(reg, tiers...), nil
-}
-
-// Remote returns the stack's network leaf, or nil.
-func (s *Stack) Remote() *Remote {
-	for _, l := range s.leaves {
-		if r, ok := l.Store.(*Remote); ok {
-			return r
-		}
-	}
-	return nil
-}
-
-// Disk returns the stack's segment disk leaf, or nil. The caller owns
-// its compaction loop and Close.
-func (s *Stack) Disk() *SegmentDisk {
-	for _, l := range s.leaves {
-		if d, ok := l.Store.(*SegmentDisk); ok {
-			return d
-		}
-	}
-	return nil
 }
 
 // getMany probes the leaf for a range of keys in one call, timed once.
@@ -177,110 +133,55 @@ func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 	return out[0], out[0] != nil
 }
 
-// GetMany implements Store: the front leaf answers the whole range
-// in one call, by ids, and the keys it misses go on, as one range, to the
-// leaves behind it — raced, promoted, counted once per key.
+// GetMany implements Store: the front answers the whole range in one
+// call, by ids, and the keys it misses go to the back as one range —
+// promoted, counted once per key. A range the front answers whole, or
+// any range on a stack with no back, allocates nothing.
 func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hits := s.getFrom(ctx, 0, keys, ids, out)
+	s.front.getMany(ctx, keys, ids, out)
+	hits := 0
+	for _, r := range out {
+		if r != nil {
+			hits++
+		}
+	}
+	if hits < len(keys) && s.back.Store != nil {
+		hits += s.getBack(ctx, keys, ids, out, len(keys)-hits)
+	}
 	s.hits.Add(int64(hits))
 	s.misses.Add(int64(len(keys) - hits))
 }
 
-// getFrom answers keys from the leaves from index first on, setting
-// out[i] or leaving it nil; promotes every hit into each leaf in front
-// of the one that answered it; and returns the hit count. A level that
-// answers every key, or the last level, allocates nothing.
-func (s *Stack) getFrom(ctx context.Context, first int, keys []Key, ids []Digest, out []*engine.Result) int {
-	if first == len(s.leaves) {
-		clear(out)
-		return 0
-	}
-	l, next := &s.leaves[first], first+1
-	if l.network && next < len(s.leaves) {
-		race(ctx, l, &s.leaves[next], keys, ids, out)
-		next++
-	} else {
-		l.getMany(ctx, keys, ids, out)
-	}
-	hits := len(keys) - misses(out)
-	if first > 0 && hits > 0 {
-		hk, hi, hr := pick(keys, ids, out, true)
-		for j := range s.leaves[:first] {
-			s.leaves[j].putMany(ctx, hk, hi, hr)
-		}
-	}
-	if hits == len(keys) || next == len(s.leaves) {
-		return hits
-	}
-	mk, mi, mo := pick(keys, ids, out, false)
-	hits += s.getFrom(ctx, next, mk, mi, mo)
-	for i, j := 0, 0; j < len(mo); i++ {
-		if out[i] == nil {
-			out[i], j = mo[j], j+1
-		}
-	}
-	return hits
-}
-
-// misses returns how many of out are nil.
-func misses(out []*engine.Result) int {
-	n := 0
-	for _, r := range out {
+// getBack sends the keys the front missed (the misses entries of out
+// left nil) to the back as one range, sets the back's hits in out,
+// promotes them into the front with one putMany, and returns how many
+// there were.
+func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result, misses int) int {
+	mk, mi, at := make([]Key, 0, misses), make([]Digest, 0, misses), make([]int, 0, misses)
+	for i, r := range out {
 		if r == nil {
+			mk, mi, at = append(mk, keys[i]), append(mi, ids[i]), append(at, i)
+		}
+	}
+	mo := make([]*engine.Result, len(mk))
+	s.back.getMany(ctx, mk, mi, mo)
+	// The back has returned: pack its hits, in key order, to the front
+	// of the range it was handed.
+	n := 0
+	for j, r := range mo {
+		if r != nil {
+			out[at[j]] = r
+			mk[n], mi[n], mo[n] = mk[j], mi[j], r
 			n++
 		}
 	}
+	if n > 0 {
+		s.front.putMany(ctx, mk[:n], mi[:n], mo[:n])
+	}
 	return n
-}
-
-// pick returns the keys, ids and results at the positions where out is
-// set (hit) or nil (!hit); for misses the results are fresh nils.
-func pick(keys []Key, ids []Digest, out []*engine.Result, hit bool) ([]Key, []Digest, []*engine.Result) {
-	var pk []Key
-	var pi []Digest
-	var pr []*engine.Result
-	for i, r := range out {
-		if (r != nil) == hit {
-			pk, pi, pr = append(pk, keys[i]), append(pi, ids[i]), append(pr, r)
-		}
-	}
-	return pk, pi, pr
-}
-
-// race probes a network leaf and the local leaf behind it together, for
-// a whole range. The local probe runs on the caller's goroutine while
-// the round trip is in flight. If it answers every key, the round trip
-// is canceled (the remote tier counts it abandoned, not failed) and
-// waited for only until it aborts; otherwise the remote answers the
-// keys it missed, and those hits are written into the local leaf, so
-// the next restart or kcached outage serves them locally.
-func race(ctx context.Context, remote, local *leaf, keys []Key, ids []Digest, out []*engine.Result) {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	rout := make([]*engine.Result, len(keys))
-	done := make(chan struct{})
-	go func() {
-		remote.getMany(rctx, keys, ids, rout)
-		close(done)
-	}()
-	local.getMany(ctx, keys, ids, out)
-	if misses(out) == 0 {
-		cancel()
-	}
-	<-done
-	for i, r := range out {
-		if r != nil {
-			rout[i] = nil // the local leaf answered this key
-		} else {
-			out[i] = rout[i]
-		}
-	}
-	if hk, hi, hr := pick(keys, ids, rout, true); len(hk) > 0 {
-		local.putMany(ctx, hk, hi, hr)
-	}
 }
 
 // Put is the one-key PutMany.
@@ -288,26 +189,26 @@ func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
 	s.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, []*engine.Result{r})
 }
 
-// PutMany implements Store: every leaf takes the whole range in one
-// call, by ids, so each ends up as the same Puts in sequence leave it. A
-// network leaf publishes the range in one round trip before this
-// returns: a scan that returned has published.
+// PutMany implements Store: the front and then the back take the
+// whole range in one call each, by ids, so each ends up as the same
+// Puts in sequence leave it. A network back publishes the range in one
+// round trip before this returns: a scan that returned has published.
 func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for i := range s.leaves {
-		s.leaves[i].putMany(ctx, keys, ids, rs)
+	for _, l := range s.leaves() {
+		l.putMany(ctx, keys, ids, rs)
 	}
 	s.puts.Add(int64(len(keys)))
 }
 
-// InvalidateFuncs implements Store: every leaf gets the whole hash set
-// in one call. The count covers the local leaves only; a network leaf's
+// InvalidateFuncs implements Store: each leaf gets the whole hash set in
+// one call. The count covers the local leaves only; a network back's
 // round-trip finishes after this returns.
 func (s *Stack) InvalidateFuncs(funcHashes []string) int {
 	n := 0
-	for _, l := range s.leaves {
+	for _, l := range s.leaves() {
 		if l.network {
 			go l.Store.InvalidateFuncs(funcHashes)
 			continue
@@ -321,13 +222,13 @@ func (s *Stack) InvalidateFuncs(funcHashes []string) int {
 // per key of a GetMany or PutMany on the stack, however many leaves it
 // touched); evictions, invalidations and expiries are summed over the
 // leaves.
-// Entries and Bytes come from the deepest leaf that keeps its own books
-// — writes go through and reads promote, so it holds a superset of the
-// leaves in front and summing would double-count — which skips network
-// leaves: a replica with only memory and kcached reports its memory.
+// Entries and Bytes come from a local back — writes go through and reads
+// promote, so it holds a superset of the front and summing would
+// double-count — and otherwise from the front: a network back keeps no
+// books of its own, so a replica reports its memory.
 func (s *Stack) Stats() Stats {
 	out := Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
-	for _, l := range s.leaves {
+	for _, l := range s.leaves() {
 		ls := l.Store.Stats()
 		out.Evictions += ls.Evictions
 		out.Invalidated += ls.Invalidated

@@ -6,34 +6,12 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"knighter/internal/engine"
 	"knighter/internal/obs"
 )
-
-// gateStore blocks every GetMany until the gate channel closes or the
-// context dies, counting the calls that reached it. Served behind the
-// cache protocol it makes the *Remote in front of it a slow network
-// tier.
-type gateStore struct {
-	Store
-	gate  <-chan struct{}
-	calls atomic.Int64
-}
-
-func (g *gateStore) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
-	g.calls.Add(1)
-	select {
-	case <-g.gate:
-	case <-ctx.Done():
-		clear(out)
-		return
-	}
-	g.Store.GetMany(ctx, keys, ids, out)
-}
 
 // eventually polls cond: network leaves are invalidated off the
 // caller's goroutine, so their effect is awaited, not assumed.
@@ -48,17 +26,15 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// fleetStack builds memory -> remote || disk, the remote leaf talking
-// to a cache server over back. The in-memory "disk" leaf stands in for
-// the segment tier: the stack only needs it to be local.
-func fleetStack(t *testing.T, back Store) (st *Stack, mem, disk *Memory) {
-	t.Helper()
-	ts := newCacheTS(t, back)
-	// A hung daemon must be visible as a hang, not hidden by the
-	// client's own timeout.
-	r := newRemote(t, ts.URL, RemoteConfig{Timeout: time.Minute})
-	mem, disk = NewMemory(0), NewMemory(0)
-	return NewStack(nil, Tier{"memory", mem}, Tier{"remote", r}, Tier{"disk", disk}), mem, disk
+// countingGets counts the GetMany calls that reach the store it wraps.
+type countingGets struct {
+	Store
+	calls int
+}
+
+func (c *countingGets) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
+	c.calls++
+	c.Store.GetMany(ctx, keys, ids, out)
 }
 
 // TestStackBehaviours pins, as cases on the one composite, every
@@ -68,115 +44,6 @@ func TestStackBehaviours(t *testing.T) {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"race/local hit wins over a hung remote", func(t *testing.T) {
-			gate := make(chan struct{}) // never closes: the daemon hangs until the client gives up
-			g := &gateStore{Store: NewMemory(0), gate: gate}
-			st, mem, disk := fleetStack(t, g)
-			// The daemon really hangs: a key no local leaf holds waits on
-			// it until the caller gives up.
-			ctx, cancel := context.WithCancel(bg)
-			missed := make(chan bool)
-			go func() {
-				_, ok := st.Get(ctx, fkey("fB", "ck"))
-				missed <- !ok
-			}()
-			eventually(t, "the probe to reach the hung daemon", func() bool { return g.calls.Load() == 1 })
-			select {
-			case <-missed:
-				t.Fatal("a local miss did not wait on the hung remote")
-			case <-time.After(10 * time.Millisecond):
-			}
-			cancel()
-			if !<-missed {
-				t.Fatal("hit on a key no leaf holds")
-			}
-			disk.Put(bg, fkey("fA", "ck"), result("local"))
-			done := make(chan struct{})
-			var got *engine.Result
-			var ok bool
-			go func() {
-				got, ok = st.Get(bg, fkey("fA", "ck"))
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("Get waited on the hung remote despite a local hit")
-			}
-			if !ok || !sameResult(t, got, result("local")) {
-				t.Fatal("local hit lost")
-			}
-			if mem.Stats().Entries != 1 {
-				t.Fatal("local hit not promoted into memory")
-			}
-			// The abandoned round trips say nothing about the daemon's health.
-			if rs := st.Remote().RemoteStats(); rs.Errors != 0 || rs.Puts != 0 {
-				t.Fatalf("remote stats after an abandoned probe = %+v", rs)
-			}
-		}},
-		{"race/remote hit is promoted into local and memory", func(t *testing.T) {
-			back := NewMemory(0)
-			back.Put(bg, fkey("fA", "ck"), result("fleet"))
-			st, mem, disk := fleetStack(t, back)
-			got, ok := st.Get(bg, fkey("fA", "ck"))
-			if !ok || !sameResult(t, got, result("fleet")) {
-				t.Fatalf("remote hit lost: ok=%v", ok)
-			}
-			if _, ok := disk.Get(bg, fkey("fA", "ck")); !ok {
-				t.Fatal("remote hit not promoted into the local leaf")
-			}
-			if _, ok := mem.Get(bg, fkey("fA", "ck")); !ok {
-				t.Fatal("remote hit not promoted into memory")
-			}
-			if back.Stats().Puts != 1 {
-				t.Fatal("a remote hit was published back to the daemon")
-			}
-		}},
-		{"race/miss waits for both sides", func(t *testing.T) {
-			// The remote is slow but HAS the entry; the local leaf misses
-			// instantly. A miss must not be declared off the fast answer.
-			gate := make(chan struct{})
-			back := NewMemory(0)
-			back.Put(bg, fkey("fA", "ck"), result("slow-remote"))
-			g := &gateStore{Store: back, gate: gate}
-			st, _, _ := fleetStack(t, g)
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				close(gate)
-			}()
-			got, ok := st.Get(bg, fkey("fA", "ck"))
-			if !ok || !sameResult(t, got, result("slow-remote")) {
-				t.Fatalf("fast local miss masked the remote hit: ok=%v", ok)
-			}
-			if _, ok := st.Get(bg, fkey("fB", "ck")); ok {
-				t.Fatal("hit on a key no leaf holds")
-			}
-			if s := st.Stats(); s.Hits != 1 || s.Misses != 1 {
-				t.Fatalf("stats = %+v", s)
-			}
-			if n := g.calls.Load(); n != 2 {
-				t.Fatalf("%d probes reached the gated daemon, want 2", n)
-			}
-		}},
-		{"race/put and invalidate reach both sides", func(t *testing.T) {
-			back := NewMemory(0)
-			st, mem, disk := fleetStack(t, back)
-			st.Put(bg, fkey("fA", "ck"), result("x"))
-			for name, leaf := range map[string]*Memory{"memory": mem, "remote": back, "disk": disk} {
-				if leaf.Stats().Entries != 1 {
-					t.Fatalf("Put did not reach the %s leaf", name)
-				}
-			}
-			// The count covers the local leaves; the daemon is reached
-			// off this goroutine.
-			if n := st.InvalidateFuncs([]string{"fA"}); n != 2 {
-				t.Fatalf("invalidated %d local entries, want 2", n)
-			}
-			eventually(t, "the remote invalidation", func() bool { return back.Stats().Entries == 0 })
-			if _, ok := st.Get(bg, fkey("fA", "ck")); ok {
-				t.Fatal("entry survived invalidation")
-			}
-		}},
 		{"tiers/disk hits are promoted, puts write through", func(t *testing.T) {
 			mem, disk := NewMemory(0), newTestSegDisk(t, t.TempDir())
 			disk.Put(bg, key(1), result("warm-from-disk"))
@@ -229,6 +96,24 @@ func TestStackBehaviours(t *testing.T) {
 				t.Fatalf("stats = %+v", s)
 			}
 		}},
+		{"gets/a range stops at the front when it can", func(t *testing.T) {
+			keys := []Key{key(1), key(2), key(3)}
+			ids := []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}
+			out := make([]*engine.Result, len(keys))
+			// A single host's cold probe: no back, every key a miss.
+			alone := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{})
+			if n := testing.AllocsPerRun(100, func() { alone.GetMany(bg, keys, ids, out) }); n != 0 {
+				t.Fatalf("a missed range on a stack with no back made %.0f allocations, want 0", n)
+			}
+			// An all-hit range never calls the back.
+			back := &countingGets{Store: NewMemory(0)}
+			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"disk", back})
+			st.PutMany(bg, keys, ids, []*engine.Result{result("1"), result("2"), result("3")})
+			st.GetMany(bg, keys, ids, out)
+			if back.calls != 0 {
+				t.Fatalf("an all-hit range made %d calls to the back", back.calls)
+			}
+		}},
 		{"fleet/remote hit promotes, local put publishes", func(t *testing.T) {
 			back := NewMemory(0)
 			ts := newCacheTS(t, back)
@@ -271,97 +156,90 @@ func TestStackBehaviours(t *testing.T) {
 				t.Fatal("front leaf lost its copy")
 			}
 		}},
+		// The two deployed shapes with a back: a replica's memory over
+		// kcached, and kcached's memory over its disk.
 		{"metrics/per-tier families", func(t *testing.T) {
-			ts := newCacheTS(t, NewMemory(0))
-			reg := obs.NewRegistry("kserve")
-			st, err := Open(reg, 0, t.TempDir(), 0, ts.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { st.Disk().Close() })
-			st.Put(bg, fkey("0a", "ck"), result("x"))
-			st.Get(bg, fkey("0a", "ck"))
-			st.Get(bg, fkey("0b", "ck"))
-			var b strings.Builder
-			reg.WriteTo(&b)
-			text := b.String()
-			if _, err := obs.CheckExposition(text); err != nil {
-				t.Fatalf("invalid exposition: %v", err)
-			}
-			for _, want := range []string{
-				`kserve_store_requests_total{tier="memory"} 3`,
-				`kserve_store_hits_total{tier="memory"} 1`,
-				`kserve_store_misses_total{tier="remote"} 1`,
-				`kserve_store_puts_total{tier="disk"} 1`,
-				`kserve_store_requests_total{tier="stack"} 3`,
-				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
-				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 1`,
-				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 1`,
-			} {
-				if !strings.Contains(text, want) {
-					t.Errorf("exposition missing %q", want)
-				}
-			}
-			// Another miss is one more timed call on memory and on disk.
-			st.Get(bg, fkey("1c", "ck"))
-			b.Reset()
-			reg.WriteTo(&b)
-			for _, want := range []string{
-				`kserve_store_requests_total{tier="memory"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 3`,
-				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 2`,
-			} {
-				if !strings.Contains(b.String(), want) {
-					t.Errorf("exposition after a second miss missing %q", want)
-				}
-			}
-			// A range probe counts per key and is timed once per leaf
-			// call: a memory hit and two misses are three memory requests
-			// and one memory get timing, and the two misses reach the
-			// remote and the disk leaf as one call each.
-			keys := []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}
-			st.GetMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([]*engine.Result, 3))
-			b.Reset()
-			reg.WriteTo(&b)
-			for _, want := range []string{
-				`kserve_store_requests_total{tier="memory"} 7`,
-				`kserve_store_hits_total{tier="memory"} 2`,
-				`kserve_store_misses_total{tier="disk"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="memory",op="get"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="remote",op="get"} 3`,
-				`kserve_store_op_duration_seconds_count{tier="disk",op="get"} 3`,
-				`kserve_store_hits_total{tier="stack"} 2`,
-				`kserve_store_misses_total{tier="stack"} 4`,
-			} {
-				if !strings.Contains(b.String(), want) {
-					t.Errorf("exposition after a range probe missing %q", want)
-				}
-			}
-			// A range put counts per key and is timed once per leaf: three
-			// keys are three puts on every leaf and on the stack, and one
-			// put timing on each leaf.
-			keys = []Key{fkey("0e", "ck"), fkey("0f", "ck"), fkey("1g", "ck")}
-			st.PutMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
-				[]*engine.Result{result("e"), result("f"), result("g")})
-			b.Reset()
-			reg.WriteTo(&b)
-			for _, want := range []string{
-				`kserve_store_puts_total{tier="memory"} 4`,
-				`kserve_store_puts_total{tier="remote"} 4`,
-				`kserve_store_puts_total{tier="disk"} 4`,
-				`kserve_store_puts_total{tier="stack"} 4`,
-				`kserve_store_op_duration_seconds_count{tier="memory",op="put"} 2`,
-				`kserve_store_op_duration_seconds_count{tier="remote",op="put"} 2`,
-				`kserve_store_op_duration_seconds_count{tier="disk",op="put"} 2`,
-			} {
-				if !strings.Contains(b.String(), want) {
-					t.Errorf("exposition after a range put missing %q", want)
-				}
-			}
+			t.Run("kserve: memory+remote", func(t *testing.T) {
+				r := newRemote(t, newCacheTS(t, NewMemory(0)).URL, RemoteConfig{})
+				checkTierFamilies(t, "kserve", Tier{"remote", r}, "disk")
+			})
+			t.Run("kcached: memory+disk", func(t *testing.T) {
+				checkTierFamilies(t, "kcached", Tier{"disk", newTestSegDisk(t, t.TempDir())}, "remote")
+			})
 		}},
 	} {
 		t.Run(tc.name, tc.run)
 	}
+}
+
+// checkTierFamilies drives a memory front over back through single and
+// range gets and puts, and checks the store_* families it exposes under
+// the namespace ns: every tier="memory", tier=back.Name and
+// tier="stack" series, and no tier="absent" series.
+func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
+	reg := obs.NewRegistry(ns)
+	st := NewStack(reg, Tier{"memory", NewMemory(0)}, back)
+	expose := func(after string, want ...string) {
+		t.Helper()
+		var b strings.Builder
+		reg.WriteTo(&b)
+		text := b.String()
+		if _, err := obs.CheckExposition(text); err != nil {
+			t.Fatalf("invalid exposition: %v", err)
+		}
+		r := strings.NewReplacer("NS", ns, "BACK", back.Name)
+		for _, w := range want {
+			if w = r.Replace(w); !strings.Contains(text, w) {
+				t.Errorf("exposition after %s missing %q", after, w)
+			}
+		}
+		if strings.Contains(text, `tier="`+absent+`"`) {
+			t.Errorf("exposition after %s has a tier=%q series", after, absent)
+		}
+	}
+	st.Put(bg, fkey("0a", "ck"), result("x"))
+	st.Get(bg, fkey("0a", "ck"))
+	st.Get(bg, fkey("0b", "ck"))
+	expose("a put, a hit and a miss",
+		`NS_store_requests_total{tier="memory"} 3`,
+		`NS_store_hits_total{tier="memory"} 1`,
+		`NS_store_misses_total{tier="BACK"} 1`,
+		`NS_store_puts_total{tier="BACK"} 1`,
+		`NS_store_requests_total{tier="stack"} 3`,
+		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
+		`NS_store_op_duration_seconds_count{tier="BACK",op="put"} 1`,
+		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 1`)
+	// Another miss is one more timed call on memory and on the back.
+	st.Get(bg, fkey("1c", "ck"))
+	expose("a second miss",
+		`NS_store_requests_total{tier="memory"} 4`,
+		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 3`,
+		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 2`)
+	// A range probe counts per key and is timed once per leaf call: a
+	// memory hit and two misses are three memory requests and one memory
+	// get timing, and the two misses reach the back as one call.
+	keys := []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}
+	st.GetMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([]*engine.Result, 3))
+	expose("a range probe",
+		`NS_store_requests_total{tier="memory"} 7`,
+		`NS_store_hits_total{tier="memory"} 2`,
+		`NS_store_misses_total{tier="BACK"} 4`,
+		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 4`,
+		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 3`,
+		`NS_store_hits_total{tier="stack"} 2`,
+		`NS_store_misses_total{tier="stack"} 4`)
+	// A range put counts per key and is timed once per leaf: three keys
+	// are three puts on both leaves and on the stack, and one put timing
+	// on each leaf.
+	keys = []Key{fkey("0e", "ck"), fkey("0f", "ck"), fkey("1g", "ck")}
+	st.PutMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
+		[]*engine.Result{result("e"), result("f"), result("g")})
+	expose("a range put",
+		`NS_store_puts_total{tier="memory"} 4`,
+		`NS_store_puts_total{tier="BACK"} 4`,
+		`NS_store_puts_total{tier="stack"} 4`,
+		`NS_store_op_duration_seconds_count{tier="memory",op="put"} 2`,
+		`NS_store_op_duration_seconds_count{tier="BACK",op="put"} 2`)
 }
 
 // modelLeaf is the reference model of one leaf: a plain map and the
@@ -373,11 +251,20 @@ type modelLeaf struct {
 	invalidated        int64
 }
 
-// stackModel is the reference model of a stack: what every leaf holds
-// and has counted, plus the request-level totals.
+// stackModel is the reference model of a stack: what the front and the
+// back (nil for none) hold and have counted, plus the request-level
+// totals.
 type stackModel struct {
-	leaves             []*modelLeaf
+	front, back        *modelLeaf
 	hits, misses, puts int64
+}
+
+// leaves returns the front and, if there is one, the back.
+func (m *stackModel) leaves() []*modelLeaf {
+	if m.back == nil {
+		return []*modelLeaf{m.front}
+	}
+	return []*modelLeaf{m.front, m.back}
 }
 
 // get is the one-key getMany.
@@ -386,77 +273,34 @@ func (m *stackModel) get(id string) (string, bool) {
 	return msgs[0], oks[0]
 }
 
-// getMany is GetMany: each level of the stack — one leaf, or a network
-// leaf raced against the local leaf behind it — answers every key it is
-// given, as the batch found it, then the keys it missed go on to the
-// next level as one batch, in key order. Every hit is promoted into each
-// leaf in front of the level that answered it.
+// getMany is GetMany: the front answers every key it is given, as the
+// batch found it; the keys it missed go to the back as one batch, in
+// key order; and every back hit is promoted into the front.
 func (m *stackModel) getMany(ids []string) ([]string, []bool) {
-	msgs, oks := m.getFrom(0, ids)
+	msgs, oks := make([]string, len(ids)), make([]bool, len(ids))
+	m.front.lookup(ids, msgs, oks)
+	var at []int
+	var missed []string
+	for i, id := range ids {
+		if !oks[i] {
+			at, missed = append(at, i), append(missed, id)
+		}
+	}
+	if m.back != nil && len(missed) > 0 {
+		bmsgs, boks := make([]string, len(missed)), make([]bool, len(missed))
+		m.back.lookup(missed, bmsgs, boks)
+		for j, i := range at {
+			if msgs[i], oks[i] = bmsgs[j], boks[j]; oks[i] {
+				m.front.has[ids[i]] = msgs[i]
+				m.front.puts++
+			}
+		}
+	}
 	for _, ok := range oks {
 		if ok {
 			m.hits++
 		} else {
 			m.misses++
-		}
-	}
-	return msgs, oks
-}
-
-func (m *stackModel) getFrom(first int, ids []string) ([]string, []bool) {
-	msgs, oks := make([]string, len(ids)), make([]bool, len(ids))
-	if first == len(m.leaves) {
-		return msgs, oks
-	}
-	l, next := m.leaves[first], first+1
-	if l.network && next < len(m.leaves) {
-		// The local leaf probes the whole batch while the round trip is
-		// in flight. A key it answers lands on the remote as a hit or a
-		// miss — the model only pins their sum (see the books check); the
-		// remote answers the rest, and its hits are written into the
-		// local leaf.
-		local := m.leaves[next]
-		next++
-		local.lookup(ids, msgs, oks)
-		var remoteHits []int
-		for i, id := range ids {
-			if oks[i] {
-				l.misses++
-				continue
-			}
-			if msgs[i], oks[i] = l.has[id]; oks[i] {
-				l.hits++
-				remoteHits = append(remoteHits, i)
-			} else {
-				l.misses++
-			}
-		}
-		for _, i := range remoteHits {
-			local.has[ids[i]] = msgs[i]
-			local.puts++
-		}
-	} else {
-		l.lookup(ids, msgs, oks)
-	}
-	var missed []string
-	for i, id := range ids {
-		if !oks[i] {
-			missed = append(missed, id)
-			continue
-		}
-		for _, f := range m.leaves[:first] {
-			f.has[id] = msgs[i]
-			f.puts++
-		}
-	}
-	if len(missed) == 0 || next == len(m.leaves) {
-		return msgs, oks
-	}
-	dmsgs, doks := m.getFrom(next, missed)
-	for i, j := 0, 0; j < len(missed); i++ {
-		if !oks[i] {
-			msgs[i], oks[i] = dmsgs[j], doks[j]
-			j++
 		}
 	}
 	return msgs, oks
@@ -474,7 +318,7 @@ func (l *modelLeaf) lookup(ids []string, msgs []string, oks []bool) {
 }
 
 func (m *stackModel) put(id, msg string) {
-	for _, l := range m.leaves {
+	for _, l := range m.leaves() {
 		l.has[id] = msg
 		l.puts++
 	}
@@ -485,7 +329,7 @@ func (m *stackModel) put(id, msg string) {
 // drops.
 func (m *stackModel) invalidate(ids []string) int {
 	n := 0
-	for _, l := range m.leaves {
+	for _, l := range m.leaves() {
 		for _, id := range ids {
 			if _, ok := l.has[id]; ok {
 				delete(l.has, id)
@@ -501,8 +345,8 @@ func (m *stackModel) invalidate(ids []string) int {
 
 // TestStackMatchesReferenceModel runs one seeded Get / GetMany / Put /
 // PutMany / Invalidate script (plus, where there is a daemon, a
-// sibling replica publishing to it) over the five deployed shapes, all
-// built by Open, against the plain-map model: every answer, every
+// sibling replica publishing to it) over the four deployed shapes, all
+// built by NewStack, against the plain-map model: every answer, every
 // invalidation count, and every leaf's books must agree.
 func TestStackMatchesReferenceModel(t *testing.T) {
 	for _, shape := range []struct {
@@ -515,33 +359,26 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 		{name: "memory"},
 		{name: "memory+disk", disk: true},
 		{name: "memory+remote", remote: true},
-		{name: "memory+remote||disk", disk: true, remote: true},
 		{name: "kcached: memory+disk behind the protocol", disk: true, served: true},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
-			var dir, url string
+			var back Tier
 			var daemon *CacheServer
 			var daemonStore *Memory
 			if shape.disk {
-				dir = t.TempDir()
+				back = Tier{"disk", newTestSegDisk(t, t.TempDir())}
 			}
 			if shape.remote {
 				daemonStore = NewMemory(0)
 				daemon = NewCacheServer(daemonStore)
 				ts := httptest.NewServer(daemon.Handler())
 				t.Cleanup(ts.Close)
-				url = ts.URL
+				back = Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})}
 			}
-			st, err := Open(obs.NewRegistry("t"), 0, dir, 0, url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := st.Disk(); d != nil {
-				t.Cleanup(func() { d.Close() })
-			}
-			model := &stackModel{}
-			for _, l := range st.leaves {
-				model.leaves = append(model.leaves, &modelLeaf{network: l.network, has: map[string]string{}})
+			st := NewStack(obs.NewRegistry("t"), Tier{"memory", NewMemory(0)}, back)
+			model := &stackModel{front: &modelLeaf{has: map[string]string{}}}
+			if back.Store != nil {
+				model.back = &modelLeaf{network: shape.remote, has: map[string]string{}}
 			}
 
 			// The script's view of the store: the stack itself, or a
@@ -594,11 +431,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					// A sibling replica publishes to the shared daemon: the
 					// entry exists behind the network leaf and nowhere local.
 					daemonStore.Put(bg, k, result(msg))
-					for _, l := range model.leaves {
-						if l.network {
-							l.has[id] = msg
-						}
-					}
+					model.back.has[id] = msg
 				case op < 5 || op == 10: // get
 					want, wantOK := model.get(id)
 					got, ok := target.Get(bg, k)
@@ -654,33 +487,31 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 				}
 			}
 
-			for i, l := range st.leaves {
-				ml, got := model.leaves[i], l.Store.Stats()
+			for i, l := range st.leaves() {
+				ml, got := model.leaves()[i], l.Store.Stats()
+				if got.Hits != ml.hits || got.Misses != ml.misses || got.Puts != ml.puts {
+					t.Errorf("%s books = %+v, model = %+v", l.Name, got, *ml)
+				}
 				if l.network {
-					// A probe abandoned because the local leaf answered first
-					// counts as a hit or a miss depending on timing.
-					if got.Hits+got.Misses != ml.hits+ml.misses || got.Hits < ml.hits || got.Puts != ml.puts {
-						t.Errorf("%s books = %+v, model = %+v", l.Name, got, *ml)
-					}
+					// The network leaf's entries are the daemon's books.
 					if ds := daemonStore.Stats(); ds.Entries != len(ml.has) {
 						t.Errorf("daemon holds %d entries, model says %d", ds.Entries, len(ml.has))
 					}
 					continue
 				}
-				if got.Hits != ml.hits || got.Misses != ml.misses || got.Puts != ml.puts ||
-					got.Invalidated != ml.invalidated || got.Entries != len(ml.has) {
+				if got.Invalidated != ml.invalidated || got.Entries != len(ml.has) {
 					t.Errorf("%s books = %+v, model = %+v (%d entries)", l.Name, got, *ml, len(ml.has))
 				}
 			}
-			got := st.Stats()
-			deepest := model.leaves[len(model.leaves)-1]
-			if deepest.network {
-				deepest = model.leaves[len(model.leaves)-2]
+			// The stack's entries are a local back's, else the front's.
+			got, books := st.Stats(), model.front
+			if model.back != nil && !model.back.network {
+				books = model.back
 			}
 			if got.Hits != model.hits || got.Misses != model.misses || got.Puts != model.puts ||
-				got.Entries != len(deepest.has) || got.Evictions != 0 {
+				got.Entries != len(books.has) || got.Evictions != 0 {
 				t.Errorf("stack stats = %+v; model hits=%d misses=%d puts=%d entries=%d",
-					got, model.hits, model.misses, model.puts, len(deepest.has))
+					got, model.hits, model.misses, model.puts, len(books.has))
 			}
 		})
 	}
