@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -258,5 +259,90 @@ func TestSampleAblationCommitsSeeded(t *testing.T) {
 	}
 	if !different {
 		t.Error("different seeds produced identical samples")
+	}
+}
+
+// TestPaperTableInvariants checks the sums the paper's tables imply, on
+// the full-scale evaluation at corpus seeds 1 and 2 (the seeds of
+// cmd/knighter's golden outputs): Table 1's columns add up to each
+// row's total and to the 61 commits; Table 2's statuses and every
+// Figure 9 panel add up to the 92 bugs found; RQ4's confusion matrix
+// adds up to its 113 sampled reports; and Table 3 has one row per
+// variant.
+func TestPaperTableInvariants(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.CorpusSeed = seed
+			h, err := NewHarness(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1 := h.RunTable1()
+			var sum Table1Row
+			for _, row := range t1.Rows {
+				if row.Invalid+row.Direct+row.Refined+row.Fail != row.Total {
+					t.Errorf("Table 1 row %s does not sum: %+v", row.Class, row)
+				}
+				sum.Total += row.Total
+				sum.Invalid += row.Invalid
+				sum.Direct += row.Direct
+				sum.Refined += row.Refined
+				sum.Fail += row.Fail
+			}
+			if sum.Total != 61 || sum.Invalid+sum.Direct+sum.Refined+sum.Fail != sum.Total {
+				t.Errorf("Table 1 overall = %+v, want 61 commits that sum", sum)
+			}
+
+			bugs := h.RunBugDetection(t1.Outcomes)
+			total, confirmed, _, pending, _ := bugs.Table2()
+			if total != 92 || confirmed+pending != total {
+				t.Errorf("Table 2: %d confirmed + %d pending of %d bugs, want 92 that sum", confirmed, pending, total)
+			}
+			_, hand, auto := bugs.Fig9a()
+			_, subs := bugs.Fig9b()
+			buckets, _ := bugs.Fig9c(func(b kernel.SeededBug) float64 {
+				return h.Corpus.NowDate.Sub(b.Introduced).Hours() / 24 / 365.25
+			})
+			panels := map[string]int{}
+			for _, m := range []map[string]int{hand, auto} {
+				for _, n := range m {
+					panels["9a"] += n
+				}
+			}
+			for _, n := range subs {
+				panels["9b"] += n
+			}
+			for _, b := range buckets {
+				panels["9c"] += b.Count
+			}
+			for _, n := range bugs.Fig9d() {
+				panels["9d"] += n
+			}
+			for _, fig := range []string{"9a", "9b", "9c", "9d"} {
+				if panels[fig] != total {
+					t.Errorf("Figure %s sums to %d, Table 2 found %d", fig, panels[fig], total)
+				}
+			}
+
+			rq4 := h.RunTriageEval(t1.Outcomes)
+			if n := rq4.TP + rq4.FP + rq4.TN + rq4.FN; n != rq4.SampledReports || n != 113 {
+				t.Errorf("RQ4: TP+FP+TN+FN = %d over a sample of %d, want 113", n, rq4.SampledReports)
+			}
+
+			abl := h.RunAblation()
+			variants := []string{"Default", "W/o multi-stage", "W/ RAG", "W/ GPT-4o", "W/ DeepSeek-R1", "W/ Gemini-2-flash"}
+			var got []string
+			for _, row := range abl.Rows {
+				got = append(got, row.Variant)
+				if row.Valid > len(abl.Sample) || row.Usage.Calls == 0 {
+					t.Errorf("Table 3 row %+v: more valid checkers than commits, or no model calls", row)
+				}
+			}
+			if strings.Join(got, "|") != strings.Join(variants, "|") {
+				t.Errorf("Table 3 rows = %q, want one per variant %q", got, variants)
+			}
+		})
 	}
 }

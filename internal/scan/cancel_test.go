@@ -147,8 +147,8 @@ checker scan_other {
 }
 
 // cancelOnPut triggers f (if set) on every PutMany, counts the calls
-// and the results in them that storable would refuse, then forwards to
-// the wrapped store.
+// and the payloads in them that do not decode or hold a result storable
+// would refuse, then forwards to the wrapped store.
 type cancelOnPut struct {
 	store.Store
 	f          func()
@@ -156,15 +156,16 @@ type cancelOnPut struct {
 	unstorable atomic.Int64
 }
 
-func (c *cancelOnPut) PutMany(ctx context.Context, keys []store.Key, ids []store.Digest, rs []*engine.Result) {
+func (c *cancelOnPut) PutMany(ctx context.Context, keys []store.Key, ids []store.Digest, payloads [][]byte) {
 	c.calls.Add(1)
 	if c.f != nil {
 		c.f()
 	}
-	for _, r := range rs {
-		if r.Canceled || r.TimedOut {
+	var r engine.Result
+	for _, p := range payloads {
+		if store.DecodeInto(&r, p) != nil || r.Canceled || r.TimedOut {
 			c.unstorable.Add(1)
 		}
 	}
-	c.Store.PutMany(ctx, keys, ids, rs)
+	c.Store.PutMany(ctx, keys, ids, payloads)
 }

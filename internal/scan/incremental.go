@@ -270,25 +270,25 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				// The range's one probe: keys and ids hold, at
 				// [s*(hi-lo), (s+1)*(hi-lo)), the keys and key digests of
 				// the rider in slot s — what its probe reads, and what its
-				// misses are stored by — and got takes the answers before
-				// they are copied to the riders. answers and got share one
-				// allocation.
+				// misses are stored by — and got takes the payloads it
+				// answers, each decoded into hit (decodeHit) before it
+				// reaches the rider.
 				keys := make([]store.Key, 0, probed*rangeSize)
 				ids := make([]store.Digest, probed*rangeSize)
-				scratch := make([]*engine.Result, len(plans)+probed*rangeSize)
-				got := scratch[len(plans):]
-				// The range's misses to store, written in one call when
-				// the range is done.
+				got := make([][]byte, probed*rangeSize)
+				var hit engine.Result
+				// The range's misses to store, encoded once each and
+				// written in one call when the range is done.
 				var putKeys []store.Key
 				var putIDs []store.Digest
-				var putRs []*engine.Result
+				var putPayloads [][]byte
 				// The riders a unit still has to be analyzed for; the
 				// checker lists of those explored, and where each sits in
 				// missed; the results, parallel to missed.
 				missed := make([]int, 0, len(plans))
 				lists := make([][]checker.Checker, 0, len(plans)+1)
 				explored := make([]int, 0, len(plans))
-				answers := scratch[:0:len(plans)]
+				answers := make([]*engine.Result, 0, len(plans))
 				var fp minic.Footprint
 				for {
 					hi := int(cursor.Add(rangeSize))
@@ -324,7 +324,8 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							continue // not probed: the pass was canceled first
 						}
 						hits := 0
-						for u, r := range got[p.slot*w : (p.slot+1)*w] {
+						for u, payload := range got[p.slot*w : (p.slot+1)*w] {
+							r := decodeHit(&hit, payload)
 							p.perFunc[lo+u] = r
 							if r != nil {
 								hits++
@@ -396,24 +397,35 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								memo.setBaseline(f, un.fn, engFP, &base)
 							}
 						}
+						// The quiet riders share one copy of the baseline, and
+						// one payload of it.
+						var quietR *engine.Result
+						var quietP []byte
 						for k, r := range rs {
 							p := &plans[missed[k]]
 							if r == nil {
-								b := base
-								r = &b
+								if quietR == nil {
+									b := base
+									quietR, quietP = &b, store.Encode(&b)
+								}
+								r = quietR
 								p.quiet.Add(1)
 							}
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
+								payload := quietP
+								if r != quietR {
+									payload = store.Encode(r)
+								}
 								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
 								putIDs = append(putIDs, ids[p.slot*w+u-lo])
-								putRs = append(putRs, r)
+								putPayloads = append(putPayloads, payload)
 							}
 						}
 					}
 					if len(putKeys) > 0 {
-						inc.st.PutMany(ctx, putKeys, putIDs, putRs)
-						putKeys, putIDs, putRs = putKeys[:0], putIDs[:0], putRs[:0]
+						inc.st.PutMany(ctx, putKeys, putIDs, putPayloads)
+						putKeys, putIDs, putPayloads = putKeys[:0], putIDs[:0], putPayloads[:0]
 					}
 				}
 			}()
@@ -466,6 +478,28 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 
 func (p *riderPlan) key(funcHash, engFP string) store.Key {
 	return store.Key{FuncHash: funcHash, CheckerFP: p.fp, EngineFP: engFP}
+}
+
+// emptyHit is the one result every hit that carries nothing merge keeps
+// — no reports, no runtime errors, not timed out, not canceled — points
+// at; its paths, steps and truncation only ever reach the per-file
+// result merge discards. Read-only.
+var emptyHit = &engine.Result{}
+
+// decodeHit is a probed payload's result: nil for a miss, and for a
+// payload that does not decode, as in every tier; emptyHit when the
+// decode into scratch carries nothing merge keeps; otherwise a copy of
+// scratch, the hit's own. A warm hit with nothing to report allocates
+// nothing.
+func decodeHit(scratch *engine.Result, payload []byte) *engine.Result {
+	if payload == nil || store.DecodeInto(scratch, payload) != nil {
+		return nil
+	}
+	if len(scratch.Reports) == 0 && len(scratch.RuntimeErrs) == 0 && !scratch.TimedOut && !scratch.Canceled {
+		return emptyHit
+	}
+	r := *scratch
+	return &r
 }
 
 // storable reports whether a per-function result may be cached. A

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,11 +33,16 @@ func resultBytes(t *testing.T, r *Result) string {
 	return string(data)
 }
 
-// storedResult is what st holds under k: a one-key range probe.
+// storedResult is what st holds under k: a one-key range probe,
+// decoded.
 func storedResult(st store.Store, k store.Key) (*engine.Result, bool) {
-	var out [1]*engine.Result
+	var out [1][]byte
 	st.GetMany(context.Background(), []store.Key{k}, []store.Digest{k.Digest()}, out[:])
-	return out[0], out[0] != nil
+	var r engine.Result
+	if out[0] == nil || store.DecodeInto(&r, out[0]) != nil {
+		return nil, false
+	}
+	return &r, true
 }
 
 func TestIncrementalMatchesUncachedScan(t *testing.T) {
@@ -158,11 +164,14 @@ func TestRangeBoundariesMatchUncachedScan(t *testing.T) {
 
 // TestWarmPassAllocatesPerRange pins what a warm pass allocates besides
 // the reports it decodes: its key digests are memoized per file version
-// and a range's hits decode into one slab, so the count grows with
-// ranges, not functions. The checker reports nothing, so every hit is a
-// report-free result. Over the scale-0.25 corpus (745 functions, 12
-// ranges) a warm pass makes 70 allocations; with a digest per key and a
-// heap result per hit it made 803.
+// and a hit that carries nothing the merge keeps decodes into the
+// worker's scratch and allocates nothing, so the count and the bytes
+// grow with ranges, not functions. The checker reports nothing, so every
+// hit is a report-free result. Over the scale-0.25 corpus (745
+// functions, 12 ranges) a warm pass makes 70 allocations; with a digest
+// per key and a heap result per hit it made 803. In bytes it allocates
+// under 64 per function; decoding every hit into a slab of results cost
+// 122.
 func TestWarmPassAllocatesPerRange(t *testing.T) {
 	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
 	if err != nil {
@@ -188,6 +197,18 @@ func TestWarmPassAllocatesPerRange(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { inc.RunOne(ck, opts) }); n > bound {
 		t.Fatalf("a warm pass over %d functions made %.0f allocations, want <= %.0f", cb.NumFuncs(), n, bound)
 	}
+	const passes = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range passes {
+		inc.RunOne(ck, opts)
+	}
+	runtime.ReadMemStats(&after)
+	perFunc := float64(after.TotalAlloc-before.TotalAlloc) / passes / float64(cb.NumFuncs())
+	if perFunc > 64 {
+		t.Fatalf("a warm pass over %d functions allocated %.0f B per function, want <= 64", cb.NumFuncs(), perFunc)
+	}
+	t.Logf("a warm pass allocates %.0f B per function", perFunc)
 }
 
 func TestIncrementalMaxReportsAggregatesFully(t *testing.T) {

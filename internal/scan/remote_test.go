@@ -1,15 +1,19 @@
 package scan
 
 import (
+	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
 	"knighter/internal/kernel"
+	"knighter/internal/minic"
 	"knighter/internal/store"
 )
 
@@ -72,5 +76,127 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 		if rs := remote.RemoteStats(); rs.Errors != 0 || rs.Hits != int64(replica*2*funcs) {
 			t.Fatalf("replica %d: remote books %+v, want %d hits and no errors", replica, rs, replica*2*funcs)
 		}
+	}
+}
+
+// TestSharedPayloadsUnderConcurrentWrites: a tier hands out the payloads
+// it holds, shared and read-only, so two warm scans decode the same
+// bytes at once while a writer overwrites every key with fresh copies of
+// its payload and a changeset storm invalidates one function's entries
+// generation after generation. CI runs it under the race detector: no
+// tier and no scan may write into a payload it handed out, and every
+// scan must equal an uncached scan of the generation it pinned. Once
+// over a memory-only stack, and once over a memory front too small for
+// the corpus above an httptest kcached, so that most hits are kcached's
+// payloads, copied out of its replies and promoted.
+func TestSharedPayloadsUnderConcurrentWrites(t *testing.T) {
+	for _, shape := range []string{"memory", "memory+kcached"} {
+		t.Run(shape, func(t *testing.T) {
+			cb, ck := buildCodebase(t), compileChecker(t)
+			front, back := store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{}
+			var remote *store.Remote
+			if shape == "memory+kcached" {
+				kc := httptest.NewServer(store.NewCacheServer(store.NewMemory(0)).Handler())
+				defer kc.Close()
+				var err error
+				if remote, err = store.NewRemote(kc.URL, store.RemoteConfig{}); err != nil {
+					t.Fatal(err)
+				}
+				front.Store = store.NewMemory(24 << 10) // room for about 180 of 617 entries
+				back = store.Tier{Name: "remote", Store: remote}
+			}
+			st := store.NewStack(nil, front, back)
+			inc := NewIncremental(cb, st)
+
+			// The file's last function alternates between two versions:
+			// generation base+2k is the canonical corpus, base+2k+1 the
+			// tweaked one.
+			i := pickFile(t, cb, 2)
+			canonicalize(t, inc, i)
+			f := cb.Files()[i]
+			j := len(f.Funcs) - 1
+			change := func(tweak bool) Change {
+				src := minic.FormatFunc(f.Funcs[j])
+				if tweak {
+					src = tweakedFunc(t, cb, i, j)
+				}
+				return Change{Path: f.Name, Func: f.Funcs[j].Name, Source: src}
+			}
+			versions := []Change{change(false), change(true)}
+			base := cb.Generation()
+			var want [2]string
+			for g, c := range []Change{versions[1], versions[0]} {
+				want[g%2] = resultBytes(t, cb.RunOne(ck, Options{}))
+				applyOne(t, inc, c)
+			}
+			if got := resultBytes(t, cb.RunOne(ck, Options{})); got != want[0] {
+				t.Fatal("reverting the tweak did not restore the canonical scan")
+			}
+			inc.RunOne(ck, Options{}) // warm
+
+			fp, _ := checkersFingerprint([]checker.Checker{ck})
+			engFP := Options{}.Engine.Fingerprint()
+			var wg sync.WaitGroup
+			run := func(f func()) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					f()
+				}()
+			}
+			var scans [2][]*Result
+			for r := range scans {
+				run(func() {
+					for range 10 {
+						scans[r] = append(scans[r], inc.RunOne(ck, Options{Workers: 2}))
+					}
+				})
+			}
+			run(func() {
+				for range 10 {
+					pin := cb.Pin()
+					var keys []store.Key
+					var ids []store.Digest
+					for fi, file := range pin.Files() {
+						for fj := range file.Funcs {
+							k := store.Key{FuncHash: pin.FuncHash(fi, fj), CheckerFP: fp, EngineFP: engFP}
+							keys, ids = append(keys, k), append(ids, k.Digest())
+						}
+					}
+					pin.Release()
+					payloads := make([][]byte, len(keys))
+					st.GetMany(context.Background(), keys, ids, payloads)
+					for k, p := range payloads {
+						payloads[k] = bytes.Clone(p)
+					}
+					st.PutMany(context.Background(), keys, ids, payloads)
+				}
+			})
+			var commitErr error
+			run(func() {
+				for n := range 6 {
+					if _, commitErr = inc.ApplyChangeset([]Change{versions[(n+1)%2]}); commitErr != nil {
+						return
+					}
+				}
+			})
+			wg.Wait()
+			if commitErr != nil {
+				t.Fatal(commitErr)
+			}
+			hits := 0
+			for _, res := range append(scans[0], scans[1]...) {
+				hits += res.CacheHits
+				if resultBytes(t, res) != want[(res.Generation-base)%2] {
+					t.Errorf("a scan pinned at generation %d differs from an uncached scan of it", res.Generation)
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no warm scan hit the store")
+			}
+			if remote != nil && remote.RemoteStats().Hits == 0 {
+				t.Fatal("no hit came back from kcached")
+			}
+		})
 	}
 }

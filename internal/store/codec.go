@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 
@@ -10,32 +11,39 @@ import (
 	"knighter/internal/minic"
 )
 
-// Binary payload codec: the form in which the memory tier holds results
-// and the segment disk tier writes them.
+// Binary payload codec: the form in which every tier holds and moves
+// results. The memory tier keeps these bytes, the segment disk tier
+// writes them and kcached's entry routes carry them, so a tier only
+// stores and forwards payloads; the scan scheduler (internal/scan)
+// encodes each result it computes once (Encode) and decodes a hit once
+// (DecodeInto). Bytes that enter a process from outside it — a kcached
+// reply, a kcached put body, a segment read — are checked with the same
+// strict decode before a tier hands them on.
 //
 // encoding/json's reflective decode costs ~1.3µs even for an empty
 // result, and a decoded result is an object graph the garbage collector
 // must mark. Results are therefore stored in a small hand-rolled binary
 // format: length-prefixed strings and uvarints over the flat
 // Result/Report/TraceStep/RuntimeErr shapes — about 9 bytes for a
-// report-free result. Encodings are canonical: decodeResult rejects any
-// payload encodeResult would not write.
+// report-free result. Encodings are canonical: DecodeInto rejects any
+// payload Encode would not write.
 //
 // The first byte is a format tag. v2 (resultCodec) writes slice lengths
 // as n+1, 0 meaning nil, so nil and empty slices (the engine emits empty
 // traces) survive a round trip; v1 collapsed both to nil. A record under
 // any other tag is a miss: entries are content-addressed and cache-grade,
-// so an old one is recomputed once. kcached's entry routes carry the
-// same records, framed with the same length-prefixed strings
-// (appendKey, appendFrame), so no tier and no wire speaks another
-// result encoding.
+// so an old one is recomputed once. kcached's entry routes frame the
+// same records with the same length-prefixed strings (appendKey,
+// appendFrame), so no tier and no wire speaks another result encoding.
 const resultCodec = 0x02
 
-// Encode returns the bytes the memory and disk tiers store for r.
-func Encode(r *engine.Result) []byte { return encodeResult(r) }
-
-// encodeResult serializes r into a slice of exactly the encoded length.
-func encodeResult(r *engine.Result) []byte {
+// Encode serializes r into a slice of exactly the encoded length: the
+// payload every tier stores for r. A nil r encodes to nil, which no tier
+// stores.
+func Encode(r *engine.Result) []byte {
+	if r == nil {
+		return nil
+	}
 	var scratch [256]byte
 	buf := append(scratch[:0], resultCodec)
 	buf = binary.AppendUvarint(buf, uint64(r.Paths))
@@ -77,22 +85,44 @@ func encodeResult(r *engine.Result) []byte {
 
 var errCodec = errors.New("store: corrupt binary result payload")
 
-// decodeResult parses a payload produced by encodeResult into a new
-// result.
+// getOne is a tier's one-key Get: the one-key case of its GetMany,
+// decoded. A payload that does not decode is a miss.
+func getOne(ctx context.Context, s Store, k Key) (*engine.Result, bool) {
+	var out [1][]byte
+	s.GetMany(ctx, []Key{k}, []Digest{k.Digest()}, out[:])
+	r, err := decodeResult(out[0])
+	return r, err == nil
+}
+
+// decodeResult parses a payload produced by Encode into a new result,
+// or returns nil and an error (nil data, a miss, is one).
 func decodeResult(data []byte) (*engine.Result, error) {
 	r := new(engine.Result)
-	if err := decodeInto(r, data); err != nil {
+	if err := DecodeInto(r, data); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// decodeInto parses a payload produced by encodeResult into *r,
-// overwriting every field, so r may be a reused or zeroed slab element.
+// cacheableRecord is the strict check of a record a kcached reply or
+// put body carries: decodes is whether it passes DecodeInto (into
+// scratch), cacheable whether it also has neither TimedOut nor Canceled
+// set. Such a result depends on one caller's clock or lifetime, so no
+// tier may serve it. A segment read checks only decodes.
+func cacheableRecord(scratch *engine.Result, rec []byte) (decodes, cacheable bool) {
+	if DecodeInto(scratch, rec) != nil {
+		return false, false
+	}
+	return true, !scratch.TimedOut && !scratch.Canceled
+}
+
+// DecodeInto parses a payload produced by Encode into *r, overwriting
+// every field, so r may be a reused scratch result. It is the one strict
+// parser: every check of a payload's bytes is a DecodeInto.
 // On error *r is unspecified. A count's argument is the fewest bytes one
 // element encodes to (a report: five strings, a position, RegionAt and
 // a trace count).
-func decodeInto(r *engine.Result, data []byte) error {
+func DecodeInto(r *engine.Result, data []byte) error {
 	if len(data) == 0 || data[0] != resultCodec {
 		return errCodec
 	}

@@ -63,7 +63,7 @@ func codecCases() map[string]*engine.Result {
 func TestResultCodecRoundTrip(t *testing.T) {
 	for name, want := range codecCases() {
 		t.Run(name, func(t *testing.T) {
-			buf := encodeResult(want)
+			buf := Encode(want)
 			if len(buf) == 0 || buf[0] != resultCodec {
 				t.Fatalf("bad format tag: %v", buf[:1])
 			}
@@ -81,7 +81,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 // Truncations and bit flips must fail decode, not panic or fabricate a
 // result — a corrupt payload degrades to a cache miss.
 func TestResultCodecRejectsCorruptPayloads(t *testing.T) {
-	buf := encodeResult(result("msg"))
+	buf := Encode(result("msg"))
 	for cut := 1; cut < len(buf); cut += 3 {
 		if _, err := decodeResult(buf[:cut]); err == nil {
 			// A prefix can still parse if the cut lands exactly after a
@@ -95,9 +95,9 @@ func TestResultCodecRejectsCorruptPayloads(t *testing.T) {
 	if _, err := decodeResult(evil); err == nil {
 		t.Fatal("decode of absurd length prefix succeeded")
 	}
-	// Payloads encodeResult never writes are rejected, so whatever
+	// Payloads Encode never writes are rejected, so whatever
 	// decodes re-encodes to the same bytes.
-	empty := encodeResult(&engine.Result{})
+	empty := Encode(&engine.Result{})
 	for name, bad := range map[string][]byte{
 		"v1 tag":             append([]byte{0x01}, empty[1:]...),
 		"trailing byte":      append(append([]byte{}, empty...), 0),

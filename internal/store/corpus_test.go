@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"runtime"
@@ -18,10 +19,12 @@ import (
 	"knighter/internal/synth"
 )
 
-// stored is one result a real scan wrote to its store.
+// stored is one result a real scan wrote to its store: the payload it
+// put, and the result the engine computes for the same key.
 type stored struct {
-	key store.Key
-	res *engine.Result
+	key     store.Key
+	payload []byte
+	res     *engine.Result
 }
 
 // recorder is a Store that misses every key and records every put.
@@ -32,13 +35,13 @@ type recorder struct {
 
 func (r *recorder) Stats() store.Stats           { return store.Stats{} }
 func (r *recorder) InvalidateFuncs([]string) int { return 0 }
-func (r *recorder) GetMany(_ context.Context, _ []store.Key, _ []store.Digest, out []*engine.Result) {
+func (r *recorder) GetMany(_ context.Context, _ []store.Key, _ []store.Digest, out [][]byte) {
 	clear(out)
 }
-func (r *recorder) PutMany(_ context.Context, keys []store.Key, _ []store.Digest, rs []*engine.Result) {
+func (r *recorder) PutMany(_ context.Context, keys []store.Key, _ []store.Digest, payloads [][]byte) {
 	r.mu.Lock()
 	for i, k := range keys {
-		r.puts = append(r.puts, stored{k, rs[i]})
+		r.puts = append(r.puts, stored{key: k, payload: payloads[i]})
 	}
 	r.mu.Unlock()
 }
@@ -49,7 +52,10 @@ var (
 )
 
 // corpusPuts is every result a cold batch of the 12-checker synthesized
-// pool stores over a scale-0.25 corpus: one per function per checker.
+// pool stores over a scale-0.25 corpus: one per function per checker,
+// each paired with what the engine computes for its key directly. Every
+// stored payload must decode reflect.DeepEqual to that result — nil and
+// empty slices included, since the engine emits empty traces.
 func corpusPuts(t *testing.T) []stored {
 	corpusOnce.Do(func() {
 		cb, err := scan.NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
@@ -61,6 +67,33 @@ func corpusPuts(t *testing.T) []stored {
 		scan.NewIncremental(cb, rec).RunBatch(pool, nil, scan.Options{Workers: 1}, 0)
 		if len(rec.puts) != cb.NumFuncs()*len(pool) {
 			t.Fatalf("cold batch stored %d results, want %d", len(rec.puts), cb.NumFuncs()*len(pool))
+		}
+		// The engine's own results, one rider per pool checker, under the
+		// keys the scheduler stores them by.
+		var eo engine.Options
+		riders := make([][]checker.Checker, len(pool))
+		fps := make([]string, len(pool))
+		for i, ck := range pool {
+			riders[i] = []checker.Checker{ck}
+			fps[i] = store.Hash("checkers:v1", ck.(checker.Fingerprinter).Fingerprint())
+		}
+		want := map[store.Key]*engine.Result{}
+		for i, f := range cb.Files() {
+			for j, fn := range f.Funcs {
+				for c, res := range engine.AnalyzeFuncEach(f, fn, riders, eo) {
+					want[store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fps[c], EngineFP: eo.Fingerprint()}] = res
+				}
+			}
+		}
+		for i := range rec.puts {
+			p := &rec.puts[i]
+			if p.res = want[p.key]; p.res == nil {
+				t.Fatalf("%s: the scan stored a key the engine has no result for", p.key.ID())
+			}
+			got := new(engine.Result)
+			if err := store.DecodeInto(got, p.payload); err != nil || !reflect.DeepEqual(got, p.res) {
+				t.Fatalf("%s: stored payload decodes (err %v) to\n got %#v\nwant %#v", p.key.ID(), err, got, p.res)
+			}
 		}
 		corpusResults = rec.puts
 	})
@@ -106,9 +139,10 @@ func synthesizedPool(t *testing.T, n int) []checker.Checker {
 	return pool
 }
 
-// Every result a real scan stores must come back from the memory tier and
-// from the disk tier reflect.DeepEqual to what the engine computed — nil
-// and empty slices included, since the engine emits empty traces.
+// Every result a real scan stores must come back from the memory tier
+// and from the disk tier byte for byte, and decode reflect.DeepEqual to
+// what the engine computed — nil and empty slices included, since the
+// engine emits empty traces.
 func TestCorpusResultsRoundTripEveryTier(t *testing.T) {
 	puts := corpusPuts(t)
 	disk, err := store.NewSegmentDisk(t.TempDir())
@@ -117,17 +151,18 @@ func TestCorpusResultsRoundTripEveryTier(t *testing.T) {
 	}
 	defer disk.Close()
 	ctx := context.Background()
-	keys, ids, rs := make([]store.Key, len(puts)), make([]store.Digest, len(puts)), make([]*engine.Result, len(puts))
+	keys, ids, payloads := make([]store.Key, len(puts)), make([]store.Digest, len(puts)), make([][]byte, len(puts))
 	for i, p := range puts {
-		keys[i], ids[i], rs[i] = p.key, p.key.Digest(), p.res
+		keys[i], ids[i], payloads[i] = p.key, p.key.Digest(), p.payload
 	}
 	for name, tier := range map[string]store.Store{"memory": store.NewMemory(1 << 30), "disk": disk} {
-		tier.PutMany(ctx, keys, ids, rs)
-		got := make([]*engine.Result, len(keys))
+		tier.PutMany(ctx, keys, ids, payloads)
+		got := make([][]byte, len(keys))
 		tier.GetMany(ctx, keys, ids, got)
 		for i, p := range puts {
-			if !reflect.DeepEqual(got[i], p.res) {
-				t.Fatalf("%s tier: %s round trip:\n got %#v\nwant %#v", name, p.key.ID(), got[i], p.res)
+			res := new(engine.Result)
+			if !bytes.Equal(got[i], p.payload) || store.DecodeInto(res, got[i]) != nil || !reflect.DeepEqual(res, p.res) {
+				t.Fatalf("%s tier: %s round trip:\n got %#v\nwant %#v", name, p.key.ID(), res, p.res)
 			}
 		}
 	}

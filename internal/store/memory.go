@@ -22,12 +22,16 @@ const entryOverhead = 128
 // of hiding behind a per-entry quota. An entry weighs its payload's
 // length plus entryOverhead, so the budget tracks resident memory.
 //
-// It holds bytes, not object graphs: a result is kept in the binary codec
-// (codec.go) in a slab of slots linked by index, behind an id index
-// keyed by a pointer-free Digest, so the payload is the only pointer per
-// entry and the garbage collector has little to mark in a full tier.
-// Hashing, encoding and decoding run outside the mutex, and a range of
-// gets (GetMany) or puts (PutMany) takes it once.
+// It holds bytes, not object graphs: a result is kept as the payload the
+// binary codec (codec.go) wrote for it, in a slab of slots linked by
+// index, behind an id index keyed by a pointer-free Digest, so the
+// payload is the only pointer per entry and the garbage collector has
+// little to mark in a full tier. The tier neither encodes nor decodes:
+// PutMany stores the payload slices it is given and GetMany returns them.
+// A payload is immutable once stored — an overwrite replaces the slot's
+// slice and never writes into the old one — so a hit is shared,
+// read-only, with every caller that got it. A range of gets or puts
+// takes the mutex once; keys arrive hashed.
 //
 // A lookup looks for a key where a range put would have stored it
 // before it probes the id index (see next).
@@ -88,42 +92,32 @@ func NewMemory(maxBytes int64) *Memory {
 	}
 }
 
-// Get is the one-key case of GetMany.
-func (m *Memory) Get(_ context.Context, k Key) (*engine.Result, bool) {
-	var out [1]*engine.Result
-	m.lookup([]Digest{k.Digest()}, out[:])
-	return out[0], out[0] != nil
+// Get is the one-key GetMany, decoded (getOne).
+func (m *Memory) Get(ctx context.Context, k Key) (*engine.Result, bool) {
+	return getOne(ctx, m, k)
 }
 
-// GetMany implements Store: it probes by ids alone. The context is
-// unused; a map lookup has no network wait to abort.
-func (m *Memory) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine.Result) {
-	m.lookup(ids, out)
-}
-
-// lookup is the one probe body behind Get and GetMany. The keys arrive
+// GetMany implements Store: it probes by ids alone and answers with the
+// stored payloads themselves, no copy and no decode. The keys arrive
 // hashed; they are looked up and moved to the front of the LRU ring
 // under one lock acquisition per 64 keys — leaving the ring as
-// sequential Gets in key order would — and decoded into out after the
-// unlock. Each key is first looked for near the previous hit (next),
-// and only then in m.ids. Payloads are immutable once published, and
-// each 64 keys' hits decode into one slab allocated for them: each
-// result keeps its own slices, only the backing array of the results
-// themselves is shared, among results one caller owns.
-func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
+// sequential Gets in key order would, and never holding the lock for a
+// whole kcached body. Each key is first looked for near the previous
+// hit (next), and only then in m.ids. The context is unused; a map
+// lookup has no network wait to abort.
+func (m *Memory) GetMany(ctx context.Context, _ []Key, ids []Digest, out [][]byte) {
 	for len(ids) > 64 {
-		m.lookup(ids[:64], out[:64])
+		m.GetMany(ctx, nil, ids[:64], out[:64])
 		ids, out = ids[64:], out[64:]
 	}
-	var buf [64][]byte // a scheduler range's rider probes without allocating
-	payloads := buf[:0]
 	hits := 0
 	// This call's previous hit (0, the root, before the first) and the
 	// distances back from it to the two hits before, 0 until there are.
 	var last, d1, d2 int32
 	m.mu.Lock()
-	for _, id := range ids {
-		var p []byte // nil on a miss: a live entry's payload is never empty
+	defer m.mu.Unlock()
+	for i, id := range ids {
+		out[i] = nil // a live entry's payload is never empty
 		step := d1
 		if d1 != d2 {
 			step = 0 // a step is guessed only once it repeats
@@ -134,28 +128,16 @@ func (m *Memory) lookup(ids []Digest, out []*engine.Result) {
 		}
 		if ok {
 			m.toFront(s)
-			p = m.at(s).payload
+			out[i] = m.at(s).payload
 			hits++
 			if last != 0 {
 				d1, d2 = s-last, d1
 			}
 			last = s
 		}
-		payloads = append(payloads, p)
 	}
 	m.stats.Hits += int64(hits)
 	m.stats.Misses += int64(len(ids) - hits)
-	m.mu.Unlock()
-	slab := make([]engine.Result, hits)
-	for i, p := range payloads {
-		out[i] = nil
-		if p != nil {
-			if decodeInto(&slab[0], p) == nil {
-				out[i] = &slab[0]
-			}
-			slab = slab[1:]
-		}
-	}
 }
 
 // next returns the entry stored under id if it sits where a range put
@@ -196,40 +178,21 @@ func (m *Memory) holds(i int32, id Digest) bool {
 	return e.fn >= 0 && e.fn != i && e.id == id
 }
 
-// Put stores r under k: PutMany's core for one key, with the encode
-// outside the lock.
-func (m *Memory) Put(_ context.Context, k Key, r *engine.Result) {
-	if r == nil {
-		return
-	}
-	id, payload := k.Digest(), encodeResult(r)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.putLocked(id, k.FuncHash, payload)
+// Put is the one-key PutMany, encoding r (a nil r is not stored).
+func (m *Memory) Put(ctx context.Context, k Key, r *engine.Result) {
+	m.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, [][]byte{Encode(r)})
 }
 
-// PutMany implements Store: it stores by ids alone. The results
-// are encoded before the lock is taken, then inserted in key order under
-// one acquisition — each insert evicting as its own Put would — so the
-// tier ends up as the same Puts in sequence leave it. A nil result is
-// skipped, as Put skips it.
-func (m *Memory) PutMany(_ context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
-	var buf [64][]byte // a scheduler range's misses encode without allocating the list
-	payloads := buf[:0]
-	if len(rs) > len(buf) {
-		payloads = make([][]byte, 0, len(rs))
-	}
-	for _, r := range rs {
-		var p []byte
-		if r != nil {
-			p = encodeResult(r)
-		}
-		payloads = append(payloads, p)
-	}
+// PutMany implements Store: it stores by ids alone, each payload as
+// given, inserted in key order under one lock acquisition — each insert
+// evicting as its own Put would — so the tier ends up as the same Puts
+// in sequence leave it. An empty payload is skipped, as Put skips a nil
+// result.
+func (m *Memory) PutMany(_ context.Context, keys []Key, ids []Digest, payloads [][]byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, p := range payloads {
-		if p != nil {
+		if len(p) > 0 {
 			m.putLocked(ids[i], keys[i].FuncHash, p)
 		}
 	}

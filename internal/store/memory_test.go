@@ -19,7 +19,7 @@ func TestMemoryLookupChecksTheGuessedSlot(t *testing.T) {
 	rs := []*engine.Result{result("a"), result("b"), result("c")}
 	// Slots 1..6: fA's sentinel, a, fB's sentinel, b, fC's sentinel, c.
 	keys := []Key{a, b, c}
-	m.PutMany(bg, keys, digests(keys), rs)
+	m.PutMany(bg, keys, digests(keys), encodeAll(rs...))
 	checkGetMany(t, m, []Key{a, b, c}) // stored order: sentinels in between
 	checkGetMany(t, m, []Key{a, c, b}) // slot a+2 is b, not c
 	checkGetMany(t, m, []Key{b, a, c}) // a is not after b, nor c after a
@@ -53,7 +53,7 @@ func TestMemoryLookupChecksTheStep(t *testing.T) {
 		}
 	}
 	// Slots 1..12: fA's sentinel, a1, a2, fB's sentinel, b1, b2, ...
-	m.PutMany(bg, keys, digests(keys), rs)
+	m.PutMany(bg, keys, digests(keys), encodeAll(rs...))
 	a1, a2, b1, b2, c1, c2, d1, d2 := keys[0], keys[1], keys[2], keys[3], keys[4], keys[5], keys[6], keys[7]
 	checkGetMany(t, m, []Key{a1, b1, c1, d1}) // step 3
 	checkGetMany(t, m, []Key{a2, b2, c2, d2})
@@ -83,7 +83,7 @@ func BenchmarkMemoryGetMany(b *testing.B) {
 		for i := range rs {
 			rs[i] = &engine.Result{Paths: 1, Steps: i % 50}
 		}
-		m.PutMany(bg, keys, digests(keys), rs)
+		m.PutMany(bg, keys, digests(keys), encodeAll(rs...))
 	}
 	stored, batch := NewMemory(0), NewMemory(0)
 	var ranges [][]Key
@@ -124,7 +124,7 @@ func BenchmarkMemoryGetMany(b *testing.B) {
 			ids[i] = digests(keys)
 		}
 		b.Run(bc.name, func(b *testing.B) {
-			out := make([]*engine.Result, rangeSize)
+			out := make([][]byte, rangeSize)
 			for i := 0; i < b.N; i++ {
 				for j, keys := range bc.ranges {
 					bc.m.GetMany(bg, keys, ids[j], out[:len(keys)])

@@ -21,8 +21,8 @@ import (
 // store. It implements Store over the same key space the disk tier uses,
 // so the daemon is nothing more than a store with a socket in front. A
 // range's keys go out as one POST /entries/get and its results as one
-// POST /entries/put, in the binary codec the other tiers store; Get and
-// Put are the one-key case.
+// POST /entries/put, framing the payloads the other tiers store as they
+// are; Get and Put are the one-key case, through the codec.
 //
 // The tier is strictly best-effort, like the disk tier: every failure
 // mode — the daemon down, a request timing out, a non-2xx status, a
@@ -196,11 +196,9 @@ func (r *Remote) post(ctx context.Context, path, contentType string, body []byte
 	return nil, false
 }
 
-// Get is the one-key GetMany.
+// Get is the one-key GetMany, decoded (getOne).
 func (r *Remote) Get(ctx context.Context, k Key) (*engine.Result, bool) {
-	var out [1]*engine.Result
-	r.GetMany(ctx, []Key{k}, nil, out[:])
-	return out[0], out[0] != nil
+	return getOne(ctx, r, k)
 }
 
 // GetMany implements Store: one POST /entries/get carries the
@@ -209,7 +207,7 @@ func (r *Remote) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 // caller's context both propagates the trace id and aborts the network
 // wait when the caller is gone; an aborted round trip is a miss that
 // does NOT count against the breaker.
-func (r *Remote) GetMany(ctx context.Context, keys []Key, _ []Digest, out []*engine.Result) {
+func (r *Remote) GetMany(ctx context.Context, keys []Key, _ []Digest, out [][]byte) {
 	clear(out)
 	if len(keys) == 0 {
 		return
@@ -240,10 +238,13 @@ func (r *Remote) GetMany(ctx context.Context, keys []Key, _ []Digest, out []*eng
 }
 
 // decodeEntries parses a POST /entries/get reply into out: one frame per
-// key, empty for a miss, else a record. ok is false if the reply is not
+// key, empty for a miss, else a record, which must pass the strict
+// decode. Each hit is a private copy of its record, so an entry the
+// caller keeps never pins the reply. ok is false if the reply is not
 // exactly that.
-func decodeEntries(reply []byte, out []*engine.Result) (hits int, ok bool) {
+func decodeEntries(reply []byte, out [][]byte) (hits int, ok bool) {
 	d := &codecReader{buf: reply}
+	var scratch engine.Result
 	for i := range out {
 		rec := d.frame()
 		if d.err != nil {
@@ -252,19 +253,18 @@ func decodeEntries(reply []byte, out []*engine.Result) (hits int, ok bool) {
 		if len(rec) == 0 {
 			continue
 		}
-		res, err := decodeResult(rec)
-		if err != nil {
+		decodes, cacheable := cacheableRecord(&scratch, rec)
+		if !decodes {
 			return 0, false
 		}
-		if res.TimedOut || res.Canceled {
+		if !cacheable {
 			// kcached rejects these at put, but an old or foreign daemon
-			// might not: a truncated result is uncacheable by the
-			// engine-wide invariant, so serving it as a hit would
-			// propagate one caller's timeout to every replica. The daemon
-			// did answer; the entry is just unusable.
+			// might not: serving one as a hit would propagate one
+			// caller's timeout to every replica. The daemon did answer;
+			// the entry is just unusable.
 			continue
 		}
-		out[i] = res
+		out[i] = bytes.Clone(rec)
 		hits++
 	}
 	if len(d.buf) != 0 {
@@ -273,33 +273,37 @@ func decodeEntries(reply []byte, out []*engine.Result) (hits int, ok bool) {
 	return hits, true
 }
 
-// Put is the one-key PutMany.
+// Put is the one-key PutMany, encoding res. A nil, timed-out or
+// canceled result is not sent.
 func (r *Remote) Put(ctx context.Context, k Key, res *engine.Result) {
-	r.PutMany(ctx, []Key{k}, nil, []*engine.Result{res})
+	if res != nil && !res.TimedOut && !res.Canceled {
+		r.PutMany(ctx, []Key{k}, nil, [][]byte{Encode(res)})
+	}
 }
 
-// PutMany implements Store: the range's results go to kcached as
-// POST /entries/put bodies of at most maxEntryBytes — one for any real
-// range. Best-effort: failures are dropped silently (beyond breaker
-// accounting). Timed-out and canceled results are never sent — the
-// daemon would reject the whole body with a 400 that counts against our
-// breaker. The publish deliberately detaches from the caller's
-// cancellation (keeping its trace id): the computed bytes are valid for
-// the whole fleet even if this caller just disconnected, and an aborted
-// publish would read as a daemon failure to the breaker.
-func (r *Remote) PutMany(ctx context.Context, keys []Key, _ []Digest, rs []*engine.Result) {
+// PutMany implements Store: the range's payloads go to kcached as given,
+// framed into POST /entries/put bodies of at most maxEntryBytes — one
+// for any real range. Best-effort: failures are dropped silently
+// (beyond breaker accounting). The caller puts only cacheable results:
+// kcached rejects a body holding a timed-out or canceled one with a 400
+// that counts against the breaker. The publish deliberately detaches
+// from the caller's cancellation (keeping its trace id): the computed
+// bytes are valid for the whole fleet even if this caller just
+// disconnected, and an aborted publish would read as a daemon failure to
+// the breaker. An empty payload is skipped.
+func (r *Remote) PutMany(ctx context.Context, keys []Key, _ []Digest, payloads [][]byte) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx = context.WithoutCancel(ctx)
 	var body []byte
 	n := 0 // entries in body
-	for i, res := range rs {
-		if res == nil || res.TimedOut || res.Canceled {
+	for i, p := range payloads {
+		if len(p) == 0 {
 			continue
 		}
 		mark := len(body)
-		body = appendFrame(appendKey(body, keys[i]), encodeResult(res))
+		body = appendFrame(appendKey(body, keys[i]), p)
 		if len(body) > maxEntryBytes && n > 0 {
 			// Past the cap: send the entries before this one, and start
 			// the next body with it.

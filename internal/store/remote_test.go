@@ -95,7 +95,7 @@ func postEntries(t *testing.T, url, route string, body []byte) int {
 
 // putFrame is one entry of a POST /entries/put body.
 func putFrame(k Key, res *engine.Result) []byte {
-	return appendFrame(appendKey(nil, k), encodeResult(res))
+	return appendFrame(appendKey(nil, k), Encode(res))
 }
 
 // TestRemoteServerValidatesAddress pins the anti-poisoning rule: a
@@ -109,7 +109,7 @@ func TestRemoteServerValidatesAddress(t *testing.T) {
 	if code := postEntries(t, ts.URL, "/entries/put", putFrame(fkey("fY", "ck"), result("y"))); code != http.StatusNoContent {
 		t.Fatalf("put = %d", code)
 	}
-	got := make([]*engine.Result, 2)
+	got := make([][]byte, 2)
 	back.GetMany(bg, nil, []Digest{fkey("fY", "ck").Digest(), fkey("fX", "ck").Digest()}, got)
 	if got[0] == nil || got[1] != nil || back.Stats().Entries != 1 {
 		t.Fatalf("entry not stored at the address its components hash to: %v", got)
@@ -181,13 +181,44 @@ func TestRemoteServerRejectsUncacheablePut(t *testing.T) {
 	}
 }
 
+// TestCacheServerErrorBodiesAreJSON: every 400 the cache routes answer
+// is a JSON object with a non-empty "error", whatever the parse error
+// says — a decoder message that quotes the offending character included.
+func TestCacheServerErrorBodiesAreJSON(t *testing.T) {
+	h := NewCacheServer(NewMemory(0)).Handler()
+	good := putFrame(fkey("fX", "ck"), result("x"))
+	for _, tc := range []struct {
+		route string
+		body  []byte
+	}{
+		{"/invalidate", []byte(`{"func_hashes" "x"}`)},
+		{"/invalidate", []byte(`{"func_hashes": ["a\`)},
+		{"/invalidate", []byte(`{"func_hashes": [1]}`)},
+		{"/invalidate", []byte(`<a href="x">`)},
+		{"/invalidate", nil},
+		{"/entries/put", nil},
+		{"/entries/put", good[:len(good)-1]},
+		{"/entries/put", putFrame(fkey("fX", "ck"), &engine.Result{Truncated: true, TimedOut: true})},
+		{"/entries/get", []byte{0x80, 0x00}},
+	} {
+		rec := serveEntries(h, tc.route, tc.body)
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if body := rec.Body.Bytes(); rec.Code != http.StatusBadRequest || !json.Valid(body) ||
+			json.Unmarshal(body, &reply) != nil || reply.Error == "" {
+			t.Errorf("%s %q: status %d, body %q; want 400 and a JSON error", tc.route, tc.body, rec.Code, body)
+		}
+	}
+}
+
 // TestRemoteFlaggedEntryIsMiss: an old or foreign daemon that serves a
 // timed-out/canceled entry anyway is treated as a healthy miss — the
 // truncation must not propagate, but the daemon did answer, so the
 // breaker stays closed.
 func TestRemoteFlaggedEntryIsMiss(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(appendFrame(nil, encodeResult(&engine.Result{Truncated: true, TimedOut: true})))
+		w.Write(appendFrame(nil, Encode(&engine.Result{Truncated: true, TimedOut: true})))
 	}))
 	t.Cleanup(ts.Close)
 	r := newRemote(t, ts.URL, RemoteConfig{})
@@ -227,7 +258,7 @@ func TestRemoteDownIsMissNotError(t *testing.T) {
 // for every key of the round trip, and one error toward the breaker.
 func TestRemoteCorruptPayloadIsMiss(t *testing.T) {
 	withMaxEntryBytes(t, 1<<10)
-	rec := encodeResult(result("one"))
+	rec := Encode(result("one"))
 	for name, reply := range map[string][]byte{
 		"garbage":        []byte(`{"Reports": "garbage`),
 		"frame short":    appendFrame(nil, rec),
@@ -241,7 +272,7 @@ func TestRemoteCorruptPayloadIsMiss(t *testing.T) {
 			}))
 			t.Cleanup(ts.Close)
 			r := newRemote(t, ts.URL, RemoteConfig{})
-			out := make([]*engine.Result, 2)
+			out := make([][]byte, 2)
 			r.GetMany(bg, []Key{key(1), key(2)}, nil, out)
 			if out[0] != nil || out[1] != nil {
 				t.Fatal("corrupt reply produced a hit")
@@ -298,7 +329,7 @@ func TestRemoteBatchesPerRoundTrip(t *testing.T) {
 	rs = append(rs, result(strings.Repeat("x", 8<<10)))
 	keys = append(keys, key(40))
 	rs = append(rs, result("last"))
-	r.PutMany(bg, keys, nil, rs)
+	r.PutMany(bg, keys, nil, encodeAll(rs...))
 	if n := puts.Load(); n < 3 || biggest.Load() > 4<<10 {
 		t.Fatalf("41 entries of ~330 B sent in %d bodies, the biggest %d B; want several, each <= 4 KiB", n, biggest.Load())
 	}
@@ -309,9 +340,9 @@ func TestRemoteBatchesPerRoundTrip(t *testing.T) {
 		t.Fatalf("server counted %d puts and holds %d entries, want 41", st, back.Stats().Entries)
 	}
 
-	out := make([]*engine.Result, 3)
+	out := make([][]byte, 3)
 	r.GetMany(bg, []Key{key(0), key(99), key(40)}, nil, out)
-	if gets.Load() != 1 || out[0] == nil || out[1] != nil || out[2] == nil || out[2].Reports[0].Message != "last" {
+	if gets.Load() != 1 || out[0] == nil || out[1] != nil || !bytes.Equal(out[2], Encode(result("last"))) {
 		t.Fatalf("%d get requests, results %v", gets.Load(), out)
 	}
 	if rs := r.RemoteStats(); rs.Hits != 2 || rs.Misses != 1 {

@@ -59,44 +59,41 @@ func NewSegmentDisk(dir string, opts ...SegmentDiskOption) (*SegmentDisk, error)
 	return &SegmentDisk{eng: eng}, nil
 }
 
-// Get is the one-key GetMany.
+// Get is the one-key GetMany, decoded (getOne).
 func (d *SegmentDisk) Get(ctx context.Context, k Key) (*engine.Result, bool) {
-	var out [1]*engine.Result
-	d.GetMany(ctx, []Key{k}, []Digest{k.Digest()}, out[:])
-	return out[0], out[0] != nil
+	return getOne(ctx, d, k)
 }
 
 // GetMany implements Store, addressing entries by ids alone: per key one
-// index probe, one pread, one decode. A record that does not decode
-// under the binary codec's current format (codec.go) is a miss, like
-// any other unreadable entry.
-func (d *SegmentDisk) GetMany(_ context.Context, _ []Key, ids []Digest, out []*engine.Result) {
+// index probe and one pread, into a buffer the caller then owns. A
+// record that fails the strict decode (DecodeInto) — one under an older
+// format tag, say — is a miss, like any other unreadable entry.
+func (d *SegmentDisk) GetMany(_ context.Context, _ []Key, ids []Digest, out [][]byte) {
 	hits := 0
+	var scratch engine.Result
 	for i := range ids {
 		out[i] = nil
-		if data, ok := d.eng.Get(hex.EncodeToString(ids[i][:])); ok {
-			if res, err := decodeResult(data); err == nil {
-				out[i] = res
-				hits++
-			}
+		if data, ok := d.eng.Get(hex.EncodeToString(ids[i][:])); ok && DecodeInto(&scratch, data) == nil {
+			out[i] = data
+			hits++
 		}
 	}
 	d.hits.Add(int64(hits))
 	d.misses.Add(int64(len(ids) - hits))
 }
 
-// Put is the one-key PutMany.
+// Put is the one-key PutMany, encoding r (a nil r is not stored).
 func (d *SegmentDisk) Put(ctx context.Context, k Key, r *engine.Result) {
-	d.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, []*engine.Result{r})
+	d.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, [][]byte{Encode(r)})
 }
 
 // PutMany implements Store, addressing entries by ids: one buffered
-// append per result, in key order (the batched flusher makes them
-// durable within the sync interval). A nil result is skipped.
-func (d *SegmentDisk) PutMany(_ context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
-	for i, r := range rs {
-		if r != nil {
-			d.eng.Put(hex.EncodeToString(ids[i][:]), segFuncTok(keys[i].FuncHash), encodeResult(r))
+// append per payload, as given, in key order (the batched flusher makes
+// them durable within the sync interval). An empty payload is skipped.
+func (d *SegmentDisk) PutMany(_ context.Context, keys []Key, ids []Digest, payloads [][]byte) {
+	for i, p := range payloads {
+		if len(p) > 0 {
+			d.eng.Put(hex.EncodeToString(ids[i][:]), segFuncTok(keys[i].FuncHash), p)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -31,7 +32,7 @@ var maxEntryBytes = 32 << 20
 //
 // Entry bodies are binary, in the result codec's own framing: a key is
 // its three components as length-prefixed strings (appendKey), and a
-// record is an encodeResult payload framed the same way (appendFrame).
+// record is an Encode payload framed the same way (appendFrame).
 // The server derives every content address from the key components
 // itself, so a client cannot store under an address other clients would
 // trust for other inputs. (The payload itself is not proven against the
@@ -39,8 +40,9 @@ var maxEntryBytes = 32 << 20
 // a defense against malicious replicas.) A put body is checked whole
 // before anything is stored: a malformed frame, a record that fails the
 // strict decode, or a timed-out or canceled result rejects the body
-// with a 400. Counters stay per entry: a round trip of n keys is n gets
-// or n puts.
+// with a 400. An accepted record is stored, and later served, as the
+// bytes it arrived as: the server never re-encodes. Counters stay per
+// entry: a round trip of n keys is n gets or n puts.
 //
 // These routes replaced per-key JSON ones. Across the change, both
 // sides degrade rather than fail: an old replica's entry puts get 404s
@@ -147,18 +149,26 @@ func (cs *CacheServer) traces() *obs.TraceStore {
 // readEntries reads and parses an entry-route body, answering an
 // unreadable or oversized body, or one parseEntries refuses, with a 400
 // itself (ok=false).
-func (cs *CacheServer) readEntries(w http.ResponseWriter, r *http.Request, records bool) (keys []Key, ids []Digest, rs []*engine.Result, ok bool) {
+func (cs *CacheServer) readEntries(w http.ResponseWriter, r *http.Request, records bool) (keys []Key, ids []Digest, payloads [][]byte, ok bool) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, int64(maxEntryBytes)+1))
 	bad := "body unreadable or too large"
 	if err == nil && len(data) <= maxEntryBytes {
-		keys, ids, rs, bad = parseEntries(data, records)
+		keys, ids, payloads, bad = parseEntries(data, records)
 	}
 	if bad != "" {
-		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"`+bad+`"}`, http.StatusBadRequest)
+		cs.badRequest(w, bad)
 		return nil, nil, nil, false
 	}
-	return keys, ids, rs, true
+	return keys, ids, payloads, true
+}
+
+// badRequest answers a 400 whose body is {"error": msg}, encoded by
+// encoding/json so that any msg leaves it valid JSON, and counts it.
+func (cs *CacheServer) badRequest(w http.ResponseWriter, msg string) {
+	cs.badRequests.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusBadRequest)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 // parseEntries parses an entry-route body: at least one key, each
@@ -168,9 +178,11 @@ func (cs *CacheServer) readEntries(w http.ResponseWriter, r *http.Request, recor
 // caller's wall clock or lifetime, not the key's inputs, so the
 // engine-wide invariant is that they are never cached, and the shared
 // tier enforces it so one buggy client cannot poison every replica's
-// warm hits with truncated results.
-func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, rs []*engine.Result, bad string) {
+// warm hits with truncated results. Each payload is a copy of its
+// record, so a stored entry never pins the body it came in.
+func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, payloads [][]byte, bad string) {
 	d := &codecReader{buf: data}
+	var scratch engine.Result
 	for len(d.buf) > 0 {
 		k := d.key()
 		if d.err != nil || k.FuncHash == "" {
@@ -180,38 +192,35 @@ func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, rs []*en
 		if !records {
 			continue
 		}
-		res, err := decodeResult(d.frame())
-		if err != nil {
+		rec := d.frame()
+		switch decodes, cacheable := cacheableRecord(&scratch, rec); {
+		case !decodes:
 			return nil, nil, nil, "record is not an encoded engine.Result"
-		}
-		if res.TimedOut || res.Canceled {
+		case !cacheable:
 			return nil, nil, nil, "timed-out or canceled results are uncacheable"
 		}
-		rs = append(rs, res)
+		payloads = append(payloads, bytes.Clone(rec))
 	}
 	if len(keys) == 0 {
 		return nil, nil, nil, "no entries"
 	}
-	return keys, ids, rs, ""
+	return keys, ids, payloads, ""
 }
 
-// handleGet answers a range of keys in one reply, in key order. The
-// reply stays within maxEntryBytes too: a hit that would cross it is
-// answered as a miss (every later frame costs at least a byte).
+// handleGet answers a range of keys in one reply, in key order, framing
+// the payloads the store returned as they are. The reply stays within
+// maxEntryBytes too: a hit that would cross it is answered as a miss
+// (every later frame costs at least a byte).
 func (cs *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	keys, ids, _, ok := cs.readEntries(w, r, false)
 	if !ok {
 		return
 	}
-	out := make([]*engine.Result, len(keys))
+	out := make([][]byte, len(keys))
 	cs.st.GetMany(r.Context(), keys, ids, out)
 	var reply []byte
 	hits := 0
-	for i, res := range out {
-		var rec []byte
-		if res != nil {
-			rec = encodeResult(res)
-		}
+	for i, rec := range out {
 		if len(reply)+binary.MaxVarintLen64+len(rec)+len(out)-i > maxEntryBytes {
 			rec = nil
 		}
@@ -226,13 +235,13 @@ func (cs *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(reply)
 }
 
-// handlePut stores a range of results, all or none.
+// handlePut stores a range of records, all or none.
 func (cs *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
-	keys, ids, rs, ok := cs.readEntries(w, r, true)
+	keys, ids, payloads, ok := cs.readEntries(w, r, true)
 	if !ok {
 		return
 	}
-	cs.st.PutMany(r.Context(), keys, ids, rs)
+	cs.st.PutMany(r.Context(), keys, ids, payloads)
 	cs.puts.Add(int64(len(keys)))
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -240,8 +249,7 @@ func (cs *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 func (cs *CacheServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	var req invalidateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, int64(maxEntryBytes))).Decode(&req); err != nil {
-		cs.badRequests.Add(1)
-		http.Error(w, `{"error":"bad JSON: `+err.Error()+`"}`, http.StatusBadRequest)
+		cs.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	cs.invalidates.Add(1)

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"knighter/internal/engine"
 	"knighter/internal/obs"
 )
 
@@ -23,14 +22,16 @@ type Tier struct {
 // is a behaviour of this type:
 //
 //   - GetMany hands a range of keys and their digests to the front in
-//     one call (one lock acquisition on *Memory, no hashing); the keys
-//     it misses go to the back as one range (one round trip on
-//     *Remote), and the back's hits are promoted into the front with
-//     one putMany. Get is the one-key GetMany. Counters stay per key.
-//   - PutMany hands a range of keys and their digests to the front and
-//     then the back in one call each, synchronously: a scan that
-//     returned has published. Put is the one-key PutMany. Puts count
-//     per key.
+//     one call (a lock acquisition per 64 keys on *Memory, no
+//     hashing); the keys it misses go to the back as one range (one
+//     round trip on *Remote), and the back's hits are promoted into the
+//     front with one putMany, as the payloads the back returned.
+//     Counters stay per key.
+//   - PutMany hands a range of keys, their digests and their payloads
+//     to the front and then the back in one call each, synchronously: a
+//     scan that returned has published. Puts count per key.
+//   - It moves payloads and never looks inside one: no encode, no
+//     decode.
 //   - Invalidation hands the whole hash set to each leaf once; a
 //     network back is invalidated off the caller's goroutine, so a
 //     corpus mutation never waits on a round-trip. That is safe because
@@ -105,16 +106,16 @@ func registerTierCounters(reg *obs.Registry, tier string, stats func() Stats) {
 }
 
 // getMany probes the leaf for a range of keys in one call, timed once.
-func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
+func (l *leaf) getMany(ctx context.Context, keys []Key, ids []Digest, out [][]byte) {
 	start := time.Now()
 	l.Store.GetMany(ctx, keys, ids, out)
 	observe(l.getDur, start)
 }
 
-// putMany stores a range of results in the leaf in one call, timed once.
-func (l *leaf) putMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+// putMany stores a range of payloads in the leaf in one call, timed once.
+func (l *leaf) putMany(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte) {
 	start := time.Now()
-	l.Store.PutMany(ctx, keys, ids, rs)
+	l.Store.PutMany(ctx, keys, ids, payloads)
 	observe(l.putDur, start)
 }
 
@@ -126,25 +127,18 @@ func observe(dur *obs.Histogram, start time.Time) {
 	}
 }
 
-// Get is the one-key GetMany.
-func (s *Stack) Get(ctx context.Context, k Key) (*engine.Result, bool) {
-	var out [1]*engine.Result
-	s.GetMany(ctx, []Key{k}, []Digest{k.Digest()}, out[:])
-	return out[0], out[0] != nil
-}
-
 // GetMany implements Store: the front answers the whole range in one
 // call, by ids, and the keys it misses go to the back as one range —
 // promoted, counted once per key. A range the front answers whole, or
 // any range on a stack with no back, allocates nothing.
-func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
+func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out [][]byte) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.front.getMany(ctx, keys, ids, out)
 	hits := 0
-	for _, r := range out {
-		if r != nil {
+	for _, p := range out {
+		if p != nil {
 			hits++
 		}
 	}
@@ -159,22 +153,22 @@ func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*en
 // left nil) to the back as one range, sets the back's hits in out,
 // promotes them into the front with one putMany, and returns how many
 // there were.
-func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result, misses int) int {
+func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out [][]byte, misses int) int {
 	mk, mi, at := make([]Key, 0, misses), make([]Digest, 0, misses), make([]int, 0, misses)
-	for i, r := range out {
-		if r == nil {
+	for i, p := range out {
+		if p == nil {
 			mk, mi, at = append(mk, keys[i]), append(mi, ids[i]), append(at, i)
 		}
 	}
-	mo := make([]*engine.Result, len(mk))
+	mo := make([][]byte, len(mk))
 	s.back.getMany(ctx, mk, mi, mo)
 	// The back has returned: pack its hits, in key order, to the front
 	// of the range it was handed.
 	n := 0
-	for j, r := range mo {
-		if r != nil {
-			out[at[j]] = r
-			mk[n], mi[n], mo[n] = mk[j], mi[j], r
+	for j, p := range mo {
+		if p != nil {
+			out[at[j]] = p
+			mk[n], mi[n], mo[n] = mk[j], mi[j], p
 			n++
 		}
 	}
@@ -184,21 +178,16 @@ func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out []*en
 	return n
 }
 
-// Put is the one-key PutMany.
-func (s *Stack) Put(ctx context.Context, k Key, r *engine.Result) {
-	s.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, []*engine.Result{r})
-}
-
 // PutMany implements Store: the front and then the back take the
 // whole range in one call each, by ids, so each ends up as the same
 // Puts in sequence leave it. A network back publishes the range in one
 // round trip before this returns: a scan that returned has published.
-func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result) {
+func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for _, l := range s.leaves() {
-		l.putMany(ctx, keys, ids, rs)
+		l.putMany(ctx, keys, ids, payloads)
 	}
 	s.puts.Add(int64(len(keys)))
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -32,7 +33,7 @@ type countingGets struct {
 	calls int
 }
 
-func (c *countingGets) GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result) {
+func (c *countingGets) GetMany(ctx context.Context, keys []Key, ids []Digest, out [][]byte) {
 	c.calls++
 	c.Store.GetMany(ctx, keys, ids, out)
 }
@@ -48,13 +49,13 @@ func TestStackBehaviours(t *testing.T) {
 			mem, disk := NewMemory(0), newTestSegDisk(t, t.TempDir())
 			disk.Put(bg, key(1), result("warm-from-disk"))
 			st := NewStack(nil, Tier{"memory", mem}, Tier{"disk", disk})
-			if _, ok := st.Get(bg, key(1)); !ok {
+			if _, ok := getOne(bg, st, key(1)); !ok {
 				t.Fatal("miss on a disk-resident entry")
 			}
 			if s := mem.Stats(); s.Puts != 1 {
 				t.Fatalf("disk hit not promoted to memory: %+v", s)
 			}
-			if _, ok := st.Get(bg, key(1)); !ok {
+			if _, ok := getOne(bg, st, key(1)); !ok {
 				t.Fatal("miss after promotion")
 			}
 			if s := st.Stats(); s.Hits != 2 || s.Misses != 0 {
@@ -63,7 +64,7 @@ func TestStackBehaviours(t *testing.T) {
 			if s := disk.Stats(); s.Hits != 1 {
 				t.Fatalf("the promoted entry was read from disk again: %+v", s)
 			}
-			st.Put(bg, key(2), result("two"))
+			putOne(st, key(2), result("two"))
 			if _, ok := mem.Get(bg, key(2)); !ok {
 				t.Fatal("put did not reach memory")
 			}
@@ -73,11 +74,11 @@ func TestStackBehaviours(t *testing.T) {
 		}},
 		{"tiers/invalidation fans out to every leaf, per hash and in bulk", func(t *testing.T) {
 			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"disk", newTestSegDisk(t, t.TempDir())})
-			st.Put(bg, fkey("fA", "ck1"), result("a1"))
-			st.Put(bg, fkey("fA", "ck2"), result("a2"))
-			st.Put(bg, fkey("fB", "ck"), result("b"))
-			st.Put(bg, fkey("fC", "ck"), result("c"))
-			st.Put(bg, fkey("fD", "ck"), result("d"))
+			putOne(st, fkey("fA", "ck1"), result("a1"))
+			putOne(st, fkey("fA", "ck2"), result("a2"))
+			putOne(st, fkey("fB", "ck"), result("b"))
+			putOne(st, fkey("fC", "ck"), result("c"))
+			putOne(st, fkey("fD", "ck"), result("d"))
 			if n := st.InvalidateFuncs([]string{"fA"}); n != 4 {
 				t.Fatalf("per-hash invalidation dropped %d entries, want 4 (two entries x two leaves)", n)
 			}
@@ -85,11 +86,11 @@ func TestStackBehaviours(t *testing.T) {
 				t.Fatalf("bulk invalidation dropped %d entries, want 4 (two hashes x two leaves)", n)
 			}
 			for _, k := range []Key{fkey("fA", "ck1"), fkey("fA", "ck2"), fkey("fB", "ck"), fkey("fC", "ck")} {
-				if _, ok := st.Get(bg, k); ok {
+				if _, ok := getOne(bg, st, k); ok {
 					t.Fatalf("%v survived invalidation", k)
 				}
 			}
-			if _, ok := st.Get(bg, fkey("fD", "ck")); !ok {
+			if _, ok := getOne(bg, st, fkey("fD", "ck")); !ok {
 				t.Fatal("unrelated entry dropped")
 			}
 			if s := st.Stats(); s.Invalidated != 8 || s.Entries != 1 {
@@ -99,7 +100,7 @@ func TestStackBehaviours(t *testing.T) {
 		{"gets/a range stops at the front when it can", func(t *testing.T) {
 			keys := []Key{key(1), key(2), key(3)}
 			ids := []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}
-			out := make([]*engine.Result, len(keys))
+			out := make([][]byte, len(keys))
 			// A single host's cold probe: no back, every key a miss.
 			alone := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{})
 			if n := testing.AllocsPerRun(100, func() { alone.GetMany(bg, keys, ids, out) }); n != 0 {
@@ -108,7 +109,7 @@ func TestStackBehaviours(t *testing.T) {
 			// An all-hit range never calls the back.
 			back := &countingGets{Store: NewMemory(0)}
 			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"disk", back})
-			st.PutMany(bg, keys, ids, []*engine.Result{result("1"), result("2"), result("3")})
+			st.PutMany(bg, keys, ids, encodeAll(result("1"), result("2"), result("3")))
 			st.GetMany(bg, keys, ids, out)
 			if back.calls != 0 {
 				t.Fatalf("an all-hit range made %d calls to the back", back.calls)
@@ -118,7 +119,7 @@ func TestStackBehaviours(t *testing.T) {
 			back := NewMemory(0)
 			ts := newCacheTS(t, back)
 			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})})
-			st.Put(bg, key(1), result("one"))
+			putOne(st, key(1), result("one"))
 			if back.Stats().Puts != 1 {
 				t.Fatal("local Put not published to the daemon")
 			}
@@ -126,7 +127,7 @@ func TestStackBehaviours(t *testing.T) {
 			// hit, promoted into its memory.
 			mem2 := NewMemory(0)
 			st2 := NewStack(nil, Tier{"memory", mem2}, Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})})
-			if _, ok := st2.Get(bg, key(1)); !ok {
+			if _, ok := getOne(bg, st2, key(1)); !ok {
 				t.Fatal("fresh replica missed its sibling's entry")
 			}
 			if mem2.Stats().Entries != 1 {
@@ -141,7 +142,7 @@ func TestStackBehaviours(t *testing.T) {
 		{"stats/deepest book-keeping leaf, even when empty", func(t *testing.T) {
 			front, back := NewMemory(0), NewMemory(0)
 			st := NewStack(nil, Tier{"memory", front}, Tier{"disk", back})
-			st.Put(bg, fkey("fA", "ck"), result("x"))
+			putOne(st, fkey("fA", "ck"), result("x"))
 			if st.Stats().Entries != 1 {
 				t.Fatalf("stats after put: %+v", st.Stats())
 			}
@@ -197,9 +198,9 @@ func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
 			t.Errorf("exposition after %s has a tier=%q series", after, absent)
 		}
 	}
-	st.Put(bg, fkey("0a", "ck"), result("x"))
-	st.Get(bg, fkey("0a", "ck"))
-	st.Get(bg, fkey("0b", "ck"))
+	putOne(st, fkey("0a", "ck"), result("x"))
+	getOne(bg, st, fkey("0a", "ck"))
+	getOne(bg, st, fkey("0b", "ck"))
 	expose("a put, a hit and a miss",
 		`NS_store_requests_total{tier="memory"} 3`,
 		`NS_store_hits_total{tier="memory"} 1`,
@@ -210,7 +211,7 @@ func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
 		`NS_store_op_duration_seconds_count{tier="BACK",op="put"} 1`,
 		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 1`)
 	// Another miss is one more timed call on memory and on the back.
-	st.Get(bg, fkey("1c", "ck"))
+	getOne(bg, st, fkey("1c", "ck"))
 	expose("a second miss",
 		`NS_store_requests_total{tier="memory"} 4`,
 		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 3`,
@@ -219,7 +220,7 @@ func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
 	// memory hit and two misses are three memory requests and one memory
 	// get timing, and the two misses reach the back as one call.
 	keys := []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}
-	st.GetMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([]*engine.Result, 3))
+	st.GetMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([][]byte, 3))
 	expose("a range probe",
 		`NS_store_requests_total{tier="memory"} 7`,
 		`NS_store_hits_total{tier="memory"} 2`,
@@ -233,7 +234,7 @@ func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
 	// on each leaf.
 	keys = []Key{fkey("0e", "ck"), fkey("0f", "ck"), fkey("1g", "ck")}
 	st.PutMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
-		[]*engine.Result{result("e"), result("f"), result("g")})
+		encodeAll(result("e"), result("f"), result("g")))
 	expose("a range put",
 		`NS_store_puts_total{tier="memory"} 4`,
 		`NS_store_puts_total{tier="BACK"} 4`,
@@ -382,13 +383,9 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 			}
 
 			// The script's view of the store: the stack itself, or a
-			// client of the daemon serving it. Both keep the one-key Get
-			// and Put beside the range methods.
-			var target interface {
-				Store
-				Get(context.Context, Key) (*engine.Result, bool)
-				Put(context.Context, Key, *engine.Result)
-			} = st
+			// client of the daemon serving it. Its one-key gets and puts
+			// are getOne and putOne over the range methods.
+			var target Store = st
 			if shape.served {
 				target = newRemote(t, newCacheTS(t, st).URL, RemoteConfig{})
 			}
@@ -420,11 +417,11 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						digests[i] = k.Digest()
 					}
 					want, wantOK := model.getMany(ids)
-					got := make([]*engine.Result, len(keys))
+					got := make([][]byte, len(keys))
 					target.GetMany(bg, keys, digests, got)
-					for i, r := range got {
-						if (r != nil) != wantOK[i] || (r != nil && r.Reports[0].Message != want[i]) {
-							t.Fatalf("step %d: GetMany key %d (%v) = %v; model says %q, %v", step, i, keys[i], r, want[i], wantOK[i])
+					for i, p := range got {
+						if (p != nil) != wantOK[i] || (p != nil && !bytes.Equal(p, Encode(result(want[i])))) {
+							t.Fatalf("step %d: GetMany key %d (%v) = %x; model says %q, %v", step, i, keys[i], p, want[i], wantOK[i])
 						}
 					}
 				case op == 10 && daemonStore != nil:
@@ -434,13 +431,13 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					model.back.has[id] = msg
 				case op < 5 || op == 10: // get
 					want, wantOK := model.get(id)
-					got, ok := target.Get(bg, k)
+					got, ok := getOne(bg, target, k)
 					if ok != wantOK || (ok && got.Reports[0].Message != want) {
 						t.Fatalf("step %d: Get(%v) = %v, %v; model says %q, %v", step, k, got, ok, want, wantOK)
 					}
 				case op == 5: // put
 					model.put(id, msg)
-					target.Put(bg, k, result(msg))
+					putOne(target, k, result(msg))
 				case op == 6: // a range's puts, repeats allowed: the same Puts in order
 					keys, digests := []Key{k}, []Digest{k.Digest()}
 					rs := []*engine.Result{result(msg)}
@@ -452,10 +449,10 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						rs = append(rs, result(msg))
 						model.put(k.ID(), msg)
 					}
-					target.PutMany(bg, keys, digests, rs)
+					target.PutMany(bg, keys, digests, encodeAll(rs...))
 				case op < 9: // the scheduler's miss path: probe, then compute
 					want, wantOK := model.get(id)
-					got, ok := target.Get(bg, k)
+					got, ok := getOne(bg, target, k)
 					if ok != wantOK || (ok && got.Reports[0].Message != want) {
 						t.Fatalf("step %d: probe(%v) = %v, %v; model says %q, %v", step, k, got, ok, want, wantOK)
 					}
@@ -463,7 +460,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						break
 					}
 					model.put(id, msg)
-					target.Put(bg, k, result(msg))
+					putOne(target, k, result(msg))
 				default: // invalidate one or two function hashes
 					hashes := []string{k.FuncHash}
 					if rng.Intn(2) == 0 {

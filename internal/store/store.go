@@ -11,23 +11,22 @@
 // (whole-tree -j32 re-scans per checker revision) turned incremental.
 //
 // A tier's whole contract is a range of keys (Store: GetMany, PutMany,
-// InvalidateFuncs, Stats). The concrete tiers keep a one-key Get and Put
-// for tests and probes, each the one-key case of its range method or
-// sharing its core.
+// InvalidateFuncs, Stats). The leaf tiers keep a one-key Get and Put on
+// results for tests and probes: the codec over the one-key case of their
+// range methods.
 //
-// Every tier addresses a result by its Key's Digest (hex: Key.ID). The
-// memory and disk tiers hold it in one compact binary codec (codec.go),
-// and the network tier carries the same records: a kcached round trip
+// Every tier addresses a result by its Key's Digest (hex: Key.ID) and
+// holds it as the bytes of one compact binary codec (codec.go): the
+// memory and disk tiers store those bytes, and a kcached round trip
 // moves a range of keys and records framed in that codec's
-// length-prefixed strings (CacheServer), never JSON.
+// length-prefixed strings (CacheServer), never JSON. Only the scan
+// scheduler encodes and decodes.
 package store
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-
-	"knighter/internal/engine"
 )
 
 // Key addresses one cached per-function analysis result.
@@ -107,10 +106,14 @@ func (s Stats) HitRate() float64 {
 // 64-function range in one call, the in-memory tier takes its lock once
 // per range, and the network tier makes one round trip. Every key still
 // counts as one hit, one miss or one put in the tier's books.
-// Implementations must be safe for concurrent use and must return
-// results that are semantically identical to what was stored (each hit
-// is an independent clone, so callers may append to or re-sort its
-// slices).
+// Implementations must be safe for concurrent use.
+//
+// A tier holds and moves payloads: the bytes Encode wrote for a result
+// (codec.go). It stores the payload it is given, and a hit is the
+// payload stored under the key, byte for byte. Payloads are shared and
+// read-only — neither the tier nor any caller writes into one once it is
+// put or got — so a caller that wants a private result decodes one
+// (DecodeInto).
 //
 // The caller passes each key's digest beside it (ids[i] ==
 // keys[i].Digest()): the scheduler memoizes digests per file version,
@@ -123,14 +126,15 @@ func (s Stats) HitRate() float64 {
 // kcached and to stop waiting on the network when the caller is gone.
 // A nil context is treated as context.Background().
 type Store interface {
-	// GetMany sets out[i] to the cached result for keys[i], or to nil on
+	// GetMany sets out[i] to the payload cached for keys[i], or to nil on
 	// a miss. len(ids) and len(out) must equal len(keys).
-	GetMany(ctx context.Context, keys []Key, ids []Digest, out []*engine.Result)
-	// PutMany stores rs[i] under keys[i], overwriting any previous
-	// entry. The tier must end up exactly as the same
-	// puts one key at a time, in key order, would leave it — entries,
-	// LRU order, evictions and books, one put per key.
-	PutMany(ctx context.Context, keys []Key, ids []Digest, rs []*engine.Result)
+	GetMany(ctx context.Context, keys []Key, ids []Digest, out [][]byte)
+	// PutMany stores payloads[i] under keys[i], overwriting any previous
+	// entry; an empty payload is skipped. The tier must end up exactly as
+	// the same puts one key at a time, in key order, would leave it —
+	// entries, LRU order, evictions and books, one put per key. Only
+	// cacheable results are put: never a timed-out or canceled one.
+	PutMany(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte)
 	// InvalidateFuncs removes every entry addressed by any of the given
 	// function hashes, returning the number of entries dropped. Corpus
 	// mutation calls it with the pre-mutation hashes of the touched

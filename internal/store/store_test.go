@@ -30,8 +30,22 @@ func result(msg string) *engine.Result {
 	}
 }
 
+// encodeAll returns the payloads of rs, in order.
+func encodeAll(rs ...*engine.Result) [][]byte {
+	ps := make([][]byte, len(rs))
+	for i, r := range rs {
+		ps[i] = Encode(r)
+	}
+	return ps
+}
+
+// putOne is a one-key put through any tier's range method.
+func putOne(s Store, k Key, r *engine.Result) {
+	s.PutMany(bg, []Key{k}, []Digest{k.Digest()}, [][]byte{Encode(r)})
+}
+
 // weighOf is the weight the memory tier charges for r.
-func weighOf(r *engine.Result) int64 { return weight(encodeResult(r)) }
+func weighOf(r *engine.Result) int64 { return weight(Encode(r)) }
 
 func TestHashSeparatesParts(t *testing.T) {
 	if Hash("ab", "c") == Hash("a", "bc") {
