@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1081,7 +1082,8 @@ func BenchmarkBatchScanCold(b *testing.B) {
 // fingerprints, as the sweep's revisions do, and under a prefix of each
 // real function hash, so that after every iteration, with the timer
 // stopped, invalidating the real hashes drops exactly what the batch
-// stored: the resident population is the prefill's for any b.N.
+// stored: the resident population is the prefill's for any b.N. It also
+// reports the live heap the prefill added per entry (B/entry).
 func BenchmarkBatchScanColdResident(b *testing.B) {
 	h, t1, _ := setupBench(b)
 	cb := h.Codebase
@@ -1096,13 +1098,19 @@ func BenchmarkBatchScanColdResident(b *testing.B) {
 			results = append(results, engine.AnalyzeFunc(f, fn, eo))
 		}
 	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	for rev := 0; rev < 300_000/len(hashes); rev++ {
 		fp := fmt.Sprintf("prefill-%d", rev)
 		for u, fh := range hashes {
 			mem.Put(context.Background(), store.Key{FuncHash: "p" + fh, CheckerFP: fp, EngineFP: "prefill"}, results[u])
 		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
 	resident := mem.Stats().Entries
+	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(resident)
 	inc := scan.NewIncremental(cb, mem)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1128,6 +1136,7 @@ func BenchmarkBatchScanColdResident(b *testing.B) {
 		b.Fatalf("%d entries resident after the batches, %d before", st.Entries, resident)
 	}
 	b.ReportMetric(float64(st.Entries), "entries")
+	b.ReportMetric(perEntry, "B/entry")
 }
 
 // BenchmarkBatchScanWarm measures the kserve /batch steady state: four

@@ -54,7 +54,7 @@ func main() {
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "cache directory (required)")
 	flag.DurationVar(&cfg.CacheTTL, "cache-ttl", 0, "drop entries older than this (0 = keep forever)")
 	flag.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "disk byte budget; compaction evicts oldest-first past it (0 = unbounded)")
-	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", store.DefaultMemoryBytes, "memory front-tier budget in entry weight: each entry's binary payload plus 128 B of per-entry overhead (0 = library default)")
+	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", store.DefaultMemoryBytes, "memory front-tier budget in entry weight: each entry's binary payload plus 100 B of per-entry overhead (0 = library default)")
 	flag.IntVar(&cfg.FeedCap, "feed-cap", shard.DefaultFeedCap, "generation-feed retention (entries); shards further behind than this cannot converge from the feed")
 	flag.IntVar(&cfg.TraceRetain, "trace-retain", 512, "completed trace fragments retained for GET /trace/{id} (0 retains none)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0.05, "probability of retaining an unremarkable trace; slow and errored traces are always retained")

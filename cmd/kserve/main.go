@@ -47,7 +47,7 @@ func main() {
 	addr := flag.String("addr", ":8321", "listen address")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "corpus seed")
 	flag.Float64Var(&cfg.Scale, "scale", 1.0, "corpus scale")
-	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "in-memory cache budget in entry weight: each entry's binary payload plus 128 B of per-entry overhead, so it bounds resident memory (0 = default 64 MiB)")
+	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "in-memory cache budget in entry weight: each entry's binary payload plus 100 B of per-entry overhead, so it bounds resident memory (0 = default 64 MiB)")
 	flag.StringVar(&cfg.CacheRemote, "cache-remote", "", "optional kcached URL for the shared fleet cache tier (e.g. http://cache-host:8322)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", runtime.GOMAXPROCS(0), "max concurrent read requests (/scan, /batch) (0 = unlimited, no admission control)")
 	flag.IntVar(&cfg.MaxQueued, "max-queued", 64, "max read requests waiting for an inflight slot before shedding with 429")

@@ -30,8 +30,10 @@ func fuzzResult(variant byte) *engine.Result {
 }
 
 // checkMemory verifies the slab's structure: the LRU ring walked from
-// the head and from the tail agree, the id index and the LRU ring are a
-// bijection, the per-function rings hold exactly the live entries with
+// the head and from the tail agree, the index's cells and the LRU ring
+// are a bijection — each cell tagged with its slot's digest, each entry
+// found from its home, at most 3/4 of the cells in use — the
+// per-function rings hold exactly the live entries with
 // intact back links, free slots are reachable from no ring, every slot
 // is accounted for in full chunks, and the byte total is the sum of live
 // weights within budget.
@@ -64,8 +66,8 @@ func checkMemory(t *testing.T, m *Memory, op string) {
 		if live[i] || e.fn <= 0 || s[e.fn].fn != e.fn {
 			t.Fatalf("%s: LRU slot %d is repeated or has no function sentinel (fn=%d)", op, i, e.fn)
 		}
-		if m.ids[e.id] != i {
-			t.Fatalf("%s: LRU slot %d missing from the id index", op, i)
+		if j, ok := m.find(e.id); !ok || j != i {
+			t.Fatalf("%s: LRU slot %d not found in the index (found %d, %v)", op, i, j, ok)
 		}
 		if _, err := decodeResult(e.payload); err != nil {
 			t.Fatalf("%s: slot %d payload does not decode: %v", op, i, err)
@@ -73,8 +75,22 @@ func checkMemory(t *testing.T, m *Memory, op string) {
 		live[i] = true
 		bytes += weight(e.payload)
 	}
-	if len(m.ids) != len(live) || m.n != len(live) {
-		t.Fatalf("%s: id index has %d ids, n=%d, LRU ring %d entries", op, len(m.ids), m.n, len(live))
+	cells := map[int32]bool{}
+	for h, c := range m.index {
+		if c == 0 {
+			continue
+		}
+		i := int32(uint32(c))
+		if !live[i] || cells[i] || uint32(c>>32) != tagOf(s[i].id) {
+			t.Fatalf("%s: index cell %d (slot %d) is not one live entry's, under its digest's tag", op, h, i)
+		}
+		cells[i] = true
+	}
+	if len(cells) != len(live) || m.n != len(live) {
+		t.Fatalf("%s: index has %d cells, n=%d, LRU ring %d entries", op, len(cells), m.n, len(live))
+	}
+	if n := len(m.index); n&(n-1) != 0 || 4*len(cells) > 3*n {
+		t.Fatalf("%s: %d cells in use of %d: not a power of two, or over 3/4 load", op, len(cells), n)
 	}
 	inFunc := map[int32]bool{}
 	for fh, f := range m.funcs {
@@ -131,7 +147,7 @@ func lruIDs(m *Memory) []Digest {
 // checkGetMany runs m.GetMany(keys) and checks it against sequential
 // Gets in key order: the same LRU order afterwards, one hit or miss per
 // key in the books, and a payload exactly for the keys that were present,
-// each the slice the id index held for the key's digest before the call:
+// each the slice the index held for the key's digest before the call:
 // the stored bytes themselves, not a copy.
 func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 	t.Helper()
@@ -144,7 +160,8 @@ func checkGetMany(t *testing.T, m *Memory, keys []Key) {
 		ids[i] = d
 		if at := slices.Index(want, d); at >= 0 {
 			want = append([]Digest{d}, slices.Delete(want, at, at+1)...)
-			stored[i] = m.at(m.ids[d]).payload
+			j, _ := m.find(d)
+			stored[i] = m.at(j).payload
 			hits++
 		}
 	}
@@ -192,8 +209,10 @@ func checkSame(t *testing.T, m, seq *Memory, op string) {
 	if got, want := m.Stats(), seq.Stats(); got != want {
 		t.Fatalf("%s: stats %+v, sequential Puts %+v", op, got, want)
 	}
-	for id, i := range m.ids {
-		if !bytes.Equal(m.at(i).payload, seq.at(seq.ids[id]).payload) {
+	for _, id := range lruIDs(m) {
+		i, _ := m.find(id)
+		j, _ := seq.find(id)
+		if !bytes.Equal(m.at(i).payload, seq.at(j).payload) {
 			t.Fatalf("%s: payloads differ from sequential Puts", op)
 		}
 	}

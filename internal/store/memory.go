@@ -2,19 +2,22 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"sync"
 
 	"knighter/internal/engine"
 )
 
 // DefaultMemoryBytes bounds the in-memory tier when the caller passes a
-// non-positive capacity: 64 MiB of entry weight, ~490k report-free
+// non-positive capacity: 64 MiB of entry weight, ~630k report-free
 // results — hundreds of checker revisions over a full-scale corpus.
 const DefaultMemoryBytes = 64 << 20
 
-// entryOverhead is what an entry keeps resident besides its payload: an
-// 80-byte slot, its share of the id index, size-class rounding.
-const entryOverhead = 128
+// entryOverhead is what an entry keeps resident besides its payload's
+// length: an 80-byte slot, its payload's size-class rounding and its
+// 8-byte index cell at 3/8–3/4 load. TestMemoryResidencyMatchesWeight
+// measures it.
+const entryOverhead = 100
 
 // Memory is the in-memory LRU tier, bounded by the total weight of its
 // entries rather than their count — a pathological checker that caches
@@ -24,8 +27,8 @@ const entryOverhead = 128
 //
 // It holds bytes, not object graphs: a result is kept as the payload the
 // binary codec (codec.go) wrote for it, in a slab of slots linked by
-// index, behind an id index keyed by a pointer-free Digest, so the
-// payload is the only pointer per entry and the garbage collector has
+// index, found through a flat table of tagged slot numbers (index), so
+// the payload is the only pointer per entry and the garbage collector has
 // little to mark in a full tier. The tier neither encodes nor decodes:
 // PutMany stores the payload slices it is given and GetMany returns them.
 // A payload is immutable once stored — an overwrite replaces the slot's
@@ -34,7 +37,7 @@ const entryOverhead = 128
 // takes the mutex once; keys arrive hashed.
 //
 // A lookup looks for a key where a range put would have stored it
-// before it probes the id index (see next).
+// before it probes the index (see next).
 type Memory struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -45,7 +48,14 @@ type Memory struct {
 	// entry.
 	slab   []*[slabChunk]slot
 	nslots int32
-	ids    map[Digest]int32
+	// index finds an entry's slot by its digest: open addressing with
+	// linear probing over a power-of-two table, grown at 3/4 load. A cell
+	// is tag<<32 | slot, where the tag is the digest's first 4 bytes and
+	// its low bits pick the cell's home; 0 is an empty cell, as slot 0 is
+	// the root. The slot keeps the full digest, so the table holds no
+	// second copy of it: a probe reads a slot only when a tag matches, and
+	// growing or deleting reads none.
+	index []uint64
 	// funcs maps a FuncHash to the sentinel slot of its entries' ring,
 	// so corpus mutation can drop a function's entries without a sweep.
 	funcs map[string]int32
@@ -53,9 +63,9 @@ type Memory struct {
 	stats Stats
 }
 
-// slot is an entry (payload: its encoded result; fn: its function's
-// sentinel), a sentinel (payload: the function hash; fn: itself) or free
-// (fn: -1).
+// slot is an entry (payload: its encoded result; id: its key's digest,
+// the tier's one copy of it; fn: its function's sentinel), a sentinel
+// (payload: the function hash; fn: itself) or free (fn: -1).
 type slot struct {
 	payload      []byte
 	id           Digest
@@ -86,7 +96,7 @@ func NewMemory(maxBytes int64) *Memory {
 		maxBytes: maxBytes,
 		slab:     []*[slabChunk]slot{new([slabChunk]slot)},
 		nslots:   1,
-		ids:      map[Digest]int32{},
+		index:    make([]uint64, 1024),
 		funcs:    map[string]int32{},
 		free:     -1,
 	}
@@ -103,8 +113,8 @@ func (m *Memory) Get(ctx context.Context, k Key) (*engine.Result, bool) {
 // under one lock acquisition per 64 keys — leaving the ring as
 // sequential Gets in key order would, and never holding the lock for a
 // whole kcached body. Each key is first looked for near the previous
-// hit (next), and only then in m.ids. The context is unused; a map
-// lookup has no network wait to abort.
+// hit (next), and only then in the index (find). The context is unused:
+// a lookup has no network wait to abort.
 func (m *Memory) GetMany(ctx context.Context, _ []Key, ids []Digest, out [][]byte) {
 	for len(ids) > 64 {
 		m.GetMany(ctx, nil, ids[:64], out[:64])
@@ -124,7 +134,7 @@ func (m *Memory) GetMany(ctx context.Context, _ []Key, ids []Digest, out [][]byt
 		}
 		s, ok := m.next(last, step, id)
 		if !ok {
-			s, ok = m.ids[id]
+			s, ok = m.find(id)
 		}
 		if ok {
 			m.toFront(s)
@@ -152,8 +162,8 @@ func (m *Memory) GetMany(ctx context.Context, _ []Key, ids []Digest, out [][]byt
 // a probe in random order reads no random slot), then the next slot or
 // the one past a sentinel there. A guessed slot counts only if it is a
 // live entry whose id is the probed digest, and ids are unique among
-// live entries, so it is the slot m.ids holds for id. The index stays
-// the only source of truth and answers any other order.
+// live entries, so it is the slot the index holds for id. The index
+// stays the only source of truth and answers any other order.
 func (m *Memory) next(last, step int32, id Digest) (int32, bool) {
 	if last == 0 {
 		return 0, false
@@ -170,12 +180,80 @@ func (m *Memory) next(last, step int32, id Digest) (int32, bool) {
 
 // holds reports whether slot i is the live entry stored under id: in
 // use, not the root, not a sentinel (fn is itself) and not free (fn -1).
+// The index needs no such check: its cells name live entries only.
 func (m *Memory) holds(i int32, id Digest) bool {
 	if i <= 0 || i >= m.nslots {
 		return false
 	}
 	e := m.at(i)
 	return e.fn >= 0 && e.fn != i && e.id == id
+}
+
+// tagOf is the digest's first 4 bytes. Digests are SHA-256, so tags are
+// uniform, and their low bits spread homes as well as any hash would.
+func tagOf(id Digest) uint32 { return binary.LittleEndian.Uint32(id[:4]) }
+
+// cell is slot i's index cell under tag t.
+func cell(t uint32, i int32) uint64 { return uint64(t)<<32 | uint64(uint32(i)) }
+
+// home is the cell a tagged cell c is probed from in a table of mask+1.
+func home(c uint64, mask int) int { return int(c>>32) & mask }
+
+// find returns the slot of the live entry stored under id. It probes
+// from id's home to the first empty cell, and reads a slot only for a
+// cell whose tag is id's.
+func (m *Memory) find(id Digest) (int32, bool) {
+	t, mask := tagOf(id), len(m.index)-1
+	for h := int(t) & mask; m.index[h] != 0; h = (h + 1) & mask {
+		if c := m.index[h]; uint32(c>>32) == t && m.at(int32(uint32(c))).id == id {
+			return int32(uint32(c)), true
+		}
+	}
+	return 0, false
+}
+
+// insert adds cell c, a new entry's, doubling the table first if the
+// entry would take it past 3/4 load. Growing rehashes the cells by their
+// tags alone.
+func (m *Memory) insert(c uint64) {
+	if 4*(m.n+1) > 3*len(m.index) {
+		old := m.index
+		m.index = make([]uint64, 2*len(old))
+		for _, o := range old {
+			if o != 0 {
+				place(m.index, o)
+			}
+		}
+	}
+	place(m.index, c)
+}
+
+// place stores c in the first empty cell from its home.
+func place(index []uint64, c uint64) {
+	mask := len(index) - 1
+	h := home(c, mask)
+	for index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	index[h] = c
+}
+
+// unindex removes cell c, then closes the hole it leaves by shifting
+// back each later cell of the cluster whose home is not cyclically in
+// (hole, j]: every cell stays reachable from its home with no empty
+// cell between, and no tombstone is left.
+func (m *Memory) unindex(c uint64) {
+	mask := len(m.index) - 1
+	hole := home(c, mask)
+	for m.index[hole] != c {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; m.index[j] != 0; j = (j + 1) & mask {
+		if (j-home(m.index[j], mask))&mask >= (j-hole)&mask {
+			m.index[hole], hole = m.index[j], j
+		}
+	}
+	m.index[hole] = 0
 }
 
 // Put is the one-key PutMany, encoding r (a nil r is not stored).
@@ -202,7 +280,7 @@ func (m *Memory) PutMany(_ context.Context, keys []Key, ids []Digest, payloads [
 // moves it to the front of the LRU ring and evicts back to the budget.
 func (m *Memory) putLocked(id Digest, funcHash string, payload []byte) {
 	m.stats.Puts++
-	i, ok := m.ids[id]
+	i, ok := m.find(id)
 	if ok {
 		e := m.at(i)
 		m.bytes += weight(payload) - weight(e.payload)
@@ -218,7 +296,7 @@ func (m *Memory) putLocked(id Digest, funcHash string, payload []byte) {
 		e, fs := m.at(i), m.at(f)
 		e.fprev, e.fnext = f, fs.fnext
 		m.at(fs.fnext).fprev, fs.fnext = i, i
-		m.ids[id] = i
+		m.insert(cell(tagOf(id), i))
 		m.bytes += weight(payload)
 		m.n++
 	}
@@ -281,14 +359,14 @@ func (m *Memory) InvalidateFuncs(funcHashes []string) int {
 	return n
 }
 
-// removeLocked unlinks entry i from both rings, the id index and the
+// removeLocked unlinks entry i from both rings, the index and the
 // byte accounting, and frees its slot — and its function's sentinel if
 // its ring is now empty, which it reports.
 func (m *Memory) removeLocked(i int32) (lastOfFunc bool) {
 	e := *m.at(i)
 	m.at(e.prev).next, m.at(e.next).prev = e.next, e.prev
 	m.at(e.fprev).fnext, m.at(e.fnext).fprev = e.fnext, e.fprev
-	delete(m.ids, e.id)
+	m.unindex(cell(tagOf(e.id), i))
 	m.bytes -= weight(e.payload)
 	m.n--
 	*m.at(i), m.free = slot{next: m.free, fn: -1}, i

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 )
 
 // TestMemoryLookupChecksTheGuessedSlot: a lookup tries the slots after
-// its previous hit before the id index, and a guess counts only when it
+// its previous hit before the index, and a guess counts only when it
 // holds the live entry of the probed key. Here the slot after a hit is
 // a sentinel, a freed slot, and a freed slot reused by a different key;
 // checkGetMany compares every answer with the payload the index holds.
@@ -29,12 +31,172 @@ func TestMemoryLookupChecksTheGuessedSlot(t *testing.T) {
 
 	d := fkey("fD", "ck")
 	m.Put(bg, d, result("d")) // fD's sentinel in slot 3, d in slot 4
-	if i := m.ids[d.Digest()]; i != 4 {
+	if i, _ := m.find(d.Digest()); i != 4 {
 		t.Fatalf("d stored in slot %d, want the freed slot 4", i)
 	}
 	checkGetMany(t, m, []Key{a, c, d}) // slot a+2 is d now, not c
 	checkGetMany(t, m, []Key{a, d, c})
 	checkMemory(t, m, "after lookups")
+}
+
+// TestMemoryIndexWrapsDeletesAndGrows drives the index through the cases
+// a random workload seldom reaches: digests that share a tag and whose
+// homes are the table's last cells, so that their cluster wraps past the
+// end of the table and entries homed at its first cells sit behind them.
+// It deletes from the middle, the head and the wrapped tail of such a
+// cluster, overwrites, re-inserts, and doubles the table while the
+// cluster wraps. After every step each live entry is found from its home
+// (checkMemory) and GetMany answers exactly the live set, the deleted
+// keys missing.
+func TestMemoryIndexWrapsDeletesAndGrows(t *testing.T) {
+	m := NewMemory(0)
+	n := len(m.index)
+	// dig is a digest under tag with serial k: entries that share a tag
+	// differ only past it. Each entry is its own function, so it can be
+	// deleted alone.
+	dig := func(tag uint32, k int) Digest {
+		var d Digest
+		binary.LittleEndian.PutUint32(d[:4], tag)
+		binary.LittleEndian.PutUint32(d[4:8], uint32(k))
+		return d
+	}
+	fn := func(d Digest) string { return "f" + strconv.FormatUint(binary.LittleEndian.Uint64(d[:8]), 16) }
+	live := map[Digest][]byte{}
+	var gone []Digest
+	put := func(d Digest, msg string) {
+		p := Encode(result(msg))
+		m.PutMany(bg, []Key{fkey(fn(d), "ck")}, []Digest{d}, [][]byte{p})
+		live[d] = p
+	}
+	drop := func(d Digest) {
+		if got := m.InvalidateFuncs([]string{fn(d)}); got != 1 {
+			t.Fatalf("dropping %s removed %d entries", fn(d), got)
+		}
+		delete(live, d)
+		gone = append(gone, d)
+	}
+	check := func(step string) {
+		t.Helper()
+		checkMemory(t, m, step)
+		var ids []Digest
+		for d := range live {
+			ids = append(ids, d)
+		}
+		ids = append(ids, gone...)
+		out := make([][]byte, len(ids))
+		m.GetMany(bg, nil, ids, out)
+		for i, d := range ids {
+			want, ok := live[d]
+			if got := out[i]; (got != nil) != ok || ok && &got[0] != &want[0] {
+				t.Fatalf("%s: %s answered %v, live=%v, or not with its stored payload", step, fn(d), got != nil, ok)
+			}
+		}
+	}
+	// tagAt is the tag held in cell h, -1 for an empty cell.
+	tagAt := func(h int) int64 {
+		if m.index[h] == 0 {
+			return -1
+		}
+		return int64(m.index[h] >> 32)
+	}
+
+	const last, prev = 1<<32 - 1, 1<<32 - 2 // homes: the last two cells, at any size
+	b1 := dig(prev, 1)
+	a := []Digest{dig(last, 1), dig(last, 2), dig(last, 3), dig(last, 4)}
+	c, d := dig(0, 1), dig(1, 1) // homes 0 and 1, behind the wrapped cluster
+	put(b1, "b1")
+	for i, id := range a {
+		put(id, "a"+strconv.Itoa(i))
+	}
+	put(c, "c")
+	put(d, "d")
+	// Cells n-2 .. 4: b1, a0, a1, a2, a3, c, d.
+	if tagAt(n-2) != prev || tagAt(n-1) != last || tagAt(0) != last || tagAt(2) != last || tagAt(3) != 0 || tagAt(4) != 1 {
+		t.Fatalf("cluster not laid out across the wrap")
+	}
+	check("wrapped")
+	drop(a[1]) // cell 0: a2, a3, c and d shift back one cell each
+	check("middle of the wrap deleted")
+	drop(b1) // the cluster's head: nothing may move into a cell before its home
+	check("head deleted")
+	drop(a[0]) // cell n-1: the wrapped tail shifts back across the end
+	check("cell before the wrap deleted")
+	if tagAt(n-1) != last || tagAt(1) != 0 || tagAt(2) != 1 {
+		t.Fatalf("wrapped tail did not shift back across the end")
+	}
+	put(a[2], "a2 again") // overwrite: still one cell
+	check("overwritten")
+	put(a[1], "a1 again")
+	put(b1, "b1 again")
+	check("re-inserted")
+
+	// Fill to the table's 3/4 load and one past it, with tags spread
+	// over the middle cells, so the table doubles while the cluster wraps.
+	for k := 0; len(m.index) == n; k++ {
+		put(dig(uint32(16+k*(n-32)/(3*n/4)), k), "filler")
+	}
+	// The rehash moves cells in table order: a3 (old cell 0) takes the
+	// new last cell, c and d their homes 0 and 1, and a1 and a2 wrap
+	// behind them into cells 2 and 3.
+	n = len(m.index)
+	if tagAt(n-1) != last || tagAt(0) != 0 || tagAt(1) != 1 || tagAt(2) != last || tagAt(3) != last {
+		t.Fatalf("cluster under the last tag no longer wraps after growing to %d cells", n)
+	}
+	check("grown")
+	drop(d) // cell 1: a1 and a2 shift back past their homes' wrap
+	check("wrapped tail deleted after growing")
+	drop(a[3]) // cell n-1: a1 shifts back across the end, over c at home
+	check("cell before the wrap deleted after growing")
+	if tagAt(n-1) != last || tagAt(0) != 0 || tagAt(1) != last || tagAt(2) != -1 {
+		t.Fatalf("wrapped tail did not shift back across the end after growing")
+	}
+	put(d, "d again")
+	check("re-inserted after growing")
+}
+
+// TestMemoryResidencyMatchesWeight pins entryOverhead to what an entry
+// keeps resident: a tier filled the way a cold sweep fills one — 250k
+// report-free results of 1 558 functions under successive checker
+// revisions, each payload its own allocation — must grow the live heap
+// by its entries' weight, within 15 %. The index's share swings with its
+// load, which 250k entries put midway between the 3/8 and 3/4 bounds.
+func TestMemoryResidencyMatchesWeight(t *testing.T) {
+	const entries, funcs = 250_000, 1558
+	fhs := make([]string, funcs)
+	for f := range fhs {
+		fhs[f] = Hash("func", strconv.Itoa(f))
+	}
+	keys, ids, ps := make([]Key, 0, 64), make([]Digest, 0, 64), make([][]byte, 0, 64)
+	var rev string
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewMemory(1 << 30)
+	for i := 0; i < entries; i++ {
+		if i%funcs == 0 {
+			rev = Hash("rev", strconv.Itoa(i/funcs))
+		}
+		k := Key{FuncHash: fhs[i%funcs], CheckerFP: rev, EngineFP: "e"}
+		keys, ids = append(keys, k), append(ids, k.Digest())
+		ps = append(ps, Encode(&engine.Result{Paths: 1, Steps: i % 50}))
+		if len(keys) == cap(keys) || i == entries-1 {
+			m.PutMany(bg, keys, ids, ps)
+			keys, ids, ps = keys[:0], ids[:0], ps[:0]
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := m.Stats()
+	if st.Entries != entries || st.Evictions != 0 {
+		t.Fatalf("filled %d entries with %d evictions, want %d and none", st.Entries, st.Evictions, entries)
+	}
+	resident := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
+	w := float64(st.Bytes) / entries
+	t.Logf("%.1f B resident, %.1f B weight per entry (%d index cells)", resident, w, len(m.index))
+	if resident < 0.85*w || resident > 1.15*w {
+		t.Fatalf("an entry keeps %.1f B resident but weighs %.1f B: entryOverhead is off by more than 15 %%", resident, w)
+	}
+	runtime.KeepAlive(m)
 }
 
 // TestMemoryLookupChecksTheStep: several checkers' results stored
@@ -74,8 +236,10 @@ func TestMemoryLookupChecksTheStep(t *testing.T) {
 // "batch" stores each range function by function with all riders
 // together, as a cold multi-checker /batch does, so each hit sits a
 // fixed step past the previous one; "shuffled" probes the "stored" tier
-// in random 64-key ranges, so every key takes the id index: the cost of
-// the fallback.
+// in random 64-key ranges, so every key takes the index: the cost of
+// the fallback; "absent" probes keys the tier does not hold, as a cold
+// sweep's every probe is, so every key walks its cluster to an empty
+// cell.
 func BenchmarkMemoryGetMany(b *testing.B) {
 	const riders, funcs, rangeSize = 12, 1558, 64
 	put := func(m *Memory, keys []Key) {
@@ -114,15 +278,25 @@ func BenchmarkMemoryGetMany(b *testing.B) {
 	for lo := 0; lo < len(all); lo += rangeSize {
 		shuffled = append(shuffled, all[lo:min(lo+rangeSize, len(all))])
 	}
+	var absent [][]Key
+	for _, keys := range ranges {
+		miss := make([]Key, len(keys))
+		for i, k := range keys {
+			miss[i] = fkey(k.FuncHash, "absent-"+k.CheckerFP)
+		}
+		absent = append(absent, miss)
+	}
 	for _, bc := range []struct {
 		name   string
 		m      *Memory
 		ranges [][]Key
-	}{{"stored", stored, ranges}, {"batch", batch, ranges}, {"shuffled", stored, shuffled}} {
+		hit    bool
+	}{{"stored", stored, ranges, true}, {"batch", batch, ranges, true}, {"shuffled", stored, shuffled, true}, {"absent", stored, absent, false}} {
 		ids := make([][]Digest, len(bc.ranges))
 		for i, keys := range bc.ranges {
 			ids[i] = digests(keys)
 		}
+		before := bc.m.Stats()
 		b.Run(bc.name, func(b *testing.B) {
 			out := make([][]byte, rangeSize)
 			for i := 0; i < b.N; i++ {
@@ -132,8 +306,54 @@ func BenchmarkMemoryGetMany(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(all)), "ns/key")
 		})
-		if st := bc.m.Stats(); st.Misses != 0 {
-			b.Fatalf("%s: %d misses on a tier holding every probed key", bc.name, st.Misses)
+		st := bc.m.Stats()
+		if hits, misses := st.Hits-before.Hits, st.Misses-before.Misses; bc.hit && misses != 0 || !bc.hit && hits != 0 {
+			b.Fatalf("%s: %d hits and %d misses, want all hits: %v", bc.name, hits, misses, bc.hit)
 		}
+	}
+}
+
+// BenchmarkMemoryPutMany stores one checker revision's results over
+// 1 558 functions, as 64-key ranges of new keys, into a tier that
+// already holds ≈ 300k entries: a cold sweep's put. Each iteration's
+// keys, digests and payloads are made, and its entries dropped again,
+// with the timer stopped, so the resident population is the prefill's
+// for any b.N.
+func BenchmarkMemoryPutMany(b *testing.B) {
+	const funcs, rangeSize = 1558, 64
+	m := NewMemory(1 << 30)
+	revision := func(prefix, fp string) (keys []Key, ids []Digest, ps [][]byte) {
+		for f := 0; f < funcs; f++ {
+			keys = append(keys, fkey(prefix+strconv.Itoa(f), fp))
+			ps = append(ps, Encode(&engine.Result{Paths: 1, Steps: f % 50}))
+		}
+		return keys, digests(keys), ps
+	}
+	for rev := 0; rev < 300_000/funcs; rev++ {
+		keys, ids, ps := revision("p", "prefill-"+strconv.Itoa(rev))
+		m.PutMany(bg, keys, ids, ps)
+	}
+	resident := m.Stats().Entries
+	var hashes []string
+	for f := 0; f < funcs; f++ {
+		hashes = append(hashes, "f"+strconv.Itoa(f))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		keys, ids, ps := revision("f", "ck"+strconv.Itoa(i))
+		b.StartTimer()
+		for lo := 0; lo < funcs; lo += rangeSize {
+			hi := min(lo+rangeSize, funcs)
+			m.PutMany(bg, keys[lo:hi], ids[lo:hi], ps[lo:hi])
+		}
+		b.StopTimer()
+		m.InvalidateFuncs(hashes)
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*funcs), "ns/key")
+	if st := m.Stats(); st.Entries != resident || st.Evictions != 0 {
+		b.Fatalf("%d entries resident after the puts, %d before, %d evictions", st.Entries, resident, st.Evictions)
 	}
 }
