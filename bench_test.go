@@ -1048,7 +1048,8 @@ func synthRevisions(b *testing.B, t1 *eval.Table1Result, tag string, from, n int
 // 2 and 4: every function misses under every revision. A function is
 // explored once for the revisions that can act on it; the others copy its
 // no-checker baseline, memoized on the codebase after the first
-// iteration, and quiet/op counts those copies. Each revision's result is
+// iteration, and quiet/op counts those copies; loud/op counts the misses
+// explored, the pairs a checker can act on. Each revision's result is
 // then one store put. Successive iterations walk the valid checkers, so
 // ns/op averages over them.
 func BenchmarkBatchScanCold(b *testing.B) {
@@ -1056,7 +1057,7 @@ func BenchmarkBatchScanCold(b *testing.B) {
 	for _, size := range []int{2, 4} {
 		b.Run(fmt.Sprintf("revisions=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
-			quiet := 0
+			quiet, loud := 0, 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cks := synthRevisions(b, t1, fmt.Sprint(i), i*size, size)
@@ -1067,9 +1068,11 @@ func BenchmarkBatchScanCold(b *testing.B) {
 						b.Fatalf("cold batch hit %d times", res.CacheHits)
 					}
 					quiet += res.QuietResults
+					loud += res.CacheMisses - res.QuietResults
 				}
 			}
 			b.ReportMetric(float64(quiet)/float64(b.N), "quiet/op")
+			b.ReportMetric(float64(loud)/float64(b.N), "loud/op")
 		})
 	}
 }

@@ -191,6 +191,7 @@ type Context struct {
 	file   string
 	pos    minic.Pos
 	sink   func(*Report)
+	fp     *LazyFootprint
 	// declTypes maps local/param names to their declared types, for
 	// sizeof-style queries by checkers.
 	declTypes map[string]minic.Type
@@ -199,9 +200,26 @@ type Context struct {
 // NewContext is used by the engine (and tests) to construct a context.
 func NewContext(arena *sym.Arena, state *sym.State, values map[minic.Expr]sym.Value,
 	trace []TraceStep, fn, file string, pos minic.Pos,
-	declTypes map[string]minic.Type, sink func(*Report)) *Context {
+	declTypes map[string]minic.Type, fp *LazyFootprint, sink func(*Report)) *Context {
 	return &Context{arena: arena, state: state, values: values, trace: trace,
-		fn: fn, file: file, pos: pos, declTypes: declTypes, sink: sink}
+		fn: fn, file: file, pos: pos, declTypes: declTypes, fp: fp, sink: sink}
+}
+
+// LazyFootprint is the footprint of one function, made on first use. The
+// engine keeps one per analysis and hands it to the contexts of all the
+// analysis's riders: they share one footprint, and an analysis whose
+// callbacks never ask for it pays nothing.
+type LazyFootprint struct {
+	fn   *minic.FuncDecl
+	fp   minic.Footprint
+	made bool
+}
+
+// Reset points l at fn (nil for none), dropping the footprint it made
+// before but keeping its slices.
+func (l *LazyFootprint) Reset(fn *minic.FuncDecl) {
+	clear(l.fp.Callees)
+	l.fn, l.made = fn, false
 }
 
 // Rebind points the context at the next event, so the engine can keep
@@ -237,6 +255,17 @@ func (c *Context) ValueOf(e minic.Expr) sym.Value {
 		return v
 	}
 	return sym.Unknown
+}
+
+// Footprint returns the footprint of the function under analysis, the
+// value minic.Footprint.Reset makes of it. It is read-only.
+func (c *Context) Footprint() *minic.Footprint {
+	l := c.fp
+	if !l.made {
+		l.fp.Reset(l.fn)
+		l.made = true
+	}
+	return &l.fp
 }
 
 // FuncName returns the function under analysis.

@@ -19,7 +19,11 @@ func Compile(spec *Spec) (*Compiled, error) {
 	if err := validate(spec); err != nil {
 		return nil, err
 	}
-	return &Compiled{spec: spec}, nil
+	dom := func(which string) string { return "ck:" + spec.Name + ":" + which }
+	return &Compiled{spec: spec, dom: domains{
+		track: dom("track"), desc: dom("desc"), derived: dom("derived"), lock: dom("lock"),
+		unterm: dom("unterm"), uninit: dom("uninit"), bounded: dom("bounded"),
+	}}, nil
 }
 
 // CompileSource parses and compiles DSL text in one step.
@@ -81,6 +85,13 @@ func validate(spec *Spec) error {
 // Compiled is an executable checker lowered from a Spec.
 type Compiled struct {
 	spec *Spec
+	dom  domains
+}
+
+// domains are the checker's fact domains, "ck:<name>:<which>", built once
+// at Compile rather than on every callback.
+type domains struct {
+	track, desc, derived, lock, unterm, uninit, bounded string
 }
 
 // Spec returns the underlying spec.
@@ -95,8 +106,13 @@ func (ck *Compiled) Name() string { return "knighter." + ck.spec.Name }
 // on semantics), so hashing the rendering is a sound semantic key: two
 // refinement rounds that produce the same spec — the common case for
 // rejected or no-op refinements — hit the same cache entries.
+//
+// v2: a 'boundcheck' guard no longer writes its 'bounded' facts on a
+// function where QuietOn holds. Those facts change no report, but they
+// sit in the engine's visited keys, so a v1 entry for such a function
+// may carry other path and step counts.
 func (ck *Compiled) Fingerprint() string {
-	h := sha256.Sum256([]byte("ckdsl:v1:" + ck.spec.String()))
+	h := sha256.Sum256([]byte("ckdsl:v2:" + ck.spec.String()))
 	return hex.EncodeToString(h[:16])
 }
 
@@ -104,20 +120,30 @@ func (ck *Compiled) Fingerprint() string {
 func (ck *Compiled) BugType() string { return ck.spec.BugTypeName }
 
 // QuietOn implements checker.Quieter. The checker is loud on a function
-// that calls a callee one of its rules names, declares an uninitialized
-// local its 'decl uninit' source tracks, compares where it has a
-// 'boundcheck' guard, or indexes where it has an 'index constant-oob'
-// sink. Otherwise every fact domain stays empty, callback by callback:
+// that calls a callee one of its rules names — for a 'mul-overflow' sink,
+// with a product at the sink's argument or too few arguments to have one
+// — declares an uninitialized local its 'decl uninit' source tracks, or
+// indexes where it has an 'index constant-oob' sink. Otherwise every fact
+// domain stays empty, callback by callback:
 //   - CheckDecl sets a fact only for a 'decl uninit' source on an
 //     initializer-less non-array declaration (with a cleanup when the
 //     source is cleanup-only).
 //   - CheckPostCall and CheckPreCall act only under a rule whose callee
 //     is the event's, and every call event's callee is in the footprint;
 //     the argument indexing that panics on a hallucinated index sits
-//     behind those matches. CheckBind's syntactic nullable source matches
-//     a right-hand-side call by name, which the footprint also counts.
-//   - CheckBranchCondition sets the 'bounded' fact only for a
-//     'boundcheck' guard on a comparison.
+//     behind those matches. The 'mul-overflow' sink reads its argument
+//     strictly, which panics only on a call with too few arguments,
+//     reports only at a product there, and writes no state: on a
+//     function where MulAt is false it does nothing. CheckBind's
+//     syntactic nullable source matches a right-hand-side call by name,
+//     which the footprint also counts.
+//   - CheckBranchCondition's 'boundcheck' guard returns at once on a
+//     function QuietOn holds for, so there it writes nothing. No report
+//     needs what it would have written: its 'bounded' facts are read only
+//     by isBounded, in the copy-overflow, negative-argument and
+//     mul-overflow sinks, each of which acts only where the rules above
+//     make the function loud, and its 'track' transition needs a taint
+//     fact, which only a source sets.
 //   - Every other write (the nullcheck guard, the releases, init and
 //     terminate guards, the alloc escapes, the reporting sinks' state
 //     updates) first reads a fact that one of the above set.
@@ -139,20 +165,22 @@ func (ck *Compiled) QuietOn(fp *minic.Footprint) bool {
 		}
 	}
 	for _, g := range ck.spec.Guards {
-		if fp.Calls(g.Callee) || (g.Kind == GuardBoundCheck && fp.Compare) {
+		if fp.Calls(g.Callee) {
 			return false
 		}
 	}
 	for _, sk := range ck.spec.Sinks {
-		if fp.Calls(sk.Callee) || (sk.Kind == SinkIndexConstOOB && fp.Index) {
+		switch {
+		case sk.Kind == SinkMulOverflow:
+			if fp.MulAt(sk.Callee, sk.Arg) {
+				return false
+			}
+		case fp.Calls(sk.Callee), sk.Kind == SinkIndexConstOOB && fp.Index:
 			return false
 		}
 	}
 	return true
 }
-
-// Per-checker fact domains.
-func (ck *Compiled) dom(which string) string { return "ck:" + ck.spec.Name + ":" + which }
 
 const (
 	stNullableUnchecked = "nullable:unchecked"
@@ -210,7 +238,7 @@ func (ck *Compiled) isBounded(st *sym.State, v sym.Value) bool {
 	if !ok {
 		return false
 	}
-	_, bounded := st.Fact(ck.dom("bounded"), key)
+	_, bounded := st.Fact(ck.dom.bounded, key)
 	return bounded
 }
 
@@ -253,7 +281,7 @@ func (ck *Compiled) CheckDecl(d *minic.DeclStmt, region sym.RegionID, c *checker
 		if d.Cleanup != "" {
 			status = stUninitCleanup
 		}
-		c.SetState(c.State().SetRegionFact(ck.dom("uninit"), region, status))
+		c.SetState(c.State().SetRegionFact(ck.dom.uninit, region, status))
 	}
 }
 
@@ -277,46 +305,46 @@ func (ck *Compiled) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
 					case "taint":
 						status = stTaintUnchecked
 					}
-					st = st.SetFact(ck.dom("track"), key, status)
-					st = st.SetFact(ck.dom("desc"), key, ev.Callee+"()")
+					st = st.SetFact(ck.dom.track, key, status)
+					st = st.SetFact(ck.dom.desc, key, ev.Callee+"()")
 				}
 			}
 			// Syntactic nullable tracking happens in CheckBind.
 		case SrcCallFrees:
 			v := ev.Args[src.Arg] // strict: hallucinated index crashes
 			if key, ok := ck.keyForArg(v, ev.ArgExpr(src.Arg)); ok {
-				st = st.SetFact(ck.dom("track"), key, stFreed)
-				st = st.SetFact(ck.dom("desc"), key, ev.Callee+"()")
+				st = st.SetFact(ck.dom.track, key, stFreed)
+				st = st.SetFact(ck.dom.desc, key, ev.Callee+"()")
 				// Propagate to derived pointers (e.g. private data
 				// obtained via netdev_priv()).
-				for _, child := range st.FactKeys(ck.dom("derived")) {
-					if parent, _ := st.Fact(ck.dom("derived"), child); parent == key {
-						st = st.SetFact(ck.dom("track"), child, stFreed)
-						st = st.SetFact(ck.dom("desc"), child, "data derived from "+ev.Callee+"() argument")
+				for _, child := range st.FactKeys(ck.dom.derived) {
+					if parent, _ := st.Fact(ck.dom.derived, child); parent == key {
+						st = st.SetFact(ck.dom.track, child, stFreed)
+						st = st.SetFact(ck.dom.desc, child, "data derived from "+ev.Callee+"() argument")
 					}
 				}
 			}
 		case SrcCallLocks:
 			v := ev.Args[src.Arg]
 			if key, ok := keyOf(v); ok {
-				st = st.SetFact(ck.dom("lock"), key, "locked")
+				st = st.SetFact(ck.dom.lock, key, "locked")
 			}
 		case SrcCallUnlocks:
 			v := ev.Args[src.Arg]
 			if key, ok := keyOf(v); ok {
-				st = st.DelFact(ck.dom("lock"), key)
+				st = st.DelFact(ck.dom.lock, key)
 			}
 		case SrcCallDerives:
 			pv := ev.Args[src.Arg]
 			if pkey, ok := keyOf(pv); ok {
 				if rkey, ok2 := keyOf(ev.Ret); ok2 {
-					st = st.SetFact(ck.dom("derived"), rkey, pkey)
+					st = st.SetFact(ck.dom.derived, rkey, pkey)
 				}
 			}
 		case SrcCallWrites:
 			r := ck.argBufferRegion(ev, src.Arg)
 			if r != sym.NoRegion {
-				st = st.SetRegionFact(ck.dom("unterm"), r, stUnterminated)
+				st = st.SetRegionFact(ck.dom.unterm, r, stUnterminated)
 			}
 		}
 	}
@@ -325,7 +353,7 @@ func (ck *Compiled) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
 		if g.Kind == GuardCallReleases && g.Callee == ev.Callee {
 			v := ev.Args[g.Arg]
 			if key, ok := keyOf(v); ok {
-				st = st.DelFact(ck.dom("track"), key)
+				st = st.DelFact(ck.dom.track, key)
 			}
 		}
 	}
@@ -335,8 +363,8 @@ func (ck *Compiled) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
 		for i, v := range ev.Args {
 			_ = i
 			if key, ok := keyOf(v); ok {
-				if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stAllocHeld && !ck.isAllocSource(ev.Callee) {
-					st = st.DelFact(ck.dom("track"), key)
+				if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stAllocHeld && !ck.isAllocSource(ev.Callee) {
+					st = st.DelFact(ck.dom.track, key)
 				}
 			}
 		}
@@ -365,8 +393,8 @@ func (ck *Compiled) CheckPreCall(ev *checker.CallEvent, c *checker.Context) {
 			}
 			v := ev.Args[rule.Arg]
 			if key, ok := ck.keyForArg(v, ev.ArgExpr(rule.Arg)); ok {
-				if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stFreed {
-					desc, _ := st.Fact(ck.dom("desc"), key)
+				if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stFreed {
+					desc, _ := st.Fact(ck.dom.desc, key)
 					c.Report(ck, ck.message(rule, fmt.Sprintf("double free: argument already freed by %v", desc)), sym.NoRegion)
 				}
 			}
@@ -376,7 +404,7 @@ func (ck *Compiled) CheckPreCall(ev *checker.CallEvent, c *checker.Context) {
 			}
 			v := ev.Args[rule.Arg]
 			if key, ok := keyOf(v); ok {
-				if _, locked := st.Fact(ck.dom("lock"), key); locked {
+				if _, locked := st.Fact(ck.dom.lock, key); locked {
 					c.Report(ck, ck.message(rule, "double lock: lock is already held"), sym.NoRegion)
 				}
 			}
@@ -388,9 +416,9 @@ func (ck *Compiled) CheckPreCall(ev *checker.CallEvent, c *checker.Context) {
 			if r == sym.NoRegion {
 				continue
 			}
-			if s, ok := st.RegionFact(ck.dom("unterm"), r); ok && s == stUnterminated {
+			if s, ok := st.RegionFact(ck.dom.unterm, r); ok && s == stUnterminated {
 				c.Report(ck, ck.message(rule, "string operation on buffer that may lack a terminating NUL"), r)
-				st = st.DelRegionFact(ck.dom("unterm"), r)
+				st = st.DelRegionFact(ck.dom.unterm, r)
 				c.SetState(st)
 			}
 		case SinkCallArgNegative:
@@ -489,15 +517,15 @@ func (ck *Compiled) CheckBind(ev *checker.BindEvent, c *checker.Context) {
 					// spelling match.
 					key = "e:" + c.Describe(ev.Region)
 				}
-				st = st.SetFact(ck.dom("track"), key, stNullableUnchecked)
-				st = st.SetFact(ck.dom("desc"), key, src.Callee+"()")
+				st = st.SetFact(ck.dom.track, key, stNullableUnchecked)
+				st = st.SetFact(ck.dom.desc, key, src.Callee+"()")
 			}
 		}
 	}
 	// Initialization guard for uninit tracking.
 	if ck.spec.hasGuardKind(GuardAssignInit) {
-		if s, ok := st.RegionFact(ck.dom("uninit"), ev.Region); ok && strings.HasPrefix(s.(string), "uninit") {
-			st = st.SetRegionFact(ck.dom("uninit"), ev.Region, stInit)
+		if s, ok := st.RegionFact(ck.dom.uninit, ev.Region); ok && strings.HasPrefix(s.(string), "uninit") {
+			st = st.SetRegionFact(ck.dom.uninit, ev.Region, stInit)
 		}
 	}
 	// Built-in escape for leak tracking: storing a held allocation into
@@ -505,9 +533,9 @@ func (ck *Compiled) CheckBind(ev *checker.BindEvent, c *checker.Context) {
 	// slot) publishes it — someone else can free it.
 	if ck.spec.yieldsAny("alloc") {
 		if key, ok := keyOf(ev.Value); ok {
-			if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stAllocHeld {
+			if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stAllocHeld {
 				if reg := c.Arena().Region(ev.Region); reg != nil && reg.Kind != sym.VarRegion {
-					st = st.DelFact(ck.dom("track"), key)
+					st = st.DelFact(ck.dom.track, key)
 				}
 			}
 		}
@@ -516,8 +544,8 @@ func (ck *Compiled) CheckBind(ev *checker.BindEvent, c *checker.Context) {
 	if ck.spec.hasGuardKind(GuardTerminate) {
 		if ev.Value.IsNullConst() {
 			if reg := c.Arena().Region(ev.Region); reg != nil && reg.Kind == sym.ElemRegion {
-				if _, ok := st.RegionFact(ck.dom("unterm"), reg.Parent); ok {
-					st = st.DelRegionFact(ck.dom("unterm"), reg.Parent)
+				if _, ok := st.RegionFact(ck.dom.unterm, reg.Parent); ok {
+					st = st.DelRegionFact(ck.dom.unterm, reg.Parent)
 				}
 			}
 		}
@@ -545,11 +573,14 @@ func (ck *Compiled) CheckBranchCondition(cond minic.Expr, c *checker.Context) {
 				keys = append(keys, exprKey(target))
 			}
 			for _, k := range keys {
-				if s, tracked := st.Fact(ck.dom("track"), k); tracked && s == stNullableUnchecked {
-					st = st.SetFact(ck.dom("track"), k, stNullableChecked)
+				if s, tracked := st.Fact(ck.dom.track, k); tracked && s == stNullableUnchecked {
+					st = st.SetFact(ck.dom.track, k, stNullableChecked)
 				}
 			}
 		case GuardBoundCheck:
+			if ck.QuietOn(c.Footprint()) {
+				continue // nothing here can read what the guard writes
+			}
 			e := minic.UnwrapCalls(cond, ck.spec.Unwrap...)
 			bin, ok := e.(*minic.BinaryExpr)
 			if !ok {
@@ -559,14 +590,14 @@ func (ck *Compiled) CheckBranchCondition(cond minic.Expr, c *checker.Context) {
 			case minic.Lt, minic.Gt, minic.Le, minic.Ge, minic.EqEq, minic.NotEq:
 				for _, side := range []minic.Expr{bin.X, bin.Y} {
 					if k, ok := keyOf(c.ValueOf(side)); ok {
-						if s, tracked := st.Fact(ck.dom("track"), k); tracked && s == stTaintUnchecked {
-							st = st.SetFact(ck.dom("track"), k, stTaintChecked)
+						if s, tracked := st.Fact(ck.dom.track, k); tracked && s == stTaintUnchecked {
+							st = st.SetFact(ck.dom.track, k, stTaintChecked)
 						}
 						// Any value that took part in a comparison counts
 						// as "developer bounded it somehow" for the
 						// size-reasoning sinks, even when the bound is
 						// not a constant the range engine understands.
-						st = st.SetFact(ck.dom("bounded"), k, "bounded")
+						st = st.SetFact(ck.dom.bounded, k, "bounded")
 					}
 				}
 			}
@@ -620,10 +651,10 @@ func (ck *Compiled) CheckLocation(ac *checker.Access, c *checker.Context) {
 			if !ok {
 				continue
 			}
-			if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stNullableUnchecked {
-				desc, _ := st.Fact(ck.dom("desc"), key)
+			if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stNullableUnchecked {
+				desc, _ := st.Fact(ck.dom.desc, key)
 				c.Report(ck, ck.message(rule, fmt.Sprintf("%v may return NULL and is dereferenced without a check", desc)), ac.Pointee)
-				st = st.SetFact(ck.dom("track"), key, stNullableChecked)
+				st = st.SetFact(ck.dom.track, key, stNullableChecked)
 				c.SetState(st)
 			}
 		case SinkDerefFreed:
@@ -640,17 +671,17 @@ func (ck *Compiled) CheckLocation(ac *checker.Access, c *checker.Context) {
 			if !ok {
 				continue
 			}
-			if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stFreed {
-				desc, _ := st.Fact(ck.dom("desc"), key)
+			if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stFreed {
+				desc, _ := st.Fact(ck.dom.desc, key)
 				c.Report(ck, ck.message(rule, fmt.Sprintf("use after free: memory was released via %v", desc)), ac.Pointee)
 			}
 		case SinkUseUninit:
 			if !ac.IsLoad || !ac.Direct {
 				continue
 			}
-			if s, ok := st.RegionFact(ck.dom("uninit"), ac.Pointee); ok && strings.HasPrefix(s.(string), "uninit") {
+			if s, ok := st.RegionFact(ck.dom.uninit, ac.Pointee); ok && strings.HasPrefix(s.(string), "uninit") {
 				c.Report(ck, ck.message(rule, fmt.Sprintf("'%s' may be used uninitialized", c.Describe(ac.Pointee))), ac.Pointee)
-				st = st.SetRegionFact(ck.dom("uninit"), ac.Pointee, stInit)
+				st = st.SetRegionFact(ck.dom.uninit, ac.Pointee, stInit)
 				c.SetState(st)
 			}
 		case SinkIndexTainted:
@@ -661,12 +692,12 @@ func (ck *Compiled) CheckLocation(ac *checker.Access, c *checker.Context) {
 			if !ok {
 				continue
 			}
-			if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stTaintUnchecked {
+			if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stTaintUnchecked {
 				if ac.ArrayLen > 0 && !st.RangeOf(ac.Index).CanExceed(int64(ac.ArrayLen-1)) {
 					continue
 				}
 				c.Report(ck, ck.message(rule, "untrusted index used without a bounds check"), ac.Pointee)
-				st = st.SetFact(ck.dom("track"), key, stTaintChecked)
+				st = st.SetFact(ck.dom.track, key, stTaintChecked)
 				c.SetState(st)
 			}
 		case SinkIndexConstOOB:
@@ -684,8 +715,8 @@ func (ck *Compiled) CheckEndFunction(ev *checker.ReturnEvent, c *checker.Context
 	// Returning a tracked allocation transfers ownership to the caller.
 	if ck.spec.yieldsAny("alloc") {
 		if key, ok := keyOf(ev.Value); ok {
-			if s, tracked := st.Fact(ck.dom("track"), key); tracked && s == stAllocHeld {
-				st = st.DelFact(ck.dom("track"), key)
+			if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stAllocHeld {
+				st = st.DelFact(ck.dom.track, key)
 				c.SetState(st)
 			}
 		}
@@ -694,26 +725,26 @@ func (ck *Compiled) CheckEndFunction(ev *checker.ReturnEvent, c *checker.Context
 		switch rule.Kind {
 		case SinkEndHeld:
 			if rule.Holding == "alloc" {
-				for _, key := range st.FactKeys(ck.dom("track")) {
-					if s, _ := st.Fact(ck.dom("track"), key); s == stAllocHeld {
+				for _, key := range st.FactKeys(ck.dom.track) {
+					if s, _ := st.Fact(ck.dom.track, key); s == stAllocHeld {
 						// Allocation known to be NULL on this path (the
 						// failed-allocation branch) leaks nothing.
 						if v, ok := symbolFromKey(key); ok && st.NullnessOf(v) == sym.IsNull {
 							continue
 						}
-						desc, _ := st.Fact(ck.dom("desc"), key)
+						desc, _ := st.Fact(ck.dom.desc, key)
 						c.Report(ck, ck.message(rule, fmt.Sprintf("memory allocated by %v is leaked on this path", desc)), sym.NoRegion)
 					}
 				}
 			} else {
-				for range st.FactKeys(ck.dom("lock")) {
+				for range st.FactKeys(ck.dom.lock) {
 					c.Report(ck, ck.message(rule, "function returns while still holding a lock"), sym.NoRegion)
 					break
 				}
 			}
 		case SinkEndUninitCleanup:
-			for _, r := range st.FactRegions(ck.dom("uninit")) {
-				if s, _ := st.RegionFact(ck.dom("uninit"), r); s == stUninitCleanup {
+			for _, r := range st.FactRegions(ck.dom.uninit) {
+				if s, _ := st.RegionFact(ck.dom.uninit, r); s == stUninitCleanup {
 					c.Report(ck, ck.message(rule, fmt.Sprintf("cleanup handler may run on uninitialized '%s'", c.Describe(r))), r)
 				}
 			}

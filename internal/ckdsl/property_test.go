@@ -68,7 +68,7 @@ func randomSpec(r *rand.Rand, callees []string) *Spec {
 		s.Sinks = append(s.Sinks, SinkRule{Kind: SinkIndexTainted})
 	default: // range sinks need no sources
 		if r.Intn(2) == 0 {
-			s.Sinks = append(s.Sinks, SinkRule{Kind: SinkMulOverflow, Callee: callee(), Arg: 0, Bits: 32})
+			s.Sinks = append(s.Sinks, SinkRule{Kind: SinkMulOverflow, Callee: callee(), Arg: r.Intn(4), Bits: 32})
 		} else {
 			s.Sinks = append(s.Sinks, SinkRule{Kind: SinkCopyOverflow, Callee: "copy_from_user", SizeArg: 2, BufArg: 0, Slack: 1})
 		}

@@ -21,7 +21,9 @@ import (
 // quietWitness has one function per footprint gate that the corpus does
 // not witness for the synthesized checkers: each is loud for the gate
 // spec that names it, and a QuietOn blind to that gate would call it
-// quiet.
+// quiet. qw_compare and qw_mul_plain are quiet witnesses: a comparison
+// alone wakes no boundcheck guard, and a call with no product at the
+// sink's argument wakes no mul-overflow sink.
 const quietWitness = `
 struct qw_dev {
 	int len;
@@ -32,6 +34,14 @@ int qw_compare(int n)
 {
 	if (n < 8)
 		return 1;
+	return 0;
+}
+
+int qw_bound(char *src, int n)
+{
+	char buf[8];
+	if (n < 8)
+		copy_from_user(buf, src, n);
 	return 0;
 }
 
@@ -61,12 +71,31 @@ int qw_likely(struct qw_dev *d)
 	struct qw_dev *p = likely(d);
 	return p->len;
 }
+
+int qw_mul(int n)
+{
+	char *p = kmalloc(n * 8);
+	return p != 0;
+}
+
+int qw_mul_plain(int n)
+{
+	char *p = kmalloc(n);
+	return p != 0;
+}
+
+int qw_mul_short(int n)
+{
+	char *p = kmalloc();
+	return n;
+}
 `
 
-// gateSpecs each depend on one gate: a comparison under a boundcheck
-// guard, an index under 'index constant-oob', an uninitialized local
-// under plain and cleanup-only 'decl uninit', and a one-argument likely
-// bound to a local under a syntactic nullable source.
+// gateSpecs each depend on one gate: a call of its callee under a
+// boundcheck guard, an index under 'index constant-oob', an
+// uninitialized local under plain and cleanup-only 'decl uninit', a
+// one-argument likely bound to a local under a syntactic nullable source,
+// and a product at, or no, argument 0 under a mul-overflow sink.
 var gateSpecs = []string{`checker qw_bound {
   bugtype "Buffer-Overflow"
   guard { boundcheck }
@@ -89,7 +118,39 @@ var gateSpecs = []string{`checker qw_bound {
   source { call "likely" yields nullable }
   guard { nullcheck }
   sink { deref unchecked }
+}`, `checker qw_mul {
+  bugtype "Integer-Overflow"
+  guard { boundcheck }
+  sink { mul-overflow into "kmalloc" arg 0 bits 32 }
 }`}
+
+// TestQuietWitnesses pins which witness functions each gate spec is
+// quiet on: loud exactly on the witness it names, and on qw_mul_short
+// for qw_mul, whose sink panics there.
+func TestQuietWitnesses(t *testing.T) {
+	w, err := minic.ParseFile("drivers/qw/witness.c", quietWitness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loud := map[string][]string{
+		"qw_bound":   {"qw_bound"},
+		"qw_oob":     {"qw_index"},
+		"qw_uninit":  {"qw_uninit", "qw_cleanup"},
+		"qw_cleanup": {"qw_cleanup"},
+		"qw_likely":  {"qw_likely"},
+		"qw_mul":     {"qw_mul", "qw_mul_short"},
+	}
+	var fp minic.Footprint
+	for _, src := range gateSpecs {
+		ck := mustCompile(t, src)
+		for _, fn := range w.Funcs {
+			fp.Reset(fn)
+			if want := !slices.Contains(loud[ck.Spec().Name], fn.Name); ck.QuietOn(&fp) != want {
+				t.Errorf("%s on %s: QuietOn = %v, want %v", ck.Name(), fn.Name, !want, want)
+			}
+		}
+	}
+}
 
 // spy delegates every callback to a Compiled checker and records any
 // callback that hands back a different state or allocates in the arena.
@@ -255,15 +316,21 @@ var (
 // baseline does. The functions are the witness file's, first, then a
 // small corpus's.
 func FuzzQuietMatchesBaseline(f *testing.F) {
-	// Specs loud on a witness function for one gate each: boundcheck on
-	// qw_compare (0), constant-oob on qw_index (1), plain decl uninit on
-	// qw_uninit (2), cleanup-only decl uninit on qw_cleanup (3), a likely
-	// source on qw_likely (4).
-	f.Add(int64(5), uint16(0))
-	f.Add(int64(11), uint16(1))
-	f.Add(int64(3), uint16(2))
-	f.Add(int64(16), uint16(3))
-	f.Add(int64(19), uint16(4))
+	// Specs on a witness function for one gate each: a boundcheck guard
+	// quiet on qw_compare (0) and loud on qw_bound (1), constant-oob on
+	// qw_index (2), plain decl uninit on qw_uninit (3), cleanup-only decl
+	// uninit on qw_cleanup (4), a likely source on qw_likely (5), and a
+	// kmalloc mul-overflow sink loud on qw_mul (6), quiet on qw_mul_plain
+	// (7) and loud on qw_mul_short (8).
+	f.Add(int64(0), uint16(0))
+	f.Add(int64(0), uint16(1))
+	f.Add(int64(11), uint16(2))
+	f.Add(int64(3), uint16(3))
+	f.Add(int64(16), uint16(4))
+	f.Add(int64(2), uint16(5))
+	f.Add(int64(608), uint16(6))
+	f.Add(int64(608), uint16(7))
+	f.Add(int64(126), uint16(8))
 	f.Fuzz(func(t *testing.T, seed int64, pick uint16) {
 		fuzzUnitsOnce.Do(func() {
 			for _, f := range parseFiles(t, kernel.Generate(kernel.Config{Seed: 1, Scale: 0.05})) {

@@ -214,6 +214,9 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 type graph struct {
 	cfg.Graph
 	text []branchText // per Exprs index
+	// fp is the function's footprint, made the first time a checker
+	// asks for it (checker.Context.Footprint).
+	fp checker.LazyFootprint
 }
 
 // branchText is what a branch condition renders to: the condition and
@@ -235,6 +238,7 @@ func (g *graph) lower(fn *minic.FuncDecl) error {
 	}
 	g.text = g.text[:len(g.Exprs)]
 	clear(g.text)
+	g.fp.Reset(fn)
 	return nil
 }
 
@@ -264,6 +268,7 @@ func (g *graph) release() {
 	g.Reset()
 	clear(g.text[:cap(g.text)])
 	g.text = g.text[:0]
+	g.fp.Reset(nil)
 	graphPool.Put(g)
 }
 
@@ -414,7 +419,7 @@ func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options,
 		r := &all[slot]
 		*results[id] = Result{} // a rider that left an earlier pass starts over
 		r.slot, r.id, r.checkers, r.res = slot, id, riders[id], results[id]
-		r.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, r.addReport)
+		r.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, &graph.fp, r.addReport)
 		ex.live[slot] = r
 	}
 	return ex

@@ -1,6 +1,9 @@
 package minic
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // WalkStmts visits s and every statement nested in it, in pre-order.
 func WalkStmts(s Stmt, visit func(Stmt)) {
@@ -88,9 +91,10 @@ func walkExpr(e Expr, visit func(Expr)) {
 }
 
 // Footprint is what a function's syntax offers a checker callback to act
-// on: the calls it makes and four shapes of statement or expression. A
-// checker that can tell from a footprint that it would do nothing in a
-// function need not explore it (checker.Quieter).
+// on: the calls it makes, with the shape of their arguments, its
+// uninitialized declarations and its index expressions. A checker that
+// can tell from a footprint that it would do nothing in a function need
+// not explore it (checker.Quieter).
 type Footprint struct {
 	// Callees are the distinct names the function calls, in first-call
 	// order. A one-argument likely or unlikely is not a call: the
@@ -98,26 +102,53 @@ type Footprint struct {
 	// right-hand side of an assignment or initializer, where a bind
 	// callback sees the call's syntax.
 	Callees []string
+	// shapes, parallel to Callees, are what the calls of each callee
+	// hold.
+	shapes []callShape
 	// UninitDecl: a local declared without an initializer, not an array.
 	UninitDecl bool
 	// UninitCleanup: such a declaration with a __free cleanup.
 	UninitCleanup bool
-	// Compare: a < > <= >= == != operator, including the case tests the
-	// parser's switch desugaring builds.
-	Compare bool
 	// Index: an index expression.
 	Index bool
 }
 
+// callShape is what the call events of one callee hold.
+type callShape struct {
+	// minArgs is the fewest arguments a call event passes; noCall when
+	// the callee is named only as a likely or unlikely on a bind's
+	// right-hand side.
+	minArgs int
+	// products has bit i set when some call event's argument i, past
+	// its parentheses, is a multiplication; bit 63 stands for every
+	// argument from 63 on.
+	products uint64
+}
+
+const noCall = math.MaxInt
+
 // Calls reports whether the footprint's function calls name.
 func (fp *Footprint) Calls(name string) bool { return slices.Contains(fp.Callees, name) }
 
-// Reset makes fp the footprint of fn, reusing its callee slice.
+// MulAt reports whether some call event of name has no argument arg, so
+// that reading it panics, or has a multiplication there: the argument,
+// past its parentheses, is a * binary expression. A cast around a
+// product is not one.
+func (fp *Footprint) MulAt(name string, arg int) bool {
+	i := slices.Index(fp.Callees, name)
+	if i < 0 || fp.shapes[i].minArgs == noCall {
+		return false
+	}
+	s := fp.shapes[i]
+	return arg < 0 || s.minArgs <= arg || s.products&(1<<min(arg, 63)) != 0
+}
+
+// Reset makes fp the footprint of fn, reusing its slices.
 func (fp *Footprint) Reset(fn *FuncDecl) {
-	*fp = Footprint{Callees: fp.Callees[:0]}
+	*fp = Footprint{Callees: fp.Callees[:0], shapes: fp.shapes[:0]}
 	bound := func(rhs Expr) {
 		if c, ok := Unparen(rhs).(*CallExpr); ok {
-			fp.addCallee(c.Fun)
+			fp.callee(c.Fun)
 		}
 	}
 	WalkStmts(fn.Body, func(s Stmt) {
@@ -135,23 +166,28 @@ func (fp *Footprint) Reset(fn *FuncDecl) {
 		switch x := e.(type) {
 		case *CallExpr:
 			if (x.Fun != "likely" && x.Fun != "unlikely") || len(x.Args) != 1 {
-				fp.addCallee(x.Fun)
+				s := &fp.shapes[fp.callee(x.Fun)]
+				s.minArgs = min(s.minArgs, len(x.Args))
+				for i, a := range x.Args {
+					if b, ok := Unparen(a).(*BinaryExpr); ok && b.Op == Star {
+						s.products |= 1 << min(i, 63)
+					}
+				}
 			}
 		case *AssignExpr:
 			bound(x.RHS)
-		case *BinaryExpr:
-			switch x.Op {
-			case Lt, Gt, Le, Ge, EqEq, NotEq:
-				fp.Compare = true
-			}
 		case *IndexExpr:
 			fp.Index = true
 		}
 	})
 }
 
-func (fp *Footprint) addCallee(name string) {
-	if !fp.Calls(name) {
-		fp.Callees = append(fp.Callees, name)
+// callee returns name's index in Callees, adding it first if it is new.
+func (fp *Footprint) callee(name string) int {
+	if i := slices.Index(fp.Callees, name); i >= 0 {
+		return i
 	}
+	fp.Callees = append(fp.Callees, name)
+	fp.shapes = append(fp.shapes, callShape{minArgs: noCall})
+	return len(fp.Callees) - 1
 }

@@ -289,7 +289,6 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				lists := make([][]checker.Checker, 0, len(plans)+1)
 				explored := make([]int, 0, len(plans))
 				answers := make([]*engine.Result, 0, len(plans))
-				var fp minic.Footprint
 				for {
 					hi := int(cursor.Add(rangeSize))
 					lo := hi - rangeSize
@@ -364,19 +363,20 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						rs := answers[:len(missed)]
 						clear(rs)
 						lists, explored = lists[:0], explored[:0]
-						fp.Reset(fn)
+						fp := memo.footprint(f, un.fn)
 						quiet := false
 						for k, i := range missed {
-							if plans[i].quietOn(&fp) {
+							if plans[i].quietOn(fp) {
 								quiet = true
 								continue
 							}
 							lists, explored = append(lists, plans[i].checkers), append(explored, k)
 						}
 						var base engine.Result
+						var baseP []byte
 						known := false
 						if quiet {
-							if base, known = memo.baseline(un.fn, engFP); !known {
+							if base, baseP, known = memo.baseline(un.fn, engFP); !known {
 								lists = append(lists, nil)
 							}
 						}
@@ -394,26 +394,28 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							}
 							if quiet && !known {
 								base = *got[len(got)-1]
-								memo.setBaseline(f, un.fn, engFP, &base)
+								if baseP = memo.setBaseline(f, un.fn, engFP, &base); baseP == nil {
+									baseP = store.Encode(&base) // a baseline the memo does not keep
+								}
 							}
 						}
 						// The quiet riders share one copy of the baseline, and
-						// one payload of it.
+						// one payload of it: the memo's, which every quiet
+						// entry of the function stores.
 						var quietR *engine.Result
-						var quietP []byte
 						for k, r := range rs {
 							p := &plans[missed[k]]
 							if r == nil {
 								if quietR == nil {
 									b := base
-									quietR, quietP = &b, store.Encode(&b)
+									quietR = &b
 								}
 								r = quietR
 								p.quiet.Add(1)
 							}
 							p.perFunc[u] = r
 							if p.cacheable && storable(r) {
-								payload := quietP
+								payload := baseP
 								if r != quietR {
 									payload = store.Encode(r)
 								}

@@ -58,12 +58,19 @@ const maxSumSets = 16
 // nothing.
 //
 // And, under mu, the baselines of those functions under the engine
-// fingerprint last asked for: a daemon runs one engine configuration, and
-// a pass under another replaces them. They cost 24 bytes per function,
-// 37 KB over the scale-1 corpus, in pointer-free arrays.
+// fingerprint last asked for, each with its encoded payload: a daemon
+// runs one engine configuration, and a pass under another replaces them.
+// Every quiet entry of a function stores the one payload, shared and
+// read-only.
+//
+// And the footprints of those functions, each made once per file
+// version.
 type fileMemo struct {
 	once  sync.Once
 	funcs []string
+
+	fpOnce sync.Once
+	fps    []atomic.Pointer[minic.Footprint]
 
 	mu       sync.Mutex
 	sums     [maxSumSets]sumSet
@@ -74,36 +81,58 @@ type fileMemo struct {
 
 // baseline is what analyzing a function with no checker returns: a result
 // with no reports and no runtime errors, cut short by nothing but the
-// engine's bounds. known is false until it is memoized.
+// engine's bounds, and its store.Encode payload. A nil payload marks a
+// baseline not memoized yet.
 type baseline struct {
-	paths, steps     int
-	truncated, known bool
+	paths, steps int
+	truncated    bool
+	payload      []byte
 }
 
-// baseline returns function j's memoized baseline under engineFP.
-func (m *fileMemo) baseline(j int, engineFP string) (engine.Result, bool) {
+// baseline returns function j's memoized baseline under engineFP, and
+// its payload, which is shared and read-only.
+func (m *fileMemo) baseline(j int, engineFP string) (engine.Result, []byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.bases == nil || m.engineFP != engineFP || !m.bases[j].known {
-		return engine.Result{}, false
+	if m.bases == nil || m.engineFP != engineFP || m.bases[j].payload == nil {
+		return engine.Result{}, nil, false
 	}
 	b := m.bases[j]
-	return engine.Result{Paths: b.paths, Steps: b.steps, Truncated: b.truncated}, true
+	return engine.Result{Paths: b.paths, Steps: b.steps, Truncated: b.truncated}, b.payload, true
 }
 
 // setBaseline memoizes r as function j's baseline under engineFP, when it
-// is one: a result cut short by a timeout or a cancellation, or carrying
-// an engine crash, is not.
-func (m *fileMemo) setBaseline(f *minic.File, j int, engineFP string, r *engine.Result) {
+// is one, and returns the payload it keeps for it: a result cut short by
+// a timeout or a cancellation, or carrying an engine crash, is not, and
+// gets nil.
+func (m *fileMemo) setBaseline(f *minic.File, j int, engineFP string, r *engine.Result) []byte {
 	if !storable(r) || r.Reports != nil || r.RuntimeErrs != nil {
-		return
+		return nil
 	}
+	payload := store.Encode(r)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.bases == nil || m.engineFP != engineFP {
 		m.engineFP, m.bases = engineFP, make([]baseline, len(f.Funcs))
 	}
-	m.bases[j] = baseline{r.Paths, r.Steps, r.Truncated, true}
+	m.bases[j] = baseline{r.Paths, r.Steps, r.Truncated, payload}
+	return payload
+}
+
+// footprint returns the footprint of function j of f, the file version
+// this memo belongs to. It is shared and read-only. Each function's is
+// made on the first miss that asks for it, not the file's all at once: a
+// commit's re-scan misses a few functions of a file it leaves otherwise
+// warm.
+func (m *fileMemo) footprint(f *minic.File, j int) *minic.Footprint {
+	m.fpOnce.Do(func() { m.fps = make([]atomic.Pointer[minic.Footprint], len(f.Funcs)) })
+	if fp := m.fps[j].Load(); fp != nil {
+		return fp
+	}
+	fp := new(minic.Footprint)
+	fp.Reset(f.Funcs[j])
+	m.fps[j].Store(fp) // a racing worker's is equal
+	return fp
 }
 
 // sumSet is the key digests of one file version's functions under one

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"knighter/internal/minic"
 	"knighter/internal/store"
 )
 
@@ -139,6 +140,42 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 	}
 	if got, want := memoHashes(cb.Snapshot()), memoHashes(cold.Snapshot()); !reflect.DeepEqual(got, want) {
 		t.Fatal("live snapshot's function hashes differ from a cold parse of its corpus")
+	}
+}
+
+// memoFootprints reads every function footprint of s from its memos,
+// per file, filling them on the way.
+func memoFootprints(s *Snapshot) [][]minic.Footprint {
+	out := make([][]minic.Footprint, len(s.files))
+	for i, f := range s.files {
+		for j := range f.Funcs {
+			out[i] = append(out[i], *s.memo[i].footprint(f, j))
+		}
+	}
+	return out
+}
+
+// TestSnapshotMemoFootprints runs memoScript with every parent's
+// footprint memos filled before each commit. At the end every memoized
+// footprint of the live snapshot must equal a fresh Reset of the same
+// function in a cold parse of its corpus.
+func TestSnapshotMemoFootprints(t *testing.T) {
+	cb := buildCodebase(t)
+	inc := NewIncremental(cb, store.NewMemory(0))
+	memoScript(t, inc, func(parent *Snapshot) { memoFootprints(parent) }, func(parent, next *Snapshot, touched ...int) {})
+	cold, err := NewCodebase(corpusAt(cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := memoFootprints(cb.Snapshot())
+	for i, f := range cold.Files() {
+		for j, fn := range f.Funcs {
+			var want minic.Footprint
+			want.Reset(fn)
+			if !reflect.DeepEqual(got[i][j], want) {
+				t.Fatalf("%s: memoized footprint %+v, a fresh Reset gives %+v", fn.Name, got[i][j], want)
+			}
+		}
 	}
 }
 
