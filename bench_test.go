@@ -1077,6 +1077,57 @@ func BenchmarkBatchScanCold(b *testing.B) {
 	}
 }
 
+// BenchmarkQuietOn measures QuietOn in the paper's deployment shape:
+// the valid checkers synthesized from seed 1's hand commits (39) against
+// every function of the scale-1, seed-1 corpus, per op. fresh makes each
+// function's footprint anew every op, so every op pays the footprint and
+// the dataflow rules (internal/ckdsl/flow.go) in full; memoized keeps one
+// footprint per function, as the scan scheduler keeps one per file
+// version, warmed before the timer, so every verdict is a memo hit.
+// loud/op counts the pairs QuietOn calls loud.
+func BenchmarkQuietOn(b *testing.B) {
+	var fns []*minic.FuncDecl
+	for _, sf := range kernel.Generate(kernel.Config{Seed: 1, Scale: 1}).Files {
+		fns = append(fns, mustFile(b, sf.Src).Funcs...)
+	}
+	var cks []*ckdsl.Compiled
+	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
+	for _, c := range kernel.BuildHandCommits(11).All() {
+		if out := pipe.GenChecker(c); out.Valid {
+			ck, err := ckdsl.Compile(out.Spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cks = append(cks, ck)
+		}
+	}
+	fps := make([]minic.Footprint, len(fns))
+	sweep := func(fresh bool) (loud int) {
+		for i, fn := range fns {
+			if fresh {
+				fps[i].Reset(fn)
+			}
+			for _, ck := range cks {
+				if !ck.QuietOn(&fps[i]) {
+					loud++
+				}
+			}
+		}
+		return loud
+	}
+	for _, mode := range []string{"fresh", "memoized"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			loud := sweep(true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loud = sweep(mode == "fresh")
+			}
+			b.ReportMetric(float64(loud), "loud/op")
+		})
+	}
+}
+
 // BenchmarkBatchScanColdResident is a cold /batch of 2 against the tier
 // a cold_sweep daemon ends up holding: ≈300k entries already resident,
 // which every garbage-collection cycle the batch triggers has to mark.

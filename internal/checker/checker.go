@@ -36,11 +36,16 @@ type Fingerprinter interface {
 	Fingerprint() string
 }
 
-// Quieter is implemented by checkers that can tell from a function's
-// footprint alone that analyzing the function with them changes nothing:
-// no callback reports, panics, writes state or facts, or allocates in the
-// arena. The function's result with the checker is then its result with
-// no checker, which the scan scheduler memoizes instead of exploring.
+// Quieter is implemented by checkers that can tell, from a function's
+// footprint (and the function it names, minic.Footprint.Func), that they
+// stay silent on it. The contract: QuietOn(fp) true means that on every
+// path of the function's CFG the checker reports nothing and panics
+// nowhere. The engine supplies the rest: it drops a checker from every
+// rider of a function the checker is quiet on before exploring, so the
+// checker writes nothing there either, and the rider's result is what it
+// would be without the checker, down to its path and step counts. The
+// scan scheduler answers a rider whose checkers are all quiet from the
+// function's memoized no-checker baseline instead of exploring.
 type Quieter interface {
 	QuietOn(fp *minic.Footprint) bool
 }
@@ -191,7 +196,6 @@ type Context struct {
 	file   string
 	pos    minic.Pos
 	sink   func(*Report)
-	fp     *LazyFootprint
 	// declTypes maps local/param names to their declared types, for
 	// sizeof-style queries by checkers.
 	declTypes map[string]minic.Type
@@ -200,26 +204,9 @@ type Context struct {
 // NewContext is used by the engine (and tests) to construct a context.
 func NewContext(arena *sym.Arena, state *sym.State, values map[minic.Expr]sym.Value,
 	trace []TraceStep, fn, file string, pos minic.Pos,
-	declTypes map[string]minic.Type, fp *LazyFootprint, sink func(*Report)) *Context {
+	declTypes map[string]minic.Type, sink func(*Report)) *Context {
 	return &Context{arena: arena, state: state, values: values, trace: trace,
-		fn: fn, file: file, pos: pos, declTypes: declTypes, fp: fp, sink: sink}
-}
-
-// LazyFootprint is the footprint of one function, made on first use. The
-// engine keeps one per analysis and hands it to the contexts of all the
-// analysis's riders: they share one footprint, and an analysis whose
-// callbacks never ask for it pays nothing.
-type LazyFootprint struct {
-	fn   *minic.FuncDecl
-	fp   minic.Footprint
-	made bool
-}
-
-// Reset points l at fn (nil for none), dropping the footprint it made
-// before but keeping its slices.
-func (l *LazyFootprint) Reset(fn *minic.FuncDecl) {
-	clear(l.fp.Callees)
-	l.fn, l.made = fn, false
+		fn: fn, file: file, pos: pos, declTypes: declTypes, sink: sink}
 }
 
 // Rebind points the context at the next event, so the engine can keep
@@ -255,17 +242,6 @@ func (c *Context) ValueOf(e minic.Expr) sym.Value {
 		return v
 	}
 	return sym.Unknown
-}
-
-// Footprint returns the footprint of the function under analysis, the
-// value minic.Footprint.Reset makes of it. It is read-only.
-func (c *Context) Footprint() *minic.Footprint {
-	l := c.fp
-	if !l.made {
-		l.fp.Reset(l.fn)
-		l.made = true
-	}
-	return &l.fp
 }
 
 // FuncName returns the function under analysis.

@@ -60,7 +60,7 @@ func TestContextStateAndReporting(t *testing.T) {
 	ctx := NewContext(arena, sym.NewState(), map[minic.Expr]sym.Value{},
 		[]TraceStep{{Pos: pos, Note: "entered"}},
 		"probe", "f.c", pos, map[string]minic.Type{"p": {Base: "int", Stars: 1}},
-		nil, func(rep *Report) { got = append(got, rep) })
+		func(rep *Report) { got = append(got, rep) })
 
 	// State replacement is visible.
 	st := ctx.State().SetFact("D", "k", 1)
@@ -118,32 +118,8 @@ func TestValueOfUsesUnparen(t *testing.T) {
 	wrapped := &minic.ParenExpr{X: inner}
 	vals := map[minic.Expr]sym.Value{inner: sym.MakeInt(9)}
 	ctx := NewContext(arena, sym.NewState(), vals, nil, "f", "f.c",
-		minic.Pos{}, nil, nil, func(*Report) {})
+		minic.Pos{}, nil, func(*Report) {})
 	if got := ctx.ValueOf(wrapped); !got.IsConcreteInt() || got.Int != 9 {
 		t.Errorf("ValueOf(paren) = %v", got)
-	}
-}
-
-// TestContextFootprintIsShared: contexts handed one LazyFootprint share
-// one footprint, made on first use as minic.Footprint.Reset makes it,
-// and a Reset to another function makes that function's.
-func TestContextFootprintIsShared(t *testing.T) {
-	f, err := minic.ParseFile("fp.c", "int f(int n)\n{\n\treturn g(n * 2);\n}\n\nint h(int n)\n{\n\treturn k(n);\n}\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lazy LazyFootprint
-	lazy.Reset(f.Funcs[0])
-	a := NewContext(sym.NewArena(), nil, nil, nil, "f", "fp.c", minic.Pos{}, nil, &lazy, nil)
-	b := NewContext(sym.NewArena(), nil, nil, nil, "f", "fp.c", minic.Pos{}, nil, &lazy, nil)
-	if a.Footprint() != b.Footprint() {
-		t.Fatal("two contexts of one analysis made two footprints")
-	}
-	if fp := a.Footprint(); !fp.Calls("g") || !fp.MulAt("g", 0) || fp.Calls("k") {
-		t.Fatalf("footprint of f: %+v", fp)
-	}
-	lazy.Reset(f.Funcs[1])
-	if fp := b.Footprint(); !fp.Calls("k") || fp.Calls("g") {
-		t.Fatalf("after a Reset to h, the footprint is still %+v", fp)
 	}
 }

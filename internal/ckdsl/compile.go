@@ -20,7 +20,7 @@ func Compile(spec *Spec) (*Compiled, error) {
 		return nil, err
 	}
 	dom := func(which string) string { return "ck:" + spec.Name + ":" + which }
-	return &Compiled{spec: spec, dom: domains{
+	return &Compiled{spec: spec, rule: newQuietRule(spec), dom: domains{
 		track: dom("track"), desc: dom("desc"), derived: dom("derived"), lock: dom("lock"),
 		unterm: dom("unterm"), uninit: dom("uninit"), bounded: dom("bounded"),
 	}}, nil
@@ -85,6 +85,7 @@ func validate(spec *Spec) error {
 // Compiled is an executable checker lowered from a Spec.
 type Compiled struct {
 	spec *Spec
+	rule *quietRule // nil when the spec has no dataflow rule (flow.go)
 	dom  domains
 }
 
@@ -107,24 +108,29 @@ func (ck *Compiled) Name() string { return "knighter." + ck.spec.Name }
 // refinement rounds that produce the same spec — the common case for
 // rejected or no-op refinements — hit the same cache entries.
 //
-// v2: a 'boundcheck' guard no longer writes its 'bounded' facts on a
-// function where QuietOn holds. Those facts change no report, but they
-// sit in the engine's visited keys, so a v1 entry for such a function
-// may carry other path and step counts.
+// v3: the engine drops a checker from every function QuietOn holds for,
+// and QuietOn holds for more of them. What the checker would have
+// written there changes no report, but it sits in the engine's visited
+// keys, so an older entry for such a function may carry other path and
+// step counts.
 func (ck *Compiled) Fingerprint() string {
-	h := sha256.Sum256([]byte("ckdsl:v2:" + ck.spec.String()))
+	h := sha256.Sum256([]byte("ckdsl:v3:" + ck.spec.String()))
 	return hex.EncodeToString(h[:16])
 }
 
 // BugType implements checker.Checker.
 func (ck *Compiled) BugType() string { return ck.spec.BugTypeName }
 
-// QuietOn implements checker.Quieter. The checker is loud on a function
-// that calls a callee one of its rules names — for a 'mul-overflow' sink,
-// with a product at the sink's argument or too few arguments to have one
-// — declares an uninitialized local its 'decl uninit' source tracks, or
-// indexes where it has an 'index constant-oob' sink. Otherwise every fact
-// domain stays empty, callback by callback:
+// QuietOn implements checker.Quieter: on every path of the function of
+// fp the checker reports nothing and panics nowhere. Two proofs, the
+// syntactic one first.
+//
+// Footprint: the checker is quiet on a function that calls no callee one
+// of its rules names — for a 'mul-overflow' sink, none with a product at
+// the sink's argument or too few arguments to have one — declares no
+// uninitialized local its 'decl uninit' source tracks, and indexes
+// nowhere when it has an 'index constant-oob' sink. Then no callback
+// reports or panics there, callback by callback:
 //   - CheckDecl sets a fact only for a 'decl uninit' source on an
 //     initializer-less non-array declaration (with a cleanup when the
 //     source is cleanup-only).
@@ -132,29 +138,49 @@ func (ck *Compiled) BugType() string { return ck.spec.BugTypeName }
 //     is the event's, and every call event's callee is in the footprint;
 //     the argument indexing that panics on a hallucinated index sits
 //     behind those matches. The 'mul-overflow' sink reads its argument
-//     strictly, which panics only on a call with too few arguments,
-//     reports only at a product there, and writes no state: on a
-//     function where MulAt is false it does nothing. CheckBind's
-//     syntactic nullable source matches a right-hand-side call by name,
-//     which the footprint also counts.
-//   - CheckBranchCondition's 'boundcheck' guard returns at once on a
-//     function QuietOn holds for, so there it writes nothing. No report
-//     needs what it would have written: its 'bounded' facts are read only
-//     by isBounded, in the copy-overflow, negative-argument and
-//     mul-overflow sinks, each of which acts only where the rules above
-//     make the function loud, and its 'track' transition needs a taint
-//     fact, which only a source sets.
-//   - Every other write (the nullcheck guard, the releases, init and
-//     terminate guards, the alloc escapes, the reporting sinks' state
-//     updates) first reads a fact that one of the above set.
-//   - CheckLocation reports without reading a fact only for 'index
-//     constant-oob', whose access carries an array length only on an
-//     index expression; every other sink, and CheckEndFunction's, needs a
-//     fact.
+//     strictly, which panics only on a call with too few arguments, and
+//     reports only at a product there. CheckBind's syntactic nullable
+//     source matches a right-hand-side call by name, which the footprint
+//     also counts.
+//   - CheckBranchCondition reports nothing and panics nowhere. The
+//     'bounded' facts a boundcheck guard writes are read only by the
+//     copy-overflow, negative-argument and mul-overflow sinks, which act
+//     only at calls of their callees.
+//   - Every other sink but 'index constant-oob' (whose access carries an
+//     array length only on an index expression) reports only on a fact
+//     that a source above sets, and CheckEndFunction reports only on one.
 //
-// So on a quiet function the checker reports nothing, panics nowhere,
-// hands back the state it was given, and only reads the arena.
+// Dataflow (flow.go), for a spec of one of two shapes whose footprint
+// proof fails, where no call of a callee the spec reads an argument of
+// strictly lacks that argument (minic.Footprint.ShortCall), so nothing
+// panics:
+//   - Rule A, call after call: every sink a 'call … freed|locked|
+//     unterminated' and every source a call source but 'yields'. Such a
+//     sink reports only when the fact it reads is set, and only a
+//     'frees', 'writes' or 'locks' source sets it, after its call
+//     (CheckPostCall); a sink reads it before its own call
+//     (CheckPreCall). No guard reports. So the checker is quiet when no
+//     call of a sink's callee follows a call of a setter's in the
+//     evaluation order of any CFG path, loops included.
+//   - Rule B, may still hold: every source a 'yields alloc' and every
+//     sink an 'end-of-function holding alloc', which reports an
+//     allocation still tracked and not known NULL at a return. A forward
+//     may-analysis over the CFG tracks which allocation sites may still
+//     be held and which variable holds which, and releases a site where
+//     the engine's rules release it: passed to a call that is no
+//     allocation source, stored through a field or element, returned,
+//     or on the branch edge that makes its variable NULL. It gives up on
+//     what it does not model (flow.go's loud* reasons). So the checker
+//     is quiet when no site may be held at any return.
+//
+// A verdict depends only on the function and the rule's callee sets, so
+// it is memoized on fp under a key built at Compile: every revision of a
+// spec with the same callees shares it.
 func (ck *Compiled) QuietOn(fp *minic.Footprint) bool {
+	return ck.footprintQuiet(fp) || ck.rule != nil && ck.rule.quietOn(fp)
+}
+
+func (ck *Compiled) footprintQuiet(fp *minic.Footprint) bool {
 	for _, src := range ck.spec.Sources {
 		if src.Kind == SrcDeclUninit {
 			if fp.UninitDecl && (!src.CleanupOnly || fp.UninitCleanup) {
@@ -578,9 +604,6 @@ func (ck *Compiled) CheckBranchCondition(cond minic.Expr, c *checker.Context) {
 				}
 			}
 		case GuardBoundCheck:
-			if ck.QuietOn(c.Footprint()) {
-				continue // nothing here can read what the guard writes
-			}
 			e := minic.UnwrapCalls(cond, ck.spec.Unwrap...)
 			bin, ok := e.(*minic.BinaryExpr)
 			if !ok {

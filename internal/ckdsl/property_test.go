@@ -41,7 +41,10 @@ func randomSpec(r *rand.Rand, callees []string) *Spec {
 		if r.Intn(2) == 0 {
 			s.Sinks = append(s.Sinks, SinkRule{Kind: SinkCallArgFreed, Callee: callee(), Arg: 0})
 		}
-	case 2: // alloc
+		if r.Intn(3) == 0 { // call sinks only: a call-after-call (Rule A) shape
+			s.Sinks = []SinkRule{{Kind: SinkCallArgFreed, Callee: callee(), Arg: r.Intn(2)}}
+		}
+	case 2: // alloc, a may-still-hold (Rule B) shape
 		s.Sources = append(s.Sources, SourceRule{Kind: SrcCallYields, Callee: callee(), Yields: "alloc"})
 		s.Guards = append(s.Guards, GuardRule{Kind: GuardCallReleases, Callee: "kfree", Arg: 0})
 		s.Sinks = append(s.Sinks, SinkRule{Kind: SinkEndHeld, Holding: "alloc", Message: "leak"})
@@ -52,6 +55,14 @@ func randomSpec(r *rand.Rand, callees []string) *Spec {
 		s.Sinks = append(s.Sinks,
 			SinkRule{Kind: SinkEndHeld, Holding: "locked"},
 			SinkRule{Kind: SinkCallArgLocked, Callee: "spin_lock", Arg: 0})
+		switch r.Intn(3) { // call sinks only: Rule A shapes
+		case 0:
+			s.Sinks = s.Sinks[1:]
+		case 1:
+			s.Sources = []SourceRule{{Kind: SrcCallWrites, Callee: callee(), Arg: r.Intn(2)}}
+			s.Guards = []GuardRule{{Kind: GuardTerminate}}
+			s.Sinks = []SinkRule{{Kind: SinkCallArgUnterminated, Callee: callee(), Arg: r.Intn(2)}}
+		}
 	case 4: // uninit
 		s.Sources = append(s.Sources, SourceRule{Kind: SrcDeclUninit, CleanupOnly: r.Intn(2) == 0})
 		s.Guards = append(s.Guards, GuardRule{Kind: GuardAssignInit})

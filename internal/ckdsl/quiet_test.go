@@ -23,7 +23,10 @@ import (
 // spec that names it, and a QuietOn blind to that gate would call it
 // quiet. qw_compare and qw_mul_plain are quiet witnesses: a comparison
 // alone wakes no boundcheck guard, and a call with no product at the
-// sink's argument wakes no mul-overflow sink.
+// sink's argument wakes no mul-overflow sink. The qw_free_*, qw_copy_*,
+// qw_scan_* and qw_alloc_* functions witness the dataflow rules (flow.go)
+// for the qw_dfree, qw_unterm and qw_leak specs: call after call, and may
+// still hold.
 const quietWitness = `
 struct qw_dev {
 	int len;
@@ -89,13 +92,135 @@ int qw_mul_short(int n)
 	char *p = kmalloc();
 	return n;
 }
+
+int qw_free_paths(char *p, int a)
+{
+	if (a)
+		kfree(p);
+	else
+		kfree(p);
+	return 0;
+}
+
+int qw_free_two(char *p, char *q)
+{
+	kfree(p);
+	kfree(q);
+	return 0;
+}
+
+int qw_free_loop(char *p, int n)
+{
+	while (n--)
+		kfree(p);
+	return 0;
+}
+
+int qw_free_none(int a)
+{
+	kfree();
+	return a;
+}
+
+int qw_copy_scan(char *src, int n)
+{
+	char buf[16];
+	copy_from_user(buf, src, n);
+	sscanf(buf, "%d", &n);
+	return n;
+}
+
+int qw_scan_copy(char *src, int n)
+{
+	char buf[16];
+	sscanf(buf, "%d", &n);
+	copy_from_user(buf, src, n);
+	return n;
+}
+
+int qw_alloc_free(int n)
+{
+	char *p = kmalloc(n);
+	if (!p)
+		return -ENOMEM;
+	kfree(p);
+	return 0;
+}
+
+int qw_alloc_leak(int n)
+{
+	char *p = kmalloc(n);
+	if (!p)
+		return -ENOMEM;
+	if (n > 8)
+		return -EINVAL;
+	kfree(p);
+	return 0;
+}
+
+int qw_alloc_copy(int n)
+{
+	char *p = kmalloc(n);
+	char *q;
+	if (!p)
+		return -ENOMEM;
+	q = p;
+	kfree(q);
+	return 0;
+}
+
+int qw_alloc_store(struct qw_dev *d, int n)
+{
+	char *p = kmalloc(n);
+	d->buf = p;
+	return 0;
+}
+
+int qw_alloc_overwrite(char *q, int n)
+{
+	char *p = kmalloc(n);
+	p = q;
+	kfree(p);
+	return 0;
+}
+
+int qw_alloc_addr(int n)
+{
+	char *p = kmalloc(n);
+	char **pp = &p;
+	kfree(*pp);
+	return 0;
+}
+
+int qw_alloc_shadow(int n)
+{
+	char *p = kmalloc(n);
+	kfree(p);
+	if (n) {
+		char *p = kmalloc(n);
+		kfree(p);
+	}
+	return 0;
+}
+
+int qw_alloc_star(int n)
+{
+	char *q;
+	char **pp = &q;
+	char *p = kmalloc(n);
+	*pp = p;
+	return 0;
+}
 `
 
 // gateSpecs each depend on one gate: a call of its callee under a
 // boundcheck guard, an index under 'index constant-oob', an
 // uninitialized local under plain and cleanup-only 'decl uninit', a
 // one-argument likely bound to a local under a syntactic nullable source,
-// and a product at, or no, argument 0 under a mul-overflow sink.
+// a product at, or no, argument 0 under a mul-overflow sink, and the
+// dataflow rules: a kfree after a kfree (qw_dfree) and an sscanf after a
+// copy_from_user (qw_unterm) under Rule A, a kmalloc that may still be
+// held at a return (qw_leak) under Rule B.
 var gateSpecs = []string{`checker qw_bound {
   bugtype "Buffer-Overflow"
   guard { boundcheck }
@@ -122,23 +247,44 @@ var gateSpecs = []string{`checker qw_bound {
   bugtype "Integer-Overflow"
   guard { boundcheck }
   sink { mul-overflow into "kmalloc" arg 0 bits 32 }
+}`, `checker qw_dfree {
+  bugtype "Double-Free"
+  track aliases
+  source { call "kfree" frees arg 0 }
+  sink { call "kfree" arg 0 freed }
+}`, `checker qw_unterm {
+  bugtype "Misuse"
+  source { call "copy_from_user" writes arg 0 unterminated }
+  guard { terminate elem zero }
+  sink { call "sscanf" arg 0 unterminated }
+}`, `checker qw_leak {
+  bugtype "Memory-Leak"
+  track aliases
+  source { call "kmalloc" yields alloc }
+  guard { call "kfree" releases arg 0 }
+  sink { end-of-function holding alloc }
 }`}
 
 // TestQuietWitnesses pins which witness functions each gate spec is
-// quiet on: loud exactly on the witness it names, and on qw_mul_short
-// for qw_mul, whose sink panics there.
+// quiet on: loud exactly on the witnesses it names, among them
+// qw_mul_short for qw_mul and qw_free_none for qw_dfree and qw_leak,
+// whose callbacks panic there.
 func TestQuietWitnesses(t *testing.T) {
 	w, err := minic.ParseFile("drivers/qw/witness.c", quietWitness)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loud := map[string][]string{
-		"qw_bound":   {"qw_bound"},
+		"qw_bound":   {"qw_bound", "qw_copy_scan", "qw_scan_copy"},
 		"qw_oob":     {"qw_index"},
-		"qw_uninit":  {"qw_uninit", "qw_cleanup"},
+		"qw_uninit":  {"qw_uninit", "qw_cleanup", "qw_alloc_copy", "qw_alloc_star"},
 		"qw_cleanup": {"qw_cleanup"},
 		"qw_likely":  {"qw_likely"},
 		"qw_mul":     {"qw_mul", "qw_mul_short"},
+		"qw_dfree":   {"qw_free_two", "qw_free_loop", "qw_free_none", "qw_alloc_shadow"},
+		"qw_unterm":  {"qw_copy_scan"},
+		"qw_leak": {"qw_mul", "qw_mul_plain", "qw_mul_short", "qw_free_none", "qw_alloc_leak",
+			"qw_alloc_overwrite", "qw_alloc_addr", "qw_alloc_shadow", "qw_alloc_star"},
 	}
 	var fp minic.Footprint
 	for _, src := range gateSpecs {
@@ -152,50 +298,34 @@ func TestQuietWitnesses(t *testing.T) {
 	}
 }
 
-// spy delegates every callback to a Compiled checker and records any
-// callback that hands back a different state or allocates in the arena.
-type spy struct {
-	*ckdsl.Compiled
-	broken []string
+// ungated runs a Compiled checker's callbacks but is no checker.Quieter,
+// so the engine explores with it wherever it is quiet, and the oracle
+// sees what it would do there.
+type ungated struct{ ck *ckdsl.Compiled }
+
+func (u ungated) Name() string    { return u.ck.Name() }
+func (u ungated) BugType() string { return u.ck.BugType() }
+
+func (u ungated) CheckDecl(d *minic.DeclStmt, r sym.RegionID, c *checker.Context) {
+	u.ck.CheckDecl(d, r, c)
 }
 
-func (s *spy) watch(c *checker.Context, callback string, fire func()) {
-	st, size := c.State(), c.Arena().Size()
-	fire()
-	if c.State() != st {
-		s.broken = append(s.broken, callback+" changed the state")
-	}
-	if c.Arena().Size() != size {
-		s.broken = append(s.broken, callback+" allocated in the arena")
-	}
+func (u ungated) CheckPreCall(ev *checker.CallEvent, c *checker.Context) { u.ck.CheckPreCall(ev, c) }
+
+func (u ungated) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
+	u.ck.CheckPostCall(ev, c)
 }
 
-func (s *spy) CheckDecl(d *minic.DeclStmt, r sym.RegionID, c *checker.Context) {
-	s.watch(c, "CheckDecl", func() { s.Compiled.CheckDecl(d, r, c) })
+func (u ungated) CheckBind(ev *checker.BindEvent, c *checker.Context) { u.ck.CheckBind(ev, c) }
+
+func (u ungated) CheckBranchCondition(cond minic.Expr, c *checker.Context) {
+	u.ck.CheckBranchCondition(cond, c)
 }
 
-func (s *spy) CheckPreCall(ev *checker.CallEvent, c *checker.Context) {
-	s.watch(c, "CheckPreCall", func() { s.Compiled.CheckPreCall(ev, c) })
-}
+func (u ungated) CheckLocation(ac *checker.Access, c *checker.Context) { u.ck.CheckLocation(ac, c) }
 
-func (s *spy) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
-	s.watch(c, "CheckPostCall", func() { s.Compiled.CheckPostCall(ev, c) })
-}
-
-func (s *spy) CheckBind(ev *checker.BindEvent, c *checker.Context) {
-	s.watch(c, "CheckBind", func() { s.Compiled.CheckBind(ev, c) })
-}
-
-func (s *spy) CheckBranchCondition(cond minic.Expr, c *checker.Context) {
-	s.watch(c, "CheckBranchCondition", func() { s.Compiled.CheckBranchCondition(cond, c) })
-}
-
-func (s *spy) CheckLocation(ac *checker.Access, c *checker.Context) {
-	s.watch(c, "CheckLocation", func() { s.Compiled.CheckLocation(ac, c) })
-}
-
-func (s *spy) CheckEndFunction(ev *checker.ReturnEvent, c *checker.Context) {
-	s.watch(c, "CheckEndFunction", func() { s.Compiled.CheckEndFunction(ev, c) })
+func (u ungated) CheckEndFunction(ev *checker.ReturnEvent, c *checker.Context) {
+	u.ck.CheckEndFunction(ev, c)
 }
 
 // outcome is a result as a client and as the store see it.
@@ -210,16 +340,17 @@ func outcomeOf(t testing.TB, r *engine.Result) outcome {
 	return outcome{string(data), string(store.Encode(r))}
 }
 
-// checkQuiet analyzes fn with ck, which calls it quiet, behind a spy: no
-// callback may change the state or allocate, and the result must equal
-// the no-checker baseline as JSON and as codec bytes, so ck neither
-// reported nor panicked.
+// checkQuiet holds ck, which calls fn quiet, to checker.Quieter's
+// contract: explored ungated, it reports nothing on fn and panics
+// nowhere; and the engine's own, gated, result equals the no-checker
+// baseline as JSON and as codec bytes.
 func checkQuiet(t testing.TB, f *minic.File, fn *minic.FuncDecl, ck *ckdsl.Compiled, base outcome) {
 	t.Helper()
-	s := &spy{Compiled: ck}
-	got := outcomeOf(t, engine.AnalyzeFunc(f, fn, engine.Options{Checkers: []checker.Checker{s}}))
-	if len(s.broken) > 0 || got != base {
-		t.Fatalf("%s is quiet on %s, but %v\n got %s\nwant %s", ck.Name(), fn.Name, s.broken, got.json, base.json)
+	if r := engine.AnalyzeFunc(f, fn, engine.Options{Checkers: []checker.Checker{ungated{ck}}}); len(r.Reports) > 0 || len(r.RuntimeErrs) > 0 {
+		t.Fatalf("%s is quiet on %s, but explored it reports %v and fails %v", ck.Name(), fn.Name, r.Reports, r.RuntimeErrs)
+	}
+	if got := outcomeOf(t, engine.AnalyzeFunc(f, fn, engine.Options{Checkers: []checker.Checker{ck}})); got != base {
+		t.Fatalf("%s is quiet on %s, but the gated result differs from the baseline\n got %s\nwant %s", ck.Name(), fn.Name, got.json, base.json)
 	}
 }
 
@@ -252,8 +383,8 @@ func mustCompile(t testing.TB, src string) *ckdsl.Compiled {
 // TestQuietMatchesBaseline is QuietOn's soundness oracle. Over the
 // scale-1 corpus at seeds 1 and 2 plus the witness file, for the valid
 // checkers the pipeline synthesizes from that seed's hand commits plus
-// the gate specs, every function a checker calls quiet gets its
-// baseline's result with that checker (checkQuiet).
+// the gate specs, every function a checker calls quiet keeps
+// checker.Quieter's contract (checkQuiet).
 func TestQuietMatchesBaseline(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		files := parseFiles(t, kernel.Generate(kernel.Config{Seed: seed, Scale: 1}))
@@ -312,8 +443,9 @@ var (
 
 // FuzzQuietMatchesBaseline is the oracle on random specs: randomSpec
 // names callees drawn from a function's own calls and from decoys, and
-// wherever the spec is quiet on the function it must leave it as the
-// baseline does. The functions are the witness file's, first, then a
+// draws the dataflow rules' shapes some of the time; wherever the spec is
+// quiet on the function it must keep checker.Quieter's contract there
+// (checkQuiet). The functions are the witness file's, first, then a
 // small corpus's.
 func FuzzQuietMatchesBaseline(f *testing.F) {
 	// Specs on a witness function for one gate each: a boundcheck guard
@@ -331,6 +463,29 @@ func FuzzQuietMatchesBaseline(f *testing.F) {
 	f.Add(int64(608), uint16(6))
 	f.Add(int64(608), uint16(7))
 	f.Add(int64(126), uint16(8))
+	// Specs of the dataflow rules' shapes on each of their witnesses, with
+	// the verdict TestQuietWitnesses pins for the matching gate spec: a
+	// kfree double-free spec quiet on qw_free_paths (9) and loud on
+	// qw_free_two (10), qw_free_loop (11) and qw_free_none (12); a
+	// copy_from_user/sscanf spec loud on qw_copy_scan (13) and quiet on
+	// qw_scan_copy (14); a kmalloc leak spec quiet on qw_alloc_free (15),
+	// qw_alloc_copy (17) and qw_alloc_store (18) and loud on
+	// qw_alloc_leak (16), qw_alloc_overwrite (19), qw_alloc_addr (20),
+	// qw_alloc_shadow (21) and qw_alloc_star (22).
+	f.Add(int64(737), uint16(9))
+	f.Add(int64(546), uint16(10))
+	f.Add(int64(546), uint16(11))
+	f.Add(int64(546), uint16(12))
+	f.Add(int64(301), uint16(13))
+	f.Add(int64(48), uint16(14))
+	f.Add(int64(91), uint16(15))
+	f.Add(int64(91), uint16(16))
+	f.Add(int64(91), uint16(17))
+	f.Add(int64(2), uint16(18))
+	f.Add(int64(91), uint16(19))
+	f.Add(int64(91), uint16(20))
+	f.Add(int64(91), uint16(21))
+	f.Add(int64(2), uint16(22))
 	f.Fuzz(func(t *testing.T, seed int64, pick uint16) {
 		fuzzUnitsOnce.Do(func() {
 			for _, f := range parseFiles(t, kernel.Generate(kernel.Config{Seed: 1, Scale: 0.05})) {

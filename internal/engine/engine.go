@@ -25,6 +25,12 @@
 //   - another rider's checker panicked (the crash ends that rider's
 //     analysis, as it would alone, and unwinds the pass).
 //
+// Before it explores, AnalyzeFuncEach drops from every rider each
+// checker.Quieter quiet on the function: such a checker would report
+// nothing and panic nowhere there, so running it could only have added
+// facts, and paths and steps, to the rider's result. It runs no callback
+// at all, and its rider's result is what it is without it.
+//
 // Riders are kept in lockstep rather than each going dead for a subtree
 // of one union exploration, because the arena is state shared across
 // paths: ids are allocation-ordered (and reach fact-key order and report
@@ -159,7 +165,7 @@ func AnalyzeFile(file *minic.File, opts Options) *Result {
 // RuntimeErr on the result (the analog of CSA's "the analyzer
 // encountered problems on source files").
 func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
-	return AnalyzeFuncEach(file, fn, [][]checker.Checker{opts.Checkers}, opts)[0]
+	return AnalyzeFuncEach(file, fn, nil, [][]checker.Checker{opts.Checkers}, opts)[0]
 }
 
 // AnalyzeFuncEach analyzes fn for several riders over one exploration.
@@ -167,7 +173,13 @@ func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
 // exactly what AnalyzeFunc returns for riders[i] alone (opts.Checkers is
 // ignored). See the package comment for how riders share a pass and
 // when one leaves it.
-func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
+//
+// Before exploring, every checker.Quieter quiet on fn leaves its rider
+// (gate): it could only have left the rider's result as it is, so it is
+// not run at all. fp is fn's footprint, which carries the checkers'
+// memoized verdicts, or nil for the call to make one the first time a
+// Quieter asks.
+func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, fp *minic.Footprint, riders [][]checker.Checker, opts Options) []*Result {
 	opts = opts.withDefaults()
 	results := make([]*Result, len(riders))
 	for i := range results {
@@ -194,6 +206,7 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 		// which skips bodies it cannot lower).
 		return results
 	}
+	riders = g.gate(fp, riders)
 	pending := make([]int, len(riders))
 	for i := range pending {
 		pending[i] = i
@@ -214,9 +227,52 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 type graph struct {
 	cfg.Graph
 	text []branchText // per Exprs index
-	// fp is the function's footprint, made the first time a checker
-	// asks for it (checker.Context.Footprint).
-	fp checker.LazyFootprint
+	// fp is the function's footprint when the caller has none, made the
+	// first time the gate needs it; made says whether it is.
+	fp   minic.Footprint
+	made bool
+}
+
+// gate returns riders without every checker.Quieter quiet on g's
+// function, whose footprint is fp, or g's own when fp is nil. It copies
+// the outer slice and each rider it changes; a rider left with no checker
+// explores as the empty rider. Where no checker is quiet it allocates
+// nothing.
+func (g *graph) gate(fp *minic.Footprint, riders [][]checker.Checker) [][]checker.Checker {
+	copied := false
+	for i, cks := range riders {
+		kept := cks
+		for j, ck := range cks {
+			q, ok := ck.(checker.Quieter)
+			if !ok {
+				continue
+			}
+			if fp == nil {
+				if !g.made {
+					g.fp.Reset(g.Fn)
+					g.made = true
+				}
+				fp = &g.fp
+			}
+			if !q.QuietOn(fp) {
+				if len(kept) < len(cks) {
+					kept = append(kept, ck)
+				}
+				continue
+			}
+			if len(kept) == len(cks) {
+				kept = append(make([]checker.Checker, 0, len(cks)-1), cks[:j]...)
+			}
+		}
+		if len(kept) == len(cks) {
+			continue
+		}
+		if !copied {
+			riders, copied = append([][]checker.Checker(nil), riders...), true
+		}
+		riders[i] = kept
+	}
+	return riders
 }
 
 // branchText is what a branch condition renders to: the condition and
@@ -238,7 +294,6 @@ func (g *graph) lower(fn *minic.FuncDecl) error {
 	}
 	g.text = g.text[:len(g.Exprs)]
 	clear(g.text)
-	g.fp.Reset(fn)
 	return nil
 }
 
@@ -268,7 +323,10 @@ func (g *graph) release() {
 	g.Reset()
 	clear(g.text[:cap(g.text)])
 	g.text = g.text[:0]
-	g.fp.Reset(nil)
+	if g.made {
+		g.fp.Reset(nil)
+		g.made = false
+	}
 	graphPool.Put(g)
 }
 
@@ -419,7 +477,7 @@ func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options,
 		r := &all[slot]
 		*results[id] = Result{} // a rider that left an earlier pass starts over
 		r.slot, r.id, r.checkers, r.res = slot, id, riders[id], results[id]
-		r.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, &graph.fp, r.addReport)
+		r.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, r.addReport)
 		ex.live[slot] = r
 	}
 	return ex

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"strings"
 	"time"
 
@@ -9,17 +8,6 @@ import (
 	"knighter/internal/minic"
 	"knighter/internal/sym"
 )
-
-// namedConstants models the kernel macro constants the corpus uses so
-// that error-path expressions like -ENOMEM fold to concrete values.
-var namedConstants = map[string]int64{
-	"NULL": 0, "true": 1, "false": 0,
-	"ENOMEM": 12, "EINVAL": 22, "EFAULT": 14, "EBUSY": 16, "ENODEV": 19,
-	"EIO": 5, "EAGAIN": 11, "ENOSPC": 28, "EPERM": 1, "ERANGE": 34,
-	"GFP_KERNEL": 3264, "GFP_ATOMIC": 2080, "GFP_NOWAIT": 2048,
-	"U8_MAX": 0xFF, "U16_MAX": 0xFFFF, "U32_MAX": 0xFFFFFFFF,
-	"INT_MAX": math.MaxInt32, "PAGE_SIZE": 4096, "SZ_4K": 4096,
-}
 
 // unsignedBases are primitive type names treated as unsigned for range
 // seeding.
@@ -72,7 +60,7 @@ func (ex *exec) evalExprUncached(pc *pathCtx, e minic.Expr) sym.Value {
 		pc.state = pc.state.WithNullness(s, sym.NotNull)
 		return sym.MakeSym(s)
 	case *minic.Ident:
-		if c, ok := namedConstants[x.Name]; ok {
+		if c, ok := minic.Constant(x.Name); ok {
 			return sym.MakeInt(c)
 		}
 		return ex.loadVar(pc, x)

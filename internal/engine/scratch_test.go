@@ -130,7 +130,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 		f := parseFile(sf)
 		for _, fn := range f.Funcs {
 			freshPool()
-			res := AnalyzeFuncEach(f, fn, riders, Options{})
+			res := AnalyzeFuncEach(f, fn, nil, riders, Options{})
 			want = append(want, renderAll(res))
 			for _, rep := range res[2].Reports {
 				if strings.HasPrefix(rep.Message, globalKind) {
@@ -194,18 +194,18 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 			for k := range units {
 				switch k % 4 {
 				case 0:
-					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, riders, Options{})...)
+					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, nil, riders, Options{})...)
 				case 1:
-					res := AnalyzeFuncEach(dist, short, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
+					res := AnalyzeFuncEach(dist, short, nil, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
 					w.crashed = append(w.crashed, res...)
 				case 2:
 					ctx, cancel := context.WithCancel(context.Background())
-					res := AnalyzeFuncEach(dist, long, [][]checker.Checker{{canceler{cancel}}, {siteReporter{}}}, Options{Ctx: ctx})
+					res := AnalyzeFuncEach(dist, long, nil, [][]checker.Checker{{canceler{cancel}}, {siteReporter{}}}, Options{Ctx: ctx})
 					cancel()
 					w.canceled = append(w.canceled, res...)
 				case 3:
 					st := &staller{budget: 200 * time.Microsecond}
-					res := AnalyzeFuncEach(dist, long, [][]checker.Checker{{st}, {siteReporter{}}}, Options{Timeout: st.budget})
+					res := AnalyzeFuncEach(dist, long, nil, [][]checker.Checker{{st}, {siteReporter{}}}, Options{Timeout: st.budget})
 					if st.stalled {
 						w.midBlockTimeouts++
 					}
@@ -215,7 +215,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 				if reverse {
 					i = len(units) - 1 - k
 				}
-				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, riders, Options{})
+				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, nil, riders, Options{})
 			}
 		}(&walks[w], w == 1)
 	}

@@ -1,5 +1,7 @@
 package minic
 
+import "math"
+
 // Node is the common interface of all AST nodes.
 type Node interface {
 	NodePos() Pos
@@ -388,6 +390,24 @@ func (*ParenExpr) exprNode()   {}
 func (*SizeofExpr) exprNode()  {}
 func (*CastExpr) exprNode()    {}
 func (*CondExpr) exprNode()    {}
+
+// constants models the kernel macro constants the corpus uses so that
+// error-path expressions like -ENOMEM fold to concrete values.
+var constants = map[string]int64{
+	"NULL": 0, "true": 1, "false": 0,
+	"ENOMEM": 12, "EINVAL": 22, "EFAULT": 14, "EBUSY": 16, "ENODEV": 19,
+	"EIO": 5, "EAGAIN": 11, "ENOSPC": 28, "EPERM": 1, "ERANGE": 34,
+	"GFP_KERNEL": 3264, "GFP_ATOMIC": 2080, "GFP_NOWAIT": 2048,
+	"U8_MAX": 0xFF, "U16_MAX": 0xFFFF, "U32_MAX": 0xFFFFFFFF,
+	"INT_MAX": math.MaxInt32, "PAGE_SIZE": 4096, "SZ_4K": 4096,
+}
+
+// Constant returns the value of a named kernel macro constant: an
+// identifier spelled so evaluates to it, not to a variable.
+func Constant(name string) (int64, bool) {
+	c, ok := constants[name]
+	return c, ok
+}
 
 // Unparen strips any number of ParenExpr wrappers.
 func Unparen(e Expr) Expr {

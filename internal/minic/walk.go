@@ -3,6 +3,7 @@ package minic
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // WalkStmts visits s and every statement nested in it, in pre-order.
@@ -111,7 +112,22 @@ type Footprint struct {
 	UninitCleanup bool
 	// Index: an index expression.
 	Index bool
+	// fn is the function the footprint was made of.
+	fn *FuncDecl
+	// verdicts are SetVerdict's answers, replaced whole on each one (nil
+	// until the first), so readers need no lock.
+	verdicts atomic.Pointer[[]verdict]
 }
+
+// verdict is one memoized answer (Footprint.Verdict).
+type verdict struct {
+	key   any
+	quiet bool
+}
+
+// maxVerdicts bounds the verdicts a footprint keeps: a daemon may see
+// any number of checkers, and a verdict past the bound is recomputed.
+const maxVerdicts = 64
 
 // callShape is what the call events of one callee hold.
 type callShape struct {
@@ -143,9 +159,59 @@ func (fp *Footprint) MulAt(name string, arg int) bool {
 	return arg < 0 || s.minArgs <= arg || s.products&(1<<min(arg, 63)) != 0
 }
 
-// Reset makes fp the footprint of fn, reusing its slices.
+// ShortCall reports whether some call event of name has at most arg
+// arguments, so that reading argument arg of it panics.
+func (fp *Footprint) ShortCall(name string, arg int) bool {
+	i := slices.Index(fp.Callees, name)
+	return i >= 0 && fp.shapes[i].minArgs != noCall && (arg < 0 || fp.shapes[i].minArgs <= arg)
+}
+
+// Func returns the function fp was made of.
+func (fp *Footprint) Func() *FuncDecl { return fp.fn }
+
+// Verdict returns the verdict memoized under key, if there is one. A
+// verdict is a fact about the function alone, under what its key names
+// (a checker rule's callee sets, say), so every checker that builds an
+// equal key shares it. It is safe for concurrent use with SetVerdict, and
+// a hit allocates nothing when key is an interface value built once.
+func (fp *Footprint) Verdict(key any) (v, ok bool) {
+	if vs := fp.verdicts.Load(); vs != nil {
+		for _, e := range *vs {
+			if e.key == key {
+				return e.quiet, true
+			}
+		}
+	}
+	return false, false
+}
+
+// SetVerdict memoizes v under key (Verdict). key must be comparable.
+func (fp *Footprint) SetVerdict(key any, v bool) {
+	for {
+		old := fp.verdicts.Load()
+		var vs []verdict
+		if old != nil {
+			vs = *old
+		}
+		if len(vs) >= maxVerdicts {
+			return
+		}
+		next := append(vs[:len(vs):len(vs)], verdict{key, v})
+		if fp.verdicts.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// Reset makes fp the footprint of fn, or empty for a nil fn, reusing its
+// slices and dropping its verdicts. A footprint being read concurrently
+// must not be Reset.
 func (fp *Footprint) Reset(fn *FuncDecl) {
-	*fp = Footprint{Callees: fp.Callees[:0], shapes: fp.shapes[:0]}
+	clear(fp.Callees)
+	*fp = Footprint{Callees: fp.Callees[:0], shapes: fp.shapes[:0], fn: fn}
+	if fn == nil {
+		return
+	}
 	bound := func(rhs Expr) {
 		if c, ok := Unparen(rhs).(*CallExpr); ok {
 			fp.callee(c.Fun)

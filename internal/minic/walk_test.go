@@ -76,3 +76,40 @@ func TestFootprintArity(t *testing.T) {
 		}
 	}
 }
+
+// TestFootprintVerdicts pins the verdict memo: a key answers what was
+// stored under an equal key, even one built separately; Reset drops
+// every verdict; and past maxVerdicts keys a new one is not kept.
+func TestFootprintVerdicts(t *testing.T) {
+	f, err := ParseFile("fp.c", "int f(int a)\n{\n\treturn g(a);\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fp Footprint
+	fp.Reset(f.Funcs[0])
+	a, b := any("A\x00kfree"), any(strings.Repeat("B", 2))
+	if _, ok := fp.Verdict(a); ok {
+		t.Fatal("a fresh footprint has a verdict")
+	}
+	fp.SetVerdict(a, true)
+	fp.SetVerdict(b, false)
+	if v, ok := fp.Verdict(any(strings.Join([]string{"A", "kfree"}, "\x00"))); !v || !ok {
+		t.Fatalf("an equal key built apart: %v, %v", v, ok)
+	}
+	if v, ok := fp.Verdict(b); v || !ok {
+		t.Fatalf("second key: %v, %v", v, ok)
+	}
+	fp.Reset(f.Funcs[0])
+	if _, ok := fp.Verdict(a); ok {
+		t.Fatal("Reset kept a verdict")
+	}
+	for i := 0; i < maxVerdicts+1; i++ {
+		fp.SetVerdict(any(strings.Repeat("k", i+1)), true)
+	}
+	if _, ok := fp.Verdict(any(strings.Repeat("k", maxVerdicts))); !ok {
+		t.Fatal("the last key within the bound is not kept")
+	}
+	if _, ok := fp.Verdict(any(strings.Repeat("k", maxVerdicts+1))); ok {
+		t.Fatal("a key past the bound is kept")
+	}
+}

@@ -385,7 +385,9 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							if timed {
 								e0 = time.Now()
 							}
-							got := engine.AnalyzeFuncEach(f, fn, lists, eo)
+							// fp carries the memoized verdicts the engine's
+							// own gate asks again, checker by checker.
+							got := engine.AnalyzeFuncEach(f, fn, fp, lists, eo)
 							if timed {
 								evalNS.Add(int64(time.Since(e0)))
 							}

@@ -145,11 +145,11 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 
 // memoFootprints reads every function footprint of s from its memos,
 // per file, filling them on the way.
-func memoFootprints(s *Snapshot) [][]minic.Footprint {
-	out := make([][]minic.Footprint, len(s.files))
+func memoFootprints(s *Snapshot) [][]*minic.Footprint {
+	out := make([][]*minic.Footprint, len(s.files))
 	for i, f := range s.files {
 		for j := range f.Funcs {
-			out[i] = append(out[i], *s.memo[i].footprint(f, j))
+			out[i] = append(out[i], s.memo[i].footprint(f, j))
 		}
 	}
 	return out
@@ -170,10 +170,10 @@ func TestSnapshotMemoFootprints(t *testing.T) {
 	got := memoFootprints(cb.Snapshot())
 	for i, f := range cold.Files() {
 		for j, fn := range f.Funcs {
-			var want minic.Footprint
+			want := new(minic.Footprint)
 			want.Reset(fn)
 			if !reflect.DeepEqual(got[i][j], want) {
-				t.Fatalf("%s: memoized footprint %+v, a fresh Reset gives %+v", fn.Name, got[i][j], want)
+				t.Fatalf("%s: memoized footprint %+v, a fresh Reset gives %+v", fn.Name, got[i][j].Callees, want.Callees)
 			}
 		}
 	}
