@@ -1046,10 +1046,9 @@ func synthRevisions(b *testing.B, t1 *eval.Table1Result, tag string, from, n int
 // BenchmarkBatchScanCold measures a /batch of never-seen revisions of
 // synthesized checkers — a refinement round's candidates — at batch sizes
 // 2 and 4: every function misses under every revision. A function is
-// explored once for the revisions that can act on it; the others copy its
-// no-checker baseline, memoized on the codebase after the first
-// iteration, and quiet/op counts those copies; loud/op counts the misses
-// explored, the pairs a checker can act on. Each revision's result is
+// explored once for the revisions that can act on it; the others are
+// answered quietly, unexplored, and quiet/op counts those answers;
+// loud/op counts the misses explored, the pairs a checker can act on. Each revision's result is
 // then one store put. Successive iterations walk the valid checkers, so
 // ns/op averages over them.
 func BenchmarkBatchScanCold(b *testing.B) {

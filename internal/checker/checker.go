@@ -44,8 +44,9 @@ type Fingerprinter interface {
 // rider of a function the checker is quiet on before exploring, so the
 // checker writes nothing there either, and the rider's result is what it
 // would be without the checker, down to its path and step counts. The
-// scan scheduler answers a rider whose checkers are all quiet from the
-// function's memoized no-checker baseline instead of exploring.
+// scan scheduler answers a rider whose checkers are all quiet with no
+// reports and no runtime errors, unexplored — all a stored result holds
+// — so the answer cannot time out or crash.
 type Quieter interface {
 	QuietOn(fp *minic.Footprint) bool
 }

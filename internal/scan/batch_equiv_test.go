@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -121,7 +122,8 @@ func (opaque) Fingerprint() {}
 // cold ones, MaxReports, file subsets and engine budgets small enough to
 // truncate — every RunBatch entry equals RunFiles for that checker alone
 // against the same prior store state, and every entry the batch stored
-// equals the engine's solo result for that function.
+// is the store.Encode bytes of the engine's solo result for that
+// function.
 //
 // The byte stream is: options, warm mask, then one byte per rider.
 func FuzzBatchSoloEquivalence(f *testing.F) {
@@ -223,18 +225,18 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 				cold[fp] = true
 			}
 			// What the batch left in the store under this rider's keys is
-			// the engine's solo result, function by function.
+			// the engine's solo result, function by function, as stored.
 			eo := opts.engineOptions([]checker.Checker{ck})
 			for _, fi := range files {
 				file := cb.Files()[fi]
 				for j, fn := range file.Funcs {
 					key := store.Key{FuncHash: cb.FuncHash(fi, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
-					stored, ok := storedResult(batchInc.Store(), key)
-					if !ok {
+					stored := storedPayload(batchInc.Store(), key)
+					if stored == nil {
 						t.Fatalf("entry %d: nothing stored for %s", i, fn.Name)
 					}
-					if want := engine.AnalyzeFunc(file, fn, eo); !reflect.DeepEqual(stored, want) {
-						t.Fatalf("entry %d: stored result for %s differs from the solo analysis:\nstored %+v\nsolo   %+v", i, fn.Name, stored, want)
+					if want := store.Encode(engine.AnalyzeFunc(file, fn, eo)); !bytes.Equal(stored, want) {
+						t.Fatalf("entry %d: stored result for %s differs from the solo analysis:\nstored % x\nsolo   % x", i, fn.Name, stored, want)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -8,7 +9,6 @@ import (
 
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
-	"knighter/internal/engine"
 	"knighter/internal/store"
 )
 
@@ -107,9 +107,10 @@ func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 
 // TestCanceledPassStoresNoCanceledResult: a context canceled part-way
 // through a pass, at each of its first check points in turn, stores no
-// canceled result — one rider through a stack in front of the tier, and
-// a batch of two riders straight into it — and the pass comes back
-// flagged.
+// canceled result — everything it stores is what an uncanceled pass
+// stores under the same key — one rider through a stack in front of the
+// tier, and a batch of two riders straight into it; and the pass comes
+// back flagged.
 func TestCanceledPassStoresNoCanceledResult(t *testing.T) {
 	cb := buildCodebase(t)
 	other, err := ckdsl.CompileSource(`
@@ -124,9 +125,11 @@ checker scan_other {
 		t.Fatal(err)
 	}
 	for _, cks := range [][]checker.Checker{{compileChecker(t)}, {compileChecker(t), other}} {
+		ref := store.NewMemory(0)
+		NewIncremental(cb, ref).RunBatch(cks, nil, Options{Workers: 1}, 0)
 		calls := int64(0)
 		for k := int64(1); k <= 8; k++ {
-			rec := &cancelOnPut{Store: store.NewMemory(0)}
+			rec := &cancelOnPut{Store: store.NewMemory(0), ref: ref}
 			st := store.Store(rec)
 			if len(cks) == 1 {
 				st = store.NewStack(nil, store.Tier{Name: "memory", Store: rec}, store.Tier{})
@@ -135,8 +138,8 @@ checker scan_other {
 			if !res[0].Canceled {
 				t.Fatalf("%d riders, cut at check %d: the pass was not flagged canceled", len(cks), k)
 			}
-			if n := rec.unstorable.Load(); n != 0 {
-				t.Fatalf("%d riders, cut at check %d: %d canceled or timed-out results were stored", len(cks), k, n)
+			if n := rec.wrong.Load(); n != 0 {
+				t.Fatalf("%d riders, cut at check %d: %d stored results differ from the uncanceled pass's", len(cks), k, n)
 			}
 			calls += rec.calls.Load()
 		}
@@ -147,13 +150,15 @@ checker scan_other {
 }
 
 // cancelOnPut triggers f (if set) on every PutMany, counts the calls
-// and the payloads in them that do not decode or hold a result storable
-// would refuse, then forwards to the wrapped store.
+// and, when ref is set, the payloads in them that differ from what ref —
+// a store an uncanceled pass filled — holds under the same key, then
+// forwards to the wrapped store.
 type cancelOnPut struct {
 	store.Store
-	f          func()
-	calls      atomic.Int64
-	unstorable atomic.Int64
+	f     func()
+	ref   store.Store
+	calls atomic.Int64
+	wrong atomic.Int64
 }
 
 func (c *cancelOnPut) PutMany(ctx context.Context, keys []store.Key, ids []store.Digest, payloads [][]byte) {
@@ -161,10 +166,13 @@ func (c *cancelOnPut) PutMany(ctx context.Context, keys []store.Key, ids []store
 	if c.f != nil {
 		c.f()
 	}
-	var r engine.Result
-	for _, p := range payloads {
-		if store.DecodeInto(&r, p) != nil || r.Canceled || r.TimedOut {
-			c.unstorable.Add(1)
+	if c.ref != nil {
+		want := make([][]byte, len(keys))
+		c.ref.GetMany(ctx, keys, ids, want)
+		for i, p := range payloads {
+			if !bytes.Equal(p, want[i]) {
+				c.wrong.Add(1)
+			}
 		}
 	}
 	c.Store.PutMany(ctx, keys, ids, payloads)

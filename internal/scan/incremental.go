@@ -54,9 +54,9 @@ const (
 	// StageCacheProbe is the summed store probe time across workers.
 	StageCacheProbe = "cache_probe"
 	// StageEngineEval is the summed symbolic-execution time across
-	// workers, of the misses explored: a miss answered from its
-	// function's baseline takes none, nor does a fully warm scan. Its
-	// count is every key computed, explored or not.
+	// workers, of the misses explored: a miss answered quietly takes
+	// none, nor does a fully warm scan. Its count is every key computed,
+	// explored or not.
 	StageEngineEval = "engine_eval"
 	// StageSerialize is the deterministic merge of per-function results
 	// into the final report order.
@@ -165,8 +165,8 @@ func (p *riderPlan) quietOn(fp *minic.Footprint) bool {
 // of units, probes every rider's keys for the whole range in one store
 // call, then for each unit runs the engine ONCE with the riders that
 // missed and are loud on the function — a rider whose checkers are all
-// quiet on it copies the function's no-checker baseline instead — and
-// stores each rider's result under its own key — the range's results in
+// quiet on it is answered emptyHit, unexplored — and stores each
+// rider's result under its own key — the range's results in
 // one store call, by the digests its probe used; the per-rider merges
 // then run as if each rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
@@ -286,7 +286,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				// checker lists of those explored, and where each sits in
 				// missed; the results, parallel to missed.
 				missed := make([]int, 0, len(plans))
-				lists := make([][]checker.Checker, 0, len(plans)+1)
+				lists := make([][]checker.Checker, 0, len(plans))
 				explored := make([]int, 0, len(plans))
 				answers := make([]*engine.Result, 0, len(plans))
 				for {
@@ -355,30 +355,20 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						}
 						un := units[u]
 						// Compute the missed riders' results. A rider whose
-						// checkers are all quiet on the function gets a copy
-						// of its baseline, memoized or computed by an empty
-						// rider riding along; the others are explored.
+						// checkers are all quiet on the function reports
+						// nothing there: it gets emptyHit unexplored. The
+						// others are explored.
 						f, memo := snap.files[un.file], snap.memo[un.file]
-						fn := f.Funcs[un.fn]
 						rs := answers[:len(missed)]
-						clear(rs)
 						lists, explored = lists[:0], explored[:0]
 						fp := memo.footprint(f, un.fn)
-						quiet := false
 						for k, i := range missed {
+							rs[k] = emptyHit
 							if plans[i].quietOn(fp) {
-								quiet = true
+								plans[i].quiet.Add(1)
 								continue
 							}
 							lists, explored = append(lists, plans[i].checkers), append(explored, k)
-						}
-						var base engine.Result
-						var baseP []byte
-						known := false
-						if quiet {
-							if base, baseP, known = memo.baseline(un.fn, engFP); !known {
-								lists = append(lists, nil)
-							}
 						}
 						if len(lists) > 0 {
 							var e0 time.Time
@@ -387,40 +377,21 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							}
 							// fp carries the memoized verdicts the engine's
 							// own gate asks again, checker by checker.
-							got := engine.AnalyzeFuncEach(f, fn, fp, lists, eo)
+							got := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], fp, lists, eo)
 							if timed {
 								evalNS.Add(int64(time.Since(e0)))
 							}
 							for j, k := range explored {
 								rs[k] = got[j]
 							}
-							if quiet && !known {
-								base = *got[len(got)-1]
-								if baseP = memo.setBaseline(f, un.fn, engFP, &base); baseP == nil {
-									baseP = store.Encode(&base) // a baseline the memo does not keep
-								}
-							}
 						}
-						// The quiet riders share one copy of the baseline, and
-						// one payload of it: the memo's, which every quiet
-						// entry of the function stores.
-						var quietR *engine.Result
 						for k, r := range rs {
 							p := &plans[missed[k]]
-							if r == nil {
-								if quietR == nil {
-									b := base
-									quietR = &b
-								}
-								r = quietR
-								p.quiet.Add(1)
-							}
 							p.perFunc[u] = r
-							if p.cacheable && storable(r) {
-								payload := baseP
-								if r != quietR {
-									payload = store.Encode(r)
-								}
+							if !p.cacheable {
+								continue
+							}
+							if payload := store.Encode(r); payload != nil {
 								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
 								putIDs = append(putIDs, ids[p.slot*w+u-lo])
 								putPayloads = append(putPayloads, payload)
@@ -484,33 +455,26 @@ func (p *riderPlan) key(funcHash, engFP string) store.Key {
 	return store.Key{FuncHash: funcHash, CheckerFP: p.fp, EngineFP: engFP}
 }
 
-// emptyHit is the one result every hit that carries nothing merge keeps
-// — no reports, no runtime errors, not timed out, not canceled — points
-// at; its paths, steps and truncation only ever reach the per-file
-// result merge discards. Read-only.
+// emptyHit is the one result every answer with no reports and no
+// runtime errors points at, a hit's or a quiet rider's; store.Encode
+// writes it as its one shared payload. Read-only.
 var emptyHit = &engine.Result{}
 
 // decodeHit is a probed payload's result: nil for a miss, and for a
 // payload that does not decode, as in every tier; emptyHit when the
-// decode into scratch carries nothing merge keeps; otherwise a copy of
-// scratch, the hit's own. A warm hit with nothing to report allocates
-// nothing.
+// decode into scratch has no reports and no runtime errors; otherwise a
+// copy of scratch, the hit's own. A warm hit with nothing to report
+// allocates nothing.
 func decodeHit(scratch *engine.Result, payload []byte) *engine.Result {
 	if payload == nil || store.DecodeInto(scratch, payload) != nil {
 		return nil
 	}
-	if len(scratch.Reports) == 0 && len(scratch.RuntimeErrs) == 0 && !scratch.TimedOut && !scratch.Canceled {
+	if len(scratch.Reports) == 0 && len(scratch.RuntimeErrs) == 0 {
 		return emptyHit
 	}
 	r := *scratch
 	return &r
 }
-
-// storable reports whether a per-function result may be cached. A
-// timed-out or canceled one depends on wall-clock speed or the caller's
-// lifetime, not just the key's inputs — caching it would poison later
-// scans.
-func storable(r *engine.Result) bool { return !r.TimedOut && !r.Canceled }
 
 // merge folds one rider's per-function results (parallel to the units of
 // files) into its scan Result. Deterministic: per-function results fold

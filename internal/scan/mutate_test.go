@@ -244,23 +244,34 @@ func TestFuncTimeoutResultsAreNotCached(t *testing.T) {
 	st := store.NewMemory(0)
 	inc := NewIncremental(cb, st)
 
-	// A 1ns budget times out every function before any analysis.
-	res := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{Workers: 1, FuncTimeout: time.Nanosecond})
-	n := len(cb.Files()[0].Funcs)
-	if res.FuncsTimedOut != n {
-		t.Fatalf("timed out %d of %d functions", res.FuncsTimedOut, n)
+	// A 1ns budget times out every function the engine explores before
+	// any analysis: each one the checker is loud on. The quiet ones are
+	// answered unexplored, and stored.
+	n, loud := cb.NumFuncs(), 0
+	for _, q := range quietFuncs(cb, ck) {
+		if !q {
+			loud++
+		}
 	}
-	if s := st.Stats(); s.Puts != 0 {
-		t.Fatalf("timed-out results were cached: %+v", s)
+	if loud == 0 {
+		t.Fatal("the checker is quiet on every function")
+	}
+	res := inc.Run([]checker.Checker{ck}, Options{Workers: 1, FuncTimeout: time.Nanosecond})
+	if res.FuncsTimedOut != loud {
+		t.Fatalf("timed out %d of %d loud functions", res.FuncsTimedOut, loud)
+	}
+	if s := st.Stats(); s.Puts != int64(n-loud) {
+		t.Fatalf("timed-out results were cached: %+v, want %d puts", s, n-loud)
 	}
 
-	// Without the budget the same scan is a full (cold) analysis whose
-	// results do get cached — the poisoned-cache scenario this guards.
-	full := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{Workers: 1})
-	if full.CacheHits != 0 || full.FuncsTimedOut != 0 {
-		t.Fatalf("post-timeout scan: hits=%d timedout=%d", full.CacheHits, full.FuncsTimedOut)
+	// Without the budget the same scan is a full (cold) analysis of the
+	// loud functions whose results do get cached — the poisoned-cache
+	// scenario this guards.
+	full := inc.Run([]checker.Checker{ck}, Options{Workers: 1})
+	if full.CacheHits != n-loud || full.FuncsTimedOut != 0 {
+		t.Fatalf("post-timeout scan: hits=%d timedout=%d, want %d hits", full.CacheHits, full.FuncsTimedOut, n-loud)
 	}
-	if warm := inc.RunFiles([]int{0}, []checker.Checker{ck}, Options{Workers: 1}); warm.CacheMisses != 0 {
+	if warm := inc.Run([]checker.Checker{ck}, Options{Workers: 1}); warm.CacheMisses != 0 {
 		t.Fatalf("warm scan missed %d times", warm.CacheMisses)
 	}
 }

@@ -1,10 +1,9 @@
 package scan
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ import (
 )
 
 // quietCodebase parses the batch-equivalence corpus into a codebase of
-// its own, so its baseline memo starts empty whatever ran before.
+// its own, so its footprint memo starts empty whatever ran before.
 func quietCodebase(t *testing.T) *Codebase {
 	t.Helper()
 	corpus := fuzzCorpus()
@@ -32,13 +31,14 @@ func quietCodebase(t *testing.T) *Codebase {
 }
 
 // engineAnswer is what a checker's entry of a pass must equal: the
-// uncached scan's reports, and the engine's own result for every
-// function, in file and function order, as the store must hold it; and
-// the reports and runtime errors of the uncached scan with the checker
-// explored ungated, wherever it is quiet too.
+// uncached scan's reports, and the store.Encode bytes of the engine's
+// own result for every function, in file and function order, as the
+// store must hold them; and the reports and runtime errors of the
+// uncached scan with the checker explored ungated, wherever it is quiet
+// too.
 type engineAnswer struct {
 	scan    *Result
-	stored  []*engine.Result
+	stored  [][]byte
 	ungated string
 }
 
@@ -47,7 +47,7 @@ func answerOf(t *testing.T, cb *Codebase, ck checker.Checker, opts Options) engi
 	eo := opts.engineOptions([]checker.Checker{ck})
 	for _, f := range cb.Files() {
 		for _, fn := range f.Funcs {
-			a.stored = append(a.stored, engine.AnalyzeFunc(f, fn, eo))
+			a.stored = append(a.stored, store.Encode(engine.AnalyzeFunc(f, fn, eo)))
 		}
 	}
 	explored := ck
@@ -118,9 +118,8 @@ func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck che
 	for i, f := range cb.Files() {
 		for j, fn := range f.Funcs {
 			key := store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
-			stored, ok := storedResult(st, key)
-			if !ok || !reflect.DeepEqual(stored, want.stored[u]) {
-				t.Fatalf("%s: %s stored for %s\n%+v\nwant %+v", what, ck.Name(), fn.Name, stored, want.stored[u])
+			if stored := storedPayload(st, key); stored == nil || !bytes.Equal(stored, want.stored[u]) {
+				t.Fatalf("%s: %s stored for %s\n% x\nwant % x", what, ck.Name(), fn.Name, stored, want.stored[u])
 			}
 			u++
 		}
@@ -130,9 +129,10 @@ func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck che
 // TestQuietGateMatchesUncachedScan: with the quiet gate on, RunOne and
 // RunBatch in batches of 2, 4 and every synthesized checker answer each
 // checker as Codebase.Run does, and report what it does with the checker
-// explored ungated, and store the engine's own result for every function — with the baseline memo empty, again on a fresh store
-// over the same snapshot with the memo warm, and under engine bounds
-// whose baselines differ from the memo's.
+// explored ungated, and store the engine's own result for every
+// function, as store.Encode writes it — with the footprint memo empty,
+// again on a fresh store over the same snapshot with the memo warm, and
+// under engine bounds small enough to truncate.
 func TestQuietGateMatchesUncachedScan(t *testing.T) {
 	_, pool := batchEquivSetup(t)
 	var cks []checker.Checker
@@ -184,47 +184,69 @@ func TestQuietGateMatchesUncachedScan(t *testing.T) {
 	}
 }
 
-// quietLongFile's one function calls nothing, compares nothing and
-// indexes nothing, so every synthesized checker is quiet on it, and its
-// one block is long enough for the evaluator's deadline check to fire
-// inside it.
-var quietLongFile = "int qt_long(int a)\n{\n\tint x = 0;\n" + strings.Repeat("\tx = x + a;\n", 100) + "\treturn x;\n}\n"
-
-// stallBinds outlasts a 200 µs function budget at every store it sees.
-// It is loud: it is no checker.Quieter.
-type stallBinds struct{}
-
-func (stallBinds) Name() string    { return "test.StallBinds" }
-func (stallBinds) BugType() string { return "None" }
-func (stallBinds) CheckBind(*checker.BindEvent, *checker.Context) {
-	time.Sleep(200 * time.Microsecond)
+// quietFuncs reports, for each function of cb in file and function
+// order, whether ck is a checker.Quieter quiet on it.
+func quietFuncs(cb *Codebase, ck checker.Checker) []bool {
+	q, _ := ck.(checker.Quieter)
+	var out []bool
+	for _, f := range cb.Files() {
+		for _, fn := range f.Funcs {
+			fp := new(minic.Footprint)
+			fp.Reset(fn)
+			out = append(out, q != nil && q.QuietOn(fp))
+		}
+	}
+	return out
 }
 
-// TestQuietGateMemoizesNoTimedOutBaseline: a baseline computed in a pass
-// that timed out answers that pass's quiet riders, timed out as they
-// would be, but is not memoized: a later pass with no budget, on a fresh
-// store over the same snapshot, still answers as the engine does.
-func TestQuietGateMemoizesNoTimedOutBaseline(t *testing.T) {
-	cb, err := NewCodebase(&kernel.Corpus{Files: []*kernel.SourceFile{{Path: "drivers/qt/long.c", Src: quietLongFile}}})
-	if err != nil {
-		t.Fatal(err)
+// TestQuietPairsAnswerUnderTimeout: under a 1 ns function budget, which
+// times out every function the engine explores, a checker's quiet
+// functions are still answered — unexplored, so not timed out — and
+// stored as the one empty payload, while every loud function times out
+// and is not stored.
+func TestQuietPairsAnswerUnderTimeout(t *testing.T) {
+	_, pool := batchEquivSetup(t)
+	var cks []checker.Checker
+	for _, spec := range pool {
+		ck, err := ckdsl.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cks = append(cks, ck)
 	}
-	quiet, err := ckdsl.CompileSource(`checker qt_npd {
-  bugtype "Null-Pointer-Dereference"
-  track aliases
-  source { call "kzalloc" yields nullable }
-  guard { nullcheck }
-  sink { deref unchecked }
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := NewIncremental(cb, store.NewMemory(0)).RunBatch([]checker.Checker{stallBinds{}, quiet}, nil, Options{FuncTimeout: 200 * time.Microsecond}, 0)
-	if first[1].QuietResults != 1 || first[1].FuncsTimedOut != 1 {
-		t.Fatalf("the quiet rider beside the staller: %d quiet, %d timed out, want 1 and 1", first[1].QuietResults, first[1].FuncsTimedOut)
-	}
+	cb := quietCodebase(t)
 	inc := NewIncremental(cb, store.NewMemory(0))
-	checkAnswer(t, "after a timed-out baseline", cb, inc.Store(), quiet, inc.RunOne(quiet, Options{}), answerOf(t, cb, quiet, Options{}), Options{})
+	opts := Options{FuncTimeout: time.Nanosecond}
+	empty := store.Encode(&engine.Result{})
+	pairs := [2]int{} // loud, quiet
+	for k, res := range inc.RunBatch(cks, nil, opts, 0) {
+		quiet := quietFuncs(cb, cks[k])
+		fp, _ := checkersFingerprint(cks[k : k+1])
+		loud, u := 0, 0
+		for i, f := range cb.Files() {
+			for j, fn := range f.Funcs {
+				key := store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
+				stored := storedPayload(inc.Store(), key)
+				switch {
+				case quiet[u] && !bytes.Equal(stored, empty):
+					t.Fatalf("%s is quiet on %s but stored % x, want the empty payload", cks[k].Name(), fn.Name, stored)
+				case !quiet[u] && stored != nil:
+					t.Fatalf("%s is loud on %s, which times out, but stored % x", cks[k].Name(), fn.Name, stored)
+				case !quiet[u]:
+					loud++
+				}
+				u++
+			}
+		}
+		if res.FuncsTimedOut != loud || res.QuietResults != u-loud || res.CacheMisses != u {
+			t.Fatalf("%s: %d timed out, %d quiet of %d misses; want %d loud functions timed out, %d quiet of %d",
+				cks[k].Name(), res.FuncsTimedOut, res.QuietResults, res.CacheMisses, loud, u-loud, u)
+		}
+		pairs[0], pairs[1] = pairs[0]+loud, pairs[1]+u-loud
+	}
+	if pairs[0] == 0 || pairs[1] == 0 {
+		t.Fatalf("%d loud and %d quiet pairs: the test compares too little", pairs[0], pairs[1])
+	}
 }
 
 // TestVerdictMemoConcurrentReaders: a file version's footprints carry

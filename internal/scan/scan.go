@@ -180,9 +180,10 @@ type Result struct {
 	// for uncacheable checker batches).
 	CacheHits   int
 	CacheMisses int
-	// QuietResults counts misses answered from their function's baseline
-	// without exploring it: every checker was quiet on the function
-	// (checker.Quieter). Always <= CacheMisses.
+	// QuietResults counts misses answered without exploring the
+	// function — no reports, no runtime errors, stored as the one empty
+	// payload — because every checker was quiet on it (checker.Quieter).
+	// Always <= CacheMisses.
 	QuietResults int
 	// FileCuts, parallel to the scanned file list, records how many
 	// reports and runtime errors each file contributed to the flat

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"knighter/internal/checker"
-	"knighter/internal/engine"
 	"knighter/internal/minic"
 	"knighter/internal/store"
 )
@@ -21,7 +20,7 @@ import (
 // pinned one never changes underneath the reader.
 //
 // Everything reachable from a Snapshot is read-only except the memos:
-// hashes filled exactly once, key digests and baselines filled on
+// hashes filled exactly once, key digests and footprints filled on
 // demand, all pure functions of the immutable ASTs (and of fingerprints).
 type Snapshot struct {
 	gen      int64
@@ -57,12 +56,6 @@ const maxSumSets = 16
 // its digests instead of hashing every key, and reading allocates
 // nothing.
 //
-// And, under mu, the baselines of those functions under the engine
-// fingerprint last asked for, each with its encoded payload: a daemon
-// runs one engine configuration, and a pass under another replaces them.
-// Every quiet entry of a function stores the one payload, shared and
-// read-only.
-//
 // And the footprints of those functions, each made once per file
 // version.
 type fileMemo struct {
@@ -72,51 +65,9 @@ type fileMemo struct {
 	fpOnce sync.Once
 	fps    []atomic.Pointer[minic.Footprint]
 
-	mu       sync.Mutex
-	sums     [maxSumSets]sumSet
-	next     int // the ring slot the next insert overwrites
-	engineFP string
-	bases    []baseline
-}
-
-// baseline is what analyzing a function with no checker returns: a result
-// with no reports and no runtime errors, cut short by nothing but the
-// engine's bounds, and its store.Encode payload. A nil payload marks a
-// baseline not memoized yet.
-type baseline struct {
-	paths, steps int
-	truncated    bool
-	payload      []byte
-}
-
-// baseline returns function j's memoized baseline under engineFP, and
-// its payload, which is shared and read-only.
-func (m *fileMemo) baseline(j int, engineFP string) (engine.Result, []byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.bases == nil || m.engineFP != engineFP || m.bases[j].payload == nil {
-		return engine.Result{}, nil, false
-	}
-	b := m.bases[j]
-	return engine.Result{Paths: b.paths, Steps: b.steps, Truncated: b.truncated}, b.payload, true
-}
-
-// setBaseline memoizes r as function j's baseline under engineFP, when it
-// is one, and returns the payload it keeps for it: a result cut short by
-// a timeout or a cancellation, or carrying an engine crash, is not, and
-// gets nil.
-func (m *fileMemo) setBaseline(f *minic.File, j int, engineFP string, r *engine.Result) []byte {
-	if !storable(r) || r.Reports != nil || r.RuntimeErrs != nil {
-		return nil
-	}
-	payload := store.Encode(r)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.bases == nil || m.engineFP != engineFP {
-		m.engineFP, m.bases = engineFP, make([]baseline, len(f.Funcs))
-	}
-	m.bases[j] = baseline{r.Paths, r.Steps, r.Truncated, payload}
-	return payload
+	mu   sync.Mutex
+	sums [maxSumSets]sumSet
+	next int // the ring slot the next insert overwrites
 }
 
 // footprint returns the footprint of function j of f, the file version

@@ -41,7 +41,7 @@ func (s *Server) instrument() {
 		scanErrors:    reg.Counter("scan_errors_total", "Requests rejected before scanning (bad JSON, bad checker, unknown file)."),
 		scansCanceled: reg.Counter("scans_canceled_total", "Scans aborted by client disconnect."),
 		reportsServed: reg.Counter("reports_served_total", "Bug reports returned across all scans."),
-		quietResults:  reg.Counter("scan_quiet_results_total", "Cache misses answered from the function's no-checker baseline, unexplored: every checker was quiet on it."),
+		quietResults:  reg.Counter("scan_quiet_results_total", "Cache misses answered with nothing to report, unexplored: every checker was quiet on the function."),
 
 		scanDur: reg.Histogram("scan_duration_seconds",
 			"Wall time of one checker scan over the corpus (each batch entry counts once).", nil),

@@ -279,8 +279,8 @@ func TestWarmScanCountsEveryFunction(t *testing.T) {
 	}
 }
 
-// TestQuietResultsCountOnMetricsOnly: the misses a pass answers from
-// their functions' no-checker baselines move
+// TestQuietResultsCountOnMetricsOnly: the misses a pass answers
+// quietly, unexplored, move
 // kserve_scan_quiet_results_total — on a cold /scan and on each entry
 // of a cold /batch, by some but not all of the NPD checker's misses — a
 // warm scan moves it by nothing, and no reply carries the count.

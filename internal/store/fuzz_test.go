@@ -25,7 +25,6 @@ func fuzzResult(variant byte) *engine.Result {
 			Checker: "fz", BugType: "T", Message: msg,
 			File: "a.c", Func: "f", Pos: minic.Pos{File: "a.c", Line: int(variant), Col: 1},
 		}},
-		Paths: int(variant), Steps: 1,
 	}
 }
 
@@ -364,8 +363,8 @@ func FuzzResultCodec(f *testing.F) {
 // refEntries parses an entry-route body as the protocol defines it,
 // written against encoding/binary rather than codecReader: keys as three
 // minimal-uvarint length-prefixed strings, the first non-empty, each
-// followed on the put route by a record that strictly decodes and is
-// cacheable; at least one entry; nothing left over.
+// followed on the put route by a record that strictly decodes; at least
+// one entry; nothing left over.
 func refEntries(body []byte, put bool) (keys []Key, recs [][]byte, ok bool) {
 	fields := 3
 	if put {
@@ -385,8 +384,7 @@ func refEntries(body []byte, put bool) (keys []Key, recs [][]byte, ok bool) {
 			return nil, nil, false
 		}
 		if put {
-			r, err := decodeResult(f[3])
-			if err != nil || r.TimedOut || r.Canceled {
+			if _, err := decodeResult(f[3]); err != nil {
 				return nil, nil, false
 			}
 			recs = append(recs, f[3])

@@ -256,7 +256,8 @@ func (m *Memory) unindex(c uint64) {
 	m.index[hole] = 0
 }
 
-// Put is the one-key PutMany, encoding r (a nil r is not stored).
+// Put is the one-key PutMany, encoding r (a result
+// Encode writes no payload for is not stored).
 func (m *Memory) Put(ctx context.Context, k Key, r *engine.Result) {
 	m.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, [][]byte{Encode(r)})
 }

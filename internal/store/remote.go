@@ -238,7 +238,9 @@ func (r *Remote) GetMany(ctx context.Context, keys []Key, _ []Digest, out [][]by
 }
 
 // decodeEntries parses a POST /entries/get reply into out: one frame per
-// key, empty for a miss, else a record, which must pass the strict
+// key, empty for a miss, else a record. A record under another format
+// tag is a miss too, as in every tier — a kcached not yet restarted onto
+// this codec still holds old ones — and any other must pass the strict
 // decode. Each hit is a private copy of its record, so an entry the
 // caller keeps never pins the reply. ok is false if the reply is not
 // exactly that.
@@ -250,19 +252,11 @@ func decodeEntries(reply []byte, out [][]byte) (hits int, ok bool) {
 		if d.err != nil {
 			return 0, false
 		}
-		if len(rec) == 0 {
+		if len(rec) == 0 || rec[0] != resultCodec {
 			continue
 		}
-		decodes, cacheable := cacheableRecord(&scratch, rec)
-		if !decodes {
+		if DecodeInto(&scratch, rec) != nil {
 			return 0, false
-		}
-		if !cacheable {
-			// kcached rejects these at put, but an old or foreign daemon
-			// might not: serving one as a hit would propagate one
-			// caller's timeout to every replica. The daemon did answer;
-			// the entry is just unusable.
-			continue
 		}
 		out[i] = bytes.Clone(rec)
 		hits++
@@ -273,24 +267,22 @@ func decodeEntries(reply []byte, out [][]byte) (hits int, ok bool) {
 	return hits, true
 }
 
-// Put is the one-key PutMany, encoding res. A nil, timed-out or
-// canceled result is not sent.
+// Put is the one-key PutMany, encoding res. A result Encode writes no
+// payload for is not sent.
 func (r *Remote) Put(ctx context.Context, k Key, res *engine.Result) {
-	if res != nil && !res.TimedOut && !res.Canceled {
-		r.PutMany(ctx, []Key{k}, nil, [][]byte{Encode(res)})
-	}
+	r.PutMany(ctx, []Key{k}, nil, [][]byte{Encode(res)})
 }
 
 // PutMany implements Store: the range's payloads go to kcached as given,
 // framed into POST /entries/put bodies of at most maxEntryBytes — one
 // for any real range. Best-effort: failures are dropped silently
-// (beyond breaker accounting). The caller puts only cacheable results:
-// kcached rejects a body holding a timed-out or canceled one with a 400
-// that counts against the breaker. The publish deliberately detaches
-// from the caller's cancellation (keeping its trace id): the computed
-// bytes are valid for the whole fleet even if this caller just
-// disconnected, and an aborted publish would read as a daemon failure to
-// the breaker. An empty payload is skipped.
+// (beyond breaker accounting). kcached rejects a body holding a record
+// that fails its strict decode with a 400 that counts against the
+// breaker. The publish deliberately detaches from the caller's
+// cancellation (keeping its trace id): the computed bytes are valid for
+// the whole fleet even if this caller just disconnected, and an aborted
+// publish would read as a daemon failure to the breaker. An empty
+// payload is skipped.
 func (r *Remote) PutMany(ctx context.Context, keys []Key, _ []Digest, payloads [][]byte) {
 	if ctx == nil {
 		ctx = context.Background()

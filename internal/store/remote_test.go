@@ -141,6 +141,7 @@ func TestRemoteServerRejectsCorruptPut(t *testing.T) {
 		"trailing byte":      append(slices.Clone(good), 0),
 		"record not codec":   append(slices.Clone(good), appendFrame(appendKey(nil, fkey("fY", "ck")), []byte(`{"Reports": "not-a-list"`))...),
 		"key without record": append(slices.Clone(good), appendKey(nil, fkey("fY", "ck"))...),
+		"v2 record":          append(slices.Clone(good), appendFrame(appendKey(nil, fkey("fY", "ck")), v2Record)...),
 	} {
 		if code := postEntries(t, ts.URL, "/entries/put", body); code != http.StatusBadRequest {
 			t.Fatalf("%s body accepted: status %d", name, code)
@@ -153,8 +154,9 @@ func TestRemoteServerRejectsCorruptPut(t *testing.T) {
 
 // TestRemoteServerRejectsUncacheablePut: the engine-wide invariant that
 // timed-out and canceled results are never cached holds at the shared
-// tier too — a single non-conforming client must not be able to poison
-// every replica's warm hits with truncated results.
+// tier too — such a result has no record (Encode), so a body framing one
+// is refused, and a single non-conforming client cannot poison every
+// replica's warm hits with truncated results.
 func TestRemoteServerRejectsUncacheablePut(t *testing.T) {
 	back := NewMemory(0)
 	ts := newCacheTS(t, back)
@@ -212,22 +214,31 @@ func TestCacheServerErrorBodiesAreJSON(t *testing.T) {
 	}
 }
 
-// TestRemoteFlaggedEntryIsMiss: an old or foreign daemon that serves a
-// timed-out/canceled entry anyway is treated as a healthy miss — the
-// truncation must not propagate, but the daemon did answer, so the
-// breaker stays closed.
+// v2Record is a record under the previous format tag, as a kcached not
+// yet restarted onto this codec holds: a timed-out result with no
+// reports and no runtime errors (counters, flags, counts).
+var v2Record = []byte{0x02, 0, 0, 3, 0, 0}
+
+// TestRemoteFlaggedEntryIsMiss: a daemon that serves a record under
+// another format tag — here an old, timed-out one — beside a v3 record
+// answers one miss and one hit. The old record must not propagate, but
+// the daemon did answer, so the breaker stays closed.
 func TestRemoteFlaggedEntryIsMiss(t *testing.T) {
+	v3Record := []byte{0x03, 0, 0} // nothing to report
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(appendFrame(nil, Encode(&engine.Result{Truncated: true, TimedOut: true})))
+		w.Write(appendFrame(appendFrame(nil, v2Record), v3Record))
 	}))
 	t.Cleanup(ts.Close)
 	r := newRemote(t, ts.URL, RemoteConfig{})
-	if _, ok := r.Get(bg, key(1)); ok {
-		t.Fatal("flagged entry served as a hit")
+	keys := []Key{key(1), key(2)}
+	out := make([][]byte, len(keys))
+	r.GetMany(bg, keys, digests(keys), out)
+	if out[0] != nil || !bytes.Equal(out[1], v3Record) {
+		t.Fatalf("old and current record answered % x and % x, want a miss and the current one", out[0], out[1])
 	}
 	rs := r.RemoteStats()
-	if rs.Misses != 1 || rs.Errors != 0 || rs.BreakerOpen {
-		t.Fatalf("flagged entry mis-accounted: %+v", rs)
+	if rs.Hits != 1 || rs.Misses != 1 || rs.Errors != 0 || rs.BreakerOpen {
+		t.Fatalf("old record mis-accounted: %+v", rs)
 	}
 }
 

@@ -82,7 +82,8 @@ func (d *SegmentDisk) GetMany(_ context.Context, _ []Key, ids []Digest, out [][]
 	d.misses.Add(int64(len(ids) - hits))
 }
 
-// Put is the one-key PutMany, encoding r (a nil r is not stored).
+// Put is the one-key PutMany, encoding r (a result
+// Encode writes no payload for is not stored).
 func (d *SegmentDisk) Put(ctx context.Context, k Key, r *engine.Result) {
 	d.PutMany(ctx, []Key{k}, []Digest{k.Digest()}, [][]byte{Encode(r)})
 }

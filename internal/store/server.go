@@ -103,7 +103,7 @@ func (cs *CacheServer) Register(reg *obs.Registry) {
 		"POST /invalidate requests served.",
 		func() float64 { return float64(cs.invalidates.Load()) })
 	reg.CounterFunc("bad_requests_total",
-		"Requests rejected before reaching the store (bad key, oversized or unparseable body, uncacheable result).",
+		"Requests rejected before reaching the store (bad key, oversized or unparseable body).",
 		func() float64 { return float64(cs.badRequests.Load()) })
 	reg.GaugeFunc("store_entries", "Live entries in the backing store.",
 		func() float64 { return float64(cs.st.Stats().Entries) })
@@ -174,12 +174,10 @@ func (cs *CacheServer) badRequest(w http.ResponseWriter, msg string) {
 // parseEntries parses an entry-route body: at least one key, each
 // followed by a record when records is set, or else names what is
 // wrong. A key needs a function hash, and a record must pass the strict
-// decode and be cacheable: timed-out and canceled results reflect one
-// caller's wall clock or lifetime, not the key's inputs, so the
-// engine-wide invariant is that they are never cached, and the shared
-// tier enforces it so one buggy client cannot poison every replica's
-// warm hits with truncated results. Each payload is a copy of its
-// record, so a stored entry never pins the body it came in.
+// decode, so one buggy client cannot poison every replica's warm hits —
+// and a timed-out or canceled result has no record at all. Each payload
+// is a copy of its record, so a stored entry never pins the body it came
+// in.
 func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, payloads [][]byte, bad string) {
 	d := &codecReader{buf: data}
 	var scratch engine.Result
@@ -193,11 +191,8 @@ func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, payloads
 			continue
 		}
 		rec := d.frame()
-		switch decodes, cacheable := cacheableRecord(&scratch, rec); {
-		case !decodes:
+		if DecodeInto(&scratch, rec) != nil {
 			return nil, nil, nil, "record is not an encoded engine.Result"
-		case !cacheable:
-			return nil, nil, nil, "timed-out or canceled results are uncacheable"
 		}
 		payloads = append(payloads, bytes.Clone(rec))
 	}

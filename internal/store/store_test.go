@@ -25,7 +25,6 @@ func result(msg string) *engine.Result {
 			File: "a.c", Func: "f", Pos: minic.Pos{File: "a.c", Line: 3, Col: 1},
 			Trace: []checker.TraceStep{{Pos: minic.Pos{File: "a.c", Line: 2, Col: 1}, Note: "assuming 'p' is true"}},
 		}},
-		Paths: 2, Steps: 10,
 		RuntimeErrs: []engine.RuntimeErr{{Func: "f", Checker: "knighter.t", Panic: "boom"}},
 	}
 }
