@@ -1046,11 +1046,11 @@ func synthRevisions(b *testing.B, t1 *eval.Table1Result, tag string, from, n int
 // BenchmarkBatchScanCold measures a /batch of never-seen revisions of
 // synthesized checkers — a refinement round's candidates — at batch sizes
 // 2 and 4: every function misses under every revision. A function is
-// explored once for the revisions that can act on it; the others are
-// answered quietly, unexplored, and quiet/op counts those answers;
-// loud/op counts the misses explored, the pairs a checker can act on. Each revision's result is
-// then one store put. Successive iterations walk the valid checkers, so
-// ns/op averages over them.
+// lowered once and explored once per revision that can act on it; the
+// others are answered quietly, unexplored, and quiet/op counts those
+// answers; loud/op counts the misses explored, the pairs a checker can
+// act on. Each revision's result is then one store put. Successive
+// iterations walk the valid checkers, so ns/op averages over them.
 func BenchmarkBatchScanCold(b *testing.B) {
 	h, t1, _ := setupBench(b)
 	for _, size := range []int{2, 4} {
@@ -1089,17 +1089,7 @@ func BenchmarkQuietOn(b *testing.B) {
 	for _, sf := range kernel.Generate(kernel.Config{Seed: 1, Scale: 1}).Files {
 		fns = append(fns, mustFile(b, sf.Src).Funcs...)
 	}
-	var cks []*ckdsl.Compiled
-	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
-	for _, c := range kernel.BuildHandCommits(11).All() {
-		if out := pipe.GenChecker(c); out.Valid {
-			ck, err := ckdsl.Compile(out.Spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cks = append(cks, ck)
-		}
-	}
+	cks := handCheckers(b)
 	fps := make([]minic.Footprint, len(fns))
 	sweep := func(fresh bool) (loud int) {
 		for i, fn := range fns {
@@ -1123,6 +1113,76 @@ func BenchmarkQuietOn(b *testing.B) {
 				loud = sweep(mode == "fresh")
 			}
 			b.ReportMetric(float64(loud), "loud/op")
+		})
+	}
+}
+
+// handCheckers compiles the valid checkers synthesized from the hand
+// commits (39): the checkers the paper deploys over the whole kernel.
+func handCheckers(b *testing.B) []*ckdsl.Compiled {
+	b.Helper()
+	var cks []*ckdsl.Compiled
+	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
+	for _, c := range kernel.BuildHandCommits(11).All() {
+		if out := pipe.GenChecker(c); out.Valid {
+			ck, err := ckdsl.Compile(out.Spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cks = append(cks, ck)
+		}
+	}
+	return cks
+}
+
+// BenchmarkDeployBatchCold is the paper's deployment shape as one cold
+// batch: the valid checkers synthesized from the hand commits (39) over
+// every function of the scale-1 corpus of seeds 1 and 2, from an empty
+// store. explored/op counts the explorations the engine makes, one per
+// (function, checker) pair the checker can act on; loud-funcs/op counts
+// the functions at least one checker can act on, the explorations an
+// engine that let a function's checkers share one would make.
+func BenchmarkDeployBatchCold(b *testing.B) {
+	cks := handCheckers(b)
+	riders := make([]checker.Checker, len(cks))
+	for i, ck := range cks {
+		riders[i] = ck
+	}
+	for _, seed := range []int64{1, 2} {
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			cb, err := scan.NewCodebase(kernel.Generate(kernel.Config{Seed: seed, Scale: 1}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			loudFuncs := 0
+			var fp minic.Footprint
+			for _, f := range cb.Files() {
+				for _, fn := range f.Funcs {
+					fp.Reset(fn)
+					for _, ck := range cks {
+						if !ck.QuietOn(&fp) {
+							loudFuncs++
+							break
+						}
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			explored := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				inc := scan.NewIncremental(cb, store.NewMemory(0)) // fresh store: nothing is warm
+				b.StartTimer()
+				for _, res := range inc.RunBatch(riders, nil, scan.Options{}, 0) {
+					if res.CacheHits != 0 {
+						b.Fatalf("cold batch hit %d times", res.CacheHits)
+					}
+					explored += res.CacheMisses - res.QuietResults
+				}
+			}
+			b.ReportMetric(float64(explored)/float64(b.N), "explored/op")
+			b.ReportMetric(float64(loudFuncs), "loud-funcs/op")
 		})
 	}
 }

@@ -89,8 +89,8 @@ type Query struct {
 	// GOMAXPROCS). It is a ceiling: a pass starts at most one worker per
 	// range of functions.
 	Workers int `json:"workers,omitempty"`
-	// FuncTimeoutMS is the per-function analysis budget in milliseconds
-	// (0 = none).
+	// FuncTimeoutMS is the analysis budget in milliseconds of each
+	// function for each checker (0 = none).
 	FuncTimeoutMS int `json:"func_timeout_ms,omitempty"`
 	// MinGeneration, when > 0, asks to be served at-or-after that corpus
 	// generation — read-your-writes for a client holding a changeset
@@ -166,7 +166,7 @@ type ScanResponse struct {
 	Generation int64 `json:"generation"`
 	// ElapsedMS is the wall time of the scheduler pass that produced this
 	// result. Every entry of a /batch carries the same value — the whole
-	// pass's: one exploration serves all the batch's checkers, and its
+	// pass's: one scheduler pass serves all the batch's checkers, and its
 	// cost does not divide by checker. On a sharded coordinator the pass
 	// is the scatter, and every merged entry carries its wall time.
 	ElapsedMS float64 `json:"elapsed_ms"`

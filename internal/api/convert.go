@@ -33,8 +33,8 @@ func ScanResult(name string, res *scan.Result, includeTrace, includeCuts bool) *
 		TimedOut:     res.FuncsTimedOut,
 		Cache:        CacheOf(res),
 		Generation:   res.Generation,
-		// The pass's wall time: one exploration serves every checker of
-		// a batch, so each entry carries the whole pass's.
+		// The pass's wall time: one scheduler pass serves every checker
+		// of a batch, so each entry carries the whole pass's.
 		ElapsedMS: float64(res.Elapsed.Microseconds()) / 1000,
 	}
 	for _, rep := range res.Reports {

@@ -6,24 +6,13 @@
 // at program points, applies branch constraints, bounds loops, and
 // collects deduplicated bug reports.
 //
-// One exploration can serve several riders (AnalyzeFuncEach; a rider is
-// the checker list one Result is keyed by, and AnalyzeFunc is the
-// one-rider call of the same executor). The riders of a pass share the
-// arena and the core state — bindings, nullness, ranges, which checkers
-// only read — and each has its own fact layer, report sink and visited
-// set. They explore in lockstep: a frame is skipped when every rider has
-// seen its (block, core, own facts), executed when none has, and each
-// callback fires once per rider, on the core under that rider's facts.
-// So what a rider observes in a pass — frames, their order, every arena
-// id — is what it would observe alone, and its Result is exactly its
-// solo Result. Whatever would break that takes the rider out of the
-// pass, to be analyzed in another one with the others that left:
-//   - its visited set disagrees with the first rider's about a frame
-//     (its facts fork the exploration differently);
-//   - another rider's callback changed the core state or allocated in
-//     the arena (that rider keeps the pass to itself);
-//   - another rider's checker panicked (the crash ends that rider's
-//     analysis, as it would alone, and unwinds the pass).
+// AnalyzeFuncEach analyzes one function for several riders (a rider is
+// the checker list one Result is keyed by; AnalyzeFunc is the one-rider
+// call). The riders share the function's lowered CFG and its quiet gate
+// (below), and nothing else: each rider explores in a pass of its own,
+// one after another, on a pooled scratch and under its own time budget,
+// and a checker panic ends only the pass it happened in. So a rider's
+// Result is exactly its solo Result.
 //
 // Before it explores, AnalyzeFuncEach drops from every rider each
 // checker.Quieter quiet on the function: such a checker would report
@@ -31,12 +20,9 @@
 // facts, and paths and steps, to the rider's result. It runs no callback
 // at all, and its rider's result is what it is without it.
 //
-// Riders are kept in lockstep rather than each going dead for a subtree
-// of one union exploration, because the arena is state shared across
-// paths: ids are allocation-ordered (and reach fact-key order and report
-// text), array lengths and declared names are recorded as paths meet
-// them. A frame explored only for another rider would leak into all of
-// that; a pass whose riders all see every frame cannot.
+// Riders do not share an exploration: with the gate in front, few
+// functions have two loud riders, and exploring those in lockstep, each
+// rider with facts of its own, cost more bookkeeping than it saved.
 package engine
 
 import (
@@ -64,8 +50,9 @@ type Options struct {
 	MaxSteps int
 	// MaxTrace bounds the recorded path-trace length (default 24).
 	MaxTrace int
-	// Timeout is a wall-clock budget for analyzing one function (0 = no
-	// budget). Unlike the Max* bounds it is an operational guard, not a
+	// Timeout is a wall-clock budget for analyzing one function for one
+	// rider (0 = no budget): each pass of AnalyzeFuncEach has its own.
+	// Unlike the Max* bounds it is an operational guard, not a
 	// semantic one: a function that exceeds it gets a truncated result
 	// flagged TimedOut, which the scan-service cache refuses to store.
 	// It is deliberately excluded from Fingerprint. The budget is
@@ -168,11 +155,10 @@ func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
 	return AnalyzeFuncEach(file, fn, nil, [][]checker.Checker{opts.Checkers}, opts)[0]
 }
 
-// AnalyzeFuncEach analyzes fn for several riders over one exploration.
-// A rider is the checker list one result is keyed by; results[i] is
-// exactly what AnalyzeFunc returns for riders[i] alone (opts.Checkers is
-// ignored). See the package comment for how riders share a pass and
-// when one leaves it.
+// AnalyzeFuncEach analyzes fn for several riders, one pass each, over
+// one lowered CFG. A rider is the checker list one result is keyed by;
+// results[i] is exactly what AnalyzeFunc returns for riders[i] alone
+// (opts.Checkers is ignored), and opts.Timeout bounds each rider's pass.
 //
 // Before exploring, every checker.Quieter quiet on fn leaves its rider
 // (gate): it could only have left the rider's result as it is, so it is
@@ -206,22 +192,17 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, fp *minic.Footprint, 
 		// which skips bodies it cannot lower).
 		return results
 	}
-	riders = g.gate(fp, riders)
-	pending := make([]int, len(riders))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		ex := newExec(file, fn, g, opts, riders, results, pending)
-		pending = ex.explore() // recovers every panic, so the scratch always goes back
+	for i, cks := range g.gate(fp, riders) {
+		ex := newExec(file, fn, g, opts, cks, results[i])
+		ex.explore() // recovers every panic, so the scratch always goes back
 		ex.release(ex.evals)
 	}
 	return results
 }
 
-// graph is one call's lowered CFG, shared by every pass and rider of the
-// call, with the text its branches put into path traces, rendered the
-// first time a pass needs it. AnalyzeFuncEach lowers into one drawn from
+// graph is one call's lowered CFG, shared by every pass of the call,
+// with the text its branches put into path traces, rendered the first
+// time a pass needs it. AnalyzeFuncEach lowers into one drawn from
 // graphPool and gives it back with no syntax left in it, so a cold
 // function does not pay to build a graph.
 type graph struct {
@@ -338,8 +319,9 @@ func (g *graph) release() {
 // Invariant: nothing that outlives a pass points into its scratch.
 // Results hold reports, and a report carries only strings and positions
 // (region descriptions are rendered when it is made, traces copied); the
-// checker contexts that do hold the arena and the tables are made per
-// pass, and a checker must not retain one past its callback.
+// checker context that does hold the arena and the tables is made per
+// pass, and a checker must not retain it past its callback. The passes of
+// one call hand the scratch on to each other like any other passes.
 type scratch struct {
 	arena   *sym.Arena
 	decls   map[string]minic.Type // declared types of params/locals/globals
@@ -363,14 +345,14 @@ var scratchPool = sync.Pool{New: func() any {
 // maxPooledEntries bounds the pass a scratch may come back from and
 // still be pooled. clear costs O(capacity), and a map keeps the capacity
 // of the largest size it reached, so one unusually large pass must not
-// tax every later pass that draws its scratch. visited holds steps ×
-// riders entries, the value cache at most one statement's evaluations,
+// tax every later pass that draws its scratch. visited holds at most one
+// entry per step, the value cache at most one statement's evaluations,
 // the arena one entry per region and symbol. The kernel corpus peaks at
-// 12 steps × riders, 25 evaluations and 16 arena entries: 256 covers a
-// batch of 21 riders on its largest function, and a pass cut at the
-// evaluator's first deadline check (evalCheckInterval). A map grown to
-// 256 entries clears in ≈ 0.7 µs (4 µs at 1024; Go 1.24, 2-core Xeon),
-// under a tenth of a median cold function.
+// 12 steps, 25 evaluations and 16 arena entries: 256 covers its largest
+// function many times over, and a pass cut at the evaluator's first
+// deadline check (evalCheckInterval). A map grown to 256 entries clears
+// in ≈ 0.7 µs (4 µs at 1024; Go 1.24, 2-core Xeon), under a tenth of a
+// median cold function.
 const maxPooledEntries = 256
 
 // release clears the scratch and returns it to the pool, or drops it when
@@ -390,7 +372,7 @@ func (sc *scratch) release(evals int) {
 }
 
 // timeoutAbort is the panic sentinel the evaluator throws when the
-// per-function deadline passes in the middle of a block, unwinding
+// pass's deadline passes in the middle of a block, unwinding
 // straight out of an arbitrarily deep expression walk. It is recovered
 // in explore, never escapes the package, and must not be confused with
 // a checker crash.
@@ -399,44 +381,26 @@ type timeoutAbort struct{}
 // cancelAbort is the same mechanism for Options.Ctx cancellation.
 type cancelAbort struct{}
 
-// visitKey identifies an exploded node as one rider sees it: the block,
-// the core state every rider shares, and that rider's own fact layer.
+// visitKey identifies an exploded node: the block and the state's
+// fingerprint.
 type visitKey struct {
-	block, slot int32
-	core, facts sym.Hash
+	block int32
+	fp    sym.Fingerprint
 }
 
-// rider is one result being computed by a pass.
-type rider struct {
-	slot     int // index of this rider's fact layer in a frame
-	id       int // index into the caller's riders and results
-	checkers []checker.Checker
-	ctx      *checker.Context
-	res      *Result
-	reports  map[string]struct{}
-	// saw is scratch for exec.seen: this rider's answer for the frame
-	// being entered.
-	saw bool
-}
-
-// exec is one pass: per-function analysis machinery shared across all
-// paths and all riders of the pass.
+// exec is one pass: the analysis of one function for one rider, with
+// the machinery shared across all its paths.
 type exec struct {
 	*scratch
-	file  *minic.File
-	fn    *minic.FuncDecl
-	graph *graph
-	opts  Options
-	// live are the riders this pass is still computing, in caller order;
-	// again collects the riders that left it and must be analyzed in
-	// another one.
-	live  []*rider
-	slots int // riders the pass started with: the length of a frame's facts
-	again []int
-	// steps and paths are every live rider's Result.Steps and
-	// Result.Paths: riders in one pass explore in lockstep.
-	steps, paths int
-	pc           pathCtx // the frame being executed
+	file     *minic.File
+	fn       *minic.FuncDecl
+	graph    *graph
+	opts     Options
+	checkers []checker.Checker // the rider's, gated
+	ctx      *checker.Context
+	res      *Result
+	reports  map[string]struct{} // keys of res.Reports
+	pc       pathCtx             // the frame being executed
 	// deadline is the wall-clock cutoff for this pass (zero =
 	// unbounded).
 	deadline time.Time
@@ -448,21 +412,20 @@ type exec struct {
 	// the frame-level check in run() only sees at entry — cannot outlive
 	// its budget.
 	evals int
-	// active is the rider and checker whose callback is running, for
-	// attributing a crash.
-	active        *rider
-	activeChecker checker.Checker
+	// active is the checker whose callback is running, for attributing
+	// a crash.
+	active checker.Checker
 }
 
-func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options,
-	riders [][]checker.Checker, results []*Result, ids []int) *exec {
+func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options, checkers []checker.Checker, res *Result) *exec {
 	ex := &exec{
-		scratch: scratchPool.Get().(*scratch),
-		file:    file,
-		fn:      fn,
-		graph:   graph,
-		opts:    opts,
-		slots:   len(ids),
+		scratch:  scratchPool.Get().(*scratch),
+		file:     file,
+		fn:       fn,
+		graph:    graph,
+		opts:     opts,
+		checkers: checkers,
+		res:      res,
 	}
 	ex.pc.values = ex.values
 	if opts.Timeout > 0 {
@@ -471,94 +434,54 @@ func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options,
 	if opts.Ctx != nil {
 		ex.done = opts.Ctx.Done()
 	}
-	all := make([]rider, len(ids))
-	ex.live = make([]*rider, len(ids))
-	for slot, id := range ids {
-		r := &all[slot]
-		*results[id] = Result{} // a rider that left an earlier pass starts over
-		r.slot, r.id, r.checkers, r.res = slot, id, riders[id], results[id]
-		r.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, r.addReport)
-		ex.live[slot] = r
-	}
+	ex.ctx = checker.NewContext(ex.arena, nil, nil, nil, fn.Name, file.Name, minic.Pos{}, ex.decls, ex.addReport)
 	return ex
 }
 
-// explore runs the pass to its end, seals the results of the riders
-// still in it, and returns the riders that left it to be analyzed again.
-func (ex *exec) explore() (again []int) {
-	var truncated, timedOut, canceled bool
+// explore runs the pass to its end and seals its result.
+func (ex *exec) explore() {
+	res := ex.res
 	defer func() {
 		switch p := recover().(type) {
 		case nil:
 		case timeoutAbort:
 			// The eval-level deadline check fired mid-block: truncated
 			// exactly like a frame-level timeout, and equally uncacheable.
-			truncated, timedOut = true, true
+			res.Truncated, res.TimedOut = true, true
 		case cancelAbort:
 			// The caller's context was canceled mid-block (client
 			// disconnect, shutdown): same unwinding, different flag.
-			truncated, canceled = true, true
+			res.Truncated, res.Canceled = true, true
 		default:
-			// A checker crashed. Its rider's analysis ends here, as it
-			// would alone; the unwinding took the pass with it, so the
-			// other riders start over without the one that crashed.
+			// A checker crashed: the analysis ends here, with the reports
+			// it made so far.
 			re := RuntimeErr{Func: ex.fn.Name, Panic: fmt.Sprint(p)}
 			if ex.active != nil {
-				re.Checker = ex.activeChecker.Name()
-				ex.keepOnly(ex.active)
+				re.Checker = ex.active.Name()
 			}
-			for _, r := range ex.live {
-				r.res.RuntimeErrs = append(r.res.RuntimeErrs, re)
+			res.RuntimeErrs = append(res.RuntimeErrs, re)
+		}
+		// One stable sort on exit orders the reports as a stable sort
+		// after every emission would have.
+		reps := res.Reports
+		sort.SliceStable(reps, func(i, j int) bool {
+			if reps[i].File != reps[j].File {
+				return reps[i].File < reps[j].File
 			}
-		}
-		for _, r := range ex.live {
-			r.res.Steps, r.res.Paths = ex.steps, ex.paths
-			r.res.Truncated, r.res.TimedOut, r.res.Canceled = truncated, timedOut, canceled
-			// One stable sort on exit orders the reports as a stable sort
-			// after every emission would have.
-			reps := r.res.Reports
-			sort.SliceStable(reps, func(i, j int) bool {
-				if reps[i].File != reps[j].File {
-					return reps[i].File < reps[j].File
-				}
-				if reps[i].Pos.Line != reps[j].Pos.Line {
-					return reps[i].Pos.Line < reps[j].Pos.Line
-				}
-				return reps[i].Checker < reps[j].Checker
-			})
-		}
-		again = ex.again
+			if reps[i].Pos.Line != reps[j].Pos.Line {
+				return reps[i].Pos.Line < reps[j].Pos.Line
+			}
+			return reps[i].Checker < reps[j].Checker
+		})
 	}()
-	truncated, timedOut, canceled = ex.run()
-	return nil
-}
-
-// leave takes the live riders for which out is true out of the pass.
-func (ex *exec) leave(out func(*rider) bool) {
-	kept := ex.live[:0]
-	for _, r := range ex.live {
-		if out(r) {
-			ex.again = append(ex.again, r.id)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	ex.live = kept
-}
-
-// keepOnly makes the pass r's alone.
-func (ex *exec) keepOnly(r *rider) {
-	ex.leave(func(o *rider) bool { return o != r })
+	res.Truncated, res.TimedOut, res.Canceled = ex.run()
 }
 
 // frame is one pending exploded node: a CFG block (its index) to execute
-// with an incoming state. state is the core every rider shares (its fact
-// layer is empty); facts holds one fact layer per rider slot, nil while
-// every layer is empty. A frame owns its visits and facts slices.
+// with an incoming state. A frame owns its visits slice.
 type frame struct {
 	block  int32
 	state  *sym.State
-	facts  []sym.Facts
 	visits []int32 // per block ID, how often this path entered it
 	trace  []checker.TraceStep
 }
@@ -585,13 +508,13 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 	g := ex.graph
 	stack := []frame{{block: 0, state: init, visits: make([]int32, len(g.Blocks))}}
 	for len(stack) > 0 {
-		ex.steps++
-		if ex.steps > ex.opts.MaxSteps || ex.paths >= ex.opts.MaxPaths {
+		ex.res.Steps++
+		if ex.res.Steps > ex.opts.MaxSteps || ex.res.Paths >= ex.opts.MaxPaths {
 			return true, false, false
 		}
 		// The deadline and cancellation checks are amortized over 16 steps
 		// so unbounded-speed paths do not pay a clock read per frame.
-		if ex.steps&15 == 1 {
+		if ex.res.Steps&15 == 1 {
 			if !ex.deadline.IsZero() && time.Now().After(ex.deadline) {
 				return true, true, false
 			}
@@ -611,7 +534,7 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 		}
 
 		pc := &ex.pc
-		pc.state, pc.facts, pc.trace = f.state, f.facts, f.trace
+		pc.state, pc.trace = f.state, f.trace
 		for _, s := range g.BlockStmts(f.block) {
 			clear(pc.values)
 			ex.execStmt(pc, s)
@@ -630,9 +553,9 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 					ec.CheckEndFunction(ev, c)
 				}
 			})
-			ex.paths++
+			ex.res.Paths++
 		case cfg.Jump:
-			stack = append(stack, frame{block: t.Succ[0], state: pc.state, facts: pc.facts, visits: f.visits, trace: pc.trace})
+			stack = append(stack, frame{block: t.Succ[0], state: pc.state, visits: f.visits, trace: pc.trace})
 		case cfg.Branch:
 			cond := g.Expr(t)
 			clear(pc.values)
@@ -643,24 +566,24 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 				}
 			})
 			// Both arms are computed before either is pushed: the first to
-			// be pushed gets copies of the slices a frame owns, the second
+			// be pushed gets a copy of the visits a frame owns, the second
 			// inherits this frame's.
 			no, yes := ex.assume(pc, cond, false), ex.assume(pc, cond, true)
 			if no != nil {
 				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: g.note(t, false)})
-				visits, facts := f.visits, pc.facts
+				visits := f.visits
 				if yes != nil {
-					visits, facts = append([]int32(nil), visits...), append([]sym.Facts(nil), facts...)
+					visits = append([]int32(nil), visits...)
 				}
-				stack = append(stack, frame{block: t.Succ[1], state: no, facts: facts, visits: visits, trace: tr})
+				stack = append(stack, frame{block: t.Succ[1], state: no, visits: visits, trace: tr})
 			} else {
-				ex.paths++
+				ex.res.Paths++
 			}
 			if yes != nil {
 				tr := appendTrace(ex.opts, pc.trace, checker.TraceStep{Pos: t.Pos, Note: g.note(t, true)})
-				stack = append(stack, frame{block: t.Succ[0], state: yes, facts: pc.facts, visits: f.visits, trace: tr})
+				stack = append(stack, frame{block: t.Succ[0], state: yes, visits: f.visits, trace: tr})
 			} else {
-				ex.paths++
+				ex.res.Paths++
 			}
 		}
 	}
@@ -668,28 +591,14 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 }
 
 // seen reports whether the pass has already explored f's block with f's
-// state, recording the visit if not. Each rider keeps its own answer,
-// keyed by the shared core plus its own facts; riders share a pass only
-// while their answers agree, so a rider that disagrees with the first
-// one leaves.
+// state, recording the visit if not.
 func (ex *exec) seen(f *frame) bool {
-	vk := visitKey{block: f.block, core: f.state.Fingerprint().Core}
-	split := false
-	for _, r := range ex.live {
-		vk.slot, vk.facts = int32(r.slot), sym.Hash{}
-		if f.facts != nil {
-			vk.facts = f.facts[r.slot].Fingerprint()
-		}
-		if _, r.saw = ex.visited[vk]; !r.saw {
-			ex.visited[vk] = struct{}{}
-		}
-		split = split || r.saw != ex.live[0].saw
+	vk := visitKey{block: f.block, fp: f.state.Fingerprint()}
+	if _, ok := ex.visited[vk]; ok {
+		return true
 	}
-	lead := ex.live[0].saw
-	if split {
-		ex.leave(func(r *rider) bool { return r.saw != lead })
-	}
-	return lead
+	ex.visited[vk] = struct{}{}
+	return false
 }
 
 // canceled reports (non-blockingly) whether the caller's context is done.
@@ -716,69 +625,36 @@ func appendTrace(opts Options, trace []checker.TraceStep, step checker.TraceStep
 }
 
 // pathCtx is the mutable evaluation context for one block execution on
-// one path: the core state, each rider's fact layer (nil while all are
-// empty), and the current statement's value cache.
+// one path: the state and the current statement's value cache.
 type pathCtx struct {
 	state  *sym.State
-	facts  []sym.Facts
 	values map[minic.Expr]sym.Value
 	trace  []checker.TraceStep
 }
 
-// forEachChecker runs one event's callbacks: fire is invoked for every checker
-// of every live rider with the rider's Context, on the core state under
-// that rider's fact layer, and the facts the callbacks leave behind
-// become the rider's layer on this path.
-//
-// Riders may share a pass only while no callback touches what they
-// share. One that changes the core state or allocates in the arena gets
-// the pass to itself — everything it has seen so far is what it would
-// have seen alone — and the others leave.
+// forEachChecker runs one event's callbacks: fire is invoked for every
+// checker of the pass, in order, on the state the one before it left.
 func (ex *exec) forEachChecker(pc *pathCtx, pos minic.Pos, fire func(checker.Checker, *checker.Context)) {
-	for _, r := range ex.live {
-		in := pc.state
-		if pc.facts != nil {
-			in = in.WithFacts(pc.facts[r.slot])
-		}
-		st, size := in, ex.arena.Size()
-		ex.active = r
-		for _, ck := range r.checkers {
-			ex.activeChecker = ck
-			r.ctx.Rebind(st, pc.values, pc.trace, pos)
-			fire(ck, r.ctx)
-			st = r.ctx.State()
-		}
-		impure := st.Fingerprint().Core != in.Fingerprint().Core || ex.arena.Size() != size
-		if impure && len(ex.live) > 1 {
-			ex.keepOnly(r)
-		}
-		if st != in {
-			if pc.facts == nil {
-				pc.facts = make([]sym.Facts, ex.slots)
-			}
-			pc.facts[r.slot] = st.Facts()
-			if impure {
-				pc.state = st.WithFacts(sym.Facts{})
-			}
-		}
-		if impure {
-			break // ex.live is r alone now
-		}
+	for _, ck := range ex.checkers {
+		ex.active = ck
+		ex.ctx.Rebind(pc.state, pc.values, pc.trace, pos)
+		fire(ck, ex.ctx)
+		pc.state = ex.ctx.State()
 	}
-	ex.active, ex.activeChecker = nil, nil
+	ex.active = nil
 }
 
-// addReport is the rider's report sink: one report per checker and site.
-func (r *rider) addReport(rep *checker.Report) {
+// addReport is the pass's report sink: one report per checker and site.
+func (ex *exec) addReport(rep *checker.Report) {
 	k := rep.Key()
-	if _, dup := r.reports[k]; dup {
+	if _, dup := ex.reports[k]; dup {
 		return
 	}
-	if r.reports == nil {
-		r.reports = map[string]struct{}{}
+	if ex.reports == nil {
+		ex.reports = map[string]struct{}{}
 	}
-	r.reports[k] = struct{}{}
-	r.res.Reports = append(r.res.Reports, rep)
+	ex.reports[k] = struct{}{}
+	ex.res.Reports = append(ex.res.Reports, rep)
 }
 
 // execStmt executes one simple statement on the current path.

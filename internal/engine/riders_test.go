@@ -33,8 +33,10 @@ func render(t *testing.T, r *Result) string {
 }
 
 // requireSolo analyzes fn once for all riders and once per rider and
-// requires every shared result to be exactly the solo one. It returns
-// the solo results.
+// requires every result of the call to be exactly the solo one: the
+// passes of one call hand their pooled scratch to each other, so residue
+// of one rider's pass would show in the next one's. It returns the solo
+// results.
 func requireSolo(t *testing.T, f *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
 	t.Helper()
 	shared := AnalyzeFuncEach(f, fn, nil, riders, opts)
@@ -51,9 +53,9 @@ func requireSolo(t *testing.T, f *minic.File, fn *minic.FuncDecl, riders [][]che
 }
 
 // Two riders whose facts fork the exploration differently. Both arms of
-// `a & 1` keep the same core state, so at the join a rider that tracked
-// nothing in either arm has seen the node and one that tracked the
-// kfree() has not.
+// `a & 1` keep the same core state, so at the join a rider that tracks
+// nothing in either arm has seen the node and one that tracks the
+// kfree() has not: the two complete different numbers of paths.
 const forkSrc = `
 int fork(struct dev *d, int a)
 {
@@ -87,8 +89,8 @@ func TestForkingRidersEqualSolo(t *testing.T) {
 	f := parse(t, forkSrc)
 	npd, uaf := mustDSL(t, npdDSL), mustDSL(t, uafDSL)
 	for _, riders := range [][][]checker.Checker{
-		{{npd}, {uaf}}, // the rider that has seen the join leads: the other must not lose its second path
-		{{uaf}, {npd}}, // the rider that has not leads: the other must not be walked down it
+		{{npd}, {uaf}}, // npd's pass merges at the join; uaf's, on the scratch it leaves, must still take both paths
+		{{uaf}, {npd}}, // uaf's pass takes both paths; npd's, on the scratch it leaves, must still merge
 		{{npd}, {uaf}, {npd, uaf}},
 	} {
 		solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
@@ -104,7 +106,7 @@ func TestForkingRidersEqualSolo(t *testing.T) {
 }
 
 // Candidates of one refinement round share a checker name and so a fact
-// domain prefix: each rider needs its own fact layer.
+// domain prefix: each rider must see only its own facts.
 func TestSameNameRidersKeepSeparateFacts(t *testing.T) {
 	f := parse(t, `
 int probe(struct dev *d)
@@ -191,9 +193,9 @@ int impure(struct dev *d, int a)
 	}
 }
 
-// Frames explored for another rider shift the arena's allocation-ordered
-// ids, and an opaque pointee's description prints one ("<sym9
-// pointee>"): a rider's report text must still be its solo text.
+// Frames explored for another rider would shift the arena's
+// allocation-ordered ids, and an opaque pointee's description prints one
+// ("<sym9 pointee>"): a rider's report text must be its solo text.
 func TestSharedReportTextEqualsSolo(t *testing.T) {
 	f := parse(t, `
 int text(struct dev *d, int a, int b)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"knighter/internal/checker"
 )
 
 const timeoutSrc = `
@@ -99,5 +101,28 @@ func TestTimeoutSurvivesMerge(t *testing.T) {
 	r.Merge(&Result{TimedOut: true})
 	if !r.TimedOut {
 		t.Fatal("Merge dropped TimedOut")
+	}
+}
+
+// TestRiderKeepsItsOwnBudget: Options.Timeout bounds each rider's
+// analysis, not the call. A rider analyzed beside one whose checker
+// stalls past the budget gets exactly its solo result.
+func TestRiderKeepsItsOwnBudget(t *testing.T) {
+	f := parse(t, "int grind(int a)\n{\n\tint x = 0;\n"+strings.Repeat("\tx = x + a;\n", 300)+"\treturn x;\n}\n")
+	fn := f.Funcs[0]
+	st := &staller{budget: 50 * time.Millisecond}
+	opts := Options{Timeout: st.budget}
+	res := AnalyzeFuncEach(f, fn, nil, [][]checker.Checker{{st}, {siteReporter{}}}, opts)
+	if !st.stalled || !res[0].TimedOut {
+		t.Fatalf("stalled=%v TimedOut=%v: the staller's own analysis should run out of its budget", st.stalled, res[0].TimedOut)
+	}
+	opts.Checkers = []checker.Checker{siteReporter{}}
+	solo := AnalyzeFunc(f, fn, opts)
+	if solo.TimedOut {
+		t.Fatal("the solo analysis ran out of its budget: the test's budget is too small for this machine")
+	}
+	if render(t, res[1]) != render(t, solo) {
+		t.Errorf("rider beside a staller differs from its solo analysis: TimedOut=%v Steps=%d, %d reports; solo TimedOut=%v Steps=%d, %d reports",
+			res[1].TimedOut, res[1].Steps, len(res[1].Reports), solo.TimedOut, solo.Steps, len(solo.Reports))
 	}
 }

@@ -107,8 +107,9 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 	res := &TriageEvalResult{}
 	// Valid checkers, pre-refinement (the RQ4 population), scanned as one
 	// batch over the shared store: each checker's result is identical to a
-	// standalone scan, but all of them ride one exploration of every
-	// function instead of running strictly one after another.
+	// standalone scan, but all of them share one pass over the corpus
+	// (every function probed, lowered and gated once for all of them)
+	// instead of running strictly one after another.
 	var valid []*SynthesisOutcome
 	var cks []checker.Checker
 	for _, so := range handOutcomes {

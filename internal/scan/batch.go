@@ -10,9 +10,9 @@ import (
 // pass — the StaAgent-style many-revision evaluation shape, where N
 // checker revisions of one request scan the same corpus. Each checker is
 // a rider of the pass (see runRiders): every function is probed under
-// each checker's own key, the engine explores it once for the checkers
-// that missed (engine.AnalyzeFuncEach), and each checker's result is
-// stored under its own key. Results are returned in checker order; each
+// each checker's own key, one engine call (engine.AnalyzeFuncEach)
+// lowers it once and explores it for each checker that missed and can
+// act on it, and each checker's result is stored under its own key. Results are returned in checker order; each
 // entry's reports, cache counts, file cuts and generation are exactly
 // what RunFiles would return for that checker alone against the store
 // as the batch found it, and checkers with equal fingerprints compute

@@ -272,8 +272,8 @@ func (l *stageLog) ObserveStage(stage string, _ time.Duration) {
 }
 
 // A batch is one pass: each stage is observed once for the whole batch,
-// not once per checker, so stage histograms do not count one exploration
-// N times; and every entry's Elapsed is that pass's wall time.
+// not once per checker, so stage histograms do not count one pass N
+// times; and every entry's Elapsed is that pass's wall time.
 func TestBatchObservesEachStageOnce(t *testing.T) {
 	cb, pool := batchEquivSetup(t)
 	var cks []checker.Checker

@@ -163,12 +163,13 @@ func (p *riderPlan) quietOn(fp *minic.Footprint) bool {
 // checker list one Result is keyed by — a scan is a pass with one rider,
 // a batch a pass with one per checker). A worker claims the next range
 // of units, probes every rider's keys for the whole range in one store
-// call, then for each unit runs the engine ONCE with the riders that
-// missed and are loud on the function — a rider whose checkers are all
-// quiet on it is answered emptyHit, unexplored — and stores each
-// rider's result under its own key — the range's results in
-// one store call, by the digests its probe used; the per-rider merges
-// then run as if each rider had scanned alone.
+// call, then for each unit makes one engine call for the riders that
+// missed and are loud on the function — it lowers the function once and
+// explores it once per such rider; a rider whose checkers are all quiet
+// on it is answered emptyHit, unexplored — and stores each rider's
+// result under its own key — the range's results in one store call, by
+// the digests its probe used; the per-rider merges then run as if each
+// rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 

@@ -127,10 +127,11 @@ type Options struct {
 	// MaxReports caps the collected reports (0 = unlimited). The paper
 	// caps refinement-phase scans at 100 warnings.
 	MaxReports int
-	// FuncTimeout is a per-function wall-clock budget (0 = none), so one
-	// pathological function cannot stall a whole scan or a kserve batch
-	// request. Functions over budget yield truncated, uncacheable
-	// results counted in Result.FuncsTimedOut.
+	// FuncTimeout is a wall-clock budget for each (function, rider)
+	// analysis (0 = none), so one pathological function cannot stall a
+	// whole scan or a kserve batch request; each checker of a batch has
+	// the whole budget on every function. Functions over budget yield
+	// truncated, uncacheable results counted in Result.FuncsTimedOut.
 	FuncTimeout time.Duration
 	// Context, when non-nil, aborts the scan early on cancellation:
 	// remaining functions are skipped, in-flight ones unwind at the
@@ -199,8 +200,8 @@ type Result struct {
 	Generation int64
 	// Elapsed is the wall time of the scheduler pass that produced this
 	// result. Every entry of a RunBatch carries the whole pass's: the
-	// batch's checkers share one exploration, so no entry has a cost of
-	// its own.
+	// batch's checkers share one scheduler pass, so no entry has a cost
+	// of its own.
 	Elapsed time.Duration
 }
 

@@ -45,7 +45,7 @@ func attachTiming(ctx context.Context, id *string, spans *[]obs.Span, want bool)
 // observeScan records one finished scheduler pass from its results: a
 // scan's, or every entry of a batch. The pass's wall time is observed
 // once, from the first (every entry carries it; observing each would
-// count one exploration once per checker), and each entry's quiet
+// count one pass once per checker), and each entry's quiet
 // results are counted. The request's trace id rides along as the scan
 // histogram's exemplar, so a bucket spike on the dashboard links
 // straight to a retained trace.

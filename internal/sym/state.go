@@ -15,28 +15,17 @@ import (
 //
 // A State has two halves, each with its own fingerprint: the core —
 // bindings, nullness, ranges — which the engine reads and writes, and
-// the fact layer checkers own. The layer detaches (Facts) and re-attaches
-// (WithFacts), so one exploration can thread a single core under one
-// fact layer per rider. The core's tables are flat (sorted and
+// the facts checkers own. The core's tables are flat (sorted and
 // pointer-free, so a fork copies one table the collector never scans);
-// the fact layer is a map, since its values are arbitrary.
+// the facts are a map, since their values are arbitrary.
 type State struct {
 	bindings flat[RegionID, Value]
 	nullness flat[SymbolID, Nullness]
 	ranges   flat[SymbolID, Range]
+	facts    map[factKey]any
 	coreFP   Hash
-	facts    Facts
+	factsFP  Hash
 }
-
-// Facts is one immutable checker fact layer, detached from a core.
-// The zero Facts is the empty layer.
-type Facts struct {
-	m  map[factKey]any
-	fp Hash
-}
-
-// Fingerprint is the layer's content hash (zero for the empty layer).
-func (f Facts) Fingerprint() Hash { return f.fp }
 
 type factKey struct {
 	Domain string
@@ -156,62 +145,48 @@ func (s *State) RangeOf(v Value) Range {
 
 // --- checker fact domains ---
 
-// Facts detaches the state's fact layer.
-func (s *State) Facts() Facts { return s.facts }
-
-// WithFacts returns the state's core under fact layer f (the state
-// itself when it already carries that layer).
-func (s *State) WithFacts(f Facts) *State {
-	if f.fp == s.facts.fp && len(f.m) == len(s.facts.m) {
-		return s
-	}
-	c := s.clone()
-	c.facts = f
-	return c
-}
-
 // SetFact returns a state where domain[key] = value. Values stored in
 // fact domains must be immutable (comparable types recommended).
 func (s *State) SetFact(domain, key string, value any) *State {
 	fk := factKey{domain, key}
-	cur, ok := s.facts.m[fk]
+	cur, ok := s.facts[fk]
 	if ok && cur == value {
 		return s
 	}
 	c := s.clone()
-	c.facts.m = cloneMap(s.facts.m)
-	c.facts.m[fk] = value
+	c.facts = cloneMap(s.facts)
+	c.facts[fk] = value
 	if ok {
-		c.facts.fp = c.facts.fp.sub(hashFact(fk, cur))
+		c.factsFP = c.factsFP.sub(hashFact(fk, cur))
 	}
-	c.facts.fp = c.facts.fp.add(hashFact(fk, value))
+	c.factsFP = c.factsFP.add(hashFact(fk, value))
 	return c
 }
 
 // Fact returns domain[key].
 func (s *State) Fact(domain, key string) (any, bool) {
-	v, ok := s.facts.m[factKey{domain, key}]
+	v, ok := s.facts[factKey{domain, key}]
 	return v, ok
 }
 
 // DelFact returns a state with domain[key] removed.
 func (s *State) DelFact(domain, key string) *State {
 	fk := factKey{domain, key}
-	cur, ok := s.facts.m[fk]
+	cur, ok := s.facts[fk]
 	if !ok {
 		return s
 	}
 	c := s.clone()
-	c.facts.m = cloneMap(s.facts.m)
-	delete(c.facts.m, fk)
-	c.facts.fp = c.facts.fp.sub(hashFact(fk, cur))
+	c.facts = cloneMap(s.facts)
+	delete(c.facts, fk)
+	c.factsFP = c.factsFP.sub(hashFact(fk, cur))
 	return c
 }
 
 // FactKeys returns the sorted keys present in a domain.
 func (s *State) FactKeys(domain string) []string {
 	var out []string
-	for fk := range s.facts.m {
+	for fk := range s.facts {
 		if fk.Domain == domain {
 			out = append(out, fk.Key)
 		}
@@ -246,7 +221,7 @@ func (s *State) DelRegionFact(domain string, r RegionID) *State {
 // FactRegions returns the RegionIDs keyed in a domain, ascending.
 func (s *State) FactRegions(domain string) []RegionID {
 	var out []RegionID
-	for fk := range s.facts.m {
+	for fk := range s.facts {
 		if fk.Domain != domain {
 			continue
 		}
@@ -261,7 +236,7 @@ func (s *State) FactRegions(domain string) []RegionID {
 
 // Fingerprint identifies a state's content, split along the same line
 // as the state: Core covers bindings, nullness and ranges, Facts the
-// checker fact layer. Two states have equal fingerprints exactly when
+// checker facts. Two states have equal fingerprints exactly when
 // they hold the same entries (up to a 128-bit hash collision per half).
 // The engine uses it to deduplicate exploded nodes (same block + same
 // fingerprint = already visited).
@@ -272,5 +247,5 @@ type Fingerprint struct {
 // Fingerprint returns the state's content fingerprint. It is O(1): the
 // mutators maintain both halves incrementally (see Hash).
 func (s *State) Fingerprint() Fingerprint {
-	return Fingerprint{Core: s.coreFP, Facts: s.facts.fp}
+	return Fingerprint{Core: s.coreFP, Facts: s.factsFP}
 }
