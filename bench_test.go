@@ -604,10 +604,10 @@ func BenchmarkScanWarmTraced(b *testing.B) {
 
 // BenchmarkScanWarmRemote measures the fleet steady state: a fresh
 // replica (empty memory tier) whose every lookup is answered by an
-// in-process kcached on the store cmd/kcached opens. The gap to
-// BenchmarkScanWarmCache is the network tier's round-trip cost; the gap
-// to BenchmarkScanColdCache is what a second replica saves by joining a
-// warm fleet instead of scanning cold.
+// in-process kcached on the store serve.NewCache builds, its segment
+// log alone. The gap to BenchmarkScanWarmCache is the network tier's
+// round-trip cost; the gap to BenchmarkScanColdCache is what a second
+// replica saves by joining a warm fleet instead of scanning cold.
 func BenchmarkScanWarmRemote(b *testing.B) {
 	h, _, _ := setupBench(b)
 	ck := mustChecker(b, benchCacheDSL)
@@ -616,7 +616,7 @@ func BenchmarkScanWarmRemote(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer disk.Close()
-	kcStore := store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{Name: "disk", Store: disk})
+	kcStore := store.NewStack(nil, store.Tier{Name: "disk", Store: disk}, nil)
 	kc := httptest.NewServer(store.NewCacheServer(kcStore).Handler())
 	defer kc.Close()
 	newReplicaStore := func() store.Store {
@@ -624,7 +624,7 @@ func BenchmarkScanWarmRemote(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{Name: "remote", Store: r})
+		return store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, r)
 	}
 	// Replica A's cold scan warms the shared tier.
 	scan.NewIncremental(h.Codebase, newReplicaStore()).RunOne(ck, scan.Options{})

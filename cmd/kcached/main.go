@@ -2,7 +2,9 @@
 // content-addressed analysis-result store over HTTP so a fleet of kserve
 // replicas shares one warm cache. It is the fleet's one durable tier: a
 // replica started with -cache-remote=http://kcached-host:8322 puts this
-// daemon behind its in-memory tier and keeps no disk of its own. The
+// daemon behind its in-memory tier and keeps no disk of its own, and
+// this daemon answers from its segment log in -cache-dir, with no
+// memory tier of its own (the OS page cache holds the hot segments). The
 // second replica's first scan of a corpus its sibling already analyzed
 // is then answered from here instead of recomputed, and so is a
 // restarted replica's. It is flags in, internal/serve out:
@@ -45,7 +47,6 @@ import (
 	"knighter/internal/obs"
 	"knighter/internal/serve"
 	"knighter/internal/shard"
-	"knighter/internal/store"
 )
 
 func main() {
@@ -53,8 +54,7 @@ func main() {
 	addr := flag.String("addr", ":8322", "listen address")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "cache directory (required)")
 	flag.DurationVar(&cfg.CacheTTL, "cache-ttl", 0, "drop entries older than this (0 = keep forever)")
-	flag.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "disk byte budget; compaction evicts oldest-first past it (0 = unbounded)")
-	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", store.DefaultMemoryBytes, "memory front-tier budget in entry weight: each entry's binary payload plus 100 B of per-entry overhead (0 = library default)")
+	flag.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "segment-log byte budget; compaction evicts oldest-first past it (0 = unbounded)")
 	flag.IntVar(&cfg.FeedCap, "feed-cap", shard.DefaultFeedCap, "generation-feed retention (entries); shards further behind than this cannot converge from the feed")
 	flag.IntVar(&cfg.TraceRetain, "trace-retain", 512, "completed trace fragments retained for GET /trace/{id} (0 retains none)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0.05, "probability of retaining an unremarkable trace; slow and errored traces are always retained")

@@ -195,11 +195,6 @@ type FileCut struct {
 type BatchRequest struct {
 	// Checkers are the checker-DSL program texts.
 	Checkers []string `json:"checkers"`
-	// Concurrency is ignored. It bounded how many checkers ran at once
-	// when a batch was one scan per checker; a batch is one pass with
-	// every checker riding it now. Still decoded, so requests from older
-	// clients are not rejected as carrying an unknown field.
-	Concurrency int `json:"concurrency,omitempty"`
 	Query
 }
 

@@ -132,7 +132,7 @@ checker scan_other {
 			rec := &cancelOnPut{Store: store.NewMemory(0), ref: ref}
 			st := store.Store(rec)
 			if len(cks) == 1 {
-				st = store.NewStack(nil, store.Tier{Name: "memory", Store: rec}, store.Tier{})
+				st = store.NewStack(nil, store.Tier{Name: "memory", Store: rec}, nil)
 			}
 			res := NewIncremental(cb, st).RunBatch(cks, nil, Options{Workers: 1, Context: newCountdownCtx(k)}, 0)
 			if !res[0].Canceled {

@@ -138,7 +138,7 @@ func TestRangeBoundariesMatchUncachedScan(t *testing.T) {
 		}
 		for name, st := range map[string]store.Store{
 			"memory": store.NewMemory(0),
-			"stack":  store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{}),
+			"stack":  store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, nil),
 		} {
 			inc := NewIncremental(cb, st)
 			for pass, wantHits := range []int{0, n} {

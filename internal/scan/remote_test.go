@@ -57,7 +57,7 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{Name: "remote", Store: remote})
+		st := store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, remote)
 		gets.Store(0)
 		puts.Store(0)
 		res := NewIncremental(cb, st).RunBatch(cks, nil, Options{Workers: 2}, 0)
@@ -93,7 +93,7 @@ func TestSharedPayloadsUnderConcurrentWrites(t *testing.T) {
 	for _, shape := range []string{"memory", "memory+kcached"} {
 		t.Run(shape, func(t *testing.T) {
 			cb, ck := buildCodebase(t), compileChecker(t)
-			front, back := store.Tier{Name: "memory", Store: store.NewMemory(0)}, store.Tier{}
+			front := store.Tier{Name: "memory", Store: store.NewMemory(0)}
 			var remote *store.Remote
 			if shape == "memory+kcached" {
 				kc := httptest.NewServer(store.NewCacheServer(store.NewMemory(0)).Handler())
@@ -103,9 +103,8 @@ func TestSharedPayloadsUnderConcurrentWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 				front.Store = store.NewMemory(24 << 10) // room for about 180 of 617 entries
-				back = store.Tier{Name: "remote", Store: remote}
 			}
-			st := store.NewStack(nil, front, back)
+			st := store.NewStack(nil, front, remote)
 			inc := NewIncremental(cb, st)
 
 			// The file's last function alternates between two versions:

@@ -20,7 +20,6 @@ type CacheConfig struct {
 	CacheDir      string
 	CacheTTL      time.Duration
 	CacheMaxBytes int64
-	CacheBytes    int64
 
 	FeedCap int
 
@@ -32,15 +31,17 @@ type CacheConfig struct {
 // Cache is the fleet cache daemon, kcached: it serves the
 // content-addressed analysis-result store over HTTP so a fleet of kserve
 // replicas shares one warm cache, and it is the fleet's one durable
-// tier. It serves the same store.Stack kserve does, with the
-// segment-packed disk store as its back instead of a remote: a memory
-// tier over the disk, behind the store.CacheServer protocol.
-// A fleet GET that misses memory is one index probe plus one pread into
-// an append-only segment file, and entries survive restarts (recovery is
-// a single sequential segment scan). Keys are content addresses, so an
-// entry can only ever be correct for the inputs that produced it;
-// invalidation is garbage collection of unreachable keys, not a
-// correctness mechanism.
+// tier. It serves a store.Stack, as kserve does, whose front is the
+// segment-packed disk store and which has no back, behind the
+// store.CacheServer protocol. A replica's memory tier already holds
+// what that replica reads again, and the OS page cache holds the hot
+// part of the segment files, so kcached keeps no memory tier of its
+// own: a fleet get is one index probe plus one pread into an
+// append-only segment file, and a put is one append. Entries survive
+// restarts (recovery is a single sequential segment scan). Keys are
+// content addresses, so an entry can only ever be correct for the
+// inputs that produced it; invalidation is garbage collection of
+// unreachable keys, not a correctness mechanism.
 //
 // The generation feed (shard.Feed, POST /feed and GET /feed?from=N)
 // rides beside the store because kcached is the one process every
@@ -52,11 +53,10 @@ type CacheConfig struct {
 // GET /trace/{id} pulls kcached's retained fragments into the assembled
 // cross-host tree.
 type Cache struct {
-	st      *store.Stack
 	traces  *obs.TraceStore
 	handler http.Handler
-	// disk is the stack's back, whose compaction loop and final sync
-	// the daemon owns.
+	// disk is the stack's one tier, whose compaction loop and final
+	// sync the daemon owns.
 	disk   *store.SegmentDisk
 	stopGC context.CancelFunc
 }
@@ -69,7 +69,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, errors.New("serve: a cache daemon needs a cache directory (-cache-dir)")
 	}
 	// /metrics carries the same store_* families as kserve's, under the
-	// kcached namespace with tier="memory" and tier="disk".
+	// kcached namespace with tier="disk".
 	reg := obs.NewRegistry("kcached")
 	gcSweep := reg.Histogram("gc_sweep_duration_seconds",
 		"Wall time of one GC sweep over the backing store.", nil)
@@ -77,9 +77,8 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := store.NewStack(reg, store.Tier{Name: "memory", Store: store.NewMemory(cfg.CacheBytes)},
-		store.Tier{Name: "disk", Store: disk})
-	c := &Cache{st: st, disk: disk, traces: obs.NewTraceStore(cfg.TraceRetain, cfg.TraceSample, cfg.TraceSlow)}
+	st := store.NewStack(reg, store.Tier{Name: "disk", Store: disk}, nil)
+	c := &Cache{disk: disk, traces: obs.NewTraceStore(cfg.TraceRetain, cfg.TraceSample, cfg.TraceSlow)}
 	ro := &obs.RequestObserver{Service: "kcached", Traces: c.traces}
 	cs := store.NewCacheServer(st)
 	cs.Observe(ro)

@@ -82,11 +82,12 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 	}
 }
 
-// TestNewCacheServesMemoryOverDisk: kcached's store is memory over its
-// segment disk, as the store_* tiers on /metrics show.
-func TestNewCacheServesMemoryOverDisk(t *testing.T) {
+// TestNewCacheServesItsSegmentLog: kcached's store is its segment disk
+// alone, with no memory tier in front, as the store_* tiers on /metrics
+// show.
+func TestNewCacheServesItsSegmentLog(t *testing.T) {
 	c, _ := newKcached(t, CacheConfig{})
-	if got, want := storeTiers(t, c.Handler(), "kcached"), []string{"disk", "memory", "stack"}; !reflect.DeepEqual(got, want) {
+	if got, want := storeTiers(t, c.Handler(), "kcached"), []string{"disk", "stack"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("store tiers on /metrics = %v, want %v", got, want)
 	}
 }

@@ -154,14 +154,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	var remote *store.Remote
-	var back store.Tier
 	if cfg.CacheRemote != "" {
 		if remote, err = store.NewRemote(cfg.CacheRemote, store.RemoteConfig{}); err != nil {
 			return nil, err
 		}
-		back = store.Tier{Name: "remote", Store: remote}
 	}
-	st := store.NewStack(reg, store.Tier{Name: "memory", Store: store.NewMemory(cfg.CacheBytes)}, back)
+	st := store.NewStack(reg, store.Tier{Name: "memory", Store: store.NewMemory(cfg.CacheBytes)}, remote)
 	s := &Server{
 		inc:     scan.NewIncremental(cb, st),
 		started: time.Now(),

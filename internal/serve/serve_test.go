@@ -527,6 +527,24 @@ func TestBatchServedFromWarmStore(t *testing.T) {
 	if stats.Batches != 1 {
 		t.Fatalf("batches counter = %d, want 1", stats.Batches)
 	}
+
+	// An unknown field is ignored, not rejected: a body that still
+	// carries the retired "concurrency" gets the same entries.
+	var again api.BatchResponse
+	if code := postJSON(t, ts, "/batch", map[string]any{
+		"checkers":    []string{testChecker, testCheckerB, "checker broken {"},
+		"concurrency": 4,
+	}, &again); code != http.StatusOK {
+		t.Fatalf(`batch with "concurrency" status = %d`, code)
+	}
+	if len(again.Results) != len(out.Results) || again.CheckersRun != 2 || again.CheckerErrors != 1 {
+		t.Fatalf(`batch with "concurrency": %d entries, run=%d errors=%d`, len(again.Results), again.CheckersRun, again.CheckerErrors)
+	}
+	for i, r := range out.Results {
+		if got := again.Results[i]; reportsJSON(t, got) != reportsJSON(t, r) || got.Error != r.Error {
+			t.Fatalf(`batch with "concurrency": entry %d differs from the batch without it`, i)
+		}
+	}
 }
 
 // TestChangesetEndpointConfinesMisses is the service-level tentpole

@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultMemoryBytes bounds the in-memory tier when the caller passes a
-// non-positive capacity: 64 MiB of entry weight, ~630k report-free
+// non-positive capacity: 64 MiB of entry weight, ~650k report-free
 // results — hundreds of checker revisions over a full-scale corpus.
 const DefaultMemoryBytes = 64 << 20
 

@@ -72,7 +72,8 @@ type CacheServer struct {
 	ro *obs.RequestObserver
 }
 
-// NewCacheServer wraps st (kcached passes its Stack) in the HTTP protocol.
+// NewCacheServer wraps st in the HTTP protocol. kcached passes its
+// Stack, which is its segment log alone.
 func NewCacheServer(st Store) *CacheServer {
 	return &CacheServer{st: st, started: time.Now()}
 }

@@ -15,33 +15,33 @@ type Tier struct {
 	Store Store
 }
 
-// Stack is the one composite store: a memory front over at most one
-// back store. A deployment has one of three shapes — a single host (no
-// back), a fleet replica (a *Remote back: kcached) and kcached itself
-// (a *SegmentDisk back) — and everything it needs from the composition
-// is a behaviour of this type:
+// Stack is the one composite store: a front tier over at most one
+// kcached. A deployment has one of three shapes — a single host (memory,
+// no back), a fleet replica (memory over a *Remote: kcached) and kcached
+// itself (its segment log, no back) — and everything it needs from the
+// composition is a behaviour of this type:
 //
 //   - GetMany hands a range of keys and their digests to the front in
 //     one call (a lock acquisition per 64 keys on *Memory, no
-//     hashing); the keys it misses go to the back as one range (one
-//     round trip on *Remote), and the back's hits are promoted into the
-//     front with one putMany, as the payloads the back returned.
-//     Counters stay per key.
+//     hashing); the keys it misses go to kcached as one range (one
+//     round trip), and kcached's hits are promoted into the front with
+//     one putMany, as the payloads it returned. Counters stay per key.
 //   - PutMany hands a range of keys, their digests and their payloads
-//     to the front and then the back in one call each, synchronously: a
+//     to the front and then kcached in one call each, synchronously: a
 //     scan that returned has published. Puts count per key.
 //   - It moves payloads and never looks inside one: no encode, no
 //     decode.
-//   - Invalidation hands the whole hash set to each leaf once; a
-//     network back is invalidated off the caller's goroutine, so a
-//     corpus mutation never waits on a round-trip. That is safe because
-//     remote invalidation is garbage collection, not correctness:
-//     content addressing means orphaned keys are never requested again.
-//   - With a registry, each leaf lands in the store_*{tier=name}
-//     families. Requests, hits, misses and puts count per key; latency
-//     is one store_op_duration_seconds observation per leaf call, the
-//     whole range of keys it carried.
+//   - Invalidation hands the whole hash set to each tier once; kcached
+//     is invalidated off the caller's goroutine, so a corpus mutation
+//     never waits on a round-trip. That is safe because remote
+//     invalidation is garbage collection, not correctness: content
+//     addressing means orphaned keys are never requested again.
+//   - With a registry, each tier lands in the store_*{tier=name}
+//     families (kcached's as tier="remote"). Requests, hits, misses and
+//     puts count per key; latency is one store_op_duration_seconds
+//     observation per tier call, the whole range of keys it carried.
 type Stack struct {
+	// back's Store is nil or a *Remote.
 	front, back leaf
 
 	hits   atomic.Int64
@@ -51,23 +51,22 @@ type Stack struct {
 
 type leaf struct {
 	Tier
-	// network marks a *Remote: invalidated asynchronously, and without
-	// entry books of its own (they belong to kcached).
-	network bool
 	// getDur and putDur are nil without a registry.
 	getDur, putDur *obs.Histogram
 }
 
-// NewStack puts front over back. A zero back (no Store) means none.
-// reg may be nil (no metrics).
+// NewStack puts front over back, the replica's kcached; a nil back means
+// none. reg may be nil (no metrics).
 //
-// The request/hit/miss/put series are callback-backed: every leaf
+// The request/hit/miss/put series are callback-backed: every tier
 // already counts those events for its own Stats(), so they are read at
 // scrape time instead of being counted twice. tier="stack" carries the
 // request-level totals /stats reports.
-func NewStack(reg *obs.Registry, front, back Tier) *Stack {
-	s := &Stack{front: leaf{Tier: front}, back: leaf{Tier: back}}
-	_, s.back.network = back.Store.(*Remote)
+func NewStack(reg *obs.Registry, front Tier, back *Remote) *Stack {
+	s := &Stack{front: leaf{Tier: front}}
+	if back != nil {
+		s.back.Tier = Tier{"remote", back}
+	}
 	if reg == nil {
 		return s
 	}
@@ -178,10 +177,10 @@ func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out [][]b
 	return n
 }
 
-// PutMany implements Store: the front and then the back take the
-// whole range in one call each, by ids, so each ends up as the same
-// Puts in sequence leave it. A network back publishes the range in one
-// round trip before this returns: a scan that returned has published.
+// PutMany implements Store: the front and then kcached take the whole
+// range in one call each, by ids, so the front ends up as the same Puts
+// in sequence leave it. kcached has the range, one round trip, before
+// this returns: a scan that returned has published.
 func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -192,39 +191,26 @@ func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, payloads 
 	s.puts.Add(int64(len(keys)))
 }
 
-// InvalidateFuncs implements Store: each leaf gets the whole hash set in
-// one call. The count covers the local leaves only; a network back's
-// round-trip finishes after this returns.
+// InvalidateFuncs implements Store: each tier gets the whole hash set in
+// one call, kcached off the caller's goroutine. The count is the
+// front's; kcached's round-trip finishes after this returns.
 func (s *Stack) InvalidateFuncs(funcHashes []string) int {
-	n := 0
-	for _, l := range s.leaves() {
-		if l.network {
-			go l.Store.InvalidateFuncs(funcHashes)
-			continue
-		}
-		n += l.Store.InvalidateFuncs(funcHashes)
+	if s.back.Store != nil {
+		go s.back.Store.InvalidateFuncs(funcHashes)
 	}
-	return n
+	return s.front.Store.InvalidateFuncs(funcHashes)
 }
 
 // Stats implements Store. Hits, misses and puts are request-level (one
-// per key of a GetMany or PutMany on the stack, however many leaves it
-// touched); evictions, invalidations and expiries are summed over the
-// leaves.
-// Entries and Bytes come from a local back — writes go through and reads
-// promote, so it holds a superset of the front and summing would
-// double-count — and otherwise from the front: a network back keeps no
-// books of its own, so a replica reports its memory.
+// per key of a GetMany or PutMany on the stack, however many tiers it
+// touched). Every other count is the front's, plus the invalidations
+// kcached reported: kcached keeps no books on a replica's behalf, so a
+// replica reports its memory.
 func (s *Stack) Stats() Stats {
-	out := Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
-	for _, l := range s.leaves() {
-		ls := l.Store.Stats()
-		out.Evictions += ls.Evictions
-		out.Invalidated += ls.Invalidated
-		out.Expired += ls.Expired
-		if !l.network {
-			out.Entries, out.Bytes = ls.Entries, ls.Bytes
-		}
+	out := s.front.Store.Stats()
+	out.Hits, out.Misses, out.Puts = s.hits.Load(), s.misses.Load(), s.puts.Load()
+	if s.back.Store != nil {
+		out.Invalidated += s.back.Store.Stats().Invalidated
 	}
 	return out
 }

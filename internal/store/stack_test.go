@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -14,8 +13,8 @@ import (
 	"knighter/internal/obs"
 )
 
-// eventually polls cond: network leaves are invalidated off the
-// caller's goroutine, so their effect is awaited, not assumed.
+// eventually polls cond: kcached is invalidated off the caller's
+// goroutine, so the effect is awaited, not assumed.
 func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -27,15 +26,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// countingGets counts the GetMany calls that reach the store it wraps.
-type countingGets struct {
-	Store
-	calls int
-}
-
-func (c *countingGets) GetMany(ctx context.Context, keys []Key, ids []Digest, out [][]byte) {
-	c.calls++
-	c.Store.GetMany(ctx, keys, ids, out)
+// memoryOverKcached is a replica's stack: a memory front over a remote
+// to an httptest kcached serving daemon.
+func memoryOverKcached(t *testing.T, reg *obs.Registry, daemon Store) *Stack {
+	t.Helper()
+	return NewStack(reg, Tier{"memory", NewMemory(0)}, newRemote(t, newCacheTS(t, daemon).URL, RemoteConfig{}))
 }
 
 // TestStackBehaviours pins, as cases on the one composite, every
@@ -46,9 +41,12 @@ func TestStackBehaviours(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"tiers/disk hits are promoted, puts write through", func(t *testing.T) {
-			mem, disk := NewMemory(0), newTestSegDisk(t, t.TempDir())
+			// The deployed disk is kcached's segment log, behind the
+			// protocol as a replica's back.
+			disk := newTestSegDisk(t, t.TempDir())
 			disk.Put(bg, key(1), result("warm-from-disk"))
-			st := NewStack(nil, Tier{"memory", mem}, Tier{"disk", disk})
+			mem := NewMemory(0)
+			st := NewStack(nil, Tier{"memory", mem}, newRemote(t, newCacheTS(t, disk).URL, RemoteConfig{}))
 			if _, ok := getOne(bg, st, key(1)); !ok {
 				t.Fatal("miss on a disk-resident entry")
 			}
@@ -73,18 +71,21 @@ func TestStackBehaviours(t *testing.T) {
 			}
 		}},
 		{"tiers/invalidation fans out to every leaf, per hash and in bulk", func(t *testing.T) {
-			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"disk", newTestSegDisk(t, t.TempDir())})
+			daemon := NewMemory(0)
+			st := memoryOverKcached(t, nil, daemon)
 			putOne(st, fkey("fA", "ck1"), result("a1"))
 			putOne(st, fkey("fA", "ck2"), result("a2"))
 			putOne(st, fkey("fB", "ck"), result("b"))
 			putOne(st, fkey("fC", "ck"), result("c"))
 			putOne(st, fkey("fD", "ck"), result("d"))
-			if n := st.InvalidateFuncs([]string{"fA"}); n != 4 {
-				t.Fatalf("per-hash invalidation dropped %d entries, want 4 (two entries x two leaves)", n)
+			if n := st.InvalidateFuncs([]string{"fA"}); n != 2 {
+				t.Fatalf("per-hash invalidation dropped %d entries, want the front's 2", n)
 			}
-			if n := st.InvalidateFuncs([]string{"fB", "fC"}); n != 4 {
-				t.Fatalf("bulk invalidation dropped %d entries, want 4 (two hashes x two leaves)", n)
+			if n := st.InvalidateFuncs([]string{"fB", "fC"}); n != 2 {
+				t.Fatalf("bulk invalidation dropped %d entries, want the front's 2 (one per hash)", n)
 			}
+			// kcached is invalidated off the caller's goroutine.
+			eventually(t, "kcached to drop four entries", func() bool { return daemon.Stats().Invalidated == 4 })
 			for _, k := range []Key{fkey("fA", "ck1"), fkey("fA", "ck2"), fkey("fB", "ck"), fkey("fC", "ck")} {
 				if _, ok := getOne(bg, st, k); ok {
 					t.Fatalf("%v survived invalidation", k)
@@ -93,7 +94,8 @@ func TestStackBehaviours(t *testing.T) {
 			if _, ok := getOne(bg, st, fkey("fD", "ck")); !ok {
 				t.Fatal("unrelated entry dropped")
 			}
-			if s := st.Stats(); s.Invalidated != 8 || s.Entries != 1 {
+			eventually(t, "the replica to count kcached's drops", func() bool { return st.Stats().Invalidated == 8 })
+			if s := st.Stats(); s.Entries != 1 {
 				t.Fatalf("stats = %+v", s)
 			}
 		}},
@@ -102,36 +104,41 @@ func TestStackBehaviours(t *testing.T) {
 			ids := []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}
 			out := make([][]byte, len(keys))
 			// A single host's cold probe: no back, every key a miss.
-			alone := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{})
+			alone := NewStack(nil, Tier{"memory", NewMemory(0)}, nil)
 			if n := testing.AllocsPerRun(100, func() { alone.GetMany(bg, keys, ids, out) }); n != 0 {
 				t.Fatalf("a missed range on a stack with no back made %.0f allocations, want 0", n)
 			}
-			// An all-hit range never calls the back.
-			back := &countingGets{Store: NewMemory(0)}
-			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"disk", back})
+			// An all-hit range never calls kcached.
+			daemon := NewMemory(0)
+			st := memoryOverKcached(t, nil, daemon)
 			st.PutMany(bg, keys, ids, encodeAll(result("1"), result("2"), result("3")))
 			st.GetMany(bg, keys, ids, out)
-			if back.calls != 0 {
-				t.Fatalf("an all-hit range made %d calls to the back", back.calls)
+			if s := daemon.Stats(); s.Hits+s.Misses != 0 {
+				t.Fatalf("an all-hit range reached kcached: %+v", s)
 			}
 		}},
 		{"fleet/remote hit promotes, local put publishes", func(t *testing.T) {
 			back := NewMemory(0)
 			ts := newCacheTS(t, back)
-			st := NewStack(nil, Tier{"memory", NewMemory(0)}, Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})})
+			st := NewStack(nil, Tier{"memory", NewMemory(0)}, newRemote(t, ts.URL, RemoteConfig{}))
 			putOne(st, key(1), result("one"))
 			if back.Stats().Puts != 1 {
 				t.Fatal("local Put not published to the daemon")
 			}
 			// A fresh replica sharing the daemon: first Get is a remote
-			// hit, promoted into its memory.
+			// hit, promoted into its memory, and the next one stops there.
 			mem2 := NewMemory(0)
-			st2 := NewStack(nil, Tier{"memory", mem2}, Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})})
-			if _, ok := getOne(bg, st2, key(1)); !ok {
-				t.Fatal("fresh replica missed its sibling's entry")
+			st2 := NewStack(nil, Tier{"memory", mem2}, newRemote(t, ts.URL, RemoteConfig{}))
+			for range 2 {
+				if _, ok := getOne(bg, st2, key(1)); !ok {
+					t.Fatal("fresh replica missed its sibling's entry")
+				}
 			}
 			if mem2.Stats().Entries != 1 {
 				t.Fatal("remote hit not promoted into memory")
+			}
+			if s := back.Stats(); s.Hits != 1 {
+				t.Fatalf("the promoted entry was read from the daemon again: %+v", s)
 			}
 			// The replica's books are its memory's: the daemon's entries
 			// are the daemon's to report.
@@ -139,33 +146,18 @@ func TestStackBehaviours(t *testing.T) {
 				t.Fatalf("memory+remote stack reports %+v, want memory's books", s)
 			}
 		}},
-		{"stats/deepest book-keeping leaf, even when empty", func(t *testing.T) {
-			front, back := NewMemory(0), NewMemory(0)
-			st := NewStack(nil, Tier{"memory", front}, Tier{"disk", back})
-			putOne(st, fkey("fA", "ck"), result("x"))
-			if st.Stats().Entries != 1 {
-				t.Fatalf("stats after put: %+v", st.Stats())
-			}
-			// Drop the back leaf only: it holds a superset by
-			// construction, so its emptiness is the stack's truth even
-			// though the front still holds a copy.
-			back.InvalidateFuncs([]string{"fA"})
-			if s := st.Stats(); s.Entries != 0 || s.Bytes != 0 {
-				t.Fatalf("stack reported front-leaf counts for an empty back leaf: %+v", s)
-			}
-			if front.Stats().Entries != 1 {
-				t.Fatal("front leaf lost its copy")
-			}
-		}},
-		// The two deployed shapes with a back: a replica's memory over
-		// kcached, and kcached's memory over its disk.
+		// The deployed shapes on /metrics: a replica's memory over
+		// kcached, and kcached's segment log alone.
 		{"metrics/per-tier families", func(t *testing.T) {
 			t.Run("kserve: memory+remote", func(t *testing.T) {
-				r := newRemote(t, newCacheTS(t, NewMemory(0)).URL, RemoteConfig{})
-				checkTierFamilies(t, "kserve", Tier{"remote", r}, "disk")
+				reg := obs.NewRegistry("kserve")
+				st := memoryOverKcached(t, reg, NewMemory(0))
+				checkTierFamilies(t, "kserve", reg, st, "memory", "disk")
 			})
-			t.Run("kcached: memory+disk", func(t *testing.T) {
-				checkTierFamilies(t, "kcached", Tier{"disk", newTestSegDisk(t, t.TempDir())}, "remote")
+			t.Run("kcached: disk", func(t *testing.T) {
+				reg := obs.NewRegistry("kcached")
+				st := NewStack(reg, Tier{"disk", newTestSegDisk(t, t.TempDir())}, nil)
+				checkTierFamilies(t, "kcached", reg, st, "disk", "memory", "remote")
 			})
 		}},
 	} {
@@ -173,14 +165,12 @@ func TestStackBehaviours(t *testing.T) {
 	}
 }
 
-// checkTierFamilies drives a memory front over back through single and
-// range gets and puts, and checks the store_* families it exposes under
-// the namespace ns: every tier="memory", tier=back.Name and
-// tier="stack" series, and no tier="absent" series.
-func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
-	reg := obs.NewRegistry(ns)
-	st := NewStack(reg, Tier{"memory", NewMemory(0)}, back)
-	expose := func(after string, want ...string) {
+// checkTierFamilies drives st, built on reg with a front tier named
+// front, through single and range gets and puts, and checks the store_*
+// families it exposes under the namespace ns: every tier=front, tier="remote" (when st has a
+// back) and tier="stack" series, and no series of an absent tier.
+func checkTierFamilies(t *testing.T, ns string, reg *obs.Registry, st *Stack, front string, absent ...string) {
+	expose := func(after string, want []string, wantRemote ...string) {
 		t.Helper()
 		var b strings.Builder
 		reg.WriteTo(&b)
@@ -188,72 +178,79 @@ func checkTierFamilies(t *testing.T, ns string, back Tier, absent string) {
 		if _, err := obs.CheckExposition(text); err != nil {
 			t.Fatalf("invalid exposition: %v", err)
 		}
-		r := strings.NewReplacer("NS", ns, "BACK", back.Name)
+		if st.back.Store != nil {
+			want = append(want, wantRemote...)
+		}
+		r := strings.NewReplacer("NS", ns, "FRONT", front)
 		for _, w := range want {
 			if w = r.Replace(w); !strings.Contains(text, w) {
 				t.Errorf("exposition after %s missing %q", after, w)
 			}
 		}
-		if strings.Contains(text, `tier="`+absent+`"`) {
-			t.Errorf("exposition after %s has a tier=%q series", after, absent)
+		for _, a := range absent {
+			if strings.Contains(text, `tier="`+a+`"`) {
+				t.Errorf("exposition after %s has a tier=%q series", after, a)
+			}
 		}
 	}
 	putOne(st, fkey("0a", "ck"), result("x"))
 	getOne(bg, st, fkey("0a", "ck"))
 	getOne(bg, st, fkey("0b", "ck"))
-	expose("a put, a hit and a miss",
-		`NS_store_requests_total{tier="memory"} 3`,
-		`NS_store_hits_total{tier="memory"} 1`,
-		`NS_store_misses_total{tier="BACK"} 1`,
-		`NS_store_puts_total{tier="BACK"} 1`,
+	expose("a put, a hit and a miss", []string{
+		`NS_store_requests_total{tier="FRONT"} 3`,
+		`NS_store_hits_total{tier="FRONT"} 1`,
+		`NS_store_misses_total{tier="FRONT"} 1`,
+		`NS_store_puts_total{tier="FRONT"} 1`,
 		`NS_store_requests_total{tier="stack"} 3`,
-		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 2`,
-		`NS_store_op_duration_seconds_count{tier="BACK",op="put"} 1`,
-		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 1`)
-	// Another miss is one more timed call on memory and on the back.
+		`NS_store_op_duration_seconds_count{tier="FRONT",op="get"} 2`,
+		`NS_store_op_duration_seconds_count{tier="FRONT",op="put"} 1`},
+		`NS_store_misses_total{tier="remote"} 1`,
+		`NS_store_puts_total{tier="remote"} 1`,
+		`NS_store_op_duration_seconds_count{tier="remote",op="put"} 1`,
+		`NS_store_op_duration_seconds_count{tier="remote",op="get"} 1`)
+	// Another miss is one more timed call on the front and on kcached.
 	getOne(bg, st, fkey("1c", "ck"))
-	expose("a second miss",
-		`NS_store_requests_total{tier="memory"} 4`,
-		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 3`,
-		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 2`)
-	// A range probe counts per key and is timed once per leaf call: a
-	// memory hit and two misses are three memory requests and one memory
-	// get timing, and the two misses reach the back as one call.
+	expose("a second miss", []string{
+		`NS_store_requests_total{tier="FRONT"} 4`,
+		`NS_store_op_duration_seconds_count{tier="FRONT",op="get"} 3`},
+		`NS_store_op_duration_seconds_count{tier="remote",op="get"} 2`)
+	// A range probe counts per key and is timed once per tier call: a
+	// front hit and two misses are three front requests and one front
+	// get timing, and the two misses reach kcached as one call.
 	keys := []Key{fkey("0a", "ck"), fkey("0d", "ck"), fkey("1c", "ck")}
 	st.GetMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()}, make([][]byte, 3))
-	expose("a range probe",
-		`NS_store_requests_total{tier="memory"} 7`,
-		`NS_store_hits_total{tier="memory"} 2`,
-		`NS_store_misses_total{tier="BACK"} 4`,
-		`NS_store_op_duration_seconds_count{tier="memory",op="get"} 4`,
-		`NS_store_op_duration_seconds_count{tier="BACK",op="get"} 3`,
+	expose("a range probe", []string{
+		`NS_store_requests_total{tier="FRONT"} 7`,
+		`NS_store_hits_total{tier="FRONT"} 2`,
+		`NS_store_op_duration_seconds_count{tier="FRONT",op="get"} 4`,
 		`NS_store_hits_total{tier="stack"} 2`,
-		`NS_store_misses_total{tier="stack"} 4`)
-	// A range put counts per key and is timed once per leaf: three keys
-	// are three puts on both leaves and on the stack, and one put timing
-	// on each leaf.
+		`NS_store_misses_total{tier="stack"} 4`},
+		`NS_store_misses_total{tier="remote"} 4`,
+		`NS_store_op_duration_seconds_count{tier="remote",op="get"} 3`)
+	// A range put counts per key and is timed once per tier: three keys
+	// are three puts on every tier and on the stack, and one put timing
+	// on each tier.
 	keys = []Key{fkey("0e", "ck"), fkey("0f", "ck"), fkey("1g", "ck")}
 	st.PutMany(bg, keys, []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest()},
 		encodeAll(result("e"), result("f"), result("g")))
-	expose("a range put",
-		`NS_store_puts_total{tier="memory"} 4`,
-		`NS_store_puts_total{tier="BACK"} 4`,
+	expose("a range put", []string{
+		`NS_store_puts_total{tier="FRONT"} 4`,
 		`NS_store_puts_total{tier="stack"} 4`,
-		`NS_store_op_duration_seconds_count{tier="memory",op="put"} 2`,
-		`NS_store_op_duration_seconds_count{tier="BACK",op="put"} 2`)
+		`NS_store_op_duration_seconds_count{tier="FRONT",op="put"} 2`},
+		`NS_store_puts_total{tier="remote"} 4`,
+		`NS_store_op_duration_seconds_count{tier="remote",op="put"} 2`)
 }
 
 // modelLeaf is the reference model of one leaf: a plain map and the
 // books the leaf should keep.
 type modelLeaf struct {
-	network            bool
 	has                map[string]string // Key.ID() -> message
 	hits, misses, puts int64
 	invalidated        int64
 }
 
-// stackModel is the reference model of a stack: what the front and the
-// back (nil for none) hold and have counted, plus the request-level
+// stackModel is the reference model of a stack: what the front and
+// kcached (nil for none) hold and have counted, plus the request-level
 // totals.
 type stackModel struct {
 	front, back        *modelLeaf
@@ -326,16 +323,15 @@ func (m *stackModel) put(id, msg string) {
 	m.puts++
 }
 
-// invalidate returns what the stack should report: the local leaves'
-// drops.
+// invalidate returns what the stack should report: the front's drops.
 func (m *stackModel) invalidate(ids []string) int {
 	n := 0
-	for _, l := range m.leaves() {
+	for i, l := range m.leaves() {
 		for _, id := range ids {
 			if _, ok := l.has[id]; ok {
 				delete(l.has, id)
 				l.invalidated++
-				if !l.network {
+				if i == 0 {
 					n++
 				}
 			}
@@ -346,40 +342,41 @@ func (m *stackModel) invalidate(ids []string) int {
 
 // TestStackMatchesReferenceModel runs one seeded Get / GetMany / Put /
 // PutMany / Invalidate script (plus, where there is a daemon, a
-// sibling replica publishing to it) over the four deployed shapes, all
+// sibling replica publishing to it) over the three deployed shapes, all
 // built by NewStack, against the plain-map model: every answer, every
-// invalidation count, and every leaf's books must agree.
+// invalidation count, and every tier's books must agree.
 func TestStackMatchesReferenceModel(t *testing.T) {
 	for _, shape := range []struct {
-		name         string
-		disk, remote bool
-		// served drives the script through the cache protocol instead of
-		// calling the stack: the stack under test is kcached's.
+		name   string
+		remote bool
+		// served builds kcached's stack, its segment log alone as
+		// serve.NewCache does, and drives the script through the cache
+		// protocol instead of calling the stack.
 		served bool
 	}{
 		{name: "memory"},
-		{name: "memory+disk", disk: true},
 		{name: "memory+remote", remote: true},
-		{name: "kcached: memory+disk behind the protocol", disk: true, served: true},
+		{name: "kcached: disk behind the protocol", served: true},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
-			var back Tier
+			front := Tier{"memory", NewMemory(0)}
+			if shape.served {
+				front = Tier{"disk", newTestSegDisk(t, t.TempDir())}
+			}
+			var back *Remote
 			var daemon *CacheServer
 			var daemonStore *Memory
-			if shape.disk {
-				back = Tier{"disk", newTestSegDisk(t, t.TempDir())}
-			}
 			if shape.remote {
 				daemonStore = NewMemory(0)
 				daemon = NewCacheServer(daemonStore)
 				ts := httptest.NewServer(daemon.Handler())
 				t.Cleanup(ts.Close)
-				back = Tier{"remote", newRemote(t, ts.URL, RemoteConfig{})}
+				back = newRemote(t, ts.URL, RemoteConfig{})
 			}
-			st := NewStack(obs.NewRegistry("t"), Tier{"memory", NewMemory(0)}, back)
+			st := NewStack(obs.NewRegistry("t"), front, back)
 			model := &stackModel{front: &modelLeaf{has: map[string]string{}}}
-			if back.Store != nil {
-				model.back = &modelLeaf{network: shape.remote, has: map[string]string{}}
+			if back != nil {
+				model.back = &modelLeaf{has: map[string]string{}}
 			}
 
 			// The script's view of the store: the stack itself, or a
@@ -426,7 +423,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					}
 				case op == 10 && daemonStore != nil:
 					// A sibling replica publishes to the shared daemon: the
-					// entry exists behind the network leaf and nowhere local.
+					// entry exists in kcached and nowhere local.
 					daemonStore.Put(bg, k, result(msg))
 					model.back.has[id] = msg
 				case op < 5 || op == 10: // get
@@ -475,8 +472,8 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("step %d: InvalidateFuncs(%v) = %d, model says %d", step, hashes, got, want)
 					}
 					if daemon != nil {
-						// The network leaf is invalidated off this goroutine;
-						// the script is sequential, so wait for it to land.
+						// kcached is invalidated off this goroutine; the
+						// script is sequential, so wait for it to land.
 						invalidations++
 						eventually(t, "the daemon to see the invalidation",
 							func() bool { return daemon.invalidates.Load() == invalidations })
@@ -489,8 +486,8 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 				if got.Hits != ml.hits || got.Misses != ml.misses || got.Puts != ml.puts {
 					t.Errorf("%s books = %+v, model = %+v", l.Name, got, *ml)
 				}
-				if l.network {
-					// The network leaf's entries are the daemon's books.
+				if i == 1 {
+					// kcached's entries are the daemon's books.
 					if ds := daemonStore.Stats(); ds.Entries != len(ml.has) {
 						t.Errorf("daemon holds %d entries, model says %d", ds.Entries, len(ml.has))
 					}
@@ -500,15 +497,11 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 					t.Errorf("%s books = %+v, model = %+v (%d entries)", l.Name, got, *ml, len(ml.has))
 				}
 			}
-			// The stack's entries are a local back's, else the front's.
-			got, books := st.Stats(), model.front
-			if model.back != nil && !model.back.network {
-				books = model.back
-			}
-			if got.Hits != model.hits || got.Misses != model.misses || got.Puts != model.puts ||
-				got.Entries != len(books.has) || got.Evictions != 0 {
+			// The stack's entries are the front's.
+			if got := st.Stats(); got.Hits != model.hits || got.Misses != model.misses || got.Puts != model.puts ||
+				got.Entries != len(model.front.has) || got.Evictions != 0 {
 				t.Errorf("stack stats = %+v; model hits=%d misses=%d puts=%d entries=%d",
-					got, model.hits, model.misses, model.puts, len(books.has))
+					got, model.hits, model.misses, model.puts, len(model.front.has))
 			}
 		})
 	}
