@@ -13,7 +13,6 @@
 //	kserve -cache-remote http://localhost:8322    # restart warm: kcached beside a single host
 //	kserve -max-inflight 8 -max-queued 32 -max-queued-per-client 4
 //	kserve -max-inflight-writes 1 -max-queued-writes 32
-//	kserve -max-cost 100000        # weighted read budget: sum of checkers x files
 //	kserve -shard-index 0 -shard-count 3 -peers http://a:8321,http://b:8321,http://c:8321 \
 //	       -cache-remote http://cache-host:8322   # sharded fleet member
 //
@@ -54,7 +53,6 @@ func main() {
 	flag.IntVar(&cfg.MaxQueuedPerClient, "max-queued-per-client", 16, "max queued requests per client key (X-Client-ID header or remote address; 0 = unbounded)")
 	flag.IntVar(&cfg.MaxInflightWrites, "max-inflight-writes", 1, "max concurrent write requests (/changeset, /converge); writes serialize on the corpus commit lock anyway (0 = ungated)")
 	flag.IntVar(&cfg.MaxQueuedWrites, "max-queued-writes", 32, "max write requests waiting before shedding with 429")
-	flag.Int64Var(&cfg.MaxCost, "max-cost", 0, "max summed cost weight (checkers x files) of admitted read requests (0 = unweighted admission)")
 	flag.IntVar(&cfg.ShardIndex, "shard-index", 0, "this replica's shard index within the fleet (with -shard-count)")
 	flag.IntVar(&cfg.ShardCount, "shard-count", 1, "number of corpus shards; > 1 enables scatter/gather fan-out")
 	flag.StringVar(&cfg.Peers, "peers", "", "comma-separated shard base URLs in shard-index order (required when -shard-count > 1; entry -shard-index names this replica)")

@@ -324,13 +324,6 @@ type AdmissionStats struct {
 	// FairnessShed counts sheds caused by the per-client bound alone —
 	// requests that would have queued had another client sent them.
 	FairnessShed int64 `json:"fairness_shed"`
-	// MaxCost, when > 0, bounds the summed cost weight (checkers ×
-	// files) of admitted requests; CostWeight is the weight currently
-	// outstanding and CostShed counts requests shed by the cost bound
-	// alone (they had an inflight token but weighed too much).
-	MaxCost    int64 `json:"max_cost,omitempty"`
-	CostWeight int64 `json:"cost_weight"`
-	CostShed   int64 `json:"cost_shed,omitempty"`
 }
 
 // StatsResponse is the GET /stats reply.

@@ -107,12 +107,6 @@ func (ck *Compiled) Name() string { return "knighter." + ck.spec.Name }
 // on semantics), so hashing the rendering is a sound semantic key: two
 // refinement rounds that produce the same spec — the common case for
 // rejected or no-op refinements — hit the same cache entries.
-//
-// v3: the engine drops a checker from every function QuietOn holds for,
-// and QuietOn holds for more of them. What the checker would have
-// written there changes no report, but it sits in the engine's visited
-// keys, so an older entry for such a function may carry other path and
-// step counts.
 func (ck *Compiled) Fingerprint() string {
 	h := sha256.Sum256([]byte("ckdsl:v3:" + ck.spec.String()))
 	return hex.EncodeToString(h[:16])

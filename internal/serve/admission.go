@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"net"
 	"net/http"
 	"strconv"
@@ -39,23 +38,11 @@ type admission struct {
 	maxQueuedPerClient int64
 	queued             atomic.Int64
 	inflight           atomic.Int64
-	// admitted/shed/fairShed/costShed are the gate's counters in the
-	// replica's registry; /stats reads the same objects.
+	// admitted/shed/fairShed are the gate's counters in the replica's
+	// registry; /stats reads the same objects.
 	admitted *obs.Counter
 	shed     *obs.Counter
 	fairShed *obs.Counter
-	costShed *obs.Counter
-
-	// Cost weighting: an inflight token counts REQUESTS, but a /batch of
-	// 50 checkers over the full corpus is not one /scan of one file. Each
-	// admitted request additionally charges its cost (checkers x files
-	// for reads, ops for writes) against costOutstanding, and when
-	// maxCost > 0 a request whose cost would push the outstanding sum
-	// past the budget is shed exactly like a full queue. maxCost == 0
-	// still tracks the weight (the admission_cost_weight gauge stays
-	// meaningful) but never sheds on it.
-	maxCost         int64
-	costOutstanding atomic.Int64
 
 	// cmu guards queuedByClient: per-client queue occupancy, entries
 	// removed at zero so the map tracks only currently-queued clients.
@@ -74,13 +61,12 @@ type admission struct {
 
 // newAdmission returns a gate admitting maxInflight concurrent requests
 // with maxQueued waiters (at most maxQueuedPerClient of them from any
-// one client; <= 0 disables the per-client bound), shedding on cost
-// past maxCost when that is > 0 — or nil (no gating) when maxInflight
-// <= 0. The gate's instruments land in reg under the given name prefix
-// ("admission" for the read gate, "write_admission" for the write
-// gate): instantaneous queue depth, inflight and cost gauges,
+// one client; <= 0 disables the per-client bound), or nil (no gating)
+// when maxInflight <= 0. The gate's instruments land in reg under the
+// given name prefix ("admission" for the read gate, "write_admission"
+// for the write gate): instantaneous queue depth and inflight gauges,
 // cumulative admitted/shed counters, and the queue-wait histogram.
-func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQueuedPerClient int, maxCost int64, generation func() int64) *admission {
+func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQueuedPerClient int, generation func() int64) *admission {
 	if maxInflight <= 0 {
 		return nil
 	}
@@ -91,13 +77,11 @@ func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQ
 		tokens:             make(chan struct{}, maxInflight),
 		maxQueued:          int64(maxQueued),
 		maxQueuedPerClient: int64(maxQueuedPerClient),
-		maxCost:            maxCost,
 		queuedByClient:     map[string]int64{},
 		generation:         generation,
 		admitted:           reg.Counter(prefix+"_admitted_total", "Requests admitted through the gate."),
 		shed:               reg.Counter(prefix+"_shed_total", "Requests shed with 429 (queue full or per-client bound)."),
 		fairShed:           reg.Counter(prefix+"_fairness_shed_total", "Sheds caused by the per-client bound alone."),
-		costShed:           reg.Counter(prefix+"_cost_shed_total", "Requests shed because their cost weight would exceed the outstanding-cost budget."),
 		waitDur: reg.Histogram(prefix+"_wait_seconds",
 			"Queue wait of each admitted request; fast-path admissions observe zero.", nil),
 	}
@@ -105,8 +89,6 @@ func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQ
 		func() float64 { return float64(a.queued.Load()) })
 	reg.GaugeFunc(prefix+"_inflight", "Requests currently executing behind the gate.",
 		func() float64 { return float64(a.inflight.Load()) })
-	reg.GaugeFunc(prefix+"_cost_weight", "Summed cost weight (checkers x files) of requests currently executing behind the gate.",
-		func() float64 { return float64(a.costOutstanding.Load()) })
 	return a
 }
 
@@ -229,38 +211,6 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// admitCost charges a request's cost weight against the gate's
-// outstanding-cost budget, after the body is decoded (cost needs the
-// request's shape) but before any expensive work. It returns a release
-// func (call exactly once, normally deferred) and whether the request
-// may proceed; on false the 429 has already been written.
-//
-// An idle gate (nothing outstanding) always admits, whatever the cost:
-// a request bigger than the whole budget must still be servable, just
-// never CONCURRENTLY with other work. Nil-safe like wrap.
-func (a *admission) admitCost(w http.ResponseWriter, cost int64) (func(), bool) {
-	if a == nil {
-		return func() {}, true
-	}
-	if cost < 1 {
-		cost = 1
-	}
-	for {
-		cur := a.costOutstanding.Load()
-		if a.maxCost > 0 && cur > 0 && cur+cost > a.maxCost {
-			a.costShed.Inc()
-			a.shedRequest(w, fmt.Sprintf(
-				"request cost %d would exceed the outstanding-cost budget (%d of %d in use); retry after the indicated delay",
-				cost, cur, a.maxCost))
-			return nil, false
-		}
-		if a.costOutstanding.CompareAndSwap(cur, cur+cost) {
-			var once sync.Once
-			return func() { once.Do(func() { a.costOutstanding.Add(-cost) }) }, true
-		}
-	}
-}
-
 // snapshot returns the current counters as the /stats wire shape, or
 // nil when gating is off.
 func (a *admission) snapshot() *api.AdmissionStats {
@@ -280,8 +230,5 @@ func (a *admission) snapshot() *api.AdmissionStats {
 		Admitted:           count(a.admitted),
 		Shed:               count(a.shed),
 		FairnessShed:       count(a.fairShed),
-		MaxCost:            a.maxCost,
-		CostWeight:         a.costOutstanding.Load(),
-		CostShed:           count(a.costShed),
 	}
 }

@@ -34,12 +34,6 @@ func (s *Server) handleChangeset(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	changes := toScanChanges(req.Changes)
-	// Write cost is ops: each change is one staged parse + commit entry.
-	release, ok := s.wadm.admitCost(w, int64(len(changes)))
-	if !ok {
-		return
-	}
-	defer release()
 
 	// No request-wide lock: the changeset stages off to the side and
 	// commits with a pointer swap — in-flight scans keep their pinned

@@ -183,7 +183,6 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 		pairs[prefix+"_admitted_total"] = gate.Admitted
 		pairs[prefix+"_shed_total"] = gate.Shed
 		pairs[prefix+"_fairness_shed_total"] = gate.FairnessShed
-		pairs[prefix+"_cost_shed_total"] = gate.CostShed
 	}
 	for name, stat := range pairs {
 		if got, ok := metrics[name]; !ok || got != stat {

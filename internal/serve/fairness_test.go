@@ -13,7 +13,7 @@ import (
 
 // testGate is a standalone gate on a registry of its own.
 func testGate(maxInflight, maxQueued, maxQueuedPerClient int) *admission {
-	return newAdmission(obs.NewRegistry("test"), "admission", maxInflight, maxQueued, maxQueuedPerClient, 0,
+	return newAdmission(obs.NewRegistry("test"), "admission", maxInflight, maxQueued, maxQueuedPerClient,
 		func() int64 { return 0 })
 }
 

@@ -14,22 +14,6 @@ import (
 	"knighter/internal/store"
 )
 
-// requestCost is the admission cost weight of a scan-shaped request:
-// checkers x files, with an empty file list meaning the whole corpus.
-// It is what the request will actually make the analyzer walk, so one
-// 50-checker full-corpus /batch weighs 50 corpus scans — not the one
-// token a single-file /scan also costs.
-func (s *Server) requestCost(checkers int, files []string) int64 {
-	n := len(files)
-	if n == 0 {
-		n = len(s.inc.Codebase().Files())
-	}
-	if checkers < 1 {
-		checkers = 1
-	}
-	return int64(checkers) * int64(n)
-}
-
 // attachTiming copies the request trace's id and span timeline into the
 // response when the client asked for it.
 func attachTiming(ctx context.Context, id *string, spans *[]obs.Span, want bool) {
@@ -199,23 +183,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeOK(w, resp.Generation, resp)
 }
 
-// read is the one read core behind /scan and /batch. It charges the
-// request's cost, waits for min_generation, resolves the file list, and
-// runs the compiled checkers (srcs holds their DSL texts, index for
-// index) as one pass: on this replica's own pinned snapshot, or, on a
-// sharded coordinator, scattered across the fleet. It returns one entry
+// read is the one read core behind /scan and /batch. It waits for
+// min_generation, resolves the file list, and runs the compiled
+// checkers (srcs holds their DSL texts, index for index) as one pass:
+// on this replica's own pinned snapshot, or, on a sharded coordinator,
+// scattered across the fleet. It returns one entry
 // per checker and the generation they scanned, and false when the
 // request has been answered with an error.
 func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks []checker.Checker, srcs []string) ([]*api.ScanResponse, int64, bool) {
-	// Cost-weighted admission: the gate's token only counts requests;
-	// the cost charge weighs what is inside one (checkers x files), so a
-	// tenant shipping 50 checkers over the full corpus is charged 50
-	// corpus scans, not one request.
-	release, ok := s.adm.admitCost(w, s.requestCost(len(cks), q.Files))
-	if !ok {
-		return nil, 0, false
-	}
-	defer release()
 	if !s.awaitMinGeneration(w, r, q.MinGeneration) {
 		return nil, 0, false
 	}
@@ -227,6 +202,7 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 	var entries []*api.ScanResponse
 	var gen int64
 	if s.shard != nil && !q.ShardLocal && len(cks) > 0 {
+		var ok bool
 		if entries, gen, ok = s.scatter(w, r, q, cks, srcs); !ok {
 			return nil, 0, false
 		}

@@ -24,9 +24,6 @@
 // /converge) behind their own gate (MaxInflightWrites, MaxQueuedWrites)
 // — so a changeset storm sheds writes, never reads. Excess load is shed
 // with 429 + Retry-After instead of being buffered without bound.
-// MaxCost adds a cost-weighted read budget on top (checkers × files),
-// so one enormous batch can't starve the gate that a request-count
-// limit would admit.
 //
 // With ShardCount N (plus ShardIndex and Peers) the replica joins a
 // sharded fleet: each replica owns the files whose path hash lands on
@@ -87,7 +84,6 @@ type Config struct {
 	MaxQueuedPerClient int
 	MaxInflightWrites  int
 	MaxQueuedWrites    int
-	MaxCost            int64
 
 	ShardIndex int
 	ShardCount int
@@ -196,8 +192,8 @@ func New(cfg Config) (*Server, error) {
 
 	// Both gates stamp shed responses with the live corpus generation.
 	gen := cb.Generation
-	s.adm = newAdmission(reg, "admission", cfg.MaxInflight, cfg.MaxQueued, cfg.MaxQueuedPerClient, cfg.MaxCost, gen)
-	s.wadm = newAdmission(reg, "write_admission", cfg.MaxInflightWrites, cfg.MaxQueuedWrites, cfg.MaxQueuedPerClient, 0, gen)
+	s.adm = newAdmission(reg, "admission", cfg.MaxInflight, cfg.MaxQueued, cfg.MaxQueuedPerClient, gen)
+	s.wadm = newAdmission(reg, "write_admission", cfg.MaxInflightWrites, cfg.MaxQueuedWrites, cfg.MaxQueuedPerClient, gen)
 	if s.adm != nil {
 		log.Printf("kserve: read admission control: %d inflight, %d queued", cfg.MaxInflight, cfg.MaxQueued)
 	}

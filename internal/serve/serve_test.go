@@ -647,12 +647,18 @@ func TestChangesetEndpointRejectsBadRequests(t *testing.T) {
 
 // TestAdmissionShedsExcessLoad saturates a 1-inflight/1-queued gate with
 // a slow scan and verifies the contract: excess concurrent requests get
-// 429 with a Retry-After hint, admitted requests complete normally, and
-// the shed/admitted counters land in /stats.
+// 429 with a Retry-After hint and an overloaded error envelope whose
+// retry_after_ms matches the header, admitted requests complete
+// normally, and the shed/admitted counters land in /stats.
 func TestAdmissionShedsExcessLoad(t *testing.T) {
 	srv, ts := bootOne(t, Config{MaxInflight: 1, MaxQueued: 1})
 
+	// The occupier lets go of its slot on every exit, so a failed check
+	// cannot leave the queued request blocking the server's Close.
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseSlot := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseSlot()
 	var inflight sync.WaitGroup
 	inflight.Add(1)
 	go func() {
@@ -680,22 +686,36 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 		time.Sleep(time.Millisecond) // until the second request is queued
 	}
 
-	// The third concurrent request must shed.
-	resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{Checker: testChecker}, nil)
+	// The third concurrent request must shed, in the error envelope.
+	var body json.RawMessage
+	resp, err := call(http.MethodPost, ts.URL+"/scan", api.ScanRequest{Checker: testChecker}, &body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated request status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After header")
-	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-		t.Fatalf("Retry-After = %q, want a positive integer of seconds", ra)
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || secs < 1 {
+		t.Fatalf("Retry-After = %q, want a positive integer of seconds", resp.Header.Get("Retry-After"))
+	}
+	var shed api.ErrorResponse
+	var fields map[string]json.RawMessage
+	if json.Unmarshal(body, &shed) != nil || json.Unmarshal(body, &fields) != nil || shed.Err == nil {
+		t.Fatalf("429 body is not an error envelope: %s", body)
+	}
+	if shed.Err.Code != api.ErrOverloaded {
+		t.Fatalf("429 error code = %q, want %q", shed.Err.Code, api.ErrOverloaded)
+	}
+	if shed.Err.RetryAfterMS != int64(secs)*1000 {
+		t.Fatalf("retry_after_ms = %d, want Retry-After %ds x 1000", shed.Err.RetryAfterMS, secs)
+	}
+	if _, ok := fields["generation"]; !ok || shed.Generation != srv.inc.Codebase().Generation() {
+		t.Fatalf("429 body generation = %s, want %d", fields["generation"], srv.inc.Codebase().Generation())
 	}
 
 	// Release the slot: the queued request is admitted and completes.
-	close(release)
+	releaseSlot()
 	inflight.Wait()
 	if qr := <-queuedDone; qr == nil {
 		t.Fatal("queued request failed outright")

@@ -16,7 +16,6 @@ import (
 
 	"knighter/internal/api"
 	"knighter/internal/minic"
-	"knighter/internal/obs"
 )
 
 // sameScan asserts the deterministic fields of two scan responses match:
@@ -384,85 +383,5 @@ func TestConvergePullsOnlyWhileBehind(t *testing.T) {
 	}
 	if code := postJSON(t, tss[1], "/converge", nil, &cr); code != 200 || pulls() != before+1 {
 		t.Fatalf("/converge without a generation: status %d, %d pulls, want 1", code, pulls()-before)
-	}
-}
-
-// TestCostWeightedAdmission: the cost charge (checkers x files) sheds an
-// oversized concurrent request with 429, always admits when idle, and is
-// visible in /stats and /metrics.
-func TestCostWeightedAdmission(t *testing.T) {
-	a := newAdmission(obs.NewRegistry("t"), "admission", 4, 4, 0, 10, func() int64 { return 0 })
-
-	rec := httptest.NewRecorder()
-	release, ok := a.admitCost(rec, 8)
-	if !ok {
-		t.Fatal("first request shed by an empty gate")
-	}
-	rec2 := httptest.NewRecorder()
-	if _, ok := a.admitCost(rec2, 8); ok {
-		t.Fatal("over-budget concurrent request admitted")
-	}
-	if rec2.Code != 429 {
-		t.Fatalf("cost shed status = %d, want 429", rec2.Code)
-	}
-	if rec2.Header().Get("Retry-After") == "" {
-		t.Fatal("cost shed carries no Retry-After")
-	}
-	if !strings.Contains(rec2.Body.String(), api.ErrOverloaded) {
-		t.Fatalf("cost shed body = %s", rec2.Body.String())
-	}
-	if count(a.costShed) != 1 {
-		t.Fatalf("costShed = %d, want 1", count(a.costShed))
-	}
-	release()
-	release() // release is idempotent: a double call must not go negative
-
-	// Idle admits ANY cost: a request bigger than the whole budget must
-	// still be servable, just never concurrently with other work.
-	rec3 := httptest.NewRecorder()
-	bigRelease, ok := a.admitCost(rec3, 1000)
-	if !ok {
-		t.Fatal("idle gate shed an oversized request")
-	}
-	bigRelease()
-	if got := a.costOutstanding.Load(); got != 0 {
-		t.Fatalf("outstanding cost = %d after all releases, want 0", got)
-	}
-	snap := a.snapshot()
-	if snap.MaxCost != 10 || snap.CostShed != 1 || snap.CostWeight != 0 {
-		t.Fatalf("snapshot cost fields = %+v", snap)
-	}
-
-	// Service-level exposure: /stats carries the admission cost fields
-	// and /metrics the admission_cost_weight gauge.
-	_, ts := bootOne(t, Config{MaxInflight: 2, MaxQueued: 8, MaxCost: 1 << 30})
-	postScan(t, ts, api.ScanRequest{Checker: testChecker})
-	st := getStats(t, ts)
-	if st.Admission == nil || st.Admission.MaxCost != 1<<30 {
-		t.Fatalf("/stats admission = %+v", st.Admission)
-	}
-	metrics := getMetrics(t, ts)
-	for _, name := range []string{"kserve_admission_cost_weight", "kserve_admission_cost_shed_total"} {
-		if !strings.Contains(metrics, name) {
-			t.Fatalf("/metrics missing %s", name)
-		}
-	}
-}
-
-// TestRequestCost: empty file list means the whole corpus.
-func TestRequestCost(t *testing.T) {
-	srv, _ := bootOne(t, Config{})
-	n := len(srv.inc.Codebase().Files())
-	if got := srv.requestCost(1, nil); got != int64(n) {
-		t.Fatalf("requestCost(1, nil) = %d, want corpus size %d", got, n)
-	}
-	if got := srv.requestCost(5, nil); got != int64(5*n) {
-		t.Fatalf("requestCost(5, nil) = %d, want %d", got, 5*n)
-	}
-	if got := srv.requestCost(2, []string{"a.c", "b.c", "c.c"}); got != 6 {
-		t.Fatalf("requestCost(2, 3 files) = %d, want 6", got)
-	}
-	if got := srv.requestCost(0, []string{"a.c"}); got != 1 {
-		t.Fatalf("requestCost(0, 1 file) = %d, want 1 (floor)", got)
 	}
 }

@@ -35,9 +35,6 @@ type Config struct {
 	// that does not answer within it is treated as dead for this
 	// scatter and its partition falls back to the local snapshot.
 	Timeout time.Duration
-	// Client is the HTTP client for sub-requests (default: a bounded
-	// transport).
-	Client *http.Client
 }
 
 // Hooks receives scatter-path observability events; any field may be
@@ -77,15 +74,12 @@ func NewScatter(cfg Config, hooks Hooks) *Scatter {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
 	}
-	cl := cfg.Client
-	if cl == nil {
-		cl = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        32,
-			MaxIdleConnsPerHost: 8,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
-	sc := &Scatter{cfg: cfg, hooks: hooks, client: cl, peerOK: make([]atomic.Bool, cfg.Ring.Count)}
+	sc := &Scatter{cfg: cfg, hooks: hooks, peerOK: make([]atomic.Bool, cfg.Ring.Count)}
+	sc.client = &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        32,
+		MaxIdleConnsPerHost: 8,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	for i := range sc.peerOK {
 		sc.peerOK[i].Store(true)
 	}

@@ -45,6 +45,14 @@ func segFuncTok(funcHash string) string {
 	return Hash("fdir:v1", funcHash)
 }
 
+// segID is the engine's id for a digest: its hex form, encoded on the
+// stack so a key costs one allocation, the string itself.
+func segID(id *Digest) string {
+	var buf [64]byte
+	hex.Encode(buf[:], id[:])
+	return string(buf[:])
+}
+
 // NewSegmentDisk opens (or creates) a segment-backed disk tier rooted
 // at dir.
 func NewSegmentDisk(dir string, opts ...SegmentDiskOption) (*SegmentDisk, error) {
@@ -73,7 +81,7 @@ func (d *SegmentDisk) GetMany(_ context.Context, _ []Key, ids []Digest, out [][]
 	var scratch engine.Result
 	for i := range ids {
 		out[i] = nil
-		if data, ok := d.eng.Get(hex.EncodeToString(ids[i][:])); ok && DecodeInto(&scratch, data) == nil {
+		if data, ok := d.eng.Get(segID(&ids[i])); ok && DecodeInto(&scratch, data) == nil {
 			out[i] = data
 			hits++
 		}
@@ -94,7 +102,7 @@ func (d *SegmentDisk) Put(ctx context.Context, k Key, r *engine.Result) {
 func (d *SegmentDisk) PutMany(_ context.Context, keys []Key, ids []Digest, payloads [][]byte) {
 	for i, p := range payloads {
 		if len(p) > 0 {
-			d.eng.Put(hex.EncodeToString(ids[i][:]), segFuncTok(keys[i].FuncHash), p)
+			d.eng.Put(segID(&ids[i]), segFuncTok(keys[i].FuncHash), p)
 		}
 	}
 }

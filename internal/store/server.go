@@ -43,11 +43,6 @@ var maxEntryBytes = 32 << 20
 // with a 400. An accepted record is stored, and later served, as the
 // bytes it arrived as: the server never re-encodes. Counters stay per
 // entry: a round trip of n keys is n gets or n puts.
-//
-// These routes replaced per-key JSON ones. Across the change, both
-// sides degrade rather than fail: an old replica's entry puts get 404s
-// from a new kcached, which open its breaker, and a new replica's get
-// 404s from an old one — either way, local misses, no failed scans.
 type CacheServer struct {
 	st      Store
 	started time.Time
