@@ -27,8 +27,9 @@ type Checker interface {
 
 // Fingerprinter is implemented by checkers whose behaviour is fully
 // determined by a canonical serialization (e.g. a compiled DSL spec).
-// The scan-service result cache only caches analysis results for
-// checkers that implement it: two checkers with equal fingerprints must
+// The function-level scan scheduler (scan.Incremental) keys every stored
+// result by it and requires it of every checker it scans; the uncached
+// Codebase.Run does not. Two checkers with equal fingerprints must
 // produce identical results on identical input.
 type Fingerprinter interface {
 	// Fingerprint returns a stable content hash of the checker's
@@ -244,12 +245,6 @@ func (c *Context) ValueOf(e minic.Expr) sym.Value {
 	}
 	return sym.Unknown
 }
-
-// FuncName returns the function under analysis.
-func (c *Context) FuncName() string { return c.fn }
-
-// Pos returns the source position of the current event.
-func (c *Context) Pos() minic.Pos { return c.pos }
 
 // DeclType looks up the declared type of a named local or parameter.
 func (c *Context) DeclType(name string) (minic.Type, bool) {

@@ -112,6 +112,13 @@ func (ck *Compiled) Fingerprint() string {
 	return hex.EncodeToString(h[:16])
 }
 
+// The scan scheduler keys every result by Fingerprint and skips the
+// functions QuietOn clears: a renamed method must not compile.
+var _ interface {
+	checker.Fingerprinter
+	checker.Quieter
+} = (*Compiled)(nil)
+
 // BugType implements checker.Checker.
 func (ck *Compiled) BugType() string { return ck.spec.BugTypeName }
 

@@ -99,15 +99,6 @@ type SynthesisOutcome struct {
 	Refine *refine.Result // nil when synthesis failed
 }
 
-// Disposition is a convenience accessor ("invalid" when synthesis
-// failed).
-func (s *SynthesisOutcome) Disposition() string {
-	if s.Refine == nil {
-		return "invalid"
-	}
-	return string(s.Refine.Disposition)
-}
-
 // Plausible reports whether the final checker may be deployed for bug
 // finding.
 func (s *SynthesisOutcome) Plausible() bool {

@@ -89,13 +89,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
-// Add adjusts the value by d (negative is fine).
-func (g *Gauge) Add(d float64) { g.v.Add(d) }
-
-// Inc adds 1; Dec subtracts 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 

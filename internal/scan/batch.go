@@ -12,12 +12,13 @@ import (
 // a rider of the pass (see runRiders): every function is probed under
 // each checker's own key, one engine call (engine.AnalyzeFuncEach)
 // lowers it once and explores it for each checker that missed and can
-// act on it, and each checker's result is stored under its own key. Results are returned in checker order; each
-// entry's reports, cache counts, file cuts and generation are exactly
-// what RunFiles would return for that checker alone against the store
-// as the batch found it, and checkers with equal fingerprints compute
-// once. Elapsed is the same for every entry: the pass's wall time, which
-// no longer divides by checker.
+// act on it, and each checker's result is stored under its own key.
+// Results are returned in checker order; each entry's reports, cache
+// counts, file cuts and generation are exactly what RunFiles would
+// return for that checker alone against the store as the batch found
+// it. A checker named twice is probed, explored and stored twice, with
+// equal entries. Elapsed is the same for every entry: the pass's wall
+// time, which no longer divides by checker.
 //
 // concurrency is ignored. It used to bound a pool of per-checker scans;
 // there is one pass now, parallel over functions by opts.Workers. The

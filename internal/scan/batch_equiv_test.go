@@ -110,16 +110,9 @@ func batchEquivSetup(t *testing.T) (*Codebase, []*ckdsl.Spec) {
 	return batchEquivCB, batchEquivPool
 }
 
-// opaque hides a checker's fingerprint: it rides a batch but is never
-// cached.
-type opaque struct{ *ckdsl.Compiled }
-
-func (opaque) Fingerprint() {}
-
 // FuzzBatchSoloEquivalence: a batch is N solo scans. For rider sets
 // drawn from the synthesized pool — with same-name/different-body
-// revisions, exact duplicates, uncacheable riders, warm riders beside
-// cold ones, MaxReports, file subsets and engine budgets small enough to
+// revisions, exact duplicates, warm riders beside cold ones, MaxReports, file subsets and engine budgets small enough to
 // truncate — every RunBatch entry equals RunFiles for that checker alone
 // against the same prior store state, and every entry the batch stored
 // is the store.Encode bytes of the engine's solo result for that
@@ -131,7 +124,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 20, 1, 16})                   // tiny budgets, leader reversed, plus a leak checker
 	f.Add([]byte{2, 1, 1, 21, 1})                    // MaxReports, first rider warm, last an exact duplicate
 	f.Add([]byte{0, 0, 1, 64 + 20, 64 + 16})         // same name as rider 0, different bodies
-	f.Add([]byte{5, 2, 128 + 1, 20, 15, 64 + 2, 20}) // tiny budgets + file subset, an uncacheable rider, a warm one
+	f.Add([]byte{5, 2, 128 + 1, 20, 15, 64 + 2, 20}) // tiny budgets + file subset, a warm rider, a duplicate
 	f.Add([]byte{9, 255, 1, 20, 16, 21})             // everything warm: no unit enters the engine
 	f.Add([]byte{})
 
@@ -161,7 +154,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 		}
 
 		// One byte per rider: bits 0-5 pick the pool spec, bit 6 renames
-		// it after rider 0's spec, bit 7 makes it uncacheable.
+		// it after rider 0's spec; bit 7 is unused.
 		var cks []checker.Checker
 		var leadName string
 		for i, b := range picks {
@@ -176,11 +169,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b&128 != 0 {
-				cks = append(cks, opaque{ck})
-			} else {
-				cks = append(cks, ck)
-			}
+			cks = append(cks, ck)
 		}
 
 		// env builds a store the riders selected by the warm mask have
@@ -202,7 +191,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 			t.Fatalf("%d entries for %d checkers", len(batch), len(cks))
 		}
 
-		cold := map[string]bool{} // fingerprints the batch had to compute
+		cold := 0 // riders the batch had to compute
 		units := 0
 		for _, i := range files {
 			units += len(cb.Files()[i].Funcs)
@@ -214,18 +203,12 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 			if !reflect.DeepEqual(&got, solo) {
 				t.Fatalf("entry %d (%s) differs from its solo scan:\nbatch %s\nsolo  %s", i, ck.Name(), describe(&got), describe(solo))
 			}
-			fp, cacheable := checkersFingerprint([]checker.Checker{ck})
-			if !cacheable {
-				if got.CacheHits != 0 || got.CacheMisses != 0 {
-					t.Fatalf("entry %d is uncacheable but counts %d hits / %d misses", i, got.CacheHits, got.CacheMisses)
-				}
-				continue
-			}
 			if got.CacheMisses > 0 {
-				cold[fp] = true
+				cold++
 			}
 			// What the batch left in the store under this rider's keys is
 			// the engine's solo result, function by function, as stored.
+			fp := checkersFingerprint([]checker.Checker{ck})
 			eo := opts.engineOptions([]checker.Checker{ck})
 			for _, fi := range files {
 				file := cb.Files()[fi]
@@ -241,9 +224,10 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 				}
 			}
 		}
-		// Equal fingerprints compute once, warm riders not at all.
-		if puts := batchInc.Stats().Puts - putsBefore; puts != int64(len(cold)*units) {
-			t.Fatalf("batch stored %d entries, want %d cold fingerprints x %d functions", puts, len(cold), units)
+		// Every cold rider stores each function once, a duplicate
+		// included; warm riders store nothing.
+		if puts := batchInc.Stats().Puts - putsBefore; puts != int64(cold*units) {
+			t.Fatalf("batch stored %d entries, want %d cold riders x %d functions", puts, cold, units)
 		}
 	})
 }

@@ -21,7 +21,9 @@ import (
 // everything back deterministically in file/function order — so a warm
 // re-scan of an unchanged corpus with an unchanged checker does no
 // symbolic execution at all, and its reports are identical to a cold
-// scan's.
+// scan's. Every checker it scans must be a checker.Fingerprinter, since
+// the fingerprint is the store key; Codebase.Run is the uncached path
+// for one that is not.
 type Incremental struct {
 	cb *Codebase
 	st store.Store
@@ -131,17 +133,8 @@ func (inc *Incremental) RunFiles(files []int, checkers []checker.Checker, opts O
 // riderPlan is what the scheduler knows about one rider of a pass
 // before any function is looked at.
 type riderPlan struct {
-	checkers  []checker.Checker
-	fp        string // checker-batch fingerprint, "" when uncacheable
-	cacheable bool
-	// same is the index of an earlier rider with the same fingerprint
-	// (its own index when there is none): equal riders compute once and
-	// share every per-function result.
-	same int
-	// slot is the rider's place in a range's one store probe — its keys
-	// are the probe's slot-th run of range-length keys — or -1 for a
-	// rider that is not probed (uncacheable, or a duplicate).
-	slot int
+	checkers []checker.Checker
+	fp       string // checker-batch fingerprint
 	// perFunc[u] is the rider's result for unit u.
 	perFunc             []*engine.Result
 	hits, misses, quiet atomic.Int64
@@ -212,24 +205,12 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 		}
 	}
 	plans := make([]riderPlan, len(riders))
-	byFP := map[string]int{}
-	probed := 0 // riders with a probe slot
 	for i := range plans {
 		p := &plans[i]
-		p.checkers, p.same, p.slot = riders[i], i, -1
-		if p.fp, p.cacheable = checkersFingerprint(riders[i]); p.cacheable {
-			if first, dup := byFP[p.fp]; dup {
-				p.same = first
-				continue
-			}
-			byFP[p.fp] = i
-			p.slot = probed
-			probed++
-		}
+		p.checkers, p.fp = riders[i], checkersFingerprint(riders[i])
 		p.perFunc = make([]*engine.Result, len(units))
 	}
-	cacheable := probed > 0 // any rider is
-	if cacheable && timed {
+	if timed {
 		stage(StageParse, keyStart, time.Since(keyStart), len(units))
 	}
 
@@ -269,14 +250,13 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 					defer func() { busyNS.Add(int64(time.Since(t0))) }()
 				}
 				// The range's one probe: keys and ids hold, at
-				// [s*(hi-lo), (s+1)*(hi-lo)), the keys and key digests of
-				// the rider in slot s — what its probe reads, and what its
-				// misses are stored by — and got takes the payloads it
-				// answers, each decoded into hit (decodeHit) before it
-				// reaches the rider.
-				keys := make([]store.Key, 0, probed*rangeSize)
-				ids := make([]store.Digest, probed*rangeSize)
-				got := make([][]byte, probed*rangeSize)
+				// [i*(hi-lo), (i+1)*(hi-lo)), the keys and key digests of
+				// rider i — what its probe reads, and what its misses are
+				// stored by — and got takes the payloads it answers, each
+				// decoded into hit (decodeHit) before it reaches the rider.
+				keys := make([]store.Key, 0, len(plans)*rangeSize)
+				ids := make([]store.Digest, len(plans)*rangeSize)
+				got := make([][]byte, len(plans)*rangeSize)
 				var hit engine.Result
 				// The range's misses to store, encoded once each and
 				// written in one call when the range is done.
@@ -300,10 +280,10 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 					w := hi - lo
 					keys = keys[:0]
 					for i := range plans {
-						p := &plans[i]
-						if p.slot < 0 || opts.canceled() {
-							continue
+						if opts.canceled() {
+							break
 						}
+						p := &plans[i]
 						var fileIDs []store.Digest
 						for u, file := lo, -1; u < hi; u++ {
 							un := units[u]
@@ -312,19 +292,19 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								fileIDs = snap.keyDigests(file, p.fp, engFP)
 							}
 							keys = append(keys, p.key(snap.FuncHash(un.file, un.fn), engFP))
-							ids[p.slot*w+u-lo] = fileIDs[un.fn]
+							ids[i*w+u-lo] = fileIDs[un.fn]
 						}
 					}
 					if len(keys) > 0 {
 						inc.st.GetMany(ctx, keys, ids[:len(keys)], got[:len(keys)])
 					}
 					for i := range plans {
-						p := &plans[i]
-						if p.slot < 0 || (p.slot+1)*w > len(keys) {
-							continue // not probed: the pass was canceled first
+						if (i+1)*w > len(keys) {
+							break // not probed: the pass was canceled first
 						}
+						p := &plans[i]
 						hits := 0
-						for u, payload := range got[p.slot*w : (p.slot+1)*w] {
+						for u, payload := range got[i*w : (i+1)*w] {
 							r := decodeHit(&hit, payload)
 							p.perFunc[lo+u] = r
 							if r != nil {
@@ -339,7 +319,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						for i := range plans {
 							p := &plans[i]
 							switch {
-							case p.same != i, p.perFunc[u] != nil: // a duplicate rider, or a hit
+							case p.perFunc[u] != nil: // a hit
 							case opts.canceled():
 								// The scan was aborted: mark the unanswered
 								// units canceled without analyzing or caching
@@ -387,14 +367,12 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							}
 						}
 						for k, r := range rs {
-							p := &plans[missed[k]]
+							i := missed[k]
+							p := &plans[i]
 							p.perFunc[u] = r
-							if !p.cacheable {
-								continue
-							}
 							if payload := store.Encode(r); payload != nil {
 								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
-								putIDs = append(putIDs, ids[p.slot*w+u-lo])
+								putIDs = append(putIDs, ids[i*w+u-lo])
 								putPayloads = append(putPayloads, payload)
 							}
 						}
@@ -415,7 +393,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 		probes += int(p.hits.Load() + p.misses.Load())
 		evals += int(p.misses.Load())
 	}
-	if timed && cacheable && len(units) > 0 {
+	if timed && len(units) > 0 {
 		// The probe and eval stages interleave across workers, so both
 		// anchor at the worker pool's start; their durations are summed
 		// work, not wall time. Probe time is what remains of the workers'
@@ -434,13 +412,11 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	mergeStart := time.Now()
 	out := make([]*Result, len(plans))
 	for i := range plans {
-		p, from := &plans[i], &plans[plans[i].same]
-		out[i] = snap.merge(files, from.perFunc, opts.MaxReports)
-		if p.cacheable {
-			out[i].CacheHits = int(from.hits.Load())
-			out[i].CacheMisses = int(from.misses.Load())
-			out[i].QuietResults = int(from.quiet.Load())
-		}
+		p := &plans[i]
+		out[i] = snap.merge(files, p.perFunc, opts.MaxReports)
+		out[i].CacheHits = int(p.hits.Load())
+		out[i].CacheMisses = int(p.misses.Load())
+		out[i].QuietResults = int(p.quiet.Load())
 	}
 	if timed {
 		stage(StageSerialize, mergeStart, time.Since(mergeStart), len(units)*len(plans))
@@ -519,18 +495,15 @@ func (s *Snapshot) merge(files []int, perFunc []*engine.Result, maxReports int) 
 }
 
 // checkersFingerprint combines the fingerprints of an ordered checker
-// batch. It returns ok=false — caching disabled — if any checker does
-// not implement checker.Fingerprinter, since the cache cannot prove two
-// such checkers behave identically.
-func checkersFingerprint(cks []checker.Checker) (string, bool) {
+// batch, the key every result of the batch is stored under. Every
+// checker must be a checker.Fingerprinter — the store cannot prove two
+// other checkers behave identically — and one that is not panics here;
+// Codebase.Run scans such a checker uncached.
+func checkersFingerprint(cks []checker.Checker) string {
 	parts := make([]string, 0, len(cks)+1)
 	parts = append(parts, "checkers:v1")
 	for _, ck := range cks {
-		fp, ok := ck.(checker.Fingerprinter)
-		if !ok {
-			return "", false
-		}
-		parts = append(parts, fp.Fingerprint())
+		parts = append(parts, ck.(checker.Fingerprinter).Fingerprint())
 	}
-	return store.Hash(parts...), true
+	return store.Hash(parts...)
 }

@@ -231,30 +231,6 @@ func TestIncrementalMaxReportsAggregatesFully(t *testing.T) {
 	}
 }
 
-// unfingerprintedChecker wraps a checker behind the base interface, so
-// the Fingerprint method is not promoted and scans must bypass the
-// cache.
-type unfingerprintedChecker struct{ checker.Checker }
-
-func TestIncrementalBypassesCacheForUnfingerprintedCheckers(t *testing.T) {
-	cb := buildCodebase(t)
-	ck := unfingerprintedChecker{compileChecker(t)}
-	st := store.NewMemory(0)
-	inc := NewIncremental(cb, st)
-
-	first := inc.RunOne(ck, Options{})
-	second := inc.RunOne(ck, Options{})
-	if first.CacheHits != 0 || second.CacheHits != 0 {
-		t.Fatal("cache used for a checker without a fingerprint")
-	}
-	if s := st.Stats(); s.Puts != 0 || s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("store touched: %+v", s)
-	}
-	if resultBytes(t, first) != resultBytes(t, second) {
-		t.Fatal("uncacheable scans not deterministic")
-	}
-}
-
 func TestIncrementalKeysSeparateCheckersAndEngineOptions(t *testing.T) {
 	cb := buildCodebase(t)
 	ck1 := compileChecker(t)

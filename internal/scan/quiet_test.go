@@ -113,7 +113,7 @@ func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck che
 	if res.FuncsTimedOut != 0 || res.QuietResults > res.CacheMisses {
 		t.Fatalf("%s: %s timed out %d functions, answered %d of %d misses quietly", what, ck.Name(), res.FuncsTimedOut, res.QuietResults, res.CacheMisses)
 	}
-	fp, _ := checkersFingerprint([]checker.Checker{ck})
+	fp := checkersFingerprint([]checker.Checker{ck})
 	u := 0
 	for i, f := range cb.Files() {
 		for j, fn := range f.Funcs {
@@ -221,7 +221,7 @@ func TestQuietPairsAnswerUnderTimeout(t *testing.T) {
 	pairs := [2]int{} // loud, quiet
 	for k, res := range inc.RunBatch(cks, nil, opts, 0) {
 		quiet := quietFuncs(cb, cks[k])
-		fp, _ := checkersFingerprint(cks[k : k+1])
+		fp := checkersFingerprint(cks[k : k+1])
 		loud, u := 0, 0
 		for i, f := range cb.Files() {
 			for j, fn := range f.Funcs {

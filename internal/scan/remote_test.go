@@ -133,7 +133,7 @@ func TestSharedPayloadsUnderConcurrentWrites(t *testing.T) {
 			}
 			inc.RunOne(ck, Options{}) // warm
 
-			fp, _ := checkersFingerprint([]checker.Checker{ck})
+			fp := checkersFingerprint([]checker.Checker{ck})
 			engFP := Options{}.Engine.Fingerprint()
 			var wg sync.WaitGroup
 			run := func(f func()) {

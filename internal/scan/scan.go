@@ -131,7 +131,7 @@ type Options struct {
 	// analysis (0 = none), so one pathological function cannot stall a
 	// whole scan or a kserve batch request; each checker of a batch has
 	// the whole budget on every function. Functions over budget yield
-	// truncated, uncacheable results counted in Result.FuncsTimedOut.
+	// truncated results, never stored, counted in Result.FuncsTimedOut.
 	FuncTimeout time.Duration
 	// Context, when non-nil, aborts the scan early on cancellation:
 	// remaining functions are skipped, in-flight ones unwind at the
@@ -177,8 +177,7 @@ type Result struct {
 	// were skipped or cut short, and none of those were cached.
 	Canceled bool
 	// CacheHits and CacheMisses count per-function cache outcomes for
-	// incremental scans (both zero for uncached Codebase.Run scans and
-	// for uncacheable checker batches).
+	// incremental scans (both zero for uncached Codebase.Run scans).
 	CacheHits   int
 	CacheMisses int
 	// QuietResults counts misses answered without exploring the

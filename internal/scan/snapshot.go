@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"knighter/internal/checker"
 	"knighter/internal/minic"
 	"knighter/internal/store"
 )
@@ -180,9 +179,6 @@ func (s *Snapshot) Generation() int64 { return s.gen }
 // it points to are immutable — callers must not modify them.
 func (s *Snapshot) Files() []*minic.File { return s.files }
 
-// NumFuncs returns the total function count across all files.
-func (s *Snapshot) NumFuncs() int { return s.numFuncs }
-
 // FileIndex returns the index of the parsed file with the given path,
 // or -1.
 func (s *Snapshot) FileIndex(path string) int {
@@ -205,13 +201,6 @@ func (s *Snapshot) FuncHash(i, j int) string {
 // FuncHash is FuncHash(i, j). It is memoized with the file's hashes.
 func (s *Snapshot) keyDigests(i int, checkerFP, engineFP string) []store.Digest {
 	return s.memo[i].digests(s.files[i], checkerFP, engineFP)
-}
-
-// Run scans every file of the snapshot with the given checkers,
-// uncached — the file-level fan-out of Codebase.Run, against an
-// explicit generation. It takes no locks: the snapshot is immutable.
-func (s *Snapshot) Run(checkers []checker.Checker, opts Options) *Result {
-	return s.runFileLevel(checkers, opts)
 }
 
 // PinnedSnapshot is a Snapshot held alive in the codebase's pin

@@ -1,9 +1,8 @@
 // Package shard implements horizontal scan fan-out for a kserve fleet:
 // a hash ring that partitions the corpus by file path across N shard
 // owners, a scatter client that fans a scan or batch out to the owners
-// as shard-local sub-requests (with per-shard timeouts, hedging against
-// the local snapshot, and a local fallback when a shard is dead or
-// behind), a deterministic merge that reassembles the partials
+// as shard-local sub-requests (with per-shard timeouts and a local
+// fallback when a shard is dead or behind), a deterministic merge that reassembles the partials
 // byte-identically to a single-host scan, and a generation-feed client
 // that commits changesets fleet-wide through kcached.
 //

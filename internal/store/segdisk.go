@@ -153,8 +153,3 @@ func (d *SegmentDisk) Stats() Stats {
 		Expired:     es.Expired,
 	}
 }
-
-// DiskBytes reports the total size of the segment files, dead records
-// included — the number an operator's disk-usage alert sees, as opposed
-// to Stats().Bytes which is the live payload weight.
-func (d *SegmentDisk) DiskBytes() int64 { return d.eng.Stats().DiskBytes }
