@@ -32,9 +32,7 @@
 //
 // The entry routes carry binary bodies in the result codec every store
 // tier uses, never JSON: store.CacheServer documents the framing.
-// Counters stay per entry, whatever a round trip carries. A replica
-// from before these routes (per-key GET/PUT /entry/{id}) gets 404s here
-// and degrades to local misses through its breaker.
+// Counters stay per entry, whatever a round trip carries.
 package main
 
 import (

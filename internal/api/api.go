@@ -78,8 +78,7 @@ type ErrorResponse struct {
 
 // Query is what every scan-shaped request shares, embedded in
 // ScanRequest and BatchRequest: which files, how many reports, how much
-// parallelism and time, at which generation, and what the reply
-// includes. A batch applies it to every one of its checkers.
+// parallelism, at which generation, and what the reply includes. A batch applies it to every one of its checkers.
 type Query struct {
 	// Files optionally restricts the scan to these corpus paths.
 	Files []string `json:"files,omitempty"`
@@ -89,9 +88,6 @@ type Query struct {
 	// GOMAXPROCS). It is a ceiling: a pass starts at most one worker per
 	// range of functions.
 	Workers int `json:"workers,omitempty"`
-	// FuncTimeoutMS is the analysis budget in milliseconds of each
-	// function for each checker (0 = none).
-	FuncTimeoutMS int `json:"func_timeout_ms,omitempty"`
 	// MinGeneration, when > 0, asks to be served at-or-after that corpus
 	// generation — read-your-writes for a client holding a changeset
 	// token. The daemon waits a bounded interval; if the corpus does not
@@ -159,7 +155,6 @@ type ScanResponse struct {
 	RuntimeErrs  []string   `json:"runtime_errs,omitempty"`
 	Truncated    bool       `json:"truncated"`
 	Canceled     bool       `json:"canceled,omitempty"`
-	TimedOut     int        `json:"funcs_timed_out,omitempty"`
 	Cache        CacheStats `json:"cache"`
 	// Generation is the snapshot generation the scan pinned: every
 	// report above was computed against exactly that corpus state.

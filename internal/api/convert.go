@@ -30,7 +30,6 @@ func ScanResult(name string, res *scan.Result, includeTrace, includeCuts bool) *
 		FuncsScanned: res.FuncsScanned,
 		Truncated:    res.Truncated,
 		Canceled:     res.Canceled,
-		TimedOut:     res.FuncsTimedOut,
 		Cache:        CacheOf(res),
 		Generation:   res.Generation,
 		// The pass's wall time: one scheduler pass serves every checker

@@ -7,6 +7,23 @@ import (
 	"time"
 )
 
+const timeoutSrc = `
+int work(int n)
+{
+	int acc = 0;
+	int i = 0;
+	while (i < n) {
+		if (acc > 100) {
+			acc = acc - 1;
+		} else {
+			acc = acc + 2;
+		}
+		i = i + 1;
+	}
+	return acc;
+}
+`
+
 // TestCanceledContextAbortsImmediately: a context canceled before the
 // call yields a flagged, truncated result without building the CFG.
 func TestCanceledContextAbortsImmediately(t *testing.T) {
@@ -17,18 +34,17 @@ func TestCanceledContextAbortsImmediately(t *testing.T) {
 	if !res.Canceled || !res.Truncated {
 		t.Fatalf("Canceled=%v Truncated=%v, want both true", res.Canceled, res.Truncated)
 	}
-	if res.TimedOut {
-		t.Fatal("cancellation misreported as a timeout")
-	}
 	if res.Steps != 0 {
 		t.Fatalf("pre-canceled analysis did %d steps", res.Steps)
 	}
 }
 
-// TestCancellationMidBlock mirrors TestHardCancellationMidBlock for the
-// context path: one enormous straight-line block is a single frame, so
-// only the eval-level amortized check can see a cancellation that
-// arrives mid-block.
+// TestCancellationMidBlock pins the interruptible-analysis guarantee:
+// one enormous straight-line block is a single frame, so the frame-level
+// check in run() sees it only at entry, and only the eval-level amortized
+// check can see a cancellation that arrives mid-block. Without it this
+// function runs every statement to completion and comes back without
+// the Canceled flag.
 func TestCancellationMidBlock(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("int grind(int a)\n{\n\tint x = 0;\n")
@@ -57,9 +73,6 @@ func TestCancellationMidBlock(t *testing.T) {
 	if !cut.Canceled || !cut.Truncated {
 		t.Fatalf("Canceled=%v Truncated=%v, want both true (mid-block cancellation)", cut.Canceled, cut.Truncated)
 	}
-	if cut.TimedOut {
-		t.Fatal("cancellation misreported as a timeout")
-	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
@@ -68,8 +81,8 @@ func TestCancellationMidBlock(t *testing.T) {
 	}
 }
 
-// TestCtxExcludedFromFingerprint: like Timeout, the context is an
-// operational guard — it must not fragment the cache key space.
+// TestCtxExcludedFromFingerprint: the context is an operational guard —
+// it must not fragment the cache key space.
 func TestCtxExcludedFromFingerprint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -80,9 +93,9 @@ func TestCtxExcludedFromFingerprint(t *testing.T) {
 	}
 }
 
-// TestCanceledSurvivesMerge: the flag must propagate like TimedOut, or
-// a canceled per-function result could be folded into a file result
-// that looks complete.
+// TestCanceledSurvivesMerge: the flag must propagate, or a canceled
+// per-function result could be folded into a file result that looks
+// complete.
 func TestCanceledSurvivesMerge(t *testing.T) {
 	r := &Result{}
 	r.Merge(&Result{Canceled: true})

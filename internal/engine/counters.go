@@ -2,26 +2,20 @@ package engine
 
 import "sync/atomic"
 
-// Process-wide operational counters. The engine's timeout and
-// cancellation guards deliberately fail quiet — a function over budget
-// yields a truncated, uncacheable result and the scan moves on — which
-// makes them exactly the events an operator cannot see without
-// counting: a corpus whose warm-scan latency regressed because one
-// pathological function times out on every request looks identical to
-// a cache problem from /stats alone. The counters are cumulative and
-// monotonic, meant to be exposed as Prometheus counters (kserve wires
-// them into /metrics via counter funcs).
+// Process-wide operational counters. The engine's cancellation guard and
+// crash recovery deliberately fail quiet — a canceled or crashed pass
+// yields a truncated or partial result and the scan moves on — which
+// makes them events an operator cannot see across requests without
+// counting. The counters are cumulative and monotonic, meant to be
+// exposed as Prometheus counters (kserve wires them into /metrics via
+// counter funcs).
 var (
-	timeouts atomic.Int64
-	cancels  atomic.Int64
-	crashes  atomic.Int64
+	cancels atomic.Int64
+	crashes atomic.Int64
 )
 
 // Totals is a snapshot of the engine's cumulative operational counters.
 type Totals struct {
-	// Timeouts counts per-function analyses cut short by
-	// Options.Timeout (frame-level or mid-block).
-	Timeouts int64
 	// Cancels counts per-function analyses aborted by Options.Ctx
 	// cancellation, including functions skipped because the context was
 	// already done at entry.
@@ -33,9 +27,8 @@ type Totals struct {
 // CounterTotals snapshots the counters.
 func CounterTotals() Totals {
 	return Totals{
-		Timeouts: timeouts.Load(),
-		Cancels:  cancels.Load(),
-		Crashes:  crashes.Load(),
+		Cancels: cancels.Load(),
+		Crashes: crashes.Load(),
 	}
 }
 
@@ -43,9 +36,6 @@ func CounterTotals() Totals {
 // process-wide counters (AnalyzeFunc defers it around every analysis,
 // whatever path produced the result).
 func countOutcome(res *Result) {
-	if res.TimedOut {
-		timeouts.Add(1)
-	}
 	if res.Canceled {
 		cancels.Add(1)
 	}

@@ -10,9 +10,9 @@
 // the checker list one Result is keyed by; AnalyzeFunc is the one-rider
 // call). The riders share the function's lowered CFG and its quiet gate
 // (below), and nothing else: each rider explores in a pass of its own,
-// one after another, on a pooled scratch and under its own time budget,
-// and a checker panic ends only the pass it happened in. So a rider's
-// Result is exactly its solo Result.
+// one after another, on a pooled scratch, and a checker panic ends only
+// the pass it happened in. So a rider's Result is exactly its solo
+// Result.
 //
 // Before it explores, AnalyzeFuncEach drops from every rider each
 // checker.Quieter quiet on the function: such a checker would report
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"knighter/internal/cfg"
 	"knighter/internal/checker"
@@ -50,21 +49,14 @@ type Options struct {
 	MaxSteps int
 	// MaxTrace bounds the recorded path-trace length (default 24).
 	MaxTrace int
-	// Timeout is a wall-clock budget for analyzing one function for one
-	// rider (0 = no budget): each pass of AnalyzeFuncEach has its own.
-	// Unlike the Max* bounds it is an operational guard, not a
-	// semantic one: a function that exceeds it gets a truncated result
-	// flagged TimedOut, which the scan-service cache refuses to store.
-	// It is deliberately excluded from Fingerprint. The budget is
-	// enforced both between frames and — via the evaluator's amortized
-	// deadline check — in the middle of a single enormous block.
-	Timeout time.Duration
 	// Ctx, when non-nil, lets the caller abort analysis early: its
-	// cancellation is checked at the same amortized points as the
-	// deadline, yielding a truncated result flagged Canceled. Like
-	// Timeout it is an operational guard excluded from Fingerprint, and
-	// canceled results must never be cached — they reflect where the
-	// caller gave up, not what the function contains.
+	// cancellation is checked both between frames and — via the
+	// evaluator's amortized check — in the middle of a single enormous
+	// block, yielding a truncated result flagged Canceled. Unlike the
+	// Max* bounds it is an operational guard, not a semantic one, so it
+	// is excluded from Fingerprint, and canceled results must never be
+	// cached: they reflect where the caller gave up, not what the
+	// function contains.
 	Ctx context.Context
 }
 
@@ -90,13 +82,9 @@ type Result struct {
 	Paths     int
 	Steps     int
 	Truncated bool
-	// TimedOut marks a result cut short by Options.Timeout. Timed-out
-	// results are nondeterministic (they depend on wall-clock speed) and
-	// must never be cached.
-	TimedOut bool `json:",omitempty"`
 	// Canceled marks a result cut short by Options.Ctx cancellation.
-	// Like TimedOut it reflects the caller's circumstances, not the
-	// function's content, and must never be cached.
+	// It reflects the caller's circumstances, not the function's
+	// content, and must never be cached.
 	Canceled bool `json:",omitempty"`
 	// RuntimeErrs records checker crashes ("the analyzer encountered
 	// problems on source files"), keyed by function.
@@ -133,7 +121,6 @@ func (r *Result) Merge(other *Result) {
 	r.Paths += other.Paths
 	r.Steps += other.Steps
 	r.Truncated = r.Truncated || other.Truncated
-	r.TimedOut = r.TimedOut || other.TimedOut
 	r.Canceled = r.Canceled || other.Canceled
 	r.RuntimeErrs = append(r.RuntimeErrs, other.RuntimeErrs...)
 }
@@ -158,7 +145,7 @@ func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
 // AnalyzeFuncEach analyzes fn for several riders, one pass each, over
 // one lowered CFG. A rider is the checker list one result is keyed by;
 // results[i] is exactly what AnalyzeFunc returns for riders[i] alone
-// (opts.Checkers is ignored), and opts.Timeout bounds each rider's pass.
+// (opts.Checkers is ignored).
 //
 // Before exploring, every checker.Quieter quiet on fn leaves its rider
 // (gate): it could only have left the rider's result as it is, so it is
@@ -350,9 +337,9 @@ var scratchPool = sync.Pool{New: func() any {
 // the arena one entry per region and symbol. The kernel corpus peaks at
 // 12 steps, 25 evaluations and 16 arena entries: 256 covers its largest
 // function many times over, and a pass cut at the evaluator's first
-// deadline check (evalCheckInterval). A map grown to 256 entries clears
-// in ≈ 0.7 µs (4 µs at 1024; Go 1.24, 2-core Xeon), under a tenth of a
-// median cold function.
+// cancellation check (evalCheckInterval). A map grown to 256 entries
+// clears in ≈ 0.7 µs (4 µs at 1024; Go 1.24, 2-core Xeon), under a tenth
+// of a median cold function.
 const maxPooledEntries = 256
 
 // release clears the scratch and returns it to the pool, or drops it when
@@ -371,14 +358,11 @@ func (sc *scratch) release(evals int) {
 	scratchPool.Put(sc)
 }
 
-// timeoutAbort is the panic sentinel the evaluator throws when the
-// pass's deadline passes in the middle of a block, unwinding
-// straight out of an arbitrarily deep expression walk. It is recovered
-// in explore, never escapes the package, and must not be confused with
-// a checker crash.
-type timeoutAbort struct{}
-
-// cancelAbort is the same mechanism for Options.Ctx cancellation.
+// cancelAbort is the panic sentinel the evaluator throws when
+// Options.Ctx is canceled in the middle of a block, unwinding straight
+// out of an arbitrarily deep expression walk. It is recovered in
+// explore, never escapes the package, and must not be confused with a
+// checker crash.
 type cancelAbort struct{}
 
 // visitKey identifies an exploded node: the block and the state's
@@ -401,16 +385,12 @@ type exec struct {
 	res      *Result
 	reports  map[string]struct{} // keys of res.Reports
 	pc       pathCtx             // the frame being executed
-	// deadline is the wall-clock cutoff for this pass (zero =
-	// unbounded).
-	deadline time.Time
-	// done is the caller's cancellation signal (nil = none), checked at
-	// the same amortized points as the deadline.
+	// done is the caller's cancellation signal (nil = none).
 	done <-chan struct{}
 	// evals counts expression evaluations; every evalCheckInterval of
-	// them the deadline is re-checked, so even one enormous block — which
-	// the frame-level check in run() only sees at entry — cannot outlive
-	// its budget.
+	// them done is re-checked, so even one enormous block — which the
+	// frame-level check in run() only sees at entry — stops soon after
+	// its caller gives up.
 	evals int
 	// active is the checker whose callback is running, for attributing
 	// a crash.
@@ -428,9 +408,6 @@ func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options, c
 		res:      res,
 	}
 	ex.pc.values = ex.values
-	if opts.Timeout > 0 {
-		ex.deadline = time.Now().Add(opts.Timeout)
-	}
 	if opts.Ctx != nil {
 		ex.done = opts.Ctx.Done()
 	}
@@ -444,13 +421,10 @@ func (ex *exec) explore() {
 	defer func() {
 		switch p := recover().(type) {
 		case nil:
-		case timeoutAbort:
-			// The eval-level deadline check fired mid-block: truncated
-			// exactly like a frame-level timeout, and equally uncacheable.
-			res.Truncated, res.TimedOut = true, true
 		case cancelAbort:
 			// The caller's context was canceled mid-block (client
-			// disconnect, shutdown): same unwinding, different flag.
+			// disconnect, shutdown): truncated exactly like a
+			// frame-level cancel, and equally uncacheable.
 			res.Truncated, res.Canceled = true, true
 		default:
 			// A checker crashed: the analysis ends here, with the reports
@@ -474,7 +448,7 @@ func (ex *exec) explore() {
 			return reps[i].Checker < reps[j].Checker
 		})
 	}()
-	res.Truncated, res.TimedOut, res.Canceled = ex.run()
+	res.Truncated, res.Canceled = ex.run()
 }
 
 // frame is one pending exploded node: a CFG block (its index) to execute
@@ -487,7 +461,7 @@ type frame struct {
 }
 
 // run explores the function and reports how the exploration ended.
-func (ex *exec) run() (truncated, timedOut, canceled bool) {
+func (ex *exec) run() (truncated, canceled bool) {
 	init := sym.NewState()
 	// Bind parameters to fresh symbols.
 	for _, p := range ex.fn.Params {
@@ -510,17 +484,12 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 	for len(stack) > 0 {
 		ex.res.Steps++
 		if ex.res.Steps > ex.opts.MaxSteps || ex.res.Paths >= ex.opts.MaxPaths {
-			return true, false, false
+			return true, false
 		}
-		// The deadline and cancellation checks are amortized over 16 steps
-		// so unbounded-speed paths do not pay a clock read per frame.
-		if ex.res.Steps&15 == 1 {
-			if !ex.deadline.IsZero() && time.Now().After(ex.deadline) {
-				return true, true, false
-			}
-			if ex.canceled() {
-				return true, false, true
-			}
+		// The cancellation check is amortized over 16 steps so paths do
+		// not pay a channel poll per frame.
+		if ex.res.Steps&15 == 1 && ex.canceled() {
+			return true, true
 		}
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -587,7 +556,7 @@ func (ex *exec) run() (truncated, timedOut, canceled bool) {
 			}
 		}
 	}
-	return false, false, false
+	return false, false
 }
 
 // seen reports whether the pass has already explored f's block with f's

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"strings"
-	"time"
 
 	"knighter/internal/checker"
 	"knighter/internal/minic"
@@ -18,28 +17,23 @@ var unsignedBases = map[string]bool{
 
 func isUnsignedType(t minic.Type) bool { return t.Unsigned || unsignedBases[t.Base] }
 
-// evalCheckInterval amortizes the deadline check in evalExpr: one clock
-// read per this many expression evaluations. Small enough that a block
-// of straight-line code respects FuncTimeout within a few hundred
-// evaluations, large enough that the common (no-timeout-set or
-// fast-function) case pays only a counter increment.
+// evalCheckInterval amortizes the cancellation check in evalExpr: one
+// channel poll per this many expression evaluations. Small enough that a
+// block of straight-line code stops within a few hundred evaluations of
+// a cancel, large enough that the common (never-canceled) case pays only
+// a counter increment.
 const evalCheckInterval = 256
 
 // evalExpr evaluates e on the current path, recording the value of every
 // visited sub-expression in pc.values (the cache assume() and checkers
 // read from). It is also the analysis's hard cancellation point: every
-// evalCheckInterval evaluations the per-function deadline is re-checked,
-// and an expired budget aborts mid-block via a timeoutAbort panic that
-// exec.explore converts into a truncated, uncacheable TimedOut result.
+// evalCheckInterval evaluations Options.Ctx is re-checked, and a cancel
+// aborts mid-block via a cancelAbort panic that exec.explore converts
+// into a truncated, uncacheable Canceled result.
 func (ex *exec) evalExpr(pc *pathCtx, e minic.Expr) sym.Value {
 	ex.evals++
-	if ex.evals%evalCheckInterval == 0 {
-		if !ex.deadline.IsZero() && time.Now().After(ex.deadline) {
-			panic(timeoutAbort{})
-		}
-		if ex.canceled() {
-			panic(cancelAbort{})
-		}
+	if ex.evals%evalCheckInterval == 0 && ex.canceled() {
+		panic(cancelAbort{})
 	}
 	v := ex.evalExprUncached(pc, e)
 	pc.values[e] = v

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"knighter/internal/cfg"
 	"knighter/internal/checker"
@@ -41,29 +40,14 @@ func (canceler) Name() string                                     { return "test
 func (canceler) BugType() string                                  { return "None" }
 func (c canceler) CheckBind(*checker.BindEvent, *checker.Context) { c.cancel() }
 
-// staller outlasts its pass's Timeout at the first store it sees.
-type staller struct {
-	budget  time.Duration
-	stalled bool
-}
-
-func (*staller) Name() string    { return "test.Staller" }
-func (*staller) BugType() string { return "None" }
-func (s *staller) CheckBind(*checker.BindEvent, *checker.Context) {
-	if !s.stalled {
-		s.stalled = true
-		time.Sleep(s.budget)
-	}
-}
-
 // disturbSource declares as locals the given names, which the corpus
 // reads as globals, and an array. disturb_short calls boom(), where a
 // crashing rider panics; disturb_long's one block is long enough for the
-// evaluator's amortized deadline and cancellation check (every
-// evalCheckInterval evaluations) to fire inside it. disturb_wide lowers
-// to a larger graph than any corpus function — a loop, a ladder of
-// branches to labels, more statements and conditions — so the pooled
-// graph the next function lowers into is one a larger one left behind.
+// evaluator's amortized cancellation check (every evalCheckInterval
+// evaluations) to fire inside it. disturb_wide lowers to a larger graph
+// than any corpus function — a loop, a ladder of branches to labels,
+// more statements and conditions — so the pooled graph the next function
+// lowers into is one a larger one left behind.
 func disturbSource(names []string) string {
 	var decls strings.Builder
 	for _, n := range names {
@@ -98,11 +82,11 @@ func freshPool() {
 // TestPooledScratchLeavesNoResidue analyzes every function of the
 // scale-0.25 corpus in forward and in reverse order, concurrently (the
 // two walks share the pools), each function after another call: one
-// with a pass that ends abnormally — a rider's checker panics, the
-// context is canceled mid-block (cancelAbort), or the rider's Timeout
-// expires mid-block (timeoutAbort) — or one that lowers a larger function
-// into the pooled graph. Every function's results must be the ones it
-// gets on a scratch and a graph built from nothing.
+// with a pass that ends abnormally — a rider's checker panics, or the
+// context is canceled mid-block (cancelAbort) in the call's last pass —
+// or one that lowers a larger function into the pooled graph. Every
+// function's results must be the ones it gets on a scratch and a graph
+// built from nothing.
 func TestPooledScratchLeavesNoResidue(t *testing.T) {
 	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25})
 	riders := [][]checker.Checker{{mustDSL(t, npdDSL)}, {mustDSL(t, uafDSL)}, {siteReporter{}}}
@@ -182,9 +166,9 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 	// One walk per order; each leaves its results and the disturbing
 	// passes' for the checks below.
 	type walk struct {
-		got                              [][]*Result
-		crashed, canceled, late, widened []*Result
-		midBlockTimeouts                 int
+		got                        [][]*Result
+		crashed, canceled, widened []*Result
+		midBlockCancels            int
 	}
 	walks := make([]walk, 2)
 	var wg sync.WaitGroup
@@ -194,26 +178,19 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 			defer wg.Done()
 			w.got = make([][]*Result, len(units))
 			for k := range units {
-				switch k % 4 {
+				switch k % 3 {
 				case 0:
 					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, nil, riders, Options{})...)
 				case 1:
 					res := AnalyzeFuncEach(dist, short, nil, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
 					w.crashed = append(w.crashed, res...)
 				case 2:
+					// The canceler's pass runs last, so the scratch its
+					// cancelAbort leaves is the one the next function draws.
 					ctx, cancel := context.WithCancel(context.Background())
-					res := AnalyzeFuncEach(dist, long, nil, [][]checker.Checker{{canceler{cancel}}, {siteReporter{}}}, Options{Ctx: ctx})
+					res := AnalyzeFuncEach(dist, long, nil, [][]checker.Checker{{siteReporter{}}, {canceler{cancel}}}, Options{Ctx: ctx})
 					cancel()
 					w.canceled = append(w.canceled, res...)
-				case 3:
-					// The staller's pass runs last, so the scratch it leaves
-					// is the one the next function draws.
-					st := &staller{budget: time.Millisecond}
-					res := AnalyzeFuncEach(dist, long, nil, [][]checker.Checker{{siteReporter{}}, {st}}, Options{Timeout: st.budget})
-					if st.stalled {
-						w.midBlockTimeouts++
-					}
-					w.late = append(w.late, res...)
 				}
 				i := k
 				if reverse {
@@ -225,7 +202,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 	}
 	wg.Wait()
 
-	midBlockTimeouts := 0
+	midBlockCancels := 0
 	for w, walk := range walks {
 		for i, res := range walk.got {
 			for r, got := range renderAll(res) {
@@ -239,34 +216,29 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 				t.Fatalf("crash pass: runtime errors %v / %v, want none / one", walk.crashed[i].RuntimeErrs, walk.crashed[i+1].RuntimeErrs)
 			}
 		}
-		for _, res := range walk.canceled {
-			if !res.Canceled || res.Steps != 1 || len(res.RuntimeErrs) != 0 {
-				t.Fatalf("cancel pass: Canceled=%v Steps=%d RuntimeErrs=%v, want a cancellation in the first block", res.Canceled, res.Steps, res.RuntimeErrs)
+		for i := 0; i < len(walk.canceled); i += 2 {
+			// The sibling ran before the cancel: its solo result.
+			site, cut := walk.canceled[i], walk.canceled[i+1]
+			if got := render(t, site); got != wantLong {
+				t.Fatalf("cancel call: the canceler's sibling came back\n got %s\nwant %s", got, wantLong)
 			}
-		}
-		for i := 0; i < len(walk.late); i += 2 {
-			// The sibling's pass has a budget of its own: it times out on
-			// its own or ends with its solo result, never the staller's.
-			site, stalled := walk.late[i], walk.late[i+1]
-			if len(site.RuntimeErrs) != 0 || !site.TimedOut && render(t, site) != wantLong {
-				t.Fatalf("timeout call: the staller's sibling came back TimedOut=%v RuntimeErrs=%v, not its solo result", site.TimedOut, site.RuntimeErrs)
+			if !cut.Canceled || cut.Steps != 1 || len(cut.RuntimeErrs) != 0 {
+				t.Fatalf("cancel pass: Canceled=%v Steps=%d RuntimeErrs=%v, want a cancellation in the first block", cut.Canceled, cut.Steps, cut.RuntimeErrs)
 			}
-			if !stalled.TimedOut || len(stalled.RuntimeErrs) != 0 {
-				t.Fatalf("timeout pass: TimedOut=%v RuntimeErrs=%v", stalled.TimedOut, stalled.RuntimeErrs)
-			}
+			walk.midBlockCancels++
 		}
 		for _, res := range walk.widened {
 			if res.Truncated || res.Paths < 13 {
 				t.Fatalf("wide pass: Truncated=%v Paths=%d, want every rung of the ladder explored", res.Truncated, res.Paths)
 			}
 		}
-		midBlockTimeouts += walk.midBlockTimeouts
+		midBlockCancels += walk.midBlockCancels
 	}
-	// A pass stalled inside its block can only have been cut by the
-	// evaluator's check; one that never got there timed out at its first
-	// frame, which is legal but does not exercise timeoutAbort.
-	if midBlockTimeouts == 0 {
-		t.Error("no timeout pass was cut inside its block")
+	// disturb_long is one block, and the canceler cancels inside it, after
+	// the frame-level check at its entry: a pass canceled there can only
+	// have been cut by the evaluator's check (cancelAbort).
+	if midBlockCancels == 0 {
+		t.Error("no cancel pass was cut inside its block")
 	}
 }
 

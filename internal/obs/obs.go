@@ -4,8 +4,8 @@
 //
 // The ROADMAP's cache/admission/fleet machinery is invisible without it:
 // the remote tier silently degrades to local misses behind a circuit
-// breaker, admission sheds with 429s, and engine timeouts quietly drop
-// results from the cache. Every one of those behaviors is correct — and
+// breaker, admission sheds with 429s, and canceled analyses quietly
+// drop results from the cache. Every one of those behaviors is correct — and
 // indistinguishable from a performance bug unless it is counted. This
 // package holds the counting; kserve and kcached expose it on GET
 // /metrics.

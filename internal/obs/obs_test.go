@@ -20,7 +20,7 @@ func sampleRegistry() *Registry {
 	cv.With("remote", "put").Inc()
 	reg.Gauge("depth", "A gauge.").Set(4)
 	reg.GaugeFunc("uptime_seconds", "Func gauge.", func() float64 { return 1.5 })
-	reg.CounterFunc("engine_timeouts_total", "Func counter.", func() float64 { return 7 })
+	reg.CounterFunc("engine_cancels_total", "Func counter.", func() float64 { return 7 })
 	h := reg.Histogram("latency_seconds", "A histogram.", nil)
 	for _, v := range []float64{0.0001, 0.003, 0.003, 0.2, 99} {
 		h.Observe(v)
@@ -64,7 +64,7 @@ func TestExpositionGrammarAndUniqueness(t *testing.T) {
 		`t_plain_total 3`,
 		`t_requests_total{tier="remote",op="get"} 1`,
 		`t_uptime_seconds 1.5`,
-		`t_engine_timeouts_total 7`,
+		`t_engine_cancels_total 7`,
 		`t_build_info{version="v1.2.3",go="go1.23"} 1`,
 		`t_latency_seconds_count 5`,
 	} {

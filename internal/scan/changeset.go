@@ -211,11 +211,11 @@ func (cb *Codebase) commitLocked(parent *Snapshot, ops int, work map[int]*minic.
 // touched file swaps in at once, as a single new snapshot and a single
 // generation bump, and only the touched files re-parse.
 //
-// Unlike the old write-lock design, ApplyChangeset never waits for
-// in-flight scans and never blocks new ones: readers pinned to the
-// previous generation keep running against it while this commit
-// publishes the next. It does serialize with other writers, but only
-// for the stage and swap: the sources parse before the lock is taken.
+// ApplyChangeset never waits for in-flight scans and never blocks new
+// ones: readers pinned to the previous generation keep running against
+// it while this commit publishes the next. It does serialize with other
+// writers, but only for the stage and swap: the sources parse before the
+// lock is taken.
 func (cb *Codebase) ApplyChangeset(changes []Change) (*Changeset, error) {
 	if len(changes) == 0 {
 		return nil, fmt.Errorf("scan: empty changeset")

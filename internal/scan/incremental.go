@@ -461,9 +461,6 @@ func decodeHit(scratch *engine.Result, payload []byte) *engine.Result {
 func (s *Snapshot) merge(files []int, perFunc []*engine.Result, maxReports int) *Result {
 	out := &Result{FilesScanned: len(files), Generation: s.gen}
 	for _, r := range perFunc {
-		if r.TimedOut {
-			out.FuncsTimedOut++
-		}
 		if r.Canceled {
 			out.Canceled = true
 		}

@@ -3,7 +3,6 @@ package scan
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"knighter/internal/checker"
 	"knighter/internal/minic"
@@ -235,43 +234,5 @@ func TestGenerationAndFuncCountTrackMutations(t *testing.T) {
 	applyOne(t, inc, Change{Path: cb.Files()[i].Name, Func: name, Source: tweakedFunc(t, cb, i, 0)})
 	if cb.Generation() != 2 {
 		t.Fatalf("generation after patch = %d", cb.Generation())
-	}
-}
-
-func TestFuncTimeoutResultsAreNotCached(t *testing.T) {
-	cb := buildCodebase(t)
-	ck := compileChecker(t)
-	st := store.NewMemory(0)
-	inc := NewIncremental(cb, st)
-
-	// A 1ns budget times out every function the engine explores before
-	// any analysis: each one the checker is loud on. The quiet ones are
-	// answered unexplored, and stored.
-	n, loud := cb.NumFuncs(), 0
-	for _, q := range quietFuncs(cb, ck) {
-		if !q {
-			loud++
-		}
-	}
-	if loud == 0 {
-		t.Fatal("the checker is quiet on every function")
-	}
-	res := inc.Run([]checker.Checker{ck}, Options{Workers: 1, FuncTimeout: time.Nanosecond})
-	if res.FuncsTimedOut != loud {
-		t.Fatalf("timed out %d of %d loud functions", res.FuncsTimedOut, loud)
-	}
-	if s := st.Stats(); s.Puts != int64(n-loud) {
-		t.Fatalf("timed-out results were cached: %+v, want %d puts", s, n-loud)
-	}
-
-	// Without the budget the same scan is a full (cold) analysis of the
-	// loud functions whose results do get cached — the poisoned-cache
-	// scenario this guards.
-	full := inc.Run([]checker.Checker{ck}, Options{Workers: 1})
-	if full.CacheHits != n-loud || full.FuncsTimedOut != 0 {
-		t.Fatalf("post-timeout scan: hits=%d timedout=%d, want %d hits", full.CacheHits, full.FuncsTimedOut, n-loud)
-	}
-	if warm := inc.Run([]checker.Checker{ck}, Options{Workers: 1}); warm.CacheMisses != 0 {
-		t.Fatalf("warm scan missed %d times", warm.CacheMisses)
 	}
 }

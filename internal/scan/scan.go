@@ -127,12 +127,6 @@ type Options struct {
 	// MaxReports caps the collected reports (0 = unlimited). The paper
 	// caps refinement-phase scans at 100 warnings.
 	MaxReports int
-	// FuncTimeout is a wall-clock budget for each (function, rider)
-	// analysis (0 = none), so one pathological function cannot stall a
-	// whole scan or a kserve batch request; each checker of a batch has
-	// the whole budget on every function. Functions over budget yield
-	// truncated results, never stored, counted in Result.FuncsTimedOut.
-	FuncTimeout time.Duration
 	// Context, when non-nil, aborts the scan early on cancellation:
 	// remaining functions are skipped, in-flight ones unwind at the
 	// engine's amortized check points, and the result comes back flagged
@@ -148,9 +142,6 @@ type Options struct {
 func (o Options) engineOptions(checkers []checker.Checker) engine.Options {
 	eo := o.Engine
 	eo.Checkers = checkers
-	if o.FuncTimeout > 0 {
-		eo.Timeout = o.FuncTimeout
-	}
 	if o.Context != nil {
 		eo.Ctx = o.Context
 	}
@@ -169,10 +160,6 @@ type Result struct {
 	FilesScanned int
 	FuncsScanned int
 	Truncated    bool
-	// FuncsTimedOut counts functions whose analysis was cut short by the
-	// per-function timeout budget (function-level scheduler only; the
-	// file-level Codebase.Run lacks per-function granularity).
-	FuncsTimedOut int
 	// Canceled marks a scan aborted by Options.Context: some functions
 	// were skipped or cut short, and none of those were cached.
 	Canceled bool

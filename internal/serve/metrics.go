@@ -60,11 +60,7 @@ func (s *Server) instrument() {
 		func() float64 { return float64(cb.PinnedSnapshots()) })
 
 	// Engine abort counters: process-wide, surfaced here because kserve
-	// is the process. A warm corpus whose engine_timeouts_total is
-	// climbing has a pathological function re-timing-out on every scan —
-	// invisible in hit rates, obvious here.
-	reg.CounterFunc("engine_timeouts_total", "Per-function analyses cut short by the time budget.",
-		func() float64 { return float64(engine.CounterTotals().Timeouts) })
+	// is the process.
 	reg.CounterFunc("engine_cancels_total", "Per-function analyses aborted by request cancellation.",
 		func() float64 { return float64(engine.CounterTotals().Cancels) })
 	reg.CounterFunc("engine_crashes_total", "Checker panics recovered into runtime errors.",

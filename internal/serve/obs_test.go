@@ -113,7 +113,7 @@ func TestMetricsExposition(t *testing.T) {
 		`kserve_scan_stage_duration_seconds_bucket{stage="engine_eval",le=`,
 		`kserve_http_requests_total{route="scan",code="2xx"} 2`,
 		`kserve_scans_total 2`,
-		`kserve_engine_timeouts_total`,
+		`kserve_engine_cancels_total`,
 		`kserve_build_info{version=`,
 		`kserve_uptime_seconds`,
 	} {

@@ -94,19 +94,6 @@ func (s *Server) resolveFiles(paths []string) ([]int, error) {
 	return files, nil
 }
 
-// scanOptions maps a request's query onto the scheduler's options.
-func scanOptions(ctx context.Context, q *api.Query) scan.Options {
-	return scan.Options{
-		Workers:     q.Workers,
-		MaxReports:  q.MaxReports,
-		FuncTimeout: time.Duration(q.FuncTimeoutMS) * time.Millisecond,
-		// The request context: a client that disconnects mid-scan stops
-		// paying for the rest of it (the admitted slot frees up, and no
-		// partial results are cached).
-		Context: ctx,
-	}
-}
-
 // handleScan serves POST /scan as a /batch of one checker. What is left
 // here is the /scan wire shape: a missing checker is a 400, one that
 // does not compile a 422 (before any min_generation wait), and the reply
@@ -211,7 +198,11 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 		// all entries scan the same generation even while changesets
 		// commit concurrently. With nothing to run, the live generation.
 		gen = s.inc.Codebase().Generation()
-		results := s.inc.RunBatch(cks, files, scanOptions(r.Context(), q), 0)
+		// The request context: a client that disconnects mid-scan stops
+		// paying for the rest of it (the admitted slot frees up, and no
+		// partial results are cached).
+		opts := scan.Options{Workers: q.Workers, MaxReports: q.MaxReports, Context: r.Context()}
+		results := s.inc.RunBatch(cks, files, opts, 0)
 		s.observeScan(r.Context(), results...)
 		if q.ShardLocal && s.shard != nil {
 			s.shard.subScans.Inc()

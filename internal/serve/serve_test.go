@@ -529,20 +529,22 @@ func TestBatchServedFromWarmStore(t *testing.T) {
 	}
 
 	// An unknown field is ignored, not rejected: a body that still
-	// carries the retired "concurrency" gets the same entries.
+	// carries the retired "concurrency" and "func_timeout_ms" gets the
+	// same entries.
 	var again api.BatchResponse
 	if code := postJSON(t, ts, "/batch", map[string]any{
-		"checkers":    []string{testChecker, testCheckerB, "checker broken {"},
-		"concurrency": 4,
+		"checkers":        []string{testChecker, testCheckerB, "checker broken {"},
+		"concurrency":     4,
+		"func_timeout_ms": 1,
 	}, &again); code != http.StatusOK {
-		t.Fatalf(`batch with "concurrency" status = %d`, code)
+		t.Fatalf(`batch with retired fields: status = %d`, code)
 	}
 	if len(again.Results) != len(out.Results) || again.CheckersRun != 2 || again.CheckerErrors != 1 {
-		t.Fatalf(`batch with "concurrency": %d entries, run=%d errors=%d`, len(again.Results), again.CheckersRun, again.CheckerErrors)
+		t.Fatalf(`batch with retired fields: %d entries, run=%d errors=%d`, len(again.Results), again.CheckersRun, again.CheckerErrors)
 	}
 	for i, r := range out.Results {
 		if got := again.Results[i]; reportsJSON(t, got) != reportsJSON(t, r) || got.Error != r.Error {
-			t.Fatalf(`batch with "concurrency": entry %d differs from the batch without it`, i)
+			t.Fatalf(`batch with retired fields: entry %d differs from the batch without them`, i)
 		}
 	}
 }

@@ -154,14 +154,14 @@ func (s *Server) shardStats() *api.ShardStats {
 // serves the coordinator's own partition and is the fallback for
 // everyone else's.
 func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker, q api.Query) shard.Local {
-	q.MaxReports = 0 // the merge applies the cap
 	return func(ctx context.Context, files []string) ([]*api.ScanResponse, error) {
 		idx, err := s.resolveFiles(files)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]*api.ScanResponse, len(cks))
-		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scanOptions(ctx, &q))
+		// Uncapped: the merge applies MaxReports.
+		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scan.Options{Workers: q.Workers, Context: ctx})
 		s.observeScan(ctx, results...)
 		for i, res := range results {
 			out[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, true)

@@ -68,7 +68,6 @@ func MergeScan(name string, paths []string, ring Ring, parts []*api.ScanResponse
 		}
 		out.FilesScanned += p.FilesScanned
 		out.FuncsScanned += p.FuncsScanned
-		out.TimedOut += p.TimedOut
 		out.Canceled = out.Canceled || p.Canceled
 		out.Cache.Hits += p.Cache.Hits
 		out.Cache.Misses += p.Cache.Misses

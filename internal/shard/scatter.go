@@ -106,9 +106,8 @@ type Info struct {
 }
 
 // ScanJob is one coordinated scan of a single checker as shard-local
-// /scan sub-requests: the sub-request template (checker, workers,
-// timeout budget, min generation — Files and ShardLocal are filled per
-// shard), the compiled checker's display name, the full ordered path
+// /scan sub-requests: the sub-request template (checker, workers, min
+// generation — Files and ShardLocal are filled per shard), the compiled checker's display name, the full ordered path
 // list, and the local fallback. kserve coordinates a /scan as a
 // one-checker Batch; benchmark/probes.go times the scatter through Scan.
 type ScanJob struct {

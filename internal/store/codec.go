@@ -44,11 +44,11 @@ const resultCodec = 0x03
 var emptyPayload = []byte{resultCodec, 0, 0}
 
 // Encode serializes r into a slice of exactly the encoded length: the
-// payload every tier stores for r. A nil, timed-out or canceled r
-// encodes to nil, which no tier stores: such a result depends on one
-// caller's clock or lifetime, not on the key's inputs.
+// payload every tier stores for r. A nil or canceled r encodes to nil,
+// which no tier stores: such a result depends on one caller's lifetime,
+// not on the key's inputs.
 func Encode(r *engine.Result) []byte {
-	if r == nil || r.TimedOut || r.Canceled {
+	if r == nil || r.Canceled {
 		return nil
 	}
 	if len(r.Reports) == 0 && len(r.RuntimeErrs) == 0 {

@@ -90,8 +90,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 
 // TestResultCodecStoresWhatAReplyShows: every result with no reports
 // and no runtime errors encodes to one shared 3-byte payload, whatever
-// its counters; a timed-out or canceled result encodes to nil, which no
-// tier stores.
+// its counters; a canceled result encodes to nil, which no tier stores.
 func TestResultCodecStoresWhatAReplyShows(t *testing.T) {
 	empty := Encode(&engine.Result{})
 	if len(empty) != 3 {
@@ -106,9 +105,9 @@ func TestResultCodecStoresWhatAReplyShows(t *testing.T) {
 		}
 	}
 	for name, r := range map[string]*engine.Result{
-		"timed-out":             {Truncated: true, TimedOut: true},
 		"canceled":              {Truncated: true, Canceled: true},
-		"timed-out with report": {Reports: result("late").Reports, TimedOut: true},
+		"canceled, untruncated": {Canceled: true},
+		"canceled with report":  {Reports: result("late").Reports, Canceled: true},
 	} {
 		if got := Encode(r); got != nil {
 			t.Errorf("%s: encoded to % x, want nil", name, got)

@@ -309,7 +309,6 @@ func dirtyResult() *engine.Result {
 		Paths:       7,
 		Steps:       9,
 		Truncated:   true,
-		TimedOut:    true,
 		Canceled:    true,
 		RuntimeErrs: []engine.RuntimeErr{{Func: "stale"}},
 	}
@@ -412,7 +411,7 @@ func FuzzEntriesWire(f *testing.F) {
 	two := append(putFrame(a, result("a")), putFrame(b, result("b"))...)
 	f.Add(true, two)
 	f.Add(true, append(slices.Clone(two), putFrame(a, result("a2"))...))
-	f.Add(true, putFrame(a, &engine.Result{Truncated: true, TimedOut: true}))
+	f.Add(true, putFrame(a, &engine.Result{Truncated: true, Canceled: true}))
 	f.Add(true, putFrame(Key{CheckerFP: "ck"}, result("no hash")))
 	f.Add(true, two[:len(two)-1])
 	f.Add(false, appendKey(appendKey(nil, a), b))

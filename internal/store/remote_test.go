@@ -153,7 +153,7 @@ func TestRemoteServerRejectsCorruptPut(t *testing.T) {
 }
 
 // TestRemoteServerRejectsUncacheablePut: the engine-wide invariant that
-// timed-out and canceled results are never cached holds at the shared
+// canceled results are never cached holds at the shared
 // tier too — such a result has no record (Encode), so a body framing one
 // is refused, and a single non-conforming client cannot poison every
 // replica's warm hits with truncated results.
@@ -161,8 +161,8 @@ func TestRemoteServerRejectsUncacheablePut(t *testing.T) {
 	back := NewMemory(0)
 	ts := newCacheTS(t, back)
 	for name, res := range map[string]*engine.Result{
-		"timed-out": {Truncated: true, TimedOut: true},
-		"canceled":  {Truncated: true, Canceled: true},
+		"canceled":             {Truncated: true, Canceled: true},
+		"canceled with report": {Reports: result("late").Reports, Truncated: true, Canceled: true},
 	} {
 		// Alone, and behind a valid entry: the body is refused whole.
 		body := putFrame(fkey("fX", "ck"), res)
@@ -177,7 +177,7 @@ func TestRemoteServerRejectsUncacheablePut(t *testing.T) {
 	}
 	// The client side never even sends one.
 	r := newRemote(t, ts.URL, RemoteConfig{})
-	r.Put(bg, fkey("fX", "ck"), &engine.Result{Truncated: true, TimedOut: true})
+	r.Put(bg, fkey("fX", "ck"), &engine.Result{Truncated: true, Canceled: true})
 	if rs := r.RemoteStats(); rs.Puts != 0 || rs.Errors != 0 {
 		t.Fatalf("client sent an uncacheable result: %+v", rs)
 	}
@@ -200,7 +200,7 @@ func TestCacheServerErrorBodiesAreJSON(t *testing.T) {
 		{"/invalidate", nil},
 		{"/entries/put", nil},
 		{"/entries/put", good[:len(good)-1]},
-		{"/entries/put", putFrame(fkey("fX", "ck"), &engine.Result{Truncated: true, TimedOut: true})},
+		{"/entries/put", putFrame(fkey("fX", "ck"), &engine.Result{Truncated: true, Canceled: true})},
 		{"/entries/get", []byte{0x80, 0x00}},
 	} {
 		rec := serveEntries(h, tc.route, tc.body)
@@ -215,12 +215,12 @@ func TestCacheServerErrorBodiesAreJSON(t *testing.T) {
 }
 
 // v2Record is a record under the previous format tag, as a kcached not
-// yet restarted onto this codec holds: a timed-out result with no
-// reports and no runtime errors (counters, flags, counts).
+// yet restarted onto this codec holds: a flagged result with no reports
+// and no runtime errors (counters, flags, counts).
 var v2Record = []byte{0x02, 0, 0, 3, 0, 0}
 
 // TestRemoteFlaggedEntryIsMiss: a daemon that serves a record under
-// another format tag — here an old, timed-out one — beside a v3 record
+// another format tag — here an old, flagged one — beside a v3 record
 // answers one miss and one hit. The old record must not propagate, but
 // the daemon did answer, so the breaker stays closed.
 func TestRemoteFlaggedEntryIsMiss(t *testing.T) {

@@ -45,11 +45,15 @@ func segFuncTok(funcHash string) string {
 	return Hash("fdir:v1", funcHash)
 }
 
-// segID is the engine's id for a digest: its hex form, encoded on the
-// stack so a key costs one allocation, the string itself.
-func segID(id *Digest) string {
-	var buf [64]byte
+// segKey is the engine's id for a digest: its hex form, on the stack.
+func segKey(id *Digest) (buf [64]byte) {
 	hex.Encode(buf[:], id[:])
+	return buf
+}
+
+// segID is segKey as the string the engine indexes a put under.
+func segID(id *Digest) string {
+	buf := segKey(id)
 	return string(buf[:])
 }
 
@@ -81,7 +85,8 @@ func (d *SegmentDisk) GetMany(_ context.Context, _ []Key, ids []Digest, out [][]
 	var scratch engine.Result
 	for i := range ids {
 		out[i] = nil
-		if data, ok := d.eng.Get(segID(&ids[i])); ok && DecodeInto(&scratch, data) == nil {
+		id := segKey(&ids[i])
+		if data, ok := d.eng.GetBytes(id[:]); ok && DecodeInto(&scratch, data) == nil {
 			out[i] = data
 			hits++
 		}

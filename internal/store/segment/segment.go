@@ -522,11 +522,20 @@ func (s *Store) PutAt(id, funcTok string, payload []byte, t time.Time) error {
 func (s *Store) Get(id string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, false
-	}
-	r, ok := s.idx[id]
-	if !ok {
+	return s.read(s.idx[id])
+}
+
+// GetBytes is Get for an id held as bytes: the index probe makes no
+// string of them.
+func (s *Store) GetBytes(id []byte) ([]byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.read(s.idx[string(id)])
+}
+
+// read preads r's payload, or misses for no r; s.mu is held.
+func (s *Store) read(r *ref) ([]byte, bool) {
+	if s.closed || r == nil {
 		return nil, false
 	}
 	sf := s.segs[r.seg]

@@ -39,7 +39,7 @@ var maxEntryBytes = 32 << 20
 // key — the daemon is a shared cache for a mutually trusting fleet, not
 // a defense against malicious replicas.) A put body is checked whole
 // before anything is stored: a malformed frame, a record that fails the
-// strict decode, or a timed-out or canceled result rejects the body
+// strict decode, or a canceled result rejects the body
 // with a 400. An accepted record is stored, and later served, as the
 // bytes it arrived as: the server never re-encodes. Counters stay per
 // entry: a round trip of n keys is n gets or n puts.
@@ -171,7 +171,7 @@ func (cs *CacheServer) badRequest(w http.ResponseWriter, msg string) {
 // followed by a record when records is set, or else names what is
 // wrong. A key needs a function hash, and a record must pass the strict
 // decode, so one buggy client cannot poison every replica's warm hits —
-// and a timed-out or canceled result has no record at all. Each payload
+// and a canceled result has no record at all. Each payload
 // is a copy of its record, so a stored entry never pins the body it came
 // in.
 func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, payloads [][]byte, bad string) {

@@ -133,8 +133,8 @@ type Store interface {
 	// entry; an empty payload is skipped. The tier must end up exactly as
 	// the same puts one key at a time, in key order, would leave it —
 	// entries, LRU order, evictions and books, one put per key. Only
-	// cacheable results are put: a timed-out or canceled one has no
-	// payload (Encode).
+	// cacheable results are put: a canceled one has no payload
+	// (Encode).
 	PutMany(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte)
 	// InvalidateFuncs removes every entry addressed by any of the given
 	// function hashes, returning the number of entries dropped. Corpus
