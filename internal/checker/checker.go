@@ -41,13 +41,12 @@ type Fingerprinter interface {
 // footprint (and the function it names, minic.Footprint.Func), that they
 // stay silent on it. The contract: QuietOn(fp) true means that on every
 // path of the function's CFG the checker reports nothing and panics
-// nowhere. The engine supplies the rest: it drops a checker from every
-// rider of a function the checker is quiet on before exploring, so the
-// checker writes nothing there either, and the rider's result is what it
-// would be without the checker, down to its path and step counts. The
-// scan scheduler answers a rider whose checkers are all quiet with no
-// reports and no runtime errors, unexplored — all a stored result holds
-// — so the answer cannot time out or crash.
+// nowhere. The scan scheduler supplies the rest: before it calls the
+// engine it drops from every rider each checker quiet on the function,
+// so the checker writes nothing there, and it answers a rider whose
+// checkers are all quiet with no reports and no runtime errors,
+// unexplored — all a stored result holds — so the answer cannot time out
+// or crash. The engine itself explores every checker it is given.
 type Quieter interface {
 	QuietOn(fp *minic.Footprint) bool
 }

@@ -8,21 +8,19 @@
 //
 // AnalyzeFuncEach analyzes one function for several riders (a rider is
 // the checker list one Result is keyed by; AnalyzeFunc is the one-rider
-// call). The riders share the function's lowered CFG and its quiet gate
-// (below), and nothing else: each rider explores in a pass of its own,
-// one after another, on a pooled scratch, and a checker panic ends only
-// the pass it happened in. So a rider's Result is exactly its solo
-// Result.
+// call). The riders share the function's lowered CFG and nothing else:
+// each rider explores in a pass of its own, one after another, on a
+// pooled scratch, and a checker panic ends only the pass it happened in.
+// So a rider's Result is exactly its solo Result.
 //
-// Before it explores, AnalyzeFuncEach drops from every rider each
-// checker.Quieter quiet on the function: such a checker would report
-// nothing and panic nowhere there, so running it could only have added
-// facts, and paths and steps, to the rider's result. It runs no callback
-// at all, and its rider's result is what it is without it.
+// The engine explores every checker it is given. Skipping a checker
+// that cannot act on a function is the caller's decision: the scan
+// scheduler's quiet gate makes it before it calls the engine, so every
+// direct call here is an ungated exploration.
 //
-// Riders do not share an exploration: with the gate in front, few
-// functions have two loud riders, and exploring those in lockstep, each
-// rider with facts of its own, cost more bookkeeping than it saved.
+// Riders do not share an exploration: few functions have two riders
+// loud on them, and exploring those in lockstep, each rider with facts
+// of its own, cost more bookkeeping than it saved.
 package engine
 
 import (
@@ -139,20 +137,14 @@ func AnalyzeFile(file *minic.File, opts Options) *Result {
 // RuntimeErr on the result (the analog of CSA's "the analyzer
 // encountered problems on source files").
 func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
-	return AnalyzeFuncEach(file, fn, nil, [][]checker.Checker{opts.Checkers}, opts)[0]
+	return AnalyzeFuncEach(file, fn, [][]checker.Checker{opts.Checkers}, opts)[0]
 }
 
 // AnalyzeFuncEach analyzes fn for several riders, one pass each, over
 // one lowered CFG. A rider is the checker list one result is keyed by;
 // results[i] is exactly what AnalyzeFunc returns for riders[i] alone
 // (opts.Checkers is ignored).
-//
-// Before exploring, every checker.Quieter quiet on fn leaves its rider
-// (gate): it could only have left the rider's result as it is, so it is
-// not run at all. fp is fn's footprint, which carries the checkers'
-// memoized verdicts, or nil for the call to make one the first time a
-// Quieter asks.
-func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, fp *minic.Footprint, riders [][]checker.Checker, opts Options) []*Result {
+func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
 	opts = opts.withDefaults()
 	results := make([]*Result, len(riders))
 	for i := range results {
@@ -179,7 +171,7 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, fp *minic.Footprint, 
 		// which skips bodies it cannot lower).
 		return results
 	}
-	for i, cks := range g.gate(fp, riders) {
+	for i, cks := range riders {
 		ex := newExec(file, fn, g, opts, cks, results[i])
 		ex.explore() // recovers every panic, so the scratch always goes back
 		ex.release(ex.evals)
@@ -195,52 +187,6 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, fp *minic.Footprint, 
 type graph struct {
 	cfg.Graph
 	text []branchText // per Exprs index
-	// fp is the function's footprint when the caller has none, made the
-	// first time the gate needs it; made says whether it is.
-	fp   minic.Footprint
-	made bool
-}
-
-// gate returns riders without every checker.Quieter quiet on g's
-// function, whose footprint is fp, or g's own when fp is nil. It copies
-// the outer slice and each rider it changes; a rider left with no checker
-// explores as the empty rider. Where no checker is quiet it allocates
-// nothing.
-func (g *graph) gate(fp *minic.Footprint, riders [][]checker.Checker) [][]checker.Checker {
-	copied := false
-	for i, cks := range riders {
-		kept := cks
-		for j, ck := range cks {
-			q, ok := ck.(checker.Quieter)
-			if !ok {
-				continue
-			}
-			if fp == nil {
-				if !g.made {
-					g.fp.Reset(g.Fn)
-					g.made = true
-				}
-				fp = &g.fp
-			}
-			if !q.QuietOn(fp) {
-				if len(kept) < len(cks) {
-					kept = append(kept, ck)
-				}
-				continue
-			}
-			if len(kept) == len(cks) {
-				kept = append(make([]checker.Checker, 0, len(cks)-1), cks[:j]...)
-			}
-		}
-		if len(kept) == len(cks) {
-			continue
-		}
-		if !copied {
-			riders, copied = append([][]checker.Checker(nil), riders...), true
-		}
-		riders[i] = kept
-	}
-	return riders
 }
 
 // branchText is what a branch condition renders to: the condition and
@@ -291,10 +237,6 @@ func (g *graph) release() {
 	g.Reset()
 	clear(g.text[:cap(g.text)])
 	g.text = g.text[:0]
-	if g.made {
-		g.fp.Reset(nil)
-		g.made = false
-	}
 	graphPool.Put(g)
 }
 
@@ -380,7 +322,7 @@ type exec struct {
 	fn       *minic.FuncDecl
 	graph    *graph
 	opts     Options
-	checkers []checker.Checker // the rider's, gated
+	checkers []checker.Checker // the rider's
 	ctx      *checker.Context
 	res      *Result
 	reports  map[string]struct{} // keys of res.Reports

@@ -39,7 +39,7 @@ func render(t *testing.T, r *Result) string {
 // results.
 func requireSolo(t *testing.T, f *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
 	t.Helper()
-	shared := AnalyzeFuncEach(f, fn, nil, riders, opts)
+	shared := AnalyzeFuncEach(f, fn, riders, opts)
 	solo := make([]*Result, len(riders))
 	for i, cks := range riders {
 		o := opts
@@ -99,7 +99,7 @@ func TestForkingRidersEqualSolo(t *testing.T) {
 		}
 	}
 	// The report the forked-off path carries must be there.
-	res := AnalyzeFuncEach(f, f.Funcs[0], nil, [][]checker.Checker{{npd}, {uaf}}, Options{})
+	res := AnalyzeFuncEach(f, f.Funcs[0], [][]checker.Checker{{npd}, {uaf}}, Options{})
 	if len(res[1].Reports) != 1 || res[1].Reports[0].BugType != "Use-After-Free" {
 		t.Errorf("uaf rider reports = %v, want the use after free on the kfree() arm", res[1].Reports)
 	}

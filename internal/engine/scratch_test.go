@@ -114,7 +114,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 		f := parseFile(sf)
 		for _, fn := range f.Funcs {
 			freshPool()
-			res := AnalyzeFuncEach(f, fn, nil, riders, Options{})
+			res := AnalyzeFuncEach(f, fn, riders, Options{})
 			want = append(want, renderAll(res))
 			for _, rep := range res[2].Reports {
 				if strings.HasPrefix(rep.Message, globalKind) {
@@ -180,15 +180,15 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 			for k := range units {
 				switch k % 3 {
 				case 0:
-					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, nil, riders, Options{})...)
+					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, riders, Options{})...)
 				case 1:
-					res := AnalyzeFuncEach(dist, short, nil, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
+					res := AnalyzeFuncEach(dist, short, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
 					w.crashed = append(w.crashed, res...)
 				case 2:
 					// The canceler's pass runs last, so the scratch its
 					// cancelAbort leaves is the one the next function draws.
 					ctx, cancel := context.WithCancel(context.Background())
-					res := AnalyzeFuncEach(dist, long, nil, [][]checker.Checker{{siteReporter{}}, {canceler{cancel}}}, Options{Ctx: ctx})
+					res := AnalyzeFuncEach(dist, long, [][]checker.Checker{{siteReporter{}}, {canceler{cancel}}}, Options{Ctx: ctx})
 					cancel()
 					w.canceled = append(w.canceled, res...)
 				}
@@ -196,7 +196,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 				if reverse {
 					i = len(units) - 1 - k
 				}
-				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, nil, riders, Options{})
+				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, riders, Options{})
 			}
 		}(&walks[w], w == 1)
 	}

@@ -95,7 +95,7 @@ func walkExpr(e Expr, visit func(Expr)) {
 // on: the calls it makes, with the shape of their arguments, its
 // uninitialized declarations and its index expressions. A checker that
 // can tell from a footprint that it would do nothing in a function need
-// not explore it (checker.Quieter).
+// not explore it: the scan scheduler skips it there.
 type Footprint struct {
 	// Callees are the distinct names the function calls, in first-call
 	// order. A one-argument likely or unlikely is not a call: the

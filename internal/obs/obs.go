@@ -156,15 +156,6 @@ func (h *Histogram) Exemplars() map[string]string {
 	return out
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
@@ -293,11 +284,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.mu.Lock()
 	f.series[""] = &series{fn: fn}
 	f.mu.Unlock()
-}
-
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, nil, nil).seriesFor(nil).g
 }
 
 // GaugeVec registers a gauge family with the given label names.

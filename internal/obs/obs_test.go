@@ -18,7 +18,7 @@ func sampleRegistry() *Registry {
 	cv.With("memory", "get").Add(10)
 	cv.With("remote", "get").Inc()
 	cv.With("remote", "put").Inc()
-	reg.Gauge("depth", "A gauge.").Set(4)
+	reg.GaugeVec("depth", "An unlabeled gauge.").With().Set(4)
 	reg.GaugeFunc("uptime_seconds", "Func gauge.", func() float64 { return 1.5 })
 	reg.CounterFunc("engine_cancels_total", "Func counter.", func() float64 { return 7 })
 	h := reg.Histogram("latency_seconds", "A histogram.", nil)
@@ -173,11 +173,12 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	reg.Gauge("c_total", "h")
+	reg.GaugeVec("c_total", "h")
 }
 
 func TestHistogramObserveBoundaries(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
+	reg := NewRegistry("t")
+	h := reg.Histogram("bounds_seconds", "h", []float64{1, 2})
 	h.Observe(1) // le="1" is inclusive
 	h.Observe(1.5)
 	h.Observe(100) // +Inf bucket
@@ -190,8 +191,11 @@ func TestHistogramObserveBoundaries(t *testing.T) {
 	if got := h.counts[2].Load(); got != 1 {
 		t.Fatalf("+Inf bucket = %d, want 1", got)
 	}
-	if h.Count() != 3 || h.Sum() != 102.5 {
-		t.Fatalf("count/sum = %d/%v, want 3/102.5", h.Count(), h.Sum())
+	text := expose(t, reg)
+	for _, line := range []string{"t_bounds_seconds_sum 102.5\n", "t_bounds_seconds_count 3\n"} {
+		if !strings.Contains(text, line) {
+			t.Fatalf("exposition lacks %q:\n%s", line, text)
+		}
 	}
 }
 

@@ -148,25 +148,12 @@ func sanitizeID(id string) string {
 // for d, and covered count operations. It attaches under the root span
 // with a derived child span id. Safe for concurrent use.
 func (t *Trace) Observe(name string, start time.Time, d time.Duration, count int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.appendLocked(Span{
-		SpanID:   t.childIDLocked(),
-		ParentID: t.SpanID,
-		Service:  t.Service,
-		Name:     name,
-		OffsetMS: float64(start.Sub(t.Start).Microseconds()) / 1000,
-		DurMS:    float64(d.Microseconds()) / 1000,
-		Count:    count,
-	})
-	t.mu.Unlock()
+	t.ObserveWith("", name, "", start, d, count)
 }
 
 // ObserveWith is Observe with a pre-minted span id (from NewChildSpanID,
-// so the id could be propagated to a callee before the span completed)
-// and an outcome status tag.
+// so the id could be propagated to a callee before the span completed;
+// "" derives one) and an outcome status tag ("" for none).
 func (t *Trace) ObserveWith(spanID, name, status string, start time.Time, d time.Duration, count int) {
 	if t == nil {
 		return

@@ -140,15 +140,36 @@ type riderPlan struct {
 	hits, misses, quiet atomic.Int64
 }
 
-// quietOn reports whether every checker of the rider is a
-// checker.Quieter quiet on a function with footprint fp.
-func (p *riderPlan) quietOn(fp *minic.Footprint) bool {
-	for _, ck := range p.checkers {
-		if q, ok := ck.(checker.Quieter); !ok || !q.QuietOn(fp) {
-			return false
+// loudOn returns the rider's checkers without each checker.Quieter
+// quiet on a function with footprint fp: the rider's own slice when no
+// checker is quiet, nil when every one is, and otherwise a slice the
+// rider's does not share. A quiet checker reports nothing and panics
+// nowhere on the function, so exploring the loud ones alone leaves the
+// rider's answer as it is; a nil rider is answered emptyHit, unexplored.
+// It allocates only to copy loud checkers that follow a quiet one.
+func (p *riderPlan) loudOn(fp *minic.Footprint) []checker.Checker {
+	all := p.checkers
+	loud := all // the rider's own, until a checker is dropped
+	for j, ck := range all {
+		if q, ok := ck.(checker.Quieter); ok && q.QuietOn(fp) {
+			if len(loud) == len(all) {
+				// The first quiet checker: those before it are loud, capped
+				// so that no append writes into the rider's slice.
+				loud = all[:j:j]
+			}
+			continue
+		}
+		if len(loud) < len(all) {
+			if len(loud) == cap(loud) {
+				loud = append(make([]checker.Checker, 0, len(all)-1), loud...)
+			}
+			loud = append(loud, ck)
 		}
 	}
-	return true
+	if len(loud) == 0 {
+		return nil
+	}
+	return loud
 }
 
 // runRiders is the scheduler body, reading only the immutable snap: one
@@ -156,13 +177,13 @@ func (p *riderPlan) quietOn(fp *minic.Footprint) bool {
 // checker list one Result is keyed by — a scan is a pass with one rider,
 // a batch a pass with one per checker). A worker claims the next range
 // of units, probes every rider's keys for the whole range in one store
-// call, then for each unit makes one engine call for the riders that
-// missed and are loud on the function — it lowers the function once and
-// explores it once per such rider; a rider whose checkers are all quiet
-// on it is answered emptyHit, unexplored — and stores each rider's
-// result under its own key — the range's results in one store call, by
-// the digests its probe used; the per-rider merges then run as if each
-// rider had scanned alone.
+// call, then for each unit gates the riders that missed — the one quiet
+// gate: each keeps only its checkers loud on the function (loudOn), and
+// one with none is answered emptyHit, unexplored — and makes one engine
+// call for the rest, which lowers the function once and explores it once
+// per rider; it stores each rider's result under its own key — the
+// range's results in one store call, by the digests its probe used; the
+// per-rider merges then run as if each rider had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
@@ -335,30 +356,29 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							continue // every rider hit: the unit never enters the engine
 						}
 						un := units[u]
-						// Compute the missed riders' results. A rider whose
-						// checkers are all quiet on the function reports
-						// nothing there: it gets emptyHit unexplored. The
-						// others are explored.
+						// Compute the missed riders' results. A rider
+						// explores only its checkers loud on the function;
+						// one with none reports nothing there and gets
+						// emptyHit, unexplored.
 						f, memo := snap.files[un.file], snap.memo[un.file]
 						rs := answers[:len(missed)]
 						lists, explored = lists[:0], explored[:0]
 						fp := memo.footprint(f, un.fn)
 						for k, i := range missed {
 							rs[k] = emptyHit
-							if plans[i].quietOn(fp) {
+							loud := plans[i].loudOn(fp)
+							if loud == nil {
 								plans[i].quiet.Add(1)
 								continue
 							}
-							lists, explored = append(lists, plans[i].checkers), append(explored, k)
+							lists, explored = append(lists, loud), append(explored, k)
 						}
 						if len(lists) > 0 {
 							var e0 time.Time
 							if timed {
 								e0 = time.Now()
 							}
-							// fp carries the memoized verdicts the engine's
-							// own gate asks again, checker by checker.
-							got := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], fp, lists, eo)
+							got := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], lists, eo)
 							if timed {
 								evalNS.Add(int64(time.Since(e0)))
 							}

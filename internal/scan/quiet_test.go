@@ -2,10 +2,11 @@ package scan
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
@@ -13,7 +14,6 @@ import (
 	"knighter/internal/kernel"
 	"knighter/internal/minic"
 	"knighter/internal/store"
-	"knighter/internal/sym"
 )
 
 // quietCodebase parses the batch-equivalence corpus into a codebase of
@@ -30,18 +30,15 @@ func quietCodebase(t *testing.T) *Codebase {
 }
 
 // engineAnswer is what a checker's entry of a pass must equal: the
-// uncached scan's reports, and the store.Encode bytes of the engine's
-// own result for every function, in file and function order, as the
-// store must hold them; and the reports and runtime errors of the
-// uncached scan with the checker explored ungated, wherever it is quiet
-// too.
+// uncached scan, which explores the checker on every function, quiet or
+// not; and the store.Encode bytes of the engine's own result for every
+// function, in file and function order, as the store must hold them.
 type engineAnswer struct {
-	scan    *Result
-	stored  [][]byte
-	ungated string
+	scan   *Result
+	stored [][]byte
 }
 
-func answerOf(t *testing.T, cb *Codebase, ck checker.Checker, opts Options) engineAnswer {
+func answerOf(cb *Codebase, ck checker.Checker, opts Options) engineAnswer {
 	a := engineAnswer{scan: cb.RunOne(ck, opts)}
 	eo := opts.engineOptions([]checker.Checker{ck})
 	for _, f := range cb.Files() {
@@ -49,65 +46,16 @@ func answerOf(t *testing.T, cb *Codebase, ck checker.Checker, opts Options) engi
 			a.stored = append(a.stored, store.Encode(engine.AnalyzeFunc(f, fn, eo)))
 		}
 	}
-	explored := ck
-	if c, ok := ck.(*ckdsl.Compiled); ok {
-		explored = ungated{c}
-	}
-	a.ungated = reportBytes(t, cb.RunOne(explored, opts))
 	return a
 }
 
-func reportBytes(t *testing.T, r *Result) string {
-	t.Helper()
-	data, err := json.Marshal(struct {
-		Reports     []*checker.Report
-		RuntimeErrs []engine.RuntimeErr
-	}{r.Reports, r.RuntimeErrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
-// ungated runs a Compiled checker's callbacks but is no checker.Quieter:
-// the engine explores with it even where it is quiet.
-type ungated struct{ ck *ckdsl.Compiled }
-
-func (u ungated) Name() string    { return u.ck.Name() }
-func (u ungated) BugType() string { return u.ck.BugType() }
-
-func (u ungated) CheckDecl(d *minic.DeclStmt, r sym.RegionID, c *checker.Context) {
-	u.ck.CheckDecl(d, r, c)
-}
-
-func (u ungated) CheckPreCall(ev *checker.CallEvent, c *checker.Context) { u.ck.CheckPreCall(ev, c) }
-
-func (u ungated) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
-	u.ck.CheckPostCall(ev, c)
-}
-
-func (u ungated) CheckBind(ev *checker.BindEvent, c *checker.Context) { u.ck.CheckBind(ev, c) }
-
-func (u ungated) CheckBranchCondition(cond minic.Expr, c *checker.Context) {
-	u.ck.CheckBranchCondition(cond, c)
-}
-
-func (u ungated) CheckLocation(ac *checker.Access, c *checker.Context) { u.ck.CheckLocation(ac, c) }
-
-func (u ungated) CheckEndFunction(ev *checker.ReturnEvent, c *checker.Context) {
-	u.ck.CheckEndFunction(ev, c)
-}
-
-// checkAnswer fails unless res, ck's entry of a pass, reports what want
-// does, and what ck explored ungated does, answered no more than its
-// misses quietly, and left want's results in st under ck's keys.
+// checkAnswer fails unless res, ck's entry of a pass, answers what the
+// uncached scan does, answered no more than its misses quietly, and left
+// want's results in st under ck's keys.
 func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck checker.Checker, res *Result, want engineAnswer, opts Options) {
 	t.Helper()
 	if got, want := resultBytes(t, res), resultBytes(t, want.scan); got != want {
 		t.Fatalf("%s: %s differs from the uncached scan:\n got %s\nwant %s", what, ck.Name(), got, want)
-	}
-	if got := reportBytes(t, res); got != want.ungated {
-		t.Fatalf("%s: %s differs from the uncached scan explored ungated:\n got %s\nwant %s", what, ck.Name(), got, want.ungated)
 	}
 	if res.QuietResults > res.CacheMisses {
 		t.Fatalf("%s: %s answered %d of %d misses quietly", what, ck.Name(), res.QuietResults, res.CacheMisses)
@@ -127,11 +75,11 @@ func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck che
 
 // TestQuietGateMatchesUncachedScan: with the quiet gate on, RunOne and
 // RunBatch in batches of 2, 4 and every synthesized checker answer each
-// checker as Codebase.Run does, and report what it does with the checker
-// explored ungated, and store the engine's own result for every
-// function, as store.Encode writes it — with the footprint memo empty,
-// again on a fresh store over the same snapshot with the memo warm, and
-// under engine bounds small enough to truncate.
+// checker as Codebase.Run, which gates nothing, does, and store the
+// engine's own result for every function, as store.Encode writes it —
+// with the footprint memo empty, again on a fresh store over the same
+// snapshot with the memo warm, and under engine bounds small enough to
+// truncate.
 func TestQuietGateMatchesUncachedScan(t *testing.T) {
 	_, pool := batchEquivSetup(t)
 	var cks []checker.Checker
@@ -146,8 +94,8 @@ func TestQuietGateMatchesUncachedScan(t *testing.T) {
 	ref := quietCodebase(t)
 	var want, wantTiny []engineAnswer
 	for _, ck := range cks {
-		want = append(want, answerOf(t, ref, ck, Options{}))
-		wantTiny = append(wantTiny, answerOf(t, ref, ck, tiny))
+		want = append(want, answerOf(ref, ck, Options{}))
+		wantTiny = append(wantTiny, answerOf(ref, ck, tiny))
 	}
 	rounds := []struct {
 		name string
@@ -257,5 +205,142 @@ func TestVerdictMemoConcurrentReaders(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("memoized verdicts: %v allocations per sweep, want 0", allocs)
+	}
+}
+
+// verdict is a checker.Quieter with a fixed verdict that counts the
+// callbacks it runs and reports every memory access.
+type verdict struct {
+	name  string
+	quiet bool
+	ran   *int
+}
+
+func (v verdict) Name() string                     { return "test." + v.name }
+func (verdict) BugType() string                    { return "None" }
+func (v verdict) Fingerprint() string              { return fmt.Sprintf("verdict:%s:%v", v.name, v.quiet) }
+func (v verdict) QuietOn(fp *minic.Footprint) bool { return v.quiet }
+func (v verdict) CheckLocation(ac *checker.Access, c *checker.Context) {
+	*v.ran++
+	c.Report(v, "seen", ac.Pointee)
+}
+
+// TestQuietGateDropsQuietCheckers: the scheduler never runs a checker on
+// a function it is quiet on. A rider keeps its other checkers and
+// answers as they do alone, one left with none is answered quietly, and
+// the caller's riders are left as they were.
+func TestQuietGateDropsQuietCheckers(t *testing.T) {
+	cb, err := NewCodebase(&kernel.Corpus{Files: []*kernel.SourceFile{{
+		Path: "drivers/qg/probe.c",
+		Src:  "int probe(struct dev *d)\n{\n\treturn d->len;\n}\n",
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranQuiet, ranLoud, ranOther := 0, 0, 0
+	quiet := verdict{"quiet", true, &ranQuiet}
+	loud := verdict{"loud", false, &ranLoud}
+	other := verdict{"other", false, &ranOther}
+	riders := [][]checker.Checker{{quiet, loud}, {quiet}, {other, quiet}}
+	var before [][]checker.Checker
+	for _, cks := range riders {
+		before = append(before, slices.Clone(cks))
+	}
+	snap := cb.Pin()
+	got := NewIncremental(cb, nil).runRiders(snap.Snapshot, time.Now(), []int{0}, riders, Options{})
+	snap.Release()
+	if ranQuiet != 0 || ranLoud == 0 || ranOther == 0 {
+		t.Fatalf("the quiet checker ran %d callbacks, the loud ones %d and %d", ranQuiet, ranLoud, ranOther)
+	}
+	for i := range riders {
+		if !slices.Equal(riders[i], before[i]) {
+			t.Fatalf("rider %d: the gate changed the caller's checkers", i)
+		}
+	}
+	for i, want := range []*Result{cb.RunOne(loud, Options{}), cb.Run(nil, Options{}), cb.RunOne(other, Options{})} {
+		if g, w := resultBytes(t, got[i]), resultBytes(t, want); g != w {
+			t.Errorf("rider %d: %s, want %s", i, g, w)
+		}
+		if quietly := i == 1; (got[i].QuietResults == 1) != quietly {
+			t.Errorf("rider %d: %d quiet results", i, got[i].QuietResults)
+		}
+	}
+}
+
+// TestQuietGateAllocatesOnlyWhenItDrops: loudOn returns a rider none of
+// whose checkers is quiet as it is, allocating nothing; dropping a
+// checker followed by a loud one costs one copy, which the rider's slice
+// does not share; a rider with no loud checker is nil.
+func TestQuietGateAllocatesOnlyWhenItDrops(t *testing.T) {
+	var fp minic.Footprint // a verdict does not read it
+	ran := 0
+	a, b, q := verdict{"a", false, &ran}, verdict{"b", false, &ran}, verdict{"q", true, &ran}
+	for _, c := range []struct {
+		rider, want []checker.Checker
+		allocs      float64
+	}{
+		{[]checker.Checker{a, b}, []checker.Checker{a, b}, 0},
+		{[]checker.Checker{q, a}, []checker.Checker{a}, 1},
+		{[]checker.Checker{a, q, b}, []checker.Checker{a, b}, 1},
+		{[]checker.Checker{a, q}, []checker.Checker{a}, 0},
+		{[]checker.Checker{q, q}, nil, 0},
+		{nil, nil, 0},
+	} {
+		p := &riderPlan{checkers: c.rider}
+		before := slices.Clone(c.rider)
+		got := p.loudOn(&fp)
+		if !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Fatalf("%v: loudOn = %v, want %v", before, got, c.want)
+		}
+		if len(got) == len(c.rider) && len(got) > 0 && &got[0] != &c.rider[0] {
+			t.Errorf("%v: nothing dropped, but loudOn copied the rider", before)
+		}
+		_ = append(got, q)
+		if !slices.Equal(c.rider, before) {
+			t.Fatalf("%v: the rider became %v", before, c.rider)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.loudOn(&fp) }); n != c.allocs {
+			t.Errorf("%v: loudOn made %v allocations, want %v", before, n, c.allocs)
+		}
+	}
+}
+
+// liar reports at every dereference yet claims to be quiet on every
+// function: it breaks checker.Quieter's contract, so it shows where the
+// claim is believed.
+type liar struct{}
+
+func (liar) Name() string                     { return "test.liar" }
+func (liar) BugType() string                  { return "None" }
+func (liar) Fingerprint() string              { return "liar" }
+func (liar) QuietOn(fp *minic.Footprint) bool { return true }
+func (l liar) CheckLocation(ac *checker.Access, c *checker.Context) {
+	if !ac.Direct {
+		c.Report(l, "deref", ac.Pointee)
+	}
+}
+
+// TestQuietGateIsTheSchedulersAlone: only the scheduler believes a
+// checker.Quieter. Codebase.Run and the engine explore the liar and
+// report what it reports; Incremental answers every function quietly.
+func TestQuietGateIsTheSchedulersAlone(t *testing.T) {
+	cb := quietCodebase(t)
+	ref := cb.RunOne(liar{}, Options{})
+	if len(ref.Reports) == 0 {
+		t.Fatal("Codebase.Run believed the liar: no reports")
+	}
+	engineReports := 0
+	for _, f := range cb.Files() {
+		for _, fn := range f.Funcs {
+			engineReports += len(engine.AnalyzeFunc(f, fn, engine.Options{Checkers: []checker.Checker{liar{}}}).Reports)
+		}
+	}
+	if engineReports < len(ref.Reports) {
+		t.Fatalf("engine.AnalyzeFunc reported the liar %d times, Codebase.Run %d", engineReports, len(ref.Reports))
+	}
+	res := NewIncremental(cb, nil).RunOne(liar{}, Options{})
+	if len(res.Reports) != 0 || res.QuietResults != res.FuncsScanned || res.CacheMisses != res.FuncsScanned {
+		t.Fatalf("the scheduler explored the liar: %d reports, %d of %d functions quiet (%d misses)",
+			len(res.Reports), res.QuietResults, res.FuncsScanned, res.CacheMisses)
 	}
 }

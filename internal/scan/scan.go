@@ -2,7 +2,9 @@
 // reproduction's analog of scanning the Linux tree with -j32 (§5). It
 // offers two schedulers: Codebase.Run, a file-level fan-out that always
 // analyzes everything, and Incremental, a function-level scheduler that
-// consults a content-addressed result cache and only analyzes misses.
+// consults a content-addressed result cache, skips the checkers quiet on
+// a function (the one quiet gate, Incremental.runRiders) and only
+// analyzes misses.
 //
 // The codebase is mutable and multi-version: ApplyChangeset applies a
 // changeset — one whole-file replacement or function patch, or a
@@ -203,6 +205,10 @@ type FileCut struct {
 // mid-scan commits the next generation without disturbing this one.
 // Results are deterministic regardless of parallelism: per-file
 // results are merged in file order.
+//
+// Run is the reference the scheduler is held to: it caches nothing and
+// gates nothing, exploring every checker on every function, including
+// those a checker.Quieter says it is quiet on.
 func (cb *Codebase) Run(checkers []checker.Checker, opts Options) *Result {
 	snap := cb.Pin()
 	defer snap.Release()

@@ -78,7 +78,7 @@ func corpusPuts(t *testing.T) []stored {
 		want := map[store.Key]*engine.Result{}
 		for i, f := range cb.Files() {
 			for j, fn := range f.Funcs {
-				for c, res := range engine.AnalyzeFuncEach(f, fn, nil, riders, eo) {
+				for c, res := range engine.AnalyzeFuncEach(f, fn, riders, eo) {
 					want[store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fps[c], EngineFP: eo.Fingerprint()}] = res
 				}
 			}
