@@ -366,12 +366,6 @@ type StatsResponse struct {
 	ScanExemplars map[string]string `json:"scan_exemplars,omitempty"`
 }
 
-// TraceListResponse is the GET /traces reply: the newest retained
-// traces in the local store, newest first.
-type TraceListResponse struct {
-	Traces []obs.TraceSummary `json:"traces"`
-}
-
 // HealthzResponse is the GET /healthz reply.
 type HealthzResponse struct {
 	OK         bool  `json:"ok"`

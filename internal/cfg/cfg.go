@@ -9,7 +9,6 @@ package cfg
 
 import (
 	"fmt"
-	"strings"
 
 	"knighter/internal/minic"
 )
@@ -23,7 +22,7 @@ type Graph struct {
 	Stmts  []minic.Stmt // DeclStmt and ExprStmt only; block b's are Stmts[b.Lo:b.Hi]
 	Exprs  []minic.Expr // branch conditions and return values (Term.Expr)
 
-	labels []label          // goto targets: the builder's table, then Dot's
+	labels []label          // goto targets: the builder's table, then the tests' Dot's
 	posts  []minic.ExprStmt // for-loop post expressions as statements
 	// The builder's scratch.
 	cur         int32 // the block being filled; -1 after return/goto/break/continue
@@ -337,36 +336,4 @@ func (g *Graph) prune() {
 	for i := range g.labels {
 		g.labels[i].block = remap[g.labels[i].block] - 1
 	}
-}
-
-// Dot renders the graph in Graphviz dot syntax (debug aid).
-func (g *Graph) Dot() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n", g.Fn.Name)
-	for i := range g.Blocks {
-		id, t := int32(i), &g.Blocks[i].Term
-		var lines []string
-		for _, l := range g.labels {
-			if l.block == id {
-				lines = append(lines, l.name+":")
-			}
-		}
-		for _, s := range g.BlockStmts(id) {
-			lines = append(lines, minic.FormatStmt(s))
-		}
-		label := fmt.Sprintf("B%d\\n%s", id, strings.ReplaceAll(strings.Join(lines, "\\n"), "\"", "'"))
-		fmt.Fprintf(&sb, "  b%d [shape=box,label=\"%s\"];\n", id, label)
-		switch t.Kind {
-		case Branch:
-			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"T: %s\"];\n", id, t.Succ[0],
-				strings.ReplaceAll(minic.FormatExpr(g.Expr(t)), "\"", "'"))
-			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"F\"];\n", id, t.Succ[1])
-		case Jump:
-			fmt.Fprintf(&sb, "  b%d -> b%d;\n", id, t.Succ[0])
-		case Return:
-			fmt.Fprintf(&sb, "  b%d -> exit;\n", id)
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String()
 }

@@ -246,7 +246,7 @@ int f(void)
 	checkWellFormed(t, g)
 	for b := range g.Blocks {
 		for _, s := range g.BlockStmts(int32(b)) {
-			t.Errorf("unexpected reachable stmt %v", minic.FormatStmt(s))
+			t.Errorf("unexpected reachable stmt %v", formatStmt(s))
 		}
 		if r := &g.Blocks[b].Term; r.Kind == Return {
 			if lit, ok := g.Expr(r).(*minic.IntLit); !ok || lit.Val != 1 {

@@ -149,7 +149,7 @@ func TestCFGStatementConservation(t *testing.T) {
 		for s, n := range seen {
 			if n != 1 {
 				t.Fatalf("seed %d: statement %q appears %d times",
-					seed, minic.FormatStmt(s), n)
+					seed, formatStmt(s), n)
 			}
 		}
 	}

@@ -252,6 +252,46 @@ func (b *refBuilder) prune() {
 	b.g.Blocks = kept
 }
 
+// Dot renders the graph in Graphviz dot syntax (debug aid).
+func (g *Graph) Dot() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "digraph %q {\n", g.Fn.Name)
+	for i := range g.Blocks {
+		id, t := int32(i), &g.Blocks[i].Term
+		var lines []string
+		for _, l := range g.labels {
+			if l.block == id {
+				lines = append(lines, l.name+":")
+			}
+		}
+		for _, s := range g.BlockStmts(id) {
+			lines = append(lines, formatStmt(s))
+		}
+		label := fmt.Sprintf("B%d\\n%s", id, strings.ReplaceAll(strings.Join(lines, "\\n"), "\"", "'"))
+		fmt.Fprintf(&sb, "  b%d [shape=box,label=\"%s\"];\n", id, label)
+		switch t.Kind {
+		case Branch:
+			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"T: %s\"];\n", id, t.Succ[0],
+				strings.ReplaceAll(minic.FormatExpr(g.Expr(t)), "\"", "'"))
+			fmt.Fprintf(&sb, "  b%d -> b%d [label=\"F\"];\n", id, t.Succ[1])
+		case Jump:
+			fmt.Fprintf(&sb, "  b%d -> b%d;\n", id, t.Succ[0])
+		case Return:
+			fmt.Fprintf(&sb, "  b%d -> exit;\n", id)
+		}
+	}
+	sb.WriteString("}\n")
+	return sb.String()
+}
+
+// formatStmt renders one statement as minic prints it at indent 0: the
+// body of a function that holds only that statement, one tab shallower.
+func formatStmt(s minic.Stmt) string {
+	fn := minic.FormatFunc(&minic.FuncDecl{Ret: minic.Type{Base: "void"}, Name: "f", Body: &minic.Block{Stmts: []minic.Stmt{s}}})
+	body := "\n" + fn[strings.Index(fn, "{\n")+2:len(fn)-len("}\n")]
+	return strings.TrimSuffix(strings.ReplaceAll(body, "\n\t", "\n")[1:], "\n")
+}
+
 func (g *refGraph) Dot() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", g.Fn.Name)
@@ -261,7 +301,7 @@ func (g *refGraph) Dot() string {
 			lines = append(lines, blk.Label+":")
 		}
 		for _, s := range blk.Stmts {
-			lines = append(lines, minic.FormatStmt(s))
+			lines = append(lines, formatStmt(s))
 		}
 		label := fmt.Sprintf("B%d\\n%s", blk.ID, strings.ReplaceAll(strings.Join(lines, "\\n"), "\"", "'"))
 		fmt.Fprintf(&sb, "  b%d [shape=box,label=\"%s\"];\n", blk.ID, label)

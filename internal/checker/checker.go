@@ -101,14 +101,6 @@ type CallEvent struct {
 	Pos         minic.Pos
 }
 
-// Arg returns the i-th argument value, or Unknown if out of range.
-func (ev *CallEvent) Arg(i int) sym.Value {
-	if i < 0 || i >= len(ev.Args) {
-		return sym.Unknown
-	}
-	return ev.Args[i]
-}
-
 // ArgExpr returns the i-th argument expression, or nil.
 func (ev *CallEvent) ArgExpr(i int) minic.Expr {
 	if ev.Expr == nil || i < 0 || i >= len(ev.Expr.Args) {

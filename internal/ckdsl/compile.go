@@ -387,8 +387,7 @@ func (ck *Compiled) CheckPostCall(ev *checker.CallEvent, c *checker.Context) {
 	// Built-in escape rule for leak tracking: a held allocation passed to
 	// any other function may be stored by the callee; stop tracking it.
 	if ck.spec.yieldsAny("alloc") {
-		for i, v := range ev.Args {
-			_ = i
+		for _, v := range ev.Args {
 			if key, ok := keyOf(v); ok {
 				if s, tracked := st.Fact(ck.dom.track, key); tracked && s == stAllocHeld && !ck.isAllocSource(ev.Callee) {
 					st = st.DelFact(ck.dom.track, key)

@@ -155,7 +155,7 @@ int f(void)
 		if name != "__probe_nonnull" {
 			return
 		}
-		if got := c.State().NullnessOf(ev.Arg(0)); got != sym.NotNull {
+		if got := c.State().NullnessOf(ev.Args[0]); got != sym.NotNull {
 			t.Errorf("nullness at probe = %v, want non-null", got)
 		}
 	}
@@ -177,7 +177,7 @@ int f(size_t n)
 `)
 	a := &assertChecker{t: t, reachable: map[string]int{}}
 	a.onProbe = func(name string, ev *checker.CallEvent, c *checker.Context) {
-		r := c.State().RangeOf(ev.Arg(0))
+		r := c.State().RangeOf(ev.Args[0])
 		if r.CanExceed(63) {
 			t.Errorf("range at probe = %v, want <= 63", r)
 		}
@@ -209,7 +209,7 @@ int f(size_t n)
 `)
 	a := &assertChecker{t: t, reachable: map[string]int{}}
 	a.onProbe = func(name string, ev *checker.CallEvent, c *checker.Context) {
-		r := c.State().RangeOf(ev.Arg(0))
+		r := c.State().RangeOf(ev.Args[0])
 		if r.Max != 63 {
 			t.Errorf("range max = %v, want 63", r)
 		}
@@ -233,7 +233,7 @@ int f(void)
 `)
 	a := &assertChecker{t: t, reachable: map[string]int{}}
 	a.onProbe = func(name string, ev *checker.CallEvent, c *checker.Context) {
-		if got := c.State().NullnessOf(ev.Arg(0)); got != sym.NotNull {
+		if got := c.State().NullnessOf(ev.Args[0]); got != sym.NotNull {
 			t.Errorf("nullness = %v, want non-null (engine must see through unlikely)", got)
 		}
 	}
@@ -277,7 +277,7 @@ int f(size_t nbytes)
 `)
 	a := &assertChecker{t: t, reachable: map[string]int{}}
 	a.onProbe = func(name string, ev *checker.CallEvent, c *checker.Context) {
-		r := c.State().RangeOf(ev.Arg(0))
+		r := c.State().RangeOf(ev.Args[0])
 		if r.CanExceed(63) {
 			t.Errorf("min() result range = %v, want <= 63", r)
 		}
@@ -305,7 +305,7 @@ err:
 `)
 	a := &assertChecker{t: t, reachable: map[string]int{}}
 	a.onProbe = func(name string, ev *checker.CallEvent, c *checker.Context) {
-		nl := c.State().NullnessOf(ev.Arg(0))
+		nl := c.State().NullnessOf(ev.Args[0])
 		switch name {
 		case "__probe_nonnull_goto":
 			if nl != sym.NotNull {

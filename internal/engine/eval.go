@@ -400,11 +400,6 @@ func (ex *exec) lvalueRegionForArray(pc *pathCtx, e minic.Expr) (sym.RegionID, b
 		if ft, ok := ex.fieldType(x); ok && ft.IsArray() {
 			r, _ := ex.memberRegion(pc, x, false)
 			ex.arena.SetArrayLen(r, ft.ArrayLen)
-			if x.Arrow {
-				// The base dereference still fires via memberRegion's
-				// base evaluation.
-				_ = r
-			}
 			return r, true
 		}
 	}

@@ -107,7 +107,7 @@ func (h *Harness) RunBugDetection(handOutcomes []*SynthesisOutcome) *BugDetectio
 		byName[ck.Name()] = d.so
 		order[ck.Name()] = i
 	}
-	scanRes := h.Inc.Run(cks, scan.Options{Workers: h.Cfg.Workers})
+	scanRes := h.Inc.Run(cks, scan.Options{})
 	res.ReportsTotal = len(scanRes.Reports)
 
 	// Count silent checkers.

@@ -23,7 +23,6 @@ type Config struct {
 	AutoSeed    int64
 	AutoCount   int
 	CorpusScale float64
-	Workers     int
 	// FPBugRate calibrates the triage agent (§5.4.1: it approved 22 of
 	// 72 false reports).
 	FPBugRate float64

@@ -118,7 +118,7 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 			cks = append(cks, so.Synth.Checker)
 		}
 	}
-	batch := h.Inc.RunBatch(cks, nil, scan.Options{MaxReports: 100, Workers: h.Cfg.Workers}, 0)
+	batch := h.Inc.RunBatch(cks, nil, scan.Options{MaxReports: 100}, 0)
 	for bi, so := range valid {
 		scanRes := batch[bi]
 		if len(scanRes.Reports) == 0 {

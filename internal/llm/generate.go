@@ -343,7 +343,6 @@ func (o *Oracle) RepairChecker(c *vcs.Commit, iter, attempt int, dsl, compileErr
 func (o *Oracle) RefineChecker(c *vcs.Commit, spec *ckdsl.Spec, fpSources []string, step int) (*ckdsl.Spec, Usage) {
 	prompt := RefinePrompt(spec.String(), fpSources)
 	out := *spec // shallow copy; slices replaced on change
-	changed := false
 	joined := strings.Join(fpSources, "\n")
 
 	hasGuard := func(k ckdsl.GuardKind) bool {
@@ -357,26 +356,20 @@ func (o *Oracle) RefineChecker(c *vcs.Commit, spec *ckdsl.Spec, fpSources []stri
 
 	if strings.Contains(joined, "unlikely(") && len(out.Unwrap) == 0 {
 		out.Unwrap = []string{"unlikely", "likely"}
-		changed = true
 	}
 	if strings.Contains(joined, "__free(") && !hasGuard(ckdsl.GuardAssignInit) && hasUninitSource(&out) {
 		out.Guards = append(append([]ckdsl.GuardRule{}, out.Guards...), ckdsl.GuardRule{Kind: ckdsl.GuardAssignInit})
-		changed = true
 	}
 	if strings.Contains(joined, "] = 0;") && !hasGuard(ckdsl.GuardTerminate) && hasWritesSource(&out) {
 		out.Guards = append(append([]ckdsl.GuardRule{}, out.Guards...), ckdsl.GuardRule{Kind: ckdsl.GuardTerminate})
-		changed = true
 	}
 	if needsBoundGuard(&out) && !hasGuard(ckdsl.GuardBoundCheck) && containsComparisonGuard(joined) {
 		out.Guards = append(append([]ckdsl.GuardRule{}, out.Guards...), ckdsl.GuardRule{Kind: ckdsl.GuardBoundCheck})
-		changed = true
 	}
 	if !out.TrackAlias && strings.Contains(joined, "= kmalloc(") && hasFreesSource(&out) {
 		// Freed-then-reallocated pointers demand value-identity tracking.
 		out.TrackAlias = true
-		changed = true
 	}
-	_ = changed
 	return &out, Usage{InputTokens: EstimateTokens(prompt), OutputTokens: EstimateTokens(out.String()), Calls: 1}
 }
 

@@ -26,7 +26,6 @@ func (p *Plan) Text() string { return strings.Join(p.Steps, "\n") }
 
 // Model is the generation interface the synthesis pipeline drives.
 type Model interface {
-	Name() string
 	AnalyzePattern(c *vcs.Commit, iter int) (*PatternAnalysis, Usage)
 	SynthesizePlan(c *vcs.Commit, pa *PatternAnalysis, iter int) (*Plan, Usage)
 	ImplementChecker(c *vcs.Commit, pa *PatternAnalysis, plan *Plan, iter int) (string, Usage)
@@ -50,9 +49,6 @@ type Oracle struct {
 
 // NewOracle returns an oracle for the profile.
 func NewOracle(p *Profile) *Oracle { return &Oracle{Profile: p} }
-
-// Name implements Model.
-func (o *Oracle) Name() string { return o.Profile.Name }
 
 func (o *Oracle) key(parts ...string) []string {
 	return append([]string{o.Profile.Name, o.Namespace, fmt.Sprint(o.SingleStage)}, parts...)

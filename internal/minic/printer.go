@@ -56,13 +56,6 @@ func FormatFunc(fn *FuncDecl) string {
 	return sb.String()
 }
 
-// FormatStmt renders a single statement at indent 0.
-func FormatStmt(s Stmt) string {
-	var sb strings.Builder
-	printStmt(&sb, s, 0)
-	return strings.TrimRight(sb.String(), "\n")
-}
-
 // FormatExpr renders a single expression.
 func FormatExpr(e Expr) string {
 	var sb strings.Builder

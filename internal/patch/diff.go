@@ -35,19 +35,6 @@ func Diff(aPath, bPath, a, b string, context int) string {
 	return sb.String()
 }
 
-// Stats reports the number of added and removed lines in a unified diff.
-func Stats(diff string) (added, removed int) {
-	for _, line := range strings.Split(diff, "\n") {
-		if strings.HasPrefix(line, "+") && !strings.HasPrefix(line, "+++") {
-			added++
-		}
-		if strings.HasPrefix(line, "-") && !strings.HasPrefix(line, "---") {
-			removed++
-		}
-	}
-	return added, removed
-}
-
 // AddedLines returns the inserted lines of a unified diff (without '+').
 func AddedLines(diff string) []string {
 	var out []string

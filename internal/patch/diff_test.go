@@ -13,7 +13,7 @@ func TestDiffBasic(t *testing.T) {
 	if !strings.Contains(d, "-line2\n") || !strings.Contains(d, "+line2 changed\n") {
 		t.Errorf("diff:\n%s", d)
 	}
-	add, rem := Stats(d)
+	add, rem := len(AddedLines(d)), len(RemovedLines(d))
 	if add != 1 || rem != 1 {
 		t.Errorf("stats = +%d -%d", add, rem)
 	}
@@ -29,7 +29,7 @@ func TestDiffPureInsertion(t *testing.T) {
 	a := "int f(void)\n{\n\tp = alloc();\n\tuse(p);\n}\n"
 	b := "int f(void)\n{\n\tp = alloc();\n\tif (!p)\n\t\treturn -ENOMEM;\n\tuse(p);\n}\n"
 	d := Diff("x.c", "x.c", a, b, 3)
-	add, rem := Stats(d)
+	add, rem := len(AddedLines(d)), len(RemovedLines(d))
 	if add != 2 || rem != 0 {
 		t.Errorf("stats = +%d -%d, want +2 -0\n%s", add, rem, d)
 	}

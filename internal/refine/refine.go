@@ -37,7 +37,6 @@ type Options struct {
 	MaxFPInSample int // plausible if sampled FPs <= this (default 1)
 	MaxIters      int // refinement rounds (default 3)
 	ScanCap       int // refinement-phase warning cap (default 100)
-	SampleSeed    int64
 }
 
 func (o Options) withDefaults() Options {
@@ -127,7 +126,7 @@ func (l *Loop) Run(commit *vcs.Commit, spec *ckdsl.Spec) *Result {
 			res.Disposition = dispositionFor(round)
 			return res
 		}
-		sample := sampleReports(scanRes.Reports, l.Opts.SampleSize, l.Opts.SampleSeed, commit.ID, round)
+		sample := sampleReports(scanRes.Reports, l.Opts.SampleSize, commit.ID, round)
 		var fps []*checker.Report
 		for _, r := range sample {
 			if !l.Triage.Classify(r, 0).Bug {
@@ -243,12 +242,12 @@ func (l *Loop) fpFunctionSources(fps []*checker.Report) []string {
 // code that needs the same sampling discipline (RQ4): up to n reports,
 // drawn by a permutation keyed by key.
 func Sample(reports []*checker.Report, n int, key string) []*checker.Report {
-	return sampleReports(reports, n, 0, key, 0)
+	return sampleReports(reports, n, key, 0)
 }
 
 // sampleReports draws a deterministic sample of up to n reports (the
 // paper samples 5 warnings with a fixed random seed).
-func sampleReports(reports []*checker.Report, n int, seed int64, commitID string, round int) []*checker.Report {
+func sampleReports(reports []*checker.Report, n int, commitID string, round int) []*checker.Report {
 	if len(reports) <= n {
 		return reports
 	}
@@ -256,7 +255,7 @@ func sampleReports(reports []*checker.Report, n int, seed int64, commitID string
 	for _, b := range []byte(commitID) {
 		h = h*131 + int64(b)
 	}
-	r := rand.New(rand.NewSource(seed ^ h ^ int64(round)<<17))
+	r := rand.New(rand.NewSource(h ^ int64(round)<<17))
 	idx := r.Perm(len(reports))[:n]
 	out := make([]*checker.Report, 0, n)
 	for _, i := range idx {

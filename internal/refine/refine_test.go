@@ -133,8 +133,8 @@ func TestSampleReportsDeterministicAndBounded(t *testing.T) {
 			Pos: minic.Pos{Line: i + 1, Col: 1},
 		})
 	}
-	a := sampleReports(reports, 5, 0, "commit-a", 0)
-	b := sampleReports(reports, 5, 0, "commit-a", 0)
+	a := sampleReports(reports, 5, "commit-a", 0)
+	b := sampleReports(reports, 5, "commit-a", 0)
 	if len(a) != 5 || len(b) != 5 {
 		t.Fatalf("sample sizes %d/%d", len(a), len(b))
 	}
@@ -143,7 +143,7 @@ func TestSampleReportsDeterministicAndBounded(t *testing.T) {
 			t.Fatal("sampling not deterministic")
 		}
 	}
-	c := sampleReports(reports, 5, 0, "commit-b", 0)
+	c := sampleReports(reports, 5, "commit-b", 0)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -153,7 +153,7 @@ func TestSampleReportsDeterministicAndBounded(t *testing.T) {
 	if same {
 		t.Error("different commits should sample differently")
 	}
-	if got := sampleReports(reports[:3], 5, 0, "k", 0); len(got) != 3 {
+	if got := sampleReports(reports[:3], 5, "k", 0); len(got) != 3 {
 		t.Errorf("small input sample = %d", len(got))
 	}
 }

@@ -214,7 +214,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 				file := cb.Files()[fi]
 				for j, fn := range file.Funcs {
 					key := store.Key{FuncHash: cb.FuncHash(fi, j), CheckerFP: fp, EngineFP: opts.Engine.Fingerprint()}
-					stored := storedPayload(batchInc.Store(), key)
+					stored := storedPayload(batchInc.st, key)
 					if stored == nil {
 						t.Fatalf("entry %d: nothing stored for %s", i, fn.Name)
 					}

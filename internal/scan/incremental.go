@@ -81,9 +81,6 @@ func NewIncremental(cb *Codebase, st store.Store) *Incremental {
 // Codebase returns the underlying parsed corpus.
 func (inc *Incremental) Codebase() *Codebase { return inc.cb }
 
-// Store returns the backing result store.
-func (inc *Incremental) Store() store.Store { return inc.st }
-
 // Stats snapshots the backing store's counters.
 func (inc *Incremental) Stats() store.Stats { return inc.st.Stats() }
 

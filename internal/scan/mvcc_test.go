@@ -77,7 +77,7 @@ func TestSnapshotReaderSeesPinnedGeneration(t *testing.T) {
 	}
 
 	// The pinned reader scans the OLD world, byte-identically.
-	all := make([]int, len(pinned.Files()))
+	all := make([]int, len(pinned.files))
 	for i := range all {
 		all[i] = i
 	}

@@ -121,7 +121,7 @@ func TestQuietGateMatchesUncachedScan(t *testing.T) {
 			}
 			quiet := 0
 			for k, ck := range cks {
-				checkAnswer(t, fmt.Sprintf("size %d, %s", size, round.name), cb, inc.Store(), ck, results[k], round.want[k], round.opts)
+				checkAnswer(t, fmt.Sprintf("size %d, %s", size, round.name), cb, inc.st, ck, results[k], round.want[k], round.opts)
 				quiet += results[k].QuietResults
 			}
 			if quiet == 0 {
@@ -149,7 +149,7 @@ func TestVerdictMemoConcurrentReaders(t *testing.T) {
 		cks = append(cks, ck)
 	}
 	cb := quietCodebase(t)
-	snap := cb.Snapshot()
+	snap := cb.snap.Load()
 	type unit struct{ file, fn int }
 	var units []unit
 	var want [][]bool

@@ -156,7 +156,7 @@ func TestSharedPayloadsUnderConcurrentWrites(t *testing.T) {
 					pin := cb.Pin()
 					var keys []store.Key
 					var ids []store.Digest
-					for fi, file := range pin.Files() {
+					for fi, file := range pin.files {
 						for fj := range file.Funcs {
 							k := store.Key{FuncHash: pin.FuncHash(fi, fj), CheckerFP: fp, EngineFP: engFP}
 							keys, ids = append(keys, k), append(ids, k.Digest())

@@ -175,10 +175,6 @@ func (s *Snapshot) next(gen int64, work map[int]*minic.File) *Snapshot {
 // Generation returns the snapshot's generation number.
 func (s *Snapshot) Generation() int64 { return s.gen }
 
-// Files returns the snapshot's parsed files. The slice and everything
-// it points to are immutable — callers must not modify them.
-func (s *Snapshot) Files() []*minic.File { return s.files }
-
 // FileIndex returns the index of the parsed file with the given path,
 // or -1.
 func (s *Snapshot) FileIndex(path string) int {
@@ -243,14 +239,6 @@ func (cb *Codebase) unpin(gen int64) {
 		cb.pins[gen] = n - 1
 	}
 	cb.pinMu.Unlock()
-}
-
-// Snapshot returns the live snapshot without pinning it — a peek for
-// callers that only need a consistent read and don't care about the
-// pin registry's bookkeeping. The returned snapshot is immutable and
-// safe to read indefinitely either way.
-func (cb *Codebase) Snapshot() *Snapshot {
-	return cb.snap.Load()
 }
 
 // PinnedSnapshots counts distinct generations that in-flight scans

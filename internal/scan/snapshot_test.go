@@ -66,12 +66,12 @@ func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), a
 	}
 	commit := func(changes []Change, touched ...int) {
 		t.Helper()
-		parent := cb.Snapshot()
+		parent := cb.snap.Load()
 		before(parent)
 		if _, err := inc.ApplyChangeset(changes); err != nil {
 			t.Fatal(err)
 		}
-		after(parent, cb.Snapshot(), touched...)
+		after(parent, cb.snap.Load(), touched...)
 	}
 
 	commit([]Change{replace(a)}, a)
@@ -82,7 +82,7 @@ func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), a
 	commit([]Change{cs, {Path: cs.Path, Func: cb.Files()[c].Funcs[0].Name, Source: tweakedFunc(t, cb, c, 0)}}, c)
 	commit([]Change{patch(a), patch(c)}, a, c)
 
-	parent := cb.Snapshot()
+	parent := cb.snap.Load()
 	before(parent)
 	if _, err := inc.ApplyChangeset([]Change{patch(b), {Path: cb.Files()[b].Name, Func: "no_such_func", Source: "void no_such_func(void)\n{\n}\n"}}); err == nil {
 		t.Fatal("changeset patching a missing function committed")
@@ -90,7 +90,7 @@ func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), a
 	if _, err := inc.ApplyChangeset([]Change{patch(a), {Path: cb.Files()[b].Name, Source: "int broken("}}); err == nil {
 		t.Fatal("changeset with a broken source committed")
 	}
-	if cb.Snapshot() != parent {
+	if cb.snap.Load() != parent {
 		t.Fatal("rejected changeset published a snapshot")
 	}
 }
@@ -101,7 +101,7 @@ func memoScript(t *testing.T, inc *Incremental, before func(parent *Snapshot), a
 // paths up in the one map NewCodebase built.
 func TestSnapshotFileIndex(t *testing.T) {
 	cb := buildCodebase(t)
-	first := reflect.ValueOf(cb.Snapshot().index).UnsafePointer()
+	first := reflect.ValueOf(cb.snap.Load().index).UnsafePointer()
 	check := func(s *Snapshot) {
 		t.Helper()
 		for i, f := range s.files {
@@ -138,7 +138,7 @@ func TestSnapshotMemoMatchesColdParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := memoHashes(cb.Snapshot()), memoHashes(cold.Snapshot()); !reflect.DeepEqual(got, want) {
+	if got, want := memoHashes(cb.snap.Load()), memoHashes(cold.snap.Load()); !reflect.DeepEqual(got, want) {
 		t.Fatal("live snapshot's function hashes differ from a cold parse of its corpus")
 	}
 }
@@ -167,7 +167,7 @@ func TestSnapshotMemoFootprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := memoFootprints(cb.Snapshot())
+	got := memoFootprints(cb.snap.Load())
 	for i, f := range cold.Files() {
 		for j, fn := range f.Funcs {
 			want := new(minic.Footprint)
@@ -234,7 +234,7 @@ func TestSnapshotMemoConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := memoHashes(cold.Snapshot())
+	want := memoHashes(cold.snap.Load())
 	pinned := cb.Pin()
 	defer pinned.Release()
 	raceMemoReaders(t, inc, func(int) error {
@@ -245,7 +245,7 @@ func TestSnapshotMemoConcurrentReaders(t *testing.T) {
 				}
 			}
 		}
-		memoHashes(cb.Snapshot())
+		memoHashes(cb.snap.Load())
 		return nil
 	})
 }
@@ -331,7 +331,7 @@ func TestSnapshotMemoDigests(t *testing.T) {
 	}
 	want := make([][][]store.Digest, len(pairs))
 	for k, p := range pairs {
-		want[k] = wantDigests(cold.Snapshot(), p)
+		want[k] = wantDigests(cold.snap.Load(), p)
 	}
 	pinned := cb.Pin()
 	defer pinned.Release()
@@ -345,7 +345,7 @@ func TestSnapshotMemoDigests(t *testing.T) {
 				}
 			}
 		}
-		live := cb.Snapshot()
+		live := cb.snap.Load()
 		for i := range live.files {
 			live.keyDigests(i, last[0], last[1])
 		}

@@ -233,7 +233,7 @@ func TestTraceEndpointsSharedByBothDaemons(t *testing.T) {
 				"?slow=0":     {"fast-2", "slow-1", "fast-1"},
 				"?slow=true":  {"fast-2", "slow-1", "fast-1"},
 			} {
-				var list api.TraceListResponse
+				var list traceList
 				getJSON(t, d.ts.URL+"/traces"+query, http.StatusOK, &list)
 				var got []string
 				for _, row := range list.Traces {

@@ -140,6 +140,31 @@ func TestMetricsStageTimings(t *testing.T) {
 	}
 }
 
+// TestBatchWithNoValidCheckerRunsNoPass: a /batch in which no checker
+// compiles answers every entry with its compile error and the live
+// generation, and runs no scheduler pass, so no stage histogram moves.
+func TestBatchWithNoValidCheckerRunsNoPass(t *testing.T) {
+	srv, ts := bootOne(t, Config{})
+	var out api.BatchResponse
+	if code := postJSON(t, ts, "/batch", api.BatchRequest{Checkers: []string{"checker broken {", "not a checker"}}, &out); code != http.StatusOK {
+		t.Fatalf("POST /batch status = %d", code)
+	}
+	if out.CheckersRun != 0 || out.CheckerErrors != 2 || len(out.Results) != 2 || out.Generation != srv.inc.Codebase().Generation() {
+		t.Fatalf("reply = %+v", out)
+	}
+	text := getMetrics(t, ts)
+	for _, stage := range []string{
+		scan.StageSnapshotPin, scan.StageParse, scan.StageCacheProbe, scan.StageEngineEval, scan.StageSerialize,
+	} {
+		if line := `kserve_scan_stage_duration_seconds_count{stage="` + stage + `"} `; strings.Contains(text, line) && !strings.Contains(text, line+"0\n") {
+			t.Errorf("stage %s observed by a batch that ran no checker", stage)
+		}
+	}
+	if !strings.Contains(text, "kserve_scan_duration_seconds_count 0\n") {
+		t.Error("a batch that ran no checker observed a scan duration")
+	}
+}
+
 // TestIncludeTimingReturnsTimeline: include_timing adds the trace id
 // and a per-stage span timeline to the /scan reply; omitting it keeps
 // the reply unchanged.

@@ -196,24 +196,27 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 	} else {
 		// No corpus lock: RunBatch pins ONE snapshot for every checker, so
 		// all entries scan the same generation even while changesets
-		// commit concurrently. With nothing to run, the live generation.
+		// commit concurrently. With nothing to run, no pass runs, and the
+		// reply carries the live generation.
 		gen = s.inc.Codebase().Generation()
-		// The request context: a client that disconnects mid-scan stops
-		// paying for the rest of it (the admitted slot frees up, and no
-		// partial results are cached).
-		opts := scan.Options{Workers: q.Workers, MaxReports: q.MaxReports, Context: r.Context()}
-		results := s.inc.RunBatch(cks, files, opts, 0)
-		s.observeScan(r.Context(), results...)
 		if q.ShardLocal && s.shard != nil {
 			s.shard.subScans.Inc()
 		}
-		entries = make([]*api.ScanResponse, len(results))
-		for i, res := range results {
-			// A shard-local reply carries the per-file cut list: it is what
-			// lets a coordinator splice this partial back into global file
-			// order.
-			entries[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, q.ShardLocal)
-			gen = res.Generation
+		if len(cks) > 0 {
+			// The request context: a client that disconnects mid-scan stops
+			// paying for the rest of it (the admitted slot frees up, and no
+			// partial results are cached).
+			opts := scan.Options{Workers: q.Workers, MaxReports: q.MaxReports, Context: r.Context()}
+			results := s.inc.RunBatch(cks, files, opts, 0)
+			s.observeScan(r.Context(), results...)
+			entries = make([]*api.ScanResponse, len(results))
+			for i, res := range results {
+				// A shard-local reply carries the per-file cut list: it is
+				// what lets a coordinator splice this partial back into
+				// global file order.
+				entries[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, q.ShardLocal)
+				gen = res.Generation
+			}
 		}
 	}
 	s.m.scans.Add(float64(len(cks)))

@@ -16,6 +16,12 @@ import (
 // retains all of its traces (sample=1), fans collection out to its
 // peers and kcached, and every replica's remote tier rides through the
 // shared cache daemon so kcached fragments exist to collect.
+// traceList is the GET /traces reply: the newest retained traces in the
+// local store, newest first.
+type traceList struct {
+	Traces []obs.TraceSummary `json:"traces"`
+}
+
 func newTracedFleet(t *testing.T, n int) ([]*Server, []*httptest.Server) {
 	t.Helper()
 	captureLog(t) // a traced kcached logs every entry round-trip
@@ -150,7 +156,7 @@ func TestFleetTraceAssembly(t *testing.T) {
 	}
 
 	// The coordinator's local index lists the trace.
-	var list api.TraceListResponse
+	var list traceList
 	getJSON(t, tss[0].URL+"/traces?limit=10", http.StatusOK, &list)
 	found := false
 	for _, tr := range list.Traces {

@@ -122,14 +122,8 @@ func (d *SegmentDisk) InvalidateFuncs(funcHashes []string) int {
 	return d.eng.InvalidateFuncs(toks)
 }
 
-// Compact runs one garbage-collection pass (TTL + byte budget +
-// dead-segment rewrite). Exposed for tests and for daemons that want a
-// final sweep at shutdown.
-func (d *SegmentDisk) Compact(ttl time.Duration) segment.CompactResult {
-	return d.eng.Compact(ttl)
-}
-
-// StartCompactLoop runs Compact on a ticker until ctx is done (the
+// StartCompactLoop runs one garbage-collection pass (TTL + byte budget +
+// dead-segment rewrite) on a ticker until ctx is done (the
 // daemon's signal context). onSweep (optional) observes each pass.
 func (d *SegmentDisk) StartCompactLoop(ctx context.Context, ttl time.Duration, onSweep func(removed int, dur time.Duration)) {
 	d.eng.StartCompactLoop(ctx, ttl, 0, func(dur time.Duration, res segment.CompactResult) {

@@ -100,7 +100,7 @@ func TestSegmentDiskStatsMatchEngineBooks(t *testing.T) {
 	}
 	// A 1-byte budget evicts everything on compaction; Entries/Bytes
 	// must be exactly zero afterwards, never negative.
-	d.Compact(0)
+	d.eng.Compact(0)
 	st := d.Stats()
 	if st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("post-evict-all stats = %+v", st)

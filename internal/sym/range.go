@@ -44,11 +44,6 @@ func (r Range) CanExceed(limit int64) bool { return r.Max > limit }
 // CanBeNegative reports whether some value in the interval is < 0.
 func (r Range) CanBeNegative() bool { return r.Min < 0 }
 
-// Add returns the interval sum with saturation on overflow.
-func (r Range) Add(o Range) Range {
-	return Range{Min: satAdd(r.Min, o.Min), Max: satAdd(r.Max, o.Max)}
-}
-
 // Mul returns the interval product with saturation, assuming non-negative
 // operands widen toward +inf (sufficient for size arithmetic).
 func (r Range) Mul(o Range) Range {
@@ -98,17 +93,6 @@ func maxInt64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func satAdd(a, b int64) int64 {
-	s := a + b
-	if a > 0 && b > 0 && s < 0 {
-		return math.MaxInt64
-	}
-	if a < 0 && b < 0 && s > 0 {
-		return math.MinInt64
-	}
-	return s
 }
 
 func satMul(a, b int64) int64 {

@@ -199,17 +199,6 @@ func (a *Arena) SetArrayLen(id RegionID, n int) {
 	}
 }
 
-// Base returns the outermost ancestor region (following Parent links).
-func (a *Arena) Base(id RegionID) RegionID {
-	for {
-		r := a.Region(id)
-		if r == nil || r.Parent == NoRegion {
-			return id
-		}
-		id = r.Parent
-	}
-}
-
 // Describe renders a human-readable path for the region ("spi_bus",
 // "spi_bus->spi_int[2]", "<devm_kzalloc() result>").
 func (a *Arena) Describe(id RegionID) string {

@@ -76,9 +76,6 @@ func (s *Store) Add(c *Commit) *Commit {
 	return c
 }
 
-// Get returns the commit with the given id, or nil.
-func (s *Store) Get(id string) *Commit { return s.commits[id] }
-
 // All returns the commits in insertion order.
 func (s *Store) All() []*Commit {
 	out := make([]*Commit, 0, len(s.order))

@@ -21,11 +21,8 @@ func TestStoreAddGet(t *testing.T) {
 	if c.ID == "" {
 		t.Fatal("no id assigned")
 	}
-	if got := s.Get(c.ID); got != c {
-		t.Fatal("Get failed")
-	}
-	if n := len(s.All()); n != 1 {
-		t.Fatalf("len = %d", n)
+	if all := s.All(); len(all) != 1 || all[0] != c {
+		t.Fatalf("All = %v, want [%v]", all, c)
 	}
 }
 
