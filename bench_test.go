@@ -469,15 +469,16 @@ func BenchmarkScanWarmCache(b *testing.B) {
 
 // BenchmarkScanWarmInstrumented is BenchmarkScanWarmCache through the
 // handler kserve serves: the replica serve.New builds over the same
-// corpus — instrumented store, stage observer, per-request trace,
-// HTTP metrics, access log, trace store — answering POST /scan. The
+// corpus with kserve's defaults — instrumented store, stage observer,
+// per-request trace, HTTP metrics, access log, read gate, trace store —
+// answering POST /scan. The
 // delta to BenchmarkScanWarmCache is what the whole request path adds
 // on the hot warm-scan path: observability plus checker compile and
 // the JSON reply.
 func BenchmarkScanWarmInstrumented(b *testing.B) {
 	log.SetOutput(io.Discard) // one access-log line per request
 	defer log.SetOutput(os.Stderr)
-	srv, err := serve.New(serve.Config{Seed: 1, Scale: benchScale, TraceRetain: 512, TraceSample: 0.05})
+	srv, err := serve.New(serve.Config{Seed: 1, Scale: benchScale})
 	if err != nil {
 		b.Fatal(err)
 	}

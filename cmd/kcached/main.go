@@ -9,7 +9,8 @@
 // is then answered from here instead of recomputed, and so is a
 // restarted replica's. It is flags in, internal/serve out:
 // serve.NewCache builds the daemon and documents its design;
-// internal/obs runs it until SIGINT/SIGTERM and drains it.
+// internal/obs runs it until SIGINT/SIGTERM and drains it. The flags
+// show the defaults of serve.DefaultCacheConfig.
 //
 // Usage:
 //
@@ -40,23 +41,21 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"knighter/internal/obs"
 	"knighter/internal/serve"
-	"knighter/internal/shard"
 )
 
 func main() {
-	var cfg serve.CacheConfig
+	cfg := serve.DefaultCacheConfig()
 	addr := flag.String("addr", ":8322", "listen address")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "cache directory (required)")
 	flag.DurationVar(&cfg.CacheTTL, "cache-ttl", 0, "drop entries older than this (0 = keep forever)")
 	flag.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "segment-log byte budget; compaction evicts oldest-first past it (0 = unbounded)")
-	flag.IntVar(&cfg.FeedCap, "feed-cap", shard.DefaultFeedCap, "generation-feed retention (entries); shards further behind than this cannot converge from the feed")
-	flag.IntVar(&cfg.TraceRetain, "trace-retain", 512, "completed trace fragments retained for GET /trace/{id} (0 retains none)")
-	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0.05, "probability of retaining an unremarkable trace; slow and errored traces are always retained")
-	flag.DurationVar(&cfg.TraceSlow, "trace-slow", 250*time.Millisecond, "always retain traces of requests at least this slow (0 disables the slow class)")
+	flag.IntVar(&cfg.FeedCap, "feed-cap", cfg.FeedCap, "generation-feed retention (entries); shards further behind than this cannot converge from the feed (0 selects the default)")
+	flag.IntVar(&cfg.TraceRetain, "trace-retain", cfg.TraceRetain, "completed trace fragments retained for GET /trace/{id} (0 selects the default)")
+	flag.Float64Var(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "probability of retaining an unremarkable trace; slow and errored traces are always retained (0 selects the default)")
+	flag.DurationVar(&cfg.TraceSlow, "trace-slow", cfg.TraceSlow, "always retain traces of requests at least this slow (0 selects the default)")
 	pprofAddr := flag.String("pprof-addr", "", "optional side listen address for net/http/pprof (e.g. localhost:6061); never exposed on the main port")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()

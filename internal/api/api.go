@@ -77,17 +77,15 @@ type ErrorResponse struct {
 }
 
 // Query is what every scan-shaped request shares, embedded in
-// ScanRequest and BatchRequest: which files, how many reports, how much
-// parallelism, at which generation, and what the reply includes. A batch applies it to every one of its checkers.
+// ScanRequest and BatchRequest: which files, how many reports, at which
+// generation, and what the reply includes. A batch applies it to every
+// one of its checkers. The retired "workers" field, like any unknown
+// field, is ignored: a pass runs at most GOMAXPROCS workers.
 type Query struct {
 	// Files optionally restricts the scan to these corpus paths.
 	Files []string `json:"files,omitempty"`
 	// MaxReports caps collected reports per checker (0 = unlimited).
 	MaxReports int `json:"max_reports,omitempty"`
-	// Workers overrides the parallelism degree over functions (0 =
-	// GOMAXPROCS). It is a ceiling: a pass starts at most one worker per
-	// range of functions.
-	Workers int `json:"workers,omitempty"`
 	// MinGeneration, when > 0, asks to be served at-or-after that corpus
 	// generation — read-your-writes for a client holding a changeset
 	// token. The daemon waits a bounded interval; if the corpus does not
@@ -304,13 +302,15 @@ type ShardStats struct {
 	// PeerHealthy, indexed by shard, is each peer's last-observed
 	// scatter health (self is always true).
 	PeerHealthy []bool `json:"peer_healthy"`
+	// SubAdmission gates the sub-batches other coordinators send here.
+	SubAdmission AdmissionStats `json:"sub_admission"`
 }
 
 // AdmissionStats is the GET /stats view of an admission gate.
 type AdmissionStats struct {
 	MaxInflight        int   `json:"max_inflight"`
 	MaxQueued          int64 `json:"max_queued"`
-	MaxQueuedPerClient int64 `json:"max_queued_per_client,omitempty"`
+	MaxQueuedPerClient int64 `json:"max_queued_per_client"`
 	Inflight           int64 `json:"inflight"`
 	Queued             int64 `json:"queued"`
 	QueuedClients      int   `json:"queued_clients"`
@@ -347,19 +347,17 @@ type StatsResponse struct {
 	// tier (-cache-remote): the client-side view of the shared tier's
 	// health, including circuit-breaker state.
 	Remote *store.RemoteStats `json:"remote,omitempty"`
-	// Admission is present only when the daemon runs with read
-	// admission control (-max-inflight > 0); WriteAdmission mirrors it
-	// for the write gate (-max-inflight-writes), which exists so
-	// changeset storms shed writes without ever shedding reads.
-	Admission      *AdmissionStats `json:"admission,omitempty"`
-	WriteAdmission *AdmissionStats `json:"write_admission,omitempty"`
+	// Admission is the read gate (/scan, /batch); WriteAdmission is the
+	// write gate (/changeset, /converge), which exists so changeset
+	// storms shed writes without ever shedding reads.
+	Admission      AdmissionStats `json:"admission"`
+	WriteAdmission AdmissionStats `json:"write_admission"`
 	// Shards is present only when the daemon runs sharded
 	// (-shard-count > 1): the fan-out layer's counters and peer health.
 	Shards *ShardStats `json:"shards,omitempty"`
-	// TraceStore is present when the daemon retains traces
-	// (-trace-retain > 0): the tail-sampling store's keep/sample/evict
+	// TraceStore is the tail-sampling store's keep/sample/evict
 	// counters.
-	TraceStore *obs.TraceStoreStats `json:"trace_store,omitempty"`
+	TraceStore obs.TraceStoreStats `json:"trace_store"`
 	// ScanExemplars maps scan-duration histogram bucket upper bounds to
 	// the trace id of the last scan that landed in each — the /stats
 	// twin of the /metrics # EXEMPLAR comments.

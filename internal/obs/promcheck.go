@@ -6,16 +6,6 @@ import (
 	"strings"
 )
 
-// promSeriesLine matches one exposition sample: name{labels} value.
-// Label values may contain anything except an unescaped quote.
-var promSeriesLine = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$`)
-
-// promExemplarLine matches an exemplar comment: the referenced series
-// identity (a _bucket series with its le label) plus the trace id.
-var promExemplarLine = regexp.MustCompile(
-	`^# EXEMPLAR ([a-zA-Z_:][a-zA-Z0-9_:]*(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:\\.|[^"\\])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:\\.|[^"\\])*")*\})?) trace_id="(?:\\.|[^"\\])*"$`)
-
 // CheckExposition validates a Prometheus text-format payload: every
 // non-comment line must match the sample grammar, no series (name +
 // label set) may appear twice, and every # EXEMPLAR comment must match
@@ -26,6 +16,14 @@ var promExemplarLine = regexp.MustCompile(
 // stays exported although only tests call it, because a _test.go
 // export cannot cross packages.
 func CheckExposition(text string) ([]string, error) {
+	// One sample: name{labels} value, where a label value is anything
+	// but an unescaped quote. Compiled here, so the daemons never do.
+	sample := regexp.MustCompile(
+		`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$`)
+	// An exemplar comment: the referenced series identity (a _bucket
+	// series with its le label) plus the trace id.
+	exemplar := regexp.MustCompile(
+		`^# EXEMPLAR ([a-zA-Z_:][a-zA-Z0-9_:]*(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:\\.|[^"\\])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:\\.|[^"\\])*")*\})?) trace_id="(?:\\.|[^"\\])*"$`)
 	var ids []string
 	seen := map[string]bool{}
 	for ln, line := range strings.Split(text, "\n") {
@@ -33,7 +31,7 @@ func CheckExposition(text string) ([]string, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "# EXEMPLAR ") {
-			m := promExemplarLine.FindStringSubmatch(line)
+			m := exemplar.FindStringSubmatch(line)
 			if m == nil {
 				return nil, fmt.Errorf("line %d does not match the exemplar grammar: %q", ln+1, line)
 			}
@@ -45,7 +43,7 @@ func CheckExposition(text string) ([]string, error) {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		if !promSeriesLine.MatchString(line) {
+		if !sample.MatchString(line) {
 			return nil, fmt.Errorf("line %d does not match the Prometheus sample grammar: %q", ln+1, line)
 		}
 		id := line[:strings.LastIndexByte(line, ' ')]

@@ -28,7 +28,7 @@ import (
 type RequestObserver struct {
 	// Service names this process in span trees and log lines.
 	Service string
-	// Traces is offered every finished trace (nil retains none).
+	// Traces is offered every finished trace.
 	Traces *TraceStore
 	// Requests counts requests by route and status class; Duration
 	// times them by route, with the trace id as the bucket exemplar.
@@ -125,13 +125,12 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // whole of kcached's endpoint — a leaf of every request tree — and the
 // ?local=1 form kserve replicas ask each other.
 func (ts *TraceStore) ServeTrace(w http.ResponseWriter, r *http.Request) {
-	if ts == nil {
-		writeError(w, "unavailable", "tracing disabled (-trace-retain 0)")
-		return
-	}
 	st, ok := ts.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, "not_found", "trace not retained here (sampled out, evicted, or never existed)")
+		// The daemons' error envelope shape, {"error": {"code", "message"}}.
+		writeJSON(w, http.StatusNotFound, map[string]any{"error": map[string]string{
+			"code": "not_found", "message": "trace not retained here (sampled out, evicted, or never existed)",
+		}})
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -142,20 +141,9 @@ func (ts *TraceStore) ServeTrace(w http.ResponseWriter, r *http.Request) {
 // ?slow=1 restricts it to traces kept by the slow class — the "what was
 // slow lately" triage listing.
 func (ts *TraceStore) ServeList(w http.ResponseWriter, r *http.Request) {
-	if ts == nil {
-		writeError(w, "unavailable", "tracing disabled (-trace-retain 0)")
-		return
-	}
 	q := r.URL.Query()
 	limit, _ := strconv.Atoi(q.Get("limit"))
 	writeJSON(w, http.StatusOK, map[string]any{"traces": ts.List(limit, q.Get("slow") == "1")})
-}
-
-// writeError answers 404 with the daemons' error envelope shape
-// ({"error": {"code", "message"}}); both trace endpoints only ever fail
-// with "nothing here".
-func writeError(w http.ResponseWriter, code, msg string) {
-	writeJSON(w, http.StatusNotFound, map[string]any{"error": map[string]string{"code": code, "message": msg}})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

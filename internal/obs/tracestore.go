@@ -11,10 +11,11 @@ import (
 // recently completed trace fragments, tail-sampled — the keep decision
 // happens AFTER the request finishes, when its outcome is known. Slow,
 // errored, and degraded-scatter traces are always retained (they are
-// exactly what an operator greps for); the unremarkable rest
-// is sampled by a deterministic hash of the trace id, so every process
-// in the fleet keeps or drops the SAME traces and cross-host assembly
-// finds all fragments or none.
+// exactly what an operator greps for), each process deciding from its
+// own threshold and outcome; the unremarkable rest is sampled by a
+// deterministic hash of the trace id, the one decision every process at
+// the same rate makes alike. So a trace kept as slow or degraded here
+// can lack the fragments of peers for which it was unremarkable.
 type TraceStore struct {
 	capN   int
 	sample float64
@@ -86,24 +87,14 @@ type TraceStoreStats struct {
 // NewTraceStore returns a store retaining up to capN traces, sampling
 // unremarkable ones with probability sample (clamped to [0,1]), and
 // always keeping traces at least slow long (0 disables the slow class).
-// capN <= 0 returns nil — every method is nil-safe, so a disabled store
-// needs no call-site guards.
 func NewTraceStore(capN int, sample float64, slow time.Duration) *TraceStore {
-	if capN <= 0 {
-		return nil
-	}
-	if sample < 0 {
-		sample = 0
-	}
-	if sample > 1 {
-		sample = 1
-	}
+	sample = min(max(sample, 0), 1)
 	return &TraceStore{capN: capN, sample: sample, slow: slow, byID: map[string]*StoredTrace{}}
 }
 
 // sampledIn decides the probabilistic keep for an unremarkable trace by
-// hashing its id — deterministic, so every replica and kcached make the
-// same call for the same trace and assembly is all-or-nothing.
+// hashing its id — deterministic, so every replica and kcached sampling
+// at the same rate make the same call for the same trace.
 func (ts *TraceStore) sampledIn(id string) bool {
 	if ts.sample >= 1 {
 		return true
@@ -137,7 +128,7 @@ func (ts *TraceStore) keepReason(tr *Trace, m TraceMeta) string {
 // per entry round-trip, all sharing the scan's trace id — the fragment
 // is their union, capped at MaxTraceSpans). Safe for concurrent use.
 func (ts *TraceStore) Add(tr *Trace, m TraceMeta) {
-	if ts == nil || tr == nil || tr.ID == "" {
+	if tr == nil || tr.ID == "" {
 		return
 	}
 	spans := tr.Spans()
@@ -184,9 +175,6 @@ func (ts *TraceStore) Add(tr *Trace, m TraceMeta) {
 
 // Get returns a copy of the stored fragment for id, if retained.
 func (ts *TraceStore) Get(id string) (*StoredTrace, bool) {
-	if ts == nil {
-		return nil, false
-	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	st, ok := ts.byID[id]
@@ -201,9 +189,6 @@ func (ts *TraceStore) Get(id string) (*StoredTrace, bool) {
 // List returns up to limit summaries, newest first. slowOnly restricts
 // the index to traces kept by the slow class.
 func (ts *TraceStore) List(limit int, slowOnly bool) []TraceSummary {
-	if ts == nil {
-		return nil
-	}
 	if limit <= 0 {
 		limit = 50
 	}
@@ -230,14 +215,11 @@ func (ts *TraceStore) List(limit int, slowOnly bool) []TraceSummary {
 }
 
 // Stats snapshots the store's counters for /stats.
-func (ts *TraceStore) Stats() *TraceStoreStats {
-	if ts == nil {
-		return nil
-	}
+func (ts *TraceStore) Stats() TraceStoreStats {
 	ts.mu.Lock()
 	entries := len(ts.byID)
 	ts.mu.Unlock()
-	return &TraceStoreStats{
+	return TraceStoreStats{
 		Entries:    entries,
 		Capacity:   ts.capN,
 		SampleRate: ts.sample,
@@ -247,13 +229,10 @@ func (ts *TraceStore) Stats() *TraceStoreStats {
 	}
 }
 
-// Register bridges the store's counters into reg (no-op on a nil
-// store): trace_store_{kept,sampled_out,evicted}_total, the live entry
-// gauge, and the process-wide dropped-span counter.
+// Register bridges the store's counters into reg:
+// trace_store_{kept,sampled_out,evicted}_total, the live entry gauge,
+// and the process-wide dropped-span counter.
 func (ts *TraceStore) Register(reg *Registry) {
-	if ts == nil {
-		return
-	}
 	reg.CounterFunc("trace_store_kept_total",
 		"Completed traces retained by the tail sampler (always-keep classes + sampled).",
 		func() float64 { return float64(ts.kept.Load()) })

@@ -60,19 +60,12 @@ type admission struct {
 }
 
 // newAdmission returns a gate admitting maxInflight concurrent requests
-// with maxQueued waiters (at most maxQueuedPerClient of them from any
-// one client; <= 0 disables the per-client bound), or nil (no gating)
-// when maxInflight <= 0. The gate's instruments land in reg under the
+// with maxQueued waiters, at most maxQueuedPerClient of them from any
+// one client. The gate's instruments land in reg under the
 // given name prefix ("admission" for the read gate, "write_admission"
 // for the write gate): instantaneous queue depth and inflight gauges,
 // cumulative admitted/shed counters, and the queue-wait histogram.
 func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQueuedPerClient int, generation func() int64) *admission {
-	if maxInflight <= 0 {
-		return nil
-	}
-	if maxQueued < 0 {
-		maxQueued = 0
-	}
 	a := &admission{
 		tokens:             make(chan struct{}, maxInflight),
 		maxQueued:          int64(maxQueued),
@@ -110,9 +103,6 @@ func clientKey(r *http.Request) string {
 // clientEnqueue claims a queue slot for the client, or reports that the
 // client is already at its per-client bound.
 func (a *admission) clientEnqueue(key string) bool {
-	if a.maxQueuedPerClient <= 0 {
-		return true
-	}
 	a.cmu.Lock()
 	defer a.cmu.Unlock()
 	if a.queuedByClient[key] >= a.maxQueuedPerClient {
@@ -124,9 +114,6 @@ func (a *admission) clientEnqueue(key string) bool {
 
 // clientDequeue releases the client's queue slot.
 func (a *admission) clientDequeue(key string) {
-	if a.maxQueuedPerClient <= 0 {
-		return
-	}
 	a.cmu.Lock()
 	if a.queuedByClient[key] <= 1 {
 		delete(a.queuedByClient, key)
@@ -154,12 +141,8 @@ func (a *admission) shedRequest(w http.ResponseWriter, msg string) {
 	}, a.generation())
 }
 
-// wrap gates h behind the admission queue. A nil *admission is a no-op,
-// so handlers are wired identically whether gating is enabled or not.
+// wrap gates h behind the admission queue.
 func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
-	if a == nil {
-		return h
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case a.tokens <- struct{}{}:
@@ -211,16 +194,12 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// snapshot returns the current counters as the /stats wire shape, or
-// nil when gating is off.
-func (a *admission) snapshot() *api.AdmissionStats {
-	if a == nil {
-		return nil
-	}
+// snapshot returns the current counters as the /stats wire shape.
+func (a *admission) snapshot() api.AdmissionStats {
 	a.cmu.Lock()
 	clients := len(a.queuedByClient)
 	a.cmu.Unlock()
-	return &api.AdmissionStats{
+	return api.AdmissionStats{
 		MaxInflight:        cap(a.tokens),
 		MaxQueued:          a.maxQueued,
 		MaxQueuedPerClient: a.maxQueuedPerClient,

@@ -14,8 +14,10 @@ import (
 
 // CacheConfig is everything a kcached daemon is built from. Each field
 // is the cmd/kcached flag of the same name (CacheDir is -cache-dir,
-// FeedCap is -feed-cap, ...), with the flag's meaning; zero values mean
-// what the flag's zero means, not the flag's default.
+// FeedCap is -feed-cap, ...), with the flag's meaning, and the zero
+// CacheConfig with a CacheDir is what kcached runs with only
+// -cache-dir: a zero field selects the flag's default, and a negative
+// one is an error that names the flag.
 type CacheConfig struct {
 	CacheDir      string
 	CacheTTL      time.Duration
@@ -26,6 +28,26 @@ type CacheConfig struct {
 	TraceRetain int
 	TraceSample float64
 	TraceSlow   time.Duration
+}
+
+// DefaultCacheConfig is the zero CacheConfig with its defaults filled
+// in, which cmd/kcached's flags show.
+func DefaultCacheConfig() CacheConfig {
+	c, _ := CacheConfig{}.withDefaults()
+	return c
+}
+
+// withDefaults fills every zero field with its default, and names the
+// first negative one.
+func (c CacheConfig) withDefaults() (CacheConfig, error) {
+	var err error
+	orDefault(&err, "-cache-ttl", &c.CacheTTL, 0)            // keep forever
+	orDefault(&err, "-cache-max-bytes", &c.CacheMaxBytes, 0) // unbounded
+	orDefault(&err, "-feed-cap", &c.FeedCap, shard.DefaultFeedCap)
+	orDefault(&err, "-trace-retain", &c.TraceRetain, traceRetain)
+	orDefault(&err, "-trace-sample", &c.TraceSample, traceSample)
+	orDefault(&err, "-trace-slow", &c.TraceSlow, 250*time.Millisecond)
+	return c, err
 }
 
 // Cache is the fleet cache daemon, kcached: it serves the
@@ -68,6 +90,10 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.CacheDir == "" {
 		return nil, errors.New("serve: a cache daemon needs a cache directory (-cache-dir)")
 	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	// /metrics carries the same store_* families as kserve's, under the
 	// kcached namespace with tier="disk".
 	reg := obs.NewRegistry("kcached")
@@ -83,6 +109,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	cs := store.NewCacheServer(st)
 	cs.Observe(ro)
 	cs.Register(reg)
+	c.traces.Register(reg)
 	feed := shard.NewFeed(cfg.FeedCap)
 	feed.Register(reg)
 	// Compaction always runs: even without a TTL or byte budget it
@@ -99,6 +126,10 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/feed", ro.Wrap("feed", feed.Handler().ServeHTTP))
+	// kcached never fans out: it is always a leaf of the request tree,
+	// so its local fragment is the whole answer.
+	mux.HandleFunc("GET /trace/{id}", c.traces.ServeTrace)
+	mux.HandleFunc("GET /traces", c.traces.ServeList)
 	mux.Handle("/", cs.Handler())
 	c.handler = mux
 	version, goVersion := obs.BuildVersion()

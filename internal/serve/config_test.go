@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +49,9 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 		{name: "negative index", cfg: Config{ShardIndex: -1, ShardCount: 3, Peers: peers},
 			wantErr: "-shard-index -1 out of range"},
 		{name: "bad kcached URL", cfg: Config{CacheRemote: "ftp://kc"}, wantErr: "scheme must be http or https"},
+		{name: "negative read gate", cfg: Config{MaxInflight: -1}, wantErr: "serve: -max-inflight -1 is negative"},
+		{name: "negative trace store", cfg: Config{TraceRetain: -1}, wantErr: "serve: -trace-retain -1 is negative"},
+		{name: "negative slow threshold", cfg: Config{SlowScan: -time.Second}, wantErr: "serve: -slow-scan -1s is negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,6 +83,56 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 				t.Errorf("store tiers on /metrics = %v, want %v", got, tc.tiers)
 			}
 		})
+	}
+}
+
+// TestZeroConfigIsTheDeployedDaemon: the zero Config and the zero
+// CacheConfig (but for its directory) build what kserve and kcached
+// run with no flags — both admission gates and the trace store on
+// kserve, the trace store on kcached — as their /stats report. The
+// tests boot through New and NewCache, so they cover what deploys.
+func TestZeroConfigIsTheDeployedDaemon(t *testing.T) {
+	type gate struct {
+		MaxInflight        int `json:"max_inflight"`
+		MaxQueued          int `json:"max_queued"`
+		MaxQueuedPerClient int `json:"max_queued_per_client"`
+	}
+	type traceStore struct {
+		Capacity   int     `json:"capacity"`
+		SampleRate float64 `json:"sample_rate"`
+	}
+	var st struct {
+		Admission      *gate       `json:"admission"`
+		WriteAdmission *gate       `json:"write_admission"`
+		TraceStore     *traceStore `json:"trace_store"`
+	}
+	_, ks := bootOne(t, Config{})
+	getJSON(t, ks.URL+"/stats", http.StatusOK, &st)
+	deployed := traceStore{Capacity: 512, SampleRate: 0.05}
+	if want := (gate{runtime.GOMAXPROCS(0), 64, 16}); st.Admission == nil || *st.Admission != want {
+		t.Errorf("kserve read gate = %+v, want %+v", st.Admission, want)
+	}
+	if want := (gate{1, 32, 16}); st.WriteAdmission == nil || *st.WriteAdmission != want {
+		t.Errorf("kserve write gate = %+v, want %+v", st.WriteAdmission, want)
+	}
+	if st.TraceStore == nil || *st.TraceStore != deployed {
+		t.Errorf("kserve trace store = %+v, want %+v", st.TraceStore, deployed)
+	}
+
+	st.TraceStore = nil
+	_, kc := newKcached(t, CacheConfig{})
+	getJSON(t, kc.URL+"/stats", http.StatusOK, &st)
+	if st.TraceStore == nil || *st.TraceStore != deployed {
+		t.Errorf("kcached trace store = %+v, want %+v", st.TraceStore, deployed)
+	}
+	for flag, cfg := range map[string]CacheConfig{
+		"-feed-cap -1":    {FeedCap: -1},
+		"-trace-slow -1s": {TraceSlow: -time.Second},
+	} {
+		cfg.CacheDir = t.TempDir()
+		if _, err := NewCache(cfg); err == nil || !strings.Contains(err.Error(), "serve: "+flag+" is negative") {
+			t.Errorf("NewCache with %s = %v, want an error naming the flag", flag, err)
+		}
 	}
 }
 
@@ -137,7 +191,7 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
 	srvs, tss := boot(t, 2, Config{
 		CacheRemote: kc.URL,
-		MaxInflight: 2, MaxQueued: 8, MaxInflightWrites: 1, MaxQueuedWrites: 8,
+		MaxInflight: 2, MaxQueued: 8, MaxQueuedWrites: 8,
 	})
 	f0 := srvs[0].inc.Codebase().Files()[0]
 	canon := []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}}
@@ -177,7 +231,7 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 		"kserve_shard_feed_publishes_total":    st.Shards.FeedPublishes,
 		"kserve_shard_degraded_scatters_total": st.Shards.Degraded,
 	}
-	for prefix, gate := range map[string]*api.AdmissionStats{
+	for prefix, gate := range map[string]api.AdmissionStats{
 		"kserve_admission": st.Admission, "kserve_write_admission": st.WriteAdmission,
 	} {
 		pairs[prefix+"_admitted_total"] = gate.Admitted

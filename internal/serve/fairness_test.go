@@ -123,40 +123,3 @@ func TestAdmissionPerClientFairness(t *testing.T) {
 		t.Fatalf("final snapshot = %+v", s)
 	}
 }
-
-// TestAdmissionFairnessDisabled: with the per-client bound off, one
-// client may occupy the whole queue (the pre-fairness behavior).
-func TestAdmissionFairnessDisabled(t *testing.T) {
-	adm := testGate(1, 4, 0)
-	release := make(chan struct{})
-	started := make(chan struct{}, 16)
-	h := adm.wrap(func(w http.ResponseWriter, r *http.Request) {
-		started <- struct{}{}
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-
-	do := func() {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL, nil)
-		req.Header.Set("X-Client-ID", "chatty")
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}
-	go do()
-	<-started
-	for i := 0; i < 4; i++ {
-		go do()
-	}
-	waitFor(t, "one client to fill the whole queue", func() bool {
-		return adm.snapshot().Queued == 4
-	})
-	if s := adm.snapshot(); s.FairnessShed != 0 {
-		t.Fatalf("fairness shed fired with the bound disabled: %+v", s)
-	}
-	close(release)
-}

@@ -239,12 +239,13 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 // computation only overwrites its content-addressed key: the memory
 // tier ends with exactly one entry per function.
 func TestFleetConcurrentColdScansAgree(t *testing.T) {
+	// As many read slots as scans, so they race on any core count.
+	const n = 4
 	_, kc := newKcached(t, CacheConfig{})
-	srv, ts := bootOne(t, Config{CacheRemote: kc.URL})
+	srv, ts := bootOne(t, Config{CacheRemote: kc.URL, MaxInflight: n})
 
 	// t.Fatal must not run off the test goroutine, so workers record an
 	// error and the test goroutine fails after the barrier.
-	const n = 4
 	var wg sync.WaitGroup
 	responses := make([]*api.ScanResponse, n)
 	errs := make([]error, n)

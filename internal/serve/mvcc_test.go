@@ -110,7 +110,7 @@ func TestGenerationHeaderOnResponses(t *testing.T) {
 // the storm completes with 200 against some pinned generation. Run
 // under -race in CI.
 func TestStressScanDuringChangesetStorm(t *testing.T) {
-	srv, ts := bootOne(t, Config{MaxInflight: 4, MaxQueued: 64, MaxInflightWrites: 1, MaxQueuedWrites: 4})
+	srv, ts := bootOne(t, Config{MaxInflight: 4, MaxQueued: 64, MaxQueuedWrites: 4})
 	cb := srv.inc.Codebase()
 	file := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])

@@ -11,6 +11,7 @@ import (
 	"knighter/internal/ckdsl"
 	"knighter/internal/obs"
 	"knighter/internal/scan"
+	"knighter/internal/shard"
 	"knighter/internal/store"
 )
 
@@ -124,11 +125,14 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 // handleBatch serves POST /batch: the checkers that compile run as one
 // read, and one that does not keeps its request slot as a per-entry
 // error instead of failing its siblings.
+// It also serves shard.SubBatchPath, where every batch is shard-local,
+// whatever the body says.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
 	if !s.decodePost(w, r, &req) {
 		return
 	}
+	req.ShardLocal = req.ShardLocal || r.URL.Path == shard.SubBatchPath
 	if len(req.Checkers) == 0 {
 		s.reject(w, http.StatusBadRequest, api.ErrBadRequest, "missing 'checkers' (list of DSL texts)")
 		return
@@ -206,7 +210,7 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 			// The request context: a client that disconnects mid-scan stops
 			// paying for the rest of it (the admitted slot frees up, and no
 			// partial results are cached).
-			opts := scan.Options{Workers: q.Workers, MaxReports: q.MaxReports, Context: r.Context()}
+			opts := scan.Options{MaxReports: q.MaxReports, Context: r.Context()}
 			results := s.inc.RunBatch(cks, files, opts, 0)
 			s.observeScan(r.Context(), results...)
 			entries = make([]*api.ScanResponse, len(results))

@@ -21,19 +21,21 @@
 //
 // The read endpoints (/scan, /batch) sit behind a bounded admission
 // queue (MaxInflight, MaxQueued); the write endpoints (/changeset,
-// /converge) behind their own gate (MaxInflightWrites, MaxQueuedWrites)
-// — so a changeset storm sheds writes, never reads. Excess load is shed
-// with 429 + Retry-After instead of being buffered without bound.
+// /converge) behind their own gate, one write at a time with
+// MaxQueuedWrites waiting — so a changeset storm sheds writes, never
+// reads. Excess load is shed with 429 + Retry-After instead of being
+// buffered without bound.
 //
 // With ShardCount N (plus ShardIndex and Peers) the replica joins a
 // sharded fleet: each replica owns the files whose path hash lands on
 // its index, any replica coordinates a read by sending each owner its
-// partition as one shard-local /batch and merging every checker's
-// partials byte-identically to a single-host scan, and changesets
-// propagate fleet-wide through a
-// generation feed hosted on the CacheRemote kcached (peers replay it
-// via POST /converge). A dead or behind shard degrades its partition to
-// the coordinator's local snapshot — slower, never wrong.
+// partition as one shard-local sub-batch (behind the owner's sub-batch
+// gate, not its read gate) and merging every checker's partials
+// byte-identically to a single-host scan, and changesets propagate
+// fleet-wide through a generation feed hosted on the CacheRemote
+// kcached (peers replay it via POST /converge). A dead or behind shard
+// degrades its partition to the coordinator's local snapshot — slower,
+// never wrong.
 //
 // The cache is one store.Stack: a memory tier, over kcached when
 // CacheRemote is set. A replica keeps no disk of its own; the fleet's
@@ -55,6 +57,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -69,9 +72,11 @@ import (
 
 // Config is everything a replica is built from. Each field is the
 // cmd/kserve flag of the same name (Seed is -seed, MaxQueuedPerClient
-// is -max-queued-per-client, ...), with the flag's meaning; zero values
-// mean what the flag's zero means (no gate, no kcached, no traces),
-// not the flag's default.
+// is -max-queued-per-client, ...), with the flag's meaning, and the
+// zero Config is what kserve runs with no flags: a zero field selects
+// the flag's default, and a negative one is an error that names the
+// flag. Seed is the exception: seed 0 is a corpus of its own, and
+// -seed defaults to 1.
 type Config struct {
 	Seed  int64
 	Scale float64
@@ -82,7 +87,6 @@ type Config struct {
 	MaxInflight        int
 	MaxQueued          int
 	MaxQueuedPerClient int
-	MaxInflightWrites  int
 	MaxQueuedWrites    int
 
 	ShardIndex int
@@ -92,6 +96,43 @@ type Config struct {
 	SlowScan    time.Duration
 	TraceRetain int
 	TraceSample float64
+}
+
+const traceRetain, traceSample = 512, 0.05 // the trace store's, on both daemons
+
+// DefaultConfig is the zero Config with its defaults filled in, which
+// cmd/kserve's flags show.
+func DefaultConfig() Config {
+	c, _ := Config{}.withDefaults()
+	return c
+}
+
+// withDefaults fills every zero field with its default, and names the
+// first negative one.
+func (c Config) withDefaults() (Config, error) {
+	var err error
+	orDefault(&err, "-scale", &c.Scale, 1)
+	orDefault(&err, "-cache-bytes", &c.CacheBytes, store.DefaultMemoryBytes)
+	orDefault(&err, "-max-inflight", &c.MaxInflight, runtime.GOMAXPROCS(0))
+	orDefault(&err, "-max-queued", &c.MaxQueued, 64)
+	orDefault(&err, "-max-queued-per-client", &c.MaxQueuedPerClient, 16)
+	orDefault(&err, "-max-queued-writes", &c.MaxQueuedWrites, 32)
+	orDefault(&err, "-shard-count", &c.ShardCount, 1)
+	orDefault(&err, "-slow-scan", &c.SlowScan, 0) // off
+	orDefault(&err, "-trace-retain", &c.TraceRetain, traceRetain)
+	orDefault(&err, "-trace-sample", &c.TraceSample, traceSample)
+	return c, err
+}
+
+// orDefault replaces a zero *v with def, and sets *err, unless already
+// set, when *v is negative.
+func orDefault[T int | int64 | float64 | time.Duration](err *error, flag string, v *T, def T) {
+	if *v < 0 && *err == nil {
+		*err = fmt.Errorf("serve: %s %v is negative", flag, *v)
+	}
+	if *v == 0 {
+		*v = def
+	}
 }
 
 // minGenWait bounds how long a request's min_generation may hold the
@@ -111,8 +152,7 @@ type Server struct {
 	// ro is the per-request chassis (trace, HTTP metrics, access log)
 	// around every gated route.
 	ro *obs.RequestObserver
-	// traces is the tail-sampled trace store behind GET /trace/{id};
-	// nil (TraceRetain 0) is valid everywhere it is used.
+	// traces is the tail-sampled trace store behind GET /trace/{id}.
 	traces *obs.TraceStore
 	// traceColl fans /trace/{id} out to everyone who may hold a fragment
 	// of a trace this replica coordinated: every shard peer (each
@@ -124,7 +164,7 @@ type Server struct {
 	// endpoints (/changeset, /converge). Separate gates are the point:
 	// since scans pin MVCC snapshots and never block on writers, a
 	// changeset storm saturating wadm sheds writes while reads keep
-	// flowing untouched — and vice versa. nil = no admission control.
+	// flowing untouched — and vice versa.
 	adm  *admission
 	wadm *admission
 	// shard is the fleet fan-out layer (ShardCount > 1); nil on a
@@ -140,6 +180,10 @@ type Server struct {
 // store and its collector targets and the metrics. Call Close when done
 // with it.
 func New(cfg Config) (*Server, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	cb, err := scan.NewCodebase(kernel.Generate(kernel.Config{Seed: cfg.Seed, Scale: cfg.Scale}))
 	if err != nil {
 		return nil, err
@@ -193,12 +237,11 @@ func New(cfg Config) (*Server, error) {
 	// Both gates stamp shed responses with the live corpus generation.
 	gen := cb.Generation
 	s.adm = newAdmission(reg, "admission", cfg.MaxInflight, cfg.MaxQueued, cfg.MaxQueuedPerClient, gen)
-	s.wadm = newAdmission(reg, "write_admission", cfg.MaxInflightWrites, cfg.MaxQueuedWrites, cfg.MaxQueuedPerClient, gen)
-	if s.adm != nil {
-		log.Printf("kserve: read admission control: %d inflight, %d queued", cfg.MaxInflight, cfg.MaxQueued)
-	}
-	if s.wadm != nil {
-		log.Printf("kserve: write admission control: %d inflight, %d queued", cfg.MaxInflightWrites, cfg.MaxQueuedWrites)
+	s.wadm = newAdmission(reg, "write_admission", 1, cfg.MaxQueuedWrites, cfg.MaxQueuedPerClient, gen)
+	log.Printf("kserve: admission control: reads %d inflight, %d queued; writes 1 inflight, %d queued",
+		cfg.MaxInflight, cfg.MaxQueued, cfg.MaxQueuedWrites)
+	if sh != nil { // one sub-batch per read slot of every other coordinator
+		sh.gate = newAdmission(reg, "shard_sub_admission", cfg.MaxInflight*(cfg.ShardCount-1), cfg.MaxQueued, cfg.MaxQueuedPerClient, gen)
 	}
 
 	s.handler = s.routes()
@@ -233,8 +276,15 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/batch", s.ro.Wrap("batch", s.adm.wrap(s.handleBatch)))
 	mux.HandleFunc("/changeset", s.ro.Wrap("changeset", s.wadm.wrap(s.handleChangeset)))
 	mux.HandleFunc("/converge", s.ro.Wrap("converge", s.wadm.wrap(s.handleConverge)))
+	// A sub-batch has a gate of its own: its coordinator holds a read
+	// slot meanwhile, so behind the read gate two replicas'
+	// coordinators queued each other's sub-batches until the scatter
+	// timeout. A sub-batch never scatters, so it never waits on a slot.
+	if s.shard != nil {
+		mux.HandleFunc("POST "+shard.SubBatchPath, s.ro.Wrap("sub_batch", s.shard.gate.wrap(s.handleBatch)))
+	}
 	// /stats, /healthz, /metrics and the trace endpoints stay outside
-	// both gates: they are the triage path and must answer even when the
+	// every gate: they are the triage path and must answer even when the
 	// daemon is saturated (that is when an operator needs them most).
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)

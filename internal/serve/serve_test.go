@@ -7,11 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,8 +176,7 @@ func getDrainedStats(t *testing.T, ts *httptest.Server) *api.StatsResponse {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := getStats(t, ts)
-		busy := (st.Admission != nil && st.Admission.Inflight != 0) ||
-			(st.WriteAdmission != nil && st.WriteAdmission.Inflight != 0)
+		busy := st.Admission.Inflight != 0 || st.WriteAdmission.Inflight != 0
 		if !busy || time.Now().After(deadline) {
 			return st
 		}
@@ -326,45 +323,6 @@ func TestQuietResultsCountOnMetricsOnly(t *testing.T) {
 	post("/batch", api.BatchRequest{Checkers: revs})
 	if got := quiet(); got != 3*n {
 		t.Fatalf("a cold batch of 2 revisions moved the quiet count from %d to %d, want %d", n, got, 3*n)
-	}
-}
-
-// TestScanWorkersAreACeiling: a request's "workers" bounds the pass's
-// parallelism, it does not size it — /scan and /batch asking for 100 000
-// answer exactly what the default answers, and the process never holds
-// 1 000 goroutines meanwhile.
-func TestScanWorkersAreACeiling(t *testing.T) {
-	_, ts := bootOne(t, Config{})
-	var peak atomic.Int64
-	stop, sampled := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(sampled)
-		for {
-			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
-				peak.Store(n)
-			}
-			select {
-			case <-stop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-	const wide = 100000
-	scan := postScan(t, ts, api.ScanRequest{Checker: testChecker, Query: api.Query{Workers: wide}})
-	var batch api.BatchResponse
-	if code := postJSON(t, ts, "/batch", api.BatchRequest{Checkers: []string{testChecker}, Query: api.Query{Workers: wide}}, &batch); code != http.StatusOK {
-		t.Fatalf("POST /batch status = %d", code)
-	}
-	close(stop)
-	<-sampled
-	if p := peak.Load(); p >= 1000 {
-		t.Fatalf(`"workers": %d ran %d goroutines at once`, wide, p)
-	}
-	want := reportsJSON(t, postScan(t, ts, api.ScanRequest{Checker: testChecker}))
-	if reportsJSON(t, scan) != want || reportsJSON(t, batch.Results[0]) != want {
-		t.Fatalf(`"workers": %d answered differently from the default`, wide)
 	}
 }
 
@@ -529,13 +487,17 @@ func TestBatchServedFromWarmStore(t *testing.T) {
 	}
 
 	// An unknown field is ignored, not rejected: a body that still
-	// carries the retired "concurrency" and "func_timeout_ms" gets the
-	// same entries.
+	// carries the retired "concurrency", "func_timeout_ms" and
+	// "workers" gets the same entries, and so does a /scan.
+	if got := postScan(t, ts, map[string]any{"checker": testChecker, "workers": 100000}); reportsJSON(t, got) != reportsJSON(t, solo) {
+		t.Fatal(`scan with the retired "workers" differs from one without it`)
+	}
 	var again api.BatchResponse
 	if code := postJSON(t, ts, "/batch", map[string]any{
 		"checkers":        []string{testChecker, testCheckerB, "checker broken {"},
 		"concurrency":     4,
 		"func_timeout_ms": 1,
+		"workers":         100000,
 	}, &again); code != http.StatusOK {
 		t.Fatalf(`batch with retired fields: status = %d`, code)
 	}
@@ -726,9 +688,6 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 	}
 
 	stats := getDrainedStats(t, ts)
-	if stats.Admission == nil {
-		t.Fatal("admission stats missing from /stats")
-	}
 	if stats.Admission.Shed != 1 || stats.Admission.Admitted != 1 {
 		t.Fatalf("admission counters = %+v, want 1 shed / 1 admitted", stats.Admission)
 	}
@@ -739,9 +698,11 @@ func TestAdmissionShedsExcessLoad(t *testing.T) {
 
 // TestConcurrentBatchesAndChangesets hammers /batch and one-change
 // /changeset from many goroutines; under -race this is the
-// concurrency-control acceptance test.
+// concurrency-control acceptance test. Batches get a read slot each, so
+// they race on any core count; changesets pass the write gate one at a
+// time, as deployed, while batches run.
 func TestConcurrentBatchesAndChangesets(t *testing.T) {
-	srv, ts := bootOne(t, Config{})
+	srv, ts := bootOne(t, Config{MaxInflight: 4})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])

@@ -39,6 +39,9 @@ type shardLayer struct {
 	feed *shard.FeedClient
 	// nudge posts best-effort /converge pokes to peers after a commit.
 	nudge *http.Client
+	// gate admits the sub-batches other coordinators post to
+	// shard.SubBatchPath.
+	gate *admission
 
 	// convergeMu serializes feed replays so two concurrent triggers
 	// (a nudge racing a sub-scan's lazy converge) cannot interleave
@@ -144,6 +147,7 @@ func (s *Server) shardStats() *api.ShardStats {
 		Converges:      count(sh.converges),
 		FeedPublishes:  count(sh.feedPublishes),
 		PeerHealthy:    sh.sc.PeerHealth(),
+		SubAdmission:   sh.gate.snapshot(),
 	}
 }
 
@@ -161,7 +165,7 @@ func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker,
 		}
 		out := make([]*api.ScanResponse, len(cks))
 		// Uncapped: the merge applies MaxReports.
-		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scan.Options{Workers: q.Workers, Context: ctx})
+		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scan.Options{Context: ctx})
 		s.observeScan(ctx, results...)
 		for i, res := range results {
 			out[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, true)
@@ -214,11 +218,10 @@ func (s *Server) scatter(w http.ResponseWriter, r *http.Request, q *api.Query, c
 	}
 	start := time.Now()
 	merged, info, err := s.shard.sc.Batch(r.Context(), shard.BatchJob{
-		Req:      sub,
-		Names:    names,
-		Paths:    scatterPaths(cb, q.Files),
-		ClientID: r.Header.Get(shard.ClientIDHeader),
-		Local:    s.localPartition(pin, cks, *q),
+		Req:   sub,
+		Names: names,
+		Paths: scatterPaths(cb, q.Files),
+		Local: s.localPartition(pin, cks, *q),
 	})
 	s.shard.scatters.Inc()
 	if err != nil {

@@ -3,19 +3,23 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"knighter/internal/api"
 	"knighter/internal/minic"
+	"knighter/internal/shard"
 )
 
 // sameScan asserts the deterministic fields of two scan responses match:
@@ -201,6 +205,123 @@ func TestShardedReadsCountClientRequests(t *testing.T) {
 		t.Fatalf("sharded /batch = %d", code)
 	}
 	check("/batch", counts{3, 1, 0}, counts{3, 0, 2}, counts{3, 0, 2})
+}
+
+// TestShardSubBatchesSkipTheReadGate: coordinators on two replicas,
+// together holding every read slot of both, still finish their scans.
+// Each coordinator holds its slot while its sub-batch runs on the other
+// replica, so a sub-batch that queued behind that replica's read gate
+// waited for the slots its own coordinators held, and every partition
+// degraded to the local snapshot after the scatter timeout (60 s). The
+// eight scans are held at the door until all have arrived, so both
+// gates fill with coordinators before any sub-batch is sent.
+func TestShardSubBatchesSkipTheReadGate(t *testing.T) {
+	const perReplica = 4
+	var door sync.WaitGroup
+	door.Add(2 * perReplica)
+	srvs, tss := bootWith(t, 2, Config{MaxInflight: 2, MaxQueued: 64, MaxQueuedPerClient: 16}, func(_ int, ts *httptest.Server) {
+		h := ts.Config.Handler
+		ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/scan" {
+				door.Done()
+				door.Wait()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	errs := make(chan error, 2*perReplica)
+	for i := 0; i < 2*perReplica; i++ {
+		go func(i int) {
+			// Distinct revisions, so every scan is cold.
+			ck := strings.Replace(testChecker, "serve_npd", fmt.Sprintf("serve_npd_%d", i), 1)
+			body, err := json.Marshal(api.ScanRequest{Checker: ck})
+			if err == nil {
+				var resp *http.Response
+				if resp, err = client.Post(tss[i%2].URL+"/scan", "application/json", bytes.NewReader(body)); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("status %d", resp.StatusCode)
+					}
+				}
+			}
+			if err != nil {
+				err = fmt.Errorf("scan %d via replica %d: %w", i, i%2, err)
+			}
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < 2*perReplica; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i, srv := range srvs {
+		if sc, d := count(srv.shard.scatters), count(srv.shard.degraded); sc != perReplica || d != 0 {
+			t.Errorf("replica %d: %d scatters with %d degraded partitions, want %d with 0", i, sc, d, perReplica)
+		}
+	}
+}
+
+// TestShardSubBatchGate: only a fleet member mounts the sub-batch
+// route, and there it sits behind a gate of its own, sized to one
+// sub-batch per read slot of every other coordinator, that sheds a
+// caller past its slots and queue like the read gate does.
+func TestShardSubBatchGate(t *testing.T) {
+	sub := api.BatchRequest{Checkers: []string{testChecker}}
+	_, lone := bootOne(t, Config{})
+	if resp, err := call(http.MethodPost, lone.URL+shard.SubBatchPath, sub, nil); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unsharded POST %s: %v, %v, want 404", shard.SubBatchPath, resp, err)
+	}
+
+	srvs, tss := boot(t, 2, Config{MaxInflight: 1, MaxQueued: 1})
+	gate, url := srvs[0].shard.gate, tss[0].URL+shard.SubBatchPath
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseSlot := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseSlot()
+	var occupier sync.WaitGroup
+	occupier.Add(1)
+	go func() {
+		defer occupier.Done()
+		gate.tokens <- struct{}{} // hold the gate's one slot
+		<-release
+		<-gate.tokens
+	}()
+	for len(gate.tokens) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	queued := make(chan int, 1)
+	go func() {
+		resp, err := call(http.MethodPost, url, sub, nil)
+		if err != nil {
+			t.Error(err)
+			queued <- 0
+			return
+		}
+		queued <- resp.StatusCode
+	}()
+	for gate.snapshot().Queued == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if resp, err := call(http.MethodPost, url, sub, nil); err != nil || resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("sub-batch past the gate: %v, %v, want 429", resp, err)
+	}
+	releaseSlot()
+	occupier.Wait()
+	if code := <-queued; code != http.StatusOK {
+		t.Fatalf("queued sub-batch status = %d, want 200", code)
+	}
+
+	st := getDrainedStats(t, tss[0])
+	if g := st.Shards.SubAdmission; g.MaxInflight != 1 || g.MaxQueued != 1 || g.Admitted != 1 || g.Shed != 1 {
+		t.Errorf("sub_admission = %+v, want 1 inflight, 1 queued, 1 admitted, 1 shed", g)
+	}
+	if st.Admission.Admitted != 0 || st.Batches != 0 || st.Shards.SubScansServed != 1 {
+		t.Errorf("read gate admitted %d, batches %d, sub-scans %d; want 0, 0, 1",
+			st.Admission.Admitted, st.Batches, st.Shards.SubScansServed)
+	}
 }
 
 // TestShardedChangesetConvergesFleetWide: a changeset committed on one

@@ -22,7 +22,7 @@ import (
 // drains a quiesced scan must be byte-identical to a cold scan of
 // whatever corpus state the interleaved changesets produced.
 func TestStressScansChangesetsAndSaturation(t *testing.T) {
-	srv, ts := bootOne(t, Config{MaxInflight: 2, MaxQueued: 2, MaxInflightWrites: 1, MaxQueuedWrites: 2})
+	srv, ts := bootOne(t, Config{MaxInflight: 2, MaxQueued: 2, MaxQueuedWrites: 2})
 	cb := srv.inc.Codebase()
 	path := cb.Files()[0].Name
 	canonical := minic.FormatFile(cb.Files()[0])
@@ -90,9 +90,6 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 	// The books must balance exactly across BOTH gates: every request
 	// either completed or was shed, and both gates are fully drained.
 	stats := getDrainedStats(t, ts)
-	if stats.Admission == nil || stats.WriteAdmission == nil {
-		t.Fatal("admission stats missing")
-	}
 	total := stats.Admission.Admitted + stats.Admission.Shed +
 		stats.WriteAdmission.Admitted + stats.WriteAdmission.Shed
 	if total != clients*iters {

@@ -18,7 +18,7 @@ import (
 // shows the gap as an orphan), then merges them into one offset-ordered
 // tree. ?format=text renders the waterfall instead of JSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil || r.URL.Query().Get("local") == "1" {
+	if r.URL.Query().Get("local") == "1" {
 		s.traces.ServeTrace(w, r)
 		return
 	}

@@ -15,11 +15,6 @@ import (
 	"knighter/internal/obs"
 )
 
-// ClientIDHeader propagates the end client's identity on sub-requests,
-// so shard-side admission fairness charges the tenant, not the
-// coordinator.
-const ClientIDHeader = "X-Client-ID"
-
 // Config wires a Scatter: the partition ring, this replica's own shard
 // index, the peer base URLs (index-aligned with shards), and the
 // per-shard sub-request budget.
@@ -106,16 +101,15 @@ type Info struct {
 }
 
 // ScanJob is one coordinated scan of a single checker as shard-local
-// /scan sub-requests: the sub-request template (checker, workers, min
+// /scan sub-requests: the sub-request template (checker, min
 // generation — Files and ShardLocal are filled per shard), the compiled checker's display name, the full ordered path
 // list, and the local fallback. kserve coordinates a /scan as a
 // one-checker Batch; benchmark/probes.go times the scatter through Scan.
 type ScanJob struct {
-	Req      api.ScanRequest
-	Name     string
-	Paths    []string
-	ClientID string
-	Local    Local
+	Req   api.ScanRequest
+	Name  string
+	Paths []string
+	Local Local
 }
 
 // Scan scatters job across the fleet and merges the partials into the
@@ -129,7 +123,7 @@ func (sc *Scatter) Scan(ctx context.Context, job ScanJob) (*api.ScanResponse, In
 		sub.MaxReports = 0
 		sub.IncludeTiming = false
 		var resp api.ScanResponse
-		if err := sc.post(rctx, s, "/scan", sub, job.ClientID, &resp); err != nil {
+		if err := sc.post(rctx, s, "/scan", sub, &resp); err != nil {
 			return nil, err
 		}
 		return []*api.ScanResponse{&resp}, nil
@@ -148,14 +142,20 @@ func (sc *Scatter) Scan(ctx context.Context, job ScanJob) (*api.ScanResponse, In
 	return merged, info, err
 }
 
+// SubBatchPath is the route a Batch posts each shard its sub-batch to:
+// a shard-local /batch that kserve serves behind a sub-batch gate of
+// its own rather than its read gate, since the coordinator's read gate
+// already admitted the work. A peer that predates the route answers
+// 404, and its partitions degrade to the local snapshot.
+const SubBatchPath = "/shard/batch"
+
 // BatchJob is one coordinated /batch over the checkers that compiled;
 // Names[i] labels Req.Checkers[i] in the merged responses.
 type BatchJob struct {
-	Req      api.BatchRequest
-	Names    []string
-	Paths    []string
-	ClientID string
-	Local    Local
+	Req   api.BatchRequest
+	Names []string
+	Paths []string
+	Local Local
 }
 
 // Batch scatters job and merges per-checker: result[i] is what a
@@ -168,7 +168,7 @@ func (sc *Scatter) Batch(ctx context.Context, job BatchJob) ([]*api.ScanResponse
 		sub.MaxReports = 0
 		sub.IncludeTiming = false
 		var resp api.BatchResponse
-		if err := sc.post(rctx, s, "/batch", sub, job.ClientID, &resp); err != nil {
+		if err := sc.post(rctx, s, SubBatchPath, sub, &resp); err != nil {
 			return nil, err
 		}
 		if len(resp.Results) != len(job.Req.Checkers) {
@@ -295,7 +295,7 @@ func (sc *Scatter) runRemote(ctx context.Context, s int, files []string,
 // the scatter's point of view — including a 409 from a shard that
 // could not converge to the required generation in time, which the
 // local fallback (already at that generation) then covers.
-func (sc *Scatter) post(ctx context.Context, s int, path string, body any, clientID string, out any) error {
+func (sc *Scatter) post(ctx context.Context, s int, path string, body any, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -306,9 +306,6 @@ func (sc *Scatter) post(ctx context.Context, s int, path string, body any, clien
 	}
 	req.Header.Set("Content-Type", "application/json")
 	obs.InjectHeaders(ctx, req.Header)
-	if clientID != "" {
-		req.Header.Set(ClientIDHeader, clientID)
-	}
 	resp, err := sc.client.Do(req)
 	if err != nil {
 		return err

@@ -29,7 +29,7 @@ type TraceCollector struct {
 // NewTraceCollector returns a collector over the given base URLs
 // (typically every peer except self, plus the kcached -cache-remote).
 // Each fetch is bounded by perPeer (default 2s). Returns nil when there
-// is nothing to collect from — nil-safe, like the trace store.
+// is nothing to collect from; Collect on a nil collector returns nothing.
 func NewTraceCollector(targets []string, perPeer time.Duration) *TraceCollector {
 	if len(targets) == 0 {
 		return nil

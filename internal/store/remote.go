@@ -31,8 +31,8 @@ import (
 // disappears keeps serving from its memory tier, computing what that
 // misses, with zero failed scans.
 // A circuit breaker bounds the cost of a dead or slow daemon: after
-// BreakerThreshold consecutive failures the tier stops issuing requests
-// for BreakerCooldown, then lets a single probe through to test
+// breakerThreshold consecutive failures the tier stops issuing requests
+// for breakerCooldown, then lets a single probe through to test
 // recovery. It gets one verdict per round trip, however many keys the
 // round trip carried.
 type Remote struct {
@@ -47,41 +47,22 @@ type Remote struct {
 	stats        Stats
 	errors       int64
 	breakerOpens int64
-
-	threshold int
-	cooldown  time.Duration
 }
+
+// The breaker opens after breakerThreshold consecutive failures and
+// lets a probe through breakerCooldown later (a variable only so tests
+// can wait it out in milliseconds). remoteMaxConns bounds the pool of
+// connections to the daemon, so a miss storm cannot exhaust file
+// descriptors.
+const breakerThreshold, remoteMaxConns = 5, 16
+
+var breakerCooldown = 5 * time.Second
 
 // RemoteConfig tunes the client; zero values select the defaults.
 type RemoteConfig struct {
 	// Timeout bounds one round-trip (default 2s). A slow kcached must
 	// cost less than recomputing the result it would have returned.
 	Timeout time.Duration
-	// MaxConns bounds the connection pool to the daemon (default 16), so
-	// a wide scan's miss storm cannot exhaust file descriptors.
-	MaxConns int
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open before a probe
-	// is allowed through (default 5s).
-	BreakerCooldown time.Duration
-}
-
-func (c RemoteConfig) withDefaults() RemoteConfig {
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 16
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	return c
 }
 
 // NewRemote returns a remote tier talking to the kcached daemon at
@@ -94,19 +75,19 @@ func NewRemote(baseURL string, cfg RemoteConfig) (*Remote, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("store: remote URL %q: scheme must be http or https", baseURL)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 2 * time.Second
+	}
 	return &Remote{
 		base: strings.TrimRight(baseURL, "/"),
 		client: &http.Client{
 			Timeout: cfg.Timeout,
 			Transport: &http.Transport{
-				MaxConnsPerHost:     cfg.MaxConns,
-				MaxIdleConnsPerHost: cfg.MaxConns,
+				MaxConnsPerHost:     remoteMaxConns,
+				MaxIdleConnsPerHost: remoteMaxConns,
 				IdleConnTimeout:     30 * time.Second,
 			},
 		},
-		threshold: cfg.BreakerThreshold,
-		cooldown:  cfg.BreakerCooldown,
 	}, nil
 }
 
@@ -114,7 +95,7 @@ func NewRemote(baseURL string, cfg RemoteConfig) (*Remote, error) {
 func (r *Remote) allow() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.consecFails < r.threshold {
+	if r.consecFails < breakerThreshold {
 		return true
 	}
 	// Open. Past the cooldown, let exactly one probe through at a time.
@@ -151,11 +132,11 @@ func (r *Remote) failure() {
 	r.errors++
 	r.consecFails++
 	r.probing = false
-	if r.consecFails >= r.threshold {
-		if r.consecFails == r.threshold || time.Now().After(r.openUntil) {
+	if r.consecFails >= breakerThreshold {
+		if r.consecFails == breakerThreshold || time.Now().After(r.openUntil) {
 			r.breakerOpens++
 		}
-		r.openUntil = time.Now().Add(r.cooldown)
+		r.openUntil = time.Now().Add(breakerCooldown)
 	}
 	r.mu.Unlock()
 }
@@ -393,7 +374,7 @@ func (r *Remote) RemoteStats() RemoteStats {
 		Invalidated:  r.stats.Invalidated,
 		Errors:       r.errors,
 		BreakerOpens: r.breakerOpens,
-		BreakerOpen:  r.consecFails >= r.threshold && !(time.Now().After(r.openUntil) && !r.probing),
+		BreakerOpen:  r.consecFails >= breakerThreshold && !(time.Now().After(r.openUntil) && !r.probing),
 	}
 }
 

@@ -403,20 +403,23 @@ func TestRemoteBreakerOpensAndRecloses(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	r := newRemote(t, ts.URL, RemoteConfig{
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+	old := breakerCooldown
+	breakerCooldown = 50 * time.Millisecond
+	t.Cleanup(func() { breakerCooldown = old })
+	r := newRemote(t, ts.URL, RemoteConfig{})
 
 	// Trip the breaker.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
+		if rs := r.RemoteStats(); rs.BreakerOpen {
+			t.Fatalf("breaker open after %d of %d failures: %+v", i, breakerThreshold, rs)
+		}
 		if _, ok := r.Get(bg, key(1)); ok {
 			t.Fatal("unhealthy daemon produced a hit")
 		}
 	}
 	rs := r.RemoteStats()
 	if !rs.BreakerOpen || rs.BreakerOpens != 1 {
-		t.Fatalf("breaker after 3 failures: %+v", rs)
+		t.Fatalf("breaker after %d failures: %+v", breakerThreshold, rs)
 	}
 
 	// While open (within cooldown), requests short-circuit locally.

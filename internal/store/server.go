@@ -21,8 +21,9 @@ import (
 var maxEntryBytes = 32 << 20
 
 // CacheServer serves a Store over HTTP — the handler side of the Remote
-// client, and the whole of the kcached daemon. The protocol is the Store
-// interface spelled as routes, a range of entries per round trip:
+// client, and the cache protocol of the kcached daemon. The protocol is
+// the Store interface spelled as routes, a range of entries per round
+// trip:
 //
 //	POST /entries/get   keys -> one frame per key: a record (hit) or empty (miss)
 //	POST /entries/put   keys, each followed by its record -> 204
@@ -60,10 +61,11 @@ type CacheServer struct {
 
 	// ro, once Observe was called, is the daemon chassis around the
 	// cache routes: every request records a root-span fragment (attached
-	// under the caller's X-Span-Id) that GET /trace/{id} serves back to
-	// a coordinating kserve — requests sharing a trace id, a scan's
-	// entry round-trips, merge into one fragment — plus the access-log
-	// line and the request-latency histogram.
+	// under the caller's X-Span-Id) in the chassis's trace store, which
+	// the daemon serves back to a coordinating kserve on GET /trace/{id}
+	// — requests sharing a trace id, a scan's entry round-trips, merge
+	// into one fragment — plus the access-log line and the
+	// request-latency histogram.
 	ro *obs.RequestObserver
 }
 
@@ -108,7 +110,6 @@ func (cs *CacheServer) Register(reg *obs.Registry) {
 	if cs.ro != nil {
 		cs.ro.Duration = reg.HistogramVec("request_duration_seconds",
 			"Wall time of one cache-protocol request.", nil, "op")
-		cs.ro.Traces.Register(reg)
 	}
 	obs.RegisterBuildInfo(reg, func() float64 { return time.Since(cs.started).Seconds() })
 	cs.metrics = reg.Handler()
@@ -120,26 +121,12 @@ func (cs *CacheServer) Handler() http.Handler {
 	mux.HandleFunc("POST /entries/get", cs.ro.Wrap("get", cs.handleGet))
 	mux.HandleFunc("POST /entries/put", cs.ro.Wrap("put", cs.handlePut))
 	mux.HandleFunc("POST /invalidate", cs.ro.Wrap("invalidate", cs.handleInvalidate))
-	// kcached never fans out: it is always a leaf of the request tree,
-	// so its local fragment is the whole answer.
-	traces := cs.traces()
-	mux.HandleFunc("GET /trace/{id}", traces.ServeTrace)
-	mux.HandleFunc("GET /traces", traces.ServeList)
 	mux.HandleFunc("GET /stats", cs.handleStats)
 	mux.HandleFunc("GET /healthz", cs.handleHealthz)
 	if cs.metrics != nil {
 		mux.Handle("GET /metrics", cs.metrics)
 	}
 	return mux
-}
-
-// traces is the chassis's trace store (nil without one; its methods
-// are nil-safe).
-func (cs *CacheServer) traces() *obs.TraceStore {
-	if cs.ro == nil {
-		return nil
-	}
-	return cs.ro.Traces
 }
 
 // readEntries reads and parses an entry-route body, answering an
@@ -258,14 +245,14 @@ type CacheServerStats struct {
 	Puts          int64   `json:"puts"`
 	Invalidates   int64   `json:"invalidates"`
 	BadRequests   int64   `json:"bad_requests"`
-	// TraceStore is present when the chassis retains traces.
+	// TraceStore is the chassis's trace store, present once Observe
+	// mounted one.
 	TraceStore *obs.TraceStoreStats `json:"trace_store,omitempty"`
 }
 
 func (cs *CacheServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := cs.st.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(CacheServerStats{
+	stats := CacheServerStats{
 		UptimeSeconds: time.Since(cs.started).Seconds(),
 		Store:         st,
 		StoreHitRate:  st.HitRate(),
@@ -273,8 +260,13 @@ func (cs *CacheServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		Puts:          cs.puts.Load(),
 		Invalidates:   cs.invalidates.Load(),
 		BadRequests:   cs.badRequests.Load(),
-		TraceStore:    cs.traces().Stats(),
-	})
+	}
+	if cs.ro != nil {
+		ts := cs.ro.Traces.Stats()
+		stats.TraceStore = &ts
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(stats)
 }
 
 func (cs *CacheServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
