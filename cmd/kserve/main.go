@@ -12,7 +12,7 @@
 //	kserve -addr :9000 -scale 0.5
 //	kserve -cache-remote http://cache-host:8322   # share results fleet-wide via kcached
 //	kserve -cache-remote http://localhost:8322    # restart warm: kcached beside a single host
-//	kserve -max-inflight 8 -max-queued 32 -max-queued-per-client 4 -max-queued-writes 8
+//	kserve -max-inflight 8 -max-queued 32 -max-queued-writes 8
 //	kserve -shard-index 0 -shard-count 3 -peers http://a:8321,http://b:8321,http://c:8321 \
 //	       -cache-remote http://cache-host:8322   # sharded fleet member
 //
@@ -47,10 +47,9 @@ func main() {
 	flag.Int64Var(&cfg.Seed, "seed", 1, "corpus seed")
 	flag.Float64Var(&cfg.Scale, "scale", cfg.Scale, "corpus scale (0 selects the default)")
 	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "in-memory cache budget in entry weight: each entry's binary payload plus 100 B of per-entry overhead, so it bounds resident memory (0 selects the default)")
-	flag.StringVar(&cfg.CacheRemote, "cache-remote", "", "optional kcached URL for the shared fleet cache tier (e.g. http://cache-host:8322)")
+	flag.StringVar(&cfg.CacheRemote, "cache-remote", "", "kcached URL for the shared fleet cache tier and the generation feed (e.g. http://cache-host:8322); required with -shard-count > 1")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "max concurrent read requests (/scan, /batch) (0 selects the default)")
 	flag.IntVar(&cfg.MaxQueued, "max-queued", cfg.MaxQueued, "max read requests waiting for an inflight slot before shedding with 429 (0 selects the default)")
-	flag.IntVar(&cfg.MaxQueuedPerClient, "max-queued-per-client", cfg.MaxQueuedPerClient, "max queued requests per client key (X-Client-ID header or remote address), on each gate (0 selects the default)")
 	flag.IntVar(&cfg.MaxQueuedWrites, "max-queued-writes", cfg.MaxQueuedWrites, "max write requests (/changeset, /converge) waiting before shedding with 429; writes run one at a time (0 selects the default)")
 	flag.IntVar(&cfg.ShardIndex, "shard-index", 0, "this replica's shard index within the fleet (with -shard-count)")
 	flag.IntVar(&cfg.ShardCount, "shard-count", cfg.ShardCount, "number of corpus shards; > 1 enables scatter/gather fan-out (0 selects the default)")

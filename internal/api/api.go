@@ -308,17 +308,12 @@ type ShardStats struct {
 
 // AdmissionStats is the GET /stats view of an admission gate.
 type AdmissionStats struct {
-	MaxInflight        int   `json:"max_inflight"`
-	MaxQueued          int64 `json:"max_queued"`
-	MaxQueuedPerClient int64 `json:"max_queued_per_client"`
-	Inflight           int64 `json:"inflight"`
-	Queued             int64 `json:"queued"`
-	QueuedClients      int   `json:"queued_clients"`
-	Admitted           int64 `json:"admitted"`
-	Shed               int64 `json:"shed"`
-	// FairnessShed counts sheds caused by the per-client bound alone —
-	// requests that would have queued had another client sent them.
-	FairnessShed int64 `json:"fairness_shed"`
+	MaxInflight int   `json:"max_inflight"`
+	MaxQueued   int64 `json:"max_queued"`
+	Inflight    int64 `json:"inflight"`
+	Queued      int64 `json:"queued"`
+	Admitted    int64 `json:"admitted"`
+	Shed        int64 `json:"shed"`
 }
 
 // StatsResponse is the GET /stats reply.

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,32 +20,19 @@ import (
 // starve the accept loop, and a well-behaved client sees an honest
 // retry hint instead of a hung connection.
 //
-// The queue is additionally fair per client: each client (identified by
-// the X-Client-ID header, falling back to the remote address) may hold
-// at most maxQueuedPerClient queue slots, so a chatty client saturates
-// its own allowance and gets shed while everyone else still queues —
-// FIFO order among admitted requests is unchanged.
-//
 // Admission is deliberately in front of the handler, not inside it: a
 // shed request costs one atomic add and one small JSON write, never a
 // checker compile or a codebase lock.
 type admission struct {
 	// tokens is the inflight semaphore; sends acquire, receives release.
-	tokens             chan struct{}
-	maxQueued          int64
-	maxQueuedPerClient int64
-	queued             atomic.Int64
-	inflight           atomic.Int64
-	// admitted/shed/fairShed are the gate's counters in the replica's
-	// registry; /stats reads the same objects.
+	tokens    chan struct{}
+	maxQueued int64
+	queued    atomic.Int64
+	inflight  atomic.Int64
+	// admitted/shed are the gate's counters in the replica's registry;
+	// /stats reads the same objects.
 	admitted *obs.Counter
 	shed     *obs.Counter
-	fairShed *obs.Counter
-
-	// cmu guards queuedByClient: per-client queue occupancy, entries
-	// removed at zero so the map tracks only currently-queued clients.
-	cmu            sync.Mutex
-	queuedByClient map[string]int64
 
 	// waitDur observes how long each admitted request waited for an
 	// inflight slot (fast-path admissions count as zero, so the
@@ -60,21 +45,17 @@ type admission struct {
 }
 
 // newAdmission returns a gate admitting maxInflight concurrent requests
-// with maxQueued waiters, at most maxQueuedPerClient of them from any
-// one client. The gate's instruments land in reg under the
+// with maxQueued waiters. The gate's instruments land in reg under the
 // given name prefix ("admission" for the read gate, "write_admission"
 // for the write gate): instantaneous queue depth and inflight gauges,
 // cumulative admitted/shed counters, and the queue-wait histogram.
-func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQueuedPerClient int, generation func() int64) *admission {
+func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued int, generation func() int64) *admission {
 	a := &admission{
-		tokens:             make(chan struct{}, maxInflight),
-		maxQueued:          int64(maxQueued),
-		maxQueuedPerClient: int64(maxQueuedPerClient),
-		queuedByClient:     map[string]int64{},
-		generation:         generation,
-		admitted:           reg.Counter(prefix+"_admitted_total", "Requests admitted through the gate."),
-		shed:               reg.Counter(prefix+"_shed_total", "Requests shed with 429 (queue full or per-client bound)."),
-		fairShed:           reg.Counter(prefix+"_fairness_shed_total", "Sheds caused by the per-client bound alone."),
+		tokens:     make(chan struct{}, maxInflight),
+		maxQueued:  int64(maxQueued),
+		generation: generation,
+		admitted:   reg.Counter(prefix+"_admitted_total", "Requests admitted through the gate."),
+		shed:       reg.Counter(prefix+"_shed_total", "Requests shed with 429 (queue full)."),
 		waitDur: reg.Histogram(prefix+"_wait_seconds",
 			"Queue wait of each admitted request; fast-path admissions observe zero.", nil),
 	}
@@ -83,44 +64,6 @@ func newAdmission(reg *obs.Registry, prefix string, maxInflight, maxQueued, maxQ
 	reg.GaugeFunc(prefix+"_inflight", "Requests currently executing behind the gate.",
 		func() float64 { return float64(a.inflight.Load()) })
 	return a
-}
-
-// clientKey identifies the requester for fairness accounting: an
-// explicit X-Client-ID header when the client sends one (the refinement
-// loop and eval harness are expected to), otherwise the remote host —
-// so even anonymous clients are bounded per source address.
-func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// clientEnqueue claims a queue slot for the client, or reports that the
-// client is already at its per-client bound.
-func (a *admission) clientEnqueue(key string) bool {
-	a.cmu.Lock()
-	defer a.cmu.Unlock()
-	if a.queuedByClient[key] >= a.maxQueuedPerClient {
-		return false
-	}
-	a.queuedByClient[key]++
-	return true
-}
-
-// clientDequeue releases the client's queue slot.
-func (a *admission) clientDequeue(key string) {
-	a.cmu.Lock()
-	if a.queuedByClient[key] <= 1 {
-		delete(a.queuedByClient, key)
-	} else {
-		a.queuedByClient[key]--
-	}
-	a.cmu.Unlock()
 }
 
 // retryAfterSeconds estimates when a slot is likely to free up: one
@@ -149,27 +92,15 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 			// Fast path: a slot was free.
 			a.waitDur.Observe(0)
 		default:
-			key := clientKey(r)
-			// The global bound is checked first so FairnessShed keeps its
-			// stated meaning: sheds a request from any other client would
-			// NOT have suffered. A full queue sheds everyone identically
-			// and says nothing about per-client hogging.
 			if q := a.queued.Add(1); q > a.maxQueued {
 				a.queued.Add(-1)
 				a.shedRequest(w, "admission queue full; retry after the indicated delay")
-				return
-			}
-			if !a.clientEnqueue(key) {
-				a.queued.Add(-1)
-				a.fairShed.Inc()
-				a.shedRequest(w, "per-client queue bound reached; retry after the indicated delay")
 				return
 			}
 			waitStart := time.Now()
 			select {
 			case a.tokens <- struct{}{}:
 				a.queued.Add(-1)
-				a.clientDequeue(key)
 				wait := time.Since(waitStart)
 				a.waitDur.Observe(wait.Seconds())
 				// Queue wait lands in the request's trace timeline, so a
@@ -180,7 +111,6 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 				// The client gave up while queued; release the queue slot
 				// without ever taking an inflight one.
 				a.queued.Add(-1)
-				a.clientDequeue(key)
 				return
 			}
 		}
@@ -196,18 +126,12 @@ func (a *admission) wrap(h http.HandlerFunc) http.HandlerFunc {
 
 // snapshot returns the current counters as the /stats wire shape.
 func (a *admission) snapshot() api.AdmissionStats {
-	a.cmu.Lock()
-	clients := len(a.queuedByClient)
-	a.cmu.Unlock()
 	return api.AdmissionStats{
-		MaxInflight:        cap(a.tokens),
-		MaxQueued:          a.maxQueued,
-		MaxQueuedPerClient: a.maxQueuedPerClient,
-		Inflight:           a.inflight.Load(),
-		Queued:             a.queued.Load(),
-		QueuedClients:      clients,
-		Admitted:           count(a.admitted),
-		Shed:               count(a.shed),
-		FairnessShed:       count(a.fairShed),
+		MaxInflight: cap(a.tokens),
+		MaxQueued:   a.maxQueued,
+		Inflight:    a.inflight.Load(),
+		Queued:      a.queued.Load(),
+		Admitted:    count(a.admitted),
+		Shed:        count(a.shed),
 	}
 }

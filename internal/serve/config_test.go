@@ -40,7 +40,7 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 		{name: "shard member", cfg: Config{ShardIndex: 1, ShardCount: 3, Peers: peers, CacheRemote: "http://kc:8322"},
 			targets: []string{"http://a:8321", "http://c:8321", "http://kc:8322"}, service: "kserve-1", tiers: fleet},
 		{name: "shard member without a feed", cfg: Config{ShardIndex: 2, ShardCount: 3, Peers: peers},
-			targets: []string{"http://a:8321", "http://b:8321"}, service: "kserve-2", tiers: local},
+			wantErr: "serve: -shard-count 3 needs -cache-remote"},
 		{name: "too few peers", cfg: Config{ShardCount: 3, Peers: "http://a:8321,http://b:8321"},
 			wantErr: "-shard-count 3 needs exactly that many -peers entries, got 2"},
 		{name: "no peers", cfg: Config{ShardCount: 2}, wantErr: "got 0"},
@@ -93,9 +93,8 @@ func TestNewDerivesTheReplicaFromConfig(t *testing.T) {
 // tests boot through New and NewCache, so they cover what deploys.
 func TestZeroConfigIsTheDeployedDaemon(t *testing.T) {
 	type gate struct {
-		MaxInflight        int `json:"max_inflight"`
-		MaxQueued          int `json:"max_queued"`
-		MaxQueuedPerClient int `json:"max_queued_per_client"`
+		MaxInflight int `json:"max_inflight"`
+		MaxQueued   int `json:"max_queued"`
 	}
 	type traceStore struct {
 		Capacity   int     `json:"capacity"`
@@ -109,10 +108,10 @@ func TestZeroConfigIsTheDeployedDaemon(t *testing.T) {
 	_, ks := bootOne(t, Config{})
 	getJSON(t, ks.URL+"/stats", http.StatusOK, &st)
 	deployed := traceStore{Capacity: 512, SampleRate: 0.05}
-	if want := (gate{runtime.GOMAXPROCS(0), 64, 16}); st.Admission == nil || *st.Admission != want {
+	if want := (gate{runtime.GOMAXPROCS(0), 64}); st.Admission == nil || *st.Admission != want {
 		t.Errorf("kserve read gate = %+v, want %+v", st.Admission, want)
 	}
-	if want := (gate{1, 32, 16}); st.WriteAdmission == nil || *st.WriteAdmission != want {
+	if want := (gate{1, 32}); st.WriteAdmission == nil || *st.WriteAdmission != want {
 		t.Errorf("kserve write gate = %+v, want %+v", st.WriteAdmission, want)
 	}
 	if st.TraceStore == nil || *st.TraceStore != deployed {
@@ -236,7 +235,6 @@ func TestStatsAndMetricsReadTheSameCounters(t *testing.T) {
 	} {
 		pairs[prefix+"_admitted_total"] = gate.Admitted
 		pairs[prefix+"_shed_total"] = gate.Shed
-		pairs[prefix+"_fairness_shed_total"] = gate.FairnessShed
 	}
 	for name, stat := range pairs {
 		if got, ok := metrics[name]; !ok || got != stat {

@@ -71,8 +71,8 @@ import (
 )
 
 // Config is everything a replica is built from. Each field is the
-// cmd/kserve flag of the same name (Seed is -seed, MaxQueuedPerClient
-// is -max-queued-per-client, ...), with the flag's meaning, and the
+// cmd/kserve flag of the same name (Seed is -seed, MaxQueuedWrites is
+// -max-queued-writes, ...), with the flag's meaning, and the
 // zero Config is what kserve runs with no flags: a zero field selects
 // the flag's default, and a negative one is an error that names the
 // flag. Seed is the exception: seed 0 is a corpus of its own, and
@@ -84,10 +84,9 @@ type Config struct {
 	CacheBytes  int64
 	CacheRemote string
 
-	MaxInflight        int
-	MaxQueued          int
-	MaxQueuedPerClient int
-	MaxQueuedWrites    int
+	MaxInflight     int
+	MaxQueued       int
+	MaxQueuedWrites int
 
 	ShardIndex int
 	ShardCount int
@@ -115,7 +114,6 @@ func (c Config) withDefaults() (Config, error) {
 	orDefault(&err, "-cache-bytes", &c.CacheBytes, store.DefaultMemoryBytes)
 	orDefault(&err, "-max-inflight", &c.MaxInflight, runtime.GOMAXPROCS(0))
 	orDefault(&err, "-max-queued", &c.MaxQueued, 64)
-	orDefault(&err, "-max-queued-per-client", &c.MaxQueuedPerClient, 16)
 	orDefault(&err, "-max-queued-writes", &c.MaxQueuedWrites, 32)
 	orDefault(&err, "-shard-count", &c.ShardCount, 1)
 	orDefault(&err, "-slow-scan", &c.SlowScan, 0) // off
@@ -216,14 +214,11 @@ func New(cfg Config) (*Server, error) {
 		// WHICH replica served each partition.
 		name = "kserve-" + strconv.Itoa(sh.index)
 		log.Printf("kserve: shard %d/%d, peers=%v", sh.index, sh.ring.Count, sh.peers)
-		if sh.feed == nil {
-			log.Printf("kserve: sharded without -cache-remote: no generation feed; changesets will not propagate to peers")
-		}
 	}
 	if cfg.CacheRemote != "" {
 		log.Printf("kserve: fleet cache tier: %s", cfg.CacheRemote)
 	}
-	s.traceColl = shard.NewTraceCollector(traceTargets(sh, cfg.CacheRemote), 2*time.Second)
+	s.traceColl = shard.NewTraceCollector(traceTargets(sh, cfg.CacheRemote))
 	s.ro = &obs.RequestObserver{
 		Service: name,
 		Traces:  s.traces,
@@ -236,12 +231,12 @@ func New(cfg Config) (*Server, error) {
 
 	// Both gates stamp shed responses with the live corpus generation.
 	gen := cb.Generation
-	s.adm = newAdmission(reg, "admission", cfg.MaxInflight, cfg.MaxQueued, cfg.MaxQueuedPerClient, gen)
-	s.wadm = newAdmission(reg, "write_admission", 1, cfg.MaxQueuedWrites, cfg.MaxQueuedPerClient, gen)
+	s.adm = newAdmission(reg, "admission", cfg.MaxInflight, cfg.MaxQueued, gen)
+	s.wadm = newAdmission(reg, "write_admission", 1, cfg.MaxQueuedWrites, gen)
 	log.Printf("kserve: admission control: reads %d inflight, %d queued; writes 1 inflight, %d queued",
 		cfg.MaxInflight, cfg.MaxQueued, cfg.MaxQueuedWrites)
 	if sh != nil { // one sub-batch per read slot of every other coordinator
-		sh.gate = newAdmission(reg, "shard_sub_admission", cfg.MaxInflight*(cfg.ShardCount-1), cfg.MaxQueued, cfg.MaxQueuedPerClient, gen)
+		sh.gate = newAdmission(reg, "shard_sub_admission", cfg.MaxInflight*(cfg.ShardCount-1), cfg.MaxQueued, gen)
 	}
 
 	s.handler = s.routes()

@@ -31,7 +31,8 @@ checker serve_npd {
 // any test gets a server — and serves each Handler over httptest. cfg
 // carries everything else exactly as cmd/kserve's flags would. n == 1
 // is a single host; n > 1 a sharded fleet in which replica i owns shard
-// i and every replica can coordinate.
+// i and every replica can coordinate, over a kcached of its own unless
+// cfg names one.
 func boot(t *testing.T, n int, cfg Config) ([]*Server, []*httptest.Server) {
 	t.Helper()
 	return bootWith(t, n, cfg, nil)
@@ -50,6 +51,10 @@ func bootWith(t *testing.T, n int, cfg Config, hook func(i int, ts *httptest.Ser
 	}
 	if n > 1 {
 		cfg.ShardCount, cfg.Peers = n, strings.Join(urls, ",")
+		if cfg.CacheRemote == "" { // a fleet's commits travel through kcached's feed
+			_, kc := newKcached(t, CacheConfig{})
+			cfg.CacheRemote = kc.URL
+		}
 	}
 	srvs := make([]*Server, n)
 	for i, ts := range tss {

@@ -33,9 +33,8 @@ type shardLayer struct {
 	ring  shard.Ring
 	index int
 	peers []string
-	// feed is the generation feed through kcached (nil when the daemon
-	// runs sharded without -cache-remote; changesets then reach peers
-	// only via their own coordinators).
+	// feed is the generation feed through kcached: every commit reaches
+	// the peers through it.
 	feed *shard.FeedClient
 	// nudge posts best-effort /converge pokes to peers after a commit.
 	nudge *http.Client
@@ -61,10 +60,10 @@ type shardLayer struct {
 // ShardCount <= 1 — or reports shard settings that contradict each
 // other. This replica owns partition ShardIndex of ShardCount, Peers
 // lists every replica's base URL in shard-index order, and the
-// CacheRemote kcached carries the generation feed. The scatter path
-// lands on /metrics as the per-shard fan-out latency histogram, the
-// degraded-scatter counter the fault-injection smoke asserts on, and
-// the peer-health gauge vec.
+// CacheRemote kcached, which a fleet must name, carries the generation
+// feed. The scatter path lands on /metrics as the per-shard fan-out
+// latency histogram, the degraded-scatter counter the fault-injection
+// smoke asserts on, and the peer-health gauge vec.
 func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 	if cfg.ShardCount <= 1 {
 		return nil, nil
@@ -76,10 +75,14 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
 		return nil, fmt.Errorf("serve: -shard-index %d out of range [0,%d)", cfg.ShardIndex, cfg.ShardCount)
 	}
+	if cfg.CacheRemote == "" {
+		return nil, fmt.Errorf("serve: -shard-count %d needs -cache-remote: the kcached generation feed is how a commit reaches the peers", cfg.ShardCount)
+	}
 	sh := &shardLayer{
 		ring:  shard.Ring{Count: cfg.ShardCount},
 		index: cfg.ShardIndex,
 		peers: peers,
+		feed:  shard.NewFeedClient(cfg.CacheRemote),
 		nudge: &http.Client{Timeout: 5 * time.Second},
 
 		scatters: reg.Counter("shard_scatters_total", "Coordinated scan/batch fan-outs served by this replica."),
@@ -88,9 +91,6 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 		subScans:      reg.Counter("shard_sub_scans_total", "Shard-local sub-requests served for other coordinators, one per sub-request."),
 		converges:     reg.Counter("shard_converges_total", "Generation-feed replays that brought this shard up to the fleet generation."),
 		feedPublishes: reg.Counter("shard_feed_publishes_total", "Changeset commits published to the generation feed."),
-	}
-	if cfg.CacheRemote != "" {
-		sh.feed = shard.NewFeedClient(cfg.CacheRemote, 5*time.Second)
 	}
 	fanoutDur := reg.HistogramVec("shard_fanout_duration_seconds",
 		"Wall time of one shard's partition within a scatter (however served), by shard.",
@@ -252,7 +252,7 @@ func (s *Server) scatter(w http.ResponseWriter, r *http.Request, q *api.Query, c
 // and 409s if the corpus really cannot get there.
 func (s *Server) maybeConverge(ctx context.Context, min int64) {
 	sh := s.shard
-	if sh == nil || sh.feed == nil || s.inc.Codebase().Generation() >= min {
+	if sh == nil || s.inc.Codebase().Generation() >= min {
 		return
 	}
 	if _, err := s.converge(ctx, min); err != nil {
@@ -266,12 +266,10 @@ func (s *Server) maybeConverge(ctx context.Context, min int64) {
 // exactly like a directly-served commit. A caller that wants generation
 // want (> 0) pulls only if the replica is still behind it once it holds
 // convergeMu: a nudge and a lazy converge race for the lock, and the
-// loser finds the winner's replay already applied.
+// loser finds the winner's replay already applied. Only a sharded
+// replica converges.
 func (s *Server) converge(ctx context.Context, want int64) (int, error) {
 	sh := s.shard
-	if sh == nil || sh.feed == nil {
-		return 0, nil
-	}
 	sh.convergeMu.Lock()
 	defer sh.convergeMu.Unlock()
 	cb := s.inc.Codebase()
@@ -311,8 +309,8 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusMethodNotAllowed, api.ErrMethodNotAllowed, "POST only")
 		return
 	}
-	if s.shard == nil || s.shard.feed == nil {
-		s.httpError(w, http.StatusNotFound, api.ErrUnavailable, "not sharded, or no generation feed configured (-shard-count, -cache-remote)")
+	if s.shard == nil {
+		s.httpError(w, http.StatusNotFound, api.ErrUnavailable, "not sharded (-shard-count)")
 		return
 	}
 	var want int64
@@ -352,7 +350,7 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 // of a changeset shows the fan-out it triggered.
 func (s *Server) shardPublish(ctx context.Context, gen int64, changes []api.Change) {
 	sh := s.shard
-	if sh == nil || sh.feed == nil {
+	if sh == nil {
 		return
 	}
 	sh.feedPublishes.Inc()

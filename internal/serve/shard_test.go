@@ -219,7 +219,7 @@ func TestShardSubBatchesSkipTheReadGate(t *testing.T) {
 	const perReplica = 4
 	var door sync.WaitGroup
 	door.Add(2 * perReplica)
-	srvs, tss := bootWith(t, 2, Config{MaxInflight: 2, MaxQueued: 64, MaxQueuedPerClient: 16}, func(_ int, ts *httptest.Server) {
+	srvs, tss := bootWith(t, 2, Config{MaxInflight: 2, MaxQueued: 64}, func(_ int, ts *httptest.Server) {
 		h := ts.Config.Handler
 		ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/scan" {

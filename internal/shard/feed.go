@@ -142,12 +142,9 @@ type FeedClient struct {
 }
 
 // NewFeedClient returns a client for the feed at base (e.g. the
-// -cache-remote URL). Calls are bounded by timeout (default 5s).
-func NewFeedClient(base string, timeout time.Duration) *FeedClient {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return &FeedClient{base: base, client: &http.Client{Timeout: timeout}}
+// -cache-remote URL). Each call is bounded by 5s.
+func NewFeedClient(base string) *FeedClient {
+	return &FeedClient{base: base, client: &http.Client{Timeout: 5 * time.Second}}
 }
 
 // Publish posts one committed changeset to the feed.

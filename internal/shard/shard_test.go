@@ -314,7 +314,7 @@ func TestFeedHTTPRoundTrip(t *testing.T) {
 	f := NewFeed(0)
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
-	c := NewFeedClient(ts.URL, 0)
+	c := NewFeedClient(ts.URL)
 	ctx := context.Background()
 	for g := int64(2); g <= 4; g++ {
 		if err := c.Publish(ctx, api.FeedEntry{Generation: g, Changes: []api.Change{{Path: "a.c", Source: "int x;"}}}); err != nil {

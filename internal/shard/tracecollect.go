@@ -23,19 +23,18 @@ import (
 type TraceCollector struct {
 	targets []string
 	client  *http.Client
-	timeout time.Duration
 }
+
+// perPeerTimeout bounds each fragment fetch.
+const perPeerTimeout = 2 * time.Second
 
 // NewTraceCollector returns a collector over the given base URLs
 // (typically every peer except self, plus the kcached -cache-remote).
-// Each fetch is bounded by perPeer (default 2s). Returns nil when there
-// is nothing to collect from; Collect on a nil collector returns nothing.
-func NewTraceCollector(targets []string, perPeer time.Duration) *TraceCollector {
+// Each fetch is bounded by perPeerTimeout. Returns nil when there is
+// nothing to collect from; Collect on a nil collector returns nothing.
+func NewTraceCollector(targets []string) *TraceCollector {
 	if len(targets) == 0 {
 		return nil
-	}
-	if perPeer <= 0 {
-		perPeer = 2 * time.Second
 	}
 	return &TraceCollector{
 		targets: append([]string(nil), targets...),
@@ -44,7 +43,6 @@ func NewTraceCollector(targets []string, perPeer time.Duration) *TraceCollector 
 			MaxIdleConnsPerHost: 4,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		timeout: perPeer,
 	}
 }
 
@@ -76,7 +74,7 @@ func (tc *TraceCollector) Collect(ctx context.Context, id string) []*obs.StoredT
 }
 
 func (tc *TraceCollector) fetch(ctx context.Context, base, id string) *obs.StoredTrace {
-	pctx, cancel := context.WithTimeout(ctx, tc.timeout)
+	pctx, cancel := context.WithTimeout(ctx, perPeerTimeout)
 	defer cancel()
 	u := fmt.Sprintf("%s/trace/%s?local=1", base, url.PathEscape(id))
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, u, nil)
