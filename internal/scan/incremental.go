@@ -49,9 +49,10 @@ const (
 	// the scan saw.
 	StageSnapshotPin = "snapshot_pin"
 	// StageParse is the serial prologue: listing the pass's function
-	// units and fingerprinting its riders. Function hashes and key
-	// digests are memoized per file version and filled by the workers,
-	// so a warm daemon hashes no function or key here.
+	// units and fingerprinting its riders, each hashed into the rider
+	// half of its keys once. Function hashes and the function halves of
+	// their keys are memoized per file version and filled by the
+	// workers, so a warm daemon hashes no function or key here.
 	StageParse = "parse"
 	// StageCacheProbe is the summed store probe time across workers.
 	StageCacheProbe = "cache_probe"
@@ -132,6 +133,10 @@ func (inc *Incremental) RunFiles(files []int, checkers []checker.Checker, opts O
 type riderPlan struct {
 	checkers []checker.Checker
 	fp       string // checker-batch fingerprint
+	// rider is the rider half of the rider's keys under the pass's
+	// engine bounds: a key's digest is store.PairDigest of its
+	// function's half and this.
+	rider store.Half
 	// perFunc[u] is the rider's result for unit u.
 	perFunc             []*engine.Result
 	hits, misses, quiet atomic.Int64
@@ -226,6 +231,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	for i := range plans {
 		p := &plans[i]
 		p.checkers, p.fp = riders[i], checkersFingerprint(riders[i])
+		p.rider = store.RiderPart(p.fp, engFP)
 		p.perFunc = make([]*engine.Result, len(units))
 	}
 	if timed {
@@ -236,11 +242,11 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	// prologue: with a remote tier every range probe is a network round
 	// trip, and a fleet-warm scan is nothing but probes — serializing
 	// them would make the scan's headline path single-threaded I/O. So
-	// do the keys:
-	// function hashes and key digests are memoized per file version, and
-	// the worker whose range first touches a file since it changed (or
-	// since a rider's fingerprints left its memo) hashes them there, in
-	// parallel. A worker claims a range of units, probes every rider's
+	// do the keys: function hashes and the function halves of their keys
+	// are memoized per file version, and the worker whose range first
+	// touches a file since it changed hashes them there, in parallel;
+	// every key digest is assembled from its two halves, hashing nothing.
+	// A worker claims a range of units, probes every rider's
 	// keys for the whole range in one store call, computes the misses
 	// unit by unit, and stores them in one more call at the end of the
 	// range. Two requests missing the same key at once both compute it
@@ -302,15 +308,16 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							break
 						}
 						p := &plans[i]
-						var fileIDs []store.Digest
+						var hashes []string
+						var parts []store.Half
 						for u, file := lo, -1; u < hi; u++ {
 							un := units[u]
 							if un.file != file {
 								file = un.file
-								fileIDs = snap.keyDigests(file, p.fp, engFP)
+								hashes, parts = snap.funcHashes(file)
 							}
-							keys = append(keys, p.key(snap.FuncHash(un.file, un.fn), engFP))
-							ids[i*w+u-lo] = fileIDs[un.fn]
+							keys = append(keys, p.key(hashes[un.fn], engFP))
+							ids[i*w+u-lo] = store.PairDigest(parts[un.fn], p.rider)
 						}
 					}
 					if len(keys) > 0 {
@@ -388,7 +395,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							p := &plans[i]
 							p.perFunc[u] = r
 							if payload := store.Encode(r); payload != nil {
-								putKeys = append(putKeys, p.key(snap.FuncHash(un.file, un.fn), engFP))
+								putKeys = append(putKeys, keys[i*w+u-lo])
 								putIDs = append(putIDs, ids[i*w+u-lo])
 								putPayloads = append(putPayloads, payload)
 							}

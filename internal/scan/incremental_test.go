@@ -159,15 +159,15 @@ func TestRangeBoundariesMatchUncachedScan(t *testing.T) {
 }
 
 // TestWarmPassAllocatesPerRange pins what a warm pass allocates besides
-// the reports it decodes: its key digests are memoized per file version
-// and a hit that carries nothing the merge keeps decodes into the
-// worker's scratch and allocates nothing, so the count and the bytes
-// grow with ranges, not functions. The checker reports nothing, so every
-// hit is a report-free result. Over the scale-0.25 corpus (745
-// functions, 12 ranges) a warm pass makes 70 allocations; with a digest
-// per key and a heap result per hit it made 803. In bytes it allocates
-// under 64 per function; decoding every hit into a slab of results cost
-// 122.
+// the reports it decodes: its key digests are assembled on the stack
+// from halves memoized per file version and per pass, and a hit that
+// carries nothing the merge keeps decodes into the worker's scratch and
+// allocates nothing, so the count and the bytes grow with ranges, not
+// functions. The checker reports nothing, so every hit is a report-free
+// result. Over the scale-0.25 corpus (745 functions, 12 ranges) a warm
+// pass makes 52 allocations; with a digest per key and a heap
+// result per hit it made 803. In bytes it allocates under 64 per
+// function; decoding every hit into a slab of results cost 122.
 func TestWarmPassAllocatesPerRange(t *testing.T) {
 	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
 	if err != nil {

@@ -19,8 +19,8 @@ import (
 // pinned one never changes underneath the reader.
 //
 // Everything reachable from a Snapshot is read-only except the memos:
-// hashes filled exactly once, key digests and footprints filled on
-// demand, all pure functions of the immutable ASTs (and of fingerprints).
+// hashes and key function halves filled exactly once, footprints filled
+// on demand, all pure functions of the immutable ASTs.
 type Snapshot struct {
 	gen      int64
 	files    []*minic.File
@@ -35,38 +35,23 @@ type Snapshot struct {
 	index map[string]int
 }
 
-// maxSumSets bounds how many (checker, engine) fingerprint pairs one file
-// version keeps key digests for. Warm traffic re-scans a small pool of
-// checkers — the benchmark's pool is 12, on warm_serve and on the commit
-// workloads' reader alike — so 16 holds a whole pool. Each set costs 32
-// bytes per function, ≤ 0.8 MB over the scale-1 corpus, in pointer-free
-// arrays the collector never scans. Past 16 hot pairs the ring evicts
-// the oldest, and a pass pays what it would without the memo — a digest
-// per key — plus one insert.
-const maxSumSets = 16
-
 // fileMemo holds the content hashes of one file version, computed on
 // first use. A function's analysis depends on its own source, its
 // position (reports carry absolute line/col), and the file-level
-// declarations it can see, so its hash covers all three.
-//
-// It also holds the store key digests of those functions for the last
-// maxSumSets fingerprint pairs, in a ring under mu: a warm probe reads
-// its digests instead of hashing every key, and reading allocates
-// nothing.
+// declarations it can see, so its hash covers all three. Beside each
+// hash it holds the function half of the function's store keys, so a
+// probe assembles a key digest from it and the pass's rider half
+// (store.PairDigest) without hashing.
 //
 // And the footprints of those functions, each made once per file
 // version.
 type fileMemo struct {
 	once  sync.Once
 	funcs []string
+	parts []store.Half // parts[j] == store.FuncPart(funcs[j])
 
 	fpOnce sync.Once
 	fps    []atomic.Pointer[minic.Footprint]
-
-	mu   sync.Mutex
-	sums [maxSumSets]sumSet
-	next int // the ring slot the next insert overwrites
 }
 
 // footprint returns the footprint of function j of f, the file version
@@ -85,54 +70,14 @@ func (m *fileMemo) footprint(f *minic.File, j int) *minic.Footprint {
 	return fp
 }
 
-// sumSet is the key digests of one file version's functions under one
-// fingerprint pair: ids[j] == store.Key{funcs[j], checkerFP, engineFP}.Digest().
-type sumSet struct {
-	checkerFP, engineFP string
-	ids                 []store.Digest
-}
-
-// digests returns the key digest of every function of f, the file
-// version this memo belongs to, under (checkerFP, engineFP); the first
-// request for a pair not in the ring hashes them and inserts the set.
-// The returned slice is shared and read-only.
-func (m *fileMemo) digests(f *minic.File, checkerFP, engineFP string) []store.Digest {
-	if ids := m.findSum(checkerFP, engineFP, nil); ids != nil {
-		return ids
-	}
-	funcs := m.hashes(f)
-	ids := make([]store.Digest, len(funcs))
-	for j, fh := range funcs {
-		ids[j] = store.Key{FuncHash: fh, CheckerFP: checkerFP, EngineFP: engineFP}.Digest()
-	}
-	return m.findSum(checkerFP, engineFP, ids)
-}
-
-// findSum returns the ring's digests for the pair. When the ring has none
-// and add is non-nil, it inserts add and returns it; a racing insert of
-// the same pair wins instead, so the ring never holds a pair twice.
-func (m *fileMemo) findSum(checkerFP, engineFP string, add []store.Digest) []store.Digest {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.sums {
-		if s := &m.sums[i]; s.ids != nil && s.checkerFP == checkerFP && s.engineFP == engineFP {
-			return s.ids
-		}
-	}
-	if add != nil {
-		m.sums[m.next] = sumSet{checkerFP, engineFP, add}
-		m.next = (m.next + 1) % maxSumSets
-	}
-	return add
-}
-
 // hashes returns the content hash of every function of f, the file
-// version this memo belongs to.
-func (m *fileMemo) hashes(f *minic.File) []string {
+// version this memo belongs to, and the function half of its keys.
+func (m *fileMemo) hashes(f *minic.File) ([]string, []store.Half) {
 	m.once.Do(func() {
 		ctx := minic.FormatFile(&minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals})
 		ctxHash := store.Hash("filectx:v1", f.Name, ctx)
 		m.funcs = make([]string, len(f.Funcs))
+		m.parts = make([]store.Half, len(f.Funcs))
 		for j, fn := range f.Funcs {
 			// v2: the declaration position is part of the function's
 			// identity — cached reports carry absolute line/col, so a
@@ -140,9 +85,10 @@ func (m *fileMemo) hashes(f *minic.File) []string {
 			// file must re-analyze.
 			m.funcs[j] = store.Hash("func:v2", ctxHash,
 				fmt.Sprintf("%d:%d", fn.Pos.Line, fn.Pos.Col), minic.FormatFunc(fn))
+			m.parts[j] = store.FuncPart(m.funcs[j])
 		}
 	})
-	return m.funcs
+	return m.funcs, m.parts
 }
 
 // newSnapshot builds generation gen over the given parsed files with a
@@ -189,14 +135,14 @@ func (s *Snapshot) FileIndex(path string) int {
 // the file context (file name, structs, globals) its analysis can
 // observe.
 func (s *Snapshot) FuncHash(i, j int) string {
-	return s.memo[i].hashes(s.files[i])[j]
+	hs, _ := s.funcHashes(i)
+	return hs[j]
 }
 
-// keyDigests returns the store key digest of every function of file i
-// under the given fingerprints: ids[j] is the Digest of the key whose
-// FuncHash is FuncHash(i, j). It is memoized with the file's hashes.
-func (s *Snapshot) keyDigests(i int, checkerFP, engineFP string) []store.Digest {
-	return s.memo[i].digests(s.files[i], checkerFP, engineFP)
+// funcHashes returns FuncHash(i, j) of every function j of file i, and
+// the function half of its store keys, memoized per file version.
+func (s *Snapshot) funcHashes(i int) ([]string, []store.Half) {
+	return s.memo[i].hashes(s.files[i])
 }
 
 // PinnedSnapshot is a Snapshot held alive in the codebase's pin

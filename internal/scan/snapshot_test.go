@@ -1,14 +1,19 @@
 package scan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"knighter/internal/checker"
+	"knighter/internal/ckdsl"
+	"knighter/internal/engine"
 	"knighter/internal/minic"
 	"knighter/internal/store"
 )
@@ -250,105 +255,141 @@ func TestSnapshotMemoConcurrentReaders(t *testing.T) {
 	})
 }
 
-// memoPairs are 20 (checker, engine) fingerprint pairs — more than
-// maxSumSets, so reading them all evicts — in checker-major order: each
-// checker fingerprint comes with two engine fingerprints, back to back,
-// so a memo that told pairs apart by checker alone answers the second
-// with the first's digests.
-func memoPairs() [][2]string {
-	var pairs [][2]string
-	for c := 0; c < 10; c++ {
-		for e := 0; e < 2; e++ {
-			pairs = append(pairs, [2]string{store.Hash("ck", strconv.Itoa(c)), store.Hash("eng", strconv.Itoa(e))})
-		}
-	}
-	return pairs
+// digestCheck is a memory tier that first checks every range call's
+// ids against its keys: ids[i] must equal keys[i].Digest(), the key
+// hashed whole.
+type digestCheck struct {
+	*store.Memory
+	mu      sync.Mutex
+	checked int // keys probed
+	err     error
 }
 
-// wantDigests hashes the key of every function of s under pair p from
-// scratch, per file.
-func wantDigests(s *Snapshot, p [2]string) [][]store.Digest {
-	out := make([][]store.Digest, len(s.files))
-	for i, f := range s.files {
-		for j := range f.Funcs {
-			out[i] = append(out[i], store.Key{FuncHash: s.FuncHash(i, j), CheckerFP: p[0], EngineFP: p[1]}.Digest())
-		}
-	}
-	return out
-}
-
-// checkDigests reads s's memoized key digests of every file under every
-// pair, in order, and compares each with its key hashed from scratch.
-func checkDigests(t *testing.T, s *Snapshot, pairs [][2]string) {
-	t.Helper()
-	for _, p := range pairs {
-		want := wantDigests(s, p)
-		for i := range s.files {
-			if got := s.keyDigests(i, p[0], p[1]); !slices.Equal(got, want[i]) {
-				t.Fatalf("generation %d, file %d, pair %.8s/%.8s: memoized digests differ from Key.Digest", s.gen, i, p[0], p[1])
-			}
+func (d *digestCheck) check(keys []store.Key, ids []store.Digest) {
+	for i, k := range keys {
+		if ids[i] != k.Digest() {
+			d.mu.Lock()
+			d.err = fmt.Errorf("key %.8s/%.8s/%.8s: the scheduler's id %x is not its Digest", k.FuncHash, k.CheckerFP, k.EngineFP, ids[i][:8])
+			d.mu.Unlock()
+			return
 		}
 	}
 }
 
-// checkDigestSharing asserts that, under pair p, next shares parent's
-// digest slice for exactly the files the commit did not touch.
-func checkDigestSharing(t *testing.T, parent, next *Snapshot, p [2]string, touched ...int) {
+func (d *digestCheck) GetMany(ctx context.Context, keys []store.Key, ids []store.Digest, out [][]byte) {
+	d.check(keys, ids)
+	d.mu.Lock()
+	d.checked += len(keys)
+	d.mu.Unlock()
+	d.Memory.GetMany(ctx, keys, ids, out)
+}
+
+func (d *digestCheck) PutMany(ctx context.Context, keys []store.Key, ids []store.Digest, payloads [][]byte) {
+	d.check(keys, ids)
+	d.Memory.PutMany(ctx, keys, ids, payloads)
+}
+
+// digestPasses runs s's every unit through inc's scheduler, whose store
+// is a digestCheck, under riders, first with the default engine bounds
+// and then with others, and fails unless every key each pass probed and
+// stored went by its Digest and every (unit, rider) pair was probed.
+func digestPasses(inc *Incremental, s *Snapshot, riders [][]checker.Checker) error {
+	d := inc.st.(*digestCheck)
+	files := make([]int, len(s.files))
+	for i := range files {
+		files[i] = i
+	}
+	for _, opts := range []Options{{Workers: 2}, {Workers: 2, Engine: engine.Options{MaxPaths: 7}}} {
+		d.mu.Lock()
+		before := d.checked
+		d.mu.Unlock()
+		inc.runRiders(s, time.Now(), files, riders, opts)
+		d.mu.Lock()
+		probed, err := d.checked-before, d.err
+		d.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		// Other readers may probe at the same time, so this pass probed
+		// at least its own keys.
+		if want := s.numFuncs * len(riders); probed < want {
+			return fmt.Errorf("generation %d: %d keys probed, want %d", s.gen, probed, want)
+		}
+	}
+	return nil
+}
+
+// checkFuncParts asserts that next shares parent's function halves for
+// exactly the files the commit did not touch, and that every half of
+// next is store.FuncPart of its function's hash.
+func checkFuncParts(t *testing.T, parent, next *Snapshot, touched ...int) {
 	t.Helper()
 	for i := range next.files {
-		if len(next.files[i].Funcs) == 0 || len(parent.files[i].Funcs) == 0 {
+		hashes, parts := next.funcHashes(i)
+		for j, h := range hashes {
+			if parts[j] != store.FuncPart(h) {
+				t.Fatalf("generation %d, file %d, function %d: memoized half is not FuncPart of its hash", next.gen, i, j)
+			}
+		}
+		if len(parts) == 0 || len(parent.files[i].Funcs) == 0 {
 			continue
 		}
-		shared := &next.keyDigests(i, p[0], p[1])[0] == &parent.keyDigests(i, p[0], p[1])[0]
-		if shared != !slices.Contains(touched, i) {
-			t.Errorf("generation %d, file %d: digests shared with parent = %v, touched = %v",
+		_, was := parent.funcHashes(i)
+		if shared := &parts[0] == &was[0]; shared == slices.Contains(touched, i) {
+			t.Errorf("generation %d, file %d: function halves shared with parent = %v, touched = %v",
 				next.gen, i, shared, slices.Contains(touched, i))
 		}
 	}
 }
 
-// TestSnapshotMemoDigests replays memoScript with every parent's key
-// digests read under 20 fingerprint pairs before each commit, so every
-// ring evicts. After each commit the successor shares the digests of
-// untouched files with its parent and never those of a touched file, and
-// every digest it memoizes equals store.Key{FuncHash, CheckerFP,
-// EngineFP}.Digest(). Then four readers walk the pairs over a pinned
-// snapshot's memos, and the live one's, while eight commits land; the
-// pinned answers must equal keys hashed from a cold parse.
-func TestSnapshotMemoDigests(t *testing.T) {
+// TestSchedulerDigestsAreKeyDigests replays memoScript with a scheduler
+// pass over the parent before each commit and over its successor after:
+// every id the scheduler assembles from a memoized function half and a
+// rider half, for every unit and rider, must equal the key's Digest,
+// and the successor shares the function halves of untouched files with
+// its parent and never those of a touched file. Then four readers run
+// passes over a pinned snapshot, and the live one, while eight commits
+// land: the pinned ids must stay Digests of keys whose halves a cold
+// parse of the pinned corpus gives.
+func TestSchedulerDigestsAreKeyDigests(t *testing.T) {
 	cb := buildCodebase(t)
-	inc := NewIncremental(cb, store.NewMemory(0))
-	pairs := memoPairs()
-	last := pairs[len(pairs)-1]
-	memoScript(t, inc, func(parent *Snapshot) { checkDigests(t, parent, pairs) }, func(parent, next *Snapshot, touched ...int) {
-		checkDigestSharing(t, parent, next, last, touched...)
-		checkDigests(t, next, pairs)
+	ck := compileChecker(t)
+	ck2, err := ckdsl.CompileSource(strings.ReplaceAll(scanNPD, "scan_npd", "scan_npd_b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	riders := [][]checker.Checker{{ck}, {ck2}, {ck, ck2}}
+	inc := NewIncremental(cb, &digestCheck{Memory: store.NewMemory(0)})
+	pass := func(s *Snapshot) {
+		t.Helper()
+		if err := digestPasses(inc, s, riders); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memoScript(t, inc, pass, func(parent, next *Snapshot, touched ...int) {
+		pass(next)
+		checkFuncParts(t, parent, next, touched...)
 	})
 
 	cold, err := NewCodebase(corpusAt(cb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([][][]store.Digest, len(pairs))
-	for k, p := range pairs {
-		want[k] = wantDigests(cold.snap.Load(), p)
-	}
+	want := memoHashes(cold.snap.Load())
 	pinned := cb.Pin()
 	defer pinned.Release()
-	raceMemoReaders(t, inc, func(g int) error {
-		for n := range pairs {
-			k := (n + 5*g) % len(pairs)
-			p := pairs[k]
-			for i := range pinned.files {
-				if got := pinned.keyDigests(i, p[0], p[1]); !slices.Equal(got, want[k][i]) {
-					return fmt.Errorf("pinned file %d, pair %d: digests differ from a cold parse's keys", i, k)
+	raceMemoReaders(t, inc, func(int) error {
+		if err := digestPasses(inc, pinned.Snapshot, riders); err != nil {
+			return err
+		}
+		for i := range pinned.files {
+			hashes, parts := pinned.funcHashes(i)
+			for j := range hashes {
+				if hashes[j] != want[i][j] || parts[j] != store.FuncPart(want[i][j]) {
+					return fmt.Errorf("pinned file %d, function %d: halves differ from a cold parse's", i, j)
 				}
 			}
 		}
-		live := cb.snap.Load()
-		for i := range live.files {
-			live.keyDigests(i, last[0], last[1])
-		}
-		return nil
+		return digestPasses(inc, cb.snap.Load(), riders)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -142,12 +143,15 @@ type FeedClient struct {
 }
 
 // NewFeedClient returns a client for the feed at base (e.g. the
-// -cache-remote URL). Each call is bounded by 5s.
+// -cache-remote URL), trailing slashes trimmed. Each call is bounded by
+// 5s.
 func NewFeedClient(base string) *FeedClient {
-	return &FeedClient{base: base, client: &http.Client{Timeout: 5 * time.Second}}
+	return &FeedClient{base: strings.TrimRight(base, "/"), client: &http.Client{Timeout: 5 * time.Second}}
 }
 
-// Publish posts one committed changeset to the feed.
+// Publish posts one committed changeset to the feed. Only the feed's own
+// 204 counts as published: any other answer — a redirect the client
+// followed as a GET, say — is an error.
 func (c *FeedClient) Publish(ctx context.Context, e api.FeedEntry) error {
 	buf, err := json.Marshal(e)
 	if err != nil {
@@ -164,7 +168,7 @@ func (c *FeedClient) Publish(ctx context.Context, e api.FeedEntry) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	if resp.StatusCode != http.StatusNoContent {
 		return fmt.Errorf("feed publish: %s", resp.Status)
 	}
 	return nil

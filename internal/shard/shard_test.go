@@ -333,6 +333,42 @@ func TestFeedHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFeedClientTrimsTrailingSlash: a feed base with a trailing slash,
+// as an operator may write -cache-remote, still publishes to POST /feed.
+// Posted to //feed instead, the mux redirects, the client re-sends a GET
+// and the page it answers is a 200: Publish must not count that as
+// published, and here the entry must reach the feed.
+func TestFeedClientTrimsTrailingSlash(t *testing.T) {
+	f := NewFeed(0)
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+	c := NewFeedClient(ts.URL + "/")
+	ctx := context.Background()
+	if err := c.Publish(ctx, api.FeedEntry{Generation: 2, Changes: []api.Change{{Path: "a.c", Source: "int x;"}}}); err != nil {
+		t.Fatal(err)
+	}
+	page, err := c.Since(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Entries) != 1 || page.Entries[0].Generation != 2 || page.Latest != 2 {
+		t.Fatalf("published generation 2 through a trailing-slash base; Since(0) = %+v latest=%d", page.Entries, page.Latest)
+	}
+}
+
+// TestFeedPublishWantsTheFeeds204: an answer other than the feed's own
+// 204, even a 2xx, is a failed publish.
+func TestFeedPublishWantsTheFeeds204(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("{}"))
+	}))
+	t.Cleanup(ts.Close)
+	err := NewFeedClient(ts.URL).Publish(context.Background(), api.FeedEntry{Generation: 2, Changes: []api.Change{{Path: "a.c", Source: "int x;"}}})
+	if err == nil {
+		t.Fatal("a 200 that is not the feed's answer counted as published")
+	}
+}
+
 // TestFeedRejectsOversizedAndEmptyEntries: POST /feed reads at most
 // api.MaxBodyBytes and refuses an entry without changes, both with 400,
 // and neither reaches the feed.

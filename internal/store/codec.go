@@ -242,11 +242,6 @@ func (d *codecReader) frame() []byte {
 	return b
 }
 
-// key reads what appendKey wrote.
-func (d *codecReader) key() Key {
-	return Key{FuncHash: d.string(), CheckerFP: d.string(), EngineFP: d.string()}
-}
-
 func (d *codecReader) pos() minic.Pos {
 	return minic.Pos{File: d.string(), Line: int(d.uvarint()), Col: int(d.uvarint())}
 }

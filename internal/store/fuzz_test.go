@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -401,8 +402,11 @@ func serveEntries(h http.Handler, route string, body []byte) *httptest.ResponseR
 }
 
 // FuzzEntriesWire: arbitrary bodies sent to either entry route never
-// panic the server. A body refEntries refuses gets a 400 and stores
-// nothing; a get the reference accepts is answered with one frame per
+// panic the server. The keys parseEntries reads are the reference's,
+// though it copies each distinct rider's fingerprints once per body, and
+// every id it derives is its key's Digest, though it hashes each
+// distinct rider's half once per body. A body refEntries refuses gets a
+// 400 and stores nothing; a get the reference accepts is answered with one frame per
 // key, all misses on an empty store; a put it accepts is a 204, and the
 // same keys then read back through /entries/get as the bytes put under
 // them (the last, for a key put twice).
@@ -417,7 +421,34 @@ func FuzzEntriesWire(f *testing.F) {
 	f.Add(false, appendKey(appendKey(nil, a), b))
 	f.Add(false, []byte{0x80, 0x00})
 	f.Add(false, []byte(nil))
+	// A pass's puts alternate its riders function by function; here two
+	// checkers, and one of them under a second engine.
+	var alternating []byte
+	for _, fh := range []string{"fA", "fB", "fC"} {
+		for _, k := range []Key{fkey(fh, "ck1"), fkey(fh, "ck2"), {FuncHash: fh, CheckerFP: "ck1", EngineFP: "eng2"}} {
+			alternating = append(alternating, putFrame(k, result(fh))...)
+		}
+	}
+	f.Add(true, alternating)
+	// A cold deployment batch's put: 39 checkers, function by function.
+	var cycling []byte
+	for _, fh := range []string{"fA", "fB"} {
+		for n := range 39 {
+			cycling = append(cycling, putFrame(fkey(fh, strconv.Itoa(n)), result(fh))...)
+		}
+	}
+	f.Add(true, cycling)
 	f.Fuzz(func(t *testing.T, put bool, body []byte) {
+		if keys, ids, _, bad := parseEntries(body, put); bad == "" {
+			if want, _, _ := refEntries(body, put); !slices.Equal(keys, want) {
+				t.Fatalf("parsed keys %q, want %q", keys, want)
+			}
+			for i, k := range keys {
+				if ids[i] != k.Digest() {
+					t.Fatalf("key %d of %d: parsed id %x, want its Digest %x", i, len(keys), ids[i], k.Digest())
+				}
+			}
+		}
 		back := NewMemory(0)
 		h := NewCacheServer(back).Handler()
 		route := "/entries/get"

@@ -189,8 +189,10 @@ func (m *Memory) holds(i int32, id Digest) bool {
 	return e.fn >= 0 && e.fn != i && e.id == id
 }
 
-// tagOf is the digest's first 4 bytes. Digests are SHA-256, so tags are
-// uniform, and their low bits spread homes as well as any hash would.
+// tagOf is the digest's first 4 bytes: the XOR of the key's two
+// SHA-256 halves (PairDigest), so tags are uniform over functions and
+// over riders alike, and their low bits spread homes as well as any hash
+// would.
 func tagOf(id Digest) uint32 { return binary.LittleEndian.Uint32(id[:4]) }
 
 // cell is slot i's index cell under tag t.

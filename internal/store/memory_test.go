@@ -154,6 +154,53 @@ func TestMemoryIndexWrapsDeletesAndGrows(t *testing.T) {
 	check("re-inserted after growing")
 }
 
+// longestRun is the longest run of occupied cells in m's index: what a
+// probe for a missing key may walk, and a bound on any hit's.
+func longestRun(m *Memory) int {
+	longest, run := 0, 0
+	// Twice round, so that a run wrapping past the table's end counts whole.
+	for k := range 2 * len(m.index) {
+		if m.index[k%len(m.index)] == 0 {
+			run = 0
+			continue
+		}
+		if run++; run > longest {
+			longest = run
+		}
+	}
+	return min(longest, len(m.index))
+}
+
+// TestMemoryIndexSpreadsFunctionsAndRiders stores one function under
+// 4096 riders, then 4096 functions under one rider, and bounds the
+// index's longest probe run after each: the tag (tagOf) must be as
+// uniform when a series of keys holds the function fixed as when it
+// holds the rider fixed. At the index's load of one half here, uniform
+// tags leave runs of 31 and 37 cells; a digest that began with the
+// function half alone would give the first 4096 entries one tag, and
+// one run as long.
+func TestMemoryIndexSpreadsFunctionsAndRiders(t *testing.T) {
+	const n = 4096
+	m := NewMemory(0)
+	put := func(k Key) { m.PutMany(bg, []Key{k}, []Digest{k.Digest()}, encodeAll(result("r"))) }
+	for r := range n {
+		put(Key{FuncHash: Hash("fn"), CheckerFP: Hash("ck", strconv.Itoa(r)), EngineFP: "eng"})
+	}
+	if run := longestRun(m); run > 64 {
+		t.Fatalf("one function under %d riders: longest probe run %d cells of %d, want <= 64", n, run, len(m.index))
+	}
+	for f := range n {
+		put(Key{FuncHash: Hash("fn", strconv.Itoa(f)), CheckerFP: Hash("ck"), EngineFP: "eng"})
+	}
+	if run := longestRun(m); run > 64 {
+		t.Fatalf("then %d functions under one rider: longest probe run %d cells of %d, want <= 64", n, run, len(m.index))
+	}
+	if st := m.Stats(); st.Entries != 2*n || st.Evictions != 0 {
+		t.Fatalf("%d entries, %d evictions; want %d, none", st.Entries, st.Evictions, 2*n)
+	}
+	checkMemory(t, m, "after the spread")
+}
+
 // TestMemoryResidencyMatchesWeight pins entryOverhead to what an entry
 // keeps resident: a tier filled the way a cold sweep fills one — 250k
 // report-free results of 1 558 functions under successive checker

@@ -164,12 +164,35 @@ func (cs *CacheServer) badRequest(w http.ResponseWriter, msg string) {
 func parseEntries(data []byte, records bool) (keys []Key, ids []Digest, payloads [][]byte, bad string) {
 	d := &codecReader{buf: data}
 	var scratch engine.Result
+	// Each distinct rider of the body, by its framed (CheckerFP,
+	// EngineFP) bytes — one encoding per pair, as lengths are minimal
+	// uvarints — so a key allocates only its function hash and hashes
+	// only its function half. A map, not a short list: a cold batch's put
+	// body cycles through all its checkers function by function, and a
+	// body of distinct riders must parse in linear time.
+	type rider struct {
+		checkerFP, engineFP string
+		part                Half
+	}
+	riders := map[string]rider{}
 	for len(d.buf) > 0 {
-		k := d.key()
-		if d.err != nil || k.FuncHash == "" {
+		funcHash := d.string()
+		rest := d.buf
+		d.frame()
+		d.frame()
+		if d.err != nil || funcHash == "" {
 			return nil, nil, nil, "malformed key, or no function hash"
 		}
-		keys, ids = append(keys, k), append(ids, k.Digest())
+		framed := rest[:len(rest)-len(d.buf)]
+		r, ok := riders[string(framed)]
+		if !ok {
+			rd := &codecReader{buf: framed}
+			r.checkerFP, r.engineFP = rd.string(), rd.string()
+			r.part = RiderPart(r.checkerFP, r.engineFP)
+			riders[string(framed)] = r
+		}
+		keys = append(keys, Key{FuncHash: funcHash, CheckerFP: r.checkerFP, EngineFP: r.engineFP})
+		ids = append(ids, PairDigest(FuncPart(funcHash), r.part))
 		if !records {
 			continue
 		}

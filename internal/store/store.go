@@ -26,6 +26,7 @@ package store
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 )
 
@@ -43,16 +44,57 @@ type Key struct {
 // Digest is a key's binary content address: comparable and pointer-free.
 type Digest [sha256.Size]byte
 
-// Digest hashes the key in a stack buffer, without allocating. A range
-// call takes the digests beside its keys (Store), so callers hash each
-// key once, before any tier takes a lock; the scheduler memoizes them
-// per file version and hashes nothing on a warm probe.
+// Half is one half of a digest's inputs: 16 bytes of a domain-tagged
+// SHA-256, of a function hash (FuncPart) or of a rider's fingerprints
+// (RiderPart).
+type Half [16]byte
+
+// Digest is the key's content address, PairDigest of its two halves.
+// It hashes in stack buffers, without allocating. A range call takes the
+// digests beside its keys (Store), so callers address each key once,
+// before any tier takes a lock; the scheduler memoizes the function half
+// per file version and the rider half per pass, so it hashes nothing per
+// key.
 func (k Key) Digest() Digest {
-	var buf [192]byte
-	b := append(buf[:0], "key:v1\x00"...)
-	b = append(append(b, k.FuncHash...), 0)
-	b = append(append(b, k.CheckerFP...), 0)
-	return sha256.Sum256(append(b, k.EngineFP...))
+	return PairDigest(FuncPart(k.FuncHash), RiderPart(k.CheckerFP, k.EngineFP))
+}
+
+// FuncPart is the function half of every key whose FuncHash is funcHash.
+func FuncPart(funcHash string) Half {
+	var buf [128]byte
+	return half(append(append(buf[:0], "key:v2:func\x00"...), funcHash...))
+}
+
+// RiderPart is the rider half of every key under checkerFP and
+// engineFP.
+func RiderPart(checkerFP, engineFP string) Half {
+	var buf [128]byte
+	b := append(buf[:0], "key:v2:rider\x00"...)
+	b = append(append(b, checkerFP...), 0)
+	return half(append(b, engineFP...))
+}
+
+func half(b []byte) (h Half) {
+	sum := sha256.Sum256(b)
+	copy(h[:], sum[:])
+	return h
+}
+
+// PairDigest assembles the digest of the key whose halves are fn and
+// rider, hashing nothing: d[:16] = fn XOR rider, d[16:] = fn. It is
+// injective — fn is d[16:] and rider is d[:16] XOR fn — so two keys
+// share an address only if both their halves collide. Its first bytes
+// stay as uniform as either half, whichever one a series of keys holds
+// fixed: the memory tier picks index homes from them (tagOf), and a
+// digest that began with fn would pile every rider of a function onto
+// one home.
+func PairDigest(fn, rider Half) (d Digest) {
+	// Eight bytes at a time: a warm pass assembles a digest per key.
+	le := binary.LittleEndian
+	le.PutUint64(d[0:], le.Uint64(fn[0:])^le.Uint64(rider[0:]))
+	le.PutUint64(d[8:], le.Uint64(fn[8:])^le.Uint64(rider[8:]))
+	copy(d[16:], fn[:])
+	return d
 }
 
 // ID is the hex form of Digest: the content address in the segment
@@ -116,10 +158,11 @@ func (s Stats) HitRate() float64 {
 // (DecodeInto).
 //
 // The caller passes each key's digest beside it (ids[i] ==
-// keys[i].Digest()): the scheduler memoizes digests per file version,
-// so a warm probe hashes nothing, and a local tier addresses entries by
-// ids alone. A digest never lives inside a Key — a key edited after its
-// digest was taken would address another entry.
+// keys[i].Digest()): the scheduler assembles them from halves it
+// memoizes (PairDigest), so a probe hashes nothing per key, and a local
+// tier addresses entries by ids alone. A digest never lives inside a
+// Key — a key edited after its digest was taken would address another
+// entry.
 //
 // Every operation carries the request context: local tiers ignore it,
 // but the remote tier uses it to propagate the request's trace id to

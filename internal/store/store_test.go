@@ -69,17 +69,29 @@ func TestKeyIDVariesPerComponent(t *testing.T) {
 }
 
 // Key.ID is the address on the kcached wire and in every segment log:
-// it must stay the hex sha256 of the v1 key string, for short keys and
-// for keys longer than Digest's stack buffer.
-func TestKeyIDIsV1Address(t *testing.T) {
+// it must stay the v2 construction — the function half is the first 16
+// bytes of the sha256 of "key:v2:func\x00" and the function hash, the
+// rider half those of "key:v2:rider\x00", the checker fingerprint, a
+// NUL and the engine fingerprint, and the digest is their XOR followed
+// by the function half — for short keys and for keys longer than the
+// halves' stack buffers.
+func TestKeyIDIsV2Address(t *testing.T) {
 	for _, k := range []Key{
 		{FuncHash: "f", CheckerFP: "c", EngineFP: "e"},
 		{FuncHash: Hash("f"), CheckerFP: Hash("c"), EngineFP: Hash("e")},
-		{FuncHash: strings.Repeat("f", 300), CheckerFP: "c", EngineFP: strings.Repeat("e", 90)},
+		{FuncHash: strings.Repeat("f", 300), CheckerFP: strings.Repeat("c", 100), EngineFP: strings.Repeat("e", 90)},
 	} {
-		want := sha256.Sum256([]byte("key:v1\x00" + k.FuncHash + "\x00" + k.CheckerFP + "\x00" + k.EngineFP))
-		if got := k.ID(); got != hex.EncodeToString(want[:]) || k.Digest() != Digest(want) {
+		fn := sha256.Sum256([]byte("key:v2:func\x00" + k.FuncHash))
+		rider := sha256.Sum256([]byte("key:v2:rider\x00" + k.CheckerFP + "\x00" + k.EngineFP))
+		var want Digest
+		for i := 0; i < 16; i++ {
+			want[i], want[16+i] = fn[i]^rider[i], fn[i]
+		}
+		if got := k.ID(); got != hex.EncodeToString(want[:]) || k.Digest() != want {
 			t.Fatalf("key %.40q: ID %s, want %x", k.FuncHash, got, want)
+		}
+		if PairDigest(FuncPart(k.FuncHash), RiderPart(k.CheckerFP, k.EngineFP)) != want {
+			t.Fatalf("key %.40q: PairDigest of its halves is not its Digest", k.FuncHash)
 		}
 	}
 }

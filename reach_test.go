@@ -40,6 +40,7 @@ var benchmarkOnly = []string{
 	"segment.Store.Sync",
 	"shard.ScanJob",
 	"shard.Scatter.Scan",
+	"store.Key.Digest",
 	"store.Key.ID",
 	"store.Memory.Get",
 	"store.Memory.Put",
