@@ -1,6 +1,6 @@
 // Package knighter's root benchmark harness: one benchmark per table and
 // figure of the paper's evaluation (§5), plus ablation benchmarks for the
-// design choices DESIGN.md calls out. Run with:
+// pipeline's design choices (README, "The synthesis loop"). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -57,9 +57,7 @@ var (
 func setupBench(b *testing.B) (*eval.Harness, *eval.Table1Result, *eval.BugDetectionResult) {
 	b.Helper()
 	benchOnce.Do(func() {
-		cfg := eval.DefaultConfig()
-		cfg.CorpusScale = benchScale
-		h, err := eval.NewHarness(cfg)
+		h, err := eval.NewHarness(kernel.Config{Seed: 1, Scale: benchScale})
 		if err != nil {
 			panic(err)
 		}
@@ -190,7 +188,7 @@ func BenchmarkRQ4Triage(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks for DESIGN.md design choices ---
+// --- ablation benchmarks for the pipeline's design choices ---
 
 const benchNPDSrc = `
 static int probe_one(struct platform_device *pdev, char *name)

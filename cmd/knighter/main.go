@@ -142,7 +142,7 @@ func synthCmd(fs *flag.FlagSet, e *env) func([]string) error {
 	class := fs.String("class", "", "synthesize checkers for every commit of this class")
 	showPatch := fs.Bool("show-patch", false, "print the unified diff")
 	noRefine := fs.Bool("no-refine", false, "skip the corpus refinement phase")
-	commitSeed := fs.Int64("commit-seed", 11, "commit dataset seed")
+	commitSeed := fs.Int64("commit-seed", eval.CommitSeed, "commit dataset seed")
 	return func([]string) error {
 		commits := kernel.BuildHandCommits(*commitSeed).All()
 		if *list {
@@ -161,8 +161,7 @@ func synthCmd(fs *flag.FlagSet, e *env) func([]string) error {
 		if len(targets) == 0 {
 			return errors.New("no matching commits (use -list, -commit <id>, or -class <name>)")
 		}
-		model := llm.NewOracle(llm.O3Mini)
-		pipe := synth.NewPipeline(model, synth.Options{})
+		pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
 		var loop *refine.Loop
 		if !*noRefine {
 			corpus := e.corpus()
@@ -170,7 +169,7 @@ func synthCmd(fs *flag.FlagSet, e *env) func([]string) error {
 			if err != nil {
 				return err
 			}
-			loop = refine.NewLoop(cb, triage.NewAgent(corpus), model, pipe.Val, refine.Options{})
+			loop = refine.NewLoop(scan.NewIncremental(cb, nil), triage.NewAgent(corpus), pipe)
 		}
 		for _, c := range targets {
 			synthOne(e.stdout, pipe, loop, c, *showPatch)
@@ -206,7 +205,7 @@ func synthOne(w io.Writer, pipe *synth.Pipeline, loop *refine.Loop, c *vcs.Commi
 	if loop == nil {
 		return
 	}
-	rr := loop.Run(c, out.Spec)
+	rr := loop.Run(c, out.Checker)
 	fmt.Fprintf(w, "-- refinement: %s after %d round(s), %d accepted step(s); final scan: %d report(s) --\n",
 		rr.Disposition, rr.Rounds, rr.Steps, len(rr.FinalReports))
 	if rr.Steps > 0 {
@@ -221,7 +220,8 @@ func synthOne(w io.Writer, pipe *synth.Pipeline, loop *refine.Loop, c *vcs.Commi
 
 // scanCmd runs a checker-DSL program over the corpus, or over the
 // mini-C files named as arguments, printing one report per line; counts
-// go to stderr.
+// go to stderr. -triage needs the corpus: the agent's ground truth is
+// the generated corpus's bug ledger.
 func scanCmd(fs *flag.FlagSet, e *env) func([]string) error {
 	checkerPath := fs.String("checker", "", "path to a checker DSL file")
 	runSmatch := fs.Bool("smatch", false, "run the Smatch-analog baseline instead of a checker")
@@ -241,6 +241,9 @@ func scanCmd(fs *flag.FlagSet, e *env) func([]string) error {
 		}
 		if *checkerPath == "" {
 			return usagef("missing -checker (or -smatch)")
+		}
+		if *doTriage && len(files) > 0 {
+			return usagef("-triage labels corpus reports; it takes no file arguments")
 		}
 		src, err := os.ReadFile(*checkerPath)
 		if err != nil {
@@ -268,6 +271,9 @@ func scanCmd(fs *flag.FlagSet, e *env) func([]string) error {
 				for _, re := range res.RuntimeErrs {
 					fmt.Fprintln(e.stderr, "knighter scan:", re.Error())
 				}
+			}
+			if *maxReports > 0 && len(reports) > *maxReports {
+				reports = reports[:*maxReports]
 			}
 		} else {
 			corpus := e.corpus()
@@ -382,11 +388,8 @@ func evalCmd(fs *flag.FlagSet, e *env) func([]string) error {
 		if *table == 0 && *fig == 0 && *rq == 0 {
 			*all = true
 		}
-		cfg := eval.DefaultConfig()
-		cfg.CorpusScale = e.scale
-		cfg.CorpusSeed = e.seed
 		start := time.Now()
-		h, err := eval.NewHarness(cfg)
+		h, err := eval.NewHarness(kernel.Config{Seed: e.seed, Scale: e.scale})
 		if err != nil {
 			return err
 		}

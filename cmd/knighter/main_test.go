@@ -37,6 +37,23 @@ func TestRun(t *testing.T) {
 	npd := kernel.BuildHandCommits(11).ByClass(kernel.ClassNPD)
 	statsArgs := []string{"corpus", "-stats", "-scale", "0.1"}
 
+	// The scale-0.1 corpus, dumped: scan's file-argument path.
+	var corpusFiles []string
+	dumpDir := t.TempDir()
+	for _, f := range kernel.Generate(kernel.Config{Seed: 1, Scale: 0.1}).Files {
+		path := filepath.Join(dumpDir, f.Path)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(f.Src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		corpusFiles = append(corpusFiles, path)
+	}
+	scanFiles := func(flags ...string) []string {
+		return append(append([]string{"scan", "-checker", ckPath}, flags...), corpusFiles...)
+	}
+
 	usageOnStderr := func(t *testing.T, stdout, stderr string) {
 		if stdout != "" || !strings.Contains(stderr, "usage: knighter <subcommand>") {
 			t.Errorf("want usage on stderr only; stdout %q, stderr %q", stdout, stderr)
@@ -91,7 +108,26 @@ func TestRun(t *testing.T) {
 				t.Errorf("%d report lines, RunOne returns %d", got, want)
 			}
 		}},
+		{"scan -max-reports caps file-argument reports", scanFiles("-max-reports", "1"), 0, func(t *testing.T, stdout, _ string) {
+			if _, all, _ := runCLI(scanFiles()...); strings.Count(all, "\n") < 2 {
+				t.Fatalf("uncapped scan of the dumped corpus printed %d reports; the cap needs at least 2", strings.Count(all, "\n"))
+			}
+			if got := strings.Count(stdout, "\n"); got != 1 {
+				t.Errorf("%d report lines under -max-reports 1:\n%s", got, stdout)
+			}
+		}},
+		{"scan -triage with file arguments", scanFiles("-triage"), 2, func(t *testing.T, stdout, stderr string) {
+			if stdout != "" || !strings.Contains(stderr, "-triage") {
+				t.Errorf("want a -triage usage error and no reports; stdout %q, stderr %q", stdout, stderr)
+			}
+		}},
 		{"synth one commit", []string{"synth", "-scale", "0.1", "-commit", npd[0].ID, "-no-refine"}, 0, commitBlocks(1)},
+		{"synth one commit with refinement", []string{"synth", "-scale", "0.1", "-commit", npd[0].ID}, 0, func(t *testing.T, stdout, stderr string) {
+			commitBlocks(1)(t, stdout, stderr)
+			if got := strings.Count(stdout, "\n-- refinement: "); got != 1 {
+				t.Errorf("%d refinement lines, want 1:\n%s", got, stdout)
+			}
+		}},
 		{"synth a commit matching -commit and -class", []string{"synth", "-scale", "0.1", "-commit", npd[0].ID, "-class", kernel.ClassNPD, "-no-refine"}, 0, commitBlocks(len(npd))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -501,27 +501,13 @@ func (ex *exec) minMax(pc *pathCtx, isMin bool, a, b sym.Value, pos minic.Pos) s
 	ra, rb := pc.state.RangeOf(a), pc.state.RangeOf(b)
 	var out sym.Range
 	if isMin {
-		out = sym.Range{Min: min64(ra.Min, rb.Min), Max: min64(ra.Max, rb.Max)}
+		out = sym.Range{Min: min(ra.Min, rb.Min), Max: min(ra.Max, rb.Max)}
 	} else {
-		out = sym.Range{Min: max64(ra.Min, rb.Min), Max: max64(ra.Max, rb.Max)}
+		out = sym.Range{Min: max(ra.Min, rb.Min), Max: max(ra.Max, rb.Max)}
 	}
 	s := ex.arena.NewSymbol("minmax", pos)
 	pc.state = pc.state.WithRange(s, out)
 	return sym.MakeSym(s)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- sizeof / type resolution ---

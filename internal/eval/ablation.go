@@ -56,18 +56,17 @@ func (h *Harness) RunAblation() *AblationResult {
 	variants := []struct {
 		name  string
 		model *llm.Oracle
-		opts  synth.Options
 	}{
-		{"Default", llm.NewOracle(llm.O3Mini), synth.Options{}},
-		{"W/o multi-stage", &llm.Oracle{Profile: llm.O3Mini, SingleStage: true}, synth.Options{SingleStage: true}},
-		{"W/ RAG", &llm.Oracle{Profile: llm.O3Mini, RAG: true, Namespace: "rag"}, synth.Options{}},
-		{"W/ GPT-4o", llm.NewOracle(llm.GPT4o), synth.Options{}},
-		{"W/ DeepSeek-R1", llm.NewOracle(llm.DeepSeekR1), synth.Options{}},
-		{"W/ Gemini-2-flash", llm.NewOracle(llm.Gemini2Flash), synth.Options{}},
+		{"Default", llm.NewOracle(llm.O3Mini)},
+		{"W/o multi-stage", &llm.Oracle{Profile: llm.O3Mini, SingleStage: true}},
+		{"W/ RAG", &llm.Oracle{Profile: llm.O3Mini, RAG: true, Namespace: "rag"}},
+		{"W/ GPT-4o", llm.NewOracle(llm.GPT4o)},
+		{"W/ DeepSeek-R1", llm.NewOracle(llm.DeepSeekR1)},
+		{"W/ Gemini-2-flash", llm.NewOracle(llm.Gemini2Flash)},
 	}
 	for _, v := range variants {
 		row := AblationRow{Variant: v.name}
-		pipe := synth.NewPipeline(v.model, v.opts)
+		pipe := synth.NewPipeline(v.model, synth.Options{})
 		for _, c := range sample {
 			out := pipe.GenChecker(c)
 			row.Usage.Add(out.Usage)

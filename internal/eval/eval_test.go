@@ -21,9 +21,7 @@ var (
 func sharedHarness(t *testing.T) (*Harness, *Table1Result, *BugDetectionResult) {
 	t.Helper()
 	evalOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.CorpusScale = 0.2
-		h, err := NewHarness(cfg)
+		h, err := NewHarness(kernel.Config{Seed: 1, Scale: 0.2})
 		if err != nil {
 			panic(err)
 		}
@@ -65,8 +63,9 @@ func TestTable1FailuresLandOnPaperClasses(t *testing.T) {
 	// end as refinement failures is sample-sensitive at reduced corpus
 	// scale; the stable invariant is that the NPD devm_ioremap checker
 	// (whose WARN_ON bait is outside the refinement repertoire) always
-	// fails, and failures stay rare. The full-scale run (EXPERIMENTS.md)
-	// lands on exactly the paper's one-NPD-one-Double-Free split.
+	// fails, and failures stay rare. The full-scale run
+	// (TestFullScaleHeadlineNumbers) lands on exactly the paper's
+	// one-NPD-one-Double-Free split.
 	_, t1, _ := sharedHarness(t)
 	fails := map[string]int{}
 	total := 0
@@ -226,9 +225,7 @@ func TestRendersContainHeadlineNumbers(t *testing.T) {
 
 func TestDeterminismAcrossHarnesses(t *testing.T) {
 	_, t1, _ := sharedHarness(t)
-	cfg := DefaultConfig()
-	cfg.CorpusScale = 0.2
-	h2, err := NewHarness(cfg)
+	h2, err := NewHarness(kernel.Config{Seed: 1, Scale: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +270,7 @@ func TestPaperTableInvariants(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultConfig()
-			cfg.CorpusSeed = seed
-			h, err := NewHarness(cfg)
+			h, err := NewHarness(kernel.Config{Seed: seed, Scale: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,34 +15,17 @@ import (
 	"knighter/internal/vcs"
 )
 
-// Config pins every seed the evaluation depends on; two runs with the
-// same Config produce byte-identical outputs.
-type Config struct {
-	CorpusSeed  int64
-	CommitSeed  int64
-	AutoSeed    int64
-	AutoCount   int
-	CorpusScale float64
-	// FPBugRate calibrates the triage agent (§5.4.1: it approved 22 of
-	// 72 false reports).
-	FPBugRate float64
-}
-
-// DefaultConfig is the configuration used throughout EXPERIMENTS.md.
-func DefaultConfig() Config {
-	return Config{
-		CorpusSeed:  1,
-		CommitSeed:  11,
-		AutoSeed:    13,
-		AutoCount:   100,
-		CorpusScale: 1.0,
-		FPBugRate:   0.32,
-	}
-}
+// The evaluation's fixed commit datasets: the seed of the 61
+// hand-labeled benchmark commits, and the seed and size of the
+// auto-collected NPD commit set.
+const (
+	CommitSeed = 11
+	AutoSeed   = 13
+	AutoCount  = 100
+)
 
 // Harness owns the shared state of an evaluation run.
 type Harness struct {
-	Cfg      Config
 	Corpus   *kernel.Corpus
 	Codebase *scan.Codebase
 	// Inc schedules every harness scan through one shared
@@ -52,42 +35,33 @@ type Harness struct {
 	Inc    *scan.Incremental
 	Hand   *vcs.Store
 	Auto   *vcs.Store
-	Model  *llm.Oracle
 	Pipe   *synth.Pipeline
 	Triage *triage.Agent
 	Loop   *refine.Loop
 }
 
-// NewHarness builds the corpus, parses it, and wires the pipeline.
-func NewHarness(cfg Config) (*Harness, error) {
-	if cfg.CorpusScale <= 0 {
-		cfg.CorpusScale = 1.0
-	}
-	if cfg.FPBugRate <= 0 {
-		cfg.FPBugRate = 0.32
-	}
-	corpus := kernel.Generate(kernel.Config{Seed: cfg.CorpusSeed, Scale: cfg.CorpusScale})
+// NewHarness builds the corpus cfg names, parses it, and wires the
+// pipeline. Every other seed is fixed, so two runs with the same cfg
+// produce byte-identical outputs.
+func NewHarness(cfg kernel.Config) (*Harness, error) {
+	corpus := kernel.Generate(cfg)
 	cb, err := scan.NewCodebase(corpus)
 	if err != nil {
 		return nil, err
 	}
-	model := llm.NewOracle(llm.O3Mini)
-	pipe := synth.NewPipeline(model, synth.Options{})
+	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
 	tr := triage.NewAgent(corpus)
-	tr.FPBugRate = cfg.FPBugRate
-	h := &Harness{
-		Cfg:      cfg,
+	inc := scan.NewIncremental(cb, store.NewMemory(0))
+	return &Harness{
 		Corpus:   corpus,
 		Codebase: cb,
-		Inc:      scan.NewIncremental(cb, store.NewMemory(0)),
-		Hand:     kernel.BuildHandCommits(cfg.CommitSeed),
-		Auto:     kernel.BuildAutoNPDCommits(cfg.AutoSeed, cfg.AutoCount),
-		Model:    model,
+		Inc:      inc,
+		Hand:     kernel.BuildHandCommits(CommitSeed),
+		Auto:     kernel.BuildAutoNPDCommits(AutoSeed, AutoCount),
 		Pipe:     pipe,
 		Triage:   tr,
-	}
-	h.Loop = refine.NewLoopWith(h.Inc, tr, model, pipe.Val, refine.Options{})
-	return h, nil
+		Loop:     refine.NewLoop(inc, tr, pipe),
+	}, nil
 }
 
 // SynthesisOutcome couples a commit's synthesis result with its
@@ -111,7 +85,7 @@ func (h *Harness) RunCommits(store *vcs.Store) []*SynthesisOutcome {
 	for _, c := range store.All() {
 		so := &SynthesisOutcome{Commit: c, Synth: h.Pipe.GenChecker(c)}
 		if so.Synth.Valid {
-			so.Refine = h.Loop.Run(c, so.Synth.Spec)
+			so.Refine = h.Loop.Run(c, so.Synth.Checker)
 		}
 		out = append(out, so)
 	}

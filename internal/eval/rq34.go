@@ -98,8 +98,9 @@ type TriageEvalResult struct {
 	TPAt4, FPAt4 int
 }
 
-// RunTriageEval samples up to 5 reports per valid checker and grades the
-// triage agent against ground truth.
+// RunTriageEval samples up to refine.SampleSize reports per valid
+// checker, from a scan capped as the refinement loop caps its own, and
+// grades the triage agent against ground truth.
 func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalResult {
 	if handOutcomes == nil {
 		handOutcomes = h.RunCommits(h.Hand)
@@ -118,7 +119,7 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 			cks = append(cks, so.Synth.Checker)
 		}
 	}
-	batch := h.Inc.RunBatch(cks, nil, scan.Options{MaxReports: 100}, 0)
+	batch := h.Inc.RunBatch(cks, nil, scan.Options{MaxReports: refine.ScanCap}, 0)
 	for bi, so := range valid {
 		scanRes := batch[bi]
 		if len(scanRes.Reports) == 0 {
@@ -126,7 +127,7 @@ func (h *Harness) RunTriageEval(handOutcomes []*SynthesisOutcome) *TriageEvalRes
 			continue
 		}
 		res.ReportingCheckers++
-		sample := refine.Sample(scanRes.Reports, 5, so.Commit.ID)
+		sample := refine.Sample(scanRes.Reports, refine.SampleSize, so.Commit.ID)
 		for _, rep := range sample {
 			res.SampledReports++
 			truth := h.Triage.IsTruePositive(rep)

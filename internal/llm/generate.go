@@ -52,7 +52,7 @@ func (o *Oracle) shapeFor(c *vcs.Commit, pa *PatternAnalysis, plan *Plan, iter i
 	syntaxRate := o.Profile.SyntaxErrorRate
 	if o.SingleStage {
 		// Without a plan, the model free-writes more broken checkers.
-		syntaxRate = minF(0.95, syntaxRate*1.9)
+		syntaxRate = min(0.95, syntaxRate*1.9)
 	}
 	sh.syntax = rollBelow(syntaxRate, o.key("syntax", c.ID, fmt.Sprint(iter))...)
 	if sh.syntax {
@@ -84,15 +84,8 @@ func kindHasArgRules(k FixKind) bool {
 	return false
 }
 
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ImplementChecker implements Model: it renders the DSL program for this
-// iteration, applying the attempt's defects.
+// ImplementChecker is the implementation stage: it renders the DSL
+// program for this iteration, applying the attempt's defects.
 func (o *Oracle) ImplementChecker(c *vcs.Commit, pa *PatternAnalysis, plan *Plan, iter int) (string, Usage) {
 	prompt := ImplementPrompt(c, plan.Text())
 	text := o.attemptText(c, pa, plan, iter, true)
@@ -312,8 +305,8 @@ func corruptSyntax(text string, v float64) string {
 	return out
 }
 
-// RepairChecker implements Model: given the compiler error, the repair
-// agent re-emits the checker; with probability RepairSkill a fixable
+// RepairChecker is the syntax-repair agent: given the compiler error,
+// it re-emits the checker; with probability RepairSkill a fixable
 // syntax defect is gone (semantic defects survive — repair fixes
 // compilation, not understanding, mirroring §3.1.3). Unfixable syntax
 // defects come back corrupted no matter how many rounds are granted.
@@ -335,10 +328,10 @@ func (o *Oracle) RepairChecker(c *vcs.Commit, iter, attempt int, dsl, compileErr
 	return text, Usage{InputTokens: EstimateTokens(prompt), OutputTokens: EstimateTokens(text), Calls: 1}
 }
 
-// RefineChecker implements Model: the refinement agent inspects the
-// false-positive functions and applies a fix from its repertoire. FP
-// idioms outside the repertoire (WARN_ON() checks, free-NULL-free
-// sequences) go unrecognized and the spec comes back unchanged — those
+// RefineChecker is the refinement agent: it inspects the false-positive
+// functions and applies a fix from its repertoire. FP idioms outside
+// the repertoire (WARN_ON() checks, free-NULL-free sequences) go
+// unrecognized and the spec comes back unchanged — those
 // checkers end as the paper's refinement failures.
 func (o *Oracle) RefineChecker(c *vcs.Commit, spec *ckdsl.Spec, fpSources []string, step int) (*ckdsl.Spec, Usage) {
 	prompt := RefinePrompt(spec.String(), fpSources)

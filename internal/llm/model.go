@@ -8,7 +8,7 @@
 // misunderstandings occur at calibrated rates, seeded by (model, commit,
 // attempt) so every run of every experiment is reproducible.
 //
-// This is the calibration layer documented in DESIGN.md §2: the paper's
+// This is the calibration layer of the reproduction: the paper's
 // pipeline properties (multi-stage > single-stage, repair fixes syntax,
 // validation filters hallucination, refinement removes FP classes) are
 // properties of how the pipeline handles an imperfect generator, which
@@ -82,8 +82,8 @@ type Profile struct {
 	// CommitSkill, when non-nil, pins per-commit capability for the
 	// labeled benchmark, keyed "Class/Flavor#Seq". It is the calibration
 	// table that reproduces the observed per-commit outcomes of paper
-	// Table 1 for the default model (see DESIGN.md §2); commits without
-	// an entry fall back to the probabilistic capability.
+	// Table 1 for the default model; commits without an entry fall back
+	// to the probabilistic capability.
 	CommitSkill map[string]bool
 }
 
@@ -149,7 +149,7 @@ var (
 
 // o3MiniHandDestiny pins which hand-benchmark commits the default model
 // understands (calibrated against the per-class validity split of paper
-// Table 1 — see DESIGN.md). Keys are "Class/Flavor#Seq".
+// Table 1). Keys are "Class/Flavor#Seq".
 var o3MiniHandDestiny = map[string]bool{
 	// NPD: 5 valid (2 direct, 2 refined, 1 refinement-fail), 1 invalid.
 	"NPD/devm_kzalloc#0": true, "NPD/kzalloc#0": true, "NPD/kmalloc#0": true,

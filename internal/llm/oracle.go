@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"knighter/internal/ckdsl"
 	"knighter/internal/vcs"
 )
 
@@ -24,21 +23,13 @@ type Plan struct {
 // Text renders the plan as prose.
 func (p *Plan) Text() string { return strings.Join(p.Steps, "\n") }
 
-// Model is the generation interface the synthesis pipeline drives.
-type Model interface {
-	AnalyzePattern(c *vcs.Commit, iter int) (*PatternAnalysis, Usage)
-	SynthesizePlan(c *vcs.Commit, pa *PatternAnalysis, iter int) (*Plan, Usage)
-	ImplementChecker(c *vcs.Commit, pa *PatternAnalysis, plan *Plan, iter int) (string, Usage)
-	RepairChecker(c *vcs.Commit, iter, attempt int, dsl, compileErr string) (string, Usage)
-	RefineChecker(c *vcs.Commit, spec *ckdsl.Spec, fpSources []string, step int) (*ckdsl.Spec, Usage)
-}
-
-// Oracle is the deterministic simulated LLM.
+// Oracle is the deterministic simulated LLM the synthesis pipeline and
+// the refinement loop drive.
 type Oracle struct {
 	Profile *Profile
 	// SingleStage reproduces the "w/o multi-stage" ablation: the
-	// implementation happens without the explicit pattern/plan stages,
-	// with correspondingly degraded success and syntax rates (Table 3).
+	// synthesis pipeline skips the explicit pattern/plan stages, and the
+	// oracle degrades its success and syntax rates to match (Table 3).
 	SingleStage bool
 	// RAG reproduces the RAG-example ablation: comparable quality at
 	// roughly double the prompt-token cost.
@@ -114,7 +105,7 @@ func (o *Oracle) succeedsAt(c *vcs.Commit, iter int) bool {
 	return rollBelow(p, o.key("succ", c.ID, fmt.Sprint(iter))...)
 }
 
-// AnalyzePattern implements Model (paper Fig. 5a stage).
+// AnalyzePattern is the bug-pattern-analysis stage (paper Fig. 5a).
 func (o *Oracle) AnalyzePattern(c *vcs.Commit, iter int) (*PatternAnalysis, Usage) {
 	prompt := PatternPrompt(c, o.RAG)
 	facts := ReadPatch(c)
@@ -132,7 +123,7 @@ func (o *Oracle) AnalyzePattern(c *vcs.Commit, iter int) (*PatternAnalysis, Usag
 	return out, Usage{InputTokens: EstimateTokens(prompt), OutputTokens: EstimateTokens(text), Calls: 1}
 }
 
-// SynthesizePlan implements Model (paper Fig. 5b stage).
+// SynthesizePlan is the plan-synthesis stage (paper Fig. 5b).
 func (o *Oracle) SynthesizePlan(c *vcs.Commit, pa *PatternAnalysis, iter int) (*Plan, Usage) {
 	prompt := PlanPrompt(c, pa.Text, o.RAG)
 	steps := planSteps(pa.Facts)

@@ -33,8 +33,7 @@ func ExampleLoop_Run() {
 	input := commits.ByClass(kernel.ClassNPD)[1]
 	fmt.Printf("input patch %s (%s/%s)\n\n", input.ID, input.Class, input.Flavor)
 
-	model := llm.NewOracle(llm.O3Mini)
-	pipe := synth.NewPipeline(model, synth.Options{})
+	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
 	out := pipe.GenChecker(input)
 	if !out.Valid {
 		panic("synthesis failed for the kzalloc commit")
@@ -60,8 +59,8 @@ func ExampleLoop_Run() {
 	fmt.Printf("pre-refinement scan: %d reports, of which %d are unlikely()-guarded false positives\n\n",
 		len(pre.Reports), baitHits)
 
-	loop := refine.NewLoop(cb, triage.NewAgent(corpus), model, pipe.Val, refine.Options{})
-	rr := loop.Run(input, out.Spec)
+	loop := refine.NewLoop(scan.NewIncremental(cb, nil), triage.NewAgent(corpus), pipe)
+	rr := loop.Run(input, out.Checker)
 	fmt.Printf("refinement: %s after %d round(s), %d accepted step(s)\n\n", rr.Disposition, rr.Rounds, rr.Steps)
 	fmt.Printf("refined checker:\n%s\n", rr.Spec.String())
 	fmt.Printf("post-refinement scan: %d reports\n", len(rr.FinalReports))

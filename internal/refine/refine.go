@@ -30,61 +30,41 @@ const (
 	Fail Disposition = "fail"
 )
 
-// Options mirrors the paper's refinement parameters.
-type Options struct {
-	TPlausible    int // < TPlausible reports => plausible (default 20)
-	SampleSize    int // triaged warnings per round (default 5)
-	MaxFPInSample int // plausible if sampled FPs <= this (default 1)
-	MaxIters      int // refinement rounds (default 3)
-	ScanCap       int // refinement-phase warning cap (default 100)
-}
-
-func (o Options) withDefaults() Options {
-	if o.TPlausible <= 0 {
-		o.TPlausible = 20
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 5
-	}
-	if o.MaxFPInSample <= 0 {
-		o.MaxFPInSample = 1
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 3
-	}
-	if o.ScanCap <= 0 {
-		o.ScanCap = 100
-	}
-	return o
-}
+// The paper's refinement parameters (§4).
+const (
+	// TPlausible: a checker with fewer reports than this is plausible.
+	TPlausible = 20
+	// SampleSize is the number of warnings triaged per round.
+	SampleSize = 5
+	// MaxFPInSample: a checker is plausible if the triage agent labels
+	// at most this many sampled warnings false positives.
+	MaxFPInSample = 1
+	// MaxIters is the number of refinement rounds.
+	MaxIters = 3
+	// ScanCap caps the warnings a refinement-phase scan collects.
+	ScanCap = 100
+)
 
 // Loop drives refinement for valid checkers.
 type Loop struct {
 	// Inc schedules the loop's corpus scans through the analysis-result
 	// cache: successive refinement rounds re-scan a near-identical
 	// checker over an unchanged corpus, so most per-function work is a
-	// cache hit, and the stillWarnsAt acceptance re-scans are pure hits.
+	// cache hit, and the stillWarns acceptance re-scans are pure hits.
 	Inc    *scan.Incremental
 	Triage *triage.Agent
-	Model  llm.Model
-	Val    *synth.Validator
-	Opts   Options
+	// Pipe supplies the refinement agent (its model) and the
+	// differential validator the acceptance check re-runs.
+	Pipe *synth.Pipeline
 }
 
 // Codebase returns the parsed corpus the loop scans.
 func (l *Loop) Codebase() *scan.Codebase { return l.Inc.Codebase() }
 
-// NewLoop assembles a refinement loop with a private in-memory result
-// cache. Use NewLoopWith to share a cache with other scan consumers
-// (eval harness, kserve).
-func NewLoop(cb *scan.Codebase, tr *triage.Agent, model llm.Model, val *synth.Validator, opts Options) *Loop {
-	return NewLoopWith(scan.NewIncremental(cb, nil), tr, model, val, opts)
-}
-
-// NewLoopWith assembles a refinement loop over an existing incremental
-// scanner (and therefore its result store).
-func NewLoopWith(inc *scan.Incremental, tr *triage.Agent, model llm.Model, val *synth.Validator, opts Options) *Loop {
-	return &Loop{Inc: inc, Triage: tr, Model: model, Val: val, Opts: opts.withDefaults()}
+// NewLoop assembles a refinement loop over an incremental scanner (and
+// therefore its result store), with the model and validator of pipe.
+func NewLoop(inc *scan.Incremental, tr *triage.Agent, pipe *synth.Pipeline) *Loop {
+	return &Loop{Inc: inc, Triage: tr, Pipe: pipe}
 }
 
 // Result of refining one checker.
@@ -103,41 +83,33 @@ type Result struct {
 	Usage        llm.Usage
 }
 
-// Run refines one valid checker until plausible or the iteration budget
-// is exhausted.
-func (l *Loop) Run(commit *vcs.Commit, spec *ckdsl.Spec) *Result {
-	res := &Result{Commit: commit, Spec: spec}
-	cur := spec
+// Run refines one valid checker, as synthesis compiled it, until
+// plausible or the iteration budget is exhausted.
+func (l *Loop) Run(commit *vcs.Commit, ck *ckdsl.Compiled) *Result {
+	res := &Result{Commit: commit}
 	for round := 0; ; round++ {
 		res.Rounds = round + 1
-		ck, err := ckdsl.Compile(cur)
-		if err != nil {
-			// A refinement broke the checker (should not happen; the
-			// acceptance check recompiles) — treat as failure.
-			res.Disposition = Fail
-			return res
-		}
 		res.Checker = ck
-		res.Spec = cur
-		scanRes := l.Inc.RunOne(ck, scan.Options{MaxReports: l.Opts.ScanCap})
+		res.Spec = ck.Spec()
+		scanRes := l.Inc.RunOne(ck, scan.Options{MaxReports: ScanCap})
 		res.FinalReports = scanRes.Reports
 
-		if len(scanRes.Reports) < l.Opts.TPlausible {
+		if len(scanRes.Reports) < TPlausible {
 			res.Disposition = dispositionFor(round)
 			return res
 		}
-		sample := sampleReports(scanRes.Reports, l.Opts.SampleSize, commit.ID, round)
+		sample := sampleReports(scanRes.Reports, SampleSize, commit.ID, round)
 		var fps []*checker.Report
 		for _, r := range sample {
 			if !l.Triage.Classify(r, 0).Bug {
 				fps = append(fps, r)
 			}
 		}
-		if len(fps) <= l.Opts.MaxFPInSample {
+		if len(fps) <= MaxFPInSample {
 			res.Disposition = dispositionFor(round)
 			return res
 		}
-		if round >= l.Opts.MaxIters {
+		if round >= MaxIters {
 			res.Disposition = Fail
 			return res
 		}
@@ -147,16 +119,15 @@ func (l *Loop) Run(commit *vcs.Commit, spec *ckdsl.Spec) *Result {
 		// consumes the iteration but the loop re-samples and retries
 		// until the iteration budget runs out.
 		fpSources := l.fpFunctionSources(fps)
-		next, usage := l.Model.RefineChecker(commit, cur, fpSources, round)
+		next, usage := l.Pipe.Model.RefineChecker(commit, res.Spec, fpSources, round)
 		res.Usage.Add(usage)
-		if next.String() == cur.String() {
+		if next.String() == res.Spec.String() {
 			continue // nothing to apply this round
 		}
-		if !l.acceptRefinement(commit, next, fps) {
-			continue
+		if refined := l.acceptRefinement(commit, next, fps); refined != nil {
+			ck = refined
+			res.Steps++
 		}
-		cur = next
-		res.Steps++
 	}
 }
 
@@ -170,15 +141,16 @@ func dispositionFor(round int) Disposition {
 // acceptRefinement enforces the paper's acceptance criteria: the refined
 // checker (1) clears identified false positives — at least one of them,
 // since a sample can mix FP classes and a fix for one class is still
-// progress — and (2) still distinguishes buggy from patched code.
-func (l *Loop) acceptRefinement(commit *vcs.Commit, next *ckdsl.Spec, fps []*checker.Report) bool {
+// progress — and (2) still distinguishes buggy from patched code. It
+// returns the compiled refinement, or nil if it is rejected.
+func (l *Loop) acceptRefinement(commit *vcs.Commit, next *ckdsl.Spec, fps []*checker.Report) *ckdsl.Compiled {
 	ck, err := ckdsl.Compile(next)
 	if err != nil {
-		return false
+		return nil
 	}
-	v := l.Val.Validate(ck, commit)
+	v := l.Pipe.Val.Validate(ck, commit)
 	if !v.Valid || v.RuntimeError {
-		return false
+		return nil
 	}
 	warns := l.stillWarns(ck, fps)
 	cleared := 0
@@ -187,7 +159,10 @@ func (l *Loop) acceptRefinement(commit *vcs.Commit, next *ckdsl.Spec, fps []*che
 			cleared++
 		}
 	}
-	return cleared > 0
+	if cleared == 0 {
+		return nil
+	}
+	return ck
 }
 
 // stillWarns re-analyzes every FP's file in one batched scan — through
@@ -226,10 +201,7 @@ func (l *Loop) fpFunctionSources(fps []*checker.Report) []string {
 		}
 		seen[key] = true
 		cb := l.Codebase()
-		for i, f := range cb.Corpus.Files {
-			if f.Path != fp.File {
-				continue
-			}
+		if i := cb.FileIndex(fp.File); i >= 0 {
 			if fn := cb.Files()[i].LookupFunc(fp.Func); fn != nil {
 				out = append(out, minic.FormatFunc(fn))
 			}

@@ -34,9 +34,8 @@ func getFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := llm.NewOracle(llm.O3Mini)
-	pipe := synth.NewPipeline(model, synth.Options{})
-	loop := NewLoop(cb, triage.NewAgent(corpus), model, pipe.Val, Options{})
+	pipe := synth.NewPipeline(llm.NewOracle(llm.O3Mini), synth.Options{})
+	loop := NewLoop(scan.NewIncremental(cb, nil), triage.NewAgent(corpus), pipe)
 	shared = &fixture{corpus: corpus, loop: loop, pipe: pipe, store: kernel.BuildHandCommits(11)}
 	return shared
 }
@@ -59,7 +58,7 @@ func TestDirectPlausible(t *testing.T) {
 	if !out.Valid {
 		t.Fatal("synthesis failed")
 	}
-	res := fx.loop.Run(c, out.Spec)
+	res := fx.loop.Run(c, out.Checker)
 	if res.Disposition != DirectPlausible {
 		t.Fatalf("disposition = %s (reports=%d)", res.Disposition, len(res.FinalReports))
 	}
@@ -78,7 +77,7 @@ func TestRefinedPlausibleAddsUnwrap(t *testing.T) {
 	if len(out.Spec.Unwrap) != 0 {
 		t.Skip("first draft already carried unwrap; refinement axis not exercised at this seed")
 	}
-	res := fx.loop.Run(c, out.Spec)
+	res := fx.loop.Run(c, out.Checker)
 	if res.Disposition != RefinedPlausible {
 		t.Fatalf("disposition = %s", res.Disposition)
 	}
@@ -97,7 +96,7 @@ func TestFailWhenFPOutsideRepertoire(t *testing.T) {
 	if !out.Valid {
 		t.Fatal("synthesis failed")
 	}
-	res := fx.loop.Run(c, out.Spec)
+	res := fx.loop.Run(c, out.Checker)
 	if res.Disposition != Fail {
 		t.Fatalf("disposition = %s, want fail (WARN_ON bait is unrefinable)", res.Disposition)
 	}
@@ -113,7 +112,7 @@ func TestRefinedCheckerStaysValid(t *testing.T) {
 	if !out.Valid {
 		t.Fatal("synthesis failed")
 	}
-	res := fx.loop.Run(c, out.Spec)
+	res := fx.loop.Run(c, out.Checker)
 	if res.Disposition == Fail {
 		t.Fatalf("UBI checker failed refinement (reports=%d)", len(res.FinalReports))
 	}
@@ -158,10 +157,10 @@ func TestSampleReportsDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.TPlausible != 20 || o.SampleSize != 5 || o.MaxFPInSample != 1 ||
-		o.MaxIters != 3 || o.ScanCap != 100 {
-		t.Errorf("defaults = %+v", o)
+// TestPaperConstants pins the refinement parameters to the paper's (§4).
+func TestPaperConstants(t *testing.T) {
+	got := [...]int{TPlausible, SampleSize, MaxFPInSample, MaxIters, ScanCap}
+	if want := [...]int{20, 5, 1, 3, 100}; got != want {
+		t.Errorf("TPlausible, SampleSize, MaxFPInSample, MaxIters, ScanCap = %v, want %v", got, want)
 	}
 }

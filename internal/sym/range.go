@@ -29,7 +29,7 @@ func (r Range) Contains(v int64) bool { return r.Min <= v && v <= r.Max }
 
 // Intersect returns the intersection of two intervals.
 func (r Range) Intersect(o Range) Range {
-	return Range{Min: maxInt64(r.Min, o.Min), Max: minInt64(r.Max, o.Max)}
+	return Range{Min: max(r.Min, o.Min), Max: min(r.Max, o.Max)}
 }
 
 // AtMost returns the interval restricted to values <= v.
@@ -53,8 +53,8 @@ func (r Range) Mul(o Range) Range {
 	}
 	out := Range{Min: candidates[0], Max: candidates[0]}
 	for _, c := range candidates[1:] {
-		out.Min = minInt64(out.Min, c)
-		out.Max = maxInt64(out.Max, c)
+		out.Min = min(out.Min, c)
+		out.Max = max(out.Max, c)
 	}
 	return out
 }
@@ -79,20 +79,6 @@ func (r Range) String() string {
 		hi = fmt.Sprintf("%d", r.Max)
 	}
 	return fmt.Sprintf("[%s, %s]", lo, hi)
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func satMul(a, b int64) int64 {

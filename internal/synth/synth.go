@@ -9,27 +9,19 @@ import (
 	"knighter/internal/vcs"
 )
 
-// Options configures the pipeline (paper defaults: 10 iterations, 5
-// repair attempts, T_valid = 50).
-type Options struct {
-	MaxIterations     int
-	MaxRepairAttempts int
-	TValid            int
-	// SingleStage skips the pattern/plan stages (the Table 3 ablation).
-	SingleStage bool
-}
+// The paper's synthesis budgets (§4).
+const (
+	// MaxIterations bounds the synthesis attempts per commit.
+	MaxIterations = 10
+	// MaxRepairAttempts bounds the syntax repairs per attempt.
+	MaxRepairAttempts = 5
+)
 
-func (o Options) withDefaults() Options {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10
-	}
-	if o.MaxRepairAttempts <= 0 {
-		o.MaxRepairAttempts = 5
-	}
-	if o.TValid <= 0 {
-		o.TValid = 50
-	}
-	return o
+// Options configures the pipeline.
+type Options struct {
+	// TValid is the validation threshold: a valid checker reports
+	// fewer than TValid times on the patched code (0 = the paper's 50).
+	TValid int
 }
 
 // Symptom classifies one failed synthesis attempt (§5.1 taxonomy).
@@ -73,37 +65,33 @@ type Outcome struct {
 
 // Pipeline drives checker synthesis for commits.
 type Pipeline struct {
-	Model llm.Model
-	Opts  Options
+	Model *llm.Oracle
 	Val   *Validator
 }
 
 // NewPipeline builds a pipeline with the given model and options.
-func NewPipeline(model llm.Model, opts Options) *Pipeline {
-	return &Pipeline{Model: model, Opts: opts.withDefaults(), Val: NewValidator(opts.withDefaults().TValid)}
+func NewPipeline(model *llm.Oracle, opts Options) *Pipeline {
+	return &Pipeline{Model: model, Val: NewValidator(opts.TValid)}
 }
 
 // GenChecker runs Algorithm 1 for one commit.
 func (p *Pipeline) GenChecker(c *vcs.Commit) *Outcome {
 	out := &Outcome{Commit: c}
-	for iter := 1; iter <= p.Opts.MaxIterations; iter++ {
+	for iter := 1; iter <= MaxIterations; iter++ {
 		out.Iterations = iter
 
 		// Stage 1+2: pattern analysis and plan synthesis. The
-		// single-stage ablation skips the explicit stages (the model
-		// still reads the patch internally, but without the structured
-		// intermediate artifacts its output degrades — handled by the
-		// model profile).
-		var pa *llm.PatternAnalysis
+		// single-stage ablation skips the explicit stages: the model
+		// still reads the patch internally, charged as the merged
+		// prompt's input tokens and no call, but without the structured
+		// intermediate artifacts its output degrades (handled by the
+		// oracle).
+		pa, u := p.Model.AnalyzePattern(c, iter)
 		var plan *llm.Plan
-		if p.Opts.SingleStage {
-			var u llm.Usage
-			pa, u = p.analyzeSilently(c, iter)
+		if p.Model.SingleStage {
 			out.Usage.Add(llm.Usage{InputTokens: u.InputTokens, Calls: 0})
 			plan = &llm.Plan{Steps: nil, Accurate: pa.Accurate}
 		} else {
-			var u llm.Usage
-			pa, u = p.Model.AnalyzePattern(c, iter)
 			out.Usage.Add(u)
 			plan, u = p.Model.SynthesizePlan(c, pa, iter)
 			out.Usage.Add(u)
@@ -118,7 +106,7 @@ func (p *Pipeline) GenChecker(c *vcs.Commit) *Outcome {
 		repairs := 0
 		for {
 			compiled, cerr = ckdsl.CompileSource(text)
-			if cerr == nil || repairs >= p.Opts.MaxRepairAttempts {
+			if cerr == nil || repairs >= MaxRepairAttempts {
 				break
 			}
 			repairs++
@@ -150,12 +138,4 @@ func (p *Pipeline) GenChecker(c *vcs.Commit) *Outcome {
 		out.Failed = append(out.Failed, AttemptRecord{Iteration: iter, Symptom: sym, RepairAttempts: repairs})
 	}
 	return out
-}
-
-// analyzeSilently performs the internal patch reading for single-stage
-// mode without emitting the staged prompts (only the merged prompt cost
-// is charged).
-func (p *Pipeline) analyzeSilently(c *vcs.Commit, iter int) (*llm.PatternAnalysis, llm.Usage) {
-	pa, u := p.Model.AnalyzePattern(c, iter)
-	return pa, u
 }

@@ -179,9 +179,45 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the synthesis budgets and the zero Options'
+// validation threshold to the paper's (§4).
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.MaxIterations != 10 || o.MaxRepairAttempts != 5 || o.TValid != 50 {
-		t.Errorf("defaults = %+v", o)
+	if MaxIterations != 10 || MaxRepairAttempts != 5 {
+		t.Errorf("MaxIterations, MaxRepairAttempts = %d, %d, want 10, 5", MaxIterations, MaxRepairAttempts)
+	}
+	if tv := NewPipeline(llm.NewOracle(llm.O3Mini), Options{}).Val.TValid; tv != 50 {
+		t.Errorf("zero Options' TValid = %d, want 50", tv)
+	}
+}
+
+// TestSingleStageSkipsPatternAndPlan: the oracle's SingleStage alone
+// selects the "w/o multi-stage" ablation. The pipeline synthesizes no
+// plan and makes no pattern or plan call: every charged call is an
+// implementation or a repair, so a failed iteration costs 1 + its
+// repairs and the successful one at most 1 + MaxRepairAttempts.
+func TestSingleStageSkipsPatternAndPlan(t *testing.T) {
+	pipe := NewPipeline(&llm.Oracle{Profile: llm.O3Mini, SingleStage: true}, Options{})
+	exact := 0
+	for _, c := range kernel.BuildHandCommits(11).All() {
+		out := pipe.GenChecker(c)
+		if out.Plan == nil || len(out.Plan.Steps) != 0 {
+			t.Fatalf("%s: single-stage synthesis produced a plan: %+v", c.ID, out.Plan)
+		}
+		calls := out.Iterations
+		for _, f := range out.Failed {
+			calls += f.RepairAttempts
+		}
+		switch got := out.Usage.Calls; {
+		case !out.Valid && got != calls:
+			t.Errorf("%s: %d calls over %d failed iterations, want %d", c.ID, got, out.Iterations, calls)
+		case out.Valid && (got < calls || got > calls+MaxRepairAttempts):
+			t.Errorf("%s: %d calls over %d iterations, want %d to %d", c.ID, got, out.Iterations, calls, calls+MaxRepairAttempts)
+		}
+		if !out.Valid {
+			exact++
+		}
+	}
+	if exact == 0 {
+		t.Error("no commit failed single-stage synthesis; the exact call count went unchecked")
 	}
 }

@@ -6,8 +6,8 @@
 // The agent's judgment is simulated with calibrated access to the
 // corpus's ground truth: real bugs are always labeled "bug" (the paper
 // measured zero false negatives for its agent, §5.4.1), while false
-// reports are mislabeled "bug" at a configurable rate (the 22-of-79
-// over-approval the paper observed).
+// reports are mislabeled "bug" at FPBugRate (the over-approval the paper
+// observed).
 package triage
 
 import (
@@ -68,21 +68,20 @@ type Verdict struct {
 	Reason string
 }
 
+// FPBugRate is the probability a false report is (incorrectly) labeled
+// "bug"; the paper's agent approved 22 of 72 false reports (§5.4.1).
+const FPBugRate = 0.32
+
 // Agent classifies reports.
 type Agent struct {
 	Corpus *kernel.Corpus
-	// FPBugRate is the probability a false report is (incorrectly)
-	// labeled "bug"; the paper's agent approved 22 of 72 false reports.
-	FPBugRate float64
-	// Namespace separates experiments' deterministic draws.
-	Namespace string
 	// Usage accounts the simulated prompt/response tokens.
 	Usage llm.Usage
 }
 
 // NewAgent returns a triage agent over the corpus ground truth.
 func NewAgent(c *kernel.Corpus) *Agent {
-	return &Agent{Corpus: c, FPBugRate: 0.32}
+	return &Agent{Corpus: c}
 }
 
 // IsTruePositive consults ground truth: the report must land in a seeded
@@ -113,10 +112,13 @@ func (a *Agent) Classify(r *checker.Report, run int) Verdict {
 	// FPBugRate while making verdicts strongly report-correlated — which
 	// is why n-way self-consistency barely improves over a single run
 	// (paper §5.4.1).
-	c := llm.Roll(a.Namespace, "convincing", r.Key(), r.Message)
-	exponent := 1.0/a.FPBugRate - 1.0
+	//
+	// Both draws lead with an empty key part: the calibrated verdicts,
+	// and every table built on them, were drawn with it.
+	c := llm.Roll("", "convincing", r.Key(), r.Message)
+	exponent := 1.0/FPBugRate - 1.0
 	pRun := powFast(c, exponent)
-	if llm.Roll(a.Namespace, r.Key(), r.Message, fmt.Sprint(run)) < pRun {
+	if llm.Roll("", r.Key(), r.Message, fmt.Sprint(run)) < pRun {
 		return Verdict{Bug: true, Reason: "pattern appears to match; could not rule the path infeasible"}
 	}
 	return Verdict{Bug: false, Reason: "guard or reinitialization on the path makes the report spurious"}

@@ -54,7 +54,6 @@ func TestClassMismatchIsNotTruePositive(t *testing.T) {
 func TestFalseReportLabelRateNearCalibration(t *testing.T) {
 	c := corpusForTest()
 	a := NewAgent(c)
-	a.FPBugRate = 0.32
 	bugLabels := 0
 	const n = 600
 	for i := 0; i < n; i++ {
@@ -65,7 +64,7 @@ func TestFalseReportLabelRateNearCalibration(t *testing.T) {
 	}
 	rate := float64(bugLabels) / n
 	if rate < 0.22 || rate > 0.42 {
-		t.Errorf("FP bug-label rate = %.2f, want ≈ 0.32", rate)
+		t.Errorf("FP bug-label rate = %.2f, want ≈ %.2f", rate, FPBugRate)
 	}
 }
 
