@@ -255,9 +255,13 @@ type ChangesetResponse struct {
 
 // FeedEntry is one fleet-wide changeset commit in the generation feed
 // a sharded fleet runs through kcached: the coordinator that committed
-// generation N publishes (N, changes); a shard that finds itself behind
-// pulls the entries it is missing and replays them in order. Changes is
-// never empty: every generation is a commit of at least one change.
+// generation N publishes (N, changes) and sends the same entry as the
+// body of each peer's POST /converge?generation=N nudge. A peer at N−1
+// applies the pushed entry; a shard further behind pulls the entries it
+// is missing and replays them in order. Changes is never empty: every
+// generation is a commit of at least one change. The feed holds one
+// entry per generation and refuses a different one for a generation it
+// holds.
 type FeedEntry struct {
 	Generation int64    `json:"generation"`
 	Changes    []Change `json:"changes"`
@@ -274,11 +278,13 @@ type FeedPage struct {
 	Latest int64 `json:"latest"`
 }
 
-// ConvergeResponse is the POST /converge reply: the shard pulled the
-// generation feed and replayed every entry it was missing.
+// ConvergeResponse is the POST /converge reply: the shard replayed
+// every generation it was missing, from the entry the nudge pushed
+// and, when it was further behind, the generation feed.
 type ConvergeResponse struct {
 	Generation int64 `json:"generation"`
-	// Applied counts feed entries replayed by this call.
+	// Applied counts the generations replayed by this call, a pushed
+	// entry included.
 	Applied   int     `json:"applied"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,10 +37,11 @@ type shardLayer struct {
 	ring  shard.Ring
 	index int
 	peers []string
-	// feed is the generation feed through kcached: every commit reaches
-	// the peers through it.
+	// feed is the generation feed through kcached: the catch-up log of
+	// every commit, for a peer that misses a nudge or falls behind.
 	feed *shard.FeedClient
-	// nudge posts best-effort /converge pokes to peers after a commit.
+	// nudge posts best-effort /converge pokes to peers after a commit,
+	// each carrying the commit's feed entry.
 	nudge *http.Client
 	// gate admits the sub-batches other coordinators post to
 	// shard.SubBatchPath.
@@ -255,20 +260,23 @@ func (s *Server) maybeConverge(ctx context.Context, min int64) {
 	if sh == nil || s.inc.Codebase().Generation() >= min {
 		return
 	}
-	if _, err := s.converge(ctx, min); err != nil {
+	if _, err := s.converge(ctx, min, nil); err != nil {
 		log.Printf("kserve: converge: %v", err)
 	}
 }
 
-// converge pulls the feed entries this replica is missing and replays
-// them in generation order. Replays go through ApplyChangeset, so they
-// invalidate stale cache entries and wake min_generation waiters
-// exactly like a directly-served commit. A caller that wants generation
-// want (> 0) pulls only if the replica is still behind it once it holds
-// convergeMu: a nudge and a lazy converge race for the lock, and the
-// loser finds the winner's replay already applied. Only a sharded
-// replica converges.
-func (s *Server) converge(ctx context.Context, want int64) (int, error) {
+// converge replays the generations this replica is missing, in order.
+// Replays go through ApplyChangeset, so they invalidate stale cache
+// entries and wake min_generation waiters exactly like a directly-served
+// commit. A caller that wants generation want (> 0) does nothing if the
+// replica has reached it once it holds convergeMu: a nudge and a lazy
+// converge race for the lock, and the loser finds the winner's replay
+// already applied. pushed is the entry a commit's nudge carried, or nil:
+// a replica exactly one generation behind it applies it without pulling
+// the feed; one further behind pulls and replays the page, then the
+// pushed entry if the page lacks its generation (for a generation both
+// hold, the page wins). Only a sharded replica converges.
+func (s *Server) converge(ctx context.Context, want int64, pushed *api.FeedEntry) (int, error) {
 	sh := s.shard
 	sh.convergeMu.Lock()
 	defer sh.convergeMu.Unlock()
@@ -276,12 +284,22 @@ func (s *Server) converge(ctx context.Context, want int64) (int, error) {
 	if want > 0 && cb.Generation() >= want {
 		return 0, nil
 	}
-	page, err := sh.feed.Since(ctx, cb.Generation())
-	if err != nil {
-		return 0, err
+	var entries []api.FeedEntry
+	if pushed == nil || pushed.Generation != cb.Generation()+1 {
+		page, err := sh.feed.Since(ctx, cb.Generation())
+		if err != nil {
+			return 0, err
+		}
+		entries = page.Entries
+	}
+	if pushed != nil {
+		i := sort.Search(len(entries), func(i int) bool { return entries[i].Generation >= pushed.Generation })
+		if i == len(entries) || entries[i].Generation != pushed.Generation {
+			entries = slices.Insert(entries, i, *pushed)
+		}
 	}
 	applied := 0
-	for _, e := range page.Entries {
+	for _, e := range entries {
 		cur := cb.Generation()
 		if e.Generation <= cur {
 			continue // raced a direct commit of the same generation
@@ -302,8 +320,9 @@ func (s *Server) converge(ctx context.Context, want int64) (int, error) {
 
 // handleConverge is the eager convergence endpoint: coordinators poke
 // it on peers after committing, with ?generation= the generation they
-// committed, and operators can poke it by hand without one (always a
-// pull). It sits behind the write gate because a replay IS a write.
+// committed and that generation's feed entry as the body, and operators
+// can poke it by hand with neither (always a pull). It sits behind the
+// write gate because a replay IS a write.
 func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, api.ErrMethodNotAllowed, "POST only")
@@ -321,8 +340,22 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	var pushed *api.FeedEntry
+	if r.ContentLength != 0 {
+		pushed = new(api.FeedEntry)
+		if !s.decodePost(w, r, pushed) {
+			return
+		}
+		if pushed.Generation <= 0 || len(pushed.Changes) == 0 || want != 0 && want != pushed.Generation {
+			s.reject(w, http.StatusBadRequest, api.ErrBadRequest, fmt.Sprintf(
+				"pushed entry: generation %d with %d changes, want ?generation= (> 0) with changes",
+				pushed.Generation, len(pushed.Changes)))
+			return
+		}
+		want = pushed.Generation
+	}
 	start := time.Now()
-	applied, err := s.converge(r.Context(), want)
+	applied, err := s.converge(r.Context(), want, pushed)
 	if err != nil {
 		s.writeError(w, http.StatusConflict, &api.Error{
 			Code:    api.ErrGenerationUnavailable,
@@ -338,53 +371,61 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shardPublish commits a mutation fleet-wide: publish (generation,
-// changes) — the committed changeset, never empty — to the feed, then
-// nudge every peer to converge to gen (a peer already there does not
-// pull; one that ignores the parameter pulls anyway). Both legs are
-// asynchronous and best-effort — the local commit already succeeded,
-// and a peer that misses the nudge converges lazily the next time a
-// sub-scan arrives with a min_generation it has not seen.
-// The mutation request's trace rides along on both legs (feed publish
-// and nudges propagate X-Trace-Id/X-Span-Id), so the assembled trace
-// of a changeset shows the fan-out it triggered.
+// shardPublish commits a mutation fleet-wide. It encodes the committed
+// changeset (generation, changes — never empty) once, then publishes it
+// to the feed and nudges every peer's /converge?generation=gen with it
+// as the body, all at once: a peer one generation behind applies the
+// pushed entry without waiting for the feed, and a failed publish does
+// not stop the nudges. Every leg is asynchronous and best-effort — the
+// local commit already succeeded, the feed stays the catch-up log for a
+// peer further behind, and a peer that misses its nudge converges
+// lazily the next time a sub-scan arrives with a min_generation it has
+// not seen. The mutation request's trace rides along on every leg
+// (X-Trace-Id/X-Span-Id), so the assembled trace of a changeset shows
+// the fan-out it triggered.
 func (s *Server) shardPublish(ctx context.Context, gen int64, changes []api.Change) {
 	sh := s.shard
 	if sh == nil {
 		return
 	}
 	sh.feedPublishes.Inc()
-	entry := api.FeedEntry{Generation: gen, Changes: changes}
-	tr := obs.TraceFrom(ctx)
+	// Background-derived contexts: the legs outlive the request, but keep
+	// its trace so the downstream fragments join the same tree.
+	bctx := obs.WithTrace(context.Background(), obs.TraceFrom(ctx))
 	go func() {
-		// Background-derived context: the legs outlive the request, but
-		// keep its trace so the downstream fragments join the same tree.
-		bctx := obs.WithTrace(context.Background(), tr)
+		entry, err := json.Marshal(api.FeedEntry{Generation: gen, Changes: changes})
+		if err != nil {
+			log.Printf("kserve: encode generation %d: %v", gen, err)
+			return
+		}
+		for _, peer := range sh.others() {
+			go sh.nudgePeer(bctx, peer, gen, entry)
+		}
 		pctx, cancel := context.WithTimeout(bctx, 5*time.Second)
 		defer cancel()
 		if err := sh.feed.Publish(pctx, entry); err != nil {
 			log.Printf("kserve: feed publish generation %d: %v", gen, err)
-			return
-		}
-		for _, peer := range sh.others() {
-			go func(peer string) {
-				nctx, ncancel := context.WithTimeout(bctx, 5*time.Second)
-				defer ncancel()
-				req, err := http.NewRequestWithContext(nctx, http.MethodPost, peer+"/converge?generation="+strconv.FormatInt(gen, 10), nil)
-				if err != nil {
-					return
-				}
-				req.Header.Set("Content-Type", "application/json")
-				obs.InjectHeaders(nctx, req.Header)
-				resp, err := sh.nudge.Do(req)
-				if err != nil {
-					return
-				}
-				// Read the reply to the end, so the connection goes back
-				// to the pool and the next commit's nudge reuses it.
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}(peer)
 		}
 	}()
+}
+
+// nudgePeer posts /converge?generation=gen to peer with entry, the
+// commit's encoded feed entry, as the body.
+func (sh *shardLayer) nudgePeer(bctx context.Context, peer string, gen int64, entry []byte) {
+	ctx, cancel := context.WithTimeout(bctx, 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/converge?generation="+strconv.FormatInt(gen, 10), bytes.NewReader(entry))
+	if err != nil {
+		return
+	}
+	req.Header.Set("Content-Type", "application/json")
+	obs.InjectHeaders(ctx, req.Header)
+	resp, err := sh.nudge.Do(req)
+	if err != nil {
+		return
+	}
+	// Read the reply to the end, so the connection goes back to the pool
+	// and the next commit's nudge reuses it.
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }

@@ -19,6 +19,7 @@ import (
 
 	"knighter/internal/api"
 	"knighter/internal/minic"
+	"knighter/internal/scan"
 	"knighter/internal/shard"
 )
 
@@ -465,9 +466,7 @@ func TestConvergePullsOnlyWhileBehind(t *testing.T) {
 	f0 := srv.inc.Codebase().Files()[0]
 	changes := []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}}
 	gen := srv.inc.Codebase().Generation() + 1
-	if err := sh.feed.Publish(context.Background(), api.FeedEntry{Generation: gen, Changes: changes}); err != nil {
-		t.Fatal(err)
-	}
+	publishEntry(t, sh, gen, changes)
 	before := pulls()
 
 	sh.convergeMu.Lock()
@@ -504,5 +503,185 @@ func TestConvergePullsOnlyWhileBehind(t *testing.T) {
 	}
 	if code := postJSON(t, tss[1], "/converge", nil, &cr); code != 200 || pulls() != before+1 {
 		t.Fatalf("/converge without a generation: status %d, %d pulls, want 1", code, pulls()-before)
+	}
+}
+
+// publishEntry publishes generation gen of changes to the fleet's feed
+// through sh's client, as a committing coordinator does.
+func publishEntry(t *testing.T, sh *shardLayer, gen int64, changes []api.Change) {
+	t.Helper()
+	entry, err := json.Marshal(api.FeedEntry{Generation: gen, Changes: changes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.feed.Publish(context.Background(), entry); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// probeChange patches the k-th function from the end of the corpus's
+// first file with a declaration of probe, so a replica's source shows
+// whether the change reached it.
+func probeChange(cb *scan.Codebase, k int, probe string) api.Change {
+	f := cb.Files()[0]
+	fn := f.Funcs[len(f.Funcs)-1-k]
+	src := minic.FormatFunc(fn)
+	brace := strings.Index(src, "{")
+	return api.Change{Path: f.Name, Func: fn.Name, Source: src[:brace+1] + "\n\tint " + probe + ";" + src[brace+1:]}
+}
+
+// holds reports whether the replica's first file declares probe.
+func holds(srv *Server, probe string) bool {
+	return strings.Contains(minic.FormatFile(srv.inc.Codebase().Files()[0]), "int "+probe+";")
+}
+
+// nudge posts a commit's nudge to ts: /converge?generation=gen with
+// body as its pushed entry.
+func nudge(t *testing.T, ts *httptest.Server, gen int64, body any) (int, api.ConvergeResponse) {
+	t.Helper()
+	var cr api.ConvergeResponse
+	code := postJSON(t, ts, "/converge?generation="+strconv.FormatInt(gen, 10), body, &cr)
+	return code, cr
+}
+
+// TestPushedNudgeAppliesWithoutPulling: a nudge whose body carries
+// generation N, sent to a peer at N−1, applies that entry and leaves
+// the feed unpulled, though the feed has never seen N.
+func TestPushedNudgeAppliesWithoutPulling(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	srv := srvs[1]
+	pulls := func() int64 { return metricValues(t, getMetrics(t, kc))["kcached_feed_pulls_total"] }
+	before := pulls()
+	gen := srv.inc.Codebase().Generation() + 1
+	entry := api.FeedEntry{Generation: gen, Changes: []api.Change{probeChange(srv.inc.Codebase(), 0, "pushed_probe")}}
+	code, cr := nudge(t, tss[1], gen, entry)
+	if code != http.StatusOK || cr.Applied != 1 || cr.Generation != gen {
+		t.Fatalf("pushed nudge: status %d, %+v; want 200, applied 1, generation %d", code, cr, gen)
+	}
+	if !holds(srv, "pushed_probe") {
+		t.Fatal("the peer's source lacks the pushed change")
+	}
+	if got := pulls(); got != before {
+		t.Fatalf("a peer one generation behind pulled the feed %d times for a pushed entry", got-before)
+	}
+	if count(srv.shard.converges) != 1 {
+		t.Fatalf("converges = %d, want 1", count(srv.shard.converges))
+	}
+}
+
+// TestPushedNudgeTwoBehindPullsThenApplies: a peer two generations
+// behind the pushed entry pulls the feed once for the generation it
+// missed, replays it, then applies the pushed entry, which the feed
+// does not hold.
+func TestPushedNudgeTwoBehindPullsThenApplies(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	srv := srvs[1]
+	cb := srv.inc.Codebase()
+	pulls := func() int64 { return metricValues(t, getMetrics(t, kc))["kcached_feed_pulls_total"] }
+	gen := cb.Generation() + 1
+	publishEntry(t, srv.shard, gen, []api.Change{probeChange(cb, 0, "fed_probe")})
+	before := pulls()
+	entry := api.FeedEntry{Generation: gen + 1, Changes: []api.Change{probeChange(cb, 1, "pushed_probe")}}
+	code, cr := nudge(t, tss[1], gen+1, entry)
+	if code != http.StatusOK || cr.Applied != 2 || cr.Generation != gen+1 {
+		t.Fatalf("pushed nudge two ahead: status %d, %+v; want 200, applied 2, generation %d", code, cr, gen+1)
+	}
+	if !holds(srv, "fed_probe") || !holds(srv, "pushed_probe") {
+		t.Fatalf("after the replay: fed change %v, pushed change %v; want both",
+			holds(srv, "fed_probe"), holds(srv, "pushed_probe"))
+	}
+	if got := pulls(); got != before+1 {
+		t.Fatalf("a peer two generations behind pulled %d times, want 1", got-before)
+	}
+}
+
+// TestPushedNudgeAtOrBelowIsNoOp: a pushed entry for a generation the
+// peer has reached applies nothing and pulls nothing, whatever its
+// changes, and a malformed push is a 400 that applies nothing.
+func TestPushedNudgeAtOrBelowIsNoOp(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	srv := srvs[1]
+	cb := srv.inc.Codebase()
+	for _, probe := range []string{"first_probe", "second_probe"} {
+		if _, err := srv.inc.ApplyChangeset(toScanChanges([]api.Change{probeChange(cb, 0, probe)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pulls := func() int64 { return metricValues(t, getMetrics(t, kc))["kcached_feed_pulls_total"] }
+	before := pulls()
+	gen := cb.Generation()
+	stale := []api.Change{probeChange(cb, 0, "stale_probe")}
+	for _, g := range []int64{gen, gen - 1} {
+		code, cr := nudge(t, tss[1], g, api.FeedEntry{Generation: g, Changes: stale})
+		if code != http.StatusOK || cr.Applied != 0 || cr.Generation != gen {
+			t.Fatalf("pushed generation %d at generation %d: status %d, %+v; want 200, applied 0", g, gen, code, cr)
+		}
+	}
+	for name, body := range map[string]any{
+		"a body that is not an entry":     "not an entry",
+		"an entry without changes":        api.FeedEntry{Generation: gen + 1},
+		"an entry for another generation": api.FeedEntry{Generation: gen + 2, Changes: stale},
+	} {
+		if code, _ := nudge(t, tss[1], gen+1, body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+	if cb.Generation() != gen || holds(srv, "stale_probe") || !holds(srv, "second_probe") {
+		t.Fatalf("generation %d (want %d), stale change applied %v", cb.Generation(), gen, holds(srv, "stale_probe"))
+	}
+	if got := pulls(); got != before {
+		t.Fatalf("no-op pushes pulled the feed %d times", got-before)
+	}
+}
+
+// TestCommitConvergesWithFeedPublishDown: with kcached answering every
+// POST /feed 500, each commit still reaches the peer through its nudge,
+// so the read-your-write scatter right after it, whose sub-batch's lazy
+// converge races the nudge's replay for convergeMu, degrades no
+// partition.
+func TestCommitConvergesWithFeedPublishDown(t *testing.T) {
+	c, err := NewCache(CacheConfig{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused atomic.Int64
+	kcached := c.Handler()
+	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/feed" {
+			refused.Add(1)
+			io.Copy(io.Discard, r.Body)
+			http.Error(w, "feed down", http.StatusInternalServerError)
+			return
+		}
+		kcached.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		kc.Close()
+		c.Close()
+	})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	cb := srvs[0].inc.Codebase()
+	for i := 0; i < 4; i++ {
+		probe := fmt.Sprintf("push_probe_%d", i)
+		var cr api.ChangesetResponse
+		if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{Changes: []api.Change{probeChange(cb, i, probe)}}, &cr); code != 200 {
+			t.Fatalf("/changeset %d = %d", i, code)
+		}
+		resp := postScan(t, tss[0], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: cr.Generation}})
+		if resp.Generation != cr.Generation {
+			t.Fatalf("scan after commit %d at generation %d, want %d", i, resp.Generation, cr.Generation)
+		}
+		if !holds(srvs[1], probe) {
+			t.Fatalf("commit %d: the peer lacks the committed change", i)
+		}
+	}
+	if st := getStats(t, tss[0]).Shards; st.Scatters != 4 || st.Degraded != 0 {
+		t.Fatalf("scatters with the feed refusing publishes: %+v, want 4 scatters, degraded_scatters == 0", st)
+	}
+	if refused.Load() == 0 {
+		t.Fatal("no publish reached the failing feed")
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,7 +32,7 @@ const DefaultFeedCap = 1024
 // every shard the same generation history in the same order.
 type Feed struct {
 	mu      sync.Mutex
-	entries []api.FeedEntry // ascending, contiguous-by-arrival
+	entries []api.FeedEntry // ascending by generation
 	latest  int64
 	cap     int
 	// published/served count feed traffic for /metrics.
@@ -46,12 +49,19 @@ func NewFeed(capN int) *Feed {
 	return &Feed{cap: capN}
 }
 
-// Publish appends one committed changeset. Publishing a generation the
-// feed already has is idempotent (first writer wins); out-of-order
-// generations are accepted and kept sorted by insertion point being the
-// tail in practice — coordinators publish immediately after committing.
-// An entry without changes is refused: every generation is a commit, and
-// a peer replaying an empty one would fail it on every later converge.
+// errFeedConflict is Publish's answer to an entry whose generation the
+// feed holds with other changes: two coordinators committed the same
+// generation, and the fleet has diverged.
+var errFeedConflict = errors.New("feed: conflicting entry")
+
+// Publish inserts one committed changeset in generation order. Publishing
+// a generation the feed already has is idempotent when the changes are
+// the same and refused when they differ: a peer follows whichever of
+// the two reaches it first, so the feed keeps the first and reports the
+// second. An entry without changes is refused: every generation is a
+// commit, and a peer replaying an empty one would fail it on every
+// later converge. Once the feed holds cap entries, each insert drops the
+// oldest in place.
 func (f *Feed) Publish(e api.FeedEntry) error {
 	if e.Generation <= 0 {
 		return fmt.Errorf("feed: generation must be > 0, got %d", e.Generation)
@@ -61,20 +71,18 @@ func (f *Feed) Publish(e api.FeedEntry) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, have := range f.entries {
-		if have.Generation == e.Generation {
-			return nil
+	i := f.search(e.Generation)
+	if i < len(f.entries) && f.entries[i].Generation == e.Generation {
+		if !slices.Equal(f.entries[i].Changes, e.Changes) {
+			return fmt.Errorf("%w: generation %d is already published with other changes", errFeedConflict, e.Generation)
 		}
+		return nil
 	}
-	i := len(f.entries)
-	for i > 0 && f.entries[i-1].Generation > e.Generation {
-		i--
-	}
-	f.entries = append(f.entries, api.FeedEntry{})
-	copy(f.entries[i+1:], f.entries[i:])
-	f.entries[i] = e
+	f.entries = slices.Insert(f.entries, i, e)
 	if n := len(f.entries) - f.cap; n > 0 {
-		f.entries = append([]api.FeedEntry(nil), f.entries[n:]...)
+		kept := copy(f.entries, f.entries[n:])
+		clear(f.entries[kept:])
+		f.entries = f.entries[:kept]
 	}
 	if e.Generation > f.latest {
 		f.latest = e.Generation
@@ -83,16 +91,20 @@ func (f *Feed) Publish(e api.FeedEntry) error {
 	return nil
 }
 
+// search returns the index of the first retained entry with generation
+// >= gen.
+func (f *Feed) search(gen int64) int {
+	return sort.Search(len(f.entries), func(i int) bool { return f.entries[i].Generation >= gen })
+}
+
 // Since returns the retained entries with generation > from, ascending.
 func (f *Feed) Since(from int64) api.FeedPage {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.served++
 	page := api.FeedPage{Latest: f.latest}
-	for _, e := range f.entries {
-		if e.Generation > from {
-			page.Entries = append(page.Entries, e)
-		}
+	if rest := f.entries[f.search(from+1):]; len(rest) > 0 {
+		page.Entries = slices.Clone(rest)
 	}
 	return page
 }
@@ -112,7 +124,7 @@ func (f *Feed) Register(reg *obs.Registry) {
 
 // Handler serves the feed over HTTP:
 //
-//	POST /feed    {"generation": N, "changes": [...]}  -> 204
+//	POST /feed    {"generation": N, "changes": [...]}  -> 204 (409: N held with other changes)
 //	GET  /feed?from=N                                  -> FeedPage
 func (f *Feed) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -123,7 +135,11 @@ func (f *Feed) Handler() http.Handler {
 			return
 		}
 		if err := f.Publish(e); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			code := http.StatusBadRequest
+			if errors.Is(err, errFeedConflict) {
+				code = http.StatusConflict
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -149,15 +165,13 @@ func NewFeedClient(base string) *FeedClient {
 	return &FeedClient{base: strings.TrimRight(base, "/"), client: &http.Client{Timeout: 5 * time.Second}}
 }
 
-// Publish posts one committed changeset to the feed. Only the feed's own
-// 204 counts as published: any other answer — a redirect the client
-// followed as a GET, say — is an error.
-func (c *FeedClient) Publish(ctx context.Context, e api.FeedEntry) error {
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/feed", bytes.NewReader(buf))
+// Publish posts one committed changeset, entry, an api.FeedEntry
+// already encoded as JSON (a committing coordinator encodes it once, for
+// the feed and for every nudge). Only the feed's own 204 counts as
+// published: any other answer — a redirect the client followed as a GET,
+// a 409 for a conflicting entry — is an error.
+func (c *FeedClient) Publish(ctx context.Context, entry []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/feed", bytes.NewReader(entry))
 	if err != nil {
 		return err
 	}

@@ -284,6 +284,21 @@ func TestScatterShardFailureFallsBackLocal(t *testing.T) {
 	}
 }
 
+// feedEntry is generation g as one change to path.
+func feedEntry(g int64, path string) api.FeedEntry {
+	return api.FeedEntry{Generation: g, Changes: []api.Change{{Path: path, Source: "int x;"}}}
+}
+
+// encodeEntry is feedEntry as FeedClient.Publish takes it.
+func encodeEntry(t *testing.T, g int64, path string) []byte {
+	t.Helper()
+	buf, err := json.Marshal(feedEntry(g, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 func TestFeedPublishSinceAndRetention(t *testing.T) {
 	f := NewFeed(3)
 	if err := f.Publish(api.FeedEntry{Generation: 0}); err == nil {
@@ -317,7 +332,7 @@ func TestFeedHTTPRoundTrip(t *testing.T) {
 	c := NewFeedClient(ts.URL)
 	ctx := context.Background()
 	for g := int64(2); g <= 4; g++ {
-		if err := c.Publish(ctx, api.FeedEntry{Generation: g, Changes: []api.Change{{Path: "a.c", Source: "int x;"}}}); err != nil {
+		if err := c.Publish(ctx, encodeEntry(t, g, "a.c")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +359,7 @@ func TestFeedClientTrimsTrailingSlash(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := NewFeedClient(ts.URL + "/")
 	ctx := context.Background()
-	if err := c.Publish(ctx, api.FeedEntry{Generation: 2, Changes: []api.Change{{Path: "a.c", Source: "int x;"}}}); err != nil {
+	if err := c.Publish(ctx, encodeEntry(t, 2, "a.c")); err != nil {
 		t.Fatal(err)
 	}
 	page, err := c.Since(ctx, 0)
@@ -363,7 +378,7 @@ func TestFeedPublishWantsTheFeeds204(t *testing.T) {
 		w.Write([]byte("{}"))
 	}))
 	t.Cleanup(ts.Close)
-	err := NewFeedClient(ts.URL).Publish(context.Background(), api.FeedEntry{Generation: 2, Changes: []api.Change{{Path: "a.c", Source: "int x;"}}})
+	err := NewFeedClient(ts.URL).Publish(context.Background(), encodeEntry(t, 2, "a.c"))
 	if err == nil {
 		t.Fatal("a 200 that is not the feed's answer counted as published")
 	}
@@ -395,5 +410,89 @@ func TestFeedRejectsOversizedAndEmptyEntries(t *testing.T) {
 	}
 	if page := f.Since(0); len(page.Entries) != 0 || page.Latest != 0 {
 		t.Fatalf("rejected entries reached the feed: %+v latest=%d", page.Entries, page.Latest)
+	}
+}
+
+// TestFeedRefusesAConflictingEntry: a second entry for a generation the
+// feed holds, with other changes, is refused and the first stays; the
+// same entry again is still accepted.
+func TestFeedRefusesAConflictingEntry(t *testing.T) {
+	f := NewFeed(0)
+	for _, g := range []int64{1, 2, 3} {
+		if err := f.Publish(feedEntry(g, "first.c")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Publish(feedEntry(2, "second.c")); err == nil {
+		t.Fatal("a second, different entry for generation 2 was accepted")
+	}
+	if err := f.Publish(feedEntry(2, "first.c")); err != nil {
+		t.Fatalf("re-publishing the held entry: %v", err)
+	}
+	page := f.Since(1)
+	if len(page.Entries) != 2 || page.Entries[0].Changes[0].Path != "first.c" {
+		t.Fatalf("Since(1) = %+v, want generation 2 as first published", page.Entries)
+	}
+}
+
+// TestFeedHTTPConflictIs409: POST /feed answers a conflicting entry 409
+// and FeedClient.Publish reports it; an identical re-publish stays 204.
+func TestFeedHTTPConflictIs409(t *testing.T) {
+	f := NewFeed(0)
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+	c := NewFeedClient(ts.URL)
+	ctx := context.Background()
+	if err := c.Publish(ctx, encodeEntry(t, 2, "first.c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Publish(ctx, encodeEntry(t, 2, "first.c")); err != nil {
+		t.Fatalf("identical re-publish: %v", err)
+	}
+	resp, err := http.Post(ts.URL+"/feed", "application/json", bytes.NewReader(encodeEntry(t, 2, "second.c")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("conflicting POST /feed = %d, want 409", resp.StatusCode)
+	}
+	if err := c.Publish(ctx, encodeEntry(t, 2, "second.c")); err == nil {
+		t.Fatal("FeedClient.Publish of a conflicting entry returned nil")
+	}
+	if page := f.Since(0); len(page.Entries) != 1 || page.Entries[0].Changes[0].Path != "first.c" {
+		t.Fatalf("Since(0) = %+v, want the first entry only", page.Entries)
+	}
+}
+
+// TestFeedPublishToAFullFeedAllocatesNothing: once the feed is full, a
+// publish drops the oldest entry in place; it neither reallocates the
+// retained entries nor allocates at all.
+func TestFeedPublishToAFullFeedAllocatesNothing(t *testing.T) {
+	const capN, runs = 8, 100
+	f := NewFeed(capN)
+	entries := make([]api.FeedEntry, capN+runs+1)
+	for i := range entries {
+		entries[i] = feedEntry(int64(i+1), "a.c")
+	}
+	for _, e := range entries[:capN] {
+		if err := f.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := capN
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := f.Publish(entries[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a publish to a full feed allocates %.1f times, want 0", allocs)
+	}
+	page := f.Since(0)
+	if len(page.Entries) != capN || page.Entries[0].Generation != int64(next-capN+1) || page.Latest != int64(next) {
+		t.Fatalf("after %d publishes, Since(0) holds %d entries from %d, latest %d",
+			next, len(page.Entries), page.Entries[0].Generation, page.Latest)
 	}
 }
