@@ -26,7 +26,7 @@ import (
 // for one that is not.
 type Incremental struct {
 	cb *Codebase
-	st store.Store
+	st *store.Stack
 	// stages, when non-nil, receives per-scan stage durations (set once
 	// at boot, before serving).
 	stages StageObserver
@@ -70,13 +70,18 @@ const (
 // boot, before the scheduler serves traffic.
 func (inc *Incremental) SetStageObserver(o StageObserver) { inc.stages = o }
 
-// NewIncremental wraps a codebase with a result store. A nil store gets
-// a default in-memory LRU tier.
+// NewIncremental wraps a codebase with a result store: st itself when
+// it is a *store.Stack, and otherwise a Stack of st over no back. A nil
+// store gets a default in-memory LRU tier.
 func NewIncremental(cb *Codebase, st store.Store) *Incremental {
 	if st == nil {
 		st = store.NewMemory(0)
 	}
-	return &Incremental{cb: cb, st: st}
+	stack, ok := st.(*store.Stack)
+	if !ok {
+		stack = store.NewStack(nil, store.Tier{Name: "memory", Store: st}, nil)
+	}
+	return &Incremental{cb: cb, st: stack}
 }
 
 // Codebase returns the underlying parsed corpus.
@@ -178,14 +183,17 @@ func (p *riderPlan) loudOn(fp *minic.Footprint) []checker.Checker {
 // pass over the function units for any number of riders (a rider is the
 // checker list one Result is keyed by — a scan is a pass with one rider,
 // a batch a pass with one per checker). A worker claims the next range
-// of units, probes every rider's keys for the whole range in one store
-// call, then for each unit gates the riders that missed — the one quiet
-// gate: each keeps only its checkers loud on the function (loudOn), and
-// one with none is answered emptyHit, unexplored — and makes one engine
-// call for the rest, which lowers the function once and explores it once
-// per rider; it stores each rider's result under its own key — the
-// range's results in one store call, by the digests its probe used; the
-// per-rider merges then run as if each rider had scanned alone.
+// of units and probes every rider's keys for the whole range in one
+// store call. Each key the memory tier misses meets the one quiet gate
+// once: its rider keeps only its checkers loud on the function (loudOn),
+// and only a rider with some goes on to kcached, the range's one round
+// trip. For each unit, a missed rider with no loud checker is answered
+// emptyHit, unexplored, and one engine call takes the rest, lowering the
+// function once and exploring it once per rider. Each rider's result is
+// stored under its own key, the range's results in one store call by
+// the digests its probe used: all of them in memory, and the explored
+// ones in kcached too. The per-rider merges then run as if each rider
+// had scanned alone.
 func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
 	start := time.Now()
 
@@ -246,6 +254,8 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	// are memoized per file version, and the worker whose range first
 	// touches a file since it changed hashes them there, in parallel;
 	// every key digest is assembled from its two halves, hashing nothing.
+	// The gate's footprints are memoized there too, each made by the
+	// first worker whose miss needs it.
 	// A worker claims a range of units, probes every rider's
 	// keys for the whole range in one store call, computes the misses
 	// unit by unit, and stores them in one more call at the end of the
@@ -282,11 +292,28 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				ids := make([]store.Digest, len(plans)*rangeSize)
 				got := make([][]byte, len(plans)*rangeSize)
 				var hit engine.Result
+				// gate(k) is the quiet gate on key k, a miss, run once per
+				// range: it reports whether the rider has checkers loud on
+				// the unit, and loud[k] keeps them for the explore step.
+				loud := make([][]checker.Checker, len(plans)*rangeSize)
+				gated := make([]bool, len(plans)*rangeSize)
+				var lo, w int
+				gate := func(k int) bool {
+					if !gated[k] {
+						un := units[lo+k%w]
+						fp := snap.memo[un.file].footprint(snap.files[un.file], un.fn)
+						loud[k], gated[k] = plans[k/w].loudOn(fp), true
+					}
+					return loud[k] != nil
+				}
 				// The range's misses to store, encoded once each and
-				// written in one call when the range is done.
+				// written in one call when the range is done; explored
+				// marks the ones kcached takes too.
 				var putKeys []store.Key
 				var putIDs []store.Digest
 				var putPayloads [][]byte
+				var putExplored []bool
+				shared := func(j int) bool { return putExplored[j] }
 				// The riders a unit still has to be analyzed for; the
 				// checker lists of those explored, and where each sits in
 				// missed; the results, parallel to missed.
@@ -296,12 +323,12 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				answers := make([]*engine.Result, 0, len(plans))
 				for {
 					hi := int(cursor.Add(rangeSize))
-					lo := hi - rangeSize
+					lo = hi - rangeSize
 					if lo >= len(units) {
 						return
 					}
 					hi = min(hi, len(units))
-					w := hi - lo
+					w = hi - lo
 					keys = keys[:0]
 					for i := range plans {
 						if opts.canceled() {
@@ -321,7 +348,8 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						}
 					}
 					if len(keys) > 0 {
-						inc.st.GetMany(ctx, keys, ids[:len(keys)], got[:len(keys)])
+						clear(gated[:len(keys)])
+						inc.st.Get(ctx, keys, ids[:len(keys)], got[:len(keys)], gate)
 					}
 					for i := range plans {
 						if (i+1)*w > len(keys) {
@@ -364,18 +392,16 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 						// explores only its checkers loud on the function;
 						// one with none reports nothing there and gets
 						// emptyHit, unexplored.
-						f, memo := snap.files[un.file], snap.memo[un.file]
+						f := snap.files[un.file]
 						rs := answers[:len(missed)]
 						lists, explored = lists[:0], explored[:0]
-						fp := memo.footprint(f, un.fn)
 						for k, i := range missed {
 							rs[k] = emptyHit
-							loud := plans[i].loudOn(fp)
-							if loud == nil {
+							if !gate(i*w + u - lo) {
 								plans[i].quiet.Add(1)
 								continue
 							}
-							lists, explored = append(lists, loud), append(explored, k)
+							lists, explored = append(lists, loud[i*w+u-lo]), append(explored, k)
 						}
 						if len(lists) > 0 {
 							var e0 time.Time
@@ -398,12 +424,13 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								putKeys = append(putKeys, keys[i*w+u-lo])
 								putIDs = append(putIDs, ids[i*w+u-lo])
 								putPayloads = append(putPayloads, payload)
+								putExplored = append(putExplored, loud[i*w+u-lo] != nil)
 							}
 						}
 					}
 					if len(putKeys) > 0 {
-						inc.st.PutMany(ctx, putKeys, putIDs, putPayloads)
-						putKeys, putIDs, putPayloads = putKeys[:0], putIDs[:0], putPayloads[:0]
+						inc.st.Put(ctx, putKeys, putIDs, putPayloads, shared)
+						putKeys, putIDs, putPayloads, putExplored = putKeys[:0], putIDs[:0], putPayloads[:0], putExplored[:0]
 					}
 				}
 			}()

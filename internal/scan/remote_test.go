@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,12 +18,48 @@ import (
 	"knighter/internal/store"
 )
 
+// loudKeys returns the digest of every key of a pass of riders over
+// cb's whole corpus under the default engine bounds on which some
+// checker of its rider is not quiet, the pairs the scheduler explores
+// and shares with kcached; how many of each rider's keys that is; and
+// for each of the pass's 64-unit ranges, whether it holds one.
+func loudKeys(cb *Codebase, riders [][]checker.Checker) (keys map[store.Digest]bool, perRider []int, loudRange []bool) {
+	keys, perRider = map[store.Digest]bool{}, make([]int, len(riders))
+	engFP := Options{}.Engine.Fingerprint()
+	u := 0
+	for i, f := range cb.Files() {
+		for j, fn := range f.Funcs {
+			if u%rangeSize == 0 {
+				loudRange = append(loudRange, false)
+			}
+			var fp minic.Footprint
+			fp.Reset(fn)
+			for r, cks := range riders {
+				if !slices.ContainsFunc(cks, func(ck checker.Checker) bool {
+					q, ok := ck.(checker.Quieter)
+					return !ok || !q.QuietOn(&fp)
+				}) {
+					continue
+				}
+				keys[store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: checkersFingerprint(cks), EngineFP: engFP}.Digest()] = true
+				perRider[r]++
+				loudRange[len(loudRange)-1] = true
+			}
+			u++
+		}
+	}
+	return keys, perRider, loudRange
+}
+
 // TestRemoteTierOneRoundTripPerRange: a cold RunBatch of two checkers
 // through memory -> Remote -> CacheServer reaches kcached in exactly one
-// POST /entries/get and one POST /entries/put per 64-unit range. A
-// second replica with an empty memory tier answers every key as a
-// remote hit, again in one get per range, and puts nothing. Both
-// replicas' results are byte-identical to Codebase.Run.
+// POST /entries/get and one POST /entries/put per 64-unit range holding
+// a pair some checker is loud on, and publishes the results it explored:
+// its misses less its quiet answers. A second replica with an empty
+// memory tier explores nothing: its remote hits are the loud pairs and
+// its misses its quiet answers, again in one get per such range, and it
+// puts nothing. Both replicas' results are byte-identical to
+// Codebase.Run.
 func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
 	if err != nil {
@@ -36,6 +73,13 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 	var want []string
 	for _, ck := range cks {
 		want = append(want, resultBytes(t, cb.RunOne(ck, Options{})))
+	}
+	_, loud, loudRange := loudKeys(cb, [][]checker.Checker{cks[:1], cks[1:]})
+	ranges := int64(0)
+	for _, l := range loudRange {
+		if l {
+			ranges++
+		}
 	}
 
 	var gets, puts atomic.Int64
@@ -51,7 +95,7 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 	}))
 	defer kc.Close()
 
-	funcs, ranges := cb.NumFuncs(), int64((cb.NumFuncs()+rangeSize-1)/rangeSize)
+	funcs := cb.NumFuncs()
 	for replica, wantPuts := range []int64{ranges, 0} {
 		remote, err := store.NewRemote(kc.URL, store.RemoteConfig{})
 		if err != nil {
@@ -62,20 +106,150 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 		puts.Store(0)
 		res := NewIncremental(cb, st).RunBatch(cks, nil, Options{Workers: 2}, 0)
 		if gets.Load() != ranges || puts.Load() != wantPuts {
-			t.Fatalf("replica %d over %d ranges: %d get and %d put requests, want %d and %d",
+			t.Fatalf("replica %d over %d ranges with a loud pair: %d get and %d put requests, want %d and %d",
 				replica, ranges, gets.Load(), puts.Load(), ranges, wantPuts)
 		}
+		explored := 0
 		for k, r := range res {
-			if wantHits := replica * funcs; r.CacheHits != wantHits || r.CacheMisses != funcs-wantHits {
-				t.Fatalf("replica %d, checker %d: hits=%d misses=%d, want %d hits of %d", replica, k, r.CacheHits, r.CacheMisses, wantHits, funcs)
+			if wantHits := replica * loud[k]; r.CacheHits != wantHits || r.CacheMisses != funcs-wantHits || r.QuietResults != funcs-loud[k] {
+				t.Fatalf("replica %d, checker %d: hits=%d misses=%d quiet=%d, want %d hits of %d and %d quiet",
+					replica, k, r.CacheHits, r.CacheMisses, r.QuietResults, wantHits, funcs, funcs-loud[k])
 			}
+			explored += r.CacheMisses - r.QuietResults
 			if resultBytes(t, r) != want[k] {
 				t.Fatalf("replica %d, checker %d: differs from Codebase.Run", replica, k)
 			}
 		}
-		if rs := remote.RemoteStats(); rs.Errors != 0 || rs.Hits != int64(replica*2*funcs) {
-			t.Fatalf("replica %d: remote books %+v, want %d hits and no errors", replica, rs, replica*2*funcs)
+		rs := remote.RemoteStats()
+		if wantHits := int64(replica * (loud[0] + loud[1])); rs.Errors != 0 || rs.Hits != wantHits || rs.Puts != int64(explored) {
+			t.Fatalf("replica %d: remote books %+v, want %d hits, %d puts and no errors", replica, rs, wantHits, explored)
 		}
+	}
+}
+
+// kcachedLog is a kcached store that records the ids each entry request
+// carried: CacheServer makes one store call per request.
+type kcachedLog struct {
+	*store.Memory
+	mu         sync.Mutex
+	gets, puts [][]store.Digest
+}
+
+func (l *kcachedLog) GetMany(ctx context.Context, keys []store.Key, ids []store.Digest, out [][]byte) {
+	l.mu.Lock()
+	l.gets = append(l.gets, slices.Clone(ids))
+	l.mu.Unlock()
+	l.Memory.GetMany(ctx, keys, ids, out)
+}
+
+func (l *kcachedLog) PutMany(ctx context.Context, keys []store.Key, ids []store.Digest, payloads [][]byte) {
+	l.mu.Lock()
+	l.puts = append(l.puts, slices.Clone(ids))
+	l.mu.Unlock()
+	l.Memory.PutMany(ctx, keys, ids, payloads)
+}
+
+// take returns the requests recorded since the last take.
+func (l *kcachedLog) take() (gets, puts [][]store.Digest) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	gets, puts = l.gets, l.puts
+	l.gets, l.puts = nil, nil
+	return gets, puts
+}
+
+// checkRequests fails unless reqs carried exactly the keys of want, no
+// key twice, in one request per range that holds one: n requests.
+func checkRequests(t *testing.T, what string, reqs [][]store.Digest, want map[store.Digest]bool, n int) {
+	t.Helper()
+	seen := map[store.Digest]bool{}
+	for _, ids := range reqs {
+		for _, id := range ids {
+			if !want[id] || seen[id] {
+				t.Fatalf("%s: a request carried a quiet key or one already sent", what)
+			}
+			seen[id] = true
+		}
+	}
+	if len(reqs) != n || len(seen) != len(want) {
+		t.Fatalf("%s: %d keys in %d requests, want %d keys in %d", what, len(seen), len(reqs), len(want), n)
+	}
+}
+
+// TestRemoteTierSharesOnlyLoudPairs: kcached sees a key only if some
+// checker of its rider is loud on its function. A cold RunBatch of a
+// checker loud on a few functions in every range and one quiet almost
+// everywhere gets and puts exactly the loud (rider, unit) keys, one
+// request each per range that holds one, and sends nothing for a range
+// whose misses are all quiet; a memory-cold replica fetches exactly
+// those keys and puts nothing; a multi-checker rider loud through one
+// member alone is still shared. Every result is byte-identical to
+// Codebase.Run.
+func TestRemoteTierSharesOnlyLoudPairs(t *testing.T) {
+	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rare, err := ckdsl.CompileSource(strings.NewReplacer("scan_npd", "scan_npd_kmemdup", `"devm_kzalloc"`, `"kmemdup"`).Replace(scanNPD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cks := []checker.Checker{compileChecker(t), rare}
+	log := &kcachedLog{Memory: store.NewMemory(0)}
+	kc := httptest.NewServer(store.NewCacheServer(log).Handler())
+	defer kc.Close()
+	replica := func() *Incremental {
+		remote, err := store.NewRemote(kc.URL, store.RemoteConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewIncremental(cb, store.NewStack(nil, store.Tier{Name: "memory", Store: store.NewMemory(0)}, remote))
+	}
+	count := func(ranges []bool) (n int) {
+		for _, loud := range ranges {
+			if loud {
+				n++
+			}
+		}
+		return n
+	}
+
+	batch, _, batchRanges := loudKeys(cb, [][]checker.Checker{cks[:1], cks[1:]})
+	if n := count(batchRanges); n == 0 || n == len(batchRanges) {
+		t.Fatalf("%d of %d ranges hold a loud pair: the corpus shows nothing", n, len(batchRanges))
+	}
+	for _, name := range []string{"cold replica", "memory-cold replica"} {
+		res := replica().RunBatch(cks, nil, Options{Workers: 2}, 0)
+		gets, puts := log.take()
+		checkRequests(t, name+" gets", gets, batch, count(batchRanges))
+		if name == "cold replica" {
+			checkRequests(t, name+" puts", puts, batch, count(batchRanges))
+		} else if len(puts) != 0 {
+			t.Fatalf("%s: %d put requests, want none", name, len(puts))
+		}
+		for k, r := range res {
+			if resultBytes(t, r) != resultBytes(t, cb.RunOne(cks[k], Options{})) {
+				t.Fatalf("%s, checker %d: differs from Codebase.Run", name, k)
+			}
+		}
+	}
+
+	// One rider of both checkers is loud wherever either is, and on some
+	// function only one of them is.
+	rider, _, riderRanges := loudKeys(cb, [][]checker.Checker{cks})
+	alone, _, _ := loudKeys(cb, [][]checker.Checker{cks[:1]})
+	if len(rider) == len(alone) {
+		t.Fatal("the quiet-almost-everywhere checker is loud on no function the other is quiet on")
+	}
+	res := replica().Run(cks, Options{Workers: 2})
+	gets, puts := log.take()
+	checkRequests(t, "combined rider gets", gets, rider, count(riderRanges))
+	checkRequests(t, "combined rider puts", puts, rider, count(riderRanges))
+	if resultBytes(t, res) != resultBytes(t, cb.Run(cks, Options{})) {
+		t.Fatal("combined rider: differs from Codebase.Run")
+	}
+	if n := log.Stats().Entries; n != len(batch)+len(rider) {
+		t.Fatalf("kcached holds %d entries, want the %d loud keys", n, len(batch)+len(rider))
 	}
 }
 

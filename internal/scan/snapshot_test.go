@@ -290,11 +290,10 @@ func (d *digestCheck) PutMany(ctx context.Context, keys []store.Key, ids []store
 }
 
 // digestPasses runs s's every unit through inc's scheduler, whose store
-// is a digestCheck, under riders, first with the default engine bounds
+// is d, under riders, first with the default engine bounds
 // and then with others, and fails unless every key each pass probed and
 // stored went by its Digest and every (unit, rider) pair was probed.
-func digestPasses(inc *Incremental, s *Snapshot, riders [][]checker.Checker) error {
-	d := inc.st.(*digestCheck)
+func digestPasses(inc *Incremental, d *digestCheck, s *Snapshot, riders [][]checker.Checker) error {
 	files := make([]int, len(s.files))
 	for i := range files {
 		files[i] = i
@@ -359,10 +358,11 @@ func TestSchedulerDigestsAreKeyDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	riders := [][]checker.Checker{{ck}, {ck2}, {ck, ck2}}
-	inc := NewIncremental(cb, &digestCheck{Memory: store.NewMemory(0)})
+	d := &digestCheck{Memory: store.NewMemory(0)}
+	inc := NewIncremental(cb, d)
 	pass := func(s *Snapshot) {
 		t.Helper()
-		if err := digestPasses(inc, s, riders); err != nil {
+		if err := digestPasses(inc, d, s, riders); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func TestSchedulerDigestsAreKeyDigests(t *testing.T) {
 	pinned := cb.Pin()
 	defer pinned.Release()
 	raceMemoReaders(t, inc, func(int) error {
-		if err := digestPasses(inc, pinned.Snapshot, riders); err != nil {
+		if err := digestPasses(inc, d, pinned.Snapshot, riders); err != nil {
 			return err
 		}
 		for i := range pinned.files {
@@ -390,6 +390,6 @@ func TestSchedulerDigestsAreKeyDigests(t *testing.T) {
 				}
 			}
 		}
-		return digestPasses(inc, cb.snap.Load(), riders)
+		return digestPasses(inc, d, cb.snap.Load(), riders)
 	})
 }

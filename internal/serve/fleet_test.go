@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"knighter/internal/api"
+	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
 	"knighter/internal/minic"
 	"knighter/internal/scan"
@@ -24,10 +26,33 @@ func reportsJSON(t *testing.T, resp *api.ScanResponse) string {
 	return string(data)
 }
 
-// TestFleetSecondReplicaScansWarm is the tentpole acceptance criterion:
-// after replica A's cold scan, replica B's FIRST scan of the same corpus
-// is answered almost entirely from the shared tier — byte-identical
-// reports, >= 90% hit rate, zero remote errors.
+// quietResults reads a replica's kserve_scan_quiet_results_total: the
+// misses its scans answered quietly, unexplored.
+func quietResults(t *testing.T, ts *httptest.Server) int64 {
+	t.Helper()
+	return metricValues(t, getMetrics(t, ts))["kserve_scan_quiet_results_total"]
+}
+
+// kcachedEntryRequests reads kcached's entry requests so far: get and
+// put requests, and the entries the puts carried.
+func kcachedEntryRequests(t *testing.T, kc *httptest.Server) (gets, puts, putEntries int64) {
+	t.Helper()
+	m := metricValues(t, getMetrics(t, kc))
+	for name, v := range m {
+		if strings.HasPrefix(name, `kcached_entry_requests_total{op="put"`) {
+			putEntries += v
+		}
+	}
+	return m[`kcached_request_duration_seconds_count{op="get"}`], m[`kcached_request_duration_seconds_count{op="put"}`], putEntries
+}
+
+// TestFleetSecondReplicaScansWarm is the fleet cache's acceptance
+// criterion: replica A's cold scan publishes exactly the results it
+// explored (its misses less its quiet answers), in at most one put
+// request per 64-function range, and replica B's FIRST scan of the same
+// corpus explores nothing — its remote hits are A's explored results and
+// its misses its own quiet answers — with byte-identical reports and
+// zero remote errors.
 func TestFleetSecondReplicaScansWarm(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
 	srvA, tsA := bootOne(t, Config{CacheRemote: kc.URL})
@@ -37,25 +62,28 @@ func TestFleetSecondReplicaScansWarm(t *testing.T) {
 	if a.Cache.Hits != 0 {
 		t.Fatalf("replica A's cold scan hit %d times", a.Cache.Hits)
 	}
-	if rs := srvA.remote.RemoteStats(); rs.Puts == 0 {
-		t.Fatalf("replica A published nothing to the shared tier: %+v", rs)
+	explored := int64(a.Cache.Misses) - quietResults(t, tsA)
+	_, puts, entries := kcachedEntryRequests(t, kc)
+	if rs := srvA.remote.RemoteStats(); explored == 0 || rs.Puts != explored || entries != explored || puts > int64((a.Cache.Misses+63)/64) {
+		t.Fatalf("replica A explored %d of %d functions and published %d (kcached took %d in %d put requests)",
+			explored, a.Cache.Misses, rs.Puts, entries, puts)
 	}
 
 	b := postScan(t, tsB, api.ScanRequest{Checker: testChecker})
-	if b.Cache.HitRate < 0.9 {
-		t.Fatalf("replica B's first scan hit rate = %.2f, want >= 0.9 (hits=%d misses=%d)",
-			b.Cache.HitRate, b.Cache.Hits, b.Cache.Misses)
+	if int64(b.Cache.Hits) != explored || int64(b.Cache.Misses) != quietResults(t, tsB) {
+		t.Fatalf("replica B's first scan: hits=%d misses=%d quiet=%d, want %d hits and only quiet misses",
+			b.Cache.Hits, b.Cache.Misses, quietResults(t, tsB), explored)
 	}
 	if got, want := reportsJSON(t, b), reportsJSON(t, a); got != want {
 		t.Fatalf("replica B's warm scan differs from replica A's cold scan:\nA: %s\nB: %s", want, got)
 	}
 	rs := srvB.remote.RemoteStats()
-	if rs.Hits == 0 || rs.Errors != 0 {
-		t.Fatalf("replica B remote stats = %+v, want hits > 0 and no errors", rs)
+	if rs.Hits != explored || rs.Errors != 0 {
+		t.Fatalf("replica B remote stats = %+v, want %d hits and no errors", rs, explored)
 	}
 
-	// B's hits were promoted into its memory tier: a re-scan no longer
-	// touches the network.
+	// B's hits were promoted into its memory tier, and its quiet answers
+	// stored there: a re-scan no longer touches the network.
 	before := srvB.remote.RemoteStats().Hits
 	again := postScan(t, tsB, api.ScanRequest{Checker: testChecker})
 	if again.Cache.Misses != 0 {
@@ -120,9 +148,10 @@ func TestFleetKcachedDeathDegradesToLocal(t *testing.T) {
 
 // TestFleetKcachedRestartRecoversWarm: stop the cache daemon, boot a
 // successor over the same cache directory, and a FRESH replica's first
-// scan must still be >= 90% warm — the segment store's recovery scan
-// rebuilt the index from the log, so the fleet's accumulated work
-// survives a daemon roll.
+// scan must still explore nothing — every result replica A explored
+// comes back as a remote hit, and every miss is answered quietly — since
+// the segment store's recovery scan rebuilt the index from the log, so
+// the fleet's accumulated work survives a daemon roll.
 func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	dir := t.TempDir()
 	kcd1, kc1 := newKcached(t, CacheConfig{CacheDir: dir})
@@ -130,12 +159,13 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 
 	srvA, tsA := bootOne(t, Config{CacheRemote: kc1.URL})
 	a := postScan(t, tsA, api.ScanRequest{Checker: testChecker})
-	if rs := srvA.remote.RemoteStats(); rs.Puts == 0 {
-		t.Fatalf("replica A published nothing: %+v", rs)
+	explored := int64(a.Cache.Misses) - quietResults(t, tsA)
+	if rs := srvA.remote.RemoteStats(); explored == 0 || rs.Puts != explored {
+		t.Fatalf("replica A explored %d functions and published %+v", explored, rs)
 	}
 	entriesBefore := disk1.Stats().Entries
-	if entriesBefore == 0 {
-		t.Fatal("kcached disk tier empty after replica A's scan")
+	if int64(entriesBefore) != explored {
+		t.Fatalf("kcached holds %d entries after replica A's scan, want the %d it explored", entriesBefore, explored)
 	}
 
 	// The daemon dies (graceful: the real daemon syncs on SIGTERM; the
@@ -157,12 +187,12 @@ func TestFleetKcachedRestartRecoversWarm(t *testing.T) {
 	// must scan warm off the recovered tier, byte-identical to A.
 	srvC, tsC := bootOne(t, Config{CacheRemote: kc2.URL})
 	c := postScan(t, tsC, api.ScanRequest{Checker: testChecker})
-	if c.Cache.HitRate < 0.9 {
-		t.Fatalf("post-restart scan hit rate = %.2f, want >= 0.9 (hits=%d misses=%d)",
-			c.Cache.HitRate, c.Cache.Hits, c.Cache.Misses)
+	if int64(c.Cache.Hits) != explored || int64(c.Cache.Misses) != quietResults(t, tsC) {
+		t.Fatalf("post-restart scan: hits=%d misses=%d quiet=%d, want %d hits and only quiet misses",
+			c.Cache.Hits, c.Cache.Misses, quietResults(t, tsC), explored)
 	}
-	if rs := srvC.remote.RemoteStats(); rs.Hits == 0 || rs.Errors != 0 {
-		t.Fatalf("replica C remote stats = %+v, want hits > 0 and no errors", rs)
+	if rs := srvC.remote.RemoteStats(); rs.Hits != explored || rs.Errors != 0 {
+		t.Fatalf("replica C remote stats = %+v, want %d hits and no errors", rs, explored)
 	}
 	if got, want := reportsJSON(t, c), reportsJSON(t, a); got != want {
 		t.Fatalf("post-restart warm scan differs from the pre-restart cold scan:\nA: %s\nC: %s", want, got)
@@ -185,12 +215,11 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 		t.Fatal("shared tier empty after replica A's scan")
 	}
 
-	// Patch the last function of the first file on both replicas (the
-	// fleet deployment model: an orchestrator applies each commit to
-	// every replica).
-	cb := srvA.inc.Codebase()
-	path := cb.Files()[0].Name
-	fn := cb.Files()[0].Funcs[len(cb.Files()[0].Funcs)-1]
+	// Patch a function the checker is loud on, whose result kcached
+	// holds, on both replicas (the fleet deployment model: an
+	// orchestrator applies each commit to every replica).
+	f, fn := findFunc(t, srvA.inc.Codebase(), false)
+	path := f.Name
 	src := minic.FormatFunc(fn)
 	brace := strings.Index(src, "{")
 	src = src[:brace+1] + "\n\tint fleet_probe;" + src[brace+1:]
@@ -230,6 +259,90 @@ func TestFleetChangesetInvalidatesSharedTier(t *testing.T) {
 	}
 	if got := reportsJSON(t, postScan(t, tsA, api.ScanRequest{Checker: testChecker})); got != want {
 		t.Fatal("replica A served stale results after its own changeset")
+	}
+}
+
+// findFunc returns the first function that ends its file and on which
+// the test checker is quiet, or loud, and its file.
+func findFunc(t *testing.T, cb *scan.Codebase, quiet bool) (*minic.File, *minic.FuncDecl) {
+	t.Helper()
+	ck, err := ckdsl.CompileSource(testChecker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q checker.Quieter = ck
+	for _, f := range cb.Files() {
+		if len(f.Funcs) == 0 {
+			continue
+		}
+		fn := f.Funcs[len(f.Funcs)-1]
+		var fp minic.Footprint
+		fp.Reset(fn)
+		if q.QuietOn(&fp) == quiet {
+			return f, fn
+		}
+	}
+	t.Fatalf("no function on which the test checker is quiet=%v", quiet)
+	return nil, nil
+}
+
+// TestShardedQuietCommitSendsNoEntryRequest: a 2-shard fleet whose
+// replicas hold the checker's results commits a patch the checker is
+// quiet on, then reads it back with a min_generation scan. The patched
+// function is a memory miss on its owner, answered by the owner's own
+// gate: the cycle makes no kcached entry request from either replica,
+// and the answer equals an unsharded reference's.
+func TestShardedQuietCommitSendsNoEntryRequest(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	// The file goes in as it renders first, so that the patch to its last
+	// function moves no other function: the patched one is the one
+	// function whose hash changes.
+	f, fn := findFunc(t, srvs[0].inc.Codebase(), true)
+	canon := api.ChangesetRequest{Changes: []api.Change{{Path: f.Name, Source: minic.FormatFile(f)}}}
+	src := minic.FormatFunc(fn)
+	brace := strings.Index(src, "{")
+	change := api.ChangesetRequest{Changes: []api.Change{{Path: f.Name, Func: fn.Name, Source: src[:brace+1] + "\n\tint quiet_probe;" + src[brace+1:]}}}
+	var cs api.ChangesetResponse
+	if code := postJSON(t, tss[0], "/changeset", canon, &cs); code != http.StatusOK {
+		t.Fatalf("canonical changeset: status %d", code)
+	}
+	// Each owner scans its partition.
+	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: cs.Generation}})
+
+	remoteTraffic := func() (n int64) {
+		for _, srv := range srvs {
+			rs := srv.remote.RemoteStats()
+			n += rs.Hits + rs.Misses + rs.Puts
+		}
+		return n
+	}
+	gets, puts, _ := kcachedEntryRequests(t, kc)
+	traffic := remoteTraffic()
+	quiet := quietResults(t, tss[0]) + quietResults(t, tss[1])
+
+	if code := postJSON(t, tss[0], "/changeset", change, &cs); code != http.StatusOK || cs.ChangedFuncs != 1 {
+		t.Fatalf("changeset: status %d, %+v", code, cs)
+	}
+	got := postScan(t, tss[1], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: cs.Generation}})
+	if got.Generation < cs.Generation || got.Cache.Misses != 1 {
+		t.Fatalf("read-back at generation %d: %d misses, want the patched function alone", got.Generation, got.Cache.Misses)
+	}
+	if n := quietResults(t, tss[0]) + quietResults(t, tss[1]) - quiet; n != 1 {
+		t.Fatalf("the fleet answered %d misses quietly, want the patched function", n)
+	}
+	if g, p, _ := kcachedEntryRequests(t, kc); g != gets || p != puts || remoteTraffic() != traffic {
+		t.Fatalf("the quiet cycle sent kcached %d get and %d put requests (%d keys)", g-gets, p-puts, remoteTraffic()-traffic)
+	}
+
+	_, tsRef := bootOne(t, Config{})
+	for _, c := range []api.ChangesetRequest{canon, change} {
+		if code := postJSON(t, tsRef, "/changeset", c, nil); code != http.StatusOK {
+			t.Fatal("changeset on the reference failed")
+		}
+	}
+	if want := reportsJSON(t, postScan(t, tsRef, api.ScanRequest{Checker: testChecker})); reportsJSON(t, got) != want {
+		t.Fatalf("sharded read-back differs from the unsharded reference:\nwant %s\ngot  %s", want, reportsJSON(t, got))
 	}
 }
 

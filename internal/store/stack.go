@@ -21,14 +21,20 @@ type Tier struct {
 // itself (its segment log, no back) — and everything it needs from the
 // composition is a behaviour of this type:
 //
-//   - GetMany hands a range of keys and their digests to the front in
-//     one call (a lock acquisition per 64 keys on *Memory, no
-//     hashing); the keys it misses go to kcached as one range (one
-//     round trip), and kcached's hits are promoted into the front with
-//     one putMany, as the payloads it returned. Counters stay per key.
-//   - PutMany hands a range of keys, their digests and their payloads
-//     to the front and then kcached in one call each, synchronously: a
-//     scan that returned has published. Puts count per key.
+//   - Get hands a range of keys and their digests to the front in one
+//     call (a lock acquisition per 64 keys on *Memory, no hashing); the
+//     keys it misses that the caller shares go to kcached as one range
+//     (one round trip, none when it shares none), and kcached's hits
+//     are promoted into the front with one putMany, as the payloads it
+//     returned. Counters stay per key.
+//   - Put hands a range of keys, their digests and their payloads to
+//     the front, and the keys the caller shares to kcached, in one call
+//     each, synchronously: a scan that returned has published every
+//     result it shared. The scheduler shares only the results it
+//     explored, so kcached holds loud results alone and a memory-cold
+//     replica answers quiet pairs from its own gate. Puts count per key.
+//   - GetMany and PutMany, the Store methods, are Get and Put with every
+//     key shared.
 //   - It moves payloads and never looks inside one: no encode, no
 //     decode.
 //   - Invalidation hands the whole hash set to each tier once; kcached
@@ -126,11 +132,19 @@ func observe(dur *obs.Histogram, start time.Time) {
 	}
 }
 
-// GetMany implements Store: the front answers the whole range in one
-// call, by ids, and the keys it misses go to the back as one range —
-// promoted, counted once per key. A range the front answers whole, or
-// any range on a stack with no back, allocates nothing.
+// GetMany implements Store: Get with every key shared.
 func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out [][]byte) {
+	s.Get(ctx, keys, ids, out, nil)
+}
+
+// Get sets out[i] to the payload stored for keys[i], or to nil: the
+// front answers the whole range in one call, by ids, and the keys it
+// misses that share reports (each asked once, in key order, and only
+// when there is a back; a nil share reports every key) go to the back
+// as one range — promoted, counted once per key. A range the front
+// answers whole, one that shares no miss, or any range on a stack with
+// no back, allocates nothing and sends nothing.
+func (s *Stack) Get(ctx context.Context, keys []Key, ids []Digest, out [][]byte, share func(i int) bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -142,22 +156,30 @@ func (s *Stack) GetMany(ctx context.Context, keys []Key, ids []Digest, out [][]b
 		}
 	}
 	if hits < len(keys) && s.back.Store != nil {
-		hits += s.getBack(ctx, keys, ids, out, len(keys)-hits)
+		hits += s.getBack(ctx, keys, ids, out, len(keys)-hits, share)
 	}
 	s.hits.Add(int64(hits))
 	s.misses.Add(int64(len(keys) - hits))
 }
 
 // getBack sends the keys the front missed (the misses entries of out
-// left nil) to the back as one range, sets the back's hits in out,
-// promotes them into the front with one putMany, and returns how many
-// there were.
-func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out [][]byte, misses int) int {
-	mk, mi, at := make([]Key, 0, misses), make([]Digest, 0, misses), make([]int, 0, misses)
+// left nil) that share reports to the back as one range, sets the back's
+// hits in out, promotes them into the front with one putMany, and
+// returns how many there were.
+func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out [][]byte, misses int, share func(int) bool) int {
+	var mk []Key
+	var mi []Digest
+	var at []int
 	for i, p := range out {
-		if p == nil {
+		if p == nil && (share == nil || share(i)) {
+			if mk == nil {
+				mk, mi, at = make([]Key, 0, misses), make([]Digest, 0, misses), make([]int, 0, misses)
+			}
 			mk, mi, at = append(mk, keys[i]), append(mi, ids[i]), append(at, i)
 		}
+	}
+	if len(mk) == 0 {
+		return 0
 	}
 	mo := make([][]byte, len(mk))
 	s.back.getMany(ctx, mk, mi, mo)
@@ -177,18 +199,38 @@ func (s *Stack) getBack(ctx context.Context, keys []Key, ids []Digest, out [][]b
 	return n
 }
 
-// PutMany implements Store: the front and then kcached take the whole
-// range in one call each, by ids, so the front ends up as the same Puts
-// in sequence leave it. kcached has the range, one round trip, before
-// this returns: a scan that returned has published.
+// PutMany implements Store: Put with every key shared.
 func (s *Stack) PutMany(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte) {
+	s.Put(ctx, keys, ids, payloads, nil)
+}
+
+// Put stores the range in the front, and the keys share reports (a nil
+// share reports every key) in the back, in one call each, by ids, so
+// the front ends up as the same Puts in sequence leave it. The back has
+// its keys, one round trip or none, before this returns: a scan that
+// returned has published what it shared.
+func (s *Stack) Put(ctx context.Context, keys []Key, ids []Digest, payloads [][]byte, share func(i int) bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, l := range s.leaves() {
-		l.putMany(ctx, keys, ids, payloads)
-	}
 	s.puts.Add(int64(len(keys)))
+	s.front.putMany(ctx, keys, ids, payloads)
+	if s.back.Store != nil {
+		if share != nil {
+			var sk []Key
+			var si []Digest
+			var sp [][]byte
+			for i := range keys {
+				if share(i) {
+					sk, si, sp = append(sk, keys[i]), append(si, ids[i]), append(sp, payloads[i])
+				}
+			}
+			keys, ids, payloads = sk, si, sp
+		}
+		if len(keys) > 0 {
+			s.back.putMany(ctx, keys, ids, payloads)
+		}
+	}
 }
 
 // InvalidateFuncs implements Store: each tier gets the whole hash set in

@@ -146,6 +146,40 @@ func TestStackBehaviours(t *testing.T) {
 				t.Fatalf("memory+remote stack reports %+v, want memory's books", s)
 			}
 		}},
+		{"fleet/only the keys the caller shares reach kcached", func(t *testing.T) {
+			keys := []Key{key(1), key(2), key(3), key(4)}
+			ids := []Digest{keys[0].Digest(), keys[1].Digest(), keys[2].Digest(), keys[3].Digest()}
+			even := func(i int) bool { return i%2 == 0 }
+			daemon := NewMemory(0)
+			st := memoryOverKcached(t, nil, daemon)
+			st.Put(bg, keys, ids, encodeAll(result("1"), result("2"), result("3"), result("4")), even)
+			if s := daemon.Stats(); s.Puts != 2 || s.Entries != 2 {
+				t.Fatalf("a put sharing 2 of 4 keys left kcached with %+v", s)
+			}
+			if s := st.Stats(); s.Puts != 4 || s.Entries != 4 {
+				t.Fatalf("the front took %+v, want all 4 keys", s)
+			}
+			// A memory-cold replica asks kcached only for the misses it
+			// shares, each once, in key order; a range it shares none of
+			// sends no request.
+			cold := memoryOverKcached(t, nil, daemon)
+			out := make([][]byte, len(keys))
+			var asked []int
+			cold.Get(bg, keys, ids, out, func(i int) bool { asked = append(asked, i); return i != 2 })
+			if fmt.Sprint(asked) != "[0 1 2 3]" || out[0] == nil || out[1] != nil || out[2] != nil || out[3] != nil {
+				t.Fatalf("asked %v, hits %v", asked, out)
+			}
+			if s := daemon.Stats(); s.Hits+s.Misses != 3 {
+				t.Fatalf("kcached answered %d keys, want the 3 shared", s.Hits+s.Misses)
+			}
+			cold.Get(bg, keys[1:2], ids[1:2], out[:1], func(int) bool { return false })
+			if s := daemon.Stats(); s.Hits+s.Misses != 3 {
+				t.Fatalf("a range sharing no miss reached kcached: %+v", s)
+			}
+			// With no back, nothing is asked.
+			alone := NewStack(nil, Tier{"memory", NewMemory(0)}, nil)
+			alone.Get(bg, keys, ids, out, func(int) bool { t.Fatal("a stack with no back asked to share"); return true })
+		}},
 		// The deployed shapes on /metrics: a replica's memory over
 		// kcached, and kcached's segment log alone.
 		{"metrics/per-tier families", func(t *testing.T) {
