@@ -41,10 +41,9 @@ type Fingerprinter interface {
 // footprint (and the function it names, minic.Footprint.Func), that they
 // stay silent on it. The contract: QuietOn(fp) true means that on every
 // path of the function's CFG the checker reports nothing and panics
-// nowhere. The scan scheduler supplies the rest: before it calls the
-// engine it drops from every rider each checker quiet on the function,
-// so the checker writes nothing there, and it answers a rider whose
-// checkers are all quiet with no reports and no runtime errors,
+// nowhere. The scan scheduler supplies the rest: a rider is one checker,
+// and before it calls the engine it answers every rider whose checker is
+// quiet on the function with no reports and no runtime errors,
 // unexplored — all a stored result holds — so the answer cannot time out
 // or crash. The engine itself explores every checker it is given.
 type Quieter interface {

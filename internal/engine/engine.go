@@ -6,27 +6,28 @@
 // at program points, applies branch constraints, bounds loops, and
 // collects deduplicated bug reports.
 //
-// AnalyzeFuncEach analyzes one function for several riders (a rider is
-// the checker list one Result is keyed by; AnalyzeFunc is the one-rider
-// call). The riders share the function's lowered CFG and nothing else:
-// each rider explores in a pass of its own, one after another, on a
-// pooled scratch, and a checker panic ends only the pass it happened in.
-// So a rider's Result is exactly its solo Result.
+// A pass explores one function for one checker: AnalyzeFuncEach lowers
+// a function's CFG once and runs one pass per checker over it, one after
+// another, on a pooled scratch. The passes share the lowered CFG and
+// nothing else — no state, no budget — and a checker panic ends only its
+// own pass, so each checker's Result is exactly its solo Result.
+// AnalyzeFunc with several checkers folds their passes (Fold).
 //
 // The engine explores every checker it is given. Skipping a checker
 // that cannot act on a function is the caller's decision: the scan
 // scheduler's quiet gate makes it before it calls the engine, so every
 // direct call here is an ungated exploration.
 //
-// Riders do not share an exploration: few functions have two riders
-// loud on them, and exploring those in lockstep, each rider with facts
-// of its own, cost more bookkeeping than it saved.
+// Checkers do not share an exploration: exploring the few functions two
+// are loud on in lockstep cost more bookkeeping than it saved.
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"knighter/internal/cfg"
@@ -132,21 +133,25 @@ func AnalyzeFile(file *minic.File, opts Options) *Result {
 	return total
 }
 
-// AnalyzeFunc analyzes a single function: the one-rider call of
-// AnalyzeFuncEach. A checker panic is recovered and recorded as a
-// RuntimeErr on the result (the analog of CSA's "the analyzer
-// encountered problems on source files").
+// AnalyzeFunc analyzes a single function: one pass per checker, folded
+// (Fold), or one with no checker when there is none. A checker panic is
+// recovered and recorded as a RuntimeErr on the result (the analog of
+// CSA's "the analyzer encountered problems on source files").
 func AnalyzeFunc(file *minic.File, fn *minic.FuncDecl, opts Options) *Result {
-	return AnalyzeFuncEach(file, fn, [][]checker.Checker{opts.Checkers}, opts)[0]
+	cks := opts.Checkers
+	if len(cks) == 0 {
+		cks = []checker.Checker{nil}
+	}
+	return Fold(AnalyzeFuncEach(file, fn, cks, opts))
 }
 
-// AnalyzeFuncEach analyzes fn for several riders, one pass each, over
-// one lowered CFG. A rider is the checker list one result is keyed by;
-// results[i] is exactly what AnalyzeFunc returns for riders[i] alone
-// (opts.Checkers is ignored).
-func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
+// AnalyzeFuncEach analyzes fn once per checker, each in a pass of its
+// own, over one lowered CFG: results[i] is exactly what AnalyzeFunc
+// returns for checkers[i] alone (opts.Checkers is ignored). A nil
+// checker's pass explores the function with no checker.
+func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, checkers []checker.Checker, opts Options) []*Result {
 	opts = opts.withDefaults()
-	results := make([]*Result, len(riders))
+	results := make([]*Result, len(checkers))
 	for i := range results {
 		results[i] = &Result{}
 	}
@@ -171,12 +176,36 @@ func AnalyzeFuncEach(file *minic.File, fn *minic.FuncDecl, riders [][]checker.Ch
 		// which skips bodies it cannot lower).
 		return results
 	}
-	for i, cks := range riders {
-		ex := newExec(file, fn, g, opts, cks, results[i])
+	for i, ck := range checkers {
+		ex := newExec(file, fn, g, opts, ck, results[i])
 		ex.explore() // recovers every panic, so the scratch always goes back
 		ex.release(ex.evals)
 	}
 	return results
+}
+
+// Fold is the one answer of several passes over the same code: the
+// results merged in order (Result.Merge), then the reports stably
+// sorted as each pass sorts its own. One result is returned as it is.
+// AnalyzeFunc and a multi-checker scan fold with it.
+func Fold(results []*Result) *Result {
+	if len(results) == 1 {
+		return results[0]
+	}
+	out := &Result{}
+	for _, r := range results {
+		out.Merge(r)
+	}
+	sortReports(out.Reports)
+	return out
+}
+
+// sortReports orders reports by file, line and checker, keeping the
+// order of equal ones.
+func sortReports(reps []*checker.Report) {
+	slices.SortStableFunc(reps, func(a, b *checker.Report) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Pos.Line, b.Pos.Line), strings.Compare(a.Checker, b.Checker))
+	})
 }
 
 // graph is one call's lowered CFG, shared by every pass of the call,
@@ -314,19 +343,19 @@ type visitKey struct {
 	fp    sym.Fingerprint
 }
 
-// exec is one pass: the analysis of one function for one rider, with
+// exec is one pass: the analysis of one function for one checker, with
 // the machinery shared across all its paths.
 type exec struct {
 	*scratch
-	file     *minic.File
-	fn       *minic.FuncDecl
-	graph    *graph
-	opts     Options
-	checkers []checker.Checker // the rider's
-	ctx      *checker.Context
-	res      *Result
-	reports  map[string]struct{} // keys of res.Reports
-	pc       pathCtx             // the frame being executed
+	file    *minic.File
+	fn      *minic.FuncDecl
+	graph   *graph
+	opts    Options
+	ck      checker.Checker // the pass's; nil fires no callback
+	ctx     *checker.Context
+	res     *Result
+	reports map[string]struct{} // keys of res.Reports
+	pc      pathCtx             // the frame being executed
 	// done is the caller's cancellation signal (nil = none).
 	done <-chan struct{}
 	// evals counts expression evaluations; every evalCheckInterval of
@@ -334,20 +363,17 @@ type exec struct {
 	// frame-level check in run() only sees at entry — stops soon after
 	// its caller gives up.
 	evals int
-	// active is the checker whose callback is running, for attributing
-	// a crash.
-	active checker.Checker
 }
 
-func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options, checkers []checker.Checker, res *Result) *exec {
+func newExec(file *minic.File, fn *minic.FuncDecl, graph *graph, opts Options, ck checker.Checker, res *Result) *exec {
 	ex := &exec{
-		scratch:  scratchPool.Get().(*scratch),
-		file:     file,
-		fn:       fn,
-		graph:    graph,
-		opts:     opts,
-		checkers: checkers,
-		res:      res,
+		scratch: scratchPool.Get().(*scratch),
+		file:    file,
+		fn:      fn,
+		graph:   graph,
+		opts:    opts,
+		ck:      ck,
+		res:     res,
 	}
 	ex.pc.values = ex.values
 	if opts.Ctx != nil {
@@ -369,26 +395,17 @@ func (ex *exec) explore() {
 			// frame-level cancel, and equally uncacheable.
 			res.Truncated, res.Canceled = true, true
 		default:
-			// A checker crashed: the analysis ends here, with the reports
-			// it made so far.
+			// The pass's checker crashed: the analysis ends here, with
+			// the reports it made so far.
 			re := RuntimeErr{Func: ex.fn.Name, Panic: fmt.Sprint(p)}
-			if ex.active != nil {
-				re.Checker = ex.active.Name()
+			if ex.ck != nil {
+				re.Checker = ex.ck.Name()
 			}
 			res.RuntimeErrs = append(res.RuntimeErrs, re)
 		}
 		// One stable sort on exit orders the reports as a stable sort
 		// after every emission would have.
-		reps := res.Reports
-		sort.SliceStable(reps, func(i, j int) bool {
-			if reps[i].File != reps[j].File {
-				return reps[i].File < reps[j].File
-			}
-			if reps[i].Pos.Line != reps[j].Pos.Line {
-				return reps[i].Pos.Line < reps[j].Pos.Line
-			}
-			return reps[i].Checker < reps[j].Checker
-		})
+		sortReports(res.Reports)
 	}()
 	res.Truncated, res.Canceled = ex.run()
 }
@@ -458,12 +475,10 @@ func (ex *exec) run() (truncated, canceled bool) {
 			if x != nil {
 				rv = ex.evalExpr(pc, x)
 			}
-			ev := &checker.ReturnEvent{Expr: x, Value: rv, Pos: t.Pos}
-			ex.forEachChecker(pc, t.Pos, func(ck checker.Checker, c *checker.Context) {
-				if ec, ok := ck.(checker.EndFunctionChecker); ok {
-					ec.CheckEndFunction(ev, c)
-				}
-			})
+			if ec, ok := ex.ck.(checker.EndFunctionChecker); ok {
+				ev := &checker.ReturnEvent{Expr: x, Value: rv, Pos: t.Pos}
+				ex.fire(pc, t.Pos, func(c *checker.Context) { ec.CheckEndFunction(ev, c) })
+			}
 			ex.res.Paths++
 		case cfg.Jump:
 			stack = append(stack, frame{block: t.Succ[0], state: pc.state, visits: f.visits, trace: pc.trace})
@@ -471,11 +486,9 @@ func (ex *exec) run() (truncated, canceled bool) {
 			cond := g.Expr(t)
 			clear(pc.values)
 			ex.evalExpr(pc, cond) // populate value cache (with side effects once)
-			ex.forEachChecker(pc, t.Pos, func(ck checker.Checker, c *checker.Context) {
-				if bc, ok := ck.(checker.BranchChecker); ok {
-					bc.CheckBranchCondition(cond, c)
-				}
-			})
+			if bc, ok := ex.ck.(checker.BranchChecker); ok {
+				ex.fire(pc, t.Pos, func(c *checker.Context) { bc.CheckBranchCondition(cond, c) })
+			}
 			// Both arms are computed before either is pushed: the first to
 			// be pushed gets a copy of the visits a frame owns, the second
 			// inherits this frame's.
@@ -543,16 +556,12 @@ type pathCtx struct {
 	trace  []checker.TraceStep
 }
 
-// forEachChecker runs one event's callbacks: fire is invoked for every
-// checker of the pass, in order, on the state the one before it left.
-func (ex *exec) forEachChecker(pc *pathCtx, pos minic.Pos, fire func(checker.Checker, *checker.Context)) {
-	for _, ck := range ex.checkers {
-		ex.active = ck
-		ex.ctx.Rebind(pc.state, pc.values, pc.trace, pos)
-		fire(ck, ex.ctx)
-		pc.state = ex.ctx.State()
-	}
-	ex.active = nil
+// fire runs one callback of the pass's checker on the event at pos, on
+// the path's state, and takes up the state the callback leaves.
+func (ex *exec) fire(pc *pathCtx, pos minic.Pos, callback func(*checker.Context)) {
+	ex.ctx.Rebind(pc.state, pc.values, pc.trace, pos)
+	callback(ex.ctx)
+	pc.state = ex.ctx.State()
 }
 
 // addReport is the pass's report sink: one report per checker and site.
@@ -578,19 +587,15 @@ func (ex *exec) execStmt(pc *pathCtx, s minic.Stmt) {
 		if st.Type.IsArray() {
 			ex.arena.SetArrayLen(r, st.Type.ArrayLen)
 		}
-		ex.forEachChecker(pc, st.Pos, func(ck checker.Checker, c *checker.Context) {
-			if dc, ok := ck.(checker.DeclChecker); ok {
-				dc.CheckDecl(st, r, c)
-			}
-		})
+		if dc, ok := ex.ck.(checker.DeclChecker); ok {
+			ex.fire(pc, st.Pos, func(c *checker.Context) { dc.CheckDecl(st, r, c) })
+		}
 		if st.Init != nil {
 			v := ex.evalExpr(pc, st.Init)
-			ev := &checker.BindEvent{Region: r, Value: v, IsInit: true, RHS: st.Init, Pos: st.Pos}
-			ex.forEachChecker(pc, st.Pos, func(ck checker.Checker, c *checker.Context) {
-				if bc, ok := ck.(checker.BindChecker); ok {
-					bc.CheckBind(ev, c)
-				}
-			})
+			if bc, ok := ex.ck.(checker.BindChecker); ok {
+				ev := &checker.BindEvent{Region: r, Value: v, IsInit: true, RHS: st.Init, Pos: st.Pos}
+				ex.fire(pc, st.Pos, func(c *checker.Context) { bc.CheckBind(ev, c) })
+			}
 			pc.state = pc.state.BindRegion(r, v)
 		}
 	case *minic.ExprStmt:

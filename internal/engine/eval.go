@@ -186,12 +186,10 @@ func (ex *exec) evalAssign(pc *pathCtx, x *minic.AssignExpr) sym.Value {
 			val = sym.MakeSym(ex.arena.NewSymbol("arith", x.Pos))
 		}
 	}
-	ev := &checker.BindEvent{Region: lr, Value: val, LHS: x.LHS, RHS: x.RHS, Pos: x.Pos}
-	ex.forEachChecker(pc, x.Pos, func(ck checker.Checker, c *checker.Context) {
-		if bc, ok := ck.(checker.BindChecker); ok {
-			bc.CheckBind(ev, c)
-		}
-	})
+	if bc, ok := ex.ck.(checker.BindChecker); ok {
+		ev := &checker.BindEvent{Region: lr, Value: val, LHS: x.LHS, RHS: x.RHS, Pos: x.Pos}
+		ex.fire(pc, x.Pos, func(c *checker.Context) { bc.CheckBind(ev, c) })
+	}
 	pc.state = pc.state.BindRegion(lr, val)
 	return val
 }
@@ -291,11 +289,9 @@ func (ex *exec) loadRegion(pc *pathCtx, r sym.RegionID, ac *checker.Access) sym.
 }
 
 func (ex *exec) fireLocation(pc *pathCtx, ac *checker.Access) {
-	ex.forEachChecker(pc, ac.Pos, func(ck checker.Checker, c *checker.Context) {
-		if lc, ok := ck.(checker.LocationChecker); ok {
-			lc.CheckLocation(ac, c)
-		}
-	})
+	if lc, ok := ex.ck.(checker.LocationChecker); ok {
+		ex.fire(pc, ac.Pos, func(c *checker.Context) { lc.CheckLocation(ac, c) })
+	}
 }
 
 // lvalueRegion resolves an expression to the region it denotes. When
@@ -459,19 +455,15 @@ func (ex *exec) evalCall(pc *pathCtx, call *minic.CallExpr) sym.Value {
 		Callee: call.Fun, Expr: call, Args: args,
 		ArgRegions: argRegions, ArgPointees: argPointees, Pos: call.Pos,
 	}
-	ex.forEachChecker(pc, call.Pos, func(ck checker.Checker, c *checker.Context) {
-		if pcc, ok := ck.(checker.PreCallChecker); ok {
-			pcc.CheckPreCall(ev, c)
-		}
-	})
+	if pcc, ok := ex.ck.(checker.PreCallChecker); ok {
+		ex.fire(pc, call.Pos, func(c *checker.Context) { pcc.CheckPreCall(ev, c) })
+	}
 
 	ret := ex.builtinReturn(pc, call, args)
 	ev.Ret = ret
-	ex.forEachChecker(pc, call.Pos, func(ck checker.Checker, c *checker.Context) {
-		if pcc, ok := ck.(checker.PostCallChecker); ok {
-			pcc.CheckPostCall(ev, c)
-		}
-	})
+	if pcc, ok := ex.ck.(checker.PostCallChecker); ok {
+		ex.fire(pc, call.Pos, func(c *checker.Context) { pcc.CheckPostCall(ev, c) })
+	}
 	return ret
 }
 

@@ -32,29 +32,35 @@ func render(t *testing.T, r *Result) string {
 	return string(b)
 }
 
-// requireSolo analyzes fn once for all riders and once per rider and
-// requires every result of the call to be exactly the solo one: the
+// requireSolo analyzes fn once for all checkers and once per checker
+// and requires every result of the call to be exactly the solo one: the
 // passes of one call hand their pooled scratch to each other, so residue
-// of one rider's pass would show in the next one's. It returns the solo
-// results.
-func requireSolo(t *testing.T, f *minic.File, fn *minic.FuncDecl, riders [][]checker.Checker, opts Options) []*Result {
+// of one checker's pass would show in the next one's. It also requires
+// AnalyzeFunc over all of them to be the solo results folded. It returns
+// the solo results.
+func requireSolo(t *testing.T, f *minic.File, fn *minic.FuncDecl, cks []checker.Checker, opts Options) []*Result {
 	t.Helper()
-	shared := AnalyzeFuncEach(f, fn, riders, opts)
-	solo := make([]*Result, len(riders))
-	for i, cks := range riders {
+	shared := AnalyzeFuncEach(f, fn, cks, opts)
+	solo := make([]*Result, len(cks))
+	for i, ck := range cks {
 		o := opts
-		o.Checkers = cks
+		o.Checkers = []checker.Checker{ck}
 		solo[i] = AnalyzeFunc(f, fn, o)
 		if got, want := render(t, shared[i]), render(t, solo[i]); got != want {
-			t.Errorf("%s rider %d of %d differs from its solo analysis:\nshared %s\nsolo   %s", fn.Name, i, len(riders), got, want)
+			t.Errorf("%s checker %d of %d differs from its solo analysis:\nshared %s\nsolo   %s", fn.Name, i, len(cks), got, want)
 		}
+	}
+	o := opts
+	o.Checkers = cks
+	if got, want := render(t, AnalyzeFunc(f, fn, o)), render(t, Fold(solo)); got != want {
+		t.Errorf("%s: AnalyzeFunc over %d checkers is not their solo results folded:\n got %s\nwant %s", fn.Name, len(cks), got, want)
 	}
 	return solo
 }
 
-// Two riders whose facts fork the exploration differently. Both arms of
-// `a & 1` keep the same core state, so at the join a rider that tracks
-// nothing in either arm has seen the node and one that tracks the
+// Two checkers whose facts fork the exploration differently. Both arms
+// of `a & 1` keep the same core state, so at the join a checker that
+// tracks nothing in either arm has seen the node and one that tracks the
 // kfree() has not: the two complete different numbers of paths.
 const forkSrc = `
 int fork(struct dev *d, int a)
@@ -88,25 +94,65 @@ const (
 func TestForkingRidersEqualSolo(t *testing.T) {
 	f := parse(t, forkSrc)
 	npd, uaf := mustDSL(t, npdDSL), mustDSL(t, uafDSL)
-	for _, riders := range [][][]checker.Checker{
-		{{npd}, {uaf}}, // npd's pass merges at the join; uaf's, on the scratch it leaves, must still take both paths
-		{{uaf}, {npd}}, // uaf's pass takes both paths; npd's, on the scratch it leaves, must still merge
-		{{npd}, {uaf}, {npd, uaf}},
+	for _, cks := range [][]checker.Checker{
+		{npd, uaf}, // npd's pass merges at the join; uaf's, on the scratch it leaves, must still take both paths
+		{uaf, npd}, // uaf's pass takes both paths; npd's, on the scratch it leaves, must still merge
 	} {
-		solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
+		solo := requireSolo(t, f, f.Funcs[0], cks, Options{})
 		if solo[0].Paths == solo[1].Paths {
-			t.Fatalf("the riders do not fork: both complete %d paths alone", solo[0].Paths)
+			t.Fatalf("the checkers do not fork: both complete %d paths alone", solo[0].Paths)
 		}
 	}
 	// The report the forked-off path carries must be there.
-	res := AnalyzeFuncEach(f, f.Funcs[0], [][]checker.Checker{{npd}, {uaf}}, Options{})
+	res := AnalyzeFuncEach(f, f.Funcs[0], []checker.Checker{npd, uaf}, Options{})
 	if len(res[1].Reports) != 1 || res[1].Reports[0].BugType != "Use-After-Free" {
-		t.Errorf("uaf rider reports = %v, want the use after free on the kfree() arm", res[1].Reports)
+		t.Errorf("uaf reports = %v, want the use after free on the kfree() arm", res[1].Reports)
+	}
+}
+
+// budgetSrc's first arm is a ladder of branches whose arms keep the same
+// core state, so a checker that tracks no kfree() merges at every join
+// and one that does forks at each: 2^8 paths. Exploration takes the true
+// arm of `b` first; the null dereference is on the false arm.
+const budgetSrc = `
+int budget(char *p0, char *p1, char *p2, char *p3, char *p4, char *p5, char *p6, char *p7, int a, int b)
+{
+	if (b) {
+		if (a & 1) kfree(p0); else use(p0);
+		if (a & 2) kfree(p1); else use(p1);
+		if (a & 4) kfree(p2); else use(p2);
+		if (a & 8) kfree(p3); else use(p3);
+		if (a & 16) kfree(p4); else use(p4);
+		if (a & 32) kfree(p5); else use(p5);
+		if (a & 64) kfree(p6); else use(p6);
+		if (a & 128) kfree(p7); else use(p7);
+		return 0;
+	}
+	char *q = kzalloc(8, 0);
+	return q[1];
+}
+`
+
+// TestCheckersDoNotShareABudget: the checkers of one call each get the
+// MaxPaths/MaxSteps budget whole. uaf's pass spends its budget on the
+// ladder; npd's, alone with the same bounds, crosses it and reports the
+// dereference past it, and so it must in a call beside uaf.
+func TestCheckersDoNotShareABudget(t *testing.T) {
+	f := parse(t, budgetSrc)
+	npd, uaf := mustDSL(t, npdDSL), mustDSL(t, uafDSL)
+	opts := Options{MaxSteps: 200, MaxPaths: 16}
+	for _, cks := range [][]checker.Checker{{uaf, npd}, {npd, uaf}} {
+		solo := requireSolo(t, f, f.Funcs[0], cks, opts)
+		s := map[checker.Checker]*Result{cks[0]: solo[0], cks[1]: solo[1]}
+		if !s[uaf].Truncated || s[npd].Truncated || len(s[npd].Reports) != 1 {
+			t.Fatalf("uaf truncated %v, npd truncated %v with reports %v: want uaf alone cut by the bounds and npd's dereference found",
+				s[uaf].Truncated, s[npd].Truncated, s[npd].Reports)
+		}
 	}
 }
 
 // Candidates of one refinement round share a checker name and so a fact
-// domain prefix: each rider must see only its own facts.
+// domain prefix: each checker must see only its own facts.
 func TestSameNameRidersKeepSeparateFacts(t *testing.T) {
 	f := parse(t, `
 int probe(struct dev *d)
@@ -121,7 +167,7 @@ int probe(struct dev *d)
 	rev := func(callee string) checker.Checker {
 		return mustDSL(t, strings.Replace(npdDSL, `"kzalloc"`, `"`+callee+`"`, 1))
 	}
-	solo := requireSolo(t, f, f.Funcs[0], [][]checker.Checker{{rev("kzalloc")}, {rev("kmalloc")}, {rev("kzalloc")}}, Options{})
+	solo := requireSolo(t, f, f.Funcs[0], []checker.Checker{rev("kzalloc"), rev("kmalloc"), rev("kzalloc")}, Options{})
 	if len(solo[0].Reports) != 1 || len(solo[1].Reports) != 1 || solo[0].Reports[0].Pos == solo[1].Reports[0].Pos {
 		t.Fatalf("the revisions should each report their own allocator's dereference: %v / %v", solo[0].Reports, solo[1].Reports)
 	}
@@ -141,15 +187,18 @@ func (c crashOn) CheckPostCall(ev *checker.CallEvent, _ *checker.Context) {
 func TestCrashingRiderAloneCarriesTheError(t *testing.T) {
 	f := parse(t, forkSrc)
 	npd, uaf := mustDSL(t, npdDSL), mustDSL(t, uafDSL)
-	riders := [][]checker.Checker{{npd}, {crashOn{"note"}}, {uaf}, {npd, crashOn{"kfree"}}}
-	solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
+	cks := []checker.Checker{npd, crashOn{"note"}, uaf, crashOn{"kfree"}}
+	solo := requireSolo(t, f, f.Funcs[0], cks, Options{})
 	for i, want := range []int{0, 1, 0, 1} {
 		if got := len(solo[i].RuntimeErrs); got != want {
-			t.Errorf("rider %d: %d runtime errors, want %d", i, got, want)
+			t.Errorf("checker %d: %d runtime errors, want %d", i, got, want)
 		}
 	}
 	if len(solo[0].Reports) == 0 || len(solo[2].Reports) == 0 {
-		t.Errorf("siblings of a crashing rider lost their reports: %v / %v", solo[0].Reports, solo[2].Reports)
+		t.Errorf("siblings of a crashing checker lost their reports: %v / %v", solo[0].Reports, solo[2].Reports)
+	}
+	if re := solo[3].RuntimeErrs[0]; re.Checker != "test.CrashOn" {
+		t.Errorf("the crash is attributed to %q, want the pass's checker", re.Checker)
 	}
 }
 
@@ -178,7 +227,10 @@ func (n nullSeer) CheckLocation(ac *checker.Access, c *checker.Context) {
 	}
 }
 
-func TestImpureRiderRunsAlone(t *testing.T) {
+// TestCoreWriterIsInvisibleToOtherCheckers: a checker that writes the
+// core state writes only its own pass's. The nullSeer beside it, before
+// or after it in one call, never sees d become null.
+func TestCoreWriterIsInvisibleToOtherCheckers(t *testing.T) {
 	f := parse(t, `
 int impure(struct dev *d, int a)
 {
@@ -186,16 +238,18 @@ int impure(struct dev *d, int a)
 	return d->len;
 }
 `)
-	riders := [][]checker.Checker{{nullSeer{}}, {coreWriter{}, nullSeer{}}, {nullSeer{}}}
-	solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
-	if len(solo[1].Reports) != 1 || len(solo[0].Reports) != 0 {
-		t.Fatalf("only the rider with the core writer should see d become null: %v / %v", solo[0].Reports, solo[1].Reports)
+	for _, cks := range [][]checker.Checker{{coreWriter{}, nullSeer{}}, {nullSeer{}, coreWriter{}}} {
+		o := Options{Checkers: cks}
+		if res := AnalyzeFunc(f, f.Funcs[0], o); len(res.Reports) != 0 {
+			t.Fatalf("the null seer saw the core writer's binding: %v", res.Reports)
+		}
+		requireSolo(t, f, f.Funcs[0], cks, Options{})
 	}
 }
 
-// Frames explored for another rider would shift the arena's
+// Frames explored for another checker would shift the arena's
 // allocation-ordered ids, and an opaque pointee's description prints one
-// ("<sym9 pointee>"): a rider's report text must be its solo text.
+// ("<sym9 pointee>"): a checker's report text must be its solo text.
 func TestSharedReportTextEqualsSolo(t *testing.T) {
 	f := parse(t, `
 int text(struct dev *d, int a, int b)
@@ -215,19 +269,19 @@ int text(struct dev *d, int a, int b)
 `)
 	uaf := mustDSL(t, uafDSL)
 	rel := mustDSL(t, strings.NewReplacer("uaf", "rel", "kfree", "release").Replace(uafDSL))
-	for _, riders := range [][][]checker.Checker{{{uaf}, {rel}}, {{rel}, {uaf}}} {
-		solo := requireSolo(t, f, f.Funcs[0], riders, Options{})
-		for i, cks := range riders {
-			if cks[0] == rel && (len(solo[i].Reports) != 1 || !strings.Contains(solo[i].Reports[0].RegionAt, "<sym")) {
+	for _, cks := range [][]checker.Checker{{uaf, rel}, {rel, uaf}} {
+		solo := requireSolo(t, f, f.Funcs[0], cks, Options{})
+		for i, ck := range cks {
+			if ck == rel && (len(solo[i].Reports) != 1 || !strings.Contains(solo[i].Reports[0].RegionAt, "<sym")) {
 				t.Fatalf("want one report on an opaque pointee, got %v", solo[i].Reports)
 			}
 		}
 	}
 }
 
-// riderPool is checkers over the callee names progGen emits, chosen to
-// fork: each tracks a different call, two share a name.
-func riderPool(t *testing.T) []checker.Checker {
+// checkerPool is checkers over the callee names progGen emits, chosen
+// to fork: each tracks a different call, two share a name.
+func checkerPool(t *testing.T) []checker.Checker {
 	named := func(name, body string) checker.Checker {
 		return mustDSL(t, "checker "+name+" {\n  bugtype \"Null-Pointer-Dereference\"\n  track aliases\n"+body+"}")
 	}
@@ -262,9 +316,9 @@ func riderPool(t *testing.T) []checker.Checker {
 	}
 }
 
-// forkProgram emits programs built to fork riders: calls some checker
+// forkProgram emits programs built to fork checkers: calls some checker
 // tracks, under conditions the engine cannot decide (both arms keep the
-// core state, so the arms differ only in some riders' facts), between
+// core state, so the arms differ only in some checkers' facts), between
 // dereferences and null checks that turn the tracked facts into reports.
 func forkProgram(r *rand.Rand) string {
 	ptr := func() string { return []string{"p", "q", "dev"}[r.Intn(3)] }
@@ -296,11 +350,12 @@ func forkProgram(r *rand.Rand) string {
 }
 
 // TestRidersEqualSoloOnRandomPrograms: over random programs, random
-// rider sets and budgets small enough to truncate, every shared result
-// is its solo result. It also requires that a fair share of the programs
-// fork the riders, so the property is tested where it is at risk.
+// checker lists and budgets small enough to truncate, every shared
+// result is its solo result, and the folded call their fold. It also
+// requires that a fair share of the programs fork the checkers, so the
+// property is tested where it is at risk.
 func TestRidersEqualSoloOnRandomPrograms(t *testing.T) {
-	pool := riderPool(t)
+	pool := checkerPool(t)
 	forked := 0
 	for seed := int64(0); seed < 600; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -312,18 +367,15 @@ func TestRidersEqualSoloOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		riders := make([][]checker.Checker, 2+r.Intn(4))
-		for i := range riders {
-			riders[i] = []checker.Checker{pool[r.Intn(len(pool))]}
-			if r.Intn(6) == 0 {
-				riders[i] = append(riders[i], pool[r.Intn(len(pool))])
-			}
+		cks := make([]checker.Checker, 2+r.Intn(4))
+		for i := range cks {
+			cks[i] = pool[r.Intn(len(pool))]
 		}
 		opts := Options{}
 		if r.Intn(3) == 0 {
 			opts = Options{MaxSteps: 20 + r.Intn(60), MaxPaths: 2 + r.Intn(6)}
 		}
-		solo := requireSolo(t, f, f.Funcs[0], riders, opts)
+		solo := requireSolo(t, f, f.Funcs[0], cks, opts)
 		for _, s := range solo[1:] {
 			if (s.Steps != solo[0].Steps || s.Paths != solo[0].Paths) && len(s.RuntimeErrs) == 0 && len(solo[0].RuntimeErrs) == 0 {
 				forked++
@@ -335,6 +387,6 @@ func TestRidersEqualSoloOnRandomPrograms(t *testing.T) {
 		}
 	}
 	if forked < 100 {
-		t.Errorf("only %d of 600 programs forked their riders", forked)
+		t.Errorf("only %d of 600 programs forked their checkers", forked)
 	}
 }

@@ -82,14 +82,14 @@ func freshPool() {
 // TestPooledScratchLeavesNoResidue analyzes every function of the
 // scale-0.25 corpus in forward and in reverse order, concurrently (the
 // two walks share the pools), each function after another call: one
-// with a pass that ends abnormally — a rider's checker panics, or the
+// with a pass that ends abnormally — a checker panics, or the
 // context is canceled mid-block (cancelAbort) in the call's last pass —
 // or one that lowers a larger function into the pooled graph. Every
 // function's results must be the ones it gets on a scratch and a graph
 // built from nothing.
 func TestPooledScratchLeavesNoResidue(t *testing.T) {
 	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25})
-	riders := [][]checker.Checker{{mustDSL(t, npdDSL)}, {mustDSL(t, uafDSL)}, {siteReporter{}}}
+	cks := []checker.Checker{mustDSL(t, npdDSL), mustDSL(t, uafDSL), siteReporter{}}
 	parseFile := func(sf *kernel.SourceFile) *minic.File {
 		f, err := minic.ParseFile(sf.Path, sf.Src)
 		if err != nil {
@@ -114,7 +114,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 		f := parseFile(sf)
 		for _, fn := range f.Funcs {
 			freshPool()
-			res := AnalyzeFuncEach(f, fn, riders, Options{})
+			res := AnalyzeFuncEach(f, fn, cks, Options{})
 			want = append(want, renderAll(res))
 			for _, rep := range res[2].Reports {
 				if strings.HasPrefix(rep.Message, globalKind) {
@@ -180,15 +180,15 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 			for k := range units {
 				switch k % 3 {
 				case 0:
-					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, riders, Options{})...)
+					w.widened = append(w.widened, AnalyzeFuncEach(dist, wide, cks, Options{})...)
 				case 1:
-					res := AnalyzeFuncEach(dist, short, [][]checker.Checker{{siteReporter{}}, {crashOn{"boom"}}}, Options{})
+					res := AnalyzeFuncEach(dist, short, []checker.Checker{siteReporter{}, crashOn{"boom"}}, Options{})
 					w.crashed = append(w.crashed, res...)
 				case 2:
 					// The canceler's pass runs last, so the scratch its
 					// cancelAbort leaves is the one the next function draws.
 					ctx, cancel := context.WithCancel(context.Background())
-					res := AnalyzeFuncEach(dist, long, [][]checker.Checker{{siteReporter{}}, {canceler{cancel}}}, Options{Ctx: ctx})
+					res := AnalyzeFuncEach(dist, long, []checker.Checker{siteReporter{}, canceler{cancel}}, Options{Ctx: ctx})
 					cancel()
 					w.canceled = append(w.canceled, res...)
 				}
@@ -196,7 +196,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 				if reverse {
 					i = len(units) - 1 - k
 				}
-				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, riders, Options{})
+				w.got[i] = AnalyzeFuncEach(units[i].f, units[i].fn, cks, Options{})
 			}
 		}(&walks[w], w == 1)
 	}
@@ -207,7 +207,7 @@ func TestPooledScratchLeavesNoResidue(t *testing.T) {
 		for i, res := range walk.got {
 			for r, got := range renderAll(res) {
 				if got != want[i][r] {
-					t.Fatalf("walk %d, %s rider %d after pooled passes:\n got %s\nwant %s", w, units[i].fn.Name, r, got, want[i][r])
+					t.Fatalf("walk %d, %s checker %d after pooled passes:\n got %s\nwant %s", w, units[i].fn.Name, r, got, want[i][r])
 				}
 			}
 		}

@@ -71,8 +71,12 @@ func (h *Harness) RunBugDetection(handOutcomes []*SynthesisOutcome) *BugDetectio
 	if handOutcomes == nil {
 		handOutcomes = h.RunCommits(h.Hand)
 	}
-	autoOutcomes := h.RunCommits(h.Auto)
+	return h.detectBugs(handOutcomes, h.RunCommits(h.Auto))
+}
 
+// detectBugs is the deployment and its triage, given every commit's
+// synthesis and refinement outcome.
+func (h *Harness) detectBugs(handOutcomes, autoOutcomes []*SynthesisOutcome) *BugDetectionResult {
 	res := &BugDetectionResult{
 		PerCommit: map[string]int{},
 		finderOf:  map[string]*vcs.Commit{},
@@ -97,7 +101,8 @@ func (h *Harness) RunBugDetection(handOutcomes []*SynthesisOutcome) *BugDetectio
 	}
 
 	// One batched scan with every plausible checker (the unconstrained
-	// production scan: no warning caps).
+	// production scan: no warning caps), served by the entries each
+	// checker's refinement loop stored under its key.
 	var cks []checker.Checker
 	byName := map[string]*SynthesisOutcome{}
 	order := map[string]int{}
@@ -107,12 +112,15 @@ func (h *Harness) RunBugDetection(handOutcomes []*SynthesisOutcome) *BugDetectio
 		byName[ck.Name()] = d.so
 		order[ck.Name()] = i
 	}
-	scanRes := h.Inc.Run(cks, scan.Options{})
-	res.ReportsTotal = len(scanRes.Reports)
+	var reports []*checker.Report
+	for _, entry := range h.Inc.RunBatch(cks, nil, scan.Options{}, 0) {
+		reports = append(reports, entry.Reports...)
+	}
+	res.ReportsTotal = len(reports)
 
 	// Count silent checkers.
 	reported := map[string]bool{}
-	for _, rep := range scanRes.Reports {
+	for _, rep := range reports {
 		reported[rep.Checker] = true
 	}
 	for name := range byName {
@@ -124,7 +132,7 @@ func (h *Harness) RunBugDetection(handOutcomes []*SynthesisOutcome) *BugDetectio
 	// Triage filter: keep reports the agent labels "bug" (§5.1.2 notes
 	// the agent's low false-negative rate justifies this).
 	foundBy := map[string]string{} // bug ID -> checker name
-	for _, rep := range scanRes.Reports {
+	for _, rep := range reports {
 		if !h.Triage.Classify(rep, 0).Bug {
 			continue
 		}

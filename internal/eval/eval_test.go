@@ -341,3 +341,31 @@ func TestPaperTableInvariants(t *testing.T) {
 		})
 	}
 }
+
+// TestDeploymentIsServedByRefinement: every deployed checker's final
+// version was scanned by its refinement loop under its own key, so the
+// deployment scan after RunCommits is all hits — one per (checker,
+// function) pair — and stores nothing.
+func TestDeploymentIsServedByRefinement(t *testing.T) {
+	h, err := NewHarness(kernel.Config{Seed: 1, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand, auto := h.RunCommits(h.Hand), h.RunCommits(h.Auto)
+	deployed := 0
+	for _, so := range append(append([]*SynthesisOutcome(nil), hand...), auto...) {
+		if so.Plausible() {
+			deployed++
+		}
+	}
+	before := h.Inc.Stats()
+	h.detectBugs(hand, auto)
+	after := h.Inc.Stats()
+	if hits, want := after.Hits-before.Hits, int64(deployed*h.Codebase.NumFuncs()); hits != want || after.Misses != before.Misses {
+		t.Fatalf("deployment of %d checkers: %d hits and %d misses, want %d hits and none",
+			deployed, hits, after.Misses-before.Misses, want)
+	}
+	if after.Entries != before.Entries || after.Puts != before.Puts {
+		t.Fatalf("deployment stored entries: %d -> %d (%d puts)", before.Entries, after.Entries, after.Puts-before.Puts)
+	}
+}

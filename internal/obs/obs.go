@@ -38,7 +38,7 @@ var DurationBuckets = []float64{
 }
 
 // atomicFloat is a float64 with atomic Add/Store/Load, the value cell
-// behind counters, gauges, and histogram sums.
+// behind gauges and histogram sums.
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (a *atomicFloat) Load() float64   { return math.Float64frombits(a.bits.Load()) }
@@ -53,35 +53,24 @@ func (a *atomicFloat) Add(d float64) {
 	}
 }
 
-// Counter is a monotonically increasing value. Whole-number increments
-// — the overwhelmingly common case, and the one sitting on request hot
-// paths — land in an integer cell via a single atomic add; fractional
-// adds fall back to a CAS loop on a separate float cell. The split
-// matters under contention: N workers hammering one counter pay one
-// uncontended-retry-free XADD each instead of CAS retries.
-type Counter struct {
-	ints atomic.Uint64
-	rest atomicFloat
-}
+// Counter is a monotonically increasing count: one integer cell, so N
+// workers hammering one counter pay one atomic add each, never a CAS
+// retry.
+type Counter struct{ n atomic.Uint64 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.ints.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds d, which must be non-negative (negative adds are dropped so a
+// Add adds n, which must be non-negative (a negative n is dropped so a
 // buggy caller cannot make a counter go backwards).
-func (c *Counter) Add(d float64) {
-	if d <= 0 {
-		return
+func (c *Counter) Add(n int) {
+	if n > 0 {
+		c.n.Add(uint64(n))
 	}
-	if u := uint64(d); float64(u) == d {
-		c.ints.Add(u)
-		return
-	}
-	c.rest.Add(d)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return float64(c.ints.Load()) + c.rest.Load() }
+func (c *Counter) Value() float64 { return float64(c.n.Load()) }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ v atomicFloat }

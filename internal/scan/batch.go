@@ -12,7 +12,8 @@ import (
 // a rider of the pass (see runRiders): every function is probed under
 // each checker's own key, one engine call (engine.AnalyzeFuncEach)
 // lowers it once and explores it for each checker that missed and can
-// act on it, and each checker's result is stored under its own key.
+// act on it, and each checker's result is stored under its own key, the
+// one RunOne of that checker uses.
 // Results are returned in checker order; each entry's reports, cache
 // counts, file cuts and generation are exactly what RunFiles would
 // return for that checker alone against the store as the batch found
@@ -33,23 +34,19 @@ import (
 func (inc *Incremental) RunBatch(checkers []checker.Checker, files []int, opts Options, concurrency int) []*Result {
 	snap := inc.cb.Pin()
 	defer snap.Release()
+	return inc.RunBatchAt(snap.Snapshot, checkers, files, opts)
+}
+
+// RunBatchAt is RunBatch over the given files (nil: every file) of a
+// snapshot the caller pinned earlier — a reader asserting
+// repeatability, or a shard coordinator holding its local partition to
+// the generation it scattered. The caller owns the pin's lifetime.
+func (inc *Incremental) RunBatchAt(snap *Snapshot, checkers []checker.Checker, files []int, opts Options) []*Result {
 	if files == nil {
 		files = make([]int, len(snap.files))
 		for i := range files {
 			files[i] = i
 		}
 	}
-	return inc.RunBatchAt(snap.Snapshot, checkers, files, opts)
-}
-
-// RunBatchAt is RunBatch over exactly the given files of a snapshot the
-// caller pinned earlier — a reader asserting repeatability, or a shard
-// coordinator holding its local partition to the generation it
-// scattered. The caller owns the pin's lifetime.
-func (inc *Incremental) RunBatchAt(snap *Snapshot, checkers []checker.Checker, files []int, opts Options) []*Result {
-	riders := make([][]checker.Checker, len(checkers))
-	for i, ck := range checkers {
-		riders[i] = []checker.Checker{ck}
-	}
-	return inc.runRiders(snap, time.Now(), files, riders, opts)
+	return inc.runRiders(snap, time.Now(), files, checkers, opts, false)
 }

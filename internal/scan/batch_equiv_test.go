@@ -208,7 +208,7 @@ func FuzzBatchSoloEquivalence(f *testing.F) {
 			}
 			// What the batch left in the store under this rider's keys is
 			// the engine's solo result, function by function, as stored.
-			fp := checkersFingerprint([]checker.Checker{ck})
+			fp := checkerFingerprint(ck)
 			eo := opts.engineOptions([]checker.Checker{ck})
 			for _, fi := range files {
 				file := cb.Files()[fi]

@@ -9,15 +9,14 @@ import (
 
 	"knighter/internal/checker"
 	"knighter/internal/engine"
-	"knighter/internal/minic"
 	"knighter/internal/obs"
 	"knighter/internal/store"
 )
 
 // Incremental is the function-level scan scheduler. Where Codebase.Run
 // fans out whole files and always re-analyzes everything, Incremental
-// consults a content-addressed result store per (function, checker
-// batch, engine bounds) triple, analyzes only the misses, and merges
+// consults a content-addressed result store per (function, checker,
+// engine bounds) triple, analyzes only the misses, and merges
 // everything back deterministically in file/function order — so a warm
 // re-scan of an unchanged corpus with an unchanged checker does no
 // symbolic execution at all, and its reports are identical to a cold
@@ -49,7 +48,7 @@ const (
 	// the scan saw.
 	StageSnapshotPin = "snapshot_pin"
 	// StageParse is the serial prologue: listing the pass's function
-	// units and fingerprinting its riders, each hashed into the rider
+	// units and fingerprinting its checkers, each hashed into the rider
 	// half of its keys once. Function hashes and the function halves of
 	// their keys are memoized per file version and filled by the
 	// workers, so a warm daemon hashes no function or key here.
@@ -90,7 +89,7 @@ func (inc *Incremental) Codebase() *Codebase { return inc.cb }
 // Stats snapshots the backing store's counters.
 func (inc *Incremental) Stats() store.Stats { return inc.st.Stats() }
 
-// Run scans every file through the cache.
+// Run scans every file through the cache (RunFiles).
 func (inc *Incremental) Run(checkers []checker.Checker, opts Options) *Result {
 	files := make([]int, inc.cb.NumFiles())
 	for i := range files {
@@ -117,10 +116,12 @@ type unit struct {
 // a worker up to rangeSize-1 analyses behind the others on a cold pass.
 const rangeSize = 64
 
-// RunFiles scans the given file indices through the cache. The merge
-// order — and therefore the report sequence — depends only on the order
-// of files and the function order within each file, never on worker
-// interleaving or cache state.
+// RunFiles scans the given file indices through the cache. Each checker
+// is a rider, as in RunBatch; each function's results are folded
+// (engine.Fold) into Codebase.Run's answer, and the cache counts summed.
+// The merge order — and therefore the report sequence — depends only on
+// the order of files and the function order within each file, never on
+// worker interleaving or cache state.
 //
 // The scan pins the live snapshot at entry and runs lock-free against
 // it: a concurrent changeset commits the next generation without
@@ -130,14 +131,14 @@ func (inc *Incremental) RunFiles(files []int, checkers []checker.Checker, opts O
 	pinStart := time.Now()
 	snap := inc.cb.Pin()
 	defer snap.Release()
-	return inc.runRiders(snap.Snapshot, pinStart, files, [][]checker.Checker{checkers}, opts)[0]
+	return inc.runRiders(snap.Snapshot, pinStart, files, checkers, opts, true)[0]
 }
 
-// riderPlan is what the scheduler knows about one rider of a pass
-// before any function is looked at.
+// riderPlan is what the scheduler knows about one rider of a pass — one
+// checker — before any function is looked at.
 type riderPlan struct {
-	checkers []checker.Checker
-	fp       string // checker-batch fingerprint
+	ck checker.Checker
+	fp string // the checker's key fingerprint (checkerFingerprint)
 	// rider is the rider half of the rider's keys under the pass's
 	// engine bounds: a key's digest is store.PairDigest of its
 	// function's half and this.
@@ -147,54 +148,22 @@ type riderPlan struct {
 	hits, misses, quiet atomic.Int64
 }
 
-// loudOn returns the rider's checkers without each checker.Quieter
-// quiet on a function with footprint fp: the rider's own slice when no
-// checker is quiet, nil when every one is, and otherwise a slice the
-// rider's does not share. A quiet checker reports nothing and panics
-// nowhere on the function, so exploring the loud ones alone leaves the
-// rider's answer as it is; a nil rider is answered emptyHit, unexplored.
-// It allocates only to copy loud checkers that follow a quiet one.
-func (p *riderPlan) loudOn(fp *minic.Footprint) []checker.Checker {
-	all := p.checkers
-	loud := all // the rider's own, until a checker is dropped
-	for j, ck := range all {
-		if q, ok := ck.(checker.Quieter); ok && q.QuietOn(fp) {
-			if len(loud) == len(all) {
-				// The first quiet checker: those before it are loud, capped
-				// so that no append writes into the rider's slice.
-				loud = all[:j:j]
-			}
-			continue
-		}
-		if len(loud) < len(all) {
-			if len(loud) == cap(loud) {
-				loud = append(make([]checker.Checker, 0, len(all)-1), loud...)
-			}
-			loud = append(loud, ck)
-		}
-	}
-	if len(loud) == 0 {
-		return nil
-	}
-	return loud
-}
-
 // runRiders is the scheduler body, reading only the immutable snap: one
-// pass over the function units for any number of riders (a rider is the
-// checker list one Result is keyed by — a scan is a pass with one rider,
-// a batch a pass with one per checker). A worker claims the next range
-// of units and probes every rider's keys for the whole range in one
-// store call. Each key the memory tier misses meets the one quiet gate
-// once: its rider keeps only its checkers loud on the function (loudOn),
-// and only a rider with some goes on to kcached, the range's one round
-// trip. For each unit, a missed rider with no loud checker is answered
-// emptyHit, unexplored, and one engine call takes the rest, lowering the
-// function once and exploring it once per rider. Each rider's result is
-// stored under its own key, the range's results in one store call by
-// the digests its probe used: all of them in memory, and the explored
-// ones in kcached too. The per-rider merges then run as if each rider
-// had scanned alone.
-func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, riders [][]checker.Checker, opts Options) []*Result {
+// pass over the function units for any number of riders (a rider is one
+// checker, the one a stored Result is keyed by). A worker claims the next
+// range of units and probes every rider's keys for the whole range in
+// one store call. Each key the memory tier misses meets the one quiet
+// gate once: a checker.Quieter quiet on the function reports nothing and
+// panics nowhere there, and only a loud rider's miss goes on to kcached,
+// the range's one round trip. For each unit, a quiet missed rider is
+// answered emptyHit, unexplored, and one engine call takes the loud
+// ones, lowering the function once and exploring it once per rider. Each
+// rider's result is stored under its own key, the range's results in one
+// store call by the digests its probe used: all of them in memory, and
+// the explored ones in kcached too. The per-rider merges then run as if
+// each rider had scanned alone, or, when fold is set, once over each
+// unit's results folded by engine.Fold.
+func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []int, checkers []checker.Checker, opts Options, fold bool) []*Result {
 	start := time.Now()
 
 	workers := opts.Workers
@@ -235,10 +204,10 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 			units = append(units, unit{file: i, fn: j})
 		}
 	}
-	plans := make([]riderPlan, len(riders))
+	plans := make([]riderPlan, len(checkers))
 	for i := range plans {
 		p := &plans[i]
-		p.checkers, p.fp = riders[i], checkersFingerprint(riders[i])
+		p.ck, p.fp = checkers[i], checkerFingerprint(checkers[i])
 		p.rider = store.RiderPart(p.fp, engFP)
 		p.perFunc = make([]*engine.Result, len(units))
 	}
@@ -293,18 +262,20 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				got := make([][]byte, len(plans)*rangeSize)
 				var hit engine.Result
 				// gate(k) is the quiet gate on key k, a miss, run once per
-				// range: it reports whether the rider has checkers loud on
-				// the unit, and loud[k] keeps them for the explore step.
-				loud := make([][]checker.Checker, len(plans)*rangeSize)
+				// range: it reports whether the rider's checker is loud on
+				// the unit, and loud[k] keeps the verdict for the explore
+				// step.
+				loud := make([]bool, len(plans)*rangeSize)
 				gated := make([]bool, len(plans)*rangeSize)
 				var lo, w int
 				gate := func(k int) bool {
 					if !gated[k] {
 						un := units[lo+k%w]
 						fp := snap.memo[un.file].footprint(snap.files[un.file], un.fn)
-						loud[k], gated[k] = plans[k/w].loudOn(fp), true
+						q, ok := plans[k/w].ck.(checker.Quieter)
+						loud[k], gated[k] = !ok || !q.QuietOn(fp), true
 					}
-					return loud[k] != nil
+					return loud[k]
 				}
 				// The range's misses to store, encoded once each and
 				// written in one call when the range is done; explored
@@ -315,10 +286,10 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 				var putExplored []bool
 				shared := func(j int) bool { return putExplored[j] }
 				// The riders a unit still has to be analyzed for; the
-				// checker lists of those explored, and where each sits in
+				// checkers of those explored, and where each sits in
 				// missed; the results, parallel to missed.
 				missed := make([]int, 0, len(plans))
-				lists := make([][]checker.Checker, 0, len(plans))
+				loudCks := make([]checker.Checker, 0, len(plans))
 				explored := make([]int, 0, len(plans))
 				answers := make([]*engine.Result, 0, len(plans))
 				for {
@@ -388,27 +359,26 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 							continue // every rider hit: the unit never enters the engine
 						}
 						un := units[u]
-						// Compute the missed riders' results. A rider
-						// explores only its checkers loud on the function;
-						// one with none reports nothing there and gets
+						// Compute the missed riders' results. A quiet
+						// rider reports nothing on the function and gets
 						// emptyHit, unexplored.
 						f := snap.files[un.file]
 						rs := answers[:len(missed)]
-						lists, explored = lists[:0], explored[:0]
+						loudCks, explored = loudCks[:0], explored[:0]
 						for k, i := range missed {
 							rs[k] = emptyHit
 							if !gate(i*w + u - lo) {
 								plans[i].quiet.Add(1)
 								continue
 							}
-							lists, explored = append(lists, loud[i*w+u-lo]), append(explored, k)
+							loudCks, explored = append(loudCks, plans[i].ck), append(explored, k)
 						}
-						if len(lists) > 0 {
+						if len(loudCks) > 0 {
 							var e0 time.Time
 							if timed {
 								e0 = time.Now()
 							}
-							got := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], lists, eo)
+							got := engine.AnalyzeFuncEach(f, f.Funcs[un.fn], loudCks, eo)
 							if timed {
 								evalNS.Add(int64(time.Since(e0)))
 							}
@@ -424,7 +394,7 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 								putKeys = append(putKeys, keys[i*w+u-lo])
 								putIDs = append(putIDs, ids[i*w+u-lo])
 								putPayloads = append(putPayloads, payload)
-								putExplored = append(putExplored, loud[i*w+u-lo] != nil)
+								putExplored = append(putExplored, loud[i*w+u-lo])
 							}
 						}
 					}
@@ -461,13 +431,27 @@ func (inc *Incremental) runRiders(snap *Snapshot, pinStart time.Time, files []in
 	}
 
 	mergeStart := time.Now()
-	out := make([]*Result, len(plans))
+	var out []*Result
+	if fold && len(plans) != 1 {
+		perFunc, rs := make([]*engine.Result, len(units)), make([]*engine.Result, len(plans))
+		for u := range perFunc {
+			for i := range plans {
+				rs[i] = plans[i].perFunc[u]
+			}
+			perFunc[u] = engine.Fold(rs)
+		}
+		out = []*Result{snap.merge(files, perFunc, opts.MaxReports)}
+	} else {
+		out = make([]*Result, len(plans))
+		for i := range plans {
+			out[i] = snap.merge(files, plans[i].perFunc, opts.MaxReports)
+		}
+	}
 	for i := range plans {
-		p := &plans[i]
-		out[i] = snap.merge(files, p.perFunc, opts.MaxReports)
-		out[i].CacheHits = int(p.hits.Load())
-		out[i].CacheMisses = int(p.misses.Load())
-		out[i].QuietResults = int(p.quiet.Load())
+		r := out[min(i, len(out)-1)] // a folded result counts every rider's keys
+		r.CacheHits += int(plans[i].hits.Load())
+		r.CacheMisses += int(plans[i].misses.Load())
+		r.QuietResults += int(plans[i].quiet.Load())
 	}
 	if timed {
 		stage(StageSerialize, mergeStart, time.Since(mergeStart), len(units)*len(plans))
@@ -542,16 +526,12 @@ func (s *Snapshot) merge(files []int, perFunc []*engine.Result, maxReports int) 
 	return out
 }
 
-// checkersFingerprint combines the fingerprints of an ordered checker
-// batch, the key every result of the batch is stored under. Every
-// checker must be a checker.Fingerprinter — the store cannot prove two
-// other checkers behave identically — and one that is not panics here;
-// Codebase.Run scans such a checker uncached.
-func checkersFingerprint(cks []checker.Checker) string {
-	parts := make([]string, 0, len(cks)+1)
-	parts = append(parts, "checkers:v1")
-	for _, ck := range cks {
-		parts = append(parts, ck.(checker.Fingerprinter).Fingerprint())
-	}
-	return store.Hash(parts...)
+// checkerFingerprint is the CheckerFP every result of ck is stored
+// under. Its bytes are pinned (TestOneCheckerKeyKeepsItsBytes): a change
+// would orphan every entry kcached, a warm replica and refinement hold.
+// The checker must be a checker.Fingerprinter — the store cannot prove
+// two other checkers behave identically — and one that is not panics
+// here; Codebase.Run scans such a checker uncached.
+func checkerFingerprint(ck checker.Checker) string {
+	return store.Hash("checkers:v1", ck.(checker.Fingerprinter).Fingerprint())
 }

@@ -264,6 +264,20 @@ checker scan_other {
 	}
 }
 
+// TestOneCheckerKeyKeepsItsBytes pins a checker's store key: the
+// entries kcached directories, warm replicas and refinement wrote under
+// it must stay hits.
+func TestOneCheckerKeyKeepsItsBytes(t *testing.T) {
+	fp := checkerFingerprint(compileChecker(t))
+	if fp != "3954e3eb3ef2dfccb9ccc54a41d4daca" {
+		t.Fatalf("checker fingerprint %s changed", fp)
+	}
+	d := store.Key{FuncHash: store.Hash("func"), CheckerFP: fp, EngineFP: Options{}.Engine.Fingerprint()}.Digest()
+	if got := fmt.Sprintf("%x", d[:]); got != "e36a7c03d19d899c43e31612b44fe8fc389782d926d150e9a8b3c2d651275ac7" {
+		t.Fatalf("key digest %s changed", got)
+	}
+}
+
 func TestIncrementalRunFileWarmsOnlyThatFile(t *testing.T) {
 	cb := buildCodebase(t)
 	ck := compileChecker(t)

@@ -3,10 +3,8 @@ package scan
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
@@ -60,7 +58,7 @@ func checkAnswer(t *testing.T, what string, cb *Codebase, st store.Store, ck che
 	if res.QuietResults > res.CacheMisses {
 		t.Fatalf("%s: %s answered %d of %d misses quietly", what, ck.Name(), res.QuietResults, res.CacheMisses)
 	}
-	fp := checkersFingerprint([]checker.Checker{ck})
+	fp := checkerFingerprint(ck)
 	u := 0
 	for i, f := range cb.Files() {
 		for j, fn := range f.Funcs {
@@ -226,9 +224,9 @@ func (v verdict) CheckLocation(ac *checker.Access, c *checker.Context) {
 }
 
 // TestQuietGateDropsQuietCheckers: the scheduler never runs a checker on
-// a function it is quiet on. A rider keeps its other checkers and
-// answers as they do alone, one left with none is answered quietly, and
-// the caller's riders are left as they were.
+// a function it is quiet on. A batch answers the quiet checker quietly
+// and the others as they answer alone, and a multi-checker Run answers
+// as Codebase.Run of the loud ones does.
 func TestQuietGateDropsQuietCheckers(t *testing.T) {
 	cb, err := NewCodebase(&kernel.Corpus{Files: []*kernel.SourceFile{{
 		Path: "drivers/qg/probe.c",
@@ -241,67 +239,25 @@ func TestQuietGateDropsQuietCheckers(t *testing.T) {
 	quiet := verdict{"quiet", true, &ranQuiet}
 	loud := verdict{"loud", false, &ranLoud}
 	other := verdict{"other", false, &ranOther}
-	riders := [][]checker.Checker{{quiet, loud}, {quiet}, {other, quiet}}
-	var before [][]checker.Checker
-	for _, cks := range riders {
-		before = append(before, slices.Clone(cks))
-	}
-	snap := cb.Pin()
-	got := NewIncremental(cb, nil).runRiders(snap.Snapshot, time.Now(), []int{0}, riders, Options{})
-	snap.Release()
+	got := NewIncremental(cb, nil).RunBatch([]checker.Checker{loud, quiet, other}, nil, Options{}, 0)
 	if ranQuiet != 0 || ranLoud == 0 || ranOther == 0 {
 		t.Fatalf("the quiet checker ran %d callbacks, the loud ones %d and %d", ranQuiet, ranLoud, ranOther)
 	}
-	for i := range riders {
-		if !slices.Equal(riders[i], before[i]) {
-			t.Fatalf("rider %d: the gate changed the caller's checkers", i)
-		}
-	}
 	for i, want := range []*Result{cb.RunOne(loud, Options{}), cb.Run(nil, Options{}), cb.RunOne(other, Options{})} {
 		if g, w := resultBytes(t, got[i]), resultBytes(t, want); g != w {
-			t.Errorf("rider %d: %s, want %s", i, g, w)
+			t.Errorf("entry %d: %s, want %s", i, g, w)
 		}
 		if quietly := i == 1; (got[i].QuietResults == 1) != quietly {
-			t.Errorf("rider %d: %d quiet results", i, got[i].QuietResults)
+			t.Errorf("entry %d: %d quiet results", i, got[i].QuietResults)
 		}
 	}
-}
-
-// TestQuietGateAllocatesOnlyWhenItDrops: loudOn returns a rider none of
-// whose checkers is quiet as it is, allocating nothing; dropping a
-// checker followed by a loud one costs one copy, which the rider's slice
-// does not share; a rider with no loud checker is nil.
-func TestQuietGateAllocatesOnlyWhenItDrops(t *testing.T) {
-	var fp minic.Footprint // a verdict does not read it
-	ran := 0
-	a, b, q := verdict{"a", false, &ran}, verdict{"b", false, &ran}, verdict{"q", true, &ran}
-	for _, c := range []struct {
-		rider, want []checker.Checker
-		allocs      float64
-	}{
-		{[]checker.Checker{a, b}, []checker.Checker{a, b}, 0},
-		{[]checker.Checker{q, a}, []checker.Checker{a}, 1},
-		{[]checker.Checker{a, q, b}, []checker.Checker{a, b}, 1},
-		{[]checker.Checker{a, q}, []checker.Checker{a}, 0},
-		{[]checker.Checker{q, q}, nil, 0},
-		{nil, nil, 0},
-	} {
-		p := &riderPlan{checkers: c.rider}
-		before := slices.Clone(c.rider)
-		got := p.loudOn(&fp)
-		if !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
-			t.Fatalf("%v: loudOn = %v, want %v", before, got, c.want)
-		}
-		if len(got) == len(c.rider) && len(got) > 0 && &got[0] != &c.rider[0] {
-			t.Errorf("%v: nothing dropped, but loudOn copied the rider", before)
-		}
-		_ = append(got, q)
-		if !slices.Equal(c.rider, before) {
-			t.Fatalf("%v: the rider became %v", before, c.rider)
-		}
-		if n := testing.AllocsPerRun(100, func() { p.loudOn(&fp) }); n != c.allocs {
-			t.Errorf("%v: loudOn made %v allocations, want %v", before, n, c.allocs)
-		}
+	ranQuiet = 0
+	res := NewIncremental(cb, nil).Run([]checker.Checker{quiet, loud, other}, Options{})
+	if g, w := resultBytes(t, res), resultBytes(t, cb.Run([]checker.Checker{loud, other}, Options{})); ranQuiet != 0 || g != w {
+		t.Fatalf("multi-checker Run: the quiet checker ran %d callbacks; %s, want %s", ranQuiet, g, w)
+	}
+	if res.CacheMisses != 3 || res.QuietResults != 1 {
+		t.Fatalf("multi-checker Run: %d misses, %d quiet, want one per checker and one quiet", res.CacheMisses, res.QuietResults)
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 	"knighter/internal/store"
 )
 
-// loudKeys returns the digest of every key of a pass of riders over
-// cb's whole corpus under the default engine bounds on which some
-// checker of its rider is not quiet, the pairs the scheduler explores
-// and shares with kcached; how many of each rider's keys that is; and
-// for each of the pass's 64-unit ranges, whether it holds one.
-func loudKeys(cb *Codebase, riders [][]checker.Checker) (keys map[store.Digest]bool, perRider []int, loudRange []bool) {
-	keys, perRider = map[store.Digest]bool{}, make([]int, len(riders))
+// loudKeys returns the digest of every key of a pass of cks' riders over
+// cb's whole corpus under the default engine bounds on which its checker
+// is not quiet, the pairs the scheduler explores and shares with
+// kcached; how many of each rider's keys that is; and for each of the
+// pass's 64-unit ranges, whether it holds one.
+func loudKeys(cb *Codebase, cks []checker.Checker) (keys map[store.Digest]bool, perRider []int, loudRange []bool) {
+	keys, perRider = map[store.Digest]bool{}, make([]int, len(cks))
 	engFP := Options{}.Engine.Fingerprint()
 	u := 0
 	for i, f := range cb.Files() {
@@ -34,14 +34,11 @@ func loudKeys(cb *Codebase, riders [][]checker.Checker) (keys map[store.Digest]b
 			}
 			var fp minic.Footprint
 			fp.Reset(fn)
-			for r, cks := range riders {
-				if !slices.ContainsFunc(cks, func(ck checker.Checker) bool {
-					q, ok := ck.(checker.Quieter)
-					return !ok || !q.QuietOn(&fp)
-				}) {
+			for r, ck := range cks {
+				if q, ok := ck.(checker.Quieter); ok && q.QuietOn(&fp) {
 					continue
 				}
-				keys[store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: checkersFingerprint(cks), EngineFP: engFP}.Digest()] = true
+				keys[store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: checkerFingerprint(ck), EngineFP: engFP}.Digest()] = true
 				perRider[r]++
 				loudRange[len(loudRange)-1] = true
 			}
@@ -74,7 +71,7 @@ func TestRemoteTierOneRoundTripPerRange(t *testing.T) {
 	for _, ck := range cks {
 		want = append(want, resultBytes(t, cb.RunOne(ck, Options{})))
 	}
-	_, loud, loudRange := loudKeys(cb, [][]checker.Checker{cks[:1], cks[1:]})
+	_, loud, loudRange := loudKeys(cb, cks)
 	ranges := int64(0)
 	for _, l := range loudRange {
 		if l {
@@ -182,9 +179,9 @@ func checkRequests(t *testing.T, what string, reqs [][]store.Digest, want map[st
 // everywhere gets and puts exactly the loud (rider, unit) keys, one
 // request each per range that holds one, and sends nothing for a range
 // whose misses are all quiet; a memory-cold replica fetches exactly
-// those keys and puts nothing; a multi-checker rider loud through one
-// member alone is still shared. Every result is byte-identical to
-// Codebase.Run.
+// those keys and puts nothing; a multi-checker Run is the same riders,
+// and a memory-cold replica's fetches those keys again. Every result is
+// byte-identical to Codebase.Run.
 func TestRemoteTierSharesOnlyLoudPairs(t *testing.T) {
 	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
 	if err != nil {
@@ -214,7 +211,7 @@ func TestRemoteTierSharesOnlyLoudPairs(t *testing.T) {
 		return n
 	}
 
-	batch, _, batchRanges := loudKeys(cb, [][]checker.Checker{cks[:1], cks[1:]})
+	batch, _, batchRanges := loudKeys(cb, cks)
 	if n := count(batchRanges); n == 0 || n == len(batchRanges) {
 		t.Fatalf("%d of %d ranges hold a loud pair: the corpus shows nothing", n, len(batchRanges))
 	}
@@ -234,22 +231,17 @@ func TestRemoteTierSharesOnlyLoudPairs(t *testing.T) {
 		}
 	}
 
-	// One rider of both checkers is loud wherever either is, and on some
-	// function only one of them is.
-	rider, _, riderRanges := loudKeys(cb, [][]checker.Checker{cks})
-	alone, _, _ := loudKeys(cb, [][]checker.Checker{cks[:1]})
-	if len(rider) == len(alone) {
-		t.Fatal("the quiet-almost-everywhere checker is loud on no function the other is quiet on")
-	}
 	res := replica().Run(cks, Options{Workers: 2})
 	gets, puts := log.take()
-	checkRequests(t, "combined rider gets", gets, rider, count(riderRanges))
-	checkRequests(t, "combined rider puts", puts, rider, count(riderRanges))
-	if resultBytes(t, res) != resultBytes(t, cb.Run(cks, Options{})) {
-		t.Fatal("combined rider: differs from Codebase.Run")
+	checkRequests(t, "multi-checker Run gets", gets, batch, count(batchRanges))
+	if len(puts) != 0 {
+		t.Fatalf("multi-checker Run: %d put requests, want none", len(puts))
 	}
-	if n := log.Stats().Entries; n != len(batch)+len(rider) {
-		t.Fatalf("kcached holds %d entries, want the %d loud keys", n, len(batch)+len(rider))
+	if resultBytes(t, res) != resultBytes(t, cb.Run(cks, Options{})) {
+		t.Fatal("multi-checker Run: differs from Codebase.Run")
+	}
+	if n := log.Stats().Entries; n != len(batch) {
+		t.Fatalf("kcached holds %d entries, want the %d loud keys", n, len(batch))
 	}
 }
 
@@ -307,7 +299,7 @@ func TestSharedPayloadsUnderConcurrentWrites(t *testing.T) {
 			}
 			inc.RunOne(ck, Options{}) // warm
 
-			fp := checkersFingerprint([]checker.Checker{ck})
+			fp := checkerFingerprint(ck)
 			engFP := Options{}.Engine.Fingerprint()
 			var wg sync.WaitGroup
 			run := func(f func()) {

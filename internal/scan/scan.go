@@ -165,13 +165,14 @@ type Result struct {
 	// Canceled marks a scan aborted by Options.Context: some functions
 	// were skipped or cut short, and none of those were cached.
 	Canceled bool
-	// CacheHits and CacheMisses count per-function cache outcomes for
-	// incremental scans (both zero for uncached Codebase.Run scans).
+	// CacheHits and CacheMisses count per-(checker, function) cache
+	// outcomes for incremental scans (both zero for uncached
+	// Codebase.Run scans).
 	CacheHits   int
 	CacheMisses int
 	// QuietResults counts misses answered without exploring the
 	// function — no reports, no runtime errors, stored as the one empty
-	// payload — because every checker was quiet on it (checker.Quieter).
+	// payload — because its checker was quiet on it (checker.Quieter).
 	// Always <= CacheMisses.
 	QuietResults int
 	// FileCuts, parallel to the scanned file list, records how many
@@ -204,7 +205,9 @@ type FileCut struct {
 // the live snapshot at entry and runs lock-free: a changeset landing
 // mid-scan commits the next generation without disturbing this one.
 // Results are deterministic regardless of parallelism: per-file
-// results are merged in file order.
+// results are merged in file order. Several checkers are one pass each
+// per function, folded (engine.AnalyzeFunc), as Incremental.Run folds
+// its riders.
 //
 // Run is the reference the scheduler is held to: it caches nothing and
 // gates nothing, exploring every checker on every function, including

@@ -44,8 +44,23 @@ func (s *Server) observeScan(ctx context.Context, results ...*scan.Result) {
 	}
 	s.m.scanDur.ObserveExemplar(results[0].Elapsed.Seconds(), id)
 	for _, res := range results {
-		s.m.quietResults.Add(float64(res.QuietResults))
+		s.m.quietResults.Add(res.QuietResults)
 	}
+}
+
+// localPass scans cks over files of snap (nil: every file) in one
+// scheduler pass, observes it, and answers one entry per checker,
+// capped at maxReports (0: uncapped) and, when cuts is set, carrying
+// the per-file cut list: a shard-local reply needs it, since it is what
+// lets a coordinator splice the partial back into global file order.
+func (s *Server) localPass(ctx context.Context, snap *scan.Snapshot, cks []checker.Checker, files []int, maxReports int, trace, cuts bool) []*api.ScanResponse {
+	results := s.inc.RunBatchAt(snap, cks, files, scan.Options{MaxReports: maxReports, Context: ctx})
+	s.observeScan(ctx, results...)
+	out := make([]*api.ScanResponse, len(results))
+	for i, res := range results {
+		out[i] = api.ScanResult(cks[i].Name(), res, trace, cuts)
+	}
+	return out
 }
 
 // awaitMinGeneration implements the serve-at-or-after contract: wait a
@@ -198,34 +213,27 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 			return nil, 0, false
 		}
 	} else {
-		// No corpus lock: RunBatch pins ONE snapshot for every checker, so
-		// all entries scan the same generation even while changesets
-		// commit concurrently. With nothing to run, no pass runs, and the
-		// reply carries the live generation.
+		// No corpus lock: the pass reads ONE pinned snapshot for every
+		// checker, so all entries scan the same generation even while
+		// changesets commit concurrently. With nothing to run, no pass
+		// runs, and the reply carries the live generation.
 		gen = s.inc.Codebase().Generation()
 		if q.ShardLocal && s.shard != nil {
 			s.shard.subScans.Inc()
 		}
 		if len(cks) > 0 {
-			// The request context: a client that disconnects mid-scan stops
-			// paying for the rest of it (the admitted slot frees up, and no
-			// partial results are cached).
-			opts := scan.Options{MaxReports: q.MaxReports, Context: r.Context()}
-			results := s.inc.RunBatch(cks, files, opts, 0)
-			s.observeScan(r.Context(), results...)
-			entries = make([]*api.ScanResponse, len(results))
-			for i, res := range results {
-				// A shard-local reply carries the per-file cut list: it is
-				// what lets a coordinator splice this partial back into
-				// global file order.
-				entries[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, q.ShardLocal)
-				gen = res.Generation
-			}
+			// The pass runs under the request context: a client that
+			// disconnects mid-scan stops paying for the rest of it (the
+			// admitted slot frees up, and no partial results are cached).
+			pin := s.inc.Codebase().Pin()
+			defer pin.Release()
+			gen = pin.Snapshot.Generation()
+			entries = s.localPass(r.Context(), pin.Snapshot, cks, files, q.MaxReports, q.IncludeTrace, q.ShardLocal)
 		}
 	}
-	s.m.scans.Add(float64(len(cks)))
+	s.m.scans.Add(len(cks))
 	for _, m := range entries {
-		s.m.reportsServed.Add(float64(len(m.Reports)))
+		s.m.reportsServed.Add(len(m.Reports))
 		if m.Canceled {
 			s.m.scansCanceled.Inc()
 		}

@@ -168,14 +168,8 @@ func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker,
 		if err != nil {
 			return nil, err
 		}
-		out := make([]*api.ScanResponse, len(cks))
 		// Uncapped: the merge applies MaxReports.
-		results := s.inc.RunBatchAt(pin.Snapshot, cks, idx, scan.Options{Context: ctx})
-		s.observeScan(ctx, results...)
-		for i, res := range results {
-			out[i] = api.ScanResult(cks[i].Name(), res, q.IncludeTrace, true)
-		}
-		return out, nil
+		return s.localPass(ctx, pin.Snapshot, cks, idx, 0, q.IncludeTrace, true), nil
 	}
 }
 

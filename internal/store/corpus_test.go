@@ -66,19 +66,17 @@ func corpusPuts(t *testing.T) []stored {
 		if len(rec.puts) != cb.NumFuncs()*len(pool) {
 			t.Fatalf("cold batch stored %d results, want %d", len(rec.puts), cb.NumFuncs()*len(pool))
 		}
-		// The engine's own results, one rider per pool checker, under the
+		// The engine's own results, one pass per pool checker, under the
 		// keys the scheduler stores them by.
 		var eo engine.Options
-		riders := make([][]checker.Checker, len(pool))
 		fps := make([]string, len(pool))
 		for i, ck := range pool {
-			riders[i] = []checker.Checker{ck}
 			fps[i] = store.Hash("checkers:v1", ck.(checker.Fingerprinter).Fingerprint())
 		}
 		want := map[store.Key]*engine.Result{}
 		for i, f := range cb.Files() {
 			for j, fn := range f.Funcs {
-				for c, res := range engine.AnalyzeFuncEach(f, fn, riders, eo) {
+				for c, res := range engine.AnalyzeFuncEach(f, fn, pool, eo) {
 					want[store.Key{FuncHash: cb.FuncHash(i, j), CheckerFP: fps[c], EngineFP: eo.Fingerprint()}] = res
 				}
 			}
