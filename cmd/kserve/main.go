@@ -20,7 +20,7 @@
 //
 //	POST /scan             {"checker": "<DSL text>", "files": [...], "min_generation": n, ...}
 //	POST /batch            {"checkers": ["<DSL>", ...], ...}
-//	POST /shard/batch      a coordinator's shard-local sub-batch (sharded only; own gate, not the read gate)
+//	POST /shard/batch      a coordinator's shard-local sub-batch, binary reply (sharded only; own gate, not the read gate)
 //	POST /changeset        {"changes": [{"path", "func?", "source"}, ...]} -> committed generation
 //	POST /converge         replay the generation feed to catch this shard up
 //	                       (?generation=n: only if still behind n)

@@ -40,7 +40,8 @@ const (
 	// ErrNotFound: unknown file path or unknown resource (404).
 	ErrNotFound = "not_found"
 	// ErrUnprocessable: well-formed but rejected — checker does not
-	// compile, changeset fails validation (422).
+	// compile, changeset fails validation (422); a sub-batch names a
+	// partition the replica's own table does not hold (409).
 	ErrUnprocessable = "unprocessable"
 	// ErrOverloaded: shed by admission control; retry_after_ms is set
 	// (429, with the Retry-After header as before).
@@ -99,12 +100,25 @@ type Query struct {
 	// prints, on demand. One trace per HTTP request: batch entries share
 	// it.
 	IncludeTiming bool `json:"include_timing,omitempty"`
-	// ShardLocal marks a sub-request inside a sharded fan-out: the
-	// serving replica must scan exactly Files on its local snapshot — no
-	// re-scattering — and include per-file cuts in the response so the
-	// coordinator can merge partials in global file order. Set by the
-	// scatter client, not by end clients.
+	// ShardLocal marks a shard.Scatter.Scan sub-scan: the peer must scan
+	// exactly Files on its local snapshot — no re-scattering — and
+	// include per-file cuts in the response so the coordinator can merge
+	// partials in global file order. kserve ignores it: a replica's
+	// shard-local reads are its shard.SubBatchPath sub-batches.
 	ShardLocal bool `json:"shard_local,omitempty"`
+	// Partition, on a sub-batch of a whole-corpus read, names the files
+	// to scan by the coordinator's partition table instead of listing
+	// them. A replica whose own table holds no such partition answers
+	// 409, and the coordinator scans the partition itself.
+	Partition *Partition `json:"partition,omitempty"`
+}
+
+// Partition names one shard's partition of the whole corpus: its
+// index, its file count and a digest of its paths in order.
+type Partition struct {
+	Index  int    `json:"index"`
+	Files  int    `json:"files"`
+	Digest string `json:"digest"`
 }
 
 // ScanRequest is the POST /scan body: a /batch of one checker.

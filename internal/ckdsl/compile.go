@@ -20,7 +20,8 @@ func Compile(spec *Spec) (*Compiled, error) {
 		return nil, err
 	}
 	dom := func(which string) string { return "ck:" + spec.Name + ":" + which }
-	return &Compiled{spec: spec, rule: newQuietRule(spec), dom: domains{
+	h := sha256.Sum256([]byte("ckdsl:v3:" + spec.String()))
+	return &Compiled{spec: spec, rule: newQuietRule(spec), fp: hex.EncodeToString(h[:16]), dom: domains{
 		track: dom("track"), desc: dom("desc"), derived: dom("derived"), lock: dom("lock"),
 		unterm: dom("unterm"), uninit: dom("uninit"), bounded: dom("bounded"),
 	}}, nil
@@ -86,6 +87,7 @@ func validate(spec *Spec) error {
 type Compiled struct {
 	spec *Spec
 	rule *quietRule // nil when the spec has no dataflow rule (flow.go)
+	fp   string     // Fingerprint, hashed once at Compile
 	dom  domains
 }
 
@@ -106,11 +108,9 @@ func (ck *Compiled) Name() string { return "knighter." + ck.spec.Name }
 // its spec, and Spec.String is canonical (parse∘print is the identity
 // on semantics), so hashing the rendering is a sound semantic key: two
 // refinement rounds that produce the same spec — the common case for
-// rejected or no-op refinements — hit the same cache entries.
-func (ck *Compiled) Fingerprint() string {
-	h := sha256.Sum256([]byte("ckdsl:v3:" + ck.spec.String()))
-	return hex.EncodeToString(h[:16])
-}
+// rejected or no-op refinements — hit the same cache entries. It is
+// hashed once, at Compile.
+func (ck *Compiled) Fingerprint() string { return ck.fp }
 
 // The scan scheduler keys every result by Fingerprint and skips the
 // functions QuietOn clears: a renamed method must not compile.

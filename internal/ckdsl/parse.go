@@ -65,9 +65,13 @@ func scanDSL(src string) ([]dslToken, error) {
 			}
 			word := src[i:j]
 			tk := dslToken{text: word, line: line}
-			if n, err := strconv.Atoi(word); err == nil {
-				tk.isInt = true
-				tk.intVal = n
+			// Only a word that starts like a number can be one: Atoi
+			// allocates its error for every other word.
+			if c := word[0]; c >= '0' && c <= '9' || c == '-' || c == '+' {
+				if n, err := strconv.Atoi(word); err == nil {
+					tk.isInt = true
+					tk.intVal = n
+				}
 			}
 			toks = append(toks, tk)
 			i = j

@@ -250,6 +250,21 @@ func (inc *Incremental) ApplyChangeset(changes []Change) (*Changeset, error) {
 	return cs, nil
 }
 
+// ReplayChangeset is ApplyChangeset for a commit another replica made
+// on the same parent state: that replica's ApplyChangeset already sent
+// the shared tier the same stale hashes, so the replay drops them from
+// this process's front tier only.
+func (inc *Incremental) ReplayChangeset(changes []Change) (*Changeset, error) {
+	cs, err := inc.cb.ApplyChangeset(changes)
+	if err != nil {
+		return nil, err
+	}
+	if len(cs.StaleHashes) > 0 {
+		cs.StoreInvalidated = inc.st.InvalidateFront(cs.StaleHashes)
+	}
+	return cs, nil
+}
+
 // invalidateHashes drops every store entry addressed by the given
 // pre-mutation function hashes, in one store call.
 func (inc *Incremental) invalidateHashes(hashes []string) int {

@@ -37,16 +37,22 @@ func (s *Server) handleChangeset(w http.ResponseWriter, r *http.Request) {
 
 	// No request-wide lock: the changeset stages off to the side and
 	// commits with a pointer swap — in-flight scans keep their pinned
-	// snapshots and are never drained.
+	// snapshots and are never drained. A fleet replica commits under its
+	// writer lock, pushing the changeset to its peers first.
 	start := time.Now()
-	cs, err := s.inc.ApplyChangeset(changes)
+	var cs *scan.Changeset
+	var err error
+	if s.shard != nil {
+		cs, err = s.shardCommit(r.Context(), req.Changes, changes)
+	} else {
+		cs, err = s.inc.ApplyChangeset(changes)
+	}
 	if err != nil {
 		s.reject(w, http.StatusUnprocessableEntity, api.ErrUnprocessable, err.Error())
 		return
 	}
 	s.m.changesets.Inc()
 	s.m.commit.Observe(time.Since(start).Seconds())
-	s.shardPublish(r.Context(), cs.Generation, req.Changes)
 	resp := &api.ChangesetResponse{
 		Status:           api.StatusCommitted,
 		Generation:       cs.Generation,

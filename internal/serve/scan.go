@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"knighter/internal/api"
@@ -140,14 +141,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 // handleBatch serves POST /batch: the checkers that compile run as one
 // read, and one that does not keeps its request slot as a per-entry
 // error instead of failing its siblings.
-// It also serves shard.SubBatchPath, where every batch is shard-local,
-// whatever the body says.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
 	if !s.decodePost(w, r, &req) {
 		return
 	}
-	req.ShardLocal = req.ShardLocal || r.URL.Path == shard.SubBatchPath
 	if len(req.Checkers) == 0 {
 		s.reject(w, http.StatusBadRequest, api.ErrBadRequest, "missing 'checkers' (list of DSL texts)")
 		return
@@ -181,18 +179,72 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp.Generation = gen
 	resp.ElapsedMS = elapsedMS(start)
 	attachTiming(r.Context(), &resp.TraceID, &resp.Timing, req.IncludeTiming)
-	// Client batches only: a shard-local sub-batch is one of a
-	// coordinator's sub-requests, counted in sub_scans_served.
-	if !req.ShardLocal {
-		s.m.batches.Inc()
-	}
+	s.m.batches.Inc()
 	s.writeOK(w, resp.Generation, resp)
+}
+
+// handleSubBatch serves shard.SubBatchPath on a sharded replica: one
+// coordinator's sub-batch, scanned on this replica's own pinned
+// snapshot, never scattered again. Its files are a partition reference,
+// resolved against this replica's table (409 when the coordinator's
+// table differs), or a path list (nil: the whole corpus). The reply is
+// one partial per checker, with the per-file cuts the coordinator's
+// merge needs, in the sub-batch codec (shard.EncodeSubBatch). The
+// coordinator sends only checkers that compiled, so one that does not
+// fails the sub-batch. It counts in sub_scans_served, not in batches.
+func (s *Server) handleSubBatch(w http.ResponseWriter, r *http.Request) {
+	var req api.BatchRequest
+	if !s.decodePost(w, r, &req) {
+		return
+	}
+	if len(req.Checkers) == 0 {
+		s.reject(w, http.StatusBadRequest, api.ErrBadRequest, "missing 'checkers' (list of DSL texts)")
+		return
+	}
+	cks := make([]checker.Checker, len(req.Checkers))
+	for i, src := range req.Checkers {
+		ck, err := ckdsl.CompileSource(src)
+		if err != nil {
+			s.reject(w, http.StatusUnprocessableEntity, api.ErrUnprocessable, fmt.Sprintf("checker %d does not compile: %v", i, err))
+			return
+		}
+		cks[i] = ck
+	}
+	var files []int
+	var err error
+	if req.Partition != nil {
+		if files, err = s.shard.table.Resolve(*req.Partition); err != nil {
+			s.reject(w, http.StatusConflict, api.ErrUnprocessable, err.Error())
+			return
+		}
+	} else if files, err = s.resolveFiles(req.Files); err != nil {
+		s.reject(w, http.StatusNotFound, api.ErrNotFound, err.Error())
+		return
+	}
+	if !s.awaitMinGeneration(w, r, req.MinGeneration) {
+		return
+	}
+	s.shard.subScans.Inc()
+	pin := s.inc.Codebase().Pin()
+	defer pin.Release()
+	results := s.inc.RunBatchAt(pin.Snapshot, cks, files, scan.Options{Context: r.Context()})
+	s.observeScan(r.Context(), results...)
+	s.m.scans.Add(len(cks))
+	for _, res := range results {
+		s.m.reportsServed.Add(len(res.Reports))
+		if res.Canceled {
+			s.m.scansCanceled.Inc()
+		}
+	}
+	w.Header().Set(api.GenerationHeader, strconv.FormatInt(pin.Snapshot.Generation(), 10))
+	w.Header().Set("Content-Type", shard.SubBatchContentType)
+	w.Write(shard.EncodeSubBatch(results, req.IncludeTrace))
 }
 
 // read is the one read core behind /scan and /batch. It waits for
 // min_generation, resolves the file list, and runs the compiled
 // checkers (srcs holds their DSL texts, index for index) as one pass:
-// on this replica's own pinned snapshot, or, on a sharded coordinator,
+// on this replica's own pinned snapshot, or, on a sharded replica,
 // scattered across the fleet. It returns one entry
 // per checker and the generation they scanned, and false when the
 // request has been answered with an error.
@@ -207,7 +259,7 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 	}
 	var entries []*api.ScanResponse
 	var gen int64
-	if s.shard != nil && !q.ShardLocal && len(cks) > 0 {
+	if s.shard != nil && len(cks) > 0 {
 		var ok bool
 		if entries, gen, ok = s.scatter(w, r, q, cks, srcs); !ok {
 			return nil, 0, false
@@ -218,9 +270,6 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 		// changesets commit concurrently. With nothing to run, no pass
 		// runs, and the reply carries the live generation.
 		gen = s.inc.Codebase().Generation()
-		if q.ShardLocal && s.shard != nil {
-			s.shard.subScans.Inc()
-		}
 		if len(cks) > 0 {
 			// The pass runs under the request context: a client that
 			// disconnects mid-scan stops paying for the rest of it (the
@@ -228,7 +277,7 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, q *api.Query, cks 
 			pin := s.inc.Codebase().Pin()
 			defer pin.Release()
 			gen = pin.Snapshot.Generation()
-			entries = s.localPass(r.Context(), pin.Snapshot, cks, files, q.MaxReports, q.IncludeTrace, q.ShardLocal)
+			entries = s.localPass(r.Context(), pin.Snapshot, cks, files, q.MaxReports, q.IncludeTrace, false)
 		}
 	}
 	s.m.scans.Add(len(cks))

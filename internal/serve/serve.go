@@ -187,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	reg := obs.NewRegistry("kserve")
-	sh, err := newShardLayer(reg, cfg)
+	sh, err := newShardLayer(reg, cfg, cb)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +276,7 @@ func (s *Server) routes() http.Handler {
 	// coordinators queued each other's sub-batches until the scatter
 	// timeout. A sub-batch never scatters, so it never waits on a slot.
 	if s.shard != nil {
-		mux.HandleFunc("POST "+shard.SubBatchPath, s.ro.Wrap("sub_batch", s.shard.gate.wrap(s.handleBatch)))
+		mux.HandleFunc("POST "+shard.SubBatchPath, s.ro.Wrap("sub_batch", s.shard.gate.wrap(s.handleSubBatch)))
 	}
 	// /stats, /healthz, /metrics and the trace endpoints stay outside
 	// every gate: they are the triage path and must answer even when the

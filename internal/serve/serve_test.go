@@ -41,6 +41,13 @@ func boot(t *testing.T, n int, cfg Config) ([]*Server, []*httptest.Server) {
 // bootWith is boot with a hook that sees each listener before it starts.
 func bootWith(t *testing.T, n int, cfg Config, hook func(i int, ts *httptest.Server)) ([]*Server, []*httptest.Server) {
 	t.Helper()
+	return bootEach(t, n, cfg, nil, hook)
+}
+
+// bootEach is bootWith with each replica's Config passed through
+// configure (when not nil) before New builds it.
+func bootEach(t *testing.T, n int, cfg Config, configure func(i int, cfg *Config), hook func(i int, ts *httptest.Server)) ([]*Server, []*httptest.Server) {
+	t.Helper()
 	cfg.Seed, cfg.Scale = 1, 0.1
 	// Listeners first: each replica's Config names every peer's URL.
 	tss := make([]*httptest.Server, n)
@@ -59,7 +66,11 @@ func bootWith(t *testing.T, n int, cfg Config, hook func(i int, ts *httptest.Ser
 	srvs := make([]*Server, n)
 	for i, ts := range tss {
 		cfg.ShardIndex = i
-		srv, err := New(cfg)
+		ci := cfg
+		if configure != nil {
+			configure(i, &ci)
+		}
+		srv, err := New(ci)
 		if err != nil {
 			t.Fatal(err)
 		}

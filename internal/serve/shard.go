@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -47,10 +48,17 @@ type shardLayer struct {
 	// shard.SubBatchPath.
 	gate *admission
 
-	// convergeMu serializes feed replays so two concurrent triggers
-	// (a nudge racing a sub-scan's lazy converge) cannot interleave
-	// their ApplyChangeset calls.
-	convergeMu sync.Mutex
+	// table is the ring's partition of the corpus, built at boot: a
+	// whole-corpus scatter sends its references, and a sub-batch naming
+	// one scans the files it resolves to.
+	table *shard.Table
+
+	// writeMu is the replica's one writer lock: every corpus write on a
+	// fleet replica — a direct commit, a pushed or pulled replay — holds
+	// it, so a commit's generation (live+1) is fixed before it is pushed,
+	// and two triggers (a nudge racing a sub-batch's lazy converge)
+	// cannot interleave their replays.
+	writeMu sync.Mutex
 
 	// The fan-out counters, in the replica's registry; /stats reads the
 	// same objects.
@@ -61,15 +69,15 @@ type shardLayer struct {
 	feedPublishes *obs.Counter
 }
 
-// newShardLayer builds the fleet layer cfg asks for — nil when
-// ShardCount <= 1 — or reports shard settings that contradict each
-// other. This replica owns partition ShardIndex of ShardCount, Peers
+// newShardLayer builds the fleet layer cfg asks for over cb's corpus —
+// nil when ShardCount <= 1 — or reports shard settings that contradict
+// each other. This replica owns partition ShardIndex of ShardCount, Peers
 // lists every replica's base URL in shard-index order, and the
 // CacheRemote kcached, which a fleet must name, carries the generation
 // feed. The scatter path lands on /metrics as the per-shard fan-out
 // latency histogram, the degraded-scatter counter the fault-injection
 // smoke asserts on, and the peer-health gauge vec.
-func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
+func newShardLayer(reg *obs.Registry, cfg Config, cb *scan.Codebase) (*shardLayer, error) {
 	if cfg.ShardCount <= 1 {
 		return nil, nil
 	}
@@ -83,8 +91,15 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 	if cfg.CacheRemote == "" {
 		return nil, fmt.Errorf("serve: -shard-count %d needs -cache-remote: the kcached generation feed is how a commit reaches the peers", cfg.ShardCount)
 	}
+	ring := shard.Ring{Count: cfg.ShardCount}
+	files := cb.Files()
+	paths := make([]string, len(files))
+	for i, f := range files {
+		paths[i] = f.Name
+	}
 	sh := &shardLayer{
-		ring:  shard.Ring{Count: cfg.ShardCount},
+		ring:  ring,
+		table: ring.Table(paths),
 		index: cfg.ShardIndex,
 		peers: peers,
 		feed:  shard.NewFeedClient(cfg.CacheRemote),
@@ -116,6 +131,7 @@ func newShardLayer(reg *obs.Registry, cfg Config) (*shardLayer, error) {
 		Ring:  sh.ring,
 		Self:  sh.index,
 		Peers: peers,
+		Table: sh.table,
 	}, shard.Hooks{
 		FanoutDone: func(i int, d time.Duration) { fanoutDur.With(strconv.Itoa(i)).Observe(d.Seconds()) },
 		Degraded:   func(int) { sh.degraded.Inc() },
@@ -173,21 +189,6 @@ func (s *Server) localPartition(pin *scan.PinnedSnapshot, cks []checker.Checker,
 	}
 }
 
-// scatterPaths is the ordered path list a coordinated request covers:
-// the request's own, or every corpus path in canonical file order — the
-// global order the merge reassembles.
-func scatterPaths(cb *scan.Codebase, files []string) []string {
-	if len(files) > 0 {
-		return files
-	}
-	fs := cb.Files()
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // scatter serves a coordinated read: pin the local snapshot, send each
 // shard owner its partition as one shard-local /batch of the checkers
 // (srcs holds their DSL texts, index for index with cks), and merge
@@ -219,7 +220,7 @@ func (s *Server) scatter(w http.ResponseWriter, r *http.Request, q *api.Query, c
 	merged, info, err := s.shard.sc.Batch(r.Context(), shard.BatchJob{
 		Req:   sub,
 		Names: names,
-		Paths: scatterPaths(cb, q.Files),
+		Paths: q.Files,
 		Local: s.localPartition(pin, cks, *q),
 	})
 	s.shard.scatters.Inc()
@@ -260,20 +261,24 @@ func (s *Server) maybeConverge(ctx context.Context, min int64) {
 }
 
 // converge replays the generations this replica is missing, in order.
-// Replays go through ApplyChangeset, so they invalidate stale cache
-// entries and wake min_generation waiters exactly like a directly-served
-// commit. A caller that wants generation want (> 0) does nothing if the
-// replica has reached it once it holds convergeMu: a nudge and a lazy
-// converge race for the lock, and the loser finds the winner's replay
-// already applied. pushed is the entry a commit's nudge carried, or nil:
-// a replica exactly one generation behind it applies it without pulling
-// the feed; one further behind pulls and replays the page, then the
-// pushed entry if the page lacks its generation (for a generation both
-// hold, the page wins). Only a sharded replica converges.
+// Replays go through ReplayChangeset, so they drop stale entries from
+// this replica's memory tier (the committer already dropped them from
+// kcached) and wake min_generation waiters exactly like a
+// directly-served commit. A caller that wants generation want (> 0)
+// does nothing if the replica has reached it once it holds writeMu: a
+// nudge and a lazy converge race for the lock, and the loser finds the
+// winner's replay already applied. pushed is the entry a commit's nudge
+// carried, or nil: a replica exactly one generation behind it applies
+// it without pulling the feed; one further behind pulls and replays the
+// page, then the pushed entry if the page lacks its generation (for a
+// generation both hold, the page wins). A pushed entry the replica
+// rejects is one its committer rejects too, since both validate it on
+// the same parent state: it takes no generation on either. Only a
+// sharded replica converges.
 func (s *Server) converge(ctx context.Context, want int64, pushed *api.FeedEntry) (int, error) {
 	sh := s.shard
-	sh.convergeMu.Lock()
-	defer sh.convergeMu.Unlock()
+	sh.writeMu.Lock()
+	defer sh.writeMu.Unlock()
 	cb := s.inc.Codebase()
 	if want > 0 && cb.Generation() >= want {
 		return 0, nil
@@ -301,7 +306,7 @@ func (s *Server) converge(ctx context.Context, want int64, pushed *api.FeedEntry
 		if e.Generation != cur+1 {
 			return applied, fmt.Errorf("feed gap: at generation %d, next feed entry is %d (fell out of the feed's retention window?)", cur, e.Generation)
 		}
-		if _, err := s.inc.ApplyChangeset(toScanChanges(e.Changes)); err != nil {
+		if _, err := s.inc.ReplayChangeset(toScanChanges(e.Changes)); err != nil {
 			return applied, fmt.Errorf("replay generation %d: %w", e.Generation, err)
 		}
 		applied++
@@ -365,42 +370,53 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shardPublish commits a mutation fleet-wide. It encodes the committed
-// changeset (generation, changes — never empty) once, then publishes it
-// to the feed and nudges every peer's /converge?generation=gen with it
-// as the body, all at once: a peer one generation behind applies the
-// pushed entry without waiting for the feed, and a failed publish does
-// not stop the nudges. Every leg is asynchronous and best-effort — the
-// local commit already succeeded, the feed stays the catch-up log for a
-// peer further behind, and a peer that misses its nudge converges
-// lazily the next time a sub-scan arrives with a min_generation it has
-// not seen. The mutation request's trace rides along on every leg
-// (X-Trace-Id/X-Span-Id), so the assembled trace of a changeset shows
-// the fan-out it triggered.
-func (s *Server) shardPublish(ctx context.Context, gen int64, changes []api.Change) {
+// shardCommit commits changes fleet-wide, as a command: under writeMu
+// it takes live+1 as the commit's generation, encodes the feed entry
+// (generation, the wire changes — never empty) once and pushes it to
+// every peer's /converge?generation=gen before it parses anything, then
+// applies it locally and, only if that succeeds, publishes it to the
+// feed. A peer at gen−1 replays the pushed entry while this replica
+// applies it, instead of after. A changeset this replica rejects, every
+// peer rejects the same way, since each validates it on the same
+// gen−1 state, so no replica spends a generation on it and the feed
+// never sees it. The push and the publish are asynchronous and
+// best-effort: the feed stays the catch-up log for a peer further
+// behind, and a peer that misses its nudge converges lazily the next
+// time a sub-batch arrives with a min_generation it has not seen. The
+// request's trace rides along on every leg (X-Trace-Id/X-Span-Id), so
+// the assembled trace of a changeset shows the fan-out it triggered.
+func (s *Server) shardCommit(ctx context.Context, wire []api.Change, changes []scan.Change) (*scan.Changeset, error) {
 	sh := s.shard
-	if sh == nil {
-		return
+	sh.writeMu.Lock()
+	defer sh.writeMu.Unlock()
+	gen := s.inc.Codebase().Generation() + 1
+	entry, err := json.Marshal(api.FeedEntry{Generation: gen, Changes: wire})
+	if err != nil {
+		return nil, err
 	}
-	sh.feedPublishes.Inc()
 	// Background-derived contexts: the legs outlive the request, but keep
 	// its trace so the downstream fragments join the same tree.
 	bctx := obs.WithTrace(context.Background(), obs.TraceFrom(ctx))
+	for _, peer := range sh.others() {
+		go sh.nudgePeer(bctx, peer, gen, entry)
+	}
+	// Yield once, so the pushes are on the wire before the apply takes
+	// this goroutine's processor: without it they left ≈ 0.1 ms later
+	// on a two-core box, and more sub-batches waited on the replay.
+	runtime.Gosched()
+	cs, err := s.inc.ApplyChangeset(changes)
+	if err != nil {
+		return nil, err
+	}
+	sh.feedPublishes.Inc()
 	go func() {
-		entry, err := json.Marshal(api.FeedEntry{Generation: gen, Changes: changes})
-		if err != nil {
-			log.Printf("kserve: encode generation %d: %v", gen, err)
-			return
-		}
-		for _, peer := range sh.others() {
-			go sh.nudgePeer(bctx, peer, gen, entry)
-		}
 		pctx, cancel := context.WithTimeout(bctx, 5*time.Second)
 		defer cancel()
 		if err := sh.feed.Publish(pctx, entry); err != nil {
 			log.Printf("kserve: feed publish generation %d: %v", gen, err)
 		}
 	}()
+	return cs, nil
 }
 
 // nudgePeer posts /converge?generation=gen to peer with entry, the

@@ -47,9 +47,9 @@ func sameScan(t *testing.T, label string, got, want *api.ScanResponse) {
 }
 
 // TestShardedScanByteIdentical is the tentpole acceptance criterion: a
-// scatter/gathered scan — whole corpus, explicit file subset, and
-// MaxReports-truncated — returns byte-identical reports to a single-host
-// scan, from any coordinator.
+// scatter/gathered scan — whole corpus, explicit file subset,
+// MaxReports-truncated, and with path traces — returns byte-identical
+// reports to a single-host scan, from any coordinator.
 func TestShardedScanByteIdentical(t *testing.T) {
 	_, single := bootOne(t, Config{})
 	srvs, tss := boot(t, 3, Config{})
@@ -67,6 +67,18 @@ func TestShardedScanByteIdentical(t *testing.T) {
 	// capped prefix is the same bytes a single host would keep.
 	capped := api.ScanRequest{Checker: testChecker, Query: api.Query{MaxReports: 3}}
 	sameScan(t, "max_reports", postScan(t, tss[0], capped), postScan(t, single, capped))
+
+	// Traces travel in the owners' sub-batch replies only when asked for.
+	traced := api.ScanRequest{Checker: testChecker, Query: api.Query{IncludeTrace: true}}
+	tw := postScan(t, single, traced)
+	steps := 0
+	for _, rep := range tw.Reports {
+		steps += len(rep.Trace)
+	}
+	if steps == 0 {
+		t.Fatal("include_trace returned no trace steps; the traced check is vacuous")
+	}
+	sameScan(t, "include_trace", postScan(t, tss[0], traced), tw)
 
 	// An explicit file subset partitions the same way.
 	files := srvs[0].inc.Codebase().Files()
@@ -374,21 +386,40 @@ func TestShardedChangesetConvergesFleetWide(t *testing.T) {
 }
 
 // TestRejectedChangesetDoesNotWedgeConvergence: a changeset the
-// coordinator rejects consumes no generation and never reaches the
-// feed, so the next commit lands right after the last one, the peer
-// replays it without a gap, and the scatter that follows degrades no
-// partition to the coordinator's local snapshot.
+// coordinator rejects is still pushed to the peer, which rejects it the
+// same way (409 on its /converge), so both replicas stay at the last
+// generation; it consumes no generation and never reaches the feed, so
+// the next commit lands right after the last one, the peer replays it
+// without a gap, and the scatter that follows degrades no partition to
+// the coordinator's local snapshot.
 func TestRejectedChangesetDoesNotWedgeConvergence(t *testing.T) {
 	_, kc := newKcached(t, CacheConfig{})
-	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	var converges func() []int
+	srvs, tss := bootWith(t, 2, Config{CacheRemote: kc.URL}, func(i int, ts *httptest.Server) {
+		if i == 1 {
+			converges = recordConverges(ts)
+		}
+	})
 	f0 := srvs[0].inc.Codebase().Files()[0]
 	base := srvs[0].inc.Codebase().Generation()
+	peer := srvs[1].inc.Codebase()
 
 	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{
 		Changes: []api.Change{{Path: f0.Name, Source: "int broken("}},
 	}, nil); code != 422 {
 		t.Fatalf("broken /changeset = %d, want 422", code)
 	}
+	waitFor(t, "the peer to answer the rejected changeset's push", func() bool { return len(converges()) == 1 })
+	if got := converges(); got[0] != http.StatusConflict {
+		t.Fatalf("the peer answered the rejected push %d, want 409", got[0])
+	}
+	if g0, g1 := srvs[0].inc.Codebase().Generation(), peer.Generation(); g0 != base || g1 != base {
+		t.Fatalf("after the rejected changeset: generations %d and %d, want both %d", g0, g1, base)
+	}
+	if page, err := srvs[0].shard.feed.Since(context.Background(), 0); err != nil || len(page.Entries) != 0 {
+		t.Fatalf("feed after the rejected changeset: %+v, %v; want no entries", page, err)
+	}
+
 	var good api.ChangesetResponse
 	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{
 		Changes: []api.Change{{Path: f0.Name, Source: minic.FormatFile(f0)}},
@@ -400,7 +431,6 @@ func TestRejectedChangesetDoesNotWedgeConvergence(t *testing.T) {
 			good.Generation, base+1)
 	}
 
-	peer := srvs[1].inc.Codebase()
 	deadline := time.Now().Add(5 * time.Second)
 	for peer.Generation() < good.Generation {
 		if time.Now().After(deadline) {
@@ -411,6 +441,212 @@ func TestRejectedChangesetDoesNotWedgeConvergence(t *testing.T) {
 	postScan(t, tss[0], api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: good.Generation}})
 	if st := getStats(t, tss[0]).Shards; st.Scatters == 0 || st.Degraded != 0 {
 		t.Fatalf("scatter after the rejected changeset: %+v, want degraded_scatters == 0", st)
+	}
+}
+
+// recordConverges wraps ts's handler so that every /converge it answers
+// is recorded with its status; the returned func reads the statuses in
+// the order they were answered.
+func recordConverges(ts *httptest.Server) func() []int {
+	var mu sync.Mutex
+	var codes []int
+	h := ts.Config.Handler
+	ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/converge" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		h.ServeHTTP(rec, r)
+		mu.Lock()
+		codes = append(codes, rec.code)
+		mu.Unlock()
+	})
+	return func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), codes...)
+	}
+}
+
+// statusWriter remembers the status a handler wrote.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestReplayInvalidatesOnlyItsMemoryTier: a commit's stale hashes reach
+// kcached once, from the committer; the peer's replay of the same
+// changeset drops them from its own memory tier only.
+func TestReplayInvalidatesOnlyItsMemoryTier(t *testing.T) {
+	c, err := NewCache(CacheConfig{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var invalidates atomic.Int64
+	kcached := c.Handler()
+	kc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/invalidate" {
+			invalidates.Add(1)
+		}
+		kcached.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		kc.Close()
+		c.Close()
+	})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	cb := srvs[0].inc.Codebase()
+	var cr api.ChangesetResponse
+	if code := postJSON(t, tss[0], "/changeset", api.ChangesetRequest{Changes: []api.Change{probeChange(cb, 0, "invalidate_probe")}}, &cr); code != 200 {
+		t.Fatalf("/changeset = %d", code)
+	}
+	if cr.StaleHashes == 0 {
+		t.Fatal("the commit orphaned no hash; nothing to invalidate")
+	}
+	waitFor(t, "the peer's replay and the committer's invalidation", func() bool {
+		return srvs[1].inc.Codebase().Generation() == cr.Generation && invalidates.Load() >= 1
+	})
+	// Both invalidations are sent off the committing goroutine; give a
+	// second one time to arrive.
+	time.Sleep(200 * time.Millisecond)
+	if n := invalidates.Load(); n != 1 {
+		t.Fatalf("one commit on a two-replica fleet sent kcached %d invalidations, want 1", n)
+	}
+	if count(srvs[1].shard.converges) != 1 {
+		t.Fatalf("peer converges = %d, want 1", count(srvs[1].shard.converges))
+	}
+}
+
+// TestDirectCommitRacesLazyConverge: round after round, another
+// coordinator commits generation g+1 (its entry reaches the feed, its
+// push never reaches the writer), and on the writer a direct commit of
+// the same change races that coordinator's sub-batch at g+1, whose lazy
+// converge pulls g+1 from the feed under the same writer lock. Either
+// order is a consistent history: the replay lands first and the commit
+// becomes g+2 (a no-op on the same source), or the commit takes g+1 and
+// the replay finds it reached. The lock fixes the commit's generation
+// before it is pushed, so no generation is committed twice or skipped:
+// the commit's reply is the writer's generation, the sub-batch scans at
+// g+1 or later, and the peer, fed by the pushes and the feed, reaches
+// the writer's generation holding every change. Without the lock a
+// replay landing between the commit's choice of g+1 and its apply made
+// the writer g+2 while its push and feed entry said g+1, and the peer
+// stopped a generation short.
+func TestDirectCommitRacesLazyConverge(t *testing.T) {
+	_, kc := newKcached(t, CacheConfig{})
+	srvs, tss := boot(t, 2, Config{CacheRemote: kc.URL})
+	peer, writer := srvs[0], srvs[1]
+	cb := writer.inc.Codebase()
+	ref := peer.shard.table.Ref(1)
+	const rounds = 12
+	for i := 0; i < rounds; i++ {
+		g := cb.Generation()
+		k := i % len(cb.Files()[0].Funcs) // a function patched before keeps its earlier probes
+		change := probeChange(cb, k, fmt.Sprintf("race_probe_%d", i))
+		publishEntry(t, peer.shard, g+1, []api.Change{change})
+		var cr api.ChangesetResponse
+		var commitCode, subCode int
+		var subGen int64
+		var commitErr, subErr error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var resp *http.Response
+			if resp, commitErr = call(http.MethodPost, tss[1].URL+"/changeset", api.ChangesetRequest{Changes: []api.Change{change}}, &cr); commitErr == nil {
+				commitCode = resp.StatusCode
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			sub := api.BatchRequest{Checkers: []string{testChecker}, Query: api.Query{MinGeneration: g + 1, Partition: &ref}}
+			subCode, subGen, subErr = postSubBatch(tss[1].URL, sub)
+		}()
+		wg.Wait()
+		if commitErr != nil || subErr != nil || commitCode != http.StatusOK || subCode != http.StatusOK {
+			t.Fatalf("round %d: commit %d (%v), sub-batch %d (%v)", i, commitCode, commitErr, subCode, subErr)
+		}
+		now := cb.Generation()
+		if cr.Generation != now || now != g+1 && now != g+2 || subGen < g+1 {
+			t.Fatalf("round %d from generation %d: commit answered %d, writer at %d, sub-batch scanned %d",
+				i, g, cr.Generation, now, subGen)
+		}
+		waitFor(t, fmt.Sprintf("round %d: the peer to reach generation %d", i, now), func() bool {
+			return peer.inc.Codebase().Generation() >= now
+		})
+		if pg := peer.inc.Codebase().Generation(); pg != now {
+			t.Fatalf("round %d: peer at generation %d, writer at %d", i, pg, now)
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		if probe := fmt.Sprintf("race_probe_%d", i); !holds(peer, probe) || !holds(writer, probe) {
+			t.Fatalf("round %d's change is missing: peer %v, writer %v", i, holds(peer, probe), holds(writer, probe))
+		}
+	}
+	req := api.ScanRequest{Checker: testChecker, Query: api.Query{MinGeneration: cb.Generation()}}
+	if a, b := postScan(t, tss[0], req), postScan(t, tss[1], req); reportsJSON(t, a) != reportsJSON(t, b) {
+		t.Fatal("the replicas' coordinated scans differ after the races")
+	}
+	if st := getStats(t, tss[0]).Shards; st.Degraded != 0 {
+		t.Fatalf("degraded scatters %d, want 0", st.Degraded)
+	}
+}
+
+// postSubBatch sends sub to url's sub-batch route, as a coordinator's
+// scatter does, and returns the status and, on a 200, the generation
+// its one-checker reply scanned.
+func postSubBatch(url string, sub api.BatchRequest) (int, int64, error) {
+	data, err := json.Marshal(sub)
+	if err != nil {
+		return 0, 0, err
+	}
+	resp, err := http.Post(url+shard.SubBatchPath, "application/json", bytes.NewReader(data))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, 0, err
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != shard.SubBatchContentType {
+		return resp.StatusCode, 0, fmt.Errorf("sub-batch reply Content-Type %q", ct)
+	}
+	results, err := shard.DecodeSubBatch(reply)
+	if err != nil {
+		return resp.StatusCode, 0, err
+	}
+	if len(results) != len(sub.Checkers) {
+		return resp.StatusCode, 0, fmt.Errorf("%d entries for %d checkers", len(results), len(sub.Checkers))
+	}
+	return resp.StatusCode, results[0].Generation, nil
+}
+
+// TestSubBatchFromAnotherCorpusDegrades: a peer whose corpus differs
+// holds another partition table, so it answers a sub-batch naming the
+// coordinator's partition 409, and the scatter serves that partition
+// from the coordinator's own snapshot, byte-identical to a single host.
+func TestSubBatchFromAnotherCorpusDegrades(t *testing.T) {
+	srvs, tss := bootEach(t, 2, Config{}, func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.Scale = 0.2
+		}
+	}, nil)
+	_, single := bootOne(t, Config{})
+	ref := srvs[0].shard.table.Ref(1)
+	if code, _, err := postSubBatch(tss[1].URL, api.BatchRequest{Checkers: []string{testChecker}, Query: api.Query{Partition: &ref}}); err != nil || code != http.StatusConflict {
+		t.Fatalf("sub-batch naming another corpus's partition: %d, %v; want 409", code, err)
+	}
+	req := api.ScanRequest{Checker: testChecker}
+	sameScan(t, "degraded scatter", postScan(t, tss[0], req), postScan(t, single, req))
+	if st := getStats(t, tss[0]).Shards; st.Scatters != 1 || st.Degraded != 1 {
+		t.Fatalf("scatter over a peer with another corpus: %+v, want 1 scatter, 1 degraded", st)
 	}
 }
 
@@ -454,7 +690,7 @@ func TestNudgesReuseTheirConnection(t *testing.T) {
 }
 
 // TestConvergePullsOnlyWhileBehind: a lazy converge that waited on
-// convergeMu while another replay applied the generation it wants finds
+// writeMu while another replay applied the generation it wants finds
 // that generation applied and does not pull the feed, and neither does
 // a nudge for a generation the replica has reached. A /converge without
 // a generation, an operator's poke, still pulls.
@@ -469,7 +705,7 @@ func TestConvergePullsOnlyWhileBehind(t *testing.T) {
 	publishEntry(t, sh, gen, changes)
 	before := pulls()
 
-	sh.convergeMu.Lock()
+	sh.writeMu.Lock()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -477,7 +713,7 @@ func TestConvergePullsOnlyWhileBehind(t *testing.T) {
 	}()
 	// Past maybeConverge's own check, the goroutine is in converge,
 	// waiting for the lock.
-	waitFor(t, "the lazy converge to wait on convergeMu", func() bool {
+	waitFor(t, "the lazy converge to wait on writeMu", func() bool {
 		buf := make([]byte, 1<<20)
 		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Server).converge("))
 	})
@@ -485,7 +721,7 @@ func TestConvergePullsOnlyWhileBehind(t *testing.T) {
 	if _, err := srv.inc.ApplyChangeset(toScanChanges(changes)); err != nil {
 		t.Fatal(err)
 	}
-	sh.convergeMu.Unlock()
+	sh.writeMu.Unlock()
 	<-done
 	if got := pulls(); got != before {
 		t.Fatalf("a converge to generation %d, already applied, pulled the feed %d times", gen, got-before)
@@ -640,7 +876,7 @@ func TestPushedNudgeAtOrBelowIsNoOp(t *testing.T) {
 // TestCommitConvergesWithFeedPublishDown: with kcached answering every
 // POST /feed 500, each commit still reaches the peer through its nudge,
 // so the read-your-write scatter right after it, whose sub-batch's lazy
-// converge races the nudge's replay for convergeMu, degrades no
+// converge races the nudge's replay for writeMu, degrades no
 // partition.
 func TestCommitConvergesWithFeedPublishDown(t *testing.T) {
 	c, err := NewCache(CacheConfig{CacheDir: t.TempDir()})

@@ -13,6 +13,7 @@ import (
 
 	"knighter/internal/api"
 	"knighter/internal/obs"
+	"knighter/internal/scan"
 )
 
 // Config wires a Scatter: the partition ring, this replica's own shard
@@ -30,6 +31,10 @@ type Config struct {
 	// that does not answer within it is treated as dead for this
 	// scatter and its partition falls back to the local snapshot.
 	Timeout time.Duration
+	// Table is Ring's partition of the whole corpus, built once: a Batch
+	// without Paths covers it, and its sub-batches name their partition
+	// by reference.
+	Table *Table
 }
 
 // Hooks receives scatter-path observability events; any field may be
@@ -123,12 +128,14 @@ func (sc *Scatter) Scan(ctx context.Context, job ScanJob) (*api.ScanResponse, In
 		sub.MaxReports = 0
 		sub.IncludeTiming = false
 		var resp api.ScanResponse
-		if err := sc.post(rctx, s, "/scan", sub, &resp); err != nil {
+		if err := sc.post(rctx, s, "/scan", sub, func(body io.Reader) error {
+			return json.NewDecoder(body).Decode(&resp)
+		}); err != nil {
 			return nil, err
 		}
 		return []*api.ScanResponse{&resp}, nil
 	}
-	parts, info, err := sc.fanout(ctx, job.Paths, remote, job.Local)
+	parts, info, err := sc.fanout(ctx, sc.cfg.Ring.Partition(job.Paths), remote, job.Local)
 	if err != nil {
 		return nil, info, err
 	}
@@ -143,14 +150,19 @@ func (sc *Scatter) Scan(ctx context.Context, job ScanJob) (*api.ScanResponse, In
 }
 
 // SubBatchPath is the route a Batch posts each shard its sub-batch to:
-// a shard-local /batch that kserve serves behind a sub-batch gate of
-// its own rather than its read gate, since the coordinator's read gate
-// already admitted the work. A peer that predates the route answers
-// 404, and its partitions degrade to the local snapshot.
+// a shard-local batch that kserve serves behind a sub-batch gate of its
+// own rather than its read gate, since the coordinator's read gate
+// already admitted the work. The request is a JSON api.BatchRequest
+// naming its files by partition reference (whole-corpus reads) or by
+// path; the reply is binary (EncodeSubBatch). A peer that predates the
+// route answers 404, and one whose partition table differs answers 409;
+// either way the partition degrades to the local snapshot.
 const SubBatchPath = "/shard/batch"
 
 // BatchJob is one coordinated /batch over the checkers that compiled;
-// Names[i] labels Req.Checkers[i] in the merged responses.
+// Names[i] labels Req.Checkers[i] in the merged responses. Paths is the
+// ordered file list the batch covers, or empty for the whole corpus of
+// the Scatter's Table.
 type BatchJob struct {
 	Req   api.BatchRequest
 	Names []string
@@ -159,29 +171,48 @@ type BatchJob struct {
 }
 
 // Batch scatters job and merges per-checker: result[i] is what a
-// single-host scan of checker i over Paths would have produced.
+// single-host scan of checker i over the job's files would have
+// produced.
 func (sc *Scatter) Batch(ctx context.Context, job BatchJob) ([]*api.ScanResponse, Info, error) {
+	paths, partitions := job.Paths, [][]string(nil)
+	if len(paths) == 0 {
+		if sc.cfg.Table == nil {
+			return nil, Info{}, fmt.Errorf("shard: a whole-corpus batch needs the scatter's partition table")
+		}
+		paths, partitions = sc.cfg.Table.Paths, sc.cfg.Table.Parts
+	} else {
+		partitions = sc.cfg.Ring.Partition(paths)
+	}
 	remote := func(rctx context.Context, s int, files []string) ([]*api.ScanResponse, error) {
 		sub := job.Req
-		sub.Files = files
-		sub.ShardLocal = true
+		if len(job.Paths) == 0 {
+			ref := sc.cfg.Table.Ref(s)
+			sub.Partition = &ref
+		} else {
+			sub.Files = files
+		}
 		sub.MaxReports = 0
 		sub.IncludeTiming = false
-		var resp api.BatchResponse
-		if err := sc.post(rctx, s, SubBatchPath, sub, &resp); err != nil {
+		var results []*scan.Result
+		if err := sc.post(rctx, s, SubBatchPath, sub, func(body io.Reader) error {
+			data, err := io.ReadAll(body)
+			if err == nil {
+				results, err = DecodeSubBatch(data)
+			}
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		if len(resp.Results) != len(job.Req.Checkers) {
-			return nil, fmt.Errorf("shard %d: %d batch entries for %d checkers", s, len(resp.Results), len(job.Req.Checkers))
+		if len(results) != len(job.Req.Checkers) {
+			return nil, fmt.Errorf("shard %d: %d batch entries for %d checkers", s, len(results), len(job.Req.Checkers))
 		}
-		for i, r := range resp.Results {
-			if r == nil || r.Error != "" {
-				return nil, fmt.Errorf("shard %d: batch entry %d failed remotely", s, i)
-			}
+		out := make([]*api.ScanResponse, len(results))
+		for i, res := range results {
+			out[i] = api.ScanResult(job.Names[i], res, sub.IncludeTrace, true)
 		}
-		return resp.Results, nil
+		return out, nil
 	}
-	parts, info, err := sc.fanout(ctx, job.Paths, remote, job.Local)
+	parts, info, err := sc.fanout(ctx, partitions, remote, job.Local)
 	if err != nil {
 		return nil, info, err
 	}
@@ -193,7 +224,7 @@ func (sc *Scatter) Batch(ctx context.Context, job BatchJob) ([]*api.ScanResponse
 				flat[s] = p[i]
 			}
 		}
-		m, err := MergeScan(job.Names[i], job.Paths, sc.cfg.Ring, flat, job.Req.MaxReports)
+		m, err := MergeScan(job.Names[i], paths, sc.cfg.Ring, flat, job.Req.MaxReports)
 		if err != nil {
 			return nil, info, err
 		}
@@ -202,14 +233,13 @@ func (sc *Scatter) Batch(ctx context.Context, job BatchJob) ([]*api.ScanResponse
 	return merged, info, nil
 }
 
-// fanout runs every non-empty partition concurrently: self locally,
-// remote shards via remote() with timeout and local fallback.
-// parts is indexed by shard.
-func (sc *Scatter) fanout(ctx context.Context, paths []string,
+// fanout runs every non-empty partition (indexed by shard)
+// concurrently: self locally, remote shards via remote() with timeout
+// and local fallback. parts is indexed by shard.
+func (sc *Scatter) fanout(ctx context.Context, partitions [][]string,
 	remote func(ctx context.Context, s int, files []string) ([]*api.ScanResponse, error),
 	local Local) ([][]*api.ScanResponse, Info, error) {
 
-	partitions := sc.cfg.Ring.Partition(paths)
 	parts := make([][]*api.ScanResponse, len(partitions))
 	errs := make([]error, len(partitions))
 	var degraded atomic.Int64
@@ -290,12 +320,12 @@ func (sc *Scatter) runRemote(ctx context.Context, s int, files []string,
 	return part, true, err
 }
 
-// post issues one sub-request to shard s and decodes a 2xx reply into
-// out. Any transport error or non-2xx status is a shard failure from
-// the scatter's point of view — including a 409 from a shard that
-// could not converge to the required generation in time, which the
-// local fallback (already at that generation) then covers.
-func (sc *Scatter) post(ctx context.Context, s int, path string, body any, out any) error {
+// post issues one JSON sub-request to shard s and hands a 2xx reply's
+// body to decode. Any transport error or non-2xx status is a shard
+// failure from the scatter's point of view — including a 409 from a
+// shard that could not converge to the required generation in time, or
+// holds another partition table, which the local fallback then covers.
+func (sc *Scatter) post(ctx context.Context, s int, path string, body any, decode func(io.Reader) error) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -315,5 +345,5 @@ func (sc *Scatter) post(ctx context.Context, s int, path string, body any, out a
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("shard %d: %s %s: %s", s, path, resp.Status, msg)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decode(resp.Body)
 }

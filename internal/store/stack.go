@@ -240,6 +240,13 @@ func (s *Stack) InvalidateFuncs(funcHashes []string) int {
 	if s.back.Store != nil {
 		go s.back.Store.InvalidateFuncs(funcHashes)
 	}
+	return s.InvalidateFront(funcHashes)
+}
+
+// InvalidateFront drops the entries of funcHashes from the front tier
+// alone, for a commit whose shared-tier entries another process
+// already dropped. It returns the front's count.
+func (s *Stack) InvalidateFront(funcHashes []string) int {
 	return s.front.Store.InvalidateFuncs(funcHashes)
 }
 
