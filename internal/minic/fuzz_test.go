@@ -14,7 +14,7 @@ import (
 )
 
 // seedCorpus is the scale-0.25 kernel corpus the daemons serve by
-// default: real files for the fuzz seeds and the allocation pin.
+// default: real files for the fuzz seeds.
 var seedCorpus = sync.OnceValue(func() *kernel.Corpus {
 	return kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25})
 })
@@ -50,14 +50,17 @@ func addSeeds(f *testing.F) {
 		"/* unterminated",
 		"`",
 		`'a' '\0'`,
+		"int f(void) { return 0 }\nint g(void) { return `; }",
+		"struct s { int x }\n/* open",
+		"int f(void) { return (u8 `) p; }",
 	} {
 		f.Add(src)
 	}
 }
 
-// FuzzLexMatchesReference holds Lex to the map-based reference lexer:
-// for any input, the same tokens — kind, value and position — or the
-// same error.
+// FuzzLexMatchesReference holds Lexer.Next, driven over the whole input
+// by the Lex test helper, to the map-based reference lexer: for any
+// input, the same tokens — kind, value and position — or the same error.
 func FuzzLexMatchesReference(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -80,34 +83,15 @@ func FuzzLexMatchesReference(f *testing.F) {
 	})
 }
 
-// TestLexAllocations pins Lex to a constant number of allocations per
-// file — the token slice, grown at most once — however many tokens the
-// file holds, so a per-token allocation cannot come back unnoticed.
-func TestLexAllocations(t *testing.T) {
-	const maxAllocs = 2
-	for _, sf := range seedCorpus().Files {
-		toks, err := minic.Lex(sf.Path, sf.Src)
-		if err != nil {
-			t.Fatalf("Lex(%s): %v", sf.Path, err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := minic.Lex(sf.Path, sf.Src); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > maxAllocs {
-			t.Fatalf("Lex(%s): %.0f allocations for %d tokens, want <= %d", sf.Path, allocs, len(toks), maxAllocs)
-		}
-	}
-}
-
 // parseDeadline bounds one FuzzParseFile input: a linear parse of any
 // input the fuzzer builds takes milliseconds, so missing it means a
 // loop that does not terminate or blows up.
 const parseDeadline = 5 * time.Second
 
 // FuzzParseFile feeds the parser arbitrary source, as /changeset does.
-// The parser must not panic and must finish within parseDeadline, and
+// The parser must not panic and must finish within parseDeadline; it
+// must return the same file, or the same error at the same position, as
+// ReferenceParseFile, which lexes the whole input before it parses; and
 // whatever parses must render to source that re-parses to the same
 // rendering — the property a function patch relies on when it re-renders
 // and re-parses the patched file.
@@ -121,6 +105,10 @@ func FuzzParseFile(f *testing.F) {
 					done <- fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 				}
 			}()
+			if err := matchesReference(src); err != nil {
+				done <- err
+				return
+			}
 			done <- renderFixedPoint(src)
 		}()
 		select {
@@ -132,6 +120,20 @@ func FuzzParseFile(f *testing.F) {
 			t.Fatalf("parsing %d bytes did not finish within %v", len(src), parseDeadline)
 		}
 	})
+}
+
+// matchesReference checks that ParseFile, pulling its tokens, parses src
+// to the same file or fails with the same error as ReferenceParseFile.
+func matchesReference(src string) error {
+	got, gotErr := minic.ParseFile("fuzz.c", src)
+	want, wantErr := minic.ReferenceParseFile("fuzz.c", src)
+	if !reflect.DeepEqual(gotErr, wantErr) {
+		return fmt.Errorf("error = %v, reference %v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("parsed file differs from the reference's")
+	}
+	return nil
 }
 
 // renderFixedPoint checks that a source that parses renders to source

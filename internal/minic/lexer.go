@@ -25,26 +25,6 @@ func NewLexer(file, src string) *Lexer {
 	return &Lexer{file: file, src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input, returning the tokens (terminated by an
-// EOF token) or the first lexical error.
-func Lex(file, src string) ([]Token, error) {
-	lx := NewLexer(file, src)
-	// Kernel-style source runs 4–5 bytes per token (4.1–5.0 across the
-	// generated corpus), so a quarter of its length holds the whole
-	// stream in one allocation; denser input grows the slice.
-	toks := make([]Token, 0, len(src)/4+1)
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
-}
-
 func (lx *Lexer) pos() Pos { return Pos{File: lx.file, Line: lx.line, Col: lx.col} }
 
 func (lx *Lexer) peek() byte {

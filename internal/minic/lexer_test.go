@@ -143,6 +143,24 @@ func TestLexCharLiteral(t *testing.T) {
 	}
 }
 
+// Lex drives Lexer.Next over the whole input, returning the tokens
+// (terminated by an EOF token) or the first lexical error: the stream
+// the parser pulls one token at a time.
+func Lex(file, src string) ([]Token, error) {
+	lx := NewLexer(file, src)
+	var toks []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
 // ReferenceLex is Lex driven by referenceNext, the lexer's map-based
 // Next as it stood before punctuation moved to a byte table and string
 // literals to substrings. FuzzLexMatchesReference holds the live lexer

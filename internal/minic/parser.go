@@ -14,38 +14,103 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parser is a recursive-descent parser for mini-C.
+// Parser is a recursive-descent parser for mini-C. It pulls tokens from
+// its lexer as it goes: tok is the current token, and ahead[head:] holds
+// the tokens peekKind lexed past it, so a parse keeps a handful of tokens
+// alive, never a file's whole stream.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx    Lexer
+	tok   Token
+	ahead []Token
+	head  int
+	// lexErr is the lexer's first error. The parser sees EOF from there
+	// on, and finish returns lexErr over whatever the parse made of it.
+	lexErr error
 }
 
 // ParseFile lexes and parses a translation unit.
 func ParseFile(name, src string) (*File, error) {
-	toks, err := Lex(name, src)
-	if err != nil {
+	p := newParser(name, src)
+	f, err := p.parseFile(name)
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
-	return p.parseFile(name)
+	return f, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func newParser(name, src string) *Parser {
+	p := &Parser{lx: *NewLexer(name, src)}
+	p.advance()
+	return p
+}
 
-func (p *Parser) peekKind(ahead int) Kind {
-	i := p.pos + ahead
-	if i >= len(p.toks) {
-		return EOF
+// finish returns the error of a parse that ended with err: a lexical
+// error anywhere in the input wins over a syntax error before it, as if
+// the whole input had been lexed before parsing began.
+func (p *Parser) finish(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
 	}
-	return p.toks[i].Kind
+	if err == nil {
+		return nil
+	}
+	for {
+		t, lerr := p.lx.Next()
+		if lerr != nil {
+			return lerr
+		}
+		if t.Kind == EOF {
+			return err
+		}
+	}
 }
 
-func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
+// scan returns the lexer's next token, or EOF from its first error on.
+func (p *Parser) scan() Token {
+	if p.lexErr == nil {
+		t, err := p.lx.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: EOF, Pos: p.lx.pos()}
+}
+
+// advance makes the next token current.
+func (p *Parser) advance() {
+	if p.head < len(p.ahead) {
+		p.tok = p.ahead[p.head]
+		if p.head++; p.head == len(p.ahead) {
+			p.ahead, p.head = p.ahead[:0], 0
+		}
+		return
+	}
+	p.tok = p.scan()
+}
+
+func (p *Parser) cur() *Token { return &p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+
+// peek returns the token ahead places past the current one. The pointer
+// is good until the next advance or peek.
+func (p *Parser) peek(ahead int) *Token {
+	if ahead == 0 {
+		return &p.tok
+	}
+	for len(p.ahead)-p.head < ahead {
+		p.ahead = append(p.ahead, p.scan())
+	}
+	return &p.ahead[p.head+ahead-1]
+}
+
+func (p *Parser) peekKind(ahead int) Kind { return p.peek(ahead).Kind }
+
+func (p *Parser) at(k Kind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k Kind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -829,7 +894,7 @@ func (p *Parser) typeFollowsParen() bool {
 	case KwStruct, KwConst, KwUnsigned, KwVoid, KwInt, KwChar, KwLong, KwBool:
 		return true
 	case IDENT:
-		if !IsTypeWord(p.toks[p.pos+1].Val) {
+		if !IsTypeWord(p.peek(1).Val) {
 			return false
 		}
 		// A typedef name is also a usable identifier: "(u8 *)p" is a

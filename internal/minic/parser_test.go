@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,16 +52,39 @@ func parseFunc(name, src string) (*FuncDecl, error) {
 
 // parseExpr parses a standalone expression.
 func parseExpr(src string) (Expr, error) {
-	toks, err := Lex("<expr>", src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser("<expr>", src)
 	e, err := p.parseExpr()
 	if err == nil && p.cur().Kind != EOF {
 		err = p.errorf("unexpected %s after expression", p.cur())
 	}
-	return e, err
+	if err = p.finish(err); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// ReferenceParseFile is ParseFile as it stood before the parser pulled
+// its tokens: it lexes the whole input first, returning the first
+// lexical error, and only then parses the buffered stream.
+// FuzzParseFile holds ParseFile to its files and errors.
+func ReferenceParseFile(name, src string) (*File, error) {
+	lx := NewLexer(name, src)
+	var toks []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			break
+		}
+	}
+	// The buffered stream is the lookahead; the lexer, at its end,
+	// answers EOF past it.
+	p := &Parser{lx: *lx, ahead: toks}
+	p.advance()
+	return p.parseFile(name)
 }
 
 func TestParseKernelishFunction(t *testing.T) {
@@ -269,6 +293,27 @@ func TestParseErrorHasPosition(t *testing.T) {
 	}
 	if !strings.Contains(pe.Error(), "bad.c:3") {
 		t.Errorf("error text = %q", pe.Error())
+	}
+}
+
+// TestLexErrorWinsOverSyntaxError: the parser pulls its tokens, yet a
+// lexical error anywhere in the input is the error, even after a syntax
+// error, one met in lookahead, or one past an input that parsed up to it.
+func TestLexErrorWinsOverSyntaxError(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"int f(void) { return 0 }\nint g(void) { return `; }", "t.c:2:22: unexpected character \"`\""},
+		{"struct s { int x }\n/* open", "t.c:2:1: unterminated block comment"},
+		{"int f(void) { return (u8 `) p; }", "t.c:1:26: unexpected character \"`\""},
+		{"int f(void) { return 0; }\n\"open", "t.c:2:1: unterminated string literal"},
+		{"int f(void) { return 0 }", "t.c:1:24: expected ;, found }"},
+	} {
+		_, err := ParseFile("t.c", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ParseFile(%q) = %v, want %s", c.src, err, c.want)
+		}
+		if _, ref := ReferenceParseFile("t.c", c.src); !reflect.DeepEqual(err, ref) {
+			t.Errorf("ParseFile(%q) = %v, reference %v", c.src, err, ref)
+		}
 	}
 }
 

@@ -2,229 +2,287 @@ package minic
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
+	"sync"
 )
+
+// printer appends canonical mini-C source to buf. The Append functions
+// run one over the caller's buffer; the Format functions run a pooled
+// one, so the string they return is all they allocate.
+type printer struct{ buf []byte }
+
+func (p *printer) str(s string) { p.buf = append(p.buf, s...) }
+func (p *printer) ch(c byte)    { p.buf = append(p.buf, c) }
+func (p *printer) num(n int64)  { p.buf = strconv.AppendInt(p.buf, n, 10) }
+
+var printers = sync.Pool{New: func() any { return new(printer) }}
+
+// formatted returns what p printed as a string and puts p back.
+func formatted(p *printer) string {
+	s := string(p.buf)
+	p.buf = p.buf[:0]
+	printers.Put(p)
+	return s
+}
 
 // FormatFile renders the file back to mini-C source. The output is
 // canonical (tabs, one statement per line) so that diffing two versions of
 // a function produces clean unified diffs.
 func FormatFile(f *File) string {
-	var sb strings.Builder
-	for i, s := range f.Structs {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		printStruct(&sb, s)
-	}
-	if len(f.Structs) > 0 && (len(f.Globals) > 0 || len(f.Funcs) > 0) {
-		sb.WriteByte('\n')
-	}
-	for _, g := range f.Globals {
-		printDeclLine(&sb, g, 0)
-	}
-	if len(f.Globals) > 0 && len(f.Funcs) > 0 {
-		sb.WriteByte('\n')
-	}
-	for i, fn := range f.Funcs {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		sb.WriteString(FormatFunc(fn))
-	}
-	return sb.String()
+	p := printers.Get().(*printer)
+	p.file(f)
+	return formatted(p)
+}
+
+// AppendFile appends FormatFile(f) to dst and returns the extended
+// buffer.
+func AppendFile(dst []byte, f *File) []byte {
+	p := printer{buf: dst}
+	p.file(f)
+	return p.buf
 }
 
 // FormatFunc renders a single function definition.
 func FormatFunc(fn *FuncDecl) string {
-	var sb strings.Builder
-	if fn.Static {
-		sb.WriteString("static ")
-	}
-	sb.WriteString(typeDecl(fn.Ret, fn.Name))
-	sb.WriteByte('(')
-	if len(fn.Params) == 0 {
-		sb.WriteString("void")
-	}
-	for i, p := range fn.Params {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(typeDecl(p.Type, p.Name))
-	}
-	sb.WriteString(")\n")
-	printBlock(&sb, fn.Body, 0)
-	return sb.String()
+	p := printers.Get().(*printer)
+	p.funcDecl(fn)
+	return formatted(p)
+}
+
+// AppendFunc appends FormatFunc(fn) to dst and returns the extended
+// buffer.
+func AppendFunc(dst []byte, fn *FuncDecl) []byte {
+	p := printer{buf: dst}
+	p.funcDecl(fn)
+	return p.buf
 }
 
 // FormatExpr renders a single expression.
 func FormatExpr(e Expr) string {
-	var sb strings.Builder
-	printExpr(&sb, e)
-	return sb.String()
+	p := printers.Get().(*printer)
+	p.expr(e)
+	return formatted(p)
 }
 
-func printStruct(sb *strings.Builder, s *StructDecl) {
-	fmt.Fprintf(sb, "struct %s {\n", s.Name)
-	for _, f := range s.Fields {
-		sb.WriteByte('\t')
-		sb.WriteString(typeDecl(f.Type, f.Name))
-		if f.Type.IsArray() {
-			fmt.Fprintf(sb, "[%d]", f.Type.ArrayLen)
+func (p *printer) file(f *File) {
+	for i, s := range f.Structs {
+		if i > 0 {
+			p.ch('\n')
 		}
-		sb.WriteString(";\n")
+		p.structDecl(s)
 	}
-	sb.WriteString("};\n")
+	if len(f.Structs) > 0 && (len(f.Globals) > 0 || len(f.Funcs) > 0) {
+		p.ch('\n')
+	}
+	for _, g := range f.Globals {
+		p.declLine(g, 0)
+	}
+	if len(f.Globals) > 0 && len(f.Funcs) > 0 {
+		p.ch('\n')
+	}
+	for i, fn := range f.Funcs {
+		if i > 0 {
+			p.ch('\n')
+		}
+		p.funcDecl(fn)
+	}
+}
+
+func (p *printer) funcDecl(fn *FuncDecl) {
+	if fn.Static {
+		p.str("static ")
+	}
+	p.typeDecl(fn.Ret, fn.Name)
+	p.ch('(')
+	if len(fn.Params) == 0 {
+		p.str("void")
+	}
+	for i, prm := range fn.Params {
+		if i > 0 {
+			p.str(", ")
+		}
+		p.typeDecl(prm.Type, prm.Name)
+	}
+	p.str(")\n")
+	p.block(fn.Body, 0)
+}
+
+func (p *printer) structDecl(s *StructDecl) {
+	p.str("struct ")
+	p.str(s.Name)
+	p.str(" {\n")
+	for _, f := range s.Fields {
+		p.ch('\t')
+		p.typeDecl(f.Type, f.Name)
+		p.arrayLen(f.Type)
+		p.str(";\n")
+	}
+	p.str("};\n")
 }
 
 // typeDecl renders "type name" with the pointer stars attached to the
-// name, C-style.
-func typeDecl(t Type, name string) string {
-	base := t.Base
-	if t.Unsigned && base != "int" {
-		base = "unsigned " + base
-	} else if t.Unsigned {
-		base = "unsigned int"
+// name, C-style; with no name, "type" and its stars after a space.
+func (p *printer) typeDecl(t Type, name string) {
+	switch {
+	case t.Unsigned && t.Base == "int":
+		p.str("unsigned int")
+	case t.Unsigned:
+		p.str("unsigned ")
+		p.str(t.Base)
+	default:
+		p.str(t.Base)
 	}
-	stars := strings.Repeat("*", t.Stars)
-	if name == "" {
-		if stars != "" {
-			return base + " " + stars
-		}
-		return base
+	if name == "" && t.Stars == 0 {
+		return
 	}
-	return base + " " + stars + name
+	p.ch(' ')
+	for range t.Stars {
+		p.ch('*')
+	}
+	p.str(name)
 }
 
-func indent(sb *strings.Builder, depth int) {
-	for i := 0; i < depth; i++ {
-		sb.WriteByte('\t')
+func (p *printer) arrayLen(t Type) {
+	if t.IsArray() {
+		p.ch('[')
+		p.num(int64(t.ArrayLen))
+		p.ch(']')
 	}
 }
 
-func printBlock(sb *strings.Builder, b *Block, depth int) {
-	indent(sb, depth)
-	sb.WriteString("{\n")
+func (p *printer) indent(depth int) {
+	for range depth {
+		p.ch('\t')
+	}
+}
+
+func (p *printer) block(b *Block, depth int) {
+	p.indent(depth)
+	p.str("{\n")
 	for _, s := range b.Stmts {
-		printStmt(sb, s, depth+1)
+		p.stmt(s, depth+1)
 	}
-	indent(sb, depth)
-	sb.WriteString("}\n")
+	p.indent(depth)
+	p.str("}\n")
 }
 
-func printDeclLine(sb *strings.Builder, d *DeclStmt, depth int) {
-	indent(sb, depth)
-	sb.WriteString(typeDecl(d.Type, d.Name))
-	if d.Type.IsArray() {
-		fmt.Fprintf(sb, "[%d]", d.Type.ArrayLen)
-	}
+func (p *printer) declLine(d *DeclStmt, depth int) {
+	p.indent(depth)
+	p.typeDecl(d.Type, d.Name)
+	p.arrayLen(d.Type)
 	if d.Cleanup != "" {
-		fmt.Fprintf(sb, " __free(%s)", d.Cleanup)
+		p.str(" __free(")
+		p.str(d.Cleanup)
+		p.ch(')')
 	}
 	if d.Init != nil {
-		sb.WriteString(" = ")
-		printExpr(sb, d.Init)
+		p.str(" = ")
+		p.expr(d.Init)
 	}
-	sb.WriteString(";\n")
+	p.str(";\n")
 }
 
-func printStmt(sb *strings.Builder, s Stmt, depth int) {
+func (p *printer) stmt(s Stmt, depth int) {
 	switch st := s.(type) {
 	case *Block:
 		if len(st.Stmts) == 0 {
-			indent(sb, depth)
-			sb.WriteString(";\n")
+			p.indent(depth)
+			p.str(";\n")
 			return
 		}
-		printBlock(sb, st, depth)
+		p.block(st, depth)
 	case *DeclStmt:
-		printDeclLine(sb, st, depth)
+		p.declLine(st, depth)
 	case *ExprStmt:
-		indent(sb, depth)
-		printExpr(sb, st.X)
-		sb.WriteString(";\n")
+		p.indent(depth)
+		p.expr(st.X)
+		p.str(";\n")
 	case *IfStmt:
-		indent(sb, depth)
-		sb.WriteString("if (")
-		printExpr(sb, st.Cond)
-		sb.WriteString(")\n")
-		printSubStmt(sb, st.Then, depth)
+		p.indent(depth)
+		p.str("if (")
+		p.expr(st.Cond)
+		p.str(")\n")
+		p.subStmt(st.Then, depth)
 		if st.Else != nil {
-			indent(sb, depth)
-			sb.WriteString("else\n")
-			printSubStmt(sb, st.Else, depth)
+			p.indent(depth)
+			p.str("else\n")
+			p.subStmt(st.Else, depth)
 		}
 	case *WhileStmt:
-		indent(sb, depth)
-		sb.WriteString("while (")
-		printExpr(sb, st.Cond)
-		sb.WriteString(")\n")
-		printSubStmt(sb, st.Body, depth)
+		p.indent(depth)
+		p.str("while (")
+		p.expr(st.Cond)
+		p.str(")\n")
+		p.subStmt(st.Body, depth)
 	case *ForStmt:
-		indent(sb, depth)
-		sb.WriteString("for (")
+		p.indent(depth)
+		p.str("for (")
 		switch init := st.Init.(type) {
 		case nil:
-			sb.WriteString(";")
+			p.str(";")
 		case *DeclStmt:
-			sb.WriteString(typeDecl(init.Type, init.Name))
+			p.typeDecl(init.Type, init.Name)
 			if init.Init != nil {
-				sb.WriteString(" = ")
-				printExpr(sb, init.Init)
+				p.str(" = ")
+				p.expr(init.Init)
 			}
-			sb.WriteString(";")
+			p.str(";")
 		case *ExprStmt:
-			printExpr(sb, init.X)
-			sb.WriteString(";")
+			p.expr(init.X)
+			p.str(";")
 		}
-		sb.WriteString(" ")
+		p.str(" ")
 		if st.Cond != nil {
-			printExpr(sb, st.Cond)
+			p.expr(st.Cond)
 		}
-		sb.WriteString("; ")
+		p.str("; ")
 		if st.Post != nil {
-			printExpr(sb, st.Post)
+			p.expr(st.Post)
 		}
-		sb.WriteString(")\n")
-		printSubStmt(sb, st.Body, depth)
+		p.str(")\n")
+		p.subStmt(st.Body, depth)
 	case *ReturnStmt:
-		indent(sb, depth)
-		sb.WriteString("return")
+		p.indent(depth)
+		p.str("return")
 		if st.X != nil {
-			sb.WriteByte(' ')
-			printExpr(sb, st.X)
+			p.ch(' ')
+			p.expr(st.X)
 		}
-		sb.WriteString(";\n")
+		p.str(";\n")
 	case *GotoStmt:
-		indent(sb, depth)
-		fmt.Fprintf(sb, "goto %s;\n", st.Label)
+		p.indent(depth)
+		p.str("goto ")
+		p.str(st.Label)
+		p.str(";\n")
 	case *LabeledStmt:
 		// Labels outdent one level, kernel style.
 		if depth > 0 {
-			indent(sb, depth-1)
+			p.indent(depth - 1)
 		}
-		fmt.Fprintf(sb, "%s:\n", st.Label)
+		p.str(st.Label)
+		p.str(":\n")
 		if st.Stmt != nil {
-			printStmt(sb, st.Stmt, depth)
+			p.stmt(st.Stmt, depth)
 		}
 	case *BreakStmt:
-		indent(sb, depth)
-		sb.WriteString("break;\n")
+		p.indent(depth)
+		p.str("break;\n")
 	case *ContinueStmt:
-		indent(sb, depth)
-		sb.WriteString("continue;\n")
+		p.indent(depth)
+		p.str("continue;\n")
 	default:
 		panic(fmt.Sprintf("minic: unknown statement %T", s))
 	}
 }
 
-// printSubStmt prints the body of an if/while/for: blocks inline, other
+// subStmt prints the body of an if/while/for: blocks inline, other
 // statements indented one level.
-func printSubStmt(sb *strings.Builder, s Stmt, depth int) {
+func (p *printer) subStmt(s Stmt, depth int) {
 	if b, ok := s.(*Block); ok {
-		printBlock(sb, b, depth)
+		p.block(b, depth)
 		return
 	}
-	printStmt(sb, s, depth+1)
+	p.stmt(s, depth+1)
 }
 
 var opText = map[Kind]string{
@@ -236,100 +294,104 @@ var opText = map[Kind]string{
 	OrEq: "|=", AndEq: "&=",
 }
 
-func printExpr(sb *strings.Builder, e Expr) {
+func (p *printer) expr(e Expr) {
 	switch ex := e.(type) {
 	case *Ident:
-		sb.WriteString(ex.Name)
+		p.str(ex.Name)
 	case *IntLit:
 		if ex.Text != "" {
-			sb.WriteString(ex.Text)
+			p.str(ex.Text)
 		} else {
-			fmt.Fprintf(sb, "%d", ex.Val)
+			p.num(ex.Val)
 		}
 	case *StrLit:
-		fmt.Fprintf(sb, "\"%s\"", ex.Val)
+		p.ch('"')
+		p.str(ex.Val)
+		p.ch('"')
 	case *CharLit:
-		fmt.Fprintf(sb, "'%s'", ex.Val)
+		p.ch('\'')
+		p.str(ex.Val)
+		p.ch('\'')
 	case *CallExpr:
-		sb.WriteString(ex.Fun)
-		sb.WriteByte('(')
+		p.str(ex.Fun)
+		p.ch('(')
 		for i, a := range ex.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				p.str(", ")
 			}
-			printExpr(sb, a)
+			p.expr(a)
 		}
-		sb.WriteByte(')')
+		p.ch(')')
 	case *UnaryExpr:
-		sb.WriteString(opText[ex.Op])
-		printOperand(sb, ex.X)
+		p.str(opText[ex.Op])
+		p.operand(ex.X)
 	case *PostfixExpr:
-		printOperand(sb, ex.X)
-		sb.WriteString(opText[ex.Op])
+		p.operand(ex.X)
+		p.str(opText[ex.Op])
 	case *BinaryExpr:
-		printOperand(sb, ex.X)
-		sb.WriteByte(' ')
-		sb.WriteString(opText[ex.Op])
-		sb.WriteByte(' ')
-		printOperand(sb, ex.Y)
+		p.operand(ex.X)
+		p.ch(' ')
+		p.str(opText[ex.Op])
+		p.ch(' ')
+		p.operand(ex.Y)
 	case *AssignExpr:
-		printExpr(sb, ex.LHS)
-		sb.WriteByte(' ')
-		sb.WriteString(opText[ex.Op])
-		sb.WriteByte(' ')
-		printExpr(sb, ex.RHS)
+		p.expr(ex.LHS)
+		p.ch(' ')
+		p.str(opText[ex.Op])
+		p.ch(' ')
+		p.expr(ex.RHS)
 	case *IndexExpr:
-		printOperand(sb, ex.X)
-		sb.WriteByte('[')
-		printExpr(sb, ex.Idx)
-		sb.WriteByte(']')
+		p.operand(ex.X)
+		p.ch('[')
+		p.expr(ex.Idx)
+		p.ch(']')
 	case *MemberExpr:
-		printOperand(sb, ex.X)
+		p.operand(ex.X)
 		if ex.Arrow {
-			sb.WriteString("->")
+			p.str("->")
 		} else {
-			sb.WriteByte('.')
+			p.ch('.')
 		}
-		sb.WriteString(ex.Name)
+		p.str(ex.Name)
 	case *ParenExpr:
-		sb.WriteByte('(')
-		printExpr(sb, ex.X)
-		sb.WriteByte(')')
+		p.ch('(')
+		p.expr(ex.X)
+		p.ch(')')
 	case *SizeofExpr:
-		sb.WriteString("sizeof(")
+		p.str("sizeof(")
 		if ex.Type != nil {
-			sb.WriteString(typeDecl(*ex.Type, ""))
+			p.typeDecl(*ex.Type, "")
 		} else {
-			printExpr(sb, ex.X)
+			p.expr(ex.X)
 		}
-		sb.WriteByte(')')
+		p.ch(')')
 	case *CastExpr:
-		sb.WriteByte('(')
-		sb.WriteString(typeDecl(ex.Type, ""))
-		sb.WriteByte(')')
-		printOperand(sb, ex.X)
+		p.ch('(')
+		p.typeDecl(ex.Type, "")
+		p.ch(')')
+		p.operand(ex.X)
 	case *CondExpr:
-		printOperand(sb, ex.Cond)
-		sb.WriteString(" ? ")
-		printExpr(sb, ex.Then)
-		sb.WriteString(" : ")
-		printExpr(sb, ex.Else)
+		p.operand(ex.Cond)
+		p.str(" ? ")
+		p.expr(ex.Then)
+		p.str(" : ")
+		p.expr(ex.Else)
 	default:
 		panic(fmt.Sprintf("minic: unknown expression %T", e))
 	}
 }
 
-// printOperand wraps compound sub-expressions in parentheses so the
-// printed form re-parses with the same structure regardless of the
-// original precedence context.
-func printOperand(sb *strings.Builder, e Expr) {
+// operand wraps compound sub-expressions in parentheses so the printed
+// form re-parses with the same structure regardless of the original
+// precedence context.
+func (p *printer) operand(e Expr) {
 	switch e.(type) {
 	case *Ident, *IntLit, *StrLit, *CharLit, *CallExpr, *ParenExpr,
 		*SizeofExpr, *IndexExpr, *MemberExpr:
-		printExpr(sb, e)
+		p.expr(e)
 	default:
-		sb.WriteByte('(')
-		printExpr(sb, e)
-		sb.WriteByte(')')
+		p.ch('(')
+		p.expr(e)
+		p.ch(')')
 	}
 }

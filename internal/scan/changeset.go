@@ -54,7 +54,7 @@ type Changeset struct {
 }
 
 // opContext names one change for error messages; multi-op changesets
-// add the op index.
+// add the op index. Only a rejection builds it.
 func opContext(oi, n int, c Change) string {
 	verb := fmt.Sprintf("replace %s", c.Path)
 	if c.Func != "" {
@@ -73,14 +73,13 @@ func opContext(oi, n int, c Change) string {
 func parseChanges(changes []Change) ([]*minic.File, error) {
 	parsed := make([]*minic.File, len(changes))
 	for oi, c := range changes {
-		where := opContext(oi, len(changes), c)
 		pf, err := minic.ParseFile(c.Path, c.Source)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", where, err)
+			return nil, fmt.Errorf("%s: %w", opContext(oi, len(changes), c), err)
 		}
 		if c.Func != "" && (len(pf.Funcs) != 1 || len(pf.Structs) != 0 || len(pf.Globals) != 0) {
 			return nil, fmt.Errorf("%s: patch source must contain exactly one function and no declarations (got %d funcs, %d structs, %d globals)",
-				where, len(pf.Funcs), len(pf.Structs), len(pf.Globals))
+				opContext(oi, len(changes), c), len(pf.Funcs), len(pf.Structs), len(pf.Globals))
 		}
 		parsed[oi] = pf
 	}
@@ -106,10 +105,9 @@ func stageChanges(parent *Snapshot, changes []Change, parsed []*minic.File) (wor
 		srcs[i] = src
 	}
 	for oi, c := range changes {
-		where := opContext(oi, len(changes), c)
 		i := parent.FileIndex(c.Path)
 		if i < 0 {
-			return nil, nil, nil, fmt.Errorf("%s: no such file", where)
+			return nil, nil, nil, fmt.Errorf("%s: no such file", opContext(oi, len(changes), c))
 		}
 		if c.Func == "" {
 			stage(i, parsed[oi], c.Source)
@@ -128,7 +126,7 @@ func stageChanges(parent *Snapshot, changes []Change, parsed []*minic.File) (wor
 			}
 		}
 		if j < 0 {
-			return nil, nil, nil, fmt.Errorf("%s: no such function", where)
+			return nil, nil, nil, fmt.Errorf("%s: no such function", opContext(oi, len(changes), c))
 		}
 		funcs := make([]*minic.FuncDecl, len(old.Funcs))
 		copy(funcs, old.Funcs)
@@ -143,7 +141,7 @@ func stageChanges(parent *Snapshot, changes []Change, parsed []*minic.File) (wor
 		if perr != nil {
 			// The canonical printer emitted something the parser rejects —
 			// a printer bug, but surface it rather than corrupt the file.
-			return nil, nil, nil, fmt.Errorf("%s: re-parse of patched file: %w", where, perr)
+			return nil, nil, nil, fmt.Errorf("%s: re-parse of patched file: %w", opContext(oi, len(changes), c), perr)
 		}
 		stage(i, nf, src)
 	}

@@ -1,10 +1,12 @@
 package scan
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"knighter/internal/checker"
+	"knighter/internal/kernel"
 	"knighter/internal/minic"
 	"knighter/internal/store"
 )
@@ -249,5 +251,107 @@ func TestChangesetEquivalentToSequentialMutations(t *testing.T) {
 	b := resultBytes(t, incB.RunOne(ck, Options{Workers: 1}))
 	if a != b {
 		t.Fatal("changeset and sequential mutations diverged")
+	}
+}
+
+// heapBytesPerRun is the mean of the bytes f allocates on the heap per
+// call over runs calls, measured on one P so that nothing else
+// allocates between the two readings.
+func heapBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCommitAllocations budgets what a commit allocates beyond what the
+// new snapshot keeps. The parser pulls its tokens instead of lexing a
+// file's whole stream first, function hashes are printed into one
+// reused buffer, and FormatExpr, which the checkers and the engine call
+// for every event, prints into a pooled buffer: a per-token or per-call
+// allocation that comes back breaks a budget here.
+func TestCommitAllocations(t *testing.T) {
+	corpus := kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25})
+
+	// Parsing keeps the AST, about 9.4 B per source byte; lexing each
+	// file's token stream first cost 24.4.
+	var src int
+	for _, sf := range corpus.Files {
+		src += len(sf.Src)
+	}
+	parse := heapBytesPerRun(5, func() {
+		for _, sf := range corpus.Files {
+			if _, err := minic.ParseFile(sf.Path, sf.Src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perByte := parse / float64(src); perByte > 12 {
+		t.Errorf("parsing the corpus allocates %.1f B per source byte, want <= 12", perByte)
+	} else {
+		t.Logf("parsing the corpus allocates %.1f B per source byte", perByte)
+	}
+
+	// FormatExpr of every expression of the corpus: 32 520 allocations
+	// before its buffer was pooled, two and a half per expression.
+	var exprs []minic.Expr
+	cb, err := NewCodebase(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range cb.Files() {
+		for _, fn := range f.Funcs {
+			minic.WalkExprs(fn.Body, func(e minic.Expr) { exprs = append(exprs, e) })
+		}
+	}
+	n := testing.AllocsPerRun(5, func() {
+		for _, e := range exprs {
+			minic.FormatExpr(e)
+		}
+	})
+	if n > 32520 {
+		t.Errorf("formatting %d expressions made %.0f allocations, want <= 32520", len(exprs), n)
+	} else {
+		t.Logf("formatting %d expressions makes %.0f allocations", len(exprs), n)
+	}
+
+	// A 4-file commit, two function patches and two whole files, applied
+	// and reverted in turn: about 85 KB, 237 KB with each file's token
+	// stream lexed whole and each function printed to a string to hash.
+	var fwd, back []Change
+	for i, f := range cb.Files()[:4] {
+		if i < 2 {
+			fn := f.Funcs[len(f.Funcs)-1]
+			orig := minic.FormatFunc(fn)
+			brace := strings.Index(orig, "{")
+			fwd = append(fwd, Change{Path: f.Name, Func: fn.Name, Source: orig[:brace+1] + "\n\tint commit_probe;" + orig[brace+1:]})
+			back = append(back, Change{Path: f.Name, Func: fn.Name, Source: orig})
+			continue
+		}
+		orig := corpus.Files[i].Src
+		fwd = append(fwd, Change{Path: f.Name, Source: orig + "\nstatic int commit_probe(void)\n{\n\treturn 0;\n}\n"})
+		back = append(back, Change{Path: f.Name, Source: orig})
+	}
+	inc := NewIncremental(cb, store.NewMemory(0))
+	inc.RunOne(compileChecker(t), Options{})
+	var flip bool
+	commit := heapBytesPerRun(20, func() {
+		changes := fwd
+		if flip = !flip; !flip {
+			changes = back
+		}
+		if _, err := inc.ApplyChangeset(changes); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if commit > 112<<10 {
+		t.Errorf("a 4-file commit allocates %.0f B, want <= %d", commit, 112<<10)
+	} else {
+		t.Logf("a 4-file commit allocates %.0f B", commit)
 	}
 }

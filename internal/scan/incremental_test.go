@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -275,6 +276,102 @@ func TestOneCheckerKeyKeepsItsBytes(t *testing.T) {
 	d := store.Key{FuncHash: store.Hash("func"), CheckerFP: fp, EngineFP: Options{}.Engine.Fingerprint()}.Digest()
 	if got := fmt.Sprintf("%x", d[:]); got != "e36a7c03d19d899c43e31612b44fe8fc389782d926d150e9a8b3c2d651275ac7" {
 		t.Fatalf("key digest %s changed", got)
+	}
+}
+
+// pinSrc exercises what the generated corpus never prints: globals, an
+// array global with an initializer, a non-static function, __free, casts,
+// sizeof of a type, string and char literals, a ternary, a switch, goto
+// and a label, a for with a declaration and an empty for.
+const pinSrc = `struct pin_dev {
+	int id;
+	char name[16];
+	struct pin_dev *next;
+};
+
+int pin_count = 0;
+u8 pin_table[8];
+static const char *pin_label = "pin";
+
+long pin_probe(struct pin_dev *dev, unsigned flags, size_t len)
+{
+	void *buf __free(kfree) = kzalloc(sizeof(struct pin_dev), GFP_KERNEL);
+	unsigned long mask = 0xFFUL;
+	char c = '\n';
+	int i;
+	if (!dev || len > 16)
+		return -EINVAL;
+	for (i = 0; i < 8; i++)
+		pin_table[i] = (u8)(dev->id + i) % 2;
+	switch (flags) {
+	case 1:
+	case 2:
+		mask |= 1 << flags;
+		break;
+	default:
+		return flags ? -EIO : 0;
+	}
+	while (dev->next != NULL)
+		dev = dev->next;
+	if (c == 'x')
+		goto out;
+	dev->name[0] = *pin_label;
+	printk("%s: %d\n", pin_label, -dev->id);
+	for (int j = 0; j < 2; j++) {
+		len -= sizeof(dev->id);
+		if (&dev->name[j] == NULL)
+			continue;
+		else
+			break;
+	}
+	for (;;)
+		;
+out:
+	return (long)mask & ~0x1;
+}
+`
+
+// TestFuncHashKeepsItsBytes pins function hashes: every kcached entry
+// and every warm replica's memory is addressed by them, so a change to
+// how a hash is computed — the printer's bytes, the framing, the
+// position — orphans them all while every other test stays green. It
+// pins three functions of the seed-1, scale-0.25 corpus, a digest of
+// every function hash in that corpus, and a hand-written function with
+// what the corpus never prints.
+func TestFuncHashKeepsItsBytes(t *testing.T) {
+	cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: 1, Scale: 0.25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(cb.Files()) - 1
+	for _, c := range []struct {
+		file, fn int
+		want     string
+	}{
+		{0, 0, "9a9b63f27cbdf6c541d3f7963fa6a363"},
+		{0, 1, "b711fdfb1875573a45a4e076fe4019d1"},
+		{last, len(cb.Files()[last].Funcs) - 1, "7b13653d78a496d774fcdbf9bcc51b59"},
+	} {
+		if got := cb.FuncHash(c.file, c.fn); got != c.want {
+			t.Errorf("FuncHash(%d, %d) = %s, pinned %s", c.file, c.fn, got, c.want)
+		}
+	}
+	h := sha256.New()
+	for i, f := range cb.Files() {
+		for j := range f.Funcs {
+			fmt.Fprintln(h, cb.FuncHash(i, j))
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != "c0d0623231b2ea045ec5be39002770bc9c02b212439be2623644a7731a6ba332" {
+		t.Errorf("corpus function hashes digest to %s, pinned c0d0623231b2ea045ec5be39002770bc9c02b212439be2623644a7731a6ba332", got)
+	}
+
+	pin, err := NewCodebase(&kernel.Corpus{Files: []*kernel.SourceFile{{Path: "drivers/pin.c", Src: pinSrc}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pin.FuncHash(0, 0); got != "94bd03046e056426c85234415e4ea0f4" {
+		t.Errorf("FuncHash of pin_probe = %s, pinned 94bd03046e056426c85234415e4ea0f4", got)
 	}
 }
 

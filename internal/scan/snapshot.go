@@ -2,8 +2,8 @@ package scan
 
 import (
 	"context"
-	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -70,12 +70,20 @@ func (m *fileMemo) footprint(f *minic.File, j int) *minic.Footprint {
 	return fp
 }
 
+// preimages holds the buffers fileMemo.hashes prints its hash preimages
+// into.
+var preimages = sync.Pool{New: func() any { return new([]byte) }}
+
 // hashes returns the content hash of every function of f, the file
 // version this memo belongs to, and the function half of its keys.
 func (m *fileMemo) hashes(f *minic.File) ([]string, []store.Half) {
 	m.once.Do(func() {
-		ctx := minic.FormatFile(&minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals})
-		ctxHash := store.Hash("filectx:v1", f.Name, ctx)
+		// Each preimage is printed into one pooled buffer, framed as
+		// store.Hash frames its parts, so a hash allocates only itself.
+		bp := preimages.Get().(*[]byte)
+		buf := append(append((*bp)[:0], "filectx:v1\x00"...), f.Name...)
+		buf = append(minic.AppendFile(append(buf, 0), &minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals}), 0)
+		ctxHash := store.HashFramed(buf)
 		m.funcs = make([]string, len(f.Funcs))
 		m.parts = make([]store.Half, len(f.Funcs))
 		for j, fn := range f.Funcs {
@@ -83,10 +91,15 @@ func (m *fileMemo) hashes(f *minic.File) ([]string, []store.Half) {
 			// identity — cached reports carry absolute line/col, so a
 			// function whose text is unchanged but which moved within its
 			// file must re-analyze.
-			m.funcs[j] = store.Hash("func:v2", ctxHash,
-				fmt.Sprintf("%d:%d", fn.Pos.Line, fn.Pos.Col), minic.FormatFunc(fn))
+			buf = append(append(append(buf[:0], "func:v2\x00"...), ctxHash...), 0)
+			buf = append(strconv.AppendInt(buf, int64(fn.Pos.Line), 10), ':')
+			buf = append(strconv.AppendInt(buf, int64(fn.Pos.Col), 10), 0)
+			buf = append(minic.AppendFunc(buf, fn), 0)
+			m.funcs[j] = store.HashFramed(buf)
 			m.parts[j] = store.FuncPart(m.funcs[j])
 		}
+		*bp = buf
+		preimages.Put(bp)
 	})
 	return m.funcs, m.parts
 }

@@ -14,6 +14,7 @@ import (
 	"knighter/internal/checker"
 	"knighter/internal/ckdsl"
 	"knighter/internal/engine"
+	"knighter/internal/kernel"
 	"knighter/internal/minic"
 	"knighter/internal/store"
 )
@@ -127,6 +128,28 @@ func TestSnapshotFileIndex(t *testing.T) {
 		check(parent)
 		check(next)
 	})
+}
+
+// TestFuncHashIsStoreHash holds the memo, which prints each function
+// into one reused buffer, to the hash it stands for: store.Hash of the
+// function's canonical text, its position and its file context, for
+// every function of the corpus at seeds 1 and 2.
+func TestFuncHashIsStoreHash(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		cb, err := NewCodebase(kernel.Generate(kernel.Config{Seed: seed, Scale: 0.25}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range cb.Files() {
+			ctx := store.Hash("filectx:v1", f.Name, minic.FormatFile(&minic.File{Name: f.Name, Structs: f.Structs, Globals: f.Globals}))
+			for j, fn := range f.Funcs {
+				want := store.Hash("func:v2", ctx, fmt.Sprintf("%d:%d", fn.Pos.Line, fn.Pos.Col), minic.FormatFunc(fn))
+				if got := cb.FuncHash(i, j); got != want {
+					t.Fatalf("seed %d: FuncHash(%d, %d) = %s, store.Hash gives %s", seed, i, j, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestSnapshotMemoMatchesColdParse runs memoScript with every parent's

@@ -26,16 +26,20 @@ import (
 func MergeScan(name string, paths []string, ring Ring, parts []*api.ScanResponse, maxReports int) (*api.ScanResponse, error) {
 	type cursor struct{ file, rep, errs int }
 	cur := make([]cursor, len(parts))
-	counts := ring.Partition(paths)
+	// counts[s] is the size of shard s's partition of paths.
+	counts := make([]int, max(ring.Count, 1))
+	for _, path := range paths {
+		counts[ring.Owner(path)]++
+	}
 	for s, p := range parts {
-		if len(counts[s]) == 0 {
+		if counts[s] == 0 {
 			continue
 		}
 		if p == nil {
 			return nil, fmt.Errorf("shard %d: no partial for a non-empty partition", s)
 		}
-		if len(p.FileCuts) != len(counts[s]) {
-			return nil, fmt.Errorf("shard %d: %d file cuts for %d files", s, len(p.FileCuts), len(counts[s]))
+		if len(p.FileCuts) != counts[s] {
+			return nil, fmt.Errorf("shard %d: %d file cuts for %d files", s, len(p.FileCuts), counts[s])
 		}
 	}
 
@@ -63,7 +67,7 @@ func MergeScan(name string, paths []string, ring Ring, parts []*api.ScanResponse
 
 	var hits, misses int64
 	for s, p := range parts {
-		if p == nil || len(counts[s]) == 0 {
+		if p == nil || counts[s] == 0 {
 			continue
 		}
 		out.FilesScanned += p.FilesScanned

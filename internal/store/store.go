@@ -107,12 +107,23 @@ func (k Key) ID() string {
 // Hash content-addresses a list of byte-strings (null-separated, so
 // ("ab","c") and ("a","bc") hash differently).
 func Hash(parts ...string) string {
-	h := sha256.New()
+	var buf [256]byte
+	pre := buf[:0]
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		pre = append(append(pre, p...), 0)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return HashFramed(pre)
+}
+
+// HashFramed is Hash over a preimage the caller framed itself: each
+// part followed by a zero byte, so Hash(a, b) == HashFramed(a 0 b 0). A
+// caller that prints its parts into one reused buffer hashes them
+// without a string per part.
+func HashFramed(preimage []byte) string {
+	sum := sha256.Sum256(preimage)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:])
 }
 
 // Stats is a point-in-time snapshot of cache-effectiveness counters.
